@@ -69,7 +69,6 @@ type fabricConfig struct {
 	metricsReg       *metrics.Registry
 	cacheFactory     func(cloud.SiteID) registry.Store
 	instances        map[cloud.SiteID]registry.API
-	ha               bool
 	serviceTime      time.Duration
 	concurrency      int
 	shardsPerSite    int
@@ -119,12 +118,6 @@ func WithMetricsRegistry(reg *metrics.Registry) FabricOption {
 // WithCacheFactory overrides how the per-site cache instances are built.
 func WithCacheFactory(f func(cloud.SiteID) registry.Store) FabricOption {
 	return func(c *fabricConfig) { c.cacheFactory = f }
-}
-
-// WithHACaches backs every registry instance with a primary/replica pair
-// instead of a single cache, as the paper's managed cache tier does.
-func WithHACaches() FabricOption {
-	return func(c *fabricConfig) { c.ha = true }
 }
 
 // WithShardsPerSite backs every in-process site with a registry.Router over n
@@ -258,7 +251,7 @@ func NewFabric(topo *cloud.Topology, lat *latency.Model, opts ...FabricOption) *
 		}
 	}
 	if cfg.cacheFactory == nil {
-		newCache := func() *memcache.Cache {
+		cfg.cacheFactory = func(cloud.SiteID) registry.Store {
 			return memcache.New(memcache.Config{
 				ServiceTime: cfg.serviceTime,
 				Concurrency: cfg.concurrency,
@@ -269,11 +262,6 @@ func NewFabric(topo *cloud.Topology, lat *latency.Model, opts ...FabricOption) *
 				// (hit rate, occupancy, slot wait).
 				Metrics: cfg.metricsReg,
 			})
-		}
-		if cfg.ha {
-			cfg.cacheFactory = func(cloud.SiteID) registry.Store { return memcache.NewHA(newCache) }
-		} else {
-			cfg.cacheFactory = func(cloud.SiteID) registry.Store { return newCache() }
 		}
 	}
 

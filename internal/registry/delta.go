@@ -76,9 +76,10 @@ func (r *Router) takeDownSeq(id cloud.SiteID) (uint64, bool) {
 	return seq, ok
 }
 
-// noteWritten records names written through the replicated write paths
-// while any breaker is open; the down shard misses these writes, and a
-// delta repair replays exactly this set. Over-noting is harmless — an
+// noteWritten records names written through the router while any breaker is
+// open; the down shard misses these writes, and a delta repair replays
+// exactly this set. A one-home tier never routes around a down shard, so no
+// write misses it and nothing is noted. Over-noting is harmless — an
 // unneeded name costs one idempotent Merge — so the write paths call this
 // before their fan-out, whether or not the down shard is in the target set.
 // The notes share delMu (and the clear points) with the deletion notes.
@@ -234,11 +235,7 @@ func (r *Router) deltaRepair(ctx context.Context, victim cloud.SiteID) error {
 		// Post-merge re-check, exactly like sweepShard: a delete that raced
 		// the merge noted itself before touching any shard, so it is visible
 		// here and the resurrection is undone.
-		merged := make([]string, len(entries))
-		for i, e := range entries {
-			merged[i] = e.Name
-		}
-		if undo := r.deletedSince(merged); len(undo) > 0 {
+		if undo := r.deletedSince(entryNames(entries)); len(undo) > 0 {
 			if _, err := vapi.DeleteMany(ctx, undo); err != nil {
 				errs = append(errs, fmt.Errorf("undoing resurrected deletions on shard %d: %w", victim, err))
 			}

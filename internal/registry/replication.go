@@ -4,31 +4,33 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"geomds/internal/cloud"
 )
 
-// This file holds the Router's replicated operation paths, used when the
-// router was built with WithRouterReplication(r > 1).
+// This file holds the Router's placement and its routed data operations.
+// There is one path: every key lives on a replica set — the first R distinct
+// shards of its consistent-hash successor list (dht.Placer.Homes), primary
+// first — and the classic single-home tier is simply R = 1, a set of one.
 //
-// Placement: every key lives on the first r distinct shards of its
-// consistent-hash successor list (dht.Placer.Homes), primary first. Routing
-// draws the set from *healthy* shards only — a shard whose breaker is open
-// is skipped and the next successor substitutes, so availability survives a
-// shard crash without waiting for an operator. The re-sync sweep that runs
-// when a shard's breaker closes (see sweepShard) moves everything back to
-// the placement the ring prescribes.
+// With R > 1 routing draws the set from *healthy* shards only — a shard whose
+// breaker is open is skipped and the next successor substitutes, so
+// availability survives a shard crash without waiting for an operator. The
+// re-sync sweep that runs when a shard's breaker closes (see sweepShard)
+// moves everything back to the placement the ring prescribes. A one-home
+// tier has nowhere correct to re-route to, so it keeps routing to the key's
+// only home and surfaces that shard's own error.
 //
 // Writes fan out to every replica and fold the acknowledgements under the
 // configured WriteConcern. Reads try the primary and fail over down the
 // replica list on transport errors; an answering replica's ErrNotFound is
 // authoritative — except while a sweep is reshuffling entries, when the
-// whole tier is consulted, exactly like the single-home fallback. Bulk
-// operations keep the one-frame-per-shard contract: a shard that is primary
-// for some keys of a batch and replica for others receives one combined
-// sub-batch.
+// whole tier is consulted. Bulk operations keep the one-frame-per-shard
+// contract: a shard that is primary for some keys of a batch and replica for
+// others receives one combined sub-batch.
 
 // shardRef pairs a shard ID with its API for one resolved replica set.
 type shardRef struct {
@@ -127,10 +129,9 @@ func (r *Router) replicaIDsLocked(name string) []cloud.SiteID {
 	return all
 }
 
-// replicaSet resolves the key's healthy home shards, primary first.
-func (r *Router) replicaSet(name string) ([]shardRef, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+// replicaRefsLocked resolves the key's replica set — its (healthy) home
+// shards, primary first — to shard handles. r.mu must be held (read).
+func (r *Router) replicaRefsLocked(name string) ([]shardRef, error) {
 	ids := r.replicaIDsLocked(name)
 	refs := make([]shardRef, 0, len(ids))
 	for _, id := range ids {
@@ -142,6 +143,32 @@ func (r *Router) replicaSet(name string) ([]shardRef, error) {
 		return nil, fmt.Errorf("registry: router for site %d: no shard owns %q: %w", r.site, name, ErrUnavailable)
 	}
 	return refs, nil
+}
+
+// replicaSet resolves the key's replica set under the current placement.
+func (r *Router) replicaSet(name string) ([]shardRef, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.replicaRefsLocked(name)
+}
+
+// hasRef reports whether the shard is a member of the replica list.
+func hasRef(refs []shardRef, id cloud.SiteID) bool {
+	for _, ref := range refs {
+		if ref.id == id {
+			return true
+		}
+	}
+	return false
+}
+
+// others returns the replica list without position i. The common case — the
+// primary answered — shares the backing array; only a fail-over copies.
+func others(refs []shardRef, i int) []shardRef {
+	if i == 0 {
+		return refs[1:]
+	}
+	return slices.Delete(slices.Clone(refs), i, i+1)
 }
 
 // ackNeed returns how many replica acknowledgements a write over nTargets
@@ -175,57 +202,40 @@ func (r *Router) ackOutcome(op string, acks, targets int, errs []error) error {
 	return r.shardErr(op, errs)
 }
 
-// bulkQuorumOutcome folds a replicated bulk call's per-shard failures into
-// the caller-visible error: nil when nothing failed; under WriteQuorum,
-// when every input position still met its quorum, the failures are
-// suppressed and counted (router_replica_write_errors_total) and each
-// failed group is handed to the repair callback; otherwise the joined
-// shard error.
-func (r *Router) bulkQuorumOutcome(op string, acks []int, homesOf [][]cloud.SiteID, errs []error, failed []*repGroup, repair func(*repGroup)) error {
-	if len(errs) == 0 {
-		return nil
+// fanOut runs fn once per replica and returns when every call has finished.
+// The calls run concurrently, except that a one-member set — every single-key
+// write of an unreplicated tier — runs on the caller's goroutine.
+func fanOut(refs []shardRef, fn func(i int, ref shardRef)) {
+	if len(refs) == 1 {
+		fn(0, refs[0])
+		return
 	}
-	if r.concern == WriteQuorum {
-		quorate := true
-		for pos := range acks {
-			if acks[pos] < r.ackNeed(len(homesOf[pos])) {
-				quorate = false
-				break
-			}
-		}
-		if quorate {
-			r.obs.replicaErrs.Add(int64(len(errs)))
-			for _, g := range failed {
-				repair(g)
-			}
-			return nil
-		}
+	var wg sync.WaitGroup
+	for i, ref := range refs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, ref)
+		}()
 	}
-	return r.shardErr(op, errs)
+	wg.Wait()
 }
 
-// fanOutWrite applies one write to every given replica concurrently,
-// reporting each outcome to the health tracker. It returns the first
-// successful stored entry, the acknowledgement count, the per-shard
-// failures, and the refs that failed (for background repair when the
-// failures end up quorum-suppressed).
-func (r *Router) fanOutWrite(refs []shardRef, do func(shardRef) (Entry, error)) (Entry, int, []error, []shardRef) {
+// fanOutPut upserts e at every given replica, reporting each outcome to the
+// health tracker. It returns the first successful stored entry, the
+// acknowledgement count, the per-shard failures, and the refs that failed
+// (for background repair when the failures end up quorum-suppressed).
+func (r *Router) fanOutPut(ctx context.Context, refs []shardRef, e Entry) (Entry, int, []error, []shardRef) {
 	type result struct {
 		e   Entry
 		err error
 	}
 	results := make([]result, len(refs))
-	var wg sync.WaitGroup
-	for i, ref := range refs {
-		wg.Add(1)
-		go func(i int, ref shardRef) {
-			defer wg.Done()
-			e, err := do(ref)
-			r.report(ref.id, err)
-			results[i] = result{e, err}
-		}(i, ref)
-	}
-	wg.Wait()
+	fanOut(refs, func(i int, ref shardRef) {
+		stored, err := ref.api.Put(ctx, e)
+		r.report(ref.id, err)
+		results[i] = result{stored, err}
+	})
 	var (
 		stored Entry
 		got    bool
@@ -247,13 +257,22 @@ func (r *Router) fanOutWrite(refs []shardRef, do func(shardRef) (Entry, error)) 
 	return stored, acks, errs, failed
 }
 
-// forceNoteDeleted records deletion notes unconditionally. The replicated
-// delete paths use it whenever a replica failed to apply a deletion that was
-// (or may have been) acknowledged: the failed replica holds a stale copy
-// now, whether or not its breaker ever opens, and every sweep consults the
-// notes before merging — so the stale copy can be purged but never
-// resurrected. A write re-establishing the name clears its note as usual.
+// forceNoteDeleted records deletion notes unconditionally. The delete paths
+// use it whenever a replica failed to apply a deletion that was (or may have
+// been) acknowledged: the failed replica holds a stale copy now, whether or
+// not its breaker ever opens, and every sweep consults the notes before
+// merging — so the stale copy can be purged but never resurrected. A write
+// re-establishing the name clears its note as usual.
+//
+// A one-home tier records nothing here: its only home failed, the caller was
+// told so, and no acknowledged replica exists for the surviving copy to
+// contradict. Pinning the table would also never drain — a one-home tier runs
+// no recovery sweep to clear it — and the next membership sweep would purge
+// entries whose delete had reported an error.
 func (r *Router) forceNoteDeleted(names ...string) {
+	if r.rep <= 1 {
+		return
+	}
 	r.delMu.Lock()
 	if r.deletedDuringSweep == nil {
 		r.deletedDuringSweep = make(map[string]bool)
@@ -391,32 +410,34 @@ func (r *Router) reassertDeletion(ctx context.Context, name string) {
 	}
 }
 
-// reanchorReplicated handles an acknowledged replicated write that raced the
-// start of a membership change or recovery: the homes are re-resolved and
-// any that were not in the original target set receive the stored entry,
-// best-effort — the sweep migrating the original copies converges the same
-// way.
-func (r *Router) reanchorReplicated(ctx context.Context, wrote []shardRef, stored Entry) {
+// reanchor handles an acknowledged write that raced the start of a
+// membership change or recovery: the homes are re-resolved and any that were
+// not in the original target set receive the stored entry, best-effort — the
+// sweep migrating the original copies converges the same way, and clearing
+// the deletion note keeps its post-merge check from undoing the write.
+func (r *Router) reanchor(ctx context.Context, wrote []shardRef, stored Entry) {
 	r.clearDeleted(stored.Name)
 	refs, err := r.replicaSet(stored.Name)
 	if err != nil {
 		return
 	}
-	was := make(map[cloud.SiteID]bool, len(wrote))
-	for _, ref := range wrote {
-		was[ref.id] = true
-	}
 	for _, ref := range refs {
-		if !was[ref.id] {
+		if !hasRef(wrote, ref.id) {
 			ref.api.Put(ctx, stored) //nolint:errcheck // best-effort; the sweep converges the same way
 		}
 	}
 }
 
-// createReplicated is Create for the replicated tier: existence is decided
-// at the primary (failing over down the replica list on transport errors),
-// then the stored entry is replicated to the remaining homes as an upsert.
-func (r *Router) createReplicated(ctx context.Context, e Entry) (Entry, error) {
+// Create implements API: existence is decided at the primary (failing over
+// down the replica list on transport errors), then the stored entry is
+// replicated to the remaining homes as an upsert. A create forgets any
+// deletion note for the name first — the write re-establishes the entry, and
+// a sweep's post-merge check must not undo it — and re-asserts the deletion
+// if the write fails. A membership change that begins while the write is in
+// flight is caught by a re-check afterwards: the acknowledged entry is
+// re-anchored at its current homes so the sweep's source cleanup cannot
+// orphan it.
+func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
 	refs, err := r.replicaSet(e.Name)
 	if err != nil {
 		return Entry{}, err
@@ -464,13 +485,7 @@ func (r *Router) createReplicated(ctx context.Context, e Entry) (Entry, error) {
 		return Entry{}, createErr
 	}
 
-	rest := make([]shardRef, 0, len(refs)-1)
-	for i, ref := range refs {
-		if i != creator {
-			rest = append(rest, ref)
-		}
-	}
-	_, acks, perrs, failed := r.fanOutWrite(rest, func(ref shardRef) (Entry, error) { return ref.api.Put(ctx, stored) })
+	_, acks, perrs, failed := r.fanOutPut(ctx, others(refs, creator), stored)
 	if err := r.ackOutcome("create", acks+1, len(refs), perrs); err != nil {
 		return Entry{}, err
 	}
@@ -478,14 +493,15 @@ func (r *Router) createReplicated(ctx context.Context, e Entry) (Entry, error) {
 		r.repairEntry(ref, stored)
 	}
 	if r.sweepActive() || r.sweepGen.Load() != gen {
-		r.reanchorReplicated(ctx, refs, stored)
+		r.reanchor(ctx, refs, stored)
 	}
 	return stored, nil
 }
 
-// putReplicated is Put for the replicated tier: the upsert fans out to every
-// replica and the acknowledgements fold under the write concern.
-func (r *Router) putReplicated(ctx context.Context, e Entry) (Entry, error) {
+// Put implements API: the upsert fans out to every replica and the
+// acknowledgements fold under the write concern. Deletion notes and a racing
+// membership change are handled as in Create.
+func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
 	refs, err := r.replicaSet(e.Name)
 	if err != nil {
 		return Entry{}, err
@@ -494,7 +510,7 @@ func (r *Router) putReplicated(ctx context.Context, e Entry) (Entry, error) {
 	r.noteWritten(e.Name)
 	gen := r.sweepGen.Load()
 	noted := r.clearDeleted(e.Name)
-	stored, acks, errs, failed := r.fanOutWrite(refs, func(ref shardRef) (Entry, error) { return ref.api.Put(ctx, e) })
+	stored, acks, errs, failed := r.fanOutPut(ctx, refs, e)
 	if err := r.ackOutcome("put", acks, len(refs), errs); err != nil {
 		if noted {
 			r.reassertDeletion(ctx, e.Name)
@@ -505,15 +521,14 @@ func (r *Router) putReplicated(ctx context.Context, e Entry) (Entry, error) {
 		r.repairEntry(ref, stored)
 	}
 	if r.sweepActive() || r.sweepGen.Load() != gen {
-		r.reanchorReplicated(ctx, refs, stored)
+		r.reanchor(ctx, refs, stored)
 	}
 	return stored, nil
 }
 
-// addLocationReplicated is AddLocation for the replicated tier: the
-// read-modify-write runs at one authority — the first replica that answers —
-// and its result is replicated as an upsert.
-func (r *Router) addLocationReplicated(ctx context.Context, name string, loc Location) (Entry, error) {
+// AddLocation implements API: the read-modify-write runs at one authority —
+// the first replica that answers — and its result is replicated as an upsert.
+func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
 	refs, err := r.replicaSet(name)
 	if err != nil {
 		return Entry{}, err
@@ -541,13 +556,7 @@ func (r *Router) addLocationReplicated(ctx context.Context, name string, loc Loc
 	if uerr != nil {
 		return Entry{}, r.shardErr("add-location", errs)
 	}
-	rest := make([]shardRef, 0, len(refs)-1)
-	for i, ref := range refs {
-		if i != at {
-			rest = append(rest, ref)
-		}
-	}
-	_, acks, perrs, failed := r.fanOutWrite(rest, func(ref shardRef) (Entry, error) { return ref.api.Put(ctx, stored) })
+	_, acks, perrs, failed := r.fanOutPut(ctx, others(refs, at), stored)
 	if err := r.ackOutcome("add-location", acks+1, len(refs), perrs); err != nil {
 		return Entry{}, err
 	}
@@ -557,32 +566,26 @@ func (r *Router) addLocationReplicated(ctx context.Context, name string, loc Loc
 	return stored, nil
 }
 
-// deleteReplicated is Delete for the replicated tier. The deletion is noted
-// before any shard is touched (the note is recorded only while a sweep runs
-// or a shard is down — the windows in which a stale copy somewhere could
-// resurrect it), then fans out to every replica; while a sweep is in flight
-// the remaining shards are purged too, since un-migrated copies may live
-// anywhere. A replica answering "not found" already agrees with the
-// deletion and counts as an acknowledgement.
-func (r *Router) deleteReplicated(ctx context.Context, name string) error {
+// Delete implements API. The deletion is noted before any shard is touched
+// (the note is recorded only while a sweep runs or a shard is down — the
+// windows in which a stale copy somewhere could resurrect it), then fans out
+// to every replica; while a sweep is in flight the remaining shards are
+// purged too, since un-migrated copies may live anywhere. A replica answering
+// "not found" already agrees with the deletion and counts as an
+// acknowledgement.
+func (r *Router) Delete(ctx context.Context, name string) error {
 	refs, err := r.replicaSet(name)
 	if err != nil {
 		return err
 	}
+	gen := r.sweepGen.Load()
 	r.noteDeleted(name)
 
 	results := make([]error, len(refs))
-	var wg sync.WaitGroup
-	for i, ref := range refs {
-		wg.Add(1)
-		go func(i int, ref shardRef) {
-			defer wg.Done()
-			derr := ref.api.Delete(ctx, name)
-			r.report(ref.id, derr)
-			results[i] = derr
-		}(i, ref)
-	}
-	wg.Wait()
+	fanOut(refs, func(i int, ref shardRef) {
+		results[i] = ref.api.Delete(ctx, name)
+		r.report(ref.id, results[i])
+	})
 
 	var (
 		deleted  int // replicas that removed a present copy
@@ -614,47 +617,23 @@ func (r *Router) deleteReplicated(ctx context.Context, name string) error {
 	}
 
 	// While a sweep is in flight, un-migrated copies may live on shards
-	// outside the replica set; purge them too. Purges are accounted apart
-	// from the replicas: a successful purge is not a replica
-	// acknowledgement, and a failed purge must not cost the quorum a vote —
-	// the deletion note (recorded before any shard was touched) already
-	// guarantees no sweep can resurrect the copy the purge missed. Shards
-	// with open breakers are skipped for the same reason Entries skips them:
-	// purging a down shard can only fail, and its stale copy is handled by
-	// the note-aware re-sync sweep when it returns.
+	// outside the replica set; purge them too. A sweep that began (and
+	// possibly finished) while the replica fan-out was in flight found no
+	// note to respect: the deletion is noted again, and the purge covers the
+	// replicas as well — the sweep may have merged a not-yet-deleted
+	// replica's copy back onto one that had already deleted it.
 	var (
 		purged       int
 		purgeErrs    []error
 		failedPurges []shardRef
 	)
-	if r.sweepActive() {
-		targeted := make(map[cloud.SiteID]bool, len(refs))
-		for _, ref := range refs {
-			targeted[ref.id] = true
+	if raced := r.sweepGen.Load() != gen; raced || r.sweepActive() {
+		r.noteDeleted(name)
+		skip := refs
+		if raced {
+			skip = nil
 		}
-		var (
-			pmu sync.Mutex
-			pwg sync.WaitGroup
-		)
-		for id, other := range r.reachableShards() {
-			if targeted[id] {
-				continue
-			}
-			pwg.Add(1)
-			go func(id cloud.SiteID, other API) {
-				defer pwg.Done()
-				n, derr := other.DeleteMany(ctx, []string{name})
-				pmu.Lock()
-				defer pmu.Unlock()
-				if derr != nil {
-					purgeErrs = append(purgeErrs, fmt.Errorf("shard %d: %w", id, derr))
-					failedPurges = append(failedPurges, shardRef{id: id, api: other})
-					return
-				}
-				purged += n
-			}(id, other)
-		}
-		pwg.Wait()
+		purged, purgeErrs, failedPurges = r.purgeExcept(ctx, name, skip)
 	}
 
 	if err := r.ackOutcome("delete", agreed, len(refs), errs); err != nil {
@@ -678,12 +657,54 @@ func (r *Router) deleteReplicated(ctx context.Context, name string) error {
 	return nil
 }
 
-// getReplicated is Get for the replicated tier: the primary is tried first
-// and transport errors fail over down the replica list
+// purgeExcept removes the name from every reachable shard not in skip, one
+// concurrent DeleteMany per shard, returning how many copies went plus the
+// failures. Purges are accounted apart from the replica fan-out: a successful
+// purge is not a replica acknowledgement, and a failed purge must not cost
+// the quorum a vote — the deletion note already guarantees no sweep can
+// resurrect the copy the purge missed. Shards with open breakers are skipped
+// for the same reason Entries skips them: purging a down shard can only fail,
+// and its stale copy is handled by the note-aware re-sync sweep when it
+// returns.
+func (r *Router) purgeExcept(ctx context.Context, name string, skip []shardRef) (int, []error, []shardRef) {
+	var (
+		mu     sync.Mutex
+		purged int
+		errs   []error
+		failed []shardRef
+		wg     sync.WaitGroup
+	)
+	for id, other := range r.reachableShards() {
+		if hasRef(skip, id) {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, derr := other.DeleteMany(ctx, []string{name})
+			mu.Lock()
+			defer mu.Unlock()
+			if derr != nil {
+				errs = append(errs, fmt.Errorf("shard %d: %w", id, derr))
+				failed = append(failed, shardRef{id: id, api: other})
+				return
+			}
+			purged += n
+		}()
+	}
+	wg.Wait()
+	return purged, errs, failed
+}
+
+// getRouted is the uncoalesced, untimed read path: the primary is tried
+// first and transport errors fail over down the replica list
 // (router_failover_reads_total). A replica that answers "not found" is
-// authoritative — unless a sweep is reshuffling entries, in which case the
-// whole tier is consulted, like the single-home fallback.
-func (r *Router) getReplicated(ctx context.Context, name string) (Entry, error) {
+// authoritative — unless a sweep is reshuffling entries: an entry may not
+// have reached its new homes yet, so the miss falls back to the other shards
+// (one concurrent Get per shard) and is only answered when every one of them
+// actually responded; an unreachable shard mid-sweep surfaces as
+// ErrUnavailable rather than reading an existing entry as absent.
+func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
 	refs, err := r.replicaSet(name)
 	if err != nil {
 		return Entry{}, err
@@ -692,18 +713,20 @@ func (r *Router) getReplicated(ctx context.Context, name string) (Entry, error) 
 	// primary against a deferred hedge instead of waiting out a slow shard.
 	// Mid-sweep reads keep the serial path: its full-tier fallback owns the
 	// off-home-copy semantics.
-	if th := r.hedgeThreshold(); th > 0 && len(refs) > 1 && !r.sweepActive() {
-		return r.getHedged(ctx, name, refs, th)
+	if len(refs) > 1 && !r.sweepActive() {
+		if th := r.hedgeThreshold(); th > 0 {
+			return r.getHedged(ctx, name, refs, th)
+		}
 	}
 	var (
 		notFound error
 		errs     []error
-		tried    = make(map[cloud.SiteID]bool, len(refs))
+		tried    int
 	)
 	for i, ref := range refs {
 		e, gerr := ref.api.Get(ctx, name)
 		r.report(ref.id, gerr)
-		tried[ref.id] = true
+		tried = i + 1
 		if gerr == nil {
 			if i > 0 {
 				r.obs.failovers.Inc()
@@ -720,7 +743,7 @@ func (r *Router) getReplicated(ctx context.Context, name string) (Entry, error) 
 		errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, gerr))
 	}
 	if r.sweepActive() {
-		e, ok, ferrs := r.sweepFallbackGet(ctx, name, tried)
+		e, ok, ferrs := r.sweepFallbackGet(ctx, name, refs[:tried])
 		if ok {
 			return e, nil
 		}
@@ -737,18 +760,18 @@ func (r *Router) getReplicated(ctx context.Context, name string) (Entry, error) 
 	return Entry{}, r.shardErr("get", errs)
 }
 
-// containsReplicated mirrors getReplicated for the best-effort existence
+// Contains implements API, mirroring Get for the best-effort existence
 // check: any replica answering true wins; during a sweep the whole tier is
-// consulted before answering false.
-func (r *Router) containsReplicated(ctx context.Context, name string) bool {
+// consulted before answering false. A tier with no shard owning the name
+// reads as "absent" and feeds the suppressed-error counter so the
+// degradation is observable.
+func (r *Router) Contains(ctx context.Context, name string) bool {
 	refs, err := r.replicaSet(name)
 	if err != nil {
 		r.obs.suppressed.Inc()
 		return false
 	}
-	tried := make(map[cloud.SiteID]bool, len(refs))
 	for i, ref := range refs {
-		tried[ref.id] = true
 		if ref.api.Contains(ctx, name) {
 			if i > 0 {
 				r.obs.failovers.Inc()
@@ -759,16 +782,34 @@ func (r *Router) containsReplicated(ctx context.Context, name string) bool {
 	if !r.sweepActive() {
 		return false
 	}
-	return r.sweepFallbackContains(ctx, name, tried)
+	return r.sweepFallbackContains(ctx, name, refs)
 }
 
-// repGroup is one shard's combined sub-batch of a replicated bulk call: the
-// input positions routed to it, whether as primary or replica. One group is
-// one wire frame.
+// repGroup is one shard's combined sub-batch of a bulk call: the input
+// positions routed to it, whether as primary or replica. One group is one
+// wire frame.
 type repGroup struct {
-	id  cloud.SiteID
-	api API
+	shardRef
 	idx []int
+}
+
+// pick returns the elements of all at the group's input positions — the
+// group's sub-batch.
+func pick[T any](all []T, idx []int) []T {
+	sub := make([]T, len(idx))
+	for i, pos := range idx {
+		sub[i] = all[pos]
+	}
+	return sub
+}
+
+// entryNames returns the entries' names, in order.
+func entryNames(entries []Entry) []string {
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name
+	}
+	return names
 }
 
 // groupReplicas partitions input positions across replica sets: every
@@ -782,7 +823,7 @@ func (r *Router) groupReplicas(names []string) (map[cloud.SiteID]*repGroup, [][]
 	homesOf := make([][]cloud.SiteID, len(names))
 	for i, name := range names {
 		ids := r.replicaIDsLocked(name)
-		var valid []cloud.SiteID
+		valid := ids[:0] // filtered in place: the resolved list is this call's own
 		for _, id := range ids {
 			api, ok := r.shards[id]
 			if id == cloud.NoSite || !ok {
@@ -790,7 +831,7 @@ func (r *Router) groupReplicas(names []string) (map[cloud.SiteID]*repGroup, [][]
 			}
 			g := groups[id]
 			if g == nil {
-				g = &repGroup{id: id, api: api}
+				g = &repGroup{shardRef: shardRef{id: id, api: api}}
 				groups[id] = g
 			}
 			g.idx = append(g.idx, i)
@@ -804,11 +845,11 @@ func (r *Router) groupReplicas(names []string) (map[cloud.SiteID]*repGroup, [][]
 	return groups, homesOf, nil
 }
 
-// bulkCountDivisor returns the factor a replicated bulk call's per-replica
-// count sum divides by: the smallest resolved home-set size of the batch —
-// normally the replication factor, smaller when the tier (or its healthy
-// part) has fewer shards than replicas — so the derived per-name count
-// cannot undercount a fully-applied batch.
+// bulkCountDivisor returns the factor a bulk call's per-replica count sum
+// divides by: the smallest resolved home-set size of the batch — normally the
+// replication factor, smaller when the tier (or its healthy part) has fewer
+// shards than replicas — so the derived per-name count cannot undercount a
+// fully-applied batch.
 func bulkCountDivisor(rep int, homesOf [][]cloud.SiteID) int {
 	div := rep
 	for _, homes := range homesOf {
@@ -822,210 +863,180 @@ func bulkCountDivisor(rep int, homesOf [][]cloud.SiteID) int {
 	return div
 }
 
-// putManyReplicated is PutMany for the replicated tier: one combined
-// sub-batch per shard across all replica sets, stored entries returned in
-// input order, partial failures folded per entry under the write concern.
-func (r *Router) putManyReplicated(ctx context.Context, entries []Entry) ([]Entry, error) {
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
+// bulkWrite is the fan-out PutMany, DeleteMany and Merge share: one
+// sub-batch per group, issued concurrently by call (which returns the
+// shard's applied count), outcomes reported to the health tracker and folded
+// per input position under the write concern. Sub-batches that reached their
+// shard stay applied when another shard fails. Nothing failed: nil. Under
+// WriteQuorum, when every position still met its quorum, the failures are
+// suppressed and counted (router_replica_write_errors_total) and each failed
+// group is handed to repair; otherwise the error wraps every failed shard's
+// cause. The returned count divides the per-replica sum back out by the
+// home-set size, rounding up so partially-replicated names still count once.
+func (r *Router) bulkWrite(op string, groups map[cloud.SiteID]*repGroup, homesOf [][]cloud.SiteID, call func(*repGroup) (int, error), repair func(*repGroup)) (int, error) {
+	r.countBulk(len(groups))
+	var (
+		mu     sync.Mutex
+		total  int
+		acks   = make([]int, len(homesOf))
+		errs   []error
+		failed []*repGroup
+		wg     sync.WaitGroup
+	)
+	for _, g := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, err := call(g)
+			r.report(g.id, err)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				errs = append(errs, fmt.Errorf("shard %d: %w", g.id, err))
+				failed = append(failed, g)
+				return
+			}
+			total += n
+			for _, pos := range g.idx {
+				acks[pos]++
+			}
+		}()
 	}
+	wg.Wait()
+
+	div := bulkCountDivisor(r.rep, homesOf)
+	count := (total + div - 1) / div
+	if len(errs) == 0 {
+		return count, nil
+	}
+	if r.concern == WriteQuorum {
+		quorate := true
+		for pos := range acks {
+			if acks[pos] < r.ackNeed(len(homesOf[pos])) {
+				quorate = false
+				break
+			}
+		}
+		if quorate {
+			r.obs.replicaErrs.Add(int64(len(errs)))
+			for _, g := range failed {
+				repair(g)
+			}
+			return count, nil
+		}
+	}
+	return count, r.shardErr(op, errs)
+}
+
+// PutMany implements API: one combined sub-batch per shard across all
+// replica sets, stored entries returned in input order, partial failures
+// folded per entry under the write concern.
+func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	names := entryNames(entries)
 	groups, homesOf, err := r.groupReplicas(names)
 	if err != nil {
 		return nil, err
 	}
 	defer r.repairWindow()()
 	r.noteWritten(names...)
-	r.countBulk(len(groups))
 
 	var (
-		mu     sync.Mutex
-		out    = make([]Entry, len(entries))
-		have   = make([]bool, len(entries))
-		acks   = make([]int, len(entries))
-		errs   []error
-		failed []*repGroup
-		wg     sync.WaitGroup
+		mu   sync.Mutex
+		out  = make([]Entry, len(entries))
+		have = make([]bool, len(entries))
 	)
-	for id, g := range groups {
-		sub := make([]Entry, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = entries[pos]
+	_, err = r.bulkWrite("put-many", groups, homesOf, func(g *repGroup) (int, error) {
+		stored, serr := g.api.PutMany(ctx, pick(entries, g.idx))
+		if serr != nil {
+			return 0, serr
 		}
-		wg.Add(1)
-		go func(id cloud.SiteID, g *repGroup, sub []Entry) {
-			defer wg.Done()
-			stored, serr := g.api.PutMany(ctx, sub)
-			r.report(id, serr)
-			mu.Lock()
-			defer mu.Unlock()
-			if serr != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, serr))
-				failed = append(failed, g)
-				return
+		mu.Lock()
+		defer mu.Unlock()
+		for i, pos := range g.idx {
+			if i < len(stored) && !have[pos] {
+				out[pos], have[pos] = stored[i], true
 			}
-			for i, pos := range g.idx {
-				acks[pos]++
-				if i < len(stored) && !have[pos] {
-					out[pos] = stored[i]
-					have[pos] = true
-				}
-			}
-		}(id, g, sub)
-	}
-	wg.Wait()
-	if err := r.bulkQuorumOutcome("put-many", acks, homesOf, errs, failed, func(g *repGroup) {
-		sub := make([]Entry, len(g.idx))
+		}
+		return len(stored), nil
+	}, func(g *repGroup) {
+		sub := pick(entries, g.idx)
 		for i, pos := range g.idx {
 			if have[pos] {
 				sub[i] = out[pos]
-			} else {
-				sub[i] = entries[pos]
 			}
 		}
-		r.repairBatch(shardRef{id: g.id, api: g.api}, sub)
-	}); err != nil {
+		r.repairBatch(g.shardRef, sub)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// deleteManyReplicated is DeleteMany for the replicated tier. With every
-// present name deleted at each of its replicas, the per-shard counts sum to
-// (present names) x (replication factor); the returned count divides that
-// back out, rounding up so partially-replicated names still count once.
-func (r *Router) deleteManyReplicated(ctx context.Context, names []string) (int, error) {
+// DeleteMany implements API: the deletions are noted like Delete's, then one
+// sub-batch per shard removes every name at each of its replicas; the count
+// of present-and-removed names is returned.
+func (r *Router) DeleteMany(ctx context.Context, names []string) (int, error) {
+	if len(names) == 0 {
+		return 0, nil
+	}
 	groups, homesOf, err := r.groupReplicas(names)
 	if err != nil {
 		return 0, err
 	}
-	r.noteDeletedAll(names)
-	r.countBulk(len(groups))
-
-	var (
-		mu     sync.Mutex
-		total  int
-		acks   = make([]int, len(names))
-		errs   []error
-		failed []*repGroup
-		wg     sync.WaitGroup
-	)
-	for id, g := range groups {
-		sub := make([]string, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = names[pos]
-		}
-		wg.Add(1)
-		go func(id cloud.SiteID, g *repGroup, sub []string) {
-			defer wg.Done()
-			n, serr := g.api.DeleteMany(ctx, sub)
-			r.report(id, serr)
-			mu.Lock()
-			defer mu.Unlock()
-			if serr != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, serr))
-				failed = append(failed, g)
-				return
-			}
-			total += n
-			for _, pos := range g.idx {
-				acks[pos]++
-			}
-		}(id, g, sub)
-	}
-	wg.Wait()
-	if len(failed) > 0 {
-		// Replicas hold undeleted copies now, whether or not their breakers
-		// ever open: note the deletions unconditionally so no sweep can
-		// resurrect the stale copies.
-		for _, g := range failed {
-			sub := make([]string, len(g.idx))
-			for i, pos := range g.idx {
-				sub[i] = names[pos]
-			}
+	r.noteDeleted(names...)
+	return r.bulkWrite("delete-many", groups, homesOf, func(g *repGroup) (int, error) {
+		sub := pick(names, g.idx)
+		n, serr := g.api.DeleteMany(ctx, sub)
+		if serr != nil {
+			// This replica holds undeleted copies now, whether or not its
+			// breaker ever opens: note the deletions unconditionally so no
+			// sweep can resurrect the stale copies.
 			r.forceNoteDeleted(sub...)
 		}
-	}
-
-	div := bulkCountDivisor(r.rep, homesOf)
-	count := (total + div - 1) / div
-	return count, r.bulkQuorumOutcome("delete-many", acks, homesOf, errs, failed, func(g *repGroup) {
-		sub := make([]string, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = names[pos]
-		}
-		r.repairBatchDeletion(shardRef{id: g.id, api: g.api}, sub)
+		return n, serr
+	}, func(g *repGroup) {
+		r.repairBatchDeletion(g.shardRef, pick(names, g.idx))
 	})
 }
 
-// mergeReplicated is Merge for the replicated tier; like
-// deleteManyReplicated, the applied count divides the per-replica sum back
-// out by the replication factor.
-func (r *Router) mergeReplicated(ctx context.Context, entries []Entry) (int, error) {
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
+// Merge implements API: one sub-batch per shard, the number of applied
+// entries returned. Merge is idempotent, so on partial failure the caller
+// re-sends the whole batch on the next round.
+func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
+	if len(entries) == 0 {
+		return 0, nil
 	}
+	names := entryNames(entries)
 	groups, homesOf, err := r.groupReplicas(names)
 	if err != nil {
 		return 0, err
 	}
 	defer r.repairWindow()()
 	r.noteWritten(names...)
-	r.countBulk(len(groups))
-
-	var (
-		mu     sync.Mutex
-		total  int
-		acks   = make([]int, len(entries))
-		errs   []error
-		failed []*repGroup
-		wg     sync.WaitGroup
-	)
-	for id, g := range groups {
-		sub := make([]Entry, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = entries[pos]
-		}
-		wg.Add(1)
-		go func(id cloud.SiteID, g *repGroup, sub []Entry) {
-			defer wg.Done()
-			n, serr := g.api.Merge(ctx, sub)
-			r.report(id, serr)
-			mu.Lock()
-			defer mu.Unlock()
-			if serr != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, serr))
-				failed = append(failed, g)
-				return
-			}
-			total += n
-			for _, pos := range g.idx {
-				acks[pos]++
-			}
-		}(id, g, sub)
-	}
-	wg.Wait()
-
-	div := bulkCountDivisor(r.rep, homesOf)
-	applied := (total + div - 1) / div
-	return applied, r.bulkQuorumOutcome("merge", acks, homesOf, errs, failed, func(g *repGroup) {
-		sub := make([]Entry, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = entries[pos]
-		}
-		r.repairBatch(shardRef{id: g.id, api: g.api}, sub)
+	return r.bulkWrite("merge", groups, homesOf, func(g *repGroup) (int, error) {
+		return g.api.Merge(ctx, pick(entries, g.idx))
+	}, func(g *repGroup) {
+		r.repairBatch(g.shardRef, pick(entries, g.idx))
 	})
 }
 
-// getManyReplicated is GetMany for the replicated tier. Round one groups
-// every name at its primary; a sub-batch that fails moves its names one step
-// down their replica lists for the next round — at most one sub-batch per
-// shard per round, at most R rounds — so a crashed shard degrades a bulk
-// read into one retry round instead of an error. Names whose every replica
-// failed surface as a joined error; an answering shard's misses are
-// authoritative (with the usual full-tier fallback while a sweep runs).
-func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry, error) {
+// GetMany implements API: the found entries are returned in input order
+// (absent names are skipped, matching the single-shard semantics). Round one
+// groups every name at its primary; a sub-batch that fails moves its names
+// one step down their replica lists for the next round — at most one
+// sub-batch per shard per round, at most R rounds — so a crashed shard
+// degrades a bulk read into one retry round instead of an error. Names whose
+// every replica failed surface as a joined error; an answering shard's
+// misses are authoritative (with the usual full-tier fallback while a sweep
+// runs).
+func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
+	if len(names) == 0 {
+		return nil, nil
+	}
 	uniq := make([]string, 0, len(names))
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
@@ -1035,24 +1046,16 @@ func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry
 		}
 	}
 	remaining := make(map[string][]shardRef, len(uniq))
-	{
-		r.mu.RLock()
-		for _, name := range uniq {
-			ids := r.replicaIDsLocked(name)
-			refs := make([]shardRef, 0, len(ids))
-			for _, id := range ids {
-				if api, ok := r.shards[id]; ok && id != cloud.NoSite {
-					refs = append(refs, shardRef{id: id, api: api})
-				}
-			}
-			if len(refs) == 0 {
-				r.mu.RUnlock()
-				return nil, fmt.Errorf("registry: router for site %d: no shard owns %q: %w", r.site, name, ErrUnavailable)
-			}
-			remaining[name] = refs
+	r.mu.RLock()
+	for _, name := range uniq {
+		refs, err := r.replicaRefsLocked(name)
+		if err != nil {
+			r.mu.RUnlock()
+			return nil, err
 		}
-		r.mu.RUnlock()
+		remaining[name] = refs
 	}
+	r.mu.RUnlock()
 
 	var (
 		mu    sync.Mutex
@@ -1061,24 +1064,28 @@ func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry
 	)
 	r.obs.bulkOps.Inc()
 	for round := 0; len(remaining) > 0 && round < r.rep; round++ {
-		groups := make(map[cloud.SiteID]*repGroup)
-		batch := make(map[cloud.SiteID][]string)
-		for name, refs := range remaining {
-			ref := refs[0]
-			if groups[ref.id] == nil {
-				groups[ref.id] = &repGroup{api: ref.api}
-			}
-			batch[ref.id] = append(batch[ref.id], name)
+		type subBatch struct {
+			api   API
+			names []string
 		}
-		r.obs.subBatches.Add(int64(len(groups)))
+		batch := make(map[cloud.SiteID]*subBatch)
+		for name, refs := range remaining {
+			b := batch[refs[0].id]
+			if b == nil {
+				b = &subBatch{api: refs[0].api}
+				batch[refs[0].id] = b
+			}
+			b.names = append(b.names, name)
+		}
+		r.obs.subBatches.Add(int64(len(batch)))
 
 		failed := make(map[cloud.SiteID]error)
 		var wg sync.WaitGroup
-		for id, g := range groups {
+		for id, b := range batch {
 			wg.Add(1)
-			go func(id cloud.SiteID, api API, sub []string) {
+			go func() {
 				defer wg.Done()
-				entries, gerr := api.GetMany(ctx, sub)
+				entries, gerr := b.api.GetMany(ctx, b.names)
 				r.report(id, gerr)
 				mu.Lock()
 				defer mu.Unlock()
@@ -1089,16 +1096,15 @@ func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry
 				for _, e := range entries {
 					found[e.Name] = e
 				}
-			}(id, g.api, batch[id])
+			}()
 		}
 		wg.Wait()
 
-		if round > 0 {
-			r.obs.failovers.Add(int64(len(remaining) - len(failedNames(batch, failed))))
-		}
+		answered := len(remaining)
 		next := make(map[string][]shardRef)
 		for id, gerr := range failed {
-			for _, name := range batch[id] {
+			answered -= len(batch[id].names)
+			for _, name := range batch[id].names {
 				rest := remaining[name][1:]
 				if len(rest) == 0 {
 					errs = append(errs, fmt.Errorf("shard %d: %q: %w", id, name, gerr))
@@ -1106,6 +1112,9 @@ func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry
 				}
 				next[name] = rest
 			}
+		}
+		if round > 0 {
+			r.obs.failovers.Add(int64(answered))
 		}
 		remaining = next
 	}
@@ -1120,7 +1129,7 @@ func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry
 
 	// During a migration or re-sync sweep an entry may not have reached its
 	// current home set yet; misses fall back to the whole tier, one
-	// concurrent sub-batch per shard, matching the single-home path.
+	// concurrent sub-batch per shard, matching Get's fallback semantics.
 	if r.sweepActive() {
 		var missing []string
 		for _, name := range uniq {
@@ -1132,7 +1141,7 @@ func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry
 			var fwg sync.WaitGroup
 			for _, api := range r.snapshotShards() {
 				fwg.Add(1)
-				go func(api API) {
+				go func() {
 					defer fwg.Done()
 					entries, ferr := api.GetMany(ctx, missing)
 					if ferr != nil {
@@ -1145,7 +1154,7 @@ func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry
 						}
 					}
 					mu.Unlock()
-				}(api)
+				}()
 			}
 			fwg.Wait()
 		}
@@ -1160,29 +1169,4 @@ func (r *Router) getManyReplicated(ctx context.Context, names []string) ([]Entry
 		}
 	}
 	return out, nil
-}
-
-// failedNames counts the names of sub-batches that failed this round.
-func failedNames(batch map[cloud.SiteID][]string, failed map[cloud.SiteID]error) []string {
-	var out []string
-	for id := range failed {
-		out = append(out, batch[id]...)
-	}
-	return out
-}
-
-// noteDeletedAll records deletion notes for a whole batch under one lock
-// acquisition; like noteDeleted, notes are only kept while something could
-// resurrect them (see notesNeeded).
-func (r *Router) noteDeletedAll(names []string) {
-	r.delMu.Lock()
-	if r.notesNeeded() {
-		if r.deletedDuringSweep == nil {
-			r.deletedDuringSweep = make(map[string]bool)
-		}
-		for _, name := range names {
-			r.deletedDuringSweep[name] = true
-		}
-	}
-	r.delMu.Unlock()
 }

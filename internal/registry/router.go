@@ -18,9 +18,9 @@ import (
 // Router implements API over a horizontally-scaled tier of shard instances
 // within one site. Where a plain *Instance (or one rpc.Client) is the "one
 // registry per datacenter" deployment of the paper, a Router is N of them
-// behind one API: single-key operations are routed to the shard owning the
+// behind one API: single-key operations are routed to the shards owning the
 // key (the same hashing machinery internal/dht uses to pick a site picks the
-// shard), and bulk operations are split into at most one sub-batch per shard,
+// shards), and bulk operations are split into at most one sub-batch per shard,
 // issued concurrently and merged — a GetMany over a 4-shard site costs four
 // concurrent sub-batch calls, never one call per key.
 //
@@ -31,14 +31,39 @@ import (
 // bounded cache capacity) or rpc.Client proxies to shard servers running as
 // separate processes (scaling across machines).
 //
+// Placement has one rule, parameterised by the replication factor R
+// (WithRouterReplication, default 1): every key lives on its replica set, the
+// first R distinct shards of its consistent-hash successor list
+// (dht.Placer.Homes), primary first. Writes fan out to all R homes
+// (all-or-quorum, WithRouterWriteConcern), single-key reads try the primary
+// and fail over down the replica list on transport errors, and a shard that
+// is primary for some keys of a bulk call and replica for others receives one
+// combined frame. The paper's single-home tier is R = 1, a replica set of
+// one, served by the same code (a one-member fan-out simply stays on the
+// caller's goroutine). A per-shard health breaker (fed by operation outcomes
+// plus a background probe) takes crashed shards out of placement so a dead
+// shard costs a few failed calls, not an error storm; when the shard answers
+// its probe again a re-sync sweep — the same machinery that migrates entries
+// on membership changes — repairs everything it missed while it was away.
+// What R = 1 turns off is policy, one check of the factor each, never a
+// second implementation of an operation — with one home per key there is
+// nowhere correct to re-route to, so report does not feed the breaker,
+// replicaIDsLocked and reachableShards keep down shards in placement,
+// noteWritten records no outage writes, forceNoteDeleted records no failed
+// delete (the caller was told, and nothing would ever unpin the note table),
+// NewRouter reads every write concern as WriteAll, sweepShard skips the
+// noted-name cleanup (no second replica to restore a raced write from), Len
+// can sum the shard sizes, and Get has no replica to hedge at. docs/ARCHITECTURE.md
+// tabulates each with its reason.
+//
 // Membership can change online: AddShard and RemoveShard update the
 // consistent-hash placement and kick a background migration sweep that moves
-// the (few, thanks to consistent hashing) entries whose home shard changed.
+// the (few, thanks to consistent hashing) entries whose home shards changed.
 // Operations issued through the router stay reliable while a sweep is in
-// flight: a read that misses at a key's new home falls back to the other
-// shards, and a deletion is recorded and purged everywhere so a stale source
-// copy can never resurrect it. Routers that share shards but not state (a
-// second router process over the same shard servers) see plain eventual
+// flight: a read that misses at a key's new homes falls back to the other
+// shards, and a deletion — single or bulk — is recorded and purged so a stale
+// source copy can never resurrect it. Routers that share shards but not state
+// (a second router process over the same shard servers) see plain eventual
 // consistency during a sweep instead — the contract the paper accepts for
 // server volatility (§VIII).
 //
@@ -48,29 +73,18 @@ import (
 // their shard stay applied. Bulk application is idempotent, so callers — like
 // the sync agent — simply re-send on the next round.
 //
-// With WithRouterReplication(r), placement becomes R-way: every key lives on
-// the first r distinct shards of its consistent-hash successor list
-// (dht.Placer.Homes). Writes fan out to all r homes (all-or-quorum,
-// WithRouterWriteConcern), single-key reads try the primary and fail over
-// down the replica list on transport errors, and bulk operations still issue
-// at most one sub-batch per shard — a shard that is primary for some keys
-// and replica for others receives one combined frame. A per-shard health
-// breaker (fed by operation outcomes plus a background probe) takes crashed
-// shards out of placement so a dead shard costs a few failed calls, not an
-// error storm; when the shard answers its probe again a re-sync sweep —
-// the same machinery that migrates entries on membership changes — repairs
-// everything it missed while it was away. See replication.go.
+// The data operations live in replication.go, membership and sweeps here.
 //
 // A Router is safe for concurrent use.
 type Router struct {
 	site   cloud.SiteID
 	placer dht.DynamicPlacer // over shard IDs masquerading as site IDs
 
-	// rep is the replication factor (1 = the classic single-home placement);
-	// concern is the write acknowledgement rule when rep > 1. health is the
+	// rep is the replication factor — the size of every key's replica set, 1
+	// by default; concern is the write acknowledgement rule. health is the
 	// per-shard breaker tier; it is always present, but only rep > 1 routing
-	// skips shards whose breaker is open (with one home per key there is
-	// nowhere correct to re-route to).
+	// feeds it and skips shards whose breaker is open (with one home per key
+	// there is nowhere correct to re-route to).
 	rep     int
 	concern WriteConcern
 	health  *healthTracker
@@ -122,8 +136,8 @@ type Router struct {
 	delMu              sync.Mutex
 	deletedDuringSweep map[string]bool
 
-	// wroteDuringOutage — the names written through the replicated paths
-	// while any shard's breaker was open — feeds the delta repair of a
+	// wroteDuringOutage — the names written through the router while any
+	// shard's breaker was open — feeds the delta repair of a
 	// Recoverable shard (see delta.go). It shares delMu and the clear
 	// points with deletedDuringSweep: both sets describe "what changed
 	// while something was away" and die together once nothing needs them.
@@ -267,7 +281,7 @@ func WithRouterMetrics(reg *metrics.Registry) RouterOption {
 // replicas, reads fail over down the list when the primary is unreachable,
 // and routing draws replica sets from healthy shards only — a shard whose
 // breaker is open is skipped and re-synced when it returns. r <= 1 keeps the
-// classic single-home placement.
+// default, a replica set of one.
 func WithRouterReplication(r int) RouterOption {
 	return func(c *routerConfig) {
 		if r > 1 {
@@ -347,9 +361,12 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 		ids[i] = cloud.SiteID(i)
 		m[cloud.SiteID(i)] = s
 	}
-	rep := cfg.replication
-	if rep < 1 {
-		rep = 1
+	rep, concern := cfg.replication, cfg.concern
+	if rep <= 1 {
+		// A replica set of one has no majority short of all of it: the write
+		// concern has no effect without replication, so a one-home tier never
+		// suppresses a failure or spawns a repair.
+		rep, concern = 1, WriteAll
 	}
 	r := &Router{
 		site:    site,
@@ -357,7 +374,7 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 		shards:  m,
 		nextID:  cloud.SiteID(len(shards)),
 		rep:     rep,
-		concern: cfg.concern,
+		concern: concern,
 		health:  newHealthTracker(cfg.healthThreshold, cfg.probeInterval, cfg.metrics),
 		obs:     newRouterObs(cfg.metrics),
 	}
@@ -403,8 +420,8 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 	return r, nil
 }
 
-// Replication returns the configured replication factor (1 = single-home
-// placement).
+// Replication returns the configured replication factor (1 = one home per
+// key).
 func (r *Router) Replication() int { return r.rep }
 
 // Close stops the router's background health prober and, when the tier has
@@ -472,18 +489,6 @@ func (r *Router) Home(name string) cloud.SiteID {
 	return r.placer.Home(name)
 }
 
-// shardFor resolves the shard owning name under the current placement.
-func (r *Router) shardFor(name string) (cloud.SiteID, API, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id := r.placer.Home(name)
-	api, ok := r.shards[id]
-	if id == cloud.NoSite || !ok {
-		return 0, nil, fmt.Errorf("registry: router for site %d: no shard owns %q: %w", r.site, name, ErrUnavailable)
-	}
-	return id, api, nil
-}
-
 // snapshotShards returns every shard currently attached — active ones plus
 // any still draining — for full-tier fan-outs (Entries, Names, Len).
 func (r *Router) snapshotShards() map[cloud.SiteID]API {
@@ -544,95 +549,13 @@ func (r *Router) shardErr(op string, errs []error) error {
 	return fmt.Errorf("registry: router %s at site %d: %w", op, r.site, errors.Join(errs...))
 }
 
-// Create implements API: routed to the shard owning the entry's name. A
-// create during a sweep forgets any deletion note for the name first — the
-// write re-establishes the entry, and a sweep's post-merge check must not
-// undo it — and restores the note if the write fails. A membership change
-// that begins while the fast-path write is in flight is caught by a re-check
-// afterwards: the acknowledged entry is re-anchored at its current home so
-// the sweep's source cleanup cannot orphan it.
-func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
-	if r.rep > 1 {
-		return r.createReplicated(ctx, e)
-	}
-	home, api, err := r.shardFor(e.Name)
-	if err != nil {
-		return Entry{}, err
-	}
-	gen := r.sweepGen.Load()
-	if !r.sweepActive() {
-		stored, cerr := api.Create(ctx, e)
-		r.report(home, cerr)
-		if cerr == nil && (r.sweepActive() || r.sweepGen.Load() != gen) {
-			// A sweep started (and possibly finished) while the write was
-			// in flight.
-			r.reanchorWrite(ctx, home, stored)
-		}
-		return stored, cerr
-	}
-	noted := r.clearDeleted(e.Name)
-	stored, err := api.Create(ctx, e)
-	r.report(home, err)
-	if err != nil && noted && !errors.Is(err, ErrExists) {
-		// The entry stays absent; the deletion must stand. Re-note it and
-		// re-assert it across the tier — the in-flight sweep may have merged
-		// a stale copy during the window the note was cleared.
-		r.deleteDuringSweep(ctx, home, api, e.Name) //nolint:errcheck // best-effort re-assertion of the standing deletion
-	}
-	return stored, err
-}
-
-// Put implements API: routed to the shard owning the entry's name. Like
-// Create, a put during a sweep clears the name's deletion note (restoring
-// it if the write fails), and a fast-path put that raced a membership
-// change re-anchors the entry at its current home.
-func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
-	if r.rep > 1 {
-		return r.putReplicated(ctx, e)
-	}
-	home, api, err := r.shardFor(e.Name)
-	if err != nil {
-		return Entry{}, err
-	}
-	gen := r.sweepGen.Load()
-	if !r.sweepActive() {
-		stored, perr := api.Put(ctx, e)
-		r.report(home, perr)
-		if perr == nil && (r.sweepActive() || r.sweepGen.Load() != gen) {
-			r.reanchorWrite(ctx, home, stored)
-		}
-		return stored, perr
-	}
-	noted := r.clearDeleted(e.Name)
-	stored, err := api.Put(ctx, e)
-	r.report(home, err)
-	if err != nil && noted {
-		// See Create: re-assert the standing deletion everywhere.
-		r.deleteDuringSweep(ctx, home, api, e.Name) //nolint:errcheck // best-effort re-assertion of the standing deletion
-	}
-	return stored, err
-}
-
-// reanchorWrite handles an acknowledged fast-path write that raced the start
-// of a membership change: if the entry's home moved while the write was in
-// flight, the stored entry is upserted at its current home too, so the
-// migration sweep's source-side cleanup can never leave the acknowledged
-// write behind on a shard that no longer owns it. Clearing the deletion note
-// also keeps the sweep's post-merge check from undoing the write.
-func (r *Router) reanchorWrite(ctx context.Context, wroteTo cloud.SiteID, e Entry) {
-	r.clearDeleted(e.Name)
-	if home, api, err := r.shardFor(e.Name); err == nil && home != wroteTo {
-		api.Put(ctx, e) //nolint:errcheck // best-effort: the sweep migrating the original copy converges the same way
-	}
-}
-
 // sweepFallbackGet consults every shard not yet tried for a copy of the
 // name, one concurrent Get per shard — the read-reliability fallback while
 // entries may be off-home mid-sweep. It returns the best copy found
 // (highest version, in case a sweep briefly left two) or the transport
 // failures encountered: a miss is only authoritative when every shard
 // actually answered.
-func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried map[cloud.SiteID]bool) (Entry, bool, []error) {
+func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried []shardRef) (Entry, bool, []error) {
 	var (
 		mu    sync.Mutex
 		found Entry
@@ -641,7 +564,7 @@ func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried map[cl
 		wg    sync.WaitGroup
 	)
 	for id, other := range r.snapshotShards() {
-		if tried[id] {
+		if hasRef(tried, id) {
 			continue
 		}
 		wg.Add(1)
@@ -664,13 +587,9 @@ func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried map[cl
 	return found, ok, errs
 }
 
-// Get implements API: routed to the shard owning the name. While a
-// migration sweep is in flight an entry may not have reached its new home
-// yet, so a miss at the home shard falls back to the other shards (one
-// concurrent Get per shard) before answering ErrNotFound — and the miss is
-// only answered when every fallback shard actually responded; an
-// unreachable shard mid-sweep surfaces as ErrUnavailable rather than
-// reading an existing entry as absent.
+// Get implements API: the routed read (see getRouted), timed for the hedge
+// threshold and coalesced with concurrent identical Gets when the router was
+// built WithRouterReadCoalescing.
 func (r *Router) Get(ctx context.Context, name string) (Entry, error) {
 	if r.flights == nil {
 		return r.getTimed(ctx, name)
@@ -678,61 +597,15 @@ func (r *Router) Get(ctx context.Context, name string) (Entry, error) {
 	return r.flights.do(ctx, name, r.getTimed)
 }
 
-// getRouted is the uncoalesced, untimed read path: the replicated read (with
-// hedging when armed) or the single-home read with its mid-sweep fallback.
-func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
-	if r.rep > 1 {
-		return r.getReplicated(ctx, name)
-	}
-	home, api, err := r.shardFor(name)
-	if err != nil {
-		return Entry{}, err
-	}
-	e, err := api.Get(ctx, name)
-	r.report(home, err)
-	if err == nil || !errors.Is(err, ErrNotFound) || !r.sweepActive() {
-		return e, err
-	}
-	if fe, ok, ferrs := r.sweepFallbackGet(ctx, name, map[cloud.SiteID]bool{home: true}); ok {
-		return fe, nil
-	} else if len(ferrs) > 0 {
-		return Entry{}, r.shardErr("get", ferrs)
-	}
-	return Entry{}, err
-}
-
-// Contains implements API. It is best-effort like every other
-// implementation; a tier with no shard owning the name reads as "absent" and
-// feeds the suppressed-error counter so the degradation is observable.
-// During a migration sweep a miss at the home shard falls back to the other
-// shards, matching Get.
-func (r *Router) Contains(ctx context.Context, name string) bool {
-	if r.rep > 1 {
-		return r.containsReplicated(ctx, name)
-	}
-	home, api, err := r.shardFor(name)
-	if err != nil {
-		r.obs.suppressed.Inc()
-		return false
-	}
-	if api.Contains(ctx, name) {
-		return true
-	}
-	if !r.sweepActive() {
-		return false
-	}
-	return r.sweepFallbackContains(ctx, name, map[cloud.SiteID]bool{home: true})
-}
-
 // sweepFallbackContains is the best-effort companion of sweepFallbackGet:
 // one concurrent Contains per untried shard.
-func (r *Router) sweepFallbackContains(ctx context.Context, name string, tried map[cloud.SiteID]bool) bool {
+func (r *Router) sweepFallbackContains(ctx context.Context, name string, tried []shardRef) bool {
 	var (
 		found atomic.Bool
 		wg    sync.WaitGroup
 	)
 	for id, other := range r.snapshotShards() {
-		if tried[id] {
+		if hasRef(tried, id) {
 			continue
 		}
 		wg.Add(1)
@@ -745,104 +618,6 @@ func (r *Router) sweepFallbackContains(ctx context.Context, name string, tried m
 	}
 	wg.Wait()
 	return found.Load()
-}
-
-// AddLocation implements API: routed to the shard owning the name.
-func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
-	if r.rep > 1 {
-		return r.addLocationReplicated(ctx, name, loc)
-	}
-	home, api, err := r.shardFor(name)
-	if err != nil {
-		return Entry{}, err
-	}
-	e, err := api.AddLocation(ctx, name, loc)
-	r.report(home, err)
-	return e, err
-}
-
-// Delete implements API: routed to the shard owning the name. While a
-// migration sweep is in flight the deletion is additionally recorded (so the
-// sweep cannot resurrect it from a stale source copy — see sweepShard) and
-// purged from every other shard that may still hold an un-migrated copy. A
-// sweep that begins while the fast-path delete is in flight is caught by a
-// re-check afterwards, which re-runs the sweep-aware path (it is
-// idempotent).
-func (r *Router) Delete(ctx context.Context, name string) error {
-	if r.rep > 1 {
-		return r.deleteReplicated(ctx, name)
-	}
-	home, api, err := r.shardFor(name)
-	if err != nil {
-		return err
-	}
-	gen := r.sweepGen.Load()
-	if r.sweepActive() {
-		return r.deleteDuringSweep(ctx, home, api, name)
-	}
-	err = api.Delete(ctx, name)
-	r.report(home, err)
-	if r.sweepActive() || r.sweepGen.Load() != gen {
-		// A sweep started (and possibly even finished) while the fast-path
-		// delete was in flight; re-run the sweep-aware path to purge any
-		// copy the sweep migrated meanwhile (it is idempotent).
-		rerr := r.deleteDuringSweep(ctx, home, api, name)
-		if err == nil {
-			// Already acknowledged by the fast path; the re-run only cleans
-			// up copies the racing sweep may have moved.
-			return nil
-		}
-		return rerr
-	}
-	return err
-}
-
-// deleteDuringSweep is the sweep-aware delete path: it notes the deletion
-// *before* touching any shard — a sweep that merges a stale copy afterwards
-// is guaranteed to see the note in its post-merge check and undo the
-// resurrection — deletes at the home shard and concurrently purges every
-// other shard that may still hold an un-migrated copy.
-func (r *Router) deleteDuringSweep(ctx context.Context, home cloud.SiteID, api API, name string) error {
-	r.noteDeleted(name)
-	err := api.Delete(ctx, name)
-
-	var (
-		mu     sync.Mutex
-		purged int
-		errs   []error
-		wg     sync.WaitGroup
-	)
-	for id, other := range r.snapshotShards() {
-		if id == home {
-			continue
-		}
-		wg.Add(1)
-		go func(id cloud.SiteID, other API) {
-			defer wg.Done()
-			n, derr := other.DeleteMany(ctx, []string{name})
-			mu.Lock()
-			defer mu.Unlock()
-			if derr != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, derr))
-				return
-			}
-			purged += n
-		}(id, other)
-	}
-	wg.Wait()
-
-	// A copy found only on a non-home shard (not migrated yet) still counts
-	// as a successful delete.
-	if errors.Is(err, ErrNotFound) && purged > 0 {
-		err = nil
-	}
-	if err != nil {
-		errs = append([]error{err}, errs...)
-	}
-	if len(errs) > 0 {
-		return r.shardErr("delete", errs)
-	}
-	return nil
 }
 
 // sweepActive reports whether a migration sweep is currently in flight.
@@ -884,15 +659,17 @@ func (r *Router) sweepEnd() {
 	r.delMu.Unlock()
 }
 
-// noteDeleted records a deletion while anything could resurrect it (see
-// notesNeeded); otherwise no copy can be off-home and the note is skipped.
-func (r *Router) noteDeleted(name string) {
+// noteDeleted records deletions while anything could resurrect them (see
+// notesNeeded); otherwise no copy can be off-home and the notes are skipped.
+func (r *Router) noteDeleted(names ...string) {
 	r.delMu.Lock()
 	if r.notesNeeded() {
 		if r.deletedDuringSweep == nil {
 			r.deletedDuringSweep = make(map[string]bool)
 		}
-		r.deletedDuringSweep[name] = true
+		for _, name := range names {
+			r.deletedDuringSweep[name] = true
+		}
 	}
 	r.delMu.Unlock()
 }
@@ -949,281 +726,6 @@ func (r *Router) deletedSince(names []string) []string {
 		}
 	}
 	return out
-}
-
-// nameGroup is the slice of input positions one shard is responsible for.
-type nameGroup struct {
-	api API
-	idx []int
-}
-
-// groupNames partitions input positions by owning shard. Bulk operations use
-// it to build exactly one sub-batch per shard.
-func (r *Router) groupNames(names []string) (map[cloud.SiteID]*nameGroup, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	groups := make(map[cloud.SiteID]*nameGroup)
-	for i, name := range names {
-		id := r.placer.Home(name)
-		api, ok := r.shards[id]
-		if id == cloud.NoSite || !ok {
-			return nil, fmt.Errorf("registry: router for site %d: no shard owns %q: %w", r.site, name, ErrUnavailable)
-		}
-		g := groups[id]
-		if g == nil {
-			g = &nameGroup{api: api}
-			groups[id] = g
-		}
-		g.idx = append(g.idx, i)
-	}
-	return groups, nil
-}
-
-// GetMany implements API: the name list is split into one sub-batch per
-// owning shard, the sub-batches are issued concurrently, and the found
-// entries are returned in input order (absent names are skipped, matching
-// the single-shard semantics).
-func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	if r.rep > 1 {
-		return r.getManyReplicated(ctx, names)
-	}
-	groups, err := r.groupNames(names)
-	if err != nil {
-		return nil, err
-	}
-	r.countBulk(len(groups))
-
-	var (
-		mu    sync.Mutex
-		found = make(map[string]Entry, len(names))
-		errs  []error
-		wg    sync.WaitGroup
-	)
-	for id, g := range groups {
-		sub := make([]string, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = names[pos]
-		}
-		wg.Add(1)
-		go func(id cloud.SiteID, api API, sub []string) {
-			defer wg.Done()
-			batch, err := api.GetMany(ctx, sub)
-			r.report(id, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
-				return
-			}
-			for _, e := range batch {
-				found[e.Name] = e
-			}
-		}(id, g.api, sub)
-	}
-	wg.Wait()
-	if err := r.shardErr("get-many", errs); err != nil {
-		return nil, err
-	}
-
-	// During a migration sweep an entry may not have reached its new home
-	// yet; names the home shards missed fall back to the whole tier (one
-	// concurrent sub-batch per shard), matching Get's fallback semantics.
-	if r.sweepActive() {
-		var missing []string
-		seenMissing := make(map[string]bool)
-		for _, name := range names {
-			if _, ok := found[name]; !ok && !seenMissing[name] {
-				seenMissing[name] = true
-				missing = append(missing, name)
-			}
-		}
-		if len(missing) > 0 {
-			var fwg sync.WaitGroup
-			for _, api := range r.snapshotShards() {
-				fwg.Add(1)
-				go func(api API) {
-					defer fwg.Done()
-					batch, ferr := api.GetMany(ctx, missing)
-					if ferr != nil {
-						return // best-effort fallback; the home answer stands
-					}
-					mu.Lock()
-					for _, e := range batch {
-						if _, ok := found[e.Name]; !ok {
-							found[e.Name] = e
-						}
-					}
-					mu.Unlock()
-				}(api)
-			}
-			fwg.Wait()
-		}
-	}
-
-	out := make([]Entry, 0, len(found))
-	seen := make(map[string]bool, len(found))
-	for _, name := range names {
-		if e, ok := found[name]; ok && !seen[name] {
-			seen[name] = true
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
-// PutMany implements API: the batch is split into one sub-batch per owning
-// shard, issued concurrently, and the stored entries are returned in input
-// order. Sub-batches that reached their shard stay applied even when another
-// shard fails; the returned error wraps every failed shard's cause.
-func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) {
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	if r.rep > 1 {
-		return r.putManyReplicated(ctx, entries)
-	}
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
-	}
-	groups, err := r.groupNames(names)
-	if err != nil {
-		return nil, err
-	}
-	r.countBulk(len(groups))
-
-	var (
-		mu   sync.Mutex
-		errs []error
-		wg   sync.WaitGroup
-	)
-	out := make([]Entry, len(entries))
-	for id, g := range groups {
-		sub := make([]Entry, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = entries[pos]
-		}
-		wg.Add(1)
-		go func(id cloud.SiteID, api API, g *nameGroup, sub []Entry) {
-			defer wg.Done()
-			stored, err := api.PutMany(ctx, sub)
-			r.report(id, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
-				return
-			}
-			for i, pos := range g.idx {
-				if i < len(stored) {
-					out[pos] = stored[i]
-				}
-			}
-		}(id, g.api, g, sub)
-	}
-	wg.Wait()
-	if err := r.shardErr("put-many", errs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DeleteMany implements API: one sub-batch per owning shard, issued
-// concurrently; the count of present-and-removed entries is summed. Shards
-// that were reached stay applied on partial failure.
-func (r *Router) DeleteMany(ctx context.Context, names []string) (int, error) {
-	if len(names) == 0 {
-		return 0, nil
-	}
-	if r.rep > 1 {
-		return r.deleteManyReplicated(ctx, names)
-	}
-	groups, err := r.groupNames(names)
-	if err != nil {
-		return 0, err
-	}
-	r.countBulk(len(groups))
-
-	var (
-		mu    sync.Mutex
-		total int
-		errs  []error
-		wg    sync.WaitGroup
-	)
-	for id, g := range groups {
-		sub := make([]string, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = names[pos]
-		}
-		wg.Add(1)
-		go func(id cloud.SiteID, api API, sub []string) {
-			defer wg.Done()
-			n, err := api.DeleteMany(ctx, sub)
-			r.report(id, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
-				return
-			}
-			total += n
-		}(id, g.api, sub)
-	}
-	wg.Wait()
-	return total, r.shardErr("delete-many", errs)
-}
-
-// Merge implements API: one sub-batch per owning shard, issued concurrently;
-// the number of applied entries is summed. Shards that were reached stay
-// applied on partial failure — merge is idempotent, so the caller re-sends
-// the whole batch on the next round.
-func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	if r.rep > 1 {
-		return r.mergeReplicated(ctx, entries)
-	}
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
-	}
-	groups, err := r.groupNames(names)
-	if err != nil {
-		return 0, err
-	}
-	r.countBulk(len(groups))
-
-	var (
-		mu      sync.Mutex
-		applied int
-		errs    []error
-		wg      sync.WaitGroup
-	)
-	for id, g := range groups {
-		sub := make([]Entry, len(g.idx))
-		for i, pos := range g.idx {
-			sub[i] = entries[pos]
-		}
-		wg.Add(1)
-		go func(id cloud.SiteID, api API, sub []Entry) {
-			defer wg.Done()
-			n, err := api.Merge(ctx, sub)
-			r.report(id, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
-				return
-			}
-			applied += n
-		}(id, g.api, sub)
-	}
-	wg.Wait()
-	return applied, r.shardErr("merge", errs)
 }
 
 // Entries implements API: every shard (including ones still draining) is
@@ -1344,8 +846,8 @@ func (r *Router) countBulk(subBatches int) {
 // block until the sweep completes, or Rebalance to run one synchronously.
 func (r *Router) AddShard(api API) cloud.SiteID {
 	// Raise the sweep flag before the placer changes: from the very first
-	// moment a key's home can differ from where its entry lives, reads fall
-	// back and deletions purge/note (see Get, Delete).
+	// moment a key's homes can differ from where its entry lives, reads fall
+	// back and deletions purge/note (see getRouted, Delete).
 	r.sweepBegin()
 	r.mu.Lock()
 	id := r.nextID
@@ -1501,14 +1003,14 @@ func (r *Router) rebalance(ctx context.Context) (int, error) {
 }
 
 // sweepShard reconciles one shard against the current placement. For every
-// entry it holds, the entry's home set (one shard classically, the first R
-// healthy successors under replication) is resolved once; copies a home is
-// missing — because a shard joined, left, crashed or returned — are grouped
-// into one bulk Merge per destination, and copies this shard no longer owns
-// are removed with one bulk DeleteMany at the end, only after every replica
-// of them was safely placed. Stale copies of names deleted while a sweep ran
-// or a shard was down are purged rather than migrated, so a returning shard
-// cannot resurrect deletions that happened during its outage.
+// entry it holds, the entry's home set (the first R healthy successors) is
+// resolved once; copies a home is missing — because a shard joined, left,
+// crashed or returned — are grouped into one bulk Merge per destination, and
+// copies this shard no longer owns are removed with one bulk DeleteMany at
+// the end, only after every replica of them was safely placed. Stale copies
+// of names deleted while a sweep ran or a shard was down are purged rather
+// than migrated, so a returning shard cannot resurrect deletions that
+// happened during its outage.
 //
 // With replication every sweep is a full reconciliation: each entry is
 // merged to every other home, costing O(entries x (rep-1)) Merge traffic per
@@ -1568,12 +1070,8 @@ func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int,
 		}
 		// Skip entries deleted since the sweep read them: merging the stale
 		// source copy would resurrect the deletion at its new home.
-		names := make([]string, len(batch))
-		for i, e := range batch {
-			names[i] = e.Name
-		}
 		kept := batch
-		if dropped := r.deletedSince(names); len(dropped) > 0 {
+		if dropped := r.deletedSince(entryNames(batch)); len(dropped) > 0 {
 			gone := make(map[string]bool, len(dropped))
 			for _, n := range dropped {
 				gone[n] = true
@@ -1596,11 +1094,7 @@ func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int,
 		// touching any shard, so re-reading the note set here catches every
 		// deletion the Merge may have resurrected — undo it at the
 		// destination.
-		movedNames := make([]string, len(kept))
-		for i, e := range kept {
-			movedNames[i] = e.Name
-		}
-		if undo := r.deletedSince(movedNames); len(undo) > 0 {
+		if undo := r.deletedSince(entryNames(kept)); len(undo) > 0 {
 			if _, err := dapi.DeleteMany(ctx, undo); err != nil {
 				failDest(fmt.Errorf("undoing resurrected deletions on shard %d: %w", dest, err))
 				continue
@@ -1616,10 +1110,11 @@ func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int,
 	// re-established them: the note set is re-read immediately before the
 	// delete, and re-checked after it — a note that vanished mid-delete
 	// means a write slipped in, and this shard's copy is restored from the
-	// name's other replicas (the racing write reached them too). Without
-	// replication the noted-name cleanup is skipped entirely: deletions
-	// during rep=1 sweeps already purge every shard at delete time, and
-	// there would be no replica to restore a raced write from.
+	// name's other replicas (the racing write reached them too). With one
+	// home per name the noted-name cleanup is skipped: the only copy a noted
+	// name can have off its home is a migrating one, which the okToDrop pass
+	// already removes, and there would be no replica to restore a raced
+	// write from.
 	drop := make([]string, 0, len(okToDrop))
 	for name := range okToDrop {
 		drop = append(drop, name)

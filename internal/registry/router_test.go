@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"geomds/internal/cloud"
 	"geomds/internal/memcache"
@@ -246,6 +247,7 @@ func (f failingShard) DeleteMany(context.Context, []string) (int, error)  { retu
 func (f failingShard) Merge(context.Context, []Entry) (int, error)        { return 0, errShardDown }
 func (f failingShard) Entries(context.Context) ([]Entry, error)           { return nil, errShardDown }
 func (f failingShard) Create(context.Context, Entry) (Entry, error)       { return Entry{}, errShardDown }
+func (f failingShard) Put(context.Context, Entry) (Entry, error)          { return Entry{}, errShardDown }
 func (f failingShard) Get(context.Context, string) (Entry, error)         { return Entry{}, errShardDown }
 
 func TestRouterPartialFailureWrapsUnavailable(t *testing.T) {
@@ -293,8 +295,100 @@ func TestRouterPartialFailureWrapsUnavailable(t *testing.T) {
 	if deadName == "" {
 		t.Fatal("no probe name hashed to the dead shard")
 	}
-	if _, err := r.Get(ctx, deadName); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("get via dead shard: want ErrUnavailable, got %v", err)
+	// What remains of single-home placement is policy, pinned here: with one
+	// home per key there is nowhere to re-route to, so however often the dead
+	// shard fails, its own error comes back, its breaker never opens and no
+	// recovery sweep is ever spawned.
+	for i := 0; i < 10; i++ {
+		if _, err := r.Get(ctx, deadName); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("get via dead shard: want ErrUnavailable, got %v", err)
+		}
+		if _, err := r.Put(ctx, testEntry(deadName)); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("put via dead shard: want ErrUnavailable, got %v", err)
+		}
+		if _, err := r.PutMany(ctx, entries); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("put-many with a dead shard: want ErrUnavailable, got %v", err)
+		}
+	}
+	if down := r.DownShards(); len(down) != 0 {
+		t.Fatalf("an R=1 router opened breakers for %v", down)
+	}
+	swept := make(chan struct{})
+	go func() {
+		r.Wait()
+		close(swept)
+	}()
+	select {
+	case <-swept:
+	case <-time.After(time.Second):
+		t.Fatal("an R=1 router has a recovery sweep or repair in flight after shard failures")
+	}
+}
+
+// TestRouterSingleHomeFailedDeleteLeavesNoNote pins the deletion-note side of
+// the R=1 policy: a Delete or DeleteMany whose only home failed told its
+// caller so, and must leave nothing behind — no force-note, no pinned note
+// table (a one-home tier runs no recovery sweep that would ever unpin it, so
+// every later deletion would be retained forever), and the entries survive
+// the next membership sweep instead of being purged as "deleted". The write
+// concern is documented to have no effect without replication, so both run.
+func TestRouterSingleHomeFailedDeleteLeavesNoNote(t *testing.T) {
+	for _, concern := range []WriteConcern{WriteAll, WriteQuorum} {
+		t.Run(concern.String(), func(t *testing.T) {
+			ctx := context.Background()
+			r, kills, _ := newReplicatedRouter(t, 2, 1, WithRouterWriteConcern(concern))
+			const n = 300
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("kept/%d", i)
+				if _, err := r.Put(ctx, testEntry(names[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			for _, k := range kills {
+				k.kill()
+			}
+			for _, name := range names[:n/2] {
+				if err := r.Delete(ctx, name); !errors.Is(err, ErrUnavailable) {
+					t.Fatalf("delete via dead shard: want ErrUnavailable, got %v", err)
+				}
+			}
+			if _, err := r.DeleteMany(ctx, names[n/2:]); !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("delete-many via dead shards: want ErrUnavailable, got %v", err)
+			}
+			for _, k := range kills {
+				k.revive()
+			}
+			// Deletions that succeed afterwards are not retained either.
+			for i := 0; i < 100; i++ {
+				name := fmt.Sprintf("gone/%d", i)
+				if _, err := r.Put(ctx, testEntry(name)); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Delete(ctx, name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.Wait()
+			r.delMu.Lock()
+			notes := len(r.deletedDuringSweep)
+			r.delMu.Unlock()
+			if notes != 0 || r.staleNotes.Load() {
+				t.Fatalf("failed R=1 deletes left %d notes (pinned: %v), want none", notes, r.staleNotes.Load())
+			}
+
+			r.AddShard(newShard(7))
+			r.Wait()
+			if got := r.Len(ctx); got != n {
+				t.Fatalf("tier holds %d entries after the sweep, want %d: a failed delete purged its entry", got, n)
+			}
+			for _, name := range names {
+				if _, err := r.Get(ctx, name); err != nil {
+					t.Fatalf("entry whose delete failed is gone after the sweep: %v", err)
+				}
+			}
+		})
 	}
 }
 
@@ -471,6 +565,168 @@ func TestRouterDeleteDuringSweepNotResurrected(t *testing.T) {
 	// Everything else migrated and survived.
 	if got := r.Len(ctx); got != n-1 {
 		t.Fatalf("tier holds %d entries after the sweep, want %d", got, n-1)
+	}
+}
+
+// TestRouterDeleteManyDuringSweepNotResurrected is the bulk twin of the test
+// above: the sweep is frozen before its merge into the joining shard, an
+// entry whose replica set now includes the joiner is removed with DeleteMany,
+// and the deletion must stick on every shard — at R=1 exactly as at R=2,
+// because both run the one bulk-delete path that records deletion notes.
+func TestRouterDeleteManyDuringSweepNotResurrected(t *testing.T) {
+	for _, tc := range []struct{ rep, shards int }{{rep: 1, shards: 1}, {rep: 2, shards: 2}} {
+		t.Run(fmt.Sprintf("R=%d", tc.rep), func(t *testing.T) {
+			ctx := context.Background()
+			r, shards := newTestRouter(t, tc.shards, WithRouterReplication(tc.rep))
+			const n = 200
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("resurrect-many/%d", i)
+				if _, err := r.Create(ctx, testEntry(names[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			joiner := newShard(7)
+			gate := newMergeGate(joiner)
+			id := r.AddShard(gate)
+			shards[id] = joiner
+			<-gate.entered // the sweep is about to merge a moved batch into the joiner
+
+			var victim string
+			for _, name := range names {
+				refs, err := r.replicaSet(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ref := range refs {
+					if ref.id == id {
+						victim = name
+					}
+				}
+				if victim != "" {
+					break
+				}
+			}
+			if victim == "" {
+				t.Fatal("no entry moved to the joining shard")
+			}
+			if _, err := r.DeleteMany(ctx, []string{victim}); err != nil {
+				t.Fatalf("delete-many during sweep: %v", err)
+			}
+
+			close(gate.release)
+			r.Wait()
+
+			if _, err := r.Get(ctx, victim); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("deleted entry came back after the sweep: %v", err)
+			}
+			for sid, inst := range shards {
+				if inst.Contains(ctx, victim) {
+					t.Fatalf("shard %d still holds the entry deleted during the sweep", sid)
+				}
+			}
+			if got := r.Len(ctx); got != n-1 {
+				t.Fatalf("tier holds %d entries after the sweep, want %d", got, n-1)
+			}
+		})
+	}
+}
+
+// deleteGate wraps a shard and blocks the Delete of one name until released,
+// so tests can hold a routed delete in flight across a membership change.
+type deleteGate struct {
+	API
+	name    string
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *deleteGate) Delete(ctx context.Context, name string) error {
+	if name == g.name {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
+	return g.API.Delete(ctx, name)
+}
+
+// TestRouterDeleteRacingSweepStartLeavesNoCopy holds a Delete in flight at
+// one replica — issued while no sweep was active, so it recorded no deletion
+// note — lets a shard join and its whole migration sweep run, and only then
+// lets the delete finish. The sweep copied the still-present entry to its
+// new homes; the delete's re-check of the sweep generation must purge those
+// copies, at every replication factor.
+func TestRouterDeleteRacingSweepStartLeavesNoCopy(t *testing.T) {
+	for _, tc := range []struct{ rep, shards int }{{rep: 1, shards: 1}, {rep: 2, shards: 2}} {
+		t.Run(fmt.Sprintf("R=%d", tc.rep), func(t *testing.T) {
+			ctx := context.Background()
+			joinerID := cloud.SiteID(tc.shards)
+
+			// Placement derives from the shard IDs alone, so a throwaway
+			// router over the grown tier tells which name the joiner will
+			// own. The victim's new homes exclude shard 0, where the delete
+			// is held: at R=2 the sweep then re-merges the entry from shard 0
+			// onto the other old replica, which had already deleted it.
+			grown, _ := newTestRouter(t, tc.shards+1, WithRouterReplication(tc.rep))
+			var victim string
+			for i := 0; victim == ""; i++ {
+				name := fmt.Sprintf("race/%d", i)
+				refs, err := grown.replicaSet(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				onJoiner, onGated := false, false
+				for _, ref := range refs {
+					onJoiner = onJoiner || ref.id == joinerID
+					onGated = onGated || ref.id == 0
+				}
+				if onJoiner && !onGated {
+					victim = name
+				}
+			}
+
+			insts := map[cloud.SiteID]*Instance{}
+			apis := make([]API, tc.shards)
+			gate := &deleteGate{name: victim, entered: make(chan struct{}), release: make(chan struct{})}
+			for i := range apis {
+				inst := newShard(7)
+				insts[cloud.SiteID(i)] = inst
+				apis[i] = inst
+			}
+			gate.API = apis[0]
+			apis[0] = gate
+			r, err := NewRouter(7, apis, WithRouterReplication(tc.rep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Create(ctx, testEntry(victim)); err != nil {
+				t.Fatal(err)
+			}
+
+			deleted := make(chan error, 1)
+			go func() { deleted <- r.Delete(ctx, victim) }()
+			<-gate.entered // in flight at shard 0, no sweep active, no note recorded
+
+			joiner := newShard(7)
+			if id := r.AddShard(joiner); id != joinerID {
+				t.Fatalf("joiner got shard ID %d, want %d", id, joinerID)
+			}
+			insts[joinerID] = joiner
+			r.Wait() // the sweep has copied the not-yet-deleted entry to its new homes
+
+			close(gate.release)
+			if err := <-deleted; err != nil {
+				t.Fatalf("delete racing the sweep start: %v", err)
+			}
+			for id, inst := range insts {
+				if inst.Contains(ctx, victim) {
+					t.Fatalf("shard %d holds a copy of the entry after its delete was acknowledged", id)
+				}
+			}
+		})
 	}
 }
 

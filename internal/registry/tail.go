@@ -52,7 +52,7 @@ type hedgeSettings struct {
 // hedgeThreshold derives the current hedge-fire delay: the read-latency
 // histogram's p95 clamped into [min, max], or 0 when hedging is off.
 func (r *Router) hedgeThreshold() time.Duration {
-	if !r.hedge.enabled || r.rep <= 1 {
+	if !r.hedge.enabled {
 		return 0
 	}
 	snap := r.readLat.Snapshot()
