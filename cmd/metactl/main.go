@@ -94,7 +94,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "registry server address")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard server addresses; commands run against a client-side routing tier instead of -addr")
 	replication := flag.Int("replication", 1, "replication factor of the sharded tier targeted via -shard-addrs (must match the deployment)")
-	concern := flag.String("write-concern", "all", "replicated-write acknowledgement rule: all or quorum (must match the deployment)")
+	var writeConcern registry.WriteConcern
+	flag.Var(&writeConcern, "write-concern", "replicated-write acknowledgement rule: all (default) or quorum (must match the deployment)")
 	pool := flag.Int("pool", rpc.DefaultPoolSize, "connection-pool size towards the server")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-operation deadline, propagated to the server")
 	metricsAddr := flag.String("metrics-addr", "127.0.0.1:9090", "metaserver metrics endpoint (for the stats command)")
@@ -150,23 +151,17 @@ func main() {
 
 	// The commands below run against one registry.API: a single server's
 	// client, or — with -shard-addrs — a client-side router over the site's
-	// shard servers.
+	// shard servers. The tier is assembled here rather than by site.Build
+	// because it differs from a served site in two ways Build would have to
+	// branch on its caller for: an undialable shard keeps its slot as a
+	// down-marked placeholder, and the near cache is fed by one watch stream
+	// per dialed server instead of the tier's own feed.
 	var (
 		api     registry.API
 		clients []*rpc.Client
 		target  string
 	)
 	if *shardAddrs != "" {
-		var writeConcern registry.WriteConcern
-		switch *concern {
-		case "all":
-			writeConcern = registry.WriteAll
-		case "quorum":
-			writeConcern = registry.WriteQuorum
-		default:
-			fmt.Fprintf(os.Stderr, "metactl: -write-concern must be all or quorum, got %q\n", *concern)
-			os.Exit(exitUsage)
-		}
 		// Placement derives from the address order, so an undialable shard
 		// must keep its slot: with replication it becomes a down-marked
 		// placeholder and the replicas carry its range; without replication
@@ -240,9 +235,6 @@ func main() {
 	// without -feed — the cache serves through to the origin, so commands
 	// never observe weaker consistency than without the flag.
 	if *cacheOn {
-		// Invalidation mode, not apply-in-place: feed event bytes carry the
-		// entry as submitted, before the store assigned its version, so
-		// re-installing them would serve stale Version fields.
 		nc := readcache.New(api, readcache.Options{})
 		sources := make([]feed.Source, 0, len(clients))
 		for _, c := range clients {
@@ -293,7 +285,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		data, err := (registry.JSONCodec{}).Encode(e)
+		data, err := json.Marshal(e)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Command metaserver runs one metadata registry deployment as a stand-alone
 // TCP server — the per-datacenter registry of the paper, as a separate
-// process. The deployment behind the served API is configurable:
+// process. The deployment behind the served API is a site.Config filled from
+// the flags and assembled by site.Build:
 //
 //   - the default is a single registry instance on one cache;
 //   - -shards N serves a horizontally sharded tier: N instances, each on its
@@ -44,8 +45,8 @@
 //     file F: per-tenant token-bucket quotas on operations and payload bytes,
 //     plus a server-wide in-flight cap that sheds load before any work is
 //     queued. Over-limit requests are refused at the frame-decode boundary
-//     with the "overloaded" wire code and a retry-after hint; v1 clients and
-//     requests without a tenant ID are charged to the "default" tenant.
+//     with the "overloaded" wire code and a retry-after hint; requests
+//     without a tenant ID are charged to the "default" tenant.
 //     SIGHUP reloads the file in place (a broken file keeps the previous
 //     limits). Per-tenant admission counters report to -metrics-addr.
 //
@@ -73,14 +74,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -90,224 +92,101 @@ import (
 	"geomds/internal/limits"
 	"geomds/internal/memcache"
 	"geomds/internal/metrics"
-	"geomds/internal/readcache"
 	"geomds/internal/registry"
 	"geomds/internal/rpc"
-	"geomds/internal/store"
+	"geomds/internal/site"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:7070", "address to listen on")
-		site        = flag.Int("site", 0, "site ID this registry instance serves")
-		name        = flag.String("name", "", "human-readable site name (informational)")
-		serviceTime = flag.Duration("service-time", 0, "simulated per-operation service time of the cache instance")
-		concurrency = flag.Int("concurrency", 0, "bound on concurrently served cache operations (0 = unbounded)")
-		ha          = flag.Bool("ha", false, "back the registry with a primary/replica cache pair")
-		shards      = flag.Int("shards", 1, "serve a sharded tier of this many in-process registry instances behind a router (1 = single instance)")
-		shardAddrs  = flag.String("shard-addrs", "", "serve a routing tier over these comma-separated remote shard servers instead of local instances")
-		replication = flag.Int("replication", 1, "store every key on this many shards of the tier (writes fan out, reads fail over; 1 = single-home placement)")
-		concern     = flag.String("write-concern", "all", "replicated-write acknowledgement rule: all (every replica) or quorum (majority)")
-		inflight    = flag.Int("inflight", rpc.DefaultMaxInflight, "max pipelined requests one connection may execute concurrently")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus (/metrics) and JSON (/metrics.json, /trace.json) metrics on this address; empty disables")
-		dataDir     = flag.String("data-dir", "", "persist the registry to a write-ahead log under this directory and recover from it on start; empty keeps the registry in memory")
-		fsyncMode   = flag.String("fsync", "always", "write-ahead log fsync policy with -data-dir: always (sync every append) or never (sync only at snapshot and shutdown)")
-		feedOn      = flag.Bool("feed", false, "publish every committed put and delete on a change feed served to Watch subscribers (metactl watch)")
-		feedCap     = flag.Int("feed-capacity", feed.DefaultCapacity, "events the change feed retains for resuming watchers; older cursors take the snapshot fallback")
-		cacheOn     = flag.Bool("cache", false, "serve reads through a feed-coherent near cache in front of the deployment; coherent via the change feed with -feed, TTL-bounded without it")
-		cacheTTL    = flag.Duration("cache-staleness", 0, "max staleness the near cache may serve without a change feed (0 = the readcache default; ignored with -feed, where the feed is the bound)")
-		tenantCfg   = flag.String("tenant-config", "", "enforce per-tenant admission control from this JSON config (token-bucket quotas, load shedding); SIGHUP reloads it without dropping connections")
-	)
-	flag.Parse()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	if err := run(os.Args[1:], os.Stdout, stop); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "metaserver: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	logger := log.New(os.Stderr, "metaserver: ", log.LstdFlags)
-
+// run serves one registry deployment until stop delivers SIGINT or SIGTERM
+// (SIGHUP reloads -tenant-config). The two address lines go to stdout, logs
+// to stderr.
+func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	// The server process owns its registry of live instruments; the RPC
 	// server, the router and the cache tier report to it, and -metrics-addr
 	// exposes it.
 	reg := metrics.NewRegistry()
+	cfg := site.Config{Metrics: reg}
 
-	newCache := func() *memcache.Cache {
-		return memcache.New(memcache.Config{
-			ServiceTime: *serviceTime,
-			Concurrency: *concurrency,
-			Metrics:     reg,
-		})
+	fs := flag.NewFlagSet("metaserver", flag.ContinueOnError)
+	var (
+		addr        = fs.String("addr", "127.0.0.1:7070", "address to listen on")
+		siteID      = fs.Int("site", 0, "site ID this registry instance serves")
+		name        = fs.String("name", "", "human-readable site name (informational)")
+		serviceTime = fs.Duration("service-time", 0, "simulated per-operation service time of the cache instance")
+		concurrency = fs.Int("concurrency", 0, "bound on concurrently served cache operations (0 = unbounded)")
+		shardAddrs  = fs.String("shard-addrs", "", "serve a routing tier over these comma-separated remote shard servers instead of local instances")
+		inflight    = fs.Int("inflight", rpc.DefaultMaxInflight, "max pipelined requests one connection may execute concurrently")
+		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus (/metrics) and JSON (/metrics.json, /trace.json) metrics on this address; empty disables")
+		tenantCfg   = fs.String("tenant-config", "", "enforce per-tenant admission control from this JSON config (token-bucket quotas, load shedding); SIGHUP reloads it without dropping connections")
+	)
+	fs.IntVar(&cfg.Shards, "shards", 1, "serve a sharded tier of this many in-process registry instances behind a router (1 = single instance)")
+	fs.IntVar(&cfg.Replication, "replication", 1, "store every key on this many shards of the tier (writes fan out, reads fail over; 1 = single-home placement)")
+	fs.Var(&cfg.WriteConcern, "write-concern", "replicated-write acknowledgement rule: all (every replica, the default) or quorum (majority)")
+	fs.StringVar(&cfg.DataDir, "data-dir", "", "persist the registry to a write-ahead log under this directory and recover from it on start; empty keeps the registry in memory")
+	fs.Var(&cfg.Fsync, "fsync", "write-ahead log fsync policy with -data-dir: always (sync every append, the default) or never (sync only at snapshot and shutdown)")
+	fs.BoolVar(&cfg.Feed, "feed", false, "publish every committed put and delete on a change feed served to Watch subscribers (metactl watch)")
+	fs.IntVar(&cfg.FeedCapacity, "feed-capacity", feed.DefaultCapacity, "events the change feed retains for resuming watchers; older cursors take the snapshot fallback")
+	fs.BoolVar(&cfg.NearCache, "cache", false, "serve reads through a feed-coherent near cache in front of the deployment; coherent via the change feed with -feed, TTL-bounded without it")
+	fs.DurationVar(&cfg.MaxStaleness, "cache-staleness", 0, "max staleness the near cache may serve without a change feed (0 = the readcache default; ignored with -feed, where the feed is the bound)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	newStore := func() registry.Store {
-		if *ha {
-			return memcache.NewHA(newCache)
+	cfg.Site = cloud.SiteID(*siteID)
+	cfg.NewStore = func() registry.Store {
+		return memcache.New(memcache.Config{ServiceTime: *serviceTime, Concurrency: *concurrency, Metrics: reg})
+	}
+
+	logger := log.New(os.Stderr, "metaserver: ", log.LstdFlags)
+
+	for _, a := range strings.Split(*shardAddrs, ",") {
+		if a = strings.TrimSpace(a); a == "" {
+			continue
 		}
-		return newCache()
+		// A fresh context per dial: a tier of many (or slow) shards must not
+		// fail startup because earlier dials consumed one shared budget.
+		dialCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		client, err := rpc.Dial(dialCtx, a, rpc.WithMetrics(reg))
+		cancel()
+		if err != nil {
+			return fmt.Errorf("dial shard %s: %w", a, err)
+		}
+		defer client.Close()
+		cfg.Remote = append(cfg.Remote, client)
+	}
+	if *shardAddrs != "" && len(cfg.Remote) == 0 {
+		// A stray comma from templating must not turn a routing tier into
+		// an empty local registry.
+		return errors.New("-shard-addrs names no shard")
 	}
 
-	var writeConcern registry.WriteConcern
-	switch *concern {
-	case "all":
-		writeConcern = registry.WriteAll
-	case "quorum":
-		writeConcern = registry.WriteQuorum
-	default:
-		logger.Fatalf("-write-concern must be all or quorum, got %q", *concern)
-	}
-	if *replication > 1 && *shards <= 1 && *shardAddrs == "" {
-		// Refuse rather than silently serve a single unreplicated instance
-		// the operator believes is fault-tolerant.
-		logger.Fatal("-replication requires a sharded tier (-shards > 1 or -shard-addrs)")
-	}
-	fsync, err := store.ParseFsyncPolicy(*fsyncMode)
+	api, closeSite, err := site.Build(cfg)
 	if err != nil {
-		logger.Fatalf("-fsync: %v", err)
+		return err
 	}
-	if *dataDir != "" && *shardAddrs != "" {
-		// Persistence lives where the data lives: each remote shard process
-		// owns its log via its own -data-dir.
-		logger.Fatal("-data-dir applies to in-process instances; give each remote shard its own -data-dir instead")
-	}
-	if *cacheTTL < 0 {
-		logger.Fatal("-cache-staleness must be >= 0 (0 selects the readcache default)")
-	}
-	if *feedOn && *shardAddrs != "" {
-		// Feeds live where the commits happen: each remote shard process
-		// publishes its own feed; watch the shard servers directly.
-		logger.Fatal("-feed applies to in-process instances; run each remote shard with its own -feed and watch it directly")
-	}
-	var instOpts []registry.InstanceOption
-	if *feedOn {
-		instOpts = append(instOpts, registry.WithChangeFeed(
-			feed.WithCapacity(*feedCap), feed.WithLogMetrics(reg)))
-	}
-	storeOpts := []store.Option{store.WithFsync(fsync)}
-	// Persistent instances are closed on shutdown, flushing and fsyncing the
-	// log tail even under -fsync=never. This defer is registered before the
-	// router's (below), so it runs after it: no re-sync sweep races a
-	// closing log.
-	var persistent []*registry.Instance
+	// Registered first, so it runs after the RPC server has stopped: the
+	// logs are flushed and fsynced even under -fsync=never.
 	defer func() {
-		for _, inst := range persistent {
-			if err := inst.Close(); err != nil {
-				logger.Printf("flushing registry log: %v", err)
-			}
+		if err := closeSite(); err != nil {
+			logger.Printf("closing registry: %v", err)
 		}
 	}()
-	// newInstance builds one registry instance, in-memory or recovered from
-	// (and journaling to) its subdirectory of -data-dir.
-	newInstance := func(sub string) registry.API {
-		if *dataDir == "" {
-			return registry.NewInstance(cloud.SiteID(*site), newStore(), instOpts...)
-		}
-		inst, err := registry.OpenInstance(cloud.SiteID(*site), newStore(), filepath.Join(*dataDir, sub), storeOpts, instOpts...)
-		if err != nil {
-			logger.Fatalf("open registry data dir: %v", err)
-		}
-		seq, _ := inst.DurableSeq()
-		logger.Printf("recovered %s: %d entries, log seq %d", filepath.Join(*dataDir, sub), inst.Len(context.Background()), seq)
-		persistent = append(persistent, inst)
-		return inst
+	if cfg.DataDir != "" {
+		logger.Printf("recovered %d entries from %s", api.Len(context.Background()), cfg.DataDir)
 	}
-	routerOpts := []registry.RouterOption{
-		registry.WithRouterMetrics(reg),
-		registry.WithRouterReplication(*replication),
-		registry.WithRouterWriteConcern(writeConcern),
-	}
+	deployment := cfg.String()
 
-	var (
-		api        registry.API
-		deployment string
-	)
-	switch {
-	case *shardAddrs != "":
-		if *shards > 1 {
-			logger.Fatal("-shards and -shard-addrs are mutually exclusive")
-		}
-		addrs := strings.Split(*shardAddrs, ",")
-		proxies := make([]registry.API, 0, len(addrs))
-		for _, a := range addrs {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				continue
-			}
-			// A fresh context per dial: a tier of many (or slow) shards must
-			// not fail startup because earlier dials consumed one shared
-			// budget.
-			dialCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			client, err := rpc.Dial(dialCtx, a, rpc.WithMetrics(reg))
-			cancel()
-			if err != nil {
-				logger.Fatalf("dial shard %s: %v", a, err)
-			}
-			defer client.Close()
-			proxies = append(proxies, client)
-		}
-		router, err := registry.NewRouter(cloud.SiteID(*site), proxies, routerOpts...)
-		if err != nil {
-			logger.Fatalf("shard router: %v", err)
-		}
-		defer router.Close()
-		api = router
-		deployment = fmt.Sprintf("routing tier over %d remote shards", len(proxies))
-		if router.Replication() > 1 {
-			deployment += fmt.Sprintf(", %d-way replicated (%s)", router.Replication(), writeConcern)
-		}
-	case *shards > 1:
-		insts := make([]registry.API, *shards)
-		for i := range insts {
-			insts[i] = newInstance(fmt.Sprintf("shard-%d", i))
-		}
-		router, err := registry.NewRouter(cloud.SiteID(*site), insts, routerOpts...)
-		if err != nil {
-			logger.Fatalf("shard router: %v", err)
-		}
-		defer router.Close()
-		api = router
-		deployment = fmt.Sprintf("sharded tier of %d instances", *shards)
-		if router.Replication() > 1 {
-			deployment += fmt.Sprintf(", %d-way replicated (%s)", router.Replication(), writeConcern)
-		}
-	default:
-		api = newInstance("")
-		deployment = "single instance"
-	}
-	if *dataDir != "" {
-		deployment += fmt.Sprintf(", durable in %s (fsync=%s)", *dataDir, fsync)
-	}
-	if *feedOn {
-		deployment += fmt.Sprintf(", change feed (last %d events retained)", *feedCap)
-	}
-	// -cache interposes a feed-coherent near cache between the RPC server and
-	// the deployment: hot reads skip the cache tier's modelled service time
-	// (and, behind a routing tier, the extra network hop). With a change feed
-	// the cache is push-invalidated and serves through whenever its stream is
-	// down; without one it falls back to the TTL staleness bound. Its
-	// readcache_{hits,misses,...}_total counters report to the shared metrics
-	// registry, so the hit ratio shows up in `metactl stats`.
-	if *cacheOn {
-		// Invalidation mode, not apply-in-place: feed event bytes carry the
-		// entry as submitted, before the store assigned its version, so
-		// re-installing them would serve stale Version fields.
-		nc := readcache.New(api, readcache.Options{
-			Metrics:      reg,
-			MaxStaleness: *cacheTTL,
-		})
-		defer nc.Close()
-		if f, ok := api.(registry.ChangeFeeder); ok && f.ChangeFeed() != nil {
-			nc.AttachFeed(context.Background(), []feed.Source{{
-				Name: "origin",
-				Subscribe: func(ctx context.Context, from uint64) (feed.Stream, error) {
-					return f.ChangeFeed().Subscribe(from)
-				},
-				Snapshot: f.FeedSnapshot,
-			}})
-			deployment += ", near cache (feed-coherent)"
-		} else {
-			ttl := *cacheTTL
-			if ttl == 0 {
-				ttl = readcache.DefaultMaxStaleness
-			}
-			deployment += fmt.Sprintf(", near cache (staleness <= %s; run -feed for push invalidation)", ttl)
-		}
-		api = nc
-	}
 	// -tenant-config arms admission control: every request is charged against
 	// its tenant's token buckets before any registry work, and SIGHUP swaps in
 	// an edited config without restarting (accumulated tokens carry over).
@@ -316,7 +195,7 @@ func main() {
 	if *tenantCfg != "" {
 		lcfg, err := limits.LoadConfig(*tenantCfg)
 		if err != nil {
-			logger.Fatalf("-tenant-config: %v", err)
+			return fmt.Errorf("-tenant-config: %w", err)
 		}
 		limiter = limits.New(lcfg, reg)
 		serverOpts = append(serverOpts, rpc.WithServerLimits(limiter))
@@ -326,65 +205,63 @@ func main() {
 
 	bound, err := srv.Start(*addr)
 	if err != nil {
-		logger.Fatalf("start: %v", err)
+		return fmt.Errorf("start: %w", err)
 	}
+	defer func() {
+		if err := srv.Close(); err != nil {
+			logger.Printf("close: %v", err)
+		}
+	}()
 	label := *name
 	if label == "" {
-		label = fmt.Sprintf("site-%d", *site)
+		label = fmt.Sprintf("site-%d", cfg.Site)
 	}
-	fmt.Printf("metadata registry for %s (site %d, %s) listening on %s\n", label, *site, deployment, bound)
+	fmt.Fprintf(stdout, "metadata registry for %s (site %d, %s) listening on %s\n", label, cfg.Site, deployment, bound)
 
-	var metricsSrv *http.Server
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
-			logger.Fatalf("metrics listen: %v", err)
+			return fmt.Errorf("metrics listen: %w", err)
 		}
-		metricsSrv = &http.Server{Handler: metrics.Handler(reg)}
+		metricsSrv := &http.Server{Handler: metrics.Handler(reg)}
 		go func() {
 			if err := metricsSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				logger.Printf("metrics server stopped: %v", err)
 			}
 		}()
-		fmt.Printf("metrics on http://%s/metrics (Prometheus), /metrics.json, /trace.json\n", ln.Addr())
+		defer func() {
+			shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			metricsSrv.Shutdown(shutdownCtx) //nolint:errcheck // best effort during teardown
+			cancel()
+		}()
+		fmt.Fprintf(stdout, "metrics on http://%s/metrics (Prometheus), /metrics.json, /trace.json\n", ln.Addr())
 	}
 
 	// Periodically report the instance's size so operators can watch growth.
 	ticker := time.NewTicker(30 * time.Second)
 	defer ticker.Stop()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
 	for {
 		select {
 		case <-ticker.C:
 			logger.Printf("entries=%d requests=%d abandoned=%d", api.Len(context.Background()), srv.Requests(), srv.Abandoned())
-		case s := <-sig:
-			if s == syscall.SIGHUP {
-				// Reload the tenant config in place; a broken file keeps the
-				// previous limits rather than dropping protection.
-				if limiter == nil {
-					logger.Printf("received SIGHUP, no -tenant-config to reload")
-					continue
-				}
-				lcfg, err := limits.LoadConfig(*tenantCfg)
-				if err != nil {
-					logger.Printf("reload -tenant-config: %v (keeping previous limits)", err)
-					continue
-				}
-				limiter.UpdateConfig(lcfg)
-				logger.Printf("reloaded %s: %d tenant overrides, max inflight %d", *tenantCfg, len(lcfg.Tenants), lcfg.MaxInflight)
+		case s := <-stop:
+			if s != syscall.SIGHUP {
+				logger.Printf("received %v, shutting down", s)
+				return nil
+			}
+			// Reload the tenant config in place; a broken file keeps the
+			// previous limits rather than dropping protection.
+			if limiter == nil {
+				logger.Printf("received SIGHUP, no -tenant-config to reload")
 				continue
 			}
-			logger.Printf("received %v, shutting down", s)
-			if metricsSrv != nil {
-				shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				metricsSrv.Shutdown(shutdownCtx) //nolint:errcheck // best effort during teardown
-				cancel()
+			lcfg, err := limits.LoadConfig(*tenantCfg)
+			if err != nil {
+				logger.Printf("reload -tenant-config: %v (keeping previous limits)", err)
+				continue
 			}
-			if err := srv.Close(); err != nil {
-				logger.Printf("close: %v", err)
-			}
-			return
+			limiter.UpdateConfig(lcfg)
+			logger.Printf("reloaded %s: %d tenant overrides, max inflight %d", *tenantCfg, len(lcfg.Tenants), lcfg.MaxInflight)
 		}
 	}
 }

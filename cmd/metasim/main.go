@@ -29,7 +29,7 @@ import (
 
 	"geomds/internal/experiments"
 	"geomds/internal/metrics"
-	"geomds/internal/store"
+	"geomds/internal/site"
 	"geomds/internal/workloads"
 )
 
@@ -43,24 +43,27 @@ func main() {
 		scale     = flag.Float64("scale", 0, "override the time-compression factor (e.g. 0.01)")
 		size      = flag.Float64("size", 0, "override the workload size factor (1.0 = paper scale)")
 		nodes     = flag.Int("nodes", 0, "override the node count for fixed-size experiments")
-		shards    = flag.Int("shards", 0, "back every site's registry with this many shard instances behind a router (0/1 = single instance)")
-		repl      = flag.Int("replication", 0, "store every key on this many shards of each site's tier (requires -shards > 1; 0/1 = single-home placement)")
 		keydist   = flag.String("keydist", "", "key distribution for the synthetic readers: uniform (default), zipfian[:s], or hotspot[:frac,weight]")
 		tenants   = flag.Int("tenants", 0, "spread the synthetic workload's nodes across this many tenants (node n runs as tenant-<n mod N>); 0 keeps every node on the default tenant")
-		cacheOn   = flag.Bool("cache", false, "front every site's registry with a feed-coherent near cache (reads served locally, invalidated by the change feed)")
-		dataDir   = flag.String("data-dir", "", "back every registry with a write-ahead log under this directory, so runs pay real durability costs (each run logs under its own subdirectory)")
-		fsyncMode = flag.String("fsync", "always", "write-ahead log fsync policy with -data-dir: always or never")
 		csvPath   = flag.String("csv", "", "write the result series as CSV to this file")
 		seed      = flag.Int64("seed", 0, "override the random seed")
 		timeout   = flag.Duration("timeout", 0, "wall-clock deadline for the whole run; 0 means none")
 		stats     = flag.Bool("stats", false, "print live statistics during the run and a metrics dump at the end")
 	)
+	// The flags that shape each site's registry decode straight into the
+	// site.Config every environment is built from.
+	var tier site.Config
+	experiments.BindSiteFlags(flag.CommandLine, &tier)
+	flag.BoolVar(&tier.NearCache, "cache", false, "front every site's registry with a feed-coherent near cache (reads served locally, invalidated by the change feed)")
+	flag.StringVar(&tier.DataDir, "data-dir", "", "back every registry with a write-ahead log under this directory, so runs pay real durability costs (each run logs under its own subdirectory)")
+	flag.Var(&tier.Fsync, "fsync", "write-ahead log fsync policy with -data-dir: always (default) or never")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
 	if *quick {
 		cfg = experiments.QuickConfig()
 	}
+	cfg.Config = tier
 	if *scale > 0 {
 		cfg.Scale = *scale
 	}
@@ -72,19 +75,6 @@ func main() {
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-	if *shards > 1 {
-		cfg.ShardsPerSite = *shards
-	}
-	if *repl > 1 {
-		if *shards <= 1 {
-			fmt.Fprintln(os.Stderr, "metasim: -replication requires -shards > 1")
-			os.Exit(2)
-		}
-		cfg.ShardReplication = *repl
-	}
-	if *cacheOn {
-		cfg.NearCache = true
 	}
 	if *tenants < 0 {
 		fmt.Fprintln(os.Stderr, "metasim: -tenants must be >= 0")
@@ -99,18 +89,9 @@ func main() {
 		}
 		cfg.KeyDist = dist
 	}
-	if *dataDir != "" {
-		fsync, err := store.ParseFsyncPolicy(*fsyncMode)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metasim: -fsync: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.DataDir = *dataDir
-		cfg.Fsync = fsync
-		if err := cfg.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "metasim: %v\n", err)
-			os.Exit(2)
-		}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "metasim: %v\n", err)
+		os.Exit(2)
 	}
 
 	if !*all && *fig == 0 && *table == 0 && !*ablations {

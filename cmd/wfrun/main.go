@@ -18,10 +18,8 @@ import (
 	"os"
 	"time"
 
-	"geomds/internal/cloud"
 	"geomds/internal/core"
 	"geomds/internal/experiments"
-	"geomds/internal/latency"
 	"geomds/internal/metrics"
 	"geomds/internal/workflow"
 	"geomds/internal/workloads"
@@ -36,8 +34,6 @@ func main() {
 		strategy  = flag.String("strategy", "dr", "metadata strategy: c, r, dn or dr")
 		compare   = flag.Bool("compare", false, "run the workflow under all four strategies")
 		nodes     = flag.Int("nodes", 32, "number of execution nodes")
-		shards    = flag.Int("shards", 0, "back every site's registry with this many shard instances behind a router (0/1 = single instance)")
-		repl      = flag.Int("replication", 0, "store every key on this many shards of each site's tier (requires -shards > 1; 0/1 = single-home placement)")
 		tasks     = flag.Int("tasks", 32, "task count for the pattern workflows (pipeline, scatter, ...)")
 		scale     = flag.Float64("scale", 0.01, "time-compression factor for injected latencies")
 		size      = flag.Float64("size", 1.0, "workload size factor (fraction of the scenario's ops per task)")
@@ -45,6 +41,8 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "wall-clock deadline for each run; 0 means none. On expiry every in-flight metadata operation is cancelled")
 		showStats = flag.Bool("stats", false, "print a live-metrics dump (counters, latency histograms, recent ops) after the runs")
 	)
+	cfg := experiments.DefaultConfig()
+	experiments.BindSiteFlags(flag.CommandLine, &cfg.Config)
 	flag.Parse()
 
 	sc, err := parseScenario(*scenario)
@@ -94,17 +92,10 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := experiments.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Nodes = *nodes
-	if *shards > 1 {
-		cfg.ShardsPerSite = *shards
-	}
-	if *repl > 1 {
-		if *shards <= 1 {
-			fatal(errors.New("-replication requires -shards > 1"))
-		}
-		cfg.ShardReplication = *repl
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
 	}
 
 	for _, kind := range kinds {
@@ -113,7 +104,8 @@ func main() {
 		if *timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 		}
-		res, err := runOnce(ctx, cfg, wf, kind, sched)
+		// A fresh environment per strategy, shut down before the next one.
+		res, err := cfg.RunWorkflow(ctx, wf, kind, sched, workflow.EngineConfig{})
 		cancel()
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
@@ -131,36 +123,6 @@ func main() {
 		fmt.Printf("\n== live metrics ==\n%s",
 			metrics.RenderReport(metrics.Default.Snapshot(), metrics.Default.Trace().Events(15)))
 	}
-}
-
-// runOnce executes the workflow on a fresh environment for one strategy so
-// runs do not share registry state. The context bounds the whole run,
-// including the strategy hand-over flush.
-func runOnce(ctx context.Context, cfg experiments.Config, wf *workflow.Workflow, kind core.StrategyKind, sched workflow.Scheduler) (workflow.Result, error) {
-	topo := cloud.Azure4DC()
-	lat := latency.New(topo, latency.WithScale(cfg.Scale), latency.WithSeed(cfg.Seed))
-	fabric := core.NewFabric(topo, lat,
-		core.WithCacheCapacity(cfg.ServiceTime, cfg.Concurrency),
-		core.WithShardsPerSite(cfg.ShardsPerSite),
-		core.WithShardReplication(cfg.ShardReplication))
-	ctrl := core.NewController(fabric,
-		core.WithControllerSyncInterval(cfg.SyncInterval),
-		core.WithControllerLazy(cfg.FlushInterval, core.DefaultMaxBatch))
-	svc, err := ctrl.Use(ctx, kind)
-	if err != nil {
-		return workflow.Result{}, err
-	}
-	defer ctrl.Close()
-
-	dep := cloud.NewDeployment(topo)
-	dep.SpreadNodes(cfg.Nodes)
-
-	plan, err := sched.Schedule(wf, dep)
-	if err != nil {
-		return workflow.Result{}, err
-	}
-	eng := workflow.NewEngine(dep, svc, lat, workflow.EngineConfig{})
-	return eng.Run(ctx, wf, plan)
 }
 
 func buildWorkflow(name string, sc workloads.Scenario, tasks int) (*workflow.Workflow, error) {

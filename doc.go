@@ -20,14 +20,18 @@
 // implements registry.API over N shard instances — in-process or remote rpc
 // proxies — routing single-key operations to the shard owning the key and
 // splitting bulk operations into one concurrent sub-batch per shard, with
-// online shard add/remove and background entry migration. core.WithShardsPerSite
-// shards every fabric site, metaserver -shards / -shard-addrs serve a sharded
-// tier over TCP, and shard_bench_test.go measures the tier's throughput
-// scaling against the single-instance baseline (docs/ARCHITECTURE.md, "The
-// shard-router layer").
+// online shard add/remove and background entry migration. A site — cache
+// tier, instance(s) with their write-ahead log and change feed, router, near
+// cache — is assembled in one place, site.Build, from one plain site.Config:
+// core.WithSite shapes every fabric site with it, metaserver fills it from
+// its flags (-shards / -shard-addrs serve a sharded tier over TCP), and
+// metasim / wfrun decode their site flags onto the same struct
+// (docs/ARCHITECTURE.md, "Assembling a site"). shard_bench_test.go measures
+// the tier's throughput scaling against the single-instance baseline
+// (docs/ARCHITECTURE.md, "The shard-router layer").
 //
 // Placement can be replicated: registry.WithRouterReplication(r)
-// (core.WithShardReplication, metaserver -replication) stores every key on
+// (site.Config.Replication, metaserver -replication) stores every key on
 // the first r distinct shards of its consistent-hash successor list —
 // writes fan out to all r replicas under an all-or-quorum write concern,
 // reads fail over down the replica list, and a per-shard health breaker

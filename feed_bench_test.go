@@ -35,6 +35,7 @@ import (
 	"geomds/internal/latency"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
+	"geomds/internal/site"
 )
 
 // benchFeedPollInterval is the polling agent's round period (simulated). At
@@ -61,7 +62,7 @@ func benchFeedReplication(b *testing.B, feedDriven bool) {
 	// are the strategy as the paper models it, not feeds-but-unused.
 	name := "feed_replication_polling"
 	if feedDriven {
-		fabricOpts = append(fabricOpts, core.WithChangeFeeds())
+		fabricOpts = append(fabricOpts, core.WithSite(site.Config{Feed: true}))
 		name = "feed_replication_push"
 	}
 	fabric := core.NewFabric(topo, lat, fabricOpts...)

@@ -72,7 +72,7 @@ func WithControllerLazy(flushInterval time.Duration, maxBatch int) ControllerOpt
 // WithControllerFeedSync makes the eventually consistent strategies converge
 // through the fabric's change feeds instead of polling: the replicated
 // strategy is built WithFeedSync and the hybrid strategy WithFeedPropagation.
-// Requires a fabric built WithChangeFeeds — Use fails with ErrNoFeed
+// Requires a fabric built with site.Config.Feed — Use fails with ErrNoFeed
 // otherwise. Strategies without a polling agent (centralized, decentralized)
 // are unaffected.
 func WithControllerFeedSync() ControllerOption {

@@ -121,7 +121,7 @@ var (
 	ErrNoSuchSite = errors.New("core: site not part of the metadata fabric")
 	// ErrNoFeed is returned when a feed-driven mode is requested over a
 	// fabric whose instances expose no change feeds (built without
-	// WithChangeFeeds, or external instances without registry.ChangeFeeder).
+	// site.Config.Feed, or external instances without registry.ChangeFeeder).
 	ErrNoFeed = errors.New("core: registry instance exposes no change feed")
 	// ErrSiteUnreachable is returned when the registry instance of a site
 	// cannot be reached at all — a partitioned or crashed remote deployment —

@@ -95,7 +95,7 @@ func WithAdaptiveLazyBatch(min, max int, target time.Duration) DecReplicatedOpti
 // change feeds: a locally committed write reaches its hashed home site as
 // soon as its feed event arrives, rather than on the next flush tick.
 // Writers still perceive only the local latency. Requires a fabric built
-// WithChangeFeeds; NewDecReplicated fails with ErrNoFeed otherwise.
+// with site.Config.Feed; NewDecReplicated fails with ErrNoFeed otherwise.
 func WithFeedPropagation() DecReplicatedOption {
 	return func(c *decRepConfig) {
 		c.eager = false

@@ -13,25 +13,24 @@ import (
 	"geomds/internal/latency"
 	"geomds/internal/memcache"
 	"geomds/internal/metrics"
-	"geomds/internal/readcache"
 	"geomds/internal/registry"
-	"geomds/internal/store"
+	"geomds/internal/site"
 )
 
 // Fabric is the substrate every strategy builds on: one metadata registry
 // deployment per participating datacenter (backed by the in-memory cache
 // tier) plus the latency model of the multi-site cloud. A site's deployment
-// is a single instance by default, a registry.Router over several shard
-// instances under WithShardsPerSite, or an externally provided registry.API
-// (an rpc.Client proxy, or a Router over proxies) under WithInstances — the
-// strategies cannot tell the difference. The same fabric can back any
+// is whatever site.Build assembles from the WithSite configuration — a single
+// instance by default; sharded, replicated, durable, feeding or near-cached
+// on request — or an externally provided registry.API (an rpc.Client proxy,
+// or a Router over proxies) under WithInstances; the strategies cannot tell
+// the difference. The same fabric can back any
 // strategy, which is what lets the ArchitectureController switch between
 // them without redeploying anything.
 type Fabric struct {
-	topo  *cloud.Topology
-	lat   *latency.Model
-	codec registry.Codec
-	rec   *metrics.Recorder
+	topo *cloud.Topology
+	lat  *latency.Model
+	rec  *metrics.Recorder
 
 	// metrics is the live-observability registry (nil = disabled); the
 	// instruments below are resolved once here so the per-op path never
@@ -42,15 +41,11 @@ type Fabric struct {
 	remoteOps *metrics.Counter      // core_remote_ops_total
 	trace     *metrics.TraceRing
 
-	sites            []cloud.SiteID
-	instances        map[cloud.SiteID]registry.API
-	shardsPerSite    int
-	shardReplication int
+	sites     []cloud.SiteID
+	instances map[cloud.SiteID]registry.API
 
-	// owned are the close functions of everything the fabric built and is
-	// responsible for shutting down: shard routers, and the persistent
-	// instances whose write-ahead logs need a final flush. Externally
-	// provided instances (WithInstances) are never owned.
+	// owned are the close functions of the sites the fabric built.
+	// Externally provided instances (WithInstances) are never owned.
 	owned []func() error
 
 	// ackBytes is the modelled size of a small acknowledgement message.
@@ -63,22 +58,14 @@ type Fabric struct {
 type FabricOption func(*fabricConfig)
 
 type fabricConfig struct {
-	sites            []cloud.SiteID
-	codec            registry.Codec
-	rec              *metrics.Recorder
-	metricsReg       *metrics.Registry
-	cacheFactory     func(cloud.SiteID) registry.Store
-	instances        map[cloud.SiteID]registry.API
-	serviceTime      time.Duration
-	concurrency      int
-	shardsPerSite    int
-	shardReplication int
-	dataDir          string
-	storeOpts        []store.Option
-	changeFeeds      bool
-	feedOpts         []feed.LogOption
-	nearCache        bool
-	nearCacheOpts    readcache.Options
+	sites        []cloud.SiteID
+	site         site.Config
+	rec          *metrics.Recorder
+	metricsReg   *metrics.Registry
+	cacheFactory func(cloud.SiteID) registry.Store
+	instances    map[cloud.SiteID]registry.API
+	serviceTime  time.Duration
+	concurrency  int
 }
 
 // WithInstances backs specific sites with externally provided registry
@@ -93,11 +80,6 @@ func WithInstances(instances map[cloud.SiteID]registry.API) FabricOption {
 // (default: every site).
 func WithSites(sites ...cloud.SiteID) FabricOption {
 	return func(c *fabricConfig) { c.sites = sites }
-}
-
-// WithFabricCodec selects the entry codec (default gob).
-func WithFabricCodec(codec registry.Codec) FabricOption {
-	return func(c *fabricConfig) { c.codec = codec }
 }
 
 // WithRecorder attaches a metrics recorder; every metadata operation served
@@ -120,97 +102,24 @@ func WithCacheFactory(f func(cloud.SiteID) registry.Store) FabricOption {
 	return func(c *fabricConfig) { c.cacheFactory = f }
 }
 
-// WithShardsPerSite backs every in-process site with a registry.Router over n
-// shard instances instead of a single instance: single-key operations route
-// to the shard owning the key and bulk operations split into one concurrent
-// sub-batch per shard, so a site's metadata throughput scales with n instead
-// of saturating at one cache instance's capacity. Each shard gets its own
-// cache built by the cache factory; the shards report to the fabric's metrics
-// registry, so cache occupancy and hit-rate series aggregate across the whole
-// sharded tier. Sites provided externally via WithInstances are not wrapped —
-// pass a Router there to shard a remote site. n <= 1 keeps the single-instance
-// layout.
-func WithShardsPerSite(n int) FabricOption {
-	return func(c *fabricConfig) {
-		if n > 1 {
-			c.shardsPerSite = n
-		}
-	}
-}
-
-// WithShardReplication places every key of a sharded site on the first r
-// distinct shards of its consistent-hash successor list instead of a single
-// home shard: writes fan out to all r replicas, reads fail over down the
-// list, and the router's health breaker takes crashed shards out of
-// placement until they answer probes again — a site keeps serving its whole
-// key range through the loss of any r-1 shards. It only takes effect
-// together with WithShardsPerSite (replication needs a routed tier);
-// r <= 1 keeps single-home placement.
-func WithShardReplication(r int) FabricOption {
-	return func(c *fabricConfig) {
-		if r > 1 {
-			c.shardReplication = r
-		}
-	}
-}
-
-// WithShardPersistence backs every in-process registry instance with an
-// append-only write-ahead log under dir, so acknowledged metadata writes
-// survive a process crash: each site recovers from dir/site-<id> (or
-// dir/site-<id>/shard-<i> when the site is sharded) on the next start, and
-// replicated shard tiers repair a restarted shard from its recovered state
-// instead of re-syncing it from scratch. The strategies cannot tell the
-// difference — durability sits entirely below the registry API. Pass store
-// options to tune the fsync policy and compaction cadence. Sites provided
-// externally via WithInstances keep their own persistence arrangements.
+// WithSite shapes the registry deployment the fabric builds in every site it
+// does not receive via WithInstances: shard count, replication, persistence,
+// change feeds and the near cache are the fields of site.Config, assembled by
+// site.Build exactly as cmd/metaserver assembles its own. The fabric fills
+// the per-site fields itself — Site, Metrics (WithMetricsRegistry), NewStore
+// (WithCacheCapacity / WithCacheFactory) — so cfg must leave them, and Remote
+// (one set of shards cannot be every site's), zero; NewFabric panics
+// otherwise rather than overwrite them. Each site gets its own site-<id>
+// subdirectory of DataDir. External instances keep their own persistence,
+// feeds and caches.
 //
-// A fabric with persistence must be shut down with Close, which flushes and
-// fsyncs every log so a clean shutdown is lossless even under
-// store.FsyncNever. NewFabric panics if a data directory cannot be opened
-// (callers that need a recoverable error validate dir beforehand, as
-// experiments.Config does).
-func WithShardPersistence(dir string, opts ...store.Option) FabricOption {
-	return func(c *fabricConfig) {
-		c.dataDir = dir
-		c.storeOpts = opts
-	}
-}
-
-// WithChangeFeeds attaches a change feed to every in-process registry
-// instance the fabric builds: each committed put and delete is published as a
-// sequenced feed event (riding the WAL sequence when the site is persistent,
-// so resume tokens survive restarts). Feeds are what the push-based
-// replication modes (WithFeedSync on the replicated strategy, feed
-// propagation on the hybrid strategy) and the workflow engine's reactive
-// lookups consume instead of polling. Sharded sites expose their router's
-// relay feed, which re-sequences the per-shard feeds into one ordered stream.
-// Sites provided externally via WithInstances must bring their own feeds
-// (e.g. an rpc.Client watch source). Extra log options tune capacity.
-func WithChangeFeeds(opts ...feed.LogOption) FabricOption {
-	return func(c *fabricConfig) {
-		c.changeFeeds = true
-		c.feedOpts = opts
-	}
-}
-
-// WithNearCache fronts every site's registry deployment with a feed-coherent
-// near cache (internal/readcache): repeated Gets of unchanged entries answer
-// from local memory instead of paying the instance's service time (or the
-// wire, for sites provided via WithInstances), and repeated not-founds are
-// answered by negative entries. When the fabric was built with
-// WithChangeFeeds the cache subscribes to each site's own feed and applies
-// put events in place using the fabric codec (overridable via opts.Codec),
-// so entries can be stale only within the feed-delivery window; a site
-// without a feed falls back to the cache's max-staleness TTL. The zero
-// Options value selects the defaults (capacity, shards, TTL policy); the
-// cache reports readcache_* series to the fabric's metrics registry unless
-// opts.Metrics overrides it. Strategies cannot tell a cached site from a raw
-// one — the cache implements registry.API and forwards the feed surface.
-func WithNearCache(opts readcache.Options) FabricOption {
-	return func(c *fabricConfig) {
-		c.nearCache = true
-		c.nearCacheOpts = opts
-	}
+// A fabric with a DataDir must be shut down with Close, which flushes and
+// fsyncs every log. NewFabric panics when site.Build refuses the
+// configuration or cannot open a data directory; callers that need the error
+// call site.Config.Validate (and probe the directory) beforehand, as
+// experiments.Config.Validate does.
+func WithSite(cfg site.Config) FabricOption {
+	return func(c *fabricConfig) { c.site = cfg }
 }
 
 // WithCacheCapacity tunes the modelled capacity of each per-site cache
@@ -233,11 +142,10 @@ const (
 	DefaultConcurrency = 2
 )
 
-// NewFabric builds the per-site registry instances for the given topology and
-// latency model.
+// NewFabric builds the per-site registry deployments for the given topology
+// and latency model.
 func NewFabric(topo *cloud.Topology, lat *latency.Model, opts ...FabricOption) *Fabric {
 	cfg := fabricConfig{
-		codec:       registry.GobCodec{},
 		serviceTime: DefaultServiceTime,
 		concurrency: DefaultConcurrency,
 		metricsReg:  metrics.Default,
@@ -268,7 +176,6 @@ func NewFabric(topo *cloud.Topology, lat *latency.Model, opts ...FabricOption) *
 	f := &Fabric{
 		topo:       topo,
 		lat:        lat,
-		codec:      cfg.codec,
 		rec:        cfg.rec,
 		metrics:    cfg.metricsReg,
 		sites:      append([]cloud.SiteID(nil), cfg.sites...),
@@ -282,91 +189,35 @@ func NewFabric(topo *cloud.Topology, lat *latency.Model, opts ...FabricOption) *
 	f.opsTotal = f.metrics.Counter("core_ops_total")
 	f.remoteOps = f.metrics.Counter("core_remote_ops_total")
 	f.trace = f.metrics.Trace()
-	f.shardsPerSite = cfg.shardsPerSite
-	f.shardReplication = cfg.shardReplication
-	// newInstance builds one shard instance, memory-only or recovered from
-	// its own subdirectory of the data dir.
-	newInstance := func(s cloud.SiteID, sub string) *registry.Instance {
-		backing := cfg.cacheFactory(s)
-		instOpts := []registry.InstanceOption{registry.WithCodec(cfg.codec)}
-		if cfg.changeFeeds {
-			feedOpts := append([]feed.LogOption{feed.WithLogMetrics(cfg.metricsReg)}, cfg.feedOpts...)
-			instOpts = append(instOpts, registry.WithChangeFeed(feedOpts...))
-		}
-		if cfg.dataDir == "" {
-			inst := registry.NewInstance(s, backing, instOpts...)
-			if cfg.changeFeeds {
-				// Feeding instances own a subscriber list that Close drains.
-				f.owned = append(f.owned, inst.Close)
-			}
-			return inst
-		}
-		dir := filepath.Join(cfg.dataDir, sub)
-		inst, err := registry.OpenInstance(s, backing, dir, cfg.storeOpts, instOpts...)
-		if err != nil {
-			panic(fmt.Sprintf("core: opening persistent registry at %s: %v", dir, err))
-		}
-		f.owned = append(f.owned, inst.Close)
-		return inst
+	if sc := cfg.site; sc.Site != 0 || len(sc.Remote) > 0 || sc.NewStore != nil || sc.Metrics != nil {
+		panic("core: WithSite: Site, Remote, NewStore and Metrics are set per site by the fabric (WithSites, WithInstances, WithCacheFactory, WithMetricsRegistry); leave them zero")
 	}
 	for _, s := range cfg.sites {
-		siteDir := fmt.Sprintf("site-%d", s)
 		if ext, ok := cfg.instances[s]; ok && ext != nil {
 			f.instances[s] = ext
 			continue
 		}
-		if cfg.shardsPerSite > 1 {
-			shards := make([]registry.API, cfg.shardsPerSite)
-			for i := range shards {
-				shards[i] = newInstance(s, filepath.Join(siteDir, fmt.Sprintf("shard-%d", i)))
-			}
-			router, err := registry.NewRouter(s, shards,
-				registry.WithRouterMetrics(cfg.metricsReg),
-				registry.WithRouterReplication(cfg.shardReplication))
-			if err != nil {
-				// Unreachable: shardsPerSite > 1 guarantees a non-empty tier.
-				panic(fmt.Sprintf("core: building shard router for site %d: %v", s, err))
-			}
-			// The router's sweeps must stop before the shard logs close.
-			f.owned = append([]func() error{func() error { router.Close(); return nil }}, f.owned...)
-			f.instances[s] = router
-			continue
+		sc := cfg.site
+		sc.Site = s
+		sc.Metrics = cfg.metricsReg
+		sc.NewStore = func() registry.Store { return cfg.cacheFactory(s) }
+		if sc.DataDir != "" {
+			sc.DataDir = filepath.Join(sc.DataDir, fmt.Sprintf("site-%d", s))
 		}
-		f.instances[s] = newInstance(s, siteDir)
-	}
-	if cfg.nearCache {
-		for _, s := range cfg.sites {
-			inst := f.instances[s]
-			opts := cfg.nearCacheOpts
-			if opts.Metrics == nil {
-				opts.Metrics = cfg.metricsReg
-			}
-			if opts.Codec == nil {
-				opts.Codec = cfg.codec
-			}
-			cache := readcache.New(inst, opts)
-			if feeder, ok := inst.(registry.ChangeFeeder); ok && feeder.ChangeFeed() != nil {
-				cache.AttachFeed(context.Background(), []feed.Source{{
-					Name: fmt.Sprintf("site-%d", s),
-					Subscribe: func(ctx context.Context, from uint64) (feed.Stream, error) {
-						return feeder.ChangeFeed().Subscribe(from)
-					},
-					Snapshot: feeder.FeedSnapshot,
-				}}, feed.WithCombinerMetrics(cfg.metricsReg))
-			}
-			f.instances[s] = cache
-			// The cache's feed consumer must detach before the instance
-			// feeds close.
-			f.owned = append([]func() error{cache.Close}, f.owned...)
+		api, closeSite, err := site.Build(sc)
+		if err != nil {
+			f.Close() //nolint:errcheck // the build error is the one to report
+			panic(fmt.Sprintf("core: building the registry of site %d: %v", s, err))
 		}
+		f.instances[s] = api
+		f.owned = append(f.owned, closeSite)
 	}
 	return f
 }
 
-// Close shuts down everything the fabric owns: shard routers first (their
-// re-sync sweeps must not race the logs closing), then the persistent
-// instances, flushing and fsyncing each write-ahead log. A memory-only
-// fabric closes trivially. Close is safe to call once per fabric; the
+// Close shuts down every site the fabric built (see site.Build for the order
+// within a site), flushing and fsyncing each write-ahead log. A memory-only
+// fabric closes trivially. Close is safe to call once per fabric; durable
 // instances reject operations afterwards.
 func (f *Fabric) Close() error {
 	var errs []error
@@ -377,24 +228,6 @@ func (f *Fabric) Close() error {
 	}
 	f.owned = nil
 	return errors.Join(errs...)
-}
-
-// ShardsPerSite returns how many registry shards back each in-process site
-// (1 = the classic single-instance layout).
-func (f *Fabric) ShardsPerSite() int {
-	if f.shardsPerSite > 1 {
-		return f.shardsPerSite
-	}
-	return 1
-}
-
-// ShardReplication returns the per-site shard replication factor
-// (1 = single-home placement).
-func (f *Fabric) ShardReplication() int {
-	if f.shardReplication > 1 && f.shardsPerSite > 1 {
-		return f.shardReplication
-	}
-	return 1
 }
 
 // Topology returns the cloud topology of the fabric.
@@ -428,14 +261,10 @@ func (f *Fabric) Instance(site cloud.SiteID) (registry.API, error) {
 	return inst, nil
 }
 
-// Codec returns the entry codec the fabric's instances encode with. Feed
-// consumers use it to decode the entry payload carried by put events.
-func (f *Fabric) Codec() registry.Codec { return f.codec }
-
 // Feed returns the change-feed surface of the given site's registry
 // deployment. It fails when the site does not participate in the fabric or
-// its instance exposes no feed (the fabric was built without WithChangeFeeds,
-// or an external instance does not implement registry.ChangeFeeder).
+// its instance exposes no feed (the fabric's site.Config has Feed off, or an
+// external instance does not implement registry.ChangeFeeder).
 func (f *Fabric) Feed(site cloud.SiteID) (registry.ChangeFeeder, error) {
 	inst, err := f.Instance(site)
 	if err != nil {
@@ -443,7 +272,7 @@ func (f *Fabric) Feed(site cloud.SiteID) (registry.ChangeFeeder, error) {
 	}
 	feeder, ok := inst.(registry.ChangeFeeder)
 	if !ok || feeder.ChangeFeed() == nil {
-		return nil, fmt.Errorf("core: site %d exposes no change feed (fabric built without WithChangeFeeds?): %w", site, ErrNoFeed)
+		return nil, fmt.Errorf("core: site %d exposes no change feed (fabric built without site.Config.Feed?): %w", site, ErrNoFeed)
 	}
 	return feeder, nil
 }
@@ -459,13 +288,7 @@ func (f *Fabric) FeedSources() ([]feed.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		sources = append(sources, feed.Source{
-			Name: fmt.Sprintf("site-%d", site),
-			Subscribe: func(ctx context.Context, from uint64) (feed.Stream, error) {
-				return feeder.ChangeFeed().Subscribe(from)
-			},
-			Snapshot: feeder.FeedSnapshot,
-		})
+		sources = append(sources, registry.FeedSource(fmt.Sprintf("site-%d", site), feeder))
 	}
 	return sources, nil
 }
@@ -482,7 +305,7 @@ func (f *Fabric) TotalEntries(ctx context.Context) int {
 
 // EntrySize returns the modelled wire size of an entry.
 func (f *Fabric) EntrySize(e registry.Entry) int {
-	data, err := f.codec.Encode(e)
+	data, err := registry.GobCodec{}.Encode(e)
 	if err != nil {
 		return 256 // conservative fallback; encoding failures surface later
 	}

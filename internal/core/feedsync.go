@@ -159,7 +159,7 @@ func (fs *feedSyncer) applyBatch(ctx context.Context, batch []feed.SourceEvent) 
 		}
 		switch sev.Event.Op {
 		case feed.OpPut:
-			e, err := fs.fabric.Codec().Decode(sev.Event.Value)
+			e, err := registry.GobCodec{}.Decode(sev.Event.Value)
 			if err != nil {
 				continue // undecodable payload; the snapshot fallback heals it
 			}

@@ -9,6 +9,7 @@ import (
 
 	"geomds/internal/cloud"
 	"geomds/internal/metrics"
+	"geomds/internal/site"
 )
 
 // waitVisible polls the service from the given site until the entry appears,
@@ -32,7 +33,7 @@ func waitVisible(t *testing.T, svc MetadataService, from cloud.SiteID, name stri
 }
 
 func TestFeedSyncRequiresChangeFeeds(t *testing.T) {
-	f := newTestFabric() // no WithChangeFeeds
+	f := newTestFabric() // no feeds
 	if _, err := NewReplicated(f, 0, WithFeedSync()); !errors.Is(err, ErrNoFeed) {
 		t.Fatalf("NewReplicated(WithFeedSync) over feed-less fabric = %v, want ErrNoFeed", err)
 	}
@@ -46,7 +47,7 @@ func TestFeedSyncRequiresChangeFeeds(t *testing.T) {
 // must still reach every replica, pushed by the feeds.
 func TestReplicatedFeedSyncConverges(t *testing.T) {
 	reg := metrics.NewRegistry()
-	f := newTestFabric(WithChangeFeeds(), WithMetricsRegistry(reg))
+	f := newTestFabric(WithSite(site.Config{Feed: true}), WithMetricsRegistry(reg))
 	defer f.Close()
 	svc, err := NewReplicated(f, 0, WithSyncInterval(time.Hour), WithFeedSync())
 	if err != nil {
@@ -100,7 +101,7 @@ func TestReplicatedFeedSyncBeatsPollingLag(t *testing.T) {
 	const interval = 300 * time.Millisecond
 
 	visibility := func(opts ...ReplicatedOption) time.Duration {
-		f := newTestFabric(WithChangeFeeds())
+		f := newTestFabric(WithSite(site.Config{Feed: true}))
 		defer f.Close()
 		svc, err := NewReplicated(f, 0, append([]ReplicatedOption{WithSyncInterval(interval)}, opts...)...)
 		if err != nil {
@@ -134,7 +135,7 @@ func TestReplicatedFeedSyncBeatsPollingLag(t *testing.T) {
 // writes stay local-latency, the home copy converges off the feed, and
 // entries resolve from third-party sites via the home lookup.
 func TestDecReplicatedFeedPropagation(t *testing.T) {
-	f := newTestFabric(WithChangeFeeds())
+	f := newTestFabric(WithSite(site.Config{Feed: true}))
 	defer f.Close()
 	svc, err := NewDecReplicated(f, WithFeedPropagation())
 	if err != nil {
@@ -187,7 +188,7 @@ func TestDecReplicatedFeedPropagation(t *testing.T) {
 // TestControllerFeedSync threads the feed option through the controller into
 // both eventually consistent strategies, over one shared fabric.
 func TestControllerFeedSync(t *testing.T) {
-	f := newTestFabric(WithChangeFeeds())
+	f := newTestFabric(WithSite(site.Config{Feed: true}))
 	defer f.Close()
 	c := NewController(f, WithControllerFeedSync())
 	defer c.Close()
@@ -215,7 +216,7 @@ func TestControllerFeedSync(t *testing.T) {
 // per-site routers' relay feeds re-sequence the shard feeds, and replication
 // still converges.
 func TestReplicatedFeedSyncShardedSites(t *testing.T) {
-	f := newTestFabric(WithChangeFeeds(), WithShardsPerSite(3))
+	f := newTestFabric(WithSite(site.Config{Feed: true, Shards: 3}))
 	defer f.Close()
 	svc, err := NewReplicated(f, 0, WithSyncInterval(time.Hour), WithFeedSync())
 	if err != nil {
@@ -247,7 +248,7 @@ func TestFeedSourcesFailWithoutFeeds(t *testing.T) {
 	if _, err := f.FeedSources(); !errors.Is(err, ErrNoFeed) {
 		t.Fatalf("FeedSources() = %v, want ErrNoFeed", err)
 	}
-	ff := newTestFabric(WithChangeFeeds())
+	ff := newTestFabric(WithSite(site.Config{Feed: true}))
 	defer ff.Close()
 	sources, err := ff.FeedSources()
 	if err != nil || len(sources) != 4 {

@@ -87,7 +87,7 @@ func WithSyncInterval(d time.Duration) ReplicatedOption {
 // applied to the other replicas as soon as its feed event arrives, instead of
 // waiting for the next agent round. Updates become globally visible after one
 // WAN exchange rather than up to a full sync interval, and an idle system
-// exchanges nothing at all. Requires a fabric built WithChangeFeeds (or
+// exchanges nothing at all. Requires a fabric built with site.Config.Feed (or
 // external instances implementing registry.ChangeFeeder); NewReplicated
 // fails with ErrNoFeed otherwise. The polling agent remains the default —
 // and the baseline the feed path is benchmarked against.

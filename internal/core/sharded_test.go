@@ -9,6 +9,7 @@ import (
 	"geomds/internal/latency"
 	"geomds/internal/memcache"
 	"geomds/internal/registry"
+	"geomds/internal/site"
 )
 
 // newShardedCountingFabric builds a 4-site fabric where every site is a
@@ -162,16 +163,18 @@ func TestPropagatorStaysBatchedPerShard(t *testing.T) {
 }
 
 // TestStrategiesOverShardedFabric drives all four strategies over a fabric
-// whose sites are 4-shard routed tiers (WithShardsPerSite) and checks the
+// whose sites are 4-shard routed tiers (site.Config.Shards) and checks the
 // basic create → flush → lookup → delete cycle works transparently.
 func TestStrategiesOverShardedFabric(t *testing.T) {
 	for _, kind := range Strategies {
 		t.Run(kind.String(), func(t *testing.T) {
 			topo := cloud.Azure4DC()
 			lat := latency.New(topo, latency.WithSeed(1), latency.WithSleeper(func(time.Duration) {}))
-			f := NewFabric(topo, lat, WithCacheCapacity(0, 0), WithShardsPerSite(4), WithMetricsRegistry(nil))
-			if got := f.ShardsPerSite(); got != 4 {
-				t.Fatalf("ShardsPerSite: got %d, want 4", got)
+			f := NewFabric(topo, lat, WithCacheCapacity(0, 0), WithSite(site.Config{Shards: 4}), WithMetricsRegistry(nil))
+			defer f.Close()
+			inst, _ := f.Instance(0)
+			if r, ok := inst.(*registry.Router); !ok || len(r.Shards()) != 4 {
+				t.Fatalf("site 0 serves a %T, want a 4-shard router", inst)
 			}
 			svc, err := NewService(f, kind)
 			if err != nil {
@@ -205,7 +208,7 @@ func TestStrategiesOverShardedFabric(t *testing.T) {
 
 // TestStrategiesOverReplicatedShardedFabric drives all four strategies over
 // a fabric whose sites are 4-shard, 2-way replicated routed tiers
-// (WithShardsPerSite + WithShardReplication) and checks the same
+// (site.Config.Shards + Replication) and checks the same
 // create → flush → lookup → delete cycle works transparently — the
 // strategies cannot tell replicated placement from single-home placement.
 func TestStrategiesOverReplicatedShardedFabric(t *testing.T) {
@@ -214,9 +217,11 @@ func TestStrategiesOverReplicatedShardedFabric(t *testing.T) {
 			topo := cloud.Azure4DC()
 			lat := latency.New(topo, latency.WithSeed(1), latency.WithSleeper(func(time.Duration) {}))
 			f := NewFabric(topo, lat, WithCacheCapacity(0, 0),
-				WithShardsPerSite(4), WithShardReplication(2), WithMetricsRegistry(nil))
-			if got := f.ShardReplication(); got != 2 {
-				t.Fatalf("ShardReplication: got %d, want 2", got)
+				WithSite(site.Config{Shards: 4, Replication: 2}), WithMetricsRegistry(nil))
+			defer f.Close()
+			inst, _ := f.Instance(0)
+			if r, ok := inst.(*registry.Router); !ok || r.Replication() != 2 {
+				t.Fatalf("site 0 serves a %T, want a 2-way replicated router", inst)
 			}
 			svc, err := NewService(f, kind)
 			if err != nil {

@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,8 +24,7 @@ import (
 	"geomds/internal/dht"
 	"geomds/internal/latency"
 	"geomds/internal/metrics"
-	"geomds/internal/readcache"
-	"geomds/internal/store"
+	"geomds/internal/site"
 	"geomds/internal/workloads"
 )
 
@@ -57,39 +57,23 @@ type Config struct {
 	// CentralSite hosts the centralized registry and the sync agent; the
 	// paper places it arbitrarily, we default to West Europe.
 	CentralSite string
-	// ShardsPerSite backs every site's registry with a routing tier over this
-	// many shard instances (each with its own ServiceTime/Concurrency-bounded
-	// cache) instead of a single instance. 0 or 1 keeps the paper's
-	// one-instance-per-site layout.
-	ShardsPerSite int
-	// ShardReplication places every key of a sharded site on this many
-	// shards (consistent-hash successor list) instead of one: writes fan
-	// out, reads fail over, and a crashed shard's key range stays served.
-	// 0 or 1 keeps single-home placement; it requires ShardsPerSite > 1.
-	ShardReplication int
-	// DataDir, when set, backs every registry instance with an on-disk
-	// write-ahead log so the run's metadata write path pays real durability
-	// costs. Each environment (one per strategy run) logs under its own
-	// subdirectory, so runs still start from empty registries. Empty keeps
-	// the in-memory layout.
-	DataDir string
-	// Fsync is the log's fsync policy when DataDir is set: store.FsyncAlways
-	// (the zero value) syncs every append, store.FsyncNever only on
-	// snapshot and close.
-	Fsync store.FsyncPolicy
+	// Config shapes every site's registry deployment — Shards, Replication,
+	// DataDir and Fsync, NearCache — and is handed to core.WithSite as is,
+	// with two adjustments per environment: each one logs under its own
+	// run-<n> subdirectory of DataDir, so runs still start from empty
+	// registries, and Feed is switched on whenever FeedSync or NearCache
+	// needs it. Its per-site fields (Site, Remote, NewStore, Metrics) are the
+	// fabric's to fill and must stay zero; core.NewFabric refuses them. The
+	// zero value is the paper's one-instance-per-site layout (each instance's
+	// cache bounded by ServiceTime/Concurrency above).
+	site.Config
 	// FeedSync switches the eventually consistent strategies from polling to
 	// push: every registry instance exposes a change feed and the replicated
 	// and hybrid strategies converge by consuming it (SyncInterval and
 	// FlushInterval then only bound the polling fall-back). False keeps the
-	// paper's polling agents as the baseline.
+	// paper's polling agents as the baseline — also under NearCache, whose
+	// feeds then only invalidate the caches.
 	FeedSync bool
-	// NearCache fronts every site's registry deployment with the
-	// feed-coherent near cache (internal/readcache): repeated lookups of
-	// unchanged entries answer locally instead of paying the instance's
-	// modelled service time. The environment attaches change feeds to its
-	// instances so the cache is push-invalidated even when FeedSync is off
-	// (the strategies then keep polling while the cache rides the feed).
-	NearCache bool
 	// KeyDist shapes which entries the synthetic workload's readers look up:
 	// the zero value keeps the paper's uniform picks, Zipfian and hot-spot
 	// skews concentrate reads on a small popular set so tail-latency
@@ -102,10 +86,20 @@ type Config struct {
 	Tenants int
 }
 
-// Validate checks the parts of the configuration that can fail at runtime
-// rather than by construction — currently that the data directory, if any,
-// can be created and written.
+// BindSiteFlags registers the site-shaping flags metasim and wfrun share,
+// decoding straight into the configuration every environment is built from.
+func BindSiteFlags(fs *flag.FlagSet, c *site.Config) {
+	fs.IntVar(&c.Shards, "shards", 0, "back every site's registry with this many shard instances behind a router (0/1 = single instance)")
+	fs.IntVar(&c.Replication, "replication", 0, "store every key on this many shards of each site's tier (0/1 = single-home placement; more needs -shards > 1)")
+}
+
+// Validate checks what site.Build would refuse, plus the part of the
+// configuration that can fail at runtime rather than by construction: that
+// the data directory, if any, can be created and written.
 func (c Config) Validate() error {
+	if err := c.Config.Validate(); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
 	if c.DataDir == "" {
 		return nil
 	}
@@ -204,25 +198,17 @@ func (c Config) newEnvironment(nodes int) *environment {
 	lat := c.newLatency(topo)
 	rec := metrics.NewRecorder()
 	rec.SetSimConverter(lat.ToSimulated)
-	opts := []core.FabricOption{
+	sc := c.Config
+	if sc.DataDir != "" {
+		sc.DataDir = filepath.Join(sc.DataDir, fmt.Sprintf("run-%d", envSeq.Add(1)))
+	}
+	// The near cache needs feeds for push invalidation even when the
+	// strategies themselves keep polling.
+	sc.Feed = sc.Feed || c.FeedSync || c.NearCache
+	fabric := core.NewFabric(topo, lat,
 		core.WithCacheCapacity(c.ServiceTime, c.Concurrency),
 		core.WithRecorder(rec),
-		core.WithShardsPerSite(c.ShardsPerSite),
-		core.WithShardReplication(c.ShardReplication),
-	}
-	if c.DataDir != "" {
-		dir := filepath.Join(c.DataDir, fmt.Sprintf("run-%d", envSeq.Add(1)))
-		opts = append(opts, core.WithShardPersistence(dir, store.WithFsync(c.Fsync)))
-	}
-	if c.FeedSync || c.NearCache {
-		// The near cache needs feeds for push invalidation even when the
-		// strategies themselves keep polling.
-		opts = append(opts, core.WithChangeFeeds())
-	}
-	if c.NearCache {
-		opts = append(opts, core.WithNearCache(readcache.Options{}))
-	}
-	fabric := core.NewFabric(topo, lat, opts...)
+		core.WithSite(sc))
 	dep := cloud.NewDeployment(topo)
 	dep.SpreadNodes(nodes)
 	return &environment{topo: topo, lat: lat, dep: dep, fabric: fabric, rec: rec}

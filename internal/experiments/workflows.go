@@ -139,17 +139,28 @@ func scaledScenario(cfg Config, sc workloads.Scenario) workloads.Scenario {
 	return out
 }
 
-// runWorkflowOnce executes one (workflow, scenario, strategy) combination in
-// a fresh environment.
-func runWorkflowOnce(ctx context.Context, cfg Config, wfName string, nominal, scaled workloads.Scenario, kind core.StrategyKind) (Figure10Cell, error) {
-	env := cfg.newEnvironment(cfg.Nodes)
+// RunWorkflow executes wf under one strategy in a fresh environment — so runs
+// do not share registry state — and shuts the environment down before
+// returning. The context bounds the whole run. It is what Figure 10 and
+// cmd/wfrun both run.
+func (c Config) RunWorkflow(ctx context.Context, wf *workflow.Workflow, kind core.StrategyKind, sched workflow.Scheduler, engine workflow.EngineConfig) (workflow.Result, error) {
+	env := c.newEnvironment(c.Nodes)
 	defer env.close()
-	svc, err := cfg.newService(ctx, env, kind)
+	svc, err := c.newService(ctx, env, kind)
 	if err != nil {
-		return Figure10Cell{}, err
+		return workflow.Result{}, err
 	}
 	defer svc.Close()
+	plan, err := sched.Schedule(wf, env.dep)
+	if err != nil {
+		return workflow.Result{}, err
+	}
+	return workflow.NewEngine(env.dep, svc, env.lat, engine).Run(ctx, wf, plan)
+}
 
+// runWorkflowOnce executes one (workflow, scenario, strategy) combination of
+// Figure 10.
+func runWorkflowOnce(ctx context.Context, cfg Config, wfName string, nominal, scaled workloads.Scenario, kind core.StrategyKind) (Figure10Cell, error) {
 	var wf *workflow.Workflow
 	switch wfName {
 	case "buzzflow":
@@ -167,17 +178,13 @@ func runWorkflowOnce(ctx context.Context, cfg Config, wfName string, nominal, sc
 	// The paper distributes the workflow jobs evenly across the 32 nodes
 	// (§VI-D), which the round-robin scheduler reproduces; the locality-aware
 	// alternative is evaluated separately in AblationScheduler.
-	sched, err := (workflow.RoundRobinScheduler{}).Schedule(wf, env.dep)
-	if err != nil {
-		return Figure10Cell{}, err
-	}
+	//
 	// Under the replicated strategy the metadata-intensive scenario can push
 	// the synchronization agent far behind the writers; consumers then poll
 	// for minutes of simulated time before their inputs become visible. A
 	// large retry budget lets those runs complete (slowly — which is exactly
 	// the degradation the paper reports) instead of aborting.
-	eng := workflow.NewEngine(env.dep, svc, env.lat, workflow.EngineConfig{MaxRetries: 20000})
-	run, err := eng.Run(ctx, wf, sched)
+	run, err := cfg.RunWorkflow(ctx, wf, kind, workflow.RoundRobinScheduler{}, workflow.EngineConfig{MaxRetries: 20000})
 	if err != nil {
 		return Figure10Cell{}, err
 	}

@@ -8,7 +8,7 @@
 // wrapper around ErrOverloaded) with a retry-after hint so clients can back
 // off instead of retrying into the same overload. Tenants are identified by
 // opaque string IDs propagated in the wire frame header; an empty ID maps to
-// DefaultTenant, which is also where v1 clients land.
+// DefaultTenant.
 package limits
 
 import (
@@ -23,8 +23,8 @@ import (
 )
 
 // DefaultTenant is the tenant that requests without an explicit tenant ID
-// are accounted against. v1 clients, which predate the tenant header field,
-// always map here.
+// are accounted against. Clients that predate the tenant header field always
+// map here.
 const DefaultTenant = "default"
 
 type tenantCtxKey struct{}

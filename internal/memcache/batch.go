@@ -103,41 +103,3 @@ func (c *Cache) leaveBatch(n int) {
 		<-c.slots
 	}
 }
-
-// GetBatch implements the bulk read on the highly-available pair by reading
-// from the primary.
-func (h *HACache) GetBatch(keys []string) ([]Item, []string, error) {
-	return h.Primary().GetBatch(keys)
-}
-
-// PutBatch implements the bulk write on the highly-available pair, mirroring
-// the values to the replica.
-func (h *HACache) PutBatch(kvs []KV) ([]Item, error) {
-	h.mu.RLock()
-	primary, replica := h.primary, h.replica
-	h.mu.RUnlock()
-	items, err := primary.PutBatch(kvs)
-	if err != nil {
-		return items, err
-	}
-	_, merr := replica.PutBatch(kvs)
-	h.mirror(merr)
-	return items, nil
-}
-
-// DeleteBatch implements the bulk delete on the highly-available pair,
-// mirroring the removals to the replica.
-func (h *HACache) DeleteBatch(keys []string) (int, error) {
-	h.mu.RLock()
-	primary, replica := h.primary, h.replica
-	h.mu.RUnlock()
-	n, err := primary.DeleteBatch(keys)
-	if err != nil {
-		return n, err
-	}
-	// DeleteBatch treats absent keys as success, so any replica error is
-	// real divergence.
-	_, merr := replica.DeleteBatch(keys)
-	h.mirror(merr)
-	return n, nil
-}

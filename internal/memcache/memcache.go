@@ -2,14 +2,16 @@
 // metadata registry is built on.
 //
 // The paper deploys one instance of Azure Managed Cache per datacenter and
-// stores every registry entry in it, relying on three of its properties:
+// stores every registry entry in it, relying on two of its properties:
 //
 //   - all data is kept in memory (no disk I/O on the metadata path),
 //   - optimistic concurrency: writers do not lock entries, they publish a new
 //     version and conflicting writers retry (workflow data is written once, so
-//     conflicts are rare),
-//   - high availability via a primary cache and a replica that is promoted
-//     when the primary fails.
+//     conflicts are rare).
+//
+// The managed cache's third property, a primary/replica pair for high
+// availability, is not modelled here: the registry tier above replicates
+// (registry.Router R-way placement) and persists (internal/store) instead.
 //
 // This package reproduces those properties with a sharded, versioned,
 // in-memory key-value store. It also models the *capacity* of a managed cache
@@ -417,8 +419,7 @@ func (c *Cache) Keys() []string {
 
 // Snapshot returns a copy of every live item; the synchronization agent uses
 // it to pull the full content of a registry instance. Like Keys it bypasses
-// the modelled service capacity and works on a stopped cache, which failover
-// repopulation (HACache.FailPrimary) depends on.
+// the modelled service capacity and works on a stopped cache.
 func (c *Cache) Snapshot() []Item {
 	now := c.cfg.Now()
 	var items []Item

@@ -294,70 +294,6 @@ func TestConcurrentCASOnlyOneWins(t *testing.T) {
 	}
 }
 
-func TestHACacheBasics(t *testing.T) {
-	h := NewHA(func() *Cache { return New(Config{}) })
-	h.Put("k", []byte("v"), 0)
-	got, err := h.Get("k")
-	if err != nil || string(got.Value) != "v" {
-		t.Fatalf("Get = %q, %v", got.Value, err)
-	}
-	if h.Len() != 1 || len(h.Keys()) != 1 || len(h.Snapshot()) != 1 {
-		t.Error("accessors disagree about content")
-	}
-	if !h.Contains("k") {
-		t.Error("Contains should be true")
-	}
-	if h.Stats().Puts == 0 {
-		t.Error("stats should record the put")
-	}
-	if err := h.Delete("k"); err != nil {
-		t.Errorf("Delete: %v", err)
-	}
-}
-
-func TestHACacheCAS(t *testing.T) {
-	h := NewHA(func() *Cache { return New(Config{}) })
-	if _, err := h.CAS("k", []byte("v1"), 0, 0); err != nil {
-		t.Fatalf("CAS add: %v", err)
-	}
-	if _, err := h.CAS("k", []byte("v2"), 0, 0); !errors.Is(err, ErrVersionConflict) {
-		t.Errorf("CAS conflict = %v", err)
-	}
-}
-
-func TestHACacheFailover(t *testing.T) {
-	h := NewHA(func() *Cache { return New(Config{}) })
-	for i := 0; i < 20; i++ {
-		h.Put(fmt.Sprintf("k%d", i), []byte("v"), 0)
-	}
-	old := h.Primary()
-	h.FailPrimary()
-	if h.Failures() != 1 {
-		t.Errorf("Failures = %d, want 1", h.Failures())
-	}
-	if h.Primary() == old {
-		t.Error("primary should have changed after failover")
-	}
-	if !old.Stopped() {
-		t.Error("failed primary should be stopped")
-	}
-	// All acknowledged writes survive the failover.
-	for i := 0; i < 20; i++ {
-		if _, err := h.Get(fmt.Sprintf("k%d", i)); err != nil {
-			t.Errorf("Get k%d after failover: %v", i, err)
-		}
-	}
-	// And the service keeps accepting writes.
-	if _, err := h.Put("after", []byte("v"), 0); err != nil {
-		t.Errorf("Put after failover: %v", err)
-	}
-	// A second failover still preserves data (fresh replica was repopulated).
-	h.FailPrimary()
-	if _, err := h.Get("after"); err != nil {
-		t.Errorf("Get after second failover: %v", err)
-	}
-}
-
 // Property: after any sequence of Put operations on distinct keys, Len equals
 // the number of distinct keys and every key is retrievable.
 func TestPutGetProperty(t *testing.T) {
@@ -407,41 +343,6 @@ func TestVersionMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Mirror failures must be counted, not swallowed: a replica that rejects a
-// write the primary accepted has silently diverged, and a failover would
-// lose the entry.
-func TestHACacheCountsMirrorFailures(t *testing.T) {
-	// NewHA calls the factory twice, primary first; cap only the replica so
-	// the second write diverges.
-	calls := 0
-	h := NewHA(func() *Cache {
-		calls++
-		if calls == 2 {
-			return New(Config{MaxItems: 1})
-		}
-		return New(Config{})
-	})
-	if _, err := h.Put("a", []byte("v"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.MirrorFailures(); got != 0 {
-		t.Fatalf("MirrorFailures after in-capacity put = %d, want 0", got)
-	}
-	if _, err := h.Put("b", []byte("v"), 0); err != nil {
-		t.Fatalf("primary write must succeed even when the mirror fails: %v", err)
-	}
-	if got := h.MirrorFailures(); got != 1 {
-		t.Errorf("MirrorFailures after replica capacity rejection = %d, want 1", got)
-	}
-	// Deleting an entry absent on the replica is not divergence.
-	if err := h.Delete("b"); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.MirrorFailures(); got != 1 {
-		t.Errorf("MirrorFailures after delete of replica-absent key = %d, want 1", got)
 	}
 }
 

@@ -7,13 +7,13 @@
 // # Coherence
 //
 // The cache stays coherent by consuming the change-feed layer (internal/feed)
-// through a feed.Combiner: every put/delete event either invalidates the
-// key's entry or, when a codec is configured, applies the event's encoded
-// entry in place. Negative entries cache repeated not-founds and are purged
-// by the same events.
+// through a feed.Combiner: every put/delete event invalidates the key's
+// entry (an event carries the entry as submitted, before the store assigned
+// its version, so its payload is never served). Negative entries cache
+// repeated not-founds and are purged by the same events.
 //
 // The hard race — a fill racing an invalidation — is resolved with sequence
-// fencing. The cache keeps a global fence counter, bumped on every applied
+// fencing. The cache keeps a global fence counter, bumped on every feed
 // event, write-through invalidation and flush. A fill records the fence
 // before it calls the origin and installs its result only if no newer fence
 // has touched the key (and none could have been forgotten: evictions and
@@ -72,10 +72,6 @@ type Options struct {
 	// bound); without one 0 selects DefaultMaxStaleness. Negative disables
 	// the TTL unconditionally (tests only).
 	MaxStaleness time.Duration
-	// Codec, when set, lets the cache apply put events in place (decoding
-	// the event's entry bytes) instead of invalidating; a decode failure
-	// falls back to invalidation. Nil always invalidates.
-	Codec registry.Codec
 	// Metrics receives readcache_{hits,misses,invalidations,evictions,
 	// flushes}_total and the readcache_entries occupancy gauge; nil keeps
 	// the series on a private registry (Stats still works).
@@ -230,29 +226,17 @@ func (c *Cache) AttachFeed(ctx context.Context, sources []feed.Source, copts ...
 	go c.consume()
 }
 
-// consume applies combiner events until the feed closes.
+// consume folds combiner events into the cache until the feed closes: a put
+// or a delete alike invalidates the key (positive or negative entry).
 func (c *Cache) consume() {
 	for ev := range c.combiner.Events() {
-		c.apply(ev.Event)
+		c.invalidate(ev.Event.Name)
 	}
 	// The feed ended for good (Close, or the attach context's
 	// cancellation): back to TTL-only coherence, nothing cached may
 	// survive it.
 	c.disconnected.Add(1)
 	c.Flush()
-}
-
-// apply folds one change event into the cache: a delete purges the key
-// (positive or negative entry alike), a put invalidates it — or re-installs
-// the event's entry when a codec is configured.
-func (c *Cache) apply(ev feed.Event) {
-	if ev.Op == feed.OpPut && c.opts.Codec != nil && len(ev.Value) > 0 {
-		if e, err := c.opts.Codec.Decode(ev.Value); err == nil {
-			c.install(ev.Name, kindPositive, e, c.fence.Add(1))
-			return
-		}
-	}
-	c.invalidate(ev.Name)
 }
 
 // invalidate fences the key against any in-flight fill and forgets its
@@ -350,9 +334,8 @@ func (c *Cache) lookup(name string) (registry.Entry, bool, bool) {
 
 // install stores (or refreshes) a slot under the fencing protocol: the write
 // is dropped when the shard floor or the key's existing fence is newer than
-// the caller's. Callers installing events or invalidations pass a fresh
-// fence (always newest); fills pass the fence they recorded before calling
-// the origin.
+// the caller's. Invalidations pass a fresh fence (always newest); fills pass
+// the fence they recorded before calling the origin.
 func (c *Cache) install(name string, kind entryKind, e registry.Entry, fence uint64) {
 	sh := c.shardFor(name)
 	sh.mu.Lock()
@@ -379,7 +362,7 @@ func (c *Cache) install(name string, kind entryKind, e registry.Entry, fence uin
 		}
 		victim := oldest.Value.(*centry)
 		// The evicted fence moves into the floor so a discarded tombstone
-		// (or applied event) keeps rejecting fills older than it.
+		// keeps rejecting fills older than it.
 		if victim.fence > sh.floor {
 			sh.floor = victim.fence
 		}

@@ -12,7 +12,6 @@ package registry
 import (
 	"bytes"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -179,23 +178,11 @@ func (e Entry) Equal(other Entry) bool {
 	return true
 }
 
-// Codec serializes entries for storage in the cache tier or transmission on
-// the wire.
-type Codec interface {
-	Encode(Entry) ([]byte, error)
-	Decode([]byte) (Entry, error)
-	// Name identifies the codec (e.g. "gob", "json").
-	Name() string
-}
-
-// GobCodec encodes entries with encoding/gob: compact and fast, the default
-// for cache storage and the TCP protocol.
+// GobCodec is the one entry encoding: every stored value, feed event and
+// modelled wire size goes through its two methods (encoding/gob today).
 type GobCodec struct{}
 
-// Name implements Codec.
-func (GobCodec) Name() string { return "gob" }
-
-// Encode implements Codec.
+// Encode serializes an entry.
 func (GobCodec) Encode(e Entry) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
@@ -204,36 +191,11 @@ func (GobCodec) Encode(e Entry) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode implements Codec.
+// Decode is the inverse of Encode.
 func (GobCodec) Decode(data []byte) (Entry, error) {
 	var e Entry
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
 		return Entry{}, fmt.Errorf("registry: gob decode: %w", err)
-	}
-	return e, nil
-}
-
-// JSONCodec encodes entries as JSON: larger but human-readable, used by the
-// CLI tools and the on-disk workflow specifications.
-type JSONCodec struct{}
-
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
-
-// Encode implements Codec.
-func (JSONCodec) Encode(e Entry) ([]byte, error) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("registry: json encode %q: %w", e.Name, err)
-	}
-	return data, nil
-}
-
-// Decode implements Codec.
-func (JSONCodec) Decode(data []byte) (Entry, error) {
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return Entry{}, fmt.Errorf("registry: json decode: %w", err)
 	}
 	return e, nil
 }

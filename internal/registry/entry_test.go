@@ -130,26 +130,17 @@ func TestEntryEqual(t *testing.T) {
 }
 
 func TestGobCodecRoundTrip(t *testing.T) {
-	testCodecRoundTrip(t, GobCodec{})
-}
-
-func TestJSONCodecRoundTrip(t *testing.T) {
-	testCodecRoundTrip(t, JSONCodec{})
-}
-
-func testCodecRoundTrip(t *testing.T, c Codec) {
-	t.Helper()
 	e := sampleEntry()
-	data, err := c.Encode(e)
+	data, err := GobCodec{}.Encode(e)
 	if err != nil {
-		t.Fatalf("%s encode: %v", c.Name(), err)
+		t.Fatalf("encode: %v", err)
 	}
-	got, err := c.Decode(data)
+	got, err := GobCodec{}.Decode(data)
 	if err != nil {
-		t.Fatalf("%s decode: %v", c.Name(), err)
+		t.Fatalf("decode: %v", err)
 	}
 	if !got.Equal(e) {
-		t.Errorf("%s round trip mismatch:\n got %+v\nwant %+v", c.Name(), got, e)
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, e)
 	}
 }
 
@@ -157,20 +148,10 @@ func TestCodecDecodeGarbage(t *testing.T) {
 	if _, err := (GobCodec{}).Decode([]byte("not gob")); err == nil {
 		t.Error("gob decode of garbage should fail")
 	}
-	if _, err := (JSONCodec{}).Decode([]byte("{invalid")); err == nil {
-		t.Error("json decode of garbage should fail")
-	}
 }
 
-func TestCodecNames(t *testing.T) {
-	if (GobCodec{}).Name() != "gob" || (JSONCodec{}).Name() != "json" {
-		t.Error("codec names changed")
-	}
-}
-
-// Property: both codecs round-trip arbitrary (valid) entries.
+// Property: the codec round-trips arbitrary (valid) entries.
 func TestCodecRoundTripProperty(t *testing.T) {
-	codecs := []Codec{GobCodec{}, JSONCodec{}}
 	f := func(name string, size uint32, producer string, site, node uint8) bool {
 		if name == "" {
 			return true
@@ -182,17 +163,12 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			Locations: []Location{{Site: cloud.SiteID(site % 4), Node: cloud.NodeID(node)}},
 			Created:   time.Unix(1441713600, 0).UTC(),
 		}
-		for _, c := range codecs {
-			data, err := c.Encode(e)
-			if err != nil {
-				return false
-			}
-			got, err := c.Decode(data)
-			if err != nil || !got.Equal(e) {
-				return false
-			}
+		data, err := GobCodec{}.Encode(e)
+		if err != nil {
+			return false
 		}
-		return true
+		got, err := GobCodec{}.Decode(data)
+		return err == nil && got.Equal(e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

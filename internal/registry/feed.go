@@ -59,6 +59,20 @@ var (
 	_ ChangeFeeder = (*Router)(nil)
 )
 
+// FeedSource adapts an in-process feeder into a feed.Combiner source:
+// Subscribe tails its change feed from a cursor and Snapshot captures its
+// current state for the cursor-too-old fallback. The feeder must expose a
+// feed (ChangeFeed() != nil).
+func FeedSource(name string, f ChangeFeeder) feed.Source {
+	return feed.Source{
+		Name: name,
+		Subscribe: func(_ context.Context, from uint64) (feed.Stream, error) {
+			return f.ChangeFeed().Subscribe(from)
+		},
+		Snapshot: f.FeedSnapshot,
+	}
+}
+
 // WithChangeFeed gives the instance a change feed: every committed put and
 // delete is published as a sequenced event on ChangeFeed(). Durable
 // instances publish under the WAL's own sequence numbers; memory-only ones
@@ -329,13 +343,7 @@ func (r *Router) startTap(id cloud.SiteID, api API) {
 		return
 	}
 	label := fmt.Sprintf("shard-%d", id)
-	comb := feed.NewCombiner([]feed.Source{{
-		Name: label,
-		Subscribe: func(ctx context.Context, from uint64) (feed.Stream, error) {
-			return feeder.ChangeFeed().Subscribe(from)
-		},
-		Snapshot: feeder.FeedSnapshot,
-	}})
+	comb := feed.NewCombiner([]feed.Source{FeedSource(label, feeder)})
 	ctx, cancel := context.WithCancel(context.Background())
 	comb.Start(ctx)
 	tap := &relayTap{cancel: cancel, comb: comb, done: make(chan struct{}), feeder: feeder}

@@ -12,9 +12,9 @@ import (
 	"geomds/internal/store"
 )
 
-// Store is the subset of the cache-tier API the registry relies on. Both
-// *memcache.Cache and *memcache.HACache satisfy it, so an instance can run on
-// a plain cache or on the highly-available primary/replica pair.
+// Store is the subset of the cache-tier API the registry relies on:
+// *memcache.Cache, the *store.Durable that wraps one in a write-ahead log,
+// and the tests' fakes satisfy it.
 type Store interface {
 	Get(key string) (memcache.Item, error)
 	Put(key string, value []byte, ttl time.Duration) (memcache.Item, error)
@@ -33,11 +33,7 @@ type Store interface {
 	DeleteBatch(keys []string) (int, error)
 }
 
-// Statically assert that both cache flavours implement Store.
-var (
-	_ Store = (*memcache.Cache)(nil)
-	_ Store = (*memcache.HACache)(nil)
-)
+var _ Store = (*memcache.Cache)(nil)
 
 // Instance is one Metadata Registry instance: the registry deployed in a
 // single datacenter. The multi-site strategies (internal/core) compose one or
@@ -48,7 +44,6 @@ var (
 type Instance struct {
 	site  cloud.SiteID
 	store Store
-	codec Codec
 	// maxCASRetries bounds optimistic-concurrency retries on updates.
 	maxCASRetries int
 	// durable is the persistence layer when WithStorage wrapped the store;
@@ -66,11 +61,6 @@ type Instance struct {
 // InstanceOption configures an Instance.
 type InstanceOption func(*Instance)
 
-// WithCodec selects the serialization codec (default GobCodec).
-func WithCodec(c Codec) InstanceOption {
-	return func(i *Instance) { i.codec = c }
-}
-
 // WithCASRetries sets the maximum number of optimistic-concurrency retries
 // performed by Update (default 8).
 func WithCASRetries(n int) InstanceOption {
@@ -86,7 +76,7 @@ func WithCASRetries(n int) InstanceOption {
 // directory — construction cannot half-succeed; use OpenInstance to handle
 // the error instead.
 func NewInstance(site cloud.SiteID, store Store, opts ...InstanceOption) *Instance {
-	inst := &Instance{site: site, store: store, codec: GobCodec{}, maxCASRetries: 8}
+	inst := &Instance{site: site, store: store, maxCASRetries: 8}
 	for _, o := range opts {
 		o(inst)
 	}
@@ -125,7 +115,7 @@ func (i *Instance) Create(ctx context.Context, e Entry) (Entry, error) {
 	if err := e.Validate(); err != nil {
 		return Entry{}, err
 	}
-	data, err := i.codec.Encode(e)
+	data, err := GobCodec{}.Encode(e)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -149,7 +139,7 @@ func (i *Instance) Put(ctx context.Context, e Entry) (Entry, error) {
 	if err := e.Validate(); err != nil {
 		return Entry{}, err
 	}
-	data, err := i.codec.Encode(e)
+	data, err := GobCodec{}.Encode(e)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -173,7 +163,7 @@ func (i *Instance) Get(ctx context.Context, name string) (Entry, error) {
 		}
 		return Entry{}, fmt.Errorf("get %q: %w", name, err)
 	}
-	e, err := i.codec.Decode(it.Value)
+	e, err := GobCodec{}.Decode(it.Value)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -204,7 +194,7 @@ func (i *Instance) Update(ctx context.Context, name string, mutate func(Entry) E
 			}
 			return Entry{}, fmt.Errorf("update %q: %w", name, err)
 		}
-		cur, err := i.codec.Decode(it.Value)
+		cur, err := GobCodec{}.Decode(it.Value)
 		if err != nil {
 			return Entry{}, err
 		}
@@ -214,7 +204,7 @@ func (i *Instance) Update(ctx context.Context, name string, mutate func(Entry) E
 		if err := next.Validate(); err != nil {
 			return Entry{}, err
 		}
-		data, err := i.codec.Encode(next)
+		data, err := GobCodec{}.Encode(next)
 		if err != nil {
 			return Entry{}, err
 		}
@@ -267,7 +257,7 @@ func (i *Instance) Entries(ctx context.Context) ([]Entry, error) {
 	items := i.store.Snapshot()
 	out := make([]Entry, 0, len(items))
 	for _, it := range items {
-		e, err := i.codec.Decode(it.Value)
+		e, err := GobCodec{}.Decode(it.Value)
 		if err != nil {
 			return nil, fmt.Errorf("entries: decoding %q: %w", it.Key, err)
 		}
@@ -290,7 +280,7 @@ func (i *Instance) GetMany(ctx context.Context, names []string) ([]Entry, error)
 	}
 	out := make([]Entry, 0, len(items))
 	for _, it := range items {
-		e, err := i.codec.Decode(it.Value)
+		e, err := GobCodec{}.Decode(it.Value)
 		if err != nil {
 			return nil, fmt.Errorf("get-many: decoding %q: %w", it.Key, err)
 		}
@@ -316,7 +306,7 @@ func (i *Instance) PutMany(ctx context.Context, entries []Entry) ([]Entry, error
 		if err := e.Validate(); err != nil {
 			return nil, err
 		}
-		data, err := i.codec.Encode(e)
+		data, err := GobCodec{}.Encode(e)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +368,7 @@ func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err
 	}
 	current := make(map[string]Entry, len(items))
 	for _, it := range items {
-		cur, err := i.codec.Decode(it.Value)
+		cur, err := GobCodec{}.Decode(it.Value)
 		if err != nil {
 			return 0, fmt.Errorf("merge: decoding %q: %w", it.Key, err)
 		}
@@ -404,7 +394,7 @@ func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err
 				continue // nothing new
 			}
 		}
-		data, err := i.codec.Encode(next)
+		data, err := GobCodec{}.Encode(next)
 		if err != nil {
 			return applied, err
 		}

@@ -238,29 +238,3 @@ func TestInstanceMergeInvalid(t *testing.T) {
 		t.Errorf("Merge invalid = %v, want ErrInvalidEntry", err)
 	}
 }
-
-func TestInstanceWithJSONCodec(t *testing.T) {
-	inst := NewInstance(1, memcache.New(memcache.Config{}), WithCodec(JSONCodec{}))
-	e := sampleEntry()
-	if _, err := inst.Create(tctx, e); err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	got, err := inst.Get(tctx, e.Name)
-	if err != nil || !got.Equal(e) {
-		t.Errorf("JSON-backed instance round trip failed: %v", err)
-	}
-}
-
-func TestInstanceOnHACache(t *testing.T) {
-	ha := memcache.NewHA(func() *memcache.Cache { return memcache.New(memcache.Config{}) })
-	inst := NewInstance(2, ha)
-	e := sampleEntry()
-	if _, err := inst.Create(tctx, e); err != nil {
-		t.Fatalf("Create on HA store: %v", err)
-	}
-	ha.FailPrimary()
-	got, err := inst.Get(tctx, e.Name)
-	if err != nil || !got.Equal(e) {
-		t.Errorf("entry lost across failover: %v", err)
-	}
-}

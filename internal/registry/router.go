@@ -242,6 +242,20 @@ func (c WriteConcern) String() string {
 	return "all"
 }
 
+// Set parses the flag spelling, making *WriteConcern a flag.Value (the
+// -write-concern flag of metaserver and metactl).
+func (c *WriteConcern) Set(s string) error {
+	switch s {
+	case "all":
+		*c = WriteAll
+	case "quorum":
+		*c = WriteQuorum
+	default:
+		return fmt.Errorf("registry: write concern must be all or quorum, got %q", s)
+	}
+	return nil
+}
+
 // RouterOption configures a Router.
 type RouterOption func(*routerConfig)
 

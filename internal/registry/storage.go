@@ -53,7 +53,7 @@ func WithStorage(dir string, opts ...store.Option) InstanceOption {
 // if needed) and journals every mutation there. storeOpts tune the WAL
 // (fsync policy, compaction interval); opts are the usual instance options.
 func OpenInstance(site cloud.SiteID, backing Store, dir string, storeOpts []store.Option, opts ...InstanceOption) (*Instance, error) {
-	inst := &Instance{site: site, store: backing, codec: GobCodec{}, maxCASRetries: 8}
+	inst := &Instance{site: site, store: backing, maxCASRetries: 8}
 	for _, o := range opts {
 		o(inst)
 	}

@@ -2,8 +2,8 @@ package rpc
 
 // Admission-control tests: rejection happens at the frame-decode boundary
 // (no registry work), the "overloaded" code round-trips with its retry-after
-// hint, v1 clients land on the default tenant, and per-call context tenants
-// override the client-wide one.
+// hint, a bare version-1 request is refused without being charged, and
+// per-call context tenants override the client-wide one.
 
 import (
 	"errors"
@@ -115,38 +115,38 @@ func TestBatchRejectionAnswersEveryOp(t *testing.T) {
 	}
 }
 
-func TestV1ClientsMapToDefaultTenant(t *testing.T) {
-	_, reg, addr := startLimitedServer(t, limits.Config{
-		Default: limits.TenantLimit{OpsPerSec: 0.0001, OpsBurst: 1},
-	})
+// TestBareV1RequestRefused speaks the retired un-tagged protocol by hand: a
+// bare length-framed Request is not a frame envelope, so the server drops the
+// connection without dispatching it or charging any tenant — and keeps
+// serving everyone else.
+func TestBareV1RequestRefused(t *testing.T) {
+	srv, reg, addr := startLimitedServer(t, limits.Config{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	exchange := func(req Request) Response {
-		t.Helper()
-		if err := writeFrame(conn, req); err != nil {
-			t.Fatalf("legacy write: %v", err)
-		}
-		var resp Response
-		if err := readFrame(conn, &resp); err != nil {
-			t.Fatalf("legacy read: %v", err)
-		}
-		return resp
+	if err := writeFrame(conn, Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
 	}
-	if resp := exchange(Request{Op: OpPing}); !resp.OK {
-		t.Fatalf("first legacy request rejected: %+v", resp)
+	var resp Response
+	if err := readFrame(conn, &resp); err == nil {
+		t.Fatalf("bare request answered with %+v, want the connection closed", resp)
 	}
-	resp := exchange(Request{Op: OpPing})
-	if resp.OK || resp.Err != ErrOverloaded {
-		t.Fatalf("over-budget legacy request = %+v, want overloaded", resp)
+	if n := srv.Requests(); n != 0 {
+		t.Errorf("server dispatched %d requests, want 0", n)
 	}
-	if resp.RetryAfterNs <= 0 {
-		t.Fatal("legacy rejection carries no retry-after")
+	snap := reg.Snapshot()
+	if n := snap.Counters["limits_admitted_total"] + snap.Counters["limits_rejected_total"]; n != 0 {
+		t.Errorf("limiter was offered %d requests, want 0", n)
 	}
-	if reg.Snapshot().Counters["limits_tenant_default_rejected_total"] == 0 {
-		t.Fatal("legacy rejection not accounted to the default tenant")
+	client, err := Dial(tctx, addr)
+	if err != nil {
+		t.Fatalf("dial after the refusal: %v", err)
+	}
+	defer client.Close()
+	if err := client.Ping(tctx); err != nil {
+		t.Errorf("ping after the refusal: %v", err)
 	}
 }
 

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"geomds/internal/cloud"
 	"geomds/internal/memcache"
 	"geomds/internal/registry"
 )
@@ -170,8 +168,8 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestPutManyDeleteManyOverWire exercises the first-class bulk ops as
-// single frames.
+// TestPutManyDeleteManyOverWire exercises the first-class bulk ops
+// (PutMany, GetMany, DeleteMany) as single frames.
 func TestPutManyDeleteManyOverWire(t *testing.T) {
 	_, client := startTestServer(t, 0)
 	var batch []registry.Entry
@@ -193,6 +191,13 @@ func TestPutManyDeleteManyOverWire(t *testing.T) {
 	if client.Len(tctx) != 6 {
 		t.Errorf("Len = %d, want 6", client.Len(tctx))
 	}
+	got, err := client.GetMany(tctx, []string{"pm4", "absent", "pm1"})
+	if err != nil {
+		t.Fatalf("GetMany: %v", err)
+	}
+	if len(got) != 2 || got[0].Name != "pm4" || got[1].Name != "pm1" {
+		t.Errorf("GetMany = %+v, want pm4 and pm1 (absent names are skipped)", got)
+	}
 	n, err := client.DeleteMany(tctx, []string{"pm0", "pm1", "absent", "pm2"})
 	if err != nil {
 		t.Fatalf("DeleteMany: %v", err)
@@ -211,57 +216,5 @@ func TestPutManyDeleteManyOverWire(t *testing.T) {
 	}
 	if _, err := client.PutMany(tctx, []registry.Entry{{}}); !errors.Is(err, registry.ErrInvalidEntry) {
 		t.Errorf("PutMany with invalid entry = %v, want ErrInvalidEntry", err)
-	}
-}
-
-// TestLegacyV1ClientAgainstV2Server speaks the version-1 un-tagged protocol
-// by hand: bare length-framed Requests must still be answered, in order,
-// with bare Responses on the same connection.
-func TestLegacyV1ClientAgainstV2Server(t *testing.T) {
-	inst := registry.NewInstance(7, memcache.New(memcache.Config{}))
-	srv := NewServer(inst, nil)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	exchange := func(req Request) Response {
-		t.Helper()
-		if err := writeFrame(conn, req); err != nil {
-			t.Fatalf("legacy write: %v", err)
-		}
-		var resp Response
-		if err := readFrame(conn, &resp); err != nil {
-			t.Fatalf("legacy read: %v", err)
-		}
-		return resp
-	}
-
-	e := wireEntry("legacy-1")
-	if resp := exchange(Request{Op: OpSite}); !resp.OK || siteFromN(resp.N) != cloud.SiteID(7) {
-		t.Errorf("legacy OpSite = %+v", resp)
-	}
-	if resp := exchange(Request{Op: OpCreate, Entry: e}); !resp.OK {
-		t.Errorf("legacy OpCreate = %+v", resp)
-	}
-	if resp := exchange(Request{Op: OpGet, Name: "legacy-1"}); !resp.OK || !resp.Entry.Equal(e) {
-		t.Errorf("legacy OpGet = %+v", resp)
-	}
-
-	// A version-2 client sharing the server (even the registry state) works.
-	v2, err := Dial(tctx, addr)
-	if err != nil {
-		t.Fatalf("v2 dial: %v", err)
-	}
-	defer v2.Close()
-	if _, err := v2.Get(tctx, "legacy-1"); err != nil {
-		t.Errorf("v2 Get of legacy-created entry: %v", err)
 	}
 }

@@ -2,8 +2,8 @@
 // process and be driven remotely over TCP.
 //
 // The normative wire-protocol specification — framing, header fields,
-// deadline propagation, batch semantics, error codes and version-1
-// compatibility — lives in docs/WIRE.md at the repository root; the
+// deadline propagation, batch semantics and error codes — lives in
+// docs/WIRE.md at the repository root; the
 // sections below summarize it next to the code.
 //
 // The paper's prototype deploys one managed-cache-backed registry instance
@@ -17,8 +17,8 @@
 // # Wire format
 //
 // Every message is a 4-byte big-endian length followed by a gob-encoded
-// frame. Since protocol version 2 a frame is an envelope — RequestFrame on
-// the client-to-server direction, ResponseFrame on the way back — carrying a
+// frame. A frame is an envelope — RequestFrame on the client-to-server
+// direction, ResponseFrame on the way back — carrying a
 // versioned Header plus either one Request/Response (FrameSingle) or a
 // BatchRequest/BatchResponse holding many registry operations (FrameBatch).
 //
@@ -72,8 +72,7 @@
 // # Tenancy and admission control
 //
 // Header.Tenant names the tenant a request is accounted against; an empty
-// field — including every version-1 message, which has no header — maps to
-// limits.DefaultTenant. A server configured with a limits.Limiter (see
+// field maps to limits.DefaultTenant. A server configured with a limits.Limiter (see
 // WithServerLimits) admits or rejects each frame before dispatching any
 // registry work; rejections travel as code "overloaded" with a retry-after
 // backoff hint in Response.RetryAfterNs, which the client surfaces as a
@@ -81,17 +80,14 @@
 // distinct from deadline-exceeded: the request was never started, so
 // retrying after the hint cannot duplicate work.
 //
-// # Compatibility with the version-1 un-tagged protocol
+// # One wire version
 //
-// Version 1 framed a bare gob-encoded Request/Response with no header;
-// requests on one connection were processed strictly in order. The server
-// remains compatible: gob refuses to decode a version-1 Request into a
-// RequestFrame (none of the envelope's fields match), so a message that
-// fails to decode as a frame is re-decoded as a bare Request, served
-// synchronously, and answered with a bare Response — version-1 clients keep
-// their one-at-a-time in-order semantics. The two generations can share one
-// server, even one connection. The version-2 Client does not fall back:
-// dialing a version-1 server fails at the initial handshake.
+// Version 2 is the only protocol generation the server speaks. Version 1
+// framed a bare gob-encoded Request/Response with no header; gob refuses to
+// decode such a Request into a RequestFrame (none of the envelope's fields
+// match), so the server treats it like any other undecodable message: it
+// logs the frame and closes the connection without dispatching or charging
+// anything.
 package rpc
 
 import (
@@ -112,8 +108,8 @@ import (
 
 // ProtocolVersion is the wire protocol generation stamped into every frame
 // header. Version 2 introduced the header itself, request IDs (pipelining)
-// and batch frames; version 1 is the legacy un-tagged request/response
-// protocol, still accepted by the server (see the package documentation).
+// and batch frames; the un-tagged version 1 is no longer accepted (see the
+// package documentation).
 const ProtocolVersion = 2
 
 // FrameKind discriminates what a frame's payload carries.
@@ -128,10 +124,9 @@ const (
 )
 
 // Header is the versioned frame header prefixed (inside the gob envelope) to
-// every protocol message since version 2.
+// every protocol message.
 type Header struct {
-	// Version is the protocol generation (ProtocolVersion); legacy
-	// version-1 messages carry no header at all.
+	// Version is the protocol generation (ProtocolVersion).
 	Version uint16
 	// ID tags the request; the server echoes it in the matching response so
 	// the client can demultiplex pipelined responses arriving out of order.
@@ -474,8 +469,8 @@ var payloadPool = sync.Pool{New: func() any {
 
 // readPayload reads one length-prefixed message from r and returns its raw
 // gob payload, backed by a pooled buffer — the caller owns it until it calls
-// releasePayload. Keeping the bytes around lets the server re-decode a
-// message under the legacy (version-1) schema after version detection.
+// releasePayload. The server reads the payload's length for admission control
+// before decoding it.
 func readPayload(r io.Reader) ([]byte, error) {
 	var header [4]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {

@@ -53,11 +53,9 @@ func releaseBatchResponses(ops []Response) {
 // Server exposes one registry instance over TCP. One server corresponds to
 // the metadata registry deployment of a single datacenter.
 //
-// Requests from version-2 clients are pipelined: each connection executes up
-// to the configured in-flight bound concurrently and responses are written
-// as they complete, tagged with the request ID, possibly out of order.
-// Legacy version-1 connections are served synchronously in order (see the
-// package documentation for the compatibility rules).
+// Requests are pipelined: each connection executes up to the configured
+// in-flight bound concurrently and responses are written as they complete,
+// tagged with the request ID, possibly out of order.
 //
 // Each dispatched request runs under a context derived from the deadline the
 // client propagated in the frame header: a request whose deadline has
@@ -149,8 +147,8 @@ func WithServerMetrics(reg *metrics.Registry) ServerOption {
 // frame is offered to the limiter at the decode boundary — before it takes
 // an in-flight slot or touches the registry — and rejected frames are
 // answered with an "overloaded" error carrying the limiter's retry-after
-// hint. The tenant is read from the frame header (empty, and every
-// version-1 message, maps to limits.DefaultTenant); a batch frame pays one
+// hint. The tenant is read from the frame header (empty maps to
+// limits.DefaultTenant); a batch frame pays one
 // operation token per batched op, and every frame pays its payload size in
 // byte tokens. A nil limiter (the default) admits everything.
 func WithServerLimits(l *limits.Limiter) ServerOption {
@@ -304,10 +302,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// handle serves one connection until it drops. Version-2 frames are
-// dispatched concurrently (bounded by maxInflight) and answered out of
-// order; version-1 messages are answered synchronously, preserving the
-// legacy in-order contract.
+// handle serves one connection until it drops. Frames are dispatched
+// concurrently (bounded by maxInflight) and answered out of order; a message
+// that does not decode as a frame ends the connection.
 func (s *Server) handle(conn net.Conn) {
 	var (
 		wmu     sync.Mutex // serializes response-frame writes
@@ -338,44 +335,15 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		payloadLen := len(payload) // byte cost for admission, before the buffer is recycled
 		var rf RequestFrame
-		if err := decodePayload(payload, &rf); err != nil {
-			// Not a version-2 envelope: gob refuses to decode a legacy bare
-			// Request into a RequestFrame (no fields match), so this is
-			// either a version-1 message or garbage. Re-decode and answer in
-			// place, preserving the legacy one-at-a-time in-order contract.
-			var req Request
-			err := decodePayload(payload, &req)
-			releasePayload(payload)
-			if err != nil {
-				s.logger.Printf("rpc: bad frame from %s: %v", conn.RemoteAddr(), err)
-				return
-			}
-			// Version-1 messages carry no tenant header: they are admitted
-			// as (and accounted against) the default tenant.
-			var resp Response
-			if finish, aerr := s.limiter.Admit("", 1, payloadLen); aerr != nil {
-				s.obs.countErr(ErrOverloaded)
-				resp = failure(aerr)
-			} else {
-				s.requests.Add(1)
-				start := time.Now()
-				resp = s.dispatch(s.baseCtx, req)
-				finish(time.Since(start))
-			}
-			// Take the write lock: pipelined version-2 responses may still
-			// be in flight on this connection.
-			wmu.Lock()
-			err = writeFrame(conn, resp)
-			wmu.Unlock()
-			if err != nil {
-				if !s.isClosed() {
-					s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
-				}
-				return
-			}
-			continue
-		}
+		err = decodePayload(payload, &rf)
 		releasePayload(payload)
+		if err != nil {
+			// Not a frame envelope: garbage, or a bare version-1 Request (gob
+			// refuses to decode one into a RequestFrame — no field matches).
+			// Nothing is dispatched or charged; the connection is dropped.
+			s.logger.Printf("rpc: bad frame from %s: %v", conn.RemoteAddr(), err)
+			return
+		}
 
 		switch rf.Header.Kind {
 		case FrameWatch:
@@ -461,7 +429,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// rejectFrame answers an admission-rejected version-2 frame with an
+// rejectFrame answers an admission-rejected frame with an
 // "overloaded" error response (one per operation for a batch, so the frame
 // shape matches what the client expects). It runs on the connection's read
 // loop; the write happens under the shared write lock like any pipelined
@@ -594,9 +562,9 @@ func (s *Server) execute(ctx context.Context, req Request) Response {
 		return Response{OK: true, N: s.reg.Len(ctx)}
 	case OpWatch:
 		// Watching is a streaming exchange: it cannot be expressed in the
-		// one-response-per-request protocol, so version-1 clients (and
-		// version-2 single/batch frames) naming the op are refused cleanly.
-		return Response{OK: false, Err: ErrBadOp, Detail: "watch requires version-2 streaming frames"}
+		// one-response-per-request shape, so single and batch frames naming
+		// the op are refused cleanly.
+		return Response{OK: false, Err: ErrBadOp, Detail: "watch requires a watch frame"}
 	default:
 		return Response{OK: false, Err: ErrBadOp, Detail: fmt.Sprintf("unknown op %q", req.Op)}
 	}

@@ -29,10 +29,9 @@ import (
 // the cursor-too-old error when the client set NoFallback; otherwise the
 // server falls back transparently: the ack carries Fallback=true and the
 // current state arrives as synthetic put events (all at StartSeq) before
-// the live tail. Watch frames require the version-2 envelope; a legacy
-// version-1 client sending the watch op as a bare request is refused with
+// the live tail. A single or batch frame naming the watch op is refused with
 // bad-op (streaming cannot be expressed in the one-response-per-request
-// protocol).
+// shape).
 
 // Watch frame kinds (version 2 extension; see FrameKind).
 const (
@@ -46,9 +45,9 @@ const (
 	FrameWatchCancel FrameKind = 5
 )
 
-// OpWatch is the watch operation name. It exists so version-1 clients (and
-// version-2 single frames) naming it are refused deterministically with
-// bad-op rather than "unknown op": watching requires the streaming frames.
+// OpWatch is the watch operation name. It exists so single and batch frames
+// naming it are refused deterministically with bad-op rather than "unknown
+// op": watching requires the streaming frames.
 const OpWatch Op = "watch"
 
 // ErrCursorTooOld reports that the requested resume cursor predates the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -194,39 +193,20 @@ func TestWatchRefusedWithoutChangeFeed(t *testing.T) {
 	}
 }
 
-// TestWatchRefusedForV1Clients speaks the legacy un-tagged protocol and
-// names the watch op: the server must answer a clean bad-op error, not hang
-// or break the connection.
-func TestWatchRefusedForV1Clients(t *testing.T) {
-	inst := registry.NewInstance(2, memcache.New(memcache.Config{}), registry.WithChangeFeed())
-	defer inst.Close()
-	srv := NewServer(inst, nil)
-	addr, err := srv.Start("127.0.0.1:0")
+// TestWatchOpRefusedOutsideWatchFrames names the watch op in a batch frame:
+// the server must answer a clean bad-op error, not hang or break the
+// connection.
+func TestWatchOpRefusedOutsideWatchFrames(t *testing.T) {
+	_, client := startTestServer(t, 2)
+	resps, err := client.Batch(tctx, []Request{{Op: OpWatch}, {Op: OpPing}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	if resps[0].OK || resps[0].Err != ErrBadOp {
+		t.Fatalf("watch op answered %+v, want bad-op refusal", resps[0])
 	}
-	defer conn.Close()
-	if err := writeFrame(conn, Request{Op: OpWatch}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatalf("legacy read: %v", err)
-	}
-	if resp.OK || resp.Err != ErrBadOp {
-		t.Fatalf("legacy watch answered %+v, want bad-op refusal", resp)
-	}
-	// The connection survives the refusal.
-	if err := writeFrame(conn, Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if err := readFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("ping after refusal = %+v, %v", resp, err)
+	if !resps[1].OK {
+		t.Fatalf("ping after the refusal = %+v", resps[1])
 	}
 }
 

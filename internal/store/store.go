@@ -39,9 +39,9 @@ import (
 )
 
 // Backing is the mutable key/value store a Durable wraps and logs. It is a
-// structural copy of the registry's Store interface, so *memcache.Cache and
-// *memcache.HACache satisfy it and a *Durable can be handed back to the
-// registry without an import cycle.
+// structural copy of the registry's Store interface, so *memcache.Cache
+// satisfies it and a *Durable can be handed back to the registry without an
+// import cycle.
 type Backing interface {
 	Get(key string) (memcache.Item, error)
 	Put(key string, value []byte, ttl time.Duration) (memcache.Item, error)
@@ -70,7 +70,7 @@ const (
 	FsyncNever
 )
 
-// String returns the policy name as accepted by the metaserver -fsync flag.
+// String returns the policy name as accepted by Set.
 func (p FsyncPolicy) String() string {
 	if p == FsyncNever {
 		return "never"
@@ -78,15 +78,18 @@ func (p FsyncPolicy) String() string {
 	return "always"
 }
 
-// ParseFsyncPolicy parses "always" or "never" (the metaserver -fsync flag).
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
+// Set parses "always" or "never", making *FsyncPolicy a flag.Value (the
+// -fsync flag of metaserver and metasim).
+func (p *FsyncPolicy) Set(s string) error {
 	switch s {
 	case "always", "":
-		return FsyncAlways, nil
+		*p = FsyncAlways
 	case "never":
-		return FsyncNever, nil
+		*p = FsyncNever
+	default:
+		return fmt.Errorf("store: unknown fsync policy %q (want always or never)", s)
 	}
-	return FsyncAlways, fmt.Errorf("store: unknown fsync policy %q (want always or never)", s)
+	return nil
 }
 
 var (

@@ -430,7 +430,7 @@ func TestDeleteBatchReplaysAbsentKeys(t *testing.T) {
 	wantState(t, r, map[string]string{"b": "2"})
 }
 
-func TestParseFsyncPolicy(t *testing.T) {
+func TestFsyncPolicySet(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want FsyncPolicy
@@ -441,9 +441,10 @@ func TestParseFsyncPolicy(t *testing.T) {
 		{"never", FsyncNever, true},
 		{"sometimes", FsyncAlways, false},
 	} {
-		got, err := ParseFsyncPolicy(tc.in)
+		var got FsyncPolicy
+		err := got.Set(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseFsyncPolicy(%q) = (%v, %v), want (%v, ok=%v)", tc.in, got, err, tc.want, tc.ok)
+			t.Errorf("Set(%q) = (%v, %v), want (%v, ok=%v)", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
 	if FsyncAlways.String() != "always" || FsyncNever.String() != "never" {

@@ -41,7 +41,7 @@ func NewNotifier() *Notifier {
 
 // ConsumeFeed subscribes the notifier to every site feed of the fabric and
 // starts waking waiters on put events. It fails with core.ErrNoFeed when the
-// fabric was not built WithChangeFeeds. Call Close to detach.
+// fabric was built without site.Config.Feed. Call Close to detach.
 func (n *Notifier) ConsumeFeed(fabric *core.Fabric) error {
 	sources, err := fabric.FeedSources()
 	if err != nil {

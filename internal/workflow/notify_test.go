@@ -10,6 +10,7 @@ import (
 	"geomds/internal/core"
 	"geomds/internal/latency"
 	"geomds/internal/registry"
+	"geomds/internal/site"
 )
 
 func TestNotifierWaitNotify(t *testing.T) {
@@ -68,7 +69,7 @@ func TestNotifierConsumeFeed(t *testing.T) {
 		t.Fatalf("ConsumeFeed over feed-less fabric = %v, want ErrNoFeed", err)
 	}
 
-	fabric := core.NewFabric(topo, lat, core.WithCacheCapacity(0, 0), core.WithChangeFeeds())
+	fabric := core.NewFabric(topo, lat, core.WithCacheCapacity(0, 0), core.WithSite(site.Config{Feed: true}))
 	defer fabric.Close()
 	svc, err := core.NewService(fabric, core.Centralized)
 	if err != nil {
@@ -102,7 +103,7 @@ func TestNotifierConsumeFeed(t *testing.T) {
 func TestEngineFeedNotifierReactive(t *testing.T) {
 	topo := cloud.Azure4DC()
 	lat := latency.New(topo, latency.WithSeed(11), latency.WithSleeper(func(time.Duration) {}))
-	fabric := core.NewFabric(topo, lat, core.WithCacheCapacity(0, 0), core.WithChangeFeeds())
+	fabric := core.NewFabric(topo, lat, core.WithCacheCapacity(0, 0), core.WithSite(site.Config{Feed: true}))
 	defer fabric.Close()
 	svc, err := core.NewReplicated(fabric, 0, core.WithSyncInterval(time.Hour), core.WithFeedSync())
 	if err != nil {

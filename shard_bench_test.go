@@ -43,8 +43,8 @@ const (
 
 // newShardedTier builds a one-site registry tier with the given shard count:
 // a plain instance for 1, a Router over per-shard instances otherwise. Every
-// shard gets its own capacity-bounded cache, exactly as core.WithShardsPerSite
-// wires it.
+// shard gets its own capacity-bounded cache, exactly as site.Build wires
+// it.
 func newShardedTier(b *testing.B, shards int) registry.API {
 	b.Helper()
 	newInst := func() registry.API {
