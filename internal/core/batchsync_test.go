@@ -43,6 +43,21 @@ func (c *countingAPI) Create(ctx context.Context, e registry.Entry) (registry.En
 	return c.API.Create(ctx, e)
 }
 
+func (c *countingAPI) Get(ctx context.Context, name string) (registry.Entry, error) {
+	c.count("Get")
+	return c.API.Get(ctx, name)
+}
+
+func (c *countingAPI) Contains(ctx context.Context, name string) bool {
+	c.count("Contains")
+	return c.API.Contains(ctx, name)
+}
+
+func (c *countingAPI) AddLocation(ctx context.Context, name string, loc registry.Location) (registry.Entry, error) {
+	c.count("AddLocation")
+	return c.API.AddLocation(ctx, name, loc)
+}
+
 func (c *countingAPI) Put(ctx context.Context, e registry.Entry) (registry.Entry, error) {
 	c.count("Put")
 	return c.API.Put(ctx, e)

@@ -1,14 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"geomds/internal/cloud"
-	"geomds/internal/metrics"
-	"geomds/internal/registry"
 )
 
 // CentralizedService is the baseline strategy (paper §IV-A): a single
@@ -16,119 +11,25 @@ import (
 // serving every node of the multi-site application. Nodes outside the
 // registry's datacenter pay a remote round trip for every operation, and the
 // single cache instance becomes the throughput bottleneck under concurrency.
+//
+// It is the single-target path over a one-site placement: every name is
+// served by the same site.
 type CentralizedService struct {
-	fabric *Fabric
-	home   cloud.SiteID
-	inst   registry.API
-	closed atomic.Bool
-	// ops counts every operation served by this strategy
-	// (core_strategy_c_ops_total); nil when instrumentation is off.
-	ops *metrics.Counter
+	singleTarget
+	home cloud.SiteID
 }
 
 // NewCentralized builds the centralized baseline with the registry placed in
 // the given datacenter.
 func NewCentralized(fabric *Fabric, home cloud.SiteID) (*CentralizedService, error) {
-	inst, err := fabric.Instance(home)
-	if err != nil {
+	if _, err := fabric.Instance(home); err != nil {
 		return nil, fmt.Errorf("centralized: %w", err)
 	}
-	return &CentralizedService{fabric: fabric, home: home, inst: inst, ops: fabric.strategyOps(Centralized)}, nil
+	s := &CentralizedService{home: home}
+	s.service = newService(fabric, Centralized)
+	s.target = func(cloud.SiteID, string) cloud.SiteID { return home }
+	return s, nil
 }
-
-// Kind implements MetadataService.
-func (s *CentralizedService) Kind() StrategyKind { return Centralized }
 
 // Home returns the datacenter hosting the single registry instance.
 func (s *CentralizedService) Home() cloud.SiteID { return s.home }
-
-// Create implements MetadataService. Per the paper's definition, the write is
-// a look-up (to verify the name is free) followed by the actual write; both
-// are served by the central instance.
-func (s *CentralizedService) Create(ctx context.Context, from cloud.SiteID, e registry.Entry) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("create", from, e.Name, ErrClosed)
-	}
-	s.ops.Inc()
-	start := time.Now()
-	// One round trip to the central registry; the instance performs the
-	// look-up (existence check) and the write server-side, as the paper's
-	// write = look-up + write composite.
-	remote, err := s.fabric.call(ctx, from, s.home, s.fabric.EntrySize(e), s.fabric.ackBytes)
-	if err != nil {
-		s.fabric.record(metrics.OpWrite, start, remote)
-		return registry.Entry{}, opErr("create", from, e.Name, err)
-	}
-	stored, err := s.inst.Create(ctx, e)
-	s.fabric.record(metrics.OpWrite, start, remote)
-	return stored, opErr("create", from, e.Name, err)
-}
-
-// Lookup implements MetadataService.
-func (s *CentralizedService) Lookup(ctx context.Context, from cloud.SiteID, name string) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("lookup", from, name, ErrClosed)
-	}
-	s.ops.Inc()
-	start := time.Now()
-	e, err := s.inst.Get(ctx, name)
-	respBytes := s.fabric.ackBytes
-	if err == nil {
-		respBytes = s.fabric.EntrySize(e)
-	}
-	remote, callErr := s.fabric.call(ctx, from, s.home, s.fabric.queryBytes, respBytes)
-	s.fabric.record(metrics.OpRead, start, remote)
-	if lerr := lookupErr(from, name, err, callErr); lerr != nil {
-		return registry.Entry{}, lerr
-	}
-	return e, nil
-}
-
-// AddLocation implements MetadataService.
-func (s *CentralizedService) AddLocation(ctx context.Context, from cloud.SiteID, name string, loc registry.Location) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("addlocation", from, name, ErrClosed)
-	}
-	s.ops.Inc()
-	start := time.Now()
-	remote, err := s.fabric.call(ctx, from, s.home, s.fabric.queryBytes, s.fabric.ackBytes)
-	if err != nil {
-		s.fabric.record(metrics.OpUpdate, start, remote)
-		return registry.Entry{}, opErr("addlocation", from, name, err)
-	}
-	e, err := s.inst.AddLocation(ctx, name, loc)
-	s.fabric.record(metrics.OpUpdate, start, remote)
-	return e, opErr("addlocation", from, name, err)
-}
-
-// Delete implements MetadataService.
-func (s *CentralizedService) Delete(ctx context.Context, from cloud.SiteID, name string) error {
-	if s.closed.Load() {
-		return opErr("delete", from, name, ErrClosed)
-	}
-	s.ops.Inc()
-	start := time.Now()
-	remote, err := s.fabric.call(ctx, from, s.home, s.fabric.queryBytes, s.fabric.ackBytes)
-	if err != nil {
-		s.fabric.record(metrics.OpDelete, start, remote)
-		return opErr("delete", from, name, err)
-	}
-	err = s.inst.Delete(ctx, name)
-	s.fabric.record(metrics.OpDelete, start, remote)
-	return opErr("delete", from, name, err)
-}
-
-// Flush implements MetadataService; the centralized strategy has no
-// asynchronous machinery, so it is a no-op.
-func (s *CentralizedService) Flush(ctx context.Context) error {
-	if s.closed.Load() {
-		return opErr("flush", s.home, "", ErrClosed)
-	}
-	return ctx.Err()
-}
-
-// Close implements MetadataService.
-func (s *CentralizedService) Close() error {
-	s.closed.Store(true)
-	return nil
-}

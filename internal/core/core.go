@@ -174,19 +174,6 @@ func opErr(op string, site cloud.SiteID, name string, err error) error {
 	return &OpError{Op: op, Site: site, Name: name, Err: err}
 }
 
-// lookupErr merges a read's two failure sources into one typed error: the
-// registry operation's error wins (a genuine not-found answer is the result
-// even if the caller was cancelled while the modelled exchange completed),
-// and only an otherwise-successful read surfaces the modelled call's
-// cancellation. Every strategy shares this policy so their lookup error
-// semantics cannot drift apart.
-func lookupErr(from cloud.SiteID, name string, regErr, callErr error) error {
-	if regErr == nil {
-		regErr = callErr
-	}
-	return opErr("lookup", from, name, regErr)
-}
-
 // MetadataService is the client-facing API of the metadata middleware. Every
 // operation is issued *from* a site: the datacenter hosting the execution
 // node performing it. Implementations charge the appropriate wide-area
@@ -223,15 +210,20 @@ type MetadataService interface {
 	Delete(ctx context.Context, from cloud.SiteID, name string) error
 
 	// Flush forces any pending asynchronous propagation (sync-agent rounds,
-	// lazy batches) to complete, bringing every site up to date. It is a
-	// no-op for strategies without asynchronous machinery. A cancelled
-	// context aborts the round mid-fan-out; on a closed service Flush
-	// returns an error wrapping ErrClosed.
+	// lazy batches, relayed feed events) to complete, bringing every site up
+	// to date. It is a no-op for strategies without asynchronous machinery.
+	// A nil error means every update committed before the call is visible
+	// wherever the strategy replicates it. A site that could not be updated
+	// (ErrSiteUnreachable) or a cancelled context, which aborts the round
+	// mid-fan-out, fails the Flush; the updates that were not delivered stay
+	// queued for the next round. On a closed service Flush returns an error
+	// wrapping ErrClosed.
 	Flush(ctx context.Context) error
 
 	// Close releases background resources (agents, propagators). The service
 	// must not be used afterwards. Close takes no context: it must always be
-	// able to run to completion during teardown.
+	// able to run to completion during teardown. A strategy that flushes on
+	// close returns that flush's error: the updates it names were dropped.
 	Close() error
 }
 

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"geomds/internal/cloud"
 	"geomds/internal/dht"
 	"geomds/internal/metrics"
-	"geomds/internal/registry"
 )
 
 // DecentralizedService implements the decentralized, non-replicated strategy
@@ -17,16 +14,17 @@ import (
 // stored only at the site determined by hashing its name. On average only
 // 1/n of the operations are local (n = number of sites), but the registry is
 // partitioned so queries are processed in parallel by independent instances.
+//
+// It is the single-target path aimed at the entry's hashed home, counting how
+// many operations stayed in the caller's datacenter.
 type DecentralizedService struct {
-	fabric *Fabric
+	singleTarget
 	placer dht.Placer
-	closed atomic.Bool
 
 	localOps  atomic.Int64
 	remoteOps atomic.Int64
 
 	// Live instruments (nil when the fabric's instrumentation is off).
-	ops     *metrics.Counter // core_strategy_dn_ops_total
 	localC  *metrics.Counter // core_dn_local_ops_total
 	remoteC *metrics.Counter // core_dn_remote_ops_total
 }
@@ -35,25 +33,20 @@ type DecentralizedService struct {
 // placer is nil a ModuloPlacer over the fabric's sites is used, matching the
 // paper's hash-mod-n placement.
 func NewDecentralized(fabric *Fabric, placer dht.Placer) (*DecentralizedService, error) {
-	if placer == nil {
-		placer = dht.NewModuloPlacer(fabric.Sites())
+	placer, err := fabric.placerOrDefault(placer)
+	if err != nil {
+		return nil, fmt.Errorf("decentralized: %w", err)
 	}
-	for _, s := range placer.Sites() {
-		if !fabric.HasSite(s) {
-			return nil, fmt.Errorf("decentralized: placer site %d: %w", s, ErrNoSuchSite)
-		}
-	}
-	return &DecentralizedService{
-		fabric:  fabric,
+	s := &DecentralizedService{
 		placer:  placer,
-		ops:     fabric.strategyOps(Decentralized),
 		localC:  fabric.Metrics().Counter("core_dn_local_ops_total"),
 		remoteC: fabric.Metrics().Counter("core_dn_remote_ops_total"),
-	}, nil
+	}
+	s.service = newService(fabric, Decentralized)
+	s.target = func(_ cloud.SiteID, name string) cloud.SiteID { return placer.Home(name) }
+	s.after = func(_ opFrame, remote bool, _ error) { s.countLocality(remote) }
+	return s, nil
 }
-
-// Kind implements MetadataService.
-func (s *DecentralizedService) Kind() StrategyKind { return Decentralized }
 
 // Home returns the datacenter responsible for the given entry name.
 func (s *DecentralizedService) Home(name string) cloud.SiteID { return s.placer.Home(name) }
@@ -65,7 +58,6 @@ func (s *DecentralizedService) LocalRemoteOps() (local, remote int64) {
 }
 
 func (s *DecentralizedService) countLocality(remote bool) {
-	s.ops.Inc()
 	if remote {
 		s.remoteOps.Add(1)
 		s.remoteC.Inc()
@@ -73,113 +65,4 @@ func (s *DecentralizedService) countLocality(remote bool) {
 		s.localOps.Add(1)
 		s.localC.Inc()
 	}
-}
-
-// Create implements MetadataService: look-up followed by write, both at the
-// entry's hashed home site.
-func (s *DecentralizedService) Create(ctx context.Context, from cloud.SiteID, e registry.Entry) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("create", from, e.Name, ErrClosed)
-	}
-	home := s.placer.Home(e.Name)
-	inst, err := s.fabric.Instance(home)
-	if err != nil {
-		return registry.Entry{}, opErr("create", from, e.Name, err)
-	}
-	start := time.Now()
-	// One round trip to the entry's home instance; the look-up (existence
-	// check) and the write happen server-side.
-	remote, err := s.fabric.call(ctx, from, home, s.fabric.EntrySize(e), s.fabric.ackBytes)
-	if err != nil {
-		s.fabric.record(metrics.OpWrite, start, remote)
-		return registry.Entry{}, opErr("create", from, e.Name, err)
-	}
-	stored, err := inst.Create(ctx, e)
-	s.fabric.record(metrics.OpWrite, start, remote)
-	s.countLocality(remote)
-	return stored, opErr("create", from, e.Name, err)
-}
-
-// Lookup implements MetadataService: the entry is fetched from its hashed
-// home site.
-func (s *DecentralizedService) Lookup(ctx context.Context, from cloud.SiteID, name string) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("lookup", from, name, ErrClosed)
-	}
-	home := s.placer.Home(name)
-	inst, err := s.fabric.Instance(home)
-	if err != nil {
-		return registry.Entry{}, opErr("lookup", from, name, err)
-	}
-	start := time.Now()
-	e, err := inst.Get(ctx, name)
-	respBytes := s.fabric.ackBytes
-	if err == nil {
-		respBytes = s.fabric.EntrySize(e)
-	}
-	remote, callErr := s.fabric.call(ctx, from, home, s.fabric.queryBytes, respBytes)
-	s.fabric.record(metrics.OpRead, start, remote)
-	s.countLocality(remote)
-	if lerr := lookupErr(from, name, err, callErr); lerr != nil {
-		return registry.Entry{}, lerr
-	}
-	return e, nil
-}
-
-// AddLocation implements MetadataService.
-func (s *DecentralizedService) AddLocation(ctx context.Context, from cloud.SiteID, name string, loc registry.Location) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("addlocation", from, name, ErrClosed)
-	}
-	home := s.placer.Home(name)
-	inst, err := s.fabric.Instance(home)
-	if err != nil {
-		return registry.Entry{}, opErr("addlocation", from, name, err)
-	}
-	start := time.Now()
-	remote, err := s.fabric.call(ctx, from, home, s.fabric.queryBytes, s.fabric.ackBytes)
-	if err != nil {
-		s.fabric.record(metrics.OpUpdate, start, remote)
-		return registry.Entry{}, opErr("addlocation", from, name, err)
-	}
-	e, err := inst.AddLocation(ctx, name, loc)
-	s.fabric.record(metrics.OpUpdate, start, remote)
-	s.countLocality(remote)
-	return e, opErr("addlocation", from, name, err)
-}
-
-// Delete implements MetadataService.
-func (s *DecentralizedService) Delete(ctx context.Context, from cloud.SiteID, name string) error {
-	if s.closed.Load() {
-		return opErr("delete", from, name, ErrClosed)
-	}
-	home := s.placer.Home(name)
-	inst, err := s.fabric.Instance(home)
-	if err != nil {
-		return opErr("delete", from, name, err)
-	}
-	start := time.Now()
-	remote, err := s.fabric.call(ctx, from, home, s.fabric.queryBytes, s.fabric.ackBytes)
-	if err != nil {
-		s.fabric.record(metrics.OpDelete, start, remote)
-		return opErr("delete", from, name, err)
-	}
-	err = inst.Delete(ctx, name)
-	s.fabric.record(metrics.OpDelete, start, remote)
-	s.countLocality(remote)
-	return opErr("delete", from, name, err)
-}
-
-// Flush implements MetadataService; there is no asynchronous machinery.
-func (s *DecentralizedService) Flush(ctx context.Context) error {
-	if s.closed.Load() {
-		return opErr("flush", 0, "", ErrClosed)
-	}
-	return ctx.Err()
-}
-
-// Close implements MetadataService.
-func (s *DecentralizedService) Close() error {
-	s.closed.Store(true)
-	return nil
 }

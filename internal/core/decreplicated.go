@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,23 +23,23 @@ import (
 //
 // Propagation to the home site is either eager (synchronous, part of the
 // write latency) or lazy (batched and asynchronous, the paper's preferred
-// eventual-consistency scheme, §III-D).
+// eventual-consistency scheme, §III-D). Every operation is the package's two
+// steps, mutate and fetch, taken at the caller's site and then at the home.
 type DecReplicatedService struct {
-	fabric *Fabric
+	service
 	placer dht.Placer
-	// lazy selects batched asynchronous propagation to the home site.
-	lazy       bool
+	// propagator carries home-site propagation in the lazy scheme; nil in
+	// eager mode.
 	propagator *Propagator
-	// feedSync replaces the propagator in feed mode (WithFeedPropagation):
-	// home copies converge by consuming the sites' change feeds.
+	// feedSync, in feed mode (WithFeedPropagation), is what fills the
+	// propagator — from the sites' change feeds instead of from the strategy's
+	// own calls.
 	feedSync *feedSyncer
-	closed   atomic.Bool
 
 	localHits   atomic.Int64
 	remoteReads atomic.Int64
 
 	// Live instruments (nil when the fabric's instrumentation is off).
-	ops      *metrics.Counter // core_strategy_dr_ops_total
 	hitsC    *metrics.Counter // core_dr_local_hits_total
 	remotesC *metrics.Counter // core_dr_remote_reads_total
 }
@@ -55,7 +53,6 @@ type decRepConfig struct {
 	feed          bool
 	flushInterval time.Duration
 	maxBatch      int
-	propOpts      []PropagatorOption
 }
 
 // WithPlacer selects the hashing scheme used to pick home sites (default
@@ -80,22 +77,13 @@ func WithLazyPropagation(flushInterval time.Duration, maxBatch int) DecReplicate
 	}
 }
 
-// WithAdaptiveLazyBatch arms the lazy propagator's adaptive batch sizing
-// (see WithAdaptiveBatch): the early-flush limit moves within [min, max]
-// driven by the windowed p95 of observed flush-round latencies against
-// target. It only matters for the lazy propagation scheme.
-func WithAdaptiveLazyBatch(min, max int, target time.Duration) DecReplicatedOption {
-	return func(c *decRepConfig) {
-		c.propOpts = append(c.propOpts, WithAdaptiveBatch(min, max, target))
-	}
-}
-
 // WithFeedPropagation keeps writes asynchronous like the lazy scheme but
-// replaces the interval-driven propagator with a consumer of the sites'
-// change feeds: a locally committed write reaches its hashed home site as
-// soon as its feed event arrives, rather than on the next flush tick.
-// Writers still perceive only the local latency. Requires a fabric built
-// with site.Config.Feed; NewDecReplicated fails with ErrNoFeed otherwise.
+// fills the propagator from the sites' change feeds instead of from the
+// strategy's calls, flushing as each event arrives: a locally committed write
+// reaches its hashed home site as soon as its feed event does, rather than on
+// the next flush tick. Writers still perceive only the local latency.
+// Requires a fabric built with site.Config.Feed; NewDecReplicated fails with
+// ErrNoFeed otherwise.
 func WithFeedPropagation() DecReplicatedOption {
 	return func(c *decRepConfig) {
 		c.eager = false
@@ -109,112 +97,52 @@ func NewDecReplicated(fabric *Fabric, opts ...DecReplicatedOption) (*DecReplicat
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.placer == nil {
-		cfg.placer = dht.NewModuloPlacer(fabric.Sites())
-	}
-	for _, s := range cfg.placer.Sites() {
-		if !fabric.HasSite(s) {
-			return nil, fmt.Errorf("decentralized-rep: placer site %d: %w", s, ErrNoSuchSite)
-		}
+	placer, err := fabric.placerOrDefault(cfg.placer)
+	if err != nil {
+		return nil, fmt.Errorf("decentralized-rep: %w", err)
 	}
 	s := &DecReplicatedService{
-		fabric:   fabric,
-		placer:   cfg.placer,
-		lazy:     !cfg.eager,
-		ops:      fabric.strategyOps(DecentralizedReplicated),
+		placer:   placer,
 		hitsC:    fabric.Metrics().Counter("core_dr_local_hits_total"),
 		remotesC: fabric.Metrics().Counter("core_dr_remote_reads_total"),
 	}
-	if s.lazy {
-		if cfg.feed {
-			fs, err := newFeedSyncer(fabric, s.applyFeed)
-			if err != nil {
-				return nil, fmt.Errorf("decentralized-rep: %w", err)
+	s.service = newService(fabric, DecentralizedReplicated)
+	if cfg.eager {
+		return s, nil
+	}
+	s.propagator = NewPropagator(fabric, cfg.flushInterval, cfg.maxBatch)
+	if cfg.feed {
+		// A mutation goes to the hashed home of its name unless it was
+		// committed there — which is also what stops the echo of a put applied
+		// at the home: that event's home is its own origin.
+		s.feedSync, err = newFeedSyncer(fabric, s.propagator, func(origin cloud.SiteID, name string) []cloud.SiteID {
+			if home := placer.Home(name); home != origin {
+				return []cloud.SiteID{home}
 			}
-			s.feedSync = fs
-		} else {
-			s.propagator = NewPropagator(fabric, cfg.flushInterval, cfg.maxBatch, cfg.propOpts...)
+			return nil
+		})
+		if err != nil {
+			s.propagator.Close() //nolint:errcheck // nothing was enqueued
+			return nil, fmt.Errorf("decentralized-rep: %w", err)
 		}
 	}
 	return s, nil
 }
 
 // FeedDriven reports whether home-site propagation consumes change feeds
-// (WithFeedPropagation) instead of the interval-driven propagator.
+// (WithFeedPropagation) instead of the strategy's own calls.
 func (s *DecReplicatedService) FeedDriven() bool { return s.feedSync != nil }
-
-// applyFeed routes one micro-batch of mutations committed at site from to the
-// home sites of the touched names. Events already at their home (from ==
-// home) drop out — which is also what stops the echo: applying a put at the
-// home republishes it on the home's feed, and that event's home is its own
-// origin.
-func (s *DecReplicatedService) applyFeed(ctx context.Context, from cloud.SiteID, puts []registry.Entry, dels []string) int {
-	type group struct {
-		puts []registry.Entry
-		dels []string
-	}
-	byHome := make(map[cloud.SiteID]*group)
-	add := func(home cloud.SiteID) *group {
-		g := byHome[home]
-		if g == nil {
-			g = &group{}
-			byHome[home] = g
-		}
-		return g
-	}
-	for _, e := range puts {
-		if home := s.placer.Home(e.Name); home != from {
-			g := add(home)
-			g.puts = append(g.puts, e)
-		}
-	}
-	for _, name := range dels {
-		if home := s.placer.Home(name); home != from {
-			g := add(home)
-			g.dels = append(g.dels, name)
-		}
-	}
-	var (
-		applied atomic.Int64
-		wg      sync.WaitGroup
-	)
-	for home, g := range byHome {
-		inst, err := s.fabric.Instance(home)
-		if err != nil {
-			continue
-		}
-		batchBytes := len(g.dels) * s.fabric.queryBytes
-		for _, e := range g.puts {
-			batchBytes += s.fabric.EntrySize(e)
-		}
-		wg.Add(1)
-		go func(home cloud.SiteID, inst registry.API, g *group, batchBytes int) {
-			defer wg.Done()
-			start := time.Now()
-			if _, err := s.fabric.call(ctx, from, home, batchBytes, s.fabric.ackBytes); err != nil {
-				return
-			}
-			n, _ := inst.Merge(ctx, g.puts)
-			if len(g.dels) > 0 {
-				m, _ := inst.DeleteMany(ctx, g.dels)
-				n += m
-			}
-			applied.Add(int64(n))
-			s.fabric.record(metrics.OpSync, start, s.fabric.Topology().DistanceClass(from, home).Remote())
-		}(home, inst, g, batchBytes)
-	}
-	wg.Wait()
-	return int(applied.Load())
-}
-
-// Kind implements MetadataService.
-func (s *DecReplicatedService) Kind() StrategyKind { return DecentralizedReplicated }
 
 // Home returns the hashed home site of the given entry name.
 func (s *DecReplicatedService) Home(name string) cloud.SiteID { return s.placer.Home(name) }
 
 // Lazy reports whether home-site propagation is lazy (batched) or eager.
-func (s *DecReplicatedService) Lazy() bool { return s.lazy }
+func (s *DecReplicatedService) Lazy() bool { return s.propagator != nil }
+
+// enqueues reports whether the strategy's own calls hand a locally committed
+// mutation to the propagator: the lazy scheme, unless the sites' change feeds
+// carry it (feed mode).
+func (s *DecReplicatedService) enqueues() bool { return s.propagator != nil && s.feedSync == nil }
 
 // LocalHitRate returns the fraction of reads served by the caller's local
 // replica. It returns 0 before any read has completed.
@@ -231,192 +159,106 @@ func (s *DecReplicatedService) LocalHitRate() float64 {
 // local instance first, then replicated to its hashed home site (eagerly or
 // lazily). When the hash designates the local site no second copy is made.
 func (s *DecReplicatedService) Create(ctx context.Context, from cloud.SiteID, e registry.Entry) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("create", from, e.Name, ErrClosed)
-	}
-	local, err := s.fabric.Instance(from)
+	o, err := s.begin(metrics.OpWrite, from, e.Name)
 	if err != nil {
-		return registry.Entry{}, opErr("create", from, e.Name, err)
+		return registry.Entry{}, err
 	}
+	// The existence check is against the local replica set.
+	stored, _, err := s.fabric.mutate(ctx, from, from, s.fabric.EntrySize(e),
+		func(inst registry.API) (registry.Entry, error) { return inst.Create(ctx, e) })
 	home := s.placer.Home(e.Name)
-	s.ops.Inc()
-	start := time.Now()
-
-	// The entry is first stored in the local registry instance: one
-	// intra-datacenter round trip, with the look-up (existence check against
-	// the local replica set) and the write performed server-side.
-	if _, err := s.fabric.call(ctx, from, from, s.fabric.EntrySize(e), s.fabric.ackBytes); err != nil {
-		s.fabric.record(metrics.OpWrite, start, false)
-		return registry.Entry{}, opErr("create", from, e.Name, err)
+	if err != nil || home == from {
+		return stored, s.finish(o, false, err)
 	}
-	stored, err := local.Create(ctx, e)
-	if err != nil {
-		s.fabric.record(metrics.OpWrite, start, false)
-		return registry.Entry{}, opErr("create", from, e.Name, err)
-	}
-
-	if home != from {
-		if s.lazy {
-			// Lazy mode (paper §III-D): the home copy is propagated in a
-			// later batch; the writer only perceives the local latency.
-			// Writes are optimistic: concurrent creates of the same name at
-			// different sites converge at the home via the merge. In feed
-			// mode the local commit's feed event carries the propagation —
-			// there is nothing to enqueue.
-			if s.propagator != nil {
-				s.propagator.Enqueue(from, home, stored)
-			}
-		} else {
-			// Eager mode: a second, synchronous round trip stores the entry
-			// at its hashed home site (the existence check happens there as
-			// part of the same request).
-			homeInst, err := s.fabric.Instance(home)
-			if err != nil {
-				return registry.Entry{}, opErr("create", from, e.Name, err)
-			}
-			if _, err := s.fabric.call(ctx, from, home, s.fabric.EntrySize(stored), s.fabric.ackBytes); err != nil {
-				s.fabric.record(metrics.OpWrite, start, true)
-				return registry.Entry{}, opErr("create", from, e.Name, err)
-			}
-			if _, err := homeInst.Create(ctx, stored); err != nil {
-				s.fabric.record(metrics.OpWrite, start, true)
-				if errors.Is(err, registry.ErrExists) {
-					return registry.Entry{}, opErr("create", from, e.Name, ErrExists)
-				}
-				return registry.Entry{}, opErr("create", from, e.Name, err)
-			}
-			s.fabric.record(metrics.OpWrite, start, true)
-			return stored, nil
+	if s.Lazy() {
+		// Lazy mode (paper §III-D): the home copy is propagated in a later
+		// batch; the writer only perceives the local latency. Writes are
+		// optimistic: concurrent creates of the same name at different sites
+		// converge at the home via the merge.
+		if s.enqueues() {
+			s.propagator.Enqueue(from, home, stored)
 		}
+		return stored, s.finish(o, false, nil)
 	}
-	// The caller only waits for the local write (plus enqueueing).
-	s.fabric.record(metrics.OpWrite, start, false)
-	return stored, nil
+	// Eager mode: a second, synchronous round trip stores the entry at its
+	// hashed home site (the existence check happens there as part of the same
+	// request).
+	_, remote, err := s.fabric.mutate(ctx, from, home, s.fabric.EntrySize(stored),
+		func(inst registry.API) (registry.Entry, error) { return inst.Create(ctx, stored) })
+	if err != nil {
+		return registry.Entry{}, s.finish(o, remote, err)
+	}
+	return stored, s.finish(o, remote, nil)
 }
 
 // Lookup implements MetadataService: two-step hierarchical read — local
 // replica first, then the hashed home site.
 func (s *DecReplicatedService) Lookup(ctx context.Context, from cloud.SiteID, name string) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("lookup", from, name, ErrClosed)
-	}
-	local, err := s.fabric.Instance(from)
+	o, err := s.begin(metrics.OpRead, from, name)
 	if err != nil {
-		return registry.Entry{}, opErr("lookup", from, name, err)
+		return registry.Entry{}, err
 	}
-	s.ops.Inc()
-	start := time.Now()
-
-	// Step 1: local replica.
-	if e, err := local.Get(ctx, name); err == nil {
-		if _, callErr := s.fabric.call(ctx, from, from, s.fabric.queryBytes, s.fabric.EntrySize(e)); callErr != nil {
-			s.fabric.record(metrics.OpRead, start, false)
-			return registry.Entry{}, opErr("lookup", from, name, callErr)
-		}
-		s.fabric.record(metrics.OpRead, start, false)
+	// Step 1: local replica. Any failure short of the caller giving up reads
+	// as a miss.
+	e, _, err := s.fabric.fetch(ctx, from, from, name)
+	if err == nil {
 		s.localHits.Add(1)
 		s.hitsC.Inc()
-		return e, nil
-	} else if ctx.Err() != nil {
-		s.fabric.record(metrics.OpRead, start, false)
-		return registry.Entry{}, opErr("lookup", from, name, ctx.Err())
+		return e, s.finish(o, false, nil)
 	}
-	if _, callErr := s.fabric.call(ctx, from, from, s.fabric.queryBytes, s.fabric.ackBytes); callErr != nil {
-		s.fabric.record(metrics.OpRead, start, false)
-		return registry.Entry{}, opErr("lookup", from, name, callErr)
+	if ctx.Err() != nil {
+		return registry.Entry{}, s.finish(o, false, ctx.Err())
 	}
-
-	// Step 2: the entry's home site.
-	home := s.placer.Home(name)
-	if home == from {
-		// The local instance *is* the home: the entry does not exist (yet).
-		s.fabric.record(metrics.OpRead, start, false)
-		s.remoteReads.Add(1)
-		s.remotesC.Inc()
-		return registry.Entry{}, opErr("lookup", from, name, ErrNotFound)
+	// Step 2: the entry's home site — unless the local instance *is* the
+	// home, in which case the entry does not exist (yet).
+	remote := false
+	err = ErrNotFound
+	if home := s.placer.Home(name); home != from {
+		e, remote, err = s.fabric.fetch(ctx, from, home, name)
 	}
-	homeInst, err := s.fabric.Instance(home)
-	if err != nil {
-		return registry.Entry{}, opErr("lookup", from, name, err)
-	}
-	e, err := homeInst.Get(ctx, name)
-	respBytes := s.fabric.ackBytes
-	if err == nil {
-		respBytes = s.fabric.EntrySize(e)
-	}
-	_, callErr := s.fabric.call(ctx, from, home, s.fabric.queryBytes, respBytes)
-	s.fabric.record(metrics.OpRead, start, true)
 	s.remoteReads.Add(1)
 	s.remotesC.Inc()
-	if lerr := lookupErr(from, name, err, callErr); lerr != nil {
-		return registry.Entry{}, lerr
-	}
-	return e, nil
+	return e, s.finish(o, remote, err)
 }
 
 // AddLocation implements MetadataService: the update is applied to the local
 // replica if present and to the home site (eagerly or lazily).
 func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteID, name string, loc registry.Location) (registry.Entry, error) {
-	if s.closed.Load() {
-		return registry.Entry{}, opErr("addlocation", from, name, ErrClosed)
-	}
-	local, err := s.fabric.Instance(from)
+	o, err := s.begin(metrics.OpUpdate, from, name)
 	if err != nil {
-		return registry.Entry{}, opErr("addlocation", from, name, err)
+		return registry.Entry{}, err
+	}
+	updated, _, localErr := s.fabric.mutate(ctx, from, from, s.fabric.queryBytes,
+		func(inst registry.API) (registry.Entry, error) {
+			if !inst.Contains(ctx, name) {
+				return registry.Entry{}, ErrNotFound
+			}
+			return inst.AddLocation(ctx, name, loc)
+		})
+	if ctx.Err() != nil {
+		return registry.Entry{}, s.finish(o, false, ctx.Err())
 	}
 	home := s.placer.Home(name)
-	s.ops.Inc()
-	start := time.Now()
-
-	var updated registry.Entry
-	var localErr error
-	if _, err := s.fabric.call(ctx, from, from, s.fabric.queryBytes, s.fabric.ackBytes); err != nil {
-		s.fabric.record(metrics.OpUpdate, start, false)
-		return registry.Entry{}, opErr("addlocation", from, name, err)
-	}
-	if local.Contains(ctx, name) {
-		updated, localErr = local.AddLocation(ctx, name, loc)
-	} else {
-		localErr = registry.ErrNotFound
-	}
-	if ctx.Err() != nil {
-		s.fabric.record(metrics.OpUpdate, start, false)
-		return registry.Entry{}, opErr("addlocation", from, name, ctx.Err())
-	}
-
 	if home == from {
-		s.fabric.record(metrics.OpUpdate, start, false)
 		if localErr != nil {
-			return registry.Entry{}, opErr("addlocation", from, name, ErrNotFound)
+			localErr = ErrNotFound
 		}
-		return updated, nil
+		return updated, s.finish(o, false, localErr)
 	}
-
-	homeInst, err := s.fabric.Instance(home)
-	if err != nil {
-		return registry.Entry{}, opErr("addlocation", from, name, err)
-	}
-	if s.lazy && localErr == nil {
-		// Local update succeeded; propagate the new state lazily (the feed
-		// event of the local commit carries it in feed mode).
-		if s.propagator != nil {
+	if s.Lazy() && localErr == nil {
+		// Local update succeeded; propagate the new state lazily.
+		if s.enqueues() {
 			s.propagator.Enqueue(from, home, updated)
 		}
-		s.fabric.record(metrics.OpUpdate, start, false)
-		return updated, nil
+		return updated, s.finish(o, false, nil)
 	}
 	// Eager mode, or the entry is not replicated locally: update the home.
-	remote, callErr := s.fabric.call(ctx, from, home, s.fabric.queryBytes, s.fabric.ackBytes)
-	if callErr != nil {
-		s.fabric.record(metrics.OpUpdate, start, remote)
-		return registry.Entry{}, opErr("addlocation", from, name, callErr)
+	e, remote, err := s.fabric.mutate(ctx, from, home, s.fabric.queryBytes,
+		func(inst registry.API) (registry.Entry, error) { return inst.AddLocation(ctx, name, loc) })
+	if err != nil && localErr == nil && ctx.Err() == nil {
+		return updated, s.finish(o, remote, nil)
 	}
-	e, err := homeInst.AddLocation(ctx, name, loc)
-	s.fabric.record(metrics.OpUpdate, start, remote)
-	if err != nil && localErr == nil {
-		return updated, nil
-	}
-	return e, opErr("addlocation", from, name, err)
+	return e, s.finish(o, remote, err)
 }
 
 // Delete implements MetadataService: the entry is removed from the local
@@ -427,86 +269,62 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 // local copy to confirm against, the home is deleted eagerly so the caller
 // gets an authoritative answer.
 func (s *DecReplicatedService) Delete(ctx context.Context, from cloud.SiteID, name string) error {
-	if s.closed.Load() {
-		return opErr("delete", from, name, ErrClosed)
-	}
-	local, err := s.fabric.Instance(from)
+	o, err := s.begin(metrics.OpDelete, from, name)
 	if err != nil {
-		return opErr("delete", from, name, err)
+		return err
+	}
+	_, _, localErr := s.fabric.mutate(ctx, from, from, s.fabric.queryBytes,
+		func(inst registry.API) (registry.Entry, error) { return registry.Entry{}, inst.Delete(ctx, name) })
+	if ctx.Err() != nil {
+		return s.finish(o, false, ctx.Err())
 	}
 	home := s.placer.Home(name)
-	s.ops.Inc()
-	start := time.Now()
-
-	if _, err := s.fabric.call(ctx, from, from, s.fabric.queryBytes, s.fabric.ackBytes); err != nil {
-		s.fabric.record(metrics.OpDelete, start, false)
-		return opErr("delete", from, name, err)
-	}
-	localErr := local.Delete(ctx, name)
-	if ctx.Err() != nil {
-		s.fabric.record(metrics.OpDelete, start, false)
-		return opErr("delete", from, name, ctx.Err())
-	}
-
 	if home == from {
-		s.fabric.record(metrics.OpDelete, start, false)
-		return opErr("delete", from, name, localErr)
+		return s.finish(o, false, localErr)
 	}
-	if s.lazy && localErr == nil {
+	if s.Lazy() && localErr == nil {
 		// The local delete succeeded; the home copy is removed in a later
-		// batch (or by the local delete's feed event in feed mode).
-		if s.propagator != nil {
+		// batch.
+		if s.enqueues() {
 			s.propagator.EnqueueDelete(from, home, name)
 		}
-		s.fabric.record(metrics.OpDelete, start, false)
-		return nil
+		return s.finish(o, false, nil)
 	}
-	homeInst, err := s.fabric.Instance(home)
-	if err != nil {
-		return opErr("delete", from, name, err)
+	_, remote, homeErr := s.fabric.mutate(ctx, from, home, s.fabric.queryBytes,
+		func(inst registry.API) (registry.Entry, error) { return registry.Entry{}, inst.Delete(ctx, name) })
+	if localErr == nil && ctx.Err() == nil {
+		homeErr = nil // one of the two copies was there to delete
 	}
-	remote, callErr := s.fabric.call(ctx, from, home, s.fabric.queryBytes, s.fabric.ackBytes)
-	if callErr != nil {
-		s.fabric.record(metrics.OpDelete, start, remote)
-		return opErr("delete", from, name, callErr)
-	}
-	homeErr := homeInst.Delete(ctx, name)
-	s.fabric.record(metrics.OpDelete, start, remote)
-	if localErr == nil || homeErr == nil {
-		return nil
-	}
-	if errors.Is(homeErr, registry.ErrNotFound) {
-		return opErr("delete", from, name, ErrNotFound)
-	}
-	return opErr("delete", from, name, homeErr)
+	return s.finish(o, remote, homeErr)
 }
 
-// Flush pushes every pending lazy batch to its home site. A cancelled
-// context aborts the flush mid-fan-out; the un-applied batches are re-queued
-// for the propagator's next round.
+// Flush pushes every pending lazy batch to its home site; in feed mode it
+// first waits until every event committed before the call has been relayed.
+// A destination that cannot be updated — or a cancelled context — fails the
+// flush; the un-applied batches stay queued for the propagator's next round.
 func (s *DecReplicatedService) Flush(ctx context.Context) error {
-	if s.closed.Load() {
+	switch {
+	case s.closed.Load():
 		return opErr("flush", 0, "", ErrClosed)
-	}
-	if s.feedSync != nil {
+	case s.feedSync != nil:
 		return opErr("flush", 0, "", s.feedSync.Flush(ctx))
-	}
-	if s.propagator != nil {
+	case s.propagator != nil:
 		return opErr("flush", 0, "", s.propagator.FlushNow(ctx))
 	}
 	return ctx.Err()
 }
 
-// Close stops the lazy propagator (flushing pending batches first).
+// Close stops the feed consumer and the lazy propagator, flushing pending
+// batches first; it returns the error of that last flush.
 func (s *DecReplicatedService) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	if s.propagator != nil {
-		s.propagator.Close()
-	}
 	if s.feedSync != nil {
 		s.feedSync.Close()
+	}
+	if s.propagator != nil {
+		return opErr("flush", 0, "", s.propagator.Close())
 	}
 	return nil
 }

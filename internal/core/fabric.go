@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
+	"geomds/internal/dht"
 	"geomds/internal/feed"
 	"geomds/internal/latency"
 	"geomds/internal/memcache"
@@ -261,6 +262,21 @@ func (f *Fabric) Instance(site cloud.SiteID) (registry.API, error) {
 	return inst, nil
 }
 
+// placerOrDefault returns p — or, when p is nil, the paper's hash-mod-n
+// placement over the fabric's sites — after checking that every site it places
+// entries on is part of the fabric.
+func (f *Fabric) placerOrDefault(p dht.Placer) (dht.Placer, error) {
+	if p == nil {
+		return dht.NewModuloPlacer(f.sites), nil
+	}
+	for _, s := range p.Sites() {
+		if !f.HasSite(s) {
+			return nil, fmt.Errorf("placer site %d: %w", s, ErrNoSuchSite)
+		}
+	}
+	return p, nil
+}
+
 // Feed returns the change-feed surface of the given site's registry
 // deployment. It fails when the site does not participate in the fabric or
 // its instance exposes no feed (the fabric's site.Config has Feed off, or an
@@ -336,11 +352,7 @@ func (f *Fabric) strategyOps(k StrategyKind) *metrics.Counter {
 // feeds the live instruments: the per-kind latency histogram, the operation
 // counters and the trace ring.
 func (f *Fabric) record(kind metrics.OpKind, start time.Time, remote bool) {
-	f.recordAt(kind, time.Since(start), remote)
-}
-
-// recordAt is like record for callers that already measured the duration.
-func (f *Fabric) recordAt(kind metrics.OpKind, elapsed time.Duration, remote bool) {
+	elapsed := time.Since(start)
 	if f.rec != nil {
 		f.rec.Record(kind, elapsed, remote)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -202,7 +203,8 @@ func TestDecentralizedSiteArrivalMovesFewPlacements(t *testing.T) {
 
 func TestReplicatedAgentSiteFailureIsIsolated(t *testing.T) {
 	// Stopping the cache behind a non-agent site must not wedge the agent:
-	// sync rounds keep propagating between the surviving sites.
+	// sync rounds keep propagating between the surviving sites, and Flush
+	// says which site it could not update instead of reporting success.
 	topo := cloud.Azure4DC()
 	lat := latency.New(topo, latency.WithSeed(6), latency.WithSleeper(func(time.Duration) {}))
 	caches := make(map[cloud.SiteID]*memcache.Cache)
@@ -221,8 +223,9 @@ func TestReplicatedAgentSiteFailureIsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	caches[3].Stop() // site 3's registry dies
-	if err := svc.Flush(tctx); err != nil {
-		t.Fatalf("Flush with a dead site: %v", err)
+	var oe *OpError
+	if err := svc.Flush(tctx); !errors.As(err, &oe) || oe.Op != "flush" || !strings.Contains(err.Error(), "site 3") {
+		t.Fatalf("Flush with a dead site = %v, want a flush *OpError naming site 3", err)
 	}
 	// The entry still reached the surviving sites.
 	for _, site := range []cloud.SiteID{0, 1, 2} {

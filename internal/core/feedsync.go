@@ -12,22 +12,18 @@ import (
 	"geomds/internal/registry"
 )
 
-// feedApplyBatch bounds how many combined feed events one apply round drains:
+// feedRelayBatch bounds how many combined feed events one relay round drains:
 // a burst of local commits reaches the remote sites as a handful of bulk
 // Merge/DeleteMany frames instead of one WAN exchange per event.
-const feedApplyBatch = 64
+const feedRelayBatch = 64
 
-// applyFunc applies one micro-batch of committed mutations that originated at
-// site from to wherever the strategy replicates them, and returns how many
-// entry applications actually changed remote state. Within a batch each name
-// appears on only one side (the later of its put/delete events wins), so the
-// callee can apply puts then deletes in either bulk call order.
-type applyFunc func(ctx context.Context, from cloud.SiteID, puts []registry.Entry, dels []string) int
-
-// feedSyncer replaces a strategy's polling agent with a push pipeline: it
-// fans every site's change feed into one feed.Combiner and applies each event
-// to the strategy's replica set as it arrives, instead of waiting for the
-// next polling round. Durable sites contribute WAL sequence numbers, so the
+// feedSyncer turns a strategy's convergence from polled into pushed: it fans
+// every site's change feed into one feed.Combiner and, as events arrive,
+// enqueues each committed mutation into the strategy's propagator for the
+// sites route names, flushing at once — instead of waiting for the next agent
+// round or flush tick. It carries no pipeline of its own: batching, shipping
+// and the retry of a destination that could not be reached are the
+// propagator's. Durable sites contribute WAL sequence numbers, so the
 // combiner's resume tokens survive instance restarts; a cursor that falls out
 // of a feed's retention window takes the snapshot+tail fallback inside the
 // combiner.
@@ -38,40 +34,44 @@ type applyFunc func(ctx context.Context, from cloud.SiteID, puts []registry.Entr
 // commit lock) and the syncer skips them outright — no echo traffic, and no
 // resurrection race where a stale echoed put lands after a later delete.
 type feedSyncer struct {
-	fabric *Fabric
-	comb   *feed.Combiner
-	apply  applyFunc
+	comb *feed.Combiner
+	out  *Propagator
+	// route names the sites a mutation of name committed at site origin must
+	// reach.
+	route  func(origin cloud.SiteID, name string) []cloud.SiteID
 	cancel context.CancelFunc
 	done   chan struct{}
 
 	// feeders and origin map a combiner source name back to the site feed it
-	// tails: heads for Flush catch-up, origin site for WAN modelling.
+	// tails: heads for Flush catch-up, origin site for routing.
 	feeders map[string]registry.ChangeFeeder
 	origin  map[string]cloud.SiteID
 
-	mu      sync.Mutex
-	applied map[string]uint64 // source name -> last applied sequence
-	closed  bool
+	mu sync.Mutex
+	// cursor is, per source, the sequence of the last event relayed: every
+	// event at or below it has been applied or sits in the propagator.
+	cursor map[string]uint64
+	closed bool
 
 	// Live instruments (nil when the fabric's instrumentation is off).
 	lag      *metrics.Histogram // replication_lag_ns: event commit -> remote apply
 	appliedC *metrics.Counter   // feed_applied_total: entry applications pushed
 }
 
-// newFeedSyncer subscribes to every fabric site's change feed and starts the
-// apply loop. It fails with ErrNoFeed when any site exposes no feed.
-func newFeedSyncer(fabric *Fabric, apply applyFunc) (*feedSyncer, error) {
+// newFeedSyncer subscribes to every fabric site's change feed and starts
+// relaying into out. It fails with ErrNoFeed when any site exposes no feed.
+func newFeedSyncer(fabric *Fabric, out *Propagator, route func(origin cloud.SiteID, name string) []cloud.SiteID) (*feedSyncer, error) {
 	sources, err := fabric.FeedSources()
 	if err != nil {
 		return nil, err
 	}
 	fs := &feedSyncer{
-		fabric:   fabric,
-		apply:    apply,
+		out:      out,
+		route:    route,
 		done:     make(chan struct{}),
 		feeders:  make(map[string]registry.ChangeFeeder, len(sources)),
 		origin:   make(map[string]cloud.SiteID, len(sources)),
-		applied:  make(map[string]uint64, len(sources)),
+		cursor:   make(map[string]uint64, len(sources)),
 		lag:      fabric.Metrics().Histogram("replication_lag_ns"),
 		appliedC: fabric.Metrics().Counter("feed_applied_total"),
 	}
@@ -85,7 +85,7 @@ func newFeedSyncer(fabric *Fabric, apply applyFunc) (*feedSyncer, error) {
 	}
 	fs.comb = feed.NewCombiner(sources,
 		feed.WithCombinerMetrics(fabric.Metrics()),
-		feed.WithCombinerBuffer(feedApplyBatch))
+		feed.WithCombinerBuffer(feedRelayBatch))
 	ctx, cancel := context.WithCancel(context.Background())
 	fs.cancel = cancel
 	fs.comb.Start(ctx)
@@ -94,8 +94,8 @@ func newFeedSyncer(fabric *Fabric, apply applyFunc) (*feedSyncer, error) {
 }
 
 // consume drains the combiner: it blocks for the first event, opportunistically
-// gathers whatever else is already pending (up to feedApplyBatch), and applies
-// the micro-batch grouped by origin site.
+// gathers whatever else is already pending (up to feedRelayBatch), and relays
+// the micro-batch.
 func (fs *feedSyncer) consume(ctx context.Context) {
 	defer close(fs.done)
 	for {
@@ -110,11 +110,11 @@ func (fs *feedSyncer) consume(ctx context.Context) {
 			batch = append(batch, ev)
 		}
 	drain:
-		for len(batch) < feedApplyBatch {
+		for len(batch) < feedRelayBatch {
 			select {
 			case ev, ok := <-fs.comb.Events():
 				if !ok {
-					fs.applyBatch(ctx, batch)
+					fs.relay(ctx, batch)
 					return
 				}
 				batch = append(batch, ev)
@@ -122,74 +122,74 @@ func (fs *feedSyncer) consume(ctx context.Context) {
 				break drain
 			}
 		}
-		fs.applyBatch(ctx, batch)
+		fs.relay(ctx, batch)
 	}
 }
 
-// applyBatch groups the drained events by source, collapses per-name
-// put/delete pairs to the later operation, pushes each group through the
-// strategy's apply function, and advances the per-source cursors.
-func (fs *feedSyncer) applyBatch(ctx context.Context, batch []feed.SourceEvent) {
-	type group struct {
-		puts   []registry.Entry
-		dels   []string
-		oldest int64 // earliest commit nanos in the group, for the lag sample
-		last   uint64
-	}
-	groups := make(map[string]*group)
-	order := make([]string, 0, 2)
+// relay enqueues the micro-batch's primary mutations into the propagator,
+// moves the cursors past them, and flushes.
+func (fs *feedSyncer) relay(ctx context.Context, batch []feed.SourceEvent) {
+	last := make(map[string]uint64, 2)
+	var oldest int64 // earliest commit nanos among the enqueued events, for the lag sample
 	for _, sev := range batch {
-		g := groups[sev.Source]
-		if g == nil {
-			g = &group{oldest: sev.Event.Commit}
-			groups[sev.Source] = g
-			order = append(order, sev.Source)
-		}
-		if sev.Event.Commit < g.oldest {
-			g.oldest = sev.Event.Commit
-		}
-		g.last = sev.Event.Seq
+		last[sev.Source] = sev.Event.Seq
 		if sev.Event.Sync {
-			// A bulk-applied event: this is replication itself landing the
-			// batch (ours or a migration sweep), not a primary write. Skip it
-			// — re-broadcasting would echo around the mesh and can resurrect
-			// a deleted name when the echo lands after a later delete — but
-			// keep the cursor moving so Flush converges.
+			// A bulk-applied event: this is replication itself landing a
+			// batch (ours or a migration sweep), not a primary write. Relaying
+			// it would echo around the mesh and can resurrect a deleted name
+			// when the echo lands after a later delete.
 			continue
 		}
+		origin := fs.origin[sev.Source]
+		enqueued := false
 		switch sev.Event.Op {
 		case feed.OpPut:
 			e, err := registry.GobCodec{}.Decode(sev.Event.Value)
 			if err != nil {
-				continue // undecodable payload; the snapshot fallback heals it
+				// The instance encoded this value itself; only corruption in
+				// flight gets here, and there is no entry to ship.
+				continue
 			}
-			g.dels = deleteName(g.dels, e.Name)
-			g.puts = upsertEntry(g.puts, e)
+			for _, to := range fs.route(origin, e.Name) {
+				fs.out.Enqueue(origin, to, e)
+				enqueued = true
+			}
 		case feed.OpDelete:
-			g.puts = deleteEntry(g.puts, sev.Event.Name)
-			g.dels = append(deleteName(g.dels, sev.Event.Name), sev.Event.Name)
+			for _, to := range fs.route(origin, sev.Event.Name) {
+				fs.out.EnqueueDelete(origin, to, sev.Event.Name)
+				enqueued = true
+			}
+		}
+		if enqueued && (oldest == 0 || sev.Event.Commit < oldest) {
+			oldest = sev.Event.Commit
 		}
 	}
-	for _, source := range order {
-		g := groups[source]
-		applied := fs.apply(ctx, fs.origin[source], g.puts, g.dels)
-		if applied > 0 {
-			fs.appliedC.Add(int64(applied))
-			// Echo batches apply zero entries and record no lag sample.
-			fs.lag.ObserveDuration(time.Since(time.Unix(0, g.oldest)))
+	// The cursors move once the events are in the propagator, not once they
+	// are applied: a shipment that fails below stays pending there, and Flush
+	// reports it.
+	fs.mu.Lock()
+	for source, seq := range last {
+		if seq > fs.cursor[source] {
+			fs.cursor[source] = seq
 		}
-		fs.mu.Lock()
-		if g.last > fs.applied[source] {
-			fs.applied[source] = g.last
-		}
-		fs.mu.Unlock()
+	}
+	fs.mu.Unlock()
+	if oldest == 0 {
+		return
+	}
+	applied, err := fs.out.flush(ctx)
+	fs.appliedC.Add(int64(applied))
+	if err == nil && applied > 0 {
+		fs.lag.ObserveDuration(time.Since(time.Unix(0, oldest)))
 	}
 }
 
 // Flush blocks until every event committed before the call has been applied:
-// it captures each source feed's head once and waits for the apply cursors to
+// it captures each source feed's head once, waits for the relay cursors to
 // reach them (echo events published later keep moving the heads, but only the
-// captured values gate the return).
+// captured values gate the return), and then flushes the propagator. It
+// returns the propagator's error when a destination could not be updated; the
+// batch stays pending and the next Flush tries again.
 func (fs *feedSyncer) Flush(ctx context.Context) error {
 	heads := make(map[string]uint64, len(fs.feeders))
 	for name, feeder := range fs.feeders {
@@ -207,7 +207,7 @@ func (fs *feedSyncer) Flush(ctx context.Context) error {
 		fs.mu.Lock()
 		caught := true
 		for name, head := range heads {
-			if fs.applied[name] < head {
+			if fs.cursor[name] < head {
 				caught = false
 				break
 			}
@@ -215,7 +215,7 @@ func (fs *feedSyncer) Flush(ctx context.Context) error {
 		closed := fs.closed
 		fs.mu.Unlock()
 		if caught {
-			return nil
+			return fs.out.FlushNow(ctx)
 		}
 		if closed {
 			return ErrClosed
@@ -224,23 +224,15 @@ func (fs *feedSyncer) Flush(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-fs.done:
-			// The consumer exited (combiner closed); nothing more will apply.
+			// The consumer exited (combiner closed); nothing more will relay.
 			return fmt.Errorf("feed sync stopped before catching up: %w", ErrClosed)
 		case <-ticker.C:
 		}
 	}
 }
 
-// Applied returns how many events from the given source ("site-<id>") have
-// been applied, as the source's last applied sequence number.
-func (fs *feedSyncer) Applied(source string) uint64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.applied[source]
-}
-
-// Close stops the consumer and detaches every feed subscription. In-flight
-// applications finish; events past the cursors stay on the source feeds.
+// Close stops the consumer and detaches every feed subscription. A relay in
+// flight finishes; events past the cursors stay on the source feeds.
 func (fs *feedSyncer) Close() {
 	fs.mu.Lock()
 	if fs.closed {
@@ -252,36 +244,4 @@ func (fs *feedSyncer) Close() {
 	fs.cancel()
 	fs.comb.Close()
 	<-fs.done
-}
-
-// upsertEntry replaces the entry with e's name or appends e, keeping one
-// pending state per name within a micro-batch.
-func upsertEntry(entries []registry.Entry, e registry.Entry) []registry.Entry {
-	for i := range entries {
-		if entries[i].Name == e.Name {
-			entries[i] = e
-			return entries
-		}
-	}
-	return append(entries, e)
-}
-
-// deleteEntry removes the entry with the given name, if present.
-func deleteEntry(entries []registry.Entry, name string) []registry.Entry {
-	for i := range entries {
-		if entries[i].Name == name {
-			return append(entries[:i], entries[i+1:]...)
-		}
-	}
-	return entries
-}
-
-// deleteName removes name from the slice, if present.
-func deleteName(names []string, name string) []string {
-	for i := range names {
-		if names[i] == name {
-			return append(names[:i], names[i+1:]...)
-		}
-	}
-	return names
 }

@@ -2,7 +2,8 @@ package core
 
 import (
 	"context"
-	"sort"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,61 +20,43 @@ import (
 // observe only the local write latency, and the system converges to a
 // consistent state eventually.
 //
-// A flush fans out across the destination sites concurrently, and each
-// destination receives its whole batch as bulk operations: one Merge for
-// the upserts and one DeleteMany for the deletions, never per-entry calls.
-// A cancelled flush context aborts the fan-out mid-flight and re-queues the
-// drained batches, so a closing caller is never stuck behind a slow site.
+// It is the one propagation path of the package. Operations are enqueued per
+// destination by a strategy call (the hybrid strategy's lazy mode) or by the
+// feed consumer (the feed modes of the hybrid and replicated strategies); a
+// flush fans out across the destinations concurrently and ships each one its
+// whole batch as bulk operations — one Merge for the upserts and one
+// DeleteMany for the deletions, never per-entry calls. A destination whose
+// shipment fails, because the site is unreachable or the flush context was
+// cancelled, keeps its batch for the next round and the flush reports the
+// failure.
 type Propagator struct {
 	fabric *Fabric
-	// flushInterval is the maximum simulated time an update may wait in a
-	// batch before being pushed.
-	flushInterval time.Duration
-	// maxBatch flushes a destination's batch once it reaches this many
-	// entries, even before the interval elapses. With adaptive sizing armed
-	// (WithAdaptiveBatch) it is only the starting point; curBatch holds the
-	// live limit.
+	// maxBatch flushes a destination's batch once it holds this many
+	// operations, even before the interval elapses.
 	maxBatch int
 
-	// Adaptive batch sizing (WithAdaptiveBatch): the early-flush limit moves
-	// between minBatch and capBatch, AIMD-style, driven by the windowed p95
-	// of observed flush-round latencies against targetRound — rounds running
-	// long halve the limit (smaller, more frequent flushes), rounds with
-	// ample headroom grow it additively (better amortization).
-	adaptive    bool
-	minBatch    int
-	capBatch    int
-	targetRound time.Duration
-	curBatch    atomic.Int64
-	roundMu     sync.Mutex
-	rounds      []time.Duration // ring of recent round latencies
-	roundSeen   int
-
-	// life is cancelled when the propagator closes, aborting in-flight
-	// background flush rounds.
+	// life is cancelled when the propagator closes, stopping the flush loop
+	// and aborting an in-flight background round.
 	life     context.Context
 	lifeStop context.CancelFunc
 
 	mu      sync.Mutex
-	batches map[destination][]registry.Entry
-	deletes map[destination][]string
+	pending pendingQueue[destination]
 	closed  bool
 
 	flushMu sync.Mutex // serializes flush rounds
 
-	stop chan struct{}
-	done chan struct{}
+	done chan struct{} // closed when the flush loop has exited
 
 	flushes    int64
 	propagated int64
 
 	// Live instruments (nil when the fabric's instrumentation is off).
-	queueDepth   *metrics.Gauge     // propagator_queue_depth: updates + deletions awaiting a flush
+	queueDepth   *metrics.Gauge     // propagator_queue_depth: operations awaiting a flush
 	flushLatency *metrics.Histogram // propagator_flush_latency_ns
 	flushesC     *metrics.Counter   // propagator_flushes_total
 	propagatedC  *metrics.Counter   // propagator_propagated_total
-	requeuedC    *metrics.Counter   // propagator_requeued_total: entries put back by a cancelled flush
-	batchG       *metrics.Gauge     // propagator_batch_size: current early-flush limit
+	requeuedC    *metrics.Counter   // propagator_requeued_total: operations put back by a failed shipment
 }
 
 // destination identifies one pending propagation stream: updates produced at
@@ -83,50 +66,88 @@ type destination struct {
 	To   cloud.SiteID
 }
 
+// pendingOp is one operation awaiting propagation: the entry state to upsert,
+// or — with del set — the deletion of entry.Name.
+type pendingOp struct {
+	entry registry.Entry
+	del   bool
+}
+
+// pendingSet holds at most one pending operation per name: the destination
+// converges on the last operation applied at the origin, so a later operation
+// replaces an earlier one and a backlog is bounded by the distinct names
+// touched.
+type pendingSet map[string]pendingOp
+
+// split returns the set as the two bulk-call arguments.
+func (s pendingSet) split() (puts []registry.Entry, dels []string) {
+	for name, op := range s {
+		if op.del {
+			dels = append(dels, name)
+		} else {
+			puts = append(puts, op.entry)
+		}
+	}
+	return puts, dels
+}
+
+// pendingQueue holds the pending sets of a propagation path, keyed by where
+// they are headed (the propagator's destinations) or where they come from (the
+// synchronization agent's sites).
+type pendingQueue[K comparable] map[K]pendingSet
+
+// put makes op the pending operation of its name under key. It returns the
+// size of key's set and whether the name had no pending operation before.
+func (q pendingQueue[K]) put(key K, op pendingOp) (n int, added bool) {
+	set := q[key]
+	if set == nil {
+		set = make(pendingSet)
+		q[key] = set
+	}
+	_, had := set[op.entry.Name]
+	set[op.entry.Name] = op
+	return len(set), !had
+}
+
+// restore puts back under key the operations of old, drained by a round that
+// could not deliver them, except where a newer operation on the same name has
+// been enqueued since — a re-queued update never displaces a newer deletion,
+// nor the reverse. It returns how many went back.
+func (q pendingQueue[K]) restore(key K, old pendingSet) (restored int) {
+	cur := q[key]
+	if cur == nil {
+		q[key] = old
+		return len(old)
+	}
+	for name, op := range old {
+		if _, newer := cur[name]; !newer {
+			cur[name] = op
+			restored++
+		}
+	}
+	return restored
+}
+
+// size returns the number of pending operations across all keys.
+func (q pendingQueue[K]) size() int {
+	n := 0
+	for _, set := range q {
+		n += len(set)
+	}
+	return n
+}
+
 // DefaultFlushInterval is the default lazy-propagation period (simulated).
 const DefaultFlushInterval = 500 * time.Millisecond
 
-// DefaultMaxBatch is the default number of entries that triggers an early
+// DefaultMaxBatch is the default number of operations that triggers an early
 // flush of one destination's batch.
 const DefaultMaxBatch = 64
 
-// PropagatorOption tunes a Propagator at construction.
-type PropagatorOption func(*Propagator)
-
-// adaptiveWindow is how many recent flush rounds the adaptive batch sizer's
-// p95 looks back over.
-const adaptiveWindow = 16
-
-// WithAdaptiveBatch replaces the fixed early-flush limit with an adaptive
-// one moving in [min, max], driven by the windowed p95 of observed
-// flush-round latencies (wall clock, the propagator_flush_latency_ns view):
-// rounds running past target halve the limit so batches shrink and flush
-// sooner; rounds finishing under half the target grow it additively. The
-// limit starts at the constructor's maxBatch, clamped into [min, max].
-// Non-positive parameters take min 8, max DefaultMaxBatch*4 and target 50ms.
-func WithAdaptiveBatch(min, max int, target time.Duration) PropagatorOption {
-	return func(p *Propagator) {
-		if min <= 0 {
-			min = 8
-		}
-		if max < min {
-			max = DefaultMaxBatch * 4
-			if max < min {
-				max = min
-			}
-		}
-		if target <= 0 {
-			target = 50 * time.Millisecond
-		}
-		p.adaptive = true
-		p.minBatch, p.capBatch, p.targetRound = min, max, target
-		p.rounds = make([]time.Duration, adaptiveWindow)
-	}
-}
-
-// NewPropagator starts a lazy-update propagator over the fabric. It runs
-// until Close.
-func NewPropagator(fabric *Fabric, flushInterval time.Duration, maxBatch int, opts ...PropagatorOption) *Propagator {
+// NewPropagator starts a lazy-update propagator over the fabric: an update
+// waits at most flushInterval of simulated time, or until its destination's
+// batch holds maxBatch operations, before being pushed. It runs until Close.
+func NewPropagator(fabric *Fabric, flushInterval time.Duration, maxBatch int) *Propagator {
 	if flushInterval <= 0 {
 		flushInterval = DefaultFlushInterval
 	}
@@ -135,155 +156,55 @@ func NewPropagator(fabric *Fabric, flushInterval time.Duration, maxBatch int, op
 	}
 	life, lifeStop := context.WithCancel(context.Background())
 	p := &Propagator{
-		fabric:        fabric,
-		flushInterval: flushInterval,
-		maxBatch:      maxBatch,
-		life:          life,
-		lifeStop:      lifeStop,
-		batches:       make(map[destination][]registry.Entry),
-		deletes:       make(map[destination][]string),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
-		queueDepth:    fabric.Metrics().Gauge("propagator_queue_depth"),
-		flushLatency:  fabric.Metrics().Histogram("propagator_flush_latency_ns"),
-		flushesC:      fabric.Metrics().Counter("propagator_flushes_total"),
-		propagatedC:   fabric.Metrics().Counter("propagator_propagated_total"),
-		requeuedC:     fabric.Metrics().Counter("propagator_requeued_total"),
-		batchG:        fabric.Metrics().Gauge("propagator_batch_size"),
+		fabric:       fabric,
+		maxBatch:     maxBatch,
+		life:         life,
+		lifeStop:     lifeStop,
+		pending:      make(pendingQueue[destination]),
+		done:         make(chan struct{}),
+		queueDepth:   fabric.Metrics().Gauge("propagator_queue_depth"),
+		flushLatency: fabric.Metrics().Histogram("propagator_flush_latency_ns"),
+		flushesC:     fabric.Metrics().Counter("propagator_flushes_total"),
+		propagatedC:  fabric.Metrics().Counter("propagator_propagated_total"),
+		requeuedC:    fabric.Metrics().Counter("propagator_requeued_total"),
 	}
-	for _, o := range opts {
-		o(p)
-	}
-	if p.adaptive {
-		start := p.maxBatch
-		if start < p.minBatch {
-			start = p.minBatch
-		}
-		if start > p.capBatch {
-			start = p.capBatch
-		}
-		p.curBatch.Store(int64(start))
-	}
-	p.batchG.Set(int64(p.batchLimit()))
-	go p.loop()
+	go func() {
+		defer close(p.done)
+		fabric.every(flushInterval, life.Done(), func() {
+			p.FlushNow(p.life) //nolint:errcheck // a failed shipment keeps its batch for the next round
+		})
+	}()
 	return p
 }
 
-// batchLimit returns the current early-flush limit: the live adaptive value,
-// or the fixed maxBatch.
-func (p *Propagator) batchLimit() int {
-	if p.adaptive {
-		return int(p.curBatch.Load())
-	}
-	return p.maxBatch
-}
-
-// BatchLimit exposes the current early-flush limit (fixed or adaptive).
-func (p *Propagator) BatchLimit() int { return p.batchLimit() }
-
-// adaptBatch feeds one completed flush round's latency into the adaptive
-// sizer. Empty rounds say nothing about per-batch cost and are skipped.
-func (p *Propagator) adaptBatch(round time.Duration, drained int) {
-	if !p.adaptive || drained == 0 {
-		return
-	}
-	p.roundMu.Lock()
-	p.rounds[p.roundSeen%len(p.rounds)] = round
-	p.roundSeen++
-	n := p.roundSeen
-	if n > len(p.rounds) {
-		n = len(p.rounds)
-	}
-	window := make([]time.Duration, n)
-	copy(window, p.rounds[:n])
-	p.roundMu.Unlock()
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	p95 := metrics.Percentile(window, 95)
-
-	cur := p.curBatch.Load()
-	next := cur
-	switch {
-	case p95 > p.targetRound:
-		next = cur / 2 // multiplicative decrease: flush smaller, sooner
-	case p95 <= p.targetRound/2:
-		step := cur / 4 // additive-ish increase toward better amortization
-		if step < 1 {
-			step = 1
-		}
-		next = cur + step
-	}
-	if next < int64(p.minBatch) {
-		next = int64(p.minBatch)
-	}
-	if next > int64(p.capBatch) {
-		next = int64(p.capBatch)
-	}
-	if next != cur {
-		p.curBatch.Store(next)
-		p.batchG.Set(next)
-	}
-}
-
 // Enqueue schedules the entry, produced at site from, for application at site
-// to. The call returns immediately; the transfer happens asynchronously.
-// An update supersedes a pending deletion of the same name, so within one
-// flush window each name ends up on only one side of the batch and the
-// destination converges on the last local operation.
+// to. The call returns immediately; the transfer happens asynchronously. It
+// replaces any operation still pending for the same name and destination, so
+// the destination converges on the last local operation.
 func (p *Propagator) Enqueue(from, to cloud.SiteID, e registry.Entry) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	d := destination{From: from, To: to}
-	delta := 1
-	if dels := p.deletes[d]; len(dels) > 0 {
-		kept := dels[:0]
-		for _, name := range dels {
-			if name != e.Name {
-				kept = append(kept, name)
-			}
-		}
-		delta -= len(dels) - len(kept)
-		p.deletes[d] = kept
-	}
-	p.batches[d] = append(p.batches[d], e)
-	full := len(p.batches[d])+len(p.deletes[d]) >= p.batchLimit()
-	p.mu.Unlock()
-	p.queueDepth.Add(int64(delta))
-	if full {
-		go p.FlushNow(p.life) //nolint:errcheck // a cancelled flush re-queues its work
-	}
+	p.enqueue(destination{From: from, To: to}, pendingOp{entry: e})
 }
 
 // EnqueueDelete schedules the deletion of name, performed at site from, for
 // application at site to. Deletions ride the same flush rounds as updates
-// and reach the destination as one DeleteMany batch. A deletion supersedes
-// pending updates of the same name (see Enqueue).
+// and reach the destination as one DeleteMany batch.
 func (p *Propagator) EnqueueDelete(from, to cloud.SiteID, name string) {
+	p.enqueue(destination{From: from, To: to}, pendingOp{entry: registry.Entry{Name: name}, del: true})
+}
+
+func (p *Propagator) enqueue(d destination, op pendingOp) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return
 	}
-	d := destination{From: from, To: to}
-	delta := 1
-	if batch := p.batches[d]; len(batch) > 0 {
-		kept := batch[:0]
-		for _, e := range batch {
-			if e.Name != name {
-				kept = append(kept, e)
-			}
-		}
-		delta -= len(batch) - len(kept)
-		p.batches[d] = kept
-	}
-	p.deletes[d] = append(p.deletes[d], name)
-	full := len(p.batches[d])+len(p.deletes[d]) >= p.batchLimit()
+	n, added := p.pending.put(d, op)
 	p.mu.Unlock()
-	p.queueDepth.Add(int64(delta))
-	if full {
-		go p.FlushNow(p.life) //nolint:errcheck // a cancelled flush re-queues its work
+	if added {
+		p.queueDepth.Add(1)
+	}
+	if n >= p.maxBatch {
+		go p.FlushNow(p.life) //nolint:errcheck // a failed shipment keeps its batch for the next round
 	}
 }
 
@@ -292,14 +213,7 @@ func (p *Propagator) EnqueueDelete(from, to cloud.SiteID, name string) {
 func (p *Propagator) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, b := range p.batches {
-		n += len(b)
-	}
-	for _, d := range p.deletes {
-		n += len(d)
-	}
-	return n
+	return p.pending.size()
 }
 
 // Flushes returns how many flush rounds have been executed.
@@ -317,99 +231,59 @@ func (p *Propagator) Propagated() int64 {
 	return p.propagated
 }
 
-// FlushNow pushes every pending batch to its destination and returns when
-// all of them have been applied. Destinations are flushed concurrently. A
-// cancelled context aborts the fan-out: destination goroutines return as
-// soon as they observe the cancellation, un-applied batches are re-queued
-// for the next round (bulk application is idempotent, so a destination that
-// was already updated tolerates seeing its batch again), and the context's
-// error is returned.
+// FlushNow pushes every pending batch to its destination, concurrently, and
+// returns when all of them have answered. A destination that could not be
+// updated — its site is unreachable, or ctx was cancelled mid-flight — keeps
+// its batch for the next round and is reported in the returned error, an
+// *OpError{Op: "flush"} per failed destination; bulk application is idempotent,
+// so a destination that applied part of a batch tolerates seeing it again.
+// A nil error means everything enqueued before the call has been applied.
 func (p *Propagator) FlushNow(ctx context.Context) error {
+	_, err := p.flush(ctx)
+	return err
+}
+
+// flush is FlushNow that also reports how many operations changed remote
+// state.
+func (p *Propagator) flush(ctx context.Context) (int, error) {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, err
 	}
 
 	flushStart := time.Now()
 
 	p.mu.Lock()
-	batches := p.batches
-	deletes := p.deletes
-	p.batches = make(map[destination][]registry.Entry)
-	p.deletes = make(map[destination][]string)
+	drained := p.pending
+	p.pending = make(pendingQueue[destination])
 	p.mu.Unlock()
 
-	drained := 0
-	for _, b := range batches {
-		drained += len(b)
-	}
-	for _, d := range deletes {
-		drained += len(d)
-	}
-	p.queueDepth.Add(-int64(drained))
-
-	dests := make(map[destination]struct{}, len(batches)+len(deletes))
-	for d := range batches {
-		dests[d] = struct{}{}
-	}
-	for d := range deletes {
-		dests[d] = struct{}{}
-	}
+	p.queueDepth.Add(-int64(drained.size()))
 
 	var (
 		applied atomic.Int64
 		wg      sync.WaitGroup
+		errMu   sync.Mutex
+		errs    []error
 	)
-	for d := range dests {
-		entries := batches[d]
-		dels := dedupe(deletes[d])
-		if len(entries) == 0 && len(dels) == 0 {
-			continue
-		}
-		inst, err := p.fabric.Instance(d.To)
-		if err != nil {
-			continue
-		}
+	for d, set := range drained {
 		wg.Add(1)
-		go func(d destination, inst registry.API, entries []registry.Entry, dels []string) {
+		go func(d destination, set pendingSet) {
 			defer wg.Done()
-			start := time.Now()
-			batchBytes := len(dels) * p.fabric.queryBytes
-			for _, e := range entries {
-				batchBytes += p.fabric.EntrySize(e)
+			puts, dels := set.split()
+			changed, err := p.fabric.ship(ctx, d.From, d.To, puts, dels, p.fabric.batchBytes(puts, dels))
+			applied.Add(int64(changed))
+			if err != nil {
+				p.requeue(d, set)
+				errMu.Lock()
+				errs = append(errs, &OpError{Op: "flush", Site: d.From, Err: fmt.Errorf("to site %d: %w", d.To, err)})
+				errMu.Unlock()
 			}
-			if _, err := p.fabric.call(ctx, d.From, d.To, batchBytes, p.fabric.ackBytes); err != nil {
-				return
-			}
-			n, _ := inst.Merge(ctx, entries)
-			if len(dels) > 0 {
-				m, _ := inst.DeleteMany(ctx, dels)
-				n += m
-			}
-			applied.Add(int64(n))
-			p.fabric.record(metrics.OpSync, start, p.fabric.Topology().DistanceClass(d.From, d.To).Remote())
-		}(d, inst, entries, dels)
+		}(d, set)
 	}
 	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		// Put everything back; the next (uncancelled) flush converges. The
-		// re-queue ignores the closed flag on purpose: Close's final drain
-		// must still see batches a cancelled in-flight round had grabbed.
-		p.mu.Lock()
-		for d, entries := range batches {
-			p.batches[d] = append(p.batches[d], entries...)
-		}
-		for d, names := range deletes {
-			p.deletes[d] = append(p.deletes[d], names...)
-		}
-		p.mu.Unlock()
-		p.queueDepth.Add(int64(drained))
-		p.requeuedC.Add(int64(drained))
-		return err
-	}
 
 	p.mu.Lock()
 	p.flushes++
@@ -417,33 +291,87 @@ func (p *Propagator) FlushNow(ctx context.Context) error {
 	p.mu.Unlock()
 	p.flushesC.Inc()
 	p.propagatedC.Add(applied.Load())
-	round := time.Since(flushStart)
-	p.flushLatency.ObserveDuration(round)
-	p.adaptBatch(round, drained)
-	return nil
+	p.flushLatency.ObserveDuration(time.Since(flushStart))
+	return int(applied.Load()), errors.Join(errs...)
 }
 
-// Close flushes any pending batches and stops the propagator. The final
-// flush runs under a fresh background context — closing must still drain
-// what it can — while the cancelled life context aborts any round that was
-// already in flight.
-func (p *Propagator) Close() {
+// requeue puts a batch that could not be delivered back into d's pending set.
+// It ignores the closed flag on purpose: Close's final drain must still see
+// batches a cancelled in-flight round had grabbed.
+func (p *Propagator) requeue(d destination, set pendingSet) {
+	p.mu.Lock()
+	restored := p.pending.restore(d, set)
+	p.mu.Unlock()
+	p.queueDepth.Add(int64(restored))
+	p.requeuedC.Add(int64(restored))
+}
+
+// batchBytes is the modelled wire size of one shipment: every entry in full,
+// a key per deletion.
+func (f *Fabric) batchBytes(puts []registry.Entry, dels []string) int {
+	n := len(dels) * f.queryBytes
+	for _, e := range puts {
+		n += f.EntrySize(e)
+	}
+	return n
+}
+
+// ship is the only place in the package that writes to another site's
+// registry in bulk: one modelled exchange carrying the batch (bytes, as
+// computed by batchBytes) from site from to site to, then one Merge of the
+// upserts and one DeleteMany of the deletions at to's instance. It returns how
+// many operations changed the destination's state and the first failure of the
+// instance lookup, the exchange, the Merge or the DeleteMany; the caller keeps
+// the batch for another round on any of them. Merge runs even for a batch
+// without upserts — the call sequence every propagation path has always
+// produced, which TestStrategyTrafficCharacterisation pins.
+func (f *Fabric) ship(ctx context.Context, from, to cloud.SiteID, puts []registry.Entry, dels []string, bytes int) (int, error) {
+	inst, err := f.Instance(to)
+	if err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	remote, err := f.call(ctx, from, to, bytes, f.ackBytes)
+	if err != nil {
+		return 0, err
+	}
+	applied, err := inst.Merge(ctx, puts)
+	if err != nil {
+		return applied, err
+	}
+	if len(dels) > 0 {
+		n, err := inst.DeleteMany(ctx, dels)
+		applied += n
+		if err != nil {
+			return applied, err
+		}
+	}
+	f.record(metrics.OpSync, start, remote)
+	return applied, nil
+}
+
+// Close stops the propagator after one last flush, whose error — updates that
+// could not be delivered and are now dropped — it returns. The final flush
+// runs under a fresh background context — closing must still drain what it
+// can — while the cancelled life context aborts any round that was already in
+// flight.
+func (p *Propagator) Close() error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return
+		return nil
 	}
 	p.closed = true
 	p.mu.Unlock()
 	p.lifeStop()
-	close(p.stop)
 	<-p.done
-	p.FlushNow(context.Background()) //nolint:errcheck // Background never cancels
+	return p.FlushNow(context.Background())
 }
 
-func (p *Propagator) loop() {
-	defer close(p.done)
-	wallInterval := p.fabric.Latency().ToWall(p.flushInterval)
+// every runs round once per interval of simulated time until stop is closed:
+// the loop of the lazy propagator and of the synchronization agent.
+func (f *Fabric) every(interval time.Duration, stop <-chan struct{}, round func()) {
+	wallInterval := f.lat.ToWall(interval)
 	if wallInterval <= 0 {
 		wallInterval = time.Millisecond
 	}
@@ -451,10 +379,10 @@ func (p *Propagator) loop() {
 	defer timer.Stop()
 	for {
 		select {
-		case <-p.stop:
+		case <-stop:
 			return
 		case <-timer.C:
-			p.FlushNow(p.life) //nolint:errcheck // a cancelled flush re-queues its work
+			round()
 			timer.Reset(wallInterval)
 		}
 	}

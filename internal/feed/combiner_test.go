@@ -3,6 +3,7 @@ package feed
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,5 +282,92 @@ func TestCombinerCancelledMidEventDeliversAtMostOnce(t *testing.T) {
 		if seen[i] != 1 {
 			t.Fatalf("seq %d delivered %d times (delivered %v)", i, seen[i], delivered)
 		}
+	}
+}
+
+// TestCombinerStreamStateBracketsEveryGap pins the contract the near cache's
+// gap detection rests on: connected=true after each successful subscribe,
+// connected=false the moment the stream ends — here a lag drop — and before
+// the combiner goes back to the source, and connected=true again once the
+// snapshot fallback has re-established the stream.
+func TestCombinerStreamStateBracketsEveryGap(t *testing.T) {
+	l := NewLog(WithCapacity(4))
+	var (
+		mu    sync.Mutex
+		trace []string
+	)
+	note := func(s string) {
+		mu.Lock()
+		trace = append(trace, s)
+		mu.Unlock()
+	}
+	src := Source{
+		Name: "s",
+		Subscribe: func(ctx context.Context, from uint64) (Stream, error) {
+			note(fmt.Sprintf("subscribe@%d", from))
+			// One event of headroom: a consumer two events behind is dropped.
+			return l.Subscribe(from, WithBuffer(1))
+		},
+		Snapshot: func(ctx context.Context) ([]Event, uint64, error) {
+			note("snapshot")
+			return []Event{{Op: OpPut, Name: "live"}}, l.Seq(), nil
+		},
+	}
+	c := NewCombiner([]Source{src},
+		WithCombinerBuffer(1),
+		WithResubscribeBackoff(time.Millisecond, 10*time.Millisecond),
+		WithStreamStateFunc(func(source string, connected bool) {
+			if source != "s" {
+				t.Errorf("stream state for unknown source %q", source)
+			}
+			note(fmt.Sprintf("connected=%v", connected))
+		}))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.Start(ctx)
+	defer c.Close()
+
+	traced := func(n int) []string {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			mu.Lock()
+			got := append([]string(nil), trace...)
+			mu.Unlock()
+			if len(got) >= n || time.Now().After(deadline) {
+				return got
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := traced(2); len(got) != 2 {
+		t.Fatalf("the first subscription never went live; trace %v", got)
+	}
+
+	// Publish far past the subscription's headroom and the log's retention
+	// while nobody reads the combiner: the subscription is dropped for
+	// lagging, and its cursor falls out of the retained window.
+	for i := 0; i < 32; i++ {
+		l.Append(OpPut, "live", nil)
+	}
+	// Drain until the snapshot's event (stamped with the head, 32) arrives:
+	// by then the combiner has been through the whole gap.
+	timeout := time.After(5 * time.Second)
+	for seq := uint64(0); seq != 32; {
+		select {
+		case ev := <-c.Events():
+			seq = ev.Seq
+		case <-timeout:
+			t.Fatalf("snapshot event never arrived; trace %v", traced(0))
+		}
+	}
+	// connected=true is reported right after the fallback's events are queued.
+	// The resume cursor (after "subscribe@") depends on how many events the
+	// combiner forwarded before the drop; everything else is fixed.
+	got := traced(7)
+	if len(got) != 7 || got[0] != "subscribe@0" || got[1] != "connected=true" ||
+		got[2] != "connected=false" || !strings.HasPrefix(got[3], "subscribe@") || got[4] != "snapshot" ||
+		got[5] != "subscribe@32" || got[6] != "connected=true" {
+		t.Fatalf("trace = %v,\nwant subscribe@0 connected=true connected=false subscribe@<cursor> snapshot subscribe@32 connected=true", got)
 	}
 }

@@ -183,14 +183,22 @@ func (b *TokenBucket) give(n float64) {
 	}
 }
 
+// refill credits the time elapsed since the last refill. Take reads the clock
+// before it gets the lock, so now may be older than last when a later caller
+// won the race; last never moves backwards, or the next caller would be
+// credited the same interval twice.
 func (b *TokenBucket) refill(now time.Time) {
-	if !b.last.IsZero() {
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			b.tokens += dt * b.rate
-			if b.tokens > b.burst {
-				b.tokens = b.burst
-			}
-		}
+	if b.last.IsZero() {
+		b.last = now
+		return
+	}
+	dt := now.Sub(b.last).Seconds()
+	if dt <= 0 {
+		return
+	}
+	b.tokens += dt * b.rate
+	if b.tokens > b.burst {
+		b.tokens = b.burst
 	}
 	b.last = now
 }

@@ -75,6 +75,31 @@ func TestTokenBucketTake(t *testing.T) {
 	}
 }
 
+// TestTokenBucketStaleClockIsNotCreditedTwice replays the interleaving of two
+// concurrent Takes whose clock readings reach the lock out of order: the
+// stale reading must not move the refill mark backwards, or the interval
+// between the two readings is handed out a second time.
+func TestTokenBucketStaleClockIsNotCreditedTwice(t *testing.T) {
+	b := NewTokenBucket(1000, 1000)
+	t0 := time.Now()
+	if ok, _ := b.take(t0, 1000); !ok { // drain the initial burst
+		t.Fatal("draining take failed")
+	}
+	for _, step := range []struct {
+		at   time.Duration
+		want float64 // tokens in the bucket after refilling at t0+at
+	}{
+		{10 * time.Millisecond, 10},
+		{5 * time.Millisecond, 10}, // lost the lock race: already paid for
+		{10 * time.Millisecond, 10},
+	} {
+		b.take(t0.Add(step.at), 0)
+		if got := b.tokens; got < step.want-1e-6 || got > step.want+1e-6 {
+			t.Fatalf("after take at t0+%v the bucket holds %.3f tokens, want %.0f", step.at, got, step.want)
+		}
+	}
+}
+
 func TestTokenBucketUnlimitedAndDeny(t *testing.T) {
 	unlimited := NewTokenBucket(0, 0)
 	for i := 0; i < 1000; i++ {

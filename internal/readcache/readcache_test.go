@@ -503,6 +503,9 @@ func TestGetManyMixesHitsAndFills(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The puts' own feed events invalidate whatever is filled before they
+	// arrive; let all four land (each bumps the fence) before filling.
+	waitFor(t, "the puts' feed events", func() bool { return c.fence.Load() >= 4 })
 	// Prime two of them (plus one negative).
 	if _, err := c.Get(ctx, "gm/0"); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"geomds/internal/cloud"
@@ -46,6 +47,9 @@ type Instance struct {
 	store Store
 	// maxCASRetries bounds optimistic-concurrency retries on updates.
 	maxCASRetries int
+	// updateMu queues the read-modify-writes that go through this instance,
+	// striped by entry name: see Update.
+	updateMu [updateStripes]sync.Mutex
 	// durable is the persistence layer when WithStorage wrapped the store;
 	// nil for memory-only instances. storageErr records a failed storage
 	// open so constructors can surface it.
@@ -179,10 +183,33 @@ func (i *Instance) Contains(ctx context.Context, name string) bool {
 	return i.store.Contains(name)
 }
 
+// updateStripes is how many locks the names updated through one instance
+// share.
+const updateStripes = 64
+
+// updateStripe picks name's lock (FNV-1a, inlined to stay allocation-free).
+func updateStripe(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return h % updateStripes
+}
+
 // Update applies mutate to the current value of the entry and stores the
 // result using optimistic concurrency, retrying on conflicts up to the
 // configured limit. The entry must exist.
+//
+// Updates of one name through one instance take turns: the compare-and-swap
+// guards against writers the instance cannot see (another instance over the
+// same store, a Put racing the update), but the workers of one server losing
+// it to each other would burn their retries, and two store operations of
+// capacity per lost round, on a race the instance can simply not have —
+// sixteen writers on one hot key exhausted eight retries each.
 func (i *Instance) Update(ctx context.Context, name string, mutate func(Entry) Entry) (Entry, error) {
+	mu := &i.updateMu[updateStripe(name)]
+	mu.Lock()
+	defer mu.Unlock()
 	for attempt := 0; attempt < i.maxCASRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return Entry{}, fmt.Errorf("update %q: %w", name, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"geomds/internal/cloud"
 	"geomds/internal/memcache"
@@ -133,26 +134,40 @@ func TestInstanceUpdatePreservesName(t *testing.T) {
 }
 
 func TestInstanceUpdateConcurrent(t *testing.T) {
-	inst := NewInstance(0, memcache.New(memcache.Config{}), WithCASRetries(64))
-	e := sampleEntry()
-	inst.Create(tctx, e)
-	const writers = 12
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			loc := Location{Site: cloud.SiteID(i % 4), Node: cloud.NodeID(100 + i)}
-			if _, err := inst.AddLocation(tctx, e.Name, loc); err != nil {
-				t.Errorf("AddLocation %d: %v", i, err)
+	for _, tc := range []struct {
+		name    string
+		store   memcache.Config
+		retries int
+		writers int
+	}{
+		{"generous retry budget", memcache.Config{}, 64, 12},
+		// One attempt each and a store slow enough that every writer reads
+		// before any has written: they all succeed only because updates of one
+		// name through one instance take turns instead of racing each other.
+		{"same-name writers queue", memcache.Config{ServiceTime: 100 * time.Microsecond, Concurrency: 2}, 1, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := NewInstance(0, memcache.New(tc.store), WithCASRetries(tc.retries))
+			e := sampleEntry()
+			inst.Create(tctx, e)
+			var wg sync.WaitGroup
+			for i := 0; i < tc.writers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					loc := Location{Site: cloud.SiteID(i % 4), Node: cloud.NodeID(100 + i)}
+					if _, err := inst.AddLocation(tctx, e.Name, loc); err != nil {
+						t.Errorf("AddLocation %d: %v", i, err)
+					}
+				}(i)
 			}
-		}(i)
-	}
-	wg.Wait()
-	got, _ := inst.Get(tctx, e.Name)
-	// initial location + one per writer
-	if len(got.Locations) != writers+1 {
-		t.Errorf("Locations = %d, want %d", len(got.Locations), writers+1)
+			wg.Wait()
+			got, _ := inst.Get(tctx, e.Name)
+			// initial location + one per writer
+			if len(got.Locations) != tc.writers+1 {
+				t.Errorf("Locations = %d, want %d", len(got.Locations), tc.writers+1)
+			}
+		})
 	}
 }
 

@@ -422,15 +422,15 @@ func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, e
 	if err == nil {
 		return resp, nil
 	}
-	if cerr := ctx.Err(); cerr != nil {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return ResponseFrame{}, err // the caller has given up: never retried
+	}
+	if cerr := expired(ctx); cerr != nil {
 		// The caller's context is done. If the transport timer happened to
 		// fire first (a context deadline close to the transport timeout),
 		// report the context error anyway: "the deadline passed" is the
 		// truth the caller can act on, not the connection teardown it
 		// triggered.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return ResponseFrame{}, err
-		}
 		return ResponseFrame{}, fmt.Errorf("rpc: %s: %v: %w", c.addr, err, cerr)
 	}
 	pc, err2 := c.grabConn(ctx)
@@ -475,8 +475,8 @@ func (c *Client) grabConn(ctx context.Context) (*poolConn, error) {
 	dialer := net.Dialer{Timeout: c.timeout}
 	conn, err := dialer.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("rpc: connect %s: %w", c.addr, ctx.Err())
+		if cerr := expired(ctx); cerr != nil {
+			return nil, fmt.Errorf("rpc: connect %s: %w", c.addr, cerr)
 		}
 		return nil, fmt.Errorf("rpc: connect %s: %v: %w", c.addr, err, registry.ErrUnavailable)
 	}
@@ -526,7 +526,11 @@ func (pc *poolConn) dead() bool {
 // do registers the frame's ID, writes the frame, and waits for the demuxed
 // response, the context, or the transport timeout. The three exits differ:
 //
-//   - response: delivered, the call succeeded at the transport level;
+//   - response: delivered, the call succeeded at the transport level — unless
+//     the caller's context is done, or past its deadline, by the time the
+//     response is picked up, in which case the call returns the context's
+//     error like the next exit (a reply racing the deadline must not decide
+//     what the caller sees);
 //   - context done: only this call is retired — its pending ID is
 //     deregistered so the demultiplexer discards the late response, and the
 //     connection keeps serving other in-flight calls;
@@ -570,6 +574,12 @@ func (pc *poolConn) do(ctx context.Context, f RequestFrame, timeout time.Duratio
 			pc.mu.Unlock()
 			return ResponseFrame{}, fmt.Errorf("rpc: read response: %w", err)
 		}
+		if err := expired(ctx); err != nil {
+			// The reply and the caller's own deadline became ready together
+			// and select picked the reply. The caller had already given up:
+			// one rule for single calls and batches, whichever case wins.
+			return ResponseFrame{}, fmt.Errorf("rpc: call abandoned: %w", err)
+		}
 		return resp, nil
 	case <-ctx.Done():
 		pc.forget(f.Header.ID)
@@ -579,6 +589,21 @@ func (pc *poolConn) do(ctx context.Context, f RequestFrame, timeout time.Duratio
 		pc.fail(err)
 		return ResponseFrame{}, err
 	}
+}
+
+// expired returns the context's error if it is done, counting a deadline that
+// has passed on the clock as exceeded even when the context's timer has not
+// run yet: the server's own deadline-exceeded reply is sent after the client's
+// deadline (its budget is re-anchored on receipt), but on a busy machine it
+// can be picked up before the runtime has closed ctx.Done().
+func expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // forget retires one in-flight request ID; a response that later arrives for

@@ -539,3 +539,94 @@ func removeFrame(t *testing.T, path string, idx int) {
 		t.Fatal(err)
 	}
 }
+
+// sinkEvent is one EventSink invocation.
+type sinkEvent struct {
+	seq  uint64
+	op   byte
+	key  string
+	val  string
+	sync bool
+}
+
+// TestEventSinkSeesLogOrder pins the guarantee the change feed is built on:
+// the sink observes every state-changing append exactly once, in sequence
+// order, single-key writes unmarked and bulk-apply records carrying the sync
+// mark, deletes of absent keys suppressed (a hole in the sequence, not an
+// event), and nothing once the store is closed.
+func TestEventSinkSeesLogOrder(t *testing.T) {
+	d := mustOpen(t, t.TempDir())
+	var got []sinkEvent
+	d.SetEventSink(func(seq uint64, op byte, key string, value []byte, sync bool) {
+		got = append(got, sinkEvent{seq, op, key, string(value), sync})
+	})
+
+	put(t, d, "a", "1") // seq 1
+
+	// seq 2, 3
+	if _, err := d.PutBatch([]memcache.KV{{Key: "b", Value: []byte("2")}, {Key: "c", Value: []byte("3")}}); err != nil {
+		t.Fatal(err)
+	}
+	it, err := d.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seq 4
+	if _, err := d.CAS("a", []byte("1'"), 0, it.Version); err != nil {
+		t.Fatal(err)
+	}
+	// seq 5
+	if err := d.Delete("b"); err != nil {
+		t.Fatal(err)
+	}
+	// seq 6 (the absent key: journaled, no event) and 7
+	if n, err := d.DeleteBatch([]string{"ghost", "c"}); err != nil || n != 1 {
+		t.Fatalf("DeleteBatch = %d, %v, want 1 removed", n, err)
+	}
+
+	want := []sinkEvent{
+		{1, OpPut, "a", "1", false},
+		{2, OpPut, "b", "2", true},
+		{3, OpPut, "c", "3", true},
+		{4, OpPut, "a", "1'", false},
+		{5, OpDelete, "b", "", false},
+		{7, OpDelete, "c", "", true},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sink saw\n  %v\nwant\n  %v", got, want)
+	}
+	if d.Seq() != 7 {
+		t.Fatalf("Seq() = %d, want 7 (the absent-key delete is journaled, just not emitted)", d.Seq())
+	}
+
+	// The pass-through reads answer from the backing store, sink or not.
+	if !d.Contains("a") || d.Contains("b") {
+		t.Errorf("Contains: a=%v b=%v, want true false", d.Contains("a"), d.Contains("b"))
+	}
+	if keys := d.Keys(); len(keys) != 1 || keys[0] != "a" {
+		t.Errorf("Keys() = %v, want [a]", keys)
+	}
+	if snap := d.Snapshot(); len(snap) != 1 || string(snap[0].Value) != "1'" {
+		t.Errorf("Snapshot() = %v, want a=1'", snap)
+	}
+	items, missing, err := d.GetBatch([]string{"a", "b"})
+	if err != nil || len(items) != 1 || len(missing) != 1 || missing[0] != "b" {
+		t.Errorf("GetBatch = %v, missing %v, %v; want a found, b missing", items, missing, err)
+	}
+	if st := d.Stats(); st.Items != 1 {
+		t.Errorf("Stats().Items = %d, want 1", st.Items)
+	}
+
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Put("late", []byte("x"), 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after Close = %v, want ErrClosed", err)
+	}
+	if _, err := d.DeleteBatch([]string{"a"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("DeleteBatch after Close = %v, want ErrClosed", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("sink saw %d events after Close, want none past the %d before it", len(got)-len(want), len(want))
+	}
+}
