@@ -319,14 +319,9 @@ func (f *Fabric) TotalEntries(ctx context.Context) int {
 	return total
 }
 
-// EntrySize returns the modelled wire size of an entry.
-func (f *Fabric) EntrySize(e registry.Entry) int {
-	data, err := registry.GobCodec{}.Encode(e)
-	if err != nil {
-		return 256 // conservative fallback; encoding failures surface later
-	}
-	return len(data)
-}
+// EntrySize returns the modelled wire size of an entry: the length of its
+// encoding.
+func (f *Fabric) EntrySize(e registry.Entry) int { return registry.EncodedSize(e) }
 
 // call models one request/response exchange between the caller's site and the
 // site hosting a registry instance, charging WAN latency when they differ.

@@ -144,10 +144,12 @@ func (fs *feedSyncer) relay(ctx context.Context, batch []feed.SourceEvent) {
 		enqueued := false
 		switch sev.Event.Op {
 		case feed.OpPut:
-			e, err := registry.GobCodec{}.Decode(sev.Event.Value)
+			e, err := registry.DecodeEntry(sev.Event.Value)
 			if err != nil {
-				// The instance encoded this value itself; only corruption in
-				// flight gets here, and there is no entry to ship.
+				// DecodeEntry reads what this release and older ones stored, so
+				// only corruption in flight, or a source running a newer
+				// release than this consumer (docs/WIRE.md, upgrade order),
+				// gets here, and there is no entry to ship.
 				continue
 			}
 			for _, to := range fs.route(origin, e.Name) {

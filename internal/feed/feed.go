@@ -66,7 +66,9 @@ type Event struct {
 	Op Op
 	// Name is the entry's name (the store key).
 	Name string
-	// Value is the codec-encoded entry for puts, nil for deletes.
+	// Value is the encoded entry (registry.AppendEntry) for puts, nil for
+	// deletes. Events replayed from data an older release wrote may carry a
+	// gob value; registry.DecodeEntry reads both.
 	Value []byte
 	// Origin labels where the event was produced when a Log relays events
 	// from several underlying feeds (the router's combined feed tags each

@@ -28,18 +28,18 @@ func (c *Cache) GetBatch(keys []string) (found []Item, missing []string, err err
 		c.countGet()
 		sh := c.shardFor(key)
 		sh.mu.RLock()
-		it, ok := sh.items[key]
+		s, ok := sh.items[key]
 		sh.mu.RUnlock()
-		if !ok || it.Expired(now) {
+		if !ok || s.expired(now) {
 			if ok {
-				c.removeExpired(key, it.Version)
+				c.removeExpired(key, s.version)
 			}
 			c.countMiss()
 			missing = append(missing, key)
 			continue
 		}
 		c.countHit()
-		found = append(found, it)
+		found = append(found, s.item(key))
 	}
 	return found, missing, nil
 }
@@ -80,11 +80,11 @@ func (c *Cache) DeleteBatch(keys []string) (int, error) {
 		c.deletes.Add(1)
 		sh := c.shardFor(key)
 		sh.mu.Lock()
-		it, ok := sh.items[key]
+		s, ok := sh.items[key]
 		if ok {
 			delete(sh.items, key)
 			c.addItems(-1)
-			c.bytes.Add(-int64(len(it.Value)))
+			c.bytes.Add(-int64(len(s.value)))
 			deleted++
 		}
 		sh.mu.Unlock()

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +51,8 @@ var (
 type Item struct {
 	// Key is the unique identifier of the item.
 	Key string
-	// Value is the opaque payload (typically a gob-encoded registry entry).
+	// Value is the opaque payload (typically an encoded registry entry,
+	// registry.AppendEntry).
 	Value []byte
 	// Version is a monotonically increasing per-key version number starting
 	// at 1 for the first Put; CAS uses it for optimistic concurrency.
@@ -155,7 +157,32 @@ func newCacheObs(reg *metrics.Registry) cacheObs {
 
 type shard struct {
 	mu    sync.RWMutex
-	items map[string]Item
+	items map[string]slot
+}
+
+// slot is what a shard keeps per key. The map already holds the key and the
+// expiry needs no zone, so a resident entry costs 56 bytes of map slot
+// where a whole Item would cost 88.
+type slot struct {
+	value   []byte
+	version uint64
+	// expires is the absolute expiry in Unix nanoseconds; 0 means no TTL.
+	expires int64
+}
+
+// item rebuilds the Item callers see from key's slot.
+func (s slot) item(key string) Item {
+	it := Item{Key: key, Value: s.value, Version: s.version}
+	if s.expires != 0 {
+		it.Expires = time.Unix(0, s.expires)
+	}
+	return it
+}
+
+// expired reports whether the slot has passed its TTL at time now (Item.Expired
+// on the stored form).
+func (s slot) expired(now time.Time) bool {
+	return s.expires != 0 && now.UnixNano() > s.expires
 }
 
 // New returns an empty cache with the given configuration.
@@ -175,7 +202,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, obs: newCacheObs(cfg.Metrics)}
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
-		c.shards[i] = &shard{items: make(map[string]Item)}
+		c.shards[i] = &shard{items: make(map[string]slot)}
 	}
 	if cfg.Concurrency > 0 {
 		c.slots = make(chan struct{}, cfg.Concurrency)
@@ -258,17 +285,17 @@ func (c *Cache) Get(key string) (Item, error) {
 
 	sh := c.shardFor(key)
 	sh.mu.RLock()
-	it, ok := sh.items[key]
+	s, ok := sh.items[key]
 	sh.mu.RUnlock()
-	if !ok || it.Expired(c.cfg.Now()) {
+	if !ok || s.expired(c.cfg.Now()) {
 		if ok {
-			c.removeExpired(key, it.Version)
+			c.removeExpired(key, s.version)
 		}
 		c.countMiss()
 		return Item{}, fmt.Errorf("get %q: %w", key, ErrNotFound)
 	}
 	c.countHit()
-	return it, nil
+	return s.item(key), nil
 }
 
 // Contains reports whether key is present (and unexpired) without counting as
@@ -278,9 +305,9 @@ func (c *Cache) Get(key string) (Item, error) {
 func (c *Cache) Contains(key string) bool {
 	sh := c.shardFor(key)
 	sh.mu.RLock()
-	it, ok := sh.items[key]
+	s, ok := sh.items[key]
 	sh.mu.RUnlock()
-	return ok && !it.Expired(c.cfg.Now())
+	return ok && !s.expired(c.cfg.Now())
 }
 
 // Put stores value under key unconditionally, assigning the next version
@@ -317,23 +344,21 @@ func (c *Cache) store(key string, value []byte, ttl time.Duration, expected *uin
 	defer sh.mu.Unlock()
 
 	cur, exists := sh.items[key]
-	if exists && cur.Expired(now) {
+	if exists && cur.expired(now) {
 		delete(sh.items, key)
 		c.addItems(-1)
-		c.bytes.Add(-int64(len(cur.Value)))
+		c.bytes.Add(-int64(len(cur.value)))
 		c.evictions.Add(1)
 		exists = false
-		cur = Item{}
+		cur = slot{}
 	}
-	if expected != nil {
-		var curVersion uint64
+	if expected != nil && cur.version != *expected {
+		c.conflicts.Add(1)
+		var held Item
 		if exists {
-			curVersion = cur.Version
+			held = cur.item(key)
 		}
-		if curVersion != *expected {
-			c.conflicts.Add(1)
-			return cur, fmt.Errorf("cas %q: have version %d, want %d: %w", key, curVersion, *expected, ErrVersionConflict)
-		}
+		return held, fmt.Errorf("cas %q: have version %d, want %d: %w", key, cur.version, *expected, ErrVersionConflict)
 	}
 	reserved := false
 	if !exists && c.cfg.MaxItems > 0 {
@@ -348,20 +373,26 @@ func (c *Cache) store(key string, value []byte, ttl time.Duration, expected *uin
 		reserved = true
 	}
 
-	it := Item{Key: key, Value: append([]byte(nil), value...), Version: cur.Version + 1}
+	next := slot{value: append([]byte(nil), value...), version: cur.version + 1}
 	if ttl > 0 {
-		it.Expires = now.Add(ttl)
+		next.expires = now.Add(ttl).UnixNano()
 	}
-	sh.items[key] = it
 	if exists {
-		c.bytes.Add(int64(len(value)) - int64(len(cur.Value)))
+		c.bytes.Add(int64(len(value)) - int64(len(cur.value)))
 	} else {
 		if !reserved {
 			c.addItems(1)
 		}
 		c.bytes.Add(int64(len(value)))
 	}
-	return it, nil
+	// The map keeps the key for as long as the entry lives, and the caller's
+	// string may be a slice of something much larger (a decoded entry's Name
+	// shares one buffer with its other strings), so the cache stores a copy
+	// of its own — on an overwrite too, because assigning to an existing
+	// string key makes the map adopt the new string.
+	key = strings.Clone(key)
+	sh.items[key] = next
+	return next.item(key), nil
 }
 
 // Delete removes key from the cache. It returns ErrNotFound when absent.
@@ -375,13 +406,13 @@ func (c *Cache) Delete(key string) error {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it, ok := sh.items[key]
+	s, ok := sh.items[key]
 	if !ok {
 		return fmt.Errorf("delete %q: %w", key, ErrNotFound)
 	}
 	delete(sh.items, key)
 	c.addItems(-1)
-	c.bytes.Add(-int64(len(it.Value)))
+	c.bytes.Add(-int64(len(s.value)))
 	return nil
 }
 
@@ -391,10 +422,10 @@ func (c *Cache) removeExpired(key string, version uint64) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if it, ok := sh.items[key]; ok && it.Version == version {
+	if s, ok := sh.items[key]; ok && s.version == version {
 		delete(sh.items, key)
 		c.addItems(-1)
-		c.bytes.Add(-int64(len(it.Value)))
+		c.bytes.Add(-int64(len(s.value)))
 		c.evictions.Add(1)
 	}
 }
@@ -407,8 +438,8 @@ func (c *Cache) Keys() []string {
 	var keys []string
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		for k, it := range sh.items {
-			if !it.Expired(now) {
+		for k, s := range sh.items {
+			if !s.expired(now) {
 				keys = append(keys, k)
 			}
 		}
@@ -425,9 +456,9 @@ func (c *Cache) Snapshot() []Item {
 	var items []Item
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		for _, it := range sh.items {
-			if !it.Expired(now) {
-				items = append(items, it)
+		for k, s := range sh.items {
+			if !s.expired(now) {
+				items = append(items, s.item(k))
 			}
 		}
 		sh.mu.RUnlock()

@@ -3,10 +3,12 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func newTestCache() *Cache {
@@ -380,5 +382,97 @@ func TestMaxItemsBoundUnderConcurrency(t *testing.T) {
 	}
 	if rejected != 8*bound-bound {
 		t.Errorf("rejected %d puts, want %d", rejected, 8*bound-bound)
+	}
+}
+
+// Every way out of the cache rebuilds the same Item from the slot: key, value,
+// version and the expiry as an instant.
+func TestItemIsRebuiltOnTheWayOut(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := New(Config{Now: func() time.Time { return now }})
+	put, err := c.Put("ttl", []byte("v"), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Put("plain", []byte("w"), 0); err != nil {
+		t.Fatal(err)
+	}
+	want := Item{Key: "ttl", Value: []byte("v"), Version: 1, Expires: now.Add(time.Minute)}
+	same := func(what string, got Item) {
+		t.Helper()
+		if got.Key != want.Key || string(got.Value) != string(want.Value) || got.Version != want.Version || !got.Expires.Equal(want.Expires) {
+			t.Errorf("%s = %+v, want %+v", what, got, want)
+		}
+	}
+	same("Put", put)
+	got, err := c.Get("ttl")
+	same("Get", got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, missing, err := c.GetBatch([]string{"ttl", "absent"})
+	if err != nil || len(found) != 1 || len(missing) != 1 {
+		t.Fatalf("GetBatch = %v, %v, %v", found, missing, err)
+	}
+	same("GetBatch", found[0])
+	held, err := c.CAS("ttl", []byte("x"), 0, 7)
+	if !errors.Is(err, ErrVersionConflict) {
+		t.Fatalf("CAS at a stale version = %v", err)
+	}
+	same("the item a CAS conflict returns", held)
+	if held, err := c.CAS("absent", []byte("x"), 0, 7); !errors.Is(err, ErrVersionConflict) || held.Key != "" || held.Version != 0 {
+		t.Errorf("CAS of an absent key at version 7 = %+v, %v; want the zero Item and a conflict", held, err)
+	}
+	for _, it := range c.Snapshot() {
+		switch it.Key {
+		case "ttl":
+			same("Snapshot", it)
+		case "plain":
+			if !it.Expires.IsZero() || it.Expired(now.Add(100*time.Hour)) {
+				t.Errorf("an item stored without a TTL came out with expiry %v", it.Expires)
+			}
+		default:
+			t.Errorf("Snapshot holds %q", it.Key)
+		}
+	}
+	// Expired keeps its meaning: not at the instant of expiry, one nanosecond after.
+	now = want.Expires
+	if !c.Contains("ttl") {
+		t.Error("the key expired at the instant of its expiry, Item.Expired says after it")
+	}
+	now = want.Expires.Add(time.Nanosecond)
+	if c.Contains("ttl") {
+		t.Error("the key outlived its expiry")
+	}
+}
+
+// A resident key costs 56 bytes of map slot (the key's string header and the
+// slot), and the cache keeps its own copy of the key: the caller's may be a
+// slice of a much larger buffer, which the map would otherwise pin.
+func TestSlotSizeAndOwnedKey(t *testing.T) {
+	if got := unsafe.Sizeof("") + unsafe.Sizeof(slot{}); got != 56 {
+		t.Errorf("a map slot takes %d bytes per key, want 56", got)
+	}
+	big := strings.Repeat("x", 1<<16) + "key"
+	key := big[len(big)-3:]
+	c := newTestCache()
+	first, err := c.Put(key, []byte("v"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(first.Key) == unsafe.StringData(key) {
+		t.Error("the cache kept the caller's key string for a new key")
+	}
+	// Assigning to an existing string key makes a Go map adopt the new
+	// string, so an overwrite needs a copy as much as an insert does.
+	second, err := c.Put(key, []byte("w"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Key != key || second.Version != 2 {
+		t.Errorf("second Put = %+v", second)
+	}
+	if keys := c.Keys(); len(keys) != 1 || keys[0] != key || unsafe.StringData(keys[0]) == unsafe.StringData(key) {
+		t.Errorf("after an overwrite the map holds the caller's key string (keys %q)", keys)
 	}
 }

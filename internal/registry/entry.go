@@ -10,8 +10,6 @@
 package registry
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -176,26 +174,4 @@ func (e Entry) Equal(other Entry) bool {
 		}
 	}
 	return true
-}
-
-// GobCodec is the one entry encoding: every stored value, feed event and
-// modelled wire size goes through its two methods (encoding/gob today).
-type GobCodec struct{}
-
-// Encode serializes an entry.
-func (GobCodec) Encode(e Entry) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("registry: gob encode %q: %w", e.Name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode is the inverse of Encode.
-func (GobCodec) Decode(data []byte) (Entry, error) {
-	var e Entry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return Entry{}, fmt.Errorf("registry: gob decode: %w", err)
-	}
-	return e, nil
 }

@@ -62,8 +62,8 @@ func TestInstanceFeedPublishesCommittedMutations(t *testing.T) {
 			t.Fatalf("event %d = %+v, want seq %d op %v name a", i, ev, i+1, wantOps[i])
 		}
 	}
-	// Put events carry the encoded entry: decodable with the instance codec.
-	e, err := GobCodec{}.Decode(got[1].Value)
+	// Put events carry the encoded entry.
+	e, err := DecodeEntry(got[1].Value)
 	if err != nil {
 		t.Fatalf("decoding put event value: %v", err)
 	}

@@ -119,11 +119,7 @@ func (i *Instance) Create(ctx context.Context, e Entry) (Entry, error) {
 	if err := e.Validate(); err != nil {
 		return Entry{}, err
 	}
-	data, err := GobCodec{}.Encode(e)
-	if err != nil {
-		return Entry{}, err
-	}
-	it, err := i.store.CAS(e.Name, data, 0, 0)
+	it, err := i.store.CAS(e.Name, encodeEntry(e), 0, 0)
 	if err != nil {
 		if errors.Is(err, memcache.ErrVersionConflict) {
 			return Entry{}, fmt.Errorf("create %q: %w", e.Name, ErrExists)
@@ -143,11 +139,7 @@ func (i *Instance) Put(ctx context.Context, e Entry) (Entry, error) {
 	if err := e.Validate(); err != nil {
 		return Entry{}, err
 	}
-	data, err := GobCodec{}.Encode(e)
-	if err != nil {
-		return Entry{}, err
-	}
-	it, err := i.store.Put(e.Name, data, 0)
+	it, err := i.store.Put(e.Name, encodeEntry(e), 0)
 	if err != nil {
 		return Entry{}, fmt.Errorf("put %q: %w", e.Name, err)
 	}
@@ -167,9 +159,9 @@ func (i *Instance) Get(ctx context.Context, name string) (Entry, error) {
 		}
 		return Entry{}, fmt.Errorf("get %q: %w", name, err)
 	}
-	e, err := GobCodec{}.Decode(it.Value)
+	e, err := DecodeEntry(it.Value)
 	if err != nil {
-		return Entry{}, err
+		return Entry{}, fmt.Errorf("get %q: %w", name, err)
 	}
 	e.Version = it.Version
 	return e, nil
@@ -221,9 +213,9 @@ func (i *Instance) Update(ctx context.Context, name string, mutate func(Entry) E
 			}
 			return Entry{}, fmt.Errorf("update %q: %w", name, err)
 		}
-		cur, err := GobCodec{}.Decode(it.Value)
+		cur, err := DecodeEntry(it.Value)
 		if err != nil {
-			return Entry{}, err
+			return Entry{}, fmt.Errorf("update %q: %w", name, err)
 		}
 		cur.Version = it.Version
 		next := mutate(cur)
@@ -231,11 +223,7 @@ func (i *Instance) Update(ctx context.Context, name string, mutate func(Entry) E
 		if err := next.Validate(); err != nil {
 			return Entry{}, err
 		}
-		data, err := GobCodec{}.Encode(next)
-		if err != nil {
-			return Entry{}, err
-		}
-		stored, err := i.store.CAS(name, data, 0, it.Version)
+		stored, err := i.store.CAS(name, encodeEntry(next), 0, it.Version)
 		if err == nil {
 			next.Version = stored.Version
 			return next, nil
@@ -284,7 +272,7 @@ func (i *Instance) Entries(ctx context.Context) ([]Entry, error) {
 	items := i.store.Snapshot()
 	out := make([]Entry, 0, len(items))
 	for _, it := range items {
-		e, err := GobCodec{}.Decode(it.Value)
+		e, err := DecodeEntry(it.Value)
 		if err != nil {
 			return nil, fmt.Errorf("entries: decoding %q: %w", it.Key, err)
 		}
@@ -307,7 +295,7 @@ func (i *Instance) GetMany(ctx context.Context, names []string) ([]Entry, error)
 	}
 	out := make([]Entry, 0, len(items))
 	for _, it := range items {
-		e, err := GobCodec{}.Decode(it.Value)
+		e, err := DecodeEntry(it.Value)
 		if err != nil {
 			return nil, fmt.Errorf("get-many: decoding %q: %w", it.Key, err)
 		}
@@ -333,11 +321,7 @@ func (i *Instance) PutMany(ctx context.Context, entries []Entry) ([]Entry, error
 		if err := e.Validate(); err != nil {
 			return nil, err
 		}
-		data, err := GobCodec{}.Encode(e)
-		if err != nil {
-			return nil, err
-		}
-		kvs = append(kvs, memcache.KV{Key: e.Name, Value: data})
+		kvs = append(kvs, memcache.KV{Key: e.Name, Value: encodeEntry(e)})
 	}
 	items, err := i.store.PutBatch(kvs)
 	if err != nil {
@@ -395,7 +379,7 @@ func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err
 	}
 	current := make(map[string]Entry, len(items))
 	for _, it := range items {
-		cur, err := GobCodec{}.Decode(it.Value)
+		cur, err := DecodeEntry(it.Value)
 		if err != nil {
 			return 0, fmt.Errorf("merge: decoding %q: %w", it.Key, err)
 		}
@@ -421,11 +405,7 @@ func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err
 				continue // nothing new
 			}
 		}
-		data, err := GobCodec{}.Encode(next)
-		if err != nil {
-			return applied, err
-		}
-		batch = append(batch, memcache.KV{Key: e.Name, Value: data})
+		batch = append(batch, memcache.KV{Key: e.Name, Value: encodeEntry(next)})
 		current[e.Name] = next // later duplicates in the batch merge onto this
 		applied++
 	}
