@@ -391,7 +391,7 @@ func (c *Client) roundTrip(ctx context.Context, f RequestFrame) (ResponseFrame, 
 		}
 	}
 	if c.obs.trace != nil {
-		op := "rpc." + string(f.Req.Op)
+		op := traceName(f.Req.Op)
 		detail := f.Req.Name
 		if f.Header.Kind == FrameBatch {
 			op = "rpc.batch"
@@ -548,14 +548,14 @@ func (pc *poolConn) do(ctx context.Context, f RequestFrame, timeout time.Duratio
 	pc.pending[f.Header.ID] = ch
 	pc.mu.Unlock()
 
-	frame, err := encodeFrame(f)
+	frame, err := encodeFrame(&f)
 	if err != nil {
 		pc.forget(f.Header.ID)
 		return ResponseFrame{}, err
 	}
 	pc.wmu.Lock()
 	pc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err = pc.conn.Write(frame.Bytes())
+	_, err = pc.conn.Write(frame.b)
 	pc.wmu.Unlock()
 	releaseFrame(frame)
 	if err != nil {
@@ -619,7 +619,7 @@ func (pc *poolConn) forget(id uint64) {
 func (pc *poolConn) readLoop() {
 	for {
 		var rf ResponseFrame
-		if err := readFrame(pc.conn, &rf); err != nil {
+		if err := readReply(pc.conn, &rf); err != nil {
 			pc.fail(fmt.Errorf("%v: %w", err, registry.ErrUnavailable))
 			return
 		}

@@ -104,7 +104,7 @@ func TestDeadlinePropagatesToServer(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := writeFrame(conn, RequestFrame{
+	if err := writeFrame(conn, &RequestFrame{
 		Header: Header{
 			Version:   ProtocolVersion,
 			ID:        1,
@@ -116,7 +116,7 @@ func TestDeadlinePropagatesToServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rf ResponseFrame
-	if err := readFrame(conn, &rf); err != nil {
+	if err := readReply(conn, &rf); err != nil {
 		t.Fatal(err)
 	}
 	if rf.Resp.OK || rf.Resp.Err != ErrDeadline {

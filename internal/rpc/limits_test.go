@@ -126,11 +126,11 @@ func TestBareV1RequestRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, Request{Op: OpPing}); err != nil {
+	if _, err := conn.Write(gobMessage(t, Request{Op: OpPing})); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := readFrame(conn, &resp); err == nil {
+	var resp ResponseFrame
+	if err := readReply(conn, &resp); err == nil {
 		t.Fatalf("bare request answered with %+v, want the connection closed", resp)
 	}
 	if n := srv.Requests(); n != 0 {

@@ -16,11 +16,19 @@
 //
 // # Wire format
 //
-// Every message is a 4-byte big-endian length followed by a gob-encoded
-// frame. A frame is an envelope — RequestFrame on the client-to-server
-// direction, ResponseFrame on the way back — carrying a
-// versioned Header plus either one Request/Response (FrameSingle) or a
-// BatchRequest/BatchResponse holding many registry operations (FrameBatch).
+// Every message is a 4-byte big-endian length followed by a frame. A frame is
+// an envelope — RequestFrame on the client-to-server direction, ResponseFrame
+// on the way back — carrying a Header plus either one Request/Response
+// (FrameSingle) or a BatchRequest/BatchResponse holding many registry
+// operations (FrameBatch). The two directions are of two generations until
+// requests follow: a RequestFrame is one gob stream (encodeFrame,
+// decodePayload), a ResponseFrame — single, batch, watch acknowledgement,
+// watch events, admission rejection — is the hand-rolled reply encoding of
+// frame.go (appendResponseFrame, decodeResponseFrame), which opens with a
+// format byte no gob stream can start with. There is one encoder and one
+// decoder per direction and nothing is negotiated: a peer of the other
+// generation fails its first reply with an error wrapping
+// registry.ErrUnavailable.
 //
 // The Header tags each request with a client-assigned ID that the server
 // echoes in the matching response. Because responses are correlated by ID
@@ -53,9 +61,9 @@
 // # Error codes
 //
 // A failed operation travels as a structured error frame: Response.Err is a
-// machine-readable classification and Response.Detail the human-readable
-// message. Client maps codes back to the sentinel errors, so errors.Is works
-// across the wire:
+// machine-readable classification (one byte on the wire, see errCodes) and
+// Response.Detail the human-readable message. Client maps codes back to the
+// sentinel errors, so errors.Is works across the wire:
 //
 //	code                sentinel the client surfaces
 //	----                ---------------------------------
@@ -82,12 +90,14 @@
 //
 // # One wire version
 //
-// Version 2 is the only protocol generation the server speaks. Version 1
-// framed a bare gob-encoded Request/Response with no header; gob refuses to
-// decode such a Request into a RequestFrame (none of the envelope's fields
-// match), so the server treats it like any other undecodable message: it
-// logs the frame and closes the connection without dispatching or charging
-// anything.
+// A server reads version-2 requests and writes version-3 replies, and speaks
+// nothing else. Version 1 framed a bare gob-encoded Request/Response with no
+// header; gob refuses to decode such a Request into a RequestFrame (none of
+// the envelope's fields match), so the server treats it like any other
+// undecodable message: it logs the frame and closes the connection without
+// dispatching or charging anything. A version-2 reply (a gob ResponseFrame)
+// does not start with the reply format byte, and a client refuses it as a
+// reply of another generation.
 package rpc
 
 import (
@@ -106,10 +116,11 @@ import (
 	"geomds/internal/registry"
 )
 
-// ProtocolVersion is the wire protocol generation stamped into every frame
-// header. Version 2 introduced the header itself, request IDs (pipelining)
-// and batch frames; the un-tagged version 1 is no longer accepted (see the
-// package documentation).
+// ProtocolVersion is the wire protocol generation stamped into every request
+// frame's header. Version 2 introduced the header itself, request IDs
+// (pipelining) and batch frames; the un-tagged version 1 is no longer
+// accepted (see the package documentation). Replies carry no version field:
+// their format byte is their generation.
 const ProtocolVersion = 2
 
 // FrameKind discriminates what a frame's payload carries.
@@ -123,10 +134,10 @@ const (
 	FrameBatch FrameKind = 2
 )
 
-// Header is the versioned frame header prefixed (inside the gob envelope) to
-// every protocol message.
+// Header is the frame header of every protocol message. A request carries all
+// of it inside its gob envelope; a reply carries ID and Kind.
 type Header struct {
-	// Version is the protocol generation (ProtocolVersion).
+	// Version is the protocol generation of a request (ProtocolVersion).
 	Version uint16
 	// ID tags the request; the server echoes it in the matching response so
 	// the client can demultiplex pipelined responses arriving out of order.
@@ -203,7 +214,10 @@ type RequestFrame struct {
 	Watch WatchRequest
 }
 
-// ResponseFrame is the server-to-client envelope.
+// ResponseFrame is the server-to-client envelope. It travels in the reply
+// encoding of frame.go, which carries Header.Kind and Header.ID only: the
+// format byte stands for the version, and deadline and tenant belong to
+// requests.
 type ResponseFrame struct {
 	Header Header
 	// Resp is the payload of a FrameSingle frame. Watch frames reuse it
@@ -216,6 +230,12 @@ type ResponseFrame struct {
 	Watch WatchAck
 	// Events is the payload of a FrameWatchEvent frame.
 	Events []WatchEvent
+
+	// sampled and trace are the reply header's sampled bit and trace ID,
+	// reserved for request tracing: carried both ways, set and read by
+	// nothing yet.
+	sampled bool
+	trace   uint64
 }
 
 // Op identifies the requested registry operation.
@@ -239,6 +259,37 @@ const (
 	OpMerge      Op = "merge"
 	OpLen        Op = "len"
 )
+
+// traceNames holds each operation's name in the trace rings of both ends,
+// resolved once: building it per call cost an allocation per round trip and
+// end.
+var traceNames = map[Op]string{
+	OpPing:       "rpc.ping",
+	OpSite:       "rpc.site",
+	OpCreate:     "rpc.create",
+	OpPut:        "rpc.put",
+	OpGet:        "rpc.get",
+	OpContains:   "rpc.contains",
+	OpAddLoc:     "rpc.addloc",
+	OpDelete:     "rpc.delete",
+	OpNames:      "rpc.names",
+	OpEntries:    "rpc.entries",
+	OpGetMany:    "rpc.getmany",
+	OpPutMany:    "rpc.putmany",
+	OpDeleteMany: "rpc.deletemany",
+	OpMerge:      "rpc.merge",
+	OpLen:        "rpc.len",
+	OpWatch:      "rpc.watch",
+}
+
+// traceName returns "rpc." + op; an op outside the table — one a server is
+// about to refuse as bad-op — still gets its own name.
+func traceName(op Op) string {
+	if name, ok := traceNames[op]; ok {
+		return name
+	}
+	return "rpc." + string(op)
+}
 
 // Request is one client-to-server operation.
 type Request struct {
@@ -277,13 +328,12 @@ type Response struct {
 	N int
 	// RetryAfterNs is the backoff hint in nanoseconds accompanying an
 	// ErrOverloaded rejection (0 otherwise): how long the client should
-	// wait before retrying. A version-2 extension tolerated as absent by
-	// gob, like Header.Tenant.
+	// wait before retrying. It travels with a failed response only.
 	RetryAfterNs int64
 }
 
 // ErrCode classifies errors across the wire so clients can map them back to
-// the registry sentinel errors.
+// the registry sentinel errors. On the wire a code is its byte in errCodes.
 type ErrCode string
 
 // Error classifications. See the package documentation for the full
@@ -409,50 +459,75 @@ func retryAfterNs(err error) int64 {
 // megabytes for the connection's lifetime.
 const maxPooledFrame = 1 << 20
 
+// frameBuf is a pooled encode buffer holding one length-prefixed message,
+// ready to be written with a single Write call. It is an io.Writer for the
+// gob encoder of the request direction; the reply encoder appends to b.
+type frameBuf struct{ b []byte }
+
+func (f *frameBuf) Write(p []byte) (int, error) {
+	f.b = append(f.b, p...)
+	return len(p), nil
+}
+
 // framePool recycles encode buffers across frames. Every message on the wire
 // — request, response, batch, watch event — renders into a pooled buffer,
 // which goes back via releaseFrame once its bytes are written, so steady-state
-// traffic stops allocating a fresh buffer (and its gob growth) per frame.
-var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// traffic stops allocating a fresh buffer (and its growth) per frame.
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 
-// encodeFrame renders one length-prefixed gob message into a pooled buffer,
-// ready to be written with a single Write call. Pre-encoding lets callers
-// keep the expensive gob work outside their connection write locks. The
-// caller must hand the buffer to releaseFrame after writing it (encodeFrame
-// releases it itself on error).
-func encodeFrame(v any) (*bytes.Buffer, error) {
-	buf := framePool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // length prefix, patched below
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		releaseFrame(buf)
-		return nil, fmt.Errorf("rpc: encode: %w", err)
+// takeFrame returns a pooled buffer holding only the four bytes of a length
+// prefix, which sealFrame fills in once the message is behind them.
+func takeFrame() *frameBuf {
+	frame := framePool.Get().(*frameBuf)
+	frame.b = append(frame.b[:0], 0, 0, 0, 0)
+	return frame
+}
+
+// sealFrame writes the length prefix of the message frame holds. A message
+// larger than MaxMessageSize is not to be sent: sealFrame releases the frame
+// and reports the size.
+func sealFrame(frame *frameBuf) (size int, ok bool) {
+	size = len(frame.b) - 4
+	if size > MaxMessageSize {
+		releaseFrame(frame)
+		return size, false
 	}
-	n := buf.Len() - 4
-	if n > MaxMessageSize {
-		releaseFrame(buf)
-		return nil, fmt.Errorf("rpc: message of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(buf.Bytes()[:4], uint32(n))
-	return buf, nil
+	binary.BigEndian.PutUint32(frame.b, uint32(size))
+	return size, true
 }
 
 // releaseFrame returns an encode buffer to the pool. The frame's bytes must
 // not be referenced afterwards.
-func releaseFrame(buf *bytes.Buffer) {
-	if buf.Cap() > maxPooledFrame {
+func releaseFrame(frame *frameBuf) {
+	if cap(frame.b) > maxPooledFrame {
 		return
 	}
-	framePool.Put(buf)
+	framePool.Put(frame)
 }
 
-// writeFrame writes one length-prefixed gob message to w.
-func writeFrame(w io.Writer, v any) error {
-	frame, err := encodeFrame(v)
+// encodeFrame renders one length-prefixed gob request into a pooled buffer.
+// Pre-encoding lets callers keep the expensive gob work outside their
+// connection write locks. The caller must hand the buffer to releaseFrame
+// after writing it (encodeFrame releases it itself on error).
+func encodeFrame(f *RequestFrame) (*frameBuf, error) {
+	frame := takeFrame()
+	if err := gob.NewEncoder(frame).Encode(f); err != nil {
+		releaseFrame(frame)
+		return nil, fmt.Errorf("rpc: encode: %w", err)
+	}
+	if n, ok := sealFrame(frame); !ok {
+		return nil, fmt.Errorf("rpc: message of %d bytes exceeds limit", n)
+	}
+	return frame, nil
+}
+
+// writeFrame writes one length-prefixed gob request to w.
+func writeFrame(w io.Writer, f *RequestFrame) error {
+	frame, err := encodeFrame(f)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(frame.Bytes())
+	_, err = w.Write(frame.b)
 	releaseFrame(frame)
 	if err != nil {
 		return fmt.Errorf("rpc: write frame: %w", err)
@@ -460,15 +535,47 @@ func writeFrame(w io.Writer, v any) error {
 	return nil
 }
 
-// payloadPool recycles read buffers across messages (gob copies everything
-// it decodes, so a payload is dead the moment decodePayload returns).
+// encodeReply renders one length-prefixed reply into a pooled buffer, to be
+// written and released like encodeFrame's. A reply that outgrows
+// MaxMessageSize is not sent, and its connection is not given up either: the
+// caller of every operation it answers gets an internal error naming the
+// size instead, and substituted reports that. Only an event frame has nobody
+// to tell; that is an error, which ends its stream.
+func encodeReply(f *ResponseFrame) (frame *frameBuf, substituted bool, err error) {
+	frame = takeFrame()
+	frame.b = appendResponseFrame(frame.b, f)
+	n, ok := sealFrame(frame)
+	if ok {
+		return frame, false, nil
+	}
+	refusal := Response{Err: ErrInternal, Detail: fmt.Sprintf("rpc: reply of %d bytes exceeds the message limit of %d", n, MaxMessageSize)}
+	if f.Header.Kind == FrameWatchEvent {
+		return nil, false, errors.New(refusal.Detail)
+	}
+	small := ResponseFrame{Header: f.Header, Resp: refusal, sampled: f.sampled, trace: f.trace}
+	if f.Header.Kind == FrameBatch {
+		small.Batch.Ops = make([]Response, len(f.Batch.Ops))
+		for i := range small.Batch.Ops {
+			small.Batch.Ops[i] = refusal
+		}
+	}
+	frame = takeFrame()
+	frame.b = appendResponseFrame(frame.b, &small)
+	if _, ok := sealFrame(frame); !ok {
+		return nil, false, errors.New(refusal.Detail)
+	}
+	return frame, true, nil
+}
+
+// payloadPool recycles read buffers across messages: both decoders copy what
+// they keep, so a payload is dead the moment decoding returns.
 var payloadPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
 }}
 
 // readPayload reads one length-prefixed message from r and returns its raw
-// gob payload, backed by a pooled buffer — the caller owns it until it calls
+// payload, backed by a pooled buffer — the caller owns it until it calls
 // releasePayload. The server reads the payload's length for admission control
 // before decoding it.
 func readPayload(r io.Reader) ([]byte, error) {
@@ -502,21 +609,21 @@ func releasePayload(p []byte) {
 	payloadPool.Put(&p)
 }
 
-// decodePayload gob-decodes a raw payload into v.
-func decodePayload(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+// decodePayload gob-decodes a raw request payload into f.
+func decodePayload(payload []byte, f *RequestFrame) error {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(f); err != nil {
 		return fmt.Errorf("rpc: decode: %w", err)
 	}
 	return nil
 }
 
-// readFrame reads one length-prefixed gob message from r into v.
-func readFrame(r io.Reader, v any) error {
+// readReply reads one length-prefixed reply from r into f.
+func readReply(r io.Reader, f *ResponseFrame) error {
 	payload, err := readPayload(r)
 	if err != nil {
 		return err
 	}
-	err = decodePayload(payload, v)
+	err = decodeResponseFrame(payload, f)
 	releasePayload(payload)
 	return err
 }

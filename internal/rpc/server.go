@@ -111,11 +111,7 @@ func newServerObs(reg *metrics.Registry) serverObs {
 	}
 	if reg != nil {
 		obs.errsByCode = make(map[ErrCode]*metrics.Counter)
-		for _, code := range []ErrCode{
-			ErrNotFound, ErrExists, ErrConflict, ErrInvalid, ErrInternal,
-			ErrBadOp, ErrUnavailable, ErrDeadline, ErrCanceled,
-			ErrOverloaded, ErrCursorTooOld, ErrFeedLagged, ErrFeedClosed,
-		} {
+		for _, code := range errCodes[1:] {
 			obs.errsByCode[code] = reg.Counter("rpc_server_errors_" + strings.ReplaceAll(string(code), "-", "_") + "_total")
 		}
 	}
@@ -389,11 +385,9 @@ func (s *Server) handle(conn net.Conn) {
 				<-slots
 				wg.Done()
 			}()
-			out := ResponseFrame{Header: Header{
-				Version: ProtocolVersion,
-				ID:      rf.Header.ID,
-				Kind:    rf.Header.Kind,
-			}}
+			// A kind that is neither batch nor watch is served as a single
+			// request and answered as one.
+			out := ResponseFrame{Header: Header{ID: rf.Header.ID, Kind: FrameSingle}}
 			// Run the request under the deadline its client propagated in
 			// the header; work whose client has given up is abandoned.
 			ctx, cancel := deadlineContext(s.baseCtx, rf.Header.TimeoutNs)
@@ -401,6 +395,7 @@ func (s *Server) handle(conn net.Conn) {
 			switch rf.Header.Kind {
 			case FrameBatch:
 				s.requests.Add(int64(len(rf.Batch.Ops)))
+				out.Header.Kind = FrameBatch
 				out.Batch.Ops = takeBatchResponses(len(rf.Batch.Ops))
 				for i, req := range rf.Batch.Ops {
 					out.Batch.Ops[i] = s.dispatch(ctx, req)
@@ -411,14 +406,8 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			finish(time.Since(start))
 			cancel()
-			frame, err := encodeFrame(out)
-			if err == nil {
-				wmu.Lock()
-				_, err = conn.Write(frame.Bytes())
-				wmu.Unlock()
-				releaseFrame(frame)
-			}
-			releaseBatchResponses(out.Batch.Ops)
+			err := s.writeReply(conn, &wmu, &out)
+			releaseBatchResponses(out.Batch.Ops) // only once the frame is encoded
 			if err != nil {
 				if !s.isClosed() {
 					s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
@@ -429,6 +418,29 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// writeReply encodes one reply and writes it under the connection's write
+// lock, which pipelined responses and watch streams share. It is done with
+// out, pooled batch responses included, when it returns. A reply too large to
+// send has been replaced by internal errors for its callers (encodeReply);
+// that is counted and logged here, and is not a write error.
+func (s *Server) writeReply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) error {
+	frame, substituted, err := encodeReply(out)
+	if err != nil {
+		return err
+	}
+	if substituted {
+		for range max(1, len(out.Batch.Ops)) {
+			s.obs.countErr(ErrInternal)
+		}
+		s.logger.Printf("rpc: reply %d to %s exceeds %d bytes; answered with an error instead", out.Header.ID, conn.RemoteAddr(), MaxMessageSize)
+	}
+	wmu.Lock()
+	_, err = conn.Write(frame.b)
+	wmu.Unlock()
+	releaseFrame(frame)
+	return err
+}
+
 // rejectFrame answers an admission-rejected frame with an
 // "overloaded" error response (one per operation for a batch, so the frame
 // shape matches what the client expects). It runs on the connection's read
@@ -436,21 +448,18 @@ func (s *Server) handle(conn net.Conn) {
 // response.
 func (s *Server) rejectFrame(conn net.Conn, wmu *sync.Mutex, rf RequestFrame, aerr error) {
 	s.obs.countErr(ErrOverloaded)
-	out := ResponseFrame{Header: Header{
-		Version: ProtocolVersion,
-		ID:      rf.Header.ID,
-		Kind:    rf.Header.Kind,
-	}}
-	resp := failure(aerr)
-	if rf.Header.Kind == FrameBatch {
+	out := ResponseFrame{Header: Header{ID: rf.Header.ID, Kind: FrameSingle}, Resp: failure(aerr)}
+	switch rf.Header.Kind {
+	case FrameBatch:
+		out.Header.Kind = FrameBatch
 		out.Batch.Ops = takeBatchResponses(len(rf.Batch.Ops))
 		for i := range out.Batch.Ops {
-			out.Batch.Ops[i] = resp
+			out.Batch.Ops[i] = out.Resp
 		}
-	} else {
-		out.Resp = resp
+	case FrameWatch:
+		out.Header.Kind = FrameWatch
 	}
-	err := writeWatchFrame(conn, wmu, out) // encode + locked write; shape-agnostic
+	err := s.writeReply(conn, wmu, &out)
 	releaseBatchResponses(out.Batch.Ops)
 	if err != nil {
 		if !s.isClosed() {
@@ -486,7 +495,7 @@ func (s *Server) dispatch(ctx context.Context, req Request) Response {
 		if !resp.OK {
 			err = fmt.Errorf("%s: %s", resp.Err, resp.Detail)
 		}
-		s.obs.trace.Add("rpc."+string(req.Op), req.Name, elapsed, err)
+		s.obs.trace.Add(traceName(req.Op), req.Name, elapsed, err)
 	}
 	return resp
 }

@@ -184,31 +184,17 @@ func (w *connWatches) cancelAll() {
 	}
 }
 
-// writeWatchFrame serializes one watch frame onto the connection under the
-// shared write lock (event streams interleave with pipelined responses).
-func writeWatchFrame(conn net.Conn, wmu *sync.Mutex, out ResponseFrame) error {
-	frame, err := encodeFrame(out)
-	if err != nil {
-		return err
-	}
-	wmu.Lock()
-	_, err = conn.Write(frame.Bytes())
-	wmu.Unlock()
-	releaseFrame(frame)
-	return err
-}
-
 // startWatch opens one subscription and spawns its streaming goroutine. It
 // answers the FrameWatch synchronously (ack or error) so the client knows
 // the outcome before any event arrives.
 func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, watches *connWatches, rf RequestFrame) {
 	refuse := func(code ErrCode, detail string) {
 		out := ResponseFrame{
-			Header: Header{Version: ProtocolVersion, ID: rf.Header.ID, Kind: FrameWatch},
+			Header: Header{ID: rf.Header.ID, Kind: FrameWatch},
 			Resp:   Response{OK: false, Err: code, Detail: detail},
 		}
 		s.obs.countErr(code)
-		if err := writeWatchFrame(conn, wmu, out); err != nil && !s.isClosed() {
+		if err := s.writeReply(conn, wmu, &out); err != nil && !s.isClosed() {
 			s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
 		}
 	}
@@ -241,11 +227,11 @@ func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, 
 		return
 	}
 	out := ResponseFrame{
-		Header: Header{Version: ProtocolVersion, ID: rf.Header.ID, Kind: FrameWatch},
+		Header: Header{ID: rf.Header.ID, Kind: FrameWatch},
 		Resp:   Response{OK: true},
 		Watch:  ack,
 	}
-	if err := writeWatchFrame(conn, wmu, out); err != nil {
+	if err := s.writeReply(conn, wmu, &out); err != nil {
 		cancel()
 		sub.Close()
 		conn.Close()
@@ -267,14 +253,14 @@ func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, 
 func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex, id uint64, prefix string, snapshot []feed.Event, startSeq uint64, sub *feed.Subscription) {
 	send := func(events []WatchEvent, terminal error) bool {
 		out := ResponseFrame{
-			Header: Header{Version: ProtocolVersion, ID: id, Kind: FrameWatchEvent},
+			Header: Header{ID: id, Kind: FrameWatchEvent},
 			Resp:   Response{OK: terminal == nil},
 		}
 		out.Events = events
 		if terminal != nil {
 			out.Resp.Err, out.Resp.Detail = encodeFeedErr(terminal)
 		}
-		if err := writeWatchFrame(conn, wmu, out); err != nil {
+		if err := s.writeReply(conn, wmu, &out); err != nil {
 			conn.Close() // the watch consumer is gone; unblock the read loop
 			return false
 		}
@@ -441,7 +427,7 @@ func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*Wa
 		Header: Header{Version: ProtocolVersion, ID: id, Kind: FrameWatch, Tenant: c.tenantFor(ctx)},
 		Watch:  WatchRequest{FromSeq: from, Prefix: opts.Prefix, NoFallback: opts.NoFallback},
 	}
-	if err := writeFrame(conn, req); err != nil {
+	if err := writeFrame(conn, &req); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("rpc: watch %s: %v: %w", c.addr, err, registry.ErrUnavailable)
 	}
@@ -453,7 +439,7 @@ func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*Wa
 		conn.SetReadDeadline(time.Now().Add(c.timeout))
 	}
 	var ackFrame ResponseFrame
-	if err := readFrame(conn, &ackFrame); err != nil {
+	if err := readReply(conn, &ackFrame); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("rpc: watch %s: %v: %w", c.addr, err, registry.ErrUnavailable)
 	}
@@ -486,7 +472,7 @@ func (w *WatchStream) readLoop() {
 	defer close(w.out)
 	for {
 		var rf ResponseFrame
-		if err := readFrame(w.conn, &rf); err != nil {
+		if err := readReply(w.conn, &rf); err != nil {
 			select {
 			case <-w.done:
 				// Closed locally: a clean end, not an error.
