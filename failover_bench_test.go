@@ -129,13 +129,6 @@ func (k *benchKillableShard) Names(ctx context.Context) []string {
 	return k.API.Names(ctx)
 }
 
-func (k *benchKillableShard) Contains(ctx context.Context, name string) bool {
-	if k.dead.Load() {
-		return false
-	}
-	return k.API.Contains(ctx, name)
-}
-
 func (k *benchKillableShard) Len(ctx context.Context) int {
 	if k.dead.Load() {
 		return 0
@@ -415,14 +408,6 @@ func (s *benchRestartableShard) Names(ctx context.Context) []string {
 		return nil
 	}
 	return api.Names(ctx)
-}
-
-func (s *benchRestartableShard) Contains(ctx context.Context, name string) bool {
-	api, err := s.api()
-	if err != nil {
-		return false
-	}
-	return api.Contains(ctx, name)
 }
 
 func (s *benchRestartableShard) Len(ctx context.Context) int {

@@ -218,7 +218,7 @@ func TestFlushCancellationRequeues(t *testing.T) {
 	}
 	for _, name := range names {
 		home, _ := svc.fabric.Instance(svc.Home(name))
-		if !home.Contains(tctx, name) {
+		if !holds(t, home, name) {
 			t.Errorf("entry %q never reached its home site after the re-queued flush", name)
 		}
 	}

@@ -33,6 +33,18 @@ func testEntry(name string, site cloud.SiteID) registry.Entry {
 	return registry.NewEntry(name, 4096, "task-x", registry.Location{Site: site, Node: 1})
 }
 
+// holds reports whether the instance stores name, the way a caller finds
+// out: a Get that answers or fails ErrNotFound. Any other failure fails the
+// test.
+func holds(t *testing.T, inst registry.API, name string) bool {
+	t.Helper()
+	_, err := inst.Get(tctx, name)
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		t.Fatalf("get %q: %v", name, err)
+	}
+	return err == nil
+}
+
 func TestStrategyKindStrings(t *testing.T) {
 	cases := map[StrategyKind][2]string{
 		Centralized:             {"centralized", "C"},
@@ -310,7 +322,7 @@ func TestDecentralizedPlacement(t *testing.T) {
 		}
 		home := svc.Home(name)
 		inst, _ := f.Instance(home)
-		if !inst.Contains(tctx, name) {
+		if !holds(t, inst, name) {
 			t.Errorf("%s not stored at its home site %d", name, home)
 		}
 		// It must be stored nowhere else.
@@ -319,7 +331,7 @@ func TestDecentralizedPlacement(t *testing.T) {
 				continue
 			}
 			other, _ := f.Instance(site)
-			if other.Contains(tctx, name) {
+			if holds(t, other, name) {
 				t.Errorf("%s replicated to non-home site %d", name, site)
 			}
 		}
@@ -390,10 +402,10 @@ func TestDecReplicatedEagerWrite(t *testing.T) {
 	}
 	local, _ := f.Instance(1)
 	home, _ := f.Instance(svc.Home(name))
-	if !local.Contains(tctx, name) {
+	if !holds(t, local, name) {
 		t.Error("local replica missing")
 	}
-	if !home.Contains(tctx, name) {
+	if !holds(t, home, name) {
 		t.Error("home copy missing (eager propagation)")
 	}
 }
@@ -419,7 +431,7 @@ func TestDecReplicatedLazyWrite(t *testing.T) {
 	svc.Create(tctx, 0, testEntry(name, 0))
 	homeSite := svc.Home(name)
 	homeInst, _ := f.Instance(homeSite)
-	if homeInst.Contains(tctx, name) {
+	if holds(t, homeInst, name) {
 		t.Error("home copy should not exist before the lazy flush")
 	}
 	// Reads from the writer's site hit the local replica immediately.
@@ -441,7 +453,7 @@ func TestDecReplicatedLazyWrite(t *testing.T) {
 	if err := svc.Flush(tctx); err != nil {
 		t.Fatal(err)
 	}
-	if !homeInst.Contains(tctx, name) {
+	if !holds(t, homeInst, name) {
 		t.Error("home copy missing after flush")
 	}
 	if _, err := svc.Lookup(tctx, third, name); err != nil {
@@ -494,7 +506,7 @@ func TestDecReplicatedUpdateAndDelete(t *testing.T) {
 	}
 	for _, site := range f.Sites() {
 		inst, _ := f.Instance(site)
-		if inst.Contains(tctx, name) {
+		if holds(t, inst, name) {
 			t.Errorf("entry still present at site %d after delete", site)
 		}
 	}
@@ -503,6 +515,46 @@ func TestDecReplicatedUpdateAndDelete(t *testing.T) {
 	}
 	if _, err := svc.AddLocation(tctx, 1, "ghost", registry.Location{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("AddLocation on missing entry = %v, want ErrNotFound", err)
+	}
+}
+
+// homedAt returns a name the service places at the given site.
+func homedAt(svc *DecReplicatedService, site cloud.SiteID) string {
+	for i := 0; ; i++ {
+		if name := fmt.Sprintf("home-%d", i); svc.Home(name) == site {
+			return name
+		}
+	}
+}
+
+// An update from a name's home site, where the local replica is the only
+// copy, is one registry call.
+func TestDecReplicatedAddLocationAtHomeIsOneCall(t *testing.T) {
+	f, counters := newCountingFabric()
+	svc, _ := NewDecReplicated(f)
+	defer svc.Close()
+	name := homedAt(svc, 1)
+	if _, err := svc.Create(tctx, 1, testEntry(name, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := counters[1].Total()
+	if _, err := svc.AddLocation(tctx, 1, name, registry.Location{Site: 3, Node: 4}); err != nil {
+		t.Fatalf("AddLocation: %v", err)
+	}
+	if got := counters[1].Total() - before; got != 1 {
+		t.Errorf("AddLocation made %d registry calls at the home site, want 1", got)
+	}
+}
+
+// A home site that cannot be reached is reported as unreachable, not as a
+// name that does not exist.
+func TestDecReplicatedAddLocationAtUnreachableHome(t *testing.T) {
+	f := newTestFabric(WithInstances(map[cloud.SiteID]registry.API{1: registry.Unavailable(1)}))
+	svc, _ := NewDecReplicated(f)
+	defer svc.Close()
+	_, err := svc.AddLocation(tctx, 1, homedAt(svc, 1), registry.Location{Site: 3, Node: 4})
+	if !errors.Is(err, ErrSiteUnreachable) || errors.Is(err, ErrNotFound) {
+		t.Errorf("AddLocation with the home site down = %v, want ErrSiteUnreachable and not ErrNotFound", err)
 	}
 }
 
@@ -532,7 +584,7 @@ func TestPropagator(t *testing.T) {
 		t.Errorf("Pending after flush = %d, want 0", p.Pending())
 	}
 	inst, _ := f.Instance(2)
-	if !inst.Contains(tctx, "prop") {
+	if !holds(t, inst, "prop") {
 		t.Error("entry not applied at destination")
 	}
 	if p.Flushes() == 0 || p.Propagated() != 1 {

@@ -228,21 +228,13 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 	if err != nil {
 		return registry.Entry{}, err
 	}
-	updated, _, localErr := s.fabric.mutate(ctx, from, from, s.fabric.queryBytes,
-		func(inst registry.API) (registry.Entry, error) {
-			if !inst.Contains(ctx, name) {
-				return registry.Entry{}, ErrNotFound
-			}
-			return inst.AddLocation(ctx, name, loc)
-		})
+	addLoc := func(inst registry.API) (registry.Entry, error) { return inst.AddLocation(ctx, name, loc) }
+	updated, _, localErr := s.fabric.mutate(ctx, from, from, s.fabric.queryBytes, addLoc)
 	if ctx.Err() != nil {
 		return registry.Entry{}, s.finish(o, false, ctx.Err())
 	}
 	home := s.placer.Home(name)
 	if home == from {
-		if localErr != nil {
-			localErr = ErrNotFound
-		}
 		return updated, s.finish(o, false, localErr)
 	}
 	if s.Lazy() && localErr == nil {
@@ -253,8 +245,7 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 		return updated, s.finish(o, false, nil)
 	}
 	// Eager mode, or the entry is not replicated locally: update the home.
-	e, remote, err := s.fabric.mutate(ctx, from, home, s.fabric.queryBytes,
-		func(inst registry.API) (registry.Entry, error) { return inst.AddLocation(ctx, name, loc) })
+	e, remote, err := s.fabric.mutate(ctx, from, home, s.fabric.queryBytes, addLoc)
 	if err != nil && localErr == nil && ctx.Err() == nil {
 		return updated, s.finish(o, remote, nil)
 	}

@@ -164,7 +164,7 @@ func TestDecReplicatedFeedPropagation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inst.Contains(tctx, name) {
+		if !holds(t, inst, name) {
 			t.Fatalf("%q missing at its home site %d after flush", name, home)
 		}
 		// Visible from every site through the two-step lookup.

@@ -275,7 +275,7 @@ func TestRequeueNeverDisplacesNewerOperation(t *testing.T) {
 				t.Fatal(err)
 			}
 			inst, _ := f.Instance(2)
-			if got := inst.Contains(tctx, "x"); got != tc.wantPresent {
+			if got := holds(t, inst, "x"); got != tc.wantPresent {
 				t.Errorf("destination holds the entry = %v, want %v (the newer operation wins)", got, tc.wantPresent)
 			}
 		})

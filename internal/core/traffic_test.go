@@ -246,8 +246,8 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 				"create A@1: ok s1{Create×1} s2{Create×1} local=1 geo=1 / -",
 				"lookup A@1: ok s1{Get×1} local=1 / -",
 				"lookup A@3: ok s2{Get×1} s3{Get×1} local=1 region=1 / -",
-				"addlocation A@1: ok s1{AddLocation×1 Contains×1} s2{AddLocation×1} local=1 geo=1 / -",
-				"addlocation A@3: ok s2{AddLocation×1} s3{Contains×1} local=1 region=1 / -",
+				"addlocation A@1: ok s1{AddLocation×1} s2{AddLocation×1} local=1 geo=1 / -",
+				"addlocation A@3: ok s2{AddLocation×1} s3{AddLocation×1} local=1 region=1 / -",
 				"create B@1: ok s1{Create×1} local=1 / -",
 				"delete A@3: ok s2{Delete×1} s3{Delete×1} local=1 region=1 / -",
 				"delete A@1: ok s1{Delete×1} s2{Delete×1} local=1 geo=1 / -",
@@ -263,8 +263,8 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 				"create A@1: ok s1{Create×1} local=1 / s2{Merge×1} geo=1",
 				"lookup A@1: ok s1{Get×1} local=1 / -",
 				"lookup A@3: ok s2{Get×1} s3{Get×1} local=1 region=1 / -",
-				"addlocation A@1: ok s1{AddLocation×1 Contains×1} local=1 / s2{Merge×1} geo=1",
-				"addlocation A@3: ok s2{AddLocation×1} s3{Contains×1} local=1 region=1 / -",
+				"addlocation A@1: ok s1{AddLocation×1} local=1 / s2{Merge×1} geo=1",
+				"addlocation A@3: ok s2{AddLocation×1} s3{AddLocation×1} local=1 region=1 / -",
 				"create B@1: ok s1{Create×1} local=1 / -",
 				"delete A@3: ok s2{Delete×1} s3{Delete×1} local=1 region=1 / -",
 				"delete A@1: ok s1{Delete×1} local=1 / s2{DeleteMany×1 Merge×1} geo=1",
@@ -281,8 +281,8 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 				"create A@1: ok s1{Create×1} s2{Merge×1} local=1 geo=1",
 				"lookup A@1: ok s1{Get×1} local=1",
 				"lookup A@3: ok s2{Get×1} s3{Get×1} local=1 region=1",
-				"addlocation A@1: ok s1{AddLocation×1 Contains×1} s2{Merge×1} local=1 geo=1",
-				"addlocation A@3: ok s2{AddLocation×1} s3{Contains×1} local=1 region=1",
+				"addlocation A@1: ok s1{AddLocation×1} s2{Merge×1} local=1 geo=1",
+				"addlocation A@3: ok s2{AddLocation×1} s3{AddLocation×1} local=1 region=1",
 				"create B@1: ok s1{Create×1} local=1",
 				"delete A@3: ok s2{Delete×1} s3{Delete×1} local=1 region=1",
 				"delete A@1: ok s1{Delete×1} s2{DeleteMany×1 Merge×1} local=1 geo=1",

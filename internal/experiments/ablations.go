@@ -205,8 +205,7 @@ func AblationRegistryCapacity(ctx context.Context, cfg Config, serviceTime time.
 // AblationKeyDistributionResult compares the synthetic benchmark under
 // uniform, Zipfian and hot-spot read skew: skewed reads concentrate load on
 // the shards homing the popular keys, so throughput and mean node time
-// degrade relative to uniform — the contention profile the tail-latency
-// machinery (hedged reads, coalescing) is built against.
+// degrade relative to uniform.
 type AblationKeyDistributionResult struct {
 	Strategy core.StrategyKind
 	// Runs holds one synthetic result per distribution, in Distributions

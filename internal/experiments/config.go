@@ -76,8 +76,7 @@ type Config struct {
 	FeedSync bool
 	// KeyDist shapes which entries the synthetic workload's readers look up:
 	// the zero value keeps the paper's uniform picks, Zipfian and hot-spot
-	// skews concentrate reads on a small popular set so tail-latency
-	// machinery (hedging, coalescing) has contention to bite on.
+	// skews concentrate reads on a small popular set.
 	KeyDist workloads.KeyDist
 	// Tenants spreads the synthetic workload's nodes across this many
 	// tenants (node n runs as "tenant-<n mod Tenants>"), exercising

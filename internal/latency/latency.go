@@ -29,14 +29,9 @@ import (
 // because they are, by construction, short.
 const spinThreshold = 300 * time.Microsecond
 
-// PreciseSleep waits for d with sub-millisecond fidelity: short waits spin
-// (yielding the processor between polls), longer waits sleep for the bulk of
-// the duration and spin the remainder.
-func PreciseSleep(d time.Duration) {
-	PreciseSleepContext(context.Background(), d) //nolint:errcheck // Background never cancels
-}
-
-// PreciseSleepContext waits like PreciseSleep but returns early — with the
+// PreciseSleepContext waits for d with sub-millisecond fidelity: short waits
+// spin (yielding the processor between polls), longer waits sleep for the
+// bulk of the duration and spin the remainder. It returns early — with the
 // context's error — when ctx is cancelled or its deadline passes. The bulk of
 // a long wait blocks on a timer racing ctx.Done(), so a cancelled caller
 // (a client that gave up, a closing service) is unblocked immediately instead

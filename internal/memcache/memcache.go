@@ -210,17 +210,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// NewBasic returns a cache modelled after the "Basic 512 MB" Azure Managed
-// Cache instance used in the paper's evaluation: a modest worker pool and a
-// sub-millisecond per-operation service time.
-func NewBasic() *Cache {
-	return New(Config{
-		Shards:      defaultShards,
-		ServiceTime: 700 * time.Microsecond,
-		Concurrency: 4,
-	})
-}
-
 // Stop marks the cache as stopped; subsequent operations fail with
 // ErrStopped. Stopping an already stopped cache is a no-op.
 func (c *Cache) Stop() { c.stopped.Store(true) }

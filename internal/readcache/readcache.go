@@ -458,20 +458,6 @@ type notFoundError struct{ name string }
 func (e *notFoundError) Error() string { return "readcache: " + e.name + ": entry not found" }
 func (e *notFoundError) Unwrap() error { return registry.ErrNotFound }
 
-// Contains implements registry.API: cached entries answer locally (a
-// negative entry is a cached "absent"); unknown keys pass through without
-// filling — Contains carries no entry to install and its best-effort
-// contract reads failures as "absent", which must not be cached.
-func (c *Cache) Contains(ctx context.Context, name string) bool {
-	if !c.serveThrough() {
-		if _, neg, ok := c.lookup(name); ok {
-			c.obs.hits.Inc()
-			return !neg
-		}
-	}
-	return c.origin.Contains(ctx, name)
-}
-
 // GetMany implements registry.API: cached names answer locally, the rest
 // fetch from the origin in one bulk call, filling positives and negatives
 // under the fencing protocol. Results keep the input order of the names

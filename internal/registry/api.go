@@ -32,9 +32,6 @@ type API interface {
 	Put(ctx context.Context, e Entry) (Entry, error)
 	// Get returns the entry stored under name, or ErrNotFound.
 	Get(ctx context.Context, name string) (Entry, error)
-	// Contains reports whether an entry with the given name exists. It is
-	// best-effort: a cancelled context or transport failure reads as "absent".
-	Contains(ctx context.Context, name string) bool
 	// AddLocation records an additional copy of the named file.
 	AddLocation(ctx context.Context, name string, loc Location) (Entry, error)
 	// Delete removes the entry stored under name.

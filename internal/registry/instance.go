@@ -167,14 +167,6 @@ func (i *Instance) Get(ctx context.Context, name string) (Entry, error) {
 	return e, nil
 }
 
-// Contains reports whether an entry with the given name exists.
-func (i *Instance) Contains(ctx context.Context, name string) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	return i.store.Contains(name)
-}
-
 // updateStripes is how many locks the names updated through one instance
 // share.
 const updateStripes = 64

@@ -60,7 +60,6 @@ func (u unavailableShard) Put(context.Context, Entry) (Entry, error) {
 func (u unavailableShard) Get(context.Context, string) (Entry, error) {
 	return Entry{}, errShardUnreachable
 }
-func (u unavailableShard) Contains(context.Context, string) bool { return false }
 func (u unavailableShard) AddLocation(context.Context, string, Location) (Entry, error) {
 	return Entry{}, errShardUnreachable
 }
@@ -696,27 +695,30 @@ func (r *Router) purgeExcept(ctx context.Context, name string, skip []shardRef) 
 	return purged, errs, failed
 }
 
-// getRouted is the uncoalesced, untimed read path: the primary is tried
-// first and transport errors fail over down the replica list
-// (router_failover_reads_total). A replica that answers "not found" is
-// authoritative — unless a sweep is reshuffling entries: an entry may not
-// have reached its new homes yet, so the miss falls back to the other shards
-// (one concurrent Get per shard) and is only answered when every one of them
-// actually responded; an unreachable shard mid-sweep surfaces as
-// ErrUnavailable rather than reading an existing entry as absent.
+// Get implements API: the routed read, timed into router_read_latency_ns.
+// Only answered reads (a hit or an authoritative miss) are recorded, so a
+// dead shard's timeout does not pass for the tier's read latency.
+func (r *Router) Get(ctx context.Context, name string) (Entry, error) {
+	start := time.Now()
+	e, err := r.getRouted(ctx, name)
+	if err == nil || errors.Is(err, ErrNotFound) {
+		r.obs.readLat.ObserveDuration(time.Since(start))
+	}
+	return e, err
+}
+
+// getRouted is the read path: the primary is tried first and transport
+// errors fail over down the replica list (router_failover_reads_total). A
+// replica that answers "not found" is authoritative — unless a sweep is
+// reshuffling entries: an entry may not have reached its new homes yet, so
+// the miss falls back to the other shards (one concurrent Get per shard) and
+// is only answered when every one of them actually responded; an unreachable
+// shard mid-sweep surfaces as ErrUnavailable rather than reading an existing
+// entry as absent.
 func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
 	refs, err := r.replicaSet(name)
 	if err != nil {
 		return Entry{}, err
-	}
-	// With hedging armed and a second healthy replica resolved, race the
-	// primary against a deferred hedge instead of waiting out a slow shard.
-	// Mid-sweep reads keep the serial path: its full-tier fallback owns the
-	// off-home-copy semantics.
-	if len(refs) > 1 && !r.sweepActive() {
-		if th := r.hedgeThreshold(); th > 0 {
-			return r.getHedged(ctx, name, refs, th)
-		}
 	}
 	var (
 		notFound error
@@ -758,31 +760,6 @@ func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
 		return Entry{}, notFound
 	}
 	return Entry{}, r.shardErr("get", errs)
-}
-
-// Contains implements API, mirroring Get for the best-effort existence
-// check: any replica answering true wins; during a sweep the whole tier is
-// consulted before answering false. A tier with no shard owning the name
-// reads as "absent" and feeds the suppressed-error counter so the
-// degradation is observable.
-func (r *Router) Contains(ctx context.Context, name string) bool {
-	refs, err := r.replicaSet(name)
-	if err != nil {
-		r.obs.suppressed.Inc()
-		return false
-	}
-	for i, ref := range refs {
-		if ref.api.Contains(ctx, name) {
-			if i > 0 {
-				r.obs.failovers.Inc()
-			}
-			return true
-		}
-	}
-	if !r.sweepActive() {
-		return false
-	}
-	return r.sweepFallbackContains(ctx, name, refs)
 }
 
 // repGroup is one shard's combined sub-batch of a bulk call: the input

@@ -45,13 +45,6 @@ func (k *killableShard) Get(ctx context.Context, name string) (Entry, error) {
 	return k.API.Get(ctx, name)
 }
 
-func (k *killableShard) Contains(ctx context.Context, name string) bool {
-	if k.dead.Load() {
-		return false
-	}
-	return k.API.Contains(ctx, name)
-}
-
 func (k *killableShard) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
 	if k.dead.Load() {
 		return Entry{}, errShardDown
@@ -193,7 +186,7 @@ func TestRouterReplicatedWritesFanOut(t *testing.T) {
 		}
 		homes := map[cloud.SiteID]bool{refs[0].id: true, refs[1].id: true}
 		for id, inst := range insts {
-			has := inst.Contains(ctx, name)
+			has := holds(t, inst, name)
 			if homes[cloud.SiteID(id)] != has {
 				t.Fatalf("entry %q on shard %d: got %v, want %v", name, id, has, homes[cloud.SiteID(id)])
 			}
@@ -220,7 +213,7 @@ func TestRouterReplicatedWritesFanOut(t *testing.T) {
 		t.Fatalf("delete: %v", err)
 	}
 	for id, inst := range insts {
-		if inst.Contains(ctx, "rep/fanout/0") {
+		if holds(t, inst, "rep/fanout/0") {
 			t.Fatalf("deleted entry still on shard %d", id)
 		}
 	}
@@ -290,11 +283,6 @@ func (c *opCountingShard) Get(ctx context.Context, name string) (Entry, error) {
 		c.ops.Add(1)
 	}
 	return c.API.Get(ctx, name)
-}
-
-func (c *opCountingShard) Contains(ctx context.Context, name string) bool {
-	c.ops.Add(1)
-	return c.API.Contains(ctx, name)
 }
 
 func (c *opCountingShard) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
@@ -475,7 +463,7 @@ func TestRouterShardOutageResync(t *testing.T) {
 		if _, err := r.Get(ctx, name); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("deleted %q resurrected after resync: %v", name, err)
 		}
-		if insts[victim].Contains(ctx, name) {
+		if holds(t, insts[victim], name) {
 			t.Fatalf("returned shard still holds stale copy of deleted %q", name)
 		}
 	}
@@ -491,7 +479,7 @@ func TestRouterShardOutageResync(t *testing.T) {
 			homes[ref.id] = true
 		}
 		for id, inst := range insts {
-			if has := inst.Contains(ctx, name); has != homes[cloud.SiteID(id)] {
+			if has := holds(t, inst, name); has != homes[cloud.SiteID(id)] {
 				t.Fatalf("after resync, entry %q on shard %d: got %v, want %v", name, id, has, homes[cloud.SiteID(id)])
 			}
 		}
@@ -666,7 +654,7 @@ func TestRouterReplicatedMembershipChange(t *testing.T) {
 			homes[ref.id] = true
 		}
 		for sid, api := range byID {
-			if has := api.Contains(ctx, name); has != homes[sid] {
+			if has := holds(t, api, name); has != homes[sid] {
 				t.Fatalf("after join, entry %q on shard %d: got %v, want %v", name, sid, has, homes[sid])
 			}
 		}
@@ -748,7 +736,7 @@ func TestRouterQuorumDeleteNotResurrectedByResync(t *testing.T) {
 		t.Fatalf("quorum-acknowledged delete resurrected by resync: %v", err)
 	}
 	for id, inst := range insts {
-		if inst.Contains(ctx, name) {
+		if holds(t, inst, name) {
 			t.Fatalf("shard %d still holds the deleted entry after resync", id)
 		}
 	}
@@ -775,7 +763,7 @@ func TestRouterQuorumSuppressedFailureRepaired(t *testing.T) {
 	}
 	kills[victim].revive()
 	r.Wait()
-	if !insts[victim].Contains(ctx, name) {
+	if !holds(t, insts[victim], name) {
 		t.Fatal("blipped replica was not repaired after a quorum-suppressed put")
 	}
 
@@ -788,7 +776,7 @@ func TestRouterQuorumSuppressedFailureRepaired(t *testing.T) {
 	}
 	kills[victim].revive()
 	r.Wait()
-	if insts[victim].Contains(ctx, name) {
+	if holds(t, insts[victim], name) {
 		t.Fatal("blipped replica still holds the entry after a quorum-suppressed delete")
 	}
 	if _, err := r.Get(ctx, name); !errors.Is(err, ErrNotFound) {
@@ -862,7 +850,7 @@ func TestRouterRepairDoesNotResurrectDeletion(t *testing.T) {
 		t.Fatalf("repair resurrected the deletion: %v", err)
 	}
 	for id, inst := range insts {
-		if inst.Contains(ctx, name) {
+		if holds(t, inst, name) {
 			t.Fatalf("shard %d holds the deleted entry after the repair drained", id)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,9 +53,9 @@ import (
 // noteWritten records no outage writes, forceNoteDeleted records no failed
 // delete (the caller was told, and nothing would ever unpin the note table),
 // NewRouter reads every write concern as WriteAll, sweepShard skips the
-// noted-name cleanup (no second replica to restore a raced write from), Len
-// can sum the shard sizes, and Get has no replica to hedge at. docs/ARCHITECTURE.md
-// tabulates each with its reason.
+// noted-name cleanup (no second replica to restore a raced write from), and
+// Len can sum the shard sizes. docs/ARCHITECTURE.md tabulates each with its
+// reason.
 //
 // Membership can change online: AddShard and RemoveShard update the
 // consistent-hash placement and kick a background migration sweep that moves
@@ -159,16 +160,6 @@ type Router struct {
 	tapMu sync.Mutex
 	taps  map[cloud.SiteID]*relayTap
 
-	// hedge holds the tail-latency read-hedging configuration; readLat is
-	// the streaming latency histogram its threshold derives from (always
-	// non-nil when hedging is armed, even with instrumentation disabled).
-	hedge   hedgeSettings
-	readLat *metrics.Histogram
-
-	// flights coalesces concurrent identical Gets when the router was built
-	// WithRouterReadCoalescing; nil otherwise.
-	flights *flightGroup
-
 	obs routerObs
 }
 
@@ -178,23 +169,21 @@ var _ API = (*Router)(nil)
 // routerObs holds the router's observability instruments, resolved once at
 // construction. All fields tolerate being nil (instrumentation disabled).
 type routerObs struct {
-	shardsG     *metrics.Gauge   // router_shards: active shards in placement
-	replicaG    *metrics.Gauge   // router_replication: configured replication factor
-	bulkOps     *metrics.Counter // router_bulk_ops_total: bulk calls on the router
-	subBatches  *metrics.Counter // router_subbatches_total: per-shard sub-batches issued
-	migrated    *metrics.Counter // router_migrated_entries_total: entries moved by sweeps
-	repaired    *metrics.Counter // router_repaired_entries_total: replica copies (re)written by sweeps
-	sweepsC     *metrics.Counter // router_sweeps_total: migration sweeps completed
-	sweepFails  *metrics.Counter // router_sweep_failures_total: background sweeps abandoned after retries
-	resyncs     *metrics.Counter // router_resync_sweeps_total: sweeps triggered by a shard recovering
-	deltas      *metrics.Counter // router_delta_repairs_total: recoveries served by a delta repair instead of a full sweep
-	failovers   *metrics.Counter // router_failover_reads_total: reads served by a non-primary replica
-	replicaErrs *metrics.Counter // router_replica_write_errors_total: write failures suppressed by the quorum concern
-	repairFails *metrics.Counter // router_replica_repair_failures_total: background replica repairs abandoned after retries
-	suppressed  *metrics.Counter // router_suppressed_errors_total: errors swallowed by best-effort ops
-	hedged      *metrics.Counter // router_hedged_reads_total: hedge legs fired by a slow primary
-	hedgeWins   *metrics.Counter // router_hedge_wins_total: hedged reads answered by the hedge leg
-	coalesced   *metrics.Counter // router_coalesced_reads_total: Gets that joined another caller's in-flight read
+	shardsG     *metrics.Gauge     // router_shards: active shards in placement
+	replicaG    *metrics.Gauge     // router_replication: configured replication factor
+	bulkOps     *metrics.Counter   // router_bulk_ops_total: bulk calls on the router
+	subBatches  *metrics.Counter   // router_subbatches_total: per-shard sub-batches issued
+	migrated    *metrics.Counter   // router_migrated_entries_total: entries moved by sweeps
+	repaired    *metrics.Counter   // router_repaired_entries_total: replica copies (re)written by sweeps
+	sweepsC     *metrics.Counter   // router_sweeps_total: migration sweeps completed
+	sweepFails  *metrics.Counter   // router_sweep_failures_total: background sweeps abandoned after retries
+	resyncs     *metrics.Counter   // router_resync_sweeps_total: sweeps triggered by a shard recovering
+	deltas      *metrics.Counter   // router_delta_repairs_total: recoveries served by a delta repair instead of a full sweep
+	failovers   *metrics.Counter   // router_failover_reads_total: reads served by a non-primary replica
+	replicaErrs *metrics.Counter   // router_replica_write_errors_total: write failures suppressed by the quorum concern
+	repairFails *metrics.Counter   // router_replica_repair_failures_total: background replica repairs abandoned after retries
+	suppressed  *metrics.Counter   // router_suppressed_errors_total: errors swallowed by best-effort ops
+	readLat     *metrics.Histogram // router_read_latency_ns: answered single-key Gets, end to end
 }
 
 func newRouterObs(reg *metrics.Registry) routerObs {
@@ -213,9 +202,7 @@ func newRouterObs(reg *metrics.Registry) routerObs {
 		replicaErrs: reg.Counter("router_replica_write_errors_total"),
 		repairFails: reg.Counter("router_replica_repair_failures_total"),
 		suppressed:  reg.Counter("router_suppressed_errors_total"),
-		hedged:      reg.Counter("router_hedged_reads_total"),
-		hedgeWins:   reg.Counter("router_hedge_wins_total"),
-		coalesced:   reg.Counter("router_coalesced_reads_total"),
+		readLat:     reg.Histogram("router_read_latency_ns"),
 	}
 }
 
@@ -260,25 +247,11 @@ func (c *WriteConcern) Set(s string) error {
 type RouterOption func(*routerConfig)
 
 type routerConfig struct {
-	placerFactory   func(shardIDs []cloud.SiteID) dht.DynamicPlacer
 	metrics         *metrics.Registry
 	replication     int
 	concern         WriteConcern
 	healthThreshold int
 	probeInterval   time.Duration
-	hedge           bool
-	hedgeMin        time.Duration
-	hedgeMax        time.Duration
-	coalesce        bool
-}
-
-// WithRouterPlacer selects how keys map to shards. The factory receives the
-// initial shard IDs and must return a dynamic placer over them. The default
-// is a consistent-hash ring (dht.NewRingPlacer), which keeps migration small
-// when shards join or leave; pass dht.NewModuloPlacer for the paper's flat
-// hash-mod-n scheme.
-func WithRouterPlacer(f func(shardIDs []cloud.SiteID) dht.DynamicPlacer) RouterOption {
-	return func(c *routerConfig) { c.placerFactory = f }
 }
 
 // WithRouterMetrics selects the registry the router's instruments report to:
@@ -321,51 +294,15 @@ func WithRouterHealth(threshold int, probeInterval time.Duration) RouterOption {
 	}
 }
 
-// WithRouterHedgedReads arms tail-latency read hedging on the replicated
-// tier: a single-key Get whose primary has not answered within a threshold
-// derived from the router's streaming read-latency histogram (the observed
-// p95, clamped into [min, max]) fires the same read at the next healthy
-// replica, takes the first answer and cancels the loser via its context
-// (router_hedged_reads_total / router_hedge_wins_total). Non-positive bounds
-// take DefaultHedgeMin / DefaultHedgeMax; max below min is raised to min. It
-// has no effect without WithRouterReplication — a single-home tier has no
-// replica to hedge at.
-func WithRouterHedgedReads(min, max time.Duration) RouterOption {
-	return func(c *routerConfig) {
-		if min <= 0 {
-			min = DefaultHedgeMin
-		}
-		if max <= 0 {
-			max = DefaultHedgeMax
-		}
-		if max < min {
-			max = min
-		}
-		c.hedge = true
-		c.hedgeMin, c.hedgeMax = min, max
-	}
-}
-
-// WithRouterReadCoalescing collapses concurrent identical single-key Gets
-// into one downstream read whose answer fans out to every caller
-// (router_coalesced_reads_total). The shared read runs under its own
-// context: one caller cancelling gets its own ctx.Err() while the flight
-// carries on for the rest, and only the last caller leaving cancels it.
-func WithRouterReadCoalescing() RouterOption {
-	return func(c *routerConfig) { c.coalesce = true }
-}
-
 // NewRouter builds a routing tier for the given site over the given shard
 // instances. Shards are assigned IDs 0..n-1 in input order; AddShard hands
-// out the following IDs.
+// out the following IDs. Keys map to shards by a consistent-hash ring
+// (dht.NewRingPlacer), which keeps migration small when shards join or leave.
 func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("registry: router needs at least one shard")
 	}
-	cfg := routerConfig{
-		placerFactory: func(ids []cloud.SiteID) dht.DynamicPlacer { return dht.NewRingPlacer(ids, 0) },
-		metrics:       metrics.Default,
-	}
+	cfg := routerConfig{metrics: metrics.Default}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -384,25 +321,13 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 	}
 	r := &Router{
 		site:    site,
-		placer:  cfg.placerFactory(ids),
+		placer:  dht.NewRingPlacer(ids, 0),
 		shards:  m,
 		nextID:  cloud.SiteID(len(shards)),
 		rep:     rep,
 		concern: concern,
 		health:  newHealthTracker(cfg.healthThreshold, cfg.probeInterval, cfg.metrics),
 		obs:     newRouterObs(cfg.metrics),
-	}
-	r.readLat = cfg.metrics.Histogram("router_read_latency_ns")
-	if cfg.hedge {
-		r.hedge = hedgeSettings{enabled: true, min: cfg.hedgeMin, max: cfg.hedgeMax}
-		if r.readLat == nil {
-			// Threshold derivation needs the histogram even when
-			// instrumentation is disabled.
-			r.readLat = new(metrics.Histogram)
-		}
-	}
-	if cfg.coalesce {
-		r.flights = newFlightGroup(r.obs.coalesced)
 	}
 	r.health.probe = r.probeShard
 	// A recovering shard re-enters placement missing everything written while
@@ -599,39 +524,6 @@ func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried []shar
 	}
 	wg.Wait()
 	return found, ok, errs
-}
-
-// Get implements API: the routed read (see getRouted), timed for the hedge
-// threshold and coalesced with concurrent identical Gets when the router was
-// built WithRouterReadCoalescing.
-func (r *Router) Get(ctx context.Context, name string) (Entry, error) {
-	if r.flights == nil {
-		return r.getTimed(ctx, name)
-	}
-	return r.flights.do(ctx, name, r.getTimed)
-}
-
-// sweepFallbackContains is the best-effort companion of sweepFallbackGet:
-// one concurrent Contains per untried shard.
-func (r *Router) sweepFallbackContains(ctx context.Context, name string, tried []shardRef) bool {
-	var (
-		found atomic.Bool
-		wg    sync.WaitGroup
-	)
-	for id, other := range r.snapshotShards() {
-		if hasRef(tried, id) {
-			continue
-		}
-		wg.Add(1)
-		go func(other API) {
-			defer wg.Done()
-			if other.Contains(ctx, name) {
-				found.Store(true)
-			}
-		}(other)
-	}
-	wg.Wait()
-	return found.Load()
 }
 
 // sweepActive reports whether a migration sweep is currently in flight.
@@ -889,13 +781,7 @@ func (r *Router) RemoveShard(id cloud.SiteID) error {
 		return fmt.Errorf("registry: router for site %d: no shard %d", r.site, id)
 	}
 	active := r.placer.Sites()
-	inPlacement := false
-	for _, s := range active {
-		if s == id {
-			inPlacement = true
-		}
-	}
-	if !inPlacement {
+	if !slices.Contains(active, id) {
 		r.mu.Unlock()
 		r.sweepEnd()
 		return fmt.Errorf("registry: router for site %d: shard %d is already draining", r.site, id)
@@ -979,16 +865,21 @@ func (r *Router) rebalance(ctx context.Context) (int, error) {
 		}
 		// A drained shard that no longer participates in placement is
 		// detached once it holds nothing. The placer read and the (possibly
-		// remote, possibly slow) Len call run outside the router lock so a
+		// remote, possibly slow) listing run outside the router lock so a
 		// struggling drained shard never stalls the tier's hot path; only
-		// the map delete itself takes the lock.
-		inPlacement := false
-		for _, s := range r.placer.Sites() {
-			if s == id {
-				inPlacement = true
-			}
+		// the map delete itself takes the lock. The listing is Entries, not
+		// Len: Len answers 0 for a shard that cannot be reached, and a shard
+		// that became unreachable after its sweep may still hold entries —
+		// it stays attached until a listing comes back empty.
+		if slices.Contains(r.placer.Sites(), id) {
+			continue
 		}
-		if !inPlacement && api.Len(ctx) == 0 {
+		left, lerr := api.Entries(ctx)
+		if lerr != nil {
+			errs = append(errs, fmt.Errorf("shard %d: confirming its drain: %w", id, lerr))
+			continue
+		}
+		if len(left) == 0 {
 			r.mu.Lock()
 			delete(r.shards, id)
 			r.mu.Unlock()

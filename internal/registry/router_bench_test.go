@@ -18,7 +18,6 @@ func (noopShard) Put(_ context.Context, e Entry) (Entry, error)    { return e, n
 func (noopShard) Get(_ context.Context, name string) (Entry, error) {
 	return Entry{Name: name, Version: 1}, nil
 }
-func (noopShard) Contains(context.Context, string) bool { return true }
 func (noopShard) AddLocation(_ context.Context, name string, _ Location) (Entry, error) {
 	return Entry{Name: name, Version: 1}, nil
 }

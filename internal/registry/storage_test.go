@@ -89,14 +89,6 @@ func (s *restartableShard) Get(ctx context.Context, name string) (Entry, error) 
 	return api.Get(ctx, name)
 }
 
-func (s *restartableShard) Contains(ctx context.Context, name string) bool {
-	api, err := s.api()
-	if err != nil {
-		return false
-	}
-	return api.Contains(ctx, name)
-}
-
 func (s *restartableShard) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
 	api, err := s.api()
 	if err != nil {

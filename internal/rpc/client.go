@@ -206,20 +206,6 @@ func (c *Client) Get(ctx context.Context, name string) (registry.Entry, error) {
 	return c.entryCall(ctx, Request{Op: OpGet, Name: name})
 }
 
-// Contains implements registry.API. Transport errors and cancelled contexts
-// are reported as "does not contain", matching the best-effort semantics of
-// the in-process Contains; every swallowed failure feeds the
-// rpc_client_suppressed_errors_total counter so the degradation is
-// observable even though the API hides it.
-func (c *Client) Contains(ctx context.Context, name string) bool {
-	resp, err := c.call(ctx, Request{Op: OpContains, Name: name})
-	if err != nil {
-		c.obs.suppressed.Inc()
-		return false
-	}
-	return resp.Bool
-}
-
 // AddLocation implements registry.API.
 func (c *Client) AddLocation(ctx context.Context, name string, loc registry.Location) (registry.Entry, error) {
 	return c.entryCall(ctx, Request{Op: OpAddLoc, Name: name, Location: loc})
@@ -234,8 +220,10 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 	return decodeRespErr(resp)
 }
 
-// Names implements registry.API. Transport errors yield an empty list and
-// feed the suppressed-error counter (see Contains).
+// Names implements registry.API. Transport errors and cancelled contexts
+// yield an empty list, matching the best-effort semantics of the in-process
+// Names; every swallowed failure feeds rpc_client_suppressed_errors_total so
+// the degradation is observable even though the API hides it.
 func (c *Client) Names(ctx context.Context) []string {
 	resp, err := c.call(ctx, Request{Op: OpNames})
 	if err != nil {
@@ -313,7 +301,7 @@ func (c *Client) Merge(ctx context.Context, entries []registry.Entry) (int, erro
 }
 
 // Len implements registry.API. Transport errors yield zero and feed the
-// suppressed-error counter (see Contains).
+// suppressed-error counter (see Names).
 func (c *Client) Len(ctx context.Context) int {
 	resp, err := c.call(ctx, Request{Op: OpLen})
 	if err != nil {

@@ -170,8 +170,8 @@ func TestServerAbandonsBatchAfterDeadline(t *testing.T) {
 	if srv.Abandoned() == 0 {
 		t.Fatal("server never abandoned the post-deadline batch operation")
 	}
-	if inst.Contains(tctx, "late-entry") {
-		t.Error("server executed a batch operation after the propagated deadline passed")
+	if _, err := inst.Get(tctx, "late-entry"); !errors.Is(err, registry.ErrNotFound) {
+		t.Errorf("server executed a batch operation after the propagated deadline passed: Get = %v, want ErrNotFound", err)
 	}
 	// The connection survived the abandoned batch.
 	if _, err := client.Create(tctx, wireEntry("after-batch")); err != nil {

@@ -28,7 +28,6 @@ import (
 //	  shapeEntry    uvarint length, the entry's encoding
 //	  shapeEntries  uvarint count, that many (uvarint length, encoding)
 //	  shapeNames    uvarint count, that many uvarint lengths, the names
-//	  shapeBool     nothing: the bit is the value
 //	  shapeN        varint N
 //
 // and an event is
@@ -57,14 +56,15 @@ const replyHeaderLen = 1 + 1 + 1 + 8 + 8
 
 const flagSampled = 0x01
 
-// Shape bits of a response.
+// Shape bits of a response. 0x08 is not defined: it was the result of an
+// operation the protocol no longer has, and is refused like any other
+// undefined bit.
 const (
-	shapeEntry = 1 << iota
-	shapeEntries
-	shapeNames
-	shapeBool
-	shapeN
-	shapeMask = shapeEntry | shapeEntries | shapeNames | shapeBool | shapeN
+	shapeEntry   = 0x01
+	shapeEntries = 0x02
+	shapeNames   = 0x04
+	shapeN       = 0x10
+	shapeMask    = shapeEntry | shapeEntries | shapeNames | shapeN
 )
 
 // The least an element of each counted list occupies; a count is checked
@@ -191,9 +191,6 @@ func appendResponse(dst []byte, r *Response) []byte {
 		for _, name := range r.Names {
 			dst = append(dst, name...)
 		}
-	}
-	if r.Bool {
-		shape |= shapeBool
 	}
 	if r.N != 0 {
 		shape |= shapeN
@@ -426,7 +423,6 @@ func (r *replyReader) response(resp *Response) {
 	if shape&shapeNames != 0 {
 		resp.Names = r.names()
 	}
-	resp.Bool = shape&shapeBool != 0
 	if shape&shapeN != 0 {
 		resp.N = int(r.varint())
 		if r.err == nil && resp.N == 0 {

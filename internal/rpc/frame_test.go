@@ -147,9 +147,11 @@ func replySeeds(t testing.TB) []replySeed {
 		})},
 		{name: "events256-terminal", data: encoded(events)},
 		{name: "getmany", data: encoded(getManyReply(3))},
+		// the corpus file keeps the name it was committed under, when a reply
+		// could also carry a Bool.
 		{name: "names-bool-n", data: encoded(ResponseFrame{
 			Header:  Header{ID: 5, Kind: FrameSingle},
-			Resp:    Response{OK: true, Names: []string{"data/a", "", "data/c"}, Bool: true, N: -3},
+			Resp:    Response{OK: true, Names: []string{"data/a", "", "data/c"}, N: -3},
 			sampled: true,
 			trace:   0xfeedfacecafebeef,
 		})},
@@ -172,6 +174,8 @@ func replySeeds(t testing.TB) []replySeed {
 		{name: "hostile-unknown-code", err: errReplyCode, data: header(FrameSingle, 0, byte(len(errCodes)), 0, 0, 0)},
 		{name: "hostile-undefined-flag", err: errReplyFlags, data: header(FrameSingle, 0x02, 0, 0)},
 		{name: "hostile-undefined-shape", err: errReplyShape, data: header(FrameSingle, 0, 0, 0x20)},
+		// 0x08 said "Contains answered true" until that operation was removed.
+		{name: "hostile-retired-shape-bit", err: errReplyShape, data: header(FrameSingle, 0, 0, 0x08)},
 		// shape bits over N = 0, over no entries, over no names and over the
 		// zero entry.
 		{name: "hostile-shape-over-zero-n", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeN, 0)},
@@ -375,7 +379,6 @@ func (n nullAPI) Create(_ context.Context, e registry.Entry) (registry.Entry, er
 }
 func (n nullAPI) Put(_ context.Context, e registry.Entry) (registry.Entry, error) { return e, nil }
 func (n nullAPI) Get(context.Context, string) (registry.Entry, error)             { return n.entry, nil }
-func (nullAPI) Contains(context.Context, string) bool                             { return true }
 func (n nullAPI) AddLocation(context.Context, string, registry.Location) (registry.Entry, error) {
 	return n.entry, nil
 }

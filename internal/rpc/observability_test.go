@@ -174,8 +174,8 @@ func TestClientRetiredOnCancelCounter(t *testing.T) {
 }
 
 // TestClientSuppressedErrorCounter asserts the best-effort operations
-// (Contains, Names, Len) count the transport errors they swallow, so a site
-// silently degrading to "absent / empty / zero" answers is observable.
+// (Names, Len) count the transport errors they swallow, so a site silently
+// degrading to "empty / zero" answers is observable.
 func TestClientSuppressedErrorCounter(t *testing.T) {
 	reg := metrics.NewRegistry()
 	inst := registry.NewInstance(cloud.SiteID(1), memcache.New(memcache.Config{}))
@@ -198,20 +198,17 @@ func TestClientSuppressedErrorCounter(t *testing.T) {
 	suppressed := reg.Counter("rpc_client_suppressed_errors_total")
 
 	// Healthy server: best-effort ops answer truthfully and swallow nothing.
-	if !cl.Contains(ctx, "seed") || len(cl.Names(ctx)) != 1 || cl.Len(ctx) != 1 {
+	if len(cl.Names(ctx)) != 1 || cl.Len(ctx) != 1 {
 		t.Fatal("best-effort ops gave wrong answers against a healthy server")
 	}
 	if got := suppressed.Value(); got != 0 {
 		t.Fatalf("suppressed = %d against a healthy server, want 0", got)
 	}
 
-	// Dead server: the same calls degrade to absent/empty/zero — and each
-	// swallowed failure is counted.
+	// Dead server: the same calls degrade to empty/zero — and each swallowed
+	// failure is counted.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if cl.Contains(ctx, "seed") {
-		t.Fatal("Contains should read absent once the server is gone")
 	}
 	if names := cl.Names(ctx); names != nil {
 		t.Fatalf("Names should be empty once the server is gone, got %v", names)
@@ -219,8 +216,8 @@ func TestClientSuppressedErrorCounter(t *testing.T) {
 	if n := cl.Len(ctx); n != 0 {
 		t.Fatalf("Len should be 0 once the server is gone, got %d", n)
 	}
-	if got := suppressed.Value(); got != 3 {
-		t.Fatalf("suppressed = %d after three degraded best-effort calls, want 3", got)
+	if got := suppressed.Value(); got != 2 {
+		t.Fatalf("suppressed = %d after two degraded best-effort calls, want 2", got)
 	}
 }
 

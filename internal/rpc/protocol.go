@@ -248,7 +248,6 @@ const (
 	OpCreate     Op = "create"
 	OpPut        Op = "put"
 	OpGet        Op = "get"
-	OpContains   Op = "contains"
 	OpAddLoc     Op = "addloc"
 	OpDelete     Op = "delete"
 	OpNames      Op = "names"
@@ -269,7 +268,6 @@ var traceNames = map[Op]string{
 	OpCreate:     "rpc.create",
 	OpPut:        "rpc.put",
 	OpGet:        "rpc.get",
-	OpContains:   "rpc.contains",
 	OpAddLoc:     "rpc.addloc",
 	OpDelete:     "rpc.delete",
 	OpNames:      "rpc.names",
@@ -295,7 +293,7 @@ func traceName(op Op) string {
 type Request struct {
 	// Op selects the operation.
 	Op Op
-	// Name is the entry name for Get/Contains/AddLoc/Delete.
+	// Name is the entry name for Get/AddLoc/Delete.
 	Name string
 	// Names carries the name list for GetMany/DeleteMany.
 	Names []string
@@ -321,8 +319,6 @@ type Response struct {
 	Entries []registry.Entry
 	// Names is the result of Names.
 	Names []string
-	// Bool is the result of Contains.
-	Bool bool
 	// N is the result of Len/Merge/DeleteMany, and carries the SiteID for
 	// OpSite.
 	N int

@@ -68,8 +68,8 @@ func TestCreateGetOverWire(t *testing.T) {
 	if !got.Equal(e) {
 		t.Errorf("Get = %+v, want %+v", got, e)
 	}
-	if !client.Contains(tctx, "wire-1") || client.Contains(tctx, "nope") {
-		t.Error("Contains misbehaves")
+	if _, err := client.Get(tctx, "nope"); !errors.Is(err, registry.ErrNotFound) {
+		t.Errorf("Get of an absent name = %v, want ErrNotFound", err)
 	}
 	if client.Len(tctx) != 1 {
 		t.Errorf("Len = %d, want 1", client.Len(tctx))
@@ -114,8 +114,8 @@ func TestUpdateDeleteOverWire(t *testing.T) {
 	if err := client.Delete(tctx, "upd"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if client.Contains(tctx, "upd") {
-		t.Error("entry still present after delete")
+	if _, err := client.Get(tctx, "upd"); !errors.Is(err, registry.ErrNotFound) {
+		t.Errorf("Get after delete = %v, want ErrNotFound", err)
 	}
 }
 

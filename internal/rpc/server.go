@@ -525,8 +525,6 @@ func (s *Server) execute(ctx context.Context, req Request) Response {
 	case OpGet:
 		e, err := s.reg.Get(ctx, req.Name)
 		return result(e, err)
-	case OpContains:
-		return Response{OK: true, Bool: s.reg.Contains(ctx, req.Name)}
 	case OpAddLoc:
 		e, err := s.reg.AddLocation(ctx, req.Name, req.Location)
 		return result(e, err)
