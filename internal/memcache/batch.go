@@ -23,23 +23,16 @@ func (c *Cache) GetBatch(keys []string) (found []Item, missing []string, err err
 	}
 	defer c.leaveBatch(len(keys))
 
-	now := c.cfg.Now()
 	for _, key := range keys {
 		c.countGet()
-		sh := c.shardFor(key)
-		sh.mu.RLock()
-		s, ok := sh.items[key]
-		sh.mu.RUnlock()
-		if !ok || s.expired(now) {
-			if ok {
-				c.removeExpired(key, s.version)
-			}
+		rec, ok := c.lookup(key)
+		if !ok {
 			c.countMiss()
 			missing = append(missing, key)
 			continue
 		}
 		c.countHit()
-		found = append(found, s.item(key))
+		found = append(found, rec.item(key))
 	}
 	return found, missing, nil
 }
@@ -66,9 +59,10 @@ func (c *Cache) PutBatch(kvs []KV) ([]Item, error) {
 }
 
 // DeleteBatch removes many keys in one server-side operation, returning how
-// many of them were present. Absent keys are skipped rather than reported as
-// errors: a bulk delete is the propagation of deletions that already
-// succeeded somewhere else, so "already gone" is success.
+// many of them were present. Absent keys (and expired ones, which it evicts)
+// are skipped rather than reported as errors: a bulk delete is the
+// propagation of deletions that already succeeded somewhere else, so "already
+// gone" is success.
 func (c *Cache) DeleteBatch(keys []string) (int, error) {
 	if err := c.enter(); err != nil {
 		return 0, err
@@ -78,16 +72,9 @@ func (c *Cache) DeleteBatch(keys []string) (int, error) {
 	deleted := 0
 	for _, key := range keys {
 		c.deletes.Add(1)
-		sh := c.shardFor(key)
-		sh.mu.Lock()
-		s, ok := sh.items[key]
-		if ok {
-			delete(sh.items, key)
-			c.addItems(-1)
-			c.bytes.Add(-int64(len(s.value)))
+		if c.take(key) {
 			deleted++
 		}
-		sh.mu.Unlock()
 	}
 	return deleted, nil
 }

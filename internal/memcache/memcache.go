@@ -19,14 +19,29 @@
 // a small service time — because that bound is what makes a single
 // centralized registry saturate under concurrency and produces the scaling
 // behaviour of Figs. 5, 7 and 8.
+//
+// The paper keeps an entry small so that a site's registry holds a whole
+// workflow's metadata in memory, and the store is built so that an entry
+// costs about its bytes. Each shard is log-structured (shard.go): a record —
+// flags, lengths, version, the expiry only if one is set, key, value — is
+// appended to a pointer-free page of up to 16 KiB, and found through an
+// open-addressing index of 8-byte references, probed with one seeded hash per
+// operation that also chooses the shard. Overwritten and deleted records stay
+// dead in their page until it is more than half dead and no longer the head;
+// its live records are then re-appended and the page dropped. Nothing is
+// allocated per entry, and the collector has no pointers to follow.
+//
+// The aliasing rule: an Item's Value is a slice of its page with no spare
+// capacity. Pages are never written again where they have been written, and
+// never reused, so a value stays as it was read for as long as the caller
+// keeps it, which also keeps its page (at most 16 KiB, or the one large
+// value) from being collected. Callers must not write to it.
 package memcache
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"strings"
-	"sync"
+	"hash/maphash"
 	"sync/atomic"
 	"time"
 
@@ -112,7 +127,14 @@ type Stats struct {
 	Conflicts            uint64
 	Evictions            uint64
 	Items                int
-	Bytes                int64
+	// Bytes is the sum of the live values' lengths.
+	Bytes int64
+	// Resident is what the store holds on to: the capacity of every page
+	// plus the index.
+	Resident int64
+	// Dead is the part of the pages taken by overwritten, deleted and
+	// expired records that evacuation has not yet reclaimed.
+	Dead int64
 }
 
 // Cache is a sharded in-memory key-value store with versioned items and a
@@ -120,6 +142,10 @@ type Stats struct {
 type Cache struct {
 	cfg    Config
 	shards []*shard
+	// seed keys the one hash every operation computes. It is random per
+	// cache: keys are client-chosen, and a linear-probe index under a public
+	// hash could be flooded.
+	seed maphash.Seed
 	// slots implements the bounded server-side concurrency.
 	slots chan struct{}
 
@@ -130,6 +156,7 @@ type Cache struct {
 	conflicts, evictions atomic.Uint64
 	bytes                atomic.Int64
 	items                atomic.Int64
+	resident, dead       atomic.Int64
 
 	obs cacheObs
 }
@@ -142,6 +169,9 @@ type cacheObs struct {
 	hits     *metrics.Counter   // memcache_hits_total
 	misses   *metrics.Counter   // memcache_misses_total
 	items    *metrics.Gauge     // memcache_items: live entries (occupancy)
+	resident *metrics.Gauge     // memcache_resident_bytes: page capacity + index
+	dead     *metrics.Gauge     // memcache_dead_bytes: dead records not yet evacuated
+	evacuate *metrics.Counter   // memcache_evacuated_bytes_total: live records copied by evacuation
 	slotWait *metrics.Histogram // memcache_slot_wait_ns: time spent queueing for a worker slot
 }
 
@@ -151,38 +181,11 @@ func newCacheObs(reg *metrics.Registry) cacheObs {
 		hits:     reg.Counter("memcache_hits_total"),
 		misses:   reg.Counter("memcache_misses_total"),
 		items:    reg.Gauge("memcache_items"),
+		resident: reg.Gauge("memcache_resident_bytes"),
+		dead:     reg.Gauge("memcache_dead_bytes"),
+		evacuate: reg.Counter("memcache_evacuated_bytes_total"),
 		slotWait: reg.Histogram("memcache_slot_wait_ns"),
 	}
-}
-
-type shard struct {
-	mu    sync.RWMutex
-	items map[string]slot
-}
-
-// slot is what a shard keeps per key. The map already holds the key and the
-// expiry needs no zone, so a resident entry costs 56 bytes of map slot
-// where a whole Item would cost 88.
-type slot struct {
-	value   []byte
-	version uint64
-	// expires is the absolute expiry in Unix nanoseconds; 0 means no TTL.
-	expires int64
-}
-
-// item rebuilds the Item callers see from key's slot.
-func (s slot) item(key string) Item {
-	it := Item{Key: key, Value: s.value, Version: s.version}
-	if s.expires != 0 {
-		it.Expires = time.Unix(0, s.expires)
-	}
-	return it
-}
-
-// expired reports whether the slot has passed its TTL at time now (Item.Expired
-// on the stored form).
-func (s slot) expired(now time.Time) bool {
-	return s.expires != 0 && now.UnixNano() > s.expires
 }
 
 // New returns an empty cache with the given configuration.
@@ -199,10 +202,10 @@ func New(cfg Config) *Cache {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	c := &Cache{cfg: cfg, obs: newCacheObs(cfg.Metrics)}
+	c := &Cache{cfg: cfg, seed: maphash.MakeSeed(), obs: newCacheObs(cfg.Metrics)}
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
-		c.shards[i] = &shard{items: make(map[string]slot)}
+		c.shards[i] = &shard{seed: c.seed}
 	}
 	if cfg.Concurrency > 0 {
 		c.slots = make(chan struct{}, cfg.Concurrency)
@@ -257,14 +260,50 @@ func (c *Cache) leave() {
 	}
 }
 
-func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[int(h.Sum32())%len(c.shards)]
+// shardFor hashes key once; the shard's index probes with the same hash.
+func (c *Cache) shardFor(key string) (*shard, uint64) {
+	h := maphash.String(c.seed, key)
+	return c.shards[h>>hashShardShift%uint64(len(c.shards))], h
+}
+
+// settle unlocks sh after a mutation and publishes what the mutation did to
+// the shard's memory account, as deltas so that caches sharing a registry
+// aggregate.
+func (c *Cache) settle(sh *shard, before usage) {
+	after := sh.usage
+	sh.mu.Unlock()
+	if d := after.resident - before.resident; d != 0 {
+		c.resident.Add(d)
+		c.obs.resident.Add(d)
+	}
+	if d := after.dead - before.dead; d != 0 {
+		c.dead.Add(d)
+		c.obs.dead.Add(d)
+	}
+	c.obs.evacuate.Add(after.evacuated - before.evacuated)
+}
+
+// expired reports whether rec has passed its TTL (Item.Expired on the stored
+// form). The clock is read only for a record that has one.
+func (c *Cache) expired(rec record) bool {
+	return rec.expires != 0 && c.cfg.Now().UnixNano() > rec.expires
+}
+
+// unlink removes the record find returned for slot from sh, which the caller
+// holds locked; evicted says it went because its TTL had passed.
+func (c *Cache) unlink(sh *shard, slot int, rec record, evicted bool) {
+	sh.remove(slot, rec.size)
+	c.addItems(-1)
+	c.bytes.Add(-int64(len(rec.value)))
+	if evicted {
+		c.evictions.Add(1)
+	}
 }
 
 // Get returns the item stored under key. It returns ErrNotFound when the key
-// is absent or its TTL has expired.
+// is absent or its TTL has expired. The item's Value is a slice of the
+// store's own memory: the store never writes to it again, whatever happens to
+// the key, and the caller must not either.
 func (c *Cache) Get(key string) (Item, error) {
 	if err := c.enter(); err != nil {
 		return Item{}, err
@@ -272,19 +311,33 @@ func (c *Cache) Get(key string) (Item, error) {
 	defer c.leave()
 	c.countGet()
 
-	sh := c.shardFor(key)
-	sh.mu.RLock()
-	s, ok := sh.items[key]
-	sh.mu.RUnlock()
-	if !ok || s.expired(c.cfg.Now()) {
-		if ok {
-			c.removeExpired(key, s.version)
-		}
+	rec, ok := c.lookup(key)
+	if !ok {
 		c.countMiss()
 		return Item{}, fmt.Errorf("get %q: %w", key, ErrNotFound)
 	}
 	c.countHit()
-	return s.item(key), nil
+	return rec.item(key), nil
+}
+
+// lookup returns key's record if it is present and unexpired, and evicts it
+// if it is present and expired.
+func (c *Cache) lookup(key string) (record, bool) {
+	sh, h := c.shardFor(key)
+	sh.mu.RLock()
+	_, rec, ok := sh.find(h, key)
+	sh.mu.RUnlock()
+	if ok && c.expired(rec) {
+		// Evict it, unless it has been overwritten since the lock was let go.
+		sh.mu.Lock()
+		before := sh.usage
+		if slot, cur, still := sh.find(h, key); still && cur.version == rec.version {
+			c.unlink(sh, slot, cur, true)
+		}
+		c.settle(sh, before)
+		return record{}, false
+	}
+	return rec, ok
 }
 
 // Contains reports whether key is present (and unexpired) without counting as
@@ -292,15 +345,16 @@ func (c *Cache) Get(key string) (Item, error) {
 // service capacity (no worker slot, no service time) and works on a stopped
 // cache — it is a control-plane probe, not a data-plane read.
 func (c *Cache) Contains(key string) bool {
-	sh := c.shardFor(key)
+	sh, h := c.shardFor(key)
 	sh.mu.RLock()
-	s, ok := sh.items[key]
+	_, rec, ok := sh.find(h, key)
 	sh.mu.RUnlock()
-	return ok && !s.expired(c.cfg.Now())
+	return ok && !c.expired(rec)
 }
 
 // Put stores value under key unconditionally, assigning the next version
-// number. It returns the stored item.
+// number. It returns the stored item. The cache keeps nothing of the
+// caller's: key and value are copied into a page.
 func (c *Cache) Put(key string, value []byte, ttl time.Duration) (Item, error) {
 	if err := c.enter(); err != nil {
 		return Item{}, err
@@ -327,19 +381,15 @@ func (c *Cache) store(key string, value []byte, ttl time.Duration, expected *uin
 	if ttl == 0 {
 		ttl = c.cfg.DefaultTTL
 	}
-	now := c.cfg.Now()
-	sh := c.shardFor(key)
+	sh, h := c.shardFor(key)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer c.settle(sh, sh.usage)
 
-	cur, exists := sh.items[key]
-	if exists && cur.expired(now) {
-		delete(sh.items, key)
-		c.addItems(-1)
-		c.bytes.Add(-int64(len(cur.value)))
-		c.evictions.Add(1)
-		exists = false
-		cur = slot{}
+	sh.reserve()
+	slot, cur, exists := sh.find(h, key)
+	if exists && c.expired(cur) {
+		c.unlink(sh, slot, cur, true)
+		slot, cur, exists = sh.find(h, key)
 	}
 	if expected != nil && cur.version != *expected {
 		c.conflicts.Add(1)
@@ -349,107 +399,85 @@ func (c *Cache) store(key string, value []byte, ttl time.Duration, expected *uin
 		}
 		return held, fmt.Errorf("cas %q: have version %d, want %d: %w", key, cur.version, *expected, ErrVersionConflict)
 	}
-	reserved := false
-	if !exists && c.cfg.MaxItems > 0 {
+	if !exists {
 		// Reserve the slot with the same atomic add that commits it: a
 		// load-then-add would let two inserts on different shards (each under
 		// its own shard lock) both pass the bound and overshoot MaxItems.
-		if int(c.items.Add(1)) > c.cfg.MaxItems {
+		if n := c.items.Add(1); c.cfg.MaxItems > 0 && int(n) > c.cfg.MaxItems {
 			c.items.Add(-1)
 			return Item{}, fmt.Errorf("put %q: %w", key, ErrCapacity)
 		}
 		c.obs.items.Add(1)
-		reserved = true
 	}
+	c.bytes.Add(int64(len(value)) - int64(len(cur.value)))
 
-	next := slot{value: append([]byte(nil), value...), version: cur.version + 1}
+	next := record{version: cur.version + 1}
 	if ttl > 0 {
-		next.expires = now.Add(ttl).UnixNano()
+		next.expires = c.cfg.Now().Add(ttl).UnixNano()
 	}
-	if exists {
-		c.bytes.Add(int64(len(value)) - int64(len(cur.value)))
-	} else {
-		if !reserved {
-			c.addItems(1)
-		}
-		c.bytes.Add(int64(len(value)))
-	}
-	// The map keeps the key for as long as the entry lives, and the caller's
-	// string may be a slice of something much larger (a decoded entry's Name
-	// shares one buffer with its other strings), so the cache stores a copy
-	// of its own — on an overwrite too, because assigning to an existing
-	// string key makes the map adopt the new string.
-	key = strings.Clone(key)
-	sh.items[key] = next
+	next.value = sh.put(h, slot, cur.size, key, value, next.version, next.expires)
 	return next.item(key), nil
 }
 
-// Delete removes key from the cache. It returns ErrNotFound when absent.
+// Delete removes key from the cache. It returns ErrNotFound when the key is
+// absent or its TTL has expired; an expired item is evicted on the way.
 func (c *Cache) Delete(key string) error {
 	if err := c.enter(); err != nil {
 		return err
 	}
 	defer c.leave()
 	c.deletes.Add(1)
-
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.items[key]
-	if !ok {
+	if !c.take(key) {
 		return fmt.Errorf("delete %q: %w", key, ErrNotFound)
 	}
-	delete(sh.items, key)
-	c.addItems(-1)
-	c.bytes.Add(-int64(len(s.value)))
 	return nil
 }
 
-// removeExpired removes key if it is still at the given version; used by Get
-// to lazily evict expired items.
-func (c *Cache) removeExpired(key string, version uint64) {
-	sh := c.shardFor(key)
+// take removes key and reports whether a live item went: an expired one is
+// evicted and reads as absent, as it does to Get.
+func (c *Cache) take(key string) bool {
+	sh, h := c.shardFor(key)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s, ok := sh.items[key]; ok && s.version == version {
-		delete(sh.items, key)
-		c.addItems(-1)
-		c.bytes.Add(-int64(len(s.value)))
-		c.evictions.Add(1)
+	defer c.settle(sh, sh.usage)
+	slot, rec, ok := sh.find(h, key)
+	if !ok {
+		return false
 	}
+	expired := c.expired(rec)
+	c.unlink(sh, slot, rec, expired)
+	return !expired
 }
 
 // Keys returns all live (unexpired) keys in unspecified order. It bypasses
 // the modelled service capacity and works on a stopped cache: it serves
 // control-plane sweeps (re-sync, migration), not the measured data path.
 func (c *Cache) Keys() []string {
-	now := c.cfg.Now()
 	var keys []string
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		for k, s := range sh.items {
-			if !s.expired(now) {
-				keys = append(keys, k)
+		sh.each(func(rec record) {
+			if !c.expired(rec) {
+				keys = append(keys, string(rec.key))
 			}
-		}
+		})
 		sh.mu.RUnlock()
 	}
 	return keys
 }
 
-// Snapshot returns a copy of every live item; the synchronization agent uses
-// it to pull the full content of a registry instance. Like Keys it bypasses
-// the modelled service capacity and works on a stopped cache.
+// Snapshot returns every live item; the synchronization agent uses it to pull
+// the full content of a registry instance. Like Keys it bypasses the modelled
+// service capacity and works on a stopped cache. The values are slices of the
+// store's memory, as Get's are.
 func (c *Cache) Snapshot() []Item {
-	now := c.cfg.Now()
 	var items []Item
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		for k, s := range sh.items {
-			if !s.expired(now) {
-				items = append(items, s.item(k))
+		sh.each(func(rec record) {
+			if !c.expired(rec) {
+				items = append(items, rec.item(string(rec.key)))
 			}
-		}
+		})
 		sh.mu.RUnlock()
 	}
 	return items
@@ -471,5 +499,7 @@ func (c *Cache) Stats() Stats {
 		Evictions: c.evictions.Load(),
 		Items:     int(c.items.Load()),
 		Bytes:     c.bytes.Load(),
+		Resident:  c.resident.Load(),
+		Dead:      c.dead.Load(),
 	}
 }

@@ -1,9 +1,9 @@
 package memcache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -446,33 +446,40 @@ func TestItemIsRebuiltOnTheWayOut(t *testing.T) {
 	}
 }
 
-// A resident key costs 56 bytes of map slot (the key's string header and the
-// slot), and the cache keeps its own copy of the key: the caller's may be a
-// slice of a much larger buffer, which the map would otherwise pin.
+// The cache retains nothing of the caller's: the key may be a slice of a much
+// larger string (a decoded entry's Name shares one buffer with its other
+// strings) and the value a buffer the caller reuses, so both are copied into
+// a page — on an insert and on an overwrite.
 func TestSlotSizeAndOwnedKey(t *testing.T) {
-	if got := unsafe.Sizeof("") + unsafe.Sizeof(slot{}); got != 56 {
-		t.Errorf("a map slot takes %d bytes per key, want 56", got)
-	}
-	big := strings.Repeat("x", 1<<16) + "key"
+	backing := bytes.Repeat([]byte("x"), 1<<16)
+	copy(backing[len(backing)-3:], "key")
+	big := unsafe.String(&backing[0], len(backing))
 	key := big[len(big)-3:]
+	value := []byte("value")
 	c := newTestCache()
-	first, err := c.Put(key, []byte("v"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unsafe.StringData(first.Key) == unsafe.StringData(key) {
-		t.Error("the cache kept the caller's key string for a new key")
-	}
-	// Assigning to an existing string key makes a Go map adopt the new
-	// string, so an overwrite needs a copy as much as an insert does.
-	second, err := c.Put(key, []byte("w"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Key != key || second.Version != 2 {
-		t.Errorf("second Put = %+v", second)
-	}
-	if keys := c.Keys(); len(keys) != 1 || keys[0] != key || unsafe.StringData(keys[0]) == unsafe.StringData(key) {
-		t.Errorf("after an overwrite the map holds the caller's key string (keys %q)", keys)
+	for version := uint64(1); version <= 2; version++ {
+		copy(backing[len(backing)-3:], "key")
+		copy(value, "value")
+		put, err := c.Put(key, value, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Scribble over the memory the key string and the value share with
+		// the caller.
+		copy(backing[len(backing)-3:], "???")
+		copy(value, "?????")
+		if string(put.Value) != "value" || put.Version != version {
+			t.Errorf("Put %d returned %q at version %d", version, put.Value, put.Version)
+		}
+		got, err := c.Get("key")
+		if err != nil || string(got.Value) != "value" || got.Version != version {
+			t.Errorf("after put %d and a scribble, Get = %q at version %d, %v", version, got.Value, got.Version, err)
+		}
+		if keys := c.Keys(); len(keys) != 1 || keys[0] != "key" {
+			t.Errorf("after put %d and a scribble, Keys = %q", version, keys)
+		}
+		if snap := c.Snapshot(); len(snap) != 1 || snap[0].Key != "key" || string(snap[0].Value) != "value" {
+			t.Errorf("after put %d and a scribble, Snapshot = %+v", version, snap)
+		}
 	}
 }
