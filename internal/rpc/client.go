@@ -325,7 +325,7 @@ func (c *Client) Batch(ctx context.Context, ops []Request) ([]Response, error) {
 	}
 	c.obs.batchOps.Observe(int64(len(ops)))
 	rf, err := c.roundTrip(ctx, RequestFrame{
-		Header: Header{Version: ProtocolVersion, Kind: FrameBatch},
+		Header: Header{Kind: FrameBatch},
 		Batch:  BatchRequest{Ops: ops},
 	})
 	if err != nil {
@@ -351,7 +351,7 @@ func (c *Client) entryCall(ctx context.Context, req Request) (registry.Entry, er
 // call performs one request/response exchange.
 func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 	rf, err := c.roundTrip(ctx, RequestFrame{
-		Header: Header{Version: ProtocolVersion, Kind: FrameSingle},
+		Header: Header{Kind: FrameSingle},
 		Req:    req,
 	})
 	if err != nil {
@@ -536,7 +536,7 @@ func (pc *poolConn) do(ctx context.Context, f RequestFrame, timeout time.Duratio
 	pc.pending[f.Header.ID] = ch
 	pc.mu.Unlock()
 
-	frame, err := encodeFrame(&f)
+	frame, err := encodeRequest(&f)
 	if err != nil {
 		pc.forget(f.Header.ID)
 		return ResponseFrame{}, err

@@ -104,9 +104,8 @@ func TestDeadlinePropagatesToServer(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := writeFrame(conn, &RequestFrame{
+	if err := writeRequest(conn, &RequestFrame{
 		Header: Header{
-			Version:   ProtocolVersion,
 			ID:        1,
 			Kind:      FrameSingle,
 			TimeoutNs: -int64(time.Second), // budget already spent

@@ -4,17 +4,42 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"geomds/internal/cloud"
 	"geomds/internal/registry"
 )
 
-// The reply encoding (docs/WIRE.md, "Reply frames"): what a server writes
-// after the 4-byte length, whatever the frame carries.
+// The frame encoding (docs/WIRE.md, "Request frames" and "Reply frames"): what
+// either end writes after the 4-byte length. Both directions open with one
+// header,
 //
-//	format byte (replyFormat)
+//	format byte (requestFormat or replyFormat)
 //	frame kind
 //	flags; bit 0 is the sampled bit, the others are zero
 //	request ID, 8 bytes big-endian
 //	trace ID, 8 bytes big-endian
+//
+// after which a request carries
+//
+//	varint TimeoutNs
+//	uvarint len(Tenant), Tenant
+//	FrameBatch:       uvarint count, that many requests
+//	FrameWatch:       uvarint FromSeq, uvarint len(Prefix), Prefix,
+//	                  NoFallback (0 or 1)
+//	FrameWatchCancel: nothing
+//	any other kind:   one request
+//
+// where a request is its op byte and the body that op has (opTable):
+//
+//	bodyNone          nothing
+//	bodyName          uvarint len(Name), Name
+//	bodyEntry         uvarint length, the entry's encoding
+//	bodyNameLocation  uvarint len(Name), uvarint len(Path), varint Site,
+//	                  varint Node, Name, Path
+//	bodyNames         uvarint count, that many uvarint lengths, the names
+//	bodyEntries       uvarint count, that many (uvarint length, encoding)
+//
+// and a reply carries
+//
 //	FrameSingle:     response
 //	FrameBatch:      uvarint count, that many responses
 //	FrameWatch:      response, uvarint StartSeq, Fallback (0 or 1)
@@ -40,19 +65,23 @@ import (
 // shortest form, a shape bit is set only over a field that is not empty, and
 // nothing follows the frame, so a frame has exactly one encoding.
 
-// replyFormat is the first byte of a reply. encoding/gob opens a stream with
-// an unsigned integer whose first byte is below 0x80 or from 0xf8 up, so no
-// gob stream of any type starts with this byte, and a gob decoder handed a
-// reply fails on it: the two generations cannot be taken for each other.
-const replyFormat = 0x83
+// requestFormat and replyFormat are the first byte of a request and of a
+// reply. encoding/gob opens a stream with an unsigned integer whose first byte
+// is below 0x80 or from 0xf8 up, so no gob stream of any type starts with
+// either, and a gob decoder handed a frame fails on it: the generations cannot
+// be taken for each other, and neither can the directions.
+const (
+	requestFormat = 0x84
+	replyFormat   = 0x83
+)
 
 // entryFormat is registry's entry format byte. An entry inside a frame starts
 // with it; the gob values registry.DecodeEntry also reads for the sake of old
 // data directories are never valid on the wire.
 const entryFormat = 0x01
 
-// replyHeaderLen counts the bytes before the per-kind body.
-const replyHeaderLen = 1 + 1 + 1 + 8 + 8
+// headerLen counts the bytes of the header both directions share.
+const headerLen = 1 + 1 + 1 + 8 + 8
 
 const flagSampled = 0x01
 
@@ -70,6 +99,7 @@ const (
 // The least an element of each counted list occupies; a count is checked
 // against the bytes that remain divided by it before the list is allocated.
 const (
+	minRequestBytes  = 1 // op
 	minResponseBytes = 2 // status, shape
 	minEntryBytes    = 9 // length, then format byte and seven one-byte numbers
 	minNameBytes     = 1 // length
@@ -109,34 +139,117 @@ func errCodeByte(code ErrCode) byte {
 	return internalByte
 }
 
-// What decodeResponseFrame refuses. The errors are static so that refusing
-// hostile bytes allocates nothing for the error.
+// What the decoders refuse. The errors are static so that refusing hostile
+// bytes allocates nothing for the error.
 var (
-	errReplyFormat      = errors.New("rpc: decode reply: first byte is not the reply format byte 0x83: the peer speaks another wire generation")
-	errReplyTruncated   = errors.New("rpc: decode reply: frame, field or number cut short")
-	errReplyNotShortest = errors.New("rpc: decode reply: number not in its shortest form")
-	errReplyLength      = errors.New("rpc: decode reply: length or count exceeds the bytes that remain")
-	errReplyKind        = errors.New("rpc: decode reply: unknown frame kind")
-	errReplyFlags       = errors.New("rpc: decode reply: undefined flag bit")
-	errReplyCode        = errors.New("rpc: decode reply: unknown error code")
-	errReplyShape       = errors.New("rpc: decode reply: undefined shape bit")
-	errReplyEmptyField  = errors.New("rpc: decode reply: shape bit set over an empty field")
-	errReplyEntryForm   = errors.New("rpc: decode reply: entry does not start with the entry format byte")
-	errReplyBool        = errors.New("rpc: decode reply: boolean byte is neither 0 nor 1")
-	errReplyTrailing    = errors.New("rpc: decode reply: bytes after the frame")
+	errRequestFormat = errors.New("rpc: decode request: first byte is not the request format byte 0x84: the peer speaks another wire generation")
+	// errRequestOp is the one refusal a server answers instead of closing the
+	// connection over: an undefined op has no body to skip, but the frame's
+	// header has said whom to tell.
+	errRequestOp = errors.New("rpc: decode request: undefined op byte")
+
+	errReplyFormat     = errors.New("rpc: decode reply: first byte is not the reply format byte 0x83: the peer speaks another wire generation")
+	errReplyKind       = errors.New("rpc: decode reply: unknown frame kind")
+	errReplyCode       = errors.New("rpc: decode reply: unknown error code")
+	errReplyShape      = errors.New("rpc: decode reply: undefined shape bit")
+	errReplyEmptyField = errors.New("rpc: decode reply: shape bit set over an empty field")
+
+	errFrameTruncated   = errors.New("rpc: decode frame: frame, field or number cut short")
+	errFrameNotShortest = errors.New("rpc: decode frame: number not in its shortest form")
+	errFrameLength      = errors.New("rpc: decode frame: length or count exceeds the bytes that remain")
+	errFrameFlags       = errors.New("rpc: decode frame: undefined flag bit")
+	errFrameEntryForm   = errors.New("rpc: decode frame: entry does not start with the entry format byte")
+	errFrameBool        = errors.New("rpc: decode frame: boolean byte is neither 0 nor 1")
+	errFrameTrailing    = errors.New("rpc: decode frame: bytes after the frame")
 )
+
+// appendHeader appends the header both directions share.
+func appendHeader(dst []byte, format byte, h *Header) []byte {
+	var flags byte
+	if h.sampled {
+		flags = flagSampled
+	}
+	dst = append(dst, format, byte(h.Kind), flags)
+	dst = binary.BigEndian.AppendUint64(dst, h.ID)
+	return binary.BigEndian.AppendUint64(dst, h.trace)
+}
+
+// decodeHeader reads the header of a payload that must start with format —
+// wrongFormat is the error if it does not — into *h, and returns a reader over
+// what follows it. The kind is whatever byte the payload holds.
+func decodeHeader(payload []byte, format byte, wrongFormat error, h *Header) frameReader {
+	switch {
+	case len(payload) == 0 || payload[0] != format:
+		return frameReader{err: wrongFormat}
+	case len(payload) < headerLen:
+		return frameReader{err: errFrameTruncated}
+	case payload[2]&^flagSampled != 0:
+		return frameReader{err: errFrameFlags}
+	}
+	*h = Header{
+		Kind:    FrameKind(payload[1]),
+		ID:      binary.BigEndian.Uint64(payload[3:]),
+		sampled: payload[2]&flagSampled != 0,
+		trace:   binary.BigEndian.Uint64(payload[11:]),
+	}
+	return frameReader{rest: payload[headerLen:]}
+}
+
+// appendRequestFrame appends f's encoding to dst and returns the extended
+// slice. It cannot fail and allocates only to grow dst. The payload written is
+// the one Header.Kind selects, and of each request the fields its op has; an
+// undefined op is written as its byte alone, for a server to refuse.
+func appendRequestFrame(dst []byte, f *RequestFrame) []byte {
+	dst = appendHeader(dst, requestFormat, &f.Header)
+	dst = binary.AppendVarint(dst, f.Header.TimeoutNs)
+	dst = appendString(dst, f.Header.Tenant)
+	switch f.Header.Kind {
+	case FrameBatch:
+		dst = binary.AppendUvarint(dst, uint64(len(f.Batch.Ops)))
+		for i := range f.Batch.Ops {
+			dst = appendRequest(dst, &f.Batch.Ops[i])
+		}
+	case FrameWatch:
+		dst = binary.AppendUvarint(dst, f.Watch.FromSeq)
+		dst = appendString(dst, f.Watch.Prefix)
+		dst = appendBool(dst, f.Watch.NoFallback)
+	case FrameWatchCancel:
+	default:
+		dst = appendRequest(dst, &f.Req)
+	}
+	return dst
+}
+
+func appendRequest(dst []byte, req *Request) []byte {
+	dst = append(dst, byte(req.Op))
+	if !req.Op.defined() {
+		return dst
+	}
+	switch opTable[req.Op].body {
+	case bodyName:
+		dst = appendString(dst, req.Name)
+	case bodyEntry:
+		dst = appendEntry(dst, &req.Entry)
+	case bodyNameLocation:
+		dst = binary.AppendUvarint(dst, uint64(len(req.Name)))
+		dst = binary.AppendUvarint(dst, uint64(len(req.Location.Path)))
+		dst = binary.AppendVarint(dst, int64(req.Location.Site))
+		dst = binary.AppendVarint(dst, int64(req.Location.Node))
+		dst = append(dst, req.Name...)
+		dst = append(dst, req.Location.Path...)
+	case bodyNames:
+		dst = appendNames(dst, req.Names)
+	case bodyEntries:
+		dst = appendEntries(dst, req.Entries)
+	}
+	return dst
+}
 
 // appendResponseFrame appends f's encoding to dst and returns the extended
 // slice. It cannot fail and allocates only to grow dst. Of f.Header it writes
 // Kind and ID; the payload written is the one Kind selects.
 func appendResponseFrame(dst []byte, f *ResponseFrame) []byte {
-	var flags byte
-	if f.sampled {
-		flags = flagSampled
-	}
-	dst = append(dst, replyFormat, byte(f.Header.Kind), flags)
-	dst = binary.BigEndian.AppendUint64(dst, f.Header.ID)
-	dst = binary.BigEndian.AppendUint64(dst, f.trace)
+	dst = appendHeader(dst, replyFormat, &f.Header)
 	switch f.Header.Kind {
 	case FrameBatch:
 		dst = binary.AppendUvarint(dst, uint64(len(f.Batch.Ops)))
@@ -164,8 +277,7 @@ func appendResponse(dst []byte, r *Response) []byte {
 		dst = append(dst, 0)
 	} else {
 		dst = append(dst, errCodeByte(r.Err))
-		dst = binary.AppendUvarint(dst, uint64(len(r.Detail)))
-		dst = append(dst, r.Detail...)
+		dst = appendString(dst, r.Detail)
 		dst = binary.AppendVarint(dst, r.RetryAfterNs)
 	}
 	shapeAt := len(dst)
@@ -177,20 +289,11 @@ func appendResponse(dst []byte, r *Response) []byte {
 	}
 	if len(r.Entries) > 0 {
 		shape |= shapeEntries
-		dst = binary.AppendUvarint(dst, uint64(len(r.Entries)))
-		for i := range r.Entries {
-			dst = appendEntry(dst, &r.Entries[i])
-		}
+		dst = appendEntries(dst, r.Entries)
 	}
 	if len(r.Names) > 0 {
 		shape |= shapeNames
-		dst = binary.AppendUvarint(dst, uint64(len(r.Names)))
-		for _, name := range r.Names {
-			dst = binary.AppendUvarint(dst, uint64(len(name)))
-		}
-		for _, name := range r.Names {
-			dst = append(dst, name...)
-		}
+		dst = appendNames(dst, r.Names)
 	}
 	if r.N != 0 {
 		shape |= shapeN
@@ -203,6 +306,32 @@ func appendResponse(dst []byte, r *Response) []byte {
 func appendEntry(dst []byte, e *registry.Entry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(registry.EncodedSize(*e)))
 	return registry.AppendEntry(dst, *e)
+}
+
+func appendEntries(dst []byte, entries []registry.Entry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(entries)))
+	for i := range entries {
+		dst = appendEntry(dst, &entries[i])
+	}
+	return dst
+}
+
+// appendNames writes a name list with all the lengths before all the bytes,
+// so that a decoder keeps one copy of the bytes and slices it.
+func appendNames(dst []byte, names []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for _, name := range names {
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+	}
+	for _, name := range names {
+		dst = append(dst, name...)
+	}
+	return dst
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
 // entryIsZero reports whether e encodes as the entry a response without
@@ -243,25 +372,14 @@ func appendBool(dst []byte, b bool) []byte {
 // before the rule that failed and must not be used.
 func decodeResponseFrame(payload []byte, f *ResponseFrame) error {
 	*f = ResponseFrame{}
-	if len(payload) == 0 || payload[0] != replyFormat {
-		return errReplyFormat
+	r := decodeHeader(payload, replyFormat, errReplyFormat, &f.Header)
+	if r.err != nil {
+		return r.err
 	}
-	if len(payload) < replyHeaderLen {
-		return errReplyTruncated
-	}
-	kind, flags := FrameKind(payload[1]), payload[2]
+	kind := f.Header.Kind
 	if kind < FrameSingle || kind > FrameWatchEvent {
 		return errReplyKind
 	}
-	if flags&^flagSampled != 0 {
-		return errReplyFlags
-	}
-	f.Header.Kind = kind
-	f.Header.ID = binary.BigEndian.Uint64(payload[3:])
-	f.sampled = flags&flagSampled != 0
-	f.trace = binary.BigEndian.Uint64(payload[11:])
-
-	r := replyReader{rest: payload[replyHeaderLen:]}
 	switch kind {
 	case FrameBatch:
 		if n := r.count(minResponseBytes); n > 0 {
@@ -286,31 +404,87 @@ func decodeResponseFrame(payload []byte, f *ResponseFrame) error {
 		r.response(&f.Resp)
 	}
 	if r.err == nil && len(r.rest) > 0 {
-		r.err = errReplyTrailing
+		r.err = errFrameTrailing
 	}
 	return r.err
 }
 
-// replyReader consumes a frame's body front to back. The first failure sticks
+// decodeRequestFrame is the inverse of appendRequestFrame; it overwrites *f.
+// Like decodeResponseFrame it copies what it keeps of payload — name, names,
+// tenant, prefix and all of every entry — and checks every length and count
+// against the bytes that remain before anything is allocated for it. After an
+// error *f holds whatever was decoded before the rule that failed and must
+// not be used, except that after errRequestOp its Header is whole.
+func decodeRequestFrame(payload []byte, f *RequestFrame) error {
+	body, ops, err := decodeRequestPreamble(payload, f)
+	if err != nil {
+		return err
+	}
+	return decodeRequestBody(body, ops, f)
+}
+
+// decodeRequestPreamble decodes what admission control needs of a request and
+// nothing more: the header, the deadline, the tenant and — a batch's count
+// sits right behind them, checked against the bytes that remain — how many
+// operations the frame carries. It allocates the tenant's string at most. A
+// server decodes the rest, with decodeRequestBody, only for a frame it admits.
+func decodeRequestPreamble(payload []byte, f *RequestFrame) (body frameReader, ops int, err error) {
+	*f = RequestFrame{}
+	r := decodeHeader(payload, requestFormat, errRequestFormat, &f.Header)
+	f.Header.TimeoutNs = r.varint()
+	f.Header.Tenant = r.string()
+	ops = 1
+	if f.Header.Kind == FrameBatch {
+		ops = r.count(minRequestBytes)
+	}
+	return r, ops, r.err
+}
+
+// decodeRequestBody decodes what follows the preamble into f. A kind that is
+// neither batch nor one of the watch kinds holds a single request.
+func decodeRequestBody(r frameReader, ops int, f *RequestFrame) error {
+	switch f.Header.Kind {
+	case FrameBatch:
+		if ops > 0 {
+			f.Batch.Ops = make([]Request, ops)
+			for i := 0; i < ops && r.err == nil; i++ {
+				r.request(&f.Batch.Ops[i])
+			}
+		}
+	case FrameWatch:
+		f.Watch.FromSeq = r.uvarint()
+		f.Watch.Prefix = r.string()
+		f.Watch.NoFallback = r.bool()
+	case FrameWatchCancel:
+	default:
+		r.request(&f.Req)
+	}
+	if r.err == nil && len(r.rest) > 0 {
+		r.err = errFrameTrailing
+	}
+	return r.err
+}
+
+// frameReader consumes a frame's body front to back. The first failure sticks
 // in err, after which every read returns zero and allocates nothing, so the
 // decoders read a run of fields and check once.
-type replyReader struct {
+type frameReader struct {
 	rest []byte
 	err  error
 }
 
-func (r *replyReader) fail(err error) {
+func (r *frameReader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
 }
 
-func (r *replyReader) byte() byte {
+func (r *frameReader) byte() byte {
 	if r.err != nil {
 		return 0
 	}
 	if len(r.rest) == 0 {
-		r.err = errReplyTruncated
+		r.err = errFrameTruncated
 		return 0
 	}
 	b := r.rest[0]
@@ -318,34 +492,34 @@ func (r *replyReader) byte() byte {
 	return b
 }
 
-func (r *replyReader) bool() bool {
+func (r *frameReader) bool() bool {
 	b := r.byte()
 	if b > 1 {
-		r.fail(errReplyBool)
+		r.fail(errFrameBool)
 	}
 	return b == 1
 }
 
-func (r *replyReader) uvarint() uint64 {
+func (r *frameReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.rest)
 	if n <= 0 {
-		r.err = errReplyTruncated
+		r.err = errFrameTruncated
 		return 0
 	}
 	// binary.Uvarint accepts zero bytes at a number's most significant end;
 	// its shortest form has none.
 	if n > 1 && r.rest[n-1] == 0 {
-		r.err = errReplyNotShortest
+		r.err = errFrameNotShortest
 		return 0
 	}
 	r.rest = r.rest[n:]
 	return v
 }
 
-func (r *replyReader) varint() int64 {
+func (r *frameReader) varint() int64 {
 	ux := r.uvarint()
 	x := int64(ux >> 1)
 	if ux&1 != 0 {
@@ -356,10 +530,10 @@ func (r *replyReader) varint() int64 {
 
 // count reads the number of elements of a list that is still to come, each
 // at least min bytes long.
-func (r *replyReader) count(min int) int {
+func (r *frameReader) count(min int) int {
 	v := r.uvarint()
 	if r.err == nil && v > uint64(len(r.rest)/min) {
-		r.err = errReplyLength
+		r.err = errFrameLength
 		return 0
 	}
 	return int(v)
@@ -367,22 +541,22 @@ func (r *replyReader) count(min int) int {
 
 // length reads the length of bytes that are still to come. Checked one by
 // one, lengths that are added up before they are taken cannot wrap.
-func (r *replyReader) length() int {
+func (r *frameReader) length() int {
 	v := r.uvarint()
 	if r.err == nil && v > uint64(len(r.rest)) {
-		r.err = errReplyLength
+		r.err = errFrameLength
 		return 0
 	}
 	return int(v)
 }
 
 // take returns the next n bytes, still part of the payload.
-func (r *replyReader) take(n int) []byte {
+func (r *frameReader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
 	if n > len(r.rest) {
-		r.err = errReplyLength
+		r.err = errFrameLength
 		return nil
 	}
 	b := r.rest[:n]
@@ -390,7 +564,10 @@ func (r *replyReader) take(n int) []byte {
 	return b
 }
 
-func (r *replyReader) response(resp *Response) {
+// string returns a copy of the next length-prefixed bytes.
+func (r *frameReader) string() string { return string(r.take(r.length())) }
+
+func (r *frameReader) response(resp *Response) {
 	status := r.byte()
 	switch {
 	case status == 0:
@@ -399,7 +576,7 @@ func (r *replyReader) response(resp *Response) {
 		r.fail(errReplyCode)
 	default:
 		resp.Err = errCodes[status]
-		resp.Detail = string(r.take(r.length()))
+		resp.Detail = r.string()
 		resp.RetryAfterNs = r.varint()
 	}
 	shape := r.byte()
@@ -413,15 +590,10 @@ func (r *replyReader) response(resp *Response) {
 		}
 	}
 	if shape&shapeEntries != 0 {
-		if n := r.nonEmpty(minEntryBytes); n > 0 {
-			resp.Entries = make([]registry.Entry, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				resp.Entries[i] = r.entry()
-			}
-		}
+		resp.Entries = r.entries(r.nonEmpty(minEntryBytes))
 	}
 	if shape&shapeNames != 0 {
-		resp.Names = r.names()
+		resp.Names = r.names(r.nonEmpty(minNameBytes))
 	}
 	if shape&shapeN != 0 {
 		resp.N = int(r.varint())
@@ -432,7 +604,7 @@ func (r *replyReader) response(resp *Response) {
 }
 
 // nonEmpty is count for a list behind a shape bit, which is not empty.
-func (r *replyReader) nonEmpty(min int) int {
+func (r *frameReader) nonEmpty(min int) int {
 	n := r.count(min)
 	if r.err == nil && n == 0 {
 		r.err = errReplyEmptyField
@@ -442,13 +614,13 @@ func (r *replyReader) nonEmpty(min int) int {
 
 // entry decodes one length-prefixed entry. registry.DecodeEntry copies what
 // it keeps and applies the entry encoding's own rules.
-func (r *replyReader) entry() registry.Entry {
+func (r *frameReader) entry() registry.Entry {
 	data := r.take(r.length())
 	if r.err != nil {
 		return registry.Entry{}
 	}
 	if len(data) == 0 || data[0] != entryFormat {
-		r.err = errReplyEntryForm
+		r.err = errFrameEntryForm
 		return registry.Entry{}
 	}
 	e, err := registry.DecodeEntry(data)
@@ -458,17 +630,16 @@ func (r *replyReader) entry() registry.Entry {
 	return e
 }
 
-// names decodes a name list at the cost of two allocations: the slice, and
-// one copy of all the names that its elements are slices of.
-func (r *replyReader) names() []string {
-	n := r.nonEmpty(minNameBytes)
-	lengths := replyReader{rest: r.rest}
+// names decodes n names at the cost of two allocations: the slice, and one
+// copy of all the names that its elements are slices of.
+func (r *frameReader) names(n int) []string {
+	lengths := frameReader{rest: r.rest}
 	total := 0
 	for i := 0; i < n && r.err == nil; i++ {
 		total += r.length()
 	}
 	blob := string(r.take(total))
-	if r.err != nil {
+	if r.err != nil || n == 0 {
 		return nil
 	}
 	names := make([]string, n)
@@ -479,7 +650,52 @@ func (r *replyReader) names() []string {
 	return names
 }
 
-func (r *replyReader) event(ev *WatchEvent) {
+// entries decodes n length-prefixed entries.
+func (r *frameReader) entries(n int) []registry.Entry {
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	entries := make([]registry.Entry, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		entries[i] = r.entry()
+	}
+	return entries
+}
+
+// request decodes one operation: its op byte, which must be defined, and the
+// body that op has. Lists may be empty, and decode as nil.
+func (r *frameReader) request(req *Request) {
+	op := Op(r.byte())
+	if r.err != nil {
+		return
+	}
+	if !op.defined() {
+		r.err = errRequestOp
+		return
+	}
+	req.Op = op
+	switch opTable[op].body {
+	case bodyName:
+		req.Name = r.string()
+	case bodyEntry:
+		req.Entry = r.entry()
+	case bodyNameLocation:
+		nameLen, pathLen := r.length(), r.length()
+		site, node := r.varint(), r.varint()
+		blob := string(r.take(nameLen + pathLen))
+		if r.err != nil {
+			return
+		}
+		req.Name = blob[:nameLen]
+		req.Location = registry.Location{Site: cloud.SiteID(site), Node: cloud.NodeID(node), Path: blob[nameLen:]}
+	case bodyNames:
+		req.Names = r.names(r.count(minNameBytes))
+	case bodyEntries:
+		req.Entries = r.entries(r.count(minEntryBytes))
+	}
+}
+
+func (r *frameReader) event(ev *WatchEvent) {
 	ev.Seq = r.uvarint()
 	op := r.byte()
 	ev.Op, ev.Sync = op&0x7f, op&0x80 != 0

@@ -18,9 +18,8 @@ import (
 	"geomds/internal/registry"
 )
 
-// gobMessage is what every release before the reply encoding put on the wire
-// in both directions, and what requests still are: a 4-byte length and one
-// gob stream holding v.
+// gobMessage is what every release before wire v3 put on the wire in both
+// directions: a 4-byte length and one gob stream holding v.
 func gobMessage(t testing.TB, v any) []byte {
 	t.Helper()
 	buf := bytes.NewBuffer(make([]byte, 4))
@@ -79,11 +78,12 @@ func golden(t testing.TB, path ...string) []byte {
 	return data
 }
 
-// replySeed is one input of FuzzResponseFrame's committed corpus.
-type replySeed struct {
-	name string // file name under testdata/fuzz/FuzzResponseFrame
+// frameSeed is one input of the committed corpus of FuzzResponseFrame or of
+// FuzzRequestFrame.
+type frameSeed struct {
+	name string // file name under testdata/fuzz/<target>
 	data []byte
-	// err is what decodeResponseFrame answers; nil for a seed that decodes.
+	// err is what the target's decoder answers; nil for a seed that decodes.
 	err error
 }
 
@@ -92,9 +92,9 @@ type replySeed struct {
 var errEntryRule = errors.New("a rule of the entry encoding")
 
 // replySeeds lists the corpus: frames that decode, and one hostile input per
-// rule a decoder has to apply. TestFuzzCorpusIsReplySeeds keeps the files
+// rule the decoder has to apply. TestFuzzCorpusIsReplySeeds keeps the files
 // equal to this list.
-func replySeeds(t testing.TB) []replySeed {
+func replySeeds(t testing.TB) []frameSeed {
 	// header builds the 19 bytes before a frame's body.
 	header := func(kind FrameKind, flags byte, body ...byte) []byte {
 		b := []byte{replyFormat, byte(kind), flags}
@@ -129,7 +129,7 @@ func replySeeds(t testing.TB) []replySeed {
 	gobEntry := golden(t, "..", "registry", "testdata", "entry_gob.golden")
 	gobReply := golden(t, "testdata", "reply_gob.golden")[4:]
 
-	return []replySeed{
+	return []frameSeed{
 		{name: "get", data: get},
 		{name: "not-found", data: encoded(ResponseFrame{
 			Header: Header{ID: 2, Kind: FrameSingle},
@@ -150,19 +150,17 @@ func replySeeds(t testing.TB) []replySeed {
 		// the corpus file keeps the name it was committed under, when a reply
 		// could also carry a Bool.
 		{name: "names-bool-n", data: encoded(ResponseFrame{
-			Header:  Header{ID: 5, Kind: FrameSingle},
-			Resp:    Response{OK: true, Names: []string{"data/a", "", "data/c"}, N: -3},
-			sampled: true,
-			trace:   0xfeedfacecafebeef,
+			Header: Header{ID: 5, Kind: FrameSingle, sampled: true, trace: 0xfeedfacecafebeef},
+			Resp:   Response{OK: true, Names: []string{"data/a", "", "data/c"}, N: -3},
 		})},
 
 		// a batch of 2^32-1 responses with nothing behind the count: 24 bytes.
-		{name: "hostile-batch-count", err: errReplyLength, data: header(FrameBatch, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{name: "hostile-batch-count", err: errFrameLength, data: header(FrameBatch, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
 		// an entry one byte longer than what follows its length.
-		{name: "hostile-entry-length-past-end", err: errReplyLength,
+		{name: "hostile-entry-length-past-end", err: errFrameLength,
 			data: append(header(FrameSingle, 0, 0, shapeEntry, byte(len(entry)+1)), entry...)},
 		// the gob value of an entry where a frame carries an entry.
-		{name: "hostile-gob-entry", err: errReplyEntryForm,
+		{name: "hostile-gob-entry", err: errFrameEntryForm,
 			data: append(binary.AppendUvarint(header(FrameSingle, 0, 0, shapeEntry), uint64(len(gobEntry))), gobEntry...)},
 		// an entry that starts with the format byte and breaks the entry
 		// encoding's own rules (a byte after the last path).
@@ -172,7 +170,7 @@ func replySeeds(t testing.TB) []replySeed {
 		{name: "hostile-unknown-kind", err: errReplyKind, data: header(FrameWatchCancel, 0, 0, 0)},
 		{name: "hostile-kind-zero", err: errReplyKind, data: header(0, 0, 0, 0)},
 		{name: "hostile-unknown-code", err: errReplyCode, data: header(FrameSingle, 0, byte(len(errCodes)), 0, 0, 0)},
-		{name: "hostile-undefined-flag", err: errReplyFlags, data: header(FrameSingle, 0x02, 0, 0)},
+		{name: "hostile-undefined-flag", err: errFrameFlags, data: header(FrameSingle, 0x02, 0, 0)},
 		{name: "hostile-undefined-shape", err: errReplyShape, data: header(FrameSingle, 0, 0, 0x20)},
 		// 0x08 said "Contains answered true" until that operation was removed.
 		{name: "hostile-retired-shape-bit", err: errReplyShape, data: header(FrameSingle, 0, 0, 0x08)},
@@ -184,33 +182,38 @@ func replySeeds(t testing.TB) []replySeed {
 		{name: "hostile-shape-over-zero-entry", err: errReplyEmptyField,
 			data: append(header(FrameSingle, 0, 0, shapeEntry, byte(registry.EncodedSize(registry.Entry{}))), registry.AppendEntry(nil, registry.Entry{})...)},
 		// a batch count of 0 written as two bytes.
-		{name: "hostile-not-shortest", err: errReplyNotShortest, data: header(FrameBatch, 0, 0x80, 0x00)},
+		{name: "hostile-not-shortest", err: errFrameNotShortest, data: header(FrameBatch, 0, 0x80, 0x00)},
 		// a detail length whose continuation bit promises a byte that is not there.
-		{name: "hostile-number-cut-short", err: errReplyTruncated, data: header(FrameSingle, 0, 1, 0x80)},
-		{name: "hostile-trailing-byte", err: errReplyTrailing, data: append(append([]byte(nil), get...), 0)},
-		{name: "hostile-format-byte-alone", err: errReplyTruncated, data: []byte{replyFormat}},
-		{name: "hostile-header-only", err: errReplyTruncated, data: header(FrameSingle, 0)},
+		{name: "hostile-number-cut-short", err: errFrameTruncated, data: header(FrameSingle, 0, 1, 0x80)},
+		{name: "hostile-trailing-byte", err: errFrameTrailing, data: append(append([]byte(nil), get...), 0)},
+		{name: "hostile-format-byte-alone", err: errFrameTruncated, data: []byte{replyFormat}},
+		{name: "hostile-header-only", err: errFrameTruncated, data: header(FrameSingle, 0)},
 		{name: "hostile-empty", err: errReplyFormat, data: []byte{}},
 		// getReply as the server of the last commit with gob replies wrote it.
 		{name: "hostile-gob-reply", err: errReplyFormat, data: gobReply},
-		{name: "hostile-fallback-byte", err: errReplyBool, data: header(FrameWatch, 0, 0, 0, 5, 2)},
+		{name: "hostile-fallback-byte", err: errFrameBool, data: header(FrameWatch, 0, 0, 0, 5, 2)},
 		// an event whose name and origin each fit and together do not.
-		{name: "hostile-event-lengths", err: errReplyLength, data: header(FrameWatchEvent, 0, 0, 0, 1, 1, 1, 0, 3, 3, 0, 'a', 'b', 'c', 'd')},
+		{name: "hostile-event-lengths", err: errFrameLength, data: header(FrameWatchEvent, 0, 0, 0, 1, 1, 1, 0, 3, 3, 0, 'a', 'b', 'c', 'd')},
 		// 2^32-1 events, 2^32-1 names.
-		{name: "hostile-event-count", err: errReplyLength, data: header(FrameWatchEvent, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
-		{name: "hostile-name-count", err: errReplyLength, data: header(FrameSingle, 0, 0, shapeNames, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0)},
+		{name: "hostile-event-count", err: errFrameLength, data: header(FrameWatchEvent, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{name: "hostile-name-count", err: errFrameLength, data: header(FrameSingle, 0, 0, shapeNames, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0)},
 		// name lengths that each fit and together do not.
-		{name: "hostile-names-past-end", err: errReplyLength, data: header(FrameSingle, 0, 0, shapeNames, 2, 3, 3, 'a', 'b', 'c', 'd')},
+		{name: "hostile-names-past-end", err: errFrameLength, data: header(FrameSingle, 0, 0, shapeNames, 2, 3, 3, 'a', 'b', 'c', 'd')},
 	}
 }
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzResponseFrame and testdata/reply_get.golden from the tables in frame_test.go")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz{Response,Request}Frame and testdata/{reply,request}_get.golden from the tables in frame_test.go and request_test.go")
 
 // TestFuzzCorpusIsReplySeeds keeps the committed corpus, which is what `go
 // test` runs FuzzResponseFrame over, identical to replySeeds.
 func TestFuzzCorpusIsReplySeeds(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzResponseFrame")
-	seeds := replySeeds(t)
+	checkCorpus(t, "FuzzResponseFrame", replySeeds(t))
+}
+
+// checkCorpus compares testdata/fuzz/<target> with seeds, or with
+// -update-corpus rewrites it from them.
+func checkCorpus(t *testing.T, target string, seeds []frameSeed) {
+	dir := filepath.Join("testdata", "fuzz", target)
 	for _, s := range seeds {
 		path := filepath.Join(dir, s.name)
 		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
@@ -225,7 +228,7 @@ func TestFuzzCorpusIsReplySeeds(t *testing.T) {
 		}
 		got, err := os.ReadFile(path)
 		if err != nil || string(got) != want {
-			t.Errorf("%s is not seed %q (err %v); run go test -run TestFuzzCorpusIsReplySeeds -update-corpus", path, s.name, err)
+			t.Errorf("%s is not seed %q (err %v); run go test -run TestFuzzCorpusIs -update-corpus", path, s.name, err)
 		}
 	}
 	files, err := os.ReadDir(dir)
@@ -233,7 +236,7 @@ func TestFuzzCorpusIsReplySeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(files) != len(seeds) {
-		t.Errorf("%s holds %d files, replySeeds lists %d", dir, len(files), len(seeds))
+		t.Errorf("%s holds %d files, its seed table lists %d", dir, len(files), len(seeds))
 	}
 }
 
@@ -254,7 +257,7 @@ func TestDecodeReplyRefusesHostileBytes(t *testing.T) {
 			continue
 		}
 		if s.err == errEntryRule {
-			if _, entryErr := registry.DecodeEntry(s.data[replyHeaderLen+3:]); entryErr == nil || !errors.Is(err, entryErr) {
+			if _, entryErr := registry.DecodeEntry(s.data[headerLen+3:]); entryErr == nil || !errors.Is(err, entryErr) {
 				t.Errorf("%s: decodeResponseFrame = %v, want DecodeEntry's %v", s.name, err, entryErr)
 			}
 		} else if !errors.Is(err, s.err) {
@@ -411,8 +414,8 @@ func startNullServer(t testing.TB) *Client {
 	return client
 }
 
-// A whole Get over loopback, both ends counted: 908 allocations while replies
-// were gob streams. What is left is almost all the gob request.
+// A whole Get over loopback, both ends counted: 908 allocations while both
+// directions were gob streams, 428 while requests still were.
 func TestNullRoundTripAllocations(t *testing.T) {
 	client := startNullServer(t)
 	name := geobenchEntry(1).Name
@@ -421,20 +424,37 @@ func TestNullRoundTripAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 480 {
-		t.Errorf("a null round trip cost %v allocations, want at most 480", allocs)
+	if allocs > 24 {
+		t.Errorf("a null round trip cost %v allocations, want at most 24", allocs)
 	}
 	t.Logf("null round trip: %v allocations", allocs)
 }
 
+// Every operation has its constant's name, and a byte that names none —
+// inside the table or past it — is still logged and traced under a name of
+// its own.
 func TestTraceNames(t *testing.T) {
-	for op, name := range traceNames {
-		if name != "rpc."+string(op) {
-			t.Errorf("traceNames[%q] = %q", op, name)
+	names := map[Op]string{
+		OpPing: "ping", OpSite: "site", OpCreate: "create", OpPut: "put", OpGet: "get",
+		OpAddLoc: "addloc", OpDelete: "delete", OpNames: "names", OpEntries: "entries",
+		OpGetMany: "getmany", OpPutMany: "putmany", OpDeleteMany: "deletemany",
+		OpMerge: "merge", OpLen: "len", OpWatch: "watch",
+	}
+	for b := 0; b < 256; b++ {
+		op := Op(b)
+		want, ok := names[op]
+		if ok != op.defined() {
+			t.Errorf("Op(%d).defined() = %v", b, op.defined())
+		}
+		if !ok {
+			want = fmt.Sprintf("op(%d)", b)
+		}
+		if op.String() != want || traceName(op) != "rpc."+want {
+			t.Errorf("Op(%d) is named %q and traced as %q, want %q", b, op, traceName(op), want)
 		}
 	}
-	if got := traceName("frobnicate"); got != "rpc.frobnicate" {
-		t.Errorf("an op outside the table is traced as %q", got)
+	if len(names) != len(opTable)-1 {
+		t.Errorf("opTable has %d rows, the protocol %d operations", len(opTable)-1, len(names))
 	}
 }
 

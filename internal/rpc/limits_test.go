@@ -1,9 +1,10 @@
 package rpc
 
-// Admission-control tests: rejection happens at the frame-decode boundary
-// (no registry work), the "overloaded" code round-trips with its retry-after
-// hint, a bare version-1 request is refused without being charged, and
-// per-call context tenants override the client-wide one.
+// Admission-control tests: rejection happens between a frame's preamble and
+// its body (no registry work; request_test.go checks that the body is not even
+// decoded), the "overloaded" code round-trips with its retry-after hint, a
+// bare version-1 request is refused without being charged, and per-call
+// context tenants override the client-wide one.
 
 import (
 	"errors"
@@ -211,9 +212,8 @@ func TestWatchAdmission(t *testing.T) {
 func TestByteQuotaOverWire(t *testing.T) {
 	_, reg, addr := startLimitedServer(t, limits.Config{
 		Tenants: map[string]limits.TenantLimit{
-			// Generous ops, small byte budget: the handshake (including
-			// gob's per-connection type descriptors) fits, a
-			// payload-heavy create does not.
+			// Generous ops, small byte budget: the handshake fits, a
+			// payload-heavy create (its entry is some 5 KB) does not.
 			"heavy": {OpsPerSec: 1000, OpsBurst: 1000, BytesPerSec: 0.0001, BytesBurst: 4096},
 		},
 	})

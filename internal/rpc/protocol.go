@@ -20,15 +20,13 @@
 // an envelope — RequestFrame on the client-to-server direction, ResponseFrame
 // on the way back — carrying a Header plus either one Request/Response
 // (FrameSingle) or a BatchRequest/BatchResponse holding many registry
-// operations (FrameBatch). The two directions are of two generations until
-// requests follow: a RequestFrame is one gob stream (encodeFrame,
-// decodePayload), a ResponseFrame — single, batch, watch acknowledgement,
-// watch events, admission rejection — is the hand-rolled reply encoding of
-// frame.go (appendResponseFrame, decodeResponseFrame), which opens with a
-// format byte no gob stream can start with. There is one encoder and one
-// decoder per direction and nothing is negotiated: a peer of the other
-// generation fails its first reply with an error wrapping
-// registry.ErrUnavailable.
+// operations (FrameBatch). Both directions are the hand-rolled binary layout
+// of frame.go: a format byte (one per direction, so a request is never taken
+// for a reply), one 19-byte header, then a body by frame kind. There is one
+// encoder and one decoder per direction (appendRequestFrame and
+// decodeRequestFrame, appendResponseFrame and decodeResponseFrame) and nothing
+// is negotiated: a peer of another generation has its first frame refused on
+// the format byte and its connection closed, and nothing it sent is executed.
 //
 // The Header tags each request with a client-assigned ID that the server
 // echoes in the matching response. Because responses are correlated by ID
@@ -90,24 +88,21 @@
 //
 // # One wire version
 //
-// A server reads version-2 requests and writes version-3 replies, and speaks
-// nothing else. Version 1 framed a bare gob-encoded Request/Response with no
-// header; gob refuses to decode such a Request into a RequestFrame (none of
-// the envelope's fields match), so the server treats it like any other
-// undecodable message: it logs the frame and closes the connection without
-// dispatching or charging anything. A version-2 reply (a gob ResponseFrame)
-// does not start with the reply format byte, and a client refuses it as a
-// reply of another generation.
+// A server reads the request layout and writes the reply layout, and speaks
+// nothing else. Anything that does not start with the request format byte — a
+// gob envelope of an earlier release, a bare gob Request of the first one,
+// garbage — is handled alike: the server logs the frame and closes the
+// connection without dispatching or charging anything. A client does the same
+// with a reply that does not start with the reply format byte.
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -115,13 +110,6 @@ import (
 	"geomds/internal/limits"
 	"geomds/internal/registry"
 )
-
-// ProtocolVersion is the wire protocol generation stamped into every request
-// frame's header. Version 2 introduced the header itself, request IDs
-// (pipelining) and batch frames; the un-tagged version 1 is no longer
-// accepted (see the package documentation). Replies carry no version field:
-// their format byte is their generation.
-const ProtocolVersion = 2
 
 // FrameKind discriminates what a frame's payload carries.
 type FrameKind uint8
@@ -135,10 +123,8 @@ const (
 )
 
 // Header is the frame header of every protocol message. A request carries all
-// of it inside its gob envelope; a reply carries ID and Kind.
+// of it; a reply carries ID and Kind (and the tracing fields).
 type Header struct {
-	// Version is the protocol generation of a request (ProtocolVersion).
-	Version uint16
 	// ID tags the request; the server echoes it in the matching response so
 	// the client can demultiplex pipelined responses arriving out of order.
 	ID uint64
@@ -149,15 +135,16 @@ type Header struct {
 	// built; 0 means no deadline, a negative value an already-expired one.
 	// It is deliberately relative, not an absolute timestamp, so the server
 	// can anchor it on its own clock and client/server clock skew cannot
-	// distort the propagated deadline (see the package documentation). The
-	// field is new within protocol version 2; gob tolerates its absence, so
-	// frames from clients predating it simply carry no deadline.
+	// distort the propagated deadline (see the package documentation).
 	TimeoutNs int64
 	// Tenant names the tenant this request is accounted against for
-	// admission control; empty means limits.DefaultTenant. Like TimeoutNs
-	// it is a later version-2 extension — gob tolerates its absence, so
-	// frames from clients predating it land on the default tenant.
+	// admission control; empty means limits.DefaultTenant.
 	Tenant string
+
+	// sampled and trace are the header's sampled bit and trace ID, reserved
+	// for request tracing: carried both ways, set and read by nothing yet.
+	sampled bool
+	trace   uint64
 }
 
 // headerTimeout converts a context's deadline into the wire representation:
@@ -208,15 +195,12 @@ type RequestFrame struct {
 	Req Request
 	// Batch is the payload of a FrameBatch frame.
 	Batch BatchRequest
-	// Watch is the payload of a FrameWatch frame (see watch.go). The field
-	// is a version-2 extension; gob tolerates its absence in frames from
-	// older clients.
+	// Watch is the payload of a FrameWatch frame (see watch.go).
 	Watch WatchRequest
 }
 
-// ResponseFrame is the server-to-client envelope. It travels in the reply
-// encoding of frame.go, which carries Header.Kind and Header.ID only: the
-// format byte stands for the version, and deadline and tenant belong to
+// ResponseFrame is the server-to-client envelope. Of its Header a reply
+// carries Kind and ID (and the tracing fields): deadline and tenant belong to
 // requests.
 type ResponseFrame struct {
 	Header Header
@@ -226,67 +210,166 @@ type ResponseFrame struct {
 	// Batch is the payload of a FrameBatch frame.
 	Batch BatchResponse
 	// Watch is the payload of the FrameWatch acknowledgement (see
-	// watch.go); a version-2 extension like RequestFrame.Watch.
+	// watch.go).
 	Watch WatchAck
 	// Events is the payload of a FrameWatchEvent frame.
 	Events []WatchEvent
-
-	// sampled and trace are the reply header's sampled bit and trace ID,
-	// reserved for request tracing: carried both ways, set and read by
-	// nothing yet.
-	sampled bool
-	trace   uint64
 }
 
-// Op identifies the requested registry operation.
-type Op string
+// Op identifies the requested registry operation. On the wire it is this
+// byte; String gives the name logs, trace events and error details use.
+type Op uint8
 
-// Supported operations. They mirror registry.API one-to-one.
+// Supported operations. They mirror registry.API one-to-one, and each has a
+// row in opTable. 0 is not an operation, so the zero Request names none.
 const (
-	OpPing       Op = "ping"
-	OpSite       Op = "site"
-	OpCreate     Op = "create"
-	OpPut        Op = "put"
-	OpGet        Op = "get"
-	OpAddLoc     Op = "addloc"
-	OpDelete     Op = "delete"
-	OpNames      Op = "names"
-	OpEntries    Op = "entries"
-	OpGetMany    Op = "getmany"
-	OpPutMany    Op = "putmany"
-	OpDeleteMany Op = "deletemany"
-	OpMerge      Op = "merge"
-	OpLen        Op = "len"
+	OpPing       Op = 1
+	OpSite       Op = 2
+	OpCreate     Op = 3
+	OpPut        Op = 4
+	OpGet        Op = 5
+	OpAddLoc     Op = 6
+	OpDelete     Op = 7
+	OpNames      Op = 8
+	OpEntries    Op = 9
+	OpGetMany    Op = 10
+	OpPutMany    Op = 11
+	OpDeleteMany Op = 12
+	OpMerge      Op = 13
+	OpLen        Op = 14
+	// OpWatch is the watch operation. It exists so single and batch frames
+	// naming it are refused deterministically with bad-op rather than as an
+	// undefined op: watching requires the streaming frames (see watch.go).
+	OpWatch Op = 15
 )
+
+// opBody says which of a Request's fields an operation has, which are the
+// ones its request carries on the wire.
+type opBody uint8
+
+const (
+	bodyNone         opBody = iota
+	bodyName                // Name
+	bodyEntry               // Entry
+	bodyNameLocation        // Name, Location
+	bodyNames               // Names
+	bodyEntries             // Entries
+)
+
+// opTable is the one list of operations: an operation is its constant above and
+// its row here, from which the request codec takes the body, both ends' logs
+// and trace rings the name, and the server what to execute.
+var opTable = [...]struct {
+	name string
+	body opBody
+	// exec takes the request by value: through a pointer every request a
+	// server decodes would escape to the heap.
+	exec func(ctx context.Context, reg registry.API, req Request) Response
+}{
+	OpPing: {"ping", bodyNone, func(context.Context, registry.API, Request) Response {
+		return Response{OK: true}
+	}},
+	OpSite: {"site", bodyNone, func(_ context.Context, reg registry.API, _ Request) Response {
+		return Response{OK: true, N: int(reg.Site())}
+	}},
+	OpCreate: {"create", bodyEntry, func(ctx context.Context, reg registry.API, req Request) Response {
+		return entryResult(reg.Create(ctx, req.Entry))
+	}},
+	OpPut: {"put", bodyEntry, func(ctx context.Context, reg registry.API, req Request) Response {
+		return entryResult(reg.Put(ctx, req.Entry))
+	}},
+	OpGet: {"get", bodyName, func(ctx context.Context, reg registry.API, req Request) Response {
+		return entryResult(reg.Get(ctx, req.Name))
+	}},
+	OpAddLoc: {"addloc", bodyNameLocation, func(ctx context.Context, reg registry.API, req Request) Response {
+		return entryResult(reg.AddLocation(ctx, req.Name, req.Location))
+	}},
+	OpDelete: {"delete", bodyName, func(ctx context.Context, reg registry.API, req Request) Response {
+		return countResult(0, reg.Delete(ctx, req.Name))
+	}},
+	OpNames: {"names", bodyNone, func(ctx context.Context, reg registry.API, _ Request) Response {
+		return Response{OK: true, Names: reg.Names(ctx)}
+	}},
+	OpEntries: {"entries", bodyNone, func(ctx context.Context, reg registry.API, _ Request) Response {
+		return entriesResult(reg.Entries(ctx))
+	}},
+	OpGetMany: {"getmany", bodyNames, func(ctx context.Context, reg registry.API, req Request) Response {
+		return entriesResult(reg.GetMany(ctx, req.Names))
+	}},
+	OpPutMany: {"putmany", bodyEntries, func(ctx context.Context, reg registry.API, req Request) Response {
+		return entriesResult(reg.PutMany(ctx, req.Entries))
+	}},
+	OpDeleteMany: {"deletemany", bodyNames, func(ctx context.Context, reg registry.API, req Request) Response {
+		return countResult(reg.DeleteMany(ctx, req.Names))
+	}},
+	OpMerge: {"merge", bodyEntries, func(ctx context.Context, reg registry.API, req Request) Response {
+		return countResult(reg.Merge(ctx, req.Entries))
+	}},
+	OpLen: {"len", bodyNone, func(ctx context.Context, reg registry.API, _ Request) Response {
+		return Response{OK: true, N: reg.Len(ctx)}
+	}},
+	// Watching is a streaming exchange: it cannot be expressed in the
+	// one-response-per-request shape.
+	OpWatch: {"watch", bodyNone, func(context.Context, registry.API, Request) Response {
+		return Response{Err: ErrBadOp, Detail: "watch requires a watch frame"}
+	}},
+}
+
+// defined reports whether op is an operation of the protocol.
+func (op Op) defined() bool { return int(op) < len(opTable) && opTable[op].exec != nil }
+
+// String returns the operation's name; a byte that names none still gets a
+// string of its own.
+func (op Op) String() string {
+	if op.defined() {
+		return opTable[op].name
+	}
+	return "op(" + strconv.Itoa(int(op)) + ")"
+}
 
 // traceNames holds each operation's name in the trace rings of both ends,
 // resolved once: building it per call cost an allocation per round trip and
 // end.
-var traceNames = map[Op]string{
-	OpPing:       "rpc.ping",
-	OpSite:       "rpc.site",
-	OpCreate:     "rpc.create",
-	OpPut:        "rpc.put",
-	OpGet:        "rpc.get",
-	OpAddLoc:     "rpc.addloc",
-	OpDelete:     "rpc.delete",
-	OpNames:      "rpc.names",
-	OpEntries:    "rpc.entries",
-	OpGetMany:    "rpc.getmany",
-	OpPutMany:    "rpc.putmany",
-	OpDeleteMany: "rpc.deletemany",
-	OpMerge:      "rpc.merge",
-	OpLen:        "rpc.len",
-	OpWatch:      "rpc.watch",
+var traceNames = func() (names [len(opTable)]string) {
+	for op := range names {
+		names[op] = "rpc." + Op(op).String()
+	}
+	return names
+}()
+
+// traceName returns "rpc." + the op's name; a byte outside the table still
+// gets its own name.
+func traceName(op Op) string {
+	if int(op) < len(traceNames) {
+		return traceNames[op]
+	}
+	return "rpc." + op.String()
 }
 
-// traceName returns "rpc." + op; an op outside the table — one a server is
-// about to refuse as bad-op — still gets its own name.
-func traceName(op Op) string {
-	if name, ok := traceNames[op]; ok {
-		return name
+func entryResult(e registry.Entry, err error) Response {
+	if err != nil {
+		return failure(err)
 	}
-	return "rpc." + string(op)
+	return Response{OK: true, Entry: e}
+}
+
+func entriesResult(entries []registry.Entry, err error) Response {
+	if err != nil {
+		return failure(err)
+	}
+	return Response{OK: true, Entries: entries}
+}
+
+func countResult(n int, err error) Response {
+	if err != nil {
+		return failure(err)
+	}
+	return Response{OK: true, N: n}
+}
+
+func failure(err error) Response {
+	code, detail := encodeErr(err)
+	return Response{OK: false, Err: code, Detail: detail, RetryAfterNs: retryAfterNs(err)}
 }
 
 // Request is one client-to-server operation.
@@ -456,14 +539,8 @@ func retryAfterNs(err error) int64 {
 const maxPooledFrame = 1 << 20
 
 // frameBuf is a pooled encode buffer holding one length-prefixed message,
-// ready to be written with a single Write call. It is an io.Writer for the
-// gob encoder of the request direction; the reply encoder appends to b.
+// ready to be written with a single Write call.
 type frameBuf struct{ b []byte }
-
-func (f *frameBuf) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
 
 // framePool recycles encode buffers across frames. Every message on the wire
 // — request, response, batch, watch event — renders into a pooled buffer,
@@ -501,25 +578,22 @@ func releaseFrame(frame *frameBuf) {
 	framePool.Put(frame)
 }
 
-// encodeFrame renders one length-prefixed gob request into a pooled buffer.
-// Pre-encoding lets callers keep the expensive gob work outside their
-// connection write locks. The caller must hand the buffer to releaseFrame
-// after writing it (encodeFrame releases it itself on error).
-func encodeFrame(f *RequestFrame) (*frameBuf, error) {
+// encodeRequest renders one length-prefixed request into a pooled buffer, so
+// callers keep the encoding outside their connection write locks. The caller
+// must hand the buffer to releaseFrame after writing it (encodeRequest
+// releases it itself on error).
+func encodeRequest(f *RequestFrame) (*frameBuf, error) {
 	frame := takeFrame()
-	if err := gob.NewEncoder(frame).Encode(f); err != nil {
-		releaseFrame(frame)
-		return nil, fmt.Errorf("rpc: encode: %w", err)
-	}
+	frame.b = appendRequestFrame(frame.b, f)
 	if n, ok := sealFrame(frame); !ok {
 		return nil, fmt.Errorf("rpc: message of %d bytes exceeds limit", n)
 	}
 	return frame, nil
 }
 
-// writeFrame writes one length-prefixed gob request to w.
-func writeFrame(w io.Writer, f *RequestFrame) error {
-	frame, err := encodeFrame(f)
+// writeRequest writes one length-prefixed request to w.
+func writeRequest(w io.Writer, f *RequestFrame) error {
+	frame, err := encodeRequest(f)
 	if err != nil {
 		return err
 	}
@@ -532,7 +606,7 @@ func writeFrame(w io.Writer, f *RequestFrame) error {
 }
 
 // encodeReply renders one length-prefixed reply into a pooled buffer, to be
-// written and released like encodeFrame's. A reply that outgrows
+// written and released like encodeRequest's. A reply that outgrows
 // MaxMessageSize is not sent, and its connection is not given up either: the
 // caller of every operation it answers gets an internal error naming the
 // size instead, and substituted reports that. Only an event frame has nobody
@@ -548,7 +622,7 @@ func encodeReply(f *ResponseFrame) (frame *frameBuf, substituted bool, err error
 	if f.Header.Kind == FrameWatchEvent {
 		return nil, false, errors.New(refusal.Detail)
 	}
-	small := ResponseFrame{Header: f.Header, Resp: refusal, sampled: f.sampled, trace: f.trace}
+	small := ResponseFrame{Header: f.Header, Resp: refusal}
 	if f.Header.Kind == FrameBatch {
 		small.Batch.Ops = make([]Response, len(f.Batch.Ops))
 		for i := range small.Batch.Ops {
@@ -572,8 +646,7 @@ var payloadPool = sync.Pool{New: func() any {
 
 // readPayload reads one length-prefixed message from r and returns its raw
 // payload, backed by a pooled buffer — the caller owns it until it calls
-// releasePayload. The server reads the payload's length for admission control
-// before decoding it.
+// releasePayload.
 func readPayload(r io.Reader) ([]byte, error) {
 	var header [4]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
@@ -603,14 +676,6 @@ func releasePayload(p []byte) {
 	}
 	p = p[:0]
 	payloadPool.Put(&p)
-}
-
-// decodePayload gob-decodes a raw request payload into f.
-func decodePayload(payload []byte, f *RequestFrame) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(f); err != nil {
-		return fmt.Errorf("rpc: decode: %w", err)
-	}
-	return nil
 }
 
 // readReply reads one length-prefixed reply from r into f.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -251,14 +252,53 @@ func TestServerClose(t *testing.T) {
 	}
 }
 
+// An undefined op byte has no body to skip, so its frame cannot be decoded;
+// the header has said whom to tell, though, so the server answers bad-op —
+// once per operation of a batch — and keeps the connection.
 func TestBadOpRejected(t *testing.T) {
-	_, client := startTestServer(t, 0)
-	resp, err := client.call(tctx, Request{Op: Op("bogus")})
+	srv, _ := startTestServer(t, 0)
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
-		t.Fatalf("call: %v", err)
+		t.Fatal(err)
 	}
-	if resp.OK || resp.Err != ErrBadOp {
-		t.Errorf("bogus op response = %+v", resp)
+	defer conn.Close()
+	exchange := func(f RequestFrame) ResponseFrame {
+		t.Helper()
+		if err := writeRequest(conn, &f); err != nil {
+			t.Fatal(err)
+		}
+		var reply ResponseFrame
+		if err := readReply(conn, &reply); err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	badOp := func(resp Response) bool {
+		return !resp.OK && resp.Err == ErrBadOp && resp.Detail == errRequestOp.Error()
+	}
+	served := srv.Requests()
+
+	reply := exchange(RequestFrame{Header: Header{ID: 1, Kind: FrameSingle}, Req: Request{Op: Op(200)}})
+	if reply.Header.ID != 1 || reply.Header.Kind != FrameSingle || !badOp(reply.Resp) {
+		t.Errorf("undefined op answered %+v", reply)
+	}
+	reply = exchange(RequestFrame{Header: Header{ID: 2, Kind: FrameBatch},
+		Batch: BatchRequest{Ops: []Request{{Op: OpPing}, {Op: 0}, {Op: OpPing}}}})
+	if reply.Header.ID != 2 || reply.Header.Kind != FrameBatch || len(reply.Batch.Ops) != 3 {
+		t.Fatalf("batch holding an undefined op answered %+v", reply)
+	}
+	for i, resp := range reply.Batch.Ops {
+		if !badOp(resp) {
+			t.Errorf("op %d of the batch answered %+v", i, resp)
+		}
+	}
+	if n := srv.Requests(); n != served {
+		t.Errorf("the refused frames executed %d operations", n-served)
+	}
+
+	reply = exchange(RequestFrame{Header: Header{ID: 3, Kind: FrameSingle}, Req: Request{Op: OpPing}})
+	if reply.Header.ID != 3 || !reply.Resp.OK {
+		t.Errorf("ping on the same connection after the refusals = %+v", reply)
 	}
 }
 

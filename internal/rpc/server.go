@@ -46,8 +46,8 @@ func releaseBatchResponses(ops []Response) {
 		return
 	}
 	clear(ops)
-	ops = ops[:0]
-	batchRespPool.Put(&ops)
+	pooled := ops[:0] // not ops itself, which would be moved to the heap on every call
+	batchRespPool.Put(&pooled)
 }
 
 // Server exposes one registry instance over TCP. One server corresponds to
@@ -140,13 +140,13 @@ func WithServerMetrics(reg *metrics.Registry) ServerOption {
 }
 
 // WithServerLimits installs per-tenant admission control: every incoming
-// frame is offered to the limiter at the decode boundary — before it takes
-// an in-flight slot or touches the registry — and rejected frames are
-// answered with an "overloaded" error carrying the limiter's retry-after
-// hint. The tenant is read from the frame header (empty maps to
-// limits.DefaultTenant); a batch frame pays one
-// operation token per batched op, and every frame pays its payload size in
-// byte tokens. A nil limiter (the default) admits everything.
+// frame is offered to the limiter once its preamble is decoded — before its
+// body is, and before it takes an in-flight slot or touches the registry —
+// and rejected frames are answered with an "overloaded" error carrying the
+// limiter's retry-after hint. The tenant is read from the frame header (empty
+// maps to limits.DefaultTenant); a batch frame pays one operation token per
+// batched op, and every frame pays its payload size in byte tokens. A nil
+// limiter (the default) admits everything.
 func WithServerLimits(l *limits.Limiter) ServerOption {
 	return func(s *Server) { s.limiter = l }
 }
@@ -329,50 +329,62 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
-		payloadLen := len(payload) // byte cost for admission, before the buffer is recycled
+		// Admission control sits between the two halves of decoding: the
+		// preamble yields the tenant and the operation count, and the body —
+		// all 64 requests of a batch, every entry of a PutMany — is decoded
+		// only for a frame the limiter admits. A rejected frame is answered
+		// here on the read loop, before it consumes an in-flight slot or
+		// performs any registry work, and what refusing it allocates does
+		// not depend on its size.
 		var rf RequestFrame
-		err = decodePayload(payload, &rf)
-		releasePayload(payload)
+		body, ops, err := decodeRequestPreamble(payload, &rf)
 		if err != nil {
-			// Not a frame envelope: garbage, or a bare version-1 Request (gob
-			// refuses to decode one into a RequestFrame — no field matches).
-			// Nothing is dispatched or charged; the connection is dropped.
+			// Not a request frame: garbage, or a gob envelope of another
+			// generation. Nothing is dispatched or charged; the connection is
+			// dropped.
+			releasePayload(payload)
+			s.logger.Printf("rpc: bad frame from %s: %v", conn.RemoteAddr(), err)
+			return
+		}
+		// Cancels release resources; refusing one would only pin them, so
+		// they are never charged.
+		finish := func(time.Duration) {}
+		if rf.Header.Kind != FrameWatchCancel {
+			var aerr error
+			if finish, aerr = s.limiter.Admit(rf.Header.Tenant, ops, len(payload)); aerr != nil {
+				releasePayload(payload)
+				s.obs.countErr(ErrOverloaded)
+				s.answerAll(conn, &wmu, rf.Header, ops, failure(aerr))
+				continue
+			}
+		}
+		err = decodeRequestBody(body, ops, &rf)
+		releasePayload(payload)
+		if err == errRequestOp {
+			// The one undecodable frame that has an answer: there is no body
+			// to skip behind an undefined op, but the header said whom to tell.
+			finish(0)
+			s.obs.countErr(ErrBadOp)
+			s.answerAll(conn, &wmu, rf.Header, ops, Response{Err: ErrBadOp, Detail: err.Error()})
+			continue
+		}
+		if err != nil {
+			finish(0)
 			s.logger.Printf("rpc: bad frame from %s: %v", conn.RemoteAddr(), err)
 			return
 		}
 
 		switch rf.Header.Kind {
 		case FrameWatch:
-			// A subscription is long-lived, not an in-flight op: it pays
-			// one operation token at admission and releases its slot
-			// immediately.
-			if finish, aerr := s.limiter.Admit(rf.Header.Tenant, 1, payloadLen); aerr != nil {
-				s.rejectFrame(conn, &wmu, rf, aerr)
-				continue
-			} else {
-				finish(0)
-			}
-			// A watch is long-lived: it gets its own goroutine outside the
-			// in-flight slots so idle subscriptions never starve pipelined
-			// request/response traffic.
+			// A subscription is long-lived, not an in-flight op: it pays one
+			// operation token at admission, releases its slot immediately and
+			// gets its own goroutine outside the in-flight slots, so idle
+			// subscriptions never starve pipelined request/response traffic.
+			finish(0)
 			s.startWatch(conn, &wmu, &wg, watches, rf)
 			continue
 		case FrameWatchCancel:
-			// Cancels release resources; refusing one would only pin them.
 			watches.cancel(rf.Header.ID)
-			continue
-		}
-
-		// Admission control at the decode boundary: a rejected frame is
-		// answered here on the read loop, before it consumes an in-flight
-		// slot or performs any registry work.
-		ops := 1
-		if rf.Header.Kind == FrameBatch {
-			ops = len(rf.Batch.Ops)
-		}
-		finish, aerr := s.limiter.Admit(rf.Header.Tenant, ops, payloadLen)
-		if aerr != nil {
-			s.rejectFrame(conn, &wmu, rf, aerr)
 			continue
 		}
 
@@ -397,12 +409,12 @@ func (s *Server) handle(conn net.Conn) {
 				s.requests.Add(int64(len(rf.Batch.Ops)))
 				out.Header.Kind = FrameBatch
 				out.Batch.Ops = takeBatchResponses(len(rf.Batch.Ops))
-				for i, req := range rf.Batch.Ops {
-					out.Batch.Ops[i] = s.dispatch(ctx, req)
+				for i := range rf.Batch.Ops {
+					out.Batch.Ops[i] = s.dispatch(ctx, &rf.Batch.Ops[i])
 				}
 			default:
 				s.requests.Add(1)
-				out.Resp = s.dispatch(ctx, rf.Req)
+				out.Resp = s.dispatch(ctx, &rf.Req)
 			}
 			finish(time.Since(start))
 			cancel()
@@ -441,20 +453,19 @@ func (s *Server) writeReply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) 
 	return err
 }
 
-// rejectFrame answers an admission-rejected frame with an
-// "overloaded" error response (one per operation for a batch, so the frame
-// shape matches what the client expects). It runs on the connection's read
-// loop; the write happens under the shared write lock like any pipelined
-// response.
-func (s *Server) rejectFrame(conn net.Conn, wmu *sync.Mutex, rf RequestFrame, aerr error) {
-	s.obs.countErr(ErrOverloaded)
-	out := ResponseFrame{Header: Header{ID: rf.Header.ID, Kind: FrameSingle}, Resp: failure(aerr)}
-	switch rf.Header.Kind {
+// answerAll answers a frame that is not going to be executed — refused by
+// admission control, or naming an undefined op — with resp for each of its ops
+// operations, in the shape the client expects for the frame's kind. It runs on
+// the connection's read loop; the write happens under the shared write lock
+// like any pipelined response.
+func (s *Server) answerAll(conn net.Conn, wmu *sync.Mutex, h Header, ops int, resp Response) {
+	out := ResponseFrame{Header: Header{ID: h.ID, Kind: FrameSingle}, Resp: resp}
+	switch h.Kind {
 	case FrameBatch:
 		out.Header.Kind = FrameBatch
-		out.Batch.Ops = takeBatchResponses(len(rf.Batch.Ops))
+		out.Batch.Ops = takeBatchResponses(ops)
 		for i := range out.Batch.Ops {
-			out.Batch.Ops[i] = out.Resp
+			out.Batch.Ops[i] = resp
 		}
 	case FrameWatch:
 		out.Header.Kind = FrameWatch
@@ -474,7 +485,7 @@ func (s *Server) rejectFrame(conn net.Conn, wmu *sync.Mutex, rf RequestFrame, ae
 // server is shutting down — short-circuits into an error frame without
 // touching the registry: the client has given up, so the work would be
 // wasted.
-func (s *Server) dispatch(ctx context.Context, req Request) Response {
+func (s *Server) dispatch(ctx context.Context, req *Request) Response {
 	// An already-done context short-circuits in execute without touching the
 	// registry; counting it as dispatched (or recording its near-zero
 	// latency) would make an overload look like a throughput spike with
@@ -501,7 +512,8 @@ func (s *Server) dispatch(ctx context.Context, req Request) Response {
 }
 
 // execute runs one registry operation; dispatch wraps it with accounting.
-func (s *Server) execute(ctx context.Context, req Request) Response {
+// req.Op is defined: the request decoder refuses any other.
+func (s *Server) execute(ctx context.Context, req *Request) Response {
 	if err := ctx.Err(); err != nil {
 		// Only deadline expiries count as abandoned work; a Canceled base
 		// context means the server itself is shutting down.
@@ -511,80 +523,5 @@ func (s *Server) execute(ctx context.Context, req Request) Response {
 		}
 		return failure(fmt.Errorf("abandoned %s: %w", req.Op, err))
 	}
-	switch req.Op {
-	case OpPing:
-		return Response{OK: true}
-	case OpSite:
-		return Response{OK: true, N: int(s.reg.Site())}
-	case OpCreate:
-		e, err := s.reg.Create(ctx, req.Entry)
-		return result(e, err)
-	case OpPut:
-		e, err := s.reg.Put(ctx, req.Entry)
-		return result(e, err)
-	case OpGet:
-		e, err := s.reg.Get(ctx, req.Name)
-		return result(e, err)
-	case OpAddLoc:
-		e, err := s.reg.AddLocation(ctx, req.Name, req.Location)
-		return result(e, err)
-	case OpDelete:
-		if err := s.reg.Delete(ctx, req.Name); err != nil {
-			return failure(err)
-		}
-		return Response{OK: true}
-	case OpNames:
-		return Response{OK: true, Names: s.reg.Names(ctx)}
-	case OpEntries:
-		entries, err := s.reg.Entries(ctx)
-		if err != nil {
-			return failure(err)
-		}
-		return Response{OK: true, Entries: entries}
-	case OpGetMany:
-		entries, err := s.reg.GetMany(ctx, req.Names)
-		if err != nil {
-			return failure(err)
-		}
-		return Response{OK: true, Entries: entries}
-	case OpPutMany:
-		entries, err := s.reg.PutMany(ctx, req.Entries)
-		if err != nil {
-			return failure(err)
-		}
-		return Response{OK: true, Entries: entries}
-	case OpDeleteMany:
-		n, err := s.reg.DeleteMany(ctx, req.Names)
-		if err != nil {
-			return failure(err)
-		}
-		return Response{OK: true, N: n}
-	case OpMerge:
-		n, err := s.reg.Merge(ctx, req.Entries)
-		if err != nil {
-			return failure(err)
-		}
-		return Response{OK: true, N: n}
-	case OpLen:
-		return Response{OK: true, N: s.reg.Len(ctx)}
-	case OpWatch:
-		// Watching is a streaming exchange: it cannot be expressed in the
-		// one-response-per-request shape, so single and batch frames naming
-		// the op are refused cleanly.
-		return Response{OK: false, Err: ErrBadOp, Detail: "watch requires a watch frame"}
-	default:
-		return Response{OK: false, Err: ErrBadOp, Detail: fmt.Sprintf("unknown op %q", req.Op)}
-	}
-}
-
-func result(e registry.Entry, err error) Response {
-	if err != nil {
-		return failure(err)
-	}
-	return Response{OK: true, Entry: e}
-}
-
-func failure(err error) Response {
-	code, detail := encodeErr(err)
-	return Response{OK: false, Err: code, Detail: detail, RetryAfterNs: retryAfterNs(err)}
+	return opTable[req.Op].exec(ctx, s.reg, *req)
 }

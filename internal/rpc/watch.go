@@ -33,7 +33,7 @@ import (
 // bad-op (streaming cannot be expressed in the one-response-per-request
 // shape).
 
-// Watch frame kinds (version 2 extension; see FrameKind).
+// Watch frame kinds (see FrameKind).
 const (
 	// FrameWatch opens a subscription (client to server) and acknowledges
 	// it (server to client).
@@ -44,11 +44,6 @@ const (
 	// FrameWatchCancel closes the subscription with the same header ID.
 	FrameWatchCancel FrameKind = 5
 )
-
-// OpWatch is the watch operation name. It exists so single and batch frames
-// naming it are refused deterministically with bad-op rather than "unknown
-// op": watching requires the streaming frames.
-const OpWatch Op = "watch"
 
 // ErrCursorTooOld reports that the requested resume cursor predates the
 // server's retained event window and the client disabled the snapshot
@@ -424,10 +419,10 @@ func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*Wa
 	c.obs.dials.Inc()
 	id := c.nextID.Add(1)
 	req := RequestFrame{
-		Header: Header{Version: ProtocolVersion, ID: id, Kind: FrameWatch, Tenant: c.tenantFor(ctx)},
+		Header: Header{ID: id, Kind: FrameWatch, Tenant: c.tenantFor(ctx)},
 		Watch:  WatchRequest{FromSeq: from, Prefix: opts.Prefix, NoFallback: opts.NoFallback},
 	}
-	if err := writeFrame(conn, &req); err != nil {
+	if err := writeRequest(conn, &req); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("rpc: watch %s: %v: %w", c.addr, err, registry.ErrUnavailable)
 	}
