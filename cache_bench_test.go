@@ -36,7 +36,6 @@ import (
 	"geomds/internal/cloud"
 	"geomds/internal/experiments"
 	"geomds/internal/feed"
-	"geomds/internal/memcache"
 	"geomds/internal/readcache"
 	"geomds/internal/registry"
 	"geomds/internal/workloads"
@@ -51,10 +50,7 @@ func cacheBenchKey(i int) string { return fmt.Sprintf("bench/cache/preload/%d", 
 // result. writeEvery sets the write share: one AddLocation per writeEvery
 // operations, the rest Gets.
 func runCacheBench(b *testing.B, name string, useCache bool, writeEvery int) experiments.BenchResult {
-	inst := registry.NewInstance(1, memcache.New(memcache.Config{
-		ServiceTime: benchShardServiceTime,
-		Concurrency: benchShardConcurrency,
-	}), registry.WithChangeFeed())
+	inst := registry.NewInstance(1, benchShardStore(), registry.WithChangeFeed())
 	defer inst.Close()
 
 	entries := make([]registry.Entry, cacheBenchPreload)

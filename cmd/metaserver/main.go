@@ -5,7 +5,7 @@
 //
 //   - the default is a single registry instance on one cache;
 //   - -shards N serves a horizontally sharded tier: N instances, each on its
-//     own capacity-bounded cache, behind a consistent-hash router (single-key
+//     own cache, behind a consistent-hash router (single-key
 //     operations route to the owning shard, bulk operations split into one
 //     concurrent sub-batch per shard);
 //   - -shard-addrs a,b,c serves a pure routing tier: the shards are other
@@ -34,11 +34,10 @@
 //     processes own their feeds, watch them directly;
 //   - -cache serves reads through a feed-coherent near cache
 //     (internal/readcache) in front of the deployment, so hot keys skip the
-//     cache tier's modelled service time and, behind a routing tier, the
-//     extra network hop. With -feed the cache is push-invalidated by the
-//     change feed and serves through (uncached, never stale) whenever its
-//     feed stream is down; without -feed it bounds staleness by the
-//     -cache-staleness TTL instead. The readcache hit/miss/invalidation
+//     registry instance and, behind a routing tier, the extra network hop.
+//     With -feed the cache is push-invalidated by the change feed and serves
+//     through (uncached, never stale) whenever its feed stream is down;
+//     without -feed it bounds staleness by the -cache-staleness TTL instead. The readcache hit/miss/invalidation
 //     counters and occupancy gauge report to -metrics-addr, so `metactl
 //     stats` shows the hit ratio;
 //   - -tenant-config F enforces multi-tenant admission control from the JSON
@@ -68,7 +67,7 @@
 // JSON snapshot, and GET /trace.json the most recent per-operation trace
 // events. The exported series cover the RPC server (dispatched, abandoned,
 // per-code error counts, in-flight requests) and the cache tier behind the
-// registry (hit rate, occupancy, worker-slot wait). `metactl stats
+// registry (hit rate, occupancy, resident and dead bytes). `metactl stats
 // -metrics-addr` renders the same data in the terminal.
 package main
 
@@ -90,9 +89,7 @@ import (
 	"geomds/internal/cloud"
 	"geomds/internal/feed"
 	"geomds/internal/limits"
-	"geomds/internal/memcache"
 	"geomds/internal/metrics"
-	"geomds/internal/registry"
 	"geomds/internal/rpc"
 	"geomds/internal/site"
 )
@@ -124,8 +121,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		addr        = fs.String("addr", "127.0.0.1:7070", "address to listen on")
 		siteID      = fs.Int("site", 0, "site ID this registry instance serves")
 		name        = fs.String("name", "", "human-readable site name (informational)")
-		serviceTime = fs.Duration("service-time", 0, "simulated per-operation service time of the cache instance")
-		concurrency = fs.Int("concurrency", 0, "bound on concurrently served cache operations (0 = unbounded)")
 		shardAddrs  = fs.String("shard-addrs", "", "serve a routing tier over these comma-separated remote shard servers instead of local instances")
 		inflight    = fs.Int("inflight", rpc.DefaultMaxInflight, "max pipelined requests one connection may execute concurrently")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus (/metrics) and JSON (/metrics.json, /trace.json) metrics on this address; empty disables")
@@ -144,9 +139,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return err
 	}
 	cfg.Site = cloud.SiteID(*siteID)
-	cfg.NewStore = func() registry.Store {
-		return memcache.New(memcache.Config{ServiceTime: *serviceTime, Concurrency: *concurrency, Metrics: reg})
-	}
 
 	logger := log.New(os.Stderr, "metaserver: ", log.LstdFlags)
 

@@ -26,7 +26,6 @@ import (
 
 	"geomds/internal/cloud"
 	"geomds/internal/experiments"
-	"geomds/internal/memcache"
 	"geomds/internal/registry"
 	"geomds/internal/store"
 )
@@ -34,14 +33,6 @@ import (
 // durableGateMinN is the smallest run the in-bench wal/memory throughput
 // gate fires on; calibration runs below it are too noisy to judge.
 const durableGateMinN = 1024
-
-func benchDurableCache() *memcache.Cache {
-	return memcache.New(memcache.Config{
-		ServiceTime: benchShardServiceTime,
-		Concurrency: benchShardConcurrency,
-		Metrics:     nil,
-	})
-}
 
 // benchDurableMix drives the metadata-intensive mix (2 creates : 1 update :
 // 1 read) against one instance and returns the measured result.
@@ -105,7 +96,7 @@ func BenchmarkDurableInstance(b *testing.B) {
 	var memOps float64
 
 	b.Run("memory", func(b *testing.B) {
-		inst := registry.NewInstance(1, benchDurableCache())
+		inst := registry.NewInstance(1, benchShardStore())
 		res := benchDurableMix(b, "durable_instance_memory", inst)
 		if b.N >= durableGateMinN {
 			memOps = res.OpsPerSec
@@ -113,7 +104,7 @@ func BenchmarkDurableInstance(b *testing.B) {
 	})
 
 	b.Run("wal", func(b *testing.B) {
-		inst, err := registry.OpenInstance(1, benchDurableCache(), b.TempDir(),
+		inst, err := registry.OpenInstance(1, benchShardStore(), b.TempDir(),
 			[]store.Option{store.WithFsync(store.FsyncNever)})
 		if err != nil {
 			b.Fatal(err)
@@ -128,7 +119,7 @@ func BenchmarkDurableInstance(b *testing.B) {
 	})
 
 	b.Run("wal_fsync", func(b *testing.B) {
-		inst, err := registry.OpenInstance(1, benchDurableCache(), b.TempDir(),
+		inst, err := registry.OpenInstance(1, benchShardStore(), b.TempDir(),
 			[]store.Option{store.WithFsync(store.FsyncAlways)})
 		if err != nil {
 			b.Fatal(err)

@@ -36,7 +36,6 @@ import (
 
 	"geomds/internal/cloud"
 	"geomds/internal/experiments"
-	"geomds/internal/memcache"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
 	"geomds/internal/store"
@@ -150,11 +149,7 @@ func BenchmarkReplicatedTierFailover(b *testing.B) {
 	kills := make([]*benchKillableShard, nShards)
 	apis := make([]registry.API, nShards)
 	for i := range apis {
-		kills[i] = &benchKillableShard{API: registry.NewInstance(1, memcache.New(memcache.Config{
-			ServiceTime: benchShardServiceTime,
-			Concurrency: benchShardConcurrency,
-			Metrics:     nil,
-		}))}
+		kills[i] = &benchKillableShard{API: registry.NewInstance(1, benchShardStore())}
 		apis[i] = kills[i]
 	}
 	tier, err := registry.NewRouter(1, apis,
@@ -439,11 +434,7 @@ func BenchmarkDurableRestartFailover(b *testing.B) {
 	dataDir := b.TempDir()
 	storeOpts := []store.Option{store.WithFsync(store.FsyncAlways)}
 	openShard := func(i int) *registry.Instance {
-		inst, err := registry.OpenInstance(1, memcache.New(memcache.Config{
-			ServiceTime: benchShardServiceTime,
-			Concurrency: benchShardConcurrency,
-			Metrics:     nil,
-		}), filepath.Join(dataDir, fmt.Sprintf("shard-%d", i)), storeOpts)
+		inst, err := registry.OpenInstance(1, benchShardStore(), filepath.Join(dataDir, fmt.Sprintf("shard-%d", i)), storeOpts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"geomds/internal/cloud"
-	"geomds/internal/limits"
 	"geomds/internal/registry"
 )
 
@@ -229,32 +228,16 @@ type MetadataService interface {
 
 // Client binds a MetadataService to one execution node, providing the
 // node-local view used by workflow tasks: every operation is issued from the
-// node's site.
+// node's site. A tenant rides on the context (limits.WithTenant), as it does
+// for every other caller of the registry stack.
 type Client struct {
-	svc    MetadataService
-	node   cloud.Node
-	tenant string
-}
-
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithTenant tags every operation issued through this client with the given
-// tenant ID (via limits.WithTenant), identifying whose admission budget the
-// work consumes when a site is backed by a limit-enforcing rpc server. A
-// tenant already present on an operation's context wins over the
-// client-wide value.
-func WithTenant(tenant string) ClientOption {
-	return func(c *Client) { c.tenant = tenant }
+	svc  MetadataService
+	node cloud.Node
 }
 
 // NewClient returns a client issuing operations from the given node.
-func NewClient(svc MetadataService, node cloud.Node, opts ...ClientOption) *Client {
-	c := &Client{svc: svc, node: node}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+func NewClient(svc MetadataService, node cloud.Node) *Client {
+	return &Client{svc: svc, node: node}
 }
 
 // Node returns the execution node this client is bound to.
@@ -263,38 +246,24 @@ func (c *Client) Node() cloud.Node { return c.node }
 // Service returns the underlying metadata service.
 func (c *Client) Service() MetadataService { return c.svc }
 
-// Tenant returns the tenant ID this client tags its operations with ("" =
-// the default tenant).
-func (c *Client) Tenant() string { return c.tenant }
-
-// tenantCtx attaches the client's tenant to ctx unless the caller already
-// carries one (limits.WithTenant keeps an existing value when the new tenant
-// is empty, and the explicit check keeps a caller-supplied tenant on top).
-func (c *Client) tenantCtx(ctx context.Context) context.Context {
-	if c.tenant == "" || limits.TenantFromContext(ctx) != "" {
-		return ctx
-	}
-	return limits.WithTenant(ctx, c.tenant)
-}
-
 // PublishFile creates a metadata entry for a file produced by the node.
 func (c *Client) PublishFile(ctx context.Context, name string, size int64, producer string) (registry.Entry, error) {
 	loc := registry.Location{Site: c.node.Site, Node: c.node.ID}
-	return c.svc.Create(c.tenantCtx(ctx), c.node.Site, registry.NewEntry(name, size, producer, loc))
+	return c.svc.Create(ctx, c.node.Site, registry.NewEntry(name, size, producer, loc))
 }
 
 // LocateFile looks up the metadata entry of a file.
 func (c *Client) LocateFile(ctx context.Context, name string) (registry.Entry, error) {
-	return c.svc.Lookup(c.tenantCtx(ctx), c.node.Site, name)
+	return c.svc.Lookup(ctx, c.node.Site, name)
 }
 
 // RegisterCopy records that this node now holds a copy of the file.
 func (c *Client) RegisterCopy(ctx context.Context, name string) (registry.Entry, error) {
 	loc := registry.Location{Site: c.node.Site, Node: c.node.ID}
-	return c.svc.AddLocation(c.tenantCtx(ctx), c.node.Site, name, loc)
+	return c.svc.AddLocation(ctx, c.node.Site, name, loc)
 }
 
 // Remove deletes the metadata entry of a file.
 func (c *Client) Remove(ctx context.Context, name string) error {
-	return c.svc.Delete(c.tenantCtx(ctx), c.node.Site, name)
+	return c.svc.Delete(ctx, c.node.Site, name)
 }

@@ -12,7 +12,6 @@ import (
 	"geomds/internal/cloud"
 	"geomds/internal/dht"
 	"geomds/internal/latency"
-	"geomds/internal/limits"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
 )
@@ -558,6 +557,35 @@ func TestDecReplicatedAddLocationAtUnreachableHome(t *testing.T) {
 	}
 }
 
+// In eager mode a home site that misses an update or a delete the local
+// replica took fails the call (AUDIT C13): a later Lookup from another site
+// would read the stale home copy. A home that never held the entry fails no
+// delete: one of the two copies was there.
+func TestDecReplicatedEagerReportsHomeFailure(t *testing.T) {
+	f := newTestFabric(WithInstances(map[cloud.SiteID]registry.API{1: registry.Unavailable(1)}))
+	svc, _ := NewDecReplicated(f, WithEagerPropagation())
+	defer svc.Close()
+	local, _ := f.Instance(0)
+	name := homedAt(svc, 1)
+	if _, err := local.Create(tctx, testEntry(name, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.AddLocation(tctx, 0, name, registry.Location{Site: 3, Node: 4}); !errors.Is(err, ErrSiteUnreachable) {
+		t.Errorf("eager AddLocation with the home site down = %v, want ErrSiteUnreachable", err)
+	}
+	if err := svc.Delete(tctx, 0, name); !errors.Is(err, ErrSiteUnreachable) {
+		t.Errorf("eager Delete with the home site down = %v, want ErrSiteUnreachable", err)
+	}
+
+	name = homedAt(svc, 2)
+	if _, err := local.Create(tctx, testEntry(name, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Delete(tctx, 0, name); err != nil {
+		t.Errorf("eager Delete of a name only the local replica held = %v, want nil", err)
+	}
+}
+
 func TestDecReplicatedClosed(t *testing.T) {
 	f := newTestFabric()
 	svc, _ := NewDecReplicated(f)
@@ -723,55 +751,6 @@ func TestClient(t *testing.T) {
 	}
 	if err := client.Remove(tctx, "out.dat"); err != nil {
 		t.Errorf("Remove: %v", err)
-	}
-}
-
-// tenantSpyService wraps a MetadataService and records the tenant carried by
-// each operation's context.
-type tenantSpyService struct {
-	MetadataService
-	tenants []string
-}
-
-func (s *tenantSpyService) Create(ctx context.Context, from cloud.SiteID, e registry.Entry) (registry.Entry, error) {
-	s.tenants = append(s.tenants, limits.TenantFromContext(ctx))
-	return s.MetadataService.Create(ctx, from, e)
-}
-
-func (s *tenantSpyService) Lookup(ctx context.Context, from cloud.SiteID, name string) (registry.Entry, error) {
-	s.tenants = append(s.tenants, limits.TenantFromContext(ctx))
-	return s.MetadataService.Lookup(ctx, from, name)
-}
-
-func TestClientWithTenant(t *testing.T) {
-	f := newTestFabric()
-	base, _ := NewCentralized(f, 0)
-	defer base.Close()
-	spy := &tenantSpyService{MetadataService: base}
-	dep := cloud.NewDeployment(f.Topology())
-	node := dep.Node(dep.AddNode(0))
-
-	client := NewClient(spy, node, WithTenant("acme"))
-	if client.Tenant() != "acme" {
-		t.Fatalf("Tenant = %q, want acme", client.Tenant())
-	}
-	if _, err := client.PublishFile(tctx, "t.dat", 1, "task"); err != nil {
-		t.Fatalf("PublishFile: %v", err)
-	}
-	// A tenant already on the caller's context wins over the client-wide one.
-	if _, err := client.LocateFile(limits.WithTenant(tctx, "override"), "t.dat"); err != nil {
-		t.Fatalf("LocateFile: %v", err)
-	}
-	// An untenanted client leaves the context untouched.
-	plain := NewClient(spy, node)
-	if _, err := plain.LocateFile(tctx, "t.dat"); err != nil {
-		t.Fatalf("plain LocateFile: %v", err)
-	}
-	want := []string{"acme", "override", ""}
-	for i, w := range want {
-		if spy.tenants[i] != w {
-			t.Errorf("op %d tenant = %q, want %q", i, spy.tenants[i], w)
-		}
 	}
 }
 

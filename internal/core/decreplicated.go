@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -244,11 +245,10 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 		}
 		return updated, s.finish(o, false, nil)
 	}
-	// Eager mode, or the entry is not replicated locally: update the home.
+	// Eager mode, or the entry is not replicated locally: update the home. In
+	// eager mode a home that missed the update fails the call, as it fails an
+	// eager Create: the next Lookup from another site reads the home copy.
 	e, remote, err := s.fabric.mutate(ctx, from, home, s.fabric.queryBytes, addLoc)
-	if err != nil && localErr == nil && ctx.Err() == nil {
-		return updated, s.finish(o, remote, nil)
-	}
 	return e, s.finish(o, remote, err)
 }
 
@@ -283,7 +283,7 @@ func (s *DecReplicatedService) Delete(ctx context.Context, from cloud.SiteID, na
 	}
 	_, remote, homeErr := s.fabric.mutate(ctx, from, home, s.fabric.queryBytes,
 		func(inst registry.API) (registry.Entry, error) { return registry.Entry{}, inst.Delete(ctx, name) })
-	if localErr == nil && ctx.Err() == nil {
+	if localErr == nil && errors.Is(homeErr, ErrNotFound) {
 		homeErr = nil // one of the two copies was there to delete
 	}
 	return s.finish(o, remote, homeErr)

@@ -143,6 +143,102 @@ const (
 	DefaultConcurrency = 2
 )
 
+// CapacityStore models the capacity of one managed-cache instance over s: at
+// most concurrency operations (0 = unbounded) are served at once, and each
+// holds its worker slot for serviceTime, slept through sleep. That bound is
+// what makes a single centralized registry saturate under concurrency and
+// produces the scaling of Figs. 5, 7 and 8.
+//
+// GetBatch, PutBatch and DeleteBatch are the bulk paths of the
+// synchronization agent and lazy propagation: a batch of n items takes one
+// slot for serviceTime·(1+n/16), far cheaper per item than the individual
+// operations. Keys, Snapshot, Contains and Len are control-plane reads and
+// pass through uncharged. The time spent queueing for a slot is observed as
+// memcache_slot_wait_ns on reg (nil = not observed). With a zero serviceTime
+// and concurrency, CapacityStore returns s itself.
+func CapacityStore(s registry.Store, serviceTime time.Duration, concurrency int, sleep func(time.Duration), reg *metrics.Registry) registry.Store {
+	if serviceTime <= 0 && concurrency <= 0 {
+		return s
+	}
+	c := &capacityStore{Store: s, serviceTime: serviceTime, sleep: sleep, slotWait: reg.Histogram("memcache_slot_wait_ns")}
+	if concurrency > 0 {
+		c.slots = make(chan struct{}, concurrency)
+	}
+	return c
+}
+
+// capacityStore is CapacityStore's decorator: the data-plane calls are
+// charged, the embedded store's control-plane reads are promoted as they are.
+type capacityStore struct {
+	registry.Store
+	serviceTime time.Duration
+	sleep       func(time.Duration)
+	slots       chan struct{} // nil = unbounded
+	slotWait    *metrics.Histogram
+}
+
+// enter takes a worker slot, waiting behind other calls if none is free.
+func (c *capacityStore) enter() {
+	if c.slots != nil {
+		start := time.Now()
+		c.slots <- struct{}{}
+		c.slotWait.ObserveDuration(time.Since(start))
+	}
+}
+
+// leave charges the service time of an n-item call (n = 0 for a single-key
+// one) and releases the slot.
+func (c *capacityStore) leave(n int) {
+	if c.serviceTime > 0 {
+		c.sleep(c.serviceTime + c.serviceTime*time.Duration(n)/16)
+	}
+	if c.slots != nil {
+		<-c.slots
+	}
+}
+
+func (c *capacityStore) Get(key string) (memcache.Item, error) {
+	c.enter()
+	defer c.leave(0)
+	return c.Store.Get(key)
+}
+
+func (c *capacityStore) Put(key string, value []byte, ttl time.Duration) (memcache.Item, error) {
+	c.enter()
+	defer c.leave(0)
+	return c.Store.Put(key, value, ttl)
+}
+
+func (c *capacityStore) CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error) {
+	c.enter()
+	defer c.leave(0)
+	return c.Store.CAS(key, value, ttl, expectedVersion)
+}
+
+func (c *capacityStore) Delete(key string) error {
+	c.enter()
+	defer c.leave(0)
+	return c.Store.Delete(key)
+}
+
+func (c *capacityStore) GetBatch(keys []string) ([]memcache.Item, []string, error) {
+	c.enter()
+	defer c.leave(len(keys))
+	return c.Store.GetBatch(keys)
+}
+
+func (c *capacityStore) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
+	c.enter()
+	defer c.leave(len(kvs))
+	return c.Store.PutBatch(kvs)
+}
+
+func (c *capacityStore) DeleteBatch(keys []string) (int, error) {
+	c.enter()
+	defer c.leave(len(keys))
+	return c.Store.DeleteBatch(keys)
+}
+
 // NewFabric builds the per-site registry deployments for the given topology
 // and latency model.
 func NewFabric(topo *cloud.Topology, lat *latency.Model, opts ...FabricOption) *Fabric {
@@ -161,16 +257,12 @@ func NewFabric(topo *cloud.Topology, lat *latency.Model, opts ...FabricOption) *
 	}
 	if cfg.cacheFactory == nil {
 		cfg.cacheFactory = func(cloud.SiteID) registry.Store {
-			return memcache.New(memcache.Config{
-				ServiceTime: cfg.serviceTime,
-				Concurrency: cfg.concurrency,
-				// Route the service-time sleep through the latency model so
-				// the experiment's time-compression factor applies uniformly.
-				Sleep: lat.Sleeper(),
-				// The per-site caches aggregate into the fabric's registry
-				// (hit rate, occupancy, slot wait).
-				Metrics: cfg.metricsReg,
-			})
+			// The per-site caches aggregate into the fabric's registry (hit
+			// rate, occupancy, slot wait), and the service time is slept
+			// through the latency model so the experiment's time-compression
+			// factor applies uniformly.
+			cache := memcache.New(memcache.Config{Metrics: cfg.metricsReg})
+			return CapacityStore(cache, cfg.serviceTime, cfg.concurrency, lat.Sleeper(), cfg.metricsReg)
 		}
 	}
 

@@ -14,11 +14,9 @@
 // (registry.Router R-way placement) and persists (internal/store) instead.
 //
 // This package reproduces those properties with a sharded, versioned,
-// in-memory key-value store. It also models the *capacity* of a managed cache
-// instance — a bounded number of concurrent server-side operations, each with
-// a small service time — because that bound is what makes a single
-// centralized registry saturate under concurrency and produces the scaling
-// behaviour of Figs. 5, 7 and 8.
+// in-memory key-value store, and nothing else: the managed cache's *capacity*,
+// which the paper's experiments depend on, is modelled above it by
+// core.CapacityStore.
 //
 // The paper keeps an entry small so that a site's registry holds a whole
 // workflow's metadata in memory, and the store is built so that an entry
@@ -57,9 +55,6 @@ var (
 	ErrVersionConflict = errors.New("memcache: version conflict")
 	// ErrStopped is returned once the cache has been stopped.
 	ErrStopped = errors.New("memcache: cache stopped")
-	// ErrCapacity is returned when the item would exceed the configured
-	// maximum number of entries.
-	ErrCapacity = errors.New("memcache: capacity exceeded")
 )
 
 // Item is one versioned value stored in the cache.
@@ -85,40 +80,15 @@ func (it Item) Expired(now time.Time) bool {
 type Config struct {
 	// Shards is the number of lock shards; 0 selects a sensible default.
 	Shards int
-	// MaxItems bounds the number of live entries across all shards;
-	// 0 means unlimited.
-	MaxItems int
-	// ServiceTime is the simulated per-operation server-side processing time
-	// (Azure Managed Cache Basic instances serve a few thousand ops/s).
-	// 0 disables service-time modelling.
-	ServiceTime time.Duration
-	// Concurrency bounds the number of operations the instance serves at the
-	// same time (the worker pool of the managed service). 0 means unbounded.
-	Concurrency int
-	// DefaultTTL is applied to items stored without an explicit TTL;
-	// 0 means entries never expire.
-	DefaultTTL time.Duration
-	// BatchFactor is the amortization factor of bulk operations: a batch of n
-	// items costs one slot acquisition plus ServiceTime * (1 + n/BatchFactor)
-	// of processing, modelling the server-side efficiency of bulk get/put
-	// (0 selects the default of 16).
-	BatchFactor int
-	// Sleep is the function used to model the service time; tests replace it.
-	// nil means time.Sleep.
-	Sleep func(time.Duration)
 	// Now is the clock used for TTL handling; nil means time.Now.
 	Now func() time.Time
 	// Metrics, when non-nil, receives live instrumentation: hit/miss/get
-	// counters, the occupancy gauge and the worker-slot wait histogram.
-	// Instances sharing one registry aggregate into shared series.
+	// counters and the occupancy and memory gauges. Instances sharing one
+	// registry aggregate into shared series.
 	Metrics *metrics.Registry
 }
 
 const defaultShards = 16
-
-// defaultBatchFactor is the bulk-operation amortization used when
-// Config.BatchFactor is zero.
-const defaultBatchFactor = 16
 
 // Stats aggregates operation counters of one cache instance.
 type Stats struct {
@@ -137,8 +107,8 @@ type Stats struct {
 	Dead int64
 }
 
-// Cache is a sharded in-memory key-value store with versioned items and a
-// bounded service capacity. It is safe for concurrent use.
+// Cache is a sharded in-memory key-value store with versioned items. It is
+// safe for concurrent use.
 type Cache struct {
 	cfg    Config
 	shards []*shard
@@ -146,8 +116,6 @@ type Cache struct {
 	// cache: keys are client-chosen, and a linear-probe index under a public
 	// hash could be flooded.
 	seed maphash.Seed
-	// slots implements the bounded server-side concurrency.
-	slots chan struct{}
 
 	stopped atomic.Bool
 
@@ -165,14 +133,13 @@ type Cache struct {
 // be scraped live. All fields tolerate being nil (instrumentation disabled);
 // occupancy is maintained as deltas so caches sharing a registry aggregate.
 type cacheObs struct {
-	gets     *metrics.Counter   // memcache_gets_total
-	hits     *metrics.Counter   // memcache_hits_total
-	misses   *metrics.Counter   // memcache_misses_total
-	items    *metrics.Gauge     // memcache_items: live entries (occupancy)
-	resident *metrics.Gauge     // memcache_resident_bytes: page capacity + index
-	dead     *metrics.Gauge     // memcache_dead_bytes: dead records not yet evacuated
-	evacuate *metrics.Counter   // memcache_evacuated_bytes_total: live records copied by evacuation
-	slotWait *metrics.Histogram // memcache_slot_wait_ns: time spent queueing for a worker slot
+	gets     *metrics.Counter // memcache_gets_total
+	hits     *metrics.Counter // memcache_hits_total
+	misses   *metrics.Counter // memcache_misses_total
+	items    *metrics.Gauge   // memcache_items: live entries (occupancy)
+	resident *metrics.Gauge   // memcache_resident_bytes: page capacity + index
+	dead     *metrics.Gauge   // memcache_dead_bytes: dead records not yet evacuated
+	evacuate *metrics.Counter // memcache_evacuated_bytes_total: live records copied by evacuation
 }
 
 func newCacheObs(reg *metrics.Registry) cacheObs {
@@ -184,7 +151,6 @@ func newCacheObs(reg *metrics.Registry) cacheObs {
 		resident: reg.Gauge("memcache_resident_bytes"),
 		dead:     reg.Gauge("memcache_dead_bytes"),
 		evacuate: reg.Counter("memcache_evacuated_bytes_total"),
-		slotWait: reg.Histogram("memcache_slot_wait_ns"),
 	}
 }
 
@@ -193,12 +159,6 @@ func New(cfg Config) *Cache {
 	if cfg.Shards <= 0 {
 		cfg.Shards = defaultShards
 	}
-	if cfg.BatchFactor <= 0 {
-		cfg.BatchFactor = defaultBatchFactor
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -206,9 +166,6 @@ func New(cfg Config) *Cache {
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
 		c.shards[i] = &shard{seed: c.seed}
-	}
-	if cfg.Concurrency > 0 {
-		c.slots = make(chan struct{}, cfg.Concurrency)
 	}
 	return c
 }
@@ -220,20 +177,10 @@ func (c *Cache) Stop() { c.stopped.Store(true) }
 // Stopped reports whether Stop has been called.
 func (c *Cache) Stopped() bool { return c.stopped.Load() }
 
-// enter models the service capacity: it acquires a worker slot (possibly
-// waiting behind other requests) and charges the per-operation service time.
+// enter admits a data-plane operation: it fails once the cache is stopped.
 func (c *Cache) enter() error {
 	if c.stopped.Load() {
 		return ErrStopped
-	}
-	if c.slots != nil {
-		if c.obs.slotWait != nil {
-			start := time.Now()
-			c.slots <- struct{}{}
-			c.obs.slotWait.ObserveDuration(time.Since(start))
-		} else {
-			c.slots <- struct{}{}
-		}
 	}
 	return nil
 }
@@ -250,15 +197,6 @@ func (c *Cache) addItems(delta int64) {
 func (c *Cache) countGet()  { c.gets.Add(1); c.obs.gets.Inc() }
 func (c *Cache) countHit()  { c.hits.Add(1); c.obs.hits.Inc() }
 func (c *Cache) countMiss() { c.misses.Add(1); c.obs.misses.Inc() }
-
-func (c *Cache) leave() {
-	if c.cfg.ServiceTime > 0 {
-		c.cfg.Sleep(c.cfg.ServiceTime)
-	}
-	if c.slots != nil {
-		<-c.slots
-	}
-}
 
 // shardFor hashes key once; the shard's index probes with the same hash.
 func (c *Cache) shardFor(key string) (*shard, uint64) {
@@ -308,7 +246,6 @@ func (c *Cache) Get(key string) (Item, error) {
 	if err := c.enter(); err != nil {
 		return Item{}, err
 	}
-	defer c.leave()
 	c.countGet()
 
 	rec, ok := c.lookup(key)
@@ -341,9 +278,8 @@ func (c *Cache) lookup(key string) (record, bool) {
 }
 
 // Contains reports whether key is present (and unexpired) without counting as
-// a Get in the statistics. Like Keys and Snapshot it bypasses the modelled
-// service capacity (no worker slot, no service time) and works on a stopped
-// cache — it is a control-plane probe, not a data-plane read.
+// a Get in the statistics. Like Keys and Snapshot it works on a stopped cache:
+// it is a control-plane probe, not a data-plane read.
 func (c *Cache) Contains(key string) bool {
 	sh, h := c.shardFor(key)
 	sh.mu.RLock()
@@ -359,7 +295,6 @@ func (c *Cache) Put(key string, value []byte, ttl time.Duration) (Item, error) {
 	if err := c.enter(); err != nil {
 		return Item{}, err
 	}
-	defer c.leave()
 	c.puts.Add(1)
 	return c.store(key, value, ttl, nil)
 }
@@ -372,15 +307,11 @@ func (c *Cache) CAS(key string, value []byte, ttl time.Duration, expectedVersion
 	if err := c.enter(); err != nil {
 		return Item{}, err
 	}
-	defer c.leave()
 	c.cases.Add(1)
 	return c.store(key, value, ttl, &expectedVersion)
 }
 
 func (c *Cache) store(key string, value []byte, ttl time.Duration, expected *uint64) (Item, error) {
-	if ttl == 0 {
-		ttl = c.cfg.DefaultTTL
-	}
 	sh, h := c.shardFor(key)
 	sh.mu.Lock()
 	defer c.settle(sh, sh.usage)
@@ -400,14 +331,7 @@ func (c *Cache) store(key string, value []byte, ttl time.Duration, expected *uin
 		return held, fmt.Errorf("cas %q: have version %d, want %d: %w", key, cur.version, *expected, ErrVersionConflict)
 	}
 	if !exists {
-		// Reserve the slot with the same atomic add that commits it: a
-		// load-then-add would let two inserts on different shards (each under
-		// its own shard lock) both pass the bound and overshoot MaxItems.
-		if n := c.items.Add(1); c.cfg.MaxItems > 0 && int(n) > c.cfg.MaxItems {
-			c.items.Add(-1)
-			return Item{}, fmt.Errorf("put %q: %w", key, ErrCapacity)
-		}
-		c.obs.items.Add(1)
+		c.addItems(1)
 	}
 	c.bytes.Add(int64(len(value)) - int64(len(cur.value)))
 
@@ -425,7 +349,6 @@ func (c *Cache) Delete(key string) error {
 	if err := c.enter(); err != nil {
 		return err
 	}
-	defer c.leave()
 	c.deletes.Add(1)
 	if !c.take(key) {
 		return fmt.Errorf("delete %q: %w", key, ErrNotFound)
@@ -448,9 +371,9 @@ func (c *Cache) take(key string) bool {
 	return !expired
 }
 
-// Keys returns all live (unexpired) keys in unspecified order. It bypasses
-// the modelled service capacity and works on a stopped cache: it serves
-// control-plane sweeps (re-sync, migration), not the measured data path.
+// Keys returns all live (unexpired) keys in unspecified order. It works on a
+// stopped cache: it serves control-plane sweeps (re-sync, migration), not the
+// data path.
 func (c *Cache) Keys() []string {
 	var keys []string
 	for _, sh := range c.shards {
@@ -466,9 +389,8 @@ func (c *Cache) Keys() []string {
 }
 
 // Snapshot returns every live item; the synchronization agent uses it to pull
-// the full content of a registry instance. Like Keys it bypasses the modelled
-// service capacity and works on a stopped cache. The values are slices of the
-// store's memory, as Get's are.
+// the full content of a registry instance. Like Keys it works on a stopped
+// cache. The values are slices of the store's memory, as Get's are.
 func (c *Cache) Snapshot() []Item {
 	var items []Item
 	for _, sh := range c.shards {

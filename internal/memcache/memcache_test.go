@@ -126,29 +126,6 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestDefaultTTL(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{DefaultTTL: time.Minute, Now: func() time.Time { return now }})
-	it, _ := c.Put("k", []byte("v"), 0)
-	if it.Expires.IsZero() {
-		t.Error("default TTL should have set an expiry")
-	}
-}
-
-func TestMaxItems(t *testing.T) {
-	c := New(Config{MaxItems: 2})
-	c.Put("a", []byte("1"), 0)
-	c.Put("b", []byte("2"), 0)
-	_, err := c.Put("c", []byte("3"), 0)
-	if !errors.Is(err, ErrCapacity) {
-		t.Errorf("Put over capacity = %v, want ErrCapacity", err)
-	}
-	// Overwriting an existing key is always allowed.
-	if _, err := c.Put("a", []byte("1b"), 0); err != nil {
-		t.Errorf("overwrite at capacity: %v", err)
-	}
-}
-
 func TestStop(t *testing.T) {
 	c := newTestCache()
 	c.Put("k", []byte("v"), 0)
@@ -221,34 +198,8 @@ func TestValueIsCopied(t *testing.T) {
 	}
 }
 
-func TestServiceTimeAndConcurrency(t *testing.T) {
-	var mu sync.Mutex
-	var slept []time.Duration
-	c := New(Config{
-		ServiceTime: 5 * time.Millisecond,
-		Concurrency: 2,
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			slept = append(slept, d)
-			mu.Unlock()
-		},
-	})
-	c.Put("a", nil, 0)
-	c.Get("a")
-	mu.Lock()
-	defer mu.Unlock()
-	if len(slept) != 2 {
-		t.Fatalf("expected 2 service-time sleeps, got %d", len(slept))
-	}
-	for _, d := range slept {
-		if d != 5*time.Millisecond {
-			t.Errorf("service time %v, want 5ms", d)
-		}
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
-	c := New(Config{Shards: 8, Concurrency: 4})
+	c := New(Config{Shards: 8})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -345,43 +296,6 @@ func TestVersionMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// MaxItems must hold across shards under concurrency: the bound is enforced
-// with an atomic reservation, so racing inserts on different shards cannot
-// both squeeze past it.
-func TestMaxItemsBoundUnderConcurrency(t *testing.T) {
-	const bound = 32
-	c := New(Config{MaxItems: bound, Shards: 8})
-	var wg sync.WaitGroup
-	var accepted, rejected int64
-	var mu sync.Mutex
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < bound; i++ {
-				_, err := c.Put(fmt.Sprintf("w%d/k%d", w, i), []byte("v"), 0)
-				mu.Lock()
-				if err == nil {
-					accepted++
-				} else if errors.Is(err, ErrCapacity) {
-					rejected++
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if c.Len() > bound {
-		t.Errorf("Len = %d exceeds MaxItems %d", c.Len(), bound)
-	}
-	if accepted != bound {
-		t.Errorf("accepted %d puts, want exactly %d", accepted, bound)
-	}
-	if rejected != 8*bound-bound {
-		t.Errorf("rejected %d puts, want %d", rejected, 8*bound-bound)
 	}
 }
 

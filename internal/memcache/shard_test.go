@@ -93,9 +93,9 @@ func checkStore(t *testing.T, c *Cache) {
 	}
 }
 
-// An op program is a byte string: two header bytes (key space; MaxItems in
-// the low four bits and one shard or two in the fifth) and then four bytes per
-// op — opcode, a 16-bit key number, an argument. Both
+// An op program is a byte string: two header bytes (key space; one shard or
+// two in the fifth bit, the low four are ignored) and then four bytes per op —
+// opcode, a 16-bit key number, an argument. Both
 // TestShardAgainstMap (seeded) and FuzzShardOps (fuzzer-driven) run programs
 // through runProgram, which compares the cache with a map after every op.
 const (
@@ -115,10 +115,10 @@ var keySpaces = []int{1, 2, 7, 64, 1000, 4000}
 
 type program []byte
 
-func newProgram(keySpace, maxItems, shards int) program {
+func newProgram(keySpace, shards int) program {
 	for i, n := range keySpaces {
 		if n == keySpace {
-			return program{byte(i), byte(maxItems | (shards-1)<<4)}
+			return program{byte(i), byte((shards - 1) << 4)}
 		}
 	}
 	panic("no such key space")
@@ -143,9 +143,8 @@ func runProgram(t *testing.T, data []byte) {
 		return
 	}
 	keySpace := keySpaces[int(data[0])%len(keySpaces)]
-	maxItems := int(data[1]) % 16 // 0 = unlimited
 	now := time.Unix(1_000_000, 0)
-	c := New(Config{Shards: 1 + int(data[1])>>4&1, MaxItems: maxItems, Now: func() time.Time { return now }})
+	c := New(Config{Shards: 1 + int(data[1])>>4&1, Now: func() time.Time { return now }})
 	model := make(map[string]modelItem)
 	name := func(k int) string { return "data/f" + strconv.Itoa(k%keySpace) }
 	// live drops key from the model if it has expired, as an op on it does in
@@ -187,11 +186,6 @@ func runProgram(t *testing.T, data []byte) {
 			}
 			if ok && (it.Key != key || !bytes.Equal(it.Value, cur.value) || it.Version != cur.version) {
 				t.Fatalf("op %d: the conflicting item is %+v, want %+v", step, it, cur)
-			}
-			return
-		case !ok && maxItems > 0 && len(model) >= maxItems:
-			if !errors.Is(err, ErrCapacity) {
-				t.Fatalf("op %d: put %q into a full cache = %v, want ErrCapacity", step, key, err)
 			}
 			return
 		case err != nil:
@@ -289,12 +283,7 @@ func runProgram(t *testing.T, data []byte) {
 				t.Fatalf("op %d: DeleteBatch(%q) = %d, %v; the model had %d", step, keys[:2], n, err, want)
 			}
 		case opPutBatch:
-			// Three neighbours in one PutBatch, the second with a TTL. A bounded
-			// cache can refuse part of a batch; that path is put's.
-			if maxItems > 0 {
-				put(step, key, payload(arg%81), 0, nil)
-				break
-			}
+			// Three neighbours in one PutBatch, the second with a TTL.
 			kvs := []KV{{Key: key, Value: payload(arg % 81)}, {Key: name(k + 1), Value: payload(arg % 7), TTL: time.Second}, {Key: name(k + 2), Value: payload(80)}}
 			items, err := c.PutBatch(kvs)
 			if err != nil || len(items) != len(kvs) {
@@ -352,11 +341,14 @@ func TestShardAgainstMap(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		keySpace := keySpaces[int(seed)%len(keySpaces)]
-		maxItems := 0
+		// max<n> names the item bound the program's header once carried. The
+		// cache has none now; the draw stays so each subtest keeps its name
+		// and its program.
+		bound := 0
 		if seed%4 == 0 {
-			maxItems = 1 + rng.Intn(15)
+			bound = 1 + rng.Intn(15)
 		}
-		p := newProgram(keySpace, maxItems, 1+int(seed)%2)
+		p := newProgram(keySpace, 1+int(seed)%2)
 		for i := 0; i < ops; i++ {
 			code := rng.Intn(opCount)
 			if code == opPutBig && rng.Intn(4) != 0 {
@@ -364,7 +356,7 @@ func TestShardAgainstMap(t *testing.T) {
 			}
 			p = p.op(code, rng.Intn(keySpace), rng.Intn(256))
 		}
-		t.Run(fmt.Sprintf("seed%d/keys%d/max%d", seed, keySpace, maxItems), func(t *testing.T) { runProgram(t, p) })
+		t.Run(fmt.Sprintf("seed%d/keys%d/max%d", seed, keySpace, bound), func(t *testing.T) { runProgram(t, p) })
 	}
 }
 
@@ -379,7 +371,7 @@ func shardSeeds() []program {
 	// Overwrite one key until its page has been evacuated twice: 80-byte
 	// values fill the doubling pages, each of which retires all dead but for
 	// at most the last record.
-	p := newProgram(1, 0, 1)
+	p := newProgram(1, 1)
 	for i := 0; i < 1200; i++ {
 		p = p.op(opPut, 0, 80)
 	}
@@ -388,7 +380,7 @@ func shardSeeds() []program {
 	// Six keys in the smallest index (eight slots) leave two empty slots, so
 	// some probe run wraps past the last slot; delete and reinsert each key
 	// in turn, reading all of them in between.
-	p = newProgram(7, 0, 1)
+	p = newProgram(7, 1)
 	for k := 0; k < 6; k++ {
 		p = p.op(opPut, k, 8)
 	}
@@ -405,7 +397,7 @@ func shardSeeds() []program {
 
 	// A value larger than a page: stored, overwritten by another, by a small
 	// one, deleted, among small neighbours.
-	p = newProgram(7, 0, 1)
+	p = newProgram(7, 1)
 	p = p.op(opPut, 1, 40).op(opPutBig, 0, 8).op(opPut, 2, 40).op(opGet, 0, 0)
 	p = p.op(opPutBig, 0, 16).op(opGet, 0, 0).op(opPutBig, 3, 64).op(opPut, 0, 5).op(opGet, 0, 0)
 	p = p.op(opDelete, 3, 0).op(opGet, 3, 0).op(opGet, 1, 0).op(opGet, 2, 0)
@@ -415,7 +407,7 @@ func shardSeeds() []program {
 	// which then has no room for the record that caused the rotation: 6 KiB
 	// live, 6 and 4 KiB dead, then 11 KiB. (Argument 129 is a 6160-byte
 	// value, 74 a 3960-byte one, 250 an 11000-byte one.)
-	p = newProgram(7, 0, 1)
+	p = newProgram(7, 1)
 	for fill := 0; fill < 12; fill++ { // through the doubling pages
 		p = p.op(opPutBig, 3, 129)
 	}
@@ -423,16 +415,19 @@ func shardSeeds() []program {
 	p = p.op(opPutBig, 1, 3).op(opPutBig, 2, 3).op(opPutBig, 4, 250).op(opGet, 0, 0).op(opGet, 4, 0)
 	seeds = append(seeds, p) // seed#3
 
-	// MaxItems (3) reached, refused, then freed by a delete and by an expiry.
-	p = newProgram(64, 3, 2)
-	p = p.op(opPut, 0, 10).op(opPutTTL, 1, 0).op(opCAS, 2, 1).op(opPut, 3, 10).op(opCAS, 4, 1)
-	p = p.op(opPut, 0, 20).op(opDelete, 0, 0).op(opPut, 3, 10).op(opPut, 4, 10)
-	p = p.op(opTick, 0, 2).op(opTick, 0, 2).op(opPut, 1, 10).op(opGet, 1, 0).op(opDelete, 1, 0).op(opPut, 5, 10)
+	// Entries freed by a delete and by an expiry, then their keys taken
+	// again: a put and an add-CAS over records whose TTL has passed evict
+	// them on the way in.
+	p = newProgram(64, 2)
+	p = p.op(opPut, 0, 10).op(opPutTTL, 1, 0).op(opPutTTL, 2, 0).op(opPut, 3, 10).op(opCAS, 4, 1)
+	p = p.op(opPut, 0, 20).op(opDelete, 0, 0).op(opPut, 3, 10).op(opPut, 0, 10)
+	p = p.op(opTick, 0, 2).op(opTick, 0, 2).op(opPut, 1, 10).op(opCAS, 2, 1).op(opGet, 1, 0).op(opGet, 2, 0)
+	p = p.op(opDelete, 1, 0).op(opPut, 5, 10).op(opPut, 1, 10)
 	seeds = append(seeds, p) // seed#4
 
 	// Index growth amid evacuation: every new key (growing the index as it
 	// goes) is followed by overwrites of old ones, which keep pages dying.
-	p = newProgram(1000, 0, 2)
+	p = newProgram(1000, 2)
 	for k := 0; k < 400; k++ {
 		p = p.op(opPut, k, 60)
 		for j := 0; j < 3; j++ {

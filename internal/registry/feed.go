@@ -106,7 +106,7 @@ func (i *Instance) finishFeed() {
 			log.Publish(ev)
 		})
 	} else {
-		i.store = &tapStore{backing: i.store, log: log}
+		i.store = &tapStore{Store: i.store, log: log}
 	}
 	i.feedLog = log
 }
@@ -150,27 +150,18 @@ func (i *Instance) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, erro
 
 // tapStore wraps a memory-only Store so that mutations are serialized and
 // published to the feed with self-assigned sequence numbers — the in-memory
-// equivalent of the WAL's mutation mutex. Reads bypass the tap entirely.
+// equivalent of the WAL's mutation mutex. Reads pass through the embedded
+// store and bypass the tap entirely.
 type tapStore struct {
-	backing Store
-	mu      sync.Mutex
-	log     *feed.Log
-}
-
-func (t *tapStore) Get(key string) (memcache.Item, error) { return t.backing.Get(key) }
-func (t *tapStore) Contains(key string) bool              { return t.backing.Contains(key) }
-func (t *tapStore) Keys() []string                        { return t.backing.Keys() }
-func (t *tapStore) Snapshot() []memcache.Item             { return t.backing.Snapshot() }
-func (t *tapStore) Len() int                              { return t.backing.Len() }
-func (t *tapStore) Stats() memcache.Stats                 { return t.backing.Stats() }
-func (t *tapStore) GetBatch(keys []string) ([]memcache.Item, []string, error) {
-	return t.backing.GetBatch(keys)
+	Store
+	mu  sync.Mutex
+	log *feed.Log
 }
 
 func (t *tapStore) Put(key string, value []byte, ttl time.Duration) (memcache.Item, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	it, err := t.backing.Put(key, value, ttl)
+	it, err := t.Store.Put(key, value, ttl)
 	if err == nil {
 		t.log.Append(feed.OpPut, key, value)
 	}
@@ -180,7 +171,7 @@ func (t *tapStore) Put(key string, value []byte, ttl time.Duration) (memcache.It
 func (t *tapStore) CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	it, err := t.backing.CAS(key, value, ttl, expectedVersion)
+	it, err := t.Store.CAS(key, value, ttl, expectedVersion)
 	if err == nil {
 		// A version conflict published nothing: only committed writes feed.
 		t.log.Append(feed.OpPut, key, value)
@@ -191,7 +182,7 @@ func (t *tapStore) CAS(key string, value []byte, ttl time.Duration, expectedVers
 func (t *tapStore) Delete(key string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	err := t.backing.Delete(key)
+	err := t.Store.Delete(key)
 	if err == nil {
 		t.log.Append(feed.OpDelete, key, nil)
 	}
@@ -201,7 +192,7 @@ func (t *tapStore) Delete(key string) error {
 func (t *tapStore) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	items, err := t.backing.PutBatch(kvs)
+	items, err := t.Store.PutBatch(kvs)
 	if err == nil {
 		for _, kv := range kvs {
 			// The batch path is the bulk-apply side (Merge): mark the events
@@ -221,9 +212,9 @@ func (t *tapStore) DeleteBatch(keys []string) (int, error) {
 	// not echo forever.
 	existed := make([]bool, len(keys))
 	for idx, k := range keys {
-		existed[idx] = t.backing.Contains(k)
+		existed[idx] = t.Store.Contains(k)
 	}
-	n, err := t.backing.DeleteBatch(keys)
+	n, err := t.Store.DeleteBatch(keys)
 	if err == nil {
 		for idx, k := range keys {
 			if existed[idx] {

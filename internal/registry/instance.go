@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"geomds/internal/cloud"
 	"geomds/internal/feed"
@@ -13,28 +12,10 @@ import (
 	"geomds/internal/store"
 )
 
-// Store is the subset of the cache-tier API the registry relies on:
+// Store is the cache-tier API the registry relies on (store.Backing):
 // *memcache.Cache, the *store.Durable that wraps one in a write-ahead log,
 // and the tests' fakes satisfy it.
-type Store interface {
-	Get(key string) (memcache.Item, error)
-	Put(key string, value []byte, ttl time.Duration) (memcache.Item, error)
-	CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error)
-	Delete(key string) error
-	Contains(key string) bool
-	Keys() []string
-	Snapshot() []memcache.Item
-	Len() int
-	Stats() memcache.Stats
-	// GetBatch, PutBatch and DeleteBatch are the bulk paths used by the
-	// synchronization agent and lazy propagation; they are far cheaper per
-	// item than the individual operations.
-	GetBatch(keys []string) (found []memcache.Item, missing []string, err error)
-	PutBatch(kvs []memcache.KV) ([]memcache.Item, error)
-	DeleteBatch(keys []string) (int, error)
-}
-
-var _ Store = (*memcache.Cache)(nil)
+type Store = store.Backing
 
 // Instance is one Metadata Registry instance: the registry deployed in a
 // single datacenter. The multi-site strategies (internal/core) compose one or

@@ -133,21 +133,38 @@ func TestInstanceUpdatePreservesName(t *testing.T) {
 	}
 }
 
+// slowStore sleeps before every read and compare-and-swap, standing in for
+// a cache instance with a service time.
+type slowStore struct {
+	Store
+	delay time.Duration
+}
+
+func (s slowStore) Get(key string) (memcache.Item, error) {
+	time.Sleep(s.delay)
+	return s.Store.Get(key)
+}
+
+func (s slowStore) CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error) {
+	time.Sleep(s.delay)
+	return s.Store.CAS(key, value, ttl, expectedVersion)
+}
+
 func TestInstanceUpdateConcurrent(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		store   memcache.Config
+		delay   time.Duration
 		retries int
 		writers int
 	}{
-		{"generous retry budget", memcache.Config{}, 64, 12},
+		{"generous retry budget", 0, 64, 12},
 		// One attempt each and a store slow enough that every writer reads
 		// before any has written: they all succeed only because updates of one
 		// name through one instance take turns instead of racing each other.
-		{"same-name writers queue", memcache.Config{ServiceTime: 100 * time.Microsecond, Concurrency: 2}, 1, 16},
+		{"same-name writers queue", 100 * time.Microsecond, 1, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inst := NewInstance(0, memcache.New(tc.store), WithCASRetries(tc.retries))
+			inst := NewInstance(0, slowStore{memcache.New(memcache.Config{}), tc.delay}, WithCASRetries(tc.retries))
 			e := sampleEntry()
 			inst.Create(tctx, e)
 			var wg sync.WaitGroup

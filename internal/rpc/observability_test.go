@@ -145,9 +145,8 @@ func TestMetricsEndpointUnderRPCLoad(t *testing.T) {
 // errored.
 func TestClientRetiredOnCancelCounter(t *testing.T) {
 	reg := metrics.NewRegistry()
-	slow := memcache.New(memcache.Config{ServiceTime: 200 * time.Millisecond, Concurrency: 1})
-	inst := registry.NewInstance(cloud.SiteID(1), slow)
-	srv := NewServer(inst, nil)
+	inst := registry.NewInstance(cloud.SiteID(1), memcache.New(memcache.Config{}))
+	srv := NewServer(slowAPI{API: inst, delay: 200 * time.Millisecond}, nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +161,7 @@ func TestClientRetiredOnCancelCounter(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := cl.Get(ctx, "never"); err == nil {
+	if _, err := cl.Get(ctx, "slow-never"); err == nil {
 		t.Fatal("expected the deadline to cut the call short")
 	}
 	if got := reg.Counter("rpc_client_retired_total").Value(); got != 1 {

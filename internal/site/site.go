@@ -24,7 +24,7 @@ import (
 )
 
 // Config describes one site's registry deployment. The zero value is a single
-// memory-only instance on an unbounded cache.
+// memory-only instance on one cache.
 type Config struct {
 	// Site is the datacenter the deployment serves.
 	Site cloud.SiteID
@@ -67,9 +67,9 @@ type Config struct {
 	// MaxStaleness is the near cache's TTL without a feed; 0 means
 	// readcache.DefaultMaxStaleness. With Feed the feed is the bound.
 	MaxStaleness time.Duration
-	// NewStore builds the cache tier of one instance — where callers set the
-	// modelled service time and concurrency, and tests substitute fakes. Nil
-	// means an unbounded memcache with zero service time.
+	// NewStore builds the cache tier of one instance — where core.NewFabric
+	// puts the emulated capacity (core.CapacityStore) and tests substitute
+	// fakes. Nil means a plain memcache, as a served site has.
 	NewStore func() registry.Store
 	// Metrics receives the memcache, feed, router and readcache series; nil
 	// disables them.

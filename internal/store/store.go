@@ -38,10 +38,11 @@ import (
 	"geomds/internal/memcache"
 )
 
-// Backing is the mutable key/value store a Durable wraps and logs. It is a
-// structural copy of the registry's Store interface, so *memcache.Cache
-// satisfies it and a *Durable can be handed back to the registry without an
-// import cycle.
+// Backing is the cache-tier API the registry is built on, and the mutable
+// key/value store a Durable wraps and logs. registry.Store is this interface
+// under the registry's name; it lives here so that a *Durable can be handed
+// back to the registry without an import cycle. *memcache.Cache, a *Durable
+// and the tests' fakes satisfy it.
 type Backing interface {
 	Get(key string) (memcache.Item, error)
 	Put(key string, value []byte, ttl time.Duration) (memcache.Item, error)
@@ -51,7 +52,6 @@ type Backing interface {
 	Keys() []string
 	Snapshot() []memcache.Item
 	Len() int
-	Stats() memcache.Stats
 	GetBatch(keys []string) (found []memcache.Item, missing []string, err error)
 	PutBatch(kvs []memcache.KV) ([]memcache.Item, error)
 	DeleteBatch(keys []string) (int, error)
@@ -477,9 +477,6 @@ func (d *Durable) Snapshot() []memcache.Item { return d.backing.Snapshot() }
 
 // Len delegates to the backing store.
 func (d *Durable) Len() int { return d.backing.Len() }
-
-// Stats delegates to the backing store.
-func (d *Durable) Stats() memcache.Stats { return d.backing.Stats() }
 
 // GetBatch delegates to the backing store.
 func (d *Durable) GetBatch(keys []string) ([]memcache.Item, []string, error) {

@@ -613,8 +613,8 @@ func TestEventSinkSeesLogOrder(t *testing.T) {
 	if err != nil || len(items) != 1 || len(missing) != 1 || missing[0] != "b" {
 		t.Errorf("GetBatch = %v, missing %v, %v; want a found, b missing", items, missing, err)
 	}
-	if st := d.Stats(); st.Items != 1 {
-		t.Errorf("Stats().Items = %d, want 1", st.Items)
+	if n := d.Len(); n != 1 {
+		t.Errorf("Len() = %d, want 1", n)
 	}
 
 	if err := d.Close(); err != nil {

@@ -19,8 +19,8 @@ import (
 // optionPackages are the packages whose options the rule covers.
 var optionPackages = []string{"registry", "rpc", "core", "store", "feed", "memcache", "readcache", "limits", "site"}
 
-// exempt are the options only tests set, and why each stays: all but the last
-// are seams a test needs to run fast or to substitute a part.
+// exempt are the options only tests set, and why each stays: each is a seam a
+// test needs to run fast or to substitute a part.
 var exempt = map[string]string{
 	"registry.WithRouterHealth":   "timing: breaker threshold and probe interval, so outage tests finish in milliseconds",
 	"registry.WithCASRetries":     "makes the Update retry budget small enough to exhaust in a test",
@@ -30,7 +30,6 @@ var exempt = map[string]string{
 	"feed.WithResubscribeBackoff": "timing: the combiner's reconnect delay",
 	"feed.WithFailureThreshold":   "timing: how many failed resubscribes mark a source down",
 	"feed.WithHealthFunc":         "observes the combiner's up/down transitions",
-	"core.WithTenant":             "not a seam and not reachable: found when this test was written, left for ROADMAP item 3 to wire to wfrun or delete",
 }
 
 // goFile is one parsed non-test file and the package directory it is in.
@@ -139,6 +138,132 @@ func TestOptionsAreReachable(t *testing.T) {
 	for option := range exempt {
 		if defined[option] == "" {
 			t.Errorf("exempt lists %s, which is not defined", option)
+		}
+	}
+}
+
+// configSeams are the memcache.Config fields only tests set, and why each
+// stays.
+var configSeams = map[string]string{
+	"Shards": "one shard forces evacuation and index growth in shard_test.go",
+	"Now":    "the expiry clock, so TTL tests step time instead of sleeping",
+}
+
+// TestCacheConfigIsSet holds memcache.Config to the options' rule: a field
+// stays only while non-test code outside memcache sets it — as a key of a
+// memcache.Config literal, or by assignment to a variable or parameter of that
+// type — or it is a seam listed in configSeams.
+func TestCacheConfigIsSet(t *testing.T) {
+	const cachePkg = "geomds/internal/memcache"
+	files := parseNonTestFiles(t)
+	set := make(map[string]int) // field -> places non-test code sets it
+	for _, f := range files {
+		if f.dir != "internal/memcache" {
+			continue
+		}
+		for _, decl := range f.ast.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok || gen.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				ts := spec.(*ast.TypeSpec)
+				if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name == "Config" {
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							set[name.Name] = 0
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(set) == 0 {
+		t.Fatal("memcache.Config not found")
+	}
+
+	for _, f := range files {
+		local := ""
+		for _, imp := range f.ast.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == cachePkg {
+				local = "memcache"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			continue
+		}
+		isConfig := func(e ast.Expr) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			x, ok := sel.X.(*ast.Ident)
+			return ok && x.Name == local && sel.Sel.Name == "Config"
+		}
+		vars := make(map[string]bool) // names declared as a memcache.Config
+		declare := func(names []*ast.Ident) {
+			for _, name := range names {
+				vars[name.Name] = true
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if isConfig(n.Type) {
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							set[kv.Key.(*ast.Ident).Name]++
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				if isConfig(n.Type) {
+					declare(n.Names)
+				}
+			case *ast.Field:
+				if isConfig(n.Type) {
+					declare(n.Names)
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					switch lhs := lhs.(type) {
+					case *ast.Ident:
+						if cl, ok := n.Rhs[min(i, len(n.Rhs)-1)].(*ast.CompositeLit); ok && isConfig(cl.Type) {
+							vars[lhs.Name] = true
+						}
+					case *ast.SelectorExpr:
+						if x, ok := lhs.X.(*ast.Ident); ok && vars[x.Name] {
+							if _, field := set[lhs.Sel.Name]; field {
+								set[lhs.Sel.Name]++
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var fields []string
+	for field := range set {
+		fields = append(fields, field)
+	}
+	sort.Strings(fields)
+	for _, field := range fields {
+		_, seam := configSeams[field]
+		switch {
+		case set[field] == 0 && !seam:
+			t.Errorf("memcache.Config.%s is set by no non-test code outside memcache: wire it to a caller, list it in configSeams with its reason, or delete it", field)
+		case set[field] > 0 && seam:
+			t.Errorf("memcache.Config.%s is listed in configSeams and set by non-test code: drop it from the list", field)
+		}
+	}
+	for field := range configSeams {
+		if _, ok := set[field]; !ok {
+			t.Errorf("configSeams lists %s, which memcache.Config does not have", field)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
+	"geomds/internal/core"
 	"geomds/internal/experiments"
 	"geomds/internal/memcache"
 	"geomds/internal/registry"
@@ -33,26 +34,21 @@ import (
 
 var benchJSONDir = flag.String("benchjson", "", "write BENCH_<name>.json machine-readable benchmark results into this directory")
 
-// Capacity of one shard's cache: 100µs per operation, two concurrent
-// workers — a scaled-down managed-cache instance, so the benchmark finishes
+// benchShardStore is one shard's cache: 100µs per operation, two concurrent
+// workers — a scaled-down managed-cache instance, so the benchmarks finish
 // quickly while preserving the saturation behaviour.
-const (
-	benchShardServiceTime = 100 * time.Microsecond
-	benchShardConcurrency = 2
-)
+func benchShardStore() registry.Store {
+	return core.CapacityStore(memcache.New(memcache.Config{}), 100*time.Microsecond, 2, time.Sleep, nil)
+}
 
 // newShardedTier builds a one-site registry tier with the given shard count:
 // a plain instance for 1, a Router over per-shard instances otherwise. Every
-// shard gets its own capacity-bounded cache, exactly as site.Build wires
-// it.
+// shard gets its own capacity-bounded cache, as the shards of an emulated
+// site (core.NewFabric over site.Build) do.
 func newShardedTier(b *testing.B, shards int) registry.API {
 	b.Helper()
 	newInst := func() registry.API {
-		return registry.NewInstance(1, memcache.New(memcache.Config{
-			ServiceTime: benchShardServiceTime,
-			Concurrency: benchShardConcurrency,
-			Metrics:     nil,
-		}))
+		return registry.NewInstance(1, benchShardStore())
 	}
 	if shards == 1 {
 		return newInst()

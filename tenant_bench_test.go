@@ -43,7 +43,6 @@ import (
 	"geomds/internal/cloud"
 	"geomds/internal/experiments"
 	"geomds/internal/limits"
-	"geomds/internal/memcache"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
 	"geomds/internal/rpc"
@@ -62,10 +61,7 @@ func runTenantBench(b *testing.B, name string, abuser bool, lcfg *limits.Config)
 	)
 	apis := make([]registry.API, nShards)
 	for i := range apis {
-		apis[i] = registry.NewInstance(1, memcache.New(memcache.Config{
-			ServiceTime: benchShardServiceTime,
-			Concurrency: benchShardConcurrency,
-		}))
+		apis[i] = registry.NewInstance(1, benchShardStore())
 	}
 	tier, err := registry.NewRouter(1, apis, registry.WithRouterMetrics(nil))
 	if err != nil {
