@@ -17,7 +17,7 @@
 //     plus background probe keeps routing away from crashed shards until a
 //     re-sync sweep repairs them — the site serves its whole key range
 //     through the loss of any R-1 shards;
-//   - -data-dir D persists the registry to an append-only write-ahead log
+//   - -data-dir D persists the registry to a write-ahead log
 //     under D (one shard-<i> subdirectory per shard with -shards) and
 //     recovers it on the next start, so acknowledged writes survive a crash.
 //     -fsync picks the log's sync policy: always (every append, the

@@ -221,7 +221,7 @@ func (d *Durable) compactLocked() error {
 
 	// The snapshot is durable; rotate the log onto a fresh segment and drop
 	// everything it supersedes.
-	nf, size, err := createSegment(d.dir, snapSeq+1)
+	nf, err := createSegment(d.dir, snapSeq+1)
 	if err != nil {
 		return err
 	}
@@ -229,7 +229,7 @@ func (d *Durable) compactLocked() error {
 		nf.Close()
 		return fmt.Errorf("store: closing rotated segment: %w", cerr)
 	}
-	d.f, d.size = nf, size
+	d.f, d.size, d.alloc = nf, int64(len(walMagic)), segmentChunk
 	d.sinceSnap = 0
 	d.snapshots++
 	rmGlob(d.dir, "wal-*.log", segmentName(snapSeq+1))

@@ -1,20 +1,21 @@
-// Package store gives a registry shard a durable local state: an append-only
-// write-ahead log of put/delete records plus periodic compacted snapshots,
-// replayed on open so a restarted shard serves its key range from disk
-// instead of leaning on the router's R-way re-sync sweep.
+// Package store gives a registry shard a durable local state: a write-ahead
+// log of put/delete records plus periodic compacted snapshots, replayed on
+// open so a restarted shard serves its key range from disk instead of
+// leaning on the router's R-way re-sync sweep.
 //
-// A Durable wraps any Backing (in practice a *memcache.Cache) and logs every
-// successful mutation before reporting it applied. The on-disk layout of a
-// store directory is
+// A Durable wraps any Backing (in practice a *memcache.Cache) and journals
+// every mutation before applying it. The on-disk layout of a store
+// directory is
 //
-//	wal-<firstseq>.log   append-only segments of length-prefixed, CRC-checked
-//	                     frames (see wal.go for the record format)
+//	wal-<firstseq>.log   segments of length-prefixed, CRC-checked frames,
+//	                     written in place into preallocated zeros (see
+//	                     wal.go for the record format)
 //	snap-<seq>.db        compacted snapshots: the full key/value state as of
 //	                     sequence number <seq> (see snapshot.go)
 //
 // Recovery loads the newest valid snapshot, replays every log record with a
-// higher sequence number, and truncates a torn tail write (a partial frame
-// at the end of the last segment — the signature of a crash mid-append).
+// higher sequence number, and truncates a torn tail write (a frame at the
+// end of the last segment's log that a crash mid-append left incomplete).
 // Corruption anywhere else is refused: a checksum failure in the middle of
 // the log means records after it would be silently lost, so Open fails
 // rather than resurrect a hole.
@@ -144,22 +145,25 @@ type LogStats struct {
 }
 
 // Durable is a Backing whose mutations are journaled to an on-disk WAL
-// before being reported applied, with periodic snapshot compaction. It
-// satisfies Backing itself (and therefore registry.Store), so it drops into
-// an Instance in place of the bare cache.
+// before they are applied, with periodic snapshot compaction. It satisfies
+// Backing itself (and therefore registry.Store), so it drops into an
+// Instance in place of the bare cache.
 //
 // All mutations serialize on one mutex so the log order is exactly the
 // apply order — replay then reconstructs the same final state even for
-// racing writes to one key. Reads go straight to the backing store and
-// never touch the log or its lock.
+// racing writes to one key. A mutation is journaled, then applied, then
+// emitted to the EventSink, and only then may compaction run, so neither a
+// reader nor a snapshot sees a write the log does not hold. Reads go
+// straight to the backing store and never touch the log or its lock.
 type Durable struct {
 	backing Backing
 	dir     string
 	opts    Options
 
 	mu        sync.Mutex
-	f         *os.File // active segment, opened for append
-	size      int64    // bytes in the active segment (tracked, not Seek'd)
+	f         *os.File // active segment
+	size      int64    // where the log in the active segment ends
+	alloc     int64    // bytes the active segment holds: zeros past size
 	seq       uint64   // last logged sequence number
 	recovered uint64   // seq as of Open
 	sinceSnap int      // records logged since the last snapshot
@@ -258,7 +262,8 @@ const (
 )
 
 // EventSink receives every state-changing journaled mutation with its WAL
-// sequence number. It is invoked under the store's mutation mutex, so the
+// sequence number, once the mutation is applied, so a read the event
+// prompts sees it. It is invoked under the store's mutation mutex, so the
 // emission order is exactly the log order; sinks must be fast and must not
 // call back into the store. Deletes of absent keys — journaled for frame
 // batching but changing no state — are suppressed, so sequence numbers seen
@@ -292,6 +297,7 @@ type rec struct {
 // numbers, as one write (and one fsync under FsyncAlways). On failure it
 // rolls the segment and the sequence counter back so the log never holds a
 // half-written batch; if even the rollback fails the store goes fail-stop.
+// On success the caller applies the records and then calls appliedLocked.
 func (d *Durable) appendLocked(recs ...rec) error {
 	if d.closed {
 		return ErrClosed
@@ -305,36 +311,65 @@ func (d *Durable) appendLocked(recs ...rec) error {
 		d.seq++
 		d.buf = appendRecordFrame(d.buf, d.seq, rc.op, rc.key, rc.value)
 	}
-	n, err := d.f.Write(d.buf)
-	if err == nil {
-		d.size += int64(n)
-		if d.opts.fsync == FsyncAlways {
-			if err = d.f.Sync(); err == nil {
-				d.syncs++
-			} else {
-				err = fmt.Errorf("store: syncing wal: %w", err)
-			}
+	err := d.writeLocked(d.buf)
+	if err == nil && d.opts.fsync == FsyncAlways {
+		if err = d.f.Sync(); err == nil {
+			d.syncs++
+		} else {
+			err = fmt.Errorf("store: syncing wal: %w", err)
 		}
-	} else {
-		err = fmt.Errorf("store: appending to wal: %w", err)
 	}
 	if err != nil {
-		// Cut the segment back to the last good frame boundary. If that
-		// works the store stays usable; if not, its tail is unknown and
-		// every further append could land after garbage.
+		// Cut the segment back to the last good frame boundary; the next
+		// append zero-fills from there. If that works the store stays
+		// usable; if not, its tail is unknown and every further append
+		// could land after garbage.
 		if terr := d.f.Truncate(prevSize); terr != nil {
 			d.failed = fmt.Errorf("store: wal unusable after failed append (truncate: %v): %w", terr, err)
 			return d.failed
 		}
-		d.seq, d.size = prevSeq, prevSize
+		d.seq, d.size, d.alloc = prevSeq, prevSize, prevSize
 		return err
 	}
 	d.appends += int64(len(recs))
 	d.sinceSnap += len(recs)
+	return nil
+}
+
+// writeLocked writes frames at the log end, first growing the segment by
+// whole zero chunks until a zero frame header still fits after them, so
+// the write itself never changes the file's size.
+func (d *Durable) writeLocked(frames []byte) error {
+	end := d.size + int64(len(frames))
+	for end+frameHeaderLen > d.alloc {
+		if _, err := d.f.WriteAt(zeroChunk[:], d.alloc); err != nil {
+			return fmt.Errorf("store: growing wal segment: %w", err)
+		}
+		d.alloc += segmentChunk
+	}
+	if _, err := d.f.WriteAt(frames, d.size); err != nil {
+		return fmt.Errorf("store: appending to wal: %w", err)
+	}
+	d.size = end
+	return nil
+}
+
+// appliedLocked finishes records that were journaled and then applied, with
+// the backing store's error. A refusal leaves a record in the log that the
+// store does not serve and replay would apply, so the store goes fail-stop.
+// Otherwise the records are emitted to the sink — after the apply, so a
+// read the event prompts sees them — and compaction runs if due, never
+// between a record's journaling and its apply.
+func (d *Durable) appliedLocked(applyErr error, recs ...rec) error {
+	if applyErr != nil {
+		d.failed = fmt.Errorf("store: wal holds seq %d that the backing store refused: %w", d.seq, applyErr)
+		return d.failed
+	}
 	if d.sink != nil {
-		// Emit under mu, after the batch is durably on disk, so feed order
-		// is exactly log order and no acknowledged write goes unpublished.
-		seq := prevSeq
+		// Emit under mu, after the batch is on disk and applied, so feed
+		// order is exactly log order and no acknowledged write goes
+		// unpublished.
+		seq := d.seq - uint64(len(recs))
 		for _, rc := range recs {
 			seq++
 			if !rc.noEvent {
@@ -352,82 +387,90 @@ func (d *Durable) appendLocked(recs ...rec) error {
 	return nil
 }
 
-// --- Backing implementation: mutations journal, reads delegate. ---
+// --- Backing implementation: mutations journal, then apply; reads delegate. ---
 
-// Put applies the write to the backing store and journals it.
+// Put journals the write and applies it to the backing store.
 func (d *Durable) Put(key string, value []byte, ttl time.Duration) (memcache.Item, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return memcache.Item{}, ErrClosed
+	r := rec{op: opPut, key: key, value: value}
+	if err := d.appendLocked(r); err != nil {
+		return memcache.Item{}, err
 	}
 	it, err := d.backing.Put(key, value, ttl)
-	if err != nil {
-		return it, err
-	}
-	if err := d.appendLocked(rec{op: opPut, key: key, value: value}); err != nil {
-		return it, err
-	}
-	return it, nil
+	return it, d.appliedLocked(err, r)
 }
 
-// CAS applies the conditional write and journals it only when it succeeded;
-// a version conflict leaves no trace in the log.
+// CAS journals and applies the conditional write only when its version
+// check holds; a conflict leaves no trace in the log.
 func (d *Durable) CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return memcache.Item{}, ErrClosed
 	}
+	if !d.versionIs(key, expectedVersion) {
+		// The backing store reports the conflict, and the item it holds.
+		return d.backing.CAS(key, value, ttl, expectedVersion)
+	}
+	r := rec{op: opPut, key: key, value: value}
+	if err := d.appendLocked(r); err != nil {
+		return memcache.Item{}, err
+	}
 	it, err := d.backing.CAS(key, value, ttl, expectedVersion)
-	if err != nil {
-		return it, err
-	}
-	if err := d.appendLocked(rec{op: opPut, key: key, value: value}); err != nil {
-		return it, err
-	}
-	return it, nil
+	return it, d.appliedLocked(err, r)
 }
 
-// Delete removes the key and journals the deletion; a miss is not logged.
+// versionIs reports whether key is stored at version, 0 meaning absent: the
+// check a CAS makes, read under mu before anything is journaled.
+func (d *Durable) versionIs(key string, version uint64) bool {
+	if version == 0 {
+		return !d.backing.Contains(key)
+	}
+	it, err := d.backing.Get(key)
+	return err == nil && it.Version == version
+}
+
+// Delete journals the deletion and removes the key; a miss is not logged.
 func (d *Durable) Delete(key string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if err := d.backing.Delete(key); err != nil {
+	if !d.backing.Contains(key) {
+		return d.backing.Delete(key) // the backing store reports the miss
+	}
+	r := rec{op: opDelete, key: key}
+	if err := d.appendLocked(r); err != nil {
 		return err
 	}
-	return d.appendLocked(rec{op: opDelete, key: key})
+	return d.appliedLocked(d.backing.Delete(key), r)
 }
 
-// PutBatch applies the batch and journals it as one append (one fsync).
+// PutBatch journals the batch as one append (one fsync) and applies it.
 func (d *Durable) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, ErrClosed
 	}
-	items, err := d.backing.PutBatch(kvs)
-	if err != nil {
-		return items, err
-	}
 	if len(kvs) == 0 {
-		return items, nil
+		return d.backing.PutBatch(kvs)
 	}
 	recs := make([]rec, len(kvs))
 	for i, kv := range kvs {
 		recs[i] = rec{op: opPut, key: kv.Key, value: kv.Value, sync: true}
 	}
 	if err := d.appendLocked(recs...); err != nil {
-		return items, err
+		return nil, err
 	}
-	return items, nil
+	items, err := d.backing.PutBatch(kvs)
+	return items, d.appliedLocked(err, recs...)
 }
 
-// DeleteBatch removes the keys and journals every requested deletion as one
-// append. Absent keys are journaled too: replaying a delete of a missing
+// DeleteBatch journals every requested deletion as one append and removes
+// the keys. Absent keys are journaled too: replaying a delete of a missing
 // key is a no-op, and logging the full request keeps the append one frame
 // batch instead of a read-check per key.
 func (d *Durable) DeleteBatch(keys []string) (int, error) {
@@ -435,6 +478,9 @@ func (d *Durable) DeleteBatch(keys []string) (int, error) {
 	defer d.mu.Unlock()
 	if d.closed {
 		return 0, ErrClosed
+	}
+	if len(keys) == 0 {
+		return d.backing.DeleteBatch(keys)
 	}
 	// The sink only reports state changes, so record which keys actually
 	// exist before the batch removes them. Checked under mu, so no mutation
@@ -446,21 +492,15 @@ func (d *Durable) DeleteBatch(keys []string) (int, error) {
 			existed[i] = d.backing.Contains(k)
 		}
 	}
-	n, err := d.backing.DeleteBatch(keys)
-	if err != nil {
-		return n, err
-	}
-	if len(keys) == 0 {
-		return n, nil
-	}
 	recs := make([]rec, len(keys))
 	for i, k := range keys {
 		recs[i] = rec{op: opDelete, key: k, noEvent: existed != nil && !existed[i], sync: true}
 	}
 	if err := d.appendLocked(recs...); err != nil {
-		return n, err
+		return 0, err
 	}
-	return n, nil
+	n, err := d.backing.DeleteBatch(keys)
+	return n, d.appliedLocked(err, recs...)
 }
 
 // Get delegates to the backing store.

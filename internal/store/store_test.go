@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,11 +92,17 @@ func TestDurableRoundTrip(t *testing.T) {
 // case builds a store with a known state, closes it, damages the files the
 // way a specific crash would, and asserts what recovery must do.
 func TestCrashRecovery(t *testing.T) {
-	// Every case starts from the same five acknowledged writes.
-	seed := func(t *testing.T, dir string) {
+	// Every case starts from the same five acknowledged writes, and some
+	// add a last write of their own.
+	seed := func(t *testing.T, dir string, last func(*Durable) error) {
 		d := mustOpen(t, dir)
 		for i := 1; i <= 5; i++ {
 			put(t, d, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+		}
+		if last != nil {
+			if err := last(d); err != nil {
+				t.Fatalf("last write: %v", err)
+			}
 		}
 		if err := d.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -103,9 +110,23 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	full := map[string]string{"k1": "v1", "k2": "v2", "k3": "v3", "k4": "v4", "k5": "v5"}
 	allButLast := map[string]string{"k1": "v1", "k2": "v2", "k3": "v3", "k4": "v4"}
+	bigPut := func(d *Durable) error {
+		_, err := d.Put("big", bytes.Repeat([]byte("b"), 4096), 0)
+		return err
+	}
+	// A batch that spans several pages, whose first frame holds a sector.
+	bigBatch := func(d *Durable) error {
+		kvs := []memcache.KV{{Key: "big", Value: bytes.Repeat([]byte("b"), 4096)}}
+		for i := 0; i < 64; i++ {
+			kvs = append(kvs, memcache.KV{Key: fmt.Sprintf("batch%d", i), Value: bytes.Repeat([]byte("v"), 200)})
+		}
+		_, err := d.PutBatch(kvs)
+		return err
+	}
 
 	cases := []struct {
 		name    string
+		last    func(*Durable) error // an extra write after the five, or nil
 		damage  func(t *testing.T, dir string)
 		want    map[string]string // nil means Open must fail with ErrCorrupt
 		torn    int64
@@ -133,12 +154,77 @@ func TestCrashRecovery(t *testing.T) {
 			name: "corrupt_tail_checksum",
 			damage: func(t *testing.T, dir string) {
 				// Bit rot (or a lost sector) inside the final frame: the frame
-				// is complete but its checksum fails. At EOF that is
-				// indistinguishable from a torn write, so it is truncated.
-				flipByteInLastFrame(t, activeSegment(t, dir))
+				// is complete but its checksum fails. With nothing but zeros
+				// after it that is indistinguishable from a torn write, so it
+				// is truncated.
+				flipByteInFrame(t, activeSegment(t, dir), -1)
 			},
 			want: allButLast,
 			torn: 1,
+		},
+		{
+			name: "corrupt_tail_checksum_then_bytes",
+			damage: func(t *testing.T, dir string) {
+				// The same flip, but with non-zero bytes after the frame: no
+				// append leaves that, so it is damage, not a torn write.
+				flipByteInFrame(t, activeSegment(t, dir), -1)
+				rewrite(t, activeSegment(t, dir), func(data []byte, _ []int, end int) []byte {
+					copy(data[end:], bytes.Repeat([]byte{0xA5}, 16))
+					return data
+				})
+			},
+			want: nil,
+		},
+		{
+			name: "zeroed_sector_in_last_frame",
+			last: bigPut,
+			damage: func(t *testing.T, dir string) {
+				// A power loss kept one sector of the last append, a large
+				// value, from the disk.
+				zeroSectorInFrame(t, activeSegment(t, dir), -1)
+			},
+			want: full,
+			torn: 1,
+		},
+		{
+			name: "zeroed_sector_mid_batch",
+			last: bigBatch,
+			damage: func(t *testing.T, dir string) {
+				// The same inside the first frame of a batch whose later
+				// frames did reach the disk: the frame covering a zeroed
+				// sector marks a torn append, not damage.
+				zeroSectorInFrame(t, activeSegment(t, dir), 5)
+			},
+			want: full,
+			torn: 1,
+		},
+		{
+			name: "batch_first_page_zeroed",
+			last: bigBatch,
+			damage: func(t *testing.T, dir string) {
+				// The batch's first page never reached the disk, its later
+				// ones did: its first length word reads 0, which ends the log
+				// before the batch.
+				rewrite(t, activeSegment(t, dir), func(data []byte, offs []int, _ int) []byte {
+					from := offs[5]
+					clear(data[from : (from+frameHeaderLen+4095)&^4095])
+					return data
+				})
+			},
+			want: full,
+		},
+		{
+			name: "append_only_layout",
+			damage: func(t *testing.T, dir string) {
+				// A segment with no zero tail, as releases that appended to
+				// a growing file wrote it: it opens, and is appended to.
+				path := activeSegment(t, dir)
+				_, end := frameOffsets(t, path)
+				if err := os.Truncate(path, int64(end)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: full,
 		},
 		{
 			name: "corrupt_middle_record",
@@ -197,7 +283,7 @@ func TestCrashRecovery(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			seed(t, dir)
+			seed(t, dir, tc.last)
 			tc.damage(t, dir)
 
 			d, err := Open(dir, newBacking())
@@ -216,6 +302,16 @@ func TestCrashRecovery(t *testing.T) {
 			}
 			defer d.Close()
 			wantState(t, d, tc.want)
+			// Open cut the active segment to its log end (or started a
+			// fresh one), so no byte of a torn append is left behind it.
+			seg := activeSegment(t, dir)
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, end := frameOffsets(t, seg); fi.Size() != int64(end) && (end != len(walMagic) || fi.Size() != segmentChunk) {
+				t.Errorf("after Open the active segment is %d bytes, its log ends at %d", fi.Size(), end)
+			}
 			st := d.LogStats()
 			if st.TornTails != tc.torn {
 				t.Errorf("TornTails = %d, want %d", st.TornTails, tc.torn)
@@ -225,7 +321,8 @@ func TestCrashRecovery(t *testing.T) {
 			}
 
 			// The store must accept new writes after recovery and survive
-			// another clean restart — the torn tail is gone for good.
+			// another clean restart — the torn tail is gone for good, not
+			// skipped again.
 			put(t, d, "post", "recovery")
 			if err := d.Close(); err != nil {
 				t.Fatalf("Close after recovery: %v", err)
@@ -238,6 +335,9 @@ func TestCrashRecovery(t *testing.T) {
 			}
 			want["post"] = "recovery"
 			wantState(t, r, want)
+			if st := r.LogStats(); st.TornTails != 0 {
+				t.Errorf("reopen after recovery: TornTails = %d, want 0", st.TornTails)
+			}
 		})
 	}
 }
@@ -411,6 +511,69 @@ func TestFailedMutationsNotLogged(t *testing.T) {
 	}
 }
 
+// TestFailedAppendChangesNothing: a mutation the log could not take returns
+// an error and is neither served, nor emitted, nor recovered — the log comes
+// first, so the store never applies a write it does not hold.
+func TestFailedAppendChangesNothing(t *testing.T) {
+	mutations := []struct {
+		name string
+		fn   func(d *Durable) error
+	}{
+		{"Put", func(d *Durable) error { _, err := d.Put("a", []byte("new"), 0); return err }},
+		{"CAS", func(d *Durable) error { _, err := d.CAS("a", []byte("new"), 0, 1); return err }}, // a's first version
+		{"Delete", func(d *Durable) error { return d.Delete("a") }},
+		{"PutBatch", func(d *Durable) error {
+			_, err := d.PutBatch([]memcache.KV{{Key: "a", Value: []byte("new")}, {Key: "c", Value: []byte("3")}})
+			return err
+		}},
+		{"DeleteBatch", func(d *Durable) error { _, err := d.DeleteBatch([]string{"a", "b"}); return err }},
+	}
+	before := map[string]string{"a": "1", "b": "2"}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := mustOpen(t, dir)
+			put(t, d, "a", "1")
+			put(t, d, "b", "2")
+			var events int
+			d.SetEventSink(func(uint64, byte, string, []byte, bool) { events++ })
+
+			// Swap the segment for a read-only handle: every write to it
+			// fails, as on a full or failing disk.
+			ro, err := os.Open(activeSegment(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.mu.Lock()
+			rw := d.f
+			d.f = ro
+			d.mu.Unlock()
+			rw.Close()
+
+			err = m.fn(d)
+			if err == nil {
+				t.Fatalf("%s succeeded with an unwritable log", m.name)
+			}
+			if errors.Is(err, memcache.ErrVersionConflict) || errors.Is(err, memcache.ErrNotFound) {
+				t.Fatalf("%s failed its precondition (%v), not at the log", m.name, err)
+			}
+			wantState(t, d, before)
+			if d.Contains("c") {
+				t.Error(`Contains("c") after the failed write`)
+			}
+			if events != 0 {
+				t.Errorf("the sink saw %d events of a failed write", events)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r := mustOpen(t, dir)
+			defer r.Close()
+			wantState(t, r, before)
+		})
+	}
+}
+
 // TestDeleteBatchReplaysAbsentKeys: bulk deletes journal every requested
 // key, including absent ones, and replaying those extra deletes is a no-op.
 func TestDeleteBatchReplaysAbsentKeys(t *testing.T) {
@@ -454,52 +617,82 @@ func TestFsyncPolicySet(t *testing.T) {
 
 // --- file-surgery helpers -------------------------------------------------
 
-// frameOffsets returns the byte offset of every frame in a segment file.
-func frameOffsets(t *testing.T, path string) []int {
+// frameOffsets returns the byte offset of every frame in a segment file and
+// the offset where its log ends: EOF or the first zero length word.
+func frameOffsets(t *testing.T, path string) (offs []int, end int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var offs []int
 	off := len(walMagic)
-	for off < len(data) {
+	for off < len(data) && !(off+4 <= len(data) && binary.BigEndian.Uint32(data[off:]) == 0) {
 		if off+frameHeaderLen > len(data) {
 			t.Fatalf("segment %s already torn at %d", path, off)
 		}
 		offs = append(offs, off)
 		off += frameHeaderLen + int(binary.BigEndian.Uint32(data[off:]))
 	}
-	return offs
+	return offs, off
 }
 
 // truncateLastFrame cuts the file so only keep bytes of its last frame
 // survive.
 func truncateLastFrame(t *testing.T, path string, keep int) {
 	t.Helper()
-	offs := frameOffsets(t, path)
+	offs, _ := frameOffsets(t, path)
 	if err := os.Truncate(path, int64(offs[len(offs)-1]+keep)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// flipByteInFrame corrupts one payload byte of the idx'th frame.
-func flipByteInFrame(t *testing.T, path string, idx int) {
+// rewrite applies fn to the bytes of the file at path, given its frame
+// offsets and log end.
+func rewrite(t *testing.T, path string, fn func(data []byte, offs []int, end int) []byte) {
 	t.Helper()
-	offs := frameOffsets(t, path)
+	offs, end := frameOffsets(t, path)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[offs[idx]+frameHeaderLen] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, fn(data, offs, end), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func flipByteInLastFrame(t *testing.T, path string) {
+// flipByteInFrame corrupts one payload byte of the idx'th frame; a negative
+// idx counts from the last frame.
+func flipByteInFrame(t *testing.T, path string, idx int) {
 	t.Helper()
-	flipByteInFrame(t, path, len(frameOffsets(t, path))-1)
+	rewrite(t, path, func(data []byte, offs []int, _ int) []byte {
+		if idx < 0 {
+			idx += len(offs)
+		}
+		data[offs[idx]+frameHeaderLen] ^= 0xFF
+		return data
+	})
+}
+
+// zeroSectorInFrame zeroes the first whole file-aligned sector inside the
+// payload of the idx'th frame (negative counts from the last), as a power
+// loss that kept that sector of an append from the disk would.
+func zeroSectorInFrame(t *testing.T, path string, idx int) {
+	t.Helper()
+	rewrite(t, path, func(data []byte, offs []int, end int) []byte {
+		if idx < 0 {
+			idx += len(offs)
+		}
+		frameEnd := end
+		if idx+1 < len(offs) {
+			frameEnd = offs[idx+1]
+		}
+		s := (offs[idx] + frameHeaderLen + sectorSize - 1) &^ (sectorSize - 1)
+		if s+sectorSize > frameEnd {
+			t.Fatalf("frame %d [%d, %d) covers no whole sector", idx, offs[idx], frameEnd)
+		}
+		clear(data[s : s+sectorSize])
+		return data
+	})
 }
 
 // writeTruncatedSnapshot writes a snapshot that begins validly but is cut
@@ -525,19 +718,12 @@ func writeTruncatedSnapshot(t *testing.T, dir string, seq uint64) {
 // both sides — a sequence gap.
 func removeFrame(t *testing.T, path string, idx int) {
 	t.Helper()
-	offs := frameOffsets(t, path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := len(data)
-	if idx+1 < len(offs) {
-		end = offs[idx+1]
-	}
-	out := append(append([]byte(nil), data[:offs[idx]]...), data[end:]...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewrite(t, path, func(data []byte, offs []int, end int) []byte {
+		if idx+1 < len(offs) {
+			end = offs[idx+1]
+		}
+		return append(data[:offs[idx]:offs[idx]], data[end:]...)
+	})
 }
 
 // sinkEvent is one EventSink invocation.

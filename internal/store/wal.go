@@ -25,6 +25,26 @@ import (
 // from 1 across the store's lifetime; segment file names carry the first
 // sequence number they may contain (wal-<first, hex>.log), so recovery
 // replays segments in name order.
+//
+// Frames are written in place, into zeros the segment already holds: a
+// segment is created as the magic plus zeros up to segmentChunk, and grows
+// by whole zero chunks before an append would leave less than a frame
+// header of zeros after it. An fsync then commits the appended bytes and
+// no new file size. Segments written append-only, with no zero tail, read
+// the same way.
+//
+// The log in a segment ends at EOF or at the first length word of 0, where
+// the zero tail begins. In the last segment a frame that fails is a torn
+// append, truncated away by Open, when
+//   - it runs past EOF, or
+//   - its checksum fails and nothing but zeros follows it, or it covers a
+//     whole file-aligned sector of zeros (an append a power loss cut short
+//     before every sector reached the disk).
+//
+// Any other failure, and any failure in an earlier segment, is ErrCorrupt:
+// a checksum failure with intact, non-zero bytes after it would drop
+// acknowledged records. The rule assumes a sector that was synced is never
+// read back as all zeros.
 
 const (
 	walMagic = "GMDSWAL1"
@@ -32,9 +52,19 @@ const (
 	opDelete = byte(2)
 
 	frameHeaderLen = 8 // u32 length + u32 crc
+
+	// segmentChunk is the unit of zeros a segment is created with and
+	// grows by.
+	segmentChunk = 256 << 10
+	// sectorSize is the write unit the torn-append rule assumes a power
+	// loss can leave unwritten.
+	sectorSize = 512
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// zeroChunk is what a segment grows by; it is never written to.
+var zeroChunk [segmentChunk]byte
 
 // appendRecordFrame appends one framed record to buf and returns the
 // extended slice.
@@ -89,13 +119,14 @@ func parseRecord(payload []byte) (walEntry, error) {
 	return e, nil
 }
 
-// readSegment decodes every frame of one segment file. final marks the last
-// (newest) segment, where a bad tail is the signature of a crash mid-append
-// and is tolerated: the function reports torn=true and validLen, the byte
-// offset the caller should truncate the file to. In any other position —
-// or anywhere in a non-final segment — damage means later records would be
-// silently dropped, so the error wraps ErrCorrupt instead.
-func readSegment(path string, final bool) (entries []walEntry, validLen int64, torn bool, err error) {
+// readSegment decodes the frames of one segment file and returns them with
+// logEnd, the offset where the segment's log ends. final marks the last
+// (newest) segment, where a frame that fails the way a crash mid-append
+// leaves it is tolerated: the function reports torn=true and logEnd is that
+// frame's offset. Any other damage — or any damage in a non-final segment —
+// means later records would be silently dropped, so the error wraps
+// ErrCorrupt instead. The rules are in the format comment above.
+func readSegment(path string, final bool) (entries []walEntry, logEnd int64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("store: reading segment %s: %w", path, err)
@@ -103,7 +134,7 @@ func readSegment(path string, final bool) (entries []walEntry, validLen int64, t
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != string(walMagic) {
 		if final {
 			// Crash while the segment itself was being created: nothing in
-			// it can be valid. validLen < header tells the caller to drop
+			// it can be valid. logEnd < header tells the caller to drop
 			// the file entirely.
 			return nil, 0, true, nil
 		}
@@ -111,6 +142,9 @@ func readSegment(path string, final bool) (entries []walEntry, validLen int64, t
 	}
 	off := len(walMagic)
 	for off < len(data) {
+		if off+4 <= len(data) && binary.BigEndian.Uint32(data[off:]) == 0 {
+			break // the zero tail: space no append has reached
+		}
 		frameStart := off
 		tornHere := func() ([]walEntry, int64, bool, error) {
 			if final {
@@ -129,8 +163,8 @@ func readSegment(path string, final bool) (entries []walEntry, validLen int64, t
 		}
 		payload := data[off+frameHeaderLen : end]
 		if crc32.Checksum(payload, castagnoli) != crc {
-			if final && end == len(data) {
-				return tornHere() // checksum hole in the very last frame: torn write
+			if allZero(data[end:]) || coversZeroSector(data, off, end) {
+				return tornHere()
 			}
 			return nil, 0, false, fmt.Errorf("store: segment %s checksum mismatch at offset %d: %w", path, frameStart, ErrCorrupt)
 		}
@@ -142,6 +176,26 @@ func readSegment(path string, final bool) (entries []walEntry, validLen int64, t
 		off = end
 	}
 	return entries, int64(off), false, nil
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// coversZeroSector reports whether data[start:end] contains a whole
+// file-aligned sector of zeros.
+func coversZeroSector(data []byte, start, end int) bool {
+	for s := (start + sectorSize - 1) &^ (sectorSize - 1); s+sectorSize <= end; s += sectorSize {
+		if allZero(data[s : s+sectorSize]) {
+			return true
+		}
+	}
+	return false
 }
 
 // segment is one discovered WAL segment file.
@@ -171,26 +225,31 @@ func listSegments(dir string) ([]segment, error) {
 func segmentName(first uint64) string { return fmt.Sprintf("wal-%016x.log", first) }
 
 // createSegment creates a fresh segment whose first record will carry the
-// given sequence number, writes the magic and makes the creation durable.
-func createSegment(dir string, first uint64) (*os.File, int64, error) {
+// given sequence number: the magic plus zeros up to segmentChunk, made
+// durable with the creation. The log in it ends after the magic.
+func createSegment(dir string, first uint64) (*os.File, error) {
 	path := filepath.Join(dir, segmentName(first))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: creating segment: %w", err)
+		return nil, fmt.Errorf("store: creating segment: %w", err)
 	}
 	if _, err := f.WriteString(walMagic); err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("store: writing segment magic: %w", err)
+		return nil, fmt.Errorf("store: writing segment magic: %w", err)
+	}
+	if _, err := f.WriteAt(zeroChunk[len(walMagic):], int64(len(walMagic))); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: zero-filling segment: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("store: syncing new segment: %w", err)
+		return nil, fmt.Errorf("store: syncing new segment: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("store: syncing directory: %w", err)
+		return nil, fmt.Errorf("store: syncing directory: %w", err)
 	}
-	return f, int64(len(walMagic)), nil
+	return f, nil
 }
 
 // recover rebuilds the backing store: newest valid snapshot first, then a
@@ -207,22 +266,23 @@ func (d *Durable) recover() error {
 		return fmt.Errorf("store: listing segments: %w", err)
 	}
 	last := base
+	var activeEnd int64 // log end of the newest segment kept
 	for idx, seg := range segs {
 		final := idx == len(segs)-1
-		entries, validLen, torn, err := readSegment(seg.path, final)
+		entries, logEnd, torn, err := readSegment(seg.path, final)
 		if err != nil {
 			return err
 		}
 		if torn {
 			d.tornTails++
-			if validLen < int64(len(walMagic)) {
-				if err := os.Remove(seg.path); err != nil {
-					return fmt.Errorf("store: dropping torn segment %s: %w", seg.path, err)
-				}
-				segs = segs[:idx]
-			} else if err := os.Truncate(seg.path, validLen); err != nil {
-				return fmt.Errorf("store: truncating torn tail of %s: %w", seg.path, err)
+		}
+		if logEnd < int64(len(walMagic)) {
+			if err := os.Remove(seg.path); err != nil {
+				return fmt.Errorf("store: dropping torn segment %s: %w", seg.path, err)
 			}
+			segs = segs[:idx]
+		} else {
+			activeEnd = logEnd
 		}
 		for _, e := range entries {
 			if e.seq <= base {
@@ -248,23 +308,25 @@ func (d *Durable) recover() error {
 	d.sinceSnap = int(last - base)
 
 	if len(segs) > 0 {
+		// Cut the active segment to its log end: the bytes of a torn append
+		// go with its zero tail, and the first append re-extends it with
+		// zeros, so nothing of the torn append can sit after a new record.
 		active := segs[len(segs)-1]
-		f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(active.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return fmt.Errorf("store: opening active segment: %w", err)
 		}
-		st, err := f.Stat()
-		if err != nil {
+		if err := f.Truncate(activeEnd); err != nil {
 			f.Close()
-			return fmt.Errorf("store: sizing active segment: %w", err)
+			return fmt.Errorf("store: truncating %s to its log end: %w", active.path, err)
 		}
-		d.f, d.size = f, st.Size()
+		d.f, d.size, d.alloc = f, activeEnd, activeEnd
 		return nil
 	}
-	f, size, err := createSegment(d.dir, last+1)
+	f, err := createSegment(d.dir, last+1)
 	if err != nil {
 		return err
 	}
-	d.f, d.size = f, size
+	d.f, d.size, d.alloc = f, int64(len(walMagic)), segmentChunk
 	return nil
 }
