@@ -40,16 +40,6 @@ type Placer interface {
 	Sites() []cloud.SiteID
 }
 
-// DynamicPlacer is a Placer whose membership can change at run time
-// (datacenters joining or leaving the deployment).
-type DynamicPlacer interface {
-	Placer
-	// Add registers a site as a placement target.
-	Add(site cloud.SiteID)
-	// Remove withdraws a site from placement.
-	Remove(site cloud.SiteID)
-}
-
 // Hash64 returns the FNV-1a 64-bit hash of the key. All placers derive their
 // decisions from this value so that placements are stable across processes.
 func Hash64(key string) uint64 {
@@ -115,7 +105,8 @@ func (p *ModuloPlacer) Sites() []cloud.SiteID {
 	return out
 }
 
-// Add implements DynamicPlacer. Adding a site twice is a no-op.
+// Add registers a site as a placement target. Adding a site twice is a
+// no-op.
 func (p *ModuloPlacer) Add(site cloud.SiteID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -128,7 +119,8 @@ func (p *ModuloPlacer) Add(site cloud.SiteID) {
 	sort.Slice(p.sites, func(i, j int) bool { return p.sites[i] < p.sites[j] })
 }
 
-// Remove implements DynamicPlacer. Removing an absent site is a no-op.
+// Remove withdraws a site from placement. Removing an absent site is a
+// no-op.
 func (p *ModuloPlacer) Remove(site cloud.SiteID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -233,7 +225,8 @@ func (p *RingPlacer) Sites() []cloud.SiteID {
 	return out
 }
 
-// Add implements DynamicPlacer.
+// Add registers a site as a placement target, with its virtual nodes.
+// Adding a site twice is a no-op.
 func (p *RingPlacer) Add(site cloud.SiteID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -248,7 +241,8 @@ func (p *RingPlacer) Add(site cloud.SiteID) {
 	sort.Slice(p.ring, func(i, j int) bool { return p.ring[i].hash < p.ring[j].hash })
 }
 
-// Remove implements DynamicPlacer.
+// Remove withdraws a site and its virtual nodes from placement. Removing an
+// absent site is a no-op.
 func (p *RingPlacer) Remove(site cloud.SiteID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

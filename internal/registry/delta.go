@@ -36,19 +36,16 @@ import (
 // The repair runs under the sweep flag the recovery raised (preRecover), so
 // reads keep their full fallback protection until the shard is whole. If
 // the delta cannot be trusted — the shard lost log suffix, a force-noted
-// deletion is outstanding, a membership sweep is concurrently reshuffling
-// entries, or the shard does not report recovery at all — the router falls
-// back to the full sweep, which remains the universal converger.
+// deletion is outstanding, another recovery's sweep is running concurrently,
+// or the shard does not report recovery at all — the router falls back to
+// the full sweep, which remains the universal converger.
 
 // recordDownSeq is the health tracker's onDown hook: it samples and stores
 // the shard's durable sequence number at the moment its breaker opens.
 // Memory-only and remote (rpc.Client) shards record nothing and later take
 // the full-sweep path.
 func (r *Router) recordDownSeq(id cloud.SiteID) {
-	r.mu.RLock()
-	api := r.shards[id]
-	r.mu.RUnlock()
-	rec, ok := api.(Recoverable)
+	rec, ok := r.shards[id].(Recoverable)
 	if !ok {
 		return
 	}
@@ -103,17 +100,14 @@ func (r *Router) noteWritten(names ...string) {
 // have recorded a durable mark when it went down and report at least that
 // mark now (anything lower means log suffix was lost); no force-noted
 // deletion may be outstanding (a replica holds a stale copy the notes no
-// longer bound to this outage); and no membership sweep may be reshuffling
-// entries concurrently (sweeping == 1 is the recovery's own flag) — the
-// delta says nothing about entries whose home set is changing under it.
+// longer bound to this outage); and no other sweep may be running
+// (sweeping == 1 is this recovery's own flag) — when two shards recover at
+// once, the other's sweep moves entries the delta knows nothing about.
 func (r *Router) deltaEligible(id cloud.SiteID, seqDown uint64) bool {
 	if r.staleNotes.Load() || r.sweeping.Load() != 1 {
 		return false
 	}
-	r.mu.RLock()
-	api := r.shards[id]
-	r.mu.RUnlock()
-	rec, ok := api.(Recoverable)
+	rec, ok := r.shards[id].(Recoverable)
 	if !ok {
 		return false
 	}
@@ -126,9 +120,7 @@ func (r *Router) deltaEligible(id cloud.SiteID, seqDown uint64) bool {
 // spawnSweep does; if the retry budget runs out the full sweep takes over —
 // the shard must not re-enter service half-repaired.
 func (r *Router) spawnDeltaRepair(victim cloud.SiteID) {
-	r.sweeps.Add(1)
 	go func() {
-		defer r.sweeps.Done()
 		defer r.sweepEnd()
 		for attempt := 0; ; attempt++ {
 			err := r.deltaRepair(context.Background(), victim)
@@ -154,13 +146,7 @@ func (r *Router) spawnDeltaRepair(victim cloud.SiteID) {
 // idempotent — every step is a Merge or DeleteMany — so a retried or even
 // doubly-run repair converges to the same state.
 func (r *Router) deltaRepair(ctx context.Context, victim cloud.SiteID) error {
-	r.mu.RLock()
-	vapi, ok := r.shards[victim]
-	r.mu.RUnlock()
-	if !ok {
-		return nil // detached while recovering; nothing to repair
-	}
-
+	vapi := r.shards[victim]
 	r.delMu.Lock()
 	written := make([]string, 0, len(r.wroteDuringOutage))
 	for name := range r.wroteDuringOutage {
@@ -195,10 +181,7 @@ func (r *Router) deltaRepair(ctx context.Context, victim cloud.SiteID) error {
 		if r.hasDeletionNote(name) {
 			continue
 		}
-		refs, err := r.replicaSet(name)
-		if err != nil {
-			continue // no healthy home: the full-sweep backstop handles it
-		}
+		refs := r.replicaSet(name)
 		homed := false
 		var src *shardRef
 		for i := range refs {
@@ -253,13 +236,13 @@ func (r *Router) deltaRepair(ctx context.Context, victim cloud.SiteID) error {
 			names []string
 		}
 		offHome := make(map[cloud.SiteID]*purgeBatch)
-		r.mu.RLock()
 		for _, name := range written {
 			homes := make(map[cloud.SiteID]bool, r.rep)
-			for _, id := range r.replicaIDsLocked(name) {
+			for _, id := range r.replicaIDs(name) {
 				homes[id] = true
 			}
-			for id, api := range r.shards {
+			for i, api := range r.shards {
+				id := cloud.SiteID(i)
 				if homes[id] {
 					continue
 				}
@@ -271,7 +254,6 @@ func (r *Router) deltaRepair(ctx context.Context, victim cloud.SiteID) error {
 				g.names = append(g.names, name)
 			}
 		}
-		r.mu.RUnlock()
 		for id, g := range offHome {
 			if _, err := g.api.DeleteMany(ctx, g.names); err != nil {
 				r.report(id, err) // best-effort hygiene; the next sweep converges

@@ -27,12 +27,10 @@ import (
 // A Router whose shards all expose feeds relays them into one combined,
 // re-sequenced feed: per-shard order is preserved, events are tagged with
 // their origin shard, and commit timestamps pass through so replication lag
-// measured downstream spans the whole pipeline. Because migration sweeps
-// move entries with ordinary Merge/DeleteMany calls on the shard stores, a
-// membership change surfaces in the combined feed as put events at a key's
-// new home shard followed by delete events at its old home — a watch keeps
-// seeing the key across AddShard/RemoveShard instead of silently losing it
-// (see TestRouterFeedAcrossRebalance for the rule).
+// measured downstream spans the whole pipeline. Because re-sync sweeps
+// repair shards with ordinary Merge/DeleteMany calls on the shard stores, a
+// recovery surfaces in the combined feed as put events at the returning
+// shard followed by delete events at the substitutes that covered for it.
 
 // ChangeFeeder is implemented by registry deployments that expose a change
 // feed: *Instance (with WithChangeFeed) and *Router (when every shard
@@ -239,19 +237,19 @@ type relayTap struct {
 	relayed atomic.Uint64
 }
 
-// initRelay enables the router's combined feed when every initial shard
-// exposes one. Called from NewRouter before the router is shared.
-func (r *Router) initRelay(shards map[cloud.SiteID]API) {
-	for _, api := range shards {
-		f, ok := api.(ChangeFeeder)
-		if !ok || f.ChangeFeed() == nil {
+// initRelay enables the router's combined feed when every shard exposes one,
+// starting one pump per shard. Called from NewRouter before the router is
+// shared.
+func (r *Router) initRelay() {
+	for _, api := range r.shards {
+		if f, ok := api.(ChangeFeeder); !ok || f.ChangeFeed() == nil {
 			return
 		}
 	}
 	r.relay = feed.NewLog()
-	r.taps = make(map[cloud.SiteID]*relayTap, len(shards))
-	for id, api := range shards {
-		r.startTap(id, api)
+	r.taps = make([]*relayTap, len(r.shards))
+	for i, api := range r.shards {
+		r.taps[i] = r.startTap(cloud.SiteID(i), api.(ChangeFeeder))
 	}
 }
 
@@ -271,14 +269,10 @@ func (r *Router) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, error)
 	head := r.relay.Seq()
 	seen := make(map[string]bool)
 	var events []feed.Event
-	for id, api := range r.reachableShards() {
-		f, ok := api.(ChangeFeeder)
-		if !ok {
-			continue
-		}
-		shardEvents, _, err := f.FeedSnapshot(ctx)
+	for _, ref := range r.reachableShards() {
+		shardEvents, _, err := r.taps[ref.id].feeder.FeedSnapshot(ctx)
 		if err != nil {
-			return nil, 0, fmt.Errorf("registry: snapshotting shard %d: %w", id, err)
+			return nil, 0, fmt.Errorf("registry: snapshotting shard %d: %w", ref.id, err)
 		}
 		for _, ev := range shardEvents {
 			if seen[ev.Name] {
@@ -286,7 +280,7 @@ func (r *Router) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, error)
 			}
 			seen[ev.Name] = true
 			ev.Seq = head
-			ev.Origin = fmt.Sprintf("shard-%d", id)
+			ev.Origin = fmt.Sprintf("shard-%d", ref.id)
 			events = append(events, ev)
 		}
 	}
@@ -301,21 +295,15 @@ func (r *Router) FeedBarrier(ctx context.Context) (uint64, error) {
 	if r.relay == nil {
 		return 0, fmt.Errorf("registry: router for site %d has no change feed", r.site)
 	}
-	r.tapMu.Lock()
-	taps := make([]*relayTap, 0, len(r.taps))
 	for _, tap := range r.taps {
-		taps = append(taps, tap)
-	}
-	r.tapMu.Unlock()
-	for _, tap := range taps {
 		target := tap.feeder.ChangeFeed().Seq()
 		for tap.relayed.Load() < target {
 			select {
 			case <-ctx.Done():
 				return 0, ctx.Err()
 			case <-tap.done:
-				// Pump torn down (shard removed mid-barrier): whatever it
-				// relayed is all the relay will ever carry from it.
+				// Pump torn down (the router closed mid-barrier): whatever
+				// it relayed is all the relay will ever carry from it.
 				target = 0
 			case <-time.After(200 * time.Microsecond):
 			}
@@ -328,11 +316,7 @@ func (r *Router) FeedBarrier(ctx context.Context) (uint64, error) {
 // single-source Combiner, so a shard that restarts (durable recovery) or
 // drops the subscription is resubscribed automatically, falling back to a
 // state snapshot when its cursor compacted away.
-func (r *Router) startTap(id cloud.SiteID, api API) {
-	feeder, ok := api.(ChangeFeeder)
-	if !ok || r.relay == nil {
-		return
-	}
+func (r *Router) startTap(id cloud.SiteID, feeder ChangeFeeder) *relayTap {
 	label := fmt.Sprintf("shard-%d", id)
 	comb := feed.NewCombiner([]feed.Source{FeedSource(label, feeder)})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -352,39 +336,19 @@ func (r *Router) startTap(id cloud.SiteID, api API) {
 			tap.relayed.Store(ev.Seq)
 		}
 	}()
-	r.tapMu.Lock()
-	r.taps[id] = tap
-	r.tapMu.Unlock()
+	return tap
 }
 
-// stopTap tears one shard's relay pump down, draining its pending events
-// into the relay first. Idempotent.
-func (r *Router) stopTap(id cloud.SiteID) {
-	r.tapMu.Lock()
-	tap := r.taps[id]
-	delete(r.taps, id)
-	r.tapMu.Unlock()
-	if tap == nil {
-		return
-	}
-	tap.cancel()
-	tap.comb.Close()
-	<-tap.done
-}
-
-// closeRelay stops every tap and closes the combined feed. Idempotent.
+// closeRelay stops every pump, draining its pending events into the relay
+// first, then closes the combined feed. Idempotent.
 func (r *Router) closeRelay() {
 	if r.relay == nil {
 		return
 	}
-	r.tapMu.Lock()
-	ids := make([]cloud.SiteID, 0, len(r.taps))
-	for id := range r.taps {
-		ids = append(ids, id)
-	}
-	r.tapMu.Unlock()
-	for _, id := range ids {
-		r.stopTap(id)
+	for _, tap := range r.taps {
+		tap.cancel()
+		tap.comb.Close()
+		<-tap.done
 	}
 	r.relay.Close()
 }

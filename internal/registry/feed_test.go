@@ -194,77 +194,6 @@ func TestRouterWithoutFeedingShardsHasNoRelay(t *testing.T) {
 	}
 }
 
-// TestRouterFeedAcrossRebalance pins the migration rule: a watch on the
-// tier's combined feed keeps seeing a key across AddShard — the sweep
-// surfaces as a put event originated at the key's new home shard plus a
-// delete event originated at its old home — instead of the subscription
-// being dropped or the key silently vanishing.
-func TestRouterFeedAcrossRebalance(t *testing.T) {
-	ctx := context.Background()
-	r, _ := newFeedRouter(t, 2)
-	defer r.Close()
-	sub, err := r.ChangeFeed().Subscribe(0, feed.WithBuffer(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	const n = 32
-	oldHome := make(map[string]cloud.SiteID, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("feed/key/%d", i)
-		if _, err := r.Create(ctx, testEntry(name)); err != nil {
-			t.Fatal(err)
-		}
-		oldHome[name] = r.Home(name)
-	}
-	collectFeed(t, sub, n) // the creates themselves
-
-	id := r.AddShard(NewInstance(7, memcache.New(memcache.Config{}), WithChangeFeed()))
-	r.Wait()
-
-	var moved []string
-	for name, old := range oldHome {
-		if r.Home(name) == id && old != id {
-			moved = append(moved, name)
-		}
-	}
-	if len(moved) == 0 {
-		t.Fatal("consistent-hash ring moved no keys to the new shard")
-	}
-	// The sweep's migration events: put at the new home, delete at the old.
-	type pair struct{ put, del bool }
-	seen := make(map[string]*pair, len(moved))
-	for _, name := range moved {
-		seen[name] = &pair{}
-	}
-	newLabel := fmt.Sprintf("shard-%d", id)
-	deadline := time.After(10 * time.Second)
-	for done := 0; done < len(moved); {
-		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				t.Fatalf("watch dropped during rebalance (%v)", sub.Err())
-			}
-			p := seen[ev.Name]
-			if p == nil {
-				continue
-			}
-			switch {
-			case ev.Op == feed.OpPut && ev.Origin == newLabel && !p.put:
-				p.put = true
-			case ev.Op == feed.OpDelete && ev.Origin == fmt.Sprintf("shard-%d", oldHome[ev.Name]) && !p.del:
-				p.del = true
-			}
-			if p.put && p.del {
-				done++
-			}
-		case <-deadline:
-			t.Fatalf("migration events incomplete: %+v", seen)
-		}
-	}
-}
-
 // TestRouterFeedKillAndResume subscribes to a replicated tier's feed,
 // kills the subscription mid-stream and resumes from its cursor: the two
 // runs together must deliver every relay sequence exactly once, and every

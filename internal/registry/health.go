@@ -43,10 +43,12 @@ type healthTracker struct {
 	// here, while the in-process handle still answers).
 	onDown func(id cloud.SiteID)
 
-	// mu guards breakers (lookups take the read lock; membership changes
-	// the write lock) and the prober lifecycle fields below.
-	mu       sync.RWMutex
-	breakers map[cloud.SiteID]*shardBreaker
+	// breakers holds one breaker per shard, indexed by shard ID; the slice
+	// is fixed at construction, so lookups take no lock.
+	breakers []shardBreaker
+
+	// mu guards the prober lifecycle fields below.
+	mu       sync.Mutex
 	proberUp bool
 	stop     chan struct{}
 	closed   bool
@@ -93,7 +95,9 @@ const (
 	defaultProbeInterval   = 250 * time.Millisecond
 )
 
-func newHealthTracker(threshold int, probeInterval time.Duration, reg *metrics.Registry) *healthTracker {
+// newHealthTracker returns a tracker over shards 0..shards-1, every breaker
+// closed.
+func newHealthTracker(shards, threshold int, probeInterval time.Duration, reg *metrics.Registry) *healthTracker {
 	if threshold <= 0 {
 		threshold = defaultHealthThreshold
 	}
@@ -103,41 +107,18 @@ func newHealthTracker(threshold int, probeInterval time.Duration, reg *metrics.R
 	return &healthTracker{
 		threshold:     threshold,
 		probeInterval: probeInterval,
-		breakers:      make(map[cloud.SiteID]*shardBreaker),
+		breakers:      make([]shardBreaker, shards),
 		stop:          make(chan struct{}),
 		obs:           newHealthObs(reg),
 	}
 }
 
-// track registers a shard with a closed breaker.
-func (h *healthTracker) track(id cloud.SiteID) {
-	h.mu.Lock()
-	if _, ok := h.breakers[id]; !ok {
-		h.breakers[id] = &shardBreaker{}
-	}
-	h.mu.Unlock()
-}
-
-// untrack forgets a detached shard. A shard that leaves while down no longer
-// counts against the down gauge.
-func (h *healthTracker) untrack(id cloud.SiteID) {
-	h.mu.Lock()
-	if b, ok := h.breakers[id]; ok {
-		if b.down.Load() {
-			h.nDown.Add(-1)
-			h.obs.downG.Add(-1)
-		}
-		delete(h.breakers, id)
-	}
-	h.mu.Unlock()
-}
-
-// breaker returns the shard's breaker, nil for unknown shards.
+// breaker returns the shard's breaker, nil for an ID outside the tier.
 func (h *healthTracker) breaker(id cloud.SiteID) *shardBreaker {
-	h.mu.RLock()
-	b := h.breakers[id]
-	h.mu.RUnlock()
-	return b
+	if id < 0 || int(id) >= len(h.breakers) {
+		return nil
+	}
+	return &h.breakers[id]
 }
 
 // anyDown reports whether at least one breaker is open; the routing hot path
@@ -150,15 +131,13 @@ func (h *healthTracker) isDown(id cloud.SiteID) bool {
 	return b != nil && b.down.Load()
 }
 
-// downShards returns the shards whose breakers are currently open, in no
-// particular order.
+// downShards returns the shards whose breakers are currently open, in ID
+// order.
 func (h *healthTracker) downShards() []cloud.SiteID {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	var out []cloud.SiteID
-	for id, b := range h.breakers {
-		if b.down.Load() {
-			out = append(out, id)
+	for i := range h.breakers {
+		if h.breakers[i].down.Load() {
+			out = append(out, cloud.SiteID(i))
 		}
 	}
 	return out

@@ -27,8 +27,8 @@ import (
 // Writes fan out to every replica and fold the acknowledgements under the
 // configured WriteConcern. Reads try the primary and fail over down the
 // replica list on transport errors; an answering replica's ErrNotFound is
-// authoritative — except while a sweep is reshuffling entries, when the
-// whole tier is consulted. Bulk operations keep the one-frame-per-shard
+// authoritative — except while a re-sync sweep is moving entries back from
+// substitutes, when the whole tier is consulted. Bulk operations keep the one-frame-per-shard
 // contract: a shard that is primary for some keys of a batch and replica for
 // others receives one combined sub-batch.
 
@@ -82,12 +82,11 @@ func (u unavailableShard) Merge(context.Context, []Entry) (int, error) {
 }
 func (u unavailableShard) Len(context.Context) int { return 0 }
 
-// replicaIDsLocked resolves the key's home shard IDs under the current
-// placement, primary first. r.mu must be held (read). With replication the
-// set is drawn from healthy shards; if every successor is down the raw
-// prefix of the list is returned so callers fail with the shard's transport
-// error instead of inventing emptiness.
-func (r *Router) replicaIDsLocked(name string) []cloud.SiteID {
+// replicaIDs resolves the key's home shard IDs, primary first. With
+// replication the set is drawn from healthy shards; if every successor is
+// down the raw prefix of the list is returned so callers fail with the
+// shard's transport error instead of inventing emptiness.
+func (r *Router) replicaIDs(name string) []cloud.SiteID {
 	if r.rep <= 1 {
 		return []cloud.SiteID{r.placer.Home(name)}
 	}
@@ -107,9 +106,7 @@ func (r *Router) replicaIDsLocked(name string) []cloud.SiteID {
 		// the (allocating) full-successor-list walk below.
 		return homes
 	}
-	// len(r.shards) bounds the membership (it additionally counts draining
-	// shards; Homes clamps at the membership itself).
-	all := r.placer.Homes(name, len(r.shards))
+	all := r.placer.Homes(name, len(r.shards)) // every shard, successors first
 	healthy := make([]cloud.SiteID, 0, r.rep)
 	for _, id := range all {
 		if !r.health.isDown(id) {
@@ -128,27 +125,15 @@ func (r *Router) replicaIDsLocked(name string) []cloud.SiteID {
 	return all
 }
 
-// replicaRefsLocked resolves the key's replica set — its (healthy) home
-// shards, primary first — to shard handles. r.mu must be held (read).
-func (r *Router) replicaRefsLocked(name string) ([]shardRef, error) {
-	ids := r.replicaIDsLocked(name)
-	refs := make([]shardRef, 0, len(ids))
-	for _, id := range ids {
-		if api, ok := r.shards[id]; ok && id != cloud.NoSite {
-			refs = append(refs, shardRef{id: id, api: api})
-		}
+// replicaSet resolves the key's replica set — its (healthy) home shards,
+// primary first — to shard handles.
+func (r *Router) replicaSet(name string) []shardRef {
+	ids := r.replicaIDs(name)
+	refs := make([]shardRef, len(ids))
+	for i, id := range ids {
+		refs[i] = shardRef{id: id, api: r.shards[id]}
 	}
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("registry: router for site %d: no shard owns %q: %w", r.site, name, ErrUnavailable)
-	}
-	return refs, nil
-}
-
-// replicaSet resolves the key's replica set under the current placement.
-func (r *Router) replicaSet(name string) ([]shardRef, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.replicaRefsLocked(name)
+	return refs
 }
 
 // hasRef reports whether the shard is a member of the replica list.
@@ -266,8 +251,8 @@ func (r *Router) fanOutPut(ctx context.Context, refs []shardRef, e Entry) (Entry
 // A one-home tier records nothing here: its only home failed, the caller was
 // told so, and no acknowledged replica exists for the surviving copy to
 // contradict. Pinning the table would also never drain — a one-home tier runs
-// no recovery sweep to clear it — and the next membership sweep would purge
-// entries whose delete had reported an error.
+// no recovery sweep to clear it — so every later deletion's note would be
+// kept for good.
 func (r *Router) forceNoteDeleted(names ...string) {
 	if r.rep <= 1 {
 		return
@@ -404,23 +389,20 @@ func (r *Router) repairBatchDeletion(ref shardRef, names []string) {
 // sweep may have merged a stale copy during the window the note was gone.
 func (r *Router) reassertDeletion(ctx context.Context, name string) {
 	r.noteDeleted(name)
-	for _, api := range r.snapshotShards() {
+	for _, api := range r.shards {
 		api.DeleteMany(ctx, []string{name}) //nolint:errcheck // best-effort re-assertion of the standing deletion
 	}
 }
 
-// reanchor handles an acknowledged write that raced the start of a
-// membership change or recovery: the homes are re-resolved and any that were
-// not in the original target set receive the stored entry, best-effort — the
-// sweep migrating the original copies converges the same way, and clearing
-// the deletion note keeps its post-merge check from undoing the write.
+// reanchor handles an acknowledged write that raced the start of a recovery:
+// the homes are re-resolved — the recovered shard is back among them — and
+// any that were not in the original target set receive the stored entry,
+// best-effort. The sweep moving the original copies off their substitutes
+// converges the same way, and clearing the deletion note keeps its
+// post-merge check from undoing the write.
 func (r *Router) reanchor(ctx context.Context, wrote []shardRef, stored Entry) {
 	r.clearDeleted(stored.Name)
-	refs, err := r.replicaSet(stored.Name)
-	if err != nil {
-		return
-	}
-	for _, ref := range refs {
+	for _, ref := range r.replicaSet(stored.Name) {
 		if !hasRef(wrote, ref.id) {
 			ref.api.Put(ctx, stored) //nolint:errcheck // best-effort; the sweep converges the same way
 		}
@@ -432,15 +414,12 @@ func (r *Router) reanchor(ctx context.Context, wrote []shardRef, stored Entry) {
 // replicated to the remaining homes as an upsert. A create forgets any
 // deletion note for the name first — the write re-establishes the entry, and
 // a sweep's post-merge check must not undo it — and re-asserts the deletion
-// if the write fails. A membership change that begins while the write is in
+// if the write fails. A recovery sweep that begins while the write is in
 // flight is caught by a re-check afterwards: the acknowledged entry is
 // re-anchored at its current homes so the sweep's source cleanup cannot
 // orphan it.
 func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
-	refs, err := r.replicaSet(e.Name)
-	if err != nil {
-		return Entry{}, err
-	}
+	refs := r.replicaSet(e.Name)
 	defer r.repairWindow()()
 	r.noteWritten(e.Name)
 	gen := r.sweepGen.Load()
@@ -499,12 +478,9 @@ func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
 
 // Put implements API: the upsert fans out to every replica and the
 // acknowledgements fold under the write concern. Deletion notes and a racing
-// membership change are handled as in Create.
+// recovery are handled as in Create.
 func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
-	refs, err := r.replicaSet(e.Name)
-	if err != nil {
-		return Entry{}, err
-	}
+	refs := r.replicaSet(e.Name)
 	defer r.repairWindow()()
 	r.noteWritten(e.Name)
 	gen := r.sweepGen.Load()
@@ -528,10 +504,7 @@ func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
 // AddLocation implements API: the read-modify-write runs at one authority —
 // the first replica that answers — and its result is replicated as an upsert.
 func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
-	refs, err := r.replicaSet(name)
-	if err != nil {
-		return Entry{}, err
-	}
+	refs := r.replicaSet(name)
 	defer r.repairWindow()()
 	r.noteWritten(name)
 	var (
@@ -569,14 +542,11 @@ func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (En
 // (the note is recorded only while a sweep runs or a shard is down — the
 // windows in which a stale copy somewhere could resurrect it), then fans out
 // to every replica; while a sweep is in flight the remaining shards are
-// purged too, since un-migrated copies may live anywhere. A replica answering
-// "not found" already agrees with the deletion and counts as an
-// acknowledgement.
+// purged too, since copies written to substitutes during an outage may not
+// have been reconciled yet. A replica answering "not found" already agrees
+// with the deletion and counts as an acknowledgement.
 func (r *Router) Delete(ctx context.Context, name string) error {
-	refs, err := r.replicaSet(name)
-	if err != nil {
-		return err
-	}
+	refs := r.replicaSet(name)
 	gen := r.sweepGen.Load()
 	r.noteDeleted(name)
 
@@ -615,7 +585,7 @@ func (r *Router) Delete(ctx context.Context, name string) error {
 		r.forceNoteDeleted(name)
 	}
 
-	// While a sweep is in flight, un-migrated copies may live on shards
+	// While a sweep is in flight, unreconciled copies may live on shards
 	// outside the replica set; purge them too. A sweep that began (and
 	// possibly finished) while the replica fan-out was in flight found no
 	// note to respect: the deletion is noted again, and the purge covers the
@@ -673,19 +643,19 @@ func (r *Router) purgeExcept(ctx context.Context, name string, skip []shardRef) 
 		failed []shardRef
 		wg     sync.WaitGroup
 	)
-	for id, other := range r.reachableShards() {
-		if hasRef(skip, id) {
+	for _, ref := range r.reachableShards() {
+		if hasRef(skip, ref.id) {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, derr := other.DeleteMany(ctx, []string{name})
+			n, derr := ref.api.DeleteMany(ctx, []string{name})
 			mu.Lock()
 			defer mu.Unlock()
 			if derr != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, derr))
-				failed = append(failed, shardRef{id: id, api: other})
+				errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, derr))
+				failed = append(failed, ref)
 				return
 			}
 			purged += n
@@ -709,17 +679,14 @@ func (r *Router) Get(ctx context.Context, name string) (Entry, error) {
 
 // getRouted is the read path: the primary is tried first and transport
 // errors fail over down the replica list (router_failover_reads_total). A
-// replica that answers "not found" is authoritative — unless a sweep is
-// reshuffling entries: an entry may not have reached its new homes yet, so
-// the miss falls back to the other shards (one concurrent Get per shard) and
-// is only answered when every one of them actually responded; an unreachable
-// shard mid-sweep surfaces as ErrUnavailable rather than reading an existing
-// entry as absent.
+// replica that answers "not found" is authoritative — unless a re-sync sweep
+// is running: an entry written during an outage may not have reached the
+// recovered shard yet, so the miss falls back to the other shards (one
+// concurrent Get per shard) and is only answered when every one of them
+// actually responded; an unreachable shard mid-sweep surfaces as
+// ErrUnavailable rather than reading an existing entry as absent.
 func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
-	refs, err := r.replicaSet(name)
-	if err != nil {
-		return Entry{}, err
-	}
+	refs := r.replicaSet(name)
 	var (
 		notFound error
 		errs     []error
@@ -793,33 +760,21 @@ func entryNames(entries []Entry) []string {
 // position lands in the group of each of its homes, so each shard still
 // receives exactly one sub-batch. homesOf records each position's resolved
 // replica IDs (primary first) for acknowledgement accounting.
-func (r *Router) groupReplicas(names []string) (map[cloud.SiteID]*repGroup, [][]cloud.SiteID, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+func (r *Router) groupReplicas(names []string) (map[cloud.SiteID]*repGroup, [][]cloud.SiteID) {
 	groups := make(map[cloud.SiteID]*repGroup)
 	homesOf := make([][]cloud.SiteID, len(names))
 	for i, name := range names {
-		ids := r.replicaIDsLocked(name)
-		valid := ids[:0] // filtered in place: the resolved list is this call's own
-		for _, id := range ids {
-			api, ok := r.shards[id]
-			if id == cloud.NoSite || !ok {
-				continue
-			}
+		homesOf[i] = r.replicaIDs(name)
+		for _, id := range homesOf[i] {
 			g := groups[id]
 			if g == nil {
-				g = &repGroup{shardRef: shardRef{id: id, api: api}}
+				g = &repGroup{shardRef: shardRef{id: id, api: r.shards[id]}}
 				groups[id] = g
 			}
 			g.idx = append(g.idx, i)
-			valid = append(valid, id)
 		}
-		if len(valid) == 0 {
-			return nil, nil, fmt.Errorf("registry: router for site %d: no shard owns %q: %w", r.site, name, ErrUnavailable)
-		}
-		homesOf[i] = valid
 	}
-	return groups, homesOf, nil
+	return groups, homesOf
 }
 
 // bulkCountDivisor returns the factor a bulk call's per-replica count sum
@@ -913,10 +868,7 @@ func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) 
 		return nil, nil
 	}
 	names := entryNames(entries)
-	groups, homesOf, err := r.groupReplicas(names)
-	if err != nil {
-		return nil, err
-	}
+	groups, homesOf := r.groupReplicas(names)
 	defer r.repairWindow()()
 	r.noteWritten(names...)
 
@@ -925,7 +877,7 @@ func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) 
 		out  = make([]Entry, len(entries))
 		have = make([]bool, len(entries))
 	)
-	_, err = r.bulkWrite("put-many", groups, homesOf, func(g *repGroup) (int, error) {
+	_, err := r.bulkWrite("put-many", groups, homesOf, func(g *repGroup) (int, error) {
 		stored, serr := g.api.PutMany(ctx, pick(entries, g.idx))
 		if serr != nil {
 			return 0, serr
@@ -960,10 +912,7 @@ func (r *Router) DeleteMany(ctx context.Context, names []string) (int, error) {
 	if len(names) == 0 {
 		return 0, nil
 	}
-	groups, homesOf, err := r.groupReplicas(names)
-	if err != nil {
-		return 0, err
-	}
+	groups, homesOf := r.groupReplicas(names)
 	r.noteDeleted(names...)
 	return r.bulkWrite("delete-many", groups, homesOf, func(g *repGroup) (int, error) {
 		sub := pick(names, g.idx)
@@ -988,10 +937,7 @@ func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
 		return 0, nil
 	}
 	names := entryNames(entries)
-	groups, homesOf, err := r.groupReplicas(names)
-	if err != nil {
-		return 0, err
-	}
+	groups, homesOf := r.groupReplicas(names)
 	defer r.repairWindow()()
 	r.noteWritten(names...)
 	return r.bulkWrite("merge", groups, homesOf, func(g *repGroup) (int, error) {
@@ -1023,16 +969,9 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 		}
 	}
 	remaining := make(map[string][]shardRef, len(uniq))
-	r.mu.RLock()
 	for _, name := range uniq {
-		refs, err := r.replicaRefsLocked(name)
-		if err != nil {
-			r.mu.RUnlock()
-			return nil, err
-		}
-		remaining[name] = refs
+		remaining[name] = r.replicaSet(name)
 	}
-	r.mu.RUnlock()
 
 	var (
 		mu    sync.Mutex
@@ -1104,9 +1043,9 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 		return nil, r.shardErr("get-many", errs)
 	}
 
-	// During a migration or re-sync sweep an entry may not have reached its
-	// current home set yet; misses fall back to the whole tier, one
-	// concurrent sub-batch per shard, matching Get's fallback semantics.
+	// During a re-sync sweep an entry may not have reached its current home
+	// set yet; misses fall back to the whole tier, one concurrent sub-batch
+	// per shard, matching Get's fallback semantics.
 	if r.sweepActive() {
 		var missing []string
 		for _, name := range uniq {
@@ -1116,7 +1055,7 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 		}
 		if len(missing) > 0 {
 			var fwg sync.WaitGroup
-			for _, api := range r.snapshotShards() {
+			for _, api := range r.shards {
 				fwg.Add(1)
 				go func() {
 					defer fwg.Done()

@@ -44,12 +44,11 @@ import (
 // caller's goroutine). A per-shard health breaker (fed by operation outcomes
 // plus a background probe) takes crashed shards out of placement so a dead
 // shard costs a few failed calls, not an error storm; when the shard answers
-// its probe again a re-sync sweep — the same machinery that migrates entries
-// on membership changes — repairs everything it missed while it was away.
-// What R = 1 turns off is policy, one check of the factor each, never a
+// its probe again a re-sync sweep repairs everything it missed while it was
+// away. What R = 1 turns off is policy, one check of the factor each, never a
 // second implementation of an operation — with one home per key there is
 // nowhere correct to re-route to, so report does not feed the breaker,
-// replicaIDsLocked and reachableShards keep down shards in placement,
+// replicaIDs and reachableShards keep down shards in placement,
 // noteWritten records no outage writes, forceNoteDeleted records no failed
 // delete (the caller was told, and nothing would ever unpin the note table),
 // NewRouter reads every write concern as WriteAll, sweepShard skips the
@@ -57,16 +56,14 @@ import (
 // Len can sum the shard sizes. docs/ARCHITECTURE.md tabulates each with its
 // reason.
 //
-// Membership can change online: AddShard and RemoveShard update the
-// consistent-hash placement and kick a background migration sweep that moves
-// the (few, thanks to consistent hashing) entries whose home shards changed.
-// Operations issued through the router stay reliable while a sweep is in
-// flight: a read that misses at a key's new homes falls back to the other
-// shards, and a deletion — single or bulk — is recorded and purged so a stale
-// source copy can never resurrect it. Routers that share shards but not state
-// (a second router process over the same shard servers) see plain eventual
-// consistency during a sweep instead — the contract the paper accepts for
-// server volatility (§VIII).
+// The shard set is fixed when the router is built. Operations issued through
+// the router stay reliable while a re-sync sweep is in flight: a read that
+// misses at a key's homes falls back to the other shards, and a deletion —
+// single or bulk — is recorded and purged so a stale copy on a substitute or
+// on the returning shard can never resurrect it. Routers that share shards
+// but not state (a second router process over the same shard servers) see
+// plain eventual consistency during a sweep instead — the contract the paper
+// accepts for server volatility (§VIII).
 //
 // Partial failures of bulk operations surface through the typed-error model:
 // the returned error wraps each failed shard's cause (so errors.Is sees
@@ -74,12 +71,16 @@ import (
 // their shard stay applied. Bulk application is idempotent, so callers — like
 // the sync agent — simply re-send on the next round.
 //
-// The data operations live in replication.go, membership and sweeps here.
+// The data operations live in replication.go, sweeps here.
 //
 // A Router is safe for concurrent use.
 type Router struct {
 	site   cloud.SiteID
-	placer dht.DynamicPlacer // over shard IDs masquerading as site IDs
+	placer dht.Placer // over shard IDs masquerading as site IDs
+
+	// shards is the tier, indexed by shard ID. NewRouter sets it and nothing
+	// changes it afterwards, so reading it takes no lock.
+	shards []API
 
 	// rep is the replication factor — the size of every key's replica set, 1
 	// by default; concern is the write acknowledgement rule. health is the
@@ -90,21 +91,16 @@ type Router struct {
 	concern WriteConcern
 	health  *healthTracker
 
-	// mu guards shards/nextID and serializes membership changes against the
-	// placer (which has its own lock for read paths).
-	mu     sync.RWMutex
-	shards map[cloud.SiteID]API // active shards plus shards draining after removal
-	nextID cloud.SiteID
-
-	// sweeps tracks in-flight background migration sweeps (see Wait);
-	// sweeping counts the active ones so the hot path can cheaply tell
-	// whether entries may currently live away from their home shard. It is
-	// raised *before* a membership change touches the placer and lowered
-	// only when the sweep (including retries) is over, so there is no window
-	// in which keys are off-home but the mitigations below are inactive.
-	// sweepGen increments on every sweepBegin: single-key fast paths snapshot
-	// it before their shard call and re-check it afterwards, catching even a
-	// sweep that started *and finished* while their call was in flight.
+	// sweeps counts every sweep from sweepBegin to sweepEnd plus every
+	// background repair (see Wait); sweeping counts the active sweeps alone
+	// so the hot path can cheaply tell whether entries may currently live
+	// away from their home shards. It is raised *before* a recovering
+	// shard's breaker closes and lowered only when the sweep (including
+	// retries) is over, so there is no window in which the shard is back in
+	// placement but the mitigations below are inactive. sweepGen increments
+	// on every sweepBegin: single-key fast paths snapshot it before their
+	// shard call and re-check it afterwards, catching even a sweep that
+	// started *and finished* while their call was in flight.
 	sweeps   sync.WaitGroup
 	sweeping atomic.Int32
 	sweepGen atomic.Uint64
@@ -131,7 +127,7 @@ type Router struct {
 	// are only recorded while the counter is positive and the set is cleared
 	// in the same critical section that drops the counter to zero, so a
 	// stale note can never leak into a later sweep. A sweep consults the set
-	// before and after merging a moved batch so a stale source copy cannot
+	// before and after merging a batch so a stale source copy cannot
 	// resurrect a concurrent deletion; writes re-establishing a name clear
 	// its note.
 	delMu              sync.Mutex
@@ -152,13 +148,11 @@ type Router struct {
 	seqAtDown map[cloud.SiteID]uint64
 
 	// relay is the tier's combined change feed — every shard's events
-	// re-sequenced into one log — enabled when all initial shards implement
-	// ChangeFeeder (see feed.go). taps holds the per-shard pump goroutines,
-	// started when a shard joins and stopped when it is detached after
-	// draining (or at Close).
+	// re-sequenced into one log — enabled when every shard implements
+	// ChangeFeeder (see feed.go). taps holds one pump per shard, indexed by
+	// shard ID, started by NewRouter and stopped by Close.
 	relay *feed.Log
-	tapMu sync.Mutex
-	taps  map[cloud.SiteID]*relayTap
+	taps  []*relayTap
 
 	obs routerObs
 }
@@ -173,9 +167,9 @@ type routerObs struct {
 	replicaG    *metrics.Gauge     // router_replication: configured replication factor
 	bulkOps     *metrics.Counter   // router_bulk_ops_total: bulk calls on the router
 	subBatches  *metrics.Counter   // router_subbatches_total: per-shard sub-batches issued
-	migrated    *metrics.Counter   // router_migrated_entries_total: entries moved by sweeps
+	migrated    *metrics.Counter   // router_migrated_entries_total: off-home copies moved by sweeps
 	repaired    *metrics.Counter   // router_repaired_entries_total: replica copies (re)written by sweeps
-	sweepsC     *metrics.Counter   // router_sweeps_total: migration sweeps completed
+	sweepsC     *metrics.Counter   // router_sweeps_total: re-sync sweeps completed
 	sweepFails  *metrics.Counter   // router_sweep_failures_total: background sweeps abandoned after retries
 	resyncs     *metrics.Counter   // router_resync_sweeps_total: sweeps triggered by a shard recovering
 	deltas      *metrics.Counter   // router_delta_repairs_total: recoveries served by a delta repair instead of a full sweep
@@ -295,9 +289,9 @@ func WithRouterHealth(threshold int, probeInterval time.Duration) RouterOption {
 }
 
 // NewRouter builds a routing tier for the given site over the given shard
-// instances. Shards are assigned IDs 0..n-1 in input order; AddShard hands
-// out the following IDs. Keys map to shards by a consistent-hash ring
-// (dht.NewRingPlacer), which keeps migration small when shards join or leave.
+// instances. Shards are assigned IDs 0..n-1 in input order, and the set is
+// fixed for the router's life. Keys map to shards by a consistent-hash ring
+// (dht.NewRingPlacer).
 func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("registry: router needs at least one shard")
@@ -307,10 +301,8 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 		o(&cfg)
 	}
 	ids := make([]cloud.SiteID, len(shards))
-	m := make(map[cloud.SiteID]API, len(shards))
-	for i, s := range shards {
+	for i := range shards {
 		ids[i] = cloud.SiteID(i)
-		m[cloud.SiteID(i)] = s
 	}
 	rep, concern := cfg.replication, cfg.concern
 	if rep <= 1 {
@@ -322,11 +314,10 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 	r := &Router{
 		site:    site,
 		placer:  dht.NewRingPlacer(ids, 0),
-		shards:  m,
-		nextID:  cloud.SiteID(len(shards)),
+		shards:  slices.Clone(shards),
 		rep:     rep,
 		concern: concern,
-		health:  newHealthTracker(cfg.healthThreshold, cfg.probeInterval, cfg.metrics),
+		health:  newHealthTracker(len(shards), cfg.healthThreshold, cfg.probeInterval, cfg.metrics),
 		obs:     newRouterObs(cfg.metrics),
 	}
 	r.health.probe = r.probeShard
@@ -350,10 +341,7 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 		}
 		r.spawnSweep()
 	}
-	for id := range m {
-		r.health.track(id)
-	}
-	r.initRelay(m)
+	r.initRelay()
 	r.obs.shardsG.Add(int64(len(shards)))
 	r.obs.replicaG.Add(int64(rep))
 	return r, nil
@@ -379,15 +367,9 @@ const probeKey = "\x00geomds/health/probe"
 // probeShard asks one shard whether it is answering requests again. It is
 // the health tracker's probe hook.
 func (r *Router) probeShard(id cloud.SiteID) bool {
-	r.mu.RLock()
-	api, ok := r.shards[id]
-	r.mu.RUnlock()
-	if !ok {
-		return false
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_, err := api.Get(ctx, probeKey)
+	_, err := r.shards[id].Get(ctx, probeKey)
 	return err == nil || errors.Is(err, ErrNotFound)
 }
 
@@ -408,48 +390,23 @@ func (r *Router) DownShards() []cloud.SiteID { return r.health.downShards() }
 // Site implements API: the datacenter this sharded tier serves as a whole.
 func (r *Router) Site() cloud.SiteID { return r.site }
 
-// Shards returns the IDs of the shards currently participating in placement,
-// sorted. Shards still draining after RemoveShard are excluded.
-func (r *Router) Shards() []cloud.SiteID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.placer.Sites()
-}
+// Shards returns the tier's shard IDs, 0..n-1.
+func (r *Router) Shards() []cloud.SiteID { return r.placer.Sites() }
 
-// ShardCount returns the number of shards currently participating in
-// placement.
-func (r *Router) ShardCount() int { return len(r.Shards()) }
-
-// Home returns the shard ID owning the given key under the current
-// placement.
-func (r *Router) Home(name string) cloud.SiteID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.placer.Home(name)
-}
-
-// snapshotShards returns every shard currently attached — active ones plus
-// any still draining — for full-tier fan-outs (Entries, Names, Len).
-func (r *Router) snapshotShards() map[cloud.SiteID]API {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[cloud.SiteID]API, len(r.shards))
-	for id, api := range r.shards {
-		out[id] = api
-	}
-	return out
-}
-
-// reachableShards is snapshotShards minus down-marked shards when the tier
-// is replicated: a down shard's content also lives on its healthy replicas,
-// so full-tier reads need not fail (or stall) on it. Without replication
-// every shard is the only holder of its range and stays included.
-func (r *Router) reachableShards() map[cloud.SiteID]API {
-	out := r.snapshotShards()
-	if r.rep > 1 && r.health.anyDown() {
-		for _, id := range r.health.downShards() {
-			delete(out, id)
+// reachableShards returns the shards full-tier fan-outs (Entries, Names,
+// purges, feed snapshots) address: every shard, minus down-marked ones when
+// the tier is replicated — a down shard's content also lives on its healthy
+// replicas, so full-tier reads need not fail (or stall) on it. Without
+// replication every shard is the only holder of its range and stays
+// included.
+func (r *Router) reachableShards() []shardRef {
+	out := make([]shardRef, 0, len(r.shards))
+	for i, api := range r.shards {
+		id := cloud.SiteID(i)
+		if r.rep > 1 && r.health.isDown(id) {
+			continue
 		}
+		out = append(out, shardRef{id: id, api: api})
 	}
 	return out
 }
@@ -502,12 +459,12 @@ func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried []shar
 		errs  []error
 		wg    sync.WaitGroup
 	)
-	for id, other := range r.snapshotShards() {
-		if hasRef(tried, id) {
+	for i, other := range r.shards {
+		if hasRef(tried, cloud.SiteID(i)) {
 			continue
 		}
 		wg.Add(1)
-		go func(id cloud.SiteID, other API) {
+		go func() {
 			defer wg.Done()
 			e, err := other.Get(ctx, name)
 			mu.Lock()
@@ -518,22 +475,24 @@ func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried []shar
 					found, ok = e, true
 				}
 			case !errors.Is(err, ErrNotFound):
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
+				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 			}
-		}(id, other)
+		}()
 	}
 	wg.Wait()
 	return found, ok, errs
 }
 
-// sweepActive reports whether a migration sweep is currently in flight.
+// sweepActive reports whether a re-sync sweep is currently in flight.
 func (r *Router) sweepActive() bool { return r.sweeping.Load() > 0 }
 
-// sweepBegin marks one sweep as in flight. It runs before the membership
-// change it covers touches the placer, so the hot-path mitigations (read
-// fallback, deletion notes and purges) are active the moment keys can be
-// off-home.
+// sweepBegin marks one sweep as in flight. It runs before the recovering
+// shard's breaker closes (the health tracker's preRecover hook), so the
+// hot-path mitigations (read fallback, deletion notes and purges) are active
+// the moment the shard can be handed operations again — and so Wait covers
+// the sweep before anyone can observe the breaker closed.
 func (r *Router) sweepBegin() {
+	r.sweeps.Add(1)
 	r.delMu.Lock()
 	r.sweeping.Add(1)
 	r.sweepGen.Add(1)
@@ -563,6 +522,7 @@ func (r *Router) sweepEnd() {
 		r.wroteDuringOutage = nil
 	}
 	r.delMu.Unlock()
+	r.sweeps.Done()
 }
 
 // noteDeleted records deletions while anything could resurrect them (see
@@ -634,12 +594,12 @@ func (r *Router) deletedSince(names []string) []string {
 	return out
 }
 
-// Entries implements API: every shard (including ones still draining) is
-// queried concurrently and the results are merged, deduplicating by name —
-// during a migration sweep an entry may briefly live on two shards, and the
-// copy with the higher version wins. Under replication, shards whose breaker
-// is open are skipped: their content is replicated on healthy shards, so the
-// full listing survives a shard crash.
+// Entries implements API: every shard is queried concurrently and the
+// results are merged, deduplicating by name — a replicated entry lives on
+// several shards, a re-sync sweep may briefly leave a stale copy beside a
+// fresh one, and the copy with the higher version wins. Under replication,
+// shards whose breaker is open are skipped: their content is replicated on
+// healthy shards, so the full listing survives a shard crash.
 func (r *Router) Entries(ctx context.Context) ([]Entry, error) {
 	shards := r.reachableShards()
 	r.countBulk(len(shards))
@@ -649,15 +609,15 @@ func (r *Router) Entries(ctx context.Context) ([]Entry, error) {
 		errs []error
 		wg   sync.WaitGroup
 	)
-	for id, api := range shards {
+	for _, ref := range shards {
 		wg.Add(1)
-		go func(id cloud.SiteID, api API) {
+		go func() {
 			defer wg.Done()
-			batch, err := api.Entries(ctx)
+			batch, err := ref.api.Entries(ctx)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
+				errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, err))
 				return
 			}
 			for _, e := range batch {
@@ -665,7 +625,7 @@ func (r *Router) Entries(ctx context.Context) ([]Entry, error) {
 					best[e.Name] = e
 				}
 			}
-		}(id, api)
+		}()
 	}
 	wg.Wait()
 	if err := r.shardErr("entries", errs); err != nil {
@@ -694,17 +654,17 @@ func (r *Router) Names(ctx context.Context) []string {
 		seen = make(map[string]bool)
 		wg   sync.WaitGroup
 	)
-	for _, api := range shards {
+	for _, ref := range shards {
 		wg.Add(1)
-		go func(api API) {
+		go func() {
 			defer wg.Done()
-			names := api.Names(ctx)
+			names := ref.api.Names(ctx)
 			mu.Lock()
 			defer mu.Unlock()
 			for _, n := range names {
 				seen[n] = true
 			}
-		}(api)
+		}()
 	}
 	wg.Wait()
 	out := make([]string, 0, len(seen))
@@ -716,10 +676,9 @@ func (r *Router) Names(ctx context.Context) []string {
 }
 
 // Len implements API: the shard sizes are summed, querying every shard
-// concurrently like the other full-tier fan-outs (best-effort; an entry
-// mid-migration may briefly count twice). With replication every entry lives
-// on r.rep shards, so the sum over-counts; the replicated tier counts
-// distinct names instead.
+// concurrently like the other full-tier fan-outs (best-effort). With
+// replication every entry lives on r.rep shards, so the sum over-counts; the
+// replicated tier counts distinct names instead.
 func (r *Router) Len(ctx context.Context) int {
 	if r.rep > 1 {
 		return len(r.Names(ctx))
@@ -728,12 +687,12 @@ func (r *Router) Len(ctx context.Context) int {
 		total atomic.Int64
 		wg    sync.WaitGroup
 	)
-	for _, api := range r.snapshotShards() {
+	for _, api := range r.shards {
 		wg.Add(1)
-		go func(api API) {
+		go func() {
 			defer wg.Done()
 			total.Add(int64(api.Len(ctx)))
-		}(api)
+		}()
 	}
 	wg.Wait()
 	return int(total.Load())
@@ -746,77 +705,22 @@ func (r *Router) countBulk(subBatches int) {
 	r.obs.subBatches.Add(int64(subBatches))
 }
 
-// AddShard attaches a new shard to the tier, returning its ID. The shard
-// immediately participates in placement and a background migration sweep
-// moves the entries the consistent-hash ring now assigns to it. Call Wait to
-// block until the sweep completes, or Rebalance to run one synchronously.
-func (r *Router) AddShard(api API) cloud.SiteID {
-	// Raise the sweep flag before the placer changes: from the very first
-	// moment a key's homes can differ from where its entry lives, reads fall
-	// back and deletions purge/note (see getRouted, Delete).
-	r.sweepBegin()
-	r.mu.Lock()
-	id := r.nextID
-	r.nextID++
-	r.shards[id] = api
-	r.placer.Add(id)
-	r.mu.Unlock()
-	r.health.track(id)
-	r.startTap(id, api)
-	r.obs.shardsG.Add(1)
-	r.spawnSweep()
-	return id
-}
-
-// RemoveShard withdraws a shard from placement. Its entries are drained to
-// their new home shards by a background migration sweep, after which the
-// shard is detached entirely; until then full-tier reads (Entries, Names)
-// still see it. Removing the last shard or an unknown ID is an error.
-func (r *Router) RemoveShard(id cloud.SiteID) error {
-	r.sweepBegin() // before the placer changes; see AddShard
-	r.mu.Lock()
-	if _, ok := r.shards[id]; !ok {
-		r.mu.Unlock()
-		r.sweepEnd()
-		return fmt.Errorf("registry: router for site %d: no shard %d", r.site, id)
-	}
-	active := r.placer.Sites()
-	if !slices.Contains(active, id) {
-		r.mu.Unlock()
-		r.sweepEnd()
-		return fmt.Errorf("registry: router for site %d: shard %d is already draining", r.site, id)
-	}
-	if len(active) <= 1 {
-		r.mu.Unlock()
-		r.sweepEnd()
-		return fmt.Errorf("registry: router for site %d: cannot remove the last shard", r.site)
-	}
-	r.placer.Remove(id)
-	r.mu.Unlock()
-	r.obs.shardsG.Add(-1)
-	r.spawnSweep()
-	return nil
-}
-
 // sweepRetries bounds how often a failed background sweep is retried before
-// it is abandoned (counted in router_sweep_failures_total; an explicit
-// Rebalance or the next membership change picks the migration up again).
+// it is abandoned (counted in router_sweep_failures_total; the next recovery
+// sweeps again).
 const sweepRetries = 5
 
-// spawnSweep runs the migration sweep asynchronously — membership changes
-// use it so AddShard/RemoveShard return immediately. The caller must have
+// spawnSweep runs the re-sync sweep asynchronously. The caller must have
 // called sweepBegin already; the sweep retires it when done. Transient
-// failures (an unreachable remote shard) are retried with backoff so keys
-// are not left off-home with the mitigations disarmed; a sweep abandoned
-// after the retry budget is observable via router_sweep_failures_total.
+// failures (an unreachable remote shard) are retried with backoff so copies
+// are not left on substitutes with the mitigations disarmed; a sweep
+// abandoned after the retry budget is observable via
+// router_sweep_failures_total.
 func (r *Router) spawnSweep() {
-	r.sweeps.Add(1)
 	go func() {
-		defer r.sweeps.Done()
 		defer r.sweepEnd()
 		for attempt := 0; ; attempt++ {
-			_, err := r.rebalance(context.Background())
-			if err == nil {
+			if r.sweep(context.Background()) == nil {
 				return
 			}
 			if attempt >= sweepRetries {
@@ -828,73 +732,36 @@ func (r *Router) spawnSweep() {
 	}()
 }
 
-// Wait blocks until every background migration sweep started by AddShard or
-// RemoveShard has completed.
+// Wait blocks until every background re-sync sweep and replica repair has
+// completed. A recovery's sweep counts from before its shard's breaker
+// closes, so a caller that saw the breaker close waits for the sweep too.
+// Nothing outside tests needs to wait for them; it is the seam tests use to
+// observe a tier once a recovery or a repair is over.
 func (r *Router) Wait() { r.sweeps.Wait() }
 
-// Rebalance sweeps every shard and migrates entries whose home changed
-// (because a shard joined or left) to their current owner, one bulk Merge
-// per destination shard followed by one bulk DeleteMany on the source.
-// Shards that have been withdrawn from placement are dropped from the tier
-// once their drain completes. It returns how many entries moved.
-//
-// Rebalance is safe to call at any time — a no-op sweep moves nothing — and
-// is idempotent: migration uses the same last-writer-wins merge as
-// inter-site propagation, so re-running a partially failed sweep converges.
-// Deletions issued through *this* router while the sweep runs are tracked
-// and can never be resurrected by a stale source copy; concurrent routers
-// over the same shards (e.g. a client-side metactl router) do not share
-// that protection.
-func (r *Router) Rebalance(ctx context.Context) (int, error) {
-	r.sweepBegin()
-	defer r.sweepEnd()
-	return r.rebalance(ctx)
-}
-
-// rebalance is Rebalance without the sweep-flag management; spawnSweep calls
-// it under a flag the membership change already raised.
-func (r *Router) rebalance(ctx context.Context) (int, error) {
+// sweep reconciles every shard against the ring placement, one sweepShard
+// per shard: copies a home is missing are merged into it with one bulk Merge
+// per destination, and copies on shards that are not their homes are removed
+// with one bulk DeleteMany per source. It is idempotent — the merge is the
+// same last-writer-wins merge inter-site propagation uses — so re-running a
+// partially failed sweep converges. Deletions issued through *this* router
+// while the sweep runs are tracked and can never be resurrected by a stale
+// copy; concurrent routers over the same shards (e.g. a client-side metactl
+// router) do not share that protection.
+func (r *Router) sweep(ctx context.Context) error {
 	moved := 0
 	var errs []error
-	for id, api := range r.snapshotShards() {
-		n, err := r.sweepShard(ctx, id, api)
+	for i, api := range r.shards {
+		n, err := r.sweepShard(ctx, cloud.SiteID(i), api)
 		moved += n
 		if err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
-			continue
-		}
-		// A drained shard that no longer participates in placement is
-		// detached once it holds nothing. The placer read and the (possibly
-		// remote, possibly slow) listing run outside the router lock so a
-		// struggling drained shard never stalls the tier's hot path; only
-		// the map delete itself takes the lock. The listing is Entries, not
-		// Len: Len answers 0 for a shard that cannot be reached, and a shard
-		// that became unreachable after its sweep may still hold entries —
-		// it stays attached until a listing comes back empty.
-		if slices.Contains(r.placer.Sites(), id) {
-			continue
-		}
-		left, lerr := api.Entries(ctx)
-		if lerr != nil {
-			errs = append(errs, fmt.Errorf("shard %d: confirming its drain: %w", id, lerr))
-			continue
-		}
-		if len(left) == 0 {
-			r.mu.Lock()
-			delete(r.shards, id)
-			r.mu.Unlock()
-			r.health.untrack(id)
-			// The tap outlived the drain on purpose: the sweep's deletes at
-			// the old home were published through it, so a watch saw the
-			// key move rather than vanish. Now the shard is empty and
-			// detached, the tap can go.
-			r.stopTap(id)
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
 	}
 	if moved > 0 {
 		r.obs.migrated.Add(int64(moved))
 	}
-	err := r.shardErr("rebalance", errs)
+	err := r.shardErr("sweep", errs)
 	if err == nil {
 		// Only clean sweeps count as completed; failed attempts surface via
 		// router_sweep_failures_total once the retry budget is spent. A
@@ -904,15 +771,15 @@ func (r *Router) rebalance(ctx context.Context) (int, error) {
 		r.staleNotes.Store(false)
 		r.obs.sweepsC.Inc()
 	}
-	return moved, err
+	return err
 }
 
 // sweepShard reconciles one shard against the current placement. For every
 // entry it holds, the entry's home set (the first R healthy successors) is
-// resolved once; copies a home is missing — because a shard joined, left,
-// crashed or returned — are grouped into one bulk Merge per destination, and
-// copies this shard no longer owns are removed with one bulk DeleteMany at
-// the end, only after every replica of them was safely placed. Stale copies
+// resolved once; copies a home is missing — because a shard crashed or
+// returned — are grouped into one bulk Merge per destination, and copies
+// this shard does not own are removed with one bulk DeleteMany at the end,
+// only after every replica of them was safely placed. Stale copies
 // of names deleted while a sweep ran or a shard was down are purged rather
 // than migrated, so a returning shard cannot resurrect deletions that
 // happened during its outage.
@@ -924,7 +791,7 @@ func (r *Router) rebalance(ctx context.Context) (int, error) {
 // list would miss replicas holding stale *content* — exactly what a
 // post-outage re-sync exists to repair — and the API has no (name, version)
 // listing to filter soundly, so sweeps pay the full pass; they only run on
-// membership changes and recoveries.
+// recoveries.
 func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int, error) {
 	entries, err := api.Entries(ctx)
 	r.report(id, err)
@@ -932,12 +799,11 @@ func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int,
 		return 0, err
 	}
 
-	r.mu.RLock()
 	byDest := make(map[cloud.SiteID][]Entry)
 	okToDrop := make(map[string]bool)
 	for _, e := range entries {
 		onThis := false
-		for _, home := range r.replicaIDsLocked(e.Name) {
+		for _, home := range r.replicaIDs(e.Name) {
 			if home == id {
 				onThis = true
 				continue
@@ -948,13 +814,6 @@ func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int,
 			okToDrop[e.Name] = true
 		}
 	}
-	dests := make(map[cloud.SiteID]API, len(byDest))
-	for dest := range byDest {
-		if dapi, ok := r.shards[dest]; ok {
-			dests[dest] = dapi
-		}
-	}
-	r.mu.RUnlock()
 
 	var errs []error
 	applied := 0
@@ -968,13 +827,9 @@ func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int,
 				delete(okToDrop, e.Name)
 			}
 		}
-		dapi, ok := dests[dest]
-		if !ok {
-			failDest(fmt.Errorf("destination shard %d detached mid-sweep: %w", dest, ErrUnavailable))
-			continue
-		}
+		dapi := r.shards[dest]
 		// Skip entries deleted since the sweep read them: merging the stale
-		// source copy would resurrect the deletion at its new home.
+		// source copy would resurrect the deletion at its home.
 		kept := batch
 		if dropped := r.deletedSince(entryNames(batch)); len(dropped) > 0 {
 			gone := make(map[string]bool, len(dropped))
@@ -1007,18 +862,17 @@ func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int,
 		}
 	}
 
-	// One cleanup DeleteMany on this shard: fully-migrated entries plus —
-	// on replicated tiers — stale copies of names deleted while this shard
-	// was down or a sweep ran. Migrated entries are always safe to drop (a
-	// racing re-create writes to the name's current homes, which exclude
+	// One cleanup DeleteMany on this shard: fully-placed off-home copies
+	// plus — on replicated tiers — stale copies of names deleted while this
+	// shard was down or a sweep ran. Off-home copies are always safe to drop
+	// (a racing re-create writes to the name's current homes, which exclude
 	// this shard). Noted names homed *here* can race a write that just
 	// re-established them: the note set is re-read immediately before the
 	// delete, and re-checked after it — a note that vanished mid-delete
 	// means a write slipped in, and this shard's copy is restored from the
 	// name's other replicas (the racing write reached them too). With one
-	// home per name the noted-name cleanup is skipped: the only copy a noted
-	// name can have off its home is a migrating one, which the okToDrop pass
-	// already removes, and there would be no replica to restore a raced
+	// home per name the noted-name cleanup is skipped: no copy is ever
+	// routed off its home, and there would be no replica to restore a raced
 	// write from.
 	drop := make([]string, 0, len(okToDrop))
 	for name := range okToDrop {
@@ -1067,11 +921,7 @@ func (r *Router) sweepShard(ctx context.Context, id cloud.SiteID, api API) (int,
 // name's other homes, so the copy is recovered from the first replica that
 // still holds it (best-effort; the next sweep converges the same way).
 func (r *Router) restoreRacedWrite(ctx context.Context, id cloud.SiteID, api API, name string) {
-	refs, err := r.replicaSet(name)
-	if err != nil {
-		return
-	}
-	for _, ref := range refs {
+	for _, ref := range r.replicaSet(name) {
 		if ref.id == id {
 			continue
 		}

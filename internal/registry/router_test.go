@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,7 +65,7 @@ func TestRouterSingleKeyOpsLandOnHomeShard(t *testing.T) {
 		if _, err := r.Create(ctx, testEntry(name)); err != nil {
 			t.Fatalf("create %q: %v", name, err)
 		}
-		home := r.Home(name)
+		home := r.placer.Home(name)
 		for id, inst := range shards {
 			has := holds(t, inst, name)
 			if id == home && !has {
@@ -299,7 +299,7 @@ func TestRouterPartialFailureWrapsUnavailable(t *testing.T) {
 	var deadName string
 	for i := 0; i < 4*n; i++ {
 		name := fmt.Sprintf("probe/%d", i)
-		if r.Home(name) == 3 {
+		if r.placer.Home(name) == 3 {
 			deadName = name
 			break
 		}
@@ -342,13 +342,14 @@ func TestRouterPartialFailureWrapsUnavailable(t *testing.T) {
 // caller so, and must leave nothing behind — no force-note, no pinned note
 // table (a one-home tier runs no recovery sweep that would ever unpin it, so
 // every later deletion would be retained forever), and the entries survive
-// the next membership sweep instead of being purged as "deleted". The write
-// concern is documented to have no effect without replication, so both run.
+// a re-sync sweep instead of being purged as "deleted". The write concern is
+// documented to have no effect without replication, so both run.
 func TestRouterSingleHomeFailedDeleteLeavesNoNote(t *testing.T) {
 	for _, concern := range []WriteConcern{WriteAll, WriteQuorum} {
 		t.Run(concern.String(), func(t *testing.T) {
 			ctx := context.Background()
-			r, kills, _ := newReplicatedRouter(t, 2, 1, WithRouterWriteConcern(concern))
+			// An hour-long probe interval leaves the breaker to the test.
+			r, kills, _ := newReplicatedRouter(t, 2, 1, WithRouterWriteConcern(concern), WithRouterHealth(0, time.Hour))
 			const n = 300
 			names := make([]string, n)
 			for i := range names {
@@ -390,7 +391,8 @@ func TestRouterSingleHomeFailedDeleteLeavesNoNote(t *testing.T) {
 				t.Fatalf("failed R=1 deletes left %d notes (pinned: %v), want none", notes, r.staleNotes.Load())
 			}
 
-			r.AddShard(newShard(7))
+			r.MarkShardDown(0) // a shard cycles down and up: the recovery runs a sweep
+			r.MarkShardUp(0)
 			r.Wait()
 			if got := r.Len(ctx); got != n {
 				t.Fatalf("tier holds %d entries after the sweep, want %d: a failed delete purged its entry", got, n)
@@ -404,143 +406,9 @@ func TestRouterSingleHomeFailedDeleteLeavesNoNote(t *testing.T) {
 	}
 }
 
-func TestRouterMembershipChangeMigratesEntries(t *testing.T) {
-	ctx := context.Background()
-	r, shards := newTestRouter(t, 2)
-
-	const n = 500
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("member/%d", i)
-		if _, err := r.Create(ctx, testEntry(names[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A third shard joins; the background sweep moves the keys the ring now
-	// assigns to it.
-	third := newShard(7)
-	id := r.AddShard(third)
-	r.Wait()
-	shards[id] = third
-
-	if got := r.ShardCount(); got != 3 {
-		t.Fatalf("shard count after join: got %d, want 3", got)
-	}
-	if r.Len(ctx) != n {
-		t.Fatalf("tier size after join: got %d, want %d", r.Len(ctx), n)
-	}
-	misplaced := 0
-	for _, name := range names {
-		home := r.Home(name)
-		for sid, inst := range shards {
-			if holds(t, inst, name) != (sid == home) {
-				misplaced++
-				break
-			}
-		}
-		if _, err := r.Get(ctx, name); err != nil {
-			t.Fatalf("get %q after join: %v", name, err)
-		}
-	}
-	if misplaced != 0 {
-		t.Fatalf("%d entries not at their home shard after the join sweep", misplaced)
-	}
-	// Consistent hashing: the join moved roughly 1/3 of the keys, not all.
-	if moved := third.Len(ctx); moved == 0 || moved > (2*n)/3 {
-		t.Fatalf("join moved %d of %d keys; consistent hashing should move about 1/3", moved, n)
-	}
-
-	// The new shard leaves again; its entries drain back and it is detached.
-	if err := r.RemoveShard(id); err != nil {
-		t.Fatal(err)
-	}
-	r.Wait()
-	if got := r.ShardCount(); got != 2 {
-		t.Fatalf("shard count after leave: got %d, want 2", got)
-	}
-	if third.Len(ctx) != 0 {
-		t.Fatalf("removed shard still holds %d entries after drain", third.Len(ctx))
-	}
-	if r.Len(ctx) != n {
-		t.Fatalf("tier size after leave: got %d, want %d", r.Len(ctx), n)
-	}
-	for _, name := range names {
-		if _, err := r.Get(ctx, name); err != nil {
-			t.Fatalf("get %q after leave: %v", name, err)
-		}
-	}
-
-	// Removing the last shards must be refused.
-	if err := r.RemoveShard(r.Shards()[0]); err != nil {
-		t.Fatal(err)
-	}
-	r.Wait()
-	if err := r.RemoveShard(r.Shards()[0]); err == nil {
-		t.Fatal("removing the last shard should fail")
-	}
-}
-
-// drainedShard is a shard as a router sees it once it has gone away behind a
-// remote client: Len answers 0 whatever it holds. Its first listing, the
-// sweep's, comes from the wrapped instance; every later one is after's.
-type drainedShard struct {
-	API
-	listings atomic.Int32
-	after    func() ([]Entry, error)
-}
-
-func (d *drainedShard) Len(context.Context) int { return 0 }
-
-func (d *drainedShard) Entries(ctx context.Context) ([]Entry, error) {
-	if d.listings.Add(1) == 1 {
-		return d.API.Entries(ctx)
-	}
-	return d.after()
-}
-
-// TestRouterDetachesOnlyAShardListedEmpty removes a shard from placement and
-// checks what the sweep does with it afterwards: a drained shard is detached
-// on the evidence of an empty listing, never of a Len of zero.
-func TestRouterDetachesOnlyAShardListedEmpty(t *testing.T) {
-	cases := []struct {
-		name     string
-		after    func() ([]Entry, error)
-		attached bool
-	}{
-		{"unreachable after its sweep", func() ([]Entry, error) { return nil, errShardDown }, true},
-		{"written to after its sweep", func() ([]Entry, error) { return []Entry{testEntry("late")}, nil }, true},
-		{"empty", func() ([]Entry, error) { return nil, nil }, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel() // a failed background sweep retries with backoff
-			ctx := context.Background()
-			leaving := &drainedShard{API: newShard(7), after: tc.after}
-			r, err := NewRouter(7, []API{newShard(7), leaving}, WithRouterMetrics(nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			for i := 0; i < 32; i++ {
-				if _, err := r.Create(ctx, testEntry(fmt.Sprintf("drain/%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := r.RemoveShard(1); err != nil {
-				t.Fatal(err)
-			}
-			r.Wait()
-			if _, attached := r.snapshotShards()[1]; attached != tc.attached {
-				t.Fatalf("shard attached after its drain: got %v, want %v", attached, tc.attached)
-			}
-		})
-	}
-}
-
 // mergeGate wraps a shard and blocks the first Merge call until released,
-// so tests can freeze a migration sweep at the moment it is about to apply
-// a moved batch.
+// so tests can freeze a re-sync sweep at the moment it is about to apply a
+// batch.
 type mergeGate struct {
 	API
 	entered chan struct{}
@@ -561,7 +429,7 @@ func (g *mergeGate) Merge(ctx context.Context, entries []Entry) (int, error) {
 }
 
 // entriesGate wraps a shard and blocks the first Entries call until
-// released, freezing a sweep before it has read the source shard.
+// released, freezing a sweep before it has read the shard.
 type entriesGate struct {
 	API
 	entered chan struct{}
@@ -581,129 +449,127 @@ func (g *entriesGate) Entries(ctx context.Context) ([]Entry, error) {
 	return g.API.Entries(ctx)
 }
 
-// TestRouterDeleteDuringSweepNotResurrected freezes a migration sweep right
-// before it merges a moved batch into the new shard, deletes one of the
-// moved entries through the router, and checks the sweep's post-merge check
-// undoes the resurrection: the deletion must stick everywhere.
-func TestRouterDeleteDuringSweepNotResurrected(t *testing.T) {
-	ctx := context.Background()
-	first := newShard(7)
-	r, err := NewRouter(7, []API{first})
+// newRecoveryTier builds the tier the sweep-race tests run on: three memory
+// shards at R = 2, shard 0 seen through wrap. The probe interval is an hour,
+// so the breakers are the test's: only MarkShardUp closes one and starts the
+// re-sync sweep, which visits shards 0, 1, 2 in that order. It returns the
+// router and the bare shard instances, indexed by shard ID.
+func newRecoveryTier(t *testing.T, wrap func(*Instance) API) (*Router, []*Instance) {
+	t.Helper()
+	insts := []*Instance{newShard(7), newShard(7), newShard(7)}
+	apis := []API{wrap(insts[0]), insts[1], insts[2]}
+	r, err := NewRouter(7, apis, WithRouterReplication(2), WithRouterHealth(0, time.Hour), WithRouterMetrics(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 200
+	t.Cleanup(r.Close)
+	return r, insts
+}
+
+// writeDuringOutage marks shard 0 down and creates n names while it is away.
+// Every one lands on shards 1 and 2, so each name homed on shard 0 is missing
+// there when it returns, and shard 1's pass of the recovery sweep is the one
+// that merges it back.
+func writeDuringOutage(t *testing.T, r *Router, prefix string, n int) []string {
+	t.Helper()
+	r.MarkShardDown(0)
 	names := make([]string, n)
 	for i := range names {
-		names[i] = fmt.Sprintf("resurrect/%d", i)
-		if _, err := r.Create(ctx, testEntry(names[i])); err != nil {
+		names[i] = fmt.Sprintf("%s/%d", prefix, i)
+		if _, err := r.Create(context.Background(), testEntry(names[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return names
+}
 
-	second := newShard(7)
-	gate := newMergeGate(second)
-	id := r.AddShard(gate)
-	<-gate.entered // the sweep has read shard 0 and is about to merge into the joiner
-
-	// Pick an entry that is moving to the new shard and delete it while the
-	// stale copy is in the sweep's hands.
-	var victim string
+// homedOn returns the first name whose ring placement puts a replica on the
+// shard.
+func homedOn(t *testing.T, r *Router, names []string, shard cloud.SiteID) string {
+	t.Helper()
 	for _, name := range names {
-		if r.Home(name) == id {
-			victim = name
-			break
+		if slices.Contains(r.placer.Homes(name, r.rep), shard) {
+			return name
 		}
 	}
-	if victim == "" {
-		t.Fatal("no entry moved to the joining shard")
-	}
+	t.Fatalf("no name is homed on shard %d", shard)
+	return ""
+}
+
+// TestRouterDeleteDuringSweepNotResurrected freezes a recovery's re-sync
+// sweep right before it merges a batch into the returning shard, deletes one
+// of the batch's entries through the router, and checks the sweep's
+// post-merge check undoes the resurrection: the deletion must stick
+// everywhere. The frozen merge comes from shard 1's pass into shard 0, whose
+// own pass is over, so nothing later in the sweep would catch the copy.
+func TestRouterDeleteDuringSweepNotResurrected(t *testing.T) {
+	ctx := context.Background()
+	var gate *mergeGate
+	r, insts := newRecoveryTier(t, func(inst *Instance) API { gate = newMergeGate(inst); return gate })
+	const n = 200
+	names := writeDuringOutage(t, r, "resurrect", n)
+	victim := homedOn(t, r, names, 0)
+
+	r.MarkShardUp(0)
+	<-gate.entered // the sweep holds the victim's copy and is about to merge it into shard 0
 	if err := r.Delete(ctx, victim); err != nil {
 		t.Fatalf("delete during sweep: %v", err)
 	}
-
 	close(gate.release)
 	r.Wait()
 
 	if _, err := r.Get(ctx, victim); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted entry came back after the sweep: %v", err)
 	}
-	if holds(t, second, victim) || holds(t, first, victim) {
-		t.Fatal("a shard still holds the entry deleted during the sweep")
+	for id, inst := range insts {
+		if holds(t, inst, victim) {
+			t.Fatalf("shard %d still holds the entry deleted during the sweep", id)
+		}
 	}
-	// Everything else migrated and survived.
+	// Everything else was repaired and survived.
 	if got := r.Len(ctx); got != n-1 {
 		t.Fatalf("tier holds %d entries after the sweep, want %d", got, n-1)
 	}
 }
 
 // TestRouterDeleteManyDuringSweepNotResurrected is the bulk twin of the test
-// above: the sweep is frozen before its merge into the joining shard, an
-// entry whose replica set now includes the joiner is removed with DeleteMany,
-// and the deletion must stick on every shard — at R=1 exactly as at R=2,
-// because both run the one bulk-delete path that records deletion notes.
+// above: the sweep is frozen before its merge into the returning shard, an
+// entry homed there is removed with DeleteMany, and the deletion must stick
+// on every shard. (R = 1 has no row: with one home per key and a fixed shard
+// set, no sweep moves an entry.)
 func TestRouterDeleteManyDuringSweepNotResurrected(t *testing.T) {
-	for _, tc := range []struct{ rep, shards int }{{rep: 1, shards: 1}, {rep: 2, shards: 2}} {
-		t.Run(fmt.Sprintf("R=%d", tc.rep), func(t *testing.T) {
-			ctx := context.Background()
-			r, shards := newTestRouter(t, tc.shards, WithRouterReplication(tc.rep))
-			const n = 200
-			names := make([]string, n)
-			for i := range names {
-				names[i] = fmt.Sprintf("resurrect-many/%d", i)
-				if _, err := r.Create(ctx, testEntry(names[i])); err != nil {
-					t.Fatal(err)
-				}
-			}
+	t.Run("R=2", func(t *testing.T) {
+		ctx := context.Background()
+		var gate *mergeGate
+		r, insts := newRecoveryTier(t, func(inst *Instance) API { gate = newMergeGate(inst); return gate })
+		const n = 200
+		names := writeDuringOutage(t, r, "resurrect-many", n)
+		victim := homedOn(t, r, names, 0)
 
-			joiner := newShard(7)
-			gate := newMergeGate(joiner)
-			id := r.AddShard(gate)
-			shards[id] = joiner
-			<-gate.entered // the sweep is about to merge a moved batch into the joiner
+		r.MarkShardUp(0)
+		<-gate.entered // the sweep is about to merge the victim's copy into shard 0
+		if _, err := r.DeleteMany(ctx, []string{victim}); err != nil {
+			t.Fatalf("delete-many during sweep: %v", err)
+		}
+		close(gate.release)
+		r.Wait()
 
-			var victim string
-			for _, name := range names {
-				refs, err := r.replicaSet(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, ref := range refs {
-					if ref.id == id {
-						victim = name
-					}
-				}
-				if victim != "" {
-					break
-				}
+		if _, err := r.Get(ctx, victim); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("deleted entry came back after the sweep: %v", err)
+		}
+		for id, inst := range insts {
+			if holds(t, inst, victim) {
+				t.Fatalf("shard %d still holds the entry deleted during the sweep", id)
 			}
-			if victim == "" {
-				t.Fatal("no entry moved to the joining shard")
-			}
-			if _, err := r.DeleteMany(ctx, []string{victim}); err != nil {
-				t.Fatalf("delete-many during sweep: %v", err)
-			}
-
-			close(gate.release)
-			r.Wait()
-
-			if _, err := r.Get(ctx, victim); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("deleted entry came back after the sweep: %v", err)
-			}
-			for sid, inst := range shards {
-				if holds(t, inst, victim) {
-					t.Fatalf("shard %d still holds the entry deleted during the sweep", sid)
-				}
-			}
-			if got := r.Len(ctx); got != n-1 {
-				t.Fatalf("tier holds %d entries after the sweep, want %d", got, n-1)
-			}
-		})
-	}
+		}
+		if got := r.Len(ctx); got != n-1 {
+			t.Fatalf("tier holds %d entries after the sweep, want %d", got, n-1)
+		}
+	})
 }
 
 // deleteGate wraps a shard and blocks the Delete of one name until released,
-// so tests can hold a routed delete in flight across a membership change.
+// so tests can hold a routed delete in flight across a recovery.
 type deleteGate struct {
 	API
 	name    string
@@ -723,168 +589,119 @@ func (g *deleteGate) Delete(ctx context.Context, name string) error {
 }
 
 // TestRouterDeleteRacingSweepStartLeavesNoCopy holds a Delete in flight at
-// one replica — issued while no sweep was active, so it recorded no deletion
-// note — lets a shard join and its whole migration sweep run, and only then
-// lets the delete finish. The sweep copied the still-present entry to its
-// new homes; the delete's re-check of the sweep generation must purge those
-// copies, at every replication factor.
+// one replica — issued while no sweep was active and no shard was down, so
+// it recorded no deletion note — while the third shard goes down, comes back
+// and its whole re-sync sweep runs, and only then lets the delete finish.
+// The sweep copied the still-present entry back onto the replica that had
+// already deleted it; the delete's re-check of the sweep generation must
+// purge that copy.
 func TestRouterDeleteRacingSweepStartLeavesNoCopy(t *testing.T) {
-	for _, tc := range []struct{ rep, shards int }{{rep: 1, shards: 1}, {rep: 2, shards: 2}} {
-		t.Run(fmt.Sprintf("R=%d", tc.rep), func(t *testing.T) {
-			ctx := context.Background()
-			joinerID := cloud.SiteID(tc.shards)
-
-			// Placement derives from the shard IDs alone, so a throwaway
-			// router over the grown tier tells which name the joiner will
-			// own. The victim's new homes exclude shard 0, where the delete
-			// is held: at R=2 the sweep then re-merges the entry from shard 0
-			// onto the other old replica, which had already deleted it.
-			grown, _ := newTestRouter(t, tc.shards+1, WithRouterReplication(tc.rep))
-			var victim string
-			for i := 0; victim == ""; i++ {
-				name := fmt.Sprintf("race/%d", i)
-				refs, err := grown.replicaSet(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				onJoiner, onGated := false, false
-				for _, ref := range refs {
-					onJoiner = onJoiner || ref.id == joinerID
-					onGated = onGated || ref.id == 0
-				}
-				if onJoiner && !onGated {
-					victim = name
-				}
+	t.Run("R=2", func(t *testing.T) {
+		ctx := context.Background()
+		gate := &deleteGate{entered: make(chan struct{}), release: make(chan struct{})}
+		r, insts := newRecoveryTier(t, func(inst *Instance) API { gate.API = inst; return gate })
+		var homes []cloud.SiteID
+		for i := 0; gate.name == ""; i++ {
+			name := fmt.Sprintf("race/%d", i)
+			if homes = r.placer.Homes(name, r.rep); slices.Contains(homes, 0) {
+				gate.name = name
 			}
-
-			insts := map[cloud.SiteID]*Instance{}
-			apis := make([]API, tc.shards)
-			gate := &deleteGate{name: victim, entered: make(chan struct{}), release: make(chan struct{})}
-			for i := range apis {
-				inst := newShard(7)
-				insts[cloud.SiteID(i)] = inst
-				apis[i] = inst
+		}
+		var other, third cloud.SiteID // the victim's replica besides shard 0, and the shard it skips
+		for _, id := range []cloud.SiteID{1, 2} {
+			if slices.Contains(homes, id) {
+				other = id
+			} else {
+				third = id
 			}
-			gate.API = apis[0]
-			apis[0] = gate
-			r, err := NewRouter(7, apis, WithRouterReplication(tc.rep))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := r.Create(ctx, testEntry(victim)); err != nil {
-				t.Fatal(err)
-			}
-
-			deleted := make(chan error, 1)
-			go func() { deleted <- r.Delete(ctx, victim) }()
-			<-gate.entered // in flight at shard 0, no sweep active, no note recorded
-
-			joiner := newShard(7)
-			if id := r.AddShard(joiner); id != joinerID {
-				t.Fatalf("joiner got shard ID %d, want %d", id, joinerID)
-			}
-			insts[joinerID] = joiner
-			r.Wait() // the sweep has copied the not-yet-deleted entry to its new homes
-
-			close(gate.release)
-			if err := <-deleted; err != nil {
-				t.Fatalf("delete racing the sweep start: %v", err)
-			}
-			for id, inst := range insts {
-				if holds(t, inst, victim) {
-					t.Fatalf("shard %d holds a copy of the entry after its delete was acknowledged", id)
-				}
-			}
-		})
-	}
-}
-
-// TestRouterRecreateAfterDeleteDuringSweepSurvives deletes a mid-migration
-// entry and immediately re-creates it while the sweep is frozen before its
-// merge: the fresh entry must survive the sweep's anti-resurrection check —
-// an acknowledged Create is never silently undone.
-func TestRouterRecreateAfterDeleteDuringSweepSurvives(t *testing.T) {
-	ctx := context.Background()
-	first := newShard(7)
-	r, err := NewRouter(7, []API{first})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("recreate/%d", i)
-		if _, err := r.Create(ctx, testEntry(names[i])); err != nil {
+		}
+		if _, err := r.Create(ctx, testEntry(gate.name)); err != nil {
 			t.Fatal(err)
 		}
-	}
 
-	gate := newMergeGate(newShard(7))
-	id := r.AddShard(gate)
-	<-gate.entered
+		deleted := make(chan error, 1)
+		go func() { deleted <- r.Delete(ctx, gate.name) }()
+		<-gate.entered // in flight at shard 0, no sweep active, no note recorded
+		waitFor(t, "the other replica to apply the delete", func() bool { return !holds(t, insts[other], gate.name) })
 
-	var victim string
-	for _, name := range names {
-		if r.Home(name) == id {
-			victim = name
-			break
+		r.MarkShardDown(third)
+		r.MarkShardUp(third)
+		r.Wait() // the sweep has merged shard 0's not-yet-deleted copy into the other replica
+
+		close(gate.release)
+		if err := <-deleted; err != nil {
+			t.Fatalf("delete racing the sweep start: %v", err)
 		}
-	}
-	if victim == "" {
-		t.Fatal("no entry moved to the joining shard")
-	}
+		for id, inst := range insts {
+			if holds(t, inst, gate.name) {
+				t.Fatalf("shard %d holds a copy of the entry after its delete was acknowledged", id)
+			}
+		}
+	})
+}
+
+// TestRouterRecreateAfterDeleteDuringSweepSurvives deletes an entry the
+// frozen sweep is about to merge into the returning shard and immediately
+// re-creates it: the fresh entry must survive the sweep's anti-resurrection
+// checks on both its replicas — an acknowledged Create is never silently
+// undone.
+func TestRouterRecreateAfterDeleteDuringSweepSurvives(t *testing.T) {
+	ctx := context.Background()
+	var gate *mergeGate
+	r, insts := newRecoveryTier(t, func(inst *Instance) API { gate = newMergeGate(inst); return gate })
+	const n = 200
+	names := writeDuringOutage(t, r, "recreate", n)
+	victim := homedOn(t, r, names, 0)
+
+	r.MarkShardUp(0)
+	<-gate.entered
 	if err := r.Delete(ctx, victim); err != nil {
 		t.Fatalf("delete during sweep: %v", err)
 	}
 	if _, err := r.Create(ctx, testEntry(victim)); err != nil {
 		t.Fatalf("re-create during sweep: %v", err)
 	}
-
 	close(gate.release)
 	r.Wait()
 
 	if _, err := r.Get(ctx, victim); err != nil {
 		t.Fatalf("re-created entry was lost after the sweep: %v", err)
 	}
+	for _, id := range r.placer.Homes(victim, r.rep) {
+		if !holds(t, insts[id], victim) {
+			t.Fatalf("re-created entry is missing from its replica on shard %d after the sweep", id)
+		}
+	}
 	if got := r.Len(ctx); got != n {
 		t.Fatalf("tier holds %d entries after the sweep, want %d", got, n)
 	}
 }
 
-// TestRouterGetFallsBackDuringSweep freezes a sweep before it has read the
-// old shard and checks that reads of not-yet-migrated entries succeed via
-// the fallback instead of reporting ErrNotFound from the new home.
+// TestRouterGetFallsBackDuringSweep freezes a recovery's sweep before it has
+// read anything and checks that reads of entries the returning shard missed
+// succeed via the fallback instead of reporting the returning primary's
+// ErrNotFound.
 func TestRouterGetFallsBackDuringSweep(t *testing.T) {
 	ctx := context.Background()
-	gate := newEntriesGate(newShard(7))
-	r, err := NewRouter(7, []API{gate})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var gate *entriesGate
+	r, _ := newRecoveryTier(t, func(inst *Instance) API { gate = newEntriesGate(inst); return gate })
 	const n = 200
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("fallback/%d", i)
-		if _, err := r.Create(ctx, testEntry(names[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	id := r.AddShard(newShard(7))
-	<-gate.entered // the sweep is frozen; nothing has migrated yet
-
-	var moved string
+	names := writeDuringOutage(t, r, "fallback", n)
+	var missed string
 	for _, name := range names {
-		if r.Home(name) == id {
-			moved = name
+		if r.placer.Home(name) == 0 {
+			missed = name
 			break
 		}
 	}
-	if moved == "" {
-		t.Fatal("no entry is due to move to the joining shard")
+	if missed == "" {
+		t.Fatal("no name has shard 0 as its primary")
 	}
-	if _, err := r.Get(ctx, moved); err != nil {
-		t.Fatalf("get of a not-yet-migrated entry during the sweep: %v", err)
+
+	r.MarkShardUp(0)
+	<-gate.entered // the sweep is frozen; shard 0 is back in placement and still empty
+	if _, err := r.Get(ctx, missed); err != nil {
+		t.Fatalf("get of a not-yet-repaired entry during the sweep: %v", err)
 	}
 	// Bulk reads fall back the same way: no entry may be silently dropped.
 	got, err := r.GetMany(ctx, names)
@@ -897,7 +714,7 @@ func TestRouterGetFallsBackDuringSweep(t *testing.T) {
 
 	close(gate.release)
 	r.Wait()
-	if _, err := r.Get(ctx, moved); err != nil {
+	if _, err := r.Get(ctx, missed); err != nil {
 		t.Fatalf("get after the sweep: %v", err)
 	}
 }

@@ -6,10 +6,17 @@ package geomds
 // below with the reason it stays, or dead.
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -289,5 +296,116 @@ func TestGobIsImportedByOneFile(t *testing.T) {
 	}
 	if !kept {
 		t.Errorf("%s no longer imports encoding/gob: delete this test with it", keeper)
+	}
+}
+
+// routerSeams are the exported *registry.Router methods that only tests
+// call, and why each stays.
+var routerSeams = map[string]string{
+	"Wait":        "tests await background re-sync sweeps and replica repairs",
+	"MarkShardUp": "fault injection: closes a breaker and starts the recovery a probe would",
+	"DownShards":  "tests assert which breakers a tier has open",
+	"Shards":      "tests assert a tier's shard IDs",
+}
+
+// listedPackage is the part of `go list -json` the method guard reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Module     *struct{ Main bool }
+}
+
+// TestRouterMethodsAreReachable holds *registry.Router to the options' rule:
+// an exported method stays only while non-test code outside package registry
+// calls it, it implements a method of registry.API or registry.ChangeFeeder,
+// or it is a seam listed in routerSeams with its reason. Calls are resolved
+// with go/types against the compiler's export data, so a method of the same
+// name on another type (a placer's Home in core) does not count.
+func TestRouterMethodsAreReachable(t *testing.T) {
+	const registryPath = "geomds/internal/registry"
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Module", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	exports := make(map[string]string) // import path -> export data file
+	var mine []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		exports[p.ImportPath] = p.Export
+		if p.Module != nil && p.Module.Main && p.ImportPath != registryPath {
+			mine = append(mine, p)
+		}
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+
+	called := make(map[string]bool) // Router method -> called outside package registry
+	for _, p := range mine {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Selections: make(map[*ast.SelectorExpr]*types.Selection)}
+		if _, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info); err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		for _, sel := range info.Selections {
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != registryPath {
+				continue
+			}
+			recv := fn.Type().(*types.Signature).Recv().Type()
+			if ptr, ok := recv.(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			if named, ok := recv.(*types.Named); ok && named.Obj().Name() == "Router" {
+				called[fn.Name()] = true
+			}
+		}
+	}
+
+	reg, err := imp.Import(registryPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	implements := make(map[string]string) // method name -> the interface it implements
+	for _, iface := range []string{"API", "ChangeFeeder"} {
+		it := reg.Scope().Lookup(iface).Type().Underlying().(*types.Interface)
+		for i := 0; i < it.NumMethods(); i++ {
+			implements[it.Method(i).Name()] = iface
+		}
+	}
+	methods := types.NewMethodSet(types.NewPointer(reg.Scope().Lookup("Router").Type()))
+	defined := make(map[string]bool)
+	for i := 0; i < methods.Len(); i++ {
+		name := methods.At(i).Obj().Name()
+		if !token.IsExported(name) {
+			continue
+		}
+		defined[name] = true
+		reachable := called[name] || implements[name] != ""
+		_, seam := routerSeams[name]
+		switch {
+		case !reachable && !seam:
+			t.Errorf("registry.Router.%s is called by no non-test code outside package registry and implements no method of registry.API or registry.ChangeFeeder: call it from a binary, list it in routerSeams with its reason, or delete it", name)
+		case reachable && seam:
+			t.Errorf("registry.Router.%s is listed in routerSeams and is reachable: drop it from the list", name)
+		}
+	}
+	for name := range routerSeams {
+		if !defined[name] {
+			t.Errorf("routerSeams lists %s, which registry.Router does not have", name)
+		}
 	}
 }
