@@ -17,9 +17,10 @@
 //     plus background probe keeps routing away from crashed shards until a
 //     re-sync sweep repairs them — the site serves its whole key range
 //     through the loss of any R-1 shards;
-//   - -data-dir D persists the registry to a write-ahead log
-//     under D (one shard-<i> subdirectory per shard with -shards) and
+//   - -data-dir D persists the registry to one write-ahead log in D,
+//     shared by the -shards (a write to R replicas costs one fsync), and
 //     recovers it on the next start, so acknowledged writes survive a crash.
+//     A D of the previous storage generation is refused at start.
 //     -fsync picks the log's sync policy: always (every append, the
 //     default) or never (only at snapshot and shutdown). A replicated tier
 //     repairs a restarted durable shard from its recovered state — only the

@@ -2,7 +2,7 @@ package main
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +13,7 @@ import (
 
 	"geomds/internal/registry"
 	"geomds/internal/rpc"
+	"geomds/internal/store"
 )
 
 // lines collects what run prints to stdout and hands out complete lines.
@@ -146,16 +147,58 @@ func TestRunGeobenchFlagSets(t *testing.T) {
 			if !tc.restart {
 				return
 			}
-			for i := range 4 {
-				if _, err := os.Stat(filepath.Join(data, fmt.Sprintf("shard-%d", i))); err != nil {
-					t.Errorf("data-dir layout: %v", err)
-				}
+			// The four shards share one log in the data dir.
+			if segs, _ := filepath.Glob(filepath.Join(data, "wal-*.log")); len(segs) != 1 {
+				t.Errorf("data-dir layout: segments %v, want one shared log", segs)
+			}
+			if dirs, _ := filepath.Glob(filepath.Join(data, "shard-*")); len(dirs) != 0 {
+				t.Errorf("data-dir layout: per-shard directories %v", dirs)
 			}
 			s = start(t, tc.flags...)
 			defer s.shutdown(t)
 			got, err = dial(t, s.addr).Get(ctx, "data/f1")
 			if err != nil || got.Size != 2048 {
 				t.Errorf("after restart Get = %+v, %v; want the entry recovered from %s", got, err, data)
+			}
+		})
+	}
+}
+
+// TestRunRefusesGeneration1DataDir: a data directory the previous storage
+// generation wrote — a log directory per shard, or a generation-1 log of a
+// single instance — makes run fail at once with store.ErrGeneration, before
+// it serves anything.
+func TestRunRefusesGeneration1DataDir(t *testing.T) {
+	segment := append([]byte("GMDSWAL1"), make([]byte, 512)...)
+	for _, tc := range []struct {
+		name  string
+		files []string
+		flags []string
+	}{
+		{"sharded", []string{"shard-0", "shard-1", "shard-2", "shard-3"}, []string{"-shards", "4", "-replication", "2", "-fsync", "always", "-feed"}},
+		{"single", []string{"."}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := t.TempDir()
+			for _, sub := range tc.files {
+				if err := os.MkdirAll(filepath.Join(data, sub), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(data, sub, "wal-0000000000000001.log"), segment, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stdout := &lines{out: make(chan string, 4)}
+			args := append([]string{"-addr", "127.0.0.1:0", "-data-dir", data}, tc.flags...)
+			err := run(args, stdout, nil)
+			if !errors.Is(err, store.ErrGeneration) {
+				t.Fatalf("run = %v, want store.ErrGeneration", err)
+			}
+			if len(stdout.out) != 0 {
+				t.Errorf("run printed %q before refusing", <-stdout.out)
+			}
+			if segs, _ := filepath.Glob(filepath.Join(data, "wal-*.log")); tc.name == "sharded" && len(segs) != 0 {
+				t.Errorf("run created a log %v beside the old directories", segs)
 			}
 		})
 	}

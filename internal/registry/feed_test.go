@@ -10,6 +10,7 @@ import (
 	"geomds/internal/cloud"
 	"geomds/internal/feed"
 	"geomds/internal/memcache"
+	"geomds/internal/store"
 )
 
 // collectFeed drains n events from the subscription, failing the test if the
@@ -160,6 +161,86 @@ func TestDurableFeedResumeTokensSurviveRestart(t *testing.T) {
 	next := collectFeed(t, tail, 1)
 	if next[0].Seq != head+1 || next[0].Name != "k4" {
 		t.Fatalf("post-restart event = %+v, want k4 at seq %d", next[0], head+1)
+	}
+}
+
+// TestSharedLogFeedsCarryHoles: instances that are members of one log
+// publish under the log's global sequence numbers, so each feed's numbers
+// have holes where the other members' records are. A feed takes them as
+// external sequence numbers, a cursor that falls in a hole resumes at the
+// next event, and after a restart each feed starts at its member's own last
+// number.
+func TestSharedLogFeedsCarryHoles(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	open := func() []*Instance {
+		members, err := store.OpenShared(dir, []store.Backing{memcache.New(memcache.Config{}), memcache.New(memcache.Config{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Instance{NewInstance(3, members[0], WithChangeFeed()), NewInstance(3, members[1], WithChangeFeed())}
+	}
+	insts := open()
+	subs := make([]*feed.Subscription, len(insts))
+	for i, inst := range insts {
+		sub, err := inst.ChangeFeed().Subscribe(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		subs[i] = sub
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := insts[i%2].Create(ctx, NewEntry(fmt.Sprintf("k%d", i), 1, "t", Location{Site: 3})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m, sub := range subs {
+		for i, ev := range collectFeed(t, sub, 3) {
+			if want := uint64(2*i + m + 1); ev.Seq != want || ev.Name != fmt.Sprintf("k%d", 2*i+m) {
+				t.Errorf("member %d event %d = %s at seq %d, want k%d at %d", m, i, ev.Name, ev.Seq, 2*i+m, want)
+			}
+		}
+		if seq, _ := insts[m].DurableSeq(); insts[m].ChangeFeed().Seq() != seq {
+			t.Errorf("member %d: feed head %d, DurableSeq %d", m, insts[m].ChangeFeed().Seq(), seq)
+		}
+	}
+	// Seq 2 is member 1's: on member 0's feed it is a hole.
+	resumed, err := insts[0].ChangeFeed().Subscribe(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collectFeed(t, resumed, 2); got[0].Seq != 3 || got[1].Seq != 5 {
+		t.Errorf("resuming member 0's feed from seq 2 gave seqs %d, %d; want 3, 5", got[0].Seq, got[1].Seq)
+	}
+	resumed.Close()
+	for _, inst := range insts {
+		if err := inst.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	insts = open()
+	defer func() {
+		for _, inst := range insts {
+			inst.Close()
+		}
+	}()
+	for m, inst := range insts {
+		if head := inst.ChangeFeed().Seq(); head != uint64(5+m) {
+			t.Errorf("member %d restarted its feed at %d, want its last record's seq %d", m, head, 5+m)
+		}
+	}
+	tail, err := insts[0].ChangeFeed().Subscribe(insts[0].ChangeFeed().Seq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	if _, err := insts[0].Create(ctx, NewEntry("k6", 1, "t", Location{Site: 3})); err != nil {
+		t.Fatal(err)
+	}
+	if next := collectFeed(t, tail, 1); next[0].Seq != 7 {
+		t.Errorf("first event after the restart has seq %d, want 7: the log goes on after member 1's 6", next[0].Seq)
 	}
 }
 

@@ -31,9 +31,10 @@ type Instance struct {
 	// updateMu queues the read-modify-writes that go through this instance,
 	// striped by entry name: see Update.
 	updateMu [updateStripes]sync.Mutex
-	// durable is the persistence layer when WithStorage wrapped the store;
-	// nil for memory-only instances. storageErr records a failed storage
-	// open so constructors can surface it.
+	// durable is the persistence layer when WithStorage wrapped the store
+	// or the store is a log member; nil for memory-only instances.
+	// storageErr records a failed storage open so constructors can surface
+	// it.
 	durable    *store.Durable
 	storageErr error
 	// Change-feed state (see feed.go): wantFeed/feedOpts record a
@@ -57,11 +58,13 @@ func WithCASRetries(n int) InstanceOption {
 }
 
 // NewInstance returns a registry instance for the given site backed by the
-// given store. It panics if a WithStorage option failed to open its
-// directory — construction cannot half-succeed; use OpenInstance to handle
-// the error instead.
-func NewInstance(site cloud.SiteID, store Store, opts ...InstanceOption) *Instance {
-	inst := &Instance{site: site, store: store, maxCASRetries: 8}
+// given store. A *store.Durable — a member of a site's shared log — is the
+// instance's storage, as WithStorage's would be. NewInstance panics if a
+// WithStorage option failed to open its directory — construction cannot
+// half-succeed; use OpenInstance to handle the error instead.
+func NewInstance(site cloud.SiteID, s Store, opts ...InstanceOption) *Instance {
+	inst := &Instance{site: site, store: s, maxCASRetries: 8}
+	inst.durable, _ = s.(*store.Durable)
 	for _, o := range opts {
 		o(inst)
 	}

@@ -389,6 +389,103 @@ func TestRouterDeltaRepairAfterRestart(t *testing.T) {
 	}
 }
 
+// openSharedLog opens n instances as the members of one log in dir, as
+// site.Build does with a DataDir.
+func openSharedLog(t *testing.T, dir string, n int) []*Instance {
+	t.Helper()
+	backings := make([]store.Backing, n)
+	for i := range backings {
+		backings[i] = memcache.New(memcache.Config{})
+	}
+	members, err := store.OpenShared(dir, backings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := make([]*Instance, n)
+	for i, m := range members {
+		insts[i] = NewInstance(7, m)
+		t.Cleanup(func() { insts[i].Close() })
+	}
+	return insts
+}
+
+// TestRouterDeltaRepairOverSharedLog: shards that share one log recover
+// with a delta too. A member's DurableSeq is its own last record's number
+// in the log's numbering: the other members' writes during the outage move
+// the log on but not the victim's number, so after a restart of the site
+// the victim reports exactly the number it went down with, and
+// seqUp >= seqDown holds.
+func TestRouterDeltaRepairOverSharedLog(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	insts := openSharedLog(t, dir, 4)
+	shards := make([]*restartableShard, len(insts))
+	apis := make([]API, len(insts))
+	for i, inst := range insts {
+		shards[i] = &restartableShard{inner: inst}
+		apis[i] = shards[i]
+	}
+	reg := metrics.NewRegistry()
+	r, err := NewRouter(7, apis, WithRouterReplication(2), WithRouterHealth(2, 10*time.Millisecond), WithRouterMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	const victim = cloud.SiteID(2)
+	var preload []Entry
+	for i := 0; i < 32; i++ {
+		preload = append(preload, NewEntry(fmt.Sprintf("pre/%d", i), 100, "p", Location{Site: 7, Node: 1}))
+	}
+	if _, err := r.PutMany(ctx, preload); err != nil {
+		t.Fatal(err)
+	}
+	seqDown, _ := insts[victim].DurableSeq()
+	shards[victim].kill()
+	r.MarkShardDown(victim)
+	for i := 0; i < 16; i++ {
+		if _, err := r.Create(ctx, NewEntry(fmt.Sprintf("during/%d", i), 100, "p", Location{Site: 7, Node: 2})); err != nil {
+			t.Fatalf("write during outage: %v", err)
+		}
+	}
+	var logSeq uint64
+	for _, inst := range insts {
+		seq, _ := inst.DurableSeq()
+		logSeq = max(logSeq, seq)
+	}
+	if logSeq <= seqDown {
+		t.Fatalf("the outage writes left the log at %d, not past the victim's %d", logSeq, seqDown)
+	}
+
+	// Restart the site: every member reopens from the one log.
+	for _, inst := range insts {
+		if err := inst.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re := openSharedLog(t, dir, 4)
+	if seqUp, _ := re[victim].DurableSeq(); seqUp != seqDown {
+		t.Fatalf("the victim recovered seq %d, want the %d it went down with", seqUp, seqDown)
+	}
+	for i, s := range shards {
+		s.restart(re[i])
+	}
+	r.MarkShardUp(victim)
+	r.Wait()
+
+	snap := reg.Snapshot()
+	if got := snap.Counters["router_delta_repairs_total"]; got != 1 {
+		t.Errorf("router_delta_repairs_total = %d, want 1", got)
+	}
+	if got := snap.Counters["router_sweeps_total"]; got != 0 {
+		t.Errorf("router_sweeps_total = %d, want 0", got)
+	}
+	for _, name := range []string{"pre/0", "pre/31", "during/0", "during/15"} {
+		if _, err := r.Get(ctx, name); err != nil {
+			t.Errorf("%s unreadable after the repair: %v", name, err)
+		}
+	}
+}
+
 // TestRouterFullSweepWhenRecoveryLosesState: a shard that restarts *empty*
 // (its data directory gone — the disk died with the process) reports a
 // lower sequence number than it went down with; the delta is unsound and

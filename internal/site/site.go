@@ -30,9 +30,9 @@ type Config struct {
 	Site cloud.SiteID
 	// Shards is the number of in-process registry instances. Above 1 they
 	// sit behind a consistent-hash router, each on its own cache (and, with
-	// DataDir, its own shard-<i> log directory): single-key operations route
-	// to the owning shard, bulk operations split into one concurrent
-	// sub-batch per shard. 0 or 1 is a single instance.
+	// DataDir, as its own member of the site's one log): single-key
+	// operations route to the owning shard, bulk operations split into one
+	// concurrent sub-batch per shard. 0 or 1 is a single instance.
 	Shards int
 	// Remote, when non-empty, makes the deployment a pure routing tier over
 	// these already-dialed shard APIs (typically rpc.Clients; the caller
@@ -46,9 +46,12 @@ type Config struct {
 	// WriteConcern is the replicated-write acknowledgement rule (the zero
 	// value is registry.WriteAll).
 	WriteConcern registry.WriteConcern
-	// DataDir, when set, backs every in-process instance with a write-ahead
-	// log under it and recovers from it on the next Build, so acknowledged
-	// writes survive a crash. Empty keeps the registry in memory.
+	// DataDir, when set, backs the in-process instances with one
+	// write-ahead log in it, which they share (and its fsyncs: a write to
+	// two replicas costs one), and recovers them from it on the next Build,
+	// so acknowledged writes survive a crash. A directory holding the
+	// shard-<i> log directories of storage generation 1 is refused
+	// (store.ErrGeneration). Empty keeps the registry in memory.
 	DataDir string
 	// Fsync is the log's sync policy with DataDir (the zero value,
 	// store.FsyncAlways, syncs every append).
@@ -155,17 +158,12 @@ func Build(cfg Config) (registry.API, func() error, error) {
 	)
 	shards := cfg.Remote
 	if len(shards) == 0 {
-		n := max(cfg.Shards, 1)
-		shards = make([]registry.API, n)
-		for i := range shards {
-			sub := ""
-			if n > 1 {
-				sub = fmt.Sprintf("shard-%d", i)
-			}
-			inst, err := cfg.newInstance(sub)
-			if err != nil {
-				return nil, nil, errors.Join(err, closeAll())
-			}
+		insts, err := cfg.newInstances()
+		if err != nil {
+			return nil, nil, err
+		}
+		shards = make([]registry.API, len(insts))
+		for i, inst := range insts {
 			closers = append(closers, inst.Close)
 			shards[i], api, feeder = inst, inst, inst
 		}
@@ -197,23 +195,38 @@ func Build(cfg Config) (registry.API, func() error, error) {
 	return api, closeAll, nil
 }
 
-// newInstance builds one registry instance on its own cache, memory-only or
-// recovered from (and journaling to) the sub directory of DataDir.
-func (c Config) newInstance(sub string) (*registry.Instance, error) {
-	var backing registry.Store
-	if c.NewStore != nil {
-		backing = c.NewStore()
-	} else {
-		backing = memcache.New(memcache.Config{Metrics: c.Metrics})
+// newInstances builds the site's instances, each on its own cache:
+// memory-only, or the members of one write-ahead log in DataDir, recovered
+// from it and journaling to it.
+func (c Config) newInstances() ([]*registry.Instance, error) {
+	backings := make([]registry.Store, max(c.Shards, 1))
+	for i := range backings {
+		if c.NewStore != nil {
+			backings[i] = c.NewStore()
+		} else {
+			backings[i] = memcache.New(memcache.Config{Metrics: c.Metrics})
+		}
+	}
+	if c.DataDir != "" {
+		if old, _ := filepath.Glob(filepath.Join(c.DataDir, "shard-[0-9]*")); len(old) > 0 {
+			return nil, fmt.Errorf("site: %s holds a log directory per shard (%s): %w", c.DataDir, filepath.Base(old[0]), store.ErrGeneration)
+		}
+		members, err := store.OpenShared(c.DataDir, backings, store.WithFsync(c.Fsync))
+		if err != nil {
+			return nil, fmt.Errorf("site: opening the log in %s: %w", c.DataDir, err)
+		}
+		for i, m := range members {
+			backings[i] = m
+		}
 	}
 	var opts []registry.InstanceOption
 	if c.Feed {
 		opts = append(opts, registry.WithChangeFeed(
 			feed.WithCapacity(c.FeedCapacity), feed.WithLogMetrics(c.Metrics)))
 	}
-	if c.DataDir == "" {
-		return registry.NewInstance(c.Site, backing, opts...), nil
+	insts := make([]*registry.Instance, len(backings))
+	for i, b := range backings {
+		insts[i] = registry.NewInstance(c.Site, b, opts...)
 	}
-	return registry.OpenInstance(c.Site, backing, filepath.Join(c.DataDir, sub),
-		[]store.Option{store.WithFsync(c.Fsync)}, opts...)
+	return insts, nil
 }

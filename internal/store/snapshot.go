@@ -1,58 +1,71 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"geomds/internal/memcache"
 )
 
-// Snapshot file format. A snapshot is the complete key/value state as of
-// one sequence number, so recovery can skip every log record at or below
-// it. The file is
+// Snapshot file format (storage generation 2). A snapshot is one member's
+// complete key/value state as of one sequence number of the shared log, so
+// recovery can skip that member's records at or below it. The file is
 //
 //	8-byte magic | u64 snapshot sequence number | frames...
 //
-// with the same u32-length/u32-CRC framing as the WAL. Each frame payload
-// starts with a kind byte: kind 1 is one key/value pair
-// (u32 key length | key | u32 value length | value), kind 2 is the footer
-// (u64 record count), which must be the file's last frame. A snapshot
-// missing its footer — a crash mid-write, though the write-to-temp-and-rename
-// protocol makes that window tiny — is invalid as a whole and recovery
-// falls back to an older snapshot (or none) plus a longer log replay.
+// with the same u32-length/u32-CRC framing as the WAL, and it is named
+// snap-<member>-<seq, hex>.db. Each frame payload starts with a kind byte:
+// kind 1 is one key/value pair (u32 key length | key | u32 value length |
+// value), kind 2 is the footer (u64 record count), which must be the file's
+// last frame. A snapshot missing its footer — a crash mid-write, though the
+// write-to-temp-and-rename protocol makes that window tiny — is invalid as a
+// whole and recovery falls back to an older snapshot of that member (or
+// none) plus a longer log replay.
 //
 // Snapshots are written to a temporary name that the discovery glob does
 // not match, fsynced, then renamed into place; old segments and snapshots
-// are deleted only after the new snapshot and the rename are durable.
+// are deleted only after every member's new snapshot and the renames are
+// durable.
 
 const (
-	snapMagic = "GMDSSNP1"
+	snapMagic = "GMDSSNP2"
 
 	snapKindKV     = byte(1)
 	snapKindFooter = byte(2)
 )
 
-func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016x.db", seq) }
+func snapshotName(member int, seq uint64) string {
+	return fmt.Sprintf("snap-%d-%016x.db", member, seq)
+}
+
+// snapFile is one discovered snapshot file.
+type snapFile struct {
+	path   string
+	member int
+	seq    uint64
+}
 
 // listSnapshots returns the directory's snapshots, newest first.
-func listSnapshots(dir string) ([]segment, error) {
+func listSnapshots(dir string) ([]snapFile, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "snap-*.db"))
 	if err != nil {
 		return nil, err
 	}
-	snaps := make([]segment, 0, len(matches))
+	snaps := make([]snapFile, 0, len(matches))
 	for _, m := range matches {
-		var seq uint64
-		if _, err := fmt.Sscanf(filepath.Base(m), "snap-%016x.db", &seq); err != nil {
+		s := snapFile{path: m}
+		if _, err := fmt.Sscanf(filepath.Base(m), "snap-%d-%016x.db", &s.member, &s.seq); err != nil {
 			continue
 		}
-		snaps = append(snaps, segment{path: m, first: seq})
+		snaps = append(snaps, s)
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].first > snaps[j].first })
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].seq > snaps[j].seq })
 	return snaps, nil
 }
 
@@ -136,105 +149,120 @@ func parseSnapshotKV(p []byte) (memcache.KV, error) {
 	return kv, nil
 }
 
-// loadNewestSnapshot applies the newest snapshot that validates in full to
-// the backing store and returns its sequence number; invalid snapshots are
-// counted and skipped in favour of older ones, and 0 means "no snapshot,
-// replay the log from the beginning".
-func (d *Durable) loadNewestSnapshot() (uint64, error) {
-	snaps, err := listSnapshots(d.dir)
+// loadSnapshots applies each member's newest snapshot that validates in full
+// to its backing store and returns the snapshots' sequence numbers by
+// member, 0 meaning "no snapshot, replay the log from the beginning".
+// Invalid snapshots are counted and skipped in favour of older ones; a
+// snapshot of a member the log does not have is ErrCorrupt.
+func (l *wal) loadSnapshots() ([]uint64, error) {
+	snaps, err := listSnapshots(l.dir)
 	if err != nil {
-		return 0, fmt.Errorf("store: listing snapshots: %w", err)
+		return nil, fmt.Errorf("store: listing snapshots: %w", err)
 	}
+	bases := make([]uint64, len(l.members))
+	loaded := make([]bool, len(l.members))
 	for _, s := range snaps {
+		if s.member < 0 || s.member >= len(l.members) {
+			return nil, fmt.Errorf("store: snapshot %s is of member %d of a %d-member log: %w", s.path, s.member, len(l.members), ErrCorrupt)
+		}
+		if loaded[s.member] {
+			continue
+		}
 		kvs, seq, err := loadSnapshot(s.path)
 		if err != nil {
-			d.snapSkipped++
+			l.snapSkipped++
 			continue
 		}
 		if len(kvs) > 0 {
-			if _, err := d.backing.PutBatch(kvs); err != nil {
-				return 0, fmt.Errorf("store: applying snapshot %s: %w", s.path, err)
+			if _, err := l.members[s.member].backing.PutBatch(kvs); err != nil {
+				return nil, fmt.Errorf("store: applying snapshot %s: %w", s.path, err)
 			}
 		}
-		return seq, nil
+		bases[s.member], loaded[s.member] = seq, true
 	}
-	return 0, nil
+	return bases, nil
 }
 
-// compactLocked writes a snapshot of the backing store at the current
-// sequence number, rotates the WAL onto a fresh segment and deletes every
-// log segment and snapshot the new one supersedes. Caller holds d.mu.
-func (d *Durable) compactLocked() error {
+// snapshot writes the member's state at the log's current sequence number
+// and returns the file's name. It holds the member's mu while it makes the
+// log durable through that number and copies the state, so the snapshot
+// holds exactly the member's records at or below it, and no record it
+// covers can be lost by a crash.
+func (d *Durable) snapshot() (string, error) {
+	l := d.log
+	d.mu.Lock()
 	if d.failed != nil {
-		return d.failed
+		d.mu.Unlock()
+		return "", d.failed
 	}
-	snapSeq := d.seq
+	l.mu.Lock()
+	seq := l.seq
+	err := l.syncLocked(l.written)
+	l.mu.Unlock()
+	if err != nil {
+		d.mu.Unlock()
+		return "", err
+	}
 	items := d.backing.Snapshot()
+	d.mu.Unlock()
 
-	tmp := filepath.Join(d.dir, fmt.Sprintf("snap-%016x.tmp", snapSeq))
+	name := snapshotName(int(d.shard), seq)
+	if err := writeSnapshot(filepath.Join(l.dir, name), seq, items); err != nil {
+		return "", err
+	}
+	l.mu.Lock()
+	l.syncs++
+	l.mu.Unlock()
+	return name, nil
+}
+
+// writeSnapshot writes items as a snapshot at seq to path: to a temporary
+// name first, fsynced, then renamed into place. The file is streamed through
+// a small buffer, so a checkpoint of every member holds no image of a whole
+// file in memory.
+func writeSnapshot(path string, seq uint64, items []memcache.Item) error {
+	tmp := strings.TrimSuffix(path, ".db") + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot: %w", err)
 	}
-	buf := make([]byte, 0, 64+len(items)*64)
-	buf = append(buf, snapMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, snapSeq)
-	scratch := make([]byte, 0, 256)
-	for _, it := range items {
-		scratch = scratch[:0]
-		scratch = append(scratch, snapKindKV)
-		scratch = binary.BigEndian.AppendUint32(scratch, uint32(len(it.Key)))
-		scratch = append(scratch, it.Key...)
-		scratch = binary.BigEndian.AppendUint32(scratch, uint32(len(it.Value)))
-		scratch = append(scratch, it.Value...)
-		buf = appendFrame(buf, scratch)
-	}
-	scratch = scratch[:0]
-	scratch = append(scratch, snapKindFooter)
-	scratch = binary.BigEndian.AppendUint64(scratch, uint64(len(items)))
-	buf = appendFrame(buf, scratch)
-
 	cleanup := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	w := bufio.NewWriterSize(f, 64<<10)
+	frame := make([]byte, 0, 256)
+	frame = append(frame, snapMagic...)
+	frame = binary.BigEndian.AppendUint64(frame, seq)
+	w.Write(frame) //nolint:errcheck // a bufio.Writer keeps its first error for Flush
+	payload := make([]byte, 0, 256)
+	for _, it := range items {
+		payload = append(payload[:0], snapKindKV)
+		payload = binary.BigEndian.AppendUint32(payload, uint32(len(it.Key)))
+		payload = append(payload, it.Key...)
+		payload = binary.BigEndian.AppendUint32(payload, uint32(len(it.Value)))
+		payload = append(payload, it.Value...)
+		frame = appendFrame(frame[:0], payload)
+		w.Write(frame) //nolint:errcheck // as above
+	}
+	payload = append(payload[:0], snapKindFooter)
+	payload = binary.BigEndian.AppendUint64(payload, uint64(len(items)))
+	w.Write(appendFrame(frame[:0], payload)) //nolint:errcheck // as above
+	if err := w.Flush(); err != nil {
 		return cleanup(fmt.Errorf("store: writing snapshot: %w", err))
 	}
 	if err := f.Sync(); err != nil {
 		return cleanup(fmt.Errorf("store: syncing snapshot: %w", err))
 	}
-	d.syncs++
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: closing snapshot: %w", err)
 	}
-	final := filepath.Join(d.dir, snapshotName(snapSeq))
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: publishing snapshot: %w", err)
 	}
-	if err := syncDir(d.dir); err != nil {
-		return fmt.Errorf("store: syncing directory: %w", err)
-	}
-
-	// The snapshot is durable; rotate the log onto a fresh segment and drop
-	// everything it supersedes.
-	nf, err := createSegment(d.dir, snapSeq+1)
-	if err != nil {
-		return err
-	}
-	if cerr := d.f.Close(); cerr != nil {
-		nf.Close()
-		return fmt.Errorf("store: closing rotated segment: %w", cerr)
-	}
-	d.f, d.size, d.alloc = nf, int64(len(walMagic)), segmentChunk
-	d.sinceSnap = 0
-	d.snapshots++
-	rmGlob(d.dir, "wal-*.log", segmentName(snapSeq+1))
-	rmGlob(d.dir, "snap-*.db", snapshotName(snapSeq))
-	rmGlob(d.dir, "snap-*.tmp", "")
 	return nil
 }
 

@@ -1,29 +1,36 @@
-// Package store gives a registry shard a durable local state: a write-ahead
-// log of put/delete records plus periodic compacted snapshots, replayed on
-// open so a restarted shard serves its key range from disk instead of
-// leaning on the router's R-way re-sync sweep.
+// Package store gives a site's registry shards a durable local state: one
+// write-ahead log of put/delete records per data directory, shared by every
+// shard opened over it, plus periodic compacted snapshots of each shard,
+// replayed on open so a restarted shard serves its key range from disk
+// instead of leaning on the router's R-way re-sync sweep.
 //
-// A Durable wraps any Backing (in practice a *memcache.Cache) and journals
-// every mutation before applying it. The on-disk layout of a store
-// directory is
+// A Durable is one member of the log: it wraps any Backing (in practice a
+// *memcache.Cache) and journals every mutation before applying it.
+// OpenShared opens a log with one member per backing store; Open is the
+// one-member case. The on-disk layout of a store directory is
 //
-//	wal-<firstseq>.log   segments of length-prefixed, CRC-checked frames,
-//	                     written in place into preallocated zeros (see
-//	                     wal.go for the record format)
-//	snap-<seq>.db        compacted snapshots: the full key/value state as of
-//	                     sequence number <seq> (see snapshot.go)
+//	wal-<firstseq>.log     segments of length-prefixed, CRC-checked frames,
+//	                       each record tagged with its member's index,
+//	                       written in place into preallocated zeros (see
+//	                       wal.go for the record format and group commit)
+//	snap-<i>-<seq>.db      compacted snapshots: member i's full key/value
+//	                       state as of sequence number <seq> (see
+//	                       snapshot.go)
 //
-// Recovery loads the newest valid snapshot, replays every log record with a
-// higher sequence number, and truncates a torn tail write (a frame at the
-// end of the last segment's log that a crash mid-append left incomplete).
-// Corruption anywhere else is refused: a checksum failure in the middle of
-// the log means records after it would be silently lost, so Open fails
-// rather than resurrect a hole.
+// Recovery loads each member's newest valid snapshot, reads the log once and
+// hands every record past its member's snapshot to that member, and
+// truncates a torn tail write (a frame at the end of the last segment's log
+// that a crash mid-append left incomplete). Corruption anywhere else is
+// refused: a checksum failure in the middle of the log means records after
+// it would be silently lost, so Open fails rather than resurrect a hole. A
+// directory of the previous storage generation is refused before anything
+// is replayed (ErrGeneration).
 //
-// Two fsync policies are offered. FsyncAlways (the default) syncs the log
-// after every append batch, so an acknowledged write survives an OS crash.
-// FsyncNever issues the write() but leaves syncing to snapshots and Close —
-// an acknowledged write then survives a process crash but not a machine
+// Two fsync policies are offered. FsyncAlways (the default) acknowledges a
+// mutation only after an fsync covers it; the members share those fsyncs
+// (group commit), so two replicas written at once cost one. FsyncNever
+// issues the write() but leaves syncing to snapshots and Close — an
+// acknowledged write then survives a process crash but not a machine
 // crash. Close always flushes and syncs regardless of policy, so a clean
 // Close followed by Open is lossless under either.
 package store
@@ -100,10 +107,16 @@ var (
 	// tail: a mid-log checksum mismatch, a malformed record, or a sequence
 	// gap between the snapshot and the surviving log.
 	ErrCorrupt = errors.New("store: corrupt log")
+	// ErrGeneration is returned by Open for a data directory that storage
+	// generation 1 wrote (a log per shard, magic GMDSWAL1/GMDSSNP1). Nothing
+	// in it is replayed.
+	ErrGeneration = errors.New("store: data directory is of storage generation 1 (GMDSWAL1), this release reads generation 2 only: " +
+		"if its shards have replicas in other processes (replication of 2 or more), move it aside and let the router's resync re-populate them from a peer; " +
+		"otherwise read it with the previous release")
 )
 
-// DefaultCompactEvery is the number of logged records between automatic
-// snapshot compactions.
+// DefaultCompactEvery is the number of logged records per member between
+// automatic snapshot compactions.
 const DefaultCompactEvery = 8192
 
 // Options tunes a Durable. The zero value means FsyncAlways and
@@ -121,8 +134,8 @@ func WithFsync(p FsyncPolicy) Option {
 	return func(o *Options) { o.fsync = p }
 }
 
-// WithCompactEvery sets how many logged records trigger an automatic
-// snapshot compaction (default DefaultCompactEvery). Values <= 0 keep the
+// WithCompactEvery sets how many logged records per member trigger an
+// automatic snapshot compaction (default DefaultCompactEvery). Values <= 0 keep the
 // default; pick a large value to effectively disable compaction in tests.
 func WithCompactEvery(n int) Option {
 	return func(o *Options) {
@@ -132,10 +145,11 @@ func WithCompactEvery(n int) Option {
 	}
 }
 
-// LogStats is a point-in-time snapshot of a Durable's log counters.
+// LogStats is a point-in-time snapshot of a Durable's log counters. Seq and
+// Recovered are the member's; the counters are the shared log's.
 type LogStats struct {
-	Seq              uint64 // sequence number of the last logged record
-	Recovered        uint64 // sequence number recovered by Open (0 for a fresh dir)
+	Seq              uint64 // sequence number of the member's last logged record
+	Recovered        uint64 // Seq as recovered by Open (0 for a fresh dir)
 	Appends          int64  // records appended since Open
 	Syncs            int64  // fsync calls issued (appends, snapshots, Close)
 	Snapshots        int64  // compactions completed since Open
@@ -144,44 +158,55 @@ type LogStats struct {
 	CompactionErrors int64  // best-effort compactions that failed
 }
 
-// Durable is a Backing whose mutations are journaled to an on-disk WAL
-// before they are applied, with periodic snapshot compaction. It satisfies
-// Backing itself (and therefore registry.Store), so it drops into an
-// Instance in place of the bare cache.
+// Durable is one member of a write-ahead log: a Backing whose mutations are
+// journaled to the log before they are applied, with periodic snapshot
+// compaction. It satisfies Backing itself (and therefore registry.Store), so
+// it drops into an Instance in place of the bare cache.
 //
-// All mutations serialize on one mutex so the log order is exactly the
-// apply order — replay then reconstructs the same final state even for
-// racing writes to one key. A mutation is journaled, then applied, then
-// emitted to the EventSink, and only then may compaction run, so neither a
-// reader nor a snapshot sees a write the log does not hold. Reads go
-// straight to the backing store and never touch the log or its lock.
+// A member's mutations serialize on its own mutex, so its records' log
+// order is exactly its apply order — replay then reconstructs the same
+// final state even for racing writes to one key. Members of one log append
+// concurrently and share its fsyncs. A mutation is journaled and synced,
+// then applied, then emitted to the EventSink, so neither a reader nor a
+// snapshot sees a write the log does not hold. Reads go straight to the
+// backing store and never touch the log or a lock.
 type Durable struct {
+	log     *wal
+	shard   byte // the member's index, as records carry it
 	backing Backing
-	dir     string
-	opts    Options
 
 	mu        sync.Mutex
-	f         *os.File // active segment
-	size      int64    // where the log in the active segment ends
-	alloc     int64    // bytes the active segment holds: zeros past size
-	seq       uint64   // last logged sequence number
-	recovered uint64   // seq as of Open
-	sinceSnap int      // records logged since the last snapshot
+	seq       uint64 // sequence number of the member's last record
+	recovered uint64 // seq as of Open
 	closed    bool
-	failed    error // sticky I/O failure: the log state is unknown, fail stop
-	buf       []byte
+	failed    error // the backing store refused a logged record: fail stop
 
 	// sink observes journaled mutations under mu (the change-feed tap).
 	sink EventSink
-
-	appends, syncs, snapshots, snapSkipped, tornTails, compactErrs int64
 }
 
-// Open opens (creating if needed) the store directory, recovers the backing
-// store from the newest valid snapshot plus the surviving log, and returns
-// a Durable ready for writes. The backing store must be empty: recovery
-// replays into it.
+// Open opens (creating if needed) the store directory as a one-member log,
+// recovers the backing store from its newest valid snapshot plus the
+// surviving log, and returns a Durable ready for writes. The backing store
+// must be empty: recovery replays into it.
 func Open(dir string, backing Backing, opts ...Option) (*Durable, error) {
+	ds, err := OpenShared(dir, []Backing{backing}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return ds[0], nil
+}
+
+// OpenShared opens (creating if needed) the store directory as one log with
+// a member per backing store, in order: a site's shards journal to one log
+// and share its fsyncs. Recovery reads the log once and hands each record to
+// its member. The backing stores must be empty, and a directory must be
+// opened with the same number of members every time. The log's file closes
+// with its last member.
+func OpenShared(dir string, backings []Backing, opts ...Option) ([]*Durable, error) {
+	if len(backings) == 0 || len(backings) > maxMembers {
+		return nil, fmt.Errorf("store: a log has 1 to %d members, not %d", maxMembers, len(backings))
+	}
 	o := Options{fsync: FsyncAlways, compactEvery: DefaultCompactEvery}
 	for _, opt := range opts {
 		opt(&o)
@@ -189,17 +214,23 @@ func Open(dir string, backing Backing, opts ...Option) (*Durable, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	d := &Durable{backing: backing, dir: dir, opts: o}
-	if err := d.recover(); err != nil {
-		if d.f != nil {
-			d.f.Close()
+	l := &wal{dir: dir, opts: o, open: len(backings)}
+	l.cond.L = &l.mu
+	l.members = make([]*Durable, len(backings))
+	for i, b := range backings {
+		l.members[i] = &Durable{log: l, shard: byte(i), backing: b}
+	}
+	if err := l.recover(); err != nil {
+		if l.f != nil {
+			l.f.Close()
 		}
 		return nil, err
 	}
-	return d, nil
+	return append([]*Durable(nil), l.members...), nil
 }
 
-// Seq returns the sequence number of the last logged record.
+// Seq returns the sequence number of the member's last logged record, in
+// the log's global numbering.
 func (d *Durable) Seq() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -207,29 +238,32 @@ func (d *Durable) Seq() uint64 {
 }
 
 // Recovered returns the sequence number recovered by Open — the durable
-// high-water mark this store restarted from (0 for a fresh directory).
+// high-water mark this member restarted from (0 for a fresh directory).
 func (d *Durable) Recovered() uint64 { return d.recovered }
 
 // LogStats returns a snapshot of the log counters.
 func (d *Durable) LogStats() LogStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	l := d.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return LogStats{
 		Seq:              d.seq,
 		Recovered:        d.recovered,
-		Appends:          d.appends,
-		Syncs:            d.syncs,
-		Snapshots:        d.snapshots,
-		SnapshotsSkipped: d.snapSkipped,
-		TornTails:        d.tornTails,
-		CompactionErrors: d.compactErrs,
+		Appends:          l.appends,
+		Syncs:            l.syncs,
+		Snapshots:        l.snapshots,
+		SnapshotsSkipped: l.snapSkipped,
+		TornTails:        l.tornTails,
+		CompactionErrors: l.compactErrs,
 	}
 }
 
-// Close flushes and fsyncs the log, then closes the segment file. It always
-// syncs, regardless of the fsync policy, so Close followed by Open is
-// lossless even under FsyncNever. Close is idempotent; mutations after
-// Close return ErrClosed.
+// Close flushes and fsyncs the log, and closes the segment file once every
+// member of the log is closed. It always syncs what is unsynced, regardless
+// of the fsync policy, so Close followed by Open is lossless even under
+// FsyncNever. Close is idempotent; mutations after Close return ErrClosed.
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -237,20 +271,7 @@ func (d *Durable) Close() error {
 		return nil
 	}
 	d.closed = true
-	if d.f == nil {
-		return nil
-	}
-	var firstErr error
-	if err := d.f.Sync(); err != nil {
-		firstErr = fmt.Errorf("store: syncing log on close: %w", err)
-	} else {
-		d.syncs++
-	}
-	if err := d.f.Close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("store: closing log: %w", err)
-	}
-	d.f = nil
-	return firstErr
+	return d.log.release()
 }
 
 // Exported record kinds, for EventSink consumers.
@@ -263,13 +284,15 @@ const (
 
 // EventSink receives every state-changing journaled mutation with its WAL
 // sequence number, once the mutation is applied, so a read the event
-// prompts sees it. It is invoked under the store's mutation mutex, so the
-// emission order is exactly the log order; sinks must be fast and must not
-// call back into the store. Deletes of absent keys — journaled for frame
-// batching but changing no state — are suppressed, so sequence numbers seen
-// by a sink may have holes. sync reports that the mutation arrived through
-// the bulk-apply path (PutBatch/DeleteBatch, i.e. a replication batch or
-// migration sweep) rather than a primary single-key write.
+// prompts sees it. It is invoked under the member's mutation mutex, so the
+// emission order is exactly the member's log order; sinks must be fast and
+// must not call back into the store. Each member has its own sink, and the
+// sequence numbers it sees are the log's global ones, so the other members'
+// records are holes in them. Deletes of absent keys — journaled for frame
+// batching but changing no state — are suppressed and leave holes too. sync
+// reports that the mutation arrived through the bulk-apply path
+// (PutBatch/DeleteBatch, i.e. a replication batch or migration sweep)
+// rather than a primary single-key write.
 type EventSink func(seq uint64, op byte, key string, value []byte, sync bool)
 
 // SetEventSink installs the sink that observes journaled mutations (the
@@ -293,73 +316,30 @@ type rec struct {
 	sync bool
 }
 
-// appendLocked journals the records, assigning consecutive sequence
-// numbers, as one write (and one fsync under FsyncAlways). On failure it
-// rolls the segment and the sequence counter back so the log never holds a
-// half-written batch; if even the rollback fails the store goes fail-stop.
-// On success the caller applies the records and then calls appliedLocked.
-func (d *Durable) appendLocked(recs ...rec) error {
+// journalLocked appends the records to the log and returns once a sync
+// covers them (at once under FsyncNever). On failure nothing is applied or
+// emitted; a failed write or sync has made the whole log fail-stop. On
+// success the caller applies the records and then calls appliedLocked.
+func (d *Durable) journalLocked(recs ...rec) error {
 	if d.closed {
 		return ErrClosed
 	}
 	if d.failed != nil {
 		return d.failed
 	}
-	prevSeq, prevSize := d.seq, d.size
-	d.buf = d.buf[:0]
-	for _, rc := range recs {
-		d.seq++
-		d.buf = appendRecordFrame(d.buf, d.seq, rc.op, rc.key, rc.value)
-	}
-	err := d.writeLocked(d.buf)
-	if err == nil && d.opts.fsync == FsyncAlways {
-		if err = d.f.Sync(); err == nil {
-			d.syncs++
-		} else {
-			err = fmt.Errorf("store: syncing wal: %w", err)
-		}
-	}
+	last, err := d.log.append(d.shard, recs)
 	if err != nil {
-		// Cut the segment back to the last good frame boundary; the next
-		// append zero-fills from there. If that works the store stays
-		// usable; if not, its tail is unknown and every further append
-		// could land after garbage.
-		if terr := d.f.Truncate(prevSize); terr != nil {
-			d.failed = fmt.Errorf("store: wal unusable after failed append (truncate: %v): %w", terr, err)
-			return d.failed
-		}
-		d.seq, d.size, d.alloc = prevSeq, prevSize, prevSize
 		return err
 	}
-	d.appends += int64(len(recs))
-	d.sinceSnap += len(recs)
-	return nil
-}
-
-// writeLocked writes frames at the log end, first growing the segment by
-// whole zero chunks until a zero frame header still fits after them, so
-// the write itself never changes the file's size.
-func (d *Durable) writeLocked(frames []byte) error {
-	end := d.size + int64(len(frames))
-	for end+frameHeaderLen > d.alloc {
-		if _, err := d.f.WriteAt(zeroChunk[:], d.alloc); err != nil {
-			return fmt.Errorf("store: growing wal segment: %w", err)
-		}
-		d.alloc += segmentChunk
-	}
-	if _, err := d.f.WriteAt(frames, d.size); err != nil {
-		return fmt.Errorf("store: appending to wal: %w", err)
-	}
-	d.size = end
+	d.seq = last
 	return nil
 }
 
 // appliedLocked finishes records that were journaled and then applied, with
 // the backing store's error. A refusal leaves a record in the log that the
-// store does not serve and replay would apply, so the store goes fail-stop.
-// Otherwise the records are emitted to the sink — after the apply, so a
-// read the event prompts sees them — and compaction runs if due, never
-// between a record's journaling and its apply.
+// member does not serve and replay would apply, so the member goes
+// fail-stop. Otherwise the records are emitted to the sink — after the
+// apply, so a read the event prompts sees them.
 func (d *Durable) appliedLocked(applyErr error, recs ...rec) error {
 	if applyErr != nil {
 		d.failed = fmt.Errorf("store: wal holds seq %d that the backing store refused: %w", d.seq, applyErr)
@@ -368,7 +348,7 @@ func (d *Durable) appliedLocked(applyErr error, recs ...rec) error {
 	if d.sink != nil {
 		// Emit under mu, after the batch is on disk and applied, so feed
 		// order is exactly log order and no acknowledged write goes
-		// unpublished.
+		// unpublished. A batch's records have consecutive numbers.
 		seq := d.seq - uint64(len(recs))
 		for _, rc := range recs {
 			seq++
@@ -377,14 +357,15 @@ func (d *Durable) appliedLocked(applyErr error, recs ...rec) error {
 			}
 		}
 	}
-	if d.sinceSnap >= d.opts.compactEvery {
-		// Compaction is best effort: a failed snapshot leaves the log
-		// longer, not the data wrong.
-		if cerr := d.compactLocked(); cerr != nil {
-			d.compactErrs++
-		}
-	}
 	return nil
+}
+
+// unlock releases mu and then lets the log take a checkpoint if one is due:
+// a checkpoint takes each member's mu in turn, so it must not start while
+// this one is held.
+func (d *Durable) unlock() {
+	d.mu.Unlock()
+	d.log.checkpointIfDue()
 }
 
 // --- Backing implementation: mutations journal, then apply; reads delegate. ---
@@ -392,9 +373,9 @@ func (d *Durable) appliedLocked(applyErr error, recs ...rec) error {
 // Put journals the write and applies it to the backing store.
 func (d *Durable) Put(key string, value []byte, ttl time.Duration) (memcache.Item, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	r := rec{op: opPut, key: key, value: value}
-	if err := d.appendLocked(r); err != nil {
+	if err := d.journalLocked(r); err != nil {
 		return memcache.Item{}, err
 	}
 	it, err := d.backing.Put(key, value, ttl)
@@ -405,7 +386,7 @@ func (d *Durable) Put(key string, value []byte, ttl time.Duration) (memcache.Ite
 // check holds; a conflict leaves no trace in the log.
 func (d *Durable) CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.closed {
 		return memcache.Item{}, ErrClosed
 	}
@@ -414,7 +395,7 @@ func (d *Durable) CAS(key string, value []byte, ttl time.Duration, expectedVersi
 		return d.backing.CAS(key, value, ttl, expectedVersion)
 	}
 	r := rec{op: opPut, key: key, value: value}
-	if err := d.appendLocked(r); err != nil {
+	if err := d.journalLocked(r); err != nil {
 		return memcache.Item{}, err
 	}
 	it, err := d.backing.CAS(key, value, ttl, expectedVersion)
@@ -434,7 +415,7 @@ func (d *Durable) versionIs(key string, version uint64) bool {
 // Delete journals the deletion and removes the key; a miss is not logged.
 func (d *Durable) Delete(key string) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.closed {
 		return ErrClosed
 	}
@@ -442,16 +423,17 @@ func (d *Durable) Delete(key string) error {
 		return d.backing.Delete(key) // the backing store reports the miss
 	}
 	r := rec{op: opDelete, key: key}
-	if err := d.appendLocked(r); err != nil {
+	if err := d.journalLocked(r); err != nil {
 		return err
 	}
 	return d.appliedLocked(d.backing.Delete(key), r)
 }
 
-// PutBatch journals the batch as one append (one fsync) and applies it.
+// PutBatch journals the batch as one append (one covering fsync) and applies
+// it.
 func (d *Durable) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.closed {
 		return nil, ErrClosed
 	}
@@ -462,7 +444,7 @@ func (d *Durable) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 	for i, kv := range kvs {
 		recs[i] = rec{op: opPut, key: kv.Key, value: kv.Value, sync: true}
 	}
-	if err := d.appendLocked(recs...); err != nil {
+	if err := d.journalLocked(recs...); err != nil {
 		return nil, err
 	}
 	items, err := d.backing.PutBatch(kvs)
@@ -475,7 +457,7 @@ func (d *Durable) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 // batch instead of a read-check per key.
 func (d *Durable) DeleteBatch(keys []string) (int, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.closed {
 		return 0, ErrClosed
 	}
@@ -496,7 +478,7 @@ func (d *Durable) DeleteBatch(keys []string) (int, error) {
 	for i, k := range keys {
 		recs[i] = rec{op: opDelete, key: k, noEvent: existed != nil && !existed[i], sync: true}
 	}
-	if err := d.appendLocked(recs...); err != nil {
+	if err := d.journalLocked(recs...); err != nil {
 		return 0, err
 	}
 	n, err := d.backing.DeleteBatch(keys)
@@ -523,15 +505,18 @@ func (d *Durable) GetBatch(keys []string) ([]memcache.Item, []string, error) {
 	return d.backing.GetBatch(keys)
 }
 
-// Compact forces a snapshot compaction now (mainly for tests and an
-// operator escape hatch).
+// Compact checkpoints the log now, snapshotting every member (mainly for
+// tests and an operator escape hatch).
 func (d *Durable) Compact() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+	closed := d.closed
+	d.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	return d.compactLocked()
+	d.log.cpMu.Lock()
+	defer d.log.cpMu.Unlock()
+	return d.log.checkpoint()
 }
 
 // syncDir fsyncs a directory so renames and creates in it are durable.
@@ -544,16 +529,13 @@ func syncDir(dir string) error {
 	return f.Sync()
 }
 
-// rmGlob best-effort removes every match except keep.
-func rmGlob(dir, pattern, keep string) {
+// rmGlob best-effort removes every match.
+func rmGlob(dir, pattern string) {
 	matches, err := filepath.Glob(filepath.Join(dir, pattern))
 	if err != nil {
 		return
 	}
 	for _, m := range matches {
-		if filepath.Base(m) == keep {
-			continue
-		}
 		os.Remove(m)
 	}
 }

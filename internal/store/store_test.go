@@ -262,7 +262,7 @@ func TestCrashRecovery(t *testing.T) {
 		{
 			name: "empty_snapshot_file",
 			damage: func(t *testing.T, dir string) {
-				if err := os.WriteFile(filepath.Join(dir, snapshotName(98)), nil, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, snapshotName(0, 98)), nil, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -340,6 +340,7 @@ func TestCrashRecovery(t *testing.T) {
 			}
 		})
 	}
+	t.Run("four_members_checkpoint_torn_tail", fourMemberRecovery)
 }
 
 // TestReplayIdempotence proves replaying the same records more than once
@@ -369,9 +370,9 @@ func TestReplayIdempotence(t *testing.T) {
 	var stale []byte
 	stale = append(stale, walMagic...)
 	for i := 1; i <= 8; i++ {
-		stale = appendRecordFrame(stale, uint64(i), opPut, fmt.Sprintf("k%d", i), []byte("STALE"))
+		stale = appendRecordFrame(stale, uint64(i), 0, opPut, fmt.Sprintf("k%d", i), []byte("STALE"))
 	}
-	stale = appendRecordFrame(stale, uint64(base), opDelete, "k8", nil)
+	stale = appendRecordFrame(stale, uint64(base), 0, opDelete, "k8", nil)
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -544,10 +545,10 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.mu.Lock()
-			rw := d.f
-			d.f = ro
-			d.mu.Unlock()
+			d.log.mu.Lock()
+			rw := d.log.f
+			d.log.f = ro
+			d.log.mu.Unlock()
 			rw.Close()
 
 			err = m.fn(d)
@@ -709,7 +710,7 @@ func writeTruncatedSnapshot(t *testing.T, dir string, seq uint64) {
 	payload = append(payload, 'y')
 	buf = appendFrame(buf, payload)
 	// No footer: the file ends as if the machine died here.
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(seq)), buf, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(0, seq)), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
