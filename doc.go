@@ -19,16 +19,14 @@
 // A site's registry deployment is not limited to one instance: registry.Router
 // implements registry.API over N shard instances — in-process or remote rpc
 // proxies — routing single-key operations to the shard owning the key and
-// splitting bulk operations into one concurrent sub-batch per shard, with
-// online shard add/remove and background entry migration. A site — cache
+// splitting bulk operations into one concurrent sub-batch per shard over a
+// shard set fixed at construction. A site — cache
 // tier, instance(s) with their write-ahead log and change feed, router, near
 // cache — is assembled in one place, site.Build, from one plain site.Config:
 // core.WithSite shapes every fabric site with it, metaserver fills it from
 // its flags (-shards / -shard-addrs serve a sharded tier over TCP), and
 // metasim / wfrun decode their site flags onto the same struct
-// (docs/ARCHITECTURE.md, "Assembling a site"). shard_bench_test.go measures
-// the tier's throughput scaling against the single-instance baseline
-// (docs/ARCHITECTURE.md, "The shard-router layer").
+// (docs/ARCHITECTURE.md, "Assembling a site" and "The shard-router layer").
 //
 // Placement can be replicated: registry.WithRouterReplication(r)
 // (site.Config.Replication, metaserver -replication) stores every key on
@@ -37,9 +35,9 @@
 // reads fail over down the replica list, and a per-shard health breaker
 // with a background probe routes around crashed shards until an automatic
 // re-sync sweep repairs them, so a site serves its whole key range through
-// the loss of any r-1 shards. failover_bench_test.go kills a shard mid-run
-// to prove it (zero lost acknowledged writes), and cmd/benchdiff gates the
-// recorded throughput against baselines committed under bench/.
+// the loss of any r-1 shards. registry.TestRouterReplicatedKillUnderLoad
+// kills a shard under eight callers to check it: no read fails and no
+// acknowledged write is lost.
 //
 // # Context-first API
 //

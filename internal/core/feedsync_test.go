@@ -96,12 +96,16 @@ func TestReplicatedFeedSyncConverges(t *testing.T) {
 
 // TestReplicatedFeedSyncBeatsPollingLag creates entries under both modes and
 // compares how quickly they become visible from a remote site: the feed push
-// must land well before the polling agent's next round.
+// must land well before the polling agent's next round. Once flushed, the feed
+// stack is silent: no WAN sync exchange over several rounds, because an idle
+// feed does not heartbeat.
 func TestReplicatedFeedSyncBeatsPollingLag(t *testing.T) {
 	const interval = 300 * time.Millisecond
 
-	visibility := func(opts ...ReplicatedOption) time.Duration {
-		f := newTestFabric(WithSite(site.Config{Feed: true}))
+	// visibility returns the worst time a create at site 0 took to become
+	// visible from site 2; then, when set, quiesced runs on the open service.
+	visibility := func(fabricOpts []FabricOption, quiesced func(*ReplicatedService), opts ...ReplicatedOption) time.Duration {
+		f := newTestFabric(append([]FabricOption{WithSite(site.Config{Feed: true})}, fabricOpts...)...)
 		defer f.Close()
 		svc, err := NewReplicated(f, 0, append([]ReplicatedOption{WithSyncInterval(interval)}, opts...)...)
 		if err != nil {
@@ -118,11 +122,30 @@ func TestReplicatedFeedSyncBeatsPollingLag(t *testing.T) {
 				worst = d
 			}
 		}
+		if quiesced != nil {
+			quiesced(svc)
+		}
 		return worst
 	}
 
-	polling := visibility()
-	pushed := visibility(WithFeedSync())
+	polling := visibility(nil, nil)
+	rec, reg := metrics.NewRecorder(), metrics.NewRegistry()
+	pushed := visibility([]FabricOption{WithRecorder(rec), WithMetricsRegistry(reg)}, func(svc *ReplicatedService) {
+		if err := svc.Flush(tctx); err != nil {
+			t.Fatal(err)
+		}
+		busy := rec.SummarizeKind(metrics.OpSync).Count
+		if busy == 0 {
+			t.Fatal("no WAN sync exchange recorded while replicating: the idle count below would be vacuous")
+		}
+		time.Sleep(3 * interval)
+		if idle := rec.SummarizeKind(metrics.OpSync).Count - busy; idle != 0 {
+			t.Errorf("the feed stack made %d WAN sync exchanges over three idle rounds, want 0", idle)
+		}
+		if h := reg.Histogram("replication_lag_ns"); h.Count() == 0 {
+			t.Error("replication_lag_ns recorded no samples")
+		}
+	}, WithFeedSync())
 	if pushed >= interval {
 		t.Fatalf("feed visibility lag %v not under the %v polling interval", pushed, interval)
 	}

@@ -7,22 +7,16 @@
 // a task schedule and the cloud topology and produces a ProvisionPlan: one
 // planned transfer per (file, consumer site) pair whose producer runs in a
 // different datacenter; EvaluateProvisioning estimates how much task idle
-// time the plan removes and ApplyProvisioning registers the prefetched
-// copies in the metadata service so subsequent lookups resolve to local
-// replicas. (Folded in from the former internal/provision package, which
-// only this package consumed.)
+// time the plan removes. (Folded in from the former internal/provision
+// package, which only this package consumed.)
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"geomds/internal/cloud"
-	"geomds/internal/core"
-	"geomds/internal/registry"
 	"geomds/internal/workflow"
 )
 
@@ -244,29 +238,4 @@ func EvaluateProvisioning(plan ProvisionPlan, topo *cloud.Topology) ProvisionEst
 		est.ResidualIdle += residual
 	}
 	return est
-}
-
-// ApplyProvisioning registers the planned copies in the metadata service: for every
-// transfer it records an additional location of the file at the destination
-// site, which is exactly what makes subsequent lookups from that site resolve
-// locally under the hybrid strategy. Entries that do not exist yet (their
-// producer has not run) are skipped and reported in pending.
-func ApplyProvisioning(ctx context.Context, plan ProvisionPlan, svc core.MetadataService, dep *cloud.Deployment) (applied int, pending []string, err error) {
-	for _, tr := range plan.Transfers {
-		nodes := dep.NodesAt(tr.To)
-		node := registry.NoNode
-		if len(nodes) > 0 {
-			node = nodes[0]
-		}
-		_, locErr := svc.AddLocation(ctx, tr.To, tr.File, registry.Location{Site: tr.To, Node: node})
-		switch {
-		case locErr == nil:
-			applied++
-		case errors.Is(locErr, core.ErrNotFound):
-			pending = append(pending, tr.File)
-		default:
-			return applied, pending, fmt.Errorf("provision: registering copy of %q at site %d: %w", tr.File, tr.To, locErr)
-		}
-	}
-	return applied, pending, nil
 }

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 	"time"
 
 	"geomds/internal/cloud"
-	"geomds/internal/core"
-	"geomds/internal/latency"
 	"geomds/internal/workflow"
 )
 
@@ -137,63 +134,6 @@ func TestEvaluateHidesTransfersWithSlack(t *testing.T) {
 	}
 	if r := est.IdleReduction(); r <= 0 || r > 1 {
 		t.Errorf("IdleReduction = %v", r)
-	}
-}
-
-func TestApplyRegistersCopies(t *testing.T) {
-	w, sched, dep := crossSiteFixture(t)
-	plan, err := PlanProvisioning(w, sched, dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	topo := dep.Topology()
-	lat := latency.New(topo, latency.WithSeed(2), latency.WithSleeper(func(time.Duration) {}))
-	fabric := core.NewFabric(topo, lat, core.WithCacheCapacity(0, 0))
-	svc, err := core.NewDecReplicated(fabric, core.WithEagerPropagation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	// Nothing published yet: every transfer is pending.
-	applied, pending, err := ApplyProvisioning(context.Background(), plan, svc, dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 0 || len(pending) != len(plan.Transfers) {
-		t.Errorf("before publication: applied=%d pending=%d", applied, len(pending))
-	}
-
-	// Publish the files the plan wants to move, then apply again.
-	producer := core.NewClient(svc, dep.Node(sched["produce"]))
-	for _, tr := range plan.Transfers {
-		if _, err := producer.PublishFile(context.Background(), tr.File, tr.Size, tr.Producer); err != nil {
-			t.Fatal(err)
-		}
-	}
-	applied, pending, err = ApplyProvisioning(context.Background(), plan, svc, dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != len(plan.Transfers) || len(pending) != 0 {
-		t.Errorf("after publication: applied=%d pending=%d", applied, len(pending))
-	}
-	// The consumer's site now resolves the file to a local copy.
-	for _, tr := range plan.Transfers {
-		e, err := svc.Lookup(context.Background(), tr.To, tr.File)
-		if err != nil {
-			t.Fatalf("lookup %q: %v", tr.File, err)
-		}
-		found := false
-		for _, loc := range e.Locations {
-			if loc.Site == tr.To {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no local copy registered for %q at site %d", tr.File, tr.To)
-		}
 	}
 }
 

@@ -67,8 +67,7 @@ type Event struct {
 	// Name is the entry's name (the store key).
 	Name string
 	// Value is the encoded entry (registry.AppendEntry) for puts, nil for
-	// deletes. Events replayed from data an older release wrote may carry a
-	// gob value; registry.DecodeEntry reads both.
+	// deletes.
 	Value []byte
 	// Origin labels where the event was produced when a Log relays events
 	// from several underlying feeds (the router's combined feed tags each

@@ -593,7 +593,7 @@ func (c *Cache) Merge(ctx context.Context, entries []registry.Entry) (int, error
 //
 // The cache forwards the origin's feed surface, so wrapping a deployment in
 // a near cache does not hide its change feed from other consumers (the sync
-// agents, watch servers and workflow wake-ups keep working unchanged).
+// agents and watch servers keep working unchanged).
 
 // Cache forwards registry.ChangeFeeder when the origin implements it.
 var _ registry.ChangeFeeder = (*Cache)(nil)

@@ -113,6 +113,51 @@ func TestGetCachesAndServesLocally(t *testing.T) {
 	}
 }
 
+// TestZipfianMixHalvesOriginGets is the near cache's acceptance bar, counted
+// rather than timed: a seeded Zipfian mix over 1,024 keys with 1% writes,
+// through a feed-coherent cache, sends the origin at most half the Gets it
+// receives without one. Behind a capacity-bound origin, throughput follows
+// the calls that reach it.
+func TestZipfianMixHalvesOriginGets(t *testing.T) {
+	const keys, ops = 1024, 8192
+	originGets := func(cached bool) int64 {
+		inst, src := newFedInstance(t, 1)
+		preload := make([]registry.Entry, keys)
+		for i := range preload {
+			preload[i] = entry(fmt.Sprintf("zipf/%d", i), 4096)
+		}
+		if _, err := inst.PutMany(ctx, preload); err != nil {
+			t.Fatal(err)
+		}
+		origin := &countingAPI{API: inst}
+		var api registry.API = origin
+		if cached {
+			c := New(origin, Options{Capacity: 2 * keys})
+			attach(t, c, src)
+			api = c
+		}
+		zipf := rand.NewZipf(rand.New(rand.NewSource(42)), 1.1, 1, keys-1)
+		for i := 0; i < ops; i++ {
+			name := fmt.Sprintf("zipf/%d", zipf.Uint64())
+			var err error
+			if i%100 == 0 {
+				_, err = api.AddLocation(ctx, name, registry.Location{Site: 1, Node: cloud.NodeID(i % 16)})
+			} else {
+				_, err = api.Get(ctx, name)
+			}
+			if err != nil {
+				t.Fatalf("op %d on %s: %v", i, name, err)
+			}
+		}
+		return origin.gets.Load()
+	}
+	without, with := originGets(false), originGets(true)
+	t.Logf("origin Gets: %d without the cache, %d through it", without, with)
+	if 2*with > without {
+		t.Fatalf("the origin served %d Gets through the cache and %d without it; want at most half", with, without)
+	}
+}
+
 func TestNegativeCaching(t *testing.T) {
 	inst, src := newFedInstance(t, 1)
 	origin := &countingAPI{API: inst}

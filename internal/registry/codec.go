@@ -29,14 +29,15 @@ import (
 
 // entryFormat is the first byte of an encoded entry. A gob stream opens with
 // the length of a type-definition message, which is never 0 or 1, so the byte
-// also tells these bytes from the gob values older releases stored
-// (codec_gob.go).
+// also tells these bytes from the gob values releases before it stored; those
+// are refused like any other bytes of another format.
 const entryFormat = 0x01
 
 // What DecodeEntry refuses. The errors are static so that refusing hostile
 // bytes allocates nothing.
 var (
 	errEntryEmpty       = errors.New("registry: decode entry: no bytes")
+	errEntryFormat      = errors.New("registry: decode entry: not the entry format")
 	errEntryTruncated   = errors.New("registry: decode entry: number cut short or too long")
 	errEntryNotShortest = errors.New("registry: decode entry: number not in its shortest form")
 	errEntryNanos       = errors.New("registry: decode entry: nanoseconds out of range")
@@ -107,14 +108,14 @@ func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 // memory. The instant of Created is kept and decodes as UTC; the zero time
 // decodes as the zero time.
 //
-// Bytes that do not start with the format byte are taken for a value stored
-// by a release that encoded entries with encoding/gob, and decoded as one.
+// Bytes that do not start with the format byte, a gob value of a release
+// before the entry format among them, are refused on that byte.
 func DecodeEntry(data []byte) (Entry, error) {
 	if len(data) == 0 {
 		return Entry{}, errEntryEmpty
 	}
 	if data[0] != entryFormat {
-		return decodeGobEntry(data)
+		return Entry{}, errEntryFormat
 	}
 	r := entryReader{rest: data[1:]}
 	version := r.uvarint()
@@ -217,8 +218,8 @@ func (r *entryReader) length() int {
 
 // GobCodec is the entry codec under the name it had while entries were
 // encoded with encoding/gob. The name is historical: the benchmark module's
-// ladder times the codec through it. Code in this module calls AppendEntry,
-// EncodedSize and DecodeEntry directly.
+// ladder times the codec through it, and nothing in it is gob. Code in this
+// module calls AppendEntry, EncodedSize and DecodeEntry directly.
 type GobCodec struct{}
 
 // Encode returns e's encoding in a new buffer; the error is always nil.

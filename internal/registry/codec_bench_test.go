@@ -30,19 +30,6 @@ func BenchmarkEntryDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkEntryDecodeGobCompat is what reading a value stored before the
-// entry format costs, until the name is next written.
-func BenchmarkEntryDecodeGobCompat(b *testing.B) {
-	data := gobEncode(b, geobenchEntry(1))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
-	for b.Loop() {
-		if _, err := DecodeEntry(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchInstance returns an instance over a zero-service-time cache holding
 // 4096 entries of geobench's shape, and their names.
 func benchInstance(b *testing.B) (*Instance, []string) {

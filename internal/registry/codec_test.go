@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func geobenchEntry(i int) Entry {
 	}
 }
 
-// goldenEntry is the entry testdata/entry_gob.golden holds: the bytes
+// goldenEntry is the entry ../rpc/testdata/entry_gob.golden holds: the bytes
 // GobCodec{}.Encode produced for it at the last commit that stored entries as
 // gob streams.
 func goldenEntry() Entry {
@@ -46,34 +47,15 @@ func goldenEntry() Entry {
 	}
 }
 
+// goldenGob is goldenEntry as a release before the entry format stored it.
+// The wire's fuzz corpora hold the same bytes, so the file lives with them.
 func goldenGob(t testing.TB) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "entry_gob.golden"))
+	data, err := os.ReadFile(filepath.Join("..", "rpc", "testdata", "entry_gob.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// gobEncode is what Instance stored before the entry format: one gob stream
-// per value.
-func gobEncode(t testing.TB, e Entry) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestGobGoldenDecodes(t *testing.T) {
-	got, err := DecodeEntry(goldenGob(t))
-	if err != nil {
-		t.Fatalf("DecodeEntry(golden gob bytes) = %v", err)
-	}
-	if want := goldenEntry(); !got.Equal(want) || got.Version != want.Version {
-		t.Fatalf("golden gob bytes decoded to\n %+v, want\n %+v", got, want)
-	}
 }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
@@ -141,10 +123,6 @@ type codecSeed struct {
 	data []byte
 	// err is what DecodeEntry answers; nil for a seed that decodes.
 	err error
-	// afterGob marks a seed that is well-framed gob and is refused for what
-	// it decodes to: refusing it costs gob's decoding, which the framing
-	// check has bounded by the size of the input.
-	afterGob bool
 }
 
 // codecSeeds lists the corpus: entries that decode, and one hostile input per
@@ -161,7 +139,8 @@ func codecSeeds(t testing.TB) []codecSeed {
 			Name: "x", Size: math.MinInt64, Version: math.MaxUint64, Created: time.Unix(math.MinInt64, 999999999),
 			Locations: []Location{{Site: math.MaxInt32, Node: math.MinInt32, Path: "p"}, {Node: NoNode}},
 		})},
-		{name: "gob-golden", data: goldenGob(t)},
+		// goldenEntry as a release before the entry format stored it.
+		{name: "gob-golden", err: errEntryFormat, data: goldenGob(t)},
 		// version 0, size 0, Created 0s 0ns, no name, no producer, then a
 		// location count of 2^32-1 with 12 bytes behind it: 20 bytes in all.
 		{name: "hostile-count", err: errEntryLength,
@@ -185,13 +164,13 @@ func codecSeeds(t testing.TB) []codecSeed {
 		{name: "hostile-format-byte-alone", err: errEntryTruncated, data: fields()},
 		{name: "hostile-empty", err: errEntryEmpty, data: []byte{}},
 		// a gob message that claims 16 MiB.
-		{name: "hostile-gob-length", err: errGobFraming, data: []byte{0xfd, 0xff, 0xff, 0xff, 'g', 'o', 'b'}},
+		{name: "hostile-gob-length", err: errEntryFormat, data: []byte{0xfd, 0xff, 0xff, 0xff, 'g', 'o', 'b'}},
 		// the golden gob value with its 123456789 nanoseconds overwritten by
 		// 2^30-1, which time.Time's binary decoding lets through.
-		{name: "hostile-gob-nanos", err: errEntryNanos, afterGob: true,
+		{name: "hostile-gob-nanos", err: errEntryFormat,
 			data: bytes.Replace(goldenGob(t), []byte{0x07, 0x5b, 0xcd, 0x15}, []byte{0x3f, 0xff, 0xff, 0xff}, 1)},
-		// format byte 0 belongs to neither form.
-		{name: "hostile-format-zero", err: errGobFraming, data: append([]byte{0}, valid[1:]...)},
+		// an entry behind format byte 0.
+		{name: "hostile-format-zero", err: errEntryFormat, data: append([]byte{0}, valid[1:]...)},
 	}
 }
 
@@ -242,26 +221,23 @@ func TestDecodeEntryRefusesHostileBytes(t *testing.T) {
 		if _, err := DecodeEntry(s.data); !errors.Is(err, s.err) {
 			t.Errorf("%s: DecodeEntry = %v, want %v", s.name, err, s.err)
 		}
-		if s.afterGob {
-			continue
-		}
 		if allocs := testing.AllocsPerRun(100, func() { DecodeEntry(s.data) }); allocs != 0 { //nolint:errcheck // counted, not checked
 			t.Errorf("%s: refusing it cost %v allocations, want 0", s.name, allocs)
 		}
 	}
 }
 
-// The gob decoder refuses what gobFramed lets through but is not an entry.
+// A gob stream of any value, an entry as releases before the entry format
+// stored it among them, is refused on its first byte.
 func TestDecodeEntryRefusesForeignGob(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode("a string, not an entry"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeEntry(buf.Bytes()); err == nil {
-		t.Error("a gob string decoded as an entry")
-	}
-	if gobFramed([]byte{0xf7, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
-		t.Error("a nine-byte gob length passed for framed")
+	for _, v := range []any{"a string, not an entry", geobenchEntry(1), goldenEntry()} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeEntry(buf.Bytes()); !errors.Is(err, errEntryFormat) {
+			t.Errorf("DecodeEntry(gob of %T) = %v, want %v", v, err, errEntryFormat)
+		}
 	}
 }
 
@@ -276,7 +252,7 @@ func FuzzEntryCodec(f *testing.F) {
 		if len(enc) != EncodedSize(e) {
 			t.Fatalf("EncodedSize = %d, encoding has %d bytes", EncodedSize(e), len(enc))
 		}
-		if data[0] == entryFormat && !bytes.Equal(enc, data) {
+		if !bytes.Equal(enc, data) {
 			t.Fatalf("%x decoded, but its entry encodes to %x: two encodings of one entry", data, enc)
 		}
 		back, err := DecodeEntry(enc)
@@ -337,5 +313,70 @@ func TestEntryCodecAllocations(t *testing.T) {
 	// plus the three allocations of the entry it builds for it.
 	if allocs := testing.AllocsPerRun(100, func() { inst.Put(ctx, e) }); allocs > 2 { //nolint:errcheck // counted, not checked
 		t.Errorf("Instance.Put cost %v allocations, want at most 2", allocs)
+	}
+}
+
+// The slice an instance hands its store is the one the feed publishes, so
+// each stored value has a buffer of its own: a second write must not reach
+// into the first event.
+func TestStoredValuesOwnTheirBuffers(t *testing.T) {
+	ctx := context.Background()
+	for name, open := range map[string]func(t *testing.T) *Instance{
+		"memory": func(*testing.T) *Instance {
+			return NewInstance(2, memcache.New(memcache.Config{}), WithChangeFeed())
+		},
+		"durable": func(t *testing.T) *Instance {
+			inst, err := OpenInstance(2, memcache.New(memcache.Config{}), t.TempDir(), nil, WithChangeFeed())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inst
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			inst := open(t)
+			defer inst.Close()
+			sub, err := inst.ChangeFeed().Subscribe(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			first, second := geobenchEntry(1), geobenchEntry(2)
+			if _, err := inst.Put(ctx, first); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inst.PutMany(ctx, []Entry{second, geobenchEntry(3)}); err != nil {
+				t.Fatal(err)
+			}
+			events := collectFeed(t, sub, 3)
+			for i, want := range []Entry{first, second, geobenchEntry(3)} {
+				if !bytes.Equal(events[i].Value, AppendEntry(nil, want)) {
+					t.Errorf("event %d carries %x, want the encoding of %s", i, events[i].Value, want.Name)
+				}
+			}
+		})
+	}
+}
+
+// A stored value that does not decode fails the operation that meets it, with
+// the operation and the name in the error.
+func TestUndecodableStoredValueIsAnError(t *testing.T) {
+	ctx := context.Background()
+	inst := NewInstance(2, memcache.New(memcache.Config{}))
+	if _, err := inst.Store().Put("bad", []byte{entryFormat, 0x80}, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, getErr := inst.Get(ctx, "bad")
+	_, updateErr := inst.AddLocation(ctx, "bad", Location{Site: 1})
+	_, entriesErr := inst.Entries(ctx)
+	_, manyErr := inst.GetMany(ctx, []string{"bad"})
+	_, mergeErr := inst.Merge(ctx, []Entry{{Name: "bad"}})
+	for op, err := range map[string]error{
+		`get "bad"`: getErr, `update "bad"`: updateErr, `entries: decoding "bad"`: entriesErr,
+		`get-many: decoding "bad"`: manyErr, `merge: decoding "bad"`: mergeErr,
+	} {
+		if !errors.Is(err, errEntryTruncated) || !strings.HasPrefix(err.Error(), op) {
+			t.Errorf("%s over an undecodable value = %v", op, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,6 +253,102 @@ func TestRouterReplicatedReadFailsOver(t *testing.T) {
 	if entries, err := r.Entries(ctx); err != nil || len(entries) != n {
 		t.Fatalf("entries with shard 2 dead: got %d (%v), want %d", len(entries), err, n)
 	}
+}
+
+// TestRouterReplicatedKillUnderLoad kills a shard of an R=2 tier while eight
+// callers create, add locations and read. No read fails. A write errs only if
+// it was in flight before the breaker opened, which bounds the unacknowledged
+// writes by the callers. Every acknowledged create reads back with the shard
+// still dead.
+func TestRouterReplicatedKillUnderLoad(t *testing.T) {
+	ctx := context.Background()
+	r, kills, _ := newReplicatedRouter(t, 4, 2)
+	const (
+		callers = 8
+		ops     = 4096
+		preload = 256
+		victim  = 2
+	)
+	entries := make([]Entry, preload)
+	for i := range entries {
+		entries[i] = testEntry(fmt.Sprintf("load/pre/%d", i))
+	}
+	if _, err := r.PutMany(ctx, entries); err != nil {
+		t.Fatal(err)
+	}
+	// The caller that kills the shard reads one of its names at once, before
+	// the breaker can have opened: that read has to fail over.
+	first := namesWithPrimary(t, r, victim, "load/pre", 1)[0]
+
+	var (
+		seq       atomic.Int64
+		readFails atomic.Int64
+		unacked   atomic.Int64
+		mu        sync.Mutex
+		acked     []string
+		wg        sync.WaitGroup
+	)
+	read := func(name string) {
+		if _, err := r.Get(ctx, name); err != nil {
+			readFails.Add(1)
+		}
+	}
+	// write tallies a write the dead shard may have refused.
+	write := func(name string, err error) {
+		if errors.Is(err, ErrUnavailable) {
+			unacked.Add(1)
+		} else if err != nil {
+			t.Errorf("write of %s: %v", name, err)
+		}
+	}
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := seq.Add(1); i <= ops; i = seq.Add(1) {
+				if i == ops/2 {
+					kills[victim].kill()
+					read(first)
+				}
+				pre := fmt.Sprintf("load/pre/%d", i%preload)
+				switch i % 8 {
+				case 0, 1:
+					name := fmt.Sprintf("load/new/%d", i)
+					_, err := r.Create(ctx, testEntry(name))
+					if err == nil {
+						mu.Lock()
+						acked = append(acked, name)
+						mu.Unlock()
+					}
+					write(name, err)
+				case 2:
+					_, err := r.AddLocation(ctx, pre, Location{Site: 7, Node: cloud.NodeID(i % 16)})
+					write(pre, err)
+				default:
+					read(pre)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if n := readFails.Load(); n > 0 {
+		t.Errorf("%d reads failed with a replica of every key alive", n)
+	}
+	if n := unacked.Load(); n > 2*callers {
+		t.Errorf("%d writes went unacknowledged, want at most %d: the breaker did not contain the dead shard", n, 2*callers)
+	}
+	if down := r.DownShards(); len(down) != 1 || down[0] != victim {
+		t.Errorf("down shards %v, want the breaker of shard %d open", down, victim)
+	}
+	got, err := r.GetMany(ctx, acked)
+	if err != nil {
+		t.Fatalf("reading back the acknowledged creates: %v", err)
+	}
+	if len(got) != len(acked) {
+		t.Fatalf("lost acknowledged creates: read back %d of %d", len(got), len(acked))
+	}
+	t.Logf("%d creates acknowledged, %d writes unacknowledged", len(acked), unacked.Load())
 }
 
 // opCountingShard counts operations that reach the shard, excluding health

@@ -76,8 +76,7 @@ const (
 )
 
 // entryFormat is registry's entry format byte. An entry inside a frame starts
-// with it; the gob values registry.DecodeEntry also reads for the sake of old
-// data directories are never valid on the wire.
+// with it, and an entry that does not is refused before it is decoded.
 const entryFormat = 0x01
 
 // headerLen counts the bytes of the header both directions share.

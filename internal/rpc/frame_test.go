@@ -126,7 +126,7 @@ func replySeeds(t testing.TB) []frameSeed {
 	// gob assigns type numbers in the order a process first meets the types,
 	// so gob bytes made here would differ from run to run; both gob seeds
 	// are files an earlier commit's code wrote.
-	gobEntry := golden(t, "..", "registry", "testdata", "entry_gob.golden")
+	gobEntry := golden(t, "testdata", "entry_gob.golden")
 	gobReply := golden(t, "testdata", "reply_gob.golden")[4:]
 
 	return []frameSeed{

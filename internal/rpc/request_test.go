@@ -86,7 +86,7 @@ func requestSeeds(t testing.TB) []frameSeed {
 		Request{Op: OpDeleteMany, Names: []string{"data/a", "", "data/c"}},
 		Request{Op: OpLen})
 
-	gobEntry := golden(t, "..", "registry", "testdata", "entry_gob.golden")
+	gobEntry := golden(t, "testdata", "entry_gob.golden")
 	gobRequest := golden(t, "testdata", "request_gob.golden")[4:]
 
 	return []frameSeed{

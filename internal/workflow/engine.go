@@ -66,12 +66,6 @@ type EngineConfig struct {
 	// SkipStageIn skips publishing metadata for the workflow's external
 	// inputs; use it when the caller has already registered them.
 	SkipStageIn bool
-	// Notifier, when set, turns invisible-input waits reactive: the engine
-	// parks on the input's name and the notifier wakes it as soon as the
-	// change feeds publish a put for it, instead of sleeping the full
-	// RetryInterval. Polling continues underneath as the fall-back, so a
-	// missed wake-up costs one interval, never correctness.
-	Notifier *Notifier
 	// Metrics selects the live-observability registry the engine reports
 	// tasks started/completed/failed, retry counts and task latencies to.
 	// nil means metrics.Default; DisableMetrics turns instrumentation off.
@@ -339,45 +333,21 @@ func (e *Engine) runTask(ctx context.Context, node cloud.Node, t *Task) (reads, 
 }
 
 // lookupWithRetry polls the metadata service until the entry is visible from
-// the node's site or the retry budget is exhausted. With a Notifier the wait
-// between polls is cut short by a feed wake-up for the input's name; the
-// waiter is always registered before the lookup so a put racing the check
-// wakes the next round instead of being lost.
+// the node's site or the retry budget is exhausted.
 func (e *Engine) lookupWithRetry(ctx context.Context, node cloud.Node, name string) (reads, retries int, err error) {
 	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
-		var wake <-chan struct{}
-		cancelWait := func() {}
-		if e.cfg.Notifier != nil {
-			wake, cancelWait = e.cfg.Notifier.Wait(name)
-		}
 		reads++
 		_, lookupErr := e.svc.Lookup(ctx, node.Site, name)
 		if lookupErr == nil {
-			cancelWait()
 			if e.cfg.Progress != nil {
 				e.cfg.Progress.Done()
 			}
 			return reads, retries, nil
 		}
 		if !errors.Is(lookupErr, core.ErrNotFound) {
-			cancelWait()
 			return reads, retries, lookupErr
 		}
 		retries++
-		if wake != nil {
-			timer := time.NewTimer(e.lat.ToWall(e.cfg.RetryInterval))
-			select {
-			case <-wake:
-				timer.Stop()
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				cancelWait()
-				return reads, retries, ctx.Err()
-			}
-			cancelWait()
-			continue
-		}
 		if err := e.lat.InjectDuration(ctx, e.cfg.RetryInterval); err != nil {
 			return reads, retries, err
 		}

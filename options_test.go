@@ -275,27 +275,17 @@ func TestCacheConfigIsSet(t *testing.T) {
 	}
 }
 
-// TestGobIsImportedByOneFile holds the end state of retiring gob: the wire
-// and every stored value have hand-rolled encodings, and encoding/gob survives
-// in one decode-only file that reads what older releases left in data
-// directories.
-func TestGobIsImportedByOneFile(t *testing.T) {
-	const keeper = "internal/registry/codec_gob.go"
-	kept := false
+// TestGobIsImportedByNoFile holds the end state of retiring gob: the wire and
+// every stored value have hand-rolled encodings, and bytes of another format
+// are refused on their first byte. Test files may still import encoding/gob to
+// forge the bytes of earlier releases that must be refused.
+func TestGobIsImportedByNoFile(t *testing.T) {
 	for _, f := range parseNonTestFiles(t) {
 		for _, imp := range f.ast.Imports {
-			if imp.Path.Value != `"encoding/gob"` {
-				continue
-			}
-			if filepath.ToSlash(f.path) == keeper {
-				kept = true
-			} else {
-				t.Errorf("%s imports encoding/gob; only %s may", f.path, keeper)
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob", f.path)
 			}
 		}
-	}
-	if !kept {
-		t.Errorf("%s no longer imports encoding/gob: delete this test with it", keeper)
 	}
 }
 
