@@ -195,8 +195,8 @@ func (fs *feedSyncer) relay(ctx context.Context, batch []feed.SourceEvent) {
 func (fs *feedSyncer) Flush(ctx context.Context) error {
 	heads := make(map[string]uint64, len(fs.feeders))
 	for name, feeder := range fs.feeders {
-		// FeedBarrier, not ChangeFeed().Seq(): a sharded site's relay feed
-		// lags its shards' commits until the asynchronous pumps absorb them.
+		// FeedBarrier is the ChangeFeeder's promise that everything
+		// committed before the call is at or below the head it returns.
 		head, err := feeder.FeedBarrier(ctx)
 		if err != nil {
 			return err

@@ -148,6 +148,10 @@ type Log struct {
 	subs   map[*Subscription]struct{}
 	closed bool
 
+	// relay and relayOrigin: see RelayTo.
+	relay       *Log
+	relayOrigin string
+
 	events      *metrics.Counter
 	subscribers *metrics.Gauge
 }
@@ -246,9 +250,23 @@ func (l *Log) Publish(ev Event) uint64 {
 	for _, sub := range dropped {
 		l.dropLocked(sub, ErrLagged)
 	}
+	if l.relay != nil {
+		l.relay.Publish(Event{Op: ev.Op, Name: ev.Name, Value: ev.Value, Origin: l.relayOrigin, Commit: ev.Commit, Sync: ev.Sync})
+	}
 	l.mu.Unlock()
 	l.events.Inc()
 	return ev.Seq
+}
+
+// RelayTo makes the log republish every event it accepts into dst, under
+// its own lock on the publishing goroutine, so dst holds each source's events
+// in the source's order as soon as the source does. dst re-sequences the copy,
+// which carries origin, the commit time and the Sync mark. dst must not relay
+// back into the log. A later call replaces the destination.
+func (l *Log) RelayTo(dst *Log, origin string) {
+	l.mu.Lock()
+	l.relay, l.relayOrigin = dst, origin
+	l.mu.Unlock()
 }
 
 // dropLocked removes the subscription and closes its channel with the given

@@ -56,6 +56,43 @@ func TestLogPublishExternalSequence(t *testing.T) {
 	}
 }
 
+// TestLogRelayToRepublishesSynchronously: two sources relaying into one log
+// put each accepted event there before Publish returns, re-sequenced, with
+// the origin label, commit time and Sync mark; a refused event is not
+// relayed, and neither is anything after the source closed.
+func TestLogRelayToRepublishesSynchronously(t *testing.T) {
+	relay := NewLog()
+	a, b := NewLog(), NewLog()
+	a.RelayTo(relay, "a")
+	b.RelayTo(relay, "b")
+	a.Publish(Event{Seq: 10, Op: OpPut, Name: "x", Value: []byte("v"), Commit: 42})
+	b.Append(OpDelete, "y", nil)
+	a.Publish(Event{Seq: 11, Op: OpPut, Name: "z", Sync: true})
+	a.Publish(Event{Seq: 11, Op: OpPut, Name: "refused"})
+	a.Close()
+	a.Publish(Event{Seq: 12, Op: OpPut, Name: "after-close"})
+	if relay.Seq() != 3 {
+		t.Fatalf("relay head = %d right after the publishes, want 3", relay.Seq())
+	}
+	sub, err := relay.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, sub, 3)
+	want := []Event{
+		{Seq: 1, Op: OpPut, Name: "x", Value: []byte("v"), Origin: "a", Commit: 42},
+		{Seq: 2, Op: OpDelete, Name: "y", Origin: "b"},
+		{Seq: 3, Op: OpPut, Name: "z", Origin: "a", Sync: true},
+	}
+	for i, ev := range got {
+		w := want[i]
+		if ev.Seq != w.Seq || ev.Op != w.Op || ev.Name != w.Name || string(ev.Value) != string(w.Value) ||
+			ev.Origin != w.Origin || ev.Sync != w.Sync || (w.Commit != 0 && ev.Commit != w.Commit) || ev.Commit == 0 {
+			t.Errorf("relayed event %d = %+v, want %+v", i, ev, w)
+		}
+	}
+}
+
 func TestSubscribeReplaysBacklogThenTails(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 10; i++ {

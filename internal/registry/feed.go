@@ -3,13 +3,13 @@ package registry
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"geomds/internal/cloud"
 	"geomds/internal/feed"
 	"geomds/internal/memcache"
+	"geomds/internal/metrics"
 	"geomds/internal/store"
 )
 
@@ -25,9 +25,12 @@ import (
 // tap that assigns its own consecutive sequence.
 //
 // A Router whose shards all expose feeds relays them into one combined,
-// re-sequenced feed: per-shard order is preserved, events are tagged with
-// their origin shard, and commit timestamps pass through so replication lag
-// measured downstream spans the whole pipeline. Because re-sync sweeps
+// re-sequenced feed: each shard's log republishes every event into the relay
+// on the goroutine that commits it, so per-shard order is preserved and the
+// relay never trails a shard (the lock order is the member's mutex, the
+// shard's log, the relay's log). Events are tagged with their origin shard,
+// and commit timestamps pass through so replication lag measured downstream
+// spans the whole pipeline. Because re-sync sweeps
 // repair shards with ordinary Merge/DeleteMany calls on the shard stores, a
 // recovery surfaces in the combined feed as put events at the returning
 // shard followed by delete events at the substitutes that covered for it.
@@ -44,10 +47,10 @@ type ChangeFeeder interface {
 	// cursor-too-old fallback of the watch protocol.
 	FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, error)
 	// FeedBarrier returns a head sequence that every mutation committed
-	// before the call is published at or below, waiting if the feed has
-	// asynchronous relay stages (a router's shard pumps) that have not
-	// absorbed those commits yet. A consumer whose cursor reaches the
-	// returned head has seen everything committed before the barrier.
+	// before the call is published at or below. A consumer whose cursor
+	// reaches the returned head has seen everything committed before the
+	// barrier. An instance and a router both publish as they commit, so for
+	// them it is the feed's current head.
 	FeedBarrier(ctx context.Context) (uint64, error)
 }
 
@@ -225,31 +228,31 @@ func (t *tapStore) DeleteBatch(keys []string) (int, error) {
 
 // --- Router: the combined, re-sequenced relay feed over its shards. ---
 
-// relayTap pumps one shard's feed into the router's relay log.
-type relayTap struct {
-	cancel context.CancelFunc
-	comb   *feed.Combiner
-	done   chan struct{}
-	feeder ChangeFeeder
-	// relayed is the last shard sequence published into the relay; the
-	// router's FeedBarrier waits on it to know the asynchronous pump has
-	// absorbed everything committed on the shard.
-	relayed atomic.Uint64
-}
-
-// initRelay enables the router's combined feed when every shard exposes one,
-// starting one pump per shard. Called from NewRouter before the router is
-// shared.
-func (r *Router) initRelay() {
+// initRelay enables the router's combined feed when every shard exposes one:
+// each shard's log republishes into the relay as it commits
+// (feed.Log.RelayTo). The relay keeps the window an *Instance shard was given
+// by WithChangeFeed and reports the feed series to reg, the router's
+// registry. Called from NewRouter before the router is shared.
+func (r *Router) initRelay(reg *metrics.Registry) {
 	for _, api := range r.shards {
 		if f, ok := api.(ChangeFeeder); !ok || f.ChangeFeed() == nil {
 			return
 		}
 	}
-	r.relay = feed.NewLog()
-	r.taps = make([]*relayTap, len(r.shards))
+	var opts []feed.LogOption
+	if inst, ok := r.shards[0].(*Instance); ok {
+		opts = slices.Clip(inst.feedOpts)
+	}
+	r.relay = feed.NewLog(append(opts, feed.WithLogMetrics(reg))...)
 	for i, api := range r.shards {
-		r.taps[i] = r.startTap(cloud.SiteID(i), api.(ChangeFeeder))
+		log := api.(ChangeFeeder).ChangeFeed()
+		if log.Floor() > 0 {
+			// A shard recovered state whose events are gone: so are the
+			// relay's, and a cursor of 0 takes the snapshot fallback, as it
+			// does on a recovered instance.
+			r.relay.StartAt(1)
+		}
+		log.RelayTo(r.relay, fmt.Sprintf("shard-%d", i))
 	}
 }
 
@@ -270,7 +273,7 @@ func (r *Router) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, error)
 	seen := make(map[string]bool)
 	var events []feed.Event
 	for _, ref := range r.reachableShards() {
-		shardEvents, _, err := r.taps[ref.id].feeder.FeedSnapshot(ctx)
+		shardEvents, _, err := ref.api.(ChangeFeeder).FeedSnapshot(ctx)
 		if err != nil {
 			return nil, 0, fmt.Errorf("registry: snapshotting shard %d: %w", ref.id, err)
 		}
@@ -287,68 +290,15 @@ func (r *Router) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, error)
 	return events, head, nil
 }
 
-// FeedBarrier implements ChangeFeeder for the tier. The shard→relay pumps
-// are asynchronous, so the relay head alone can trail committed shard
-// mutations; the barrier first waits for every pump to absorb its shard's
-// current head, then returns the relay head.
+// FeedBarrier implements ChangeFeeder for the tier: shards publish into the
+// relay as they commit, so the relay head already covers everything
+// committed.
 func (r *Router) FeedBarrier(ctx context.Context) (uint64, error) {
 	if r.relay == nil {
 		return 0, fmt.Errorf("registry: router for site %d has no change feed", r.site)
 	}
-	for _, tap := range r.taps {
-		target := tap.feeder.ChangeFeed().Seq()
-		for tap.relayed.Load() < target {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-tap.done:
-				// Pump torn down (the router closed mid-barrier): whatever
-				// it relayed is all the relay will ever carry from it.
-				target = 0
-			case <-time.After(200 * time.Microsecond):
-			}
-		}
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
 	return r.relay.Seq(), nil
-}
-
-// startTap launches the relay pump for one shard. The pump rides a
-// single-source Combiner, so a shard that restarts (durable recovery) or
-// drops the subscription is resubscribed automatically, falling back to a
-// state snapshot when its cursor compacted away.
-func (r *Router) startTap(id cloud.SiteID, feeder ChangeFeeder) *relayTap {
-	label := fmt.Sprintf("shard-%d", id)
-	comb := feed.NewCombiner([]feed.Source{FeedSource(label, feeder)})
-	ctx, cancel := context.WithCancel(context.Background())
-	comb.Start(ctx)
-	tap := &relayTap{cancel: cancel, comb: comb, done: make(chan struct{}), feeder: feeder}
-	go func() {
-		defer close(tap.done)
-		for ev := range comb.Events() {
-			r.relay.Publish(feed.Event{
-				Op:     ev.Op,
-				Name:   ev.Name,
-				Value:  ev.Value,
-				Origin: label,
-				Commit: ev.Commit,
-				Sync:   ev.Sync,
-			})
-			tap.relayed.Store(ev.Seq)
-		}
-	}()
-	return tap
-}
-
-// closeRelay stops every pump, draining its pending events into the relay
-// first, then closes the combined feed. Idempotent.
-func (r *Router) closeRelay() {
-	if r.relay == nil {
-		return
-	}
-	for _, tap := range r.taps {
-		tap.cancel()
-		tap.comb.Close()
-		<-tap.done
-	}
-	r.relay.Close()
 }

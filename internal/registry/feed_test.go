@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,5 +328,298 @@ func TestRouterFeedKillAndResume(t *testing.T) {
 		if c != rep {
 			t.Fatalf("key %s has %d put events, want one per replica (%d)", name, c, rep)
 		}
+	}
+}
+
+// newRelayTier builds a 4-shard, R=2 router over feeding instances, memory-only
+// or the members of one shared log in a temporary directory, and returns the
+// shards' own logs too.
+func newRelayTier(t *testing.T, durable bool, feedOpts ...feed.LogOption) (*Router, []*feed.Log) {
+	t.Helper()
+	backings := make([]store.Backing, 4)
+	for i := range backings {
+		backings[i] = memcache.New(memcache.Config{})
+	}
+	apis := make([]API, len(backings))
+	logs := make([]*feed.Log, len(backings))
+	var members []*store.Durable
+	if durable {
+		var err error
+		if members, err = store.OpenShared(t.TempDir(), backings, store.WithFsync(store.FsyncNever)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, b := range backings {
+		var s Store = b
+		if durable {
+			s = members[i]
+		}
+		inst := NewInstance(7, s, WithChangeFeed(feedOpts...))
+		t.Cleanup(func() { inst.Close() })
+		apis[i], logs[i] = inst, inst.ChangeFeed()
+	}
+	r, err := NewRouter(7, apis, WithRouterReplication(2), WithRouterMetrics(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r, logs
+}
+
+// TestRouterFeedRelayIsSynchronous: the shards' logs publish into the relay
+// as they commit, so once an acknowledged write returns, the relay head
+// already covers one event per replica, each labelled with its replica's
+// shard, and FeedBarrier is that head. Nothing here sleeps or polls.
+func TestRouterFeedRelayIsSynchronous(t *testing.T) {
+	ctx := context.Background()
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "shared-log"}[durable], func(t *testing.T) {
+			r, _ := newRelayTier(t, durable)
+			relay := r.ChangeFeed()
+			sub, err := relay.Subscribe(0, feed.WithBuffer(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			entries := func(names ...string) []Entry {
+				out := make([]Entry, len(names))
+				for i, name := range names {
+					out[i] = testEntry(name)
+				}
+				return out
+			}
+			steps := []struct {
+				op   string
+				do   func() error
+				want map[string]feed.Op // one event per replica of each name
+			}{
+				{"Create", func() error { _, err := r.Create(ctx, testEntry("a")); return err }, map[string]feed.Op{"a": feed.OpPut}},
+				{"Put", func() error { _, err := r.Put(ctx, testEntry("a")); return err }, map[string]feed.Op{"a": feed.OpPut}},
+				{"Delete", func() error { return r.Delete(ctx, "a") }, map[string]feed.Op{"a": feed.OpDelete}},
+				{"PutMany", func() error { _, err := r.PutMany(ctx, entries("b", "c", "d")); return err },
+					map[string]feed.Op{"b": feed.OpPut, "c": feed.OpPut, "d": feed.OpPut}},
+				{"DeleteMany", func() error { _, err := r.DeleteMany(ctx, []string{"b", "c", "ghost"}); return err },
+					map[string]feed.Op{"b": feed.OpDelete, "c": feed.OpDelete}},
+				{"Merge", func() error { _, err := r.Merge(ctx, entries("e", "f")); return err },
+					map[string]feed.Op{"e": feed.OpPut, "f": feed.OpPut}},
+			}
+			for _, step := range steps {
+				before := relay.Seq()
+				if err := step.do(); err != nil {
+					t.Fatalf("%s: %v", step.op, err)
+				}
+				head := relay.Seq()
+				if want := before + uint64(2*len(step.want)); head != want {
+					t.Fatalf("%s returned with the relay head at %d, want %d: one event per replica", step.op, head, want)
+				}
+				if barrier, err := r.FeedBarrier(ctx); err != nil || barrier != head {
+					t.Fatalf("%s: FeedBarrier = %d, %v; want the head %d at once", step.op, barrier, err, head)
+				}
+				origins := make(map[string][]string)
+				for seq := before + 1; seq <= head; seq++ {
+					var ev feed.Event
+					select {
+					case ev = <-sub.Events():
+					default:
+						t.Fatalf("%s: relay head %d but the subscriber holds nothing after seq %d", step.op, head, seq-1)
+					}
+					if ev.Seq != seq || ev.Op != step.want[ev.Name] {
+						t.Fatalf("%s: event %+v, want seq %d and op %v", step.op, ev, seq, step.want[ev.Name])
+					}
+					origins[ev.Name] = append(origins[ev.Name], ev.Origin)
+				}
+				for name := range step.want {
+					var want []string
+					for _, id := range r.replicaIDs(name) {
+						want = append(want, fmt.Sprintf("shard-%d", id))
+					}
+					slices.Sort(want)
+					slices.Sort(origins[name])
+					if !slices.Equal(origins[name], want) {
+						t.Errorf("%s: %s relayed from %v, want its replicas %v", step.op, name, origins[name], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRouterFeedRelayUnderLaggingSubscriber: eight writers commit through the
+// tier while a relay subscriber with a one-event buffer keeps being dropped
+// with ErrLagged and resubscribing from its cursor. Nothing deadlocks, the
+// subscriber sees every relay sequence exactly once, and each shard's events
+// reach the relay in the shard's own order.
+func TestRouterFeedRelayUnderLaggingSubscriber(t *testing.T) {
+	ctx := context.Background()
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "shared-log"}[durable], func(t *testing.T) {
+			const writers, perWriter = 8, 150
+			r, logs := newRelayTier(t, durable, feed.WithCapacity(1<<13))
+			shardSubs := make([]*feed.Subscription, len(logs))
+			for i, log := range logs {
+				sub, err := log.Subscribe(0, feed.WithBuffer(1<<13))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sub.Close()
+				shardSubs[i] = sub
+			}
+			relay := r.ChangeFeed()
+
+			var wg sync.WaitGroup
+			var writes atomic.Int64
+			for w := range writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range perWriter {
+						name := fmt.Sprintf("w%d/k%d", w, i)
+						if _, err := r.Create(ctx, testEntry(name)); err != nil {
+							t.Error(err)
+							return
+						}
+						writes.Add(1)
+						if i%3 == 2 {
+							if err := r.Delete(ctx, name); err != nil {
+								t.Error(err)
+								return
+							}
+							writes.Add(1)
+						}
+					}
+				}()
+			}
+			writersDone := make(chan struct{})
+			go func() { wg.Wait(); close(writersDone) }()
+
+			var (
+				got    []feed.Event
+				cursor uint64
+				lagged int
+			)
+			deadline := time.After(30 * time.Second)
+			finished := false
+			for !finished || cursor < relay.Seq() {
+				sub, err := relay.Subscribe(cursor, feed.WithBuffer(1))
+				if err != nil {
+					t.Fatalf("resubscribing from %d: %v", cursor, err)
+				}
+			stream:
+				for {
+					select {
+					case ev, ok := <-sub.Events():
+						if !ok {
+							if !errors.Is(sub.Err(), feed.ErrLagged) {
+								t.Fatalf("subscription ended with %v, want ErrLagged", sub.Err())
+							}
+							lagged++
+							break stream
+						}
+						if ev.Seq != cursor+1 {
+							t.Fatalf("relay delivered seq %d after %d: a sequence lost or duplicated", ev.Seq, cursor)
+						}
+						cursor = ev.Seq
+						got = append(got, ev)
+					case <-writersDone:
+						writersDone, finished = nil, true
+					case <-deadline:
+						t.Fatalf("stuck at relay seq %d of %d after %d lags", cursor, relay.Seq(), lagged)
+					}
+					if finished && cursor == relay.Seq() {
+						sub.Close()
+						break stream
+					}
+				}
+			}
+			if want := uint64(2 * writes.Load()); cursor != want {
+				t.Fatalf("relay carried %d events for %d acknowledged R=2 writes, want %d", cursor, writes.Load(), want)
+			}
+			if lagged == 0 {
+				t.Error("the one-event subscriber was never dropped: the stress did not exercise resubscription")
+			}
+			for i, sub := range shardSubs {
+				origin := fmt.Sprintf("shard-%d", i)
+				for _, ev := range got {
+					if ev.Origin != origin {
+						continue
+					}
+					var own feed.Event
+					select {
+					case own = <-sub.Events():
+					default:
+						t.Fatalf("%s relayed %v %s that the shard never published", origin, ev.Op, ev.Name)
+					}
+					if own.Name != ev.Name || own.Op != ev.Op || own.Commit != ev.Commit {
+						t.Fatalf("%s relayed %v %s out of its order: the shard published %v %s next", origin, ev.Op, ev.Name, own.Op, own.Name)
+					}
+				}
+				if n := len(sub.Events()); n != 0 {
+					t.Errorf("%s published %d events the relay never carried", origin, n)
+				}
+			}
+			t.Logf("%d writes, %d relay events, %d ErrLagged drops", writes.Load(), cursor, lagged)
+		})
+	}
+}
+
+// TestRouterFeedAfterRestartFallsBackToSnapshot: the relay of a tier whose
+// shards recovered state from their log starts past the events it cannot
+// replay, so a cursor of 0 is compacted and the snapshot carries the state.
+func TestRouterFeedAfterRestartFallsBackToSnapshot(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	open := func() (*Router, []*Instance) {
+		backings := []store.Backing{memcache.New(memcache.Config{}), memcache.New(memcache.Config{})}
+		members, err := store.OpenShared(dir, backings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts := []*Instance{NewInstance(7, members[0], WithChangeFeed()), NewInstance(7, members[1], WithChangeFeed())}
+		r, err := NewRouter(7, []API{insts[0], insts[1]}, WithRouterReplication(2), WithRouterMetrics(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, insts
+	}
+	r, insts := open()
+	if head := r.ChangeFeed().Seq(); head != 0 {
+		t.Fatalf("relay over empty shards starts at %d, want 0", head)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := r.Create(ctx, testEntry(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Close()
+	for _, inst := range insts {
+		if err := inst.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r, insts = open()
+	defer func() {
+		r.Close()
+		for _, inst := range insts {
+			inst.Close()
+		}
+	}()
+	if _, err := r.ChangeFeed().Subscribe(0); !errors.Is(err, feed.ErrCompacted) {
+		t.Fatalf("cursor 0 on a recovered tier's relay: err = %v, want ErrCompacted", err)
+	}
+	events, head, err := r.FeedSnapshot(ctx)
+	if err != nil || head != 1 || len(events) != 3 {
+		t.Fatalf("FeedSnapshot = %d events at head %d, %v; want the 3 recovered names at 1", len(events), head, err)
+	}
+	tail, err := r.ChangeFeed().Subscribe(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	if _, err := r.Create(ctx, testEntry("d")); err != nil {
+		t.Fatal(err)
+	}
+	if got := collectFeed(t, tail, 2); got[0].Seq != 2 || got[1].Seq != 3 || got[0].Name != "d" {
+		t.Fatalf("tail after the snapshot = %+v, want d's two replica events at 2 and 3", got)
 	}
 }

@@ -149,10 +149,9 @@ type Router struct {
 
 	// relay is the tier's combined change feed — every shard's events
 	// re-sequenced into one log — enabled when every shard implements
-	// ChangeFeeder (see feed.go). taps holds one pump per shard, indexed by
-	// shard ID, started by NewRouter and stopped by Close.
+	// ChangeFeeder (see feed.go). The shards' logs publish into it; Close
+	// closes it.
 	relay *feed.Log
-	taps  []*relayTap
 
 	obs routerObs
 }
@@ -341,7 +340,7 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 		}
 		r.spawnSweep()
 	}
-	r.initRelay()
+	r.initRelay(cfg.metrics)
 	r.obs.shardsG.Add(int64(len(shards)))
 	r.obs.replicaG.Add(int64(rep))
 	return r, nil
@@ -352,12 +351,14 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 func (r *Router) Replication() int { return r.rep }
 
 // Close stops the router's background health prober and, when the tier has
-// a change feed, drains and closes the relay. Operations issued after Close
-// still work; only probing (and therefore automatic recovery of down
-// shards) and the combined feed stop. Idempotent.
+// a change feed, closes the relay. Operations issued after Close still work;
+// only probing (and therefore automatic recovery of down shards) and the
+// combined feed stop. Idempotent.
 func (r *Router) Close() {
 	r.health.close()
-	r.closeRelay()
+	if r.relay != nil {
+		r.relay.Close()
+	}
 }
 
 // probeKey is the reserved name health probes read. It never exists; a

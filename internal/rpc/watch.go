@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -104,8 +105,9 @@ func fromWireEvent(ev WatchEvent) feed.Event {
 }
 
 // watchEventBatch bounds how many events one FrameWatchEvent carries: the
-// server drains what is immediately available up to this many, so a burst
-// amortizes framing without letting one frame grow unboundedly.
+// server yields once after an event arrives, then drains what is queued up to
+// this many, so a burst amortizes framing without letting one frame grow
+// unboundedly.
 const watchEventBatch = 256
 
 // encodeFeedErr classifies the feed sentinels terminating a subscription.
@@ -293,6 +295,11 @@ func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex
 				send(nil, err)
 				return
 			}
+			// Yield once before draining, as the WAL's group commit does
+			// before its sync: the events a write's other replicas are
+			// publishing, and the write's own reply, run first, so one frame
+			// carries them all and follows the reply.
+			runtime.Gosched()
 			batch := []WatchEvent{toWireEvent(ev)}
 			ended := false
 		drain:

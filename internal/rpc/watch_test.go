@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -254,5 +256,80 @@ func TestWatchCombinerOverRemoteShards(t *testing.T) {
 				t.Fatalf("source %s out of order: %v", source, seqs)
 			}
 		}
+	}
+}
+
+// TestWatchCoalescesReplicaEvents counts the frames of a raw watch stream
+// over an R=2 tier: each put publishes one relay event per replica, and the
+// stream yields once before draining, so on one CPU the two go out in one
+// frame, after the put's reply, instead of one frame each.
+func TestWatchCoalescesReplicaEvents(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	shards := make([]registry.API, 4)
+	for i := range shards {
+		inst := registry.NewInstance(2, memcache.New(memcache.Config{}), registry.WithChangeFeed())
+		t.Cleanup(func() { inst.Close() })
+		shards[i] = inst
+	}
+	router, err := registry.NewRouter(2, shards, registry.WithRouterReplication(2), registry.WithRouterMetrics(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(router.Close)
+	srv := NewServer(router, nil)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client, err := Dial(tctx, addr, WithTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if err := writeRequest(conn, &RequestFrame{Header: Header{ID: 1, Kind: FrameWatch}}); err != nil {
+		t.Fatal(err)
+	}
+	var ack ResponseFrame
+	if err := readReply(conn, &ack); err != nil || ack.Header.Kind != FrameWatch || !ack.Resp.OK {
+		t.Fatalf("watch ack = %+v, %v", ack, err)
+	}
+
+	const puts = 200
+	type tally struct {
+		frames, events int
+		err            error
+	}
+	counted := make(chan tally, 1)
+	go func() {
+		var c tally
+		for c.events < 2*puts && c.err == nil {
+			var rf ResponseFrame
+			if c.err = readReply(conn, &rf); c.err == nil && rf.Header.Kind == FrameWatchEvent {
+				c.frames++
+				c.events += len(rf.Events)
+			}
+		}
+		counted <- c
+	}()
+	for i := range puts {
+		if _, err := client.Put(tctx, wireEntry(fmt.Sprintf("k%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := <-counted
+	if c.err != nil || c.events != 2*puts {
+		t.Fatalf("watch stream carried %d of %d events: %v", c.events, 2*puts, c.err)
+	}
+	t.Logf("%d puts, %d events in %d frames (%.2f per put)", puts, c.events, c.frames, float64(c.frames)/puts)
+	if c.frames > puts*5/4 {
+		t.Errorf("%d frames for %d replicated puts, want at most %d: the replicas' events were not coalesced", c.frames, puts, puts*5/4)
 	}
 }

@@ -61,7 +61,8 @@ type Config struct {
 	// survive restarts); a sharded tier relays its shards' feeds into one.
 	Feed bool
 	// FeedCapacity is the event window the feed retains for resuming
-	// subscribers; 0 means feed.DefaultCapacity.
+	// subscribers — a sharded tier's relay included; 0 means
+	// feed.DefaultCapacity.
 	FeedCapacity int
 	// NearCache serves reads through a readcache in front of the
 	// deployment: push-invalidated by the change feed with Feed, bounded by
@@ -221,8 +222,14 @@ func (c Config) newInstances() ([]*registry.Instance, error) {
 	}
 	var opts []registry.InstanceOption
 	if c.Feed {
-		opts = append(opts, registry.WithChangeFeed(
-			feed.WithCapacity(c.FeedCapacity), feed.WithLogMetrics(c.Metrics)))
+		// Behind a router, watchers subscribe to its relay, which takes the
+		// shards' window and reports the feed series itself: the shards'
+		// logs stay silent so that each event is counted once.
+		feedOpts := []feed.LogOption{feed.WithCapacity(c.FeedCapacity)}
+		if len(backings) == 1 {
+			feedOpts = append(feedOpts, feed.WithLogMetrics(c.Metrics))
+		}
+		opts = append(opts, registry.WithChangeFeed(feedOpts...))
 	}
 	insts := make([]*registry.Instance, len(backings))
 	for i, b := range backings {

@@ -2,16 +2,21 @@ package site
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"geomds/internal/cloud"
+	"geomds/internal/feed"
 	"geomds/internal/memcache"
 	"geomds/internal/metrics"
 	"geomds/internal/readcache"
 	"geomds/internal/registry"
+	"geomds/internal/rpc"
 	"geomds/internal/store"
 )
 
@@ -33,6 +38,7 @@ func TestBuild(t *testing.T) {
 		says string // the end of the one-line description
 	}{
 		{"single", Config{}, "*registry.Instance", "single instance"},
+		{"single+durable+feed", Config{DataDir: "x", Feed: true}, "*registry.Instance", "change feed (last 4096 events retained)"},
 		{"sharded", Config{Shards: 4}, "*registry.Router", "sharded tier of 4 instances"},
 		{"sharded+replicated+durable+feed", Config{Shards: 4, Replication: 2, WriteConcern: registry.WriteAll,
 			DataDir: "x", Fsync: store.FsyncAlways, Feed: true, FeedCapacity: 128}, "*registry.Router",
@@ -151,6 +157,15 @@ func TestBuildValidation(t *testing.T) {
 	if _, _, err := Build(Config{Shards: 2, DataDir: "/dev/null/not-a-dir"}); err == nil {
 		t.Error("Build over an unusable data dir succeeded")
 	}
+	// A data dir of storage generation 1 (a log directory per shard) is
+	// refused before anything is opened.
+	old := t.TempDir()
+	if err := os.Mkdir(filepath.Join(old, "shard-0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Build(Config{Shards: 2, DataDir: old}); !errors.Is(err, store.ErrGeneration) {
+		t.Errorf("Build over a generation-1 data dir: err = %v, want store.ErrGeneration", err)
+	}
 }
 
 // TestBuildRemoteTier routes over caller-owned shards: replication is allowed
@@ -211,5 +226,60 @@ func TestBuildUsesStoreFactory(t *testing.T) {
 	}
 	if total != 1 {
 		t.Errorf("factory-built stores hold %d items, want 1", total)
+	}
+}
+
+// TestBuildShardedFeedHonoursCapacityAndMetrics: a sharded tier's watchers
+// subscribe to the router's relay, so the relay is the log that retains
+// FeedCapacity events and reports the feed series — each event once, and the
+// watchers, not the shards' plumbing, as subscribers.
+func TestBuildShardedFeedHonoursCapacityAndMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	api, closeSite, err := Build(Config{Site: 7, Shards: 4, Replication: 2, Feed: true, FeedCapacity: 16, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSite()
+	srv := rpc.NewServer(api, nil)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := rpc.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	watcher, err := client.Watch(ctx, 0, rpc.WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watcher.Close()
+
+	const puts = 12
+	for i := range puts {
+		if _, err := client.Put(ctx, entry(fmt.Sprintf("k%d", i), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := api.(registry.ChangeFeeder).ChangeFeed().Seq()
+	if head != 2*puts {
+		t.Fatalf("relay head %d after %d acknowledged R=2 puts, want %d", head, puts, 2*puts)
+	}
+	if _, err := client.Watch(ctx, head-17, rpc.WatchOptions{NoFallback: true}); !errors.Is(err, feed.ErrCompacted) {
+		t.Errorf("watch from 17 events back: err = %v, want feed.ErrCompacted (FeedCapacity 16)", err)
+	}
+	resumed, err := client.Watch(ctx, head-16, rpc.WatchOptions{NoFallback: true})
+	if err != nil {
+		t.Fatalf("watch from 16 events back: %v", err)
+	}
+	defer resumed.Close()
+	snap := reg.Snapshot()
+	if got := snap.Counters["feed_events_total"]; got != 2*puts {
+		t.Errorf("feed_events_total = %d, want %d: one per replica, counted once", got, 2*puts)
+	}
+	if got := snap.Gauges["feed_subscribers"]; got != 2 {
+		t.Errorf("feed_subscribers = %d, want the 2 watchers", got)
 	}
 }
