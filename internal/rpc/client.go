@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -391,10 +392,11 @@ func (c *Client) roundTrip(ctx context.Context, f RequestFrame) (ResponseFrame, 
 }
 
 // transact tags the frame with a fresh ID and the context's deadline, sends
-// it over a pooled connection and waits for the matching response. A
-// transport error is retried once on a fresh connection (the server may have
-// dropped an idle connection between calls); a context error is never
-// retried — the caller has given up.
+// it over a pooled connection and waits for the matching response. The frame
+// is encoded before a connection is taken, so one too large to send fails at
+// once, with its size, and dials nothing. A transport error is retried once on
+// a fresh connection (the server may have dropped an idle connection between
+// calls); a context error is never retried — the caller has given up.
 func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, error) {
 	if err := ctx.Err(); err != nil {
 		return ResponseFrame{}, fmt.Errorf("rpc: %s: %w", c.addr, err)
@@ -402,11 +404,16 @@ func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, e
 	f.Header.ID = c.nextID.Add(1)
 	f.Header.TimeoutNs = headerTimeout(ctx)
 	f.Header.Tenant = c.tenantFor(ctx)
+	frame, err := encodeRequest(&f)
+	if err != nil {
+		return ResponseFrame{}, fmt.Errorf("rpc: %s: %w", c.addr, err)
+	}
 	pc, err := c.grabConn(ctx)
 	if err != nil {
+		releaseFrame(frame)
 		return ResponseFrame{}, err
 	}
-	resp, err := pc.do(ctx, f, c.timeout)
+	resp, err := pc.do(ctx, f.Header.ID, frame, c.timeout)
 	if err == nil {
 		return resp, nil
 	}
@@ -429,7 +436,10 @@ func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, e
 	// (possibly the whole transport timeout), and re-sending the stale value
 	// would let the server's re-anchored deadline extend past the client's.
 	f.Header.TimeoutNs = headerTimeout(ctx)
-	return pc.do(ctx, f, c.timeout)
+	if frame, err = encodeRequest(&f); err != nil {
+		return ResponseFrame{}, fmt.Errorf("rpc: %s: %w", c.addr, err)
+	}
+	return pc.do(ctx, f.Header.ID, frame, c.timeout)
 }
 
 // tenantFor resolves the tenant stamped into a frame header: a per-call
@@ -511,8 +521,9 @@ func (pc *poolConn) dead() bool {
 	return pc.err != nil
 }
 
-// do registers the frame's ID, writes the frame, and waits for the demuxed
-// response, the context, or the transport timeout. The three exits differ:
+// do registers id, writes and releases frame, the request encoded under it, and
+// waits for the demuxed response, the context, or the transport timeout. The
+// three exits differ:
 //
 //   - response: delivered, the call succeeded at the transport level — unless
 //     the caller's context is done, or past its deadline, by the time the
@@ -525,25 +536,21 @@ func (pc *poolConn) dead() bool {
 //   - transport timeout: the connection is torn down — an unanswered request
 //     means its state can no longer be trusted, and its demultiplexer could
 //     otherwise deliver a response for a retired ID.
-func (pc *poolConn) do(ctx context.Context, f RequestFrame, timeout time.Duration) (ResponseFrame, error) {
+func (pc *poolConn) do(ctx context.Context, id uint64, frame *frameBuf, timeout time.Duration) (ResponseFrame, error) {
 	ch := make(chan ResponseFrame, 1)
 	pc.mu.Lock()
 	if pc.err != nil {
 		err := pc.err
 		pc.mu.Unlock()
+		releaseFrame(frame)
 		return ResponseFrame{}, err
 	}
-	pc.pending[f.Header.ID] = ch
+	pc.pending[id] = ch
 	pc.mu.Unlock()
 
-	frame, err := encodeRequest(&f)
-	if err != nil {
-		pc.forget(f.Header.ID)
-		return ResponseFrame{}, err
-	}
 	pc.wmu.Lock()
 	pc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err = pc.conn.Write(frame.b)
+	_, err := pc.conn.Write(frame.b)
 	pc.wmu.Unlock()
 	releaseFrame(frame)
 	if err != nil {
@@ -570,7 +577,7 @@ func (pc *poolConn) do(ctx context.Context, f RequestFrame, timeout time.Duratio
 		}
 		return resp, nil
 	case <-ctx.Done():
-		pc.forget(f.Header.ID)
+		pc.forget(id)
 		return ResponseFrame{}, fmt.Errorf("rpc: call abandoned: %w", ctx.Err())
 	case <-timer.C:
 		err := fmt.Errorf("rpc: no response within %v: %w", timeout, registry.ErrUnavailable)
@@ -605,9 +612,10 @@ func (pc *poolConn) forget(id uint64) {
 // readLoop demultiplexes response frames by header ID until the connection
 // dies. Frames for retired IDs (abandoned calls) are discarded.
 func (pc *poolConn) readLoop() {
+	br := bufio.NewReaderSize(pc.conn, connReadBuffer)
 	for {
 		var rf ResponseFrame
-		if err := readReply(pc.conn, &rf); err != nil {
+		if err := readReply(br, &rf); err != nil {
 			pc.fail(fmt.Errorf("%v: %w", err, registry.ErrUnavailable))
 			return
 		}

@@ -415,7 +415,9 @@ func startNullServer(t testing.TB) *Client {
 }
 
 // A whole Get over loopback, both ends counted: 908 allocations while both
-// directions were gob streams, 428 while requests still were.
+// directions were gob streams, 428 while requests still were, 15 while each
+// frame was read in two reads and served on a fresh goroutine, 12 since.
+// Under the race detector the pools' dropped buffers add 3 (18 before, 15).
 func TestNullRoundTripAllocations(t *testing.T) {
 	client := startNullServer(t)
 	name := geobenchEntry(1).Name
@@ -424,8 +426,12 @@ func TestNullRoundTripAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 24 {
-		t.Errorf("a null round trip cost %v allocations, want at most 24", allocs)
+	limit := 13.0
+	if raceEnabled {
+		limit = 16
+	}
+	if allocs > limit {
+		t.Errorf("a null round trip cost %v allocations, want at most %v", allocs, limit)
 	}
 	t.Logf("null round trip: %v allocations", allocs)
 }

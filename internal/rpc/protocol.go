@@ -644,6 +644,11 @@ var payloadPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// connReadBuffer sizes the one bufio.Reader each connection reads frames
+// through, so a small frame and its length prefix take one read. bufio reads
+// a larger frame straight into its pooled payload.
+const connReadBuffer = 4 << 10
+
 // readPayload reads one length-prefixed message from r and returns its raw
 // payload, backed by a pooled buffer — the caller owns it until it calls
 // releasePayload.

@@ -460,7 +460,7 @@ func TestRejectedFrameIsNotDecoded(t *testing.T) {
 // so whatever a request keeps has to be its own copy. Eight callers pipeline
 // Puts of distinct entries on one connection and read them back; under -race
 // this is also the check that nothing is shared between the read loop and the
-// handlers it starts.
+// workers it hands frames to.
 func TestConcurrentRequestsOwnTheirMemory(t *testing.T) {
 	inst := registry.NewInstance(0, memcache.New(memcache.Config{}))
 	srv := NewServer(inst, nil)

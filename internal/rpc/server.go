@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -298,16 +299,49 @@ func (s *Server) Close() error {
 	return err
 }
 
+// dispatchJob is one admitted frame on its way to a dispatch worker, with the
+// admission release its execution time is reported to.
+type dispatchJob struct {
+	rf     RequestFrame
+	finish func(time.Duration)
+}
+
 // handle serves one connection until it drops. Frames are dispatched
 // concurrently (bounded by maxInflight) and answered out of order; a message
-// that does not decode as a frame ends the connection.
+// that does not decode as a frame ends the connection. Frames run on reused
+// workers: at most maxInflight busy ones and one idle one, so a closed-loop
+// caller is served by one goroutine whose stack has already grown.
 func (s *Server) handle(conn net.Conn) {
 	var (
-		wmu     sync.Mutex // serializes response-frame writes
-		wg      sync.WaitGroup
-		slots   = make(chan struct{}, s.maxInflight)
+		wmu   sync.Mutex // serializes response-frame writes
+		wg    sync.WaitGroup
+		slots = make(chan struct{}, s.maxInflight)
+		jobs  = make(chan dispatchJob)
+		// idle is set by a worker that will receive on jobs next, and cleared
+		// by the read loop as it sends that worker a frame.
+		idle    atomic.Bool
 		watches = newConnWatches()
+		br      = bufio.NewReaderSize(conn, connReadBuffer)
 	)
+	work := func(j dispatchJob) {
+		defer wg.Done()
+		for {
+			out := s.serveFrame(&j.rf, j.finish)
+			// Go idle before the reply prompts the caller's next request, so
+			// the read loop finds this worker even if the write is slow.
+			parks := idle.CompareAndSwap(false, true)
+			s.reply(conn, &wmu, &out)
+			j, out = dispatchJob{}, ResponseFrame{} // an idle worker pins no decoded entries
+			<-slots
+			if !parks {
+				return // another worker is idle: a burst leaves no pool behind
+			}
+			var ok bool
+			if j, ok = <-jobs; !ok {
+				return // the connection ended
+			}
+		}
+	}
 	s.obs.conns.Add(1)
 	defer s.obs.conns.Add(-1)
 	defer func() {
@@ -316,13 +350,14 @@ func (s *Server) handle(conn net.Conn) {
 		// rather than the connection, so cancel them explicitly.
 		conn.Close()
 		watches.cancelAll()
+		close(jobs)
 		wg.Wait()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
 	for {
-		payload, err := readPayload(conn)
+		payload, err := readPayload(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.isClosed() {
 				s.logger.Printf("rpc: read from %s: %v", conn.RemoteAddr(), err)
@@ -389,44 +424,54 @@ func (s *Server) handle(conn net.Conn) {
 		}
 
 		slots <- struct{}{}
-		wg.Add(1)
-		go func(rf RequestFrame) {
-			s.obs.inflight.Add(1)
-			defer func() {
-				s.obs.inflight.Add(-1)
-				<-slots
-				wg.Done()
-			}()
-			// A kind that is neither batch nor watch is served as a single
-			// request and answered as one.
-			out := ResponseFrame{Header: Header{ID: rf.Header.ID, Kind: FrameSingle}}
-			// Run the request under the deadline its client propagated in
-			// the header; work whose client has given up is abandoned.
-			ctx, cancel := deadlineContext(s.baseCtx, rf.Header.TimeoutNs)
-			start := time.Now()
-			switch rf.Header.Kind {
-			case FrameBatch:
-				s.requests.Add(int64(len(rf.Batch.Ops)))
-				out.Header.Kind = FrameBatch
-				out.Batch.Ops = takeBatchResponses(len(rf.Batch.Ops))
-				for i := range rf.Batch.Ops {
-					out.Batch.Ops[i] = s.dispatch(ctx, &rf.Batch.Ops[i])
-				}
-			default:
-				s.requests.Add(1)
-				out.Resp = s.dispatch(ctx, &rf.Req)
-			}
-			finish(time.Since(start))
-			cancel()
-			err := s.writeReply(conn, &wmu, &out)
-			releaseBatchResponses(out.Batch.Ops) // only once the frame is encoded
-			if err != nil {
-				if !s.isClosed() {
-					s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
-				}
-				conn.Close() // unblock the read loop; the connection is gone
-			}
-		}(rf)
+		if j := (dispatchJob{rf: rf, finish: finish}); idle.Swap(false) {
+			jobs <- j // the idle worker is done with its frame and about to receive
+		} else {
+			wg.Add(1)
+			go work(j)
+		}
+	}
+}
+
+// serveFrame executes one admitted single or batch frame on a dispatch worker
+// and returns its reply. finish receives the frame's execution time.
+func (s *Server) serveFrame(rf *RequestFrame, finish func(time.Duration)) ResponseFrame {
+	s.obs.inflight.Add(1)
+	defer s.obs.inflight.Add(-1)
+	// A kind that is neither batch nor watch is served as a single request
+	// and answered as one.
+	out := ResponseFrame{Header: Header{ID: rf.Header.ID, Kind: FrameSingle}}
+	// Run the request under the deadline its client propagated in the header;
+	// work whose client has given up is abandoned.
+	ctx, cancel := deadlineContext(s.baseCtx, rf.Header.TimeoutNs)
+	start := time.Now()
+	switch rf.Header.Kind {
+	case FrameBatch:
+		s.requests.Add(int64(len(rf.Batch.Ops)))
+		out.Header.Kind = FrameBatch
+		out.Batch.Ops = takeBatchResponses(len(rf.Batch.Ops))
+		for i := range rf.Batch.Ops {
+			out.Batch.Ops[i] = s.dispatch(ctx, &rf.Batch.Ops[i])
+		}
+	default:
+		s.requests.Add(1)
+		out.Resp = s.dispatch(ctx, &rf.Req)
+	}
+	finish(time.Since(start))
+	cancel()
+	return out
+}
+
+// reply writes out and releases its pooled batch responses once the frame is
+// encoded. A failed write closes the connection, which unblocks its read loop.
+func (s *Server) reply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) {
+	err := s.writeReply(conn, wmu, out)
+	releaseBatchResponses(out.Batch.Ops)
+	if err != nil {
+		if !s.isClosed() {
+			s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
+		}
+		conn.Close()
 	}
 }
 
@@ -470,14 +515,7 @@ func (s *Server) answerAll(conn net.Conn, wmu *sync.Mutex, h Header, ops int, re
 	case FrameWatch:
 		out.Header.Kind = FrameWatch
 	}
-	err := s.writeReply(conn, wmu, &out)
-	releaseBatchResponses(out.Batch.Ops)
-	if err != nil {
-		if !s.isClosed() {
-			s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
-		}
-		conn.Close()
-	}
+	s.reply(conn, wmu, &out)
 }
 
 // dispatch executes one registry operation under the request context. A

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -440,8 +441,12 @@ func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*Wa
 	} else {
 		conn.SetReadDeadline(time.Now().Add(c.timeout))
 	}
+	// The handshake and the stream read through one buffered reader: the ack
+	// and the first events can arrive in one segment, and a second reader
+	// would lose what the first one buffered.
+	br := bufio.NewReaderSize(conn, connReadBuffer)
 	var ackFrame ResponseFrame
-	if err := readReply(conn, &ackFrame); err != nil {
+	if err := readReply(br, &ackFrame); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("rpc: watch %s: %v: %w", c.addr, err, registry.ErrUnavailable)
 	}
@@ -464,17 +469,17 @@ func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*Wa
 		done: make(chan struct{}),
 		ack:  ackFrame.Watch,
 	}
-	go w.readLoop()
+	go w.readLoop(br)
 	return w, nil
 }
 
-// readLoop decodes event frames and delivers them in order until the stream
-// ends one way or another.
-func (w *WatchStream) readLoop() {
+// readLoop decodes event frames from br, the reader the handshake used, and
+// delivers them in order until the stream ends one way or another.
+func (w *WatchStream) readLoop(br *bufio.Reader) {
 	defer close(w.out)
 	for {
 		var rf ResponseFrame
-		if err := readReply(w.conn, &rf); err != nil {
+		if err := readReply(br, &rf); err != nil {
 			select {
 			case <-w.done:
 				// Closed locally: a clean end, not an error.
