@@ -124,8 +124,7 @@ func TestDecReplicatedShardFailoverUnderConcurrentLoad(t *testing.T) {
 
 func TestDecentralizedSiteDepartureWithRingPlacer(t *testing.T) {
 	f := newTestFabric()
-	ring := dht.NewRingPlacer(f.Sites(), 64)
-	svc, err := NewDecentralized(f, ring)
+	svc, err := NewDecentralized(f, dht.NewRingPlacer(f.Sites(), 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,15 +141,20 @@ func TestDecentralizedSiteDepartureWithRingPlacer(t *testing.T) {
 		homes[name] = svc.Home(name)
 	}
 
-	// Site 3 is decommissioned: it leaves the placement ring. New operations
-	// must avoid it, and entries homed elsewhere remain readable.
-	ring.Remove(3)
+	// Site 3 is decommissioned: the deployment moves to a ring without it.
+	// New operations must avoid it, and entries homed elsewhere remain
+	// readable.
+	departed, err := NewDecentralized(f, dht.NewRingPlacer([]cloud.SiteID{0, 1, 2}, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer departed.Close()
 	reachable, lost := 0, 0
 	for name, home := range homes {
-		if svc.Home(name) == 3 {
+		if departed.Home(name) == 3 {
 			t.Errorf("%s still placed on the departed site", name)
 		}
-		_, err := svc.Lookup(tctx, 0, name)
+		_, err := departed.Lookup(tctx, 0, name)
 		switch {
 		case err == nil:
 			reachable++
@@ -173,10 +177,10 @@ func TestDecentralizedSiteDepartureWithRingPlacer(t *testing.T) {
 	// New entries keep working and never land on the departed site.
 	for i := 0; i < 40; i++ {
 		name := fmt.Sprintf("elastic/new-%04d", i)
-		if _, err := svc.Create(tctx, 0, testEntry(name, 0)); err != nil {
+		if _, err := departed.Create(tctx, 0, testEntry(name, 0)); err != nil {
 			t.Fatalf("create after departure: %v", err)
 		}
-		if svc.Home(name) == 3 {
+		if departed.Home(name) == 3 {
 			t.Errorf("%s placed on the departed site", name)
 		}
 	}
@@ -190,8 +194,7 @@ func TestDecentralizedSiteArrivalMovesFewPlacements(t *testing.T) {
 		names[i] = fmt.Sprintf("arrival/file-%05d", i)
 	}
 	before := dht.NewRingPlacer([]cloud.SiteID{0, 1, 2}, 64)
-	after := dht.NewRingPlacer([]cloud.SiteID{0, 1, 2}, 64)
-	after.Add(3)
+	after := dht.NewRingPlacer([]cloud.SiteID{0, 1, 2, 3}, 64)
 	moved, frac := dht.Moved(before, after, names)
 	if moved == 0 {
 		t.Error("adding a site should move some placements")

@@ -18,8 +18,8 @@ package dht
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
-	"sync"
 
 	"geomds/internal/cloud"
 )
@@ -50,26 +50,29 @@ func Hash64(key string) uint64 {
 
 // ModuloPlacer assigns a key to sites[hash(key) mod len(sites)]. This is the
 // scheme described in the paper: simple, uniform, but every membership change
-// remaps almost all keys.
+// remaps almost all keys. Its membership is fixed at construction; a changed
+// membership is a second placer (see Moved).
 type ModuloPlacer struct {
-	mu    sync.RWMutex
-	sites []cloud.SiteID
+	sites []cloud.SiteID // sorted, duplicate-free
 }
 
 // NewModuloPlacer returns a placer over the given sites. The site order is
-// normalized (sorted) so that independent processes agree on placements.
+// normalized (sorted, duplicates dropped) so that independent processes agree
+// on placements.
 func NewModuloPlacer(sites []cloud.SiteID) *ModuloPlacer {
-	p := &ModuloPlacer{}
-	for _, s := range sites {
-		p.Add(s)
-	}
-	return p
+	return &ModuloPlacer{sites: normalize(sites)}
+}
+
+// normalize returns the sites sorted and without duplicates, in a fresh
+// slice.
+func normalize(sites []cloud.SiteID) []cloud.SiteID {
+	out := slices.Clone(sites)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Home implements Placer.
 func (p *ModuloPlacer) Home(key string) cloud.SiteID {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if len(p.sites) == 0 {
 		return cloud.NoSite
 	}
@@ -80,8 +83,6 @@ func (p *ModuloPlacer) Home(key string) cloud.SiteID {
 // slot and walks the (sorted, duplicate-free) site list, so membership
 // changes shift replica sets the same way they shift primaries.
 func (p *ModuloPlacer) Homes(key string, n int) []cloud.SiteID {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if len(p.sites) == 0 || n <= 0 {
 		return nil
 	}
@@ -97,50 +98,15 @@ func (p *ModuloPlacer) Homes(key string, n int) []cloud.SiteID {
 }
 
 // Sites implements Placer.
-func (p *ModuloPlacer) Sites() []cloud.SiteID {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]cloud.SiteID, len(p.sites))
-	copy(out, p.sites)
-	return out
-}
-
-// Add registers a site as a placement target. Adding a site twice is a
-// no-op.
-func (p *ModuloPlacer) Add(site cloud.SiteID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range p.sites {
-		if s == site {
-			return
-		}
-	}
-	p.sites = append(p.sites, site)
-	sort.Slice(p.sites, func(i, j int) bool { return p.sites[i] < p.sites[j] })
-}
-
-// Remove withdraws a site from placement. Removing an absent site is a
-// no-op.
-func (p *ModuloPlacer) Remove(site cloud.SiteID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, s := range p.sites {
-		if s == site {
-			p.sites = append(p.sites[:i], p.sites[i+1:]...)
-			return
-		}
-	}
-}
+func (p *ModuloPlacer) Sites() []cloud.SiteID { return slices.Clone(p.sites) }
 
 // RingPlacer is a consistent-hash ring: each site owns a configurable number
 // of virtual nodes on a 64-bit ring and a key belongs to the first virtual
-// node at or after its hash. Membership changes only remap the keys owned by
-// the affected site.
+// node at or after its hash. A membership change (a second placer over the
+// new sites) only remaps the keys owned by the affected site.
 type RingPlacer struct {
-	mu       sync.RWMutex
-	replicas int
-	ring     []ringPoint
-	members  map[cloud.SiteID]bool
+	ring  []ringPoint    // sorted by hash
+	sites []cloud.SiteID // sorted, duplicate-free
 }
 
 type ringPoint struct {
@@ -153,15 +119,21 @@ type ringPoint struct {
 const DefaultVirtualNodes = 128
 
 // NewRingPlacer returns a consistent-hash placer over the given sites with
-// virtualNodes points per site (DefaultVirtualNodes when <= 0).
+// virtualNodes points per site (DefaultVirtualNodes when <= 0). Duplicate
+// sites count once.
 func NewRingPlacer(sites []cloud.SiteID, virtualNodes int) *RingPlacer {
 	if virtualNodes <= 0 {
 		virtualNodes = DefaultVirtualNodes
 	}
-	p := &RingPlacer{replicas: virtualNodes, members: make(map[cloud.SiteID]bool)}
-	for _, s := range sites {
-		p.Add(s)
+	p := &RingPlacer{sites: normalize(sites)}
+	p.ring = make([]ringPoint, 0, len(p.sites)*virtualNodes)
+	for _, site := range p.sites {
+		for v := 0; v < virtualNodes; v++ {
+			h := mix64(Hash64(fmt.Sprintf("site-%d#%d", site, v)))
+			p.ring = append(p.ring, ringPoint{hash: h, site: site})
+		}
 	}
+	sort.Slice(p.ring, func(i, j int) bool { return p.ring[i].hash < p.ring[j].hash })
 	return p
 }
 
@@ -171,8 +143,6 @@ func NewRingPlacer(sites []cloud.SiteID, virtualNodes int) *RingPlacer {
 // keys "bulk/0".."bulk/255") cluster in a narrow band of the 64-bit space
 // and would all land on the same few arcs of the ring.
 func (p *RingPlacer) Home(key string) cloud.SiteID {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if len(p.ring) == 0 {
 		return cloud.NoSite
 	}
@@ -190,13 +160,11 @@ func (p *RingPlacer) Home(key string) cloud.SiteID {
 // 2-replica placement could silently put both "replicas" on the same shard
 // whenever two of its virtual nodes happen to be neighbours.
 func (p *RingPlacer) Homes(key string, n int) []cloud.SiteID {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if len(p.ring) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(p.members) {
-		n = len(p.members)
+	if n > len(p.sites) {
+		n = len(p.sites)
 	}
 	h := mix64(Hash64(key))
 	start := sort.Search(len(p.ring), func(i int) bool { return p.ring[i].hash >= h })
@@ -214,50 +182,7 @@ func (p *RingPlacer) Homes(key string, n int) []cloud.SiteID {
 }
 
 // Sites implements Placer.
-func (p *RingPlacer) Sites() []cloud.SiteID {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]cloud.SiteID, 0, len(p.members))
-	for s := range p.members {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Add registers a site as a placement target, with its virtual nodes.
-// Adding a site twice is a no-op.
-func (p *RingPlacer) Add(site cloud.SiteID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.members[site] {
-		return
-	}
-	p.members[site] = true
-	for v := 0; v < p.replicas; v++ {
-		h := mix64(Hash64(fmt.Sprintf("site-%d#%d", site, v)))
-		p.ring = append(p.ring, ringPoint{hash: h, site: site})
-	}
-	sort.Slice(p.ring, func(i, j int) bool { return p.ring[i].hash < p.ring[j].hash })
-}
-
-// Remove withdraws a site and its virtual nodes from placement. Removing an
-// absent site is a no-op.
-func (p *RingPlacer) Remove(site cloud.SiteID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.members[site] {
-		return
-	}
-	delete(p.members, site)
-	kept := p.ring[:0]
-	for _, pt := range p.ring {
-		if pt.site != site {
-			kept = append(kept, pt)
-		}
-	}
-	p.ring = kept
-}
+func (p *RingPlacer) Sites() []cloud.SiteID { return slices.Clone(p.sites) }
 
 // mix64 is a SplitMix64-style finalizer that scatters the virtual-node
 // labels (which are short, similar strings) evenly across the 64-bit ring.

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,12 @@ func sites(n int) []cloud.SiteID {
 		out[i] = cloud.SiteID(i)
 	}
 	return out
+}
+
+// without returns the members minus the given sites: the membership a
+// placer has after they leave.
+func without(members []cloud.SiteID, gone ...cloud.SiteID) []cloud.SiteID {
+	return slices.DeleteFunc(slices.Clone(members), func(s cloud.SiteID) bool { return slices.Contains(gone, s) })
 }
 
 func sampleKeys(n int) []string {
@@ -55,24 +62,26 @@ func TestModuloPlacerStability(t *testing.T) {
 	}
 }
 
+// TestModuloPlacerAddRemove: a duplicate site counts once, and a placer
+// built without a site places nothing on it, whether or not the site was a
+// member before.
 func TestModuloPlacerAddRemove(t *testing.T) {
-	p := NewModuloPlacer(sites(4))
-	p.Add(2) // duplicate add is a no-op
+	p := NewModuloPlacer(append(sites(4), 2))
 	if len(p.Sites()) != 4 {
 		t.Fatalf("Sites = %v, want 4 entries", p.Sites())
 	}
-	p.Remove(2)
+	p = NewModuloPlacer(without(sites(4), 2))
 	if len(p.Sites()) != 3 {
-		t.Fatalf("Sites after remove = %v", p.Sites())
+		t.Fatalf("Sites without site 2 = %v", p.Sites())
 	}
 	for _, k := range sampleKeys(200) {
 		if p.Home(k) == 2 {
 			t.Fatalf("key %q still placed on removed site", k)
 		}
 	}
-	p.Remove(99) // absent: no-op
+	p = NewModuloPlacer(without(sites(4), 2, 99))
 	if len(p.Sites()) != 3 {
-		t.Error("removing an absent site changed membership")
+		t.Error("leaving out an absent site changed membership")
 	}
 }
 
@@ -100,26 +109,25 @@ func TestRingPlacerMembership(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("Sites = %v", got)
 	}
-	p.Add(1) // duplicate
-	if len(p.Sites()) != 4 {
-		t.Error("duplicate add changed membership")
+	p = NewRingPlacer(append(sites(4), 1), 64) // a duplicate counts once
+	if len(p.Sites()) != 4 || len(p.ring) != 4*64 {
+		t.Errorf("a duplicate site changed membership: %v, %d points", p.Sites(), len(p.ring))
 	}
-	p.Remove(3)
+	p = NewRingPlacer(without(sites(4), 3), 64)
 	if len(p.Sites()) != 3 {
-		t.Error("remove failed")
+		t.Error("leaving out site 3 failed")
 	}
 	for _, k := range sampleKeys(500) {
 		if p.Home(k) == 3 {
 			t.Fatalf("key %q still on removed site", k)
 		}
 	}
-	p.Remove(3) // absent: no-op
 }
 
 func TestRingPlacerDefaultVirtualNodes(t *testing.T) {
 	p := NewRingPlacer(sites(2), 0)
-	if p.replicas != DefaultVirtualNodes {
-		t.Errorf("replicas = %d, want %d", p.replicas, DefaultVirtualNodes)
+	if len(p.ring) != 2*DefaultVirtualNodes {
+		t.Errorf("ring points = %d, want %d", len(p.ring), 2*DefaultVirtualNodes)
 	}
 }
 
@@ -137,8 +145,7 @@ func TestRingPlacerUniformity(t *testing.T) {
 func TestRingChurnMovesFewKeys(t *testing.T) {
 	keys := sampleKeys(5000)
 	before := NewRingPlacer(sites(4), 128)
-	after := NewRingPlacer(sites(4), 128)
-	after.Add(4) // one site joins
+	after := NewRingPlacer(sites(5), 128) // one site joins
 	_, frac := Moved(before, after, keys)
 	// Consistent hashing should move about 1/5 of the keys; far less than the
 	// near-total remapping of modulo hashing.
@@ -163,9 +170,8 @@ func TestRingMembershipChangeBounds(t *testing.T) {
 	keys := sampleKeys(20000)
 	for _, n := range []int{2, 4, 8} {
 		before := NewRingPlacer(sites(n), 128)
-		after := NewRingPlacer(sites(n), 128)
+		after := NewRingPlacer(sites(n+1), 128)
 		joiner := cloud.SiteID(n)
-		after.Add(joiner)
 
 		moved, frac := Moved(before, after, keys)
 		ideal := 1.0 / float64(n+1)
@@ -186,16 +192,15 @@ func TestRingMembershipChangeBounds(t *testing.T) {
 
 		// Leave: the joiner withdraws again; exactly its keys move back and
 		// the survivors recover the original placement.
-		after.Remove(joiner)
-		if backMoved, backFrac := Moved(before, after, keys); backMoved != 0 {
+		back := NewRingPlacer(without(sites(n+1), joiner), 128)
+		if backMoved, backFrac := Moved(before, back, keys); backMoved != 0 {
 			t.Errorf("n=%d: leave did not restore the original placement (%.1f%% still moved)", n, backFrac*100)
 		}
 
 		// Leave from the original ring: only the leaver's keys move.
 		leaver := cloud.SiteID(0)
 		owned := Distribution(before, keys)[leaver]
-		shrunk := NewRingPlacer(sites(n), 128)
-		shrunk.Remove(leaver)
+		shrunk := NewRingPlacer(without(sites(n), leaver), 128)
 		leaveMoved, _ := Moved(before, shrunk, keys)
 		if leaveMoved != owned {
 			t.Errorf("n=%d: leave moved %d keys, want exactly the %d the leaver owned", n, leaveMoved, owned)
@@ -244,10 +249,8 @@ func TestPlacerTotalityProperty(t *testing.T) {
 func TestRemovePlacementProperty(t *testing.T) {
 	f := func(keys []string, removeRaw uint8) bool {
 		remove := cloud.SiteID(removeRaw % 4)
-		mod := NewModuloPlacer(sites(4))
-		ring := NewRingPlacer(sites(4), 32)
-		mod.Remove(remove)
-		ring.Remove(remove)
+		mod := NewModuloPlacer(without(sites(4), remove))
+		ring := NewRingPlacer(without(sites(4), remove), 32)
 		for _, k := range keys {
 			if mod.Home(k) == remove || ring.Home(k) == remove {
 				return false
@@ -351,29 +354,22 @@ func TestRingHomesSkipsAdjacentVirtualNodes(t *testing.T) {
 // TestHomesMembershipChangeKeepsReplicasDistinct pins that the successor
 // list stays duplicate-free through joins and leaves.
 func TestHomesMembershipChangeKeepsReplicasDistinct(t *testing.T) {
-	ring := NewRingPlacer(sites(4), 64)
-	check := func(members int) {
+	check := func(members ...cloud.SiteID) {
+		ring := NewRingPlacer(members, 64)
 		for _, key := range sampleKeys(300) {
 			homes := ring.Homes(key, 2)
-			want := 2
-			if members < want {
-				want = members
-			}
+			want := min(2, len(members))
 			if len(homes) != want {
-				t.Fatalf("Homes(%q, 2) with %d members: got %v", key, members, homes)
+				t.Fatalf("Homes(%q, 2) with members %v: got %v", key, members, homes)
 			}
 			if len(homes) == 2 && homes[0] == homes[1] {
 				t.Fatalf("Homes(%q, 2) duplicated site %d after membership change", key, homes[0])
 			}
 		}
 	}
-	check(4)
-	ring.Remove(2)
+	check(0, 1, 2, 3)
+	check(0, 1, 3)
+	check(1, 3)
 	check(3)
-	ring.Remove(0)
-	check(2)
-	ring.Remove(1)
-	check(1)
-	ring.Add(7)
-	check(2)
+	check(3, 7)
 }

@@ -38,10 +38,6 @@ type healthTracker struct {
 	preRecover   func(id cloud.SiteID)
 	abortRecover func()
 	postRecover  func(id cloud.SiteID)
-	// onDown fires once per breaker opening, right after the CAS that
-	// opened it (the router samples the shard's durable sequence number
-	// here, while the in-process handle still answers).
-	onDown func(id cloud.SiteID)
 
 	// breakers holds one breaker per shard, indexed by shard ID; the slice
 	// is fixed at construction, so lookups take no lock.
@@ -175,9 +171,6 @@ func (h *healthTracker) markDown(id cloud.SiteID) {
 	h.nDown.Add(1)
 	h.obs.downG.Add(1)
 	h.obs.downC.Inc()
-	if h.onDown != nil {
-		h.onDown(id)
-	}
 	h.ensureProber()
 }
 

@@ -421,7 +421,6 @@ func (r *Router) reanchor(ctx context.Context, wrote []shardRef, stored Entry) {
 func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
 	refs := r.replicaSet(e.Name)
 	defer r.repairWindow()()
-	r.noteWritten(e.Name)
 	gen := r.sweepGen.Load()
 	noted := r.clearDeleted(e.Name)
 
@@ -482,7 +481,6 @@ func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
 func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
 	refs := r.replicaSet(e.Name)
 	defer r.repairWindow()()
-	r.noteWritten(e.Name)
 	gen := r.sweepGen.Load()
 	noted := r.clearDeleted(e.Name)
 	stored, acks, errs, failed := r.fanOutPut(ctx, refs, e)
@@ -506,7 +504,6 @@ func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
 func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
 	refs := r.replicaSet(name)
 	defer r.repairWindow()()
-	r.noteWritten(name)
 	var (
 		stored Entry
 		uerr   error
@@ -870,7 +867,6 @@ func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) 
 	names := entryNames(entries)
 	groups, homesOf := r.groupReplicas(names)
 	defer r.repairWindow()()
-	r.noteWritten(names...)
 
 	var (
 		mu   sync.Mutex
@@ -939,7 +935,6 @@ func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
 	names := entryNames(entries)
 	groups, homesOf := r.groupReplicas(names)
 	defer r.repairWindow()()
-	r.noteWritten(names...)
 	return r.bulkWrite("merge", groups, homesOf, func(g *repGroup) (int, error) {
 		return g.api.Merge(ctx, pick(entries, g.idx))
 	}, func(g *repGroup) {

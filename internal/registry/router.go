@@ -49,8 +49,8 @@ import (
 // second implementation of an operation — with one home per key there is
 // nowhere correct to re-route to, so report does not feed the breaker,
 // replicaIDs and reachableShards keep down shards in placement,
-// noteWritten records no outage writes, forceNoteDeleted records no failed
-// delete (the caller was told, and nothing would ever unpin the note table),
+// forceNoteDeleted records no failed delete (the caller was told, and
+// nothing would ever unpin the note table),
 // NewRouter reads every write concern as WriteAll, sweepShard skips the
 // noted-name cleanup (no second replica to restore a raced write from), and
 // Len can sum the shard sizes. docs/ARCHITECTURE.md tabulates each with its
@@ -117,7 +117,8 @@ type Router struct {
 
 	// staleNotes is set whenever a deletion is force-noted (a replica failed
 	// to apply it, so a stale copy exists somewhere regardless of breaker or
-	// sweep state) and cleared only by a clean full sweep — the point at
+	// sweep state) or a background repair or sweep is abandoned (it may have
+	// left such a copy), and cleared only by a clean full sweep — the point at
 	// which every shard has been reconciled against the notes. While set,
 	// the note table is never cleared.
 	staleNotes atomic.Bool
@@ -132,20 +133,6 @@ type Router struct {
 	// its note.
 	delMu              sync.Mutex
 	deletedDuringSweep map[string]bool
-
-	// wroteDuringOutage — the names written through the router while any
-	// shard's breaker was open — feeds the delta repair of a
-	// Recoverable shard (see delta.go). It shares delMu and the clear
-	// points with deletedDuringSweep: both sets describe "what changed
-	// while something was away" and die together once nothing needs them.
-	wroteDuringOutage map[string]bool
-
-	// seqAtDown records each down shard's durable sequence number, sampled
-	// the moment its breaker opened (healthTracker.onDown); the recovery
-	// path compares it against the shard's recovered sequence number to
-	// decide between delta repair and full sweep.
-	seqMu     sync.Mutex
-	seqAtDown map[cloud.SiteID]uint64
 
 	// relay is the tier's combined change feed — every shard's events
 	// re-sequenced into one log — enabled when every shard implements
@@ -171,7 +158,6 @@ type routerObs struct {
 	sweepsC     *metrics.Counter   // router_sweeps_total: re-sync sweeps completed
 	sweepFails  *metrics.Counter   // router_sweep_failures_total: background sweeps abandoned after retries
 	resyncs     *metrics.Counter   // router_resync_sweeps_total: sweeps triggered by a shard recovering
-	deltas      *metrics.Counter   // router_delta_repairs_total: recoveries served by a delta repair instead of a full sweep
 	failovers   *metrics.Counter   // router_failover_reads_total: reads served by a non-primary replica
 	replicaErrs *metrics.Counter   // router_replica_write_errors_total: write failures suppressed by the quorum concern
 	repairFails *metrics.Counter   // router_replica_repair_failures_total: background replica repairs abandoned after retries
@@ -190,7 +176,6 @@ func newRouterObs(reg *metrics.Registry) routerObs {
 		sweepsC:     reg.Counter("router_sweeps_total"),
 		sweepFails:  reg.Counter("router_sweep_failures_total"),
 		resyncs:     reg.Counter("router_resync_sweeps_total"),
-		deltas:      reg.Counter("router_delta_repairs_total"),
 		failovers:   reg.Counter("router_failover_reads_total"),
 		replicaErrs: reg.Counter("router_replica_write_errors_total"),
 		repairFails: reg.Counter("router_replica_repair_failures_total"),
@@ -327,17 +312,8 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 	// shard reads again), then run a re-sync sweep to repair it.
 	r.health.preRecover = func(cloud.SiteID) { r.sweepBegin() }
 	r.health.abortRecover = r.sweepEnd
-	// The moment a breaker opens, sample the shard's durable sequence number
-	// (delta.go); when it closes again, a shard that provably recovered its
-	// pre-outage state takes the delta repair, everything else the full
-	// re-sync sweep.
-	r.health.onDown = r.recordDownSeq
-	r.health.postRecover = func(id cloud.SiteID) {
+	r.health.postRecover = func(cloud.SiteID) {
 		r.obs.resyncs.Inc()
-		if seqDown, ok := r.takeDownSeq(id); ok && r.deltaEligible(id, seqDown) {
-			r.spawnDeltaRepair(id)
-			return
-		}
 		r.spawnSweep()
 	}
 	r.initRelay(cfg.metrics)
@@ -520,7 +496,6 @@ func (r *Router) sweepEnd() {
 	r.delMu.Lock()
 	if r.sweeping.Add(-1) == 0 && !r.notesNeeded() {
 		r.deletedDuringSweep = nil
-		r.wroteDuringOutage = nil
 	}
 	r.delMu.Unlock()
 	r.sweeps.Done()
@@ -561,7 +536,6 @@ func (r *Router) endRepairWindow() {
 	r.delMu.Lock()
 	if r.repairsPending.Add(-1) == 0 && !r.notesNeeded() {
 		r.deletedDuringSweep = nil
-		r.wroteDuringOutage = nil
 	}
 	r.delMu.Unlock()
 }
@@ -716,7 +690,7 @@ const sweepRetries = 5
 // failures (an unreachable remote shard) are retried with backoff so copies
 // are not left on substitutes with the mitigations disarmed; a sweep
 // abandoned after the retry budget is observable via
-// router_sweep_failures_total.
+// router_sweep_failures_total and keeps its deletion notes for the next one.
 func (r *Router) spawnSweep() {
 	go func() {
 		defer r.sweepEnd()
@@ -725,6 +699,10 @@ func (r *Router) spawnSweep() {
 				return
 			}
 			if attempt >= sweepRetries {
+				// Abandoned: a copy the sweep failed to purge may still stand.
+				// Pin the note table (before sweepEnd runs) so the next sweep
+				// purges that copy instead of merging it back.
+				r.staleNotes.Store(true)
 				r.obs.sweepFails.Inc()
 				return
 			}

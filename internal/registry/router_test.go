@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -674,6 +675,54 @@ func TestRouterRecreateAfterDeleteDuringSweepSurvives(t *testing.T) {
 	}
 	if got := r.Len(ctx); got != n {
 		t.Fatalf("tier holds %d entries after the sweep, want %d", got, n)
+	}
+}
+
+// deleteManyFault wraps a shard whose DeleteMany fails with a plain error
+// (an answer, so the breaker stays closed) while failing is set.
+type deleteManyFault struct {
+	API
+	failing atomic.Bool
+}
+
+func (f *deleteManyFault) DeleteMany(ctx context.Context, names []string) (int, error) {
+	if f.failing.Load() {
+		return 0, errors.New("injected delete failure")
+	}
+	return f.API.DeleteMany(ctx, names)
+}
+
+// TestRouterAbandonedSweepKeepsDeletionNotes deletes an entry while one of
+// its homes is down, then lets the recovery sweep fail to purge that home's
+// stale copy until it gives up. The abandoned sweep must keep the deletion
+// note, so the next sweep purges the copy instead of merging it back.
+func TestRouterAbandonedSweepKeepsDeletionNotes(t *testing.T) {
+	ctx := context.Background()
+	var fault *deleteManyFault
+	r, _ := newRecoveryTier(t, func(inst *Instance) API { fault = &deleteManyFault{API: inst}; return fault })
+	names := make([]string, 50)
+	for i := range names {
+		names[i] = fmt.Sprintf("abandoned/%d", i)
+		if _, err := r.Create(ctx, testEntry(names[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := homedOn(t, r, names, 0)
+
+	r.MarkShardDown(0)
+	if err := r.Delete(ctx, victim); err != nil { // shard 0 keeps its stale copy
+		t.Fatal(err)
+	}
+	fault.failing.Store(true)
+	r.MarkShardUp(0)
+	r.Wait() // every attempt fails to purge shard 0's copy; the sweep is abandoned
+
+	fault.failing.Store(false)
+	r.MarkShardDown(1)
+	r.MarkShardUp(1)
+	r.Wait()
+	if e, err := r.Get(ctx, victim); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("deleted entry resurrected by the sweep after an abandoned one: %+v %v", e, err)
 	}
 }
 

@@ -8,22 +8,19 @@ import (
 )
 
 // This file wires the internal/store durability layer into the registry:
-// WithStorage/OpenInstance give an Instance an on-disk WAL plus snapshots,
-// and the Recoverable interface lets the router's recovery path ask a
-// returning shard how much state it brought back — the basis for the delta
-// repair that replaces the full re-sync sweep (see delta.go).
+// WithStorage/OpenInstance give an Instance an on-disk WAL plus snapshots.
+// A returning shard is repaired by the router's re-sync sweep whether or not
+// it persists, so nothing in the registry asks how much state it brought
+// back.
 
 // Recoverable is implemented by shards that persist their state locally and
 // can report the sequence number of the last durable mutation. The router
-// uses it on both edges of an outage: when a shard's breaker opens, the
-// last durable sequence number is recorded; when the shard returns, a
-// recovered sequence number at or above that mark proves the shard brought
-// its pre-outage state back, so only what was written *during* the outage
-// needs repair.
+// does not use it; it stays only while the benchmark's traced shard wrapper
+// forwards it, and goes with that forward (ROADMAP item 2b).
 type Recoverable interface {
 	// DurableSeq returns the sequence number of the last locally durable
 	// mutation, and whether the shard persists at all — (0, false) means
-	// memory-only, for which every recovery needs the full re-sync sweep.
+	// memory-only.
 	DurableSeq() (uint64, bool)
 }
 

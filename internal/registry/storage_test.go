@@ -47,18 +47,6 @@ func (s *restartableShard) api() (API, error) {
 	return s.inner, nil
 }
 
-// DurableSeq forwards Recoverable to the current inner instance. It keeps
-// answering while the shard is dead — the router samples it from the
-// in-process handle when the breaker opens, before the "process" is gone.
-func (s *restartableShard) DurableSeq() (uint64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if rec, ok := s.inner.(Recoverable); ok {
-		return rec.DurableSeq()
-	}
-	return 0, false
-}
-
 func (s *restartableShard) Site() cloud.SiteID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -287,19 +275,19 @@ func newDurableRouter(t *testing.T, n, rep int, dir string) (*Router, []*restart
 	return r, shards, reg
 }
 
-// TestRouterDeltaRepairAfterRestart is the recovery story end to end: a
+// TestRouterRecoveryAfterRestart is the recovery story end to end: a
 // persistent shard is killed, the tier keeps writing and deleting around
-// it, the shard restarts from its own data directory, and the router
-// repairs it with a delta — not a full sweep — after which the shard serves
-// its range from local state: pre-outage entries recovered from disk,
-// outage writes merged in, outage deletions honoured.
-func TestRouterDeltaRepairAfterRestart(t *testing.T) {
+// it, the shard restarts from its own data directory, and the router's
+// re-sync sweep repairs it, after which the shard serves its range from
+// local state: pre-outage entries recovered from disk, outage writes merged
+// in, outage deletions honoured.
+func TestRouterRecoveryAfterRestart(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	r, shards, reg := newDurableRouter(t, 4, 2, dir)
 	const victim = cloud.SiteID(2)
 
-	// Pick victim-primary names to exercise every delta case, then preload
+	// Pick victim-primary names to exercise every outage case, then preload
 	// them along with background entries.
 	victimNames := namesWithPrimary(t, r, victim, "pre", 3)
 	preload := make([]Entry, 0, 51)
@@ -318,12 +306,12 @@ func TestRouterDeltaRepairAfterRestart(t *testing.T) {
 	}
 	toDelete, toUpdate := victimNames[0], victimNames[1]
 
-	// Kill the shard; the breaker opens and samples its durable seq.
+	// Kill the shard; the breaker opens.
 	shards[victim].kill()
 	r.MarkShardDown(victim)
 
 	// The tier keeps serving: new entries, an update and a deletion — all
-	// routed around the dead shard, all noted as the outage delta.
+	// routed around the dead shard.
 	for i := 0; i < 16; i++ {
 		if _, err := r.Create(ctx, NewEntry(fmt.Sprintf("during/%d", i), 100, "p", Location{Site: 7, Node: 2})); err != nil {
 			t.Fatalf("write during outage: %v", err)
@@ -337,7 +325,7 @@ func TestRouterDeltaRepairAfterRestart(t *testing.T) {
 	}
 
 	// Restart: a fresh instance recovers the shard's pre-outage state from
-	// its data directory, and the router runs the delta repair.
+	// its data directory, and the router runs the re-sync sweep.
 	recovered := openDurableShard(t, 7, filepath.Join(dir, fmt.Sprintf("shard-%d", victim)))
 	t.Cleanup(func() { recovered.Close() })
 	if seq, ok := recovered.DurableSeq(); !ok || seq == 0 {
@@ -348,16 +336,17 @@ func TestRouterDeltaRepairAfterRestart(t *testing.T) {
 	r.Wait()
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["router_delta_repairs_total"]; got != 1 {
-		t.Errorf("router_delta_repairs_total = %d, want 1", got)
+	if got := snap.Counters["router_resync_sweeps_total"]; got != 1 {
+		t.Errorf("router_resync_sweeps_total = %d, want 1", got)
 	}
-	if got := snap.Counters["router_sweeps_total"]; got != 0 {
-		t.Errorf("router_sweeps_total = %d, want 0 (recovery must not fall back to a full sweep)", got)
+	if got := snap.Counters["router_sweeps_total"]; got < 1 {
+		t.Errorf("router_sweeps_total = %d, want >= 1", got)
 	}
-	// Repair traffic is bounded by the outage delta (16 creates + 1 update),
-	// nowhere near the full tier (48 preloaded x 2 replicas).
+	// Repaired copies are bounded by what the shard missed (16 creates + 1
+	// update), nowhere near the full tier (48 preloaded x 2 replicas): the
+	// sweep's merges of replicas the shard recovered from disk apply nothing.
 	if got := snap.Counters["router_repaired_entries_total"]; got > 17 {
-		t.Errorf("router_repaired_entries_total = %d, want <= 17 (delta, not full resync)", got)
+		t.Errorf("router_repaired_entries_total = %d, want <= 17 (only the outage's writes)", got)
 	}
 
 	// The restarted shard answers from local state, queried directly.
@@ -409,13 +398,13 @@ func openSharedLog(t *testing.T, dir string, n int) []*Instance {
 	return insts
 }
 
-// TestRouterDeltaRepairOverSharedLog: shards that share one log recover
-// with a delta too. A member's DurableSeq is its own last record's number
-// in the log's numbering: the other members' writes during the outage move
-// the log on but not the victim's number, so after a restart of the site
-// the victim reports exactly the number it went down with, and
-// seqUp >= seqDown holds.
-func TestRouterDeltaRepairOverSharedLog(t *testing.T) {
+// TestRouterRecoveryOverSharedLog: shards that share one log recover too. A
+// member's DurableSeq is its own last record's number in the log's
+// numbering: the other members' writes during the outage move the log on
+// but not the victim's number, so after a restart of the site the victim
+// reports exactly the number it went down with, and the re-sync sweep
+// brings it the outage's writes.
+func TestRouterRecoveryOverSharedLog(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	insts := openSharedLog(t, dir, 4)
@@ -473,11 +462,11 @@ func TestRouterDeltaRepairOverSharedLog(t *testing.T) {
 	r.Wait()
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["router_delta_repairs_total"]; got != 1 {
-		t.Errorf("router_delta_repairs_total = %d, want 1", got)
+	if got := snap.Counters["router_resync_sweeps_total"]; got != 1 {
+		t.Errorf("router_resync_sweeps_total = %d, want 1", got)
 	}
-	if got := snap.Counters["router_sweeps_total"]; got != 0 {
-		t.Errorf("router_sweeps_total = %d, want 0", got)
+	if got := snap.Counters["router_sweeps_total"]; got < 1 {
+		t.Errorf("router_sweeps_total = %d, want >= 1", got)
 	}
 	for _, name := range []string{"pre/0", "pre/31", "during/0", "during/15"} {
 		if _, err := r.Get(ctx, name); err != nil {
@@ -487,9 +476,8 @@ func TestRouterDeltaRepairOverSharedLog(t *testing.T) {
 }
 
 // TestRouterFullSweepWhenRecoveryLosesState: a shard that restarts *empty*
-// (its data directory gone — the disk died with the process) reports a
-// lower sequence number than it went down with; the delta is unsound and
-// the router must fall back to the full re-sync sweep.
+// (its data directory gone — the disk died with the process) is made whole
+// by the full re-sync sweep.
 func TestRouterFullSweepWhenRecoveryLosesState(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -518,9 +506,6 @@ func TestRouterFullSweepWhenRecoveryLosesState(t *testing.T) {
 	r.Wait()
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["router_delta_repairs_total"]; got != 0 {
-		t.Errorf("router_delta_repairs_total = %d, want 0 (lost state must not take the delta path)", got)
-	}
 	if got := snap.Counters["router_sweeps_total"]; got == 0 {
 		t.Error("no full sweep ran for a shard that lost its state")
 	}
@@ -532,9 +517,8 @@ func TestRouterFullSweepWhenRecoveryLosesState(t *testing.T) {
 	}
 }
 
-// TestRouterFullSweepForMemoryShards pins the compatibility contract:
-// memory-only shards (no Recoverable) keep the pre-existing full-sweep
-// recovery exactly as before, and the delta counter stays untouched.
+// TestRouterFullSweepForMemoryShards: memory-only shards recover through the
+// full re-sync sweep.
 func TestRouterFullSweepForMemoryShards(t *testing.T) {
 	ctx := context.Background()
 	reg := metrics.NewRegistry()
@@ -549,9 +533,6 @@ func TestRouterFullSweepForMemoryShards(t *testing.T) {
 	r.Wait()
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["router_delta_repairs_total"]; got != 0 {
-		t.Errorf("router_delta_repairs_total = %d, want 0 for memory-only shards", got)
-	}
 	if got := snap.Counters["router_resync_sweeps_total"]; got != 1 {
 		t.Errorf("router_resync_sweeps_total = %d, want 1", got)
 	}
