@@ -23,8 +23,8 @@
 //     A D of the previous storage generation is refused at start.
 //     -fsync picks the log's sync policy: always (every append, the
 //     default) or never (only at snapshot and shutdown). A replicated tier
-//     repairs a restarted durable shard from its recovered state — only the
-//     writes it missed are replayed, not the whole key range;
+//     repairs a restarted shard, durable or not, with the same re-sync sweep
+//     over the whole key range;
 //   - -feed publishes every committed put and delete on a change feed that
 //     clients stream with the Watch protocol (metactl watch). Durable
 //     instances reuse the WAL's sequence numbers, so resume tokens survive

@@ -17,19 +17,11 @@ const (
 	RegionUS     Region = "US"
 )
 
-// Default link parameters calibrated to publicly reported Azure inter-region
-// round-trip times circa 2015. Absolute values only need to preserve the
-// local ≪ same-region ≪ geo-distant hierarchy; the experiments report
-// relative gains.
-var (
-	// DefaultLocalLink models intra-datacenter communication.
-	DefaultLocalLink = Link{RTT: 600 * time.Microsecond, Jitter: 100 * time.Microsecond, BandwidthMBps: 1000}
-	// DefaultRegionalLink models two datacenters within one region
-	// (e.g. North Europe <-> West Europe).
-	DefaultRegionalLink = Link{RTT: 24 * time.Millisecond, Jitter: 3 * time.Millisecond, BandwidthMBps: 200}
-	// DefaultWANLink models transatlantic communication.
-	DefaultWANLink = Link{RTT: 95 * time.Millisecond, Jitter: 10 * time.Millisecond, BandwidthMBps: 80}
-)
+// DefaultLocalLink models intra-datacenter communication. Like the Azure4DC
+// links below, it is calibrated to publicly reported Azure round-trip times
+// circa 2015. Absolute values only need to preserve the local ≪ same-region ≪
+// geo-distant hierarchy; the experiments report relative gains.
+var DefaultLocalLink = Link{RTT: 600 * time.Microsecond, Jitter: 100 * time.Microsecond, BandwidthMBps: 1000}
 
 // Azure4DC builds the four-datacenter topology used throughout the paper's
 // evaluation: North Europe (Ireland), West Europe (Netherlands), South
@@ -59,29 +51,5 @@ func Azure4DC() *Topology {
 	t.SetLink(weu, eus, Link{RTT: 88 * time.Millisecond, Jitter: 8 * time.Millisecond, BandwidthMBps: 80})
 	t.SetLink(neu, scus, Link{RTT: 112 * time.Millisecond, Jitter: 10 * time.Millisecond, BandwidthMBps: 70})
 	t.SetLink(weu, scus, Link{RTT: 120 * time.Millisecond, Jitter: 10 * time.Millisecond, BandwidthMBps: 70})
-	return t
-}
-
-// SingleSite builds a degenerate one-datacenter topology, useful for tests
-// and for the single-site baseline scenarios.
-func SingleSite(name string, region Region) *Topology {
-	t := NewTopology()
-	id := t.AddSite(name, region)
-	t.SetLink(id, id, DefaultLocalLink)
-	return t
-}
-
-// TwoRegions builds a topology with nSitesPerRegion datacenters in each of
-// two regions, using the default link parameters. It is handy for scaling
-// and churn experiments beyond the paper's four-site testbed.
-func TwoRegions(nSitesPerRegion int) *Topology {
-	t := NewTopology()
-	for i := 0; i < nSitesPerRegion; i++ {
-		t.AddSite("EU-"+string(rune('A'+i)), RegionEurope)
-	}
-	for i := 0; i < nSitesPerRegion; i++ {
-		t.AddSite("US-"+string(rune('A'+i)), RegionUS)
-	}
-	t.SetDefaultLinks(DefaultLocalLink, DefaultRegionalLink, DefaultWANLink)
 	return t
 }

@@ -111,7 +111,7 @@ func (t *Topology) AddSite(name string, region Region) SiteID {
 	id := SiteID(len(t.sites))
 	t.sites = append(t.sites, Site{ID: id, Name: name, Region: region})
 	// Grow the link matrix, defaulting every new link to a zero value that
-	// callers are expected to overwrite via SetLink / SetDefaultLinks.
+	// callers are expected to overwrite via SetLink.
 	for i := range t.links {
 		t.links[i] = append(t.links[i], Link{})
 	}
@@ -217,28 +217,6 @@ func (t *Topology) rankByCentrality() []SiteID {
 		return t.Centrality(ids[i]) < t.Centrality(ids[j])
 	})
 	return ids
-}
-
-// SetDefaultLinks fills every unset link (zero RTT) using the distance class
-// between the two sites: local links get the local parameters, same-region
-// links the regional ones and geo-distant links the wan ones. Already
-// configured links are left untouched.
-func (t *Topology) SetDefaultLinks(local, regional, wan Link) {
-	for i := range t.sites {
-		for j := range t.sites {
-			if t.links[i][j].RTT != 0 {
-				continue
-			}
-			switch t.DistanceClass(SiteID(i), SiteID(j)) {
-			case Local:
-				t.links[i][j] = local
-			case SameRegion:
-				t.links[i][j] = regional
-			default:
-				t.links[i][j] = wan
-			}
-		}
-	}
 }
 
 // Validate checks structural invariants of the topology: at least one site,

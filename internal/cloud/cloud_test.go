@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -109,6 +110,11 @@ func TestAzure4DCValidates(t *testing.T) {
 	if topo.NumSites() != 4 {
 		t.Fatalf("NumSites = %d, want 4", topo.NumSites())
 	}
+	for i, site := range topo.Sites() {
+		if site != topo.Site(SiteID(i)) {
+			t.Errorf("Sites()[%d] = %+v, Site(%d) = %+v", i, site, i, topo.Site(SiteID(i)))
+		}
+	}
 }
 
 func TestAzure4DCCentrality(t *testing.T) {
@@ -124,34 +130,14 @@ func TestAzure4DCCentrality(t *testing.T) {
 }
 
 func TestCentralitySingleSite(t *testing.T) {
-	topo := SingleSite("Solo", RegionEurope)
+	topo := NewTopology()
+	solo := topo.AddSite("Solo", RegionEurope)
+	topo.SetLink(solo, solo, DefaultLocalLink)
 	if got := topo.Centrality(0); got != 0 {
 		t.Errorf("single-site centrality = %v, want 0", got)
 	}
 	if topo.MostCentralSite() != 0 || topo.LeastCentralSite() != 0 {
 		t.Error("single-site most/least central should both be site 0")
-	}
-}
-
-func TestSetDefaultLinksRespectsExisting(t *testing.T) {
-	topo := NewTopology()
-	a := topo.AddSite("A", RegionEurope)
-	b := topo.AddSite("B", RegionEurope)
-	c := topo.AddSite("C", RegionUS)
-	custom := Link{RTT: 5 * time.Millisecond, BandwidthMBps: 42}
-	topo.SetLink(a, b, custom)
-	topo.SetDefaultLinks(DefaultLocalLink, DefaultRegionalLink, DefaultWANLink)
-	if topo.Link(a, b) != custom {
-		t.Error("SetDefaultLinks overwrote an existing link")
-	}
-	if topo.Link(a, a) != DefaultLocalLink {
-		t.Error("local default not applied")
-	}
-	if topo.Link(a, c) != DefaultWANLink {
-		t.Error("wan default not applied")
-	}
-	if err := topo.Validate(); err != nil {
-		t.Fatalf("topology invalid after defaults: %v", err)
 	}
 }
 
@@ -172,7 +158,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 	b := asym.AddSite("B", RegionEurope)
 	asym.SetLink(a, a, DefaultLocalLink)
 	asym.SetLink(b, b, DefaultLocalLink)
-	asym.SetLink(a, b, DefaultRegionalLink)
+	asym.SetLink(a, b, Link{RTT: 24 * time.Millisecond, BandwidthMBps: 200})
 	asym.links[a][b] = Link{RTT: time.Millisecond} // break symmetry directly
 	if err := asym.Validate(); err == nil {
 		t.Error("asymmetric topology should not validate")
@@ -187,21 +173,12 @@ func TestValidateCatchesErrors(t *testing.T) {
 	if err := slowLocal.Validate(); err == nil {
 		t.Error("remote link faster than local should not validate")
 	}
-}
 
-func TestTwoRegions(t *testing.T) {
-	topo := TwoRegions(3)
-	if topo.NumSites() != 6 {
-		t.Fatalf("NumSites = %d, want 6", topo.NumSites())
-	}
-	if err := topo.Validate(); err != nil {
-		t.Fatalf("TwoRegions invalid: %v", err)
-	}
-	if topo.DistanceClass(0, 1) != SameRegion {
-		t.Error("sites in the same region should be SameRegion")
-	}
-	if topo.DistanceClass(0, 3) != GeoDistant {
-		t.Error("sites in different regions should be GeoDistant")
+	negative := NewTopology()
+	a = negative.AddSite("A", RegionEurope)
+	negative.SetLink(a, a, Link{RTT: time.Millisecond, BandwidthMBps: -1})
+	if err := negative.Validate(); err == nil {
+		t.Error("negative bandwidth should not validate")
 	}
 }
 
@@ -270,12 +247,18 @@ func TestDeploymentNodeNames(t *testing.T) {
 	}
 }
 
-// Property: for any pair of sites in any generated topology the distance
-// class is symmetric and Local iff the sites are identical.
+// Property: for any pair of sites in any two-region topology the distance
+// class is symmetric and Local iff the sites are identical. DistanceClass
+// reads regions only, so the topology needs no links.
 func TestDistanceClassProperties(t *testing.T) {
 	f := func(nEU, nUS uint8, aRaw, bRaw uint16) bool {
-		nPerRegion := int(nEU%4) + 1
-		topo := TwoRegions(nPerRegion)
+		topo := NewTopology()
+		for i := 0; i <= int(nEU%4); i++ {
+			topo.AddSite(fmt.Sprintf("EU-%d", i), RegionEurope)
+		}
+		for i := 0; i <= int(nUS%4); i++ {
+			topo.AddSite(fmt.Sprintf("US-%d", i), RegionUS)
+		}
 		n := topo.NumSites()
 		a := SiteID(int(aRaw) % n)
 		b := SiteID(int(bRaw) % n)

@@ -98,17 +98,6 @@ func NewController(fabric *Fabric, opts ...ControllerOption) *Controller {
 	return c
 }
 
-// Fabric returns the controller's shared fabric.
-func (c *Controller) Fabric() *Fabric { return c.fabric }
-
-// Current returns the active service and its strategy. ok is false before
-// the first Use call.
-func (c *Controller) Current() (MetadataService, StrategyKind, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.current, c.kind, c.started
-}
-
 // Use switches the controller to the given strategy, closing the previously
 // active service (after flushing it under ctx) and returning the new one.
 // Switching to the strategy already in use returns the existing service. A

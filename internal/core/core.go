@@ -240,12 +240,6 @@ func NewClient(svc MetadataService, node cloud.Node) *Client {
 	return &Client{svc: svc, node: node}
 }
 
-// Node returns the execution node this client is bound to.
-func (c *Client) Node() cloud.Node { return c.node }
-
-// Service returns the underlying metadata service.
-func (c *Client) Service() MetadataService { return c.svc }
-
 // PublishFile creates a metadata entry for a file produced by the node.
 func (c *Client) PublishFile(ctx context.Context, name string, size int64, producer string) (registry.Entry, error) {
 	loc := registry.Location{Site: c.node.Site, Node: c.node.ID}
@@ -261,9 +255,4 @@ func (c *Client) LocateFile(ctx context.Context, name string) (registry.Entry, e
 func (c *Client) RegisterCopy(ctx context.Context, name string) (registry.Entry, error) {
 	loc := registry.Location{Site: c.node.Site, Node: c.node.ID}
 	return c.svc.AddLocation(ctx, c.node.Site, name, loc)
-}
-
-// Remove deletes the metadata entry of a file.
-func (c *Client) Remove(ctx context.Context, name string) error {
-	return c.svc.Delete(ctx, c.node.Site, name)
 }

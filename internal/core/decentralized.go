@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"geomds/internal/cloud"
 	"geomds/internal/dht"
@@ -20,9 +19,6 @@ import (
 type DecentralizedService struct {
 	singleTarget
 	placer dht.Placer
-
-	localOps  atomic.Int64
-	remoteOps atomic.Int64
 
 	// Live instruments (nil when the fabric's instrumentation is off).
 	localC  *metrics.Counter // core_dn_local_ops_total
@@ -51,18 +47,10 @@ func NewDecentralized(fabric *Fabric, placer dht.Placer) (*DecentralizedService,
 // Home returns the datacenter responsible for the given entry name.
 func (s *DecentralizedService) Home(name string) cloud.SiteID { return s.placer.Home(name) }
 
-// LocalRemoteOps returns how many operations were served locally vs remotely,
-// which lets experiments verify the ~1/n locality property.
-func (s *DecentralizedService) LocalRemoteOps() (local, remote int64) {
-	return s.localOps.Load(), s.remoteOps.Load()
-}
-
 func (s *DecentralizedService) countLocality(remote bool) {
 	if remote {
-		s.remoteOps.Add(1)
 		s.remoteC.Inc()
 	} else {
-		s.localOps.Add(1)
 		s.localC.Inc()
 	}
 }

@@ -323,15 +323,6 @@ func (f *Fabric) Close() error {
 	return errors.Join(errs...)
 }
 
-// Topology returns the cloud topology of the fabric.
-func (f *Fabric) Topology() *cloud.Topology { return f.topo }
-
-// Latency returns the latency model used for wide-area communication.
-func (f *Fabric) Latency() *latency.Model { return f.lat }
-
-// Recorder returns the attached metrics recorder (nil if none).
-func (f *Fabric) Recorder() *metrics.Recorder { return f.rec }
-
 // Sites returns the datacenters participating in the fabric.
 func (f *Fabric) Sites() []cloud.SiteID {
 	out := make([]cloud.SiteID, len(f.sites))

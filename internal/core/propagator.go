@@ -48,9 +48,6 @@ type Propagator struct {
 
 	done chan struct{} // closed when the flush loop has exited
 
-	flushes    int64
-	propagated int64
-
 	// Live instruments (nil when the fabric's instrumentation is off).
 	queueDepth   *metrics.Gauge     // propagator_queue_depth: operations awaiting a flush
 	flushLatency *metrics.Histogram // propagator_flush_latency_ns
@@ -216,21 +213,6 @@ func (p *Propagator) Pending() int {
 	return p.pending.size()
 }
 
-// Flushes returns how many flush rounds have been executed.
-func (p *Propagator) Flushes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushes
-}
-
-// Propagated returns how many entries (updates and deletions) have been
-// applied to remote instances.
-func (p *Propagator) Propagated() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.propagated
-}
-
 // FlushNow pushes every pending batch to its destination, concurrently, and
 // returns when all of them have answered. A destination that could not be
 // updated — its site is unreachable, or ctx was cancelled mid-flight — keeps
@@ -285,10 +267,6 @@ func (p *Propagator) flush(ctx context.Context) (int, error) {
 	}
 	wg.Wait()
 
-	p.mu.Lock()
-	p.flushes++
-	p.propagated += applied.Load()
-	p.mu.Unlock()
 	p.flushesC.Inc()
 	p.propagatedC.Add(applied.Load())
 	p.flushLatency.ObserveDuration(time.Since(flushStart))

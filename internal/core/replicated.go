@@ -62,9 +62,6 @@ type ReplicatedService struct {
 
 	done chan struct{} // closed when the agent loop has exited
 
-	rounds        int64
-	entriesSynced int64
-
 	// Live instruments (nil when the fabric's instrumentation is off).
 	queueDepth   *metrics.Gauge     // sync_queue_depth: names awaiting the next round
 	roundLatency *metrics.Histogram // sync_round_latency_ns
@@ -161,28 +158,6 @@ func NewReplicated(fabric *Fabric, agentSite cloud.SiteID, opts ...ReplicatedOpt
 // FeedDriven reports whether the service propagates through change feeds
 // (WithFeedSync) instead of the polling agent.
 func (s *ReplicatedService) FeedDriven() bool { return s.feedSync != nil }
-
-// AgentSite returns the datacenter hosting the synchronization agent.
-func (s *ReplicatedService) AgentSite() cloud.SiteID { return s.agentSite }
-
-// SyncRounds returns how many synchronization rounds the agent has completed.
-func (s *ReplicatedService) SyncRounds() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rounds
-}
-
-// EntriesSynced returns how many entry applications have been pushed to
-// remote instances in total, by the agent or — in feed mode — by the feed
-// consumer's propagator.
-func (s *ReplicatedService) EntriesSynced() int64 {
-	if s.out != nil {
-		return s.out.Propagated()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entriesSynced
-}
 
 // remember queues a committed local mutation for the agent's next round. It
 // is the polling mode's singleTarget.after; in feed mode the commit's feed
@@ -354,10 +329,6 @@ func (s *ReplicatedService) syncRound(ctx context.Context) error {
 		return errors.Join(errs...)
 	}
 
-	s.mu.Lock()
-	s.rounds++
-	s.entriesSynced += synced.Load()
-	s.mu.Unlock()
 	s.roundsC.Inc()
 	s.syncedC.Add(synced.Load())
 	s.roundLatency.ObserveDuration(time.Since(roundStart))

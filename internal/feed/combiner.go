@@ -21,8 +21,8 @@ type Stream interface {
 
 // Source is one feed a Combiner subscribes to.
 type Source struct {
-	// Name labels the source in output events, cursors and health callbacks
-	// (e.g. "site-2" or "shard-1").
+	// Name labels the source in output events, cursors and stream-state
+	// callbacks (e.g. "site-2" or "shard-1").
 	Name string
 	// From is the initial resume cursor (0 = from the beginning).
 	From uint64
@@ -50,7 +50,6 @@ type SourceEvent struct {
 const (
 	DefaultResubscribeBackoff    = 50 * time.Millisecond
 	DefaultResubscribeBackoffMax = 2 * time.Second
-	DefaultFailureThreshold      = 3
 )
 
 // CombinerOption configures NewCombiner.
@@ -78,30 +77,11 @@ func WithResubscribeBackoff(initial, max time.Duration) CombinerOption {
 	}
 }
 
-// WithFailureThreshold sets how many consecutive subscribe failures mark a
-// source unhealthy (default DefaultFailureThreshold — the same shape as the
-// shard router's breaker).
-func WithFailureThreshold(n int) CombinerOption {
-	return func(c *Combiner) {
-		if n > 0 {
-			c.threshold = n
-		}
-	}
-}
-
-// WithHealthFunc installs a callback invoked (from the source's goroutine)
-// when a source crosses the failure threshold (healthy=false) and when it
-// successfully resubscribes afterwards (healthy=true).
-func WithHealthFunc(fn func(source string, healthy bool)) CombinerOption {
-	return func(c *Combiner) { c.health = fn }
-}
-
 // WithStreamStateFunc installs a callback invoked (from the source's
 // goroutine) on every stream transition: connected=true after each successful
 // subscribe (including the snapshot fallback), connected=false the moment a
 // live stream ends — lag drop, compaction, shard restart, transport loss —
-// before the resubscribe loop starts its backoff. Unlike WithHealthFunc,
-// which only fires at the failure threshold, this reports every gap in
+// before the resubscribe loop starts its backoff. It reports every gap in
 // delivery; the near cache uses it to flush and serve through while a gap is
 // open, because events published inside the gap were never delivered.
 func WithStreamStateFunc(fn func(source string, connected bool)) CombinerOption {
@@ -129,9 +109,7 @@ type Combiner struct {
 	sources     []Source
 	backoff     time.Duration
 	backoffMax  time.Duration
-	threshold   int
 	outBuf      int
-	health      func(string, bool)
 	streamState func(string, bool)
 
 	resumes   *metrics.Counter
@@ -143,7 +121,6 @@ type Combiner struct {
 
 	mu      sync.Mutex
 	cursors map[string]uint64
-	down    map[string]bool
 	started bool
 }
 
@@ -154,10 +131,8 @@ func NewCombiner(sources []Source, opts ...CombinerOption) *Combiner {
 		sources:    sources,
 		backoff:    DefaultResubscribeBackoff,
 		backoffMax: DefaultResubscribeBackoffMax,
-		threshold:  DefaultFailureThreshold,
 		outBuf:     64,
 		cursors:    make(map[string]uint64, len(sources)),
-		down:       make(map[string]bool, len(sources)),
 	}
 	for _, o := range opts {
 		o(c)
@@ -179,14 +154,6 @@ func (c *Combiner) Cursor(source string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cursors[source]
-}
-
-// Healthy reports whether the source is currently below the failure
-// threshold.
-func (c *Combiner) Healthy(source string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.down[source]
 }
 
 // Start launches one consuming goroutine per source. The combiner stops
@@ -225,7 +192,6 @@ func (c *Combiner) Close() {
 func (c *Combiner) run(ctx context.Context, src Source) {
 	defer c.wg.Done()
 	backoff := c.backoff
-	failures := 0
 	first := true
 	for ctx.Err() == nil {
 		cursor := c.Cursor(src.Name)
@@ -236,10 +202,6 @@ func (c *Combiner) run(ctx context.Context, src Source) {
 			st, err = c.fallback(ctx, src)
 		}
 		if err != nil {
-			failures++
-			if failures == c.threshold {
-				c.setDown(src.Name, true)
-			}
 			if !sleep(ctx, backoff) {
 				return
 			}
@@ -248,10 +210,6 @@ func (c *Combiner) run(ctx context.Context, src Source) {
 			}
 			continue
 		}
-		if failures >= c.threshold {
-			c.setDown(src.Name, false)
-		}
-		failures = 0
 		backoff = c.backoff
 		if !first {
 			c.resumes.Inc()
@@ -324,15 +282,6 @@ func (c *Combiner) setCursor(source string, seq uint64) {
 		c.cursors[source] = seq
 	}
 	c.mu.Unlock()
-}
-
-func (c *Combiner) setDown(source string, down bool) {
-	c.mu.Lock()
-	c.down[source] = down
-	c.mu.Unlock()
-	if c.health != nil {
-		c.health(source, !down)
-	}
 }
 
 // sleep waits d or until ctx is done, reporting whether the full wait

@@ -176,29 +176,35 @@ func TestCombinerSnapshotFallbackOnCompaction(t *testing.T) {
 	}
 }
 
-func TestCombinerHealthBreaker(t *testing.T) {
+func TestCombinerRetriesFailedSubscribes(t *testing.T) {
+	const failures = 3
 	var mu sync.Mutex
-	transitions := []bool{}
-	fail := true
+	attempts := 0
+	var states []bool
 	l := NewLog()
+	for i := 0; i < 5; i++ {
+		l.Append(OpPut, fmt.Sprintf("before%d", i), nil)
+	}
 	src := Source{
 		Name: "s",
 		Subscribe: func(ctx context.Context, from uint64) (Stream, error) {
 			mu.Lock()
-			f := fail
+			attempts++
+			n := attempts
 			mu.Unlock()
-			if f {
+			if n <= failures {
 				return nil, fmt.Errorf("dial refused")
 			}
 			return l.Subscribe(from)
 		},
 	}
+	reg := metrics.NewRegistry()
 	c := NewCombiner([]Source{src},
-		WithFailureThreshold(2),
-		WithResubscribeBackoff(time.Millisecond, 2*time.Millisecond),
-		WithHealthFunc(func(_ string, healthy bool) {
+		WithCombinerMetrics(reg),
+		WithResubscribeBackoff(time.Millisecond, 4*time.Millisecond),
+		WithStreamStateFunc(func(_ string, connected bool) {
 			mu.Lock()
-			transitions = append(transitions, healthy)
+			states = append(states, connected)
 			mu.Unlock()
 		}))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -206,26 +212,64 @@ func TestCombinerHealthBreaker(t *testing.T) {
 	c.Start(ctx)
 	defer c.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Healthy("s") {
-		if time.Now().After(deadline) {
-			t.Fatal("source never marked down")
+	timeout := time.After(5 * time.Second)
+	for want := uint64(1); want <= 10; want++ {
+		if want == 6 {
+			for i := 0; i < 5; i++ {
+				l.Append(OpPut, fmt.Sprintf("after%d", i), nil)
+			}
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case ev := <-c.Events():
+			if ev.Seq != want {
+				t.Fatalf("event seq %d, want %d: every event once, in order", ev.Seq, want)
+			}
+		case <-timeout:
+			t.Fatalf("timed out waiting for seq %d", want)
+		}
 	}
-	mu.Lock()
-	fail = false
-	mu.Unlock()
-	for !c.Healthy("s") {
-		if time.Now().After(deadline) {
-			t.Fatal("source never recovered")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case ev := <-c.Events():
+		t.Fatalf("extra event %+v", ev)
+	case <-time.After(20 * time.Millisecond):
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(transitions) < 2 || transitions[0] || !transitions[len(transitions)-1] {
-		t.Fatalf("health transitions = %v, want down then up", transitions)
+	if attempts != failures+1 {
+		t.Fatalf("subscribe attempts = %d, want %d", attempts, failures+1)
+	}
+	if len(states) != 1 || !states[0] {
+		t.Fatalf("stream states = %v, want one connected=true", states)
+	}
+	if n := reg.Counter("feed_resumes_total").Value(); n != 0 {
+		t.Fatalf("feed_resumes_total = %d, want 0: failed attempts before the first stream are not resumes", n)
+	}
+}
+
+func TestCombinerCloseInterruptsBackoff(t *testing.T) {
+	tried := make(chan struct{}, 1)
+	src := Source{
+		Name: "s",
+		Subscribe: func(ctx context.Context, from uint64) (Stream, error) {
+			select {
+			case tried <- struct{}{}:
+			default:
+			}
+			return nil, fmt.Errorf("dial refused")
+		},
+	}
+	c := NewCombiner([]Source{src}, WithResubscribeBackoff(time.Hour, time.Hour))
+	c.Start(context.Background())
+	<-tried
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waited out the resubscribe backoff")
 	}
 }
 

@@ -120,25 +120,6 @@ func New(topo *cloud.Topology, opts ...Option) *Model {
 	return m
 }
 
-// Scale returns the configured time-compression factor.
-func (m *Model) Scale() float64 { return m.scale }
-
-// Topology returns the topology the model injects latencies for.
-func (m *Model) Topology() *cloud.Topology { return m.topo }
-
-// OneWay computes the unscaled one-way delay for a message of size bytes
-// travelling from site a to site b, including jitter and the bandwidth term.
-func (m *Model) OneWay(a, b cloud.SiteID, bytes int) time.Duration {
-	link := m.topo.Link(a, b)
-	d := link.RTT / 2
-	d += m.jitter(link.Jitter)
-	d += transferTime(link, bytes)
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // RoundTrip computes the unscaled request/response delay for a message of
 // reqBytes with a reply of respBytes between sites a and b.
 func (m *Model) RoundTrip(a, b cloud.SiteID, reqBytes, respBytes int) time.Duration {
@@ -152,19 +133,11 @@ func (m *Model) RoundTrip(a, b cloud.SiteID, reqBytes, respBytes int) time.Durat
 	return d
 }
 
-// InjectOneWay sleeps for the scaled one-way delay of a message from a to b
-// and returns the unscaled delay that was modelled. A cancelled context cuts
-// the wait short and is reported as the returned error; the delay is still
-// accounted in full (the message was sent — the caller just stopped waiting).
-func (m *Model) InjectOneWay(ctx context.Context, a, b cloud.SiteID, bytes int) (time.Duration, error) {
-	d := m.OneWay(a, b, bytes)
-	m.account(a, b, d)
-	return d, m.wait(ctx, m.scaled(d))
-}
-
 // InjectRoundTrip sleeps for the scaled round-trip delay of a request from a
 // to b and back, returning the unscaled modelled delay. A cancelled context
-// cuts the wait short (see InjectOneWay).
+// cuts the wait short and is reported as the returned error; the delay is
+// still accounted in full (the message was sent — the caller just stopped
+// waiting).
 func (m *Model) InjectRoundTrip(ctx context.Context, a, b cloud.SiteID, reqBytes, respBytes int) (time.Duration, error) {
 	d := m.RoundTrip(a, b, reqBytes, respBytes)
 	m.account(a, b, d)

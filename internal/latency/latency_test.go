@@ -25,14 +25,14 @@ func newTestModel(opts ...Option) (*Model, *recordingSleeper) {
 
 func TestOneWayHierarchy(t *testing.T) {
 	m, _ := newTestModel()
-	topo := m.Topology()
+	topo := cloud.Azure4DC()
 	weu, _ := topo.SiteByName(cloud.SiteWestEU)
 	neu, _ := topo.SiteByName(cloud.SiteNorthEU)
 	scus, _ := topo.SiteByName(cloud.SiteSouthCentralUS)
 
-	local := m.OneWay(weu.ID, weu.ID, 0)
-	regional := m.OneWay(weu.ID, neu.ID, 0)
-	wan := m.OneWay(weu.ID, scus.ID, 0)
+	local := m.RoundTrip(weu.ID, weu.ID, 0, 0)
+	regional := m.RoundTrip(weu.ID, neu.ID, 0, 0)
+	wan := m.RoundTrip(weu.ID, scus.ID, 0, 0)
 	if !(local < regional && regional < wan) {
 		t.Errorf("latency hierarchy violated: local=%v regional=%v wan=%v", local, regional, wan)
 	}
@@ -40,7 +40,7 @@ func TestOneWayHierarchy(t *testing.T) {
 
 func TestRoundTripAtLeastRTTMinusJitter(t *testing.T) {
 	m, _ := newTestModel()
-	topo := m.Topology()
+	topo := cloud.Azure4DC()
 	weu, _ := topo.SiteByName(cloud.SiteWestEU)
 	eus, _ := topo.SiteByName(cloud.SiteEastUS)
 	link := topo.Link(weu.ID, eus.ID)
@@ -54,8 +54,8 @@ func TestRoundTripAtLeastRTTMinusJitter(t *testing.T) {
 
 func TestBandwidthTermGrowsWithSize(t *testing.T) {
 	m, _ := newTestModel(WithSeed(3))
-	small := m.OneWay(0, 2, 1<<10)
-	large := m.OneWay(0, 2, 64<<20)
+	small := m.RoundTrip(0, 2, 1<<10, 0)
+	large := m.RoundTrip(0, 2, 64<<20, 0)
 	if large <= small {
 		t.Errorf("64MB transfer (%v) should take longer than 1KB (%v)", large, small)
 	}
@@ -93,6 +93,25 @@ func TestInjectDuration(t *testing.T) {
 	m.InjectDuration(ctx, -time.Second)
 	if len(rec.slept) != 1 {
 		t.Error("non-positive durations should not sleep")
+	}
+	m.Sleeper()(20 * time.Second)
+	if len(rec.slept) != 2 || rec.slept[1] != 2*time.Second {
+		t.Errorf("Sleeper slept %v, want a second wait of 2s", rec.slept)
+	}
+}
+
+func TestPreciseSleepContextShortWaits(t *testing.T) {
+	ctx := context.Background()
+	if err := PreciseSleepContext(ctx, 0); err != nil {
+		t.Fatalf("zero wait: %v", err)
+	}
+	// Below spinThreshold the wait spins instead of sleeping on a timer.
+	start := time.Now()
+	if err := PreciseSleepContext(ctx, 200*time.Microsecond); err != nil {
+		t.Fatalf("short wait: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < 200*time.Microsecond {
+		t.Fatalf("short wait returned after %v, want at least 200µs", elapsed)
 	}
 }
 
@@ -142,19 +161,17 @@ func TestToSimulatedRoundTripsToWall(t *testing.T) {
 }
 
 func TestWithScaleRejectsNonPositive(t *testing.T) {
-	m, _ := newTestModel(WithScale(-3))
-	if m.Scale() != 1.0 {
-		t.Errorf("negative scale should be ignored, got %v", m.Scale())
-	}
-	m2, _ := newTestModel(WithScale(0))
-	if m2.Scale() != 1.0 {
-		t.Errorf("zero scale should be ignored, got %v", m2.Scale())
+	for _, scale := range []float64{-3, 0} {
+		m, _ := newTestModel(WithScale(scale))
+		if got := m.ToSimulated(time.Second); got != time.Second {
+			t.Errorf("WithScale(%v): ToSimulated(1s) = %v, want 1s (the scale ignored)", scale, got)
+		}
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	m, _ := newTestModel()
-	topo := m.Topology()
+	topo := cloud.Azure4DC()
 	weu, _ := topo.SiteByName(cloud.SiteWestEU)
 	neu, _ := topo.SiteByName(cloud.SiteNorthEU)
 	scus, _ := topo.SiteByName(cloud.SiteSouthCentralUS)
@@ -163,7 +180,7 @@ func TestStatsAccounting(t *testing.T) {
 	m.InjectRoundTrip(ctx, weu.ID, weu.ID, 0, 0)
 	m.InjectRoundTrip(ctx, weu.ID, neu.ID, 0, 0)
 	m.InjectRoundTrip(ctx, weu.ID, neu.ID, 0, 0)
-	m.InjectOneWay(ctx, weu.ID, scus.ID, 0)
+	m.InjectRoundTrip(ctx, weu.ID, scus.ID, 0, 0)
 
 	stats := m.Stats()
 	if stats[cloud.Local].Messages != 1 {
@@ -192,16 +209,16 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 	}
 }
 
-// Property: one-way delays are never negative and grow monotonically with the
-// message size for any pair of sites.
+// Property: modelled delays are never negative, for any pair of sites and
+// any request size.
 func TestOneWayProperties(t *testing.T) {
 	m, _ := newTestModel(WithSeed(11))
-	n := m.Topology().NumSites()
+	n := cloud.Azure4DC().NumSites()
 	f := func(aRaw, bRaw uint8, size uint16) bool {
 		a := cloud.SiteID(int(aRaw) % n)
 		b := cloud.SiteID(int(bRaw) % n)
-		small := m.OneWay(a, b, int(size))
-		big := m.OneWay(a, b, int(size)+1<<20)
+		small := m.RoundTrip(a, b, int(size), 0)
+		big := m.RoundTrip(a, b, int(size)+1<<20, 0)
 		return small >= 0 && big >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -213,7 +230,7 @@ func TestOneWayProperties(t *testing.T) {
 // deterministic part of the one-way delay (RTT/2 - jitter).
 func TestRoundTripLowerBoundProperty(t *testing.T) {
 	m, _ := newTestModel(WithSeed(13))
-	topo := m.Topology()
+	topo := cloud.Azure4DC()
 	n := topo.NumSites()
 	f := func(aRaw, bRaw uint8) bool {
 		a := cloud.SiteID(int(aRaw) % n)

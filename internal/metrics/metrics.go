@@ -239,28 +239,3 @@ func Mean(ds []time.Duration) time.Duration {
 	}
 	return sum / time.Duration(len(ds))
 }
-
-// Max returns the largest duration (0 for an empty slice).
-func Max(ds []time.Duration) time.Duration {
-	var max time.Duration
-	for _, d := range ds {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Min returns the smallest duration (0 for an empty slice).
-func Min(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	min := ds[0]
-	for _, d := range ds[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}

@@ -134,14 +134,8 @@ func TestMeanMinMax(t *testing.T) {
 	if Mean(ds) != 2*time.Second {
 		t.Errorf("Mean = %v", Mean(ds))
 	}
-	if Min(ds) != time.Second {
-		t.Errorf("Min = %v", Min(ds))
-	}
-	if Max(ds) != 3*time.Second {
-		t.Errorf("Max = %v", Max(ds))
-	}
-	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty slices should yield 0")
+	if Mean(nil) != 0 {
+		t.Error("an empty slice should yield 0")
 	}
 }
 
@@ -195,9 +189,6 @@ func TestProgressDoneUsesClock(t *testing.T) {
 	p.Done()
 	if p.Completed() != 2 {
 		t.Errorf("Completed = %d, want 2", p.Completed())
-	}
-	if p.Total() != 2 {
-		t.Errorf("Total = %d, want 2", p.Total())
 	}
 }
 

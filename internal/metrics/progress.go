@@ -43,9 +43,6 @@ func (p *Progress) SetSimConverter(toSim func(time.Duration) time.Duration) {
 	}
 }
 
-// Total returns the expected number of operations.
-func (p *Progress) Total() int { return p.total }
-
 // Done records the completion of one operation at the current time.
 func (p *Progress) Done() {
 	p.mu.Lock()

@@ -12,7 +12,6 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"geomds/internal/cloud"
@@ -121,20 +120,6 @@ func (e Entry) AddLocation(loc Location) Entry {
 	}
 	out := e
 	out.Locations = append(append([]Location(nil), e.Locations...), loc)
-	return out
-}
-
-// SitesWithCopy returns the distinct sites holding a copy, in ascending order.
-func (e Entry) SitesWithCopy() []cloud.SiteID {
-	set := make(map[cloud.SiteID]bool, len(e.Locations))
-	for _, l := range e.Locations {
-		set[l.Site] = true
-	}
-	out := make([]cloud.SiteID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

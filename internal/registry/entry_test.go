@@ -71,16 +71,6 @@ func TestAddLocationIsImmutable(t *testing.T) {
 	}
 }
 
-func TestSitesWithCopy(t *testing.T) {
-	e := sampleEntry()
-	e = e.AddLocation(Location{Site: 3, Node: 1})
-	e = e.AddLocation(Location{Site: 1, Node: 5}) // same site, other node
-	sites := e.SitesWithCopy()
-	if len(sites) != 2 || sites[0] != 1 || sites[1] != 3 {
-		t.Errorf("SitesWithCopy = %v, want [1 3]", sites)
-	}
-}
-
 func TestNearestCopy(t *testing.T) {
 	topo := cloud.Azure4DC()
 	weu, _ := topo.SiteByName(cloud.SiteWestEU)

@@ -159,9 +159,6 @@ func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, erro
 // Addr returns the server address this client talks to.
 func (c *Client) Addr() string { return c.addr }
 
-// PoolSize returns the configured connection-pool size.
-func (c *Client) PoolSize() int { return c.pool }
-
 // Site implements registry.API with the site ID advertised by the server.
 // It is resolved once, at dial time, and therefore takes no context.
 func (c *Client) Site() cloud.SiteID { return c.site }

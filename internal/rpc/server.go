@@ -163,8 +163,8 @@ func WithMaxInflight(n int) ServerOption {
 	}
 }
 
-// NewServer wraps the given registry behind a server. Call Serve (or
-// ListenAndServe) to start accepting connections.
+// NewServer wraps the given registry behind a server. Call Serve to start
+// accepting connections.
 func NewServer(reg registry.API, logger *log.Logger, opts ...ServerOption) *Server {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -183,17 +183,6 @@ func NewServer(reg registry.API, logger *log.Logger, opts ...ServerOption) *Serv
 		o(s)
 	}
 	return s
-}
-
-// ListenAndServe listens on addr (e.g. "127.0.0.1:7070" or ":0") and serves
-// until Close. It returns the error that stopped the accept loop, or nil
-// after an orderly Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("rpc: listen %s: %w", addr, err)
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections from ln until Close.

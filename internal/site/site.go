@@ -125,6 +125,8 @@ func (c Config) String() string {
 	switch {
 	case c.NearCache && c.Feed:
 		d += ", near cache (feed-coherent)"
+	case c.NearCache && len(c.Remote) > 0: // Validate refuses Remote with Feed
+		d += fmt.Sprintf(", near cache (staleness <= %s)", cmp.Or(c.MaxStaleness, readcache.DefaultMaxStaleness))
 	case c.NearCache:
 		d += fmt.Sprintf(", near cache (staleness <= %s; run -feed for push invalidation)",
 			cmp.Or(c.MaxStaleness, readcache.DefaultMaxStaleness))

@@ -47,6 +47,11 @@ func TestBuild(t *testing.T) {
 			DataDir: "x", Feed: true, NearCache: true}, "*readcache.Cache", "near cache (feed-coherent)"},
 		{"near cache without feed", Config{NearCache: true, MaxStaleness: time.Minute}, "*readcache.Cache",
 			"near cache (staleness <= 1m0s; run -feed for push invalidation)"},
+		{"remote+near cache", Config{Remote: []registry.API{
+			registry.NewInstance(7, memcache.New(memcache.Config{})),
+			registry.NewInstance(7, memcache.New(memcache.Config{})),
+		}, NearCache: true, MaxStaleness: time.Minute}, "*readcache.Cache",
+			"routing tier over 2 remote shards, near cache (staleness <= 1m0s)"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -65,6 +70,9 @@ func TestBuild(t *testing.T) {
 			}
 			if !strings.HasSuffix(cfg.String(), row.says) {
 				t.Errorf("String() = %q, want it to end in %q", cfg.String(), row.says)
+			}
+			if len(cfg.Remote) > 0 && strings.Contains(cfg.String(), "-feed") {
+				t.Errorf("String() = %q advises -feed, which Validate refuses for a remote tier", cfg.String())
 			}
 			if api.Site() != 7 {
 				t.Errorf("Site() = %d, want 7", api.Site())

@@ -260,33 +260,6 @@ func (w *Workflow) Levels() ([][]string, error) {
 	return levels, nil
 }
 
-// CriticalPath returns the longest chain of compute time through the DAG,
-// i.e. the minimum possible makespan with unlimited parallelism and free
-// metadata/data access.
-func (w *Workflow) CriticalPath() (time.Duration, error) {
-	order, err := w.TopoSort()
-	if err != nil {
-		return 0, err
-	}
-	finish := make(map[string]time.Duration, len(order))
-	var longest time.Duration
-	for _, id := range order {
-		t := w.byID[id]
-		deps, _ := w.Dependencies(id)
-		var start time.Duration
-		for _, dep := range deps {
-			if finish[dep] > start {
-				start = finish[dep]
-			}
-		}
-		finish[id] = start + t.Compute
-		if finish[id] > longest {
-			longest = finish[id]
-		}
-	}
-	return longest, nil
-}
-
 // Stats summarizes a workflow's shape.
 type Stats struct {
 	// Tasks is the number of tasks.

@@ -141,18 +141,6 @@ func TestLevels(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	w := diamond()
-	cp, err := w.CriticalPath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a(1) -> c(3) -> d(1) = 5s
-	if cp != 5*time.Second {
-		t.Errorf("CriticalPath = %v, want 5s", cp)
-	}
-}
-
 func TestStats(t *testing.T) {
 	w := diamond()
 	s, err := w.Stats()
@@ -215,25 +203,6 @@ func TestPatternGather(t *testing.T) {
 	}
 }
 
-func TestPatternReduce(t *testing.T) {
-	w := Reduce(PatternConfig{Prefix: "r-"}, 8)
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := w.Stats()
-	// 8 -> 4 -> 2 -> 1: 4+2+1 = 7 tasks, 3 levels
-	if s.Tasks != 7 || s.Levels != 3 {
-		t.Errorf("reduce stats = %+v", s)
-	}
-	// Odd leaf counts still validate.
-	if err := Reduce(PatternConfig{Prefix: "r2-"}, 5).Validate(); err != nil {
-		t.Errorf("reduce(5): %v", err)
-	}
-	if Reduce(PatternConfig{Prefix: "r3-"}, 0).NumTasks() != 0 {
-		t.Error("reduce(0) should have no tasks (single leaf, nothing to combine)")
-	}
-}
-
 func TestPatternBroadcast(t *testing.T) {
 	w := Broadcast(PatternConfig{Prefix: "b-"}, 10)
 	if err := w.Validate(); err != nil {
@@ -252,7 +221,7 @@ func TestPatternValidityProperty(t *testing.T) {
 		n := int(nRaw%20) + 1
 		cfg := PatternConfig{Prefix: fmt.Sprintf("q%d-", n), FileSize: 1024, Compute: time.Millisecond}
 		for _, w := range []*Workflow{
-			Pipeline(cfg, n), Scatter(cfg, n), Gather(cfg, n), Reduce(cfg, n), Broadcast(cfg, n),
+			Pipeline(cfg, n), Scatter(cfg, n), Gather(cfg, n), Broadcast(cfg, n),
 		} {
 			if err := w.Validate(); err != nil {
 				return false
@@ -270,25 +239,6 @@ func TestPatternValidityProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the critical path never exceeds the total compute time and is at
-// least the longest single task.
-func TestCriticalPathBoundsProperty(t *testing.T) {
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%15) + 1
-		cfg := PatternConfig{Prefix: "cp-", Compute: 3 * time.Second}
-		w := Scatter(cfg, n)
-		cp, err := w.CriticalPath()
-		if err != nil {
-			return false
-		}
-		s, _ := w.Stats()
-		return cp >= cfg.Compute && cp <= s.TotalCompute
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

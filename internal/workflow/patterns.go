@@ -7,7 +7,7 @@ import (
 
 // This file provides builders for the canonical data-access patterns of
 // scientific workflows identified by the paper (§II-A): pipeline, scatter,
-// gather, reduce and broadcast. Real workflows are typically a combination of
+// gather and broadcast. Real workflows are typically a combination of
 // these patterns; the builders compose by sharing file names.
 
 // PatternConfig parameterizes the pattern builders.
@@ -101,48 +101,6 @@ func Gather(cfg PatternConfig, fanin int) *Workflow {
 		collector.Inputs = append(collector.Inputs, out)
 	}
 	w.MustAddTask(collector)
-	return w
-}
-
-// Reduce builds a binary reduction tree over leaves inputs: pairs of files
-// are combined level by level until a single file remains. leaves is rounded
-// up to the next power of two by reusing the last input.
-func Reduce(cfg PatternConfig, leaves int) *Workflow {
-	w := New(cfg.Prefix + "reduce")
-	if leaves < 1 {
-		leaves = 1
-	}
-	current := make([]string, 0, leaves)
-	for i := 0; i < leaves; i++ {
-		name := cfg.name("leaf%03d", i)
-		w.AddExternalInput(name, cfg.FileSize)
-		current = append(current, name)
-	}
-	level := 0
-	for len(current) > 1 {
-		var next []string
-		for i := 0; i < len(current); i += 2 {
-			j := i + 1
-			if j >= len(current) {
-				j = i // odd leftover pairs with itself
-			}
-			out := cfg.name("red-l%d-%03d", level, i/2)
-			inputs := []string{current[i]}
-			if current[j] != current[i] {
-				inputs = append(inputs, current[j])
-			}
-			w.MustAddTask(Task{
-				ID:      cfg.name("reduce-l%d-%03d", level, i/2),
-				Stage:   fmt.Sprintf("reduce-level-%d", level),
-				Inputs:  inputs,
-				Outputs: []FileSpec{{Name: out, Size: cfg.FileSize}},
-				Compute: cfg.Compute,
-			})
-			next = append(next, out)
-		}
-		current = next
-		level++
-	}
 	return w
 }
 

@@ -1,21 +1,17 @@
 package workloads
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
-	"time"
 )
 
 // This file models the "many small files" property that motivates the paper
 // (§II-A): scientific workflows generate millions of files whose median size
-// is in the kilobyte-to-megabyte range. The distributions below are
-// calibrated to the data sets the paper cites — the Sloan Digital Sky Survey
-// (20 million images averaging under 1 MB) and human-genome sequencing runs
-// (up to 30 million files averaging 190 KB) — and can be plugged into the
-// workflow generators to give every produced file a realistic size.
+// is in the kilobyte-to-megabyte range. SkySurveySizes is calibrated to one
+// of the data sets the paper cites, the Sloan Digital Sky Survey (20 million
+// images averaging under 1 MB), and plugs into the workflow generators
+// through WorkflowConfig.Sizes to give every produced file a realistic size.
 
 // SizeDistribution draws file sizes.
 type SizeDistribution interface {
@@ -76,104 +72,4 @@ func (d *LogNormalSizes) Sample() int64 {
 // median ≈ 700 KB, capped at 8 MB.
 func SkySurveySizes(seed int64) *LogNormalSizes {
 	return NewLogNormalSizes(700<<10, 0.6, 8<<20, seed)
-}
-
-// GenomeTraceSizes approximates genome-sequencing trace files: average
-// ≈ 190 KB with a long tail, capped at 4 MB.
-func GenomeTraceSizes(seed int64) *LogNormalSizes {
-	return NewLogNormalSizes(150<<10, 0.8, 4<<20, seed)
-}
-
-// FixedSizes always returns the same size; useful to reproduce the paper's
-// empty-file runs (size 0) or uniform workloads.
-type FixedSizes struct{ Bytes int64 }
-
-// Name implements SizeDistribution.
-func (FixedSizes) Name() string { return "fixed" }
-
-// Sample implements SizeDistribution.
-func (d FixedSizes) Sample() int64 { return d.Bytes }
-
-// SizeSummary describes a sampled file-size population.
-type SizeSummary struct {
-	Count  int
-	Mean   int64
-	Median int64
-	P95    int64
-	Max    int64
-	// SmallFileFraction is the fraction of files below the "small file"
-	// threshold the paper uses (files for which striping makes no sense,
-	// i.e. under the 64 MB HDFS block size).
-	SmallFileFraction float64
-	// TotalBytes is the aggregate volume.
-	TotalBytes int64
-}
-
-// SmallFileThreshold is the paper's operational definition of a small file:
-// anything below the 64 MB default HDFS block size.
-const SmallFileThreshold = 64 << 20
-
-// SummarizeSizes samples n sizes from the distribution and summarizes them.
-func SummarizeSizes(d SizeDistribution, n int) SizeSummary {
-	if n <= 0 {
-		return SizeSummary{}
-	}
-	sizes := make([]int64, n)
-	var total int64
-	small := 0
-	for i := range sizes {
-		sizes[i] = d.Sample()
-		total += sizes[i]
-		if sizes[i] < SmallFileThreshold {
-			small++
-		}
-	}
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	return SizeSummary{
-		Count:             n,
-		Mean:              total / int64(n),
-		Median:            sizes[n/2],
-		P95:               sizes[int(float64(n)*0.95)],
-		Max:               sizes[n-1],
-		SmallFileFraction: float64(small) / float64(n),
-		TotalBytes:        total,
-	}
-}
-
-// String renders the summary for reports.
-func (s SizeSummary) String() string {
-	return fmt.Sprintf("%d files, mean %s, median %s, p95 %s, max %s, %.0f%% small files, %s total",
-		s.Count, humanBytes(s.Mean), humanBytes(s.Median), humanBytes(s.P95), humanBytes(s.Max),
-		s.SmallFileFraction*100, humanBytes(s.TotalBytes))
-}
-
-func humanBytes(b int64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.1fGB", float64(b)/float64(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(b)/float64(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(b)/float64(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
-	}
-}
-
-// WithFileSizes returns a copy of the workflow configuration whose generated
-// files draw their sizes from the given distribution instead of the fixed
-// FileSize. The generators consult it when present.
-func (c WorkflowConfig) WithFileSizes(d SizeDistribution) WorkflowConfig {
-	c.Sizes = d
-	return c
-}
-
-// MetadataPressure estimates how many metadata operations per second a
-// workflow stage issues when its tasks run with the given compute time: the
-// paper's argument that metadata access dominates I/O for many small files.
-func MetadataPressure(opsPerTask int, compute time.Duration, parallelTasks int) float64 {
-	if compute <= 0 {
-		compute = time.Second
-	}
-	return float64(opsPerTask) * float64(parallelTasks) / compute.Seconds()
 }

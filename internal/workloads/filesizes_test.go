@@ -1,11 +1,10 @@
 package workloads
 
 import (
-	"strings"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestLogNormalSizesProperties(t *testing.T) {
@@ -24,45 +23,32 @@ func TestLogNormalSizesProperties(t *testing.T) {
 	}
 }
 
-func TestSkySurveyAndGenomePopulations(t *testing.T) {
-	sky := SummarizeSizes(SkySurveySizes(7), 20000)
-	genome := SummarizeSizes(GenomeTraceSizes(7), 20000)
+func TestSkySurveyPopulation(t *testing.T) {
+	d := SkySurveySizes(7)
+	const n = 20000
+	sizes := make([]int64, n)
+	small := 0
+	for i := range sizes {
+		sizes[i] = d.Sample()
+		if sizes[i] < 64<<20 { // the 64 MB HDFS block the paper calls a small file's bound
+			small++
+		}
+	}
+	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
 
-	// The paper's motivation: average sizes under a megabyte for SDSS and a
-	// few hundred KB for genome traces, with virtually every file "small".
-	if sky.Mean > 2<<20 || sky.Mean < 200<<10 {
-		t.Errorf("sky survey mean = %d bytes, want sub-2MB", sky.Mean)
+	// The paper's motivation: SDSS images average under a megabyte, and
+	// virtually every file is "small".
+	if median := sizes[n/2]; median < 600<<10 || median > 800<<10 {
+		t.Errorf("sky survey median = %d bytes, want ≈ 700 KB", median)
 	}
-	if genome.Mean > 1<<20 || genome.Mean < 50<<10 {
-		t.Errorf("genome mean = %d bytes, want a few hundred KB", genome.Mean)
-	}
-	if sky.SmallFileFraction < 0.999 || genome.SmallFileFraction < 0.999 {
-		t.Errorf("small-file fractions = %.3f / %.3f, want ~1.0", sky.SmallFileFraction, genome.SmallFileFraction)
-	}
-	if !strings.Contains(sky.String(), "small files") {
-		t.Error("summary rendering looks wrong")
-	}
-}
-
-func TestFixedSizes(t *testing.T) {
-	d := FixedSizes{Bytes: 42}
-	if d.Name() != "fixed" || d.Sample() != 42 {
-		t.Error("fixed distribution misbehaves")
-	}
-	empty := SummarizeSizes(FixedSizes{Bytes: 0}, 10)
-	if empty.Mean != 0 || empty.SmallFileFraction != 1.0 {
-		t.Errorf("empty-file summary = %+v", empty)
-	}
-}
-
-func TestSummarizeSizesEmpty(t *testing.T) {
-	if s := SummarizeSizes(FixedSizes{Bytes: 1}, 0); s.Count != 0 {
-		t.Errorf("empty summary = %+v", s)
+	if share := float64(small) / n; share < 0.999 {
+		t.Errorf("small-file share = %.3f, want ~1.0", share)
 	}
 }
 
 func TestWorkflowConfigWithFileSizes(t *testing.T) {
-	cfg := DefaultMontageConfig(SmallScale).WithFileSizes(GenomeTraceSizes(3))
+	cfg := DefaultMontageConfig(SmallScale)
+	cfg.Sizes = SkySurveySizes(3)
 	cfg.Width = 4
 	w := Montage(cfg)
 	if err := w.Validate(); err != nil {
@@ -73,7 +59,7 @@ func TestWorkflowConfigWithFileSizes(t *testing.T) {
 	var first int64 = -1
 	for _, task := range w.Tasks() {
 		for _, out := range task.Outputs {
-			if out.Size <= 0 || out.Size > 4<<20 {
+			if out.Size <= 0 || out.Size > 8<<20 {
 				t.Fatalf("output size %d outside the distribution's range", out.Size)
 			}
 			if first == -1 {
@@ -85,16 +71,6 @@ func TestWorkflowConfigWithFileSizes(t *testing.T) {
 	}
 	if !varied {
 		t.Error("expected varied file sizes from the distribution")
-	}
-}
-
-func TestMetadataPressure(t *testing.T) {
-	// 1000 ops per task, 1s of compute, 52 parallel tasks: 52k ops/s offered.
-	if p := MetadataPressure(1000, time.Second, 52); p != 52000 {
-		t.Errorf("MetadataPressure = %v", p)
-	}
-	if p := MetadataPressure(100, 0, 10); p != 1000 {
-		t.Errorf("MetadataPressure with zero compute = %v", p)
 	}
 }
 

@@ -3,6 +3,7 @@ package workloads
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +59,9 @@ func TestKeyDistStringRoundTrip(t *testing.T) {
 		}
 		if back.withDefaults() != d.withDefaults() {
 			t.Errorf("round trip %v: got %+v", d, back)
+		}
+		if name, _, _ := strings.Cut(d.String(), ":"); back.Kind.String() != name {
+			t.Errorf("round trip %v: kind named %q, want %q", d, back.Kind, name)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"time"
 
 	"geomds/internal/workflow"
 )
@@ -25,8 +24,8 @@ type WorkflowConfig struct {
 	// posts empty files to isolate metadata costs).
 	FileSize int64
 	// Sizes optionally draws per-file sizes from a distribution (e.g. the
-	// SkySurveySizes or GenomeTraceSizes populations); when set it overrides
-	// FileSize, giving the "many small files" shape of §II-A.
+	// SkySurveySizes population); when set it overrides FileSize, giving the
+	// "many small files" shape of §II-A.
 	Sizes SizeDistribution
 	// Prefix namespaces file names so several runs can coexist.
 	Prefix string
@@ -214,7 +213,3 @@ func JobCount(name string, width int) int {
 		return 0
 	}
 }
-
-// DefaultCompute is a helper exposing the scenario compute time, useful for
-// callers that only need timing defaults.
-func DefaultCompute(sc Scenario) time.Duration { return sc.Compute }

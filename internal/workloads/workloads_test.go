@@ -253,9 +253,6 @@ func TestJobCountUnknown(t *testing.T) {
 	if JobCount("buzzflow", 0) != 72 || JobCount("montage", 0) != JobCount("montage", 52) {
 		t.Error("default widths not applied")
 	}
-	if DefaultCompute(MetadataIntensive) != time.Second {
-		t.Error("DefaultCompute mismatch")
-	}
 }
 
 func TestWorkflowsRunThroughEngine(t *testing.T) {

@@ -1,9 +1,11 @@
 package geomds
 
-// This file guards one rule of the registry stack: an option stays only while
-// something outside tests can turn it on. An exported With* function that
-// non-test code mentions nowhere but in its own declaration is either listed
-// below with the reason it stays, or dead.
+// This file guards the reachability rule: an exported function or method under
+// internal/ stays only while something outside tests reaches it. One that no
+// binary, example or geobench reaches, directly or through code that is itself
+// reached, and that implements no method of an interface, is either listed in
+// seams with the reason it stays, or dead. The same rule holds memcache.Config's
+// fields (TestCacheConfigIsSet).
 
 import (
 	"bytes"
@@ -23,20 +25,58 @@ import (
 	"testing"
 )
 
-// optionPackages are the packages whose options the rule covers.
-var optionPackages = []string{"registry", "rpc", "core", "store", "feed", "memcache", "readcache", "limits", "site"}
-
-// exempt are the options only tests set, and why each stays: each is a seam a
-// test needs to run fast or to substitute a part.
-var exempt = map[string]string{
-	"registry.WithRouterHealth":   "timing: breaker threshold and probe interval, so outage tests finish in milliseconds",
-	"registry.WithCASRetries":     "makes the Update retry budget small enough to exhaust in a test",
-	"store.WithCompactEvery":      "timing: compaction after a handful of records instead of thousands",
-	"core.WithSites":              "a fabric over a subset of the topology, for site arrival and departure tests",
-	"core.WithCacheFactory":       "substitutes the store behind a site, for capacity and fault tests",
-	"feed.WithResubscribeBackoff": "timing: the combiner's reconnect delay",
-	"feed.WithFailureThreshold":   "timing: how many failed resubscribes mark a source down",
-	"feed.WithHealthFunc":         "observes the combiner's up/down transitions",
+// seams are the exported functions and methods under internal/ that only tests
+// reach, each with the tests that need it and why it stays: it lets a test
+// observe other live behaviour, run fast, or substitute a part. A function
+// whose only tests are tests of itself is not a seam; it is deleted.
+var seams = map[string]string{
+	"cloud.Deployment.Balance":             "TestDeploymentSpreadNodes, TestSpreadNodesBalanceProperty: SpreadNodes' placement is even",
+	"cloud.Deployment.SiteLoad":            "TestDeploymentNodesAt: SpreadNodes' per-site node counts",
+	"cloud.Deployment.Validate":            "TestDeploymentSpreadNodes, TestSpreadNodesBalanceProperty: SpreadNodes keeps the per-site index consistent",
+	"cloud.Topology.Centrality":            "TestAzure4DCCentrality, TestCentralityBoundsProperty: the per-site average the two rankings below order by",
+	"cloud.Topology.LeastCentralSite":      "TestAzure4DCCentrality: Azure4DC's links make South Central US the least central site, as §VI-B observes",
+	"cloud.Topology.MostCentralSite":       "TestAzure4DCCentrality: Azure4DC's links make East US the most central site, as §VI-B observes",
+	"cloud.Topology.Validate":              "TestAzure4DCValidates: Azure4DC's link matrix is symmetric, positive and local-first",
+	"core.CentralizedService.Home":         "TestCentralizedCreateLookup, TestController: the central site option is honoured",
+	"core.DecentralizedService.Home":       "TestDecentralizedPlacement and the DecReplicated tests: names are picked by the placer's home",
+	"core.DecReplicatedService.FeedDriven": "TestDecReplicatedFeedPropagation, TestControllerFeedSync: the feed mode engaged",
+	"core.Fabric.TotalEntries":             "TestDecentralizedPlacement, TestDecReplicatedHomeEqualsWriter: how many copies a strategy stored",
+	"core.Propagator.Pending":              "the propagation and requeue tests: an exact, lock-held queue size the shared propagator_queue_depth gauge cannot give",
+	"core.ReplicatedService.FeedDriven":    "TestReplicatedFeedSyncConverges, TestConfigFeedSync: the feed mode engaged",
+	"core.WithCacheFactory":                "substitutes the store behind a site, for capacity and fault tests",
+	"core.WithSites":                       "a fabric over a subset of the topology, for site arrival and departure tests",
+	"dht.Distribution":                     "TestModuloPlacerUniformity, TestRingPlacerUniformity, TestRingMembershipChangeBounds: how evenly a placer spreads keys",
+	"feed.WithResubscribeBackoff":          "timing: the combiner's reconnect delay",
+	"limits.Limiter.Config":                "TestLimiterUpdateConfig: a reload takes effect",
+	"limits.Limiter.Inflight":              "the Limiter admit and eviction tests: every admitted request is finished",
+	"limits.Limiter.Tenants":               "TestLimiterInflightShedding, TestLimiterLRUEvictionWhenNoneIdle: the tenant table stays bounded",
+	"limits.TokenBucket.Take":              "TestTokenBucketConcurrentTake, TestTokenBucketUnlimitedAndDeny: the bucket's arithmetic without a limiter",
+	"memcache.Cache.Stats":                 "checkStore and the memcache tests: the store's item and byte accounting",
+	"memcache.Cache.Stop":                  "fault injection: TestCentralizedSurvivesShardFailure and TestReplicatedAgentSiteFailureIsIsolated stop a site's cache",
+	"memcache.Cache.Stopped":               "TestStop: the state Stop's fault injection leaves",
+	"memcache.Item.Expired":                "TestItemIsRebuiltOnTheWayOut: an item read back carries its expiry",
+	"metrics.Histogram.Count":              "TestReplicatedFeedSyncConverges, TestCapacityStoreBoundsConcurrency: how many samples live code observed",
+	"metrics.Progress.Completed":           "TestEngineWithProgress, TestRunSyntheticCentralized: the engine records every completion",
+	"metrics.Progress.DoneAt":              "TestProgressTimeline: completions at fixed offsets, so Timeline's percentiles are exact",
+	"metrics.Recorder.Len":                 "TestRecorderConcurrent: no sample is lost by concurrent recorders",
+	"metrics.TraceRing.Len":                "TestTraceRingWrapsAndOrders: the ring keeps its capacity when it wraps",
+	"metrics.TraceRing.Total":              "TestTraceRingWrapsAndOrders: the ring counts the events it overwrote",
+	"readcache.Cache.CachedLen":            "the readcache tests: the cache stays bounded, and the readcache_entries gauge matches it",
+	"readcache.Cache.Stats":                "the readcache tests: hits, fills and invalidations",
+	"registry.Instance.Storage":            "TestInstanceCloseLosslessRelaxedFsync: the log's sync count",
+	"registry.Instance.Store":              "TestUndecodableStoredValueIsAnError: plants undecodable bytes under an instance",
+	"registry.Router.DownShards":           "tests assert which breakers a tier has open",
+	"registry.Router.MarkShardUp":          "fault injection: closes a breaker and starts the recovery a probe would",
+	"registry.Router.Shards":               "tests assert a tier's shard IDs",
+	"registry.Router.Wait":                 "tests await background re-sync sweeps and replica repairs",
+	"registry.WithCASRetries":              "makes the Update retry budget small enough to exhaust in a test",
+	"registry.WithRouterHealth":            "timing: breaker threshold and probe interval, so outage tests finish in milliseconds",
+	"rpc.Server.Addr":                      "TestServerClose, TestBadOpRejected: dial a server that listens on port 0",
+	"store.Durable.Compact":                "TestReplayIdempotence, TestConcurrentCheckpoints: a checkpoint at a chosen point",
+	"store.Durable.Recovered":              "TestDurableRoundTrip and the group recovery tests: how many records a reopen replayed",
+	"store.WithCompactEvery":               "timing: compaction after a handful of records instead of thousands",
+	"workflow.Schedule.SiteLoad":           "TestRoundRobinScheduler, TestLocalitySchedulerSpreadsRoots: where a scheduler put the tasks",
+	"workloads.JobCount":                   "TestBuzzFlowShape, TestMontageShape: the oracle for the generators' task counts",
 }
 
 // goFile is one parsed non-test file and the package directory it is in.
@@ -74,79 +114,6 @@ func parseNonTestFiles(t *testing.T) []goFile {
 		t.Fatal(err)
 	}
 	return files
-}
-
-// TestOptionsAreReachable fails on an exported With* function of the registry
-// stack that only its own declaration and tests mention, unless it is exempt.
-func TestOptionsAreReachable(t *testing.T) {
-	covered := make(map[string]string) // package directory -> package name
-	for _, pkg := range optionPackages {
-		covered["internal/"+pkg] = pkg
-	}
-	files := parseNonTestFiles(t)
-
-	defined := make(map[string]string) // "pkg.WithX" -> defining file
-	mentions := make(map[string]int)   // "pkg.WithX" -> mentions, its declaration's among them
-	for _, f := range files {
-		own := covered[f.dir]
-		for _, decl := range f.ast.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if ok && own != "" && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "With") {
-				defined[own+"."+fn.Name.Name] = f.path
-			}
-		}
-		// The names this file imports covered packages under.
-		imported := make(map[string]string)
-		for _, imp := range f.ast.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			pkg, ok := strings.CutPrefix(path, "geomds/internal/")
-			if !ok || covered["internal/"+pkg] == "" {
-				continue
-			}
-			local := pkg
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imported[local] = pkg
-		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if pkg := imported[x.Name]; pkg != "" {
-						mentions[pkg+"."+n.Sel.Name]++
-					}
-					return false
-				}
-			case *ast.Ident:
-				if own != "" {
-					mentions[own+"."+n.Name]++
-				}
-			}
-			return true
-		})
-	}
-
-	var options []string
-	for option := range defined {
-		options = append(options, option)
-	}
-	sort.Strings(options)
-	for _, option := range options {
-		reachable := mentions[option] > 1
-		_, listed := exempt[option]
-		switch {
-		case !reachable && !listed:
-			t.Errorf("%s (%s) is mentioned by no non-test code but its own declaration: wire it to a binary, a site.Config field or an experiment, list it in exempt with its reason, or delete it", option, defined[option])
-		case reachable && listed:
-			t.Errorf("%s is listed in exempt and is reachable: drop it from the list", option)
-		}
-	}
-	for option := range exempt {
-		if defined[option] == "" {
-			t.Errorf("exempt lists %s, which is not defined", option)
-		}
-	}
 }
 
 // configSeams are the memcache.Config fields only tests set, and why each
@@ -289,16 +256,7 @@ func TestGobIsImportedByNoFile(t *testing.T) {
 	}
 }
 
-// routerSeams are the exported *registry.Router methods that only tests
-// call, and why each stays.
-var routerSeams = map[string]string{
-	"Wait":        "tests await background re-sync sweeps and replica repairs",
-	"MarkShardUp": "fault injection: closes a breaker and starts the recovery a probe would",
-	"DownShards":  "tests assert which breakers a tier has open",
-	"Shards":      "tests assert a tier's shard IDs",
-}
-
-// listedPackage is the part of `go list -json` the method guard reads.
+// listedPackage is the part of `go list -json` the reachability guard reads.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
@@ -307,95 +265,321 @@ type listedPackage struct {
 	Module     *struct{ Main bool }
 }
 
-// TestRouterMethodsAreReachable holds *registry.Router to the options' rule:
-// an exported method stays only while non-test code outside package registry
-// calls it, it implements a method of registry.API or registry.ChangeFeeder,
-// or it is a seam listed in routerSeams with its reason. Calls are resolved
-// with go/types against the compiler's export data, so a method of the same
-// name on another type (a placer's Home in core) does not count.
-func TestRouterMethodsAreReachable(t *testing.T) {
-	const registryPath = "geomds/internal/registry"
-	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Module", "./...").Output()
+// goList lists the packages of the module in dir and everything they import,
+// each with its compiled export data. It needs no network: the root module has
+// no requirements, and benchmark/ replaces its one with this directory.
+func goList(t *testing.T, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Module", "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		t.Fatalf("go list in %s: %v", dir, err)
 	}
-	exports := make(map[string]string) // import path -> export data file
-	var mine []listedPackage
+	var pkgs []listedPackage
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
 			t.Fatal(err)
 		}
-		exports[p.ImportPath] = p.Export
-		if p.Module != nil && p.Module.Main && p.ImportPath != registryPath {
-			mine = append(mine, p)
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// stdInterfaces are the standard library's interfaces whose methods count as
+// reached on every type that implements them, as package path and name ("" is
+// the universe).
+var stdInterfaces = [][2]string{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"flag", "Value"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"sort", "Interface"},
+	{"io", "Reader"},
+	{"io", "Writer"},
+	{"io", "Closer"},
+	{"net/http", "Handler"},
+}
+
+// reachedFunc is one exported function or method under internal/: where it is
+// declared, and whether the reachability rule holds it reached.
+type reachedFunc struct {
+	pos     string
+	reached bool
+}
+
+// reachability caches analyzeReachability's result for the tests that read it,
+// which run one after another.
+var reachability map[string]reachedFunc
+
+// analyzeReachability finds every exported function and method under internal/,
+// by the name seams uses, and whether it is reached. The roots are the
+// functions that non-test code outside internal/ references — a binary, an
+// example, geobench — and the methods of an interface, one of this module's or
+// of stdInterfaces, that a type of either module implements. A function is
+// reached when a root or a reached function references it outside its own
+// declaration. The packages of both modules are type-checked from source in
+// one universe, so a method of the same name on another type does not count,
+// and a generic method counts through its origin. Types, variables and
+// constants are out of scope: sentinel errors are the documented error
+// contract.
+func analyzeReachability(t *testing.T) map[string]reachedFunc {
+	t.Helper()
+	if reachability != nil {
+		return reachability
+	}
+	const modulePrefix = "geomds/internal/"
+	source := make(map[string]listedPackage) // import path -> a package of either module
+	exports := make(map[string]string)       // import path -> export data, for the rest
+	own := make(map[string]bool)             // the packages of this module
+	var order []string                       // the packages of either module, in list order
+	for i, pkgs := range [][]listedPackage{goList(t, "."), goList(t, "benchmark")} {
+		for _, p := range pkgs {
+			switch {
+			case p.Module != nil && p.Module.Main:
+				source[p.ImportPath] = p
+				own[p.ImportPath] = i == 0
+				order = append(order, p.ImportPath)
+			case exports[p.ImportPath] == "":
+				exports[p.ImportPath] = p.Export
+			}
 		}
 	}
+
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(exports[path])
 	})
-
-	called := make(map[string]bool) // Router method -> called outside package registry
-	for _, p := range mine {
+	checked := make(map[string]*types.Package)
+	infos := make(map[string]*types.Info)
+	parsed := make(map[string][]*ast.File)
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		p, ok := source[path]
+		if !ok {
+			return gc.Import(path)
+		}
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
+		}
 		var files []*ast.File
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Selections: make(map[*ast.SelectorExpr]*types.Selection)}
-		if _, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info); err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+		if err != nil {
+			return nil, err
 		}
-		for _, sel := range info.Selections {
-			fn, ok := sel.Obj().(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != registryPath {
-				continue
-			}
-			recv := fn.Type().(*types.Signature).Recv().Type()
-			if ptr, ok := recv.(*types.Pointer); ok {
-				recv = ptr.Elem()
-			}
-			if named, ok := recv.(*types.Named); ok && named.Obj().Name() == "Router" {
-				called[fn.Name()] = true
+		checked[path], infos[path], parsed[path] = pkg, info, files
+		return pkg, nil
+	}
+	for _, path := range order {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+
+	// Every exported function and method under internal/, by the name seams
+	// uses: the package's path below internal/, the receiver's type name, and
+	// the function's name.
+	defined := make(map[*types.Func]string)
+	for path, pkg := range checked {
+		rel, ok := strings.CutPrefix(path, modulePrefix)
+		if !ok {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			switch obj := pkg.Scope().Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					defined[obj] = rel + "." + name
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						defined[m] = rel + "." + name + "." + m.Name()
+					}
+				}
 			}
 		}
 	}
 
-	reg, err := imp.Import(registryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	implements := make(map[string]string) // method name -> the interface it implements
-	for _, iface := range []string{"API", "ChangeFeeder"} {
-		it := reg.Scope().Lookup(iface).Type().Underlying().(*types.Interface)
-		for i := 0; i < it.NumMethods(); i++ {
-			implements[it.Method(i).Name()] = iface
+	// roots collects the functions referenced by code that runs on its own
+	// account: every declaration outside internal/ (a binary, an example,
+	// geobench), and package-level variables and init functions. uses maps
+	// each function of internal/ to the functions it references, other than
+	// itself.
+	var roots []*types.Func
+	uses := make(map[*types.Func][]*types.Func)
+	for path, files := range parsed {
+		info := infos[path]
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				var from *types.Func
+				if fd, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(path, modulePrefix) && fd.Name.Name != "init" {
+					from = info.Defs[fd.Name].(*types.Func)
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					switch {
+					case !ok || fn.Origin() == from:
+					case from == nil:
+						roots = append(roots, fn.Origin())
+					default:
+						uses[from] = append(uses[from], fn.Origin())
+					}
+					return true
+				})
+			}
 		}
 	}
-	methods := types.NewMethodSet(types.NewPointer(reg.Scope().Lookup("Router").Type()))
-	defined := make(map[string]bool)
-	for i := 0; i < methods.Len(); i++ {
-		name := methods.At(i).Obj().Name()
-		if !token.IsExported(name) {
+
+	var ifaces []*types.Interface
+	var named []*types.Named
+	for _, pkg := range checked {
+		for _, name := range pkg.Scope().Names() {
+			obj, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || obj.IsAlias() {
+				continue
+			}
+			n, ok := obj.Type().(*types.Named)
+			if !ok || n.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := n.Underlying().(*types.Interface); ok {
+				if it.IsMethodSet() && own[pkg.Path()] {
+					ifaces = append(ifaces, it)
+				}
+				continue
+			}
+			named = append(named, n)
+		}
+	}
+	for _, std := range stdInterfaces {
+		scope := types.Universe
+		if std[0] != "" {
+			pkg, err := imp.Import(std[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = pkg.Scope()
+		}
+		ifaces = append(ifaces, scope.Lookup(std[1]).Type().Underlying().(*types.Interface))
+	}
+	// errors.Is, As and Unwrap reach a wrapped error through an interface
+	// package errors does not name.
+	result := types.NewTuple(types.NewParam(token.NoPos, nil, "", types.Universe.Lookup("error").Type()))
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil, result, false))
+	ifaces = append(ifaces, types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		methods := types.NewMethodSet(ptr)
+		for _, it := range ifaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if sel := methods.Lookup(m.Pkg(), m.Name()); sel != nil {
+					roots = append(roots, sel.Obj().(*types.Func).Origin())
+				}
+			}
+		}
+	}
+
+	// A function is reached from a root through references made by reached
+	// functions only: what only dead code calls is dead too.
+	reached := make(map[*types.Func]bool)
+	for len(roots) > 0 {
+		fn := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		if !reached[fn] {
+			reached[fn] = true
+			roots = append(roots, uses[fn]...)
+		}
+	}
+
+	funcs := make(map[string]reachedFunc, len(defined))
+	for fn, name := range defined {
+		funcs[name] = reachedFunc{pos: fset.Position(fn.Pos()).String(), reached: reached[fn]}
+	}
+	reachability = funcs
+	return funcs
+}
+
+// checkReachable holds the exported functions and methods that part selects,
+// by their seams name, to the reachability rule: each is reached, or it is a
+// seam listed with its reason, or it is deleted.
+func checkReachable(t *testing.T, part func(name string) bool) {
+	funcs := analyzeReachability(t)
+	var unreached []string
+	for name, fn := range funcs {
+		if !part(name) {
 			continue
 		}
-		defined[name] = true
-		reachable := called[name] || implements[name] != ""
-		_, seam := routerSeams[name]
+		_, seam := seams[name]
 		switch {
-		case !reachable && !seam:
-			t.Errorf("registry.Router.%s is called by no non-test code outside package registry and implements no method of registry.API or registry.ChangeFeeder: call it from a binary, list it in routerSeams with its reason, or delete it", name)
-		case reachable && seam:
-			t.Errorf("registry.Router.%s is listed in routerSeams and is reachable: drop it from the list", name)
+		case !fn.reached && !seam:
+			unreached = append(unreached, name+" ("+fn.pos+")")
+		case fn.reached && seam:
+			t.Errorf("%s is listed in seams and is reachable: drop it from the list", name)
 		}
 	}
-	for name := range routerSeams {
-		if !defined[name] {
-			t.Errorf("routerSeams lists %s, which registry.Router does not have", name)
+	sort.Strings(unreached)
+	for _, name := range unreached {
+		t.Errorf("%s is reached from no binary, example or geobench, and implements no interface method: call it from live code, list it in seams with the test that needs it, or delete it", name)
+	}
+	for name := range seams {
+		if _, ok := funcs[name]; part(name) && !ok {
+			t.Errorf("seams lists %s, which is not defined", name)
 		}
 	}
+}
+
+// isOption reports whether name is a package-level With* option.
+func isOption(name string) bool {
+	pkg, fn, _ := strings.Cut(name, ".")
+	return pkg != "" && !strings.Contains(fn, ".") && strings.HasPrefix(fn, "With")
+}
+
+// isRouterMethod reports whether name is a method of *registry.Router.
+func isRouterMethod(name string) bool {
+	return strings.HasPrefix(name, "registry.Router.")
+}
+
+// TestOptionsAreReachable holds every exported With* option under internal/ to
+// the reachability rule.
+func TestOptionsAreReachable(t *testing.T) {
+	checkReachable(t, isOption)
+}
+
+// TestRouterMethodsAreReachable holds the exported methods of *registry.Router
+// to the reachability rule.
+func TestRouterMethodsAreReachable(t *testing.T) {
+	checkReachable(t, isRouterMethod)
+}
+
+// TestExportedFuncsAreReachable holds every other exported function and method
+// under internal/ to the reachability rule.
+func TestExportedFuncsAreReachable(t *testing.T) {
+	checkReachable(t, func(name string) bool { return !isOption(name) && !isRouterMethod(name) })
 }
