@@ -31,9 +31,9 @@
 // and ls fan out as one sub-batch per shard). Placement is derived from the
 // listing order, so pass the addresses in the same order the site's routing
 // tier uses — otherwise single-key commands consult the wrong shard. For a
-// replicated tier, pass the deployment's -replication factor (and its
-// -write-concern) too so writes reach every replica and reads fail over the
-// same way the server-side router does.
+// replicated tier, pass the deployment's -replication factor too so writes
+// reach every replica and reads fail over the same way the server-side
+// router does.
 //
 // The -cache flag interposes a feed-coherent near cache (internal/readcache)
 // between the commands and the wire: repeated reads within one invocation are
@@ -94,8 +94,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "registry server address")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard server addresses; commands run against a client-side routing tier instead of -addr")
 	replication := flag.Int("replication", 1, "replication factor of the sharded tier targeted via -shard-addrs (must match the deployment)")
-	var writeConcern registry.WriteConcern
-	flag.Var(&writeConcern, "write-concern", "replicated-write acknowledgement rule: all (default) or quorum (must match the deployment)")
 	pool := flag.Int("pool", rpc.DefaultPoolSize, "connection-pool size towards the server")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-operation deadline, propagated to the server")
 	metricsAddr := flag.String("metrics-addr", "127.0.0.1:9090", "metaserver metrics endpoint (for the stats command)")
@@ -201,9 +199,7 @@ func main() {
 				apis[i] = registry.Unavailable(site)
 			}
 		}
-		router, err := registry.NewRouter(site, apis,
-			registry.WithRouterReplication(*replication),
-			registry.WithRouterWriteConcern(writeConcern))
+		router, err := registry.NewRouter(site, apis, registry.WithRouterReplication(*replication))
 		if err != nil {
 			fatal(err)
 		}

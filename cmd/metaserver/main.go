@@ -12,7 +12,7 @@
 //     metaserver processes (typically plain single-instance ones) reached
 //     over RPC, so one site scales across machines;
 //   - -replication R (with either tier) stores every key on R shards of the
-//     tier: writes fan out to all R replicas (-write-concern all|quorum),
+//     tier: a write succeeds only when all R replicas acknowledge it,
 //     reads fail over down the replica list, and a per-shard health breaker
 //     plus background probe keeps routing away from crashed shards until a
 //     re-sync sweep repairs them — the site serves its whole key range
@@ -91,6 +91,7 @@ import (
 	"geomds/internal/feed"
 	"geomds/internal/limits"
 	"geomds/internal/metrics"
+	"geomds/internal/registry"
 	"geomds/internal/rpc"
 	"geomds/internal/site"
 )
@@ -129,7 +130,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	)
 	fs.IntVar(&cfg.Shards, "shards", 1, "serve a sharded tier of this many in-process registry instances behind a router (1 = single instance)")
 	fs.IntVar(&cfg.Replication, "replication", 1, "store every key on this many shards of the tier (writes fan out, reads fail over; 1 = single-home placement)")
-	fs.Var(&cfg.WriteConcern, "write-concern", "replicated-write acknowledgement rule: all (every replica, the default) or quorum (majority)")
+	fs.Var(new(registry.WriteConcern), "write-concern", "replicated-write acknowledgement rule: all (every replica must acknowledge; the only value)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "persist the registry to a write-ahead log under this directory and recover from it on start; empty keeps the registry in memory")
 	fs.Var(&cfg.Fsync, "fsync", "write-ahead log fsync policy with -data-dir: always (sync every append, the default) or never (sync only at snapshot and shutdown)")
 	fs.BoolVar(&cfg.Feed, "feed", false, "publish every committed put and delete on a change feed served to Watch subscribers (metactl watch)")

@@ -205,7 +205,7 @@ func TestRunRefusesGeneration1DataDir(t *testing.T) {
 }
 
 // TestRunRefusesBadFlags: configuration errors come back from run rather than
-// killing the process, and -ha is gone.
+// killing the process, -ha is gone, and -write-concern accepts only all.
 func TestRunRefusesBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -214,7 +214,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		{[]string{"-ha"}, "flag provided but not defined"},
 		{[]string{"-replication", "2"}, "requires a sharded tier"},
 		{[]string{"-shard-addrs", " , "}, "names no shard"},
-		{[]string{"-write-concern", "some"}, "all or quorum"},
+		{[]string{"-write-concern", "quorum"}, "must be all"},
 		{[]string{"-fsync", "sometimes"}, "fsync"},
 		{[]string{"-cache", "-cache-staleness", "-1s"}, "staleness"},
 		{[]string{"-tenant-config", "/nonexistent/tenants.json"}, "-tenant-config"},

@@ -31,7 +31,7 @@
 // Placement can be replicated: registry.WithRouterReplication(r)
 // (site.Config.Replication, metaserver -replication) stores every key on
 // the first r distinct shards of its consistent-hash successor list —
-// writes fan out to all r replicas under an all-or-quorum write concern,
+// a write succeeds only when all r replicas acknowledge it,
 // reads fail over down the replica list, and a per-shard health breaker
 // with a background probe routes around crashed shards until an automatic
 // re-sync sweep repairs them, so a site serves its whole key range through

@@ -127,7 +127,7 @@ func (fs *feedSyncer) consume(ctx context.Context) {
 }
 
 // relay enqueues the micro-batch's primary mutations into the propagator,
-// moves the cursors past them, and flushes.
+// flushes, and moves the cursors past them.
 func (fs *feedSyncer) relay(ctx context.Context, batch []feed.SourceEvent) {
 	last := make(map[string]uint64, 2)
 	var oldest int64 // earliest commit nanos among the enqueued events, for the lag sample
@@ -166,9 +166,17 @@ func (fs *feedSyncer) relay(ctx context.Context, batch []feed.SourceEvent) {
 			oldest = sev.Event.Commit
 		}
 	}
-	// The cursors move once the events are in the propagator, not once they
-	// are applied: a shipment that fails below stays pending there, and Flush
-	// reports it.
+	if oldest != 0 {
+		applied, err := fs.out.flush(ctx)
+		fs.appliedC.Add(int64(applied))
+		if err == nil && applied > 0 {
+			fs.lag.ObserveDuration(time.Since(time.Unix(0, oldest)))
+		}
+	}
+	// The cursors move once this relay's flush is over, applied or not: a
+	// shipment that failed stays pending in the propagator, and Flush reports
+	// it. Moving them earlier would let a Flush drain the events first, so
+	// it returned before their lag sample, or with none taken.
 	fs.mu.Lock()
 	for source, seq := range last {
 		if seq > fs.cursor[source] {
@@ -176,14 +184,6 @@ func (fs *feedSyncer) relay(ctx context.Context, batch []feed.SourceEvent) {
 		}
 	}
 	fs.mu.Unlock()
-	if oldest == 0 {
-		return
-	}
-	applied, err := fs.out.flush(ctx)
-	fs.appliedC.Add(int64(applied))
-	if err == nil && applied > 0 {
-		fs.lag.ObserveDuration(time.Since(time.Unix(0, oldest)))
-	}
 }
 
 // Flush blocks until every event committed before the call has been applied:

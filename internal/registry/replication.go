@@ -24,8 +24,9 @@ import (
 // tier has nowhere correct to re-route to, so it keeps routing to the key's
 // only home and surfaces that shard's own error.
 //
-// Writes fan out to every replica and fold the acknowledgements under the
-// configured WriteConcern. Reads try the primary and fail over down the
+// Writes fan out to every replica and succeed only when every replica
+// acknowledges; replicas that were reached stay applied when another fails.
+// Reads try the primary and fail over down the
 // replica list on transport errors; an answering replica's ErrNotFound is
 // authoritative — except while a re-sync sweep is moving entries back from
 // substitutes, when the whole tier is consulted. Bulk operations keep the one-frame-per-shard
@@ -155,37 +156,6 @@ func others(refs []shardRef, i int) []shardRef {
 	return slices.Delete(slices.Clone(refs), i, i+1)
 }
 
-// ackNeed returns how many replica acknowledgements a write over nTargets
-// replicas needs under the configured concern.
-func (r *Router) ackNeed(nTargets int) int {
-	if r.concern == WriteQuorum {
-		q := r.rep/2 + 1
-		if q > nTargets {
-			q = nTargets
-		}
-		return q
-	}
-	return nTargets
-}
-
-// ackOutcome folds replica acknowledgements into the caller-visible error:
-// under WriteAll every target must have acknowledged; under WriteQuorum a
-// majority of the replication factor suffices and the remaining failures are
-// suppressed (router_replica_write_errors_total) — the caller then schedules
-// a background repair for each failed replica (spawnRepair), with the
-// breaker/re-sync path as the backstop when the shard is truly down.
-// Replicas that were reached stay applied either way.
-func (r *Router) ackOutcome(op string, acks, targets int, errs []error) error {
-	if len(errs) == 0 {
-		return nil
-	}
-	if r.concern == WriteQuorum && acks >= r.ackNeed(targets) {
-		r.obs.replicaErrs.Add(int64(len(errs)))
-		return nil
-	}
-	return r.shardErr(op, errs)
-}
-
 // fanOut runs fn once per replica and returns when every call has finished.
 // The calls run concurrently, except that a one-member set — every single-key
 // write of an unreplicated tier — runs on the caller's goroutine.
@@ -206,10 +176,9 @@ func fanOut(refs []shardRef, fn func(i int, ref shardRef)) {
 }
 
 // fanOutPut upserts e at every given replica, reporting each outcome to the
-// health tracker. It returns the first successful stored entry, the
-// acknowledgement count, the per-shard failures, and the refs that failed
-// (for background repair when the failures end up quorum-suppressed).
-func (r *Router) fanOutPut(ctx context.Context, refs []shardRef, e Entry) (Entry, int, []error, []shardRef) {
+// health tracker. It returns the first successful stored entry and the
+// per-shard failures.
+func (r *Router) fanOutPut(ctx context.Context, refs []shardRef, e Entry) (Entry, []error) {
 	type result struct {
 		e   Entry
 		err error
@@ -223,22 +192,18 @@ func (r *Router) fanOutPut(ctx context.Context, refs []shardRef, e Entry) (Entry
 	var (
 		stored Entry
 		got    bool
-		acks   int
 		errs   []error
-		failed []shardRef
 	)
 	for i, res := range results {
 		if res.err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", refs[i].id, res.err))
-			failed = append(failed, refs[i])
 			continue
 		}
-		acks++
 		if !got {
 			stored, got = res.e, true
 		}
 	}
-	return stored, acks, errs, failed
+	return stored, errs
 }
 
 // forceNoteDeleted records deletion notes unconditionally. The delete paths
@@ -265,132 +230,22 @@ func (r *Router) forceNoteDeleted(names ...string) {
 		r.deletedDuringSweep[name] = true
 	}
 	// Pin the note table until a clean sweep reconciles every shard: the
-	// stale copy these notes guard against exists regardless of breaker,
-	// sweep, or repair state.
+	// stale copy these notes guard against exists regardless of breaker or
+	// sweep state.
 	r.staleNotes.Store(true)
 	r.delMu.Unlock()
 }
 
-// hasDeletionNote reports whether the name's deletion note still stands
-// (i.e. no write has re-established the name since).
-func (r *Router) hasDeletionNote(name string) bool {
-	r.delMu.Lock()
-	defer r.delMu.Unlock()
-	return r.deletedDuringSweep[name]
-}
-
-// Background replica-repair tuning: a failed replica write is retried this
-// many times before the repair is abandoned to the breaker/re-sync path.
-const (
-	repairRetries = 3
-	repairTimeout = 2 * time.Second
-)
-
-// spawnRepair retries one replica write that a quorum-acknowledged
-// operation could not apply. Suppressing the failure made the caller whole;
-// this makes the replica whole: without it, a transient single-call failure
-// (too short to open the breaker, so no re-sync sweep ever runs) would
-// leave the replica divergent forever — serving a stale entry, or a deleted
-// one, from the primary position. If the shard keeps failing, the retries
-// feed its breaker and the recovery re-sync finishes the job. Router.Wait
-// covers in-flight repairs. The repair holds the repairsPending guard for
-// its lifetime, so deletions issued meanwhile are noted and the repair's
-// note check can see them.
-func (r *Router) spawnRepair(id cloud.SiteID, do func(context.Context) error) {
-	r.sweeps.Add(1)
-	r.repairsPending.Add(1)
-	go func() {
-		defer r.sweeps.Done()
-		defer r.endRepairWindow()
-		for attempt := 0; attempt < repairRetries; attempt++ {
-			ctx, cancel := context.WithTimeout(context.Background(), repairTimeout)
-			err := do(ctx)
-			cancel()
-			r.report(id, err)
-			if err == nil || !errors.Is(err, ErrUnavailable) {
-				return
-			}
-			time.Sleep(time.Duration(attempt+1) * 25 * time.Millisecond)
-		}
-		// Abandoned: the replica still diverges. Pin the note table (before
-		// this goroutine's guard hold is released) so a deletion this repair
-		// would have applied stays noted until a clean sweep reconciles the
-		// shard.
-		r.staleNotes.Store(true)
-		r.obs.repairFails.Inc()
-	}()
-}
-
-// repairEntry re-applies one stored entry at a replica that missed its
-// write, via Merge (idempotent; locations are unioned, so a repair racing a
-// newer write cannot clobber it).
-func (r *Router) repairEntry(ref shardRef, stored Entry) {
-	r.spawnRepair(ref.id, func(ctx context.Context) error {
-		if r.hasDeletionNote(stored.Name) {
-			return nil // deleted since; re-merging would resurrect it
-		}
-		_, err := ref.api.Merge(ctx, []Entry{stored})
-		return err
-	})
-}
-
-// repairDeletion re-applies one deletion at a replica that missed it,
-// unless a write has re-established the name since.
-func (r *Router) repairDeletion(ref shardRef, name string) {
-	r.spawnRepair(ref.id, func(ctx context.Context) error {
-		if !r.hasDeletionNote(name) {
-			return nil // re-created since; the deletion no longer stands
-		}
-		_, err := ref.api.DeleteMany(ctx, []string{name})
-		return err
-	})
-}
-
-// repairBatch re-merges a failed shard's bulk sub-batch in the background,
-// skipping names whose deletion note stands (deleted since the write).
-func (r *Router) repairBatch(ref shardRef, sub []Entry) {
-	r.spawnRepair(ref.id, func(ctx context.Context) error {
-		kept := make([]Entry, 0, len(sub))
-		for _, e := range sub {
-			if !r.hasDeletionNote(e.Name) {
-				kept = append(kept, e)
-			}
-		}
-		if len(kept) == 0 {
-			return nil
-		}
-		_, err := ref.api.Merge(ctx, kept)
-		return err
-	})
-}
-
-// repairBatchDeletion re-applies the deletions of a failed bulk sub-batch,
-// skipping names a write has re-established since.
-func (r *Router) repairBatchDeletion(ref shardRef, names []string) {
-	r.spawnRepair(ref.id, func(ctx context.Context) error {
-		kept := make([]string, 0, len(names))
-		for _, name := range names {
-			if r.hasDeletionNote(name) {
-				kept = append(kept, name)
-			}
-		}
-		if len(kept) == 0 {
-			return nil
-		}
-		_, err := ref.api.DeleteMany(ctx, kept)
-		return err
-	})
-}
-
-// reassertDeletion restores the protection a failed write removed: the name
-// was deleted while a sweep was active or a shard was down, the write that
-// cleared its note did not take effect, so the deletion must stand. The note
-// is re-recorded and the name purged everywhere, best-effort — the in-flight
-// sweep may have merged a stale copy during the window the note was gone.
-func (r *Router) reassertDeletion(ctx context.Context, name string) {
-	r.noteDeleted(name)
+// reassertDeletion restores the protection a failed write removed: the names
+// were deleted while a sweep was active or a shard was down, the write that
+// cleared their notes did not take effect, so the deletions must stand. The
+// notes are re-recorded and the names purged everywhere, best-effort — the
+// in-flight sweep may have merged a stale copy during the window the notes
+// were gone.
+func (r *Router) reassertDeletion(ctx context.Context, names ...string) {
+	r.noteDeleted(names...)
 	for _, api := range r.shards {
-		api.DeleteMany(ctx, []string{name}) //nolint:errcheck // best-effort re-assertion of the standing deletion
+		api.DeleteMany(ctx, names) //nolint:errcheck // best-effort re-assertion of the standing deletion
 	}
 }
 
@@ -420,9 +275,8 @@ func (r *Router) reanchor(ctx context.Context, wrote []shardRef, stored Entry) {
 // orphan it.
 func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
 	refs := r.replicaSet(e.Name)
-	defer r.repairWindow()()
 	gen := r.sweepGen.Load()
-	noted := r.clearDeleted(e.Name)
+	noted := r.clearDeleted(e.Name) != nil
 
 	var (
 		stored    Entry
@@ -462,12 +316,8 @@ func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
 		return Entry{}, createErr
 	}
 
-	_, acks, perrs, failed := r.fanOutPut(ctx, others(refs, creator), stored)
-	if err := r.ackOutcome("create", acks+1, len(refs), perrs); err != nil {
-		return Entry{}, err
-	}
-	for _, ref := range failed { // quorum-suppressed: make the replicas whole
-		r.repairEntry(ref, stored)
+	if _, errs := r.fanOutPut(ctx, others(refs, creator), stored); errs != nil {
+		return Entry{}, r.shardErr("create", errs)
 	}
 	if r.sweepActive() || r.sweepGen.Load() != gen {
 		r.reanchor(ctx, refs, stored)
@@ -475,23 +325,19 @@ func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
 	return stored, nil
 }
 
-// Put implements API: the upsert fans out to every replica and the
-// acknowledgements fold under the write concern. Deletion notes and a racing
-// recovery are handled as in Create.
+// Put implements API: the upsert fans out to every replica, and every one
+// must acknowledge. Deletion notes and a racing recovery are handled as in
+// Create.
 func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
 	refs := r.replicaSet(e.Name)
-	defer r.repairWindow()()
 	gen := r.sweepGen.Load()
 	noted := r.clearDeleted(e.Name)
-	stored, acks, errs, failed := r.fanOutPut(ctx, refs, e)
-	if err := r.ackOutcome("put", acks, len(refs), errs); err != nil {
-		if noted {
-			r.reassertDeletion(ctx, e.Name)
+	stored, errs := r.fanOutPut(ctx, refs, e)
+	if errs != nil {
+		if noted != nil {
+			r.reassertDeletion(ctx, noted...)
 		}
-		return Entry{}, err
-	}
-	for _, ref := range failed { // quorum-suppressed: make the replicas whole
-		r.repairEntry(ref, stored)
+		return Entry{}, r.shardErr("put", errs)
 	}
 	if r.sweepActive() || r.sweepGen.Load() != gen {
 		r.reanchor(ctx, refs, stored)
@@ -503,7 +349,6 @@ func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
 // the first replica that answers — and its result is replicated as an upsert.
 func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
 	refs := r.replicaSet(name)
-	defer r.repairWindow()()
 	var (
 		stored Entry
 		uerr   error
@@ -525,12 +370,8 @@ func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (En
 	if uerr != nil {
 		return Entry{}, r.shardErr("add-location", errs)
 	}
-	_, acks, perrs, failed := r.fanOutPut(ctx, others(refs, at), stored)
-	if err := r.ackOutcome("add-location", acks+1, len(refs), perrs); err != nil {
-		return Entry{}, err
-	}
-	for _, ref := range failed { // quorum-suppressed: make the replicas whole
-		r.repairEntry(ref, stored)
+	if _, errs := r.fanOutPut(ctx, others(refs, at), stored); errs != nil {
+		return Entry{}, r.shardErr("add-location", errs)
 	}
 	return stored, nil
 }
@@ -541,7 +382,8 @@ func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (En
 // to every replica; while a sweep is in flight the remaining shards are
 // purged too, since copies written to substitutes during an outage may not
 // have been reconciled yet. A replica answering "not found" already agrees
-// with the deletion and counts as an acknowledgement.
+// with the deletion and counts as an acknowledgement; any other replica or
+// purge failure fails the delete.
 func (r *Router) Delete(ctx context.Context, name string) error {
 	refs := r.replicaSet(name)
 	gen := r.sweepGen.Load()
@@ -555,24 +397,19 @@ func (r *Router) Delete(ctx context.Context, name string) error {
 
 	var (
 		deleted  int // replicas that removed a present copy
-		agreed   int // replicas now in the deleted state (removed or already absent)
 		notFound error
 		errs     []error
-		failed   []shardRef
 	)
 	for i, derr := range results {
 		switch {
 		case derr == nil:
 			deleted++
-			agreed++
 		case errors.Is(derr, ErrNotFound):
-			agreed++
 			if notFound == nil {
 				notFound = derr
 			}
 		default:
 			errs = append(errs, fmt.Errorf("shard %d: %w", refs[i].id, derr))
-			failed = append(failed, refs[i])
 		}
 	}
 	if len(errs) > 0 {
@@ -588,34 +425,19 @@ func (r *Router) Delete(ctx context.Context, name string) error {
 	// note to respect: the deletion is noted again, and the purge covers the
 	// replicas as well — the sweep may have merged a not-yet-deleted
 	// replica's copy back onto one that had already deleted it.
-	var (
-		purged       int
-		purgeErrs    []error
-		failedPurges []shardRef
-	)
+	purged := 0
 	if raced := r.sweepGen.Load() != gen; raced || r.sweepActive() {
 		r.noteDeleted(name)
 		skip := refs
 		if raced {
 			skip = nil
 		}
-		purged, purgeErrs, failedPurges = r.purgeExcept(ctx, name, skip)
+		var purgeErrs []error
+		purged, purgeErrs = r.purgeExcept(ctx, name, skip)
+		errs = append(errs, purgeErrs...)
 	}
-
-	if err := r.ackOutcome("delete", agreed, len(refs), errs); err != nil {
-		return err
-	}
-	for _, ref := range failed { // quorum-suppressed: finish the deletion on the replica
-		r.repairDeletion(ref, name)
-	}
-	if len(purgeErrs) > 0 {
-		if r.concern != WriteQuorum {
-			return r.shardErr("delete", purgeErrs)
-		}
-		r.obs.replicaErrs.Add(int64(len(purgeErrs)))
-		for _, ref := range failedPurges {
-			r.repairDeletion(ref, name)
-		}
+	if errs != nil {
+		return r.shardErr("delete", errs)
 	}
 	if deleted+purged == 0 {
 		return notFound
@@ -625,19 +447,14 @@ func (r *Router) Delete(ctx context.Context, name string) error {
 
 // purgeExcept removes the name from every reachable shard not in skip, one
 // concurrent DeleteMany per shard, returning how many copies went plus the
-// failures. Purges are accounted apart from the replica fan-out: a successful
-// purge is not a replica acknowledgement, and a failed purge must not cost
-// the quorum a vote — the deletion note already guarantees no sweep can
-// resurrect the copy the purge missed. Shards with open breakers are skipped
-// for the same reason Entries skips them: purging a down shard can only fail,
-// and its stale copy is handled by the note-aware re-sync sweep when it
-// returns.
-func (r *Router) purgeExcept(ctx context.Context, name string, skip []shardRef) (int, []error, []shardRef) {
+// failures. Shards with open breakers are skipped for the same reason Entries
+// skips them: purging a down shard can only fail, and its stale copy is
+// handled by the note-aware re-sync sweep when it returns.
+func (r *Router) purgeExcept(ctx context.Context, name string, skip []shardRef) (int, []error) {
 	var (
 		mu     sync.Mutex
 		purged int
 		errs   []error
-		failed []shardRef
 		wg     sync.WaitGroup
 	)
 	for _, ref := range r.reachableShards() {
@@ -652,14 +469,13 @@ func (r *Router) purgeExcept(ctx context.Context, name string, skip []shardRef) 
 			defer mu.Unlock()
 			if derr != nil {
 				errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, derr))
-				failed = append(failed, ref)
 				return
 			}
 			purged += n
 		}()
 	}
 	wg.Wait()
-	return purged, errs, failed
+	return purged, errs
 }
 
 // Get implements API: the routed read, timed into router_read_latency_ns.
@@ -794,23 +610,18 @@ func bulkCountDivisor(rep int, homesOf [][]cloud.SiteID) int {
 
 // bulkWrite is the fan-out PutMany, DeleteMany and Merge share: one
 // sub-batch per group, issued concurrently by call (which returns the
-// shard's applied count), outcomes reported to the health tracker and folded
-// per input position under the write concern. Sub-batches that reached their
-// shard stay applied when another shard fails. Nothing failed: nil. Under
-// WriteQuorum, when every position still met its quorum, the failures are
-// suppressed and counted (router_replica_write_errors_total) and each failed
-// group is handed to repair; otherwise the error wraps every failed shard's
-// cause. The returned count divides the per-replica sum back out by the
-// home-set size, rounding up so partially-replicated names still count once.
-func (r *Router) bulkWrite(op string, groups map[cloud.SiteID]*repGroup, homesOf [][]cloud.SiteID, call func(*repGroup) (int, error), repair func(*repGroup)) (int, error) {
+// shard's applied count), outcomes reported to the health tracker. Sub-batches
+// that reached their shard stay applied when another shard fails, and the
+// error wraps every failed shard's cause. The returned count divides the
+// per-replica sum back out by the home-set size, rounding up so
+// partially-replicated names still count once.
+func (r *Router) bulkWrite(op string, groups map[cloud.SiteID]*repGroup, homesOf [][]cloud.SiteID, call func(*repGroup) (int, error)) (int, error) {
 	r.countBulk(len(groups))
 	var (
-		mu     sync.Mutex
-		total  int
-		acks   = make([]int, len(homesOf))
-		errs   []error
-		failed []*repGroup
-		wg     sync.WaitGroup
+		mu    sync.Mutex
+		total int
+		errs  []error
+		wg    sync.WaitGroup
 	)
 	for _, g := range groups {
 		wg.Add(1)
@@ -822,57 +633,35 @@ func (r *Router) bulkWrite(op string, groups map[cloud.SiteID]*repGroup, homesOf
 			defer mu.Unlock()
 			if err != nil {
 				errs = append(errs, fmt.Errorf("shard %d: %w", g.id, err))
-				failed = append(failed, g)
 				return
 			}
 			total += n
-			for _, pos := range g.idx {
-				acks[pos]++
-			}
 		}()
 	}
 	wg.Wait()
 
 	div := bulkCountDivisor(r.rep, homesOf)
-	count := (total + div - 1) / div
-	if len(errs) == 0 {
-		return count, nil
-	}
-	if r.concern == WriteQuorum {
-		quorate := true
-		for pos := range acks {
-			if acks[pos] < r.ackNeed(len(homesOf[pos])) {
-				quorate = false
-				break
-			}
-		}
-		if quorate {
-			r.obs.replicaErrs.Add(int64(len(errs)))
-			for _, g := range failed {
-				repair(g)
-			}
-			return count, nil
-		}
-	}
-	return count, r.shardErr(op, errs)
+	return (total + div - 1) / div, r.shardErr(op, errs)
 }
 
 // PutMany implements API: one combined sub-batch per shard across all
-// replica sets, stored entries returned in input order, partial failures
-// folded per entry under the write concern.
+// replica sets, stored entries returned in input order; a failure at any
+// replica fails the call. Like Put, it clears the batch's deletion notes
+// before the fan-out, so a sweep's cleanup cannot drop the acknowledged
+// entries as deleted, and re-asserts the notes it cleared if the write fails.
 func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
 	names := entryNames(entries)
 	groups, homesOf := r.groupReplicas(names)
-	defer r.repairWindow()()
 
 	var (
 		mu   sync.Mutex
 		out  = make([]Entry, len(entries))
 		have = make([]bool, len(entries))
 	)
+	noted := r.clearDeleted(names...)
 	_, err := r.bulkWrite("put-many", groups, homesOf, func(g *repGroup) (int, error) {
 		stored, serr := g.api.PutMany(ctx, pick(entries, g.idx))
 		if serr != nil {
@@ -886,16 +675,11 @@ func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) 
 			}
 		}
 		return len(stored), nil
-	}, func(g *repGroup) {
-		sub := pick(entries, g.idx)
-		for i, pos := range g.idx {
-			if have[pos] {
-				sub[i] = out[pos]
-			}
-		}
-		r.repairBatch(g.shardRef, sub)
 	})
 	if err != nil {
+		if noted != nil {
+			r.reassertDeletion(ctx, noted...)
+		}
 		return nil, err
 	}
 	return out, nil
@@ -920,26 +704,27 @@ func (r *Router) DeleteMany(ctx context.Context, names []string) (int, error) {
 			r.forceNoteDeleted(sub...)
 		}
 		return n, serr
-	}, func(g *repGroup) {
-		r.repairBatchDeletion(g.shardRef, pick(names, g.idx))
 	})
 }
 
 // Merge implements API: one sub-batch per shard, the number of applied
-// entries returned. Merge is idempotent, so on partial failure the caller
-// re-sends the whole batch on the next round.
+// entries returned, deletion notes handled as in PutMany. Merge is
+// idempotent, so on partial failure the caller re-sends the whole batch on
+// the next round.
 func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
 	names := entryNames(entries)
 	groups, homesOf := r.groupReplicas(names)
-	defer r.repairWindow()()
-	return r.bulkWrite("merge", groups, homesOf, func(g *repGroup) (int, error) {
+	noted := r.clearDeleted(names...)
+	n, err := r.bulkWrite("merge", groups, homesOf, func(g *repGroup) (int, error) {
 		return g.api.Merge(ctx, pick(entries, g.idx))
-	}, func(g *repGroup) {
-		r.repairBatch(g.shardRef, pick(entries, g.idx))
 	})
+	if err != nil && noted != nil {
+		r.reassertDeletion(ctx, noted...)
+	}
+	return n, err
 }
 
 // GetMany implements API: the found entries are returned in input order

@@ -577,63 +577,40 @@ func TestRouterShardOutageResync(t *testing.T) {
 	}
 }
 
-// TestRouterWriteConcernQuorum pins the difference between the two write
-// concerns under an unmarked replica failure: WriteAll surfaces it,
-// WriteQuorum suppresses it when a majority acked (and counts it).
+// TestRouterWriteConcernQuorum pins the write concern under an unmarked
+// replica failure. WriteAll is the one concern left (a quorum concern is not
+// offered): every replica must acknowledge, so a write that one dead replica
+// missed surfaces ErrUnavailable.
 func TestRouterWriteConcernQuorum(t *testing.T) {
 	ctx := context.Background()
-	for _, tc := range []struct {
-		concern WriteConcern
-		wantErr bool
-	}{
-		{WriteAll, true},
-		{WriteQuorum, false},
-	} {
-		t.Run(tc.concern.String(), func(t *testing.T) {
-			reg := metrics.NewRegistry()
-			// Threshold high enough that the dying replica is never marked
-			// down during the test: the failure stays a per-write surprise.
-			r, kills, _ := newReplicatedRouter(t, 4, 3,
-				WithRouterWriteConcern(tc.concern),
-				WithRouterMetrics(reg),
-				WithRouterHealth(10000, time.Hour))
+	t.Run(WriteAll.String(), func(t *testing.T) {
+		// Threshold high enough that the dying replica is never marked down
+		// during the test: the failure stays a per-write surprise.
+		r, kills, _ := newReplicatedRouter(t, 4, 3,
+			WithRouterWriteConcern(WriteAll),
+			WithRouterHealth(10000, time.Hour))
 
-			const victim = cloud.SiteID(2)
-			// A name replicated on the victim, but not primaried there — the
-			// create succeeds at the primary either way.
-			var name string
-			for i := 0; name == "" && i < 100000; i++ {
-				cand := fmt.Sprintf("rep/concern/%d", i)
-				refs := r.replicaSet(cand)
-				for _, ref := range refs[1:] {
-					if ref.id == victim {
-						name = cand
-					}
+		const victim = cloud.SiteID(2)
+		// A name replicated on the victim, but not primaried there — the
+		// write succeeds at the primary either way.
+		var name string
+		for i := 0; name == "" && i < 100000; i++ {
+			cand := fmt.Sprintf("rep/concern/%d", i)
+			refs := r.replicaSet(cand)
+			for _, ref := range refs[1:] {
+				if ref.id == victim {
+					name = cand
 				}
 			}
-			if name == "" {
-				t.Fatal("no candidate name replicates on the victim shard")
-			}
-			kills[victim].kill()
-			_, err := r.Put(ctx, testEntry(name))
-			if tc.wantErr {
-				if err == nil || !errors.Is(err, ErrUnavailable) {
-					t.Fatalf("WriteAll with a dead replica: want ErrUnavailable, got %v", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("WriteQuorum with a dead replica and 2/3 acks: %v", err)
-			}
-			if got := reg.Counter("router_replica_write_errors_total").Value(); got == 0 {
-				t.Fatal("quorum-suppressed replica failure not counted")
-			}
-			// The write is readable despite the dead replica.
-			if _, err := r.Get(ctx, name); err != nil {
-				t.Fatalf("get after quorum write: %v", err)
-			}
-		})
-	}
+		}
+		if name == "" {
+			t.Fatal("no candidate name replicates on the victim shard")
+		}
+		kills[victim].kill()
+		if _, err := r.Put(ctx, testEntry(name)); err == nil || !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("put with a dead replica: want ErrUnavailable, got %v", err)
+		}
+	})
 }
 
 // TestRouterReplicatedBulkOneFramePerShard extends the batching contract to
@@ -717,18 +694,17 @@ func nameReplicatedOn(t *testing.T, r *Router, shard cloud.SiteID, prefix string
 	return ""
 }
 
-// TestRouterQuorumDeleteNotResurrectedByResync pins the pre-breaker window:
-// a quorum-acknowledged delete whose replica failed *before* any breaker
-// opened must not be resurrected when that shard later cycles through a
-// down/up re-sync — the deletion note is recorded on the failed write
-// itself, not on breaker state.
-func TestRouterQuorumDeleteNotResurrectedByResync(t *testing.T) {
+// TestRouterFailedReplicaDeleteNotResurrectedByResync pins the pre-breaker
+// window: a delete whose replica failed *before* any breaker opened fails,
+// but the replicas it reached stay deleted, and the deletion must not be
+// resurrected when that shard later cycles through a down/up re-sync — the
+// deletion note is recorded on the failed write itself, not on breaker
+// state.
+func TestRouterFailedReplicaDeleteNotResurrectedByResync(t *testing.T) {
 	ctx := context.Background()
 	// Threshold high enough that nothing is ever marked down automatically:
 	// the replica failure stays a one-off surprise.
-	r, kills, insts := newReplicatedRouter(t, 4, 3,
-		WithRouterWriteConcern(WriteQuorum),
-		WithRouterHealth(10000, time.Hour))
+	r, kills, insts := newReplicatedRouter(t, 4, 3, WithRouterHealth(10000, time.Hour))
 
 	const victim = cloud.SiteID(1)
 	name := nameReplicatedOn(t, r, victim, "rep/prebreaker")
@@ -737,10 +713,9 @@ func TestRouterQuorumDeleteNotResurrectedByResync(t *testing.T) {
 	}
 
 	kills[victim].kill()
-	if err := r.Delete(ctx, name); err != nil {
-		t.Fatalf("quorum delete with one dead replica: %v", err)
+	if err := r.Delete(ctx, name); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("delete with one dead replica: want ErrUnavailable, got %v", err)
 	}
-	r.Wait() // background repair retries exhaust against the dead shard
 
 	// The shard cycles down and back up — stale copy in hand — and the
 	// re-sync sweep runs. The deletion must stand everywhere.
@@ -750,54 +725,12 @@ func TestRouterQuorumDeleteNotResurrectedByResync(t *testing.T) {
 	r.Wait()
 
 	if _, err := r.Get(ctx, name); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("quorum-acknowledged delete resurrected by resync: %v", err)
+		t.Fatalf("delete resurrected by resync: %v", err)
 	}
 	for id, inst := range insts {
 		if holds(t, inst, name) {
 			t.Fatalf("shard %d still holds the deleted entry after resync", id)
 		}
-	}
-}
-
-// TestRouterQuorumSuppressedFailureRepaired pins the transient-blip window:
-// a quorum-acknowledged write (and delete) whose replica failed without the
-// breaker ever opening is made whole by the background repair alone — no
-// sweep, no breaker cycle.
-func TestRouterQuorumSuppressedFailureRepaired(t *testing.T) {
-	ctx := context.Background()
-	r, kills, insts := newReplicatedRouter(t, 4, 3,
-		WithRouterWriteConcern(WriteQuorum),
-		WithRouterHealth(10000, time.Hour))
-
-	const victim = cloud.SiteID(2)
-	name := nameReplicatedOn(t, r, victim, "rep/blip")
-
-	// Write during a blip: the victim misses the Put, revives immediately,
-	// and the background repair delivers the entry.
-	kills[victim].kill()
-	if _, err := r.Put(ctx, testEntry(name)); err != nil {
-		t.Fatalf("quorum put with one dead replica: %v", err)
-	}
-	kills[victim].revive()
-	r.Wait()
-	if !holds(t, insts[victim], name) {
-		t.Fatal("blipped replica was not repaired after a quorum-suppressed put")
-	}
-
-	// Delete during a blip: the victim misses the deletion, revives, and
-	// the background repair finishes it — reads can never serve the stale
-	// copy from the primary position.
-	kills[victim].kill()
-	if err := r.Delete(ctx, name); err != nil {
-		t.Fatalf("quorum delete with one dead replica: %v", err)
-	}
-	kills[victim].revive()
-	r.Wait()
-	if holds(t, insts[victim], name) {
-		t.Fatal("blipped replica still holds the entry after a quorum-suppressed delete")
-	}
-	if _, err := r.Get(ctx, name); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("get after repaired delete: %v", err)
 	}
 }
 
@@ -834,41 +767,5 @@ func TestRouterReplicationLargerThanTier(t *testing.T) {
 	}
 	if deleted != n {
 		t.Fatalf("delete-many count with rep > shards: got %d, want %d", deleted, n)
-	}
-}
-
-// TestRouterRepairDoesNotResurrectDeletion pins the repair/delete race
-// guard: a background repair spawned by a quorum-suppressed write that
-// *preceded* a delete must not merge the entry back after the delete — the
-// write's repair window forces the delete to note itself, and the repair
-// stands down on the note.
-func TestRouterRepairDoesNotResurrectDeletion(t *testing.T) {
-	ctx := context.Background()
-	r, kills, insts := newReplicatedRouter(t, 4, 3,
-		WithRouterWriteConcern(WriteQuorum),
-		WithRouterHealth(10000, time.Hour))
-
-	const victim = cloud.SiteID(0)
-	name := nameReplicatedOn(t, r, victim, "rep/repairrace")
-
-	// The victim misses the put; a repair is spawned. Before it can land,
-	// the victim revives and the entry is deleted.
-	kills[victim].kill()
-	if _, err := r.Put(ctx, testEntry(name)); err != nil {
-		t.Fatalf("quorum put with one dead replica: %v", err)
-	}
-	kills[victim].revive()
-	if err := r.Delete(ctx, name); err != nil {
-		t.Fatalf("delete racing the repair: %v", err)
-	}
-	r.Wait() // repairs drain
-
-	if _, err := r.Get(ctx, name); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("repair resurrected the deletion: %v", err)
-	}
-	for id, inst := range insts {
-		if holds(t, inst, name) {
-			t.Fatalf("shard %d holds the deleted entry after the repair drained", id)
-		}
 	}
 }

@@ -35,8 +35,8 @@ import (
 // Placement has one rule, parameterised by the replication factor R
 // (WithRouterReplication, default 1): every key lives on its replica set, the
 // first R distinct shards of its consistent-hash successor list
-// (dht.Placer.Homes), primary first. Writes fan out to all R homes
-// (all-or-quorum, WithRouterWriteConcern), single-key reads try the primary
+// (dht.Placer.Homes), primary first. Writes fan out to all R homes and
+// succeed only when every one acknowledges, single-key reads try the primary
 // and fail over down the replica list on transport errors, and a shard that
 // is primary for some keys of a bulk call and replica for others receives one
 // combined frame. The paper's single-home tier is R = 1, a replica set of
@@ -50,8 +50,7 @@ import (
 // nowhere correct to re-route to, so report does not feed the breaker,
 // replicaIDs and reachableShards keep down shards in placement,
 // forceNoteDeleted records no failed delete (the caller was told, and
-// nothing would ever unpin the note table),
-// NewRouter reads every write concern as WriteAll, sweepShard skips the
+// nothing would ever unpin the note table), sweepShard skips the
 // noted-name cleanup (no second replica to restore a raced write from), and
 // Len can sum the shard sizes. docs/ARCHITECTURE.md tabulates each with its
 // reason.
@@ -83,42 +82,30 @@ type Router struct {
 	shards []API
 
 	// rep is the replication factor — the size of every key's replica set, 1
-	// by default; concern is the write acknowledgement rule. health is the
-	// per-shard breaker tier; it is always present, but only rep > 1 routing
-	// feeds it and skips shards whose breaker is open (with one home per key
-	// there is nowhere correct to re-route to).
-	rep     int
-	concern WriteConcern
-	health  *healthTracker
+	// by default. health is the per-shard breaker tier; it is always present,
+	// but only rep > 1 routing feeds it and skips shards whose breaker is open
+	// (with one home per key there is nowhere correct to re-route to).
+	rep    int
+	health *healthTracker
 
-	// sweeps counts every sweep from sweepBegin to sweepEnd plus every
-	// background repair (see Wait); sweeping counts the active sweeps alone
-	// so the hot path can cheaply tell whether entries may currently live
-	// away from their home shards. It is raised *before* a recovering
-	// shard's breaker closes and lowered only when the sweep (including
-	// retries) is over, so there is no window in which the shard is back in
-	// placement but the mitigations below are inactive. sweepGen increments
-	// on every sweepBegin: single-key fast paths snapshot it before their
-	// shard call and re-check it afterwards, catching even a sweep that
-	// started *and finished* while their call was in flight.
+	// sweeps counts every sweep from sweepBegin to sweepEnd (see Wait);
+	// sweeping counts the active sweeps alone so the hot path can cheaply
+	// tell whether entries may currently live away from their home shards.
+	// It is raised *before* a recovering shard's breaker closes and lowered
+	// only when the sweep (including retries) is over, so there is no window
+	// in which the shard is back in placement but the mitigations below are
+	// inactive. sweepGen increments on every sweepBegin: single-key fast
+	// paths snapshot it before their shard call and re-check it afterwards,
+	// catching even a sweep that started *and finished* while their call was
+	// in flight.
 	sweeps   sync.WaitGroup
 	sweeping atomic.Int32
 	sweepGen atomic.Uint64
 
-	// repairsPending counts quorum-mode write fan-outs and their spawned
-	// background repairs. While it is positive, deletions note themselves
-	// (see noteDeleted): a repair that lost a race against a delete then
-	// finds the note and stands down instead of merging the deleted entry
-	// back — without the guard, a repair spawned by a write that preceded
-	// the delete could resurrect it. The guard is raised before the write's
-	// fan-out begins, so there is no window in which a repair can be pending
-	// and a delete unaware of it.
-	repairsPending atomic.Int32
-
 	// staleNotes is set whenever a deletion is force-noted (a replica failed
 	// to apply it, so a stale copy exists somewhere regardless of breaker or
-	// sweep state) or a background repair or sweep is abandoned (it may have
-	// left such a copy), and cleared only by a clean full sweep — the point at
+	// sweep state) or a background sweep is abandoned (it may have left such
+	// a copy), and cleared only by a clean full sweep — the point at
 	// which every shard has been reconciled against the notes. While set,
 	// the note table is never cleared.
 	staleNotes atomic.Bool
@@ -149,75 +136,57 @@ var _ API = (*Router)(nil)
 // routerObs holds the router's observability instruments, resolved once at
 // construction. All fields tolerate being nil (instrumentation disabled).
 type routerObs struct {
-	shardsG     *metrics.Gauge     // router_shards: active shards in placement
-	replicaG    *metrics.Gauge     // router_replication: configured replication factor
-	bulkOps     *metrics.Counter   // router_bulk_ops_total: bulk calls on the router
-	subBatches  *metrics.Counter   // router_subbatches_total: per-shard sub-batches issued
-	migrated    *metrics.Counter   // router_migrated_entries_total: off-home copies moved by sweeps
-	repaired    *metrics.Counter   // router_repaired_entries_total: replica copies (re)written by sweeps
-	sweepsC     *metrics.Counter   // router_sweeps_total: re-sync sweeps completed
-	sweepFails  *metrics.Counter   // router_sweep_failures_total: background sweeps abandoned after retries
-	resyncs     *metrics.Counter   // router_resync_sweeps_total: sweeps triggered by a shard recovering
-	failovers   *metrics.Counter   // router_failover_reads_total: reads served by a non-primary replica
-	replicaErrs *metrics.Counter   // router_replica_write_errors_total: write failures suppressed by the quorum concern
-	repairFails *metrics.Counter   // router_replica_repair_failures_total: background replica repairs abandoned after retries
-	suppressed  *metrics.Counter   // router_suppressed_errors_total: errors swallowed by best-effort ops
-	readLat     *metrics.Histogram // router_read_latency_ns: answered single-key Gets, end to end
+	shardsG    *metrics.Gauge     // router_shards: active shards in placement
+	replicaG   *metrics.Gauge     // router_replication: configured replication factor
+	bulkOps    *metrics.Counter   // router_bulk_ops_total: bulk calls on the router
+	subBatches *metrics.Counter   // router_subbatches_total: per-shard sub-batches issued
+	migrated   *metrics.Counter   // router_migrated_entries_total: off-home copies moved by sweeps
+	repaired   *metrics.Counter   // router_repaired_entries_total: replica copies (re)written by sweeps
+	sweepsC    *metrics.Counter   // router_sweeps_total: re-sync sweeps completed
+	sweepFails *metrics.Counter   // router_sweep_failures_total: background sweeps abandoned after retries
+	resyncs    *metrics.Counter   // router_resync_sweeps_total: sweeps triggered by a shard recovering
+	failovers  *metrics.Counter   // router_failover_reads_total: reads served by a non-primary replica
+	suppressed *metrics.Counter   // router_suppressed_errors_total: errors swallowed by best-effort ops
+	readLat    *metrics.Histogram // router_read_latency_ns: answered single-key Gets, end to end
 }
 
 func newRouterObs(reg *metrics.Registry) routerObs {
 	return routerObs{
-		shardsG:     reg.Gauge("router_shards"),
-		replicaG:    reg.Gauge("router_replication"),
-		bulkOps:     reg.Counter("router_bulk_ops_total"),
-		subBatches:  reg.Counter("router_subbatches_total"),
-		migrated:    reg.Counter("router_migrated_entries_total"),
-		repaired:    reg.Counter("router_repaired_entries_total"),
-		sweepsC:     reg.Counter("router_sweeps_total"),
-		sweepFails:  reg.Counter("router_sweep_failures_total"),
-		resyncs:     reg.Counter("router_resync_sweeps_total"),
-		failovers:   reg.Counter("router_failover_reads_total"),
-		replicaErrs: reg.Counter("router_replica_write_errors_total"),
-		repairFails: reg.Counter("router_replica_repair_failures_total"),
-		suppressed:  reg.Counter("router_suppressed_errors_total"),
-		readLat:     reg.Histogram("router_read_latency_ns"),
+		shardsG:    reg.Gauge("router_shards"),
+		replicaG:   reg.Gauge("router_replication"),
+		bulkOps:    reg.Counter("router_bulk_ops_total"),
+		subBatches: reg.Counter("router_subbatches_total"),
+		migrated:   reg.Counter("router_migrated_entries_total"),
+		repaired:   reg.Counter("router_repaired_entries_total"),
+		sweepsC:    reg.Counter("router_sweeps_total"),
+		sweepFails: reg.Counter("router_sweep_failures_total"),
+		resyncs:    reg.Counter("router_resync_sweeps_total"),
+		failovers:  reg.Counter("router_failover_reads_total"),
+		suppressed: reg.Counter("router_suppressed_errors_total"),
+		readLat:    reg.Histogram("router_read_latency_ns"),
 	}
 }
 
-// WriteConcern selects how many replica acknowledgements a write needs when
-// the router replicates placement (WithRouterReplication).
+// WriteConcern names the replicated-write acknowledgement rule. There is one:
+// WriteAll, every replica acknowledges or the write fails. The type remains
+// only as the value of metaserver's -write-concern flag and of
+// WithRouterWriteConcern, which geobench still passes.
 type WriteConcern int
 
-const (
-	// WriteAll (the default) requires every targeted replica to acknowledge;
-	// any replica failure surfaces as an error (replicas that were reached
-	// stay applied, matching bulk partial-failure semantics).
-	WriteAll WriteConcern = iota
-	// WriteQuorum requires a majority of the replication factor. Failures
-	// beyond the quorum are suppressed (router_replica_write_errors_total)
-	// and repaired by the next re-sync sweep.
-	WriteQuorum
-)
+// WriteAll requires every targeted replica to acknowledge; any replica
+// failure surfaces as an error (replicas that were reached stay applied).
+const WriteAll WriteConcern = 0
 
-// String returns the concern's flag spelling ("all", "quorum").
-func (c WriteConcern) String() string {
-	if c == WriteQuorum {
-		return "quorum"
-	}
-	return "all"
-}
+// String returns the concern's flag spelling, "all".
+func (WriteConcern) String() string { return "all" }
 
 // Set parses the flag spelling, making *WriteConcern a flag.Value (the
-// -write-concern flag of metaserver and metactl).
+// -write-concern flag of metaserver). Only "all" is accepted.
 func (c *WriteConcern) Set(s string) error {
-	switch s {
-	case "all":
-		*c = WriteAll
-	case "quorum":
-		*c = WriteQuorum
-	default:
-		return fmt.Errorf("registry: write concern must be all or quorum, got %q", s)
+	if s != "all" {
+		return fmt.Errorf("registry: write concern must be all, got %q", s)
 	}
+	*c = WriteAll
 	return nil
 }
 
@@ -227,7 +196,6 @@ type RouterOption func(*routerConfig)
 type routerConfig struct {
 	metrics         *metrics.Registry
 	replication     int
-	concern         WriteConcern
 	healthThreshold int
 	probeInterval   time.Duration
 }
@@ -255,10 +223,10 @@ func WithRouterReplication(r int) RouterOption {
 	}
 }
 
-// WithRouterWriteConcern selects the acknowledgement rule for replicated
-// writes (default WriteAll). It has no effect without WithRouterReplication.
-func WithRouterWriteConcern(w WriteConcern) RouterOption {
-	return func(c *routerConfig) { c.concern = w }
+// WithRouterWriteConcern has no effect: WriteAll is the only rule. It remains
+// because geobench still passes it.
+func WithRouterWriteConcern(WriteConcern) RouterOption {
+	return func(*routerConfig) {}
 }
 
 // WithRouterHealth tunes the per-shard breaker: threshold is the number of
@@ -288,21 +256,14 @@ func NewRouter(site cloud.SiteID, shards []API, opts ...RouterOption) (*Router, 
 	for i := range shards {
 		ids[i] = cloud.SiteID(i)
 	}
-	rep, concern := cfg.replication, cfg.concern
-	if rep <= 1 {
-		// A replica set of one has no majority short of all of it: the write
-		// concern has no effect without replication, so a one-home tier never
-		// suppresses a failure or spawns a repair.
-		rep, concern = 1, WriteAll
-	}
+	rep := max(cfg.replication, 1)
 	r := &Router{
-		site:    site,
-		placer:  dht.NewRingPlacer(ids, 0),
-		shards:  slices.Clone(shards),
-		rep:     rep,
-		concern: concern,
-		health:  newHealthTracker(len(shards), cfg.healthThreshold, cfg.probeInterval, cfg.metrics),
-		obs:     newRouterObs(cfg.metrics),
+		site:   site,
+		placer: dht.NewRingPlacer(ids, 0),
+		shards: slices.Clone(shards),
+		rep:    rep,
+		health: newHealthTracker(len(shards), cfg.healthThreshold, cfg.probeInterval, cfg.metrics),
+		obs:    newRouterObs(cfg.metrics),
 	}
 	r.health.probe = r.probeShard
 	// A recovering shard re-enters placement missing everything written while
@@ -480,13 +441,10 @@ func (r *Router) sweepBegin() {
 // note table must not be cleared): while a sweep is in flight (a stale
 // source copy is in some sweep's hands), while a shard's breaker is open
 // (the down shard holds stale copies of everything deleted during its
-// outage), while a quorum write or its background repair is pending (the
-// repair must be able to see that the entry it would re-merge was deleted),
-// or while a force-noted deletion awaits a clean sweep (a replica missed it
-// and holds a stale copy no counter tracks). Callers hold delMu.
+// outage), or while a force-noted deletion awaits a clean sweep (a replica
+// missed it and holds a stale copy no counter tracks). Callers hold delMu.
 func (r *Router) notesNeeded() bool {
-	return r.sweeping.Load() > 0 || r.repairsPending.Load() > 0 ||
-		r.staleNotes.Load() || r.health.anyDown()
+	return r.sweeping.Load() > 0 || r.staleNotes.Load() || r.health.anyDown()
 }
 
 // sweepEnd retires one sweep, clearing the deletion notes when nothing needs
@@ -516,43 +474,22 @@ func (r *Router) noteDeleted(names ...string) {
 	r.delMu.Unlock()
 }
 
-// repairWindow raises the repairsPending guard for one quorum-mode write:
-// from before its fan-out until after its repairs (if any) are spawned,
-// deletions note themselves so an eventual repair cannot resurrect them.
-// The returned release must be called after any spawnRepair calls; each
-// spawned repair holds its own count until it finishes. Under WriteAll no
-// repairs are ever spawned, so the guard is a no-op.
-func (r *Router) repairWindow() func() {
-	if r.concern != WriteQuorum {
-		return func() {}
-	}
-	r.repairsPending.Add(1)
-	return r.endRepairWindow
-}
-
-// endRepairWindow drops one hold on the repair guard, clearing the deletion
-// notes when it was the last and nothing else needs them.
-func (r *Router) endRepairWindow() {
-	r.delMu.Lock()
-	if r.repairsPending.Add(-1) == 0 && !r.notesNeeded() {
-		r.deletedDuringSweep = nil
-	}
-	r.delMu.Unlock()
-}
-
-// clearDeleted forgets the deletion note for a name a write is about to
-// re-establish, so a sweep's post-merge check cannot undo a fresh
-// Create/Put. It reports whether a note existed, so a failed write can
-// restore exactly the protection it removed — and never invent a note for a
-// name that was not deleted.
-func (r *Router) clearDeleted(name string) bool {
+// clearDeleted forgets the deletion notes for names a write is about to
+// re-establish, so a sweep's post-merge check or cleanup cannot undo the
+// write. It returns the names that had a note, so a failed write can restore
+// exactly the protection it removed — and never invent a note for a name that
+// was not deleted.
+func (r *Router) clearDeleted(names ...string) []string {
 	r.delMu.Lock()
 	defer r.delMu.Unlock()
-	if !r.deletedDuringSweep[name] {
-		return false
+	var noted []string
+	for _, name := range names {
+		if r.deletedDuringSweep[name] {
+			delete(r.deletedDuringSweep, name)
+			noted = append(noted, name)
+		}
 	}
-	delete(r.deletedDuringSweep, name)
-	return true
+	return noted
 }
 
 // deletedSince reports which of the given names were deleted while a sweep
@@ -711,11 +648,11 @@ func (r *Router) spawnSweep() {
 	}()
 }
 
-// Wait blocks until every background re-sync sweep and replica repair has
-// completed. A recovery's sweep counts from before its shard's breaker
-// closes, so a caller that saw the breaker close waits for the sweep too.
-// Nothing outside tests needs to wait for them; it is the seam tests use to
-// observe a tier once a recovery or a repair is over.
+// Wait blocks until every background re-sync sweep has completed. A
+// recovery's sweep counts from before its shard's breaker closes, so a caller
+// that saw the breaker close waits for the sweep too. Nothing outside tests
+// needs to wait for sweeps; it is the seam tests use to observe a tier once a
+// recovery is over.
 func (r *Router) Wait() { r.sweeps.Wait() }
 
 // sweep reconciles every shard against the ring placement, one sweepShard

@@ -343,68 +343,66 @@ func TestRouterPartialFailureWrapsUnavailable(t *testing.T) {
 // caller so, and must leave nothing behind — no force-note, no pinned note
 // table (a one-home tier runs no recovery sweep that would ever unpin it, so
 // every later deletion would be retained forever), and the entries survive
-// a re-sync sweep instead of being purged as "deleted". The write concern is
-// documented to have no effect without replication, so both run.
+// a re-sync sweep instead of being purged as "deleted". The subtest names
+// the write concern, which has no effect without replication.
 func TestRouterSingleHomeFailedDeleteLeavesNoNote(t *testing.T) {
-	for _, concern := range []WriteConcern{WriteAll, WriteQuorum} {
-		t.Run(concern.String(), func(t *testing.T) {
-			ctx := context.Background()
-			// An hour-long probe interval leaves the breaker to the test.
-			r, kills, _ := newReplicatedRouter(t, 2, 1, WithRouterWriteConcern(concern), WithRouterHealth(0, time.Hour))
-			const n = 300
-			names := make([]string, n)
-			for i := range names {
-				names[i] = fmt.Sprintf("kept/%d", i)
-				if _, err := r.Put(ctx, testEntry(names[i])); err != nil {
-					t.Fatal(err)
-				}
+	t.Run(WriteAll.String(), func(t *testing.T) {
+		ctx := context.Background()
+		// An hour-long probe interval leaves the breaker to the test.
+		r, kills, _ := newReplicatedRouter(t, 2, 1, WithRouterWriteConcern(WriteAll), WithRouterHealth(0, time.Hour))
+		const n = 300
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("kept/%d", i)
+			if _, err := r.Put(ctx, testEntry(names[i])); err != nil {
+				t.Fatal(err)
 			}
+		}
 
-			for _, k := range kills {
-				k.kill()
+		for _, k := range kills {
+			k.kill()
+		}
+		for _, name := range names[:n/2] {
+			if err := r.Delete(ctx, name); !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("delete via dead shard: want ErrUnavailable, got %v", err)
 			}
-			for _, name := range names[:n/2] {
-				if err := r.Delete(ctx, name); !errors.Is(err, ErrUnavailable) {
-					t.Fatalf("delete via dead shard: want ErrUnavailable, got %v", err)
-				}
+		}
+		if _, err := r.DeleteMany(ctx, names[n/2:]); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("delete-many via dead shards: want ErrUnavailable, got %v", err)
+		}
+		for _, k := range kills {
+			k.revive()
+		}
+		// Deletions that succeed afterwards are not retained either.
+		for i := 0; i < 100; i++ {
+			name := fmt.Sprintf("gone/%d", i)
+			if _, err := r.Put(ctx, testEntry(name)); err != nil {
+				t.Fatal(err)
 			}
-			if _, err := r.DeleteMany(ctx, names[n/2:]); !errors.Is(err, ErrUnavailable) {
-				t.Fatalf("delete-many via dead shards: want ErrUnavailable, got %v", err)
+			if err := r.Delete(ctx, name); err != nil {
+				t.Fatal(err)
 			}
-			for _, k := range kills {
-				k.revive()
-			}
-			// Deletions that succeed afterwards are not retained either.
-			for i := 0; i < 100; i++ {
-				name := fmt.Sprintf("gone/%d", i)
-				if _, err := r.Put(ctx, testEntry(name)); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Delete(ctx, name); err != nil {
-					t.Fatal(err)
-				}
-			}
-			r.Wait()
-			r.delMu.Lock()
-			notes := len(r.deletedDuringSweep)
-			r.delMu.Unlock()
-			if notes != 0 || r.staleNotes.Load() {
-				t.Fatalf("failed R=1 deletes left %d notes (pinned: %v), want none", notes, r.staleNotes.Load())
-			}
+		}
+		r.Wait()
+		r.delMu.Lock()
+		notes := len(r.deletedDuringSweep)
+		r.delMu.Unlock()
+		if notes != 0 || r.staleNotes.Load() {
+			t.Fatalf("failed R=1 deletes left %d notes (pinned: %v), want none", notes, r.staleNotes.Load())
+		}
 
-			r.MarkShardDown(0) // a shard cycles down and up: the recovery runs a sweep
-			r.MarkShardUp(0)
-			r.Wait()
-			if got := r.Len(ctx); got != n {
-				t.Fatalf("tier holds %d entries after the sweep, want %d: a failed delete purged its entry", got, n)
+		r.MarkShardDown(0) // a shard cycles down and up: the recovery runs a sweep
+		r.MarkShardUp(0)
+		r.Wait()
+		if got := r.Len(ctx); got != n {
+			t.Fatalf("tier holds %d entries after the sweep, want %d: a failed delete purged its entry", got, n)
+		}
+		for _, name := range names {
+			if _, err := r.Get(ctx, name); err != nil {
+				t.Fatalf("entry whose delete failed is gone after the sweep: %v", err)
 			}
-			for _, name := range names {
-				if _, err := r.Get(ctx, name); err != nil {
-					t.Fatalf("entry whose delete failed is gone after the sweep: %v", err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // mergeGate wraps a shard and blocks the first Merge call until released,
@@ -675,6 +673,55 @@ func TestRouterRecreateAfterDeleteDuringSweepSurvives(t *testing.T) {
 	}
 	if got := r.Len(ctx); got != n {
 		t.Fatalf("tier holds %d entries after the sweep, want %d", got, n)
+	}
+}
+
+// TestRouterBulkRewriteAfterDeleteSurvivesSweep deletes a name while a shard
+// outside its homes is down (so the deletion is noted), rewrites it, and
+// lets the recovery sweep run. Every rewrite is acknowledged, so the name
+// must survive on its homes: a bulk rewrite clears the deletion note as a
+// single Put does, or the sweep's cleanup drops the entry as deleted.
+func TestRouterBulkRewriteAfterDeleteSurvivesSweep(t *testing.T) {
+	ctx := context.Background()
+	for _, row := range []struct {
+		name    string
+		rewrite func(*Router, Entry) error
+	}{
+		{"put", func(r *Router, e Entry) error { _, err := r.Put(ctx, e); return err }},
+		{"putmany", func(r *Router, e Entry) error { _, err := r.PutMany(ctx, []Entry{e}); return err }},
+		{"merge", func(r *Router, e Entry) error { _, err := r.Merge(ctx, []Entry{e}); return err }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			// An hour-long probe interval leaves the breaker to the test.
+			r, _, insts := newReplicatedRouter(t, 4, 2, WithRouterHealth(0, time.Hour))
+			const name = "rewrite/victim"
+			homes := r.placer.Homes(name, r.rep)
+			down := cloud.SiteID(0)
+			for slices.Contains(homes, down) {
+				down++
+			}
+			if _, err := r.Put(ctx, testEntry(name)); err != nil {
+				t.Fatal(err)
+			}
+			r.MarkShardDown(down)
+			if err := r.Delete(ctx, name); err != nil {
+				t.Fatalf("delete: %v", err)
+			}
+			if err := row.rewrite(r, testEntry(name)); err != nil {
+				t.Fatalf("rewrite: %v", err)
+			}
+			r.MarkShardUp(down)
+			r.Wait()
+
+			if _, err := r.Get(ctx, name); err != nil {
+				t.Fatalf("acknowledged rewrite lost to the sweep: %v", err)
+			}
+			for _, id := range homes {
+				if !holds(t, insts[id], name) {
+					t.Fatalf("rewritten entry is missing from its home shard %d after the sweep", id)
+				}
+			}
+		})
 	}
 }
 

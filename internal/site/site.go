@@ -43,9 +43,6 @@ type Config struct {
 	// fan out, reads fail over, and a crashed shard's range stays served.
 	// 0 or 1 is single-home placement; more needs a sharded tier.
 	Replication int
-	// WriteConcern is the replicated-write acknowledgement rule (the zero
-	// value is registry.WriteAll).
-	WriteConcern registry.WriteConcern
 	// DataDir, when set, backs the in-process instances with one
 	// write-ahead log in it, which they share (and its fsyncs: a write to
 	// two replicas costs one), and recovers them from it on the next Build,
@@ -114,7 +111,7 @@ func (c Config) String() string {
 		d = "single instance"
 	}
 	if c.Replication > 1 {
-		d += fmt.Sprintf(", %d-way replicated (%s)", c.Replication, c.WriteConcern)
+		d += fmt.Sprintf(", %d-way replicated", c.Replication)
 	}
 	if c.DataDir != "" {
 		d += fmt.Sprintf(", durable in %s (fsync=%s)", c.DataDir, c.Fsync)
@@ -174,8 +171,7 @@ func Build(cfg Config) (registry.API, func() error, error) {
 	if len(shards) > 1 || len(cfg.Remote) > 0 {
 		router, err := registry.NewRouter(cfg.Site, shards,
 			registry.WithRouterMetrics(cfg.Metrics),
-			registry.WithRouterReplication(cfg.Replication),
-			registry.WithRouterWriteConcern(cfg.WriteConcern))
+			registry.WithRouterReplication(cfg.Replication))
 		if err != nil {
 			return nil, nil, errors.Join(fmt.Errorf("site: shard router: %w", err), closeAll())
 		}

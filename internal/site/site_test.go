@@ -40,7 +40,7 @@ func TestBuild(t *testing.T) {
 		{"single", Config{}, "*registry.Instance", "single instance"},
 		{"single+durable+feed", Config{DataDir: "x", Feed: true}, "*registry.Instance", "change feed (last 4096 events retained)"},
 		{"sharded", Config{Shards: 4}, "*registry.Router", "sharded tier of 4 instances"},
-		{"sharded+replicated+durable+feed", Config{Shards: 4, Replication: 2, WriteConcern: registry.WriteAll,
+		{"sharded+replicated+durable+feed", Config{Shards: 4, Replication: 2,
 			DataDir: "x", Fsync: store.FsyncAlways, Feed: true, FeedCapacity: 128}, "*registry.Router",
 			"(fsync=always), change feed (last 128 events retained)"},
 		{"sharded+replicated+durable+feed+near cache", Config{Shards: 4, Replication: 2,
@@ -184,7 +184,7 @@ func TestBuildRemoteTier(t *testing.T) {
 		remote = append(remote, registry.NewInstance(2, memcache.New(memcache.Config{})))
 	}
 	cfg := Config{Site: 2, Remote: remote, Replication: 2, NearCache: true}
-	if want := "routing tier over 3 remote shards, 2-way replicated (all)"; !strings.HasPrefix(cfg.String(), want) {
+	if want := "routing tier over 3 remote shards, 2-way replicated, "; !strings.HasPrefix(cfg.String(), want) {
 		t.Errorf("String() = %q, want it to start with %q", cfg.String(), want)
 	}
 	api, closeSite, err := Build(cfg)
