@@ -282,6 +282,47 @@ func TestRequeueNeverDisplacesNewerOperation(t *testing.T) {
 	}
 }
 
+// TestFlushNowGivesUpWhileAnotherShips: flush rounds run one at a time, but a
+// FlushNow waiting behind a round that is shipping returns its context's
+// error as soon as the context ends, not after that round's WAN exchange.
+func TestFlushNowGivesUpWhileAnotherShips(t *testing.T) {
+	f, flaky := flakyFabric(t, false)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var staged atomic.Bool // only the first Merge is held back
+	flaky.inMerge = func() {
+		if staged.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	p := NewPropagator(f, time.Hour, 1000)
+	defer p.Close()
+	defer close(release)
+
+	p.Enqueue(0, 2, testEntry("x", 0))
+	shipping := make(chan error, 1)
+	go func() { shipping <- p.FlushNow(tctx) }()
+	<-entered // the first round holds the flush slot and is shipping
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiting := make(chan error, 1)
+	go func() { waiting <- p.FlushNow(ctx) }()
+	cancel()
+	select {
+	case err := <-waiting:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("FlushNow with an ended context = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("FlushNow waited for another round's shipment after its context ended")
+	}
+
+	release <- struct{}{} // let the first round finish
+	if err := <-shipping; err != nil {
+		t.Fatalf("the shipping round = %v, want nil", err)
+	}
+}
+
 // TestReplicatedAgentLastOperationWins: the agent's work list follows the same
 // per-name rule as the propagator. A name created, deleted and created again
 // at one site between two rounds is an update, not also a deletion — the round

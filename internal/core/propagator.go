@@ -44,7 +44,10 @@ type Propagator struct {
 	pending pendingQueue[destination]
 	closed  bool
 
-	flushMu sync.Mutex // serializes flush rounds
+	// flushSlot serializes flush rounds: a round holds its one slot across
+	// the shipments, and a round waiting for it gives up when its context
+	// ends.
+	flushSlot chan struct{}
 
 	done chan struct{} // closed when the flush loop has exited
 
@@ -158,6 +161,7 @@ func NewPropagator(fabric *Fabric, flushInterval time.Duration, maxBatch int) *P
 		life:         life,
 		lifeStop:     lifeStop,
 		pending:      make(pendingQueue[destination]),
+		flushSlot:    make(chan struct{}, 1),
 		done:         make(chan struct{}),
 		queueDepth:   fabric.Metrics().Gauge("propagator_queue_depth"),
 		flushLatency: fabric.Metrics().Histogram("propagator_flush_latency_ns"),
@@ -220,6 +224,8 @@ func (p *Propagator) Pending() int {
 // *OpError{Op: "flush"} per failed destination; bulk application is idempotent,
 // so a destination that applied part of a batch tolerates seeing it again.
 // A nil error means everything enqueued before the call has been applied.
+// Rounds run one at a time; a call whose ctx ends while it waits for another
+// round to finish returns ctx's error at once and ships nothing.
 func (p *Propagator) FlushNow(ctx context.Context) error {
 	_, err := p.flush(ctx)
 	return err
@@ -228,8 +234,12 @@ func (p *Propagator) FlushNow(ctx context.Context) error {
 // flush is FlushNow that also reports how many operations changed remote
 // state.
 func (p *Propagator) flush(ctx context.Context) (int, error) {
-	p.flushMu.Lock()
-	defer p.flushMu.Unlock()
+	select {
+	case p.flushSlot <- struct{}{}:
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+	defer func() { <-p.flushSlot }()
 
 	if err := ctx.Err(); err != nil {
 		return 0, err

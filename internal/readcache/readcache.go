@@ -21,6 +21,10 @@
 // evicted fence). A fill that started before an invalidation therefore can
 // never overwrite it, no matter how the goroutines interleave.
 //
+// An invalidation leaves a tombstone only while a fill is in flight on the
+// key's lock shard. Otherwise no fill can hold an older fence, and it only
+// forgets the key's slot: no allocation, no eviction.
+//
 // # Staleness contract
 //
 // With a feed attached, a cached entry can be stale only within the feed
@@ -62,8 +66,8 @@ const DefaultMaxStaleness = time.Second
 
 // Options parameterizes a Cache.
 type Options struct {
-	// Capacity bounds the number of cached entries (positive, negative and
-	// invalidation tombstones together); 0 means DefaultCapacity.
+	// Capacity bounds the cached entries: positive, negative, and the
+	// tombstones that fence fills in flight. 0 means DefaultCapacity.
 	Capacity int
 	// Shards is the number of lock shards; 0 means DefaultShards.
 	Shards int
@@ -114,6 +118,8 @@ type cshard struct {
 	// flush fence on flush, so discarding a tombstone never reopens the race
 	// it was fencing.
 	floor uint64
+	// filling counts fills in flight: from before their fence read until installed.
+	filling atomic.Int64
 }
 
 // Cache is a feed-coherent near cache over a registry.API. It implements
@@ -239,12 +245,20 @@ func (c *Cache) consume() {
 	c.Flush()
 }
 
-// invalidate fences the key against any in-flight fill and forgets its
-// entry. The tombstone left behind holds the fence; if the LRU later evicts
-// it, the shard floor inherits it.
+// invalidate forgets the key's entry; while a fill is in flight on its shard
+// it leaves a tombstone holding a fresh fence, which the shard floor inherits
+// if the LRU evicts it. Later fills read a newer fence and need none.
 func (c *Cache) invalidate(name string) {
-	c.install(name, kindTombstone, registry.Entry{}, c.fence.Add(1))
+	f := c.fence.Add(1)
 	c.obs.invalidations.Inc()
+	sh := c.shardFor(name)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.filling.Load() > 0 {
+		c.install(sh, name, kindTombstone, registry.Entry{}, f)
+	} else if ce, found := sh.entries[name]; found {
+		c.remove(sh, ce)
+	}
 }
 
 // Flush empties the cache and fences every in-flight fill: fills that
@@ -323,8 +337,7 @@ func (c *Cache) lookup(name string) (registry.Entry, bool, bool) {
 		return registry.Entry{}, false, false
 	}
 	if ttl := c.maxStaleness(); ttl > 0 && c.now().Sub(ce.stored) > ttl {
-		sh.remove(ce)
-		c.obs.entries.Add(-1)
+		c.remove(sh, ce)
 		c.obs.evictions.Inc()
 		return registry.Entry{}, false, false
 	}
@@ -332,26 +345,27 @@ func (c *Cache) lookup(name string) (registry.Entry, bool, bool) {
 	return ce.entry, ce.kind == kindNegative, true
 }
 
-// install stores (or refreshes) a slot under the fencing protocol: the write
-// is dropped when the shard floor or the key's existing fence is newer than
-// the caller's. Invalidations pass a fresh fence (always newest); fills pass
-// the fence they recorded before calling the origin.
-func (c *Cache) install(name string, kind entryKind, e registry.Entry, fence uint64) {
-	sh := c.shardFor(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// install stores (or refreshes) a slot in sh, whose lock the caller holds,
+// under the fencing protocol: the write is dropped when the shard floor or
+// the key's existing fence is newer than the caller's. Invalidations pass a
+// fresh fence (always newest); fills pass the one they read first.
+func (c *Cache) install(sh *cshard, name string, kind entryKind, e registry.Entry, fence uint64) {
 	if fence < sh.floor {
 		return
+	}
+	var stored time.Time // only a TTL reads it
+	if c.maxStaleness() > 0 {
+		stored = c.now()
 	}
 	if ce, found := sh.entries[name]; found {
 		if fence < ce.fence {
 			return
 		}
-		ce.kind, ce.entry, ce.fence, ce.stored = kind, e, fence, c.now()
+		ce.kind, ce.entry, ce.fence, ce.stored = kind, e, fence, stored
 		sh.ll.MoveToFront(ce.elem)
 		return
 	}
-	ce := &centry{name: name, kind: kind, entry: e, fence: fence, stored: c.now()}
+	ce := &centry{name: name, kind: kind, entry: e, fence: fence, stored: stored}
 	ce.elem = sh.ll.PushFront(ce)
 	sh.entries[name] = ce
 	c.obs.entries.Add(1)
@@ -366,16 +380,16 @@ func (c *Cache) install(name string, kind entryKind, e registry.Entry, fence uin
 		if victim.fence > sh.floor {
 			sh.floor = victim.fence
 		}
-		sh.remove(victim)
-		c.obs.entries.Add(-1)
+		c.remove(sh, victim)
 		c.obs.evictions.Inc()
 	}
 }
 
-// remove unlinks a slot; the caller holds the shard lock.
-func (sh *cshard) remove(ce *centry) {
+// remove unlinks a slot from sh, whose lock the caller holds.
+func (c *Cache) remove(sh *cshard, ce *centry) {
 	sh.ll.Remove(ce.elem)
 	delete(sh.entries, ce.name)
+	c.obs.entries.Add(-1)
 }
 
 // CachedLen reports the number of cached slots (tombstones included); it is
@@ -427,14 +441,17 @@ func (c *Cache) Get(ctx context.Context, name string) (registry.Entry, error) {
 		}
 	}
 	c.obs.misses.Inc()
+	sh := c.shardFor(name)
+	sh.filling.Add(1)
+	defer sh.filling.Add(-1)
 	start := c.fence.Load()
 	e, err := c.origin.Get(ctx, name)
 	switch {
 	case err == nil:
-		c.fill(name, kindPositive, e, start)
+		c.fill(sh, name, kindPositive, e, start)
 		return e, nil
 	case errors.Is(err, registry.ErrNotFound):
-		c.fill(name, kindNegative, registry.Entry{}, start)
+		c.fill(sh, name, kindNegative, registry.Entry{}, start)
 		return registry.Entry{}, err
 	default:
 		// Transport/deadline failures say nothing about the key.
@@ -442,13 +459,15 @@ func (c *Cache) Get(ctx context.Context, name string) (registry.Entry, error) {
 	}
 }
 
-// fill installs a fetch result unless the cache is serving through (the
-// answer was coherent when fetched, but no event can invalidate it later).
-func (c *Cache) fill(name string, kind entryKind, e registry.Entry, fence uint64) {
+// fill installs a fetch result in sh unless the cache is serving through
+// (coherent when fetched, but no event could invalidate it later).
+func (c *Cache) fill(sh *cshard, name string, kind entryKind, e registry.Entry, fence uint64) {
 	if c.serveThrough() {
 		return
 	}
-	c.install(name, kind, e, fence)
+	sh.mu.Lock()
+	c.install(sh, name, kind, e, fence)
+	sh.mu.Unlock()
 }
 
 // notFoundError is the cache's locally served not-found: it matches
@@ -480,6 +499,7 @@ func (c *Cache) GetMany(ctx context.Context, names []string) ([]registry.Entry, 
 			continue
 		}
 		c.obs.misses.Inc()
+		c.shardFor(name).filling.Add(1)
 		missing = append(missing, name)
 		missIdx = append(missIdx, len(out))
 		out = append(out, registry.Entry{}) // placeholder
@@ -487,6 +507,11 @@ func (c *Cache) GetMany(ctx context.Context, names []string) ([]registry.Entry, 
 	if len(missing) == 0 {
 		return out, nil
 	}
+	defer func() {
+		for _, name := range missing {
+			c.shardFor(name).filling.Add(-1)
+		}
+	}()
 	start := c.fence.Load()
 	fetched, err := c.origin.GetMany(ctx, missing)
 	if err != nil {
@@ -502,10 +527,10 @@ func (c *Cache) GetMany(ctx context.Context, names []string) ([]registry.Entry, 
 		name := missing[i]
 		if e, ok := byName[name]; ok {
 			out[missIdx[i]] = e
-			c.fill(name, kindPositive, e, start)
+			c.fill(c.shardFor(name), name, kindPositive, e, start)
 			continue
 		}
-		c.fill(name, kindNegative, registry.Entry{}, start)
+		c.fill(c.shardFor(name), name, kindNegative, registry.Entry{}, start)
 		out = append(out[:missIdx[i]], out[missIdx[i]+1:]...)
 	}
 	return out, nil

@@ -22,24 +22,47 @@ var ctx = context.Background()
 // countingAPI wraps a registry.API and counts the operations that actually
 // reach it, so tests can assert which reads the cache absorbed. getGate,
 // when non-nil, is received from at the top of every Get — the fence tests
-// use it to hold a fill mid-flight.
+// use it to hold a fill mid-flight — and gateReached, when non-nil, is sent
+// to as each Get arrives there.
 type countingAPI struct {
 	registry.API
-	gets    atomic.Int64
-	getGate chan struct{}
+	gets        atomic.Int64
+	getGate     chan struct{}
+	gateReached chan struct{}
+	// held, when set, is taken by the next Get or GetMany to read the
+	// origin: it holds that call's answer (see heldRead).
+	held atomic.Pointer[heldRead]
+}
+
+// heldRead holds one origin call after it has read: reached is closed once
+// the answer is in hand, and the call returns it on a receive from release.
+type heldRead struct{ reached, release chan struct{} }
+
+func (a *countingAPI) afterRead() {
+	if h := a.held.Swap(nil); h != nil {
+		close(h.reached)
+		<-h.release
+	}
 }
 
 func (a *countingAPI) Get(ctx context.Context, name string) (registry.Entry, error) {
 	if a.getGate != nil {
+		if a.gateReached != nil {
+			a.gateReached <- struct{}{}
+		}
 		<-a.getGate
 	}
 	a.gets.Add(1)
-	return a.API.Get(ctx, name)
+	e, err := a.API.Get(ctx, name)
+	a.afterRead()
+	return e, err
 }
 
 func (a *countingAPI) GetMany(ctx context.Context, names []string) ([]registry.Entry, error) {
 	a.gets.Add(int64(len(names)))
-	return a.API.GetMany(ctx, names)
+	es, err := a.API.GetMany(ctx, names)
+	a.afterRead()
+	return es, err
 }
 
 // newFedInstance builds a feeding in-process instance plus its feed source.
@@ -179,7 +202,7 @@ func TestNegativeCaching(t *testing.T) {
 // result after the event was applied.
 func TestFillDoesNotOverwriteInvalidation(t *testing.T) {
 	inst, src := newFedInstance(t, 1)
-	origin := &countingAPI{API: inst, getGate: make(chan struct{}, 16)}
+	origin := &countingAPI{API: inst, getGate: make(chan struct{}, 16), gateReached: make(chan struct{}, 16)}
 	c := New(origin, Options{})
 	attach(t, c, src)
 
@@ -197,9 +220,8 @@ func TestFillDoesNotOverwriteInvalidation(t *testing.T) {
 		}
 		fillDone <- e
 	}()
-	// Let the fill record its fence and block in origin.Get. There is no
-	// handle on "goroutine reached the gate", so give it a moment.
-	time.Sleep(20 * time.Millisecond)
+	// Let the fill record its fence and block in origin.Get.
+	<-origin.gateReached
 
 	// A newer write lands at the origin; its event invalidates "k".
 	inv := c.Stats().Invalidations
@@ -225,6 +247,81 @@ func TestFillDoesNotOverwriteInvalidation(t *testing.T) {
 	}
 	if e.Size != 2 {
 		t.Fatalf("stale entry served after invalidation: size %d, want 2", e.Size)
+	}
+}
+
+// TestFillAfterStaleReadIsFenced closes the gap the test above leaves open:
+// there the held fill has not read yet, so it always reads the newer value.
+// Here the origin has answered with the old entry before the write lands, and
+// the fill installs only after the write's event was applied; the fence must
+// reject it. Each case runs through Get and GetMany, for a key the cache has
+// never held and for one it holds (installed by a second fill) when the event
+// arrives. The write goes behind the cache's back, so the event is the only
+// invalidation.
+func TestFillAfterStaleReadIsFenced(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bulk bool
+		held bool
+	}{
+		{"Get/never held", false, false},
+		{"Get/held", false, true},
+		{"GetMany/never held", true, false},
+		{"GetMany/held", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst, src := newFedInstance(t, 1)
+			origin := &countingAPI{API: inst}
+			c := New(origin, Options{})
+			attach(t, c, src)
+
+			if _, err := inst.Put(ctx, entry("k", 1)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "put event applied", func() bool { return c.Stats().Invalidations == 1 })
+
+			h := &heldRead{reached: make(chan struct{}), release: make(chan struct{})}
+			origin.held.Store(h)
+			defer close(h.release)
+			fillDone := make(chan error, 1)
+			go func() {
+				var err error
+				if tc.bulk {
+					_, err = c.GetMany(ctx, []string{"k"})
+				} else {
+					_, err = c.Get(ctx, "k")
+				}
+				fillDone <- err
+			}()
+			<-h.reached // the fill holds the origin's answer: size 1
+
+			if tc.held {
+				if e, err := c.Get(ctx, "k"); err != nil || e.Size != 1 {
+					t.Fatalf("second fill = %v, %v; want size 1", e, err)
+				}
+				if _, _, ok := c.lookup("k"); !ok {
+					t.Fatal("the second fill was not installed")
+				}
+			}
+
+			inv := c.Stats().Invalidations
+			if _, err := inst.Put(ctx, entry("k", 2)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "invalidation applied", func() bool { return c.Stats().Invalidations > inv })
+
+			h.release <- struct{}{} // the held fill installs now, if the fence lets it
+			if err := <-fillDone; err != nil {
+				t.Fatal(err)
+			}
+			e, err := c.Get(ctx, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Size != 2 {
+				t.Fatalf("stale entry served after invalidation: size %d, want 2", e.Size)
+			}
+		})
 	}
 }
 
@@ -534,6 +631,33 @@ func TestLRUEvictionBoundsOccupancy(t *testing.T) {
 	}
 }
 
+// TestBulkWriteLeavesNoSlots: writing keys the cache does not hold, with no
+// fill in flight, leaves nothing behind once the writes' events have arrived
+// too — no tombstones, so nothing the cache could serve is evicted for them.
+func TestBulkWriteLeavesNoSlots(t *testing.T) {
+	inst, src := newFedInstance(t, 1)
+	c := New(inst, Options{Capacity: 64, Shards: 4})
+	attach(t, c, src)
+
+	for b := 0; b < 16; b++ {
+		batch := make([]registry.Entry, 64)
+		for i := range batch {
+			batch[i] = entry(fmt.Sprintf("bulk/%d/%d", b, i), 1)
+		}
+		if _, err := c.PutMany(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head, err := inst.FeedBarrier(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "feed drained", func() bool { return c.combiner.Cursor("origin") >= head })
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != 0 {
+		t.Fatalf("after a bulk write of uncached keys: %d evictions, %d slots; want 0 and 0", st.Evictions, st.Entries)
+	}
+}
+
 func TestGetManyMixesHitsAndFills(t *testing.T) {
 	inst, src := newFedInstance(t, 1)
 	origin := &countingAPI{API: inst}
@@ -829,5 +953,121 @@ func TestMetricsSeries(t *testing.T) {
 	}
 	if reg.Gauge("readcache_entries").Value() != int64(c.CachedLen()) {
 		t.Fatal("readcache_entries gauge out of sync with occupancy")
+	}
+}
+
+// nullOrigin answers every Get with its entry and does no other work, so a
+// benchmark over it times the cache's own cost.
+type nullOrigin struct {
+	registry.API
+	entry registry.Entry
+}
+
+func (o nullOrigin) Get(context.Context, string) (registry.Entry, error) { return o.entry, nil }
+
+// newBenchCache is the cache geobench's ladder times: feedless, TTL-bounded,
+// default capacity, over an origin that costs nothing.
+func newBenchCache() *Cache {
+	return New(nullOrigin{entry: entry("bench", 1)}, Options{MaxStaleness: time.Hour})
+}
+
+// benchNames returns n distinct keys.
+func benchNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("bench/%d", i)
+	}
+	return names
+}
+
+// TestCacheAllocations is the allocation gate of the two paths a read-mostly
+// site runs most: a hit, and the invalidation a write of a key the cache
+// does not hold costs (each run a key not seen before).
+func TestCacheAllocations(t *testing.T) {
+	c, absent := newBenchCache(), benchNames(128)
+	if _, err := c.Get(ctx, "hit"); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for _, row := range []struct {
+		name string
+		op   func()
+	}{
+		{"hit", func() {
+			if _, err := c.Get(ctx, "hit"); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"invalidation of an uncached key", func() { c.invalidate(absent[next]); next++ }},
+	} {
+		if allocs := testing.AllocsPerRun(100, row.op); allocs != 0 {
+			t.Errorf("%s: %.1f allocations, want 0", row.name, allocs)
+		}
+	}
+}
+
+func BenchmarkCacheGetHit(b *testing.B) {
+	c := newBenchCache()
+	if _, err := c.Get(ctx, "hit"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.Get(ctx, "hit"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCacheInvalidate times one invalidation of a key the cache does
+// not hold, of one it holds, and of one it does not hold while a fill is in
+// flight on every shard, which leaves a tombstone (and, past capacity, evicts).
+func BenchmarkCacheInvalidate(b *testing.B) {
+	b.Run("uncached", func(b *testing.B) {
+		c, names := newBenchCache(), benchNames(4*DefaultCapacity)
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			c.invalidate(names[i%len(names)])
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		c, names := newBenchCache(), benchNames(DefaultCapacity/4)
+		b.ReportAllocs()
+		for done := 0; done < b.N; {
+			n := min(len(names), b.N-done)
+			b.StopTimer()
+			for _, name := range names[:n] {
+				if _, err := c.Get(ctx, name); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			for _, name := range names[:n] {
+				c.invalidate(name)
+			}
+			done += n
+		}
+	})
+	b.Run("fencing", func(b *testing.B) {
+		c, names := newBenchCache(), benchNames(4*DefaultCapacity)
+		for _, sh := range c.shards {
+			sh.filling.Add(1)
+		}
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			c.invalidate(names[i%len(names)])
+		}
+	})
+}
+
+// BenchmarkCacheFill times a miss that fills: every key is read once per
+// pass over four times the capacity, so each fill also evicts.
+func BenchmarkCacheFill(b *testing.B) {
+	c, names := newBenchCache(), benchNames(4*DefaultCapacity)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, err := c.Get(ctx, names[i%len(names)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
