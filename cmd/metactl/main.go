@@ -35,12 +35,8 @@
 // reach every replica and reads fail over the same way the server-side
 // router does.
 //
-// The -cache flag interposes a feed-coherent near cache (internal/readcache)
-// between the commands and the wire: repeated reads within one invocation are
-// answered locally, kept coherent by one watch stream per dialed server. The
-// cache serves through to the origin until its streams connect, and forever
-// when the server runs without -feed, so -cache never weakens consistency —
-// it only removes round trips once coherence is established.
+// Every invocation runs one command over one connection per server it dials;
+// a watch stream rides a second connection of its own.
 //
 // The -timeout flag is a real per-operation deadline: it bounds the dial and
 // each command's context, and the deadline is propagated over the wire so
@@ -65,6 +61,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -77,7 +74,6 @@ import (
 	"geomds/internal/feed"
 	"geomds/internal/limits"
 	"geomds/internal/metrics"
-	"geomds/internal/readcache"
 	"geomds/internal/registry"
 	"geomds/internal/rpc"
 )
@@ -91,23 +87,33 @@ const (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "registry server address")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard server addresses; commands run against a client-side routing tier instead of -addr")
-	replication := flag.Int("replication", 1, "replication factor of the sharded tier targeted via -shard-addrs (must match the deployment)")
-	pool := flag.Int("pool", rpc.DefaultPoolSize, "connection-pool size towards the server")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-operation deadline, propagated to the server")
-	metricsAddr := flag.String("metrics-addr", "127.0.0.1:9090", "metaserver metrics endpoint (for the stats command)")
-	traceN := flag.Int("trace", 15, "number of recent trace events the stats command renders (0 = none)")
-	fromSeq := flag.Uint64("from", 0, "resume the watch command after this feed sequence number (0 = start of the retained window)")
-	noFallback := flag.Bool("no-fallback", false, "fail the watch command when -from predates the retained window instead of falling back to snapshot+tail")
-	cacheOn := flag.Bool("cache", false, "serve reads through a feed-coherent near cache kept coherent by the server's change feed (requires metaserver -feed; without one reads serve through uncached)")
-	tenant := flag.String("tenant", "", "tenant ID stamped on every request, charged against that tenant's admission budget on servers running -tenant-config (empty = the default tenant)")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(exitUsage)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one metactl invocation and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("metactl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:7070", "registry server address")
+	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard server addresses; commands run against a client-side routing tier instead of -addr")
+	replication := fs.Int("replication", 1, "replication factor of the sharded tier targeted via -shard-addrs (must match the deployment)")
+	timeout := fs.Duration("timeout", 10*time.Second, "per-operation deadline, propagated to the server")
+	metricsAddr := fs.String("metrics-addr", "127.0.0.1:9090", "metaserver metrics endpoint (for the stats command)")
+	traceN := fs.Int("trace", 15, "number of recent trace events the stats command renders (0 = none)")
+	fromSeq := fs.Uint64("from", 0, "resume the watch command after this feed sequence number (0 = start of the retained window)")
+	noFallback := fs.Bool("no-fallback", false, "fail the watch command when -from predates the retained window instead of falling back to snapshot+tail")
+	tenant := fs.String("tenant", "", "tenant ID stamped on every request, charged against that tenant's admission budget on servers running -tenant-config (empty = the default tenant)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return exitUsage
 	}
+	args = fs.Args()
+	if len(args) == 0 {
+		return usage(stderr)
+	}
+	fail := func(err error) int { return report(stderr, err) }
 
 	// opCtx returns a fresh deadline-bounded context per operation, so a slow
 	// dial does not eat into the budget of the command that follows it.
@@ -120,51 +126,45 @@ func main() {
 	if args[0] == "stats" {
 		ctx, cancel := opCtx()
 		defer cancel()
-		if err := renderStats(ctx, *metricsAddr, *traceN); err != nil {
-			fatal(err)
+		if err := renderStats(ctx, stdout, *metricsAddr, *traceN); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	// The context deadline is the per-operation bound; the transport timeout
 	// stays strictly behind it so the deadline — with its precise error and
 	// exit code — is what fires, and the transport backstop only catches a
-	// truly hung connection.
-	backstop := 2 * *timeout
-	if backstop < 10*time.Second {
-		backstop = 10 * time.Second
-	}
-	tryDial := func(a string) (*rpc.Client, error) {
+	// truly hung connection. One command needs one connection: the pool's
+	// others would only add dials.
+	backstop := max(*timeout*2, 10*time.Second)
+	dial := func(a string) (*rpc.Client, error) {
 		dialCtx, cancel := opCtx()
 		defer cancel()
-		return rpc.Dial(dialCtx, a, rpc.WithPoolSize(*pool), rpc.WithTimeout(backstop), rpc.WithTenant(*tenant))
-	}
-	dial := func(a string) *rpc.Client {
-		client, err := tryDial(a)
-		if err != nil {
-			fatal(err)
-		}
-		return client
+		return rpc.Dial(dialCtx, a, rpc.WithPoolSize(1), rpc.WithTimeout(backstop), rpc.WithTenant(*tenant))
 	}
 
 	// The commands below run against one registry.API: a single server's
 	// client, or — with -shard-addrs — a client-side router over the site's
 	// shard servers. The tier is assembled here rather than by site.Build
-	// because it differs from a served site in two ways Build would have to
-	// branch on its caller for: an undialable shard keeps its slot as a
-	// down-marked placeholder, and the near cache is fed by one watch stream
-	// per dialed server instead of the tier's own feed.
+	// because an undialable shard keeps its slot as a down-marked
+	// placeholder, which Build would have to branch on its caller for.
 	var (
 		api     registry.API
 		clients []*rpc.Client
 		target  string
 	)
+	defer func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}()
 	if *shardAddrs != "" {
 		// Placement derives from the address order, so an undialable shard
 		// must keep its slot: with replication it becomes a down-marked
 		// placeholder and the replicas carry its range; without replication
-		// there is nowhere correct to re-route to, so the dial failure is
-		// fatal as before.
+		// there is nowhere correct to re-route to, and the dial failure ends
+		// the command.
 		var (
 			apis []registry.API
 			down []cloud.SiteID
@@ -173,25 +173,25 @@ func main() {
 			if a = strings.TrimSpace(a); a == "" {
 				continue
 			}
-			client, err := tryDial(a)
+			client, err := dial(a)
 			if err != nil {
 				if *replication > 1 {
-					fmt.Fprintf(os.Stderr, "metactl: shard %s unreachable, relying on its replicas: %v\n", a, err)
+					fmt.Fprintf(stderr, "metactl: shard %s unreachable, relying on its replicas: %v\n", a, err)
 					down = append(down, cloud.SiteID(len(apis)))
 					apis = append(apis, nil) // placeholder, patched below
 					continue
 				}
-				fatal(err)
+				return fail(err)
 			}
 			clients = append(clients, client)
 			apis = append(apis, client)
 		}
 		if len(apis) == 0 {
-			fmt.Fprintln(os.Stderr, "metactl: -shard-addrs contains no usable addresses")
-			os.Exit(exitUsage)
+			fmt.Fprintln(stderr, "metactl: -shard-addrs contains no usable addresses")
+			return exitUsage
 		}
 		if len(clients) == 0 {
-			fatal(fmt.Errorf("no shard of %s is reachable: %w", *shardAddrs, registry.ErrUnavailable))
+			return fail(fmt.Errorf("no shard of %s is reachable: %w", *shardAddrs, registry.ErrUnavailable))
 		}
 		site := clients[0].Site()
 		for i, a := range apis {
@@ -201,7 +201,7 @@ func main() {
 		}
 		router, err := registry.NewRouter(site, apis, registry.WithRouterReplication(*replication))
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer router.Close()
 		for _, id := range down {
@@ -213,32 +213,13 @@ func main() {
 			target += fmt.Sprintf(", %d-way replicated", router.Replication())
 		}
 	} else {
-		client := dial(*addr)
+		client, err := dial(*addr)
+		if err != nil {
+			return fail(err)
+		}
 		clients = []*rpc.Client{client}
 		api = client
 		target = client.Addr()
-	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-
-	// -cache interposes a feed-coherent near cache between the commands and
-	// the wire: reads answered from the cache skip the round trip, and the
-	// servers' change feeds (one watch stream per dialed server) invalidate
-	// it. Until the streams connect — or forever, when the server runs
-	// without -feed — the cache serves through to the origin, so commands
-	// never observe weaker consistency than without the flag.
-	if *cacheOn {
-		nc := readcache.New(api, readcache.Options{})
-		sources := make([]feed.Source, 0, len(clients))
-		for _, c := range clients {
-			sources = append(sources, c.FeedSource(c.Addr()))
-		}
-		nc.AttachFeed(context.Background(), sources)
-		defer nc.Close()
-		api = nc
 	}
 
 	ctx, cancel := opCtx()
@@ -247,64 +228,61 @@ func main() {
 	switch args[0] {
 	case "put":
 		if len(args) < 4 {
-			usage()
-			os.Exit(exitUsage)
+			return usage(stderr)
 		}
 		size, err := strconv.ParseInt(args[2], 10, 64)
 		if err != nil {
-			fatal(fmt.Errorf("size: %w", err))
+			return fail(fmt.Errorf("size: %w", err))
 		}
 		site, err := strconv.Atoi(args[3])
 		if err != nil {
-			fatal(fmt.Errorf("site: %w", err))
+			return fail(fmt.Errorf("site: %w", err))
 		}
 		node := int(registry.NoNode)
 		if len(args) > 4 {
 			if node, err = strconv.Atoi(args[4]); err != nil {
-				fatal(fmt.Errorf("node: %w", err))
+				return fail(fmt.Errorf("node: %w", err))
 			}
 		}
 		e := registry.NewEntry(args[1], size, "metactl",
 			registry.Location{Site: cloud.SiteID(site), Node: cloud.NodeID(node)})
 		stored, err := api.Create(ctx, e)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("created %q version %d\n", stored.Name, stored.Version)
+		fmt.Fprintf(stdout, "created %q version %d\n", stored.Name, stored.Version)
 
 	case "get":
 		if len(args) < 2 {
-			usage()
-			os.Exit(exitUsage)
+			return usage(stderr)
 		}
 		e, err := api.Get(ctx, args[1])
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		data, err := json.Marshal(e)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 
 	case "del":
 		if len(args) < 2 {
-			usage()
-			os.Exit(exitUsage)
+			return usage(stderr)
 		}
 		if names := args[1:]; len(names) > 1 {
 			// Many names travel as one DeleteMany frame (one sub-batch per
 			// shard when targeting a sharded site).
 			n, err := api.DeleteMany(ctx, names)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			fmt.Printf("deleted %d of %d entries\n", n, len(names))
+			fmt.Fprintf(stdout, "deleted %d of %d entries\n", n, len(names))
 		} else {
 			if err := api.Delete(ctx, names[0]); err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			fmt.Printf("deleted %q\n", names[0])
+			fmt.Fprintf(stdout, "deleted %q\n", names[0])
 		}
 
 	case "ls":
@@ -312,10 +290,10 @@ func main() {
 		// an error with the right exit code, not an empty listing.
 		entries, err := api.Entries(ctx)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		for _, e := range entries {
-			fmt.Println(e.Name)
+			fmt.Fprintln(stdout, e.Name)
 		}
 
 	case "watch":
@@ -323,8 +301,8 @@ func main() {
 		if len(args) > 1 {
 			prefix = args[1]
 		}
-		if err := watchFeeds(clients, *fromSeq, prefix, *noFallback, opCtx); err != nil {
-			fatal(err)
+		if err := watchFeeds(stdout, stderr, clients, *fromSeq, prefix, *noFallback, opCtx); err != nil {
+			return fail(err)
 		}
 
 	case "stat":
@@ -333,27 +311,27 @@ func main() {
 		// shard server is pinged and reported.
 		for _, c := range clients {
 			if err := c.Ping(ctx); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
-		fmt.Printf("address: %s\nsite:    %d\nentries: %d\n", target, api.Site(), api.Len(ctx))
+		fmt.Fprintf(stdout, "address: %s\nsite:    %d\nentries: %d\n", target, api.Site(), api.Len(ctx))
 		if len(clients) > 1 {
 			for _, c := range clients {
-				fmt.Printf("  shard %s: %d entries\n", c.Addr(), c.Len(ctx))
+				fmt.Fprintf(stdout, "  shard %s: %d entries\n", c.Addr(), c.Len(ctx))
 			}
 		}
 
 	default:
-		usage()
-		os.Exit(exitUsage)
+		return usage(stderr)
 	}
+	return 0
 }
 
 // watchFeeds opens one watch stream per client (one for -addr, one per shard
 // for -shard-addrs), merges them, and prints each event as a line until the
 // process is interrupted or every stream ends. The handshake is bounded by
 // the per-operation deadline; the streams themselves live until interrupt.
-func watchFeeds(clients []*rpc.Client, from uint64, prefix string, noFallback bool, opCtx func() (context.Context, context.CancelFunc)) error {
+func watchFeeds(stdout, stderr io.Writer, clients []*rpc.Client, from uint64, prefix string, noFallback bool, opCtx func() (context.Context, context.CancelFunc)) error {
 	streams := make([]*rpc.WatchStream, 0, len(clients))
 	defer func() {
 		for _, s := range streams {
@@ -369,7 +347,7 @@ func watchFeeds(clients []*rpc.Client, from uint64, prefix string, noFallback bo
 		}
 		streams = append(streams, stream)
 		if stream.Fallback() {
-			fmt.Fprintf(os.Stderr, "metactl: cursor %d predates the retained window of %s; streaming a state snapshot before the live tail (resuming at seq %d)\n",
+			fmt.Fprintf(stderr, "metactl: cursor %d predates the retained window of %s; streaming a state snapshot before the live tail (resuming at seq %d)\n",
 				from, c.Addr(), stream.StartSeq())
 		}
 	}
@@ -424,7 +402,7 @@ func watchFeeds(clients []*rpc.Client, from uint64, prefix string, noFallback bo
 			if len(tags) > 0 {
 				suffix = "  (" + strings.Join(tags, ", ") + ")"
 			}
-			fmt.Printf("%8d  %s  %s%s\n", m.ev.Seq, op, m.ev.Name, suffix)
+			fmt.Fprintf(stdout, "%8d  %s  %s%s\n", m.ev.Seq, op, m.ev.Name, suffix)
 		}
 	}
 	return nil
@@ -432,7 +410,7 @@ func watchFeeds(clients []*rpc.Client, from uint64, prefix string, noFallback bo
 
 // renderStats scrapes the metaserver's metrics endpoint and renders the
 // snapshot plus the most recent trace events.
-func renderStats(ctx context.Context, metricsAddr string, traceN int) error {
+func renderStats(ctx context.Context, stdout io.Writer, metricsAddr string, traceN int) error {
 	base := "http://" + metricsAddr
 	var snap metrics.Snapshot
 	if err := getJSON(ctx, base+"/metrics.json", &snap); err != nil {
@@ -444,13 +422,13 @@ func renderStats(ctx context.Context, metricsAddr string, traceN int) error {
 			return fmt.Errorf("scrape %s/trace.json: %w", base, err)
 		}
 	}
-	fmt.Printf("metrics from %s:\n%s", base, metrics.RenderReport(snap, events))
+	fmt.Fprintf(stdout, "metrics from %s:\n%s", base, metrics.RenderReport(snap, events))
 	// The near-cache counters render above with everything else; the ratio
 	// operators actually watch is derived here so nobody does the division
 	// in their head.
 	hits, misses := snap.Counters["readcache_hits_total"], snap.Counters["readcache_misses_total"]
 	if reads := hits + misses; reads > 0 {
-		fmt.Printf("near cache hit ratio: %.1f%% (%d of %d reads)\n",
+		fmt.Fprintf(stdout, "near cache hit ratio: %.1f%% (%d of %d reads)\n",
 			100*float64(hits)/float64(reads), hits, reads)
 	}
 	// Same derivation for admission control: the raw limits_* series render
@@ -458,7 +436,7 @@ func renderStats(ctx context.Context, metricsAddr string, traceN int) error {
 	// and why.
 	admitted, rejected := snap.Counters["limits_admitted_total"], snap.Counters["limits_rejected_total"]
 	if total := admitted + rejected; total > 0 {
-		fmt.Printf("admission: %d of %d requests rejected (%.1f%%; rate %d, bytes %d, shed %d)\n",
+		fmt.Fprintf(stdout, "admission: %d of %d requests rejected (%.1f%%; rate %d, bytes %d, shed %d)\n",
 			rejected, total, 100*float64(rejected)/float64(total),
 			snap.Counters["limits_rejected_rate_total"],
 			snap.Counters["limits_rejected_bytes_total"],
@@ -484,8 +462,9 @@ func getJSON(ctx context.Context, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: metactl [-addr host:port | -shard-addrs a,b,c [-replication r]] [-cache] [-pool n] [-timeout d] <command>
+// usage prints the command synopsis and returns the usage exit code.
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, `usage: metactl [-addr host:port | -shard-addrs a,b,c [-replication r]] [-timeout d] <command>
 
 commands:
   put <name> <size> <site> [node]   publish a metadata entry
@@ -501,6 +480,7 @@ commands:
 
 exit codes: 0 ok, 1 error, 2 usage, 3 not found, 4 deadline exceeded,
             5 overloaded (admission control refused the request)`)
+	return exitUsage
 }
 
 // exitCodeFor maps a command failure to its exit code. Deadline beats
@@ -519,24 +499,24 @@ func exitCodeFor(err error) int {
 	}
 }
 
-// fatal reports the failure and exits with a code that tells "the entry is
+// report prints the failure and returns an exit code that tells "the entry is
 // not there" apart from "the server did not answer in time" apart from "the
 // server refused the request under admission control".
-func fatal(err error) {
+func report(stderr io.Writer, err error) int {
 	code := exitCodeFor(err)
 	switch code {
 	case exitDeadline:
-		fmt.Fprintf(os.Stderr, "metactl: deadline exceeded: %v\n", err)
+		fmt.Fprintf(stderr, "metactl: deadline exceeded: %v\n", err)
 	case exitOverloaded:
 		if d, ok := limits.RetryAfter(err); ok && d > 0 {
-			fmt.Fprintf(os.Stderr, "metactl: overloaded, retry in %s: %v\n", d, err)
+			fmt.Fprintf(stderr, "metactl: overloaded, retry in %s: %v\n", d, err)
 		} else {
-			fmt.Fprintf(os.Stderr, "metactl: overloaded: %v\n", err)
+			fmt.Fprintf(stderr, "metactl: overloaded: %v\n", err)
 		}
 	case exitNotFound:
-		fmt.Fprintf(os.Stderr, "metactl: not found: %v\n", err)
+		fmt.Fprintf(stderr, "metactl: not found: %v\n", err)
 	default:
-		fmt.Fprintf(os.Stderr, "metactl: %v\n", err)
+		fmt.Fprintf(stderr, "metactl: %v\n", err)
 	}
-	os.Exit(code)
+	return code
 }

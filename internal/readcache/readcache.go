@@ -56,8 +56,8 @@ import (
 // DefaultCapacity bounds the cache when Options.Capacity is zero.
 const DefaultCapacity = 4096
 
-// DefaultShards is the lock-shard count when Options.Shards is zero.
-const DefaultShards = 16
+// lockShards is the number of lock shards, or Capacity when that is smaller.
+const lockShards = 16
 
 // DefaultMaxStaleness is the TTL applied when no feed is attached and
 // Options.MaxStaleness is zero: without push invalidation the TTL is the
@@ -69,8 +69,6 @@ type Options struct {
 	// Capacity bounds the cached entries: positive, negative, and the
 	// tombstones that fence fills in flight. 0 means DefaultCapacity.
 	Capacity int
-	// Shards is the number of lock shards; 0 means DefaultShards.
-	Shards int
 	// MaxStaleness bounds how long an entry may be served without
 	// confirmation. With a feed attached 0 disables the TTL (the feed is the
 	// bound); without one 0 selects DefaultMaxStaleness. Negative disables
@@ -168,21 +166,16 @@ func New(origin registry.API, opts Options) *Cache {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
-	if opts.Shards > opts.Capacity {
-		opts.Shards = opts.Capacity
-	}
+	shards := min(lockShards, opts.Capacity)
 	c := &Cache{origin: origin, opts: opts, now: opts.Now}
 	if c.now == nil {
 		c.now = time.Now
 	}
-	c.shards = make([]*cshard, opts.Shards)
+	c.shards = make([]*cshard, shards)
 	for i := range c.shards {
 		c.shards[i] = &cshard{entries: make(map[string]*centry), ll: list.New()}
 	}
-	c.perShard = (opts.Capacity + opts.Shards - 1) / opts.Shards
+	c.perShard = (opts.Capacity + shards - 1) / shards
 	if opts.Metrics == nil {
 		// Stats() reads the instrument set back, so the cache always keeps
 		// one — a private registry when the caller wired none.

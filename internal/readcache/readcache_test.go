@@ -610,7 +610,7 @@ func TestFeedlessTTLFallback(t *testing.T) {
 
 func TestLRUEvictionBoundsOccupancy(t *testing.T) {
 	inst, src := newFedInstance(t, 1)
-	c := New(inst, Options{Capacity: 32, Shards: 4})
+	c := New(inst, Options{Capacity: 32})
 	attach(t, c, src)
 
 	for i := 0; i < 256; i++ {
@@ -636,7 +636,7 @@ func TestLRUEvictionBoundsOccupancy(t *testing.T) {
 // too — no tombstones, so nothing the cache could serve is evicted for them.
 func TestBulkWriteLeavesNoSlots(t *testing.T) {
 	inst, src := newFedInstance(t, 1)
-	c := New(inst, Options{Capacity: 64, Shards: 4})
+	c := New(inst, Options{Capacity: 64})
 	attach(t, c, src)
 
 	for b := 0; b < 16; b++ {

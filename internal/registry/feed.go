@@ -80,36 +80,25 @@ func FeedSource(name string, f ChangeFeeder) feed.Source {
 // assign an in-memory sequence.
 func WithChangeFeed(opts ...feed.LogOption) InstanceOption {
 	return func(i *Instance) {
-		i.wantFeed = true
-		i.feedOpts = opts
+		log := feed.NewLog(opts...)
+		if i.durable != nil {
+			// The WAL assigns the sequence numbers; the feed starts at the
+			// recovered high-water mark so cursors from before the restart
+			// are correctly reported as compacted.
+			log.StartAt(i.durable.Seq())
+			i.durable.SetEventSink(func(seq uint64, op byte, key string, value []byte, sync bool) {
+				ev := feed.Event{Seq: seq, Op: feed.OpPut, Name: key, Value: value, Sync: sync}
+				if op == store.OpDelete {
+					ev.Op = feed.OpDelete
+					ev.Value = nil
+				}
+				log.Publish(ev)
+			})
+		} else {
+			i.store = &tapStore{Store: i.store, log: log}
+		}
+		i.feedLog, i.feedOpts = log, opts
 	}
-}
-
-// finishFeed materializes the feed after every option has been applied (so
-// it composes with WithStorage in either order). Called by the
-// constructors, never concurrently.
-func (i *Instance) finishFeed() {
-	if !i.wantFeed || i.feedLog != nil {
-		return
-	}
-	log := feed.NewLog(i.feedOpts...)
-	if i.durable != nil {
-		// The WAL assigns the sequence numbers; the feed starts at the
-		// recovered high-water mark so cursors from before the restart are
-		// correctly reported as compacted.
-		log.StartAt(i.durable.Seq())
-		i.durable.SetEventSink(func(seq uint64, op byte, key string, value []byte, sync bool) {
-			ev := feed.Event{Seq: seq, Op: feed.OpPut, Name: key, Value: value, Sync: sync}
-			if op == store.OpDelete {
-				ev.Op = feed.OpDelete
-				ev.Value = nil
-			}
-			log.Publish(ev)
-		})
-	} else {
-		i.store = &tapStore{Store: i.store, log: log}
-	}
-	i.feedLog = log
 }
 
 // ChangeFeed returns the instance's feed log, nil when WithChangeFeed was

@@ -31,17 +31,13 @@ type Instance struct {
 	// updateMu queues the read-modify-writes that go through this instance,
 	// striped by entry name: see Update.
 	updateMu [updateStripes]sync.Mutex
-	// durable is the persistence layer when WithStorage wrapped the store
-	// or the store is a log member; nil for memory-only instances.
-	// storageErr records a failed storage open so constructors can surface
-	// it.
-	durable    *store.Durable
-	storageErr error
-	// Change-feed state (see feed.go): wantFeed/feedOpts record a
-	// WithChangeFeed option until the constructor materializes feedLog.
-	wantFeed bool
-	feedOpts []feed.LogOption
+	// durable is the persistence layer when the store is a *store.Durable;
+	// nil for memory-only instances.
+	durable *store.Durable
+	// feedLog is the change feed WithChangeFeed gave the instance, and
+	// feedOpts the options it was built with (see feed.go).
 	feedLog  *feed.Log
+	feedOpts []feed.LogOption
 }
 
 // InstanceOption configures an Instance.
@@ -58,20 +54,14 @@ func WithCASRetries(n int) InstanceOption {
 }
 
 // NewInstance returns a registry instance for the given site backed by the
-// given store. A *store.Durable — a member of a site's shared log — is the
-// instance's storage, as WithStorage's would be. NewInstance panics if a
-// WithStorage option failed to open its directory — construction cannot
-// half-succeed; use OpenInstance to handle the error instead.
+// given store. A *store.Durable — a member of a site's shared log, or the
+// log OpenInstance opens — is the instance's storage.
 func NewInstance(site cloud.SiteID, s Store, opts ...InstanceOption) *Instance {
 	inst := &Instance{site: site, store: s, maxCASRetries: 8}
 	inst.durable, _ = s.(*store.Durable)
 	for _, o := range opts {
 		o(inst)
 	}
-	if inst.storageErr != nil {
-		panic(inst.storageErr)
-	}
-	inst.finishFeed()
 	return inst
 }
 

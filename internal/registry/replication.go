@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -156,20 +157,21 @@ func others(refs []shardRef, i int) []shardRef {
 	return slices.Delete(slices.Clone(refs), i, i+1)
 }
 
-// fanOut runs fn once per replica and returns when every call has finished.
-// The calls run concurrently, except that a one-member set — every single-key
-// write of an unreplicated tier — runs on the caller's goroutine.
-func fanOut(refs []shardRef, fn func(i int, ref shardRef)) {
-	if len(refs) == 1 {
-		fn(0, refs[0])
+// fanOut runs fn once per member of the set — a replica, a shard, a shard's
+// sub-batch — and returns when every call has finished. The calls run
+// concurrently, except that a one-member set — every single-key write of an
+// unreplicated tier — runs on the caller's goroutine.
+func fanOut[T any](set []T, fn func(i int, member T)) {
+	if len(set) == 1 {
+		fn(0, set[0])
 		return
 	}
 	var wg sync.WaitGroup
-	for i, ref := range refs {
+	for i, member := range set {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn(i, ref)
+			fn(i, member)
 		}()
 	}
 	wg.Wait()
@@ -455,26 +457,18 @@ func (r *Router) purgeExcept(ctx context.Context, name string, skip []shardRef) 
 		mu     sync.Mutex
 		purged int
 		errs   []error
-		wg     sync.WaitGroup
 	)
-	for _, ref := range r.reachableShards() {
-		if hasRef(skip, ref.id) {
-			continue
+	rest := slices.DeleteFunc(r.reachableShards(), func(ref shardRef) bool { return hasRef(skip, ref.id) })
+	fanOut(rest, func(_ int, ref shardRef) {
+		n, derr := ref.api.DeleteMany(ctx, []string{name})
+		mu.Lock()
+		defer mu.Unlock()
+		if derr != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, derr))
+			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n, derr := ref.api.DeleteMany(ctx, []string{name})
-			mu.Lock()
-			defer mu.Unlock()
-			if derr != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, derr))
-				return
-			}
-			purged += n
-		}()
-	}
-	wg.Wait()
+		purged += n
+	})
 	return purged, errs
 }
 
@@ -621,24 +615,18 @@ func (r *Router) bulkWrite(op string, groups map[cloud.SiteID]*repGroup, homesOf
 		mu    sync.Mutex
 		total int
 		errs  []error
-		wg    sync.WaitGroup
 	)
-	for _, g := range groups {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n, err := call(g)
-			r.report(g.id, err)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", g.id, err))
-				return
-			}
-			total += n
-		}()
-	}
-	wg.Wait()
+	fanOut(slices.Collect(maps.Values(groups)), func(_ int, g *repGroup) {
+		n, err := call(g)
+		r.report(g.id, err)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", g.id, err))
+			return
+		}
+		total += n
+	})
 
 	div := bulkCountDivisor(r.rep, homesOf)
 	return (total + div - 1) / div, r.shardErr(op, errs)
@@ -761,14 +749,14 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 	r.obs.bulkOps.Inc()
 	for round := 0; len(remaining) > 0 && round < r.rep; round++ {
 		type subBatch struct {
-			api   API
+			shardRef
 			names []string
 		}
 		batch := make(map[cloud.SiteID]*subBatch)
 		for name, refs := range remaining {
 			b := batch[refs[0].id]
 			if b == nil {
-				b = &subBatch{api: refs[0].api}
+				b = &subBatch{shardRef: refs[0]}
 				batch[refs[0].id] = b
 			}
 			b.names = append(b.names, name)
@@ -776,25 +764,19 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 		r.obs.subBatches.Add(int64(len(batch)))
 
 		failed := make(map[cloud.SiteID]error)
-		var wg sync.WaitGroup
-		for id, b := range batch {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				entries, gerr := b.api.GetMany(ctx, b.names)
-				r.report(id, gerr)
-				mu.Lock()
-				defer mu.Unlock()
-				if gerr != nil {
-					failed[id] = gerr
-					return
-				}
-				for _, e := range entries {
-					found[e.Name] = e
-				}
-			}()
-		}
-		wg.Wait()
+		fanOut(slices.Collect(maps.Values(batch)), func(_ int, b *subBatch) {
+			entries, gerr := b.api.GetMany(ctx, b.names)
+			r.report(b.id, gerr)
+			mu.Lock()
+			defer mu.Unlock()
+			if gerr != nil {
+				failed[b.id] = gerr
+				return
+			}
+			for _, e := range entries {
+				found[e.Name] = e
+			}
+		})
 
 		answered := len(remaining)
 		next := make(map[string][]shardRef)
@@ -834,25 +816,19 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 			}
 		}
 		if len(missing) > 0 {
-			var fwg sync.WaitGroup
-			for _, api := range r.shards {
-				fwg.Add(1)
-				go func() {
-					defer fwg.Done()
-					entries, ferr := api.GetMany(ctx, missing)
-					if ferr != nil {
-						return // best-effort fallback; the home answer stands
+			fanOut(r.allShards(), func(_ int, ref shardRef) {
+				entries, ferr := ref.api.GetMany(ctx, missing)
+				if ferr != nil {
+					return // best-effort fallback; the home answer stands
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for _, e := range entries {
+					if _, ok := found[e.Name]; !ok {
+						found[e.Name] = e
 					}
-					mu.Lock()
-					for _, e := range entries {
-						if _, ok := found[e.Name]; !ok {
-							found[e.Name] = e
-						}
-					}
-					mu.Unlock()
-				}()
-			}
-			fwg.Wait()
+				}
+			})
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
+	"geomds/internal/memcache"
 	"geomds/internal/metrics"
 )
 
@@ -767,5 +768,57 @@ func TestRouterReplicationLargerThanTier(t *testing.T) {
 	}
 	if deleted != n {
 		t.Fatalf("delete-many count with rep > shards: got %d, want %d", deleted, n)
+	}
+}
+
+// TestUnavailablePlaceholderKeepsItsSlot builds the tier a client builds over
+// a partly reachable replicated site: an undialable shard keeps its slot as a
+// placeholder, marked down. Every key is then served by its healthy
+// replicas, and the placeholder fails each call with ErrUnavailable and
+// answers the best-effort ones with nothing.
+func TestUnavailablePlaceholderKeepsItsSlot(t *testing.T) {
+	u := Unavailable(7)
+	shards := []API{NewInstance(7, memcache.New(memcache.Config{})), u, NewInstance(7, memcache.New(memcache.Config{}))}
+	r, err := NewRouter(7, shards, WithRouterReplication(2), WithRouterMetrics(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	r.MarkShardDown(1)
+	if r.Site() != 7 || r.Replication() != 2 {
+		t.Fatalf("router site %d, replication %d; want 7 and 2", r.Site(), r.Replication())
+	}
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("slot/%d", i)
+		if _, err := r.Create(tctx, NewEntry(name, 1, "p", Location{Site: 7, Node: 1})); err != nil {
+			t.Fatalf("create %s: %v", name, err)
+		}
+		if _, err := r.Get(tctx, name); err != nil {
+			t.Fatalf("get %s: %v", name, err)
+		}
+	}
+	if n := r.Len(tctx); n != 16 {
+		t.Errorf("Len = %d, want 16", n)
+	}
+
+	e := NewEntry("x", 1, "p", Location{Site: 7, Node: 1})
+	calls := map[string]error{}
+	_, calls["create"] = u.Create(tctx, e)
+	_, calls["put"] = u.Put(tctx, e)
+	_, calls["get"] = u.Get(tctx, "x")
+	_, calls["add-location"] = u.AddLocation(tctx, "x", Location{Site: 7, Node: 2})
+	calls["delete"] = u.Delete(tctx, "x")
+	_, calls["entries"] = u.Entries(tctx)
+	_, calls["get-many"] = u.GetMany(tctx, []string{"x"})
+	_, calls["put-many"] = u.PutMany(tctx, []Entry{e})
+	_, calls["delete-many"] = u.DeleteMany(tctx, []string{"x"})
+	_, calls["merge"] = u.Merge(tctx, []Entry{e})
+	for op, err := range calls {
+		if !errors.Is(err, ErrUnavailable) {
+			t.Errorf("placeholder %s = %v, want ErrUnavailable", op, err)
+		}
+	}
+	if u.Site() != 7 || u.Names(tctx) != nil || u.Len(tctx) != 0 {
+		t.Errorf("placeholder answers site %d, names %v, len %d; want 7, nil, 0", u.Site(), u.Names(tctx), u.Len(tctx))
 	}
 }

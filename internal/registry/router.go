@@ -338,13 +338,19 @@ func (r *Router) Shards() []cloud.SiteID { return r.placer.Sites() }
 // replication every shard is the only holder of its range and stays
 // included.
 func (r *Router) reachableShards() []shardRef {
-	out := make([]shardRef, 0, len(r.shards))
+	all := r.allShards()
+	if r.rep <= 1 {
+		return all
+	}
+	return slices.DeleteFunc(all, func(ref shardRef) bool { return r.health.isDown(ref.id) })
+}
+
+// allShards returns a handle on every shard of the tier, down-marked ones
+// included.
+func (r *Router) allShards() []shardRef {
+	out := make([]shardRef, len(r.shards))
 	for i, api := range r.shards {
-		id := cloud.SiteID(i)
-		if r.rep > 1 && r.health.isDown(id) {
-			continue
-		}
-		out = append(out, shardRef{id: id, api: api})
+		out[i] = shardRef{id: cloud.SiteID(i), api: api}
 	}
 	return out
 }
@@ -395,29 +401,21 @@ func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried []shar
 		found Entry
 		ok    bool
 		errs  []error
-		wg    sync.WaitGroup
 	)
-	for i, other := range r.shards {
-		if hasRef(tried, cloud.SiteID(i)) {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e, err := other.Get(ctx, name)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				if !ok || e.Version > found.Version {
-					found, ok = e, true
-				}
-			case !errors.Is(err, ErrNotFound):
-				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+	rest := slices.DeleteFunc(r.allShards(), func(ref shardRef) bool { return hasRef(tried, ref.id) })
+	fanOut(rest, func(_ int, ref shardRef) {
+		e, err := ref.api.Get(ctx, name)
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err == nil:
+			if !ok || e.Version > found.Version {
+				found, ok = e, true
 			}
-		}()
-	}
-	wg.Wait()
+		case !errors.Is(err, ErrNotFound):
+			errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, err))
+		}
+	})
 	return found, ok, errs
 }
 
@@ -519,27 +517,21 @@ func (r *Router) Entries(ctx context.Context) ([]Entry, error) {
 		mu   sync.Mutex
 		best = make(map[string]Entry)
 		errs []error
-		wg   sync.WaitGroup
 	)
-	for _, ref := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			batch, err := ref.api.Entries(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, err))
-				return
+	fanOut(shards, func(_ int, ref shardRef) {
+		batch, err := ref.api.Entries(ctx)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, err))
+			return
+		}
+		for _, e := range batch {
+			if cur, ok := best[e.Name]; !ok || e.Version > cur.Version {
+				best[e.Name] = e
 			}
-			for _, e := range batch {
-				if cur, ok := best[e.Name]; !ok || e.Version > cur.Version {
-					best[e.Name] = e
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	if err := r.shardErr("entries", errs); err != nil {
 		return nil, err
 	}
@@ -564,21 +556,15 @@ func (r *Router) Names(ctx context.Context) []string {
 	var (
 		mu   sync.Mutex
 		seen = make(map[string]bool)
-		wg   sync.WaitGroup
 	)
-	for _, ref := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			names := ref.api.Names(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			for _, n := range names {
-				seen[n] = true
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(shards, func(_ int, ref shardRef) {
+		names := ref.api.Names(ctx)
+		mu.Lock()
+		defer mu.Unlock()
+		for _, n := range names {
+			seen[n] = true
+		}
+	})
 	out := make([]string, 0, len(seen))
 	for n := range seen {
 		out = append(out, n)
@@ -595,18 +581,10 @@ func (r *Router) Len(ctx context.Context) int {
 	if r.rep > 1 {
 		return len(r.Names(ctx))
 	}
-	var (
-		total atomic.Int64
-		wg    sync.WaitGroup
-	)
-	for _, api := range r.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			total.Add(int64(api.Len(ctx)))
-		}()
-	}
-	wg.Wait()
+	var total atomic.Int64
+	fanOut(r.allShards(), func(_ int, ref shardRef) {
+		total.Add(int64(ref.api.Len(ctx)))
+	})
 	return int(total.Load())
 }
 

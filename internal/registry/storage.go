@@ -8,7 +8,7 @@ import (
 )
 
 // This file wires the internal/store durability layer into the registry:
-// WithStorage/OpenInstance give an Instance an on-disk WAL plus snapshots.
+// OpenInstance gives an Instance an on-disk WAL plus snapshots.
 // A returning shard is repaired by the router's re-sync sweep whether or not
 // it persists, so nothing in the registry asks how much state it brought
 // back.
@@ -27,39 +27,17 @@ type Recoverable interface {
 // An Instance is Recoverable (memory-only instances answer false).
 var _ Recoverable = (*Instance)(nil)
 
-// WithStorage wraps the instance's store in the durable WAL+snapshot layer
-// rooted at dir: prior state is recovered into the backing store before the
-// instance serves, and every mutation is journaled before it is
-// acknowledged. NewInstance panics if the storage cannot be opened (a
-// construction-time invariant, like an unroutable placement); use
-// OpenInstance where the error should surface instead.
-func WithStorage(dir string, opts ...store.Option) InstanceOption {
-	return func(i *Instance) {
-		d, err := store.Open(dir, i.store, opts...)
-		if err != nil {
-			i.storageErr = fmt.Errorf("registry: opening storage in %s: %w", dir, err)
-			return
-		}
-		i.store = d
-		i.durable = d
-	}
-}
-
-// OpenInstance is NewInstance plus WithStorage with the error returned
-// rather than panicking: the instance recovers its state from dir (created
-// if needed) and journals every mutation there. storeOpts tune the WAL
+// OpenInstance opens the durable WAL+snapshot layer rooted at dir (created
+// if needed) over backing and returns an instance on it: prior state is
+// recovered into the backing store before the instance serves, and every
+// mutation is journaled before it is acknowledged. storeOpts tune the WAL
 // (fsync policy, compaction interval); opts are the usual instance options.
 func OpenInstance(site cloud.SiteID, backing Store, dir string, storeOpts []store.Option, opts ...InstanceOption) (*Instance, error) {
-	inst := &Instance{site: site, store: backing, maxCASRetries: 8}
-	for _, o := range opts {
-		o(inst)
+	d, err := store.Open(dir, backing, storeOpts...)
+	if err != nil {
+		return nil, fmt.Errorf("registry: opening storage in %s: %w", dir, err)
 	}
-	WithStorage(dir, storeOpts...)(inst)
-	if inst.storageErr != nil {
-		return nil, inst.storageErr
-	}
-	inst.finishFeed()
-	return inst, nil
+	return NewInstance(site, d, opts...), nil
 }
 
 // Close flushes and fsyncs the instance's log — regardless of the fsync

@@ -236,19 +236,17 @@ func TestInstanceCloseLosslessRelaxedFsync(t *testing.T) {
 	}
 }
 
-func TestNewInstancePanicsOnStorageFailure(t *testing.T) {
+func TestOpenInstanceFailsOnStorageFailure(t *testing.T) {
 	// A regular file where the data directory should go makes store.Open
-	// fail; NewInstance must refuse to construct a half-open instance.
+	// fail; OpenInstance must return the error, not a half-open instance.
 	path := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewInstance with failing WithStorage did not panic")
-		}
-	}()
-	NewInstance(3, memcache.New(memcache.Config{}), WithStorage(filepath.Join(path, "sub")))
+	inst, err := OpenInstance(3, memcache.New(memcache.Config{}), filepath.Join(path, "sub"), nil)
+	if err == nil || inst != nil {
+		t.Fatalf("OpenInstance over a file = %v, %v; want nil and an error", inst, err)
+	}
 }
 
 // newDurableRouter builds a replicated router over restartable persistent

@@ -16,9 +16,9 @@ import (
 	"geomds/internal/registry"
 )
 
-// DefaultPoolSize is the number of TCP connections a Client opens (lazily)
+// defaultPoolSize is the number of TCP connections a Client opens (lazily)
 // towards its server unless WithPoolSize says otherwise.
-const DefaultPoolSize = 4
+const defaultPoolSize = 4
 
 // Client is a registry.API proxy for a registry server reached over TCP.
 //
@@ -106,7 +106,7 @@ func WithTimeout(d time.Duration) ClientOption {
 }
 
 // WithPoolSize sets how many connections the client spreads its calls over
-// (default DefaultPoolSize). One connection already supports pipelining;
+// (default 4). One connection already supports pipelining;
 // more connections add parallelism on the server side and amortize
 // head-of-line blocking on large frames.
 func WithPoolSize(n int) ClientOption {
@@ -138,7 +138,7 @@ func WithMetrics(reg *metrics.Registry) ClientOption {
 // context bounds the initial connect-and-handshake exchange; the returned
 // client reports the site ID advertised by the server.
 func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, error) {
-	c := &Client{addr: addr, timeout: 10 * time.Second, pool: DefaultPoolSize, obs: newClientObs(metrics.Default)}
+	c := &Client{addr: addr, timeout: 10 * time.Second, pool: defaultPoolSize, obs: newClientObs(metrics.Default)}
 	for _, o := range opts {
 		o(c)
 	}

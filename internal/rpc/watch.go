@@ -342,9 +342,6 @@ type WatchOptions struct {
 	// NoFallback makes a too-old cursor fail with feed.ErrCompacted
 	// instead of being served by the server's snapshot+tail fallback.
 	NoFallback bool
-	// Buffer is the local event channel's capacity (default
-	// watchEventBatch).
-	Buffer int
 }
 
 // WatchStream is one live watch subscription. It implements feed.Stream, so
@@ -459,13 +456,9 @@ func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*Wa
 		conn.Close()
 		return nil, decodeFeedErr(ackFrame.Resp)
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = watchEventBatch
-	}
 	w := &WatchStream{
 		conn: conn,
-		out:  make(chan feed.Event, buffer),
+		out:  make(chan feed.Event, watchEventBatch),
 		done: make(chan struct{}),
 		ack:  ackFrame.Watch,
 	}
@@ -502,17 +495,5 @@ func (w *WatchStream) readLoop(br *bufio.Reader) {
 			w.setErr(decodeFeedErr(rf.Resp))
 			return
 		}
-	}
-}
-
-// FeedSource adapts the client into a feed.Source for a Combiner: Subscribe
-// opens a Watch (with the server-side snapshot fallback enabled, so a
-// compacted cursor never surfaces to the combiner) and Snapshot is nil.
-func (c *Client) FeedSource(name string) feed.Source {
-	return feed.Source{
-		Name: name,
-		Subscribe: func(ctx context.Context, from uint64) (feed.Stream, error) {
-			return c.Watch(ctx, from, WatchOptions{})
-		},
 	}
 }

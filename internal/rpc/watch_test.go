@@ -212,14 +212,19 @@ func TestWatchOpRefusedOutsideWatchFrames(t *testing.T) {
 	}
 }
 
-// TestWatchCombinerOverRemoteShards fans two remote registries' watches
-// into one combiner through the RPC client's FeedSource adapter, and checks
-// the stream survives a server-side subscription drop via resubscribe.
+// TestWatchCombinerOverRemoteShards fans two remote registries' watch
+// streams into one combiner: a WatchStream is a feed.Stream, in order per
+// source.
 func TestWatchCombinerOverRemoteShards(t *testing.T) {
 	_, _, clientA := startFeedServer(t, 0)
 	_, _, clientB := startFeedServer(t, 1)
+	source := func(name string, c *Client) feed.Source {
+		return feed.Source{Name: name, Subscribe: func(ctx context.Context, from uint64) (feed.Stream, error) {
+			return c.Watch(ctx, from, WatchOptions{})
+		}}
+	}
 	comb := feed.NewCombiner(
-		[]feed.Source{clientA.FeedSource("site-0"), clientB.FeedSource("site-1")},
+		[]feed.Source{source("site-0", clientA), source("site-1", clientB)},
 		feed.WithResubscribeBackoff(time.Millisecond, 50*time.Millisecond),
 	)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -34,7 +34,7 @@ type Engine struct {
 }
 
 // engineObs holds the engine's observability instruments, resolved once at
-// construction. All fields tolerate being nil (instrumentation disabled).
+// construction on metrics.Default.
 type engineObs struct {
 	started   *metrics.Counter   // workflow_tasks_started_total
 	completed *metrics.Counter   // workflow_tasks_completed_total
@@ -60,18 +60,6 @@ type EngineConfig struct {
 	RetryInterval time.Duration
 	// MaxRetries bounds the polls per input before giving up (default 400).
 	MaxRetries int
-	// Progress optionally receives one completion event per metadata
-	// operation performed by tasks (used to build Fig. 6-style timelines).
-	Progress *metrics.Progress
-	// SkipStageIn skips publishing metadata for the workflow's external
-	// inputs; use it when the caller has already registered them.
-	SkipStageIn bool
-	// Metrics selects the live-observability registry the engine reports
-	// tasks started/completed/failed, retry counts and task latencies to.
-	// nil means metrics.Default; DisableMetrics turns instrumentation off.
-	Metrics *metrics.Registry
-	// DisableMetrics disables live instrumentation even when Metrics is nil.
-	DisableMetrics bool
 }
 
 // DefaultRetryInterval is the default simulated metadata-poll interval.
@@ -90,11 +78,7 @@ func NewEngine(dep *cloud.Deployment, svc core.MetadataService, lat *latency.Mod
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
-	reg := cfg.Metrics
-	if reg == nil && !cfg.DisableMetrics {
-		reg = metrics.Default
-	}
-	return &Engine{dep: dep, svc: svc, lat: lat, cfg: cfg, obs: newEngineObs(reg)}
+	return &Engine{dep: dep, svc: svc, lat: lat, cfg: cfg, obs: newEngineObs(metrics.Default)}
 }
 
 // Result summarizes one workflow execution.
@@ -145,12 +129,10 @@ func (e *Engine) Run(ctx context.Context, w *Workflow, sched Schedule) (Result, 
 	}
 	start := time.Now()
 
-	if !e.cfg.SkipStageIn {
-		n, err := e.stageIn(ctx, w)
-		res.StageInWrites = n
-		if err != nil {
-			return res, err
-		}
+	n, err := e.stageIn(ctx, w)
+	res.StageInWrites = n
+	if err != nil {
+		return res, err
 	}
 
 	// Dependency bookkeeping.
@@ -325,9 +307,6 @@ func (e *Engine) runTask(ctx context.Context, node cloud.Node, t *Task) (reads, 
 			}
 		}
 		writes++
-		if e.cfg.Progress != nil {
-			e.cfg.Progress.Done()
-		}
 	}
 	return reads, writes, retries, nil
 }
@@ -339,9 +318,6 @@ func (e *Engine) lookupWithRetry(ctx context.Context, node cloud.Node, name stri
 		reads++
 		_, lookupErr := e.svc.Lookup(ctx, node.Site, name)
 		if lookupErr == nil {
-			if e.cfg.Progress != nil {
-				e.cfg.Progress.Done()
-			}
 			return reads, retries, nil
 		}
 		if !errors.Is(lookupErr, core.ErrNotFound) {

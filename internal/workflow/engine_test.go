@@ -3,13 +3,15 @@ package workflow
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"geomds/internal/cloud"
 	"geomds/internal/core"
 	"geomds/internal/latency"
-	"geomds/internal/metrics"
+	"geomds/internal/registry"
 )
 
 // newEngineFixture builds a 4-site deployment, a no-sleep latency model and a
@@ -84,44 +86,34 @@ func TestEngineAllStrategies(t *testing.T) {
 	}
 }
 
-func TestEngineWithProgress(t *testing.T) {
-	w := Pipeline(PatternConfig{Prefix: "pr-", Compute: 0}, 6)
-	stats, _ := w.Stats()
-	prog := metrics.NewProgress(stats.MetadataOps)
-	eng, _, dep, _ := newEngineFixture(t, core.Decentralized, 8, EngineConfig{Progress: prog})
-	sched, _ := (RoundRobinScheduler{}).Schedule(w, dep)
-	if _, err := eng.Run(context.Background(), w, sched); err != nil {
-		t.Fatal(err)
-	}
-	if prog.Completed() < stats.MetadataOps {
-		t.Errorf("progress recorded %d of %d ops", prog.Completed(), stats.MetadataOps)
-	}
+// hidingService answers every Lookup of one name with ErrNotFound, as an
+// eventually consistent strategy does before the entry propagates.
+type hidingService struct {
+	core.MetadataService
+	hidden string
 }
 
-func TestEngineSkipStageIn(t *testing.T) {
-	eng, svc, dep, _ := newEngineFixture(t, core.Centralized, 4, EngineConfig{SkipStageIn: true, MaxRetries: 3, RetryInterval: time.Millisecond})
+func (h hidingService) Lookup(ctx context.Context, from cloud.SiteID, name string) (registry.Entry, error) {
+	if name == h.hidden {
+		return registry.Entry{}, fmt.Errorf("lookup %q: %w", name, core.ErrNotFound)
+	}
+	return h.MetadataService.Lookup(ctx, from, name)
+}
+
+// TestEngineGivesUpOnAnInputNeverVisible: a task polls an input that never
+// becomes visible MaxRetries times after its first read, then fails the run
+// with ErrNotFound.
+func TestEngineGivesUpOnAnInputNeverVisible(t *testing.T) {
+	_, svc, dep, lat := newEngineFixture(t, core.Centralized, 4, EngineConfig{})
+	eng := NewEngine(dep, hidingService{MetadataService: svc, hidden: "in"}, lat, EngineConfig{MaxRetries: 3, RetryInterval: time.Millisecond})
 	w := diamond()
 	sched, _ := (RoundRobinScheduler{}).Schedule(w, dep)
-	// Without stage-in and without pre-registered inputs, task "a" can never
-	// resolve "in" and the run must fail cleanly.
-	if _, err := eng.Run(context.Background(), w, sched); err == nil {
-		t.Error("expected failure when external inputs are missing")
+	res, err := eng.Run(context.Background(), w, sched)
+	if !errors.Is(err, core.ErrNotFound) || !strings.Contains(err.Error(), "after 3 polls") {
+		t.Fatalf("Run = %v, want ErrNotFound after 3 polls", err)
 	}
-	// Pre-register the input and re-run on a fresh workflow state.
-	client := core.NewClient(svc, dep.Node(0))
-	if _, err := client.PublishFile(context.Background(), "in", 100, "external"); err != nil {
-		t.Fatal(err)
-	}
-	w2 := diamond()
-	res, err := eng.Run(context.Background(), w2, sched)
-	if err == nil {
-		if res.StageInWrites != 0 {
-			t.Errorf("StageInWrites = %d, want 0", res.StageInWrites)
-		}
-	} else {
-		// Outputs from the failed first attempt may collide; tolerate only
-		// ErrExists-driven AddLocation paths, anything else is a bug.
-		t.Logf("re-run returned: %v", err)
+	if res.StageInWrites != 1 || res.Writes != 0 {
+		t.Errorf("stage-in %d, writes %d; want 1 and 0", res.StageInWrites, res.Writes)
 	}
 }
 

@@ -26,19 +26,9 @@ import (
 type SyntheticConfig struct {
 	// OpsPerNode is the number of metadata operations each node performs.
 	OpsPerNode int
-	// EntrySize is the modelled size of the files whose metadata is posted.
-	// The paper uses empty files to isolate metadata costs; 0 reproduces that.
-	EntrySize int64
-	// ThinkTime is an optional simulated pause between a node's operations.
-	ThinkTime time.Duration
 	// ReadRetryInterval is the simulated back-off when a reader requests an
 	// entry that is not visible yet (default 250 ms).
 	ReadRetryInterval time.Duration
-	// MaxReadRetries bounds the polls per read before the reader gives up and
-	// counts the operation as a miss (default 2). A read that misses still
-	// counts as a completed metadata operation — the paper's readers request
-	// random entries and a not-found answer is a valid answer.
-	MaxReadRetries int
 	// Seed makes the readers' random choices reproducible.
 	Seed int64
 	// Prefix namespaces entry names so repeated runs do not collide.
@@ -54,6 +44,12 @@ type SyntheticConfig struct {
 	Tenants int
 }
 
+// maxReadRetries bounds the polls per read before a reader gives up and counts
+// the operation as a miss. A read that misses still counts as a completed
+// metadata operation — the paper's readers request random entries and a
+// not-found answer is a valid answer.
+const maxReadRetries = 2
+
 // withDefaults fills unset fields.
 func (c SyntheticConfig) withDefaults() SyntheticConfig {
 	if c.OpsPerNode <= 0 {
@@ -61,11 +57,6 @@ func (c SyntheticConfig) withDefaults() SyntheticConfig {
 	}
 	if c.ReadRetryInterval <= 0 {
 		c.ReadRetryInterval = 250 * time.Millisecond
-	}
-	if c.MaxReadRetries < 0 {
-		c.MaxReadRetries = 0
-	} else if c.MaxReadRetries == 0 {
-		c.MaxReadRetries = 2
 	}
 	if c.Prefix == "" {
 		c.Prefix = "bench"
@@ -147,7 +138,8 @@ func RunSynthetic(ctx context.Context, svc core.MetadataService, dep *cloud.Depl
 	}
 
 	start := time.Now()
-	// Writers post consecutive entries file-<writer>-<i>.
+	// Writers post consecutive entries file-<writer>-<i>, of empty files as
+	// in the paper, to isolate metadata costs.
 	for wi, node := range writers {
 		wg.Add(1)
 		go func(wi int, node cloud.Node) {
@@ -158,7 +150,7 @@ func RunSynthetic(ctx context.Context, svc core.MetadataService, dep *cloud.Depl
 			var err error
 			for i := 0; i < cfg.OpsPerNode; i++ {
 				name := entryName(cfg.Prefix, wi, i)
-				entry := registry.NewEntry(name, cfg.EntrySize, fmt.Sprintf("writer-%d", wi),
+				entry := registry.NewEntry(name, 0, fmt.Sprintf("writer-%d", wi),
 					registry.Location{Site: node.Site, Node: node.ID})
 				if _, cerr := svc.Create(ctx, node.Site, entry); cerr != nil && !errors.Is(cerr, core.ErrExists) {
 					err = fmt.Errorf("writer %d op %d: %w", wi, i, cerr)
@@ -167,11 +159,6 @@ func RunSynthetic(ctx context.Context, svc core.MetadataService, dep *cloud.Depl
 				ops++
 				if progress != nil {
 					progress.Done()
-				}
-				if cfg.ThinkTime > 0 {
-					if err = lat.InjectDuration(ctx, cfg.ThinkTime); err != nil {
-						break
-					}
 				}
 			}
 			record(node.ID, lat.ToSimulated(time.Since(nodeStart)), ops, 0, 0, err)
@@ -215,7 +202,7 @@ func RunSynthetic(ctx context.Context, svc core.MetadataService, dep *cloud.Depl
 				}
 				name := entryName(cfg.Prefix, w, idx)
 				found := false
-				for attempt := 0; attempt <= cfg.MaxReadRetries; attempt++ {
+				for attempt := 0; attempt <= maxReadRetries; attempt++ {
 					_, lerr := svc.Lookup(ctx, node.Site, name)
 					if lerr == nil {
 						found = true
@@ -239,11 +226,6 @@ func RunSynthetic(ctx context.Context, svc core.MetadataService, dep *cloud.Depl
 				ops++
 				if progress != nil {
 					progress.Done()
-				}
-				if cfg.ThinkTime > 0 {
-					if err = lat.InjectDuration(ctx, cfg.ThinkTime); err != nil {
-						break
-					}
 				}
 			}
 			record(node.ID, lat.ToSimulated(time.Since(nodeStart)), ops, retries, misses, err)

@@ -33,7 +33,7 @@ func newWorkloadFixture(t *testing.T, kind core.StrategyKind, nodes int) (core.M
 
 func TestSyntheticConfigDefaults(t *testing.T) {
 	cfg := SyntheticConfig{}.withDefaults()
-	if cfg.OpsPerNode != 100 || cfg.MaxReadRetries != 2 || cfg.Prefix == "" || cfg.ReadRetryInterval <= 0 {
+	if cfg.OpsPerNode != 100 || cfg.Prefix == "" || cfg.ReadRetryInterval <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }

@@ -4,8 +4,8 @@ package geomds
 // internal/ stays only while something outside tests reaches it. One that no
 // binary, example or geobench reaches, directly or through code that is itself
 // reached, and that implements no method of an interface, is either listed in
-// seams with the reason it stays, or dead. The same rule holds memcache.Config's
-// fields (TestCacheConfigIsSet).
+// seams with the reason it stays, or dead. The same rule holds the fields of
+// every exported config struct under internal/ (TestConfigFieldsAreSet).
 
 import (
 	"bytes"
@@ -56,7 +56,7 @@ var seams = map[string]string{
 	"memcache.Cache.Stopped":               "TestStop: the state Stop's fault injection leaves",
 	"memcache.Item.Expired":                "TestItemIsRebuiltOnTheWayOut: an item read back carries its expiry",
 	"metrics.Histogram.Count":              "TestReplicatedFeedSyncConverges, TestCapacityStoreBoundsConcurrency: how many samples live code observed",
-	"metrics.Progress.Completed":           "TestEngineWithProgress, TestRunSyntheticCentralized: the engine records every completion",
+	"metrics.Progress.Completed":           "TestRunSyntheticCentralized: the synthetic run records every completion",
 	"metrics.Progress.DoneAt":              "TestProgressTimeline: completions at fixed offsets, so Timeline's percentiles are exact",
 	"metrics.Recorder.Len":                 "TestRecorderConcurrent: no sample is lost by concurrent recorders",
 	"metrics.TraceRing.Len":                "TestTraceRingWrapsAndOrders: the ring keeps its capacity when it wraps",
@@ -79,14 +79,15 @@ var seams = map[string]string{
 	"workloads.JobCount":                   "TestBuzzFlowShape, TestMontageShape: the oracle for the generators' task counts",
 }
 
-// goFile is one parsed non-test file and the package directory it is in.
+// goFile is one parsed file.
 type goFile struct {
 	path string
-	dir  string
 	ast  *ast.File
 }
 
-func parseNonTestFiles(t *testing.T) []goFile {
+// parseGoFiles parses the module's test files, or its other Go files, outside
+// hidden and testdata directories; benchmark/ is included.
+func parseGoFiles(t *testing.T, tests bool) []goFile {
 	t.Helper()
 	var files []goFile
 	fset := token.NewFileSet()
@@ -100,14 +101,14 @@ func parseNonTestFiles(t *testing.T) []goFile {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, goFile{path: path, dir: filepath.ToSlash(filepath.Dir(path)), ast: f})
+		files = append(files, goFile{path: path, ast: f})
 		return nil
 	})
 	if err != nil {
@@ -116,138 +117,12 @@ func parseNonTestFiles(t *testing.T) []goFile {
 	return files
 }
 
-// configSeams are the memcache.Config fields only tests set, and why each
-// stays.
-var configSeams = map[string]string{
-	"Shards": "one shard forces evacuation and index growth in shard_test.go",
-	"Now":    "the expiry clock, so TTL tests step time instead of sleeping",
-}
-
-// TestCacheConfigIsSet holds memcache.Config to the options' rule: a field
-// stays only while non-test code outside memcache sets it — as a key of a
-// memcache.Config literal, or by assignment to a variable or parameter of that
-// type — or it is a seam listed in configSeams.
-func TestCacheConfigIsSet(t *testing.T) {
-	const cachePkg = "geomds/internal/memcache"
-	files := parseNonTestFiles(t)
-	set := make(map[string]int) // field -> places non-test code sets it
-	for _, f := range files {
-		if f.dir != "internal/memcache" {
-			continue
-		}
-		for _, decl := range f.ast.Decls {
-			gen, ok := decl.(*ast.GenDecl)
-			if !ok || gen.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gen.Specs {
-				ts := spec.(*ast.TypeSpec)
-				if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name == "Config" {
-					for _, field := range st.Fields.List {
-						for _, name := range field.Names {
-							set[name.Name] = 0
-						}
-					}
-				}
-			}
-		}
-	}
-	if len(set) == 0 {
-		t.Fatal("memcache.Config not found")
-	}
-
-	for _, f := range files {
-		local := ""
-		for _, imp := range f.ast.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == cachePkg {
-				local = "memcache"
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
-		if local == "" {
-			continue
-		}
-		isConfig := func(e ast.Expr) bool {
-			sel, ok := e.(*ast.SelectorExpr)
-			if !ok {
-				return false
-			}
-			x, ok := sel.X.(*ast.Ident)
-			return ok && x.Name == local && sel.Sel.Name == "Config"
-		}
-		vars := make(map[string]bool) // names declared as a memcache.Config
-		declare := func(names []*ast.Ident) {
-			for _, name := range names {
-				vars[name.Name] = true
-			}
-		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if isConfig(n.Type) {
-					for _, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							set[kv.Key.(*ast.Ident).Name]++
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				if isConfig(n.Type) {
-					declare(n.Names)
-				}
-			case *ast.Field:
-				if isConfig(n.Type) {
-					declare(n.Names)
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					switch lhs := lhs.(type) {
-					case *ast.Ident:
-						if cl, ok := n.Rhs[min(i, len(n.Rhs)-1)].(*ast.CompositeLit); ok && isConfig(cl.Type) {
-							vars[lhs.Name] = true
-						}
-					case *ast.SelectorExpr:
-						if x, ok := lhs.X.(*ast.Ident); ok && vars[x.Name] {
-							if _, field := set[lhs.Sel.Name]; field {
-								set[lhs.Sel.Name]++
-							}
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	var fields []string
-	for field := range set {
-		fields = append(fields, field)
-	}
-	sort.Strings(fields)
-	for _, field := range fields {
-		_, seam := configSeams[field]
-		switch {
-		case set[field] == 0 && !seam:
-			t.Errorf("memcache.Config.%s is set by no non-test code outside memcache: wire it to a caller, list it in configSeams with its reason, or delete it", field)
-		case set[field] > 0 && seam:
-			t.Errorf("memcache.Config.%s is listed in configSeams and set by non-test code: drop it from the list", field)
-		}
-	}
-	for field := range configSeams {
-		if _, ok := set[field]; !ok {
-			t.Errorf("configSeams lists %s, which memcache.Config does not have", field)
-		}
-	}
-}
-
 // TestGobIsImportedByNoFile holds the end state of retiring gob: the wire and
 // every stored value have hand-rolled encodings, and bytes of another format
 // are refused on their first byte. Test files may still import encoding/gob to
 // forge the bytes of earlier releases that must be refused.
 func TestGobIsImportedByNoFile(t *testing.T) {
-	for _, f := range parseNonTestFiles(t) {
+	for _, f := range parseGoFiles(t, false) {
 		for _, imp := range f.ast.Imports {
 			if imp.Path.Value == `"encoding/gob"` {
 				t.Errorf("%s imports encoding/gob", f.path)
@@ -314,6 +189,93 @@ type reachedFunc struct {
 	reached bool
 }
 
+// universe holds the packages of both modules, type-checked from source in
+// one universe: a binary, an example and geobench see the same types.Objects
+// as the internal/ packages they use.
+type universe struct {
+	fset    *token.FileSet
+	imp     types.Importer
+	checked map[string]*types.Package // import path -> package of either module
+	infos   map[string]*types.Info
+	parsed  map[string][]*ast.File // import path -> its non-test files
+	own     map[string]bool        // the packages of this module
+}
+
+// modulePrefix is the import path prefix of the packages the guards hold.
+const modulePrefix = "geomds/internal/"
+
+// loaded caches loadUniverse's result for the tests that read it, which run
+// one after another.
+var loaded *universe
+
+// loadUniverse lists both modules and type-checks their packages from source;
+// the rest of the build comes from its export data.
+func loadUniverse(t *testing.T) *universe {
+	t.Helper()
+	if loaded != nil {
+		return loaded
+	}
+	source := make(map[string]listedPackage) // import path -> a package of either module
+	exports := make(map[string]string)       // import path -> export data, for the rest
+	u := &universe{
+		fset:    token.NewFileSet(),
+		checked: make(map[string]*types.Package),
+		infos:   make(map[string]*types.Info),
+		parsed:  make(map[string][]*ast.File),
+		own:     make(map[string]bool),
+	}
+	var order []string // the packages of either module, in list order
+	for i, pkgs := range [][]listedPackage{goList(t, "."), goList(t, "benchmark")} {
+		for _, p := range pkgs {
+			switch {
+			case p.Module != nil && p.Module.Main:
+				source[p.ImportPath] = p
+				u.own[p.ImportPath] = i == 0
+				order = append(order, p.ImportPath)
+			case exports[p.ImportPath] == "":
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+
+	gc := importer.ForCompiler(u.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		p, ok := source[path]
+		if !ok {
+			return gc.Import(path)
+		}
+		if pkg := u.checked[path]; pkg != nil {
+			return pkg, nil
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(u.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, u.fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		u.checked[path], u.infos[path], u.parsed[path] = pkg, info, files
+		return pkg, nil
+	}
+	u.imp = imp
+	for _, path := range order {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+	loaded = u
+	return u
+}
+
 // reachability caches analyzeReachability's result for the tests that read it,
 // which run one after another.
 var reachability map[string]reachedFunc
@@ -324,71 +286,17 @@ var reachability map[string]reachedFunc
 // example, geobench — and the methods of an interface, one of this module's or
 // of stdInterfaces, that a type of either module implements. A function is
 // reached when a root or a reached function references it outside its own
-// declaration. The packages of both modules are type-checked from source in
-// one universe, so a method of the same name on another type does not count,
-// and a generic method counts through its origin. Types, variables and
-// constants are out of scope: sentinel errors are the documented error
-// contract.
+// declaration. The universe's type-checking means a method of the same name
+// on another type does not count, and a generic method counts through its
+// origin. Types, variables and constants are out of scope: sentinel errors
+// are the documented error contract.
 func analyzeReachability(t *testing.T) map[string]reachedFunc {
 	t.Helper()
 	if reachability != nil {
 		return reachability
 	}
-	const modulePrefix = "geomds/internal/"
-	source := make(map[string]listedPackage) // import path -> a package of either module
-	exports := make(map[string]string)       // import path -> export data, for the rest
-	own := make(map[string]bool)             // the packages of this module
-	var order []string                       // the packages of either module, in list order
-	for i, pkgs := range [][]listedPackage{goList(t, "."), goList(t, "benchmark")} {
-		for _, p := range pkgs {
-			switch {
-			case p.Module != nil && p.Module.Main:
-				source[p.ImportPath] = p
-				own[p.ImportPath] = i == 0
-				order = append(order, p.ImportPath)
-			case exports[p.ImportPath] == "":
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-
-	fset := token.NewFileSet()
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
-	checked := make(map[string]*types.Package)
-	infos := make(map[string]*types.Info)
-	parsed := make(map[string][]*ast.File)
-	var imp importerFunc
-	imp = func(path string) (*types.Package, error) {
-		p, ok := source[path]
-		if !ok {
-			return gc.Import(path)
-		}
-		if pkg := checked[path]; pkg != nil {
-			return pkg, nil
-		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
-		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
-		if err != nil {
-			return nil, err
-		}
-		checked[path], infos[path], parsed[path] = pkg, info, files
-		return pkg, nil
-	}
-	for _, path := range order {
-		if _, err := imp.Import(path); err != nil {
-			t.Fatalf("type-checking %s: %v", path, err)
-		}
-	}
+	u := loadUniverse(t)
+	fset, checked, infos, parsed, own, imp := u.fset, u.checked, u.infos, u.parsed, u.own, u.imp
 
 	// Every exported function and method under internal/, by the name seams
 	// uses: the package's path below internal/, the receiver's type name, and
@@ -582,4 +490,196 @@ func TestRouterMethodsAreReachable(t *testing.T) {
 // under internal/ to the reachability rule.
 func TestExportedFuncsAreReachable(t *testing.T) {
 	checkReachable(t, func(name string) bool { return !isOption(name) && !isRouterMethod(name) })
+}
+
+// configSeams are the config fields that only tests set, each with the tests
+// that need it and why it stays: it lets a test run fast, step a clock, or
+// reach a bound it could not reach at the default. A field whose only tests
+// are tests of itself is not a seam; it is deleted.
+var configSeams = map[string]string{
+	"experiments.Config.FeedSync":                 "TestRunWorkflowClosesWhatItBuilds: no feed-driven strategy goroutine outlives a run; the feed modes stay until ROADMAP item 8 decides them by measurement",
+	"memcache.Config.Now":                         "TestTTLExpiry, TestDeleteOfExpiredItemIsNotFound: the TTL clock, so the tests step time instead of sleeping",
+	"memcache.Config.Shards":                      "TestIndexWrapAround, TestValueSurvivesEvacuation: one shard forces index growth and evacuation",
+	"readcache.Options.Capacity":                  "TestLRUEvictionBoundsOccupancy, TestBulkWriteLeavesNoSlots: a capacity a test can overrun, so eviction and the slot bound show",
+	"readcache.Options.Now":                       "TestFeedlessTTLFallback: the staleness clock, so a feedless cache's TTL is stepped instead of slept",
+	"workflow.EngineConfig.RetryInterval":         "TestEngineAllStrategies, TestEngineEventualConsistencyRetries, TestWorkflowsRunThroughEngine: short polls keep the eventually consistent runs fast",
+	"workloads.SyntheticConfig.ReadRetryInterval": "TestRunSyntheticAllStrategies, TestRunSyntheticTenants: short polls keep the eventually consistent runs fast",
+}
+
+// configExempt are the config structs the rule does not hold: their fields are
+// decoded from an operator's file, not set by code.
+var configExempt = map[string]bool{
+	"limits.Config":      true,
+	"limits.TenantLimit": true,
+}
+
+// isConfigType reports whether a type name is one the config rule holds.
+func isConfigType(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
+}
+
+// TestConfigFieldsAreSet holds the exported fields of every exported
+// Config/Options struct under internal/ to the options' rule: a field stays
+// only while non-test code of either module sets it — as a key of a struct
+// literal, by assignment or increment through a value of its type, or by
+// taking its address, as a flag binding does — or it is a seam listed in
+// configSeams. A default that the field's own package fills in when the field
+// is unset (an assignment under an if whose condition reads the field) does
+// not count. Embedded fields are held through their own struct.
+func TestConfigFieldsAreSet(t *testing.T) {
+	u := loadUniverse(t)
+	fields := make(map[*types.Var]string) // field -> its configSeams name
+	structs := make(map[string]bool)      // the structs found, exempt ones included
+	for path, pkg := range u.checked {
+		rel, ok := strings.CutPrefix(path, modulePrefix)
+		if !ok {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !obj.Exported() || obj.IsAlias() {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			structs[rel+"."+name] = true
+			if !isConfigType(name) || configExempt[rel+"."+name] {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					fields[f] = rel + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("no config struct found under internal/")
+	}
+	for name := range configExempt {
+		if !structs[name] {
+			t.Errorf("configExempt lists %s, which is not an exported struct", name)
+		}
+	}
+
+	set := make(map[*types.Var]int) // field -> places non-test code sets it
+	for path, files := range u.parsed {
+		info := u.infos[path]
+		field := func(e ast.Expr) *types.Var {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return nil
+			}
+			f, _ := info.Uses[sel.Sel].(*types.Var)
+			if _, held := fields[f]; !held {
+				return nil
+			}
+			return f
+		}
+		for _, file := range files {
+			// defaults are the assignments that fill an unset field in its
+			// own package: under an if whose condition reads that field.
+			defaults := make(map[ast.Node]bool)
+			ast.Inspect(file, func(n ast.Node) bool {
+				ifs, ok := n.(*ast.IfStmt)
+				if !ok {
+					return true
+				}
+				read := make(map[*types.Var]bool)
+				ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+					if e, ok := n.(ast.Expr); ok {
+						if f := field(e); f != nil && f.Pkg().Path() == path {
+							read[f] = true
+						}
+					}
+					return true
+				})
+				for _, stmt := range ifs.Body.List {
+					if as, ok := stmt.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && read[field(as.Lhs[0])] {
+						defaults[as] = true
+					}
+				}
+				return true
+			})
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if f, ok := info.Uses[id].(*types.Var); ok {
+							if _, held := fields[f]; held {
+								set[f]++
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					if !defaults[n] {
+						for _, lhs := range n.Lhs {
+							if f := field(lhs); f != nil {
+								set[f]++
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if f := field(n.X); f != nil {
+						set[f]++
+					}
+				case *ast.UnaryExpr:
+					if f := field(n.X); f != nil && n.Op == token.AND {
+						set[f]++
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	names := make(map[string]bool, len(fields))
+	for f, name := range fields {
+		names[name] = true
+		_, seam := configSeams[name]
+		switch {
+		case set[f] == 0 && !seam:
+			unset = append(unset, name+" ("+u.fset.Position(f.Pos()).String()+")")
+		case set[f] > 0 && seam:
+			t.Errorf("%s is listed in configSeams and set by non-test code: drop it from the list", name)
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("%s is set by no binary, example, geobench or other non-test code: wire it to a caller, list it in configSeams with the test that needs it, or delete it", name)
+	}
+	for name, reason := range configSeams {
+		if !names[name] {
+			t.Errorf("configSeams lists %s, which is not a field the rule holds", name)
+		}
+		tests, _, _ := strings.Cut(reason, ":")
+		for _, test := range strings.Split(tests, ", ") {
+			if !declaredTests(t)[test] {
+				t.Errorf("configSeams gives %s the test %q, which no test file declares", name, test)
+			}
+		}
+	}
+}
+
+// testNames caches declaredTests' result.
+var testNames map[string]bool
+
+// declaredTests returns the names of the Test functions the module's test
+// files declare.
+func declaredTests(t *testing.T) map[string]bool {
+	t.Helper()
+	if testNames == nil {
+		testNames = make(map[string]bool)
+		for _, f := range parseGoFiles(t, true) {
+			for _, decl := range f.ast.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Test") {
+					testNames[fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	return testNames
 }
