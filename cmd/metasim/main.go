@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,30 +35,43 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one metasim invocation and returns its exit code: 0 on
+// success, 1 when a run fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("metasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig       = flag.Int("fig", 0, "figure to regenerate (1, 5, 6, 7, 8, 9, 10)")
-		table     = flag.Int("table", 0, "table to regenerate (1)")
-		all       = flag.Bool("all", false, "regenerate every table and figure")
-		ablations = flag.Bool("ablations", false, "run the design-choice ablations")
-		quick     = flag.Bool("quick", false, "reduced-size run (keeps the shape, finishes in seconds)")
-		scale     = flag.Float64("scale", 0, "override the time-compression factor (e.g. 0.01)")
-		size      = flag.Float64("size", 0, "override the workload size factor (1.0 = paper scale)")
-		nodes     = flag.Int("nodes", 0, "override the node count for fixed-size experiments")
-		keydist   = flag.String("keydist", "", "key distribution for the synthetic readers: uniform (default), zipfian[:s], or hotspot[:frac,weight]")
-		tenants   = flag.Int("tenants", 0, "spread the synthetic workload's nodes across this many tenants (node n runs as tenant-<n mod N>); 0 keeps every node on the default tenant")
-		csvPath   = flag.String("csv", "", "write the result series as CSV to this file")
-		seed      = flag.Int64("seed", 0, "override the random seed")
-		timeout   = flag.Duration("timeout", 0, "wall-clock deadline for the whole run; 0 means none")
-		stats     = flag.Bool("stats", false, "print live statistics during the run and a metrics dump at the end")
+		fig       = fs.Int("fig", 0, "figure to regenerate (1, 5, 6, 7, 8, 9, 10)")
+		table     = fs.Int("table", 0, "table to regenerate (1)")
+		all       = fs.Bool("all", false, "regenerate every table and figure")
+		ablations = fs.Bool("ablations", false, "run the design-choice ablations")
+		quick     = fs.Bool("quick", false, "reduced-size run (keeps the shape, finishes in seconds)")
+		scale     = fs.Float64("scale", 0, "override the time-compression factor (e.g. 0.01)")
+		size      = fs.Float64("size", 0, "override the workload size factor (1.0 = paper scale)")
+		nodes     = fs.Int("nodes", 0, "override the node count for fixed-size experiments")
+		keydist   = fs.String("keydist", "", "key distribution for the synthetic readers: uniform (default), zipfian[:s], or hotspot[:frac,weight]")
+		tenants   = fs.Int("tenants", 0, "spread the synthetic workload's nodes across this many tenants (node n runs as tenant-<n mod N>); 0 keeps every node on the default tenant")
+		csvPath   = fs.String("csv", "", "write the result series as CSV to this file")
+		seed      = fs.Int64("seed", 0, "override the random seed")
+		timeout   = fs.Duration("timeout", 0, "wall-clock deadline for the whole run; 0 means none")
+		stats     = fs.Bool("stats", false, "print live statistics during the run and a metrics dump at the end")
 	)
 	// The flags that shape each site's registry decode straight into the
 	// site.Config every environment is built from.
 	var tier site.Config
-	experiments.BindSiteFlags(flag.CommandLine, &tier)
-	flag.BoolVar(&tier.NearCache, "cache", false, "front every site's registry with a feed-coherent near cache (reads served locally, invalidated by the change feed)")
-	flag.StringVar(&tier.DataDir, "data-dir", "", "back every registry with a write-ahead log under this directory, so runs pay real durability costs (each run logs under its own subdirectory)")
-	flag.Var(&tier.Fsync, "fsync", "write-ahead log fsync policy with -data-dir: always (default) or never")
-	flag.Parse()
+	experiments.BindSiteFlags(fs, &tier)
+	fs.BoolVar(&tier.NearCache, "cache", false, "front every site's registry with a feed-coherent near cache (reads served locally, invalidated by the change feed)")
+	fs.StringVar(&tier.DataDir, "data-dir", "", "back every registry with a write-ahead log under this directory, so runs pay real durability costs (each run logs under its own subdirectory)")
+	fs.Var(&tier.Fsync, "fsync", "write-ahead log fsync policy with -data-dir: always (default) or never")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg := experiments.DefaultConfig()
 	if *quick {
@@ -77,26 +91,26 @@ func main() {
 		cfg.Seed = *seed
 	}
 	if *tenants < 0 {
-		fmt.Fprintln(os.Stderr, "metasim: -tenants must be >= 0")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "metasim: -tenants must be >= 0")
+		return 2
 	}
 	cfg.Tenants = *tenants
 	if *keydist != "" {
 		dist, err := workloads.ParseKeyDist(*keydist)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "metasim: -keydist: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "metasim: -keydist: %v\n", err)
+			return 2
 		}
 		cfg.KeyDist = dist
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "metasim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "metasim: %v\n", err)
+		return 2
 	}
 
 	if !*all && *fig == 0 && *table == 0 && !*ablations {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	ctx := context.Background()
@@ -107,10 +121,10 @@ func main() {
 	}
 
 	if *stats {
-		stopStats := startLiveStats(os.Stderr, 2*time.Second)
+		stopStats := startLiveStats(stderr, 2*time.Second)
 		defer func() {
 			stopStats()
-			fmt.Printf("\n== live metrics ==\n%s",
+			fmt.Fprintf(stdout, "\n== live metrics ==\n%s",
 				metrics.RenderReport(metrics.Default.Snapshot(), metrics.Default.Trace().Events(15)))
 		}()
 	}
@@ -120,32 +134,33 @@ func main() {
 	var err error
 	switch {
 	case *all:
-		csv, err = runAll(ctx, cfg)
+		csv, err = runAll(ctx, stdout, cfg)
 	case *ablations:
-		err = runAblations(ctx, cfg)
+		err = runAblations(ctx, stdout, cfg)
 	case *table == 1:
 		var tbl experiments.TableIResult
 		if tbl, err = experiments.TableI(); err == nil {
-			fmt.Print(tbl.Render())
+			fmt.Fprint(stdout, tbl.Render())
 		}
 	case *fig != 0:
-		csv, err = runFigure(ctx, cfg, *fig)
+		csv, err = runFigure(ctx, stdout, cfg, *fig)
 	default:
 		err = fmt.Errorf("unknown table %d", *table)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "metasim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "metasim: %v\n", err)
+		return 1
 	}
 	if *csvPath != "" && csv != "" {
 		if err := os.WriteFile(*csvPath, []byte(csv), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "metasim: writing %s: %v\n", *csvPath, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "metasim: writing %s: %v\n", *csvPath, err)
+			return 1
 		}
-		fmt.Printf("CSV written to %s\n", *csvPath)
+		fmt.Fprintf(stdout, "CSV written to %s\n", *csvPath)
 	}
-	fmt.Printf("(completed in %v wall-clock, scale %.3g, size factor %.3g)\n",
+	fmt.Fprintf(stdout, "(completed in %v wall-clock, scale %.3g, size factor %.3g)\n",
 		time.Since(start).Round(time.Millisecond), cfg.Scale, cfg.SizeFactor)
+	return 0
 }
 
 // startLiveStats prints one statistics line per interval, sourced from the
@@ -187,112 +202,112 @@ func startLiveStats(w io.Writer, interval time.Duration) func() {
 	}
 }
 
-func runFigure(ctx context.Context, cfg experiments.Config, fig int) (csv string, err error) {
+func runFigure(ctx context.Context, w io.Writer, cfg experiments.Config, fig int) (csv string, err error) {
 	switch fig {
 	case 1:
 		res, err := experiments.Figure1(ctx, cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Print(res.Render())
+		fmt.Fprint(w, res.Render())
 		return res.CSV(), nil
 	case 5:
 		res, err := experiments.Figure5(ctx, cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Print(res.Render())
+		fmt.Fprint(w, res.Render())
 		return res.CSV(), nil
 	case 6:
 		res, err := experiments.Figure6(ctx, cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Print(res.Render())
+		fmt.Fprint(w, res.Render())
 		return res.CSV(), nil
 	case 7:
 		res, err := experiments.Figure7(ctx, cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Print(res.Render())
+		fmt.Fprint(w, res.Render())
 		return res.CSV(), nil
 	case 8:
 		res, err := experiments.Figure8(ctx, cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Print(res.Render())
+		fmt.Fprint(w, res.Render())
 		return res.CSV(), nil
 	case 9:
 		res, err := experiments.Figure9()
 		if err != nil {
 			return "", err
 		}
-		fmt.Print(res.Render())
+		fmt.Fprint(w, res.Render())
 		return "", nil
 	case 10:
 		res, err := experiments.Figure10(ctx, cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Print(res.Render())
+		fmt.Fprint(w, res.Render())
 		return res.CSV(), nil
 	default:
 		return "", fmt.Errorf("unknown figure %d (supported: 1, 5, 6, 7, 8, 9, 10)", fig)
 	}
 }
 
-func runAll(ctx context.Context, cfg experiments.Config) (string, error) {
+func runAll(ctx context.Context, w io.Writer, cfg experiments.Config) (string, error) {
 	tbl, err := experiments.TableI()
 	if err != nil {
 		return "", err
 	}
-	fmt.Print(tbl.Render())
-	fmt.Println()
+	fmt.Fprint(w, tbl.Render())
+	fmt.Fprintln(w)
 	var lastCSV string
 	for _, fig := range []int{1, 5, 6, 7, 8, 9, 10} {
-		csv, err := runFigure(ctx, cfg, fig)
+		csv, err := runFigure(ctx, w, cfg, fig)
 		if err != nil {
 			return "", fmt.Errorf("figure %d: %w", fig, err)
 		}
 		if csv != "" {
 			lastCSV = csv
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	if err := runAblations(ctx, cfg); err != nil {
+	if err := runAblations(ctx, w, cfg); err != nil {
 		return "", err
 	}
 	return lastCSV, nil
 }
 
-func runAblations(ctx context.Context, cfg experiments.Config) error {
+func runAblations(ctx context.Context, w io.Writer, cfg experiments.Config) error {
 	replica, err := experiments.AblationLocalReplica(ctx, cfg, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Print(replica.Render())
+	fmt.Fprint(w, replica.Render())
 
 	lazy, err := experiments.AblationLazyVsEager(ctx, cfg, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Print(lazy.Render())
+	fmt.Fprint(w, lazy.Render())
 
-	fmt.Print(experiments.AblationHashingChurn(0).Render())
+	fmt.Fprint(w, experiments.AblationHashingChurn(0).Render())
 
 	dist, err := experiments.AblationKeyDistribution(ctx, cfg, 0, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Print(dist.Render())
+	fmt.Fprint(w, dist.Render())
 
 	capa, err := experiments.AblationRegistryCapacity(ctx, cfg, cfg.ServiceTime, cfg.Nodes, cfg.ScaledOps(1000, 20))
 	if err != nil {
 		return err
 	}
-	fmt.Print(capa.Render())
+	fmt.Fprint(w, capa.Render())
 
 	sched, err := experiments.AblationScheduler(ctx, cfg, workloads.Scenario{
 		Name: "ablation", OpsPerTask: cfg.ScaledOps(100, 4), Compute: time.Second,
@@ -300,7 +315,7 @@ func runAblations(ctx context.Context, cfg experiments.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(sched.Render())
+	fmt.Fprint(w, sched.Render())
 
 	prov, err := experiments.AblationProvisioning(cfg, workloads.Scenario{
 		Name: "ablation", OpsPerTask: cfg.ScaledOps(100, 4), Compute: time.Second,
@@ -308,6 +323,6 @@ func runAblations(ctx context.Context, cfg experiments.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(prov.Render())
+	fmt.Fprint(w, prov.Render())
 	return nil
 }

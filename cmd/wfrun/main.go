@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -26,28 +27,45 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one wfrun invocation and returns its exit code: 0 on success,
+// 1 when the run fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wfrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wfName    = flag.String("workflow", "montage", "workflow to run: montage, buzzflow, pipeline, scatter, gather, broadcast")
-		specPath  = flag.String("spec", "", "run a workflow loaded from a JSON spec file instead of a built-in one")
-		saveSpec  = flag.String("save-spec", "", "write the selected workflow as a JSON spec to this file and exit")
-		scenario  = flag.String("scenario", "SS", "Table I scenario: SS, CI or MI")
-		strategy  = flag.String("strategy", "dr", "metadata strategy: c, r, dn or dr")
-		compare   = flag.Bool("compare", false, "run the workflow under all four strategies")
-		nodes     = flag.Int("nodes", 32, "number of execution nodes")
-		tasks     = flag.Int("tasks", 32, "task count for the pattern workflows (pipeline, scatter, ...)")
-		scale     = flag.Float64("scale", 0.01, "time-compression factor for injected latencies")
-		size      = flag.Float64("size", 1.0, "workload size factor (fraction of the scenario's ops per task)")
-		scheduler = flag.String("scheduler", "round-robin", "task scheduler: round-robin, locality or random")
-		timeout   = flag.Duration("timeout", 0, "wall-clock deadline for each run; 0 means none. On expiry every in-flight metadata operation is cancelled")
-		showStats = flag.Bool("stats", false, "print a live-metrics dump (counters, latency histograms, recent ops) after the runs")
+		wfName    = fs.String("workflow", "montage", "workflow to run: montage, buzzflow, pipeline, scatter, gather, broadcast")
+		specPath  = fs.String("spec", "", "run a workflow loaded from a JSON spec file instead of a built-in one")
+		saveSpec  = fs.String("save-spec", "", "write the selected workflow as a JSON spec to this file and exit")
+		scenario  = fs.String("scenario", "SS", "Table I scenario: SS, CI or MI")
+		strategy  = fs.String("strategy", "dr", "metadata strategy: c, r, dn or dr")
+		compare   = fs.Bool("compare", false, "run the workflow under all four strategies")
+		nodes     = fs.Int("nodes", 32, "number of execution nodes")
+		tasks     = fs.Int("tasks", 32, "task count for the pattern workflows (pipeline, scatter, ...)")
+		scale     = fs.Float64("scale", 0.01, "time-compression factor for injected latencies")
+		size      = fs.Float64("size", 1.0, "workload size factor (fraction of the scenario's ops per task)")
+		scheduler = fs.String("scheduler", "round-robin", "task scheduler: round-robin, locality or random")
+		timeout   = fs.Duration("timeout", 0, "wall-clock deadline for each run; 0 means none. On expiry every in-flight metadata operation is cancelled")
+		showStats = fs.Bool("stats", false, "print a live-metrics dump (counters, latency histograms, recent ops) after the runs")
 	)
 	cfg := experiments.DefaultConfig()
-	experiments.BindSiteFlags(flag.CommandLine, &cfg.Config)
-	flag.Parse()
+	experiments.BindSiteFlags(fs, &cfg.Config)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "wfrun: %v\n", err)
+		return 1
+	}
 
 	sc, err := parseScenario(*scenario)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	sc.OpsPerTask = int(float64(sc.OpsPerTask) * *size)
 	if sc.OpsPerTask < 2 {
@@ -57,23 +75,23 @@ func main() {
 	var wf *workflow.Workflow
 	if *specPath != "" {
 		if wf, err = workflow.LoadSpec(*specPath); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else if wf, err = buildWorkflow(*wfName, sc, *tasks); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *saveSpec != "" {
 		if err := wf.SaveSpec(*saveSpec); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("workflow spec written to %s\n", *saveSpec)
-		return
+		fmt.Fprintf(stdout, "workflow spec written to %s\n", *saveSpec)
+		return 0
 	}
 	stats, err := wf.Stats()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("workflow %s: %d jobs, %d files, depth %d, max width %d, ~%d metadata ops\n",
+	fmt.Fprintf(stdout, "workflow %s: %d jobs, %d files, depth %d, max width %d, ~%d metadata ops\n",
 		wf.Name, stats.Tasks, stats.Files, stats.Levels, stats.MaxWidth, stats.MetadataOps)
 
 	kinds := []core.StrategyKind{}
@@ -82,20 +100,20 @@ func main() {
 	} else {
 		kind, err := core.ParseStrategy(*strategy)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		kinds = append(kinds, kind)
 	}
 
 	sched, err := pickScheduler(*scheduler)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	cfg.Scale = *scale
 	cfg.Nodes = *nodes
 	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	for _, kind := range kinds {
@@ -109,20 +127,21 @@ func main() {
 		cancel()
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
-				fatal(fmt.Errorf("%s: deadline of %v exceeded: %w", kind, *timeout, err))
+				return fail(fmt.Errorf("%s: deadline of %v exceeded: %w", kind, *timeout, err))
 			}
-			fatal(fmt.Errorf("%s: %w", kind, err))
+			return fail(fmt.Errorf("%s: %w", kind, err))
 		}
-		fmt.Printf("%-22s makespan %8.1fs   reads %7d  writes %7d  retries %6d  (wall %v)\n",
+		fmt.Fprintf(stdout, "%-22s makespan %8.1fs   reads %7d  writes %7d  retries %6d  (wall %v)\n",
 			kind.String(), res.Makespan.Seconds(), res.Reads, res.Writes, res.Retries, res.Wall.Round(time.Millisecond))
 	}
 
 	if *showStats {
 		// Every run above reported to the process-wide registry (fabric,
 		// strategy, propagator/sync-agent, workflow engine and cache series).
-		fmt.Printf("\n== live metrics ==\n%s",
+		fmt.Fprintf(stdout, "\n== live metrics ==\n%s",
 			metrics.RenderReport(metrics.Default.Snapshot(), metrics.Default.Trace().Events(15)))
 	}
+	return 0
 }
 
 func buildWorkflow(name string, sc workloads.Scenario, tasks int) (*workflow.Workflow, error) {
@@ -165,9 +184,4 @@ func pickScheduler(name string) (workflow.Scheduler, error) {
 	default:
 		return nil, fmt.Errorf("unknown scheduler %q", name)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "wfrun: %v\n", err)
-	os.Exit(1)
 }

@@ -116,7 +116,7 @@ func newCountingFabric() (*Fabric, map[cloud.SiteID]*countingAPI) {
 // per site and round, never per-entry Puts or Deletes.
 func TestReplicatedAgentUsesBatchCalls(t *testing.T) {
 	f, counters := newCountingFabric()
-	svc, err := NewReplicated(f, 0, WithSyncInterval(time.Hour)) // manual rounds only
+	svc, err := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour}) // manual rounds only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestReplicatedAgentUsesBatchCalls(t *testing.T) {
 // newer enqueue supersedes the older one for the same name.
 func TestPropagatorOrderWithinFlushWindow(t *testing.T) {
 	f := newTestFabric()
-	p := NewPropagator(f, time.Hour, 1000)
+	p := newManualPropagator(f)
 	defer p.Close()
 	inst, _ := f.Instance(2)
 
@@ -208,7 +208,7 @@ func TestPropagatorOrderWithinFlushWindow(t *testing.T) {
 // DeleteMany batch, not as eager per-entry calls.
 func TestDecReplicatedLazyDeleteUsesBatch(t *testing.T) {
 	f, counters := newCountingFabric()
-	svc, err := NewDecReplicated(f, WithLazyPropagation(time.Hour, 1000)) // manual flush only
+	svc, err := newManualHybrid(f, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,9 @@ type CentralizedService struct {
 }
 
 // NewCentralized builds the centralized baseline with the registry placed in
-// the given datacenter.
-func NewCentralized(fabric *Fabric, home cloud.SiteID) (*CentralizedService, error) {
+// cfg's Central datacenter.
+func NewCentralized(fabric *Fabric, cfg StrategyConfig) (*CentralizedService, error) {
+	home := cfg.central(fabric)
 	if _, err := fabric.Instance(home); err != nil {
 		return nil, fmt.Errorf("centralized: %w", err)
 	}

@@ -122,7 +122,7 @@ func TestCancelledContextAbortsWANSleep(t *testing.T) {
 	// Scale 10: a geo-distant round trip (~100ms RTT) becomes ~1s.
 	lat := latency.New(topo, latency.WithSeed(1), latency.WithScale(10))
 	fabric := NewFabric(topo, lat, WithCacheCapacity(0, 0))
-	svc, err := NewCentralized(fabric, 0) // site 0; calls from site 2 are geo-distant
+	svc, err := NewCentralized(fabric, StrategyConfig{}) // site 0; calls from site 2 are geo-distant
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestDeadlineBoundsOperation(t *testing.T) {
 	topo := cloud.Azure4DC()
 	lat := latency.New(topo, latency.WithSeed(1), latency.WithScale(10))
 	fabric := NewFabric(topo, lat, WithCacheCapacity(0, 0))
-	svc, err := NewCentralized(fabric, 0)
+	svc, err := NewCentralized(fabric, StrategyConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDeadlineBoundsOperation(t *testing.T) {
 // without losing the drained updates: a later, uncancelled Flush still
 // propagates them.
 func TestFlushCancellationRequeues(t *testing.T) {
-	svc, err := NewDecReplicated(newTestFabric(), WithLazyPropagation(time.Hour, 100000))
+	svc, err := newManualHybrid(newTestFabric(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFlushCancellationRequeues(t *testing.T) {
 // TestReplicatedFlushCancellationRequeues is the sync-agent counterpart: a
 // cancelled round must re-queue the drained updates for the next round.
 func TestReplicatedFlushCancellationRequeues(t *testing.T) {
-	svc, err := NewReplicated(newTestFabric(), 0, WithSyncInterval(time.Hour))
+	svc, err := NewReplicated(newTestFabric(), StrategyConfig{SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

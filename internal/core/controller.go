@@ -8,8 +8,57 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
-	"geomds/internal/dht"
 )
+
+// StrategyConfig holds the parameters of the four strategies: one value
+// builds every strategy, through NewController or a strategy's own
+// constructor. The zero value is the paper's setup, the one NewService builds.
+// Placement is fixed: the decentralized strategies hash names modulo the
+// fabric's sites, and the replicated strategy's synchronization agent runs on
+// the Central site.
+type StrategyConfig struct {
+	// Central hosts the centralized registry and the replicated strategy's
+	// synchronization agent. Zero means the fabric's first site, which is
+	// site 0 on every fabric over a whole topology.
+	Central cloud.SiteID
+	// SyncInterval is the period between the replicated strategy's agent
+	// rounds, in simulated time; in feed mode it paces the retries of a
+	// failed shipment. Zero means DefaultSyncInterval.
+	SyncInterval time.Duration
+	// FlushInterval is the hybrid strategy's lazy-propagation period, in
+	// simulated time. Zero means DefaultFlushInterval.
+	FlushInterval time.Duration
+	// Eager makes the hybrid strategy propagate a write to the home site
+	// synchronously, as part of the write's latency, instead of lazily.
+	Eager bool
+	// FeedSync makes the eventually consistent strategies converge through
+	// the fabric's change feeds instead of polling: the replicated strategy
+	// relays every committed mutation to the other replicas as its feed
+	// event arrives, instead of waiting for the next agent round, and the
+	// hybrid strategy fills its propagator from the feeds instead of from its
+	// own calls. Requires a fabric built with site.Config.Feed; NewReplicated
+	// and NewDecReplicated fail with ErrNoFeed otherwise. It contradicts
+	// Eager.
+	FeedSync bool
+}
+
+// check refuses a contradictory configuration: eager propagation has no
+// propagator for the feeds to fill.
+func (c StrategyConfig) check() error {
+	if c.Eager && c.FeedSync {
+		return errors.New("core: StrategyConfig sets both Eager and FeedSync: eager propagation has no queue for the feeds to fill")
+	}
+	return nil
+}
+
+// central returns the site Central names, resolving zero to the fabric's
+// first site.
+func (c StrategyConfig) central(f *Fabric) cloud.SiteID {
+	if c.Central == 0 && len(f.sites) > 0 {
+		return f.sites[0]
+	}
+	return c.Central
+}
 
 // Controller is the Architecture Controller of the paper's middleware (§V):
 // it allows switching between metadata management strategies at run time,
@@ -18,15 +67,7 @@ import (
 // reuses) the corresponding service over a shared fabric.
 type Controller struct {
 	fabric *Fabric
-
-	// defaults used when instantiating strategies.
-	centralHome cloud.SiteID
-	agentSite   cloud.SiteID
-	placer      dht.Placer
-	syncEvery   time.Duration
-	lazyFlush   time.Duration
-	lazyBatch   int
-	feedSync    bool
+	cfg    StrategyConfig
 
 	mu      sync.Mutex
 	current MetadataService
@@ -34,68 +75,10 @@ type Controller struct {
 	started bool
 }
 
-// ControllerOption configures a Controller.
-type ControllerOption func(*Controller)
-
-// WithCentralSite sets the datacenter hosting the registry in the
-// Centralized strategy (default: the fabric's first site).
-func WithCentralSite(site cloud.SiteID) ControllerOption {
-	return func(c *Controller) { c.centralHome = site }
-}
-
-// WithAgentSite sets the datacenter hosting the synchronization agent of the
-// Replicated strategy (default: the fabric's first site).
-func WithAgentSite(site cloud.SiteID) ControllerOption {
-	return func(c *Controller) { c.agentSite = site }
-}
-
-// WithControllerPlacer sets the hashing scheme used by the decentralized
-// strategies (default: modulo hashing over the fabric's sites).
-func WithControllerPlacer(p dht.Placer) ControllerOption {
-	return func(c *Controller) { c.placer = p }
-}
-
-// WithControllerSyncInterval sets the replicated strategy's agent period.
-func WithControllerSyncInterval(d time.Duration) ControllerOption {
-	return func(c *Controller) { c.syncEvery = d }
-}
-
-// WithControllerLazy sets the lazy-propagation parameters of the hybrid
-// strategy.
-func WithControllerLazy(flushInterval time.Duration, maxBatch int) ControllerOption {
-	return func(c *Controller) {
-		c.lazyFlush = flushInterval
-		c.lazyBatch = maxBatch
-	}
-}
-
-// WithControllerFeedSync makes the eventually consistent strategies converge
-// through the fabric's change feeds instead of polling: the replicated
-// strategy is built WithFeedSync and the hybrid strategy WithFeedPropagation.
-// Requires a fabric built with site.Config.Feed — Use fails with ErrNoFeed
-// otherwise. Strategies without a polling agent (centralized, decentralized)
-// are unaffected.
-func WithControllerFeedSync() ControllerOption {
-	return func(c *Controller) { c.feedSync = true }
-}
-
-// NewController returns a controller over the given fabric.
-func NewController(fabric *Fabric, opts ...ControllerOption) *Controller {
-	sites := fabric.Sites()
-	c := &Controller{
-		fabric:    fabric,
-		syncEvery: DefaultSyncInterval,
-		lazyFlush: DefaultFlushInterval,
-		lazyBatch: DefaultMaxBatch,
-	}
-	if len(sites) > 0 {
-		c.centralHome = sites[0]
-		c.agentSite = sites[0]
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+// NewController returns a controller that builds every strategy over the
+// fabric from cfg.
+func NewController(fabric *Fabric, cfg StrategyConfig) *Controller {
+	return &Controller{fabric: fabric, cfg: cfg}
 }
 
 // Use switches the controller to the given strategy, closing the previously
@@ -138,34 +121,27 @@ func (c *Controller) Close() error {
 }
 
 func (c *Controller) build(kind StrategyKind) (MetadataService, error) {
+	if err := c.cfg.check(); err != nil {
+		return nil, err
+	}
 	switch kind {
 	case Centralized:
-		return NewCentralized(c.fabric, c.centralHome)
+		return NewCentralized(c.fabric, c.cfg)
 	case Replicated:
-		opts := []ReplicatedOption{WithSyncInterval(c.syncEvery)}
-		if c.feedSync {
-			opts = append(opts, WithFeedSync())
-		}
-		return NewReplicated(c.fabric, c.agentSite, opts...)
+		return NewReplicated(c.fabric, c.cfg)
 	case Decentralized:
-		return NewDecentralized(c.fabric, c.placer)
+		return NewDecentralized(c.fabric), nil
 	case DecentralizedReplicated:
-		opts := []DecReplicatedOption{WithLazyPropagation(c.lazyFlush, c.lazyBatch)}
-		if c.feedSync {
-			opts = append(opts, WithFeedPropagation())
-		}
-		if c.placer != nil {
-			opts = append(opts, WithPlacer(c.placer))
-		}
-		return NewDecReplicated(c.fabric, opts...)
+		return NewDecReplicated(c.fabric, c.cfg)
 	default:
 		return nil, fmt.Errorf("controller: unknown strategy %v", kind)
 	}
 }
 
 // NewService is a convenience helper building a stand-alone service of the
-// given kind over the fabric with default parameters (central registry and
-// sync agent on the fabric's first site, modulo hashing, lazy propagation).
+// given kind over the fabric with the zero StrategyConfig: the central
+// registry and the sync agent on the fabric's first site, modulo hashing,
+// lazy propagation every DefaultFlushInterval.
 func NewService(fabric *Fabric, kind StrategyKind) (MetadataService, error) {
-	return NewController(fabric).Use(context.Background(), kind)
+	return NewController(fabric, StrategyConfig{}).Use(context.Background(), kind)
 }

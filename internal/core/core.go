@@ -18,9 +18,9 @@
 //     eventually consistent) propagation.
 //
 // Strategies are built over a Fabric: the set of per-site registry instances
-// plus the latency model of the multi-site cloud. The ArchitectureController
-// switches between strategies at run time, mirroring the plug-and-play
-// architecture controller of the paper's middleware (§V).
+// plus the latency model of the multi-site cloud. The Controller switches
+// between strategies at run time, mirroring the plug-and-play architecture
+// controller of the paper's middleware (§V).
 package core
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,7 @@ import (
 	"geomds/internal/latency"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
+	"geomds/internal/site"
 )
 
 var tctx = context.Background()
@@ -26,6 +28,27 @@ func newTestFabric(opts ...FabricOption) *Fabric {
 	lat := latency.New(topo, latency.WithSeed(1), latency.WithSleeper(func(time.Duration) {}))
 	base := []FabricOption{WithCacheCapacity(0, 0)}
 	return NewFabric(topo, lat, append(base, opts...)...)
+}
+
+// noEarlyFlush is an early-flush trigger no test reaches: with an hour
+// between ticks, propagation waits for a Flush.
+const noEarlyFlush = 1 << 30
+
+// newManualPropagator returns a propagator that ships only when flushed.
+func newManualPropagator(f *Fabric) *Propagator {
+	p := NewPropagator(f, time.Hour)
+	p.maxBatch = noEarlyFlush
+	return p
+}
+
+// newManualHybrid returns the lazy hybrid strategy, filled by its own calls
+// or, with feed, by the sites' change feeds, shipping only when flushed.
+func newManualHybrid(f *Fabric, feed bool) (*DecReplicatedService, error) {
+	svc, err := NewDecReplicated(f, StrategyConfig{FlushInterval: time.Hour, FeedSync: feed})
+	if err == nil {
+		svc.propagator.maxBatch = noEarlyFlush
+	}
+	return svc, err
 }
 
 func testEntry(name string, site cloud.SiteID) registry.Entry {
@@ -113,7 +136,7 @@ func TestFabricWithSitesSubset(t *testing.T) {
 
 func TestCentralizedCreateLookup(t *testing.T) {
 	f := newTestFabric()
-	svc, err := NewCentralized(f, 0)
+	svc, err := NewCentralized(f, StrategyConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +178,7 @@ func TestCentralizedCreateLookup(t *testing.T) {
 
 func TestCentralizedStoresOnlyAtHome(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewCentralized(f, 2)
+	svc, _ := NewCentralized(f, StrategyConfig{Central: 2})
 	defer svc.Close()
 	svc.Create(tctx, 0, testEntry("only-home", 0))
 	for _, site := range f.Sites() {
@@ -172,7 +195,7 @@ func TestCentralizedStoresOnlyAtHome(t *testing.T) {
 
 func TestCentralizedClosed(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewCentralized(f, 0)
+	svc, _ := NewCentralized(f, StrategyConfig{})
 	svc.Close()
 	if _, err := svc.Create(tctx, 0, testEntry("x", 0)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Create after close = %v", err)
@@ -190,7 +213,7 @@ func TestCentralizedClosed(t *testing.T) {
 
 func TestNewCentralizedBadSite(t *testing.T) {
 	f := newTestFabric(WithSites(0, 1))
-	if _, err := NewCentralized(f, 3); !errors.Is(err, ErrNoSuchSite) {
+	if _, err := NewCentralized(f, StrategyConfig{Central: 3}); !errors.Is(err, ErrNoSuchSite) {
 		t.Errorf("NewCentralized on missing site = %v", err)
 	}
 }
@@ -198,7 +221,7 @@ func TestNewCentralizedBadSite(t *testing.T) {
 func TestReplicatedLocalThenEventual(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := newTestFabric(WithMetricsRegistry(reg))
-	svc, err := NewReplicated(f, 0, WithSyncInterval(time.Hour)) // manual sync only
+	svc, err := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour}) // manual sync only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +262,7 @@ func TestReplicatedLocalThenEventual(t *testing.T) {
 
 func TestReplicatedDeletePropagates(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewReplicated(f, 0, WithSyncInterval(time.Hour))
+	svc, _ := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour})
 	defer svc.Close()
 	svc.Create(tctx, 2, testEntry("todelete", 2))
 	svc.Flush(tctx)
@@ -256,7 +279,7 @@ func TestReplicatedDeletePropagates(t *testing.T) {
 
 func TestReplicatedAddLocationPropagates(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewReplicated(f, 1, WithSyncInterval(time.Hour))
+	svc, _ := NewReplicated(f, StrategyConfig{Central: 1, SyncInterval: time.Hour})
 	defer svc.Close()
 	svc.Create(tctx, 0, testEntry("f", 0))
 	svc.Flush(tctx)
@@ -276,7 +299,7 @@ func TestReplicatedAddLocationPropagates(t *testing.T) {
 func TestReplicatedBackgroundAgent(t *testing.T) {
 	f := newTestFabric()
 	// Simulated 10ms interval at scale 1.0 = wall 10ms: fast enough to observe.
-	svc, _ := NewReplicated(f, 0, WithSyncInterval(10*time.Millisecond))
+	svc, _ := NewReplicated(f, StrategyConfig{SyncInterval: 10 * time.Millisecond})
 	defer svc.Close()
 	svc.Create(tctx, 0, testEntry("bg", 0))
 	deadline := time.Now().Add(2 * time.Second)
@@ -291,7 +314,7 @@ func TestReplicatedBackgroundAgent(t *testing.T) {
 
 func TestReplicatedClosed(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewReplicated(f, 0)
+	svc, _ := NewReplicated(f, StrategyConfig{})
 	svc.Close()
 	if _, err := svc.Create(tctx, 0, testEntry("x", 0)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Create after close = %v", err)
@@ -304,10 +327,7 @@ func TestReplicatedClosed(t *testing.T) {
 func TestDecentralizedPlacement(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := newTestFabric(WithMetricsRegistry(reg))
-	svc, err := NewDecentralized(f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := NewDecentralized(f)
 	defer svc.Close()
 	if svc.Kind() != Decentralized {
 		t.Error("Kind mismatch")
@@ -345,7 +365,7 @@ func TestDecentralizedPlacement(t *testing.T) {
 
 func TestDecentralizedLookupAndErrors(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewDecentralized(f, nil)
+	svc := NewDecentralized(f)
 	defer svc.Close()
 	e := testEntry("data.bin", 2)
 	svc.Create(tctx, 2, e)
@@ -378,7 +398,7 @@ func TestDecentralizedLookupAndErrors(t *testing.T) {
 
 func TestDecReplicatedEagerWrite(t *testing.T) {
 	f := newTestFabric()
-	svc, err := NewDecReplicated(f, WithEagerPropagation())
+	svc, err := NewDecReplicated(f, StrategyConfig{Eager: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +430,7 @@ func TestDecReplicatedEagerWrite(t *testing.T) {
 
 func TestDecReplicatedLazyWrite(t *testing.T) {
 	f := newTestFabric()
-	svc, err := NewDecReplicated(f, WithLazyPropagation(time.Hour, 1<<20)) // manual flush only
+	svc, err := newManualHybrid(f, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +484,7 @@ func TestDecReplicatedLazyWrite(t *testing.T) {
 
 func TestDecReplicatedHomeEqualsWriter(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewDecReplicated(f, WithEagerPropagation())
+	svc, _ := NewDecReplicated(f, StrategyConfig{Eager: true})
 	defer svc.Close()
 	// Find a name whose home IS the writer's site: only one copy must exist.
 	var name string
@@ -482,7 +502,7 @@ func TestDecReplicatedHomeEqualsWriter(t *testing.T) {
 
 func TestDecReplicatedUpdateAndDelete(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewDecReplicated(f, WithEagerPropagation())
+	svc, _ := NewDecReplicated(f, StrategyConfig{Eager: true})
 	defer svc.Close()
 	var name string
 	for i := 0; ; i++ {
@@ -529,7 +549,7 @@ func homedAt(svc *DecReplicatedService, site cloud.SiteID) string {
 // copy, is one registry call.
 func TestDecReplicatedAddLocationAtHomeIsOneCall(t *testing.T) {
 	f, counters := newCountingFabric()
-	svc, _ := NewDecReplicated(f)
+	svc, _ := NewDecReplicated(f, StrategyConfig{})
 	defer svc.Close()
 	name := homedAt(svc, 1)
 	if _, err := svc.Create(tctx, 1, testEntry(name, 1)); err != nil {
@@ -548,7 +568,7 @@ func TestDecReplicatedAddLocationAtHomeIsOneCall(t *testing.T) {
 // name that does not exist.
 func TestDecReplicatedAddLocationAtUnreachableHome(t *testing.T) {
 	f := newTestFabric(WithInstances(map[cloud.SiteID]registry.API{1: registry.Unavailable(1)}))
-	svc, _ := NewDecReplicated(f)
+	svc, _ := NewDecReplicated(f, StrategyConfig{})
 	defer svc.Close()
 	_, err := svc.AddLocation(tctx, 1, homedAt(svc, 1), registry.Location{Site: 3, Node: 4})
 	if !errors.Is(err, ErrSiteUnreachable) || errors.Is(err, ErrNotFound) {
@@ -562,7 +582,7 @@ func TestDecReplicatedAddLocationAtUnreachableHome(t *testing.T) {
 // delete: one of the two copies was there.
 func TestDecReplicatedEagerReportsHomeFailure(t *testing.T) {
 	f := newTestFabric(WithInstances(map[cloud.SiteID]registry.API{1: registry.Unavailable(1)}))
-	svc, _ := NewDecReplicated(f, WithEagerPropagation())
+	svc, _ := NewDecReplicated(f, StrategyConfig{Eager: true})
 	defer svc.Close()
 	local, _ := f.Instance(0)
 	name := homedAt(svc, 1)
@@ -587,7 +607,7 @@ func TestDecReplicatedEagerReportsHomeFailure(t *testing.T) {
 
 func TestDecReplicatedClosed(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewDecReplicated(f)
+	svc, _ := NewDecReplicated(f, StrategyConfig{})
 	svc.Close()
 	if _, err := svc.Create(tctx, 0, testEntry("x", 0)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Create after close = %v", err)
@@ -600,7 +620,7 @@ func TestDecReplicatedClosed(t *testing.T) {
 func TestPropagator(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := newTestFabric(WithMetricsRegistry(reg))
-	p := NewPropagator(f, time.Hour, 1000)
+	p := newManualPropagator(f)
 	defer p.Close()
 	e := testEntry("prop", 0)
 	p.Enqueue(0, 2, e)
@@ -627,7 +647,8 @@ func TestPropagator(t *testing.T) {
 
 func TestPropagatorMaxBatchTriggersFlush(t *testing.T) {
 	f := newTestFabric()
-	p := NewPropagator(f, time.Hour, 3)
+	p := NewPropagator(f, time.Hour)
+	p.maxBatch = 3
 	defer p.Close()
 	for i := 0; i < 3; i++ {
 		p.Enqueue(0, 1, testEntry(fmt.Sprintf("b%d", i), 0))
@@ -645,8 +666,7 @@ func TestPropagatorMaxBatchTriggersFlush(t *testing.T) {
 
 func TestController(t *testing.T) {
 	f := newTestFabric()
-	ctrl := NewController(f, WithCentralSite(1), WithAgentSite(2),
-		WithControllerSyncInterval(time.Hour), WithControllerLazy(time.Hour, 100))
+	ctrl := NewController(f, StrategyConfig{Central: 1, SyncInterval: time.Hour, FlushInterval: time.Hour})
 	defer ctrl.Close()
 
 	svc, err := ctrl.Use(tctx, Centralized)
@@ -673,6 +693,9 @@ func TestController(t *testing.T) {
 		if s.Kind() != kind {
 			t.Errorf("Kind = %v, want %v", s.Kind(), kind)
 		}
+		if r, ok := s.(*ReplicatedService); ok && (r.agentSite != 1 || r.interval != time.Hour) {
+			t.Errorf("replicated agent on site %d every %v, want the central site 1 every hour", r.agentSite, r.interval)
+		}
 	}
 	// The previously active service is closed after a switch.
 	if _, err := svc.Lookup(tctx, 0, "x"); !errors.Is(err, ErrClosed) {
@@ -689,23 +712,14 @@ func TestController(t *testing.T) {
 	}
 }
 
-func TestControllerWithRingPlacer(t *testing.T) {
-	f := newTestFabric()
-	ring := dht.NewRingPlacer(f.Sites(), 64)
-	ctrl := NewController(f, WithControllerPlacer(ring))
-	defer ctrl.Close()
-	svc, err := ctrl.Use(tctx, Decentralized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := svc.(*DecentralizedService)
-	if dec.Home("some-file") != ring.Home("some-file") {
-		t.Error("controller did not pass the placer through")
-	}
-}
-
+// TestNewServiceHelper pins NewService's defaults, the configuration
+// geobench's geo_hybrid builds: the central registry and the sync agent on
+// the fabric's first site, modulo placement, and lazy propagation every
+// DefaultFlushInterval.
 func TestNewServiceHelper(t *testing.T) {
-	f := newTestFabric()
+	f := newTestFabric(WithSites(2, 1, 3))
+	first := f.Sites()[0]
+	modulo := dht.NewModuloPlacer(f.Sites())
 	for _, kind := range Strategies {
 		svc, err := NewService(f, kind)
 		if err != nil {
@@ -714,13 +728,70 @@ func TestNewServiceHelper(t *testing.T) {
 		if svc.Kind() != kind {
 			t.Errorf("Kind = %v, want %v", svc.Kind(), kind)
 		}
+		if placed, ok := svc.(interface{ Home(string) cloud.SiteID }); ok {
+			for i := 0; i < 300; i++ {
+				if name := fmt.Sprintf("placed/%d", i); placed.Home(name) != modulo.Home(name) {
+					t.Fatalf("%v: Home(%s) = %d, modulo placement says %d", kind, name, placed.Home(name), modulo.Home(name))
+				}
+			}
+		}
+		switch s := svc.(type) {
+		case *CentralizedService:
+			if s.Home() != first {
+				t.Errorf("centralized home = %d, want the first site %d", s.Home(), first)
+			}
+		case *ReplicatedService:
+			if s.agentSite != first || s.interval != DefaultSyncInterval || s.FeedDriven() {
+				t.Errorf("replicated agent on site %d every %v (feed %v), want polling from site %d every %v",
+					s.agentSite, s.interval, s.FeedDriven(), first, DefaultSyncInterval)
+			}
+		case *DecReplicatedService:
+			if !s.Lazy() || s.FeedDriven() {
+				t.Errorf("hybrid lazy=%v feed=%v, want lazy and not feed-driven", s.Lazy(), s.FeedDriven())
+			}
+			if s.propagator.interval != DefaultFlushInterval || s.propagator.maxBatch != flushBatch {
+				t.Errorf("hybrid flushes every %v or %d operations, want %v or %d",
+					s.propagator.interval, s.propagator.maxBatch, DefaultFlushInterval, flushBatch)
+			}
+		}
+		svc.Close()
+	}
+}
+
+// TestContradictoryStrategyConfig asserts that eager propagation together
+// with feed propagation is refused, by the hybrid constructor and by every
+// strategy a Controller would build from it, instead of one silently winning.
+func TestContradictoryStrategyConfig(t *testing.T) {
+	f := newTestFabric(WithSite(site.Config{Feed: true}))
+	defer f.Close()
+	cfg := StrategyConfig{Eager: true, FeedSync: true}
+	if svc, err := NewDecReplicated(f, cfg); err == nil {
+		svc.Close()
+		t.Fatal("NewDecReplicated with Eager and FeedSync succeeded")
+	}
+	ctrl := NewController(f, cfg)
+	defer ctrl.Close()
+	for _, kind := range Strategies {
+		if _, err := ctrl.Use(tctx, kind); err == nil || !strings.Contains(err.Error(), "Eager and FeedSync") {
+			t.Errorf("Use(%v) with Eager and FeedSync = %v, want the contradiction refused", kind, err)
+		}
+	}
+	// Each on its own is a valid configuration.
+	for _, cfg := range []StrategyConfig{{Eager: true}, {FeedSync: true}} {
+		svc, err := NewDecReplicated(f, cfg)
+		if err != nil {
+			t.Fatalf("NewDecReplicated(%+v): %v", cfg, err)
+		}
+		if svc.Lazy() == cfg.Eager || svc.FeedDriven() != cfg.FeedSync {
+			t.Errorf("NewDecReplicated(%+v): lazy=%v feed=%v", cfg, svc.Lazy(), svc.FeedDriven())
+		}
 		svc.Close()
 	}
 }
 
 func TestClient(t *testing.T) {
 	f := newTestFabric()
-	svc, _ := NewCentralized(f, 0)
+	svc, _ := NewCentralized(f, StrategyConfig{})
 	defer svc.Close()
 	dep := cloud.NewDeployment(cloud.Azure4DC())
 	nodeID := dep.AddNode(2)
@@ -744,7 +815,7 @@ func TestClient(t *testing.T) {
 func TestRecorderIntegration(t *testing.T) {
 	rec := metrics.NewRecorder()
 	f := newTestFabric(WithRecorder(rec))
-	svc, _ := NewCentralized(f, 0)
+	svc, _ := NewCentralized(f, StrategyConfig{})
 	defer svc.Close()
 	svc.Create(tctx, 1, testEntry("m1", 1))
 	svc.Lookup(tctx, 2, "m1")

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"geomds/internal/cloud"
 	"geomds/internal/dht"
 	"geomds/internal/metrics"
@@ -18,21 +16,17 @@ import (
 // many operations stayed in the caller's datacenter.
 type DecentralizedService struct {
 	singleTarget
-	placer dht.Placer
+	placer *dht.ModuloPlacer
 
 	// Live instruments (nil when the fabric's instrumentation is off).
 	localC  *metrics.Counter // core_dn_local_ops_total
 	remoteC *metrics.Counter // core_dn_remote_ops_total
 }
 
-// NewDecentralized builds the non-replicated decentralized strategy. If
-// placer is nil a ModuloPlacer over the fabric's sites is used, matching the
-// paper's hash-mod-n placement.
-func NewDecentralized(fabric *Fabric, placer dht.Placer) (*DecentralizedService, error) {
-	placer, err := fabric.placerOrDefault(placer)
-	if err != nil {
-		return nil, fmt.Errorf("decentralized: %w", err)
-	}
+// NewDecentralized builds the non-replicated decentralized strategy, placing
+// each name at its hash modulo the fabric's sites, the paper's placement.
+func NewDecentralized(fabric *Fabric) *DecentralizedService {
+	placer := dht.NewModuloPlacer(fabric.sites)
 	s := &DecentralizedService{
 		placer:  placer,
 		localC:  fabric.Metrics().Counter("core_dn_local_ops_total"),
@@ -41,7 +35,7 @@ func NewDecentralized(fabric *Fabric, placer dht.Placer) (*DecentralizedService,
 	s.service = newService(fabric, Decentralized)
 	s.target = func(_ cloud.SiteID, name string) cloud.SiteID { return placer.Home(name) }
 	s.after = func(_ opFrame, remote bool, _ error) { s.countLocality(remote) }
-	return s, nil
+	return s
 }
 
 // Home returns the datacenter responsible for the given entry name.

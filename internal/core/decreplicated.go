@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"geomds/internal/cloud"
 	"geomds/internal/dht"
@@ -28,11 +27,11 @@ import (
 // steps, mutate and fetch, taken at the caller's site and then at the home.
 type DecReplicatedService struct {
 	service
-	placer dht.Placer
+	placer *dht.ModuloPlacer
 	// propagator carries home-site propagation in the lazy scheme; nil in
 	// eager mode.
 	propagator *Propagator
-	// feedSync, in feed mode (WithFeedPropagation), is what fills the
+	// feedSync, in feed mode (StrategyConfig.FeedSync), is what fills the
 	// propagator — from the sites' change feeds instead of from the strategy's
 	// own calls.
 	feedSync *feedSyncer
@@ -45,78 +44,33 @@ type DecReplicatedService struct {
 	remotesC *metrics.Counter // core_dr_remote_reads_total
 }
 
-// DecReplicatedOption configures a DecReplicatedService.
-type DecReplicatedOption func(*decRepConfig)
-
-type decRepConfig struct {
-	placer        dht.Placer
-	eager         bool
-	feed          bool
-	flushInterval time.Duration
-	maxBatch      int
-}
-
-// WithPlacer selects the hashing scheme used to pick home sites (default
-// modulo hashing over the fabric's sites).
-func WithPlacer(p dht.Placer) DecReplicatedOption {
-	return func(c *decRepConfig) { c.placer = p }
-}
-
-// WithEagerPropagation makes writes propagate to the home site synchronously
-// instead of using lazy batched updates.
-func WithEagerPropagation() DecReplicatedOption {
-	return func(c *decRepConfig) { c.eager = true }
-}
-
-// WithLazyPropagation tunes the lazy-update batching parameters.
-func WithLazyPropagation(flushInterval time.Duration, maxBatch int) DecReplicatedOption {
-	return func(c *decRepConfig) {
-		c.eager = false
-		c.feed = false
-		c.flushInterval = flushInterval
-		c.maxBatch = maxBatch
+// NewDecReplicated builds the hybrid decentralized/replicated strategy, homing
+// each name at its hash modulo the fabric's sites. Writes propagate to the
+// home lazily, every cfg.FlushInterval; with cfg.Eager synchronously; with
+// cfg.FeedSync still asynchronously, but filled from the sites' change feeds
+// and flushed as each event arrives, so a locally committed write reaches its
+// home as soon as its feed event does rather than on the next flush tick.
+// Writers perceive only the local latency unless cfg.Eager is set.
+func NewDecReplicated(fabric *Fabric, cfg StrategyConfig) (*DecReplicatedService, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
-}
-
-// WithFeedPropagation keeps writes asynchronous like the lazy scheme but
-// fills the propagator from the sites' change feeds instead of from the
-// strategy's calls, flushing as each event arrives: a locally committed write
-// reaches its hashed home site as soon as its feed event does, rather than on
-// the next flush tick. Writers still perceive only the local latency.
-// Requires a fabric built with site.Config.Feed; NewDecReplicated fails with
-// ErrNoFeed otherwise.
-func WithFeedPropagation() DecReplicatedOption {
-	return func(c *decRepConfig) {
-		c.eager = false
-		c.feed = true
-	}
-}
-
-// NewDecReplicated builds the hybrid decentralized/replicated strategy.
-func NewDecReplicated(fabric *Fabric, opts ...DecReplicatedOption) (*DecReplicatedService, error) {
-	cfg := decRepConfig{flushInterval: DefaultFlushInterval, maxBatch: DefaultMaxBatch}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	placer, err := fabric.placerOrDefault(cfg.placer)
-	if err != nil {
-		return nil, fmt.Errorf("decentralized-rep: %w", err)
-	}
+	placer := dht.NewModuloPlacer(fabric.sites)
 	s := &DecReplicatedService{
 		placer:   placer,
 		hitsC:    fabric.Metrics().Counter("core_dr_local_hits_total"),
 		remotesC: fabric.Metrics().Counter("core_dr_remote_reads_total"),
 	}
 	s.service = newService(fabric, DecentralizedReplicated)
-	if cfg.eager {
+	if cfg.Eager {
 		return s, nil
 	}
-	s.propagator = NewPropagator(fabric, cfg.flushInterval, cfg.maxBatch)
-	if cfg.feed {
+	s.propagator = NewPropagator(fabric, cfg.FlushInterval)
+	if cfg.FeedSync {
 		// A mutation goes to the hashed home of its name unless it was
 		// committed there — which is also what stops the echo of a put applied
 		// at the home: that event's home is its own origin.
-		s.feedSync, err = newFeedSyncer(fabric, s.propagator, func(origin cloud.SiteID, name string) []cloud.SiteID {
+		fs, err := newFeedSyncer(fabric, s.propagator, func(origin cloud.SiteID, name string) []cloud.SiteID {
 			if home := placer.Home(name); home != origin {
 				return []cloud.SiteID{home}
 			}
@@ -126,12 +80,13 @@ func NewDecReplicated(fabric *Fabric, opts ...DecReplicatedOption) (*DecReplicat
 			s.propagator.Close() //nolint:errcheck // nothing was enqueued
 			return nil, fmt.Errorf("decentralized-rep: %w", err)
 		}
+		s.feedSync = fs
 	}
 	return s, nil
 }
 
 // FeedDriven reports whether home-site propagation consumes change feeds
-// (WithFeedPropagation) instead of the strategy's own calls.
+// (StrategyConfig.FeedSync) instead of the strategy's own calls.
 func (s *DecReplicatedService) FeedDriven() bool { return s.feedSync != nil }
 
 // Home returns the hashed home site of the given entry name.

@@ -25,7 +25,7 @@ func ExampleClient() {
 	topo := cloud.Azure4DC()
 	lat := latency.New(topo, latency.WithScale(0.001), latency.WithSeed(7))
 	fabric := core.NewFabric(topo, lat, core.WithMetricsRegistry(metrics.NewRegistry()))
-	svc, err := core.NewDecReplicated(fabric)
+	svc, err := core.NewDecReplicated(fabric, core.StrategyConfig{})
 	if err != nil {
 		fmt.Println("service:", err)
 		return

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
-	"geomds/internal/dht"
 	"geomds/internal/feed"
 	"geomds/internal/latency"
 	"geomds/internal/memcache"
@@ -25,9 +24,8 @@ import (
 // instance by default; sharded, replicated, durable, feeding or near-cached
 // on request — or an externally provided registry.API (an rpc.Client proxy,
 // or a Router over proxies) under WithInstances; the strategies cannot tell
-// the difference. The same fabric can back any
-// strategy, which is what lets the ArchitectureController switch between
-// them without redeploying anything.
+// the difference. The same fabric can back any strategy, which is what lets
+// the Controller switch between them without redeploying anything.
 type Fabric struct {
 	topo *cloud.Topology
 	lat  *latency.Model
@@ -343,21 +341,6 @@ func (f *Fabric) Instance(site cloud.SiteID) (registry.API, error) {
 		return nil, fmt.Errorf("%w: site %d", ErrNoSuchSite, site)
 	}
 	return inst, nil
-}
-
-// placerOrDefault returns p — or, when p is nil, the paper's hash-mod-n
-// placement over the fabric's sites — after checking that every site it places
-// entries on is part of the fabric.
-func (f *Fabric) placerOrDefault(p dht.Placer) (dht.Placer, error) {
-	if p == nil {
-		return dht.NewModuloPlacer(f.sites), nil
-	}
-	for _, s := range p.Sites() {
-		if !f.HasSite(s) {
-			return nil, fmt.Errorf("placer site %d: %w", s, ErrNoSuchSite)
-		}
-	}
-	return p, nil
 }
 
 // Feed returns the change-feed surface of the given site's registry

@@ -34,11 +34,11 @@ func waitVisible(t *testing.T, svc MetadataService, from cloud.SiteID, name stri
 
 func TestFeedSyncRequiresChangeFeeds(t *testing.T) {
 	f := newTestFabric() // no feeds
-	if _, err := NewReplicated(f, 0, WithFeedSync()); !errors.Is(err, ErrNoFeed) {
-		t.Fatalf("NewReplicated(WithFeedSync) over feed-less fabric = %v, want ErrNoFeed", err)
+	if _, err := NewReplicated(f, StrategyConfig{FeedSync: true}); !errors.Is(err, ErrNoFeed) {
+		t.Fatalf("NewReplicated(FeedSync) over feed-less fabric = %v, want ErrNoFeed", err)
 	}
-	if _, err := NewDecReplicated(f, WithFeedPropagation()); !errors.Is(err, ErrNoFeed) {
-		t.Fatalf("NewDecReplicated(WithFeedPropagation) = %v, want ErrNoFeed", err)
+	if _, err := NewDecReplicated(f, StrategyConfig{FeedSync: true}); !errors.Is(err, ErrNoFeed) {
+		t.Fatalf("NewDecReplicated(FeedSync) = %v, want ErrNoFeed", err)
 	}
 }
 
@@ -49,13 +49,13 @@ func TestReplicatedFeedSyncConverges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := newTestFabric(WithSite(site.Config{Feed: true}), WithMetricsRegistry(reg))
 	defer f.Close()
-	svc, err := NewReplicated(f, 0, WithSyncInterval(time.Hour), WithFeedSync())
+	svc, err := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour, FeedSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	if !svc.FeedDriven() {
-		t.Fatal("FeedDriven() = false under WithFeedSync")
+		t.Fatal("FeedDriven() = false under FeedSync")
 	}
 
 	const n = 20
@@ -103,11 +103,12 @@ func TestReplicatedFeedSyncBeatsPollingLag(t *testing.T) {
 	const interval = 300 * time.Millisecond
 
 	// visibility returns the worst time a create at site 0 took to become
-	// visible from site 2; then, when set, quiesced runs on the open service.
-	visibility := func(fabricOpts []FabricOption, quiesced func(*ReplicatedService), opts ...ReplicatedOption) time.Duration {
+	// visible from site 2, with or without feed; then, when set, quiesced runs
+	// on the open service.
+	visibility := func(fabricOpts []FabricOption, quiesced func(*ReplicatedService), feed bool) time.Duration {
 		f := newTestFabric(append([]FabricOption{WithSite(site.Config{Feed: true})}, fabricOpts...)...)
 		defer f.Close()
-		svc, err := NewReplicated(f, 0, append([]ReplicatedOption{WithSyncInterval(interval)}, opts...)...)
+		svc, err := NewReplicated(f, StrategyConfig{SyncInterval: interval, FeedSync: feed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestReplicatedFeedSyncBeatsPollingLag(t *testing.T) {
 		return worst
 	}
 
-	polling := visibility(nil, nil)
+	polling := visibility(nil, nil, false)
 	rec, reg := metrics.NewRecorder(), metrics.NewRegistry()
 	pushed := visibility([]FabricOption{WithRecorder(rec), WithMetricsRegistry(reg)}, func(svc *ReplicatedService) {
 		if err := svc.Flush(tctx); err != nil {
@@ -145,7 +146,7 @@ func TestReplicatedFeedSyncBeatsPollingLag(t *testing.T) {
 		if h := reg.Histogram("replication_lag_ns"); h.Count() == 0 {
 			t.Error("replication_lag_ns recorded no samples")
 		}
-	}, WithFeedSync())
+	}, true)
 	if pushed >= interval {
 		t.Fatalf("feed visibility lag %v not under the %v polling interval", pushed, interval)
 	}
@@ -160,7 +161,7 @@ func TestReplicatedFeedSyncBeatsPollingLag(t *testing.T) {
 func TestDecReplicatedFeedPropagation(t *testing.T) {
 	f := newTestFabric(WithSite(site.Config{Feed: true}))
 	defer f.Close()
-	svc, err := NewDecReplicated(f, WithFeedPropagation())
+	svc, err := NewDecReplicated(f, StrategyConfig{FeedSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestDecReplicatedFeedPropagation(t *testing.T) {
 func TestControllerFeedSync(t *testing.T) {
 	f := newTestFabric(WithSite(site.Config{Feed: true}))
 	defer f.Close()
-	c := NewController(f, WithControllerFeedSync())
+	c := NewController(f, StrategyConfig{FeedSync: true})
 	defer c.Close()
 
 	svc, err := c.Use(tctx, Replicated)
@@ -241,7 +242,7 @@ func TestControllerFeedSync(t *testing.T) {
 func TestReplicatedFeedSyncShardedSites(t *testing.T) {
 	f := newTestFabric(WithSite(site.Config{Feed: true, Shards: 3}))
 	defer f.Close()
-	svc, err := NewReplicated(f, 0, WithSyncInterval(time.Hour), WithFeedSync())
+	svc, err := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour, FeedSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

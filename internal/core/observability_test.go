@@ -108,7 +108,7 @@ func TestStrategiesReportLiveMetrics(t *testing.T) {
 // deletion (and vice versa) must not double-count.
 func TestPropagatorQueueDepthTracksSupersededEntries(t *testing.T) {
 	fabric, reg := newObservedFabric(t)
-	p := NewPropagator(fabric, time.Hour, 1<<30) // no background flushing
+	p := newManualPropagator(fabric) // no background flushing
 	defer p.Close()
 
 	sites := fabric.Sites()
@@ -153,7 +153,7 @@ func TestCancelledFlushCountsRequeuedEntries(t *testing.T) {
 	topo := cloud.Azure4DC()
 	lat := latency.New(topo, latency.WithScale(1), latency.WithSeed(1))
 	fabric := NewFabric(topo, lat, WithCacheCapacity(0, 0), WithMetricsRegistry(reg))
-	p := NewPropagator(fabric, time.Hour, 1<<30)
+	p := newManualPropagator(fabric)
 	defer p.Close()
 
 	sites := fabric.Sites()

@@ -95,16 +95,16 @@ func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 		replicas []cloud.SiteID
 	}{
 		{"lazy propagator", false, func(f *Fabric) (MetadataService, error) {
-			return NewDecReplicated(f, WithLazyPropagation(time.Hour, 1000))
+			return newManualHybrid(f, false)
 		}, []cloud.SiteID{1, 2}},
 		{"polling agent", false, func(f *Fabric) (MetadataService, error) {
-			return NewReplicated(f, 0, WithSyncInterval(time.Hour))
+			return NewReplicated(f, StrategyConfig{SyncInterval: time.Hour})
 		}, []cloud.SiteID{0, 1, 2, 3}},
 		{"replicated feed mode", true, func(f *Fabric) (MetadataService, error) {
-			return NewReplicated(f, 0, WithSyncInterval(time.Hour), WithFeedSync())
+			return NewReplicated(f, StrategyConfig{SyncInterval: time.Hour, FeedSync: true})
 		}, []cloud.SiteID{0, 1, 2, 3}},
 		{"hybrid feed mode", true, func(f *Fabric) (MetadataService, error) {
-			return NewDecReplicated(f, WithLazyPropagation(time.Hour, 1000), WithFeedPropagation())
+			return newManualHybrid(f, true)
 		}, []cloud.SiteID{1, 2}},
 	}
 	for _, path := range paths {
@@ -192,7 +192,7 @@ func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 // newer deletion of the same name.
 func TestRequeuedPutDoesNotResurrect(t *testing.T) {
 	f, flaky := flakyFabric(t, false)
-	svc, err := NewDecReplicated(f, WithLazyPropagation(time.Hour, 1000))
+	svc, err := newManualHybrid(f, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestRequeueNeverDisplacesNewerOperation(t *testing.T) {
 					<-release
 				}
 			}
-			p := NewPropagator(f, time.Hour, 1000)
+			p := newManualPropagator(f)
 			defer p.Close()
 
 			tc.older(p)
@@ -295,7 +295,7 @@ func TestFlushNowGivesUpWhileAnotherShips(t *testing.T) {
 			<-release
 		}
 	}
-	p := NewPropagator(f, time.Hour, 1000)
+	p := newManualPropagator(f)
 	defer p.Close()
 	defer close(release)
 
@@ -329,7 +329,7 @@ func TestFlushNowGivesUpWhileAnotherShips(t *testing.T) {
 // must not merge the live entry everywhere and then delete it everywhere,
 // origin included.
 func TestReplicatedAgentLastOperationWins(t *testing.T) {
-	svc, err := NewReplicated(newTestFabric(), 0, WithSyncInterval(time.Hour))
+	svc, err := NewReplicated(newTestFabric(), StrategyConfig{SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,11 @@ import (
 // failure.
 type Propagator struct {
 	fabric *Fabric
+	// interval is the flush period, in simulated time.
+	interval time.Duration
 	// maxBatch flushes a destination's batch once it holds this many
-	// operations, even before the interval elapses.
+	// operations, even before the interval elapses: flushBatch, unless a test
+	// needs another trigger.
 	maxBatch int
 
 	// life is cancelled when the propagator closes, stopping the flush loop
@@ -140,24 +143,23 @@ func (q pendingQueue[K]) size() int {
 // DefaultFlushInterval is the default lazy-propagation period (simulated).
 const DefaultFlushInterval = 500 * time.Millisecond
 
-// DefaultMaxBatch is the default number of operations that triggers an early
-// flush of one destination's batch.
-const DefaultMaxBatch = 64
+// flushBatch is the number of operations that triggers an early flush of one
+// destination's batch.
+const flushBatch = 64
 
 // NewPropagator starts a lazy-update propagator over the fabric: an update
-// waits at most flushInterval of simulated time, or until its destination's
-// batch holds maxBatch operations, before being pushed. It runs until Close.
-func NewPropagator(fabric *Fabric, flushInterval time.Duration, maxBatch int) *Propagator {
+// waits at most flushInterval of simulated time (DefaultFlushInterval when
+// zero), or until its destination's batch holds flushBatch operations, before
+// being pushed. It runs until Close.
+func NewPropagator(fabric *Fabric, flushInterval time.Duration) *Propagator {
 	if flushInterval <= 0 {
 		flushInterval = DefaultFlushInterval
-	}
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
 	}
 	life, lifeStop := context.WithCancel(context.Background())
 	p := &Propagator{
 		fabric:       fabric,
-		maxBatch:     maxBatch,
+		interval:     flushInterval,
+		maxBatch:     flushBatch,
 		life:         life,
 		lifeStop:     lifeStop,
 		pending:      make(pendingQueue[destination]),
@@ -171,7 +173,7 @@ func NewPropagator(fabric *Fabric, flushInterval time.Duration, maxBatch int) *P
 	}
 	go func() {
 		defer close(p.done)
-		fabric.every(flushInterval, life.Done(), func() {
+		fabric.every(p.interval, life.Done(), func() {
 			p.FlushNow(p.life) //nolint:errcheck // a failed shipment keeps its batch for the next round
 		})
 	}()

@@ -38,10 +38,9 @@ type ReplicatedService struct {
 	agentSite cloud.SiteID
 	interval  time.Duration
 
-	// wantFeed selects the push-based mode (WithFeedSync): feedSync relays the
-	// sites' change feeds into out, and no agent runs. Both are nil in the
-	// default polling mode.
-	wantFeed bool
+	// In feed mode (StrategyConfig.FeedSync) feedSync relays the sites' change
+	// feeds into out, and no agent runs. Both are nil in the default polling
+	// mode.
 	feedSync *feedSyncer
 	out      *Propagator
 
@@ -70,43 +69,27 @@ type ReplicatedService struct {
 	requeuedC    *metrics.Counter   // sync_requeued_total: names put back by a failed round
 }
 
-// ReplicatedOption configures a ReplicatedService.
-type ReplicatedOption func(*ReplicatedService)
-
-// WithSyncInterval sets the period between agent rounds (simulated time).
-func WithSyncInterval(d time.Duration) ReplicatedOption {
-	return func(s *ReplicatedService) {
-		if d > 0 {
-			s.interval = d
-		}
-	}
-}
-
-// WithFeedSync replaces the polling synchronization agent with a push-based
-// consumer of the sites' change feeds: every committed local mutation is
-// enqueued for the other replicas and shipped as soon as its feed event
-// arrives, instead of waiting for the next agent round. Updates become
-// globally visible after one WAN exchange rather than up to a full sync
-// interval, and an idle system exchanges nothing at all. Requires a fabric
-// built with site.Config.Feed (or external instances implementing
-// registry.ChangeFeeder); NewReplicated fails with ErrNoFeed otherwise. The
-// polling agent remains the default — and the baseline the feed path is
-// benchmarked against.
-func WithFeedSync() ReplicatedOption {
-	return func(s *ReplicatedService) { s.wantFeed = true }
-}
-
 // NewReplicated builds the replicated strategy with the synchronization agent
-// hosted in the given datacenter. The agent starts immediately and runs until
-// Close.
-func NewReplicated(fabric *Fabric, agentSite cloud.SiteID, opts ...ReplicatedOption) (*ReplicatedService, error) {
+// hosted in cfg's Central datacenter, polling every cfg.SyncInterval — or,
+// with cfg.FeedSync, with no agent: a consumer of the sites' change feeds
+// ships every committed local mutation to the other replicas as soon as its
+// event arrives, so an update is globally visible after one WAN exchange
+// rather than up to a full sync interval, and an idle system exchanges
+// nothing. The polling agent is the default, and the baseline the feed path
+// is measured against. The agent starts immediately and runs until Close.
+func NewReplicated(fabric *Fabric, cfg StrategyConfig) (*ReplicatedService, error) {
+	agentSite := cfg.central(fabric)
 	if !fabric.HasSite(agentSite) {
 		return nil, fmt.Errorf("replicated: agent site: %w", ErrNoSuchSite)
+	}
+	interval := cfg.SyncInterval
+	if interval <= 0 {
+		interval = DefaultSyncInterval
 	}
 	life, lifeStop := context.WithCancel(context.Background())
 	s := &ReplicatedService{
 		agentSite:    agentSite,
-		interval:     DefaultSyncInterval,
+		interval:     interval,
 		life:         life,
 		lifeStop:     lifeStop,
 		pending:      make(pendingQueue[cloud.SiteID]),
@@ -120,10 +103,7 @@ func NewReplicated(fabric *Fabric, agentSite cloud.SiteID, opts ...ReplicatedOpt
 	s.service = newService(fabric, Replicated)
 	// Every node performs its metadata operations on its own site's instance.
 	s.target = func(from cloud.SiteID, _ string) cloud.SiteID { return from }
-	for _, o := range opts {
-		o(s)
-	}
-	if s.wantFeed {
+	if cfg.FeedSync {
 		// A committed mutation goes to every other replica; a shipment that
 		// fails is retried once per sync interval.
 		others := make(map[cloud.SiteID][]cloud.SiteID)
@@ -134,7 +114,7 @@ func NewReplicated(fabric *Fabric, agentSite cloud.SiteID, opts ...ReplicatedOpt
 				}
 			}
 		}
-		s.out = NewPropagator(fabric, s.interval, DefaultMaxBatch)
+		s.out = NewPropagator(fabric, s.interval)
 		fs, err := newFeedSyncer(fabric, s.out, func(origin cloud.SiteID, _ string) []cloud.SiteID { return others[origin] })
 		if err != nil {
 			lifeStop()
@@ -156,7 +136,7 @@ func NewReplicated(fabric *Fabric, agentSite cloud.SiteID, opts ...ReplicatedOpt
 }
 
 // FeedDriven reports whether the service propagates through change feeds
-// (WithFeedSync) instead of the polling agent.
+// (StrategyConfig.FeedSync) instead of the polling agent.
 func (s *ReplicatedService) FeedDriven() bool { return s.feedSync != nil }
 
 // remember queues a committed local mutation for the agent's next round. It

@@ -45,7 +45,7 @@ func newShardedCountingFabric(t *testing.T, nShards int) (*Fabric, map[cloud.Sit
 func TestSyncAgentStaysBatchedPerShard(t *testing.T) {
 	const nShards = 3
 	f, counters := newShardedCountingFabric(t, nShards)
-	svc, err := NewReplicated(f, 0, WithSyncInterval(time.Hour)) // manual rounds only
+	svc, err := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour}) // manual rounds only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSyncAgentStaysBatchedPerShard(t *testing.T) {
 func TestPropagatorStaysBatchedPerShard(t *testing.T) {
 	const nShards = 3
 	f, counters := newShardedCountingFabric(t, nShards)
-	svc, err := NewDecReplicated(f, WithLazyPropagation(time.Hour, 100000)) // manual flush only
+	svc, err := newManualHybrid(f, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 		{
 			name: "centralized",
 			build: func(f *Fabric) (MetadataService, error) {
-				return NewCentralized(f, 0)
+				return NewCentralized(f, StrategyConfig{})
 			},
 			want: []string{
 				"create A@1: ok s0{Create×1} region=1 / -",
@@ -188,7 +188,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 		{
 			name: "replicated/polling",
 			build: func(f *Fabric) (MetadataService, error) {
-				return NewReplicated(f, 0, WithSyncInterval(time.Hour))
+				return NewReplicated(f, StrategyConfig{SyncInterval: time.Hour})
 			},
 			want: []string{
 				"create A@1: ok s1{Create×1} local=1 / s0{Merge×1} s1{GetMany×1 Merge×1} s2{Merge×1} s3{Merge×1} local=1 region=2 geo=2",
@@ -206,7 +206,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 			name:  "replicated/feed",
 			feeds: true,
 			build: func(f *Fabric) (MetadataService, error) {
-				return NewReplicated(f, 0, WithSyncInterval(time.Hour), WithFeedSync())
+				return NewReplicated(f, StrategyConfig{SyncInterval: time.Hour, FeedSync: true})
 			},
 			want: []string{
 				"create A@1: ok s0{Merge×1} s1{Create×1} s2{Merge×1} s3{Merge×1} local=1 region=1 geo=2",
@@ -223,7 +223,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 		{
 			name: "decentralized",
 			build: func(f *Fabric) (MetadataService, error) {
-				return NewDecentralized(f, nil)
+				return NewDecentralized(f), nil
 			},
 			want: []string{
 				"create A@1: ok s2{Create×1} geo=1 / -",
@@ -240,7 +240,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 		{
 			name: "hybrid/eager",
 			build: func(f *Fabric) (MetadataService, error) {
-				return NewDecReplicated(f, WithEagerPropagation())
+				return NewDecReplicated(f, StrategyConfig{Eager: true})
 			},
 			want: []string{
 				"create A@1: ok s1{Create×1} s2{Create×1} local=1 geo=1 / -",
@@ -257,7 +257,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 		{
 			name: "hybrid/lazy",
 			build: func(f *Fabric) (MetadataService, error) {
-				return NewDecReplicated(f, WithLazyPropagation(time.Hour, 1000))
+				return newManualHybrid(f, false)
 			},
 			want: []string{
 				"create A@1: ok s1{Create×1} local=1 / s2{Merge×1} geo=1",
@@ -275,7 +275,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 			name:  "hybrid/feed",
 			feeds: true,
 			build: func(f *Fabric) (MetadataService, error) {
-				return NewDecReplicated(f, WithLazyPropagation(time.Hour, 1000), WithFeedPropagation())
+				return newManualHybrid(f, true)
 			},
 			want: []string{
 				"create A@1: ok s1{Create×1} s2{Merge×1} local=1 geo=1",

@@ -110,11 +110,7 @@ func AblationLazyVsEager(ctx context.Context, cfg Config, entriesPerNode int) (A
 	run := func(eager bool) (time.Duration, error) {
 		env := cfg.newEnvironment(cfg.Nodes)
 		defer env.close()
-		opts := []core.DecReplicatedOption{core.WithLazyPropagation(cfg.FlushInterval, core.DefaultMaxBatch)}
-		if eager {
-			opts = []core.DecReplicatedOption{core.WithEagerPropagation()}
-		}
-		svc, err := core.NewDecReplicated(env.fabric, opts...)
+		svc, err := core.NewDecReplicated(env.fabric, core.StrategyConfig{FlushInterval: cfg.FlushInterval, Eager: eager})
 		if err != nil {
 			return 0, err
 		}

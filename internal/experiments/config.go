@@ -21,7 +21,6 @@ import (
 
 	"geomds/internal/cloud"
 	"geomds/internal/core"
-	"geomds/internal/dht"
 	"geomds/internal/latency"
 	"geomds/internal/metrics"
 	"geomds/internal/site"
@@ -220,17 +219,11 @@ func (e *environment) close() error { return e.fabric.Close() }
 // newService builds the given strategy over the environment's fabric using
 // the experiment's tuning parameters.
 func (c Config) newService(ctx context.Context, env *environment, kind core.StrategyKind) (core.MetadataService, error) {
-	central := c.centralSite(env.topo)
-	ctrlOpts := []core.ControllerOption{
-		core.WithCentralSite(central),
-		core.WithAgentSite(central),
-		core.WithControllerPlacer(dht.NewModuloPlacer(env.fabric.Sites())),
-		core.WithControllerSyncInterval(c.SyncInterval),
-		core.WithControllerLazy(c.FlushInterval, core.DefaultMaxBatch),
-	}
-	if c.FeedSync {
-		ctrlOpts = append(ctrlOpts, core.WithControllerFeedSync())
-	}
-	ctrl := core.NewController(env.fabric, ctrlOpts...)
+	ctrl := core.NewController(env.fabric, core.StrategyConfig{
+		Central:       c.centralSite(env.topo),
+		SyncInterval:  c.SyncInterval,
+		FlushInterval: c.FlushInterval,
+		FeedSync:      c.FeedSync,
+	})
 	return ctrl.Use(ctx, kind)
 }

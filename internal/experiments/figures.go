@@ -75,7 +75,7 @@ func figure1Post(ctx context.Context, cfg Config, registrySite string, n int) (t
 	if !ok {
 		return 0, fmt.Errorf("experiments: unknown registry site %q", registrySite)
 	}
-	svc, err := core.NewCentralized(env.fabric, target.ID)
+	svc, err := core.NewCentralized(env.fabric, core.StrategyConfig{Central: target.ID})
 	if err != nil {
 		return 0, err
 	}

@@ -173,7 +173,7 @@ func TestEngineEventualConsistencyRetries(t *testing.T) {
 	// the background agent instead of spinning through the retry budget.
 	lat := latency.New(topo, latency.WithSeed(5), latency.WithScale(0.05))
 	fabric := core.NewFabric(topo, lat, core.WithCacheCapacity(0, 0))
-	svc, err := core.NewReplicated(fabric, 0, core.WithSyncInterval(100*time.Millisecond))
+	svc, err := core.NewReplicated(fabric, core.StrategyConfig{SyncInterval: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,7 +263,7 @@ func TestWorkflowsRunThroughEngine(t *testing.T) {
 	topo := cloud.Azure4DC()
 	lat := latency.New(topo, latency.WithSeed(9), latency.WithSleeper(func(time.Duration) {}))
 	fabric := core.NewFabric(topo, lat, core.WithCacheCapacity(0, 0))
-	svc, err := core.NewDecReplicated(fabric, core.WithEagerPropagation())
+	svc, err := core.NewDecReplicated(fabric, core.StrategyConfig{Eager: true})
 	if err != nil {
 		t.Fatal(err)
 	}
