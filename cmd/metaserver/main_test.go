@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"geomds/internal/memcache"
 	"geomds/internal/registry"
 	"geomds/internal/rpc"
 	"geomds/internal/store"
@@ -161,6 +163,49 @@ func TestRunGeobenchFlagSets(t *testing.T) {
 				t.Errorf("after restart Get = %+v, %v; want the entry recovered from %s", got, err, data)
 			}
 		})
+	}
+}
+
+// TestRunRoutingTier serves a routing tier over two shard servers at
+// replication 2: a Create through the tier lands on both shards. A shard
+// address nothing listens on fails startup with the dial error.
+func TestRunRoutingTier(t *testing.T) {
+	ctx := context.Background()
+	var shards []*registry.Instance
+	var addrs []string
+	for range 2 {
+		inst := registry.NewInstance(5, memcache.New(memcache.Config{}))
+		srv := rpc.NewServer(inst, nil)
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		shards = append(shards, inst)
+		addrs = append(addrs, addr)
+	}
+
+	s := start(t, "-site", "5", "-shard-addrs", strings.Join(addrs, ","), "-replication", "2")
+	e := registry.NewEntry("data/routed", 4096, "test", registry.Location{Node: registry.NoNode})
+	if _, err := dial(t, s.addr).Create(ctx, e); err != nil {
+		t.Fatal(err)
+	}
+	s.shutdown(t)
+	for i, inst := range shards {
+		if got, err := inst.Get(ctx, "data/routed"); err != nil || got.Size != 4096 {
+			t.Errorf("shard %d holds %+v, %v; want the entry created through the tier", i, got, err)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+	err = run([]string{"-addr", "127.0.0.1:0", "-shard-addrs", addrs[0] + "," + closed, "-replication", "2"}, &lines{out: make(chan string, 4)}, nil)
+	if err == nil || !strings.Contains(err.Error(), "dial shard "+closed) {
+		t.Errorf("run with an undialable shard = %v, want the dial error naming %s", err, closed)
 	}
 }
 

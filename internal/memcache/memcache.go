@@ -21,10 +21,9 @@
 // The paper keeps an entry small so that a site's registry holds a whole
 // workflow's metadata in memory, and the store is built so that an entry
 // costs about its bytes. Each shard is log-structured (shard.go): a record —
-// flags, lengths, version, the expiry only if one is set, key, value — is
-// appended to a pointer-free page of up to 16 KiB, and found through an
-// open-addressing index of 8-byte references, probed with one seeded hash per
-// operation that also chooses the shard. Overwritten and deleted records stay
+// lengths, version, key, value — is appended to a pointer-free page of up to
+// 16 KiB, and found through an open-addressing index of 8-byte references,
+// probed with one seeded hash per operation that also chooses the shard. Overwritten and deleted records stay
 // dead in their page until it is more than half dead and no longer the head;
 // its live records are then re-appended and the page dropped. Nothing is
 // allocated per entry, and the collector has no pointers to follow.
@@ -67,21 +66,12 @@ type Item struct {
 	// Version is a monotonically increasing per-key version number starting
 	// at 1 for the first Put; CAS uses it for optimistic concurrency.
 	Version uint64
-	// Expires is the absolute expiration time; the zero time means no TTL.
-	Expires time.Time
-}
-
-// Expired reports whether the item has passed its TTL at time now.
-func (it Item) Expired(now time.Time) bool {
-	return !it.Expires.IsZero() && now.After(it.Expires)
 }
 
 // Config parameterizes a cache instance.
 type Config struct {
 	// Shards is the number of lock shards; 0 selects a sensible default.
 	Shards int
-	// Now is the clock used for TTL handling; nil means time.Now.
-	Now func() time.Time
 	// Metrics, when non-nil, receives live instrumentation: hit/miss/get
 	// counters and the occupancy and memory gauges. Instances sharing one
 	// registry aggregate into shared series.
@@ -95,22 +85,20 @@ type Stats struct {
 	Gets, Hits, Misses   uint64
 	Puts, CASes, Deletes uint64
 	Conflicts            uint64
-	Evictions            uint64
 	Items                int
 	// Bytes is the sum of the live values' lengths.
 	Bytes int64
 	// Resident is what the store holds on to: the capacity of every page
 	// plus the index.
 	Resident int64
-	// Dead is the part of the pages taken by overwritten, deleted and
-	// expired records that evacuation has not yet reclaimed.
+	// Dead is the part of the pages taken by overwritten and deleted
+	// records that evacuation has not yet reclaimed.
 	Dead int64
 }
 
 // Cache is a sharded in-memory key-value store with versioned items. It is
 // safe for concurrent use.
 type Cache struct {
-	cfg    Config
 	shards []*shard
 	// seed keys the one hash every operation computes. It is random per
 	// cache: keys are client-chosen, and a linear-probe index under a public
@@ -121,7 +109,7 @@ type Cache struct {
 
 	gets, hits, misses   atomic.Uint64
 	puts, cases, deletes atomic.Uint64
-	conflicts, evictions atomic.Uint64
+	conflicts            atomic.Uint64
 	bytes                atomic.Int64
 	items                atomic.Int64
 	resident, dead       atomic.Int64
@@ -159,10 +147,7 @@ func New(cfg Config) *Cache {
 	if cfg.Shards <= 0 {
 		cfg.Shards = defaultShards
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	c := &Cache{cfg: cfg, seed: maphash.MakeSeed(), obs: newCacheObs(cfg.Metrics)}
+	c := &Cache{seed: maphash.MakeSeed(), obs: newCacheObs(cfg.Metrics)}
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
 		c.shards[i] = &shard{seed: c.seed}
@@ -173,9 +158,6 @@ func New(cfg Config) *Cache {
 // Stop marks the cache as stopped; subsequent operations fail with
 // ErrStopped. Stopping an already stopped cache is a no-op.
 func (c *Cache) Stop() { c.stopped.Store(true) }
-
-// Stopped reports whether Stop has been called.
-func (c *Cache) Stopped() bool { return c.stopped.Load() }
 
 // enter admits a data-plane operation: it fails once the cache is stopped.
 func (c *Cache) enter() error {
@@ -221,27 +203,9 @@ func (c *Cache) settle(sh *shard, before usage) {
 	c.obs.evacuate.Add(after.evacuated - before.evacuated)
 }
 
-// expired reports whether rec has passed its TTL (Item.Expired on the stored
-// form). The clock is read only for a record that has one.
-func (c *Cache) expired(rec record) bool {
-	return rec.expires != 0 && c.cfg.Now().UnixNano() > rec.expires
-}
-
-// unlink removes the record find returned for slot from sh, which the caller
-// holds locked; evicted says it went because its TTL had passed.
-func (c *Cache) unlink(sh *shard, slot int, rec record, evicted bool) {
-	sh.remove(slot, rec.size)
-	c.addItems(-1)
-	c.bytes.Add(-int64(len(rec.value)))
-	if evicted {
-		c.evictions.Add(1)
-	}
-}
-
-// Get returns the item stored under key. It returns ErrNotFound when the key
-// is absent or its TTL has expired. The item's Value is a slice of the
-// store's own memory: the store never writes to it again, whatever happens to
-// the key, and the caller must not either.
+// Get returns the item stored under key, or ErrNotFound. The item's Value is
+// a slice of the store's own memory: the store never writes to it again,
+// whatever happens to the key, and the caller must not either.
 func (c *Cache) Get(key string) (Item, error) {
 	if err := c.enter(); err != nil {
 		return Item{}, err
@@ -257,71 +221,54 @@ func (c *Cache) Get(key string) (Item, error) {
 	return rec.item(key), nil
 }
 
-// lookup returns key's record if it is present and unexpired, and evicts it
-// if it is present and expired.
+// lookup returns key's record if it is present.
 func (c *Cache) lookup(key string) (record, bool) {
 	sh, h := c.shardFor(key)
 	sh.mu.RLock()
 	_, rec, ok := sh.find(h, key)
 	sh.mu.RUnlock()
-	if ok && c.expired(rec) {
-		// Evict it, unless it has been overwritten since the lock was let go.
-		sh.mu.Lock()
-		before := sh.usage
-		if slot, cur, still := sh.find(h, key); still && cur.version == rec.version {
-			c.unlink(sh, slot, cur, true)
-		}
-		c.settle(sh, before)
-		return record{}, false
-	}
 	return rec, ok
 }
 
-// Contains reports whether key is present (and unexpired) without counting as
-// a Get in the statistics. Like Keys and Snapshot it works on a stopped cache:
-// it is a control-plane probe, not a data-plane read.
+// Contains reports whether key is present without counting as a Get in the
+// statistics. Like Keys and Snapshot it works on a stopped cache: it is a
+// control-plane probe, not a data-plane read.
 func (c *Cache) Contains(key string) bool {
-	sh, h := c.shardFor(key)
-	sh.mu.RLock()
-	_, rec, ok := sh.find(h, key)
-	sh.mu.RUnlock()
-	return ok && !c.expired(rec)
+	_, ok := c.lookup(key)
+	return ok
 }
 
 // Put stores value under key unconditionally, assigning the next version
 // number. It returns the stored item. The cache keeps nothing of the
-// caller's: key and value are copied into a page.
-func (c *Cache) Put(key string, value []byte, ttl time.Duration) (Item, error) {
+// caller's: key and value are copied into a page. Items do not expire: the
+// duration, which registry.Store's signature still carries, is ignored.
+func (c *Cache) Put(key string, value []byte, _ time.Duration) (Item, error) {
 	if err := c.enter(); err != nil {
 		return Item{}, err
 	}
 	c.puts.Add(1)
-	return c.store(key, value, ttl, nil)
+	return c.store(key, value, nil)
 }
 
 // CAS stores value under key only if the currently stored version equals
 // expectedVersion. Use expectedVersion == 0 to require that the key does not
 // exist yet ("add" semantics). On mismatch it returns ErrVersionConflict and
-// the conflicting stored item.
-func (c *Cache) CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (Item, error) {
+// the conflicting stored item. The duration is ignored, as Put's is.
+func (c *Cache) CAS(key string, value []byte, _ time.Duration, expectedVersion uint64) (Item, error) {
 	if err := c.enter(); err != nil {
 		return Item{}, err
 	}
 	c.cases.Add(1)
-	return c.store(key, value, ttl, &expectedVersion)
+	return c.store(key, value, &expectedVersion)
 }
 
-func (c *Cache) store(key string, value []byte, ttl time.Duration, expected *uint64) (Item, error) {
+func (c *Cache) store(key string, value []byte, expected *uint64) (Item, error) {
 	sh, h := c.shardFor(key)
 	sh.mu.Lock()
 	defer c.settle(sh, sh.usage)
 
 	sh.reserve()
 	slot, cur, exists := sh.find(h, key)
-	if exists && c.expired(cur) {
-		c.unlink(sh, slot, cur, true)
-		slot, cur, exists = sh.find(h, key)
-	}
 	if expected != nil && cur.version != *expected {
 		c.conflicts.Add(1)
 		var held Item
@@ -336,15 +283,11 @@ func (c *Cache) store(key string, value []byte, ttl time.Duration, expected *uin
 	c.bytes.Add(int64(len(value)) - int64(len(cur.value)))
 
 	next := record{version: cur.version + 1}
-	if ttl > 0 {
-		next.expires = c.cfg.Now().Add(ttl).UnixNano()
-	}
-	next.value = sh.put(h, slot, cur.size, key, value, next.version, next.expires)
+	next.value = sh.put(h, slot, cur.size, key, value, next.version)
 	return next.item(key), nil
 }
 
-// Delete removes key from the cache. It returns ErrNotFound when the key is
-// absent or its TTL has expired; an expired item is evicted on the way.
+// Delete removes key from the cache, or returns ErrNotFound.
 func (c *Cache) Delete(key string) error {
 	if err := c.enter(); err != nil {
 		return err
@@ -356,8 +299,7 @@ func (c *Cache) Delete(key string) error {
 	return nil
 }
 
-// take removes key and reports whether a live item went: an expired one is
-// evicted and reads as absent, as it does to Get.
+// take removes key and reports whether it was present.
 func (c *Cache) take(key string) bool {
 	sh, h := c.shardFor(key)
 	sh.mu.Lock()
@@ -366,23 +308,19 @@ func (c *Cache) take(key string) bool {
 	if !ok {
 		return false
 	}
-	expired := c.expired(rec)
-	c.unlink(sh, slot, rec, expired)
-	return !expired
+	sh.remove(slot, rec.size)
+	c.addItems(-1)
+	c.bytes.Add(-int64(len(rec.value)))
+	return true
 }
 
-// Keys returns all live (unexpired) keys in unspecified order. It works on a
-// stopped cache: it serves control-plane sweeps (re-sync, migration), not the
-// data path.
+// Keys returns all keys in unspecified order. It works on a stopped cache: it
+// serves control-plane sweeps (re-sync, migration), not the data path.
 func (c *Cache) Keys() []string {
 	var keys []string
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		sh.each(func(rec record) {
-			if !c.expired(rec) {
-				keys = append(keys, string(rec.key))
-			}
-		})
+		sh.each(func(rec record) { keys = append(keys, string(rec.key)) })
 		sh.mu.RUnlock()
 	}
 	return keys
@@ -395,11 +333,7 @@ func (c *Cache) Snapshot() []Item {
 	var items []Item
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		sh.each(func(rec record) {
-			if !c.expired(rec) {
-				items = append(items, rec.item(string(rec.key)))
-			}
-		})
+		sh.each(func(rec record) { items = append(items, rec.item(string(rec.key))) })
 		sh.mu.RUnlock()
 	}
 	return items
@@ -418,7 +352,6 @@ func (c *Cache) Stats() Stats {
 		CASes:     c.cases.Load(),
 		Deletes:   c.deletes.Load(),
 		Conflicts: c.conflicts.Load(),
-		Evictions: c.evictions.Load(),
 		Items:     int(c.items.Load()),
 		Bytes:     c.bytes.Load(),
 		Resident:  c.resident.Load(),

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 	"unsafe"
 )
 
@@ -104,35 +103,10 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{Now: func() time.Time { return now }})
-	c.Put("k", []byte("v"), time.Minute)
-	if !c.Contains("k") {
-		t.Fatal("key should be present before expiry")
-	}
-	now = now.Add(2 * time.Minute)
-	if c.Contains("k") {
-		t.Error("key should have expired")
-	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get expired = %v, want ErrNotFound", err)
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len after lazy eviction = %d, want 0", c.Len())
-	}
-	if c.Stats().Evictions == 0 {
-		t.Error("expected an eviction to be counted")
-	}
-}
-
 func TestStop(t *testing.T) {
 	c := newTestCache()
 	c.Put("k", []byte("v"), 0)
 	c.Stop()
-	if !c.Stopped() {
-		t.Error("Stopped() should be true")
-	}
 	if _, err := c.Get("k"); !errors.Is(err, ErrStopped) {
 		t.Errorf("Get after stop = %v, want ErrStopped", err)
 	}
@@ -141,6 +115,21 @@ func TestStop(t *testing.T) {
 	}
 	if err := c.Delete("k"); !errors.Is(err, ErrStopped) {
 		t.Errorf("Delete after stop = %v, want ErrStopped", err)
+	}
+	if _, err := c.CAS("k", nil, 0, 1); !errors.Is(err, ErrStopped) {
+		t.Errorf("CAS after stop = %v, want ErrStopped", err)
+	}
+	if _, _, err := c.GetBatch([]string{"k"}); !errors.Is(err, ErrStopped) {
+		t.Errorf("GetBatch after stop = %v, want ErrStopped", err)
+	}
+	if _, err := c.PutBatch([]KV{{Key: "k"}}); !errors.Is(err, ErrStopped) {
+		t.Errorf("PutBatch after stop = %v, want ErrStopped", err)
+	}
+	if _, err := c.DeleteBatch([]string{"k"}); !errors.Is(err, ErrStopped) {
+		t.Errorf("DeleteBatch after stop = %v, want ErrStopped", err)
+	}
+	if !c.Contains("k") || c.Len() != 1 {
+		t.Error("the item is gone after stop; Contains and Len still see the cache")
 	}
 }
 
@@ -299,37 +288,36 @@ func TestVersionMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// Every way out of the cache rebuilds the same Item from the slot: key, value,
-// version and the expiry as an instant.
+// Every way out of the cache rebuilds the same Item from the slot: key, value
+// and version.
 func TestItemIsRebuiltOnTheWayOut(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{Now: func() time.Time { return now }})
-	put, err := c.Put("ttl", []byte("v"), time.Minute)
+	c := newTestCache()
+	put, err := c.Put("k", []byte("v"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Put("plain", []byte("w"), 0); err != nil {
+	if _, err := c.Put("other", []byte("w"), 0); err != nil {
 		t.Fatal(err)
 	}
-	want := Item{Key: "ttl", Value: []byte("v"), Version: 1, Expires: now.Add(time.Minute)}
+	want := Item{Key: "k", Value: []byte("v"), Version: 1}
 	same := func(what string, got Item) {
 		t.Helper()
-		if got.Key != want.Key || string(got.Value) != string(want.Value) || got.Version != want.Version || !got.Expires.Equal(want.Expires) {
+		if got.Key != want.Key || string(got.Value) != string(want.Value) || got.Version != want.Version {
 			t.Errorf("%s = %+v, want %+v", what, got, want)
 		}
 	}
 	same("Put", put)
-	got, err := c.Get("ttl")
+	got, err := c.Get("k")
 	same("Get", got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, missing, err := c.GetBatch([]string{"ttl", "absent"})
+	found, missing, err := c.GetBatch([]string{"k", "absent"})
 	if err != nil || len(found) != 1 || len(missing) != 1 {
 		t.Fatalf("GetBatch = %v, %v, %v", found, missing, err)
 	}
 	same("GetBatch", found[0])
-	held, err := c.CAS("ttl", []byte("x"), 0, 7)
+	held, err := c.CAS("k", []byte("x"), 0, 7)
 	if !errors.Is(err, ErrVersionConflict) {
 		t.Fatalf("CAS at a stale version = %v", err)
 	}
@@ -339,24 +327,12 @@ func TestItemIsRebuiltOnTheWayOut(t *testing.T) {
 	}
 	for _, it := range c.Snapshot() {
 		switch it.Key {
-		case "ttl":
+		case "k":
 			same("Snapshot", it)
-		case "plain":
-			if !it.Expires.IsZero() || it.Expired(now.Add(100*time.Hour)) {
-				t.Errorf("an item stored without a TTL came out with expiry %v", it.Expires)
-			}
+		case "other":
 		default:
 			t.Errorf("Snapshot holds %q", it.Key)
 		}
-	}
-	// Expired keeps its meaning: not at the instant of expiry, one nanosecond after.
-	now = want.Expires
-	if !c.Contains("ttl") {
-		t.Error("the key expired at the instant of its expiry, Item.Expired says after it")
-	}
-	now = want.Expires.Add(time.Nanosecond)
-	if c.Contains("ttl") {
-		t.Error("the key outlived its expiry")
 	}
 }
 

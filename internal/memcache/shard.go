@@ -5,7 +5,6 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"sync"
-	"time"
 )
 
 // A shard is a log-structured store: records are appended to pointer-free
@@ -74,8 +73,6 @@ const (
 	// next twenty the tag and the top sixteen the shard.
 	hashTagShift   = 28
 	hashShardShift = 48
-
-	flagExpires = 1 << 0
 )
 
 func tagOf(h uint64) uint64    { return h >> hashTagShift << tagShift }
@@ -86,47 +83,29 @@ func pageOf(ref uint64) uint32 { return uint32(ref & locMask >> offBits) }
 type record struct {
 	key, value []byte
 	version    uint64
-	// expires is the absolute expiry in Unix nanoseconds; 0 means no TTL.
-	expires int64
-	size    int
+	size       int
 }
 
 // item rebuilds the Item callers see. The value's capacity ends with it, so
 // an append by the caller cannot reach the next record.
 func (r record) item(key string) Item {
-	it := Item{Key: key, Value: r.value, Version: r.version}
-	if r.expires != 0 {
-		it.Expires = time.Unix(0, r.expires)
-	}
-	return it
+	return Item{Key: key, Value: r.value, Version: r.version}
 }
 
-// A record is laid out as: flag byte, uvarint key length, value length and
-// version, the expiry (8 bytes, little-endian) only when the flag says one is
-// set, key bytes, value bytes.
-func recordSize(key string, value []byte, version uint64, expires int64) int {
-	n := 1 + uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(value))) + uvarintLen(version) + len(key) + len(value)
-	if expires != 0 {
-		n += 8
-	}
-	return n
+// A record is laid out as: uvarint key length, value length and version, key
+// bytes, value bytes.
+func recordSize(key string, value []byte, version uint64) int {
+	return uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(value))) + uvarintLen(version) + len(key) + len(value)
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // writeRecord fills dst, which is recordSize long, and returns the stored
 // value.
-func writeRecord(dst []byte, key string, value []byte, version uint64, expires int64) []byte {
-	dst[0] = 0
-	n := 1
-	n += binary.PutUvarint(dst[n:], uint64(len(key)))
+func writeRecord(dst []byte, key string, value []byte, version uint64) []byte {
+	n := binary.PutUvarint(dst, uint64(len(key)))
 	n += binary.PutUvarint(dst[n:], uint64(len(value)))
 	n += binary.PutUvarint(dst[n:], version)
-	if expires != 0 {
-		dst[0] = flagExpires
-		binary.LittleEndian.PutUint64(dst[n:], uint64(expires))
-		n += 8
-	}
 	n += copy(dst[n:], key)
 	copy(dst[n:], value)
 	return dst[n:len(dst):len(dst)]
@@ -135,17 +114,11 @@ func writeRecord(dst []byte, key string, value []byte, version uint64, expires i
 // readRecord decodes the record that starts b.
 func readRecord(b []byte) record {
 	var r record
-	n := 1
-	klen, w := binary.Uvarint(b[n:])
-	n += w
+	klen, n := binary.Uvarint(b)
 	vlen, w := binary.Uvarint(b[n:])
 	n += w
 	r.version, w = binary.Uvarint(b[n:])
 	n += w
-	if b[0]&flagExpires != 0 {
-		r.expires = int64(binary.LittleEndian.Uint64(b[n:]))
-		n += 8
-	}
 	k, v := n+int(klen), n+int(klen)+int(vlen)
 	r.key, r.value, r.size = b[n:k], b[k:v:v], v
 	return r
@@ -201,9 +174,9 @@ func (sh *shard) reserve() {
 // put appends a record for key and points slot at it. replaces is the size
 // of the key's previous record, which slot holds and which dies, or 0 for a
 // new key; the stored value is returned.
-func (sh *shard) put(h uint64, slot, replaces int, key string, value []byte, version uint64, expires int64) []byte {
-	loc, dst := sh.alloc(recordSize(key, value, version, expires))
-	stored := writeRecord(dst, key, value, version, expires)
+func (sh *shard) put(h uint64, slot, replaces int, key string, value []byte, version uint64) []byte {
+	loc, dst := sh.alloc(recordSize(key, value, version))
+	stored := writeRecord(dst, key, value, version)
 	// Read the old reference only now: making room may have evacuated the
 	// page it pointed into.
 	old := sh.index[slot]

@@ -100,11 +100,9 @@ func checkStore(t *testing.T, c *Cache) {
 // through runProgram, which compares the cache with a map after every op.
 const (
 	opPut = iota
-	opPutTTL
 	opCAS
 	opDelete
 	opGet
-	opTick
 	opPutBig
 	opBatch
 	opPutBatch
@@ -131,32 +129,18 @@ func (p program) op(code, key, arg int) program {
 type modelItem struct {
 	value   []byte
 	version uint64
-	expires time.Time
 }
 
 // runProgram drives a cache and a map model with the same ops.
-// An expired item stays in the model until an op that would evict it from the
-// cache touches it, so Len and Stats.Bytes can be compared exactly.
 func runProgram(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) < 2 {
 		return
 	}
 	keySpace := keySpaces[int(data[0])%len(keySpaces)]
-	now := time.Unix(1_000_000, 0)
-	c := New(Config{Shards: 1 + int(data[1])>>4&1, Now: func() time.Time { return now }})
+	c := New(Config{Shards: 1 + int(data[1])>>4&1})
 	model := make(map[string]modelItem)
 	name := func(k int) string { return "data/f" + strconv.Itoa(k%keySpace) }
-	// live drops key from the model if it has expired, as an op on it does in
-	// the cache, and returns what is left.
-	live := func(key string) (modelItem, bool) {
-		m, ok := model[key]
-		if ok && !m.expires.IsZero() && now.After(m.expires) {
-			delete(model, key)
-			return modelItem{}, false
-		}
-		return m, ok
-	}
 	var serial uint32
 	payload := func(n int) []byte {
 		serial++
@@ -170,15 +154,15 @@ func runProgram(t *testing.T, data []byte) {
 		return v
 	}
 	// put is Put when expected is nil and CAS otherwise.
-	put := func(step int, key string, value []byte, ttl time.Duration, expected *uint64) {
+	put := func(step int, key string, value []byte, expected *uint64) {
 		var it Item
 		var err error
 		if expected == nil {
-			it, err = c.Put(key, value, ttl)
+			it, err = c.Put(key, value, 0)
 		} else {
-			it, err = c.CAS(key, value, ttl, *expected)
+			it, err = c.CAS(key, value, 0, *expected)
 		}
-		cur, ok := live(key)
+		cur, ok := model[key]
 		switch {
 		case expected != nil && cur.version != *expected:
 			if !errors.Is(err, ErrVersionConflict) {
@@ -192,10 +176,7 @@ func runProgram(t *testing.T, data []byte) {
 			t.Fatalf("op %d: put %q: %v", step, key, err)
 		}
 		next := modelItem{value: value, version: cur.version + 1}
-		if ttl > 0 {
-			next.expires = now.Add(ttl)
-		}
-		if it.Key != key || !bytes.Equal(it.Value, value) || it.Version != next.version || !it.Expires.Equal(next.expires) {
+		if it.Key != key || !bytes.Equal(it.Value, value) || it.Version != next.version {
 			t.Fatalf("op %d: put %q returned %+v, want %+v", step, key, it, next)
 		}
 		if cap(it.Value) != len(it.Value) {
@@ -204,14 +185,14 @@ func runProgram(t *testing.T, data []byte) {
 		model[key] = next
 	}
 	get := func(step int, key string, it Item, err error) {
-		want, ok := live(key)
+		want, ok := model[key]
 		if !ok {
 			if !errors.Is(err, ErrNotFound) {
 				t.Fatalf("op %d: get of absent %q = %+v, %v", step, key, it, err)
 			}
 			return
 		}
-		if err != nil || it.Key != key || !bytes.Equal(it.Value, want.value) || it.Version != want.version || !it.Expires.Equal(want.expires) {
+		if err != nil || it.Key != key || !bytes.Equal(it.Value, want.value) || it.Version != want.version {
 			t.Fatalf("op %d: get %q = %+v, %v; want %+v", step, key, it, err, want)
 		}
 		if cap(it.Value) != len(it.Value) {
@@ -225,17 +206,15 @@ func runProgram(t *testing.T, data []byte) {
 		key := name(k)
 		switch code {
 		case opPut:
-			put(step, key, payload(arg%81), 0, nil)
-		case opPutTTL:
-			put(step, key, payload(arg%81), time.Duration(1+arg%4)*time.Second, nil)
+			put(step, key, payload(arg%81), nil)
 		case opCAS:
 			// Three in four at the version the key has, the rest one behind.
-			cur, _ := live(key)
+			cur := model[key]
 			expected := cur.version
 			if arg%4 == 0 && expected > 0 {
 				expected--
 			}
-			put(step, key, payload(arg%81), 0, &expected)
+			put(step, key, payload(arg%81), &expected)
 		case opPutBig:
 			// One value in eight is larger than a page and two are a few to a
 			// page, so that a head retires with room to spare and an evacuation
@@ -247,18 +226,16 @@ func runProgram(t *testing.T, data []byte) {
 			case 1, 2:
 				n = 1000 + 40*arg
 			}
-			put(step, key, payload(n), 0, nil)
+			put(step, key, payload(n), nil)
 		case opDelete:
 			err := c.Delete(key)
-			if _, ok := live(key); ok != (err == nil) || (err != nil && !errors.Is(err, ErrNotFound)) {
+			if _, ok := model[key]; ok != (err == nil) || (err != nil && !errors.Is(err, ErrNotFound)) {
 				t.Fatalf("op %d: delete %q = %v, the model has it: %v", step, key, err, ok)
 			}
 			delete(model, key)
 		case opGet:
 			it, err := c.Get(key)
 			get(step, key, it, err)
-		case opTick:
-			now = now.Add(time.Duration(arg%3) * time.Second)
 		case opBatch:
 			// GetBatch of three neighbours, then DeleteBatch of the first two.
 			keys := []string{key, name(k + 1), name(k + 2)}
@@ -274,7 +251,7 @@ func runProgram(t *testing.T, data []byte) {
 			}
 			want := 0
 			for _, key := range dedup(keys[:2]) {
-				if _, ok := live(key); ok {
+				if _, ok := model[key]; ok {
 					want++
 				}
 				delete(model, key)
@@ -283,19 +260,15 @@ func runProgram(t *testing.T, data []byte) {
 				t.Fatalf("op %d: DeleteBatch(%q) = %d, %v; the model had %d", step, keys[:2], n, err, want)
 			}
 		case opPutBatch:
-			// Three neighbours in one PutBatch, the second with a TTL.
-			kvs := []KV{{Key: key, Value: payload(arg % 81)}, {Key: name(k + 1), Value: payload(arg % 7), TTL: time.Second}, {Key: name(k + 2), Value: payload(80)}}
+			// Three neighbours in one PutBatch.
+			kvs := []KV{{Key: key, Value: payload(arg % 81)}, {Key: name(k + 1), Value: payload(arg % 7)}, {Key: name(k + 2), Value: payload(80)}}
 			items, err := c.PutBatch(kvs)
 			if err != nil || len(items) != len(kvs) {
 				t.Fatalf("op %d: PutBatch = %v, %v", step, items, err)
 			}
 			for i, kv := range kvs {
-				cur, _ := live(kv.Key)
-				next := modelItem{value: kv.Value, version: cur.version + 1}
-				if kv.TTL > 0 {
-					next.expires = now.Add(kv.TTL)
-				}
-				if it := items[i]; it.Key != kv.Key || !bytes.Equal(it.Value, kv.Value) || it.Version != next.version || !it.Expires.Equal(next.expires) {
+				next := modelItem{value: kv.Value, version: model[kv.Key].version + 1}
+				if it := items[i]; it.Key != kv.Key || !bytes.Equal(it.Value, kv.Value) || it.Version != next.version {
 					t.Fatalf("op %d: PutBatch item %d = %+v, want %+v", step, i, it, next)
 				}
 				model[kv.Key] = next
@@ -314,15 +287,13 @@ func runProgram(t *testing.T, data []byte) {
 	snap := c.Snapshot()
 	for _, it := range snap {
 		want, ok := model[it.Key]
-		if !ok || !bytes.Equal(it.Value, want.value) || it.Version != want.version || !it.Expires.Equal(want.expires) {
+		if !ok || !bytes.Equal(it.Value, want.value) || it.Version != want.version {
 			t.Fatalf("Snapshot holds %+v, the model %+v (present %v)", it, want, ok)
 		}
 		delete(model, it.Key)
 	}
-	for key, m := range model {
-		if m.expires.IsZero() || !now.After(m.expires) {
-			t.Fatalf("Snapshot lacks %q, which the model holds unexpired", key)
-		}
+	for key := range model {
+		t.Fatalf("Snapshot lacks %q, which the model holds", key)
 	}
 }
 
@@ -415,13 +386,12 @@ func shardSeeds() []program {
 	p = p.op(opPutBig, 1, 3).op(opPutBig, 2, 3).op(opPutBig, 4, 250).op(opGet, 0, 0).op(opGet, 4, 0)
 	seeds = append(seeds, p) // seed#3
 
-	// Entries freed by a delete and by an expiry, then their keys taken
-	// again: a put and an add-CAS over records whose TTL has passed evict
-	// them on the way in.
+	// Entries freed by a delete, then their keys taken again by a put and an
+	// add-CAS.
 	p = newProgram(64, 2)
-	p = p.op(opPut, 0, 10).op(opPutTTL, 1, 0).op(opPutTTL, 2, 0).op(opPut, 3, 10).op(opCAS, 4, 1)
+	p = p.op(opPut, 0, 10).op(opPut, 1, 0).op(opPut, 2, 0).op(opPut, 3, 10).op(opCAS, 4, 1)
 	p = p.op(opPut, 0, 20).op(opDelete, 0, 0).op(opPut, 3, 10).op(opPut, 0, 10)
-	p = p.op(opTick, 0, 2).op(opTick, 0, 2).op(opPut, 1, 10).op(opCAS, 2, 1).op(opGet, 1, 0).op(opGet, 2, 0)
+	p = p.op(opDelete, 2, 0).op(opPut, 1, 10).op(opCAS, 2, 1).op(opGet, 1, 0).op(opGet, 2, 0)
 	p = p.op(opDelete, 1, 0).op(opPut, 5, 10).op(opPut, 1, 10)
 	seeds = append(seeds, p) // seed#4
 
@@ -503,33 +473,6 @@ func TestIndexWrapAround(t *testing.T) {
 		}
 		checkStore(t, c)
 	}
-}
-
-// AUDIT M8: an expired item that has not been evicted yet is as absent to
-// Delete and DeleteBatch as it is to Get.
-func TestDeleteOfExpiredItemIsNotFound(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{Now: func() time.Time { return now }})
-	for _, key := range []string{"a", "b", "live"} {
-		ttl := time.Minute
-		if key == "live" {
-			ttl = 0
-		}
-		if _, err := c.Put(key, []byte("v"), ttl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now = now.Add(2 * time.Minute)
-	if err := c.Delete("a"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Delete of an expired item = %v, want ErrNotFound", err)
-	}
-	if n, err := c.DeleteBatch([]string{"b", "live", "absent"}); err != nil || n != 1 {
-		t.Errorf("DeleteBatch of an expired, a live and an absent key = %d, %v; want 1", n, err)
-	}
-	if st := c.Stats(); st.Evictions != 2 || st.Items != 0 || st.Bytes != 0 || c.Len() != 0 {
-		t.Errorf("after deleting two expired items and a live one: %+v, Len %d", st, c.Len())
-	}
-	checkStore(t, c)
 }
 
 const benchValueLen = 38 // geobench's encoded entry

@@ -488,10 +488,10 @@ func (r *Router) Get(ctx context.Context, name string) (Entry, error) {
 // errors fail over down the replica list (router_failover_reads_total). A
 // replica that answers "not found" is authoritative — unless a re-sync sweep
 // is running: an entry written during an outage may not have reached the
-// recovered shard yet, so the miss falls back to the other shards (one
-// concurrent Get per shard) and is only answered when every one of them
-// actually responded; an unreachable shard mid-sweep surfaces as
-// ErrUnavailable rather than reading an existing entry as absent.
+// recovered shard yet, so the miss falls back to the other shards
+// (sweepFallback) and is only answered when every one of them actually
+// responded; an unreachable shard mid-sweep surfaces as ErrUnavailable rather
+// than reading an existing entry as absent.
 func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
 	refs := r.replicaSet(name)
 	var (
@@ -519,8 +519,8 @@ func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
 		errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, gerr))
 	}
 	if r.sweepActive() {
-		e, ok, ferrs := r.sweepFallbackGet(ctx, name, refs[:tried])
-		if ok {
+		found, ferrs := r.sweepFallback(ctx, map[string][]shardRef{name: refs[:tried]})
+		if e, ok := found[name]; ok {
 			return e, nil
 		}
 		errs = append(errs, ferrs...)
@@ -722,8 +722,8 @@ func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
 // sub-batch per shard per round, at most R rounds — so a crashed shard
 // degrades a bulk read into one retry round instead of an error. Names whose
 // every replica failed surface as a joined error; an answering shard's
-// misses are authoritative (with the usual full-tier fallback while a sweep
-// runs).
+// misses are authoritative, except while a sweep runs, when they take Get's
+// fallback (sweepFallback).
 func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 	if len(names) == 0 {
 		return nil, nil
@@ -736,10 +736,14 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 			uniq = append(uniq, name)
 		}
 	}
-	remaining := make(map[string][]shardRef, len(uniq))
+	homes := make(map[string][]shardRef, len(uniq))
 	for _, name := range uniq {
-		remaining[name] = r.replicaSet(name)
+		homes[name] = r.replicaSet(name)
 	}
+	remaining := maps.Clone(homes)
+	// missed maps each name an answering shard did not hold to the shards
+	// asked for it: the sweep fallback's starting point.
+	missed := make(map[string][]shardRef)
 
 	var (
 		mu    sync.Mutex
@@ -779,6 +783,16 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 		})
 
 		answered := len(remaining)
+		for id, b := range batch {
+			if failed[id] != nil {
+				continue
+			}
+			for _, name := range b.names {
+				if _, ok := found[name]; !ok {
+					missed[name] = homes[name][:round+1] // each round moves a name one replica down
+				}
+			}
+		}
 		next := make(map[string][]shardRef)
 		for id, gerr := range failed {
 			answered -= len(batch[id].names)
@@ -806,30 +820,13 @@ func (r *Router) GetMany(ctx context.Context, names []string) ([]Entry, error) {
 	}
 
 	// During a re-sync sweep an entry may not have reached its current home
-	// set yet; misses fall back to the whole tier, one concurrent sub-batch
-	// per shard, matching Get's fallback semantics.
-	if r.sweepActive() {
-		var missing []string
-		for _, name := range uniq {
-			if _, ok := found[name]; !ok {
-				missing = append(missing, name)
-			}
+	// set yet: the misses take Get's fallback.
+	if len(missed) > 0 && r.sweepActive() {
+		more, ferrs := r.sweepFallback(ctx, missed)
+		if len(ferrs) > 0 {
+			return nil, r.shardErr("get-many", ferrs)
 		}
-		if len(missing) > 0 {
-			fanOut(r.allShards(), func(_ int, ref shardRef) {
-				entries, ferr := ref.api.GetMany(ctx, missing)
-				if ferr != nil {
-					return // best-effort fallback; the home answer stands
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				for _, e := range entries {
-					if _, ok := found[e.Name]; !ok {
-						found[e.Name] = e
-					}
-				}
-			})
-		}
+		maps.Copy(found, more)
 	}
 
 	out := make([]Entry, 0, len(found))

@@ -389,34 +389,61 @@ func (r *Router) shardErr(op string, errs []error) error {
 	return fmt.Errorf("registry: router %s at site %d: %w", op, r.site, errors.Join(errs...))
 }
 
-// sweepFallbackGet consults every shard not yet tried for a copy of the
-// name, one concurrent Get per shard — the read-reliability fallback while
-// entries may be off-home mid-sweep. It returns the best copy found
-// (highest version, in case a sweep briefly left two) or the transport
-// failures encountered: a miss is only authoritative when every shard
-// actually answered.
-func (r *Router) sweepFallbackGet(ctx context.Context, name string, tried []shardRef) (Entry, bool, []error) {
+// sweepFallback looks for the names their replicas missed while a re-sync
+// sweep may have left entries off-home: tried maps each such name to the
+// shards already asked for it, and every other shard gets one concurrent
+// GetMany for the names it has not been asked about. It keeps the highest
+// version of each name (a sweep may briefly leave two copies) and returns the
+// failures of the shards asked about a name it did not find: a miss is only
+// authoritative when every shard asked actually answered.
+func (r *Router) sweepFallback(ctx context.Context, tried map[string][]shardRef) (map[string]Entry, []error) {
+	type ask struct {
+		shardRef
+		names []string
+	}
+	var asks []ask
+	for _, ref := range r.allShards() {
+		a := ask{shardRef: ref}
+		for name, refs := range tried {
+			if !hasRef(refs, ref.id) {
+				a.names = append(a.names, name)
+			}
+		}
+		if len(a.names) > 0 {
+			asks = append(asks, a)
+		}
+	}
 	var (
-		mu    sync.Mutex
-		found Entry
-		ok    bool
-		errs  []error
+		mu     sync.Mutex
+		found  = make(map[string]Entry, len(tried))
+		failed = make([]error, len(asks))
 	)
-	rest := slices.DeleteFunc(r.allShards(), func(ref shardRef) bool { return hasRef(tried, ref.id) })
-	fanOut(rest, func(_ int, ref shardRef) {
-		e, err := ref.api.Get(ctx, name)
+	fanOut(asks, func(i int, a ask) {
+		entries, err := a.api.GetMany(ctx, a.names)
+		if err != nil {
+			failed[i] = err
+			return
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		switch {
-		case err == nil:
-			if !ok || e.Version > found.Version {
-				found, ok = e, true
+		for _, e := range entries {
+			if cur, ok := found[e.Name]; !ok || e.Version > cur.Version {
+				found[e.Name] = e
 			}
-		case !errors.Is(err, ErrNotFound):
-			errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, err))
 		}
 	})
-	return found, ok, errs
+	var errs []error
+	for i, err := range failed {
+		if err == nil {
+			continue
+		}
+		for _, name := range asks[i].names {
+			if _, ok := found[name]; !ok {
+				errs = append(errs, fmt.Errorf("shard %d: %q: %w", asks[i].id, name, err))
+			}
+		}
+	}
+	return found, errs
 }
 
 // sweepActive reports whether a re-sync sweep is currently in flight.

@@ -815,6 +815,97 @@ func TestRouterGetFallsBackDuringSweep(t *testing.T) {
 	}
 }
 
+// fallbackShard is shard 0 of the fallback test: its Entries freezes the
+// sweep, and its reads can be made slow or unreachable.
+type fallbackShard struct {
+	*entriesGate
+	slow, down atomic.Bool
+}
+
+func (s *fallbackShard) read() error {
+	if s.down.Load() {
+		return fmt.Errorf("shard 0: %w", ErrUnavailable)
+	}
+	if s.slow.Load() {
+		time.Sleep(50 * time.Millisecond)
+	}
+	return nil
+}
+
+func (s *fallbackShard) Get(ctx context.Context, name string) (Entry, error) {
+	if err := s.read(); err != nil {
+		return Entry{}, err
+	}
+	return s.entriesGate.Get(ctx, name)
+}
+
+func (s *fallbackShard) GetMany(ctx context.Context, names []string) ([]Entry, error) {
+	if err := s.read(); err != nil {
+		return nil, err
+	}
+	return s.entriesGate.GetMany(ctx, names)
+}
+
+// TestRouterGetManyFallbackMatchesGet freezes a sweep and reads, through Get
+// and GetMany, names whose homes miss them while off-home copies sit
+// elsewhere (AUDIT G18). Both keep the highest version of two copies, even
+// when the lower answers first, and both fail with ErrUnavailable when the
+// only copy is on a shard that does not answer, instead of reading the name
+// as absent.
+func TestRouterGetManyFallbackMatchesGet(t *testing.T) {
+	ctx := context.Background()
+	var shard0 *fallbackShard
+	r, insts := newRecoveryTier(t, func(inst *Instance) API {
+		shard0 = &fallbackShard{entriesGate: newEntriesGate(inst)}
+		return shard0
+	})
+	// Two names homed away from shard 0: the first has version 1 on its
+	// secondary and version 2 on shard 0, the second a copy on shard 0 only.
+	var twoCopies, hidden string
+	for i := 0; hidden == ""; i++ {
+		name := fmt.Sprintf("g18/%d", i)
+		homes := r.placer.Homes(name, r.rep)
+		switch {
+		case slices.Contains(homes, 0):
+		case twoCopies == "":
+			twoCopies = name
+			for _, shard := range []*Instance{insts[homes[1]], insts[0], insts[0]} {
+				if _, err := shard.Put(ctx, testEntry(name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		default:
+			hidden = name
+			if _, err := insts[0].Put(ctx, testEntry(name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	r.MarkShardDown(0)
+	r.MarkShardUp(0)
+	<-shard0.entered // the sweep is frozen before it has read anything
+	shard0.slow.Store(true)
+	if e, err := r.Get(ctx, twoCopies); err != nil || e.Version != 2 {
+		t.Errorf("Get of a name with two off-home copies = %+v, %v; want version 2", e, err)
+	}
+	if got, err := r.GetMany(ctx, []string{twoCopies}); err != nil || len(got) != 1 || got[0].Version != 2 {
+		t.Errorf("GetMany of a name with two off-home copies = %+v, %v; want version 2", got, err)
+	}
+	shard0.slow.Store(false)
+
+	shard0.down.Store(true)
+	if e, err := r.Get(ctx, hidden); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("Get of a name whose only copy is unreachable = %+v, %v; want ErrUnavailable", e, err)
+	}
+	if got, err := r.GetMany(ctx, []string{twoCopies, hidden}); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("GetMany of a name whose only copy is unreachable = %+v, %v; want ErrUnavailable", got, err)
+	}
+	shard0.down.Store(false)
+	close(shard0.release)
+	r.Wait()
+}
+
 func TestRouterBestEffortOpsFeedSuppressedCounter(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r, _ := newTestRouter(t, 2, WithRouterMetrics(reg))

@@ -23,9 +23,9 @@ import (
 const DefaultMaxInflight = 64
 
 // batchRespPool recycles the per-batch response slice assembled for every
-// FrameBatch: batches are the bulk hot path (PutMany/GetMany fan-out sends
-// hundreds of operations per frame), and the slice is dead the moment the
-// response frame is encoded.
+// FrameBatch (Client.Batch): the slice is dead the moment the response frame
+// is encoded. The bulk operations themselves (GetMany, PutMany, Merge,
+// DeleteMany) each travel as one single frame, not as a batch.
 var batchRespPool = sync.Pool{New: func() any { return new([]Response) }}
 
 // takeBatchResponses returns a zeroed response slice of length n, reusing a

@@ -51,6 +51,11 @@ import (
 // under the registry's name; it lives here so that a *Durable can be handed
 // back to the registry without an import cycle. *memcache.Cache, a *Durable
 // and the tests' fakes satisfy it.
+//
+// Nothing expires: every store ignores the ttl of Put and CAS, and a Durable
+// journals none. The parameter stays only while geobench's tracedStore, which
+// implements this interface, forwards it, and goes with that forward (ROADMAP
+// item 2b).
 type Backing interface {
 	Get(key string) (memcache.Item, error)
 	Put(key string, value []byte, ttl time.Duration) (memcache.Item, error)

@@ -13,14 +13,6 @@ import (
 // images averaging under 1 MB), and plugs into the workflow generators
 // through WorkflowConfig.Sizes to give every produced file a realistic size.
 
-// SizeDistribution draws file sizes.
-type SizeDistribution interface {
-	// Sample returns one file size in bytes.
-	Sample() int64
-	// Name identifies the distribution.
-	Name() string
-}
-
 // LogNormalSizes draws sizes from a log-normal distribution, the classic fit
 // for file-size populations dominated by small files with a heavy tail.
 type LogNormalSizes struct {
@@ -48,10 +40,7 @@ func NewLogNormalSizes(medianBytes float64, sigmaLog float64, maxBytes int64, se
 	}
 }
 
-// Name implements SizeDistribution.
-func (d *LogNormalSizes) Name() string { return "lognormal" }
-
-// Sample implements SizeDistribution.
+// Sample returns one file size in bytes.
 func (d *LogNormalSizes) Sample() int64 {
 	d.mu.Lock()
 	draw := d.rng.NormFloat64()

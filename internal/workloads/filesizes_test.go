@@ -9,9 +9,6 @@ import (
 
 func TestLogNormalSizesProperties(t *testing.T) {
 	d := NewLogNormalSizes(190<<10, 0.8, 4<<20, 1)
-	if d.Name() != "lognormal" {
-		t.Error("name changed")
-	}
 	for i := 0; i < 5000; i++ {
 		s := d.Sample()
 		if s < 1 {

@@ -26,7 +26,7 @@ type WorkflowConfig struct {
 	// Sizes optionally draws per-file sizes from a distribution (e.g. the
 	// SkySurveySizes population); when set it overrides FileSize, giving the
 	// "many small files" shape of §II-A.
-	Sizes SizeDistribution
+	Sizes *LogNormalSizes
 	// Prefix namespaces file names so several runs can coexist.
 	Prefix string
 }

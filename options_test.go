@@ -53,8 +53,6 @@ var seams = map[string]string{
 	"limits.TokenBucket.Take":              "TestTokenBucketConcurrentTake, TestTokenBucketUnlimitedAndDeny: the bucket's arithmetic without a limiter",
 	"memcache.Cache.Stats":                 "checkStore and the memcache tests: the store's item and byte accounting",
 	"memcache.Cache.Stop":                  "fault injection: TestCentralizedSurvivesShardFailure and TestReplicatedAgentSiteFailureIsIsolated stop a site's cache",
-	"memcache.Cache.Stopped":               "TestStop: the state Stop's fault injection leaves",
-	"memcache.Item.Expired":                "TestItemIsRebuiltOnTheWayOut: an item read back carries its expiry",
 	"metrics.Histogram.Count":              "TestReplicatedFeedSyncConverges, TestCapacityStoreBoundsConcurrency: how many samples live code observed",
 	"metrics.Progress.Completed":           "TestRunSyntheticCentralized: the synthetic run records every completion",
 	"metrics.Progress.DoneAt":              "TestProgressTimeline: completions at fixed offsets, so Timeline's percentiles are exact",
@@ -498,7 +496,6 @@ func TestExportedFuncsAreReachable(t *testing.T) {
 // are tests of itself is not a seam; it is deleted.
 var configSeams = map[string]string{
 	"experiments.Config.FeedSync":                 "TestRunWorkflowClosesWhatItBuilds: no feed-driven strategy goroutine outlives a run; the feed modes stay until ROADMAP item 8 decides them by measurement",
-	"memcache.Config.Now":                         "TestTTLExpiry, TestDeleteOfExpiredItemIsNotFound: the TTL clock, so the tests step time instead of sleeping",
 	"memcache.Config.Shards":                      "TestIndexWrapAround, TestValueSurvivesEvacuation: one shard forces index growth and evacuation",
 	"readcache.Options.Capacity":                  "TestLRUEvictionBoundsOccupancy, TestBulkWriteLeavesNoSlots: a capacity a test can overrun, so eviction and the slot bound show",
 	"readcache.Options.Now":                       "TestFeedlessTTLFallback: the staleness clock, so a feedless cache's TTL is stepped instead of slept",
