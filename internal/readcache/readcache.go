@@ -232,8 +232,9 @@ func (c *Cache) consume() {
 		c.invalidate(ev.Event.Name)
 	}
 	// The feed ended for good (Close, or the attach context's
-	// cancellation): back to TTL-only coherence, nothing cached may
-	// survive it.
+	// cancellation): nothing cached may survive it, and the source counted
+	// disconnected here never reconnects, so from now on every read serves
+	// through to the origin and nothing is cached again.
 	c.disconnected.Add(1)
 	c.Flush()
 }
@@ -273,9 +274,11 @@ func (c *Cache) Flush() {
 	c.obs.flushes.Inc()
 }
 
-// Close detaches the feed subscription (if any). The cache keeps serving —
-// through to the origin, with TTL-bounded caching — after Close; the origin
-// itself is not closed.
+// Close detaches the feed subscription (if any); the origin itself is not
+// closed. The cache keeps serving after Close. A cache that had a feed serves
+// every read through to the origin and caches nothing from then on (consume
+// leaves it disconnected for good); one that never had a feed keeps its
+// TTL-bounded caching.
 func (c *Cache) Close() error {
 	c.closeOnce.Do(func() {
 		if c.cancel != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"geomds/internal/cloud"
@@ -26,10 +27,8 @@ type Store = store.Backing
 type Instance struct {
 	site  cloud.SiteID
 	store Store
-	// maxCASRetries bounds optimistic-concurrency retries on updates.
-	maxCASRetries int
-	// updateMu queues the read-modify-writes that go through this instance,
-	// striped by entry name: see Update.
+	// updateMu serializes the mutations that go through this instance,
+	// striped by entry name: see lockName.
 	updateMu [updateStripes]sync.Mutex
 	// durable is the persistence layer when the store is a *store.Durable;
 	// nil for memory-only instances.
@@ -43,21 +42,11 @@ type Instance struct {
 // InstanceOption configures an Instance.
 type InstanceOption func(*Instance)
 
-// WithCASRetries sets the maximum number of optimistic-concurrency retries
-// performed by Update (default 8).
-func WithCASRetries(n int) InstanceOption {
-	return func(i *Instance) {
-		if n > 0 {
-			i.maxCASRetries = n
-		}
-	}
-}
-
 // NewInstance returns a registry instance for the given site backed by the
 // given store. A *store.Durable — a member of a site's shared log, or the
 // log OpenInstance opens — is the instance's storage.
 func NewInstance(site cloud.SiteID, s Store, opts ...InstanceOption) *Instance {
-	inst := &Instance{site: site, store: s, maxCASRetries: 8}
+	inst := &Instance{site: site, store: s}
 	inst.durable, _ = s.(*store.Durable)
 	for _, o := range opts {
 		o(inst)
@@ -93,6 +82,7 @@ func (i *Instance) Create(ctx context.Context, e Entry) (Entry, error) {
 	if err := e.Validate(); err != nil {
 		return Entry{}, err
 	}
+	defer i.lockName(e.Name).Unlock()
 	it, err := i.store.CAS(e.Name, encodeEntry(e), 0, 0)
 	if err != nil {
 		if errors.Is(err, memcache.ErrVersionConflict) {
@@ -113,6 +103,7 @@ func (i *Instance) Put(ctx context.Context, e Entry) (Entry, error) {
 	if err := e.Validate(); err != nil {
 		return Entry{}, err
 	}
+	defer i.lockName(e.Name).Unlock()
 	it, err := i.store.Put(e.Name, encodeEntry(e), 0)
 	if err != nil {
 		return Entry{}, fmt.Errorf("put %q: %w", e.Name, err)
@@ -141,8 +132,8 @@ func (i *Instance) Get(ctx context.Context, name string) (Entry, error) {
 	return e, nil
 }
 
-// updateStripes is how many locks the names updated through one instance
-// share.
+// updateStripes is how many locks the names written through one instance
+// share; lockStripes keeps a set of them in a uint64.
 const updateStripes = 64
 
 // updateStripe picks name's lock (FNV-1a, inlined to stay allocation-free).
@@ -154,52 +145,71 @@ func updateStripe(name string) uint32 {
 	return h % updateStripes
 }
 
-// Update applies mutate to the current value of the entry and stores the
-// result using optimistic concurrency, retrying on conflicts up to the
-// configured limit. The entry must exist.
-//
-// Updates of one name through one instance take turns: the compare-and-swap
-// guards against writers the instance cannot see (another instance over the
-// same store, a Put racing the update), but the workers of one server losing
-// it to each other would burn their retries, and two store operations of
-// capacity per lost round, on a race the instance can simply not have —
-// sixteen writers on one hot key exhausted eight retries each.
-func (i *Instance) Update(ctx context.Context, name string, mutate func(Entry) Entry) (Entry, error) {
+// lockName takes name's stripe and returns it locked. Every mutation
+// through the instance holds its names' stripes, so writers of one name
+// through one instance take turns: a Merge's read and write cannot straddle
+// another writer's, and Update's compare-and-swap cannot lose to the
+// instance's own writers.
+func (i *Instance) lockName(name string) *sync.Mutex {
 	mu := &i.updateMu[updateStripe(name)]
 	mu.Lock()
-	defer mu.Unlock()
-	for attempt := 0; attempt < i.maxCASRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return Entry{}, fmt.Errorf("update %q: %w", name, err)
-		}
-		it, err := i.store.Get(name)
-		if err != nil {
-			if errors.Is(err, memcache.ErrNotFound) {
-				return Entry{}, fmt.Errorf("update %q: %w", name, ErrNotFound)
-			}
-			return Entry{}, fmt.Errorf("update %q: %w", name, err)
-		}
-		cur, err := DecodeEntry(it.Value)
-		if err != nil {
-			return Entry{}, fmt.Errorf("update %q: %w", name, err)
-		}
-		cur.Version = it.Version
-		next := mutate(cur)
-		next.Name = name // the key is immutable
-		if err := next.Validate(); err != nil {
-			return Entry{}, err
-		}
-		stored, err := i.store.CAS(name, encodeEntry(next), 0, it.Version)
-		if err == nil {
-			next.Version = stored.Version
-			return next, nil
-		}
-		if !errors.Is(err, memcache.ErrVersionConflict) {
-			return Entry{}, fmt.Errorf("update %q: %w", name, err)
-		}
-		// Lost the race: reload and retry.
+	return mu
+}
+
+// lockStripes takes the stripes of a bulk mutation's names in ascending
+// order, so that two bulk mutations cannot deadlock, and returns their
+// unlock.
+func (i *Instance) lockStripes(names []string) (unlock func()) {
+	var set uint64
+	for _, name := range names {
+		set |= 1 << updateStripe(name)
 	}
-	return Entry{}, fmt.Errorf("update %q: too many retries: %w", name, ErrConflict)
+	for s := set; s != 0; s &= s - 1 {
+		i.updateMu[bits.TrailingZeros64(s)].Lock()
+	}
+	return func() {
+		for s := set; s != 0; s &= s - 1 {
+			i.updateMu[bits.TrailingZeros64(s)].Unlock()
+		}
+	}
+}
+
+// Update applies mutate to the current value of the entry and stores the
+// result with a compare-and-swap. The entry must exist. Holding the name's
+// stripe (see lockName), it fails with ErrConflict only if a writer the
+// instance cannot see, another instance over the same store, came between
+// the read and the swap.
+func (i *Instance) Update(ctx context.Context, name string, mutate func(Entry) Entry) (Entry, error) {
+	defer i.lockName(name).Unlock()
+	if err := ctx.Err(); err != nil {
+		return Entry{}, fmt.Errorf("update %q: %w", name, err)
+	}
+	it, err := i.store.Get(name)
+	if err != nil {
+		if errors.Is(err, memcache.ErrNotFound) {
+			return Entry{}, fmt.Errorf("update %q: %w", name, ErrNotFound)
+		}
+		return Entry{}, fmt.Errorf("update %q: %w", name, err)
+	}
+	cur, err := DecodeEntry(it.Value)
+	if err != nil {
+		return Entry{}, fmt.Errorf("update %q: %w", name, err)
+	}
+	cur.Version = it.Version
+	next := mutate(cur)
+	next.Name = name // the key is immutable
+	if err := next.Validate(); err != nil {
+		return Entry{}, err
+	}
+	stored, err := i.store.CAS(name, encodeEntry(next), 0, it.Version)
+	if errors.Is(err, memcache.ErrVersionConflict) {
+		return Entry{}, fmt.Errorf("update %q: %w", name, ErrConflict)
+	}
+	if err != nil {
+		return Entry{}, fmt.Errorf("update %q: %w", name, err)
+	}
+	next.Version = stored.Version
+	return next, nil
 }
 
 // AddLocation records an additional copy of the file named name.
@@ -212,6 +222,7 @@ func (i *Instance) Delete(ctx context.Context, name string) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("delete %q: %w", name, err)
 	}
+	defer i.lockName(name).Unlock()
 	if err := i.store.Delete(name); err != nil {
 		if errors.Is(err, memcache.ErrNotFound) {
 			return fmt.Errorf("delete %q: %w", name, ErrNotFound)
@@ -289,6 +300,7 @@ func (i *Instance) PutMany(ctx context.Context, entries []Entry) ([]Entry, error
 		}
 		kvs = append(kvs, memcache.KV{Key: e.Name, Value: encodeEntry(e)})
 	}
+	defer i.lockStripes(entryNames(entries))()
 	items, err := i.store.PutBatch(kvs)
 	if err != nil {
 		return nil, fmt.Errorf("put-many: %w", err)
@@ -313,6 +325,7 @@ func (i *Instance) DeleteMany(ctx context.Context, names []string) (int, error) 
 	if len(names) == 0 {
 		return 0, nil
 	}
+	defer i.lockStripes(names)()
 	n, err := i.store.DeleteBatch(names)
 	if err != nil {
 		return 0, fmt.Errorf("delete-many: %w", err)
@@ -324,7 +337,8 @@ func (i *Instance) DeleteMany(ctx context.Context, names []string) (int, error) 
 // instance already holds, returning the number of entries applied. It is the
 // apply side of the synchronization agent and of lazy propagation: last
 // writer wins, location lists are unioned. Merge uses the store's bulk path
-// (one read batch, one write batch).
+// (one read batch, one write batch), both under the batch's stripes, so no
+// other write through the instance lands between them and is overwritten.
 func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("merge: %w", err)
@@ -339,6 +353,7 @@ func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err
 		}
 		names = append(names, e.Name)
 	}
+	defer i.lockStripes(names)()
 	items, _, err := i.store.GetBatch(names)
 	if err != nil {
 		return 0, fmt.Errorf("merge: %w", err)

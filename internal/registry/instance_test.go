@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -154,17 +155,17 @@ func TestInstanceUpdateConcurrent(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		delay   time.Duration
-		retries int
 		writers int
 	}{
-		{"generous retry budget", 0, 64, 12},
-		// One attempt each and a store slow enough that every writer reads
-		// before any has written: they all succeed only because updates of one
-		// name through one instance take turns instead of racing each other.
-		{"same-name writers queue", 100 * time.Microsecond, 1, 16},
+		{"generous retry budget", 0, 12},
+		// One compare-and-swap each and a store slow enough that every writer
+		// reads before any has written: they all succeed only because updates
+		// of one name through one instance take turns instead of racing each
+		// other.
+		{"same-name writers queue", 100 * time.Microsecond, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inst := NewInstance(0, slowStore{memcache.New(memcache.Config{}), tc.delay}, WithCASRetries(tc.retries))
+			inst := NewInstance(0, slowStore{memcache.New(memcache.Config{}), tc.delay})
 			e := sampleEntry()
 			inst.Create(tctx, e)
 			var wg sync.WaitGroup
@@ -268,5 +269,82 @@ func TestInstanceMergeInvalid(t *testing.T) {
 	dst := newTestInstance()
 	if _, err := dst.Merge(tctx, []Entry{{}}); !errors.Is(err, ErrInvalidEntry) {
 		t.Errorf("Merge invalid = %v, want ErrInvalidEntry", err)
+	}
+}
+
+// putBatchGate is a store whose first PutBatch blocks until released, so a
+// test can hold a Merge between its read and its write.
+type putBatchGate struct {
+	Store
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *putBatchGate) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Store.PutBatch(kvs)
+}
+
+// TestInstanceMergeKeepsConcurrentWrites holds a Merge between its read and
+// its write while another writer of the same name runs through the
+// instance (AUDIT I8). The other write must survive: either it lands after
+// the Merge, or the Merge's union is built on top of it.
+func TestInstanceMergeKeepsConcurrentWrites(t *testing.T) {
+	mergedLoc := Location{Site: 2, Node: 20}
+	writtenLoc := Location{Site: 3, Node: 30}
+	for _, row := range []struct {
+		name  string
+		write func(*Instance, Entry) error
+	}{
+		{"addlocation", func(inst *Instance, e Entry) error {
+			_, err := inst.AddLocation(tctx, e.Name, writtenLoc)
+			return err
+		}},
+		{"put", func(inst *Instance, e Entry) error {
+			_, err := inst.Put(tctx, e.AddLocation(writtenLoc))
+			return err
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			gate := &putBatchGate{Store: memcache.New(memcache.Config{}), entered: make(chan struct{}), release: make(chan struct{})}
+			inst := NewInstance(0, gate)
+			e := sampleEntry()
+			if _, err := inst.Create(tctx, e); err != nil {
+				t.Fatal(err)
+			}
+
+			merged := make(chan error, 1)
+			go func() {
+				_, err := inst.Merge(tctx, []Entry{e.AddLocation(mergedLoc)})
+				merged <- err
+			}()
+			<-gate.entered // the Merge has read the entry and holds its write
+			written := make(chan error, 1)
+			go func() { written <- row.write(inst, e) }()
+			select {
+			case err := <-written: // the write did not wait for the Merge
+				written <- err
+			case <-time.After(50 * time.Millisecond): // it waits for the Merge's write
+			}
+			close(gate.release)
+			if err := <-merged; err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+			if err := <-written; err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+
+			got, err := inst.Get(tctx, e.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(got.Locations, writtenLoc) {
+				t.Fatalf("the %s that ran during the merge was lost: locations %v", row.name, got.Locations)
+			}
+		})
 	}
 }

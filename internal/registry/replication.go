@@ -25,14 +25,16 @@ import (
 // tier has nowhere correct to re-route to, so it keeps routing to the key's
 // only home and surfaces that shard's own error.
 //
-// Writes fan out to every replica and succeed only when every replica
-// acknowledges; replicas that were reached stay applied when another fails.
-// Reads try the primary and fail over down the
-// replica list on transport errors; an answering replica's ErrNotFound is
-// authoritative — except while a re-sync sweep is moving entries back from
-// substitutes, when the whole tier is consulted. Bulk operations keep the one-frame-per-shard
-// contract: a shard that is primary for some keys of a batch and replica for
-// others receives one combined sub-batch.
+// Every write, single-key or bulk, takes one path (write): it fans out to
+// every replica and succeeds only when every replica acknowledges, replicas
+// that were reached staying applied when another fails, and it carries the
+// one guard against a racing re-sync sweep. Reads try the primary and fail
+// over down the replica list on transport errors; an answering replica's
+// ErrNotFound is authoritative — except while a re-sync sweep is moving
+// entries back from substitutes, when the whole tier is consulted. Bulk
+// operations keep the one-frame-per-shard contract: a shard that is primary
+// for some keys of a batch and replica for others receives one combined
+// sub-batch.
 
 // shardRef pairs a shard ID with its API for one resolved replica set.
 type shardRef struct {
@@ -148,15 +150,6 @@ func hasRef(refs []shardRef, id cloud.SiteID) bool {
 	return false
 }
 
-// others returns the replica list without position i. The common case — the
-// primary answered — shares the backing array; only a fail-over copies.
-func others(refs []shardRef, i int) []shardRef {
-	if i == 0 {
-		return refs[1:]
-	}
-	return slices.Delete(slices.Clone(refs), i, i+1)
-}
-
 // fanOut runs fn once per member of the set — a replica, a shard, a shard's
 // sub-batch — and returns when every call has finished. The calls run
 // concurrently, except that a one-member set — every single-key write of an
@@ -167,49 +160,18 @@ func fanOut[T any](set []T, fn func(i int, member T)) {
 		return
 	}
 	var wg sync.WaitGroup
-	for i, member := range set {
+	for i := range set {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn(i, member)
+			fn(i, set[i]) // indexed here, so a large member is not moved to the heap
 		}()
 	}
 	wg.Wait()
 }
 
-// fanOutPut upserts e at every given replica, reporting each outcome to the
-// health tracker. It returns the first successful stored entry and the
-// per-shard failures.
-func (r *Router) fanOutPut(ctx context.Context, refs []shardRef, e Entry) (Entry, []error) {
-	type result struct {
-		e   Entry
-		err error
-	}
-	results := make([]result, len(refs))
-	fanOut(refs, func(i int, ref shardRef) {
-		stored, err := ref.api.Put(ctx, e)
-		r.report(ref.id, err)
-		results[i] = result{stored, err}
-	})
-	var (
-		stored Entry
-		got    bool
-		errs   []error
-	)
-	for i, res := range results {
-		if res.err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", refs[i].id, res.err))
-			continue
-		}
-		if !got {
-			stored, got = res.e, true
-		}
-	}
-	return stored, errs
-}
-
-// forceNoteDeleted records deletion notes unconditionally. The delete paths
-// use it whenever a replica failed to apply a deletion that was (or may have
+// forceNoteDeleted records deletion notes unconditionally. The write path
+// uses it whenever a replica failed to apply a deletion that was (or may have
 // been) acknowledged: the failed replica holds a stale copy now, whether or
 // not its breaker ever opens, and every sweep consults the notes before
 // merging — so the stale copy can be purged but never resurrected. A write
@@ -238,238 +200,376 @@ func (r *Router) forceNoteDeleted(names ...string) {
 	r.delMu.Unlock()
 }
 
-// reassertDeletion restores the protection a failed write removed: the names
-// were deleted while a sweep was active or a shard was down, the write that
-// cleared their notes did not take effect, so the deletions must stand. The
-// notes are re-recorded and the names purged everywhere, best-effort — the
-// in-flight sweep may have merged a stale copy during the window the notes
-// were gone.
-func (r *Router) reassertDeletion(ctx context.Context, names ...string) {
-	r.noteDeleted(names...)
-	for _, api := range r.shards {
-		api.DeleteMany(ctx, names) //nolint:errcheck // best-effort re-assertion of the standing deletion
-	}
+// repGroup is one shard's share of a routed write: the input positions
+// routed to it, as primary or replica, and the shard's answer. One group is
+// one shard call — for a bulk write, one wire frame.
+type repGroup struct {
+	shardRef
+	idx    []int
+	n      int   // names the shard applied: stored, merged or removed
+	stored Entry // a one-name write's stored entry
+	err    error
 }
 
-// reanchor handles an acknowledged write that raced the start of a recovery:
-// the homes are re-resolved — the recovered shard is back among them — and
-// any that were not in the original target set receive the stored entry,
-// best-effort. The sweep moving the original copies off their substitutes
-// converges the same way, and clearing the deletion note keeps its
-// post-merge check from undoing the write.
-func (r *Router) reanchor(ctx context.Context, wrote []shardRef, stored Entry) {
-	r.clearDeleted(stored.Name)
-	for _, ref := range r.replicaSet(stored.Name) {
-		if !hasRef(wrote, ref.id) {
-			ref.api.Put(ctx, stored) //nolint:errcheck // best-effort; the sweep converges the same way
-		}
+// oneName is the positions of a one-name write, shared by all its groups.
+var oneName = []int{0}
+
+// pick returns the elements of all at the group's input positions — the
+// group's sub-batch.
+func pick[T any](all []T, idx []int) []T {
+	sub := make([]T, len(idx))
+	for i, pos := range idx {
+		sub[i] = all[pos]
 	}
+	return sub
 }
 
-// Create implements API: existence is decided at the primary (failing over
-// down the replica list on transport errors), then the stored entry is
-// replicated to the remaining homes as an upsert. A create forgets any
-// deletion note for the name first — the write re-establishes the entry, and
-// a sweep's post-merge check must not undo it — and re-asserts the deletion
-// if the write fails. A recovery sweep that begins while the write is in
-// flight is caught by a re-check afterwards: the acknowledged entry is
-// re-anchored at its current homes so the sweep's source cleanup cannot
-// orphan it.
-func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
-	refs := r.replicaSet(e.Name)
-	gen := r.sweepGen.Load()
-	noted := r.clearDeleted(e.Name) != nil
+// entryNames returns the entries' names, in order.
+func entryNames(entries []Entry) []string {
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name
+	}
+	return names
+}
 
-	var (
-		stored    Entry
-		createErr error
-		creator   = -1
-		errs      []error
-	)
-	for i, ref := range refs {
-		stored, createErr = ref.api.Create(ctx, e)
-		r.report(ref.id, createErr)
-		if createErr == nil {
-			creator = i
-			break
+// groupWrite partitions a write's names across their replica sets: every
+// position lands in the group of each of its homes, so each shard receives
+// one sub-batch. It also returns the fewest homes any name has — normally
+// R, fewer when the tier (or its healthy part) is smaller — which turns the
+// per-replica count sum back into names.
+func (r *Router) groupWrite(names []string) ([]repGroup, int) {
+	if len(names) == 1 { // the name's replica set, without the map
+		ids := r.replicaIDs(names[0])
+		groups := make([]repGroup, len(ids))
+		for i, id := range ids {
+			groups[i] = repGroup{shardRef: shardRef{id: id, api: r.shards[id]}, idx: oneName}
 		}
-		if noted && errors.Is(createErr, ErrExists) {
-			// The "existing" copy is a stale resurrection of a name deleted
-			// while a sweep ran or a shard was down; the create wins over it.
-			stored, createErr = ref.api.Put(ctx, e)
-			r.report(ref.id, createErr)
-			if createErr == nil {
-				creator = i
-				break
+		return groups, len(ids)
+	}
+	groups := make([]repGroup, 0, min(len(r.shards), len(names)*r.rep))
+	at := make(map[cloud.SiteID]int, cap(groups))
+	fewest := r.rep
+	for i, name := range names {
+		ids := r.replicaIDs(name)
+		fewest = min(fewest, len(ids))
+		for _, id := range ids {
+			j, ok := at[id]
+			if !ok {
+				j = len(groups)
+				at[id] = j
+				groups = append(groups, repGroup{shardRef: shardRef{id: id, api: r.shards[id]}})
+			}
+			groups[j].idx = append(groups[j].idx, i)
+		}
+	}
+	return groups, fewest
+}
+
+// reachableGroups returns one group per reachable shard (see
+// reachableShards), each holding all n positions: a purge's groups.
+func (r *Router) reachableGroups(n int) []repGroup {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	var groups []repGroup
+	for _, ref := range r.reachableShards() {
+		groups = append(groups, repGroup{shardRef: ref, idx: all})
+	}
+	return groups
+}
+
+// unreached keeps, of each group, the positions that the same shard's group
+// in reached did not hold, and drops the groups left empty.
+func unreached(groups, reached []repGroup) []repGroup {
+	out := groups[:0]
+	for _, g := range groups {
+		for _, s := range reached {
+			if s.id == g.id {
+				g.idx = slices.DeleteFunc(slices.Clone(g.idx), func(pos int) bool { return slices.Contains(s.idx, pos) })
 			}
 		}
-		if !errors.Is(createErr, ErrUnavailable) {
-			break // an application answer (ErrExists, validation) is final
+		if len(g.idx) > 0 {
+			out = append(out, g)
 		}
-		errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, createErr))
 	}
-	if createErr != nil {
-		if noted && !errors.Is(createErr, ErrExists) {
-			r.reassertDeletion(ctx, e.Name)
-		}
-		if errors.Is(createErr, ErrUnavailable) {
-			return Entry{}, r.shardErr("create", errs)
-		}
-		return Entry{}, createErr
-	}
-
-	if _, errs := r.fanOutPut(ctx, others(refs, creator), stored); errs != nil {
-		return Entry{}, r.shardErr("create", errs)
-	}
-	if r.sweepActive() || r.sweepGen.Load() != gen {
-		r.reanchor(ctx, refs, stored)
-	}
-	return stored, nil
+	return out
 }
 
-// Put implements API: the upsert fans out to every replica, and every one
-// must acknowledge. Deletion notes and a racing recovery are handled as in
-// Create.
-func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
-	refs := r.replicaSet(e.Name)
+// deleteMany is the send that removes the group's names with one DeleteMany:
+// DeleteMany's own, and every purge's.
+func deleteMany(ctx context.Context, names []string) func(*repGroup) {
+	return func(g *repGroup) { g.n, g.err = g.api.DeleteMany(ctx, pick(names, g.idx)) }
+}
+
+// writeKind is what a write does to its names, which decides what the
+// sweep guard does for it.
+type writeKind int
+
+const (
+	upsert writeKind = iota // re-establishes its names: Create, Put, PutMany, Merge
+	update                  // changes an existing entry, re-establishes nothing: AddLocation
+	remove                  // Delete, DeleteMany
+)
+
+// write is one routed write. Its names are write's own parameter: a struct
+// parameter escapes as a whole, so names kept here would cost every
+// single-key write a heap copy.
+type write struct {
+	op   string // for errors
+	kind writeKind
+	bulk bool // counted in router_bulk_ops_total
+	// send applies a group's sub-batch at its shard, setting the group's n
+	// and err (and stored, for a one-name write).
+	send func(g *repGroup)
+	// lead, if set, replaces send: the one-name write runs at one authority,
+	// the first replica that answers, and the others receive what it stored
+	// as a Put. noted says the write cleared the name's deletion note.
+	lead func(ref shardRef, noted bool) (Entry, error)
+}
+
+// write is the Router's one write path. Every write sends one sub-batch per
+// shard, concurrently, reports each outcome to the health tracker, and
+// succeeds only when every replica acknowledges; replicas that were reached
+// stay applied when another fails. It holds the one guard against a racing
+// re-sync sweep, so that no acknowledged write is lost and no deletion is
+// resurrected:
+//
+//   - sweepGen is read before any replica set is resolved, so a sweep that
+//     begins (and even ends) while the write is in flight is seen after it;
+//   - an upsert clears its names' deletion notes before the first shard
+//     call, so the sweep's checks cannot undo it. A failed one restores
+//     them: the notes are recorded again and the names purged from every
+//     reachable shard, since a sweep may have merged a stale copy meanwhile;
+//   - a remove notes its names first, and force-notes those a failing
+//     replica still holds (see forceNoteDeleted);
+//   - if a sweep is active or began since, an acknowledged upsert or update
+//     is re-sent, with its own shard call, to its names' current homes it
+//     did not reach: a sweep that read their substitutes before the write
+//     landed there will not carry it to the recovered shard. A remove
+//     purges its names from every reachable shard outside its groups, or
+//     from every one if a sweep began, since that sweep may have merged a
+//     not-yet-deleted replica's copy onto one that had already deleted it.
+//
+// A replica answering a remove with ErrNotFound agrees with it. The count
+// is the per-replica sum, purged copies included, divided by the fewest
+// homes any name has and rounded up, so a partially replicated name still
+// counts once; a remove that removed no copy anywhere returns a replica's
+// ErrNotFound if one answered so. The entry is what a one-name write stored.
+func (r *Router) write(ctx context.Context, names []string, w write) (Entry, int, error) {
 	gen := r.sweepGen.Load()
-	noted := r.clearDeleted(e.Name)
-	stored, errs := r.fanOutPut(ctx, refs, e)
-	if errs != nil {
+	groups, fewest := r.groupWrite(names)
+	if w.bulk {
+		r.countBulk(len(groups))
+	}
+	var noted []string
+	switch w.kind {
+	case upsert:
+		noted = r.clearDeleted(names...)
+	case remove:
+		r.noteDeleted(names...)
+	}
+	failed := func(n int, err error) (Entry, int, error) {
 		if noted != nil {
-			r.reassertDeletion(ctx, noted...)
+			r.noteDeleted(noted...)
+			r.apply(r.reachableGroups(len(noted)), deleteMany(ctx, noted))
 		}
-		return Entry{}, r.shardErr("put", errs)
+		return Entry{}, n, err
 	}
-	if r.sweepActive() || r.sweepGen.Load() != gen {
-		r.reanchor(ctx, refs, stored)
-	}
-	return stored, nil
-}
 
-// AddLocation implements API: the read-modify-write runs at one authority —
-// the first replica that answers — and its result is replicated as an upsert.
-func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
-	refs := r.replicaSet(name)
-	var (
-		stored Entry
-		uerr   error
-		at     = -1
-		errs   []error
-	)
-	for i, ref := range refs {
-		stored, uerr = ref.api.AddLocation(ctx, name, loc)
-		r.report(ref.id, uerr)
-		if uerr == nil {
-			at = i
-			break
+	todo, send := groups, w.send
+	if w.lead != nil {
+		at, err := r.lead(groups, w.op, w.lead, noted != nil)
+		if err != nil {
+			return failed(0, err)
 		}
-		if !errors.Is(uerr, ErrUnavailable) {
-			return Entry{}, uerr // ErrNotFound and friends are final
+		groups[0], groups[at] = groups[at], groups[0]
+		stored := groups[0].stored
+		todo, send = groups[1:], func(g *repGroup) {
+			g.stored, g.err = g.api.Put(ctx, stored)
+			g.n = 1
 		}
-		errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, uerr))
 	}
-	if uerr != nil {
-		return Entry{}, r.shardErr("add-location", errs)
+	r.apply(todo, send)
+	raced := r.sweepGen.Load() != gen
+	repair := raced || r.sweepActive()
+	if w.kind == remove && repair {
+		r.noteDeleted(names...)
+		reached := groups
+		if raced {
+			reached = nil
+		}
+		purge := unreached(r.reachableGroups(len(names)), reached)
+		r.apply(purge, deleteMany(ctx, slices.Clone(names))) // a copy keeps names off the heap
+		groups = append(groups, purge...)
 	}
-	if _, errs := r.fanOutPut(ctx, others(refs, at), stored); errs != nil {
-		return Entry{}, r.shardErr("add-location", errs)
-	}
-	return stored, nil
-}
-
-// Delete implements API. The deletion is noted before any shard is touched
-// (the note is recorded only while a sweep runs or a shard is down — the
-// windows in which a stale copy somewhere could resurrect it), then fans out
-// to every replica; while a sweep is in flight the remaining shards are
-// purged too, since copies written to substitutes during an outage may not
-// have been reconciled yet. A replica answering "not found" already agrees
-// with the deletion and counts as an acknowledgement; any other replica or
-// purge failure fails the delete.
-func (r *Router) Delete(ctx context.Context, name string) error {
-	refs := r.replicaSet(name)
-	gen := r.sweepGen.Load()
-	r.noteDeleted(name)
-
-	results := make([]error, len(refs))
-	fanOut(refs, func(i int, ref shardRef) {
-		results[i] = ref.api.Delete(ctx, name)
-		r.report(ref.id, results[i])
-	})
 
 	var (
-		deleted  int // replicas that removed a present copy
+		sum      int
 		notFound error
 		errs     []error
 	)
-	for i, derr := range results {
+	for _, g := range groups {
 		switch {
-		case derr == nil:
-			deleted++
-		case errors.Is(derr, ErrNotFound):
-			if notFound == nil {
-				notFound = derr
-			}
+		case g.err == nil:
+			sum += g.n
+		case w.kind == remove && errors.Is(g.err, ErrNotFound):
+			notFound = g.err
 		default:
-			errs = append(errs, fmt.Errorf("shard %d: %w", refs[i].id, derr))
+			errs = append(errs, fmt.Errorf("shard %d: %w", g.id, g.err))
+			if w.kind == remove {
+				r.forceNoteDeleted(pick(names, g.idx)...)
+			}
 		}
 	}
-	if len(errs) > 0 {
-		// A replica holds an undeleted copy now, whether or not its breaker
-		// ever opens: note the deletion unconditionally so no sweep can
-		// resurrect the stale copy, even if the failure stays a one-off.
-		r.forceNoteDeleted(name)
-	}
-
-	// While a sweep is in flight, unreconciled copies may live on shards
-	// outside the replica set; purge them too. A sweep that began (and
-	// possibly finished) while the replica fan-out was in flight found no
-	// note to respect: the deletion is noted again, and the purge covers the
-	// replicas as well — the sweep may have merged a not-yet-deleted
-	// replica's copy back onto one that had already deleted it.
-	purged := 0
-	if raced := r.sweepGen.Load() != gen; raced || r.sweepActive() {
-		r.noteDeleted(name)
-		skip := refs
-		if raced {
-			skip = nil
-		}
-		var purgeErrs []error
-		purged, purgeErrs = r.purgeExcept(ctx, name, skip)
-		errs = append(errs, purgeErrs...)
-	}
+	n := min((sum+fewest-1)/fewest, len(names))
 	if errs != nil {
-		return r.shardErr("delete", errs)
+		return failed(n, r.shardErr(w.op, errs))
 	}
-	if deleted+purged == 0 {
-		return notFound
+	if w.kind != remove && repair {
+		homes, _ := r.groupWrite(names)
+		r.apply(unreached(homes, groups), send) // best-effort: the next recovery's sweep converges the same way
 	}
-	return nil
+	if n == 0 && notFound != nil {
+		return Entry{}, 0, notFound
+	}
+	return groups[0].stored, n, nil
 }
 
-// purgeExcept removes the name from every reachable shard not in skip, one
-// concurrent DeleteMany per shard, returning how many copies went plus the
-// failures. Shards with open breakers are skipped for the same reason Entries
-// skips them: purging a down shard can only fail, and its stale copy is
-// handled by the note-aware re-sync sweep when it returns.
-func (r *Router) purgeExcept(ctx context.Context, name string, skip []shardRef) (int, []error) {
-	var (
-		mu     sync.Mutex
-		purged int
-		errs   []error
-	)
-	rest := slices.DeleteFunc(r.reachableShards(), func(ref shardRef) bool { return hasRef(skip, ref.id) })
-	fanOut(rest, func(_ int, ref shardRef) {
-		n, derr := ref.api.DeleteMany(ctx, []string{name})
-		mu.Lock()
-		defer mu.Unlock()
-		if derr != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", ref.id, derr))
-			return
+// lead runs a write's lead at the first replica that answers: a transport
+// failure moves down the replica set, and any other answer (ErrExists,
+// ErrNotFound, a validation error) is final. It returns the position of the
+// group that answered.
+func (r *Router) lead(groups []repGroup, op string, lead func(shardRef, bool) (Entry, error), noted bool) (int, error) {
+	var errs []error
+	for i := range groups {
+		g := &groups[i]
+		g.stored, g.err = lead(g.shardRef, noted)
+		r.report(g.id, g.err)
+		if g.err == nil {
+			g.n = 1
+			return i, nil
 		}
-		purged += n
-	})
-	return purged, errs
+		if !errors.Is(g.err, ErrUnavailable) {
+			return -1, g.err
+		}
+		errs = append(errs, fmt.Errorf("shard %d: %w", g.id, g.err))
+	}
+	return -1, r.shardErr(op, errs)
+}
+
+// apply sends every group's sub-batch and reports each outcome to the
+// health tracker: concurrently, except that a lone group — every single-key
+// write of an unreplicated tier — stays on the caller's goroutine.
+func (r *Router) apply(groups []repGroup, send func(*repGroup)) {
+	switch len(groups) {
+	case 0:
+	case 1:
+		send(&groups[0])
+		r.report(groups[0].id, groups[0].err)
+	default:
+		fanOut(groups, func(i int, _ repGroup) {
+			send(&groups[i])
+			r.report(groups[i].id, groups[i].err)
+		})
+	}
+}
+
+// Create implements API: existence is decided at the first replica that
+// answers (see write). If the name had a deletion note, an "existing" copy
+// is a stale resurrection of a deletion made while a sweep ran or a shard
+// was down, and the create wins over it with a Put.
+func (r *Router) Create(ctx context.Context, e Entry) (Entry, error) {
+	stored, _, err := r.write(ctx, []string{e.Name}, write{op: "create", kind: upsert,
+		lead: func(ref shardRef, noted bool) (Entry, error) {
+			stored, err := ref.api.Create(ctx, e)
+			if noted && errors.Is(err, ErrExists) {
+				stored, err = ref.api.Put(ctx, e)
+			}
+			return stored, err
+		}})
+	return stored, err
+}
+
+// Put implements API: the upsert goes to every replica (see write).
+func (r *Router) Put(ctx context.Context, e Entry) (Entry, error) {
+	stored, _, err := r.write(ctx, []string{e.Name}, write{op: "put", kind: upsert,
+		send: func(g *repGroup) {
+			g.stored, g.err = g.api.Put(ctx, e)
+			g.n = 1
+		}})
+	return stored, err
+}
+
+// AddLocation implements API: the read-modify-write runs at the first
+// replica that answers (see write).
+func (r *Router) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
+	stored, _, err := r.write(ctx, []string{name}, write{op: "add-location", kind: update,
+		lead: func(ref shardRef, _ bool) (Entry, error) { return ref.api.AddLocation(ctx, name, loc) }})
+	return stored, err
+}
+
+// Delete implements API: the deletion goes to every replica (see write).
+func (r *Router) Delete(ctx context.Context, name string) error {
+	_, _, err := r.write(ctx, []string{name}, write{op: "delete", kind: remove,
+		send: func(g *repGroup) {
+			if g.err = g.api.Delete(ctx, name); g.err == nil {
+				g.n = 1
+			}
+		}})
+	return err
+}
+
+// PutMany implements API: one combined sub-batch per shard across all
+// replica sets (see write), the stored entries returned in input order.
+func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	var (
+		mu  sync.Mutex
+		out = make([]Entry, len(entries))
+	)
+	_, _, err := r.write(ctx, entryNames(entries), write{op: "put-many", kind: upsert, bulk: true,
+		send: func(g *repGroup) {
+			stored, err := g.api.PutMany(ctx, pick(entries, g.idx))
+			g.n, g.err = len(stored), err
+			mu.Lock()
+			defer mu.Unlock()
+			for i, pos := range g.idx {
+				if i < len(stored) && out[pos].Name == "" {
+					out[pos] = stored[i]
+				}
+			}
+		}})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DeleteMany implements API: one sub-batch per shard removes every name at
+// each of its replicas (see write); the count of present-and-removed names
+// is returned.
+func (r *Router) DeleteMany(ctx context.Context, names []string) (int, error) {
+	if len(names) == 0 {
+		return 0, nil
+	}
+	_, n, err := r.write(ctx, names, write{op: "delete-many", kind: remove, bulk: true, send: deleteMany(ctx, names)})
+	return n, err
+}
+
+// Merge implements API: one sub-batch per shard (see write), the number of
+// applied entries returned. Merge is idempotent, so on partial failure the
+// caller re-sends the whole batch on the next round.
+func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
+	if len(entries) == 0 {
+		return 0, nil
+	}
+	_, n, err := r.write(ctx, entryNames(entries), write{op: "merge", kind: upsert, bulk: true,
+		send: func(g *repGroup) { g.n, g.err = g.api.Merge(ctx, pick(entries, g.idx)) }})
+	return n, err
 }
 
 // Get implements API: the routed read, timed into router_read_latency_ns.
@@ -534,185 +634,6 @@ func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
 		return Entry{}, notFound
 	}
 	return Entry{}, r.shardErr("get", errs)
-}
-
-// repGroup is one shard's combined sub-batch of a bulk call: the input
-// positions routed to it, whether as primary or replica. One group is one
-// wire frame.
-type repGroup struct {
-	shardRef
-	idx []int
-}
-
-// pick returns the elements of all at the group's input positions — the
-// group's sub-batch.
-func pick[T any](all []T, idx []int) []T {
-	sub := make([]T, len(idx))
-	for i, pos := range idx {
-		sub[i] = all[pos]
-	}
-	return sub
-}
-
-// entryNames returns the entries' names, in order.
-func entryNames(entries []Entry) []string {
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// groupReplicas partitions input positions across replica sets: every
-// position lands in the group of each of its homes, so each shard still
-// receives exactly one sub-batch. homesOf records each position's resolved
-// replica IDs (primary first) for acknowledgement accounting.
-func (r *Router) groupReplicas(names []string) (map[cloud.SiteID]*repGroup, [][]cloud.SiteID) {
-	groups := make(map[cloud.SiteID]*repGroup)
-	homesOf := make([][]cloud.SiteID, len(names))
-	for i, name := range names {
-		homesOf[i] = r.replicaIDs(name)
-		for _, id := range homesOf[i] {
-			g := groups[id]
-			if g == nil {
-				g = &repGroup{shardRef: shardRef{id: id, api: r.shards[id]}}
-				groups[id] = g
-			}
-			g.idx = append(g.idx, i)
-		}
-	}
-	return groups, homesOf
-}
-
-// bulkCountDivisor returns the factor a bulk call's per-replica count sum
-// divides by: the smallest resolved home-set size of the batch — normally the
-// replication factor, smaller when the tier (or its healthy part) has fewer
-// shards than replicas — so the derived per-name count cannot undercount a
-// fully-applied batch.
-func bulkCountDivisor(rep int, homesOf [][]cloud.SiteID) int {
-	div := rep
-	for _, homes := range homesOf {
-		if len(homes) < div {
-			div = len(homes)
-		}
-	}
-	if div < 1 {
-		div = 1
-	}
-	return div
-}
-
-// bulkWrite is the fan-out PutMany, DeleteMany and Merge share: one
-// sub-batch per group, issued concurrently by call (which returns the
-// shard's applied count), outcomes reported to the health tracker. Sub-batches
-// that reached their shard stay applied when another shard fails, and the
-// error wraps every failed shard's cause. The returned count divides the
-// per-replica sum back out by the home-set size, rounding up so
-// partially-replicated names still count once.
-func (r *Router) bulkWrite(op string, groups map[cloud.SiteID]*repGroup, homesOf [][]cloud.SiteID, call func(*repGroup) (int, error)) (int, error) {
-	r.countBulk(len(groups))
-	var (
-		mu    sync.Mutex
-		total int
-		errs  []error
-	)
-	fanOut(slices.Collect(maps.Values(groups)), func(_ int, g *repGroup) {
-		n, err := call(g)
-		r.report(g.id, err)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", g.id, err))
-			return
-		}
-		total += n
-	})
-
-	div := bulkCountDivisor(r.rep, homesOf)
-	return (total + div - 1) / div, r.shardErr(op, errs)
-}
-
-// PutMany implements API: one combined sub-batch per shard across all
-// replica sets, stored entries returned in input order; a failure at any
-// replica fails the call. Like Put, it clears the batch's deletion notes
-// before the fan-out, so a sweep's cleanup cannot drop the acknowledged
-// entries as deleted, and re-asserts the notes it cleared if the write fails.
-func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) {
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	names := entryNames(entries)
-	groups, homesOf := r.groupReplicas(names)
-
-	var (
-		mu   sync.Mutex
-		out  = make([]Entry, len(entries))
-		have = make([]bool, len(entries))
-	)
-	noted := r.clearDeleted(names...)
-	_, err := r.bulkWrite("put-many", groups, homesOf, func(g *repGroup) (int, error) {
-		stored, serr := g.api.PutMany(ctx, pick(entries, g.idx))
-		if serr != nil {
-			return 0, serr
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for i, pos := range g.idx {
-			if i < len(stored) && !have[pos] {
-				out[pos], have[pos] = stored[i], true
-			}
-		}
-		return len(stored), nil
-	})
-	if err != nil {
-		if noted != nil {
-			r.reassertDeletion(ctx, noted...)
-		}
-		return nil, err
-	}
-	return out, nil
-}
-
-// DeleteMany implements API: the deletions are noted like Delete's, then one
-// sub-batch per shard removes every name at each of its replicas; the count
-// of present-and-removed names is returned.
-func (r *Router) DeleteMany(ctx context.Context, names []string) (int, error) {
-	if len(names) == 0 {
-		return 0, nil
-	}
-	groups, homesOf := r.groupReplicas(names)
-	r.noteDeleted(names...)
-	return r.bulkWrite("delete-many", groups, homesOf, func(g *repGroup) (int, error) {
-		sub := pick(names, g.idx)
-		n, serr := g.api.DeleteMany(ctx, sub)
-		if serr != nil {
-			// This replica holds undeleted copies now, whether or not its
-			// breaker ever opens: note the deletions unconditionally so no
-			// sweep can resurrect the stale copies.
-			r.forceNoteDeleted(sub...)
-		}
-		return n, serr
-	})
-}
-
-// Merge implements API: one sub-batch per shard, the number of applied
-// entries returned, deletion notes handled as in PutMany. Merge is
-// idempotent, so on partial failure the caller re-sends the whole batch on
-// the next round.
-func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	names := entryNames(entries)
-	groups, homesOf := r.groupReplicas(names)
-	noted := r.clearDeleted(names...)
-	n, err := r.bulkWrite("merge", groups, homesOf, func(g *repGroup) (int, error) {
-		return g.api.Merge(ctx, pick(entries, g.idx))
-	})
-	if err != nil && noted != nil {
-		r.reassertDeletion(ctx, noted...)
-	}
-	return n, err
 }
 
 // GetMany implements API: the found entries are returned in input order

@@ -94,10 +94,10 @@ type Router struct {
 	// It is raised *before* a recovering shard's breaker closes and lowered
 	// only when the sweep (including retries) is over, so there is no window
 	// in which the shard is back in placement but the mitigations below are
-	// inactive. sweepGen increments on every sweepBegin: single-key fast
-	// paths snapshot it before their shard call and re-check it afterwards,
-	// catching even a sweep that started *and finished* while their call was
-	// in flight.
+	// inactive. sweepGen increments on every sweepBegin: the write path
+	// snapshots it before resolving any replica set and re-checks it after
+	// its shard calls, catching even a sweep that started *and finished*
+	// while the write was in flight.
 	sweeps   sync.WaitGroup
 	sweeping atomic.Int32
 	sweepGen atomic.Uint64

@@ -952,3 +952,426 @@ func TestRouterEntriesAndNamesUnionShards(t *testing.T) {
 		t.Fatalf("len: got %d, want %d", r.Len(ctx), n)
 	}
 }
+
+// await receives from ch, failing the test if nothing arrives in time: a
+// held operation that never comes is a failure, not a hang.
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// writeHold holds every call of one operation on one name, at whichever
+// shard it lands, until released: a test can keep a routed write in flight
+// across a whole recovery.
+type writeHold struct {
+	op, name string
+	held     chan struct{} // one receive per held call
+	release  chan struct{}
+}
+
+func newWriteHold(op, name string) *writeHold {
+	return &writeHold{op: op, name: name, held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *writeHold) wait(op string, names ...string) {
+	if op != h.op || !slices.Contains(names, h.name) {
+		return
+	}
+	select {
+	case h.held <- struct{}{}:
+		<-h.release
+	case <-h.release:
+	}
+}
+
+// heldShard is a shard whose writes go through a writeHold.
+type heldShard struct {
+	API
+	h *writeHold
+}
+
+func (s heldShard) Create(ctx context.Context, e Entry) (Entry, error) {
+	s.h.wait("create", e.Name)
+	return s.API.Create(ctx, e)
+}
+
+func (s heldShard) Put(ctx context.Context, e Entry) (Entry, error) {
+	s.h.wait("put", e.Name)
+	return s.API.Put(ctx, e)
+}
+
+func (s heldShard) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
+	s.h.wait("addlocation", name)
+	return s.API.AddLocation(ctx, name, loc)
+}
+
+func (s heldShard) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) {
+	s.h.wait("putmany", entryNames(entries)...)
+	return s.API.PutMany(ctx, entries)
+}
+
+func (s heldShard) Merge(ctx context.Context, entries []Entry) (int, error) {
+	s.h.wait("merge", entryNames(entries)...)
+	return s.API.Merge(ctx, entries)
+}
+
+// newWrappedTier builds newRecoveryTier's tier — three memory shards at
+// R = 2, breakers left to the test — with every shard seen through wrap.
+func newWrappedTier(t *testing.T, wrap func(cloud.SiteID, *Instance) API) (*Router, []*Instance) {
+	t.Helper()
+	insts := []*Instance{newShard(7), newShard(7), newShard(7)}
+	apis := make([]API, len(insts))
+	for i, inst := range insts {
+		apis[i] = wrap(cloud.SiteID(i), inst)
+	}
+	r, err := NewRouter(7, apis, WithRouterReplication(2), WithRouterHealth(0, time.Hour), WithRouterMetrics(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r, insts
+}
+
+// newHeldTier is newWrappedTier with every shard's writes going through the
+// hold.
+func newHeldTier(t *testing.T, h *writeHold) (*Router, []*Instance) {
+	return newWrappedTier(t, func(_ cloud.SiteID, inst *Instance) API { return heldShard{API: inst, h: h} })
+}
+
+// primaryOn returns a name whose primary is the shard.
+func primaryOn(r *Router, shard cloud.SiteID, prefix string) string {
+	for i := 0; ; i++ {
+		if name := fmt.Sprintf("%s/%d", prefix, i); r.placer.Home(name) == shard {
+			return name
+		}
+	}
+}
+
+// TestRouterWriteRacingRecoveryReachesItsHomes resolves a write's replica
+// sets while shard 0 is down, holds the write at the substitutes it targets
+// until shard 0 has come back and its whole re-sync sweep has run, and then
+// lets it land (AUDIT G19). The sweep read the substitutes before the write
+// reached them, so only the write itself can carry it to shard 0, the
+// name's primary again: every acknowledged write must be readable there.
+func TestRouterWriteRacingRecoveryReachesItsHomes(t *testing.T) {
+	ctx := context.Background()
+	for _, row := range []struct {
+		op    string
+		holds int // calls held: one per targeted replica, or the authority alone
+		write func(*Router, Entry) error
+	}{
+		{"put", 2, func(r *Router, e Entry) error { _, err := r.Put(ctx, e); return err }},
+		{"create", 1, func(r *Router, e Entry) error { _, err := r.Create(ctx, e); return err }},
+		{"putmany", 2, func(r *Router, e Entry) error { _, err := r.PutMany(ctx, []Entry{e}); return err }},
+		{"merge", 2, func(r *Router, e Entry) error { _, err := r.Merge(ctx, []Entry{e}); return err }},
+	} {
+		t.Run(row.op, func(t *testing.T) {
+			h := newWriteHold(row.op, "")
+			r, insts := newHeldTier(t, h)
+			h.name = primaryOn(r, 0, "g19")
+
+			r.MarkShardDown(0)
+			done := make(chan error, 1)
+			go func() { done <- row.write(r, testEntry(h.name)) }()
+			for range row.holds {
+				await(t, h.held, "the write to reach its replicas")
+			}
+			r.MarkShardUp(0)
+			r.Wait()
+			close(h.release)
+			if err := <-done; err != nil {
+				t.Fatalf("%s racing the recovery: %v", row.op, err)
+			}
+
+			if _, err := r.Get(ctx, h.name); err != nil {
+				t.Fatalf("acknowledged %s is not readable after the recovery: %v", row.op, err)
+			}
+			if !holds(t, insts[0], h.name) {
+				t.Fatalf("acknowledged %s never reached shard 0, the name's primary", row.op)
+			}
+		})
+	}
+}
+
+// TestRouterAddLocationRacingRecoveryReachesThePrimary holds an AddLocation
+// at its authority — chosen while the name's primary, shard 0, was down —
+// until shard 0 is back and swept, then lets it finish (AUDIT G20). The
+// primary serves the name again, so it must serve the new location.
+func TestRouterAddLocationRacingRecoveryReachesThePrimary(t *testing.T) {
+	ctx := context.Background()
+	h := newWriteHold("addlocation", "")
+	r, _ := newHeldTier(t, h)
+	h.name = primaryOn(r, 0, "g20")
+	if _, err := r.Create(ctx, testEntry(h.name)); err != nil {
+		t.Fatal(err)
+	}
+	loc := Location{Site: 3, Node: 33}
+
+	r.MarkShardDown(0)
+	done := make(chan error, 1)
+	go func() { _, err := r.AddLocation(ctx, h.name, loc); done <- err }()
+	await(t, h.held, "the add-location to reach its authority")
+	r.MarkShardUp(0)
+	r.Wait()
+	close(h.release)
+	if err := <-done; err != nil {
+		t.Fatalf("add-location racing the recovery: %v", err)
+	}
+
+	e, err := r.Get(ctx, h.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(e.Locations, loc) {
+		t.Fatalf("acknowledged AddLocation is missing from the primary's copy: %v", e.Locations)
+	}
+}
+
+// TestRouterDeleteDuringSweepIsNotReadBack freezes a recovery's sweep before
+// it has read anything and deletes a name whose copy written during the
+// outage still sits on a substitute (AUDIT G21). The sweep's read fallback
+// consults that substitute, so the deletion must have purged it: the name
+// reads as absent at once, through Delete and DeleteMany alike.
+func TestRouterDeleteDuringSweepIsNotReadBack(t *testing.T) {
+	ctx := context.Background()
+	for _, row := range []struct {
+		op  string
+		del func(*Router, string) error
+	}{
+		{"delete", func(r *Router, name string) error { return r.Delete(ctx, name) }},
+		{"deletemany", func(r *Router, name string) error { _, err := r.DeleteMany(ctx, []string{name}); return err }},
+	} {
+		t.Run(row.op, func(t *testing.T) {
+			var gate *entriesGate
+			r, insts := newRecoveryTier(t, func(inst *Instance) API { gate = newEntriesGate(inst); return gate })
+			names := writeDuringOutage(t, r, "g21-"+row.op, 50)
+			victim := homedOn(t, r, names, 0)
+
+			r.MarkShardUp(0)
+			await(t, gate.entered, "the sweep to start") // frozen; the substitute still holds the victim
+			if err := row.del(r, victim); err != nil {
+				t.Fatalf("%s during the sweep: %v", row.op, err)
+			}
+			if e, err := r.Get(ctx, victim); !errors.Is(err, ErrNotFound) {
+				t.Errorf("name deleted during the sweep reads back as %+v, %v", e, err)
+			}
+			close(gate.release)
+			r.Wait()
+			for id, inst := range insts {
+				if holds(t, inst, victim) {
+					t.Fatalf("shard %d holds the name deleted during the sweep", id)
+				}
+			}
+		})
+	}
+}
+
+// putFault wraps a shard whose Put fails with a plain error (an answer, so
+// the breaker stays closed) while failing is set.
+type putFault struct {
+	API
+	failing atomic.Bool
+}
+
+func (f *putFault) Put(ctx context.Context, e Entry) (Entry, error) {
+	if f.failing.Load() {
+		return Entry{}, errors.New("injected put failure")
+	}
+	return f.API.Put(ctx, e)
+}
+
+// TestRouterFailedWriteKeepsTheDeletion deletes a name while its primary is
+// down — shard 0 keeps a stale copy, and the deletion is noted — then
+// rewrites it with a Put that reaches one replica and fails at the other.
+// The Put cleared the note before it ran; failing, it must restore the
+// deletion: the name is purged from the shards it reached, and the note
+// stands, so the recovery sweep purges shard 0's stale copy instead of
+// merging it back.
+func TestRouterFailedWriteKeepsTheDeletion(t *testing.T) {
+	ctx := context.Background()
+	faults := make([]*putFault, 3)
+	r, insts := newWrappedTier(t, func(id cloud.SiteID, inst *Instance) API {
+		faults[id] = &putFault{API: inst}
+		return faults[id]
+	})
+	victim := primaryOn(r, 0, "reassert")
+	if _, err := r.Create(ctx, testEntry(victim)); err != nil {
+		t.Fatal(err)
+	}
+
+	r.MarkShardDown(0)
+	if err := r.Delete(ctx, victim); err != nil {
+		t.Fatal(err)
+	}
+	// With shard 0 down the replica set is shards 1 and 2; fail the one that
+	// is not the victim's home.
+	substitute := cloud.SiteID(1)
+	if slices.Contains(r.placer.Homes(victim, r.rep), substitute) {
+		substitute = 2
+	}
+	faults[substitute].failing.Store(true)
+	if _, err := r.Put(ctx, testEntry(victim)); err == nil {
+		t.Fatal("put with a failing replica succeeded")
+	}
+	faults[substitute].failing.Store(false)
+	if e, err := r.Get(ctx, victim); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("failed put left the deleted name readable: %+v, %v", e, err)
+	}
+
+	r.MarkShardUp(0)
+	r.Wait()
+	for id, inst := range insts {
+		if holds(t, inst, victim) {
+			t.Fatalf("shard %d holds the deleted name after the recovery", id)
+		}
+	}
+}
+
+// TestRouterCreateOverStaleCopyOfDeletedName deletes a name while its
+// primary, shard 0, is down, brings shard 0 back with its stale copy and
+// freezes the sweep before it reads shard 0. A Create of the name now meets
+// the stale copy at its authority: the name was deleted, so the create must
+// win over the copy instead of failing with ErrExists.
+func TestRouterCreateOverStaleCopyOfDeletedName(t *testing.T) {
+	ctx := context.Background()
+	var gate *entriesGate
+	r, insts := newRecoveryTier(t, func(inst *Instance) API { gate = newEntriesGate(inst); return gate })
+	victim := primaryOn(r, 0, "stale-create")
+	if _, err := r.Create(ctx, testEntry(victim)); err != nil {
+		t.Fatal(err)
+	}
+	r.MarkShardDown(0)
+	if err := r.Delete(ctx, victim); err != nil {
+		t.Fatal(err)
+	}
+	r.MarkShardUp(0)
+	await(t, gate.entered, "the sweep to start") // shard 0 is back in placement, stale copy and all
+
+	fresh := testEntry(victim)
+	fresh.Size = 4242
+	if _, err := r.Create(ctx, fresh); err != nil {
+		t.Fatalf("create of a deleted name over its stale copy: %v", err)
+	}
+	close(gate.release)
+	r.Wait()
+	for _, id := range r.placer.Homes(victim, r.rep) {
+		e, err := insts[id].Get(ctx, victim)
+		if err != nil || e.Size != fresh.Size {
+			t.Fatalf("shard %d after the sweep: %+v, %v; want the created entry", id, e, err)
+		}
+	}
+}
+
+// deleteManyHold wraps a shard and holds the first DeleteMany that names
+// one entry until released.
+type deleteManyHold struct {
+	API
+	name    string
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *deleteManyHold) DeleteMany(ctx context.Context, names []string) (int, error) {
+	if slices.Contains(names, g.name) {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
+	return g.API.DeleteMany(ctx, names)
+}
+
+// TestRouterSweepRestoresRacedWrite deletes a name while its primary, shard
+// 2, is down, then holds the recovery sweep's cleanup delete of shard 2's
+// stale copy and re-writes the name meanwhile. The cleanup then removes the
+// fresh copy from shard 2, in the sweep's last pass, so no later pass merges
+// it back: the sweep must see the note gone and restore shard 2's copy from
+// the other replica, or the acknowledged Put is lost at the name's primary.
+func TestRouterSweepRestoresRacedWrite(t *testing.T) {
+	ctx := context.Background()
+	gate := &deleteManyHold{entered: make(chan struct{}), release: make(chan struct{})}
+	r, insts := newWrappedTier(t, func(id cloud.SiteID, inst *Instance) API {
+		if id != 2 {
+			return inst
+		}
+		gate.API = inst
+		return gate
+	})
+	gate.name = primaryOn(r, 2, "raced")
+	if _, err := r.Create(ctx, testEntry(gate.name)); err != nil {
+		t.Fatal(err)
+	}
+	r.MarkShardDown(2)
+	if err := r.Delete(ctx, gate.name); err != nil {
+		t.Fatal(err)
+	}
+
+	r.MarkShardUp(2)
+	await(t, gate.entered, "the sweep's cleanup") // it is about to purge shard 2's stale copy
+	if _, err := r.Put(ctx, testEntry(gate.name)); err != nil {
+		t.Fatalf("put during the sweep's cleanup: %v", err)
+	}
+	close(gate.release)
+	r.Wait()
+
+	if _, err := r.Get(ctx, gate.name); err != nil {
+		t.Fatalf("put acknowledged during the sweep is lost: %v", err)
+	}
+	if !holds(t, insts[2], gate.name) {
+		t.Fatal("shard 2, the name's primary, lost the put acknowledged during the sweep")
+	}
+}
+
+// TestRouterDeleteRacingSweepMergeIsUndone holds a Delete at one replica —
+// issued with no sweep active and no shard down, so it noted nothing —
+// while a recovery's sweep reads that replica's still-present copy and is
+// frozen merging it into the other replica, which has already deleted it.
+// The delete then finishes; the merge lands after it. Seeing the sweep, the
+// delete must record its note again, so the sweep's post-merge check undoes
+// the merge instead of leaving the deleted name resurrected.
+func TestRouterDeleteRacingSweepMergeIsUndone(t *testing.T) {
+	ctx := context.Background()
+	del := &deleteGate{entered: make(chan struct{}), release: make(chan struct{})}
+	merge := newWriteHold("merge", "")
+	r, insts := newWrappedTier(t, func(id cloud.SiteID, inst *Instance) API {
+		if id == 0 {
+			del.API = inst
+			return del
+		}
+		return heldShard{API: inst, h: merge}
+	})
+	del.name = primaryOn(r, 0, "undo")
+	merge.name = del.name
+	other, third := cloud.SiteID(1), cloud.SiteID(2) // the name's other replica, and the shard it skips
+	if !slices.Contains(r.placer.Homes(del.name, r.rep), other) {
+		other, third = third, other
+	}
+	if _, err := r.Create(ctx, testEntry(del.name)); err != nil {
+		t.Fatal(err)
+	}
+
+	deleted := make(chan error, 1)
+	go func() { deleted <- r.Delete(ctx, del.name) }()
+	await(t, del.entered, "the delete to reach shard 0")
+	waitFor(t, "the other replica to apply the delete", func() bool { return !holds(t, insts[other], del.name) })
+	r.MarkShardDown(third)
+	r.MarkShardUp(third)
+	await(t, merge.held, "the sweep to merge shard 0's copy into the other replica")
+
+	close(del.release)
+	if err := <-deleted; err != nil {
+		t.Fatalf("delete racing the sweep: %v", err)
+	}
+	close(merge.release)
+	r.Wait()
+	for id, inst := range insts {
+		if holds(t, inst, del.name) {
+			t.Fatalf("shard %d holds a copy of the entry after its delete was acknowledged", id)
+		}
+	}
+}

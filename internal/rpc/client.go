@@ -359,8 +359,9 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 }
 
 // roundTrip instruments one exchange: it tracks the in-flight gauge, counts
-// the call and its outcome (an error with a done context counts as retired
-// on cancel), observes the latency and records one trace event, delegating
+// the call and its outcome (an error with an expired context counts as
+// retired on cancel, by the rule the pool abandons calls by), observes the
+// latency and records one trace event, delegating
 // the wire work to transact.
 func (c *Client) roundTrip(ctx context.Context, f RequestFrame) (ResponseFrame, error) {
 	start := time.Now()
@@ -372,7 +373,7 @@ func (c *Client) roundTrip(ctx context.Context, f RequestFrame) (ResponseFrame, 
 	c.obs.latency.ObserveDuration(elapsed)
 	if err != nil {
 		c.obs.errors.Inc()
-		if ctx.Err() != nil {
+		if expired(ctx) != nil {
 			c.obs.retired.Inc()
 		}
 	}

@@ -67,7 +67,6 @@ var seams = map[string]string{
 	"registry.Router.MarkShardUp":          "fault injection: closes a breaker and starts the recovery a probe would",
 	"registry.Router.Shards":               "tests assert a tier's shard IDs",
 	"registry.Router.Wait":                 "tests await background re-sync sweeps",
-	"registry.WithCASRetries":              "makes the Update retry budget small enough to exhaust in a test",
 	"registry.WithRouterHealth":            "timing: breaker threshold and probe interval, so outage tests finish in milliseconds",
 	"rpc.Server.Addr":                      "TestServerClose, TestBadOpRejected: dial a server that listens on port 0",
 	"store.Durable.Compact":                "TestReplayIdempotence, TestConcurrentCheckpoints: a checkpoint at a chosen point",
