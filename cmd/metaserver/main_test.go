@@ -262,6 +262,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		{[]string{"-write-concern", "quorum"}, "must be all"},
 		{[]string{"-fsync", "sometimes"}, "fsync"},
 		{[]string{"-cache", "-cache-staleness", "-1s"}, "staleness"},
+		{[]string{"-feed", "-feed-capacity", "-5"}, "feed capacity"},
 		{[]string{"-tenant-config", "/nonexistent/tenants.json"}, "-tenant-config"},
 	} {
 		err := run(append([]string{"-addr", "127.0.0.1:0"}, tc.args...), &lines{out: make(chan string, 4)}, nil)

@@ -111,9 +111,9 @@ func newCountingFabric() (*Fabric, map[cloud.SiteID]*countingAPI) {
 }
 
 // TestReplicatedAgentUsesBatchCalls asserts the replicated strategy's
-// synchronization agent propagates pending creates and deletes as bulk
-// operations: the push phase must issue exactly one Merge and one DeleteMany
-// per site and round, never per-entry Puts or Deletes.
+// synchronization agent propagates pending creates as bulk operations: the
+// push phase must issue exactly one Merge per site and round, never per-entry
+// Puts.
 func TestReplicatedAgentUsesBatchCalls(t *testing.T) {
 	f, counters := newCountingFabric()
 	svc, err := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour}) // manual rounds only
@@ -142,34 +142,6 @@ func TestReplicatedAgentUsesBatchCalls(t *testing.T) {
 	// The only per-entry Creates are the n the writer itself issued locally.
 	if got := counters[1].Calls("Create"); got != n {
 		t.Errorf("writer site saw %d Creates, want %d", got, n)
-	}
-
-	for i := 0; i < n; i++ {
-		if err := svc.Delete(tctx, 1, fmt.Sprintf("batch-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	svc.Flush(tctx) // round 2: propagate the deletes
-
-	for _, site := range f.Sites() {
-		c := counters[site]
-		if got := c.Calls("DeleteMany"); got != 1 {
-			t.Errorf("site %d: DeleteMany called %d times after delete round, want 1", site, got)
-		}
-		// The writer's own n local deletes are the only per-entry calls.
-		want := 0
-		if site == 1 {
-			want = n
-		}
-		if got := c.Calls("Delete"); got != want {
-			t.Errorf("site %d: %d per-entry Deletes, want %d (propagation must use DeleteMany)", site, got, want)
-		}
-	}
-	for _, site := range f.Sites() {
-		inst, _ := f.Instance(site)
-		if inst.Len(tctx) != 0 {
-			t.Errorf("site %d still holds %d entries after propagated deletes", site, inst.Len(tctx))
-		}
 	}
 }
 
@@ -200,64 +172,5 @@ func TestPropagatorOrderWithinFlushWindow(t *testing.T) {
 	p.FlushNow(tctx)
 	if holds(t, inst, "doomed") {
 		t.Error("entry created and deleted in one window survived at the destination")
-	}
-}
-
-// TestDecReplicatedLazyDeleteUsesBatch asserts that in lazy mode the hybrid
-// strategy's deletions reach the home site through the propagator as a
-// DeleteMany batch, not as eager per-entry calls.
-func TestDecReplicatedLazyDeleteUsesBatch(t *testing.T) {
-	f, counters := newCountingFabric()
-	svc, err := newManualHybrid(f, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	// Collect names homed at site 2, written from site 0.
-	var names []string
-	for i := 0; len(names) < 10; i++ {
-		name := fmt.Sprintf("lazy-del-%d", i)
-		if svc.Home(name) == 2 {
-			names = append(names, name)
-		}
-	}
-	for _, name := range names {
-		if _, err := svc.Create(tctx, 0, testEntry(name, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Flush(tctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := counters[2].Calls("Merge"); got != 1 {
-		t.Errorf("home site: Merge called %d times, want 1 (lazy creates travel as one batch)", got)
-	}
-
-	for _, name := range names {
-		if err := svc.Delete(tctx, 0, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Before the flush the home copies still exist (eventual consistency)...
-	if got := counters[2].Calls("Delete"); got != 0 {
-		t.Errorf("home site saw %d eager Deletes in lazy mode, want 0", got)
-	}
-	home, _ := f.Instance(2)
-	if home.Len(tctx) != len(names) {
-		t.Errorf("home holds %d entries before flush, want %d", home.Len(tctx), len(names))
-	}
-	if err := svc.Flush(tctx); err != nil {
-		t.Fatal(err)
-	}
-	// ...after it they are gone, removed by exactly one DeleteMany.
-	if got := counters[2].Calls("DeleteMany"); got != 1 {
-		t.Errorf("home site: DeleteMany called %d times, want 1", got)
-	}
-	if got := counters[2].Calls("Delete"); got != 0 {
-		t.Errorf("home site saw %d per-entry Deletes, want 0", got)
-	}
-	if home.Len(tctx) != 0 {
-		t.Errorf("home still holds %d entries after flushed deletes", home.Len(tctx))
 	}
 }

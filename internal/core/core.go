@@ -137,7 +137,7 @@ var (
 // errors.As to recover the structured fields.
 type OpError struct {
 	// Op is the operation that failed ("create", "lookup", "addlocation",
-	// "delete", "flush", "sync").
+	// "flush").
 	Op string
 	// Site is the datacenter the operation was issued from.
 	Site cloud.SiteID
@@ -204,9 +204,6 @@ type MetadataService interface {
 
 	// AddLocation records an additional copy of the named file.
 	AddLocation(ctx context.Context, from cloud.SiteID, name string, loc registry.Location) (registry.Entry, error)
-
-	// Delete removes the entry with the given name.
-	Delete(ctx context.Context, from cloud.SiteID, name string) error
 
 	// Flush forces any pending asynchronous propagation (sync-agent rounds,
 	// lazy batches, relayed feed events) to complete, bringing every site up

@@ -168,9 +168,6 @@ func TestCentralizedCreateLookup(t *testing.T) {
 	if _, err := svc.AddLocation(tctx, 3, "f1", registry.Location{Site: 3, Node: 9}); err != nil {
 		t.Errorf("AddLocation: %v", err)
 	}
-	if err := svc.Delete(tctx, 2, "f1"); err != nil {
-		t.Errorf("Delete: %v", err)
-	}
 	if err := svc.Flush(tctx); err != nil {
 		t.Errorf("Flush: %v", err)
 	}
@@ -202,9 +199,6 @@ func TestCentralizedClosed(t *testing.T) {
 	}
 	if _, err := svc.Lookup(tctx, 0, "x"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Lookup after close = %v", err)
-	}
-	if err := svc.Delete(tctx, 0, "x"); !errors.Is(err, ErrClosed) {
-		t.Errorf("Delete after close = %v", err)
 	}
 	if err := svc.Flush(tctx); !errors.Is(err, ErrClosed) {
 		t.Errorf("Flush after close = %v", err)
@@ -257,23 +251,6 @@ func TestReplicatedLocalThenEventual(t *testing.T) {
 	// The entry lands on the three sites other than its origin.
 	if n := reg.Counter("sync_entries_synced_total").Value(); n != 3 {
 		t.Errorf("sync_entries_synced_total = %d, want 3", n)
-	}
-}
-
-func TestReplicatedDeletePropagates(t *testing.T) {
-	f := newTestFabric()
-	svc, _ := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour})
-	defer svc.Close()
-	svc.Create(tctx, 2, testEntry("todelete", 2))
-	svc.Flush(tctx)
-	if err := svc.Delete(tctx, 2, "todelete"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	svc.Flush(tctx)
-	for _, site := range f.Sites() {
-		if _, err := svc.Lookup(tctx, site, "todelete"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("entry still visible at %d after propagated delete: %v", site, err)
-		}
 	}
 }
 
@@ -383,9 +360,6 @@ func TestDecentralizedLookupAndErrors(t *testing.T) {
 	}
 	if _, err := svc.AddLocation(tctx, 3, "data.bin", registry.Location{Site: 3, Node: 5}); err != nil {
 		t.Errorf("AddLocation: %v", err)
-	}
-	if err := svc.Delete(tctx, 1, "data.bin"); err != nil {
-		t.Errorf("Delete: %v", err)
 	}
 	if err := svc.Flush(tctx); err != nil {
 		t.Errorf("Flush: %v", err)
@@ -519,18 +493,6 @@ func TestDecReplicatedUpdateAndDelete(t *testing.T) {
 	if _, err := svc.AddLocation(tctx, 3, name, registry.Location{Site: 2, Node: 8}); err != nil {
 		t.Fatalf("AddLocation from non-replica site: %v", err)
 	}
-	if err := svc.Delete(tctx, 0, name); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	for _, site := range f.Sites() {
-		inst, _ := f.Instance(site)
-		if holds(t, inst, name) {
-			t.Errorf("entry still present at site %d after delete", site)
-		}
-	}
-	if err := svc.Delete(tctx, 0, name); !errors.Is(err, ErrNotFound) {
-		t.Errorf("second Delete = %v, want ErrNotFound", err)
-	}
 	if _, err := svc.AddLocation(tctx, 1, "ghost", registry.Location{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("AddLocation on missing entry = %v, want ErrNotFound", err)
 	}
@@ -576,10 +538,9 @@ func TestDecReplicatedAddLocationAtUnreachableHome(t *testing.T) {
 	}
 }
 
-// In eager mode a home site that misses an update or a delete the local
-// replica took fails the call (AUDIT C13): a later Lookup from another site
-// would read the stale home copy. A home that never held the entry fails no
-// delete: one of the two copies was there.
+// In eager mode a home site that misses an update the local replica took fails
+// the call (AUDIT C13): a later Lookup from another site would read the stale
+// home copy.
 func TestDecReplicatedEagerReportsHomeFailure(t *testing.T) {
 	f := newTestFabric(WithInstances(map[cloud.SiteID]registry.API{1: registry.Unavailable(1)}))
 	svc, _ := NewDecReplicated(f, StrategyConfig{Eager: true})
@@ -591,17 +552,6 @@ func TestDecReplicatedEagerReportsHomeFailure(t *testing.T) {
 	}
 	if _, err := svc.AddLocation(tctx, 0, name, registry.Location{Site: 3, Node: 4}); !errors.Is(err, ErrSiteUnreachable) {
 		t.Errorf("eager AddLocation with the home site down = %v, want ErrSiteUnreachable", err)
-	}
-	if err := svc.Delete(tctx, 0, name); !errors.Is(err, ErrSiteUnreachable) {
-		t.Errorf("eager Delete with the home site down = %v, want ErrSiteUnreachable", err)
-	}
-
-	name = homedAt(svc, 2)
-	if _, err := local.Create(tctx, testEntry(name, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Delete(tctx, 0, name); err != nil {
-		t.Errorf("eager Delete of a name only the local replica held = %v, want nil", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -205,43 +204,6 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 	// eager Create: the next Lookup from another site reads the home copy.
 	e, remote, err := s.fabric.mutate(ctx, from, home, s.fabric.queryBytes, addLoc)
 	return e, s.finish(o, remote, err)
-}
-
-// Delete implements MetadataService: the entry is removed from the local
-// replica and from its home site. In lazy mode a locally confirmed delete
-// only enqueues the home-site removal — it rides the propagator's next batch
-// as part of a DeleteMany frame and the caller perceives just the local
-// latency, mirroring how lazy creates and updates behave. When there is no
-// local copy to confirm against, the home is deleted eagerly so the caller
-// gets an authoritative answer.
-func (s *DecReplicatedService) Delete(ctx context.Context, from cloud.SiteID, name string) error {
-	o, err := s.begin(metrics.OpDelete, from, name)
-	if err != nil {
-		return err
-	}
-	_, _, localErr := s.fabric.mutate(ctx, from, from, s.fabric.queryBytes,
-		func(inst registry.API) (registry.Entry, error) { return registry.Entry{}, inst.Delete(ctx, name) })
-	if ctx.Err() != nil {
-		return s.finish(o, false, ctx.Err())
-	}
-	home := s.placer.Home(name)
-	if home == from {
-		return s.finish(o, false, localErr)
-	}
-	if s.Lazy() && localErr == nil {
-		// The local delete succeeded; the home copy is removed in a later
-		// batch.
-		if s.enqueues() {
-			s.propagator.EnqueueDelete(from, home, name)
-		}
-		return s.finish(o, false, nil)
-	}
-	_, remote, homeErr := s.fabric.mutate(ctx, from, home, s.fabric.queryBytes,
-		func(inst registry.API) (registry.Entry, error) { return registry.Entry{}, inst.Delete(ctx, name) })
-	if localErr == nil && errors.Is(homeErr, ErrNotFound) {
-		homeErr = nil // one of the two copies was there to delete
-	}
-	return s.finish(o, remote, homeErr)
 }
 
 // Flush pushes every pending lazy batch to its home site; in feed mode it

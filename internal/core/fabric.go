@@ -274,7 +274,7 @@ func NewFabric(topo *cloud.Topology, lat *latency.Model, opts ...FabricOption) *
 		ackBytes:   64,
 		queryBytes: 128,
 	}
-	for _, kind := range []metrics.OpKind{metrics.OpRead, metrics.OpWrite, metrics.OpUpdate, metrics.OpDelete, metrics.OpSync} {
+	for _, kind := range []metrics.OpKind{metrics.OpRead, metrics.OpWrite, metrics.OpUpdate, metrics.OpSync} {
 		f.opHists[kind] = f.metrics.Histogram("core_" + kind.String() + "_latency_ns")
 	}
 	f.opsTotal = f.metrics.Counter("core_ops_total")

@@ -80,8 +80,13 @@ func TestReplicatedFeedSyncConverges(t *testing.T) {
 		t.Fatal("replication_lag_ns recorded no samples")
 	}
 
-	// Deletes propagate too, and the delete echo quiesces (no ping-pong).
-	if err := svc.Delete(tctx, 1, "fs/0"); err != nil {
+	// A delete at one site's registry propagates too, and the delete echo
+	// quiesces (no ping-pong).
+	inst, err := f.Instance(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Delete(tctx, "fs/0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Flush(tctx); err != nil {
@@ -197,8 +202,13 @@ func TestDecReplicatedFeedPropagation(t *testing.T) {
 		}
 	}
 
-	// A lazy delete reaches the home through the feed as well.
-	if err := svc.Delete(tctx, 1, names[0]); err != nil {
+	// A delete at the writer's registry reaches the home through the feed
+	// as well.
+	writer, err := f.Instance(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Delete(tctx, names[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Flush(tctx); err != nil {

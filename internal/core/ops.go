@@ -18,12 +18,11 @@ import (
 // strategies are that path and nothing else (singleTarget); the hybrid
 // strategy composes the steps twice, local site then hashed home.
 
-// opNames are the OpError names of the four client operations.
+// opNames are the OpError names of the three client operations.
 var opNames = [...]string{
 	metrics.OpRead:   "lookup",
 	metrics.OpWrite:  "create",
 	metrics.OpUpdate: "addlocation",
-	metrics.OpDelete: "delete",
 }
 
 // service is what the four strategies share: the fabric they run over, the
@@ -168,17 +167,6 @@ func (t *singleTarget) AddLocation(ctx context.Context, from cloud.SiteID, name 
 	e, remote, err := t.fabric.mutate(ctx, from, t.target(from, name), t.fabric.queryBytes,
 		func(inst registry.API) (registry.Entry, error) { return inst.AddLocation(ctx, name, loc) })
 	return e, t.done(o, remote, err)
-}
-
-// Delete implements MetadataService.
-func (t *singleTarget) Delete(ctx context.Context, from cloud.SiteID, name string) error {
-	o, err := t.begin(metrics.OpDelete, from, name)
-	if err != nil {
-		return err
-	}
-	_, remote, err := t.fabric.mutate(ctx, from, t.target(from, name), t.fabric.queryBytes,
-		func(inst registry.API) (registry.Entry, error) { return registry.Entry{}, inst.Delete(ctx, name) })
-	return t.done(o, remote, err)
 }
 
 // Flush implements MetadataService for the strategies without asynchronous

@@ -84,7 +84,8 @@ func flakyFabric(t *testing.T, feeds bool) (*Fabric, *flakyAPI) {
 // DeleteMany, fails with registry.ErrUnavailable — on each propagation path.
 // The Flush that hits the failure must say so, the next Flush must succeed, and
 // the update must then be where the strategy replicates it: nothing is lost
-// behind a nil Flush.
+// behind a nil Flush. Only the feed modes propagate a deletion, one made at the
+// writer's registry, so only they have a DeleteMany to fail.
 func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 	paths := []struct {
 		name  string
@@ -108,7 +109,11 @@ func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 		}, []cloud.SiteID{1, 2}},
 	}
 	for _, path := range paths {
-		for _, failing := range []string{"Merge", "DeleteMany"} {
+		failings := []string{"Merge"}
+		if path.feeds {
+			failings = append(failings, "DeleteMany")
+		}
+		for _, failing := range failings {
 			t.Run(path.name+"/"+failing, func(t *testing.T) {
 				f, flaky := flakyFabric(t, path.feeds)
 				svc, err := path.build(f)
@@ -165,11 +170,18 @@ func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 				if _, err := svc.Lookup(tctx, 3, name); err != nil {
 					t.Errorf("lookup from a third site: %v", err)
 				}
+				if !path.feeds {
+					return
+				}
 
 				if failing == "DeleteMany" {
 					flaky.failDelete.Store(failures)
 				}
-				if err := svc.Delete(tctx, 1, name); err != nil {
+				writer, err := f.Instance(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := writer.Delete(tctx, name); err != nil {
 					t.Fatal(err)
 				}
 				if failing == "DeleteMany" {
@@ -192,31 +204,24 @@ func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 // newer deletion of the same name.
 func TestRequeuedPutDoesNotResurrect(t *testing.T) {
 	f, flaky := flakyFabric(t, false)
-	svc, err := newManualHybrid(f, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	name, _ := trafficNames(f.Sites())
+	p := newManualPropagator(f)
+	defer p.Close()
 
 	flaky.failMerge.Store(1)
-	if _, err := svc.Create(tctx, 1, testEntry(name, 1)); err != nil {
-		t.Fatal(err)
+	p.Enqueue(1, 2, testEntry("x", 1))
+	if err := p.FlushNow(tctx); !errors.Is(err, ErrSiteUnreachable) {
+		t.Fatalf("flush into the unreachable destination = %v, want ErrSiteUnreachable", err)
 	}
-	if err := svc.Flush(tctx); !errors.Is(err, ErrSiteUnreachable) {
-		t.Fatalf("Flush into the unreachable home = %v, want ErrSiteUnreachable", err)
-	}
-	if err := svc.Delete(tctx, 1, name); err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.propagator.Pending(); got != 1 {
+	p.EnqueueDelete(1, 2, "x")
+	if got := p.Pending(); got != 1 {
 		t.Fatalf("%d operations pending for one name, want 1 (the deletion replaces the re-queued update)", got)
 	}
-	if err := svc.Flush(tctx); err != nil {
+	if err := p.FlushNow(tctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Lookup(tctx, 3, name); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("lookup of the deleted entry = %v, want ErrNotFound", err)
+	inst, _ := f.Instance(2)
+	if holds(t, inst, "x") {
+		t.Error("the destination holds the entry whose deletion replaced the re-queued update")
 	}
 }
 
@@ -320,33 +325,5 @@ func TestFlushNowGivesUpWhileAnotherShips(t *testing.T) {
 	release <- struct{}{} // let the first round finish
 	if err := <-shipping; err != nil {
 		t.Fatalf("the shipping round = %v, want nil", err)
-	}
-}
-
-// TestReplicatedAgentLastOperationWins: the agent's work list follows the same
-// per-name rule as the propagator. A name created, deleted and created again
-// at one site between two rounds is an update, not also a deletion — the round
-// must not merge the live entry everywhere and then delete it everywhere,
-// origin included.
-func TestReplicatedAgentLastOperationWins(t *testing.T) {
-	svc, err := NewReplicated(newTestFabric(), StrategyConfig{SyncInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	for _, step := range []func() error{
-		func() error { _, err := svc.Create(tctx, 1, testEntry("again", 1)); return err },
-		func() error { return svc.Delete(tctx, 1, "again") },
-		func() error { _, err := svc.Create(tctx, 1, testEntry("again", 1)); return err },
-		func() error { return svc.Flush(tctx) },
-	} {
-		if err := step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, site := range svc.fabric.Sites() {
-		if _, err := svc.Lookup(tctx, site, "again"); err != nil {
-			t.Errorf("the re-created entry is missing at site %d: %v", site, err)
-		}
 	}
 }

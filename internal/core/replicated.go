@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,7 +149,7 @@ func (s *ReplicatedService) remember(o opFrame, _ bool, err error) {
 		return
 	}
 	s.mu.Lock()
-	_, added := s.pending.put(o.from, pendingOp{entry: registry.Entry{Name: o.name}, del: o.kind == metrics.OpDelete})
+	_, added := s.pending.put(o.from, pendingOp{entry: registry.Entry{Name: o.name}})
 	s.mu.Unlock()
 	if added {
 		s.queueDepth.Add(1)
@@ -235,19 +237,7 @@ func (s *ReplicatedService) syncRound(ctx context.Context) error {
 
 	// Pull phase: the agent queries each instance that reported updates, one
 	// goroutine per site.
-	var allDeletes []string
 	for site, set := range drained {
-		var names []string
-		for name, op := range set {
-			if op.del {
-				allDeletes = append(allDeletes, name)
-			} else {
-				names = append(names, name)
-			}
-		}
-		if len(names) == 0 {
-			continue
-		}
 		wg.Add(1)
 		go func(site cloud.SiteID, names []string) {
 			defer wg.Done()
@@ -273,19 +263,19 @@ func (s *ReplicatedService) syncRound(ctx context.Context) error {
 			mu.Lock()
 			all = append(all, batch...)
 			mu.Unlock()
-		}(site, names)
+		}(site, slices.Collect(maps.Keys(set)))
 	}
 	wg.Wait()
 
 	// Push phase: propagate the merged set to every instance concurrently.
 	var synced atomic.Int64
-	if len(errs) == 0 && len(all)+len(allDeletes) > 0 {
-		bytes := s.fabric.batchBytes(all, allDeletes)
+	if len(errs) == 0 && len(all) > 0 {
+		bytes := s.fabric.batchBytes(all, nil)
 		for _, site := range s.fabric.Sites() {
 			wg.Add(1)
 			go func(site cloud.SiteID) {
 				defer wg.Done()
-				applied, err := s.fabric.ship(ctx, s.agentSite, site, all, allDeletes, bytes)
+				applied, err := s.fabric.ship(ctx, s.agentSite, site, all, nil, bytes)
 				synced.Add(int64(applied))
 				if err != nil {
 					fail(site, err)

@@ -40,8 +40,8 @@ func newShardedCountingFabric(t *testing.T, nShards int) (*Fabric, map[cloud.Sit
 
 // TestSyncAgentStaysBatchedPerShard asserts that the replicated strategy's
 // synchronization agent keeps its bulk contract through a sharded site: one
-// round costs at most one GetMany/Merge/DeleteMany sub-batch per *shard*,
-// never a call per entry.
+// round costs at most one GetMany/Merge sub-batch per *shard*, never a call
+// per entry.
 func TestSyncAgentStaysBatchedPerShard(t *testing.T) {
 	const nShards = 3
 	f, counters := newShardedCountingFabric(t, nShards)
@@ -81,34 +81,12 @@ func TestSyncAgentStaysBatchedPerShard(t *testing.T) {
 			t.Errorf("site %d holds %d entries after the round, want %d", site, got, n)
 		}
 	}
-
-	for i := 0; i < n; i++ {
-		if err := svc.Delete(tctx, 1, fmt.Sprintf("shard-batch-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Flush(tctx); err != nil { // round 2: propagate the deletes
-		t.Fatal(err)
-	}
-	for site, shards := range counters {
-		for i, c := range shards {
-			if got := c.Calls("DeleteMany"); got > 1 {
-				t.Errorf("site %d shard %d: DeleteMany called %d times in one round, want at most 1", site, i, got)
-			}
-			// Per-entry deletes only on the writer site's shards (the client's
-			// own n local operations, one per entry, routed by key).
-			if site != 1 {
-				if got := c.Calls("Delete"); got != 0 {
-					t.Errorf("site %d shard %d: %d per-entry Deletes; propagation must use DeleteMany", site, i, got)
-				}
-			}
-		}
-	}
 }
 
 // TestPropagatorStaysBatchedPerShard asserts the hybrid strategy's lazy
 // propagator delivers a flush to a sharded home site as bulk sub-batches:
-// at most one Merge and one DeleteMany per shard per flush.
+// at most one Merge and one DeleteMany per shard per flush. Deletions reach the
+// propagator from the feed modes' relay, so the test enqueues them itself.
 func TestPropagatorStaysBatchedPerShard(t *testing.T) {
 	const nShards = 3
 	f, counters := newShardedCountingFabric(t, nShards)
@@ -143,11 +121,9 @@ func TestPropagatorStaysBatchedPerShard(t *testing.T) {
 		}
 	}
 
-	// Lazy deletes ride the next flush as DeleteMany sub-batches.
+	// Enqueued deletions ride the next flush as DeleteMany sub-batches.
 	for _, name := range names {
-		if err := svc.Delete(tctx, 0, name); err != nil {
-			t.Fatal(err)
-		}
+		svc.propagator.EnqueueDelete(0, 2, name)
 	}
 	if err := svc.Flush(tctx); err != nil {
 		t.Fatal(err)
@@ -164,7 +140,8 @@ func TestPropagatorStaysBatchedPerShard(t *testing.T) {
 
 // TestStrategiesOverShardedFabric drives all four strategies over a fabric
 // whose sites are 4-shard routed tiers (site.Config.Shards) and checks the
-// basic create → flush → lookup → delete cycle works transparently.
+// basic create → flush → lookup cycle works transparently, and that a delete
+// at each site's tier then clears every copy.
 func TestStrategiesOverShardedFabric(t *testing.T) {
 	for _, kind := range Strategies {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -197,20 +174,16 @@ func TestStrategiesOverShardedFabric(t *testing.T) {
 					t.Fatalf("lookup %q from remote site: %v", name, err)
 				}
 			}
-			for i := 0; i < n; i++ {
-				if err := svc.Delete(tctx, cloud.SiteID(i%4), fmt.Sprintf("sharded-%d", i)); err != nil {
-					t.Fatalf("delete %d: %v", i, err)
-				}
-			}
+			deleteEverywhere(t, f, "sharded-", n)
 		})
 	}
 }
 
 // TestStrategiesOverReplicatedShardedFabric drives all four strategies over
 // a fabric whose sites are 4-shard, 2-way replicated routed tiers
-// (site.Config.Shards + Replication) and checks the same
-// create → flush → lookup → delete cycle works transparently — the
-// strategies cannot tell replicated placement from single-home placement.
+// (site.Config.Shards + Replication) and checks the same cycle and delete
+// fan-out work transparently — the strategies cannot tell replicated
+// placement from single-home placement.
 func TestStrategiesOverReplicatedShardedFabric(t *testing.T) {
 	for _, kind := range Strategies {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -244,11 +217,37 @@ func TestStrategiesOverReplicatedShardedFabric(t *testing.T) {
 					t.Fatalf("lookup %q from remote site: %v", name, err)
 				}
 			}
-			for i := 0; i < n; i++ {
-				if err := svc.Delete(tctx, cloud.SiteID(i%4), fmt.Sprintf("repl-sharded-%d", i)); err != nil {
-					t.Fatalf("delete %d: %v", i, err)
-				}
-			}
+			deleteEverywhere(t, f, "repl-sharded-", n)
 		})
+	}
+}
+
+// deleteEverywhere deletes the n names prefix0 … prefix<n-1> with one
+// DeleteMany at every site's routed tier, which fans it out to the shards and
+// replicas holding each name, and checks that it removed every copy the
+// strategy stored and left every site empty.
+func deleteEverywhere(t *testing.T, f *Fabric, prefix string, n int) {
+	t.Helper()
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	stored, deleted := f.TotalEntries(tctx), 0
+	for _, site := range f.Sites() {
+		inst, err := f.Instance(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := inst.DeleteMany(tctx, names)
+		if err != nil {
+			t.Fatalf("site %d: DeleteMany: %v", site, err)
+		}
+		deleted += got
+		if left := inst.Len(tctx); left != 0 {
+			t.Errorf("site %d holds %d entries after its DeleteMany, want 0", site, left)
+		}
+	}
+	if deleted != stored {
+		t.Errorf("the DeleteManys removed %d entries, want the %d the strategy stored", deleted, stored)
 	}
 }

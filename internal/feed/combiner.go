@@ -10,12 +10,10 @@ import (
 )
 
 // Stream is one live subscription a Combiner consumes: a channel of events
-// that closes when the subscription ends, a terminal error explaining why,
-// and a Close to detach early. *Subscription implements it for in-process
+// that closes when the subscription ends, and a Close to detach early. *Subscription implements it for in-process
 // logs; the RPC client's watch stream implements it for remote shards.
 type Stream interface {
 	Events() <-chan Event
-	Err() error
 	Close()
 }
 

@@ -59,11 +59,6 @@ type TenantLimit struct {
 	BytesBurst float64 `json:"bytes_burst,omitempty"`
 }
 
-// unlimited reports whether this limit constrains nothing.
-func (t TenantLimit) unlimited() bool {
-	return t.OpsPerSec == 0 && t.BytesPerSec == 0
-}
-
 // Config is a Limiter's full policy: a default budget, per-tenant
 // overrides, the load-shedding ceiling, and tenant-table bounds. The zero
 // Config (normalized through withDefaults) admits everything.

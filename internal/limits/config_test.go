@@ -99,10 +99,4 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.MaxTenants != 1024 || cfg.IdleAfter.D() != 5*time.Minute || cfg.ShedRetryAfter.D() != 50*time.Millisecond {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	if !(TenantLimit{}).unlimited() {
-		t.Fatal("zero TenantLimit should be unlimited")
-	}
-	if (TenantLimit{OpsPerSec: 1}).unlimited() {
-		t.Fatal("rate-limited TenantLimit reported unlimited")
-	}
 }

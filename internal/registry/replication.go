@@ -170,20 +170,22 @@ func fanOut[T any](set []T, fn func(i int, member T)) {
 	wg.Wait()
 }
 
-// forceNoteDeleted records deletion notes unconditionally. The write path
-// uses it whenever a replica failed to apply a deletion that was (or may have
-// been) acknowledged: the failed replica holds a stale copy now, whether or
-// not its breaker ever opens, and every sweep consults the notes before
-// merging — so the stale copy can be purged but never resurrected. A write
+// forceNoteDeleted records pinned deletion notes unconditionally. The write
+// path uses it whenever a replica failed to apply a deletion that was (or may
+// have been) acknowledged: the failed replica holds a stale copy now, whether
+// or not its breaker ever opens, and every sweep consults the notes before
+// merging — so the stale copy can be purged but never resurrected. The pin
+// keeps these notes, and only these, until a clean sweep has reconciled
+// every shard; it does not make later deletions noted. A write
 // re-establishing the name clears its note as usual.
 //
 // A one-home tier records nothing here: its only home failed, the caller was
 // told so, and no acknowledged replica exists for the surviving copy to
-// contradict. Pinning the table would also never drain — a one-home tier runs
-// no recovery sweep to clear it — so every later deletion's note would be
-// kept for good.
+// contradict. A pin would also never be lifted — a one-home tier runs no
+// recovery sweep — and the next sweep would purge the entry whose delete
+// failed.
 func (r *Router) forceNoteDeleted(names ...string) {
-	if r.rep <= 1 {
+	if r.rep <= 1 || len(names) == 0 {
 		return
 	}
 	r.delMu.Lock()
@@ -193,10 +195,6 @@ func (r *Router) forceNoteDeleted(names ...string) {
 	for _, name := range names {
 		r.deletedDuringSweep[name] = true
 	}
-	// Pin the note table until a clean sweep reconciles every shard: the
-	// stale copy these notes guard against exists regardless of breaker or
-	// sweep state.
-	r.staleNotes.Store(true)
 	r.delMu.Unlock()
 }
 
@@ -363,16 +361,17 @@ func (r *Router) write(ctx context.Context, names []string, w write) (Entry, int
 	if w.bulk {
 		r.countBulk(len(groups))
 	}
-	var noted []string
+	var noted, pinned []string
 	switch w.kind {
 	case upsert:
-		noted = r.clearDeleted(names...)
+		noted, pinned = r.clearDeleted(names...)
 	case remove:
 		r.noteDeleted(names...)
 	}
 	failed := func(n int, err error) (Entry, int, error) {
 		if noted != nil {
 			r.noteDeleted(noted...)
+			r.forceNoteDeleted(pinned...)
 			r.apply(r.reachableGroups(len(noted)), deleteMany(ctx, noted))
 		}
 		return Entry{}, n, err

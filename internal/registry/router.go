@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -50,7 +51,7 @@ import (
 // nowhere correct to re-route to, so report does not feed the breaker,
 // replicaIDs and reachableShards keep down shards in placement,
 // forceNoteDeleted records no failed delete (the caller was told, and
-// nothing would ever unpin the note table), sweepShard skips the
+// nothing would ever unpin its note), sweepShard skips the
 // noted-name cleanup (no second replica to restore a raced write from), and
 // Len can sum the shard sizes. docs/ARCHITECTURE.md tabulates each with its
 // reason.
@@ -102,22 +103,24 @@ type Router struct {
 	sweeping atomic.Int32
 	sweepGen atomic.Uint64
 
-	// staleNotes is set whenever a deletion is force-noted (a replica failed
-	// to apply it, so a stale copy exists somewhere regardless of breaker or
-	// sweep state) or a background sweep is abandoned (it may have left such
-	// a copy), and cleared only by a clean full sweep — the point at
-	// which every shard has been reconciled against the notes. While set,
-	// the note table is never cleared.
+	// staleNotes is set when a background sweep is abandoned (it may have
+	// left a stale copy of a noted name behind) and cleared only by a clean
+	// full sweep — the point at which every shard has been reconciled
+	// against the notes. While set, every deletion is noted and the note
+	// table is never cleared.
 	staleNotes atomic.Bool
 
-	// delMu guards deletedDuringSweep — the names deleted while a sweep was
-	// active — *and* serializes the sweeping transitions against it: notes
-	// are only recorded while the counter is positive and the set is cleared
-	// in the same critical section that drops the counter to zero, so a
-	// stale note can never leak into a later sweep. A sweep consults the set
-	// before and after merging a batch so a stale source copy cannot
-	// resurrect a concurrent deletion; writes re-establishing a name clear
-	// its note.
+	// delMu guards deletedDuringSweep — the deletion notes, each name mapped
+	// to whether its note is pinned — *and* serializes the sweeping
+	// transitions against it: notes are only recorded while notesNeeded and
+	// the unpinned ones are cleared in the same critical section that drops
+	// the sweep counter to zero, so a stale note can never leak into a later
+	// sweep. A note is pinned when its deletion was force-noted (a replica
+	// failed to apply it and holds a stale copy whatever the breaker or sweep
+	// state); it outlives sweepEnd until a clean sweep unpins it. A sweep
+	// consults the notes before and after merging a batch so a stale source
+	// copy cannot resurrect a concurrent deletion; writes re-establishing a
+	// name clear its note.
 	delMu              sync.Mutex
 	deletedDuringSweep map[string]bool
 
@@ -466,19 +469,24 @@ func (r *Router) sweepBegin() {
 // note table must not be cleared): while a sweep is in flight (a stale
 // source copy is in some sweep's hands), while a shard's breaker is open
 // (the down shard holds stale copies of everything deleted during its
-// outage), or while a force-noted deletion awaits a clean sweep (a replica
-// missed it and holds a stale copy no counter tracks). Callers hold delMu.
+// outage), or after an abandoned sweep, until a clean one (it may have left
+// a stale copy no counter tracks). A force-noted deletion pins only its own
+// note. Callers hold delMu.
 func (r *Router) notesNeeded() bool {
 	return r.sweeping.Load() > 0 || r.staleNotes.Load() || r.health.anyDown()
 }
 
-// sweepEnd retires one sweep, clearing the deletion notes when nothing needs
-// them anymore — in the same critical section that drops the counter, so a
-// concurrent noteDeleted cannot slip a note into the dying generation.
+// sweepEnd retires one sweep, clearing the unpinned deletion notes when
+// nothing needs them anymore — in the same critical section that drops the
+// counter, so a concurrent noteDeleted cannot slip a note into the dying
+// generation.
 func (r *Router) sweepEnd() {
 	r.delMu.Lock()
 	if r.sweeping.Add(-1) == 0 && !r.notesNeeded() {
-		r.deletedDuringSweep = nil
+		maps.DeleteFunc(r.deletedDuringSweep, func(_ string, pinned bool) bool { return !pinned })
+		if len(r.deletedDuringSweep) == 0 {
+			r.deletedDuringSweep = nil // a large table's memory goes with it
+		}
 	}
 	r.delMu.Unlock()
 	r.sweeps.Done()
@@ -493,7 +501,7 @@ func (r *Router) noteDeleted(names ...string) {
 			r.deletedDuringSweep = make(map[string]bool)
 		}
 		for _, name := range names {
-			r.deletedDuringSweep[name] = true
+			r.deletedDuringSweep[name] = r.deletedDuringSweep[name] // a pinned note stays pinned
 		}
 	}
 	r.delMu.Unlock()
@@ -501,20 +509,22 @@ func (r *Router) noteDeleted(names ...string) {
 
 // clearDeleted forgets the deletion notes for names a write is about to
 // re-establish, so a sweep's post-merge check or cleanup cannot undo the
-// write. It returns the names that had a note, so a failed write can restore
-// exactly the protection it removed — and never invent a note for a name that
-// was not deleted.
-func (r *Router) clearDeleted(names ...string) []string {
+// write. It returns the names that had a note, and those of them whose note
+// was pinned, so a failed write can restore exactly the protection it removed
+// — and never invent a note for a name that was not deleted.
+func (r *Router) clearDeleted(names ...string) (noted, pinned []string) {
 	r.delMu.Lock()
 	defer r.delMu.Unlock()
-	var noted []string
 	for _, name := range names {
-		if r.deletedDuringSweep[name] {
+		if p, ok := r.deletedDuringSweep[name]; ok {
 			delete(r.deletedDuringSweep, name)
 			noted = append(noted, name)
+			if p {
+				pinned = append(pinned, name)
+			}
 		}
 	}
-	return noted
+	return noted, pinned
 }
 
 // deletedSince reports which of the given names were deleted while a sweep
@@ -524,7 +534,7 @@ func (r *Router) deletedSince(names []string) []string {
 	defer r.delMu.Unlock()
 	var out []string
 	for _, n := range names {
-		if r.deletedDuringSweep[n] {
+		if _, ok := r.deletedDuringSweep[n]; ok {
 			out = append(out, n)
 		}
 	}
@@ -687,9 +697,15 @@ func (r *Router) sweep(ctx context.Context) error {
 		// Only clean sweeps count as completed; failed attempts surface via
 		// router_sweep_failures_total once the retry budget is spent. A
 		// clean sweep reconciled every shard against the deletion notes, so
-		// force-noted deletions no longer pin the note table (a force-note
-		// racing this store re-pins it and the next sweep serves it).
+		// neither an abandoned sweep nor a force-note pins them any longer
+		// (a force-note after the unpinning pins its note again and the next
+		// sweep serves it).
+		r.delMu.Lock()
+		for name := range r.deletedDuringSweep {
+			r.deletedDuringSweep[name] = false
+		}
 		r.staleNotes.Store(false)
+		r.delMu.Unlock()
 		r.obs.sweepsC.Inc()
 	}
 	return err

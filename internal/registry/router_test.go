@@ -405,6 +405,89 @@ func TestRouterSingleHomeFailedDeleteLeavesNoNote(t *testing.T) {
 	})
 }
 
+// deadlineOnce wraps a shard whose next Delete, once armed, gives up with a
+// wrapped context.DeadlineExceeded before applying it: the shard keeps its
+// copy, and the breaker does not count the failure.
+type deadlineOnce struct {
+	API
+	armed atomic.Bool
+}
+
+func (d *deadlineOnce) Delete(ctx context.Context, name string) error {
+	if d.armed.CompareAndSwap(true, false) {
+		return fmt.Errorf("shard: %w", context.DeadlineExceeded)
+	}
+	return d.API.Delete(ctx, name)
+}
+
+// TestRouterFailedReplicaDeletePinsOnlyItsNote is the replicated analogue of
+// TestRouterSingleHomeFailedDeleteLeavesNoNote (AUDIT G22). At R = 2 one
+// replica fails one delete without its breaker ever opening, as a deadline
+// error leaves it: that deletion's note is pinned, since the replica keeps a
+// stale copy, but the thousands of deletions that follow are not noted. The
+// next recovery sweep purges the stale copy and leaves no note behind.
+func TestRouterFailedReplicaDeletePinsOnlyItsNote(t *testing.T) {
+	ctx := context.Background()
+	insts := make([]*Instance, 4)
+	shards := make([]API, len(insts))
+	for i := range insts {
+		insts[i] = newShard(7)
+		shards[i] = insts[i]
+	}
+	const victim = cloud.SiteID(1)
+	late := &deadlineOnce{API: insts[victim]}
+	shards[victim] = late
+	// A threshold nothing reaches and an hour-long probe leave the breakers
+	// to the test.
+	r, err := NewRouter(7, shards, WithRouterReplication(2), WithRouterHealth(10000, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	failed := nameReplicatedOn(t, r, victim, "pin/failed")
+	notes := func() (n int, failedPinned bool) {
+		r.delMu.Lock()
+		defer r.delMu.Unlock()
+		return len(r.deletedDuringSweep), r.deletedDuringSweep[failed]
+	}
+
+	if _, err := r.Create(ctx, testEntry(failed)); err != nil {
+		t.Fatal(err)
+	}
+	late.armed.Store(true)
+	if err := r.Delete(ctx, failed); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("delete with one late replica = %v, want context.DeadlineExceeded", err)
+	}
+	const more = 1999
+	for i := 0; i < more; i++ {
+		name := fmt.Sprintf("pin/gone/%d", i)
+		if _, err := r.Put(ctx, testEntry(name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Delete(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, pinned := notes(); n != 1 || !pinned || r.staleNotes.Load() {
+		t.Fatalf("after one failed and %d clean deletes: %d notes (the failed one pinned: %v, every deletion noted: %v), want the failed one's alone, pinned", more, n, pinned, r.staleNotes.Load())
+	}
+
+	r.MarkShardDown(victim) // the shard cycles down and up: the recovery runs a sweep
+	r.MarkShardUp(victim)
+	r.Wait()
+	if n, _ := notes(); n != 0 {
+		t.Fatalf("%d notes left after a clean sweep, want 0", n)
+	}
+	if _, err := r.Get(ctx, failed); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the failed delete's name after the sweep: %v, want ErrNotFound", err)
+	}
+	for id, inst := range insts {
+		if holds(t, inst, failed) {
+			t.Errorf("shard %d still holds the deleted entry after the sweep", id)
+		}
+	}
+}
+
 // mergeGate wraps a shard and blocks the first Merge call until released,
 // so tests can freeze a re-sync sweep at the moment it is about to apply a
 // batch.

@@ -308,7 +308,7 @@ func TestWatchHandshakeSharesReaderWithEvents(t *testing.T) {
 			replies = append(replies, ResponseFrame{
 				Header: Header{ID: req.Header.ID, Kind: FrameWatchEvent},
 				Resp:   Response{OK: true},
-				Events: []WatchEvent{{Seq: seq, Op: byte(feed.OpPut), Name: fmt.Sprintf("ev-%d", seq)}},
+				Events: []feed.Event{{Seq: seq, Op: feed.OpPut, Name: fmt.Sprintf("ev-%d", seq)}},
 			})
 		}
 		var wire []byte

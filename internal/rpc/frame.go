@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"geomds/internal/cloud"
+	"geomds/internal/feed"
 	"geomds/internal/registry"
 )
 
@@ -340,8 +341,8 @@ func entryIsZero(e *registry.Entry) bool {
 		e.Created.IsZero() && e.Version == 0
 }
 
-func appendEvent(dst []byte, ev *WatchEvent) []byte {
-	op := ev.Op & 0x7f
+func appendEvent(dst []byte, ev *feed.Event) []byte {
+	op := byte(ev.Op) & 0x7f
 	if ev.Sync {
 		op |= 0x80
 	}
@@ -394,7 +395,7 @@ func decodeResponseFrame(payload []byte, f *ResponseFrame) error {
 	case FrameWatchEvent:
 		r.response(&f.Resp)
 		if n := r.count(minEventBytes); n > 0 {
-			f.Events = make([]WatchEvent, n)
+			f.Events = make([]feed.Event, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				r.event(&f.Events[i])
 			}
@@ -406,20 +407,6 @@ func decodeResponseFrame(payload []byte, f *ResponseFrame) error {
 		r.err = errFrameTrailing
 	}
 	return r.err
-}
-
-// decodeRequestFrame is the inverse of appendRequestFrame; it overwrites *f.
-// Like decodeResponseFrame it copies what it keeps of payload — name, names,
-// tenant, prefix and all of every entry — and checks every length and count
-// against the bytes that remain before anything is allocated for it. After an
-// error *f holds whatever was decoded before the rule that failed and must
-// not be used, except that after errRequestOp its Header is whole.
-func decodeRequestFrame(payload []byte, f *RequestFrame) error {
-	body, ops, err := decodeRequestPreamble(payload, f)
-	if err != nil {
-		return err
-	}
-	return decodeRequestBody(body, ops, f)
 }
 
 // decodeRequestPreamble decodes what admission control needs of a request and
@@ -694,10 +681,10 @@ func (r *frameReader) request(req *Request) {
 	}
 }
 
-func (r *frameReader) event(ev *WatchEvent) {
+func (r *frameReader) event(ev *feed.Event) {
 	ev.Seq = r.uvarint()
 	op := r.byte()
-	ev.Op, ev.Sync = op&0x7f, op&0x80 != 0
+	ev.Op, ev.Sync = feed.Op(op&0x7f), op&0x80 != 0
 	ev.Commit = r.varint()
 	nameLen, originLen, valueLen := r.length(), r.length(), r.length()
 	blob := string(r.take(nameLen + originLen))

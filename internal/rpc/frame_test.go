@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
+	"geomds/internal/feed"
 	"geomds/internal/registry"
 )
 
@@ -116,7 +117,7 @@ func replySeeds(t testing.TB) []frameSeed {
 		Resp:   Response{Err: ErrFeedLagged, Detail: "feed: subscriber lagged"},
 	}
 	for i := 0; i < watchEventBatch; i++ {
-		ev := WatchEvent{Seq: uint64(1000 + i), Op: 1, Name: geobenchEntry(i).Name, Value: registry.AppendEntry(nil, geobenchEntry(i)), Origin: "shard-2", Commit: 1759307400e9 + int64(i), Sync: i%7 == 0}
+		ev := feed.Event{Seq: uint64(1000 + i), Op: 1, Name: geobenchEntry(i).Name, Value: registry.AppendEntry(nil, geobenchEntry(i)), Origin: "shard-2", Commit: 1759307400e9 + int64(i), Sync: i%7 == 0}
 		if i%5 == 0 {
 			ev.Op, ev.Value = 2, nil
 		}

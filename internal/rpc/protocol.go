@@ -24,8 +24,8 @@
 // of frame.go: a format byte (one per direction, so a request is never taken
 // for a reply), one 19-byte header, then a body by frame kind. There is one
 // encoder and one decoder per direction (appendRequestFrame and
-// decodeRequestFrame, appendResponseFrame and decodeResponseFrame) and nothing
-// is negotiated: a peer of another generation has its first frame refused on
+// decodeRequestPreamble with decodeRequestBody, appendResponseFrame and
+// decodeResponseFrame) and nothing is negotiated: a peer of another generation has its first frame refused on
 // the format byte and its connection closed, and nothing it sent is executed.
 //
 // The Header tags each request with a client-assigned ID that the server
@@ -107,6 +107,7 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
+	"geomds/internal/feed"
 	"geomds/internal/limits"
 	"geomds/internal/registry"
 )
@@ -213,7 +214,7 @@ type ResponseFrame struct {
 	// watch.go).
 	Watch WatchAck
 	// Events is the payload of a FrameWatchEvent frame.
-	Events []WatchEvent
+	Events []feed.Event
 }
 
 // Op identifies the requested registry operation. On the wire it is this

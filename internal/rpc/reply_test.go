@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"geomds/internal/feed"
 	"geomds/internal/memcache"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
@@ -99,7 +100,7 @@ func TestOversizedEventFrameIsAnError(t *testing.T) {
 	f := ResponseFrame{
 		Header: Header{ID: 1, Kind: FrameWatchEvent},
 		Resp:   Response{OK: true},
-		Events: []WatchEvent{{Seq: 1, Op: 1, Name: "huge", Value: make([]byte, MaxMessageSize)}},
+		Events: []feed.Event{{Seq: 1, Op: 1, Name: "huge", Value: make([]byte, MaxMessageSize)}},
 	}
 	if frame, substituted, err := encodeReply(&f); err == nil || substituted || frame != nil {
 		t.Errorf("encodeReply of an oversized event frame = %v, substituted %v, %v", frame, substituted, err)

@@ -23,6 +23,20 @@ import (
 	"geomds/internal/registry"
 )
 
+// decodeRequestFrame is the inverse of appendRequestFrame; it overwrites *f.
+// Like decodeResponseFrame it copies what it keeps of payload — name, names,
+// tenant, prefix and all of every entry — and checks every length and count
+// against the bytes that remain before anything is allocated for it. After an
+// error *f holds whatever was decoded before the rule that failed and must
+// not be used, except that after errRequestOp its Header is whole.
+func decodeRequestFrame(payload []byte, f *RequestFrame) error {
+	body, ops, err := decodeRequestPreamble(payload, f)
+	if err != nil {
+		return err
+	}
+	return decodeRequestBody(body, ops, f)
+}
+
 // getRequest is the request testdata/request_get.golden holds and
 // docs/WIRE.md quotes; testdata/request_gob.golden is the same Get as the
 // last release with gob requests wrote it.

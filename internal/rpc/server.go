@@ -22,35 +22,6 @@ import (
 // pipelined requests unless WithMaxInflight says otherwise.
 const DefaultMaxInflight = 64
 
-// batchRespPool recycles the per-batch response slice assembled for every
-// FrameBatch (Client.Batch): the slice is dead the moment the response frame
-// is encoded. The bulk operations themselves (GetMany, PutMany, Merge,
-// DeleteMany) each travel as one single frame, not as a batch.
-var batchRespPool = sync.Pool{New: func() any { return new([]Response) }}
-
-// takeBatchResponses returns a zeroed response slice of length n, reusing a
-// pooled backing array when one is large enough.
-func takeBatchResponses(n int) []Response {
-	bp := batchRespPool.Get().(*[]Response)
-	if cap(*bp) < n {
-		return make([]Response, n)
-	}
-	return (*bp)[:n]
-}
-
-// releaseBatchResponses returns a batch response slice to the pool once its
-// frame has been encoded; it is cleared here so pooled slices do not pin the
-// entries the responses referenced. A nil slice (non-batch frame) is a
-// no-op.
-func releaseBatchResponses(ops []Response) {
-	if cap(ops) == 0 {
-		return
-	}
-	clear(ops)
-	pooled := ops[:0] // not ops itself, which would be moved to the heap on every call
-	batchRespPool.Put(&pooled)
-}
-
 // Server exposes one registry instance over TCP. One server corresponds to
 // the metadata registry deployment of a single datacenter.
 //
@@ -438,7 +409,7 @@ func (s *Server) serveFrame(rf *RequestFrame, finish func(time.Duration)) Respon
 	case FrameBatch:
 		s.requests.Add(int64(len(rf.Batch.Ops)))
 		out.Header.Kind = FrameBatch
-		out.Batch.Ops = takeBatchResponses(len(rf.Batch.Ops))
+		out.Batch.Ops = make([]Response, len(rf.Batch.Ops))
 		for i := range rf.Batch.Ops {
 			out.Batch.Ops[i] = s.dispatch(ctx, &rf.Batch.Ops[i])
 		}
@@ -451,12 +422,10 @@ func (s *Server) serveFrame(rf *RequestFrame, finish func(time.Duration)) Respon
 	return out
 }
 
-// reply writes out and releases its pooled batch responses once the frame is
-// encoded. A failed write closes the connection, which unblocks its read loop.
+// reply writes out. A failed write closes the connection, which unblocks its
+// read loop.
 func (s *Server) reply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) {
-	err := s.writeReply(conn, wmu, out)
-	releaseBatchResponses(out.Batch.Ops)
-	if err != nil {
+	if err := s.writeReply(conn, wmu, out); err != nil {
 		if !s.isClosed() {
 			s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
 		}
@@ -466,9 +435,9 @@ func (s *Server) reply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) {
 
 // writeReply encodes one reply and writes it under the connection's write
 // lock, which pipelined responses and watch streams share. It is done with
-// out, pooled batch responses included, when it returns. A reply too large to
-// send has been replaced by internal errors for its callers (encodeReply);
-// that is counted and logged here, and is not a write error.
+// out when it returns. A reply too large to send has been replaced by
+// internal errors for its callers (encodeReply); that is counted and logged
+// here, and is not a write error.
 func (s *Server) writeReply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) error {
 	frame, substituted, err := encodeReply(out)
 	if err != nil {
@@ -497,7 +466,7 @@ func (s *Server) answerAll(conn net.Conn, wmu *sync.Mutex, h Header, ops int, re
 	switch h.Kind {
 	case FrameBatch:
 		out.Header.Kind = FrameBatch
-		out.Batch.Ops = takeBatchResponses(ops)
+		out.Batch.Ops = make([]Response, ops)
 		for i := range out.Batch.Ops {
 			out.Batch.Ops[i] = resp
 		}

@@ -86,25 +86,6 @@ type WatchAck struct {
 	Fallback bool
 }
 
-// WatchEvent is one change event on the wire; it mirrors feed.Event.
-type WatchEvent struct {
-	Seq    uint64
-	Op     byte
-	Name   string
-	Value  []byte
-	Origin string
-	Commit int64
-	Sync   bool
-}
-
-func toWireEvent(ev feed.Event) WatchEvent {
-	return WatchEvent{Seq: ev.Seq, Op: byte(ev.Op), Name: ev.Name, Value: ev.Value, Origin: ev.Origin, Commit: ev.Commit, Sync: ev.Sync}
-}
-
-func fromWireEvent(ev WatchEvent) feed.Event {
-	return feed.Event{Seq: ev.Seq, Op: feed.Op(ev.Op), Name: ev.Name, Value: ev.Value, Origin: ev.Origin, Commit: ev.Commit, Sync: ev.Sync}
-}
-
 // watchEventBatch bounds how many events one FrameWatchEvent carries: the
 // server yields once after an event arrives, then drains what is queued up to
 // this many, so a burst amortizes framing without letting one frame grow
@@ -249,7 +230,7 @@ func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, 
 // streamWatch pushes the snapshot (if any) and then the live tail until the
 // subscription, the connection or the context ends.
 func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex, id uint64, prefix string, snapshot []feed.Event, startSeq uint64, sub *feed.Subscription) {
-	send := func(events []WatchEvent, terminal error) bool {
+	send := func(events []feed.Event, terminal error) bool {
 		out := ResponseFrame{
 			Header: Header{ID: id, Kind: FrameWatchEvent},
 			Resp:   Response{OK: terminal == nil},
@@ -265,7 +246,7 @@ func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex
 		return true
 	}
 	if len(snapshot) > 0 {
-		batch := make([]WatchEvent, 0, min(len(snapshot), watchEventBatch))
+		batch := make([]feed.Event, 0, min(len(snapshot), watchEventBatch))
 		for _, ev := range snapshot {
 			if prefix != "" && (len(ev.Name) < len(prefix) || ev.Name[:len(prefix)] != prefix) {
 				continue
@@ -273,7 +254,7 @@ func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex
 			if ev.Seq == 0 {
 				ev.Seq = startSeq
 			}
-			batch = append(batch, toWireEvent(ev))
+			batch = append(batch, ev)
 			if len(batch) == watchEventBatch {
 				if !send(batch, nil) {
 					return
@@ -301,7 +282,7 @@ func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex
 			// publishing, and the write's own reply, run first, so one frame
 			// carries them all and follows the reply.
 			runtime.Gosched()
-			batch := []WatchEvent{toWireEvent(ev)}
+			batch := []feed.Event{ev}
 			ended := false
 		drain:
 			for len(batch) < watchEventBatch {
@@ -311,7 +292,7 @@ func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex
 						ended = true
 						break drain
 					}
-					batch = append(batch, toWireEvent(ev2))
+					batch = append(batch, ev2)
 				default:
 					break drain
 				}
@@ -486,7 +467,7 @@ func (w *WatchStream) readLoop(br *bufio.Reader) {
 		}
 		for _, ev := range rf.Events {
 			select {
-			case w.out <- fromWireEvent(ev):
+			case w.out <- ev:
 			case <-w.done:
 				return
 			}

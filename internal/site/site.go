@@ -94,6 +94,8 @@ func (c Config) Validate() error {
 		return errors.New("site: a change feed applies to in-process instances; run each remote shard with its own and watch it directly")
 	case c.MaxStaleness < 0:
 		return errors.New("site: near-cache staleness must be >= 0 (0 selects the readcache default)")
+	case c.FeedCapacity < 0:
+		return errors.New("site: feed capacity must be >= 0 (0 selects the feed default)")
 	}
 	return nil
 }

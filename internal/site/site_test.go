@@ -150,6 +150,7 @@ func TestBuildValidation(t *testing.T) {
 		{"data dir with remote", Config{Remote: remote, DataDir: t.TempDir()}, "data dir"},
 		{"feed with remote", Config{Remote: remote, Feed: true}, "change feed"},
 		{"negative staleness", Config{NearCache: true, MaxStaleness: -time.Second}, "staleness"},
+		{"negative feed capacity", Config{Feed: true, FeedCapacity: -5}, "feed capacity"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			api, closeSite, err := Build(tc.cfg)

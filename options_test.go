@@ -1,11 +1,14 @@
 package geomds
 
-// This file guards the reachability rule: an exported function or method under
-// internal/ stays only while something outside tests reaches it. One that no
-// binary, example or geobench reaches, directly or through code that is itself
-// reached, and that implements no method of an interface, is either listed in
-// seams with the reason it stays, or dead. The same rule holds the fields of
-// every exported config struct under internal/ (TestConfigFieldsAreSet).
+// This file guards the reachability rule: a function or method under internal/,
+// exported or not, and a method an interface there declares, stays only while
+// something outside tests reaches it. A binary, an example or geobench reaches
+// it directly, or through code that is itself reached; a call through an
+// interface reaches the interface's method and every implementation of it, and
+// implementing an interface reaches nothing by itself. One that nothing
+// reaches is either listed in seams with the reason it stays, or dead. The
+// same rule holds the fields of every exported config struct under internal/
+// (TestConfigFieldsAreSet).
 
 import (
 	"bytes"
@@ -25,10 +28,11 @@ import (
 	"testing"
 )
 
-// seams are the exported functions and methods under internal/ that only tests
-// reach, each with the tests that need it and why it stays: it lets a test
-// observe other live behaviour, run fast, or substitute a part. A function
-// whose only tests are tests of itself is not a seam; it is deleted.
+// seams are the functions and methods under internal/ that only tests reach,
+// each with the tests that need it and why it stays: it lets a test observe
+// other live behaviour, run fast, or substitute a part. What a seam calls
+// counts as reached. A function whose only tests are tests of itself is not a
+// seam; it is deleted.
 var seams = map[string]string{
 	"cloud.Deployment.Balance":             "TestDeploymentSpreadNodes, TestSpreadNodesBalanceProperty: SpreadNodes' placement is even",
 	"cloud.Deployment.SiteLoad":            "TestDeploymentNodesAt: SpreadNodes' per-site node counts",
@@ -179,11 +183,12 @@ var stdInterfaces = [][2]string{
 	{"net/http", "Handler"},
 }
 
-// reachedFunc is one exported function or method under internal/: where it is
-// declared, and whether the reachability rule holds it reached.
+// reachedFunc is one function or method under internal/: where it is
+// declared, whether live code reaches it, and whether a seam does.
 type reachedFunc struct {
-	pos     string
-	reached bool
+	pos          string
+	reached      bool
+	reachedSeams bool
 }
 
 // universe holds the packages of both modules, type-checked from source in
@@ -195,7 +200,6 @@ type universe struct {
 	checked map[string]*types.Package // import path -> package of either module
 	infos   map[string]*types.Info
 	parsed  map[string][]*ast.File // import path -> its non-test files
-	own     map[string]bool        // the packages of this module
 }
 
 // modulePrefix is the import path prefix of the packages the guards hold.
@@ -219,15 +223,13 @@ func loadUniverse(t *testing.T) *universe {
 		checked: make(map[string]*types.Package),
 		infos:   make(map[string]*types.Info),
 		parsed:  make(map[string][]*ast.File),
-		own:     make(map[string]bool),
 	}
 	var order []string // the packages of either module, in list order
-	for i, pkgs := range [][]listedPackage{goList(t, "."), goList(t, "benchmark")} {
+	for _, pkgs := range [][]listedPackage{goList(t, "."), goList(t, "benchmark")} {
 		for _, p := range pkgs {
 			switch {
 			case p.Module != nil && p.Module.Main:
 				source[p.ImportPath] = p
-				u.own[p.ImportPath] = i == 0
 				order = append(order, p.ImportPath)
 			case exports[p.ImportPath] == "":
 				exports[p.ImportPath] = p.Export
@@ -277,27 +279,34 @@ func loadUniverse(t *testing.T) *universe {
 // which run one after another.
 var reachability map[string]reachedFunc
 
-// analyzeReachability finds every exported function and method under internal/,
-// by the name seams uses, and whether it is reached. The roots are the
-// functions that non-test code outside internal/ references — a binary, an
-// example, geobench — and the methods of an interface, one of this module's or
-// of stdInterfaces, that a type of either module implements. A function is
-// reached when a root or a reached function references it outside its own
-// declaration. The universe's type-checking means a method of the same name
-// on another type does not count, and a generic method counts through its
-// origin. Types, variables and constants are out of scope: sentinel errors
-// are the documented error contract.
+// analyzeReachability finds every function and method under internal/,
+// exported or not, and every method its interfaces declare, by the name seams
+// uses, and whether it is reached. The roots are the functions that non-test
+// code outside internal/ references — a binary, an example, geobench — or that
+// a package-level variable or an init function references, and the methods of
+// either module that implement one of stdInterfaces or Unwrap, which the
+// standard library calls on its own account. A function is reached when a root
+// or a reached function references it outside its own declaration, and a
+// reached interface method reaches every method of either module that
+// implements it. Implementing an interface reaches nothing by itself: a method
+// that live code calls neither directly nor through an interface is dead. What
+// a seam references counts as reached too, kept apart from what live code
+// reaches. The universe's type-checking means a method of the same name on
+// another type does not count, and a generic method counts through its origin.
+// Types, variables and constants are out of scope: sentinel errors are the
+// documented error contract.
 func analyzeReachability(t *testing.T) map[string]reachedFunc {
 	t.Helper()
 	if reachability != nil {
 		return reachability
 	}
 	u := loadUniverse(t)
-	fset, checked, infos, parsed, own, imp := u.fset, u.checked, u.infos, u.parsed, u.own, u.imp
+	fset, checked, infos, parsed, imp := u.fset, u.checked, u.infos, u.parsed, u.imp
 
-	// Every exported function and method under internal/, by the name seams
-	// uses: the package's path below internal/, the receiver's type name, and
-	// the function's name.
+	// Every function and method under internal/, by the name seams uses: the
+	// package's path below internal/, the receiver's type name, and the
+	// function's name. An interface's method is named by the interface that
+	// declares it.
 	defined := make(map[*types.Func]string)
 	for path, pkg := range checked {
 		rel, ok := strings.CutPrefix(path, modulePrefix)
@@ -307,18 +316,22 @@ func analyzeReachability(t *testing.T) map[string]reachedFunc {
 		for _, name := range pkg.Scope().Names() {
 			switch obj := pkg.Scope().Lookup(name).(type) {
 			case *types.Func:
-				if obj.Exported() {
-					defined[obj] = rel + "." + name
-				}
+				defined[obj] = rel + "." + name
 			case *types.TypeName:
 				named, ok := obj.Type().(*types.Named)
 				if !ok || obj.IsAlias() {
 					continue
 				}
-				for i := 0; i < named.NumMethods(); i++ {
-					if m := named.Method(i); m.Exported() {
+				if it, ok := named.Underlying().(*types.Interface); ok {
+					for i := 0; i < it.NumExplicitMethods(); i++ {
+						m := it.ExplicitMethod(i)
 						defined[m] = rel + "." + name + "." + m.Name()
 					}
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					defined[m] = rel + "." + name + "." + m.Name()
 				}
 			}
 		}
@@ -358,8 +371,10 @@ func analyzeReachability(t *testing.T) map[string]reachedFunc {
 		}
 	}
 
-	var ifaces []*types.Interface
-	var named []*types.Named
+	// The named types of either module that can implement an interface, and
+	// the method set of each as a pointer, the larger of its two.
+	var methodSets []*types.MethodSet
+	var pointers []types.Type
 	for _, pkg := range checked {
 		for _, name := range pkg.Scope().Names() {
 			obj, ok := pkg.Scope().Lookup(name).(*types.TypeName)
@@ -367,73 +382,100 @@ func analyzeReachability(t *testing.T) map[string]reachedFunc {
 				continue
 			}
 			n, ok := obj.Type().(*types.Named)
-			if !ok || n.TypeParams().Len() > 0 {
+			if !ok || n.TypeParams().Len() > 0 || types.IsInterface(n) {
 				continue
 			}
-			if it, ok := n.Underlying().(*types.Interface); ok {
-				if it.IsMethodSet() && own[pkg.Path()] {
-					ifaces = append(ifaces, it)
-				}
-				continue
-			}
-			named = append(named, n)
+			ptr := types.NewPointer(n)
+			pointers = append(pointers, ptr)
+			methodSets = append(methodSets, types.NewMethodSet(ptr))
 		}
 	}
-	for _, std := range stdInterfaces {
+	// implementations returns the methods of either module that implement the
+	// interface method m, on every named type that implements m's interface.
+	implementers := make(map[*types.Interface][]*types.MethodSet)
+	implementations := func(m *types.Func, it *types.Interface) []*types.Func {
+		sets, ok := implementers[it]
+		if !ok {
+			for i, ptr := range pointers {
+				if types.Implements(ptr, it) {
+					sets = append(sets, methodSets[i])
+				}
+			}
+			implementers[it] = sets
+		}
+		var fns []*types.Func
+		for _, set := range sets {
+			if sel := set.Lookup(m.Pkg(), m.Name()); sel != nil {
+				fns = append(fns, sel.Obj().(*types.Func).Origin())
+			}
+		}
+		return fns
+	}
+
+	// The standard library calls the methods of stdInterfaces and Unwrap on
+	// its own account: errors.Is, As and Unwrap reach a wrapped error through
+	// an interface package errors does not name.
+	var std []*types.Interface
+	for _, s := range stdInterfaces {
 		scope := types.Universe
-		if std[0] != "" {
-			pkg, err := imp.Import(std[0])
+		if s[0] != "" {
+			pkg, err := imp.Import(s[0])
 			if err != nil {
 				t.Fatal(err)
 			}
 			scope = pkg.Scope()
 		}
-		ifaces = append(ifaces, scope.Lookup(std[1]).Type().Underlying().(*types.Interface))
+		std = append(std, scope.Lookup(s[1]).Type().Underlying().(*types.Interface))
 	}
-	// errors.Is, As and Unwrap reach a wrapped error through an interface
-	// package errors does not name.
 	result := types.NewTuple(types.NewParam(token.NoPos, nil, "", types.Universe.Lookup("error").Type()))
 	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil, result, false))
-	ifaces = append(ifaces, types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
-	for _, n := range named {
-		ptr := types.NewPointer(n)
-		methods := types.NewMethodSet(ptr)
-		for _, it := range ifaces {
-			if !types.Implements(ptr, it) {
+	std = append(std, types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
+	for _, it := range std {
+		for i := 0; i < it.NumMethods(); i++ {
+			roots = append(roots, implementations(it.Method(i), it)...)
+		}
+	}
+
+	// reach marks what from reaches through references made by reached
+	// functions only: what only dead code calls is dead too.
+	reach := func(from []*types.Func) map[*types.Func]bool {
+		reached := make(map[*types.Func]bool)
+		for len(from) > 0 {
+			fn := from[len(from)-1]
+			from = from[:len(from)-1]
+			if reached[fn] {
 				continue
 			}
-			for i := 0; i < it.NumMethods(); i++ {
-				m := it.Method(i)
-				if sel := methods.Lookup(m.Pkg(), m.Name()); sel != nil {
-					roots = append(roots, sel.Obj().(*types.Func).Origin())
+			reached[fn] = true
+			from = append(from, uses[fn]...)
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+					from = append(from, implementations(fn, it)...)
 				}
 			}
 		}
+		return reached
 	}
-
-	// A function is reached from a root through references made by reached
-	// functions only: what only dead code calls is dead too.
-	reached := make(map[*types.Func]bool)
-	for len(roots) > 0 {
-		fn := roots[len(roots)-1]
-		roots = roots[:len(roots)-1]
-		if !reached[fn] {
-			reached[fn] = true
-			roots = append(roots, uses[fn]...)
+	live := reach(roots)
+	var fromSeams []*types.Func
+	for fn, name := range defined {
+		if _, ok := seams[name]; ok {
+			fromSeams = append(fromSeams, uses[fn]...)
 		}
 	}
+	bySeams := reach(fromSeams)
 
 	funcs := make(map[string]reachedFunc, len(defined))
 	for fn, name := range defined {
-		funcs[name] = reachedFunc{pos: fset.Position(fn.Pos()).String(), reached: reached[fn]}
+		funcs[name] = reachedFunc{pos: fset.Position(fn.Pos()).String(), reached: live[fn], reachedSeams: bySeams[fn]}
 	}
 	reachability = funcs
 	return funcs
 }
 
-// checkReachable holds the exported functions and methods that part selects,
-// by their seams name, to the reachability rule: each is reached, or it is a
-// seam listed with its reason, or it is deleted.
+// checkReachable holds the functions and methods that part selects, by their
+// seams name, to the reachability rule: each is reached, or it is a seam listed
+// with its reason, or it is deleted.
 func checkReachable(t *testing.T, part func(name string) bool) {
 	funcs := analyzeReachability(t)
 	var unreached []string
@@ -443,7 +485,7 @@ func checkReachable(t *testing.T, part func(name string) bool) {
 		}
 		_, seam := seams[name]
 		switch {
-		case !fn.reached && !seam:
+		case !fn.reached && !fn.reachedSeams && !seam:
 			unreached = append(unreached, name+" ("+fn.pos+")")
 		case fn.reached && seam:
 			t.Errorf("%s is listed in seams and is reachable: drop it from the list", name)
@@ -451,7 +493,7 @@ func checkReachable(t *testing.T, part func(name string) bool) {
 	}
 	sort.Strings(unreached)
 	for _, name := range unreached {
-		t.Errorf("%s is reached from no binary, example or geobench, and implements no interface method: call it from live code, list it in seams with the test that needs it, or delete it", name)
+		t.Errorf("%s is reached from no binary, example or geobench, directly or through an interface: call it from live code, list it in seams with the test that needs it, or delete it", name)
 	}
 	for name := range seams {
 		if _, ok := funcs[name]; part(name) && !ok {
@@ -477,14 +519,15 @@ func TestOptionsAreReachable(t *testing.T) {
 	checkReachable(t, isOption)
 }
 
-// TestRouterMethodsAreReachable holds the exported methods of *registry.Router
-// to the reachability rule.
+// TestRouterMethodsAreReachable holds the methods of *registry.Router to the
+// reachability rule.
 func TestRouterMethodsAreReachable(t *testing.T) {
 	checkReachable(t, isRouterMethod)
 }
 
-// TestExportedFuncsAreReachable holds every other exported function and method
-// under internal/ to the reachability rule.
+// TestExportedFuncsAreReachable holds every other function and method under
+// internal/, exported or not, and every method an interface there declares, to
+// the reachability rule.
 func TestExportedFuncsAreReachable(t *testing.T) {
 	checkReachable(t, func(name string) bool { return !isOption(name) && !isRouterMethod(name) })
 }
