@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
+	"geomds/internal/memcache"
 )
 
 // The entry encoding (docs/WIRE.md, "Entry encoding"). Every stored value,
@@ -89,11 +90,32 @@ func EncodedSize(e Entry) int {
 }
 
 // encodeEntry returns e's encoding in a buffer of its own, sized exactly.
-// Stored values are encoded with it and never into a shared scratch buffer:
-// the slice handed to the store is also what the WAL appends and what the
-// change feed publishes, without a copy.
+// A single write's value is encoded with it, a batch's with encodeBatch, and
+// never into a reused scratch buffer: the slice handed to the store is also
+// what the WAL appends and what the change feed publishes, without a copy.
 func encodeEntry(e Entry) []byte {
 	return AppendEntry(make([]byte, 0, EncodedSize(e)), e)
+}
+
+// encodeBatch returns entries as the key-value pairs of one store batch, their
+// values encoded back to back into one buffer sized with EncodedSize: a batch
+// costs one allocation for its values, not one per entry. Each value is a
+// full slice expression of the buffer, so appending to one cannot reach into
+// the next, and the store, the WAL and the change feed keep the values
+// without a copy, as they keep encodeEntry's.
+func encodeBatch(entries []Entry) []memcache.KV {
+	size := 0
+	for i := range entries {
+		size += EncodedSize(entries[i])
+	}
+	buf := make([]byte, 0, size)
+	kvs := make([]memcache.KV, len(entries))
+	for i := range entries {
+		start := len(buf)
+		buf = AppendEntry(buf, entries[i])
+		kvs[i] = memcache.KV{Key: entries[i].Name, Value: buf[start:len(buf):len(buf)]}
+	}
+	return kvs
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

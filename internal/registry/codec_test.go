@@ -317,8 +317,8 @@ func TestEntryCodecAllocations(t *testing.T) {
 }
 
 // The slice an instance hands its store is the one the feed publishes, so
-// each stored value has a buffer of its own: a second write must not reach
-// into the first event.
+// each write's values have a buffer of their own: a second write must not
+// reach into the first event.
 func TestStoredValuesOwnTheirBuffers(t *testing.T) {
 	ctx := context.Background()
 	for name, open := range map[string]func(t *testing.T) *Instance{
@@ -355,6 +355,57 @@ func TestStoredValuesOwnTheirBuffers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// kvRecorder is a store that keeps every batch it is handed.
+type kvRecorder struct {
+	Store
+	batches [][]memcache.KV
+}
+
+func (r *kvRecorder) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
+	r.batches = append(r.batches, kvs)
+	return r.Store.PutBatch(kvs)
+}
+
+// A bulk write encodes its values into one buffer: each value is its entry's
+// encoding with no spare capacity, so appending to it cannot reach into the
+// next, and a batch costs one allocation for its values, not one per entry.
+func TestBatchValuesShareOneBuffer(t *testing.T) {
+	ctx := context.Background()
+	rec := &kvRecorder{Store: memcache.New(memcache.Config{})}
+	inst := NewInstance(0, rec)
+	entries := make([]Entry, 256)
+	for i := range entries {
+		entries[i] = geobenchEntry(i)
+	}
+	if _, err := inst.PutMany(ctx, entries); err != nil {
+		t.Fatal(err)
+	}
+	merged := append([]Entry(nil), entries[:3]...)
+	merged[1].Locations = []Location{{Site: 2, Node: 7}}
+	merged = append(merged, geobenchEntry(999))
+	if n, err := inst.Merge(ctx, merged); err != nil || n != 2 {
+		t.Fatalf("Merge = %d, %v; want 2 applied", n, err)
+	}
+	want1 := entries[1].AddLocation(Location{Site: 2, Node: 7})
+	for b, want := range [][]Entry{entries, {want1, geobenchEntry(999)}} {
+		kvs := rec.batches[b]
+		if len(kvs) != len(want) {
+			t.Fatalf("batch %d has %d values, want %d", b, len(kvs), len(want))
+		}
+		for i, kv := range kvs {
+			if kv.Key != want[i].Name || !bytes.Equal(kv.Value, AppendEntry(nil, want[i])) || cap(kv.Value) != len(kv.Value) {
+				t.Errorf("batch %d value %d: %s = %x (cap %d), want the encoding of %s with no spare capacity",
+					b, i, kv.Key, kv.Value, cap(kv.Value), want[i].Name)
+			}
+		}
+	}
+	// Encoding each value on its own made this 263 allocations, one per value
+	// and seven more; what remains does not depend on the batch.
+	if allocs := testing.AllocsPerRun(50, func() { inst.PutMany(ctx, entries) }); allocs > 16 { //nolint:errcheck // counted, not checked
+		t.Errorf("a 256-entry PutMany cost %v allocations, want at most 16", allocs)
 	}
 }
 

@@ -92,14 +92,40 @@ func (e Entry) Validate() error {
 	if e.Size < 0 {
 		return fmt.Errorf("%w: negative size %d", ErrInvalidEntry, e.Size)
 	}
-	seen := make(map[Location]bool, len(e.Locations))
-	for _, l := range e.Locations {
-		if seen[l] {
-			return fmt.Errorf("%w: duplicate location %+v", ErrInvalidEntry, l)
-		}
-		seen[l] = true
+	if l, dup := duplicateLocation(e.Locations); dup {
+		return fmt.Errorf("%w: duplicate location %+v", ErrInvalidEntry, l)
 	}
 	return nil
+}
+
+// pairwiseLocations is the most locations duplicateLocation compares pair by
+// pair. Every write validates its entry, and nearly every entry has one or two
+// locations, which comparing costs less than hashing; but an entry decoded
+// from one frame can hold millions, so above this a set keeps the check
+// linear.
+const pairwiseLocations = 8
+
+// duplicateLocation returns the first location of locs that an earlier one
+// equals.
+func duplicateLocation(locs []Location) (Location, bool) {
+	if len(locs) <= pairwiseLocations {
+		for i := 1; i < len(locs); i++ {
+			for _, earlier := range locs[:i] {
+				if locs[i] == earlier {
+					return locs[i], true
+				}
+			}
+		}
+		return Location{}, false
+	}
+	seen := make(map[Location]struct{}, len(locs))
+	for _, l := range locs {
+		if _, dup := seen[l]; dup {
+			return l, true
+		}
+		seen[l] = struct{}{}
+	}
+	return Location{}, false
 }
 
 // HasLocation reports whether the entry already lists the given location.

@@ -2,6 +2,8 @@ package registry
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,6 +39,70 @@ func TestEntryValidate(t *testing.T) {
 	dup.Locations = append(dup.Locations, dup.Locations[0])
 	if err := dup.Validate(); !errors.Is(err, ErrInvalidEntry) {
 		t.Errorf("duplicate location = %v, want ErrInvalidEntry", err)
+	}
+}
+
+// locations returns n distinct locations.
+func locations(n int) []Location {
+	locs := make([]Location, n)
+	for i := range locs {
+		locs[i] = Location{Site: cloud.SiteID(i % 4), Node: cloud.NodeID(i), Path: fmt.Sprintf("blob/%d", i)}
+	}
+	return locs
+}
+
+// A duplicate is found whether Validate compares the locations pair by pair
+// (at most pairwiseLocations of them) or through a set (more), and wherever it
+// is.
+func TestEntryValidateFindsEveryDuplicate(t *testing.T) {
+	for _, row := range []struct{ n, dup, of int }{
+		{2, 1, 0}, {8, 7, 0}, {8, 5, 3}, // pair by pair
+		{9, 8, 0}, {20, 15, 14}, {20, 3, 1}, // through the set; the last at an index ≤ 8
+	} {
+		e := sampleEntry()
+		e.Locations = locations(row.n)
+		if err := e.Validate(); err != nil {
+			t.Errorf("%d distinct locations: %v", row.n, err)
+		}
+		e.Locations[row.dup] = e.Locations[row.of]
+		err := e.Validate()
+		if !errors.Is(err, ErrInvalidEntry) || !strings.Contains(err.Error(), fmt.Sprintf("blob/%d}", row.of)) {
+			t.Errorf("%d locations, index %d repeating %d: Validate = %v", row.n, row.dup, row.of, err)
+		}
+	}
+}
+
+// An entry decoded from one frame can hold millions of locations, so checking
+// them must stay linear: 100k of them, the duplicate last, take a few
+// milliseconds where comparing every pair would take seconds.
+func TestEntryValidateHostileLocationCount(t *testing.T) {
+	e := sampleEntry()
+	e.Locations = locations(100_000)
+	start := time.Now()
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e.Locations[len(e.Locations)-1] = e.Locations[len(e.Locations)-2]
+	if err := e.Validate(); !errors.Is(err, ErrInvalidEntry) {
+		t.Errorf("a duplicate at the end of 100k locations: Validate = %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("validating 100k locations twice took %v: the check is not linear", elapsed)
+	}
+}
+
+func BenchmarkEntryValidate(b *testing.B) {
+	for _, n := range []int{1, pairwiseLocations, 64} {
+		e := sampleEntry()
+		e.Locations = locations(n)
+		b.Run(fmt.Sprintf("locations=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := e.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

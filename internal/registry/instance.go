@@ -293,15 +293,13 @@ func (i *Instance) PutMany(ctx context.Context, entries []Entry) ([]Entry, error
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	kvs := make([]memcache.KV, 0, len(entries))
 	for _, e := range entries {
 		if err := e.Validate(); err != nil {
 			return nil, err
 		}
-		kvs = append(kvs, memcache.KV{Key: e.Name, Value: encodeEntry(e)})
 	}
 	defer i.lockStripes(entryNames(entries))()
-	items, err := i.store.PutBatch(kvs)
+	items, err := i.store.PutBatch(encodeBatch(entries))
 	if err != nil {
 		return nil, fmt.Errorf("put-many: %w", err)
 	}
@@ -367,7 +365,7 @@ func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err
 		current[it.Key] = cur
 	}
 
-	var batch []memcache.KV
+	var batch []Entry
 	for _, e := range entries {
 		cur, exists := current[e.Name]
 		var next Entry
@@ -386,15 +384,14 @@ func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err
 				continue // nothing new
 			}
 		}
-		batch = append(batch, memcache.KV{Key: e.Name, Value: encodeEntry(next)})
+		batch = append(batch, next)
 		current[e.Name] = next // later duplicates in the batch merge onto this
-		applied++
 	}
 	if len(batch) == 0 {
 		return 0, nil
 	}
-	if _, err := i.store.PutBatch(batch); err != nil {
+	if _, err := i.store.PutBatch(encodeBatch(batch)); err != nil {
 		return 0, fmt.Errorf("merge: %w", err)
 	}
-	return applied, nil
+	return len(batch), nil
 }

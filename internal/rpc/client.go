@@ -255,7 +255,9 @@ func (c *Client) GetMany(ctx context.Context, names []string) ([]registry.Entry,
 	return resp.Entries, nil
 }
 
-// PutMany implements registry.API. The whole batch travels in one frame.
+// PutMany implements registry.API. The whole batch travels in one frame, and
+// the reply carries only the version each entry was stored under: the stored
+// entries are the request's with those versions, and share its Locations.
 func (c *Client) PutMany(ctx context.Context, entries []registry.Entry) ([]registry.Entry, error) {
 	if len(entries) == 0 {
 		return nil, nil
@@ -267,7 +269,15 @@ func (c *Client) PutMany(ctx context.Context, entries []registry.Entry) ([]regis
 	if !resp.OK {
 		return nil, decodeRespErr(resp)
 	}
-	return resp.Entries, nil
+	if len(resp.Versions) != len(entries) {
+		return nil, fmt.Errorf("rpc: %s: putmany of %d entries answered with %d versions: %w",
+			c.addr, len(entries), len(resp.Versions), registry.ErrUnavailable)
+	}
+	out := append([]registry.Entry(nil), entries...)
+	for i, v := range resp.Versions {
+		out[i].Version = v
+	}
+	return out, nil
 }
 
 // DeleteMany implements registry.API. The whole name list travels in one

@@ -55,6 +55,7 @@ import (
 //	  shapeEntries  uvarint count, that many (uvarint length, encoding)
 //	  shapeNames    uvarint count, that many uvarint lengths, the names
 //	  shapeN        varint N
+//	  shapeVersions uvarint count, that many uvarint versions
 //
 // and an event is
 //
@@ -89,11 +90,12 @@ const flagSampled = 0x01
 // operation the protocol no longer has, and is refused like any other
 // undefined bit.
 const (
-	shapeEntry   = 0x01
-	shapeEntries = 0x02
-	shapeNames   = 0x04
-	shapeN       = 0x10
-	shapeMask    = shapeEntry | shapeEntries | shapeNames | shapeN
+	shapeEntry    = 0x01
+	shapeEntries  = 0x02
+	shapeNames    = 0x04
+	shapeN        = 0x10
+	shapeVersions = 0x40
+	shapeMask     = shapeEntry | shapeEntries | shapeNames | shapeN | shapeVersions
 )
 
 // The least an element of each counted list occupies; a count is checked
@@ -104,6 +106,7 @@ const (
 	minEntryBytes    = 9 // length, then format byte and seven one-byte numbers
 	minNameBytes     = 1 // length
 	minEventBytes    = 6 // Seq, Op, Commit, three lengths
+	minVersionBytes  = 1 // a one-byte uvarint
 )
 
 // internalByte is ErrInternal's byte in errCodes, which a code without one
@@ -298,6 +301,13 @@ func appendResponse(dst []byte, r *Response) []byte {
 	if r.N != 0 {
 		shape |= shapeN
 		dst = binary.AppendVarint(dst, int64(r.N))
+	}
+	if len(r.Versions) > 0 {
+		shape |= shapeVersions
+		dst = binary.AppendUvarint(dst, uint64(len(r.Versions)))
+		for _, v := range r.Versions {
+			dst = binary.AppendUvarint(dst, v)
+		}
 	}
 	dst[shapeAt] = shape
 	return dst
@@ -587,6 +597,9 @@ func (r *frameReader) response(resp *Response) {
 			r.err = errReplyEmptyField
 		}
 	}
+	if shape&shapeVersions != 0 {
+		resp.Versions = r.versions(r.nonEmpty(minVersionBytes))
+	}
 }
 
 // nonEmpty is count for a list behind a shape bit, which is not empty.
@@ -634,6 +647,18 @@ func (r *frameReader) names(n int) []string {
 		names[i], blob = blob[:l], blob[l:]
 	}
 	return names
+}
+
+// versions decodes n uvarints at the cost of one allocation.
+func (r *frameReader) versions(n int) []uint64 {
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	versions := make([]uint64, n)
+	for i := range versions {
+		versions[i] = r.uvarint()
+	}
+	return versions
 }
 
 // entries decodes n length-prefixed entries.

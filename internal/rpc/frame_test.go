@@ -68,6 +68,15 @@ func getManyReply(n int) ResponseFrame {
 	}
 }
 
+// putManyReply answers an n-entry PutMany: the versions, in request order.
+func putManyReply(n int) ResponseFrame {
+	f := ResponseFrame{Header: Header{ID: 10, Kind: FrameSingle}, Resp: Response{OK: true}}
+	for i := 0; i < n; i++ {
+		f.Resp.Versions = append(f.Resp.Versions, uint64(1+i*i))
+	}
+	return f
+}
+
 func encoded(f ResponseFrame) []byte { return appendResponseFrame(nil, &f) }
 
 func golden(t testing.TB, path ...string) []byte {
@@ -148,6 +157,7 @@ func replySeeds(t testing.TB) []frameSeed {
 		})},
 		{name: "events256-terminal", data: encoded(events)},
 		{name: "getmany", data: encoded(getManyReply(3))},
+		{name: "putmany256", data: encoded(putManyReply(256))},
 		// the corpus file keeps the name it was committed under, when a reply
 		// could also carry a Bool.
 		{name: "names-bool-n", data: encoded(ResponseFrame{
@@ -180,6 +190,12 @@ func replySeeds(t testing.TB) []frameSeed {
 		{name: "hostile-shape-over-zero-n", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeN, 0)},
 		{name: "hostile-shape-over-no-entries", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeEntries, 0)},
 		{name: "hostile-shape-over-no-names", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeNames, 0)},
+		{name: "hostile-shape-over-no-versions", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeVersions, 0)},
+		// three versions, two bytes left.
+		{name: "hostile-version-count", err: errFrameLength, data: header(FrameSingle, 0, 0, shapeVersions, 3, 1, 2)},
+		// version 3 written as two bytes.
+		{name: "hostile-version-not-shortest", err: errFrameNotShortest, data: header(FrameSingle, 0, 0, shapeVersions, 1, 0x83, 0x00)},
+		{name: "hostile-versions-trailing-byte", err: errFrameTrailing, data: header(FrameSingle, 0, 0, shapeVersions, 2, 1, 2, 0)},
 		{name: "hostile-shape-over-zero-entry", err: errReplyEmptyField,
 			data: append(header(FrameSingle, 0, 0, shapeEntry, byte(registry.EncodedSize(registry.Entry{}))), registry.AppendEntry(nil, registry.Entry{})...)},
 		// a batch count of 0 written as two bytes.
@@ -351,8 +367,8 @@ func FuzzResponseFrame(f *testing.F) {
 
 // The allocation gates the ladder's rpc.roundtrip_allocs_null row rests on.
 func TestReplyCodecAllocations(t *testing.T) {
-	get, many := getReply(), getManyReply(64)
-	for name, f := range map[string]*ResponseFrame{"Get": &get, "GetMany64": &many} {
+	get, many, versions := getReply(), getManyReply(64), putManyReply(256)
+	for name, f := range map[string]*ResponseFrame{"Get": &get, "GetMany64": &many, "PutMany256": &versions} {
 		buf := appendResponseFrame(nil, f)
 		if allocs := testing.AllocsPerRun(100, func() { buf = appendResponseFrame(buf[:0], f) }); allocs != 0 {
 			t.Errorf("%s: appendResponseFrame into spare capacity cost %v allocations, want 0", name, allocs)
@@ -367,6 +383,10 @@ func TestReplyCodecAllocations(t *testing.T) {
 	data = encoded(many)
 	if allocs := testing.AllocsPerRun(100, func() { decodeResponseFrame(data, &back) }); allocs > 2*n+3 { //nolint:errcheck // counted, not checked
 		t.Errorf("decodeResponseFrame of a %d-entry reply cost %v allocations, want at most %d", n, allocs, 2*n+3)
+	}
+	data = encoded(versions)
+	if allocs := testing.AllocsPerRun(100, func() { decodeResponseFrame(data, &back) }); allocs > 1 { //nolint:errcheck // counted, not checked
+		t.Errorf("decodeResponseFrame of a 256-version reply cost %v allocations, want at most 1", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { traceName(OpGet) }); allocs != 0 {
 		t.Errorf("traceName cost %v allocations, want 0", allocs)
@@ -466,11 +486,11 @@ func TestTraceNames(t *testing.T) {
 }
 
 func BenchmarkResponseFrameEncode(b *testing.B) {
-	get, many := getReply(), getManyReply(64)
+	get, many, versions := getReply(), getManyReply(64), putManyReply(256)
 	for _, bc := range []struct {
 		name string
 		f    *ResponseFrame
-	}{{"Get", &get}, {"GetMany64", &many}} {
+	}{{"Get", &get}, {"GetMany64", &many}, {"PutMany256", &versions}} {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := appendResponseFrame(nil, bc.f)
 			b.SetBytes(int64(len(buf)))
@@ -486,7 +506,7 @@ func BenchmarkResponseFrameDecode(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		data []byte
-	}{{"Get", encoded(getReply())}, {"GetMany64", encoded(getManyReply(64))}} {
+	}{{"Get", encoded(getReply())}, {"GetMany64", encoded(getManyReply(64))}, {"PutMany256", encoded(putManyReply(256))}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var f ResponseFrame
 			b.SetBytes(int64(len(bc.data)))
@@ -508,6 +528,19 @@ func BenchmarkRoundTripNull(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := client.Get(tctx, name); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPutManyRoundTrip256 is one preload frame of geobench's: 256
+// entries out, their versions back, over the null server.
+func BenchmarkPutManyRoundTrip256(b *testing.B) {
+	client := startNullServer(b)
+	entries := geobenchEntries(256)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := client.PutMany(tctx, entries); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -183,8 +183,9 @@ func TestPutManyDeleteManyOverWire(t *testing.T) {
 		t.Fatalf("PutMany returned %d entries, want %d", len(stored), len(batch))
 	}
 	for i, e := range stored {
-		if e.Version == 0 {
-			t.Errorf("stored[%d] has no version", i)
+		held, err := client.Get(tctx, batch[i].Name)
+		if err != nil || !e.Equal(batch[i]) || e.Version == 0 || e.Version != held.Version {
+			t.Errorf("stored[%d] = %+v, the server holds %+v (%v): want the request's entry at the held version", i, e, held, err)
 		}
 	}
 	if client.Len(tctx) != 6 {

@@ -298,7 +298,7 @@ var opTable = [...]struct {
 		return entriesResult(reg.GetMany(ctx, req.Names))
 	}},
 	OpPutMany: {"putmany", bodyEntries, func(ctx context.Context, reg registry.API, req Request) Response {
-		return entriesResult(reg.PutMany(ctx, req.Entries))
+		return versionsResult(reg.PutMany(ctx, req.Entries))
 	}},
 	OpDeleteMany: {"deletemany", bodyNames, func(ctx context.Context, reg registry.API, req Request) Response {
 		return countResult(reg.DeleteMany(ctx, req.Names))
@@ -361,6 +361,19 @@ func entriesResult(entries []registry.Entry, err error) Response {
 	return Response{OK: true, Entries: entries}
 }
 
+// versionsResult answers a PutMany with the version of each stored entry, in
+// request order: the rest of each entry is what the client sent.
+func versionsResult(stored []registry.Entry, err error) Response {
+	if err != nil {
+		return failure(err)
+	}
+	versions := make([]uint64, len(stored))
+	for i := range stored {
+		versions[i] = stored[i].Version
+	}
+	return Response{OK: true, Versions: versions}
+}
+
 func countResult(n int, err error) Response {
 	if err != nil {
 		return failure(err)
@@ -399,13 +412,16 @@ type Response struct {
 	Detail string
 	// Entry is the result of Create/Put/Get/AddLoc.
 	Entry registry.Entry
-	// Entries is the result of Entries/GetMany/PutMany.
+	// Entries is the result of Entries/GetMany.
 	Entries []registry.Entry
 	// Names is the result of Names.
 	Names []string
 	// N is the result of Len/Merge/DeleteMany, and carries the SiteID for
 	// OpSite.
 	N int
+	// Versions is the result of PutMany: the version each request entry was
+	// stored under, in request order.
+	Versions []uint64
 	// RetryAfterNs is the backoff hint in nanoseconds accompanying an
 	// ErrOverloaded rejection (0 otherwise): how long the client should
 	// wait before retrying. It travels with a failed response only.

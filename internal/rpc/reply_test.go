@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -325,4 +326,117 @@ func TestConcurrentRepliesOwnTheirMemory(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// versionServer answers every PutMany with as many versions as the request
+// has entries plus skew — a server that miscounts, when skew is not 0 — and
+// any other request with an empty success. Of a request it decodes only the
+// preamble, the op and the entry count, and it encodes each reply into one
+// reused buffer, so what it allocates per call does not grow with the batch:
+// what grows is the client's.
+func versionServer(t *testing.T, skew int) (addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	versions := make([]uint64, 1024)
+	for i := range versions {
+		versions[i] = uint64(100 + i)
+	}
+	serve := func(conn net.Conn) {
+		defer wg.Done()
+		defer conn.Close()
+		var rf RequestFrame
+		var out []byte
+		for {
+			payload, err := readPayload(conn)
+			if err != nil {
+				return
+			}
+			body, _, err := decodeRequestPreamble(payload, &rf)
+			reply := ResponseFrame{Header: Header{ID: rf.Header.ID, Kind: FrameSingle}, Resp: Response{OK: true}}
+			if Op(body.byte()) == OpPutMany {
+				reply.Resp.Versions = versions[:body.count(minEntryBytes)+skew]
+			}
+			releasePayload(payload)
+			if err != nil || body.err != nil {
+				return
+			}
+			out = appendResponseFrame(append(out[:0], 0, 0, 0, 0), &reply)
+			binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go serve(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// A PutMany reply carries one version per request entry; one with more or
+// fewer is a broken peer, reported as unavailable, not a short result.
+func TestPutManyVersionCountMismatchIsAnError(t *testing.T) {
+	entries := geobenchEntries(3)
+	for _, skew := range []int{-1, 0, 1} {
+		client, err := Dial(tctx, versionServer(t, skew), WithPoolSize(1), WithMetrics(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := client.PutMany(tctx, entries)
+		client.Close()
+		if skew == 0 {
+			if err != nil || len(stored) != 3 || stored[0].Version != 100 || stored[2].Version != 102 {
+				t.Errorf("PutMany answered with 3 versions = %+v, %v", stored, err)
+			}
+			continue
+		}
+		if stored != nil || !errors.Is(err, registry.ErrUnavailable) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("putmany of 3 entries answered with %d versions", 3+skew)) {
+			t.Errorf("PutMany answered with %d versions = %d entries, %v; want an unavailable error naming both counts", 3+skew, len(stored), err)
+		}
+	}
+}
+
+// What a PutMany costs its client does not grow with the batch: the request
+// is encoded into a pooled buffer, the reply decodes into one version list,
+// and the stored entries are one copy of the request's. Under the race
+// detector the pools drop buffers at random, and a dropped encode buffer
+// regrows to the batch's size in a few steps more for the larger batch.
+func TestPutManyClientAllocationsDoNotGrow(t *testing.T) {
+	client, err := Dial(tctx, versionServer(t, 0), WithPoolSize(1), WithMetrics(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	cost := func(n int) float64 {
+		entries := geobenchEntries(n)
+		return testing.AllocsPerRun(200, func() {
+			if _, err := client.PutMany(tctx, entries); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := cost(16), cost(256)
+	slack := 0.0
+	if raceEnabled {
+		slack = 5
+	}
+	if large > small+slack {
+		t.Errorf("a 256-entry PutMany cost its client %v allocations, a 16-entry one %v: the cost grows with the batch", large, small)
+	}
+	t.Logf("PutMany client allocations: %v for 16 entries, %v for 256", small, large)
 }
