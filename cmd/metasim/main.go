@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		size      = fs.Float64("size", 0, "override the workload size factor (1.0 = paper scale)")
 		nodes     = fs.Int("nodes", 0, "override the node count for fixed-size experiments")
 		keydist   = fs.String("keydist", "", "key distribution for the synthetic readers: uniform (default), zipfian[:s], or hotspot[:frac,weight]")
-		tenants   = fs.Int("tenants", 0, "spread the synthetic workload's nodes across this many tenants (node n runs as tenant-<n mod N>); 0 keeps every node on the default tenant")
 		csvPath   = fs.String("csv", "", "write the result series as CSV to this file")
 		seed      = fs.Int64("seed", 0, "override the random seed")
 		timeout   = fs.Duration("timeout", 0, "wall-clock deadline for the whole run; 0 means none")
@@ -90,11 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	if *tenants < 0 {
-		fmt.Fprintln(stderr, "metasim: -tenants must be >= 0")
-		return 2
-	}
-	cfg.Tenants = *tenants
 	if *keydist != "" {
 		dist, err := workloads.ParseKeyDist(*keydist)
 		if err != nil {

@@ -20,6 +20,7 @@ func TestTableAndFigurePrint(t *testing.T) {
 	}{
 		{[]string{"-table", "1"}, []string{"Table I", "Small Scale", "Computation Intensive", "Metadata Intensive"}},
 		{[]string{"-fig", "9"}, []string{"Figure 9", "buzzflow", "montage"}},
+		{[]string{"-table", "1", "-scale", "0.5", "-size", "0.5", "-nodes", "4", "-seed", "7"}, []string{"Table I", "scale 0.5, size factor 0.5"}},
 	}
 	for _, tc := range cases {
 		code, out, errOut := metasim(tc.args...)
@@ -43,7 +44,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		wantErr string
 	}{
 		{[]string{"-table", "1", "-keydist", "pareto"}, "-keydist"},
-		{[]string{"-table", "1", "-tenants", "-1"}, "-tenants must be >= 0"},
+		{[]string{"-table", "1", "-replication", "2"}, "replication requires a sharded tier"},
 		{nil, "-fig"}, // nothing selected: the usage text lists the flags
 		{[]string{"-no-such-flag"}, "no-such-flag"},
 	}
@@ -64,5 +65,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 func TestUnknownFigureFails(t *testing.T) {
 	if code, _, errOut := metasim("-fig", "4"); code != 1 || !strings.Contains(errOut, "unknown figure 4") {
 		t.Errorf("metasim -fig 4 = exit %d, stderr %q; want exit 1 naming the figure", code, errOut)
+	}
+	if code, _, errOut := metasim("-table", "2"); code != 1 || !strings.Contains(errOut, "unknown table 2") {
+		t.Errorf("metasim -table 2 = exit %d, stderr %q; want exit 1 naming the table", code, errOut)
 	}
 }

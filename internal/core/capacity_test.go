@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -119,5 +120,55 @@ func TestCapacityStoreBoundsConcurrency(t *testing.T) {
 	}
 	if n := reg.Histogram("memcache_slot_wait_ns").Count(); n != callers {
 		t.Errorf("memcache_slot_wait_ns has %d observations, want %d", n, callers)
+	}
+}
+
+// A change feed serializes nothing above the cache: two Puts to a feeding
+// instance over two modelled workers, of names on different update stripes,
+// are both inside the modelled service time before either leaves it, and
+// both are published.
+func TestFeedingInstanceOverlapsWrites(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 2)
+	sleep := func(time.Duration) {
+		entered <- struct{}{}
+		<-release
+	}
+	inst := registry.NewInstance(1, CapacityStore(memcache.New(memcache.Config{}), time.Millisecond, 2, sleep, nil), registry.WithChangeFeed())
+	sub, err := inst.ChangeFeed().Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	done := make(chan error, 2)
+	for _, name := range []string{"a", "b"} { // update stripes 44 and 37
+		go func() {
+			_, err := inst.Put(context.Background(), testEntry(name, 1))
+			done <- err
+		}()
+	}
+	deadline := time.After(5 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-deadline:
+			close(release)
+			t.Fatalf("%d of two writes reached the modelled service time; the other waits behind it", i)
+		}
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	published := map[string]bool{}
+	for len(published) < 2 {
+		select {
+		case ev := <-sub.Events():
+			published[ev.Name] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("published %v, want a and b", published)
+		}
 	}
 }

@@ -225,8 +225,7 @@ type MetadataService interface {
 
 // Client binds a MetadataService to one execution node, providing the
 // node-local view used by workflow tasks: every operation is issued from the
-// node's site. A tenant rides on the context (limits.WithTenant), as it does
-// for every other caller of the registry stack.
+// node's site.
 type Client struct {
 	svc  MetadataService
 	node cloud.Node

@@ -23,15 +23,16 @@ const feedRelayBatch = 64
 // sites route names, flushing at once — instead of waiting for the next agent
 // round or flush tick. It carries no pipeline of its own: batching, shipping
 // and the retry of a destination that could not be reached are the
-// propagator's. Durable sites contribute WAL sequence numbers, so the
-// combiner's resume tokens survive instance restarts; a cursor that falls out
-// of a feed's retention window takes the snapshot+tail fallback inside the
-// combiner.
+// propagator's. A durable site's feed restarts at the last sequence number
+// its log member wrote, which no earlier cursor passes, so a cursor from
+// before a restart, like one that falls out of a feed's retention window,
+// takes the snapshot+tail fallback inside the combiner unless it missed
+// nothing.
 //
 // Echo safety: applying a batch at a remote site republishes the mutations on
 // that site's feed, so the syncer would see its own writes come back. Those
-// events carry the Sync mark (set by the bulk-apply store path under the same
-// commit lock) and the syncer skips them outright — no echo traffic, and no
+// events carry the Sync mark (set as the cache applies a batch) and the
+// syncer skips them outright — no echo traffic, and no
 // resurrection race where a stale echoed put lands after a later delete.
 type feedSyncer struct {
 	comb *feed.Combiner

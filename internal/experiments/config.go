@@ -77,11 +77,6 @@ type Config struct {
 	// the zero value keeps the paper's uniform picks, Zipfian and hot-spot
 	// skews concentrate reads on a small popular set.
 	KeyDist workloads.KeyDist
-	// Tenants spreads the synthetic workload's nodes across this many
-	// tenants (node n runs as "tenant-<n mod Tenants>"), exercising
-	// admission control on limit-enforcing deployments. 0 keeps every node
-	// on the default tenant.
-	Tenants int
 }
 
 // BindSiteFlags registers the site-shaping flags metasim and wfrun share,

@@ -326,7 +326,6 @@ func runSynthetic(ctx context.Context, cfg Config, kind core.StrategyKind, nodes
 		Seed:       cfg.Seed,
 		Prefix:     fmt.Sprintf("%s-n%d-o%d", kind.Short(), nodes, opsPerNode),
 		KeyDist:    cfg.KeyDist,
-		Tenants:    cfg.Tenants,
 	}, prog)
 }
 

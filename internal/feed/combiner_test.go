@@ -62,8 +62,14 @@ func TestCombinerMergesSourcesInOrder(t *testing.T) {
 			}
 		}
 	}
-	if c.Cursor("a") != 5 || c.Cursor("b") != 5 {
-		t.Fatalf("cursors = %d, %d", c.Cursor("a"), c.Cursor("b"))
+	// A cursor advances only after its event's send returns, so the last
+	// one may trail the receive above for a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Cursor("a") != 5 || c.Cursor("b") != 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("cursors = %d, %d, want 5, 5", c.Cursor("a"), c.Cursor("b"))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -3,17 +3,17 @@
 // into a per-shard Log, and consumers subscribe from a sequence cursor to
 // receive first the retained backlog and then the live tail.
 //
-// The sequence numbers are the resume tokens of the watch protocol. For a
-// durable shard they are the WAL sequence numbers themselves
-// (store.Durable assigns them under its mutation mutex, so event order is
-// exactly log order); for a memory-only shard the Log assigns its own
-// consecutive sequence. A consumer that reconnects re-subscribes from the
-// last sequence it processed and misses nothing, as long as the cursor still
-// falls inside the Log's retained window — when it does not (the ring
-// evicted past it, or the shard restarted and the pre-restart backlog is
-// gone), Subscribe fails with ErrCompacted and the consumer falls back to
-// snapshot+tail: fetch the shard's current state as synthetic put events,
-// then tail from the head sequence captured before the snapshot.
+// The sequence numbers are the resume tokens of the watch protocol. A Log
+// assigns them itself, consecutively; a durable shard starts its Log at the
+// sequence number of its last WAL record (StartAt), so the numbers of one
+// incarnation never reach back into those of the last. A consumer that
+// reconnects re-subscribes from the last sequence it processed and misses
+// nothing, as long as the cursor still falls inside the Log's retained
+// window — when it does not (the ring evicted past it, or the shard
+// restarted and the pre-restart backlog is gone), Subscribe fails with
+// ErrCompacted and the consumer falls back to snapshot+tail: fetch the
+// shard's current state as synthetic put events, then tail from the head
+// sequence captured before the snapshot.
 //
 // A Combiner fans many per-shard subscriptions into one consumer with
 // per-source resume cursors, automatic resubscribe with exponential backoff,
@@ -56,11 +56,8 @@ func (o Op) String() string {
 
 // Event is one committed mutation of a shard.
 type Event struct {
-	// Seq is the event's sequence number in its Log — the resume token. For
-	// durable shards it equals the WAL record's sequence number. Sequences
-	// are strictly increasing per Log but may have holes (the WAL journals
-	// some records, e.g. deletes of absent keys, that change no state and
-	// publish no event).
+	// Seq is the event's sequence number in its Log — the resume token.
+	// A Log numbers its events consecutively from its start (StartAt).
 	Seq uint64
 	// Op is the mutation kind.
 	Op Op
@@ -166,10 +163,10 @@ func NewLog(opts ...LogOption) *Log {
 	return l
 }
 
-// StartAt positions an empty log at the given sequence: a durable shard that
-// recovered its WAL to sequence n starts its feed there, so cursors from
-// before the restart land below the floor and trigger the snapshot
-// fallback instead of silently missing the un-replayable backlog.
+// StartAt positions an empty log at the given sequence: a durable shard
+// starts its feed at its last WAL record's. Its previous incarnation
+// published at most one event per record, so no earlier cursor passes the
+// floor, and one that missed events takes the snapshot fallback.
 func (l *Log) StartAt(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -193,54 +190,58 @@ func (l *Log) Floor() uint64 {
 	return l.floor
 }
 
-// Append publishes a mutation with the next self-assigned sequence number
-// and the current time, returning the assigned sequence. Memory-only shards
-// (no WAL to borrow sequences from) publish through it.
+// Append publishes a mutation with the current time, returning its
+// sequence number: Publish of the bare event.
 func (l *Log) Append(op Op, name string, value []byte) uint64 {
 	return l.Publish(Event{Op: op, Name: name, Value: value})
 }
 
-// Publish publishes an event. A zero Seq is replaced with the next
-// self-assigned sequence; a non-zero Seq (a WAL sequence, or a relay
-// preserving holes) must exceed the head and becomes the new head. A zero
-// Commit is stamped with the current time. Publish returns the event's
-// sequence number; publishing on a closed log returns 0.
-func (l *Log) Publish(ev Event) uint64 {
+// Publish publishes an event under the next sequence number, which it
+// returns; the event's own Seq is ignored. A zero Commit is stamped with the
+// current time. Publishing on a closed log returns 0.
+func (l *Log) Publish(ev Event) uint64 { return l.publish(&ev) }
+
+// publish is Publish by reference. It and deliverLocked keep their frames
+// small: a publish, relayed or not, runs at the bottom of a write's call
+// chain, often on a new goroutine whose stack would have to grow.
+func (l *Log) publish(ev *Event) uint64 {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return 0
 	}
-	switch {
-	case ev.Seq == 0:
-		l.seq++
-		ev.Seq = l.seq
-	case ev.Seq > l.seq:
-		l.seq = ev.Seq
-	default:
-		// A non-monotonic external sequence would corrupt every cursor;
-		// refuse it.
-		l.mu.Unlock()
-		return 0
-	}
+	l.seq++
+	ev.Seq = l.seq
 	if ev.Commit == 0 {
 		ev.Commit = time.Now().UnixNano()
 	}
+	l.deliverLocked(ev)
+	if l.relay != nil {
+		l.relay.publish(&Event{Op: ev.Op, Name: ev.Name, Value: ev.Value, Origin: l.relayOrigin, Commit: ev.Commit, Sync: ev.Sync})
+	}
+	l.mu.Unlock()
+	l.events.Inc()
+	return ev.Seq
+}
+
+// deliverLocked appends the event to the ring and sends it to every matching
+// subscriber, dropping one whose buffer is full.
+func (l *Log) deliverLocked(ev *Event) {
 	if l.count == l.capacity {
 		// Evict the oldest retained event; the floor moves up to it.
 		l.floor = l.ring[l.start].Seq
 		l.start = (l.start + 1) % l.capacity
 		l.count--
 	}
-	l.ring[(l.start+l.count)%l.capacity] = ev
+	l.ring[(l.start+l.count)%l.capacity] = *ev
 	l.count++
 	var dropped []*Subscription
 	for sub := range l.subs {
-		if !sub.matches(ev) {
+		if !sub.matches(ev.Name) {
 			continue
 		}
 		select {
-		case sub.ch <- ev:
+		case sub.ch <- *ev:
 		default:
 			// The subscriber's buffer is full: drop it rather than block
 			// the shard's write path. Its cursor lets it resume.
@@ -250,12 +251,6 @@ func (l *Log) Publish(ev Event) uint64 {
 	for _, sub := range dropped {
 		l.dropLocked(sub, ErrLagged)
 	}
-	if l.relay != nil {
-		l.relay.Publish(Event{Op: ev.Op, Name: ev.Name, Value: ev.Value, Origin: l.relayOrigin, Commit: ev.Commit, Sync: ev.Sync})
-	}
-	l.mu.Unlock()
-	l.events.Inc()
-	return ev.Seq
 }
 
 // RelayTo makes the log republish every event it accepts into dst, under
@@ -335,7 +330,7 @@ func (l *Log) Subscribe(from uint64, opts ...SubOption) (*Subscription, error) {
 	var backlog []Event
 	for i := 0; i < l.count; i++ {
 		ev := l.ring[(l.start+i)%l.capacity]
-		if ev.Seq > from && sub.matches(ev) {
+		if ev.Seq > from && sub.matches(ev.Name) {
 			backlog = append(backlog, ev)
 		}
 	}
@@ -380,9 +375,10 @@ func (s *Subscription) setErr(err error) {
 	s.mu.Unlock()
 }
 
-// matches reports whether the event passes the subscription's filter.
-func (s *Subscription) matches(ev Event) bool {
-	return s.prefix == "" || (len(ev.Name) >= len(s.prefix) && ev.Name[:len(s.prefix)] == s.prefix)
+// matches reports whether an event of the named entry passes the
+// subscription's filter.
+func (s *Subscription) matches(name string) bool {
+	return s.prefix == "" || (len(name) >= len(s.prefix) && name[:len(s.prefix)] == s.prefix)
 }
 
 // Close detaches the subscription and closes its channel. Idempotent; safe

@@ -39,38 +39,20 @@ func TestLogAppendAssignsSequence(t *testing.T) {
 	}
 }
 
-func TestLogPublishExternalSequence(t *testing.T) {
-	l := NewLog()
-	// WAL sequences may skip records that publish no event.
-	for _, seq := range []uint64{3, 4, 7} {
-		if got := l.Publish(Event{Seq: seq, Op: OpPut, Name: "k"}); got != seq {
-			t.Fatalf("publish seq %d returned %d", seq, got)
-		}
-	}
-	// Non-monotonic external sequences are refused.
-	if got := l.Publish(Event{Seq: 5, Op: OpPut, Name: "k"}); got != 0 {
-		t.Fatalf("non-monotonic publish accepted, seq %d", got)
-	}
-	if l.Seq() != 7 {
-		t.Fatalf("head = %d, want 7", l.Seq())
-	}
-}
-
 // TestLogRelayToRepublishesSynchronously: two sources relaying into one log
 // put each accepted event there before Publish returns, re-sequenced, with
-// the origin label, commit time and Sync mark; a refused event is not
-// relayed, and neither is anything after the source closed.
+// the origin label, commit time and Sync mark; nothing published after the
+// source closed is relayed.
 func TestLogRelayToRepublishesSynchronously(t *testing.T) {
 	relay := NewLog()
 	a, b := NewLog(), NewLog()
 	a.RelayTo(relay, "a")
 	b.RelayTo(relay, "b")
-	a.Publish(Event{Seq: 10, Op: OpPut, Name: "x", Value: []byte("v"), Commit: 42})
+	a.Publish(Event{Op: OpPut, Name: "x", Value: []byte("v"), Commit: 42})
 	b.Append(OpDelete, "y", nil)
-	a.Publish(Event{Seq: 11, Op: OpPut, Name: "z", Sync: true})
-	a.Publish(Event{Seq: 11, Op: OpPut, Name: "refused"})
+	a.Publish(Event{Op: OpPut, Name: "z", Sync: true})
 	a.Close()
-	a.Publish(Event{Seq: 12, Op: OpPut, Name: "after-close"})
+	a.Publish(Event{Op: OpPut, Name: "after-close"})
 	if relay.Seq() != 3 {
 		t.Fatalf("relay head = %d right after the publishes, want 3", relay.Seq())
 	}
@@ -256,5 +238,79 @@ func TestLogMetrics(t *testing.T) {
 	sub.Close()
 	if got := reg.Gauge("feed_subscribers").Value(); got != 0 {
 		t.Fatalf("feed_subscribers after close = %d", got)
+	}
+}
+
+// publishBuffer is the subscriber buffer of the publish rungs: drained before
+// it fills, so no subscriber is dropped.
+const publishBuffer = 4096
+
+// subscribedLog returns a log with n subscribers, and a function that empties
+// their buffers.
+func subscribedLog(tb testing.TB, n int) (*Log, func()) {
+	tb.Helper()
+	l := NewLog()
+	subs := make([]*Subscription, n)
+	for i := range subs {
+		sub, err := l.Subscribe(0, WithBuffer(publishBuffer))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		subs[i] = sub
+	}
+	return l, func() {
+		for _, sub := range subs {
+			for len(sub.Events()) > 0 {
+				<-sub.Events()
+			}
+		}
+	}
+}
+
+// publishKeys and publishValue are geobench's keys and its 38-byte encoded
+// entry.
+func publishKeys() ([]string, []byte) {
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("data/f%07d", i)
+	}
+	return keys, make([]byte, 38)
+}
+
+// TestAppendAllocations: publishing allocates nothing, with or without
+// subscribers.
+func TestAppendAllocations(t *testing.T) {
+	keys, value := publishKeys()
+	for _, n := range []int{0, 1, 16} {
+		l, _ := subscribedLog(t, n)
+		i := 0
+		if allocs := testing.AllocsPerRun(1000, func() {
+			l.Append(OpPut, keys[i%len(keys)], value)
+			i++
+		}); allocs != 0 {
+			t.Errorf("Append with %d subscribers cost %v allocations, want 0", n, allocs)
+		}
+	}
+}
+
+// BenchmarkLogPublish is the in-package rung of the ladder's
+// feed.publish_ns_* rows (benchmark/ladder.go): Append with 0, 1 and 16
+// subscribers, whose buffers are emptied, untimed, before they fill.
+func BenchmarkLogPublish(b *testing.B) {
+	keys, value := publishKeys()
+	for _, n := range []int{0, 1, 16} {
+		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
+			l, drain := subscribedLog(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%publishBuffer == publishBuffer-1 {
+					b.StopTimer()
+					drain()
+					b.StartTimer()
+				}
+				l.Append(OpPut, keys[i%len(keys)], value)
+			}
+		})
 	}
 }

@@ -92,6 +92,9 @@ func TestDurationJSON(t *testing.T) {
 	if back.String() != "1.5s" {
 		t.Fatalf("String = %q", back.String())
 	}
+	if err := back.UnmarshalJSON([]byte("{")); err == nil {
+		t.Fatal("malformed JSON unmarshalled")
+	}
 }
 
 func TestConfigDefaults(t *testing.T) {

@@ -12,7 +12,6 @@
 package limits
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,28 +25,6 @@ import (
 // are accounted against. Clients that predate the tenant header field always
 // map here.
 const DefaultTenant = "default"
-
-type tenantCtxKey struct{}
-
-// WithTenant returns a context carrying the given tenant ID. Clients read it
-// back with TenantFromContext when stamping outgoing frame headers, so a
-// per-call tenant overrides any client-wide default.
-func WithTenant(ctx context.Context, tenant string) context.Context {
-	if tenant == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, tenantCtxKey{}, tenant)
-}
-
-// TenantFromContext returns the tenant ID carried by ctx, or "" when none
-// was attached.
-func TenantFromContext(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	t, _ := ctx.Value(tenantCtxKey{}).(string)
-	return t
-}
 
 // ErrOverloaded is the sentinel matched by errors.Is for any admission
 // rejection — rate limit, byte quota, or load shed. It is distinct from

@@ -1,7 +1,6 @@
 package limits
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -9,24 +8,6 @@ import (
 
 	"geomds/internal/metrics"
 )
-
-func TestTenantContext(t *testing.T) {
-	ctx := context.Background()
-	if got := TenantFromContext(ctx); got != "" {
-		t.Fatalf("empty context tenant = %q, want \"\"", got)
-	}
-	ctx = WithTenant(ctx, "acme")
-	if got := TenantFromContext(ctx); got != "acme" {
-		t.Fatalf("tenant = %q, want acme", got)
-	}
-	// Empty tenant attaches nothing and keeps the existing value.
-	if got := TenantFromContext(WithTenant(ctx, "")); got != "acme" {
-		t.Fatalf("tenant after empty WithTenant = %q, want acme", got)
-	}
-	if got := TenantFromContext(nil); got != "" { //nolint:staticcheck // nil-tolerance is the contract under test
-		t.Fatalf("nil context tenant = %q, want \"\"", got)
-	}
-}
 
 func TestOverloadError(t *testing.T) {
 	err := error(&Overload{Tenant: "acme", Reason: ReasonRate, RetryAfter: 250 * time.Millisecond})
@@ -72,6 +53,12 @@ func TestTokenBucketTake(t *testing.T) {
 	_, wait = b.take(now.Add(100*time.Millisecond), 100)
 	if wait > 500*time.Millisecond+time.Millisecond {
 		t.Fatalf("oversized take hint = %v, want <= burst/rate = 500ms", wait)
+	}
+	// A refill too fast for a whole nanosecond still hints a millisecond.
+	fast := NewTokenBucket(1e10, 1)
+	fast.take(now, 1)
+	if ok, wait := fast.take(now, 1); ok || wait != time.Millisecond {
+		t.Fatalf("fast bucket's second take = %v, %v; want refused, 1ms", ok, wait)
 	}
 }
 

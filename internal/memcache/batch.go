@@ -37,7 +37,7 @@ func (c *Cache) PutBatch(kvs []KV) ([]Item, error) {
 	out := make([]Item, 0, len(kvs))
 	for _, kv := range kvs {
 		c.puts.Add(1)
-		it, _ := c.store(kv.Key, kv.Value, nil) // only a CAS can fail
+		it, _ := c.store(kv.Key, kv.Value, nil, true) // only a CAS can fail
 		out = append(out, it)
 	}
 	return out, nil
@@ -54,7 +54,7 @@ func (c *Cache) DeleteBatch(keys []string) (int, error) {
 	deleted := 0
 	for _, key := range keys {
 		c.deletes.Add(1)
-		if c.take(key) {
+		if c.take(key, true) {
 			deleted++
 		}
 	}

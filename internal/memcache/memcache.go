@@ -33,6 +33,10 @@
 // never reused, so a value stays as it was read for as long as the caller
 // keeps it, which also keeps its page (at most 16 KiB, or the one large
 // value) from being collected. Callers must not write to it.
+//
+// One observer (OnCommit) sees every change as it is applied, under the lock
+// of the shard that applies it: each stored value and each removal of a
+// present key, in the key's apply order. The change feed is tapped there.
 package memcache
 
 import (
@@ -115,6 +119,10 @@ type Cache struct {
 	resident, dead       atomic.Int64
 
 	obs cacheObs
+
+	// commit is the OnCommit observer, nil when none is installed. It is
+	// written under every shard's lock and read under one.
+	commit func(key string, value []byte, deleted, bulk bool)
 }
 
 // cacheObs mirrors the cache's counters into a metrics.Registry so they can
@@ -158,6 +166,22 @@ func New(cfg Config) *Cache {
 // Stop marks the cache as stopped; subsequent operations fail with
 // ErrStopped. Stopping an already stopped cache is a no-op.
 func (c *Cache) Stop() { c.stopped.Store(true) }
+
+// OnCommit installs fn as the commit observer (nil removes it). fn is called
+// under the lock of the shard that applies a change: once per stored value,
+// with the caller's slice, and once per removal of a present key, deleted
+// set and value nil. bulk marks the changes of PutBatch and DeleteBatch. A
+// conflict, an absent key's delete and a stopped cache report nothing. fn
+// must be fast and must not call back into the cache.
+func (c *Cache) OnCommit(fn func(key string, value []byte, deleted, bulk bool)) {
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+	}
+	c.commit = fn
+	for _, sh := range c.shards {
+		sh.mu.Unlock()
+	}
+}
 
 // enter admits a data-plane operation: it fails once the cache is stopped.
 func (c *Cache) enter() error {
@@ -247,7 +271,7 @@ func (c *Cache) Put(key string, value []byte, _ time.Duration) (Item, error) {
 		return Item{}, err
 	}
 	c.puts.Add(1)
-	return c.store(key, value, nil)
+	return c.store(key, value, nil, false)
 }
 
 // CAS stores value under key only if the currently stored version equals
@@ -259,14 +283,25 @@ func (c *Cache) CAS(key string, value []byte, _ time.Duration, expectedVersion u
 		return Item{}, err
 	}
 	c.cases.Add(1)
-	return c.store(key, value, &expectedVersion)
+	return c.store(key, value, &expectedVersion, false)
 }
 
-func (c *Cache) store(key string, value []byte, expected *uint64) (Item, error) {
+// store applies one write under its key's shard lock and reports it to the
+// observer, bulk marking a batch's. storeLocked returns first, to keep the
+// observer's stack shallow: it publishes at the bottom of a write's call
+// chain, often on a new goroutine whose stack would have to grow.
+func (c *Cache) store(key string, value []byte, expected *uint64, bulk bool) (Item, error) {
 	sh, h := c.shardFor(key)
 	sh.mu.Lock()
 	defer c.settle(sh, sh.usage)
+	it, err := c.storeLocked(sh, h, key, value, expected)
+	if err == nil && c.commit != nil {
+		c.commit(key, value, false, bulk)
+	}
+	return it, err
+}
 
+func (c *Cache) storeLocked(sh *shard, h uint64, key string, value []byte, expected *uint64) (Item, error) {
 	sh.reserve()
 	slot, cur, exists := sh.find(h, key)
 	if expected != nil && cur.version != *expected {
@@ -293,14 +328,14 @@ func (c *Cache) Delete(key string) error {
 		return err
 	}
 	c.deletes.Add(1)
-	if !c.take(key) {
+	if !c.take(key, false) {
 		return fmt.Errorf("delete %q: %w", key, ErrNotFound)
 	}
 	return nil
 }
 
-// take removes key and reports whether it was present.
-func (c *Cache) take(key string) bool {
+// take removes key and reports whether it was present; bulk is as store's.
+func (c *Cache) take(key string, bulk bool) bool {
 	sh, h := c.shardFor(key)
 	sh.mu.Lock()
 	defer c.settle(sh, sh.usage)
@@ -311,6 +346,9 @@ func (c *Cache) take(key string) bool {
 	sh.remove(slot, rec.size)
 	c.addItems(-1)
 	c.bytes.Add(-int64(len(rec.value)))
+	if c.commit != nil {
+		c.commit(key, nil, true, bulk)
+	}
 	return true
 }
 

@@ -133,6 +133,60 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// commitEvent is one OnCommit invocation.
+type commitEvent struct {
+	key, value    string
+	deleted, bulk bool
+}
+
+// TestOnCommitSeesEachChangeOnce: the observer sees every stored value,
+// every successful CAS and every delete of a present key once, in apply
+// order, with bulk set for the batch calls only; a conflict, an absent
+// delete and a stopped cache report nothing, and nil removes the observer.
+func TestOnCommitSeesEachChangeOnce(t *testing.T) {
+	c := newTestCache()
+	var got []commitEvent
+	var seen []byte
+	c.OnCommit(func(key string, value []byte, deleted, bulk bool) {
+		got = append(got, commitEvent{key, string(value), deleted, bulk})
+		seen = value
+	})
+	value := []byte("1")
+	it, _ := c.Put("a", value, 0)
+	if &seen[0] != &value[0] {
+		t.Error("the observer was not handed the caller's value slice")
+	}
+	c.CAS("a", []byte("2"), 0, it.Version)                   //nolint:errcheck // observed
+	c.CAS("a", []byte("x"), 0, it.Version)                   //nolint:errcheck // a conflict
+	c.CAS("b", []byte("3"), 0, 0)                            //nolint:errcheck // observed
+	c.Delete("ghost")                                        //nolint:errcheck // absent
+	c.PutBatch([]KV{{"c", []byte("4")}, {"a", []byte("5")}}) //nolint:errcheck // observed
+	c.Delete("b")                                            //nolint:errcheck // observed
+	c.DeleteBatch([]string{"ghost", "c"})                    //nolint:errcheck // c observed
+	c.OnCommit(nil)
+	c.Put("quiet", nil, 0) //nolint:errcheck // no observer
+	c.OnCommit(func(key string, value []byte, deleted, bulk bool) {
+		got = append(got, commitEvent{key, string(value), deleted, bulk})
+	})
+	c.Stop()
+	c.Put("late", nil, 0)           //nolint:errcheck // stopped
+	c.DeleteBatch([]string{"a"})    //nolint:errcheck // stopped
+	c.PutBatch([]KV{{Key: "late"}}) //nolint:errcheck // stopped
+
+	want := []commitEvent{
+		{"a", "1", false, false},
+		{"a", "2", false, false},
+		{"b", "3", false, false},
+		{"c", "4", false, true},
+		{"a", "5", false, true},
+		{"b", "", true, false},
+		{"c", "", true, true},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("observer saw\n  %v\nwant\n  %v", got, want)
+	}
+}
+
 func TestKeysAndSnapshot(t *testing.T) {
 	c := newTestCache()
 	for i := 0; i < 10; i++ {

@@ -775,6 +775,14 @@ func TestCacheAllocations(t *testing.T) {
 	}); allocs > 0.1 {
 		t.Errorf("Put on a warm cache cost %v allocations, want at most 0.1", allocs)
 	}
+	var observed int
+	c.OnCommit(func(string, []byte, bool, bool) { observed++ })
+	if allocs := testing.AllocsPerRun(2000, func() {
+		c.Put(keys[i%len(keys)], value, 0) //nolint:errcheck // counted, not checked
+		i++
+	}); allocs > 0.1 || observed == 0 {
+		t.Errorf("Put on a warm cache with a commit observer cost %v allocations (%d observed), want at most 0.1", allocs, observed)
+	}
 }
 
 // The in-package rungs of the ladder (benchmark/ladder.go's memcache.get_ns

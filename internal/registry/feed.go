@@ -4,33 +4,29 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"geomds/internal/feed"
-	"geomds/internal/memcache"
 	"geomds/internal/metrics"
-	"geomds/internal/store"
 )
 
 // This file wires the change-feed layer (internal/feed) into the registry.
 //
 // An Instance built with WithChangeFeed publishes every committed put and
-// delete as a sequenced feed.Event. Durable instances tap the WAL itself —
-// store.Durable invokes the sink under its mutation mutex, so feed order is
-// exactly log order and the WAL sequence numbers double as resume tokens
-// that survive restarts (the feed starts at the recovered sequence, so
-// pre-restart cursors fall below the floor and trigger the snapshot
-// fallback). Memory-only instances route mutations through a serializing
-// tap that assigns its own consecutive sequence.
+// delete as a sequenced feed.Event, tapped where the cache applies it (the
+// store's OnCommit): under the memcache shard's lock and, when durable, the
+// store.Durable member's mutex, so a member's events follow its log and its
+// covering syncs. Batch applies are marked Sync. The feed numbers events
+// itself; a durable instance's starts at the member's last record (see
+// feed.Log.StartAt).
 //
 // A Router whose shards all expose feeds relays them into one combined,
 // re-sequenced feed: each shard's log republishes every event into the relay
 // on the goroutine that commits it, so per-shard order is preserved and the
-// relay never trails a shard (the lock order is the member's mutex, the
-// shard's log, the relay's log). Events are tagged with their origin shard,
-// and commit timestamps pass through so replication lag measured downstream
-// spans the whole pipeline. Because re-sync sweeps
+// relay never trails a shard (the lock order is the WAL member's mutex, the
+// cache shard's lock, the shard's log, the relay's log). Events are tagged
+// with their origin shard, and commit timestamps pass through so replication
+// lag measured downstream spans the whole pipeline. Because re-sync sweeps
 // repair shards with ordinary Merge/DeleteMany calls on the shard stores, a
 // recovery surfaces in the combined feed as put events at the returning
 // shard followed by delete events at the substitutes that covered for it.
@@ -74,29 +70,25 @@ func FeedSource(name string, f ChangeFeeder) feed.Source {
 	}
 }
 
-// WithChangeFeed gives the instance a change feed: every committed put and
-// delete is published as a sequenced event on ChangeFeed(). Durable
-// instances publish under the WAL's own sequence numbers; memory-only ones
-// assign an in-memory sequence.
+// WithChangeFeed gives the instance a change feed: every change its store
+// applies is published as a sequenced event on ChangeFeed(), as the store
+// applies it. A durable instance's feed starts at the member's last logged
+// sequence number, so a cursor from before a restart that missed anything is
+// reported as compacted.
 func WithChangeFeed(opts ...feed.LogOption) InstanceOption {
 	return func(i *Instance) {
 		log := feed.NewLog(opts...)
 		if i.durable != nil {
-			// The WAL assigns the sequence numbers; the feed starts at the
-			// recovered high-water mark so cursors from before the restart
-			// are correctly reported as compacted.
 			log.StartAt(i.durable.Seq())
-			i.durable.SetEventSink(func(seq uint64, op byte, key string, value []byte, sync bool) {
-				ev := feed.Event{Seq: seq, Op: feed.OpPut, Name: key, Value: value, Sync: sync}
-				if op == store.OpDelete {
-					ev.Op = feed.OpDelete
-					ev.Value = nil
-				}
-				log.Publish(ev)
-			})
-		} else {
-			i.store = &tapStore{Store: i.store, log: log}
 		}
+		i.store.OnCommit(func(key string, value []byte, deleted, bulk bool) {
+			// Sync lets feed-driven agents skip their own applies.
+			ev := feed.Event{Op: feed.OpPut, Name: key, Value: value, Sync: bulk}
+			if deleted {
+				ev.Op = feed.OpDelete
+			}
+			log.Publish(ev)
+		})
 		i.feedLog, i.feedOpts = log, opts
 	}
 }
@@ -136,83 +128,6 @@ func (i *Instance) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, erro
 		events = append(events, feed.Event{Seq: head, Op: feed.OpPut, Name: it.Key, Value: it.Value, Commit: now})
 	}
 	return events, head, nil
-}
-
-// tapStore wraps a memory-only Store so that mutations are serialized and
-// published to the feed with self-assigned sequence numbers — the in-memory
-// equivalent of the WAL's mutation mutex. Reads pass through the embedded
-// store and bypass the tap entirely.
-type tapStore struct {
-	Store
-	mu  sync.Mutex
-	log *feed.Log
-}
-
-func (t *tapStore) Put(key string, value []byte, ttl time.Duration) (memcache.Item, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	it, err := t.Store.Put(key, value, ttl)
-	if err == nil {
-		t.log.Append(feed.OpPut, key, value)
-	}
-	return it, err
-}
-
-func (t *tapStore) CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	it, err := t.Store.CAS(key, value, ttl, expectedVersion)
-	if err == nil {
-		// A version conflict published nothing: only committed writes feed.
-		t.log.Append(feed.OpPut, key, value)
-	}
-	return it, err
-}
-
-func (t *tapStore) Delete(key string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err := t.Store.Delete(key)
-	if err == nil {
-		t.log.Append(feed.OpDelete, key, nil)
-	}
-	return err
-}
-
-func (t *tapStore) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	items, err := t.Store.PutBatch(kvs)
-	if err == nil {
-		for _, kv := range kvs {
-			// The batch path is the bulk-apply side (Merge): mark the events
-			// Sync so feed-driven replication agents recognize their own
-			// applies coming back and do not re-broadcast them.
-			t.log.Publish(feed.Event{Op: feed.OpPut, Name: kv.Key, Value: kv.Value, Sync: true})
-		}
-	}
-	return items, err
-}
-
-func (t *tapStore) DeleteBatch(keys []string) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Like the WAL sink, only deletes that change state publish events —
-	// replication consumers re-applying a delete everywhere must quiesce,
-	// not echo forever.
-	existed := make([]bool, len(keys))
-	for idx, k := range keys {
-		existed[idx] = t.Store.Contains(k)
-	}
-	n, err := t.Store.DeleteBatch(keys)
-	if err == nil {
-		for idx, k := range keys {
-			if existed[idx] {
-				t.log.Publish(feed.Event{Op: feed.OpDelete, Name: k, Sync: true})
-			}
-		}
-	}
-	return n, err
 }
 
 // --- Router: the combined, re-sequenced relay feed over its shards. ---

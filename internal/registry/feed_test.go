@@ -167,13 +167,12 @@ func TestDurableFeedResumeTokensSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestSharedLogFeedsCarryHoles: instances that are members of one log
-// publish under the log's global sequence numbers, so each feed's numbers
-// have holes where the other members' records are. A feed takes them as
-// external sequence numbers, a cursor that falls in a hole resumes at the
-// next event, and after a restart each feed starts at its member's own last
-// number.
-func TestSharedLogFeedsCarryHoles(t *testing.T) {
+// TestSharedLogFeedsAreDense: instances that are members of one log each
+// number their feed densely, whatever the other members log. After a restart
+// each feed starts at the sequence number of its member's last record, which
+// is at least the old feed head, so a cursor from before the restart takes
+// the snapshot fallback instead of being misread.
+func TestSharedLogFeedsAreDense(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	open := func() []*Instance {
@@ -200,21 +199,20 @@ func TestSharedLogFeedsCarryHoles(t *testing.T) {
 	}
 	for m, sub := range subs {
 		for i, ev := range collectFeed(t, sub, 3) {
-			if want := uint64(2*i + m + 1); ev.Seq != want || ev.Name != fmt.Sprintf("k%d", 2*i+m) {
+			if want := uint64(i + 1); ev.Seq != want || ev.Name != fmt.Sprintf("k%d", 2*i+m) {
 				t.Errorf("member %d event %d = %s at seq %d, want k%d at %d", m, i, ev.Name, ev.Seq, 2*i+m, want)
 			}
 		}
-		if seq, _ := insts[m].DurableSeq(); insts[m].ChangeFeed().Seq() != seq {
-			t.Errorf("member %d: feed head %d, DurableSeq %d", m, insts[m].ChangeFeed().Seq(), seq)
+		if seq, _ := insts[m].DurableSeq(); insts[m].ChangeFeed().Seq() != 3 || seq != uint64(5+m) {
+			t.Errorf("member %d: feed head %d, DurableSeq %d; want 3, %d", m, insts[m].ChangeFeed().Seq(), seq, 5+m)
 		}
 	}
-	// Seq 2 is member 1's: on member 0's feed it is a hole.
-	resumed, err := insts[0].ChangeFeed().Subscribe(2)
+	resumed, err := insts[0].ChangeFeed().Subscribe(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collectFeed(t, resumed, 2); got[0].Seq != 3 || got[1].Seq != 5 {
-		t.Errorf("resuming member 0's feed from seq 2 gave seqs %d, %d; want 3, 5", got[0].Seq, got[1].Seq)
+	if got := collectFeed(t, resumed, 2); got[0].Seq != 2 || got[1].Seq != 3 {
+		t.Errorf("resuming member 0's feed from seq 1 gave seqs %d, %d; want 2, 3", got[0].Seq, got[1].Seq)
 	}
 	resumed.Close()
 	for _, inst := range insts {
@@ -233,6 +231,9 @@ func TestSharedLogFeedsCarryHoles(t *testing.T) {
 		if head := inst.ChangeFeed().Seq(); head != uint64(5+m) {
 			t.Errorf("member %d restarted its feed at %d, want its last record's seq %d", m, head, 5+m)
 		}
+		if _, err := inst.ChangeFeed().Subscribe(3); !errors.Is(err, feed.ErrCompacted) {
+			t.Errorf("member %d: the pre-restart head 3 as a cursor: %v, want ErrCompacted", m, err)
+		}
 	}
 	tail, err := insts[0].ChangeFeed().Subscribe(insts[0].ChangeFeed().Seq())
 	if err != nil {
@@ -242,8 +243,8 @@ func TestSharedLogFeedsCarryHoles(t *testing.T) {
 	if _, err := insts[0].Create(ctx, NewEntry("k6", 1, "t", Location{Site: 3})); err != nil {
 		t.Fatal(err)
 	}
-	if next := collectFeed(t, tail, 1); next[0].Seq != 7 {
-		t.Errorf("first event after the restart has seq %d, want 7: the log goes on after member 1's 6", next[0].Seq)
+	if next := collectFeed(t, tail, 1); next[0].Seq != 6 {
+		t.Errorf("first event after the restart has seq %d, want 6: the feed goes on densely from member 0's 5", next[0].Seq)
 	}
 }
 

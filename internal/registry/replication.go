@@ -152,21 +152,21 @@ func hasRef(refs []shardRef, id cloud.SiteID) bool {
 
 // fanOut runs fn once per member of the set — a replica, a shard, a shard's
 // sub-batch — and returns when every call has finished. The calls run
-// concurrently, except that a one-member set — every single-key write of an
-// unreplicated tier — runs on the caller's goroutine.
+// concurrently, the first on the caller's goroutine: one goroutine fewer,
+// and a stack that has already grown to a write's depth.
 func fanOut[T any](set []T, fn func(i int, member T)) {
-	if len(set) == 1 {
-		fn(0, set[0])
+	if len(set) == 0 {
 		return
 	}
 	var wg sync.WaitGroup
-	for i := range set {
+	for i := 1; i < len(set); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			fn(i, set[i]) // indexed here, so a large member is not moved to the heap
 		}()
 	}
+	fn(0, set[0])
 	wg.Wait()
 }
 

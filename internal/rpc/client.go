@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
-	"geomds/internal/limits"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
 )
@@ -120,8 +119,7 @@ func WithPoolSize(n int) ClientOption {
 // WithTenant sets the tenant ID stamped into every outgoing frame header,
 // identifying whose admission budget this client's requests consume (see
 // WithServerLimits). The default is the empty string — the server's default
-// tenant. A tenant attached to an individual call's context via
-// limits.WithTenant overrides the client-wide value for that call.
+// tenant.
 func WithTenant(tenant string) ClientOption {
 	return func(c *Client) { c.tenant = tenant }
 }
@@ -411,7 +409,7 @@ func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, e
 	}
 	f.Header.ID = c.nextID.Add(1)
 	f.Header.TimeoutNs = headerTimeout(ctx)
-	f.Header.Tenant = c.tenantFor(ctx)
+	f.Header.Tenant = c.tenant
 	frame, err := encodeRequest(&f)
 	if err != nil {
 		return ResponseFrame{}, fmt.Errorf("rpc: %s: %w", c.addr, err)
@@ -448,16 +446,6 @@ func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, e
 		return ResponseFrame{}, fmt.Errorf("rpc: %s: %w", c.addr, err)
 	}
 	return pc.do(ctx, f.Header.ID, frame, c.timeout)
-}
-
-// tenantFor resolves the tenant stamped into a frame header: a per-call
-// override carried by the context wins over the client-wide WithTenant
-// value.
-func (c *Client) tenantFor(ctx context.Context) string {
-	if t := limits.TenantFromContext(ctx); t != "" {
-		return t
-	}
-	return c.tenant
 }
 
 // grabConn returns the next pooled connection in round-robin order, dialing

@@ -151,10 +151,13 @@ func TestBareV1RequestRefused(t *testing.T) {
 	}
 }
 
-func TestContextTenantOverridesClientTenant(t *testing.T) {
+// A tenant is a client's: a second client of a spent tenant is refused
+// while the first client, on the default tenant, goes on working.
+func TestTenantIsPerClient(t *testing.T) {
 	_, _, addr := startLimitedServer(t, limits.Config{
 		Tenants: map[string]limits.TenantLimit{
-			"blocked": {OpsPerSec: -1}, // deny everything
+			// One token, for the dial handshake (OpSite); no refill to speak of.
+			"blocked": {OpsPerSec: 0.0001, OpsBurst: 1},
 		},
 	})
 	client, err := Dial(tctx, addr) // default tenant: unlimited
@@ -162,17 +165,21 @@ func TestContextTenantOverridesClientTenant(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer client.Close()
+	blocked, err := Dial(tctx, addr, WithTenant("blocked"))
+	if err != nil {
+		t.Fatalf("dial as blocked: %v", err)
+	}
+	defer blocked.Close()
 
 	if _, err := client.Create(tctx, wireEntry("ov-1")); err != nil {
 		t.Fatalf("default-tenant Create: %v", err)
 	}
-	_, err = client.Create(limits.WithTenant(tctx, "blocked"), wireEntry("ov-2"))
+	_, err = blocked.Create(tctx, wireEntry("ov-2"))
 	if !errors.Is(err, limits.ErrOverloaded) {
-		t.Fatalf("context-tenant Create = %v, want ErrOverloaded", err)
+		t.Fatalf("blocked-tenant Create = %v, want ErrOverloaded", err)
 	}
-	// The override is per call: the next default-tenant call still works.
 	if _, err := client.Create(tctx, wireEntry("ov-3")); err != nil {
-		t.Fatalf("Create after override: %v", err)
+		t.Fatalf("default-tenant Create after the refusal: %v", err)
 	}
 }
 
@@ -180,6 +187,7 @@ func TestWatchAdmission(t *testing.T) {
 	_, _, addr := startLimitedServer(t, limits.Config{
 		Tenants: map[string]limits.TenantLimit{
 			"blocked": {OpsPerSec: -1},
+			"spent":   {OpsPerSec: 0.0001, OpsBurst: 1},
 		},
 	})
 	client, err := Dial(tctx, addr, WithTenant("blocked"))
@@ -192,15 +200,15 @@ func TestWatchAdmission(t *testing.T) {
 		t.Fatalf("dial as blocked tenant = %v, want ErrOverloaded", err)
 	}
 
-	// An unlimited client whose watch call names the blocked tenant is
-	// refused at the frame boundary — even though this registry has no
+	// A client whose handshake spent its tenant's only token has its watch
+	// call refused at the frame boundary — even though this registry has no
 	// change feed, the admission check fires first.
-	open, err := Dial(tctx, addr)
+	spent, err := Dial(tctx, addr, WithTenant("spent"))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer open.Close()
-	_, err = open.Watch(limits.WithTenant(tctx, "blocked"), 0, WatchOptions{})
+	defer spent.Close()
+	_, err = spent.Watch(tctx, 0, WatchOptions{})
 	if !errors.Is(err, limits.ErrOverloaded) {
 		t.Fatalf("watch as blocked tenant = %v, want ErrOverloaded", err)
 	}

@@ -405,7 +405,7 @@ func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*Wa
 	c.obs.dials.Inc()
 	id := c.nextID.Add(1)
 	req := RequestFrame{
-		Header: Header{ID: id, Kind: FrameWatch, Tenant: c.tenantFor(ctx)},
+		Header: Header{ID: id, Kind: FrameWatch, Tenant: c.tenant},
 		Watch:  WatchRequest{FromSeq: from, Prefix: opts.Prefix, NoFallback: opts.NoFallback},
 	}
 	if err := writeRequest(conn, &req); err != nil {

@@ -82,7 +82,7 @@ type probe struct {
 
 func startPut(d *Durable, key string) *probe {
 	p := &probe{d: d, key: key, done: make(chan error, 1), events: make(chan uint64, 4)}
-	d.SetEventSink(func(seq uint64, _ byte, _ string, _ []byte, _ bool) { p.events <- seq })
+	d.OnCommit(func(string, []byte, bool, bool) { p.events <- 0 })
 	go func() {
 		_, err := d.Put(key, []byte("v"), 0)
 		p.done <- err

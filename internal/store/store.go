@@ -5,7 +5,10 @@
 // instead of leaning on the router's R-way re-sync sweep.
 //
 // A Durable is one member of the log: it wraps any Backing (in practice a
-// *memcache.Cache) and journals every mutation before applying it.
+// *memcache.Cache) and journals every mutation before applying it. It applies
+// under its member's mutex and after the covering sync, so the backing
+// store's commit observer (OnCommit, where the change feed is tapped) sees a
+// member's changes in log order and only once they are durable.
 // OpenShared opens a log with one member per backing store; Open is the
 // one-member case. The on-disk layout of a store directory is
 //
@@ -68,6 +71,10 @@ type Backing interface {
 	GetBatch(keys []string) (found []memcache.Item, missing []string, err error)
 	PutBatch(kvs []memcache.KV) ([]memcache.Item, error)
 	DeleteBatch(keys []string) (int, error)
+	// OnCommit installs the observer of every change the store applies, the
+	// change feed's tap (memcache.Cache.OnCommit has the contract); wrappers
+	// pass it down to the cache.
+	OnCommit(fn func(key string, value []byte, deleted, bulk bool))
 }
 
 var _ Backing = (*memcache.Cache)(nil)
@@ -172,9 +179,9 @@ type LogStats struct {
 // order is exactly its apply order — replay then reconstructs the same
 // final state even for racing writes to one key. Members of one log append
 // concurrently and share its fsyncs. A mutation is journaled and synced,
-// then applied, then emitted to the EventSink, so neither a reader nor a
-// snapshot sees a write the log does not hold. Reads go straight to the
-// backing store and never touch the log or a lock.
+// then applied, so neither a reader, a snapshot nor the commit observer sees
+// a write the log does not hold. Reads go straight to the backing store and
+// never touch the log or a lock.
 type Durable struct {
 	log     *wal
 	shard   byte // the member's index, as records carry it
@@ -185,9 +192,6 @@ type Durable struct {
 	recovered uint64 // seq as of Open
 	closed    bool
 	failed    error // the backing store refused a logged record: fail stop
-
-	// sink observes journaled mutations under mu (the change-feed tap).
-	sink EventSink
 }
 
 // Open opens (creating if needed) the store directory as a one-member log,
@@ -279,34 +283,14 @@ func (d *Durable) Close() error {
 	return d.log.release()
 }
 
-// Exported record kinds, for EventSink consumers.
-const (
-	// OpPut marks an upsert record.
-	OpPut = opPut
-	// OpDelete marks a removal record.
-	OpDelete = opDelete
-)
-
-// EventSink receives every state-changing journaled mutation with its WAL
-// sequence number, once the mutation is applied, so a read the event
-// prompts sees it. It is invoked under the member's mutation mutex, so the
-// emission order is exactly the member's log order; sinks must be fast and
-// must not call back into the store. Each member has its own sink, and the
-// sequence numbers it sees are the log's global ones, so the other members'
-// records are holes in them. Deletes of absent keys — journaled for frame
-// batching but changing no state — are suppressed and leave holes too. sync
-// reports that the mutation arrived through the bulk-apply path
-// (PutBatch/DeleteBatch, i.e. a replication batch or migration sweep)
-// rather than a primary single-key write.
-type EventSink func(seq uint64, op byte, key string, value []byte, sync bool)
-
-// SetEventSink installs the sink that observes journaled mutations (the
-// change feed's tap). Install it before the store serves mutations —
-// typically right after Open — so no committed write goes unobserved.
-func (d *Durable) SetEventSink(fn EventSink) {
+// OnCommit installs the backing store's commit observer under the member's
+// mutex. A member applies under that mutex after the covering sync, so the
+// observer sees its changes in log order and only once they are durable.
+// Install it before the store serves mutations.
+func (d *Durable) OnCommit(fn func(key string, value []byte, deleted, bulk bool)) {
 	d.mu.Lock()
-	d.sink = fn
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	d.backing.OnCommit(fn)
 }
 
 // rec is one mutation to journal.
@@ -314,16 +298,11 @@ type rec struct {
 	op    byte
 	key   string
 	value []byte
-	// noEvent suppresses the EventSink for records that change no state
-	// (deletes of absent keys).
-	noEvent bool
-	// sync marks records journaled by the bulk-apply path (see EventSink).
-	sync bool
 }
 
 // journalLocked appends the records to the log and returns once a sync
-// covers them (at once under FsyncNever). On failure nothing is applied or
-// emitted; a failed write or sync has made the whole log fail-stop. On
+// covers them (at once under FsyncNever). On failure nothing is applied; a
+// failed write or sync has made the whole log fail-stop. On
 // success the caller applies the records and then calls appliedLocked.
 func (d *Durable) journalLocked(recs ...rec) error {
 	if d.closed {
@@ -343,24 +322,11 @@ func (d *Durable) journalLocked(recs ...rec) error {
 // appliedLocked finishes records that were journaled and then applied, with
 // the backing store's error. A refusal leaves a record in the log that the
 // member does not serve and replay would apply, so the member goes
-// fail-stop. Otherwise the records are emitted to the sink — after the
-// apply, so a read the event prompts sees them.
-func (d *Durable) appliedLocked(applyErr error, recs ...rec) error {
+// fail-stop.
+func (d *Durable) appliedLocked(applyErr error) error {
 	if applyErr != nil {
 		d.failed = fmt.Errorf("store: wal holds seq %d that the backing store refused: %w", d.seq, applyErr)
 		return d.failed
-	}
-	if d.sink != nil {
-		// Emit under mu, after the batch is on disk and applied, so feed
-		// order is exactly log order and no acknowledged write goes
-		// unpublished. A batch's records have consecutive numbers.
-		seq := d.seq - uint64(len(recs))
-		for _, rc := range recs {
-			seq++
-			if !rc.noEvent {
-				d.sink(seq, rc.op, rc.key, rc.value, rc.sync)
-			}
-		}
 	}
 	return nil
 }
@@ -384,7 +350,7 @@ func (d *Durable) Put(key string, value []byte, ttl time.Duration) (memcache.Ite
 		return memcache.Item{}, err
 	}
 	it, err := d.backing.Put(key, value, ttl)
-	return it, d.appliedLocked(err, r)
+	return it, d.appliedLocked(err)
 }
 
 // CAS journals and applies the conditional write only when its version
@@ -404,7 +370,7 @@ func (d *Durable) CAS(key string, value []byte, ttl time.Duration, expectedVersi
 		return memcache.Item{}, err
 	}
 	it, err := d.backing.CAS(key, value, ttl, expectedVersion)
-	return it, d.appliedLocked(err, r)
+	return it, d.appliedLocked(err)
 }
 
 // versionIs reports whether key is stored at version, 0 meaning absent: the
@@ -431,7 +397,7 @@ func (d *Durable) Delete(key string) error {
 	if err := d.journalLocked(r); err != nil {
 		return err
 	}
-	return d.appliedLocked(d.backing.Delete(key), r)
+	return d.appliedLocked(d.backing.Delete(key))
 }
 
 // PutBatch journals the batch as one append (one covering fsync) and applies
@@ -447,13 +413,13 @@ func (d *Durable) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 	}
 	recs := make([]rec, len(kvs))
 	for i, kv := range kvs {
-		recs[i] = rec{op: opPut, key: kv.Key, value: kv.Value, sync: true}
+		recs[i] = rec{op: opPut, key: kv.Key, value: kv.Value}
 	}
 	if err := d.journalLocked(recs...); err != nil {
 		return nil, err
 	}
 	items, err := d.backing.PutBatch(kvs)
-	return items, d.appliedLocked(err, recs...)
+	return items, d.appliedLocked(err)
 }
 
 // DeleteBatch journals every requested deletion as one append and removes
@@ -469,25 +435,15 @@ func (d *Durable) DeleteBatch(keys []string) (int, error) {
 	if len(keys) == 0 {
 		return d.backing.DeleteBatch(keys)
 	}
-	// The sink only reports state changes, so record which keys actually
-	// exist before the batch removes them. Checked under mu, so no mutation
-	// can race the check.
-	var existed []bool
-	if d.sink != nil {
-		existed = make([]bool, len(keys))
-		for i, k := range keys {
-			existed[i] = d.backing.Contains(k)
-		}
-	}
 	recs := make([]rec, len(keys))
 	for i, k := range keys {
-		recs[i] = rec{op: opDelete, key: k, noEvent: existed != nil && !existed[i], sync: true}
+		recs[i] = rec{op: opDelete, key: k}
 	}
 	if err := d.journalLocked(recs...); err != nil {
 		return 0, err
 	}
 	n, err := d.backing.DeleteBatch(keys)
-	return n, d.appliedLocked(err, recs...)
+	return n, d.appliedLocked(err)
 }
 
 // Get delegates to the backing store.

@@ -537,7 +537,7 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 			put(t, d, "a", "1")
 			put(t, d, "b", "2")
 			var events int
-			d.SetEventSink(func(uint64, byte, string, []byte, bool) { events++ })
+			d.OnCommit(func(string, []byte, bool, bool) { events++ })
 
 			// Swap the segment for a read-only handle: every write to it
 			// fails, as on a full or failing disk.
@@ -727,25 +727,24 @@ func removeFrame(t *testing.T, path string, idx int) {
 	})
 }
 
-// sinkEvent is one EventSink invocation.
+// sinkEvent is one commit observer invocation.
 type sinkEvent struct {
-	seq  uint64
-	op   byte
-	key  string
-	val  string
-	sync bool
+	key     string
+	val     string
+	deleted bool
+	bulk    bool
 }
 
-// TestEventSinkSeesLogOrder pins the guarantee the change feed is built on:
-// the sink observes every state-changing append exactly once, in sequence
-// order, single-key writes unmarked and bulk-apply records carrying the sync
-// mark, deletes of absent keys suppressed (a hole in the sequence, not an
-// event), and nothing once the store is closed.
+// TestEventSinkSeesLogOrder pins the guarantee the change feed is built on,
+// through a Durable's commit observer: it sees every state-changing append
+// exactly once, in log order, single-key writes unmarked and bulk-apply
+// records marked bulk, and nothing for a conflict, a delete of an absent key
+// (journaled in a batch, but changing nothing) or a closed store.
 func TestEventSinkSeesLogOrder(t *testing.T) {
 	d := mustOpen(t, t.TempDir())
 	var got []sinkEvent
-	d.SetEventSink(func(seq uint64, op byte, key string, value []byte, sync bool) {
-		got = append(got, sinkEvent{seq, op, key, string(value), sync})
+	d.OnCommit(func(key string, value []byte, deleted, bulk bool) {
+		got = append(got, sinkEvent{key, string(value), deleted, bulk})
 	})
 
 	put(t, d, "a", "1") // seq 1
@@ -770,14 +769,21 @@ func TestEventSinkSeesLogOrder(t *testing.T) {
 	if n, err := d.DeleteBatch([]string{"ghost", "c"}); err != nil || n != 1 {
 		t.Fatalf("DeleteBatch = %d, %v, want 1 removed", n, err)
 	}
+	// Neither is journaled, and neither changes anything.
+	if _, err := d.CAS("a", []byte("stale"), 0, it.Version); !errors.Is(err, memcache.ErrVersionConflict) {
+		t.Fatalf("stale CAS = %v, want a conflict", err)
+	}
+	if err := d.Delete("ghost"); !errors.Is(err, memcache.ErrNotFound) {
+		t.Fatalf("Delete(ghost) = %v, want ErrNotFound", err)
+	}
 
 	want := []sinkEvent{
-		{1, OpPut, "a", "1", false},
-		{2, OpPut, "b", "2", true},
-		{3, OpPut, "c", "3", true},
-		{4, OpPut, "a", "1'", false},
-		{5, OpDelete, "b", "", false},
-		{7, OpDelete, "c", "", true},
+		{"a", "1", false, false},
+		{"b", "2", false, true},
+		{"c", "3", false, true},
+		{"a", "1'", false, false},
+		{"b", "", true, false},
+		{"c", "", true, true},
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("sink saw\n  %v\nwant\n  %v", got, want)

@@ -15,7 +15,6 @@ import (
 	"geomds/internal/cloud"
 	"geomds/internal/core"
 	"geomds/internal/latency"
-	"geomds/internal/limits"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
 )
@@ -37,11 +36,6 @@ type SyntheticConfig struct {
 	// the paper's uniform draws; Zipfian and hot-spot skews concentrate reads
 	// on a small set of hot entries (tail-latency scenarios).
 	KeyDist KeyDist
-	// Tenants spreads the nodes across this many tenants: node n issues its
-	// operations as "tenant-<n mod Tenants>" (via limits.WithTenant), so
-	// limit-enforcing deployments see a multi-tenant workload. 0 leaves
-	// operations untagged — they land on the default tenant.
-	Tenants int
 }
 
 // maxReadRetries bounds the polls per read before a reader gives up and counts
@@ -144,7 +138,6 @@ func RunSynthetic(ctx context.Context, svc core.MetadataService, dep *cloud.Depl
 		wg.Add(1)
 		go func(wi int, node cloud.Node) {
 			defer wg.Done()
-			ctx := tenantCtx(ctx, cfg.Tenants, node.ID)
 			nodeStart := time.Now()
 			ops := 0
 			var err error
@@ -173,7 +166,6 @@ func RunSynthetic(ctx context.Context, svc core.MetadataService, dep *cloud.Depl
 		wg.Add(1)
 		go func(ri int, node cloud.Node) {
 			defer wg.Done()
-			ctx := tenantCtx(ctx, cfg.Tenants, node.ID)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(ri)*7919))
 			nodeStart := time.Now()
 			ops, retries, misses := 0, 0, 0
@@ -237,15 +229,6 @@ func RunSynthetic(ctx context.Context, svc core.MetadataService, dep *cloud.Depl
 	res.MeanNodeTime = metrics.Mean(res.NodeTimes)
 	res.Throughput = metrics.Throughput(res.TotalOps, res.Makespan)
 	return res, firstErr
-}
-
-// tenantCtx tags ctx with the node's tenant when the workload is
-// multi-tenant; with tenants <= 0 every node stays on the default tenant.
-func tenantCtx(ctx context.Context, tenants int, node cloud.NodeID) context.Context {
-	if tenants <= 0 {
-		return ctx
-	}
-	return limits.WithTenant(ctx, fmt.Sprintf("tenant-%d", int(node)%tenants))
 }
 
 // entryName builds the deterministic name of the i-th entry posted by a

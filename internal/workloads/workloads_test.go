@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,9 +9,7 @@ import (
 	"geomds/internal/cloud"
 	"geomds/internal/core"
 	"geomds/internal/latency"
-	"geomds/internal/limits"
 	"geomds/internal/metrics"
-	"geomds/internal/registry"
 	"geomds/internal/workflow"
 )
 
@@ -90,48 +87,6 @@ func TestRunSyntheticAllStrategies(t *testing.T) {
 				t.Errorf("Throughput = %v", res.Throughput)
 			}
 		})
-	}
-}
-
-// tenantRecordingService records the tenant carried by every operation's
-// context while delegating to the wrapped service.
-type tenantRecordingService struct {
-	core.MetadataService
-	mu      sync.Mutex
-	tenants map[string]int
-}
-
-func (s *tenantRecordingService) record(ctx context.Context) {
-	s.mu.Lock()
-	s.tenants[limits.TenantFromContext(ctx)]++
-	s.mu.Unlock()
-}
-
-func (s *tenantRecordingService) Create(ctx context.Context, from cloud.SiteID, e registry.Entry) (registry.Entry, error) {
-	s.record(ctx)
-	return s.MetadataService.Create(ctx, from, e)
-}
-
-func (s *tenantRecordingService) Lookup(ctx context.Context, from cloud.SiteID, name string) (registry.Entry, error) {
-	s.record(ctx)
-	return s.MetadataService.Lookup(ctx, from, name)
-}
-
-func TestRunSyntheticTenants(t *testing.T) {
-	svc, dep, lat := newWorkloadFixture(t, core.Centralized, 8)
-	spy := &tenantRecordingService{MetadataService: svc, tenants: map[string]int{}}
-	if _, err := RunSynthetic(context.Background(), spy, dep, lat,
-		SyntheticConfig{OpsPerNode: 10, Seed: 3, Prefix: "ten", Tenants: 3, ReadRetryInterval: time.Millisecond}, nil); err != nil {
-		t.Fatalf("RunSynthetic: %v", err)
-	}
-	if spy.tenants[""] != 0 {
-		t.Errorf("%d operations ran untagged", spy.tenants[""])
-	}
-	// 8 nodes mod 3 tenants: every tenant ID must appear.
-	for _, id := range []string{"tenant-0", "tenant-1", "tenant-2"} {
-		if spy.tenants[id] == 0 {
-			t.Errorf("tenant %s issued no operations: %v", id, spy.tenants)
-		}
 	}
 }
 

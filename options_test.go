@@ -542,7 +542,7 @@ var configSeams = map[string]string{
 	"readcache.Options.Capacity":                  "TestLRUEvictionBoundsOccupancy, TestBulkWriteLeavesNoSlots: a capacity a test can overrun, so eviction and the slot bound show",
 	"readcache.Options.Now":                       "TestFeedlessTTLFallback: the staleness clock, so a feedless cache's TTL is stepped instead of slept",
 	"workflow.EngineConfig.RetryInterval":         "TestEngineAllStrategies, TestEngineEventualConsistencyRetries, TestWorkflowsRunThroughEngine: short polls keep the eventually consistent runs fast",
-	"workloads.SyntheticConfig.ReadRetryInterval": "TestRunSyntheticAllStrategies, TestRunSyntheticTenants: short polls keep the eventually consistent runs fast",
+	"workloads.SyntheticConfig.ReadRetryInterval": "TestRunSyntheticAllStrategies: short polls keep the eventually consistent runs fast",
 }
 
 // configExempt are the config structs the rule does not hold: their fields are
