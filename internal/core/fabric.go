@@ -370,7 +370,13 @@ func (f *Fabric) FeedSources() ([]feed.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		sources = append(sources, registry.FeedSource(fmt.Sprintf("site-%d", site), feeder))
+		sources = append(sources, feed.Source{
+			Name: fmt.Sprintf("site-%d", site),
+			Subscribe: func(_ context.Context, from uint64) (feed.Stream, error) {
+				return feeder.ChangeFeed().Subscribe(from)
+			},
+			Snapshot: feeder.FeedSnapshot,
+		})
 	}
 	return sources, nil
 }

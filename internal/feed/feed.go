@@ -145,9 +145,7 @@ type Log struct {
 	subs   map[*Subscription]struct{}
 	closed bool
 
-	// relay and relayOrigin: see RelayTo.
-	relay       *Log
-	relayOrigin string
+	observer func(*Event) // see Observe
 
 	events      *metrics.Counter
 	subscribers *metrics.Gauge
@@ -193,18 +191,15 @@ func (l *Log) Floor() uint64 {
 // Append publishes a mutation with the current time, returning its
 // sequence number: Publish of the bare event.
 func (l *Log) Append(op Op, name string, value []byte) uint64 {
-	return l.Publish(Event{Op: op, Name: name, Value: value})
+	return l.Publish(&Event{Op: op, Name: name, Value: value})
 }
 
-// Publish publishes an event under the next sequence number, which it
-// returns; the event's own Seq is ignored. A zero Commit is stamped with the
-// current time. Publishing on a closed log returns 0.
-func (l *Log) Publish(ev Event) uint64 { return l.publish(&ev) }
-
-// publish is Publish by reference. It and deliverLocked keep their frames
-// small: a publish, relayed or not, runs at the bottom of a write's call
-// chain, often on a new goroutine whose stack would have to grow.
-func (l *Log) publish(ev *Event) uint64 {
+// Publish publishes a copy of ev under the next sequence number, which it
+// stamps on ev (with the current time for a zero Commit) and returns; on a
+// closed log it returns 0. ev is taken by reference to keep the frames small:
+// a publish, and what its observer publishes in turn, runs at the bottom of a
+// write's call chain, often on a new goroutine whose stack would have to grow.
+func (l *Log) Publish(ev *Event) uint64 {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -215,9 +210,8 @@ func (l *Log) publish(ev *Event) uint64 {
 	if ev.Commit == 0 {
 		ev.Commit = time.Now().UnixNano()
 	}
-	l.deliverLocked(ev)
-	if l.relay != nil {
-		l.relay.publish(&Event{Op: ev.Op, Name: ev.Name, Value: ev.Value, Origin: l.relayOrigin, Commit: ev.Commit, Sync: ev.Sync})
+	if retained := l.deliverLocked(ev); l.observer != nil {
+		l.observer(retained)
 	}
 	l.mu.Unlock()
 	l.events.Inc()
@@ -225,15 +219,16 @@ func (l *Log) publish(ev *Event) uint64 {
 }
 
 // deliverLocked appends the event to the ring and sends it to every matching
-// subscriber, dropping one whose buffer is full.
-func (l *Log) deliverLocked(ev *Event) {
+// subscriber, dropping one whose buffer is full. It returns the ring's copy.
+func (l *Log) deliverLocked(ev *Event) *Event {
 	if l.count == l.capacity {
 		// Evict the oldest retained event; the floor moves up to it.
 		l.floor = l.ring[l.start].Seq
 		l.start = (l.start + 1) % l.capacity
 		l.count--
 	}
-	l.ring[(l.start+l.count)%l.capacity] = *ev
+	retained := &l.ring[(l.start+l.count)%l.capacity]
+	*retained = *ev
 	l.count++
 	var dropped []*Subscription
 	for sub := range l.subs {
@@ -251,17 +246,24 @@ func (l *Log) deliverLocked(ev *Event) {
 	for _, sub := range dropped {
 		l.dropLocked(sub, ErrLagged)
 	}
+	return retained
 }
 
-// RelayTo makes the log republish every event it accepts into dst, under
-// its own lock on the publishing goroutine, so dst holds each source's events
-// in the source's order as soon as the source does. dst re-sequences the copy,
-// which carries origin, the commit time and the Sync mark. dst must not relay
-// back into the log. A later call replaces the destination.
-func (l *Log) RelayTo(dst *Log, origin string) {
+// Observe makes fn the log's one observer: fn sees each event after the ring
+// and the subscribers, under the log's lock, before Publish returns. The event
+// is the ring's copy: fn must not keep or modify it, nor call into the log.
+// Closing the log calls fn(nil) once (at once, on a closed log). A later call
+// replaces fn; Observe(nil) removes it.
+func (l *Log) Observe(fn func(*Event)) {
 	l.mu.Lock()
-	l.relay, l.relayOrigin = dst, origin
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.closed {
+		if fn != nil {
+			fn(nil)
+		}
+		return
+	}
+	l.observer = fn
 }
 
 // dropLocked removes the subscription and closes its channel with the given
@@ -276,7 +278,7 @@ func (l *Log) dropLocked(sub *Subscription, err error) {
 	l.subscribers.Add(-1)
 }
 
-// Close drops every subscription with ErrClosed and stops the log.
+// Close ends every subscription (ErrClosed) and the observer, and stops the log.
 func (l *Log) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -286,6 +288,10 @@ func (l *Log) Close() {
 	l.closed = true
 	for sub := range l.subs {
 		l.dropLocked(sub, ErrClosed)
+	}
+	if l.observer != nil {
+		l.observer(nil)
+		l.observer = nil
 	}
 }
 

@@ -39,20 +39,30 @@ func TestLogAppendAssignsSequence(t *testing.T) {
 	}
 }
 
-// TestLogRelayToRepublishesSynchronously: two sources relaying into one log
-// put each accepted event there before Publish returns, re-sequenced, with
-// the origin label, commit time and Sync mark; nothing published after the
-// source closed is relayed.
-func TestLogRelayToRepublishesSynchronously(t *testing.T) {
+// relayInto returns the observer a router installs on a shard log: it
+// republishes each event into relay, tagged with origin.
+func relayInto(relay *Log, origin string) func(*Event) {
+	return func(ev *Event) {
+		if ev != nil {
+			relay.Publish(&Event{Op: ev.Op, Name: ev.Name, Value: ev.Value, Origin: origin, Commit: ev.Commit, Sync: ev.Sync})
+		}
+	}
+}
+
+// TestLogObserverRepublishesSynchronously: two sources whose observers
+// republish into one log put each accepted event there before Publish
+// returns, re-sequenced, with the origin label, commit time and Sync mark;
+// nothing published after the source closed is relayed.
+func TestLogObserverRepublishesSynchronously(t *testing.T) {
 	relay := NewLog()
 	a, b := NewLog(), NewLog()
-	a.RelayTo(relay, "a")
-	b.RelayTo(relay, "b")
-	a.Publish(Event{Op: OpPut, Name: "x", Value: []byte("v"), Commit: 42})
+	a.Observe(relayInto(relay, "a"))
+	b.Observe(relayInto(relay, "b"))
+	a.Publish(&Event{Op: OpPut, Name: "x", Value: []byte("v"), Commit: 42})
 	b.Append(OpDelete, "y", nil)
-	a.Publish(Event{Op: OpPut, Name: "z", Sync: true})
+	a.Publish(&Event{Op: OpPut, Name: "z", Sync: true})
 	a.Close()
-	a.Publish(Event{Op: OpPut, Name: "after-close"})
+	a.Publish(&Event{Op: OpPut, Name: "after-close"})
 	if relay.Seq() != 3 {
 		t.Fatalf("relay head = %d right after the publishes, want 3", relay.Seq())
 	}
@@ -72,6 +82,44 @@ func TestLogRelayToRepublishesSynchronously(t *testing.T) {
 			ev.Origin != w.Origin || ev.Sync != w.Sync || (w.Commit != 0 && ev.Commit != w.Commit) || ev.Commit == 0 {
 			t.Errorf("relayed event %d = %+v, want %+v", i, ev, w)
 		}
+	}
+}
+
+// TestLogObserverLifecycle: the observer sees each event sequenced, a later
+// Observe replaces it and Observe(nil) removes it, and a close reaches the
+// observer once as nil, at once when the log has already closed.
+func TestLogObserverLifecycle(t *testing.T) {
+	l := NewLog()
+	var seen []string
+	closes := 0
+	observe := func(tag string) func(*Event) {
+		return func(ev *Event) {
+			if ev == nil {
+				closes++
+				return
+			}
+			seen = append(seen, fmt.Sprintf("%s:%d:%s", tag, ev.Seq, ev.Name))
+		}
+	}
+	l.Observe(observe("first"))
+	l.Append(OpPut, "k1", nil)
+	l.Observe(observe("second"))
+	l.Append(OpDelete, "k2", nil)
+	l.Observe(nil)
+	l.Append(OpPut, "k3", nil)
+	l.Observe(observe("third"))
+	l.Close()
+	l.Close()
+	l.Append(OpPut, "after-close", nil)
+	if want := "[first:1:k1 second:2:k2]"; fmt.Sprint(seen) != want {
+		t.Errorf("observed %v, want %s", seen, want)
+	}
+	if closes != 1 {
+		t.Errorf("the close reached the observer %d times, want once", closes)
+	}
+	l.Observe(observe("late"))
+	if closes != 2 || len(seen) != 2 {
+		t.Errorf("observing a closed log: %d close calls, %d events; want the close at once and no event", closes, len(seen))
 	}
 }
 
@@ -133,7 +181,7 @@ func TestStartAtSetsFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if seq := l.Publish(Event{Seq: 101, Op: OpPut, Name: "k"}); seq != 101 {
+	if seq := l.Publish(&Event{Seq: 101, Op: OpPut, Name: "k"}); seq != 101 {
 		t.Fatalf("publish after StartAt: seq %d", seq)
 	}
 	if got := collect(t, sub, 1); got[0].Seq != 101 {
@@ -278,18 +326,35 @@ func publishKeys() ([]string, []byte) {
 }
 
 // TestAppendAllocations: publishing allocates nothing, with or without
-// subscribers.
+// subscribers, to an observer, or through a relaying observer into a log that
+// has one.
 func TestAppendAllocations(t *testing.T) {
 	keys, value := publishKeys()
+	observed := NewLog()
+	observed.Observe(func(*Event) {})
+	relaying, relay := NewLog(), NewLog()
+	relaying.Observe(relayInto(relay, "shard-0"))
+	relay.Observe(func(*Event) {})
+	type row struct {
+		name string
+		log  *Log
+	}
+	rows := []row{{"an observer", observed}, {"a relaying observer", relaying}}
 	for _, n := range []int{0, 1, 16} {
 		l, _ := subscribedLog(t, n)
+		rows = append(rows, row{fmt.Sprintf("%d subscribers", n), l})
+	}
+	for _, r := range rows {
 		i := 0
 		if allocs := testing.AllocsPerRun(1000, func() {
-			l.Append(OpPut, keys[i%len(keys)], value)
+			r.log.Append(OpPut, keys[i%len(keys)], value)
 			i++
 		}); allocs != 0 {
-			t.Errorf("Append with %d subscribers cost %v allocations, want 0", n, allocs)
+			t.Errorf("Append with %s cost %v allocations, want 0", r.name, allocs)
 		}
+	}
+	if relay.Seq() == 0 {
+		t.Error("the relaying observer republished nothing")
 	}
 }
 

@@ -6,11 +6,13 @@
 //
 // # Coherence
 //
-// The cache stays coherent by consuming the change-feed layer (internal/feed)
-// through a feed.Combiner: every put/delete event invalidates the key's
-// entry (an event carries the entry as submitted, before the store assigned
-// its version, so its payload is never served). Negative entries cache
-// repeated not-founds and are purged by the same events.
+// The cache stays coherent by consuming the change-feed layer (internal/feed),
+// as an in-process log's observer (AttachLog) or through a feed.Combiner
+// (AttachFeed): every put/delete event invalidates the key's entry (an event
+// carries the entry as submitted, before the store assigned its version, so
+// its payload is never served). Negative entries cache repeated not-founds and
+// are purged by the same events. An observer invalidates under the log's lock,
+// then a lock shard's; the cache calls no feed and no origin holding a shard.
 //
 // The hard race — a fill racing an invalidation — is resolved with sequence
 // fencing. The cache keeps a global fence counter, bumped on every feed
@@ -27,7 +29,9 @@
 //
 // # Staleness contract
 //
-// With a feed attached, a cached entry can be stale only within the feed
+// With an observed log the delivery window is zero: a write that has returned
+// has invalidated its key. Once the log or the cache closes, every read serves
+// through. With a combined feed, a cached entry can be stale only within the feed
 // delivery window: the time between a commit at the origin and the event's
 // arrival at the combiner. The moment that window is not intact — a stream
 // ends with feed.ErrLagged, a cursor falls out of the retained window
@@ -137,10 +141,11 @@ type Cache struct {
 	// disconnected counts feed sources whose stream is currently down; while
 	// it is non-zero every read serves through and no fill installs.
 	disconnected atomic.Int64
-	// feedAttached reports whether AttachFeed has run (it decides the TTL
-	// default and the initial disconnected count).
+	// feedAttached reports whether AttachFeed or AttachLog has run (it
+	// decides the TTL default and whether disconnected counts).
 	feedAttached atomic.Bool
 
+	log      *feed.Log // AttachLog's
 	combiner *feed.Combiner
 	cancel   context.CancelFunc
 
@@ -160,8 +165,8 @@ type cacheObs struct {
 	entries       *metrics.Gauge   // readcache_entries
 }
 
-// New wraps origin in a near cache. Until AttachFeed is called the cache is
-// TTL-bounded only (see Options.MaxStaleness).
+// New wraps origin in a near cache. Until AttachLog or AttachFeed is called
+// the cache is TTL-bounded only (see Options.MaxStaleness).
 func New(origin registry.API, opts Options) *Cache {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
@@ -194,6 +199,22 @@ func New(origin registry.API, opts Options) *Cache {
 
 // Cache implements registry.API.
 var _ registry.API = (*Cache)(nil)
+
+// AttachLog makes the cache the observer of the origin's in-process feed log,
+// coherent from this call on: each event invalidates its key before the write
+// returns. Once the log closes, or Close detaches the cache, every read serves
+// through. Call it at most once, instead of AttachFeed.
+func (c *Cache) AttachLog(log *feed.Log) {
+	c.feedAttached.Store(true)
+	c.log = log
+	log.Observe(func(ev *feed.Event) {
+		if ev == nil {
+			c.endFeed()
+			return
+		}
+		c.invalidate(ev.Name)
+	})
+}
 
 // AttachFeed subscribes the cache to the origin's change feed: one
 // feed.Combiner over the given sources keeps it coherent until ctx is
@@ -231,10 +252,12 @@ func (c *Cache) consume() {
 	for ev := range c.combiner.Events() {
 		c.invalidate(ev.Event.Name)
 	}
-	// The feed ended for good (Close, or the attach context's
-	// cancellation): nothing cached may survive it, and the source counted
-	// disconnected here never reconnects, so from now on every read serves
-	// through to the origin and nothing is cached again.
+	c.endFeed() // Close, or the attach context's cancellation
+}
+
+// endFeed ends the feed for good: nothing cached survives it, and from now on
+// every read serves through to the origin and nothing is cached again.
+func (c *Cache) endFeed() {
 	c.disconnected.Add(1)
 	c.Flush()
 }
@@ -274,13 +297,16 @@ func (c *Cache) Flush() {
 	c.obs.flushes.Inc()
 }
 
-// Close detaches the feed subscription (if any); the origin itself is not
-// closed. The cache keeps serving after Close. A cache that had a feed serves
-// every read through to the origin and caches nothing from then on (consume
-// leaves it disconnected for good); one that never had a feed keeps its
-// TTL-bounded caching.
+// Close detaches the observer or the feed subscription (if any); the origin
+// itself is not closed. The cache keeps serving after Close. A cache that had
+// a feed serves every read through to the origin and caches nothing from then
+// on (endFeed); one that never had a feed keeps its TTL-bounded caching.
 func (c *Cache) Close() error {
 	c.closeOnce.Do(func() {
+		if c.log != nil {
+			c.endFeed() // before the observer goes, so no write lands uncaught
+			c.log.Observe(nil)
+		}
 		if c.cancel != nil {
 			c.cancel()
 		}

@@ -843,34 +843,157 @@ func TestRouterResyncSafety(t *testing.T) {
 	})
 }
 
+// TestCloseDetachesAndServesThrough: after Close the cache serves every Get
+// from the origin, whether it subscribed to the feed or observed the log, and
+// the log's events reach it no more.
 func TestCloseDetachesAndServesThrough(t *testing.T) {
-	inst, src := newFedInstance(t, 1)
-	origin := &countingAPI{API: inst}
-	c := New(origin, Options{})
-	attach(t, c, src)
+	for _, observe := range []bool{false, true} {
+		t.Run(fmt.Sprintf("observe=%v", observe), func(t *testing.T) {
+			inst, src := newFedInstance(t, 1)
+			origin := &countingAPI{API: inst}
+			c := New(origin, Options{})
+			if observe {
+				c.AttachLog(inst.ChangeFeed())
+			} else {
+				attach(t, c, src)
+			}
 
-	if _, err := inst.Put(ctx, entry("cl", 1)); err != nil {
+			if _, err := inst.Put(ctx, entry("cl", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Get(ctx, "cl"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "post-close flush", func() bool { return c.serveThrough() })
+			if observe {
+				// The observer slot is empty: a later put does not reach the cache.
+				invalidations := c.Stats().Invalidations
+				if _, err := inst.Put(ctx, entry("cl", 2)); err != nil {
+					t.Fatal(err)
+				}
+				if got := c.Stats().Invalidations; got != invalidations || c.CachedLen() != 0 {
+					t.Errorf("after Close: %d invalidations (was %d), %d slots; want a put not to reach the cache, and 0 slots",
+						got, invalidations, c.CachedLen())
+				}
+			}
+			// Still correct, just uncached: every Get reaches the origin.
+			before := origin.gets.Load()
+			for i := 0; i < 3; i++ {
+				if _, err := c.Get(ctx, "cl"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := origin.gets.Load() - before; got != 3 {
+				t.Fatalf("%d origin gets after Close; want 3 (serve-through)", got)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err) // idempotent
+			}
+		})
+	}
+}
+
+// observedRouter builds a router over shards feeding instances and a cache
+// in front of it, attached to the router's relay as site.Build attaches it.
+func observedRouter(t *testing.T, shards int) (*registry.Router, *countingAPI, *Cache) {
+	t.Helper()
+	apis := make([]registry.API, shards)
+	for i := range apis {
+		apis[i] = registry.NewInstance(1, memcache.New(memcache.Config{}), registry.WithChangeFeed())
+	}
+	router, err := registry.NewRouter(1, apis)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, "cl"); err != nil {
+	t.Cleanup(router.Close)
+	origin := &countingAPI{API: router}
+	c := New(origin, Options{})
+	c.AttachLog(router.ChangeFeed())
+	t.Cleanup(func() { _ = c.Close() })
+	return router, origin, c
+}
+
+// TestObservedLogServesWritesBehindTheCache: with the cache observing the
+// relay, a write made on the router behind the cache's back has invalidated
+// the key when it returns, so the very next Get through the cache reads it,
+// for every kind of write. Each round caches v1 (a fill, then a hit), writes
+// v2 on the router, and reads once more.
+func TestObservedLogServesWritesBehindTheCache(t *testing.T) {
+	const rounds = 1000
+	for _, row := range []struct {
+		name  string
+		write func(*registry.Router, string) error
+		gone  bool // v2 is a deletion
+	}{
+		{"Put", func(r *registry.Router, k string) error { _, err := r.Put(ctx, entry(k, 2)); return err }, false},
+		{"PutMany", func(r *registry.Router, k string) error {
+			_, err := r.PutMany(ctx, []registry.Entry{entry(k, 2)})
+			return err
+		}, false},
+		{"Merge", func(r *registry.Router, k string) error {
+			_, err := r.Merge(ctx, []registry.Entry{entry(k, 2)})
+			return err
+		}, false},
+		{"Delete", func(r *registry.Router, k string) error { return r.Delete(ctx, k) }, true},
+		{"DeleteMany", func(r *registry.Router, k string) error { _, err := r.DeleteMany(ctx, []string{k}); return err }, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			router, origin, c := observedRouter(t, 4)
+			stale := 0
+			for i := range rounds {
+				k := fmt.Sprintf("coh/%d", i)
+				if _, err := router.Put(ctx, entry(k, 1)); err != nil {
+					t.Fatal(err)
+				}
+				for range 2 {
+					if e, err := c.Get(ctx, k); err != nil || e.Size != 1 {
+						t.Fatalf("round %d: Get of v1 = %+v, %v", i, e, err)
+					}
+				}
+				if err := row.write(router, k); err != nil {
+					t.Fatal(err)
+				}
+				e, err := c.Get(ctx, k)
+				if row.gone && !errors.Is(err, registry.ErrNotFound) || !row.gone && (err != nil || e.Size != 2) {
+					stale++
+				}
+			}
+			if stale > 0 {
+				t.Errorf("%d of %d reads right after a %s behind the cache were stale", stale, rounds, row.name)
+			}
+			if got := origin.gets.Load(); got != 2*rounds {
+				t.Errorf("%d origin gets over %d rounds, want %d: v1 must be cached, and only v1", got, rounds, 2*rounds)
+			}
+		})
+	}
+}
+
+// TestObservedLogCloseServesThrough: once the observed log closes (the
+// router closes its relay while the cache is open), the cache flushes,
+// serves every read through and caches nothing.
+func TestObservedLogCloseServesThrough(t *testing.T) {
+	router, origin, c := observedRouter(t, 2)
+	if _, err := router.Put(ctx, entry("lc", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	if _, err := c.Get(ctx, "lc"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "post-close flush", func() bool { return c.serveThrough() })
-	// Still correct, just uncached: every Get reaches the origin.
+	router.Close()
+	if c.CachedLen() != 0 || c.Stats().Flushes != 1 {
+		t.Fatalf("after the log closed: %d slots, %d flushes; want 0 and 1", c.CachedLen(), c.Stats().Flushes)
+	}
 	before := origin.gets.Load()
-	for i := 0; i < 3; i++ {
-		if _, err := c.Get(ctx, "cl"); err != nil {
+	for range 3 {
+		if _, err := c.Get(ctx, "lc"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := origin.gets.Load() - before; got != 3 {
-		t.Fatalf("%d origin gets after Close; want 3 (serve-through)", got)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err) // idempotent
+	if got := origin.gets.Load() - before; got != 3 || c.CachedLen() != 0 {
+		t.Errorf("after the log closed: %d origin gets for 3 Gets, %d slots; want 3 and 0", got, c.CachedLen())
 	}
 }
 
@@ -982,9 +1105,12 @@ func benchNames(n int) []string {
 
 // TestCacheAllocations is the allocation gate of the two paths a read-mostly
 // site runs most: a hit, and the invalidation a write of a key the cache
-// does not hold costs (each run a key not seen before).
+// does not hold costs (each run a key not seen before), called directly and
+// reached through an observed log.
 func TestCacheAllocations(t *testing.T) {
-	c, absent := newBenchCache(), benchNames(128)
+	c, absent := newBenchCache(), benchNames(256)
+	log := feed.NewLog()
+	c.AttachLog(log)
 	if _, err := c.Get(ctx, "hit"); err != nil {
 		t.Fatal(err)
 	}
@@ -999,6 +1125,7 @@ func TestCacheAllocations(t *testing.T) {
 			}
 		}},
 		{"invalidation of an uncached key", func() { c.invalidate(absent[next]); next++ }},
+		{"observed invalidation of an uncached key", func() { log.Append(feed.OpPut, absent[next], nil); next++ }},
 	} {
 		if allocs := testing.AllocsPerRun(100, row.op); allocs != 0 {
 			t.Errorf("%s: %.1f allocations, want 0", row.name, allocs)

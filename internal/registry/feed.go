@@ -21,15 +21,17 @@ import (
 // feed.Log.StartAt).
 //
 // A Router whose shards all expose feeds relays them into one combined,
-// re-sequenced feed: each shard's log republishes every event into the relay
-// on the goroutine that commits it, so per-shard order is preserved and the
-// relay never trails a shard (the lock order is the WAL member's mutex, the
-// cache shard's lock, the shard's log, the relay's log). Events are tagged
-// with their origin shard, and commit timestamps pass through so replication
-// lag measured downstream spans the whole pipeline. Because re-sync sweeps
-// repair shards with ordinary Merge/DeleteMany calls on the shard stores, a
-// recovery surfaces in the combined feed as put events at the returning
-// shard followed by delete events at the substitutes that covered for it.
+// re-sequenced feed: the relay is each shard log's observer (feed.Log.Observe)
+// and republishes every event on the goroutine that commits it, so per-shard
+// order is preserved and the relay never trails a shard. Events are tagged
+// with their origin shard, and commit timestamps and the Sync mark pass
+// through so replication lag measured downstream spans the whole pipeline.
+// Because re-sync sweeps repair shards with ordinary Merge/DeleteMany calls on
+// the shard stores, a recovery surfaces in the combined feed as put events at
+// the returning shard followed by delete events at the substitutes that
+// covered for it. A near cache observes the deployment's log the same way
+// (readcache.Cache.AttachLog). Lock order: the WAL member's mutex, the
+// memcache shard's, the shard's log, the relay's log, a readcache lock shard.
 
 // ChangeFeeder is implemented by registry deployments that expose a change
 // feed: *Instance (with WithChangeFeed) and *Router (when every shard
@@ -56,20 +58,6 @@ var (
 	_ ChangeFeeder = (*Router)(nil)
 )
 
-// FeedSource adapts an in-process feeder into a feed.Combiner source:
-// Subscribe tails its change feed from a cursor and Snapshot captures its
-// current state for the cursor-too-old fallback. The feeder must expose a
-// feed (ChangeFeed() != nil).
-func FeedSource(name string, f ChangeFeeder) feed.Source {
-	return feed.Source{
-		Name: name,
-		Subscribe: func(_ context.Context, from uint64) (feed.Stream, error) {
-			return f.ChangeFeed().Subscribe(from)
-		},
-		Snapshot: f.FeedSnapshot,
-	}
-}
-
 // WithChangeFeed gives the instance a change feed: every change its store
 // applies is published as a sequenced event on ChangeFeed(), as the store
 // applies it. A durable instance's feed starts at the member's last logged
@@ -82,12 +70,12 @@ func WithChangeFeed(opts ...feed.LogOption) InstanceOption {
 			log.StartAt(i.durable.Seq())
 		}
 		i.store.OnCommit(func(key string, value []byte, deleted, bulk bool) {
-			// Sync lets feed-driven agents skip their own applies.
-			ev := feed.Event{Op: feed.OpPut, Name: key, Value: value, Sync: bulk}
+			op := feed.OpPut
 			if deleted {
-				ev.Op = feed.OpDelete
+				op = feed.OpDelete
 			}
-			log.Publish(ev)
+			// Sync lets feed-driven agents skip their own applies.
+			log.Publish(&feed.Event{Op: op, Name: key, Value: value, Sync: bulk})
 		})
 		i.feedLog, i.feedOpts = log, opts
 	}
@@ -133,10 +121,10 @@ func (i *Instance) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, erro
 // --- Router: the combined, re-sequenced relay feed over its shards. ---
 
 // initRelay enables the router's combined feed when every shard exposes one:
-// each shard's log republishes into the relay as it commits
-// (feed.Log.RelayTo). The relay keeps the window an *Instance shard was given
-// by WithChangeFeed and reports the feed series to reg, the router's
-// registry. Called from NewRouter before the router is shared.
+// the relay observes each shard's log and republishes its events as they
+// commit. The relay keeps the window an *Instance shard was given by
+// WithChangeFeed and reports the feed series to reg, the router's registry.
+// Called from NewRouter before the router is shared.
 func (r *Router) initRelay(reg *metrics.Registry) {
 	for _, api := range r.shards {
 		if f, ok := api.(ChangeFeeder); !ok || f.ChangeFeed() == nil {
@@ -156,7 +144,12 @@ func (r *Router) initRelay(reg *metrics.Registry) {
 			// does on a recovered instance.
 			r.relay.StartAt(1)
 		}
-		log.RelayTo(r.relay, fmt.Sprintf("shard-%d", i))
+		origin := fmt.Sprintf("shard-%d", i)
+		log.Observe(func(ev *feed.Event) {
+			if ev != nil { // a shard log's close ends nothing downstream
+				r.relay.Publish(&feed.Event{Op: ev.Op, Name: ev.Name, Value: ev.Value, Origin: origin, Commit: ev.Commit, Sync: ev.Sync})
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ package site
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -135,7 +134,7 @@ func (c Config) String() string {
 
 // Build validates cfg and assembles the deployment it describes. The returned
 // close function shuts it down in dependency order — the near cache's feed
-// consumer, then the router (its sweeps must not race a closing log), then the
+// observer, then the router (its sweeps must not race a closing log), then the
 // instances, flushing and fsyncing each write-ahead log — so a close followed
 // by a Build over the same DataDir is lossless. Remote shards are not closed.
 func Build(cfg Config) (registry.API, func() error, error) {
@@ -186,9 +185,7 @@ func Build(cfg Config) (registry.API, func() error, error) {
 		// servable to install from them.
 		nc := readcache.New(api, readcache.Options{Metrics: cfg.Metrics, MaxStaleness: cfg.MaxStaleness})
 		if cfg.Feed {
-			nc.AttachFeed(context.Background(),
-				[]feed.Source{registry.FeedSource("origin", feeder)},
-				feed.WithCombinerMetrics(cfg.Metrics))
+			nc.AttachLog(feeder.ChangeFeed())
 		}
 		closers = append(closers, nc.Close)
 		api = nc
