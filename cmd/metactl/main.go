@@ -76,6 +76,7 @@ import (
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
 	"geomds/internal/rpc"
+	"geomds/internal/site"
 )
 
 // Exit codes; scripts branch on them instead of parsing messages.
@@ -145,10 +146,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The commands below run against one registry.API: a single server's
-	// client, or — with -shard-addrs — a client-side router over the site's
-	// shard servers. The tier is assembled here rather than by site.Build
-	// because an undialable shard keeps its slot as a down-marked
-	// placeholder, which Build would have to branch on its caller for.
+	// client, or — with -shard-addrs — a client-side routing tier over the
+	// site's shard servers, as site.Build assembles it for metaserver.
 	var (
 		api     registry.API
 		clients []*rpc.Client
@@ -161,14 +160,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 	if *shardAddrs != "" {
 		// Placement derives from the address order, so an undialable shard
-		// must keep its slot: with replication it becomes a down-marked
-		// placeholder and the replicas carry its range; without replication
-		// there is nowhere correct to re-route to, and the dial failure ends
-		// the command.
-		var (
-			apis []registry.API
-			down []cloud.SiteID
-		)
+		// keeps its slot: with replication Build marks it down and the
+		// replicas carry its range; without replication there is nowhere
+		// correct to re-route to, and the dial failure ends the command.
+		cfg := site.Config{Replication: *replication}
 		for _, a := range strings.Split(*shardAddrs, ",") {
 			if a = strings.TrimSpace(a); a == "" {
 				continue
@@ -177,41 +172,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				if *replication > 1 {
 					fmt.Fprintf(stderr, "metactl: shard %s unreachable, relying on its replicas: %v\n", a, err)
-					down = append(down, cloud.SiteID(len(apis)))
-					apis = append(apis, nil) // placeholder, patched below
+					cfg.Remote = append(cfg.Remote, nil)
 					continue
 				}
 				return fail(err)
 			}
 			clients = append(clients, client)
-			apis = append(apis, client)
+			cfg.Remote = append(cfg.Remote, client)
 		}
-		if len(apis) == 0 {
+		if len(cfg.Remote) == 0 {
 			fmt.Fprintln(stderr, "metactl: -shard-addrs contains no usable addresses")
 			return exitUsage
 		}
-		if len(clients) == 0 {
-			return fail(fmt.Errorf("no shard of %s is reachable: %w", *shardAddrs, registry.ErrUnavailable))
+		if len(clients) > 0 {
+			cfg.Site = clients[0].Site()
 		}
-		site := clients[0].Site()
-		for i, a := range apis {
-			if a == nil {
-				apis[i] = registry.Unavailable(site)
-			}
-		}
-		router, err := registry.NewRouter(site, apis, registry.WithRouterReplication(*replication))
+		tier, closeTier, err := site.Build(cfg)
 		if err != nil {
 			return fail(err)
 		}
-		defer router.Close()
-		for _, id := range down {
-			router.MarkShardDown(id)
-		}
-		api = router
-		target = fmt.Sprintf("%s (%d shards)", *shardAddrs, len(apis))
-		if router.Replication() > 1 {
-			target += fmt.Sprintf(", %d-way replicated", router.Replication())
-		}
+		defer closeTier() //nolint:errcheck // a routing tier over remote shards closes nothing that can fail
+		api, target = tier, cfg.String()
 	} else {
 		client, err := dial(*addr)
 		if err != nil {

@@ -134,6 +134,27 @@ func TestShardAddrsSurviveAClosedShard(t *testing.T) {
 	}
 }
 
+// TestShardAddrsTier: stat names the tier site.Build assembled, a list
+// without an address is a usage error, and a replicated tier with no shard
+// dialed is refused.
+func TestShardAddrsTier(t *testing.T) {
+	servers := []*server{startServer(t), startServer(t)}
+	addrs := servers[0].addr + "," + servers[1].addr
+	if code, out, errOut := metactl(t, "-shard-addrs", addrs, "-replication", "2", "stat"); code != 0 ||
+		!strings.Contains(out, "address: routing tier over 2 remote shards, 2-way replicated\n") {
+		t.Errorf("stat = %d, %q: %s", code, out, errOut)
+	}
+	if code, _, errOut := metactl(t, "-shard-addrs", " , ", "ls"); code != exitUsage {
+		t.Errorf("ls over no address = %d, want %d: %s", code, exitUsage, errOut)
+	}
+	for _, s := range servers {
+		s.srv.Close()
+	}
+	if code, _, errOut := metactl(t, "-shard-addrs", addrs, "-replication", "2", "ls"); code != 1 || !strings.Contains(errOut, "no remote shard") {
+		t.Errorf("ls with every shard closed = %d, want 1 and a refusal: %s", code, errOut)
+	}
+}
+
 // TestOneConnectionPerServer: an invocation runs one command, so each server
 // it dials accepts one connection — the Dial handshake's — and no more.
 func TestOneConnectionPerServer(t *testing.T) {

@@ -26,21 +26,23 @@
 //     repairs a restarted shard, durable or not, with the same re-sync sweep
 //     over the whole key range;
 //   - -feed publishes every committed put and delete on a change feed that
-//     clients stream with the Watch protocol (metactl watch). Durable
-//     instances reuse the WAL's sequence numbers, so resume tokens survive
-//     restarts; with -shards the per-shard feeds are relayed into one
-//     combined feed. -feed-capacity bounds the retained event window a
-//     disconnected watcher can resume inside before the snapshot fallback
-//     kicks in. -feed does not compose with -shard-addrs: remote shard
-//     processes own their feeds, watch them directly;
+//     clients stream with the Watch protocol (metactl watch); with -shards
+//     the per-shard feeds are relayed into one combined feed. -feed-capacity
+//     bounds the retained event window a disconnected watcher can resume
+//     inside before the snapshot fallback kicks in. A feed numbers its own
+//     events and a durable one starts past the log's last record, so a
+//     cursor from before a restart takes the snapshot fallback. -feed does
+//     not compose with -shard-addrs: remote shard processes own their feeds,
+//     watch them directly;
 //   - -cache serves reads through a feed-coherent near cache
 //     (internal/readcache) in front of the deployment, so hot keys skip the
 //     registry instance and, behind a routing tier, the extra network hop.
-//     With -feed the cache is push-invalidated by the change feed and serves
-//     through (uncached, never stale) whenever its feed stream is down;
-//     without -feed it bounds staleness by the -cache-staleness TTL instead. The readcache hit/miss/invalidation
-//     counters and occupancy gauge report to -metrics-addr, so `metactl
-//     stats` shows the hit ratio;
+//     With -feed the cache observes the change feed, so a write has
+//     invalidated its key before it returns, and serves through (uncached,
+//     never stale) once the feed closes; without -feed it bounds staleness
+//     by the -cache-staleness TTL instead. The readcache
+//     hit/miss/invalidation counters and occupancy gauge report to
+//     -metrics-addr, so `metactl stats` shows the hit ratio;
 //   - -tenant-config F enforces multi-tenant admission control from the JSON
 //     file F: per-tenant token-bucket quotas on operations and payload bytes,
 //     plus a server-wide in-flight cap that sheds load before any work is

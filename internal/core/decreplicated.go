@@ -206,9 +206,9 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 	return e, s.finish(o, remote, err)
 }
 
-// Flush pushes every pending lazy batch to its home site; in feed mode it
-// first waits until every event committed before the call has been relayed.
-// A destination that cannot be updated — or a cancelled context — fails the
+// Flush pushes every pending lazy batch to its home site; in feed mode every
+// mutation committed before the call was enqueued as it committed. A
+// destination that cannot be updated — or a cancelled context — fails the
 // flush; the un-applied batches stay queued for the propagator's next round.
 func (s *DecReplicatedService) Flush(ctx context.Context) error {
 	switch {

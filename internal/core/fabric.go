@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
-	"geomds/internal/feed"
 	"geomds/internal/latency"
 	"geomds/internal/memcache"
 	"geomds/internal/metrics"
@@ -357,28 +356,6 @@ func (f *Fabric) Feed(site cloud.SiteID) (registry.ChangeFeeder, error) {
 		return nil, fmt.Errorf("core: site %d exposes no change feed (fabric built without site.Config.Feed?): %w", site, ErrNoFeed)
 	}
 	return feeder, nil
-}
-
-// FeedSources returns one feed.Source per fabric site, named "site-<id>",
-// ready to fan into a feed.Combiner: Subscribe tails the site's change feed
-// from a cursor and Snapshot captures its current state for the
-// cursor-too-old fallback. It fails if any site exposes no feed.
-func (f *Fabric) FeedSources() ([]feed.Source, error) {
-	sources := make([]feed.Source, 0, len(f.sites))
-	for _, site := range f.sites {
-		feeder, err := f.Feed(site)
-		if err != nil {
-			return nil, err
-		}
-		sources = append(sources, feed.Source{
-			Name: fmt.Sprintf("site-%d", site),
-			Subscribe: func(_ context.Context, from uint64) (feed.Stream, error) {
-				return feeder.ChangeFeed().Subscribe(from)
-			},
-			Snapshot: feeder.FeedSnapshot,
-		})
-	}
-	return sources, nil
 }
 
 // TotalEntries sums the number of entries stored across every instance

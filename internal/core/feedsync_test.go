@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"geomds/internal/cloud"
 	"geomds/internal/metrics"
+	"geomds/internal/registry"
 	"geomds/internal/site"
 )
 
@@ -273,24 +273,64 @@ func TestReplicatedFeedSyncShardedSites(t *testing.T) {
 	}
 }
 
-// TestFeedSourcesFailWithoutFeeds pins the accessor errors.
-func TestFeedSourcesFailWithoutFeeds(t *testing.T) {
-	f := newTestFabric()
-	if _, err := f.Feed(0); !errors.Is(err, ErrNoFeed) {
-		t.Fatalf("Feed(0) = %v, want ErrNoFeed", err)
-	}
-	if _, err := f.FeedSources(); !errors.Is(err, ErrNoFeed) {
-		t.Fatalf("FeedSources() = %v, want ErrNoFeed", err)
-	}
-	ff := newTestFabric(WithSite(site.Config{Feed: true}))
-	defer ff.Close()
-	sources, err := ff.FeedSources()
-	if err != nil || len(sources) != 4 {
-		t.Fatalf("FeedSources() = %d sources, %v", len(sources), err)
-	}
-	sub, err := sources[0].Subscribe(context.Background(), 0)
+// TestFeedSyncObserversShareSiteLogs builds both feed-driven strategies over
+// one fabric of near-cached, sharded, replicated sites, so each site's log has
+// three observers: the near cache and the two syncers. Each of 200 rewrites at
+// site a reads back there at its new version and, after one Flush of each
+// strategy and no sleep, is found at the other sites the strategies route it
+// to. A log that held one observer would leave the replicated strategy's
+// syncer, the first attached after the near cache, replaced by the hybrid's.
+func TestFeedSyncObserversShareSiteLogs(t *testing.T) {
+	f := newTestFabric(WithSite(site.Config{Shards: 3, Replication: 2, Feed: true, NearCache: true}))
+	defer f.Close()
+	r, err := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour, FeedSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.Close()
+	defer r.Close()
+	dr, err := NewDecReplicated(f, StrategyConfig{FlushInterval: time.Hour, FeedSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dr.Close()
+
+	const a = cloud.SiteID(0)
+	name := "coherent/0"
+	for i := 1; dr.Home(name) == a; i++ {
+		name = fmt.Sprintf("coherent/%d", i)
+	}
+	home := dr.Home(name)
+	other := cloud.SiteID(1) // reached only by the replicated strategy
+	for other == a || other == home {
+		other++
+	}
+	at := func(s cloud.SiteID) registry.API {
+		inst, err := f.Instance(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	for round := 1; round <= 200; round++ {
+		e := testEntry(name, a)
+		e.Size = int64(round)
+		stored, err := at(a).Put(tctx, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := at(a).Get(tctx, name); err != nil || got.Version != stored.Version || got.Size != e.Size {
+			t.Fatalf("round %d: site %d reads version %d size %d (%v) right after writing version %d size %d",
+				round, a, got.Version, got.Size, err, stored.Version, e.Size)
+		}
+		for _, svc := range []MetadataService{r, dr} {
+			if err := svc.Flush(tctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range []cloud.SiteID{other, home} {
+			if got, err := at(s).Get(tctx, name); err != nil || got.Size != e.Size {
+				t.Fatalf("round %d: after the flushes site %d reads size %d (%v), want %d", round, s, got.Size, err, e.Size)
+			}
+		}
+	}
 }

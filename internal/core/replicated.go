@@ -159,8 +159,8 @@ func (s *ReplicatedService) remember(o opFrame, _ bool, err error) {
 // Flush runs one synchronization round immediately and returns when every
 // instance has been updated. A round that could not read from or write to
 // some site — or whose context was cancelled — re-queues its work and returns
-// the error. In feed mode it instead waits until every event committed before
-// the call has been relayed and the propagator has shipped it.
+// the error. In feed mode it instead runs one propagator round, which ships
+// every mutation committed before the call: each was enqueued as it committed.
 func (s *ReplicatedService) Flush(ctx context.Context) error {
 	switch {
 	case s.closed.Load():

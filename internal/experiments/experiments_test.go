@@ -68,8 +68,10 @@ func TestConfigFeedSync(t *testing.T) {
 	if !ok || !rs.FeedDriven() {
 		t.Fatalf("FeedSync config built %T (feed-driven=%v), want a feed-driven replicated service", svc, ok)
 	}
-	if _, err := env.fabric.FeedSources(); err != nil {
-		t.Fatalf("FeedSync environment exposes no feed sources: %v", err)
+	for _, site := range env.fabric.Sites() {
+		if _, err := env.fabric.Feed(site); err != nil {
+			t.Fatalf("FeedSync environment: site %d exposes no feed: %v", site, err)
+		}
 	}
 }
 
@@ -89,8 +91,10 @@ func TestConfigNearCache(t *testing.T) {
 	}
 	// NearCache alone must attach change feeds — without them the caches
 	// would silently degrade to TTL staleness.
-	if _, err := env.fabric.FeedSources(); err != nil {
-		t.Fatalf("NearCache environment exposes no feed sources: %v", err)
+	for _, site := range env.fabric.Sites() {
+		if _, err := env.fabric.Feed(site); err != nil {
+			t.Fatalf("NearCache environment: site %d exposes no feed: %v", site, err)
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"geomds/internal/metrics"
 )
 
 // Stream is one live subscription a Combiner consumes: a channel of events
@@ -52,15 +50,6 @@ const (
 
 // CombinerOption configures NewCombiner.
 type CombinerOption func(*Combiner)
-
-// WithCombinerMetrics reports feed_resumes_total and
-// feed_snapshot_fallbacks_total to the registry.
-func WithCombinerMetrics(reg *metrics.Registry) CombinerOption {
-	return func(c *Combiner) {
-		c.resumes = reg.Counter("feed_resumes_total")
-		c.fallbacks = reg.Counter("feed_snapshot_fallbacks_total")
-	}
-}
 
 // WithResubscribeBackoff sets the initial and maximum delay between failed
 // subscribe attempts (exponential in between).
@@ -109,9 +98,6 @@ type Combiner struct {
 	backoffMax  time.Duration
 	outBuf      int
 	streamState func(string, bool)
-
-	resumes   *metrics.Counter
-	fallbacks *metrics.Counter
 
 	out    chan SourceEvent
 	cancel context.CancelFunc
@@ -190,7 +176,6 @@ func (c *Combiner) Close() {
 func (c *Combiner) run(ctx context.Context, src Source) {
 	defer c.wg.Done()
 	backoff := c.backoff
-	first := true
 	for ctx.Err() == nil {
 		cursor := c.Cursor(src.Name)
 		st, err := src.Subscribe(ctx, cursor)
@@ -209,10 +194,6 @@ func (c *Combiner) run(ctx context.Context, src Source) {
 			continue
 		}
 		backoff = c.backoff
-		if !first {
-			c.resumes.Inc()
-		}
-		first = false
 		if c.streamState != nil {
 			c.streamState(src.Name, true)
 		}
@@ -258,7 +239,6 @@ func (c *Combiner) fallback(ctx context.Context, src Source) (Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.fallbacks.Inc()
 	for _, ev := range events {
 		if ev.Seq == 0 {
 			ev.Seq = head

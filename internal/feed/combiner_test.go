@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"geomds/internal/metrics"
 )
 
 // logSource adapts an in-process Log to a combiner Source, with the
@@ -75,7 +74,6 @@ func TestCombinerMergesSourcesInOrder(t *testing.T) {
 
 func TestCombinerResubscribesAfterStreamLoss(t *testing.T) {
 	l := NewLog()
-	reg := metrics.NewRegistry()
 
 	var mu sync.Mutex
 	var streams []*Subscription
@@ -93,7 +91,6 @@ func TestCombinerResubscribesAfterStreamLoss(t *testing.T) {
 		},
 	}
 	c := NewCombiner([]Source{src},
-		WithCombinerMetrics(reg),
 		WithResubscribeBackoff(time.Millisecond, 10*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -128,16 +125,19 @@ func TestCombinerResubscribesAfterStreamLoss(t *testing.T) {
 			t.Fatalf("delivered seqs %v, want 1..4 exactly once", got)
 		}
 	}
-	if reg.Counter("feed_resumes_total").Value() == 0 {
-		t.Fatal("resume not counted")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(streams) != 2 {
+		t.Fatalf("%d subscriptions, want 2: the first and its resume", len(streams))
 	}
 }
 
 func TestCombinerSnapshotFallbackOnCompaction(t *testing.T) {
 	l := NewLog(WithCapacity(4))
-	reg := metrics.NewRegistry()
+	var snapshots atomic.Int32
 	state := func() []Event {
 		// The source's current materialized state: one entry.
+		snapshots.Add(1)
 		return []Event{{Op: OpPut, Name: "live", Value: []byte("v")}}
 	}
 	for i := 0; i < 32; i++ {
@@ -147,7 +147,7 @@ func TestCombinerSnapshotFallbackOnCompaction(t *testing.T) {
 	// snapshot and then tail.
 	src := logSource("s", l, state)
 	src.From = 1
-	c := NewCombiner([]Source{src}, WithCombinerMetrics(reg),
+	c := NewCombiner([]Source{src},
 		WithResubscribeBackoff(time.Millisecond, 10*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -177,8 +177,8 @@ func TestCombinerSnapshotFallbackOnCompaction(t *testing.T) {
 	case <-timeout:
 		t.Fatal("no tail event after fallback")
 	}
-	if reg.Counter("feed_snapshot_fallbacks_total").Value() != 1 {
-		t.Fatalf("feed_snapshot_fallbacks_total = %d", reg.Counter("feed_snapshot_fallbacks_total").Value())
+	if n := snapshots.Load(); n != 1 {
+		t.Fatalf("%d snapshots taken, want 1", n)
 	}
 }
 
@@ -204,9 +204,7 @@ func TestCombinerRetriesFailedSubscribes(t *testing.T) {
 			return l.Subscribe(from)
 		},
 	}
-	reg := metrics.NewRegistry()
 	c := NewCombiner([]Source{src},
-		WithCombinerMetrics(reg),
 		WithResubscribeBackoff(time.Millisecond, 4*time.Millisecond),
 		WithStreamStateFunc(func(_ string, connected bool) {
 			mu.Lock()
@@ -246,9 +244,6 @@ func TestCombinerRetriesFailedSubscribes(t *testing.T) {
 	}
 	if len(states) != 1 || !states[0] {
 		t.Fatalf("stream states = %v, want one connected=true", states)
-	}
-	if n := reg.Counter("feed_resumes_total").Value(); n != 0 {
-		t.Fatalf("feed_resumes_total = %d, want 0: failed attempts before the first stream are not resumes", n)
 	}
 }
 

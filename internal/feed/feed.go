@@ -15,17 +15,17 @@
 // shard's current state as synthetic put events, then tail from the head
 // sequence captured before the snapshot.
 //
-// A Combiner fans many per-shard subscriptions into one consumer with
-// per-source resume cursors, automatic resubscribe with exponential backoff,
-// the snapshot fallback above, and breaker-style health propagation
-// (consecutive subscribe failures mark a source down until a subscribe
-// succeeds again — the same consecutive-failure shape as the registry
-// router's shard breaker).
+// In-process consumers need no subscription: they observe a Log (Observe)
+// and see each event on the goroutine that publishes it. A Combiner fans
+// many subscriptions into one consumer for those that cannot, with
+// per-source resume cursors, automatic resubscribe with exponential backoff
+// and the snapshot fallback above.
 package feed
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -145,7 +145,9 @@ type Log struct {
 	subs   map[*Subscription]struct{}
 	closed bool
 
-	observer func(*Event) // see Observe
+	// observers are called in registration order (see Observe); each is
+	// held by a pointer of its own, so that its detach finds it.
+	observers []*func(*Event)
 
 	events      *metrics.Counter
 	subscribers *metrics.Gauge
@@ -197,7 +199,7 @@ func (l *Log) Append(op Op, name string, value []byte) uint64 {
 // Publish publishes a copy of ev under the next sequence number, which it
 // stamps on ev (with the current time for a zero Commit) and returns; on a
 // closed log it returns 0. ev is taken by reference to keep the frames small:
-// a publish, and what its observer publishes in turn, runs at the bottom of a
+// a publish, and what its observers publish in turn, runs at the bottom of a
 // write's call chain, often on a new goroutine whose stack would have to grow.
 func (l *Log) Publish(ev *Event) uint64 {
 	l.mu.Lock()
@@ -210,8 +212,9 @@ func (l *Log) Publish(ev *Event) uint64 {
 	if ev.Commit == 0 {
 		ev.Commit = time.Now().UnixNano()
 	}
-	if retained := l.deliverLocked(ev); l.observer != nil {
-		l.observer(retained)
+	retained := l.deliverLocked(ev)
+	for _, fn := range l.observers {
+		(*fn)(retained)
 	}
 	l.mu.Unlock()
 	l.events.Inc()
@@ -249,21 +252,26 @@ func (l *Log) deliverLocked(ev *Event) *Event {
 	return retained
 }
 
-// Observe makes fn the log's one observer: fn sees each event after the ring
-// and the subscribers, under the log's lock, before Publish returns. The event
-// is the ring's copy: fn must not keep or modify it, nor call into the log.
-// Closing the log calls fn(nil) once (at once, on a closed log). A later call
-// replaces fn; Observe(nil) removes it.
-func (l *Log) Observe(fn func(*Event)) {
+// Observe adds fn to the log's observers and returns its detach function:
+// fn sees each event after the ring and the subscribers, under the log's
+// lock, before Publish returns, after the observers added before it. The
+// event is the ring's copy: fn must not keep or modify it, nor call into the
+// log. Closing the log calls fn(nil) once; on a closed log Observe calls it at
+// once. Detaching is idempotent, and once it returns fn is not called again.
+func (l *Log) Observe(fn func(*Event)) (detach func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		if fn != nil {
-			fn(nil)
-		}
-		return
+		fn(nil)
+		return func() {}
 	}
-	l.observer = fn
+	o := &fn
+	l.observers = append(l.observers, o)
+	return func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.observers = slices.DeleteFunc(l.observers, func(x *func(*Event)) bool { return x == o })
+	}
 }
 
 // dropLocked removes the subscription and closes its channel with the given
@@ -278,7 +286,8 @@ func (l *Log) dropLocked(sub *Subscription, err error) {
 	l.subscribers.Add(-1)
 }
 
-// Close ends every subscription (ErrClosed) and the observer, and stops the log.
+// Close ends every subscription (ErrClosed) and every observer, and stops
+// the log.
 func (l *Log) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -289,10 +298,10 @@ func (l *Log) Close() {
 	for sub := range l.subs {
 		l.dropLocked(sub, ErrClosed)
 	}
-	if l.observer != nil {
-		l.observer(nil)
-		l.observer = nil
+	for _, fn := range l.observers {
+		(*fn)(nil)
 	}
+	l.observers = nil
 }
 
 // SubOption configures Subscribe.

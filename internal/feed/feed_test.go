@@ -85,41 +85,44 @@ func TestLogObserverRepublishesSynchronously(t *testing.T) {
 	}
 }
 
-// TestLogObserverLifecycle: the observer sees each event sequenced, a later
-// Observe replaces it and Observe(nil) removes it, and a close reaches the
-// observer once as nil, at once when the log has already closed.
+// TestLogObserverLifecycle: two observers each see every event, sequenced,
+// in the order they were added; detaching one leaves the other; a close
+// reaches each attached observer once as nil, and Observe on a closed log
+// calls its observer with nil at once.
 func TestLogObserverLifecycle(t *testing.T) {
 	l := NewLog()
 	var seen []string
-	closes := 0
+	closes := map[string]int{}
 	observe := func(tag string) func(*Event) {
 		return func(ev *Event) {
 			if ev == nil {
-				closes++
+				closes[tag]++
 				return
 			}
 			seen = append(seen, fmt.Sprintf("%s:%d:%s", tag, ev.Seq, ev.Name))
 		}
 	}
-	l.Observe(observe("first"))
-	l.Append(OpPut, "k1", nil)
+	detachFirst := l.Observe(observe("first"))
 	l.Observe(observe("second"))
+	l.Append(OpPut, "k1", nil)
 	l.Append(OpDelete, "k2", nil)
-	l.Observe(nil)
+	detachFirst()
+	detachFirst()
 	l.Append(OpPut, "k3", nil)
 	l.Observe(observe("third"))
+	l.Append(OpPut, "k4", nil)
 	l.Close()
 	l.Close()
 	l.Append(OpPut, "after-close", nil)
-	if want := "[first:1:k1 second:2:k2]"; fmt.Sprint(seen) != want {
+	if want := "[first:1:k1 second:1:k1 first:2:k2 second:2:k2 second:3:k3 second:4:k4 third:4:k4]"; fmt.Sprint(seen) != want {
 		t.Errorf("observed %v, want %s", seen, want)
 	}
-	if closes != 1 {
-		t.Errorf("the close reached the observer %d times, want once", closes)
+	if want := "map[second:1 third:1]"; fmt.Sprint(closes) != want {
+		t.Errorf("the close reached the observers %v times, want %s", closes, want)
 	}
-	l.Observe(observe("late"))
-	if closes != 2 || len(seen) != 2 {
-		t.Errorf("observing a closed log: %d close calls, %d events; want the close at once and no event", closes, len(seen))
+	l.Observe(observe("late"))()
+	if closes["late"] != 1 || len(seen) != 7 {
+		t.Errorf("observing a closed log: %d close calls, %d events; want the close at once and no event", closes["late"], len(seen))
 	}
 }
 
@@ -326,12 +329,14 @@ func publishKeys() ([]string, []byte) {
 }
 
 // TestAppendAllocations: publishing allocates nothing, with or without
-// subscribers, to an observer, or through a relaying observer into a log that
-// has one.
+// subscribers, to one observer or two, or through a relaying observer into a
+// log that has one.
 func TestAppendAllocations(t *testing.T) {
 	keys, value := publishKeys()
-	observed := NewLog()
+	observed, twice := NewLog(), NewLog()
 	observed.Observe(func(*Event) {})
+	twice.Observe(func(*Event) {})
+	twice.Observe(func(*Event) {})
 	relaying, relay := NewLog(), NewLog()
 	relaying.Observe(relayInto(relay, "shard-0"))
 	relay.Observe(func(*Event) {})
@@ -339,7 +344,7 @@ func TestAppendAllocations(t *testing.T) {
 		name string
 		log  *Log
 	}
-	rows := []row{{"an observer", observed}, {"a relaying observer", relaying}}
+	rows := []row{{"an observer", observed}, {"two observers", twice}, {"a relaying observer", relaying}}
 	for _, n := range []int{0, 1, 16} {
 		l, _ := subscribedLog(t, n)
 		rows = append(rows, row{fmt.Sprintf("%d subscribers", n), l})

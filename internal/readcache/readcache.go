@@ -145,7 +145,7 @@ type Cache struct {
 	// decides the TTL default and whether disconnected counts).
 	feedAttached atomic.Bool
 
-	log      *feed.Log // AttachLog's
+	detach   func() // AttachLog's observer
 	combiner *feed.Combiner
 	cancel   context.CancelFunc
 
@@ -206,8 +206,7 @@ var _ registry.API = (*Cache)(nil)
 // through. Call it at most once, instead of AttachFeed.
 func (c *Cache) AttachLog(log *feed.Log) {
 	c.feedAttached.Store(true)
-	c.log = log
-	log.Observe(func(ev *feed.Event) {
+	c.detach = log.Observe(func(ev *feed.Event) {
 		if ev == nil {
 			c.endFeed()
 			return
@@ -303,9 +302,9 @@ func (c *Cache) Flush() {
 // on (endFeed); one that never had a feed keeps its TTL-bounded caching.
 func (c *Cache) Close() error {
 	c.closeOnce.Do(func() {
-		if c.log != nil {
+		if c.detach != nil {
 			c.endFeed() // before the observer goes, so no write lands uncaught
-			c.log.Observe(nil)
+			c.detach()
 		}
 		if c.cancel != nil {
 			c.cancel()

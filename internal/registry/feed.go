@@ -29,9 +29,12 @@ import (
 // Because re-sync sweeps repair shards with ordinary Merge/DeleteMany calls on
 // the shard stores, a recovery surfaces in the combined feed as put events at
 // the returning shard followed by delete events at the substitutes that
-// covered for it. A near cache observes the deployment's log the same way
-// (readcache.Cache.AttachLog). Lock order: the WAL member's mutex, the
-// memcache shard's, the shard's log, the relay's log, a readcache lock shard.
+// covered for it. A near cache (readcache.Cache.AttachLog) and a core
+// strategy's feed sync observe the deployment's log the same way, one log
+// holding any number of observers. Lock order: the WAL member's mutex, the
+// memcache shard's, the shard's log, the relay's log, then either a readcache
+// lock shard or a core propagator's mutex; nothing holding the propagator's
+// mutex writes to a site.
 
 // ChangeFeeder is implemented by registry deployments that expose a change
 // feed: *Instance (with WithChangeFeed) and *Router (when every shard

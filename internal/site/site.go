@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"geomds/internal/cloud"
@@ -36,7 +37,10 @@ type Config struct {
 	// Remote, when non-empty, makes the deployment a pure routing tier over
 	// these already-dialed shard APIs (typically rpc.Clients; the caller
 	// owns and closes them). It excludes Shards > 1, DataDir and Feed:
-	// persistence and feeds live where the data lives.
+	// persistence and feeds live where the data lives. A nil element is a
+	// shard that could not be dialed: it keeps its slot, since placement
+	// follows the order, as a registry.Unavailable shard marked down, and its
+	// replicas carry its range, so it needs Replication > 1.
 	Remote []registry.API
 	// Replication stores every key on this many shards of the tier: writes
 	// fan out, reads fail over, and a crashed shard's range stays served.
@@ -52,9 +56,10 @@ type Config struct {
 	// Fsync is the log's sync policy with DataDir (the zero value,
 	// store.FsyncAlways, syncs every append).
 	Fsync store.FsyncPolicy
-	// Feed publishes every committed put and delete on a change feed
-	// (riding the log's sequence numbers with DataDir, so resume tokens
-	// survive restarts); a sharded tier relays its shards' feeds into one.
+	// Feed publishes every committed put and delete on a change feed; a
+	// sharded tier relays its shards' feeds into one. A feed numbers its own
+	// events: with DataDir it starts past the log's last record, so a cursor
+	// from before a restart takes the snapshot fallback (feed.ErrCompacted).
 	Feed bool
 	// FeedCapacity is the event window the feed retains for resuming
 	// subscribers — a sharded tier's relay included; 0 means
@@ -81,6 +86,10 @@ type Config struct {
 func (c Config) Validate() error {
 	remote := len(c.Remote) > 0
 	switch {
+	case remote && !slices.ContainsFunc(c.Remote, func(api registry.API) bool { return api != nil }):
+		return errors.New("site: no remote shard could be dialed")
+	case slices.Contains(c.Remote, nil) && c.Replication <= 1:
+		return errors.New("site: an undialed remote shard needs replication > 1, so that its replicas carry its range")
 	case remote && c.Shards > 1:
 		return errors.New("site: in-process shards and remote shards are mutually exclusive")
 	case c.Replication > 1 && c.Shards <= 1 && !remote:
@@ -157,7 +166,14 @@ func Build(cfg Config) (registry.API, func() error, error) {
 		api    registry.API
 		feeder registry.ChangeFeeder
 	)
-	shards := cfg.Remote
+	shards := slices.Clone(cfg.Remote)
+	var down []cloud.SiteID
+	for i, api := range shards {
+		if api == nil {
+			shards[i] = registry.Unavailable(cfg.Site)
+			down = append(down, cloud.SiteID(i))
+		}
+	}
 	if len(shards) == 0 {
 		insts, err := cfg.newInstances()
 		if err != nil {
@@ -177,6 +193,9 @@ func Build(cfg Config) (registry.API, func() error, error) {
 			return nil, nil, errors.Join(fmt.Errorf("site: shard router: %w", err), closeAll())
 		}
 		closers = append(closers, func() error { router.Close(); return nil })
+		for _, id := range down {
+			router.MarkShardDown(id)
+		}
 		api, feeder = router, router
 	}
 	if cfg.NearCache {

@@ -146,6 +146,8 @@ func TestBuildValidation(t *testing.T) {
 		{"shards and remote", Config{Shards: 2, Remote: remote}, "mutually exclusive"},
 		{"data dir with remote", Config{Remote: remote, DataDir: t.TempDir()}, "data dir"},
 		{"feed with remote", Config{Remote: remote, Feed: true}, "change feed"},
+		{"undialed remote shard without replication", Config{Remote: append(remote, nil)}, "needs replication > 1"},
+		{"no remote shard dialed", Config{Remote: []registry.API{nil, nil}, Replication: 2}, "no remote shard"},
 		{"negative staleness", Config{NearCache: true, MaxStaleness: -time.Second}, "staleness"},
 		{"negative feed capacity", Config{Feed: true, FeedCapacity: -5}, "feed capacity"},
 	} {
@@ -204,6 +206,33 @@ func TestBuildRemoteTier(t *testing.T) {
 	}
 	if _, err := remote[0].Put(ctx, entry("after-close", 1)); err != nil {
 		t.Errorf("remote shard unusable after the site closed: %v", err)
+	}
+}
+
+// TestBuildKeepsAnUndialedShardsSlot: a nil remote shard keeps its slot in
+// the placement, marked down, and its replicas serve its range; the caller's
+// slice is left as it was.
+func TestBuildKeepsAnUndialedShardsSlot(t *testing.T) {
+	remote := []registry.API{registry.NewInstance(2, memcache.New(memcache.Config{})), nil, registry.NewInstance(2, memcache.New(memcache.Config{}))}
+	api, closeSite, err := Build(Config{Site: 2, Remote: remote, Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSite() //nolint:errcheck // remote shards are the test's
+	if down := api.(*registry.Router).DownShards(); fmt.Sprint(down) != "[1]" {
+		t.Errorf("down shards %v, want [1]", down)
+	}
+	for i := range 8 {
+		name := fmt.Sprintf("undialed/%d", i)
+		if _, err := api.Create(ctx, entry(name, 1)); err != nil {
+			t.Fatalf("create %s: %v", name, err)
+		}
+		if _, err := api.Get(ctx, name); err != nil {
+			t.Fatalf("get %s: %v", name, err)
+		}
+	}
+	if remote[1] != nil {
+		t.Errorf("Build replaced the caller's nil shard with %T", remote[1])
 	}
 }
 

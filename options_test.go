@@ -50,6 +50,7 @@ var seams = map[string]string{
 	"core.WithCacheFactory":                "substitutes the store behind a site, for capacity and fault tests",
 	"core.WithSites":                       "a fabric over a subset of the topology, for site arrival and departure tests",
 	"dht.Distribution":                     "TestModuloPlacerUniformity, TestRingPlacerUniformity, TestRingMembershipChangeBounds: how evenly a placer spreads keys",
+	"feed.WithCombinerBuffer":              "TestCombinerCancelledMidEventDeliversAtMostOnce, TestCombinerStreamStateBracketsEveryGap: a one-event output buffer blocks the combiner mid-stream",
 	"feed.WithResubscribeBackoff":          "timing: the combiner's reconnect delay",
 	"limits.Limiter.Config":                "TestLimiterUpdateConfig: a reload takes effect",
 	"limits.Limiter.Inflight":              "the Limiter admit and eviction tests: every admitted request is finished",
@@ -69,6 +70,7 @@ var seams = map[string]string{
 	"registry.Instance.Store":              "TestUndecodableStoredValueIsAnError: plants undecodable bytes under an instance",
 	"registry.Router.DownShards":           "tests assert which breakers a tier has open",
 	"registry.Router.MarkShardUp":          "fault injection: closes a breaker and starts the recovery a probe would",
+	"registry.Router.Replication":          "TestBuild, TestStrategiesOverReplicatedShardedFabric: the replication factor a site was built with",
 	"registry.Router.Shards":               "tests assert a tier's shard IDs",
 	"registry.Router.Wait":                 "tests await background re-sync sweeps",
 	"registry.WithRouterHealth":            "timing: breaker threshold and probe interval, so outage tests finish in milliseconds",
