@@ -15,11 +15,11 @@
 // shard's current state as synthetic put events, then tail from the head
 // sequence captured before the snapshot.
 //
-// In-process consumers need no subscription: they observe a Log (Observe)
-// and see each event on the goroutine that publishes it. A Combiner fans
-// many subscriptions into one consumer for those that cannot, with
-// per-source resume cursors, automatic resubscribe with exponential backoff
-// and the snapshot fallback above.
+// In-process consumers need no subscription: they observe a Log (Observe,
+// or Tail to start from a cursor) and see each event on the goroutine that
+// publishes it. A Combiner fans many subscriptions into one consumer for
+// those that cannot, with per-source resume cursors, automatic resubscribe
+// with exponential backoff and the snapshot fallback above.
 package feed
 
 import (
@@ -145,9 +145,9 @@ type Log struct {
 	subs   map[*Subscription]struct{}
 	closed bool
 
-	// observers are called in registration order (see Observe); each is
-	// held by a pointer of its own, so that its detach finds it.
-	observers []*func(*Event)
+	// observers are called in registration order (see Observe and Tail);
+	// each is held by a pointer of its own, so that its detach finds it.
+	observers []*observer
 
 	events      *metrics.Counter
 	subscribers *metrics.Gauge
@@ -213,8 +213,8 @@ func (l *Log) Publish(ev *Event) uint64 {
 		ev.Commit = time.Now().UnixNano()
 	}
 	retained := l.deliverLocked(ev)
-	for _, fn := range l.observers {
-		(*fn)(retained)
+	for _, o := range l.observers {
+		o.fn(retained)
 	}
 	l.mu.Unlock()
 	l.events.Inc()
@@ -235,9 +235,6 @@ func (l *Log) deliverLocked(ev *Event) *Event {
 	l.count++
 	var dropped []*Subscription
 	for sub := range l.subs {
-		if !sub.matches(ev.Name) {
-			continue
-		}
 		select {
 		case sub.ch <- *ev:
 		default:
@@ -250,6 +247,13 @@ func (l *Log) deliverLocked(ev *Event) *Event {
 		l.dropLocked(sub, ErrLagged)
 	}
 	return retained
+}
+
+// observer is one function added by Observe or Tail; a Tail observer is a
+// consumer, and counts in feed_subscribers while it is attached.
+type observer struct {
+	fn     func(*Event)
+	counts bool
 }
 
 // Observe adds fn to the log's observers and returns its detach function:
@@ -265,12 +269,56 @@ func (l *Log) Observe(fn func(*Event)) (detach func()) {
 		fn(nil)
 		return func() {}
 	}
-	o := &fn
+	return l.observeLocked(&observer{fn: fn})
+}
+
+// Tail is Observe from a cursor, for a consumer that must not miss an event:
+// under the log's lock it calls fn with each retained event after from, then
+// adds fn as an observer, so fn sees every event after from exactly once and
+// in order. It fails as Subscribe does, with ErrClosed on a closed log and
+// ErrCompacted for a cursor outside the retained window, and like a
+// subscription it counts in feed_subscribers until it is detached or the log
+// closes. fn runs under the log's lock, on the committing goroutine, as an
+// Observe observer does: a lock it takes comes after the log's in the lock
+// order, and whoever holds that lock must not publish, subscribe or detach.
+func (l *Log) Tail(from uint64, fn func(*Event)) (detach func(), err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.cursorErrLocked(from); err != nil {
+		return nil, err
+	}
+	for i := 0; i < l.count; i++ {
+		if ev := &l.ring[(l.start+i)%l.capacity]; ev.Seq > from {
+			fn(ev)
+		}
+	}
+	l.subscribers.Add(1)
+	return l.observeLocked(&observer{fn: fn, counts: true}), nil
+}
+
+// cursorErrLocked reports why a consumer cannot start from the cursor:
+// ErrClosed, or ErrCompacted for a cursor outside the retained window.
+func (l *Log) cursorErrLocked(from uint64) error {
+	switch {
+	case l.closed:
+		return ErrClosed
+	case from < l.floor || from > l.seq:
+		return ErrCompacted
+	}
+	return nil
+}
+
+// observeLocked appends o to the observers and returns its detach.
+func (l *Log) observeLocked(o *observer) (detach func()) {
 	l.observers = append(l.observers, o)
 	return func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		l.observers = slices.DeleteFunc(l.observers, func(x *func(*Event)) bool { return x == o })
+		n := len(l.observers)
+		l.observers = slices.DeleteFunc(l.observers, func(x *observer) bool { return x == o })
+		if o.counts && len(l.observers) < n {
+			l.subscribers.Add(-1)
+		}
 	}
 }
 
@@ -298,8 +346,11 @@ func (l *Log) Close() {
 	for sub := range l.subs {
 		l.dropLocked(sub, ErrClosed)
 	}
-	for _, fn := range l.observers {
-		(*fn)(nil)
+	for _, o := range l.observers {
+		o.fn(nil)
+		if o.counts {
+			l.subscribers.Add(-1)
+		}
 	}
 	l.observers = nil
 }
@@ -318,11 +369,6 @@ func WithBuffer(n int) SubOption {
 	}
 }
 
-// WithPrefix delivers only events whose Name starts with the prefix.
-func WithPrefix(p string) SubOption {
-	return func(s *Subscription) { s.prefix = p }
-}
-
 // Subscribe registers a consumer resuming from the given cursor: every
 // retained event with Seq > from is delivered first (the backlog), then the
 // live tail. from = 0 on a fresh log means "everything"; from = Seq() means
@@ -336,16 +382,13 @@ func (l *Log) Subscribe(from uint64, opts ...SubOption) (*Subscription, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
-	}
-	if from < l.floor || from > l.seq {
-		return nil, ErrCompacted
+	if err := l.cursorErrLocked(from); err != nil {
+		return nil, err
 	}
 	var backlog []Event
 	for i := 0; i < l.count; i++ {
 		ev := l.ring[(l.start+i)%l.capacity]
-		if ev.Seq > from && sub.matches(ev.Name) {
+		if ev.Seq > from {
 			backlog = append(backlog, ev)
 		}
 	}
@@ -367,7 +410,6 @@ type Subscription struct {
 	log    *Log
 	ch     chan Event
 	buffer int
-	prefix string
 
 	mu  sync.Mutex
 	err error
@@ -388,12 +430,6 @@ func (s *Subscription) setErr(err error) {
 	s.mu.Lock()
 	s.err = err
 	s.mu.Unlock()
-}
-
-// matches reports whether an event of the named entry passes the
-// subscription's filter.
-func (s *Subscription) matches(name string) bool {
-	return s.prefix == "" || (len(name) >= len(s.prefix) && name[:len(s.prefix)] == s.prefix)
 }
 
 // Close detaches the subscription and closes its channel. Idempotent; safe

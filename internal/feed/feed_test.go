@@ -126,6 +126,63 @@ func TestLogObserverLifecycle(t *testing.T) {
 	}
 }
 
+// TestLogTail: a Tail observer sees the retained events after its cursor,
+// then every live one, each once and in order; it refuses a cursor outside
+// the window and a closed log as Subscribe does; and it counts in
+// feed_subscribers until it is detached (once, however often detach is
+// called) or the log closes, which calls it with nil.
+func TestLogTail(t *testing.T) {
+	reg := metrics.NewRegistry()
+	l := NewLog(WithCapacity(4), WithLogMetrics(reg))
+	subscribers := reg.Gauge("feed_subscribers")
+	for i := range 6 {
+		l.Append(OpPut, fmt.Sprintf("k%d", i+1), nil)
+	}
+	if _, err := l.Tail(1, func(*Event) {}); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("tail from an evicted cursor: %v, want ErrCompacted", err)
+	}
+	if _, err := l.Tail(7, func(*Event) {}); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("tail from past the head: %v, want ErrCompacted", err)
+	}
+	var seen []uint64
+	closed := 0
+	detach, err := l.Tail(3, func(ev *Event) {
+		if ev == nil {
+			closed++
+			return
+		}
+		seen = append(seen, ev.Seq)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append(OpPut, "k7", nil)
+	if fmt.Sprint(seen) != "[4 5 6 7]" || subscribers.Value() != 1 {
+		t.Fatalf("tail from 3 saw %v with feed_subscribers %d, want [4 5 6 7] and 1", seen, subscribers.Value())
+	}
+	detach()
+	detach()
+	l.Append(OpPut, "k8", nil)
+	if len(seen) != 4 || subscribers.Value() != 0 {
+		t.Fatalf("after detach: saw %v with feed_subscribers %d, want no more events and 0", seen, subscribers.Value())
+	}
+
+	if _, err := l.Tail(l.Seq(), func(ev *Event) {
+		if ev == nil {
+			closed++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if closed != 1 || subscribers.Value() != 0 {
+		t.Fatalf("close reached the tail %d times and left feed_subscribers %d, want 1 and 0", closed, subscribers.Value())
+	}
+	if _, err := l.Tail(l.Seq(), func(*Event) {}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("tail of a closed log: %v, want ErrClosed", err)
+	}
+}
+
 func TestSubscribeReplaysBacklogThenTails(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 10; i++ {
@@ -224,22 +281,6 @@ func TestSlowSubscriberDroppedWithLagged(t *testing.T) {
 	}
 }
 
-func TestPrefixFilter(t *testing.T) {
-	l := NewLog()
-	l.Append(OpPut, "a/1", nil)
-	l.Append(OpPut, "b/1", nil)
-	l.Append(OpPut, "a/2", nil)
-	sub, err := l.Subscribe(0, WithPrefix("a/"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	got := collect(t, sub, 2)
-	if got[0].Name != "a/1" || got[1].Name != "a/2" {
-		t.Fatalf("filtered names = %q, %q", got[0].Name, got[1].Name)
-	}
-}
-
 func TestLogCloseEndsSubscriptions(t *testing.T) {
 	l := NewLog()
 	sub, err := l.Subscribe(0)
@@ -329,14 +370,18 @@ func publishKeys() ([]string, []byte) {
 }
 
 // TestAppendAllocations: publishing allocates nothing, with or without
-// subscribers, to one observer or two, or through a relaying observer into a
-// log that has one.
+// subscribers, to one observer or two, to a Tail observer, or through a
+// relaying observer into a log that has one.
 func TestAppendAllocations(t *testing.T) {
 	keys, value := publishKeys()
 	observed, twice := NewLog(), NewLog()
 	observed.Observe(func(*Event) {})
 	twice.Observe(func(*Event) {})
 	twice.Observe(func(*Event) {})
+	tailed := NewLog()
+	if _, err := tailed.Tail(0, func(*Event) {}); err != nil {
+		t.Fatal(err)
+	}
 	relaying, relay := NewLog(), NewLog()
 	relaying.Observe(relayInto(relay, "shard-0"))
 	relay.Observe(func(*Event) {})
@@ -344,7 +389,7 @@ func TestAppendAllocations(t *testing.T) {
 		name string
 		log  *Log
 	}
-	rows := []row{{"an observer", observed}, {"two observers", twice}, {"a relaying observer", relaying}}
+	rows := []row{{"an observer", observed}, {"two observers", twice}, {"a Tail observer", tailed}, {"a relaying observer", relaying}}
 	for _, n := range []int{0, 1, 16} {
 		l, _ := subscribedLog(t, n)
 		rows = append(rows, row{fmt.Sprintf("%d subscribers", n), l})
@@ -365,7 +410,8 @@ func TestAppendAllocations(t *testing.T) {
 
 // BenchmarkLogPublish is the in-package rung of the ladder's
 // feed.publish_ns_* rows (benchmark/ladder.go): Append with 0, 1 and 16
-// subscribers, whose buffers are emptied, untimed, before they fill.
+// subscribers, whose buffers are emptied, untimed, before they fill, and
+// with one Tail observer, a served watch's way of reading the log.
 func BenchmarkLogPublish(b *testing.B) {
 	keys, value := publishKeys()
 	for _, n := range []int{0, 1, 16} {
@@ -383,4 +429,14 @@ func BenchmarkLogPublish(b *testing.B) {
 			}
 		})
 	}
+	b.Run("tail", func(b *testing.B) {
+		l := NewLog()
+		if _, err := l.Tail(0, func(*Event) {}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			l.Append(OpPut, keys[i%len(keys)], value)
+		}
+	})
 }

@@ -1198,3 +1198,72 @@ func BenchmarkCacheFill(b *testing.B) {
 		}
 	}
 }
+
+// TestFlushFencesFillsInFlight: a fill that read the origin before a Flush
+// does not install after it, because Flush raises every shard's floor past
+// the fences the fills in flight hold.
+func TestFlushFencesFillsInFlight(t *testing.T) {
+	inst := registry.NewInstance(1, memcache.New(memcache.Config{}))
+	origin := &countingAPI{API: inst}
+	c := New(origin, Options{})
+	if _, err := inst.Put(ctx, entry("k", 1)); err != nil {
+		t.Fatal(err)
+	}
+	h := &heldRead{reached: make(chan struct{}), release: make(chan struct{})}
+	origin.held.Store(h)
+	fillDone := make(chan error, 1)
+	go func() {
+		_, err := c.Get(ctx, "k")
+		fillDone <- err
+	}()
+	<-h.reached // the fill holds the origin's answer
+	c.Flush()
+	h.release <- struct{}{}
+	if err := <-fillDone; err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.lookup("k"); ok {
+		t.Fatal("a fill that read the origin before Flush installed after it")
+	}
+}
+
+// TestEvictedTombstoneKeepsFencing: an invalidation that meets a fill in
+// flight leaves a tombstone; when the LRU evicts the tombstone, its fence
+// moves into the shard's floor, so the fill, which read the old value, still
+// cannot install it.
+func TestEvictedTombstoneKeepsFencing(t *testing.T) {
+	inst, _ := newFedInstance(t, 1)
+	origin := &countingAPI{API: inst}
+	c := New(origin, Options{Capacity: 1}) // one lock shard of one slot
+	c.AttachLog(inst.ChangeFeed())
+	t.Cleanup(func() { _ = c.Close() })
+	if _, err := inst.Put(ctx, entry("k", 1)); err != nil {
+		t.Fatal(err)
+	}
+	h := &heldRead{reached: make(chan struct{}), release: make(chan struct{})}
+	origin.held.Store(h)
+	fillDone := make(chan error, 1)
+	go func() {
+		_, err := c.Get(ctx, "k")
+		fillDone <- err
+	}()
+	<-h.reached // the fill holds size 1
+
+	evictions := c.Stats().Evictions
+	if _, err := inst.Put(ctx, entry("k", 2)); err != nil { // leaves a tombstone for k
+		t.Fatal(err)
+	}
+	if _, err := inst.Put(ctx, entry("other", 1)); err != nil { // its tombstone evicts k's
+		t.Fatal(err)
+	}
+	if c.Stats().Evictions == evictions {
+		t.Fatal("the second tombstone evicted nothing")
+	}
+	h.release <- struct{}{}
+	if err := <-fillDone; err != nil {
+		t.Fatal(err)
+	}
+	if e, err := c.Get(ctx, "k"); err != nil || e.Size != 2 {
+		t.Fatalf("get after the evicted tombstone = size %d, %v; want 2: the held fill installed its stale read", e.Size, err)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -820,5 +822,94 @@ func TestUnavailablePlaceholderKeepsItsSlot(t *testing.T) {
 	}
 	if u.Site() != 7 || u.Names(tctx) != nil || u.Len(tctx) != 0 {
 		t.Errorf("placeholder answers site %d, names %v, len %d; want 7, nil, 0", u.Site(), u.Names(tctx), u.Len(tctx))
+	}
+}
+
+// createFault wraps a shard whose next Create fails with a transport error
+// while armed, as a connection dropped under one call does.
+type createFault struct {
+	API
+	armed atomic.Bool
+}
+
+func (f *createFault) Create(ctx context.Context, e Entry) (Entry, error) {
+	if f.armed.CompareAndSwap(true, false) {
+		return Entry{}, errShardDown
+	}
+	return f.API.Create(ctx, e)
+}
+
+// TestRouterCreateLeadFailsOverOnlyOnUnavailable: a create whose first
+// replica fails in transport is led by the next replica, and then reaches
+// the first one too; a create whose first replica answers ErrExists fails
+// with it, and no other replica is asked to create the name.
+func TestRouterCreateLeadFailsOverOnlyOnUnavailable(t *testing.T) {
+	ctx := context.Background()
+	faults := make([]*createFault, 3)
+	r, insts := newWrappedTier(t, func(id cloud.SiteID, inst *Instance) API {
+		faults[id] = &createFault{API: inst}
+		return faults[id]
+	})
+
+	dropped := primaryOn(r, 0, "lead/dropped")
+	faults[0].armed.Store(true)
+	if _, err := r.Create(ctx, testEntry(dropped)); err != nil {
+		t.Fatalf("create whose first replica dropped the call: %v", err)
+	}
+	for _, home := range r.placer.Homes(dropped, 2) {
+		if !holds(t, insts[home], dropped) {
+			t.Errorf("shard %d, a home of %q, does not hold it", home, dropped)
+		}
+	}
+
+	taken := primaryOn(r, 1, "lead/taken")
+	if _, err := insts[1].Create(ctx, testEntry(taken)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Create(ctx, testEntry(taken)); !errors.Is(err, ErrExists) {
+		t.Fatalf("create of a name its first replica holds = %v, want ErrExists", err)
+	}
+	for _, home := range r.placer.Homes(taken, 2)[1:] {
+		if holds(t, insts[home], taken) {
+			t.Errorf("shard %d created %q after its first replica answered ErrExists", home, taken)
+		}
+	}
+}
+
+// TestRouterGetManyFailsOverPerName keeps the breaker shut, so every round
+// of a GetMany reaches the dead shards: a name whose first replica is dead
+// is read at its next one, and a name whose every replica is dead is
+// reported, wrapping ErrUnavailable.
+func TestRouterGetManyFailsOverPerName(t *testing.T) {
+	ctx := context.Background()
+	r, kills, _ := newReplicatedRouter(t, 4, 2, WithRouterHealth(1<<30, time.Hour), WithRouterMetrics(nil))
+	const n = 200
+	names := make([]string, n)
+	entries := make([]Entry, n)
+	var orphan string // homed on shards 2 and 3 alone
+	for i := range names {
+		names[i] = fmt.Sprintf("rep/getmany/%d", i)
+		entries[i] = testEntry(names[i])
+		if homes := r.placer.Homes(names[i], 2); orphan == "" && slices.Contains(homes, 2) && slices.Contains(homes, 3) {
+			orphan = names[i]
+		}
+	}
+	if orphan == "" {
+		t.Fatal("no name is homed on shards 2 and 3")
+	}
+	if _, err := r.PutMany(ctx, entries); err != nil {
+		t.Fatal(err)
+	}
+
+	kills[2].kill()
+	got, err := r.GetMany(ctx, names)
+	if err != nil || len(got) != n {
+		t.Fatalf("get-many with shard 2 dead: %d of %d entries, %v", len(got), n, err)
+	}
+
+	kills[3].kill()
+	_, err = r.GetMany(ctx, names)
+	if !errors.Is(err, ErrUnavailable) || !strings.Contains(fmt.Sprint(err), orphan) {
+		t.Fatalf("get-many with both homes of %q dead = %v, want an error naming it, wrapping ErrUnavailable", orphan, err)
 	}
 }

@@ -495,14 +495,16 @@ func (c *Client) grabConn(ctx context.Context) (*poolConn, error) {
 
 // poolConn is one pooled connection: a frame writer serialized by wmu and a
 // background demultiplexer that routes response frames to the in-flight
-// calls registered in pending.
+// calls registered in pending, and event frames to the watch streams
+// registered in streams.
 type poolConn struct {
 	conn net.Conn
 	wmu  sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
 	pending map[uint64]chan ResponseFrame
-	err     error // sticky; set once the connection is unusable
+	streams map[uint64]*WatchStream // nil until the connection's first watch
+	err     error                   // sticky; set once the connection is unusable
 }
 
 func newPoolConn(conn net.Conn) *poolConn {
@@ -544,14 +546,7 @@ func (pc *poolConn) do(ctx context.Context, id uint64, frame *frameBuf, timeout 
 	pc.pending[id] = ch
 	pc.mu.Unlock()
 
-	pc.wmu.Lock()
-	pc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := pc.conn.Write(frame.b)
-	pc.wmu.Unlock()
-	releaseFrame(frame)
-	if err != nil {
-		err = fmt.Errorf("rpc: write frame: %v: %w", err, registry.ErrUnavailable)
-		pc.fail(err)
+	if err := pc.send(frame, timeout); err != nil {
 		return ResponseFrame{}, err
 	}
 
@@ -582,6 +577,20 @@ func (pc *poolConn) do(ctx context.Context, id uint64, frame *frameBuf, timeout 
 	}
 }
 
+// send writes and releases frame. A failed write fails the connection.
+func (pc *poolConn) send(frame *frameBuf, timeout time.Duration) error {
+	pc.wmu.Lock()
+	pc.conn.SetWriteDeadline(time.Now().Add(timeout))
+	_, err := pc.conn.Write(frame.b)
+	pc.wmu.Unlock()
+	releaseFrame(frame)
+	if err != nil {
+		err = fmt.Errorf("rpc: write frame: %v: %w", err, registry.ErrUnavailable)
+		pc.fail(err)
+	}
+	return err
+}
+
 // expired returns the context's error if it is done, counting a deadline that
 // has passed on the clock as exceeded even when the context's timer has not
 // run yet: the server's own deadline-exceeded reply is sent after the client's
@@ -605,8 +614,27 @@ func (pc *poolConn) forget(id uint64) {
 	pc.mu.Unlock()
 }
 
-// readLoop demultiplexes response frames by header ID until the connection
-// dies. Frames for retired IDs (abandoned calls) are discarded.
+// addStream registers a watch stream under its header ID.
+func (pc *poolConn) addStream(id uint64, w *WatchStream) {
+	pc.mu.Lock()
+	if pc.streams == nil {
+		pc.streams = make(map[uint64]*WatchStream)
+	}
+	pc.streams[id] = w
+	pc.mu.Unlock()
+}
+
+// forgetStream retires a watch stream's ID; its late events are discarded.
+func (pc *poolConn) forgetStream(id uint64) {
+	pc.mu.Lock()
+	delete(pc.streams, id)
+	pc.mu.Unlock()
+}
+
+// readLoop demultiplexes frames by header ID until the connection dies:
+// replies to the calls waiting on them, event frames to their watch streams.
+// It never waits for a consumer. Frames for retired IDs (abandoned calls,
+// closed streams) are discarded.
 func (pc *poolConn) readLoop() {
 	br := bufio.NewReaderSize(pc.conn, connReadBuffer)
 	for {
@@ -614,6 +642,10 @@ func (pc *poolConn) readLoop() {
 		if err := readReply(br, &rf); err != nil {
 			pc.fail(fmt.Errorf("%v: %w", err, registry.ErrUnavailable))
 			return
+		}
+		if rf.Header.Kind == FrameWatchEvent {
+			pc.deliver(&rf)
+			continue
 		}
 		pc.mu.Lock()
 		ch := pc.pending[rf.Header.ID]
@@ -625,18 +657,32 @@ func (pc *poolConn) readLoop() {
 	}
 }
 
+// deliver routes one event frame to its stream; a stream that ends with it
+// is retired.
+func (pc *poolConn) deliver(rf *ResponseFrame) {
+	pc.mu.Lock()
+	w := pc.streams[rf.Header.ID]
+	pc.mu.Unlock()
+	if w != nil && w.deliver(rf) {
+		pc.forgetStream(w.id)
+	}
+}
+
 // fail marks the connection dead, closes it, and wakes every in-flight call
-// with the failure.
+// and ends every watch stream with the failure.
 func (pc *poolConn) fail(err error) {
 	pc.mu.Lock()
 	if pc.err == nil {
 		pc.err = err
 	}
-	pending := pc.pending
-	pc.pending = make(map[uint64]chan ResponseFrame)
+	pending, streams := pc.pending, pc.streams
+	pc.pending, pc.streams = make(map[uint64]chan ResponseFrame), nil
 	pc.mu.Unlock()
 	pc.conn.Close()
 	for _, ch := range pending {
 		close(ch)
+	}
+	for _, w := range streams {
+		w.end(fmt.Errorf("rpc: watch: %w", err))
 	}
 }

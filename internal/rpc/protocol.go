@@ -608,26 +608,12 @@ func encodeRequest(f *RequestFrame) (*frameBuf, error) {
 	return frame, nil
 }
 
-// writeRequest writes one length-prefixed request to w.
-func writeRequest(w io.Writer, f *RequestFrame) error {
-	frame, err := encodeRequest(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame.b)
-	releaseFrame(frame)
-	if err != nil {
-		return fmt.Errorf("rpc: write frame: %w", err)
-	}
-	return nil
-}
-
 // encodeReply renders one length-prefixed reply into a pooled buffer, to be
 // written and released like encodeRequest's. A reply that outgrows
 // MaxMessageSize is not sent, and its connection is not given up either: the
 // caller of every operation it answers gets an internal error naming the
-// size instead, and substituted reports that. Only an event frame has nobody
-// to tell; that is an error, which ends its stream.
+// size instead, and substituted reports that. (Event frames are encoded by
+// appendEventFrame.)
 func encodeReply(f *ResponseFrame) (frame *frameBuf, substituted bool, err error) {
 	frame = takeFrame()
 	frame.b = appendResponseFrame(frame.b, f)
@@ -636,9 +622,6 @@ func encodeReply(f *ResponseFrame) (frame *frameBuf, substituted bool, err error
 		return frame, false, nil
 	}
 	refusal := Response{Err: ErrInternal, Detail: fmt.Sprintf("rpc: reply of %d bytes exceeds the message limit of %d", n, MaxMessageSize)}
-	if f.Header.Kind == FrameWatchEvent {
-		return nil, false, errors.New(refusal.Detail)
-	}
 	small := ResponseFrame{Header: f.Header, Resp: refusal}
 	if f.Header.Kind == FrameBatch {
 		small.Batch.Ops = make([]Response, len(f.Batch.Ops))

@@ -96,15 +96,12 @@ func TestOversizedReplyIsAnsweredNotDropped(t *testing.T) {
 }
 
 // An event frame has no caller to answer, so one that is too large is an
-// error, which ends its stream.
+// error, which ends its connection, and nothing of it is appended.
 func TestOversizedEventFrameIsAnError(t *testing.T) {
-	f := ResponseFrame{
-		Header: Header{ID: 1, Kind: FrameWatchEvent},
-		Resp:   Response{OK: true},
-		Events: []feed.Event{{Seq: 1, Op: 1, Name: "huge", Value: make([]byte, MaxMessageSize)}},
-	}
-	if frame, substituted, err := encodeReply(&f); err == nil || substituted || frame != nil {
-		t.Errorf("encodeReply of an oversized event frame = %v, substituted %v, %v", frame, substituted, err)
+	events := []feed.Event{{Seq: 1, Op: 1, Name: "huge", Value: make([]byte, MaxMessageSize)}}
+	before := []byte("queued")
+	if got, err := appendEventFrame(before, 1, events, nil); err == nil || string(got) != "queued" {
+		t.Errorf("appendEventFrame of an oversized event frame = %d bytes, %v; want the 6 bytes before it and an error", len(got), err)
 	}
 }
 

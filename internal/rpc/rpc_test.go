@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -37,6 +38,18 @@ func startTestServer(t *testing.T, site cloud.SiteID) (*Server, *Client) {
 
 func wireEntry(name string) registry.Entry {
 	return registry.NewEntry(name, 2048, "task-w", registry.Location{Site: 1, Node: 4})
+}
+
+// writeRequest writes one length-prefixed request to w, as a raw client
+// does.
+func writeRequest(w io.Writer, f *RequestFrame) error {
+	frame, err := encodeRequest(f)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame.b)
+	releaseFrame(frame)
+	return err
 }
 
 func TestClientSiteAndPing(t *testing.T) {

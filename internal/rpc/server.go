@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,7 +274,7 @@ type dispatchJob struct {
 // caller is served by one goroutine whose stack has already grown.
 func (s *Server) handle(conn net.Conn) {
 	var (
-		wmu   sync.Mutex // serializes response-frame writes
+		ob    = &outbox{conn: conn}
 		wg    sync.WaitGroup
 		slots = make(chan struct{}, s.maxInflight)
 		jobs  = make(chan dispatchJob)
@@ -290,7 +291,7 @@ func (s *Server) handle(conn net.Conn) {
 			// Go idle before the reply prompts the caller's next request, so
 			// the read loop finds this worker even if the write is slow.
 			parks := idle.CompareAndSwap(false, true)
-			s.reply(conn, &wmu, &out)
+			s.reply(ob, &out)
 			j, out = dispatchJob{}, ResponseFrame{} // an idle worker pins no decoded entries
 			<-slots
 			if !parks {
@@ -349,7 +350,7 @@ func (s *Server) handle(conn net.Conn) {
 			if finish, aerr = s.limiter.Admit(rf.Header.Tenant, ops, len(payload)); aerr != nil {
 				releasePayload(payload)
 				s.obs.countErr(ErrOverloaded)
-				s.answerAll(conn, &wmu, rf.Header, ops, failure(aerr))
+				s.answerAll(ob, rf.Header, ops, failure(aerr))
 				continue
 			}
 		}
@@ -360,7 +361,7 @@ func (s *Server) handle(conn net.Conn) {
 			// to skip behind an undefined op, but the header said whom to tell.
 			finish(0)
 			s.obs.countErr(ErrBadOp)
-			s.answerAll(conn, &wmu, rf.Header, ops, Response{Err: ErrBadOp, Detail: err.Error()})
+			s.answerAll(ob, rf.Header, ops, Response{Err: ErrBadOp, Detail: err.Error()})
 			continue
 		}
 		if err != nil {
@@ -376,7 +377,7 @@ func (s *Server) handle(conn net.Conn) {
 			// gets its own goroutine outside the in-flight slots, so idle
 			// subscriptions never starve pipelined request/response traffic.
 			finish(0)
-			s.startWatch(conn, &wmu, &wg, watches, rf)
+			s.startWatch(ob, &wg, watches, rf)
 			continue
 		case FrameWatchCancel:
 			watches.cancel(rf.Header.ID)
@@ -424,21 +425,21 @@ func (s *Server) serveFrame(rf *RequestFrame, finish func(time.Duration)) Respon
 
 // reply writes out. A failed write closes the connection, which unblocks its
 // read loop.
-func (s *Server) reply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) {
-	if err := s.writeReply(conn, wmu, out); err != nil {
+func (s *Server) reply(ob *outbox, out *ResponseFrame) {
+	if err := s.writeReply(ob, out); err != nil {
 		if !s.isClosed() {
-			s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
+			s.logger.Printf("rpc: write to %s: %v", ob.conn.RemoteAddr(), err)
 		}
-		conn.Close()
+		ob.conn.Close()
 	}
 }
 
-// writeReply encodes one reply and writes it under the connection's write
-// lock, which pipelined responses and watch streams share. It is done with
-// out when it returns. A reply too large to send has been replaced by
-// internal errors for its callers (encodeReply); that is counted and logged
-// here, and is not a write error.
-func (s *Server) writeReply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) error {
+// writeReply encodes one reply and writes it through the connection's
+// outbox, after the events its live watches have queued. It is done with out
+// when it returns. A reply too large to send has been replaced by internal
+// errors for its callers (encodeReply); that is counted and logged here, and
+// is not a write error.
+func (s *Server) writeReply(ob *outbox, out *ResponseFrame) error {
 	frame, substituted, err := encodeReply(out)
 	if err != nil {
 		return err
@@ -447,21 +448,80 @@ func (s *Server) writeReply(conn net.Conn, wmu *sync.Mutex, out *ResponseFrame) 
 		for range max(1, len(out.Batch.Ops)) {
 			s.obs.countErr(ErrInternal)
 		}
-		s.logger.Printf("rpc: reply %d to %s exceeds %d bytes; answered with an error instead", out.Header.ID, conn.RemoteAddr(), MaxMessageSize)
+		s.logger.Printf("rpc: reply %d to %s exceeds %d bytes; answered with an error instead", out.Header.ID, ob.conn.RemoteAddr(), MaxMessageSize)
 	}
-	wmu.Lock()
-	_, err = conn.Write(frame.b)
-	wmu.Unlock()
+	err = ob.write(frame.b, nil)
 	releaseFrame(frame)
 	return err
+}
+
+// outbox is one connection's write side: the lock every frame is written
+// under, which pipelined replies and watch streams share, and the
+// connection's live watches. Every write first takes what each live watch
+// has queued and sends those events ahead of its own frame, in one Write, so
+// a write's reply carries the events its own commit queued and the watch's
+// goroutine has nothing left to send. A connection without a live watch
+// writes its frame alone, as if there were no outbox.
+type outbox struct {
+	conn net.Conn
+
+	mu   sync.Mutex
+	live []*serverWatch
+	buf  []byte // the events and frame of a write that carries events
+}
+
+// write sends frame, a length-prefixed message or nil, after the events the
+// live watches have queued. leaving, if not nil, stops being live once its
+// queue is taken, so nothing of it follows frame.
+func (ob *outbox) write(frame []byte, leaving *serverWatch) error {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	if len(ob.live) == 0 {
+		if len(frame) == 0 {
+			return nil
+		}
+		_, err := ob.conn.Write(frame)
+		return err
+	}
+	b := ob.buf[:0]
+	for _, w := range ob.live {
+		var err error
+		if b, err = w.appendQueued(b); err != nil {
+			return err
+		}
+	}
+	if leaving != nil {
+		ob.live = slices.DeleteFunc(ob.live, func(w *serverWatch) bool { return w == leaving })
+	}
+	b = append(b, frame...)
+	var err error
+	if len(b) > 0 {
+		_, err = ob.conn.Write(b)
+	}
+	if cap(b) <= maxPooledFrame {
+		ob.buf = b[:0]
+	} else {
+		ob.buf = nil
+	}
+	return err
+}
+
+// setLive adds w to the live watches, or removes it.
+func (ob *outbox) setLive(w *serverWatch, live bool) {
+	ob.mu.Lock()
+	ob.live = slices.DeleteFunc(ob.live, func(x *serverWatch) bool { return x == w })
+	if live {
+		ob.live = append(ob.live, w)
+	}
+	ob.mu.Unlock()
 }
 
 // answerAll answers a frame that is not going to be executed — refused by
 // admission control, or naming an undefined op — with resp for each of its ops
 // operations, in the shape the client expects for the frame's kind. It runs on
-// the connection's read loop; the write happens under the shared write lock
-// like any pipelined response.
-func (s *Server) answerAll(conn net.Conn, wmu *sync.Mutex, h Header, ops int, resp Response) {
+// the connection's read loop; the write goes through the outbox like any
+// pipelined response.
+func (s *Server) answerAll(ob *outbox, h Header, ops int, resp Response) {
 	out := ResponseFrame{Header: Header{ID: h.ID, Kind: FrameSingle}, Resp: resp}
 	switch h.Kind {
 	case FrameBatch:
@@ -473,7 +533,7 @@ func (s *Server) answerAll(conn net.Conn, wmu *sync.Mutex, h Header, ops int, re
 	case FrameWatch:
 		out.Header.Kind = FrameWatch
 	}
-	s.reply(conn, wmu, &out)
+	s.reply(ob, &out)
 }
 
 // dispatch executes one registry operation under the request context. A

@@ -1,12 +1,12 @@
 package rpc
 
 import (
-	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,8 +24,17 @@ import (
 //	  ── FrameWatch{FromSeq,Prefix} ──►
 //	  ◄── FrameWatch ack{StartSeq,Fallback} ──
 //	  ◄── FrameWatchEvent{Events...} ──   (repeated)
-//	  ◄── FrameWatchEvent{Err} ──         (terminal, on feed loss)
+//	  ◄── FrameWatchEvent{Err} ──         (terminal, on feed loss or lag)
 //	  ── FrameWatchCancel ──►             (or just close the connection)
+//
+// A watch rides one of the client's pooled connections, beside its calls.
+// On the server it is a Tail observer of the feed that queues events on the
+// committing goroutine, and every write on the connection sends what the
+// connection's watches have queued ahead of its own frame, in one write: a
+// watched write's reply carries its events. The watch's own goroutine sends
+// what no write took. On the client the connection's reader routes event
+// frames to their streams without ever waiting for a consumer (see
+// watchStall); one that stops reading ends its stream with feed.ErrLagged.
 //
 // A FromSeq older than the server's retained event window is answered with
 // the cursor-too-old error when the client set NoFallback; otherwise the
@@ -86,10 +95,9 @@ type WatchAck struct {
 	Fallback bool
 }
 
-// watchEventBatch bounds how many events one FrameWatchEvent carries: the
-// server yields once after an event arrives, then drains what is queued up to
-// this many, so a burst amortizes framing without letting one frame grow
-// unboundedly.
+// watchEventBatch bounds how many events one FrameWatchEvent carries, so a
+// burst amortizes framing without letting one frame grow unboundedly; a
+// served watch may queue this many events beyond its backlog.
 const watchEventBatch = 256
 
 // encodeFeedErr classifies the feed sentinels terminating a subscription.
@@ -163,18 +171,108 @@ func (w *connWatches) cancelAll() {
 	}
 }
 
-// startWatch opens one subscription and spawns its streaming goroutine. It
-// answers the FrameWatch synchronously (ack or error) so the client knows
-// the outcome before any event arrives.
-func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, watches *connWatches, rf RequestFrame) {
+// serverWatch is one watch of a connection: a Tail observer of the
+// registry's feed that queues the events its prefix selects, on the
+// committing goroutine, for the connection's next write (see outbox).
+type serverWatch struct {
+	id     uint64
+	prefix string
+	wake   chan struct{} // one slot: the queue stopped being empty, or the watch ended
+
+	mu    sync.Mutex // taken under the feed log's lock and under the outbox's
+	queue []feed.Event
+	limit int   // the queue length that lags the watch; 0 while Tail replays
+	end   error // feed.ErrLagged or feed.ErrClosed; nothing is queued after it
+}
+
+// observe is the watch's Tail observer: it queues ev and wakes the stream
+// goroutine when the queue was empty. A queue past its limit ends the watch
+// with feed.ErrLagged, as a full subscription buffer drops a subscriber; the
+// log closing (nil) ends it with feed.ErrClosed.
+func (w *serverWatch) observe(ev *feed.Event) {
+	if ev != nil && !strings.HasPrefix(ev.Name, w.prefix) {
+		return
+	}
+	w.mu.Lock()
+	if w.end != nil {
+		w.mu.Unlock()
+		return
+	}
+	wake := len(w.queue) == 0
+	switch {
+	case ev == nil:
+		w.end, wake = feed.ErrClosed, true
+	case w.limit > 0 && len(w.queue) >= w.limit:
+		w.end, wake = feed.ErrLagged, true
+	default:
+		w.queue = append(w.queue, *ev)
+	}
+	w.mu.Unlock()
+	if wake {
+		select {
+		case w.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// appendQueued takes the whole queue, appending it to dst as event frames of
+// at most watchEventBatch events. Its callers hold the outbox's lock, so the
+// events of one watch go out in the order they were queued.
+func (w *serverWatch) appendQueued(dst []byte) ([]byte, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var err error
+	for q := w.queue; len(q) > 0 && err == nil; {
+		n := min(len(q), watchEventBatch)
+		dst, err = appendEventFrame(dst, w.id, q[:n], nil)
+		q = q[n:]
+	}
+	clear(w.queue) // pins no event values
+	w.queue = w.queue[:0]
+	if cap(w.queue) > 4*watchEventBatch {
+		w.queue = nil // a replayed backlog's array is not kept
+	}
+	return dst, err
+}
+
+// state reports whether events are queued and why the watch ended, if it has.
+func (w *serverWatch) state() (queued bool, end error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.queue) > 0, w.end
+}
+
+// appendEventFrame appends one length-prefixed FrameWatchEvent carrying
+// events, terminal if end is not nil. Such a frame has nobody to answer if it
+// outgrows MaxMessageSize; that is an error, which ends its connection.
+func appendEventFrame(dst []byte, id uint64, events []feed.Event, end error) ([]byte, error) {
+	f := ResponseFrame{Header: Header{ID: id, Kind: FrameWatchEvent}, Resp: Response{OK: end == nil}, Events: events}
+	if end != nil {
+		f.Resp.Err, f.Resp.Detail = encodeFeedErr(end)
+	}
+	start := len(dst)
+	dst = appendResponseFrame(append(dst, 0, 0, 0, 0), &f)
+	size := len(dst) - start - 4
+	if size > MaxMessageSize {
+		return dst[:start], fmt.Errorf("rpc: event frame of %d bytes exceeds the message limit of %d", size, MaxMessageSize)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(size))
+	return dst, nil
+}
+
+// startWatch tails the registry's feed for one watch and spawns its stream
+// goroutine. It answers the FrameWatch synchronously (ack or error) so the
+// client knows the outcome before any event arrives.
+func (s *Server) startWatch(ob *outbox, wg *sync.WaitGroup, watches *connWatches, rf RequestFrame) {
 	refuse := func(code ErrCode, detail string) {
 		out := ResponseFrame{
 			Header: Header{ID: rf.Header.ID, Kind: FrameWatch},
 			Resp:   Response{OK: false, Err: code, Detail: detail},
 		}
 		s.obs.countErr(code)
-		if err := s.writeReply(conn, wmu, &out); err != nil && !s.isClosed() {
-			s.logger.Printf("rpc: write to %s: %v", conn.RemoteAddr(), err)
+		if err := s.writeReply(ob, &out); err != nil && !s.isClosed() {
+			s.logger.Printf("rpc: write to %s: %v", ob.conn.RemoteAddr(), err)
 		}
 	}
 	feeder, ok := s.reg.(registry.ChangeFeeder)
@@ -185,9 +283,10 @@ func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, 
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	log := feeder.ChangeFeed()
 	req := rf.Watch
+	w := &serverWatch{id: rf.Header.ID, prefix: req.Prefix, wake: make(chan struct{}, 1)}
 	ack := WatchAck{StartSeq: req.FromSeq}
 	var snapshot []feed.Event
-	sub, err := log.Subscribe(req.FromSeq, feed.WithPrefix(req.Prefix), feed.WithBuffer(watchEventBatch))
+	detach, err := log.Tail(req.FromSeq, w.observe)
 	if errors.Is(err, feed.ErrCompacted) && !req.NoFallback {
 		// Cursor too old: re-send the current state, then tail from the
 		// head captured before the state was read (at-least-once across
@@ -195,7 +294,7 @@ func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, 
 		var head uint64
 		snapshot, head, err = feeder.FeedSnapshot(ctx)
 		if err == nil {
-			sub, err = log.Subscribe(head, feed.WithPrefix(req.Prefix), feed.WithBuffer(watchEventBatch))
+			detach, err = log.Tail(head, w.observe)
 		}
 		ack = WatchAck{StartSeq: head, Fallback: true}
 	}
@@ -205,15 +304,19 @@ func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, 
 		refuse(code, detail)
 		return
 	}
+	// The watch lags once it queues watchEventBatch events past its backlog.
+	w.mu.Lock()
+	w.limit = len(w.queue) + watchEventBatch
+	w.mu.Unlock()
 	out := ResponseFrame{
 		Header: Header{ID: rf.Header.ID, Kind: FrameWatch},
 		Resp:   Response{OK: true},
 		Watch:  ack,
 	}
-	if err := s.writeReply(conn, wmu, &out); err != nil {
+	if err := s.writeReply(ob, &out); err != nil {
 		cancel()
-		sub.Close()
-		conn.Close()
+		detach()
+		ob.conn.Close()
 		return
 	}
 	watches.add(rf.Header.ID, cancel)
@@ -221,34 +324,33 @@ func (s *Server) startWatch(conn net.Conn, wmu *sync.Mutex, wg *sync.WaitGroup, 
 	go func() {
 		defer wg.Done()
 		defer cancel()
-		defer sub.Close()
-		s.streamWatch(ctx, conn, wmu, rf.Header.ID, req.Prefix, snapshot, ack.StartSeq, sub)
+		defer detach()
+		s.streamWatch(ctx, ob, w, snapshot, ack.StartSeq)
 		watches.cancel(rf.Header.ID)
 	}()
 }
 
-// streamWatch pushes the snapshot (if any) and then the live tail until the
-// subscription, the connection or the context ends.
-func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex, id uint64, prefix string, snapshot []feed.Event, startSeq uint64, sub *feed.Subscription) {
-	send := func(events []feed.Event, terminal error) bool {
-		out := ResponseFrame{
-			Header: Header{ID: id, Kind: FrameWatchEvent},
-			Resp:   Response{OK: terminal == nil},
+// streamWatch sends the snapshot (if any), makes the watch live, and then
+// sends what no other write on the connection took, until the watch ends,
+// the connection fails or the context ends. A write error closes the
+// connection, which ends its read loop.
+func (s *Server) streamWatch(ctx context.Context, ob *outbox, w *serverWatch, snapshot []feed.Event, startSeq uint64) {
+	var frame []byte // one buffer for every frame the goroutine sends
+	send := func(events []feed.Event, end error, leaving *serverWatch) bool {
+		var err error
+		if frame, err = appendEventFrame(frame[:0], w.id, events, end); err == nil {
+			err = ob.write(frame, leaving)
 		}
-		out.Events = events
-		if terminal != nil {
-			out.Resp.Err, out.Resp.Detail = encodeFeedErr(terminal)
+		if err != nil {
+			ob.conn.Close()
 		}
-		if err := s.writeReply(conn, wmu, &out); err != nil {
-			conn.Close() // the watch consumer is gone; unblock the read loop
-			return false
-		}
-		return true
+		return err == nil
 	}
 	if len(snapshot) > 0 {
+		// Before the watch is live, so no live event overtakes the state.
 		batch := make([]feed.Event, 0, min(len(snapshot), watchEventBatch))
 		for _, ev := range snapshot {
-			if prefix != "" && (len(ev.Name) < len(prefix) || ev.Name[:len(prefix)] != prefix) {
+			if !strings.HasPrefix(ev.Name, w.prefix) {
 				continue
 			}
 			if ev.Seq == 0 {
@@ -256,59 +358,36 @@ func (s *Server) streamWatch(ctx context.Context, conn net.Conn, wmu *sync.Mutex
 			}
 			batch = append(batch, ev)
 			if len(batch) == watchEventBatch {
-				if !send(batch, nil) {
+				if !send(batch, nil, nil) {
 					return
 				}
 				batch = batch[:0]
 			}
 		}
-		if len(batch) > 0 && !send(batch, nil) {
+		if len(batch) > 0 && !send(batch, nil, nil) {
 			return
 		}
 	}
+	ob.setLive(w, true)
+	defer ob.setLive(w, false)
 	for {
 		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				err := sub.Err()
-				if err == nil {
-					err = feed.ErrClosed
-				}
-				send(nil, err)
-				return
-			}
-			// Yield once before draining, as the WAL's group commit does
-			// before its sync: the events a write's other replicas are
-			// publishing, and the write's own reply, run first, so one frame
-			// carries them all and follows the reply.
-			runtime.Gosched()
-			batch := []feed.Event{ev}
-			ended := false
-		drain:
-			for len(batch) < watchEventBatch {
-				select {
-				case ev2, ok2 := <-sub.Events():
-					if !ok2 {
-						ended = true
-						break drain
-					}
-					batch = append(batch, ev2)
-				default:
-					break drain
-				}
-			}
-			if !send(batch, nil) {
-				return
-			}
-			if ended {
-				err := sub.Err()
-				if err == nil {
-					err = feed.ErrClosed
-				}
-				send(nil, err)
-				return
-			}
+		case <-w.wake:
 		case <-ctx.Done():
+			return
+		}
+		// Yield once, as the WAL's group commit does before its sync: the
+		// write whose commit queued the events usually runs first and sends
+		// them ahead of its reply, with the events the write's other replicas
+		// publish meanwhile.
+		runtime.Gosched()
+		queued, end := w.state()
+		if end != nil {
+			send(nil, end, w) // the queue, then the terminal frame
+			return
+		}
+		if queued && ob.write(nil, nil) != nil {
+			ob.conn.Close()
 			return
 		}
 	}
@@ -325,31 +404,48 @@ type WatchOptions struct {
 	NoFallback bool
 }
 
+// watchStall is how long a stream's consumer may take no event while events
+// wait for it. The connection's reader never waits for a consumer, because
+// the connection carries other calls' replies: events the stream's buffer
+// cannot take spill into a queue that a pump goroutine delivers, so a
+// consumer that keeps reading receives a burst (a backlog, a fallback
+// snapshot) whole, at its own pace. One that stops reading for watchStall
+// ends its stream with feed.ErrLagged, as the server drops a watch that
+// falls behind, and resumes from its cursor.
+const watchStall = time.Second
+
 // WatchStream is one live watch subscription. It implements feed.Stream, so
 // a feed.Combiner can fan remote shards' watches into one consumer.
 //
-// The stream rides its own dedicated TCP connection: event delivery applies
-// backpressure through the transport instead of competing with pipelined
-// request/response traffic.
+// The stream rides one of its Client's pooled connections, beside that
+// connection's calls: the connection's reader routes the stream's event
+// frames to it by their header ID, and the server sends the events queued
+// for it ahead of its next reply on the connection.
 type WatchStream struct {
-	conn net.Conn
-	out  chan feed.Event
-	done chan struct{}
-	once sync.Once
-	ack  WatchAck
+	pc      *poolConn
+	id      uint64
+	timeout time.Duration
+	out     chan feed.Event
+	quit    chan struct{} // closed by Close: the pump stops waiting on the consumer
+	ack     WatchAck
 
-	mu  sync.Mutex
-	err error
+	mu        sync.Mutex
+	spill     []feed.Event // what out could not take, in order, for the pump
+	pumping   bool         // the pump owns delivery until spill is empty
+	ended     bool         // no further event is taken; err says why
+	outClosed bool
+	quitting  bool
+	err       error
 }
 
 // Events returns the event channel; it closes when the subscription ends
-// (Close, server shutdown, transport loss, or the feed dropping the
-// subscriber), after which Err explains why.
+// (Close, server shutdown, transport loss, the feed dropping the
+// subscription, or the consumer stalling), after which Err explains why.
 func (w *WatchStream) Events() <-chan feed.Event { return w.out }
 
 // Err returns the terminal error after Events closed: nil after a clean
-// Close, feed.ErrLagged / feed.ErrClosed for server-side feed ends, an
-// error wrapping registry.ErrUnavailable for transport loss.
+// Close, feed.ErrLagged / feed.ErrClosed for feed ends, an error wrapping
+// registry.ErrUnavailable for transport loss or a closed Client.
 func (w *WatchStream) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -364,117 +460,177 @@ func (w *WatchStream) StartSeq() uint64 { return w.ack.StartSeq }
 // the requested cursor predated its retained window.
 func (w *WatchStream) Fallback() bool { return w.ack.Fallback }
 
-// Close ends the subscription. Idempotent.
+// Close ends the subscription and cancels it at the server. Idempotent.
 func (w *WatchStream) Close() {
-	w.once.Do(func() {
-		close(w.done)
-		w.conn.Close()
-	})
-}
-
-func (w *WatchStream) setErr(err error) {
 	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
+	if w.quitting {
+		w.mu.Unlock()
+		return
+	}
+	w.quitting = true
+	close(w.quit)
+	live := !w.ended
+	w.ended, w.spill = true, nil
+	if !w.pumping {
+		w.closeOutLocked()
 	}
 	w.mu.Unlock()
+	w.pc.forgetStream(w.id)
+	if live {
+		w.cancel()
+	}
+}
+
+// cancel sends the server the stream's FrameWatchCancel.
+func (w *WatchStream) cancel() {
+	if w.pc.dead() {
+		return
+	}
+	if frame, err := encodeRequest(&RequestFrame{Header: Header{ID: w.id, Kind: FrameWatchCancel}}); err == nil {
+		w.pc.send(frame, w.timeout) //nolint:errcheck // a failed write fails the connection, which the server sees
+	}
+}
+
+// end ends the stream with err unless it has ended already. The events it
+// holds are still delivered first.
+func (w *WatchStream) end(err error) {
+	w.mu.Lock()
+	w.endLocked(err)
+	w.mu.Unlock()
+}
+
+func (w *WatchStream) endLocked(err error) {
+	if !w.ended {
+		w.ended, w.err = true, err
+		if !w.pumping {
+			w.closeOutLocked()
+		}
+	}
+}
+
+func (w *WatchStream) closeOutLocked() {
+	if !w.outClosed {
+		w.outClosed = true
+		close(w.out)
+	}
+}
+
+// deliver takes one event frame for the consumer without waiting for it,
+// and reports whether the stream has ended.
+func (w *WatchStream) deliver(rf *ResponseFrame) (ended bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.ended {
+		return true
+	}
+	for _, ev := range rf.Events {
+		if !w.pumping {
+			select {
+			case w.out <- ev:
+				continue
+			default:
+				w.pumping = true
+				go w.pump()
+			}
+		}
+		w.spill = append(w.spill, ev)
+	}
+	if rf.Resp.Err != ErrNone {
+		w.endLocked(decodeFeedErr(rf.Resp))
+	}
+	return w.ended
+}
+
+// pump delivers the spilled events in order, waiting on the consumer as the
+// connection's reader must not, until the spill is empty. A consumer that
+// takes no event for watchStall ends the stream with feed.ErrLagged, and
+// the server is told.
+func (w *WatchStream) pump() {
+	stall := time.NewTimer(watchStall)
+	defer stall.Stop()
+	for {
+		w.mu.Lock()
+		batch := w.spill
+		w.spill = nil
+		if len(batch) == 0 {
+			w.pumping = false
+			if w.ended {
+				w.closeOutLocked()
+			}
+			w.mu.Unlock()
+			return
+		}
+		w.mu.Unlock()
+		for _, ev := range batch {
+			stall.Reset(watchStall)
+			select {
+			case w.out <- ev:
+			case <-w.quit:
+				w.mu.Lock()
+				w.pumping = false
+				w.closeOutLocked()
+				w.mu.Unlock()
+				return
+			case <-stall.C:
+				w.mu.Lock()
+				lagged := !w.ended
+				w.spill, w.pumping = nil, false
+				w.endLocked(fmt.Errorf("rpc: watch %d: consumer took no event for %v: %w", w.id, watchStall, feed.ErrLagged))
+				w.closeOutLocked()
+				w.mu.Unlock()
+				if lagged {
+					w.pc.forgetStream(w.id)
+					w.cancel()
+				}
+				return
+			}
+		}
+	}
 }
 
 // Watch subscribes to the server registry's change feed, resuming after
 // from (0 = the start of the retained window). The context bounds the
-// subscription handshake only; the returned stream lives until Close or a
-// terminal condition. A from older than the server's retained window is
-// served by the snapshot+tail fallback — the current state arrives as put
-// events before the live tail — unless opts.NoFallback is set, in which
-// case it fails with feed.ErrCompacted.
+// subscription handshake only; the returned stream lives until Close, a
+// terminal condition, or the end of the pooled connection it rides. A from
+// older than the server's retained window is served by the snapshot+tail
+// fallback — the current state arrives as put events before the live tail —
+// unless opts.NoFallback is set, in which case it fails with
+// feed.ErrCompacted.
 func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*WatchStream, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, c.errClosed()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("rpc: %s: %w", c.addr, err)
 	}
-	c.mu.Unlock()
-	dialer := net.Dialer{Timeout: c.timeout}
-	conn, err := dialer.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("rpc: connect %s: %w", c.addr, ctx.Err())
-		}
-		return nil, fmt.Errorf("rpc: connect %s: %v: %w", c.addr, err, registry.ErrUnavailable)
-	}
-	c.obs.dials.Inc()
 	id := c.nextID.Add(1)
-	req := RequestFrame{
+	frame, err := encodeRequest(&RequestFrame{
 		Header: Header{ID: id, Kind: FrameWatch, Tenant: c.tenant},
 		Watch:  WatchRequest{FromSeq: from, Prefix: opts.Prefix, NoFallback: opts.NoFallback},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("rpc: %s: %w", c.addr, err)
 	}
-	if err := writeRequest(conn, &req); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("rpc: watch %s: %v: %w", c.addr, err, registry.ErrUnavailable)
+	pc, err := c.grabConn(ctx)
+	if err != nil {
+		releaseFrame(frame)
+		return nil, err
 	}
-	// The handshake is bounded by the context's deadline (or the transport
-	// timeout); the stream itself has no read deadline.
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetReadDeadline(dl)
-	} else {
-		conn.SetReadDeadline(time.Now().Add(c.timeout))
+	w := &WatchStream{pc: pc, id: id, timeout: c.timeout, out: make(chan feed.Event, watchEventBatch), quit: make(chan struct{})}
+	// Registered before the request goes out: the first events can follow
+	// the ack in one segment, and the reader routes them as it reads them.
+	pc.addStream(id, w)
+	ack, err := pc.do(ctx, id, frame, c.timeout)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("rpc: watch %s: %w", c.addr, err)
+	case ack.Header.Kind != FrameWatch:
+		err = fmt.Errorf("rpc: watch %s: unexpected %d frame in handshake: %w", c.addr, ack.Header.Kind, registry.ErrUnavailable)
+	case !ack.Resp.OK:
+		pc.forgetStream(id)
+		return nil, decodeFeedErr(ack.Resp)
+	default:
+		w.ack = ack.Watch
+		return w, nil
 	}
-	// The handshake and the stream read through one buffered reader: the ack
-	// and the first events can arrive in one segment, and a second reader
-	// would lose what the first one buffered.
-	br := bufio.NewReaderSize(conn, connReadBuffer)
-	var ackFrame ResponseFrame
-	if err := readReply(br, &ackFrame); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("rpc: watch %s: %v: %w", c.addr, err, registry.ErrUnavailable)
-	}
-	conn.SetReadDeadline(time.Time{})
-	if ackFrame.Header.Kind != FrameWatch {
-		conn.Close()
-		return nil, fmt.Errorf("rpc: watch %s: unexpected %d frame in handshake: %w", c.addr, ackFrame.Header.Kind, registry.ErrUnavailable)
-	}
-	if !ackFrame.Resp.OK {
-		conn.Close()
-		return nil, decodeFeedErr(ackFrame.Resp)
-	}
-	w := &WatchStream{
-		conn: conn,
-		out:  make(chan feed.Event, watchEventBatch),
-		done: make(chan struct{}),
-		ack:  ackFrame.Watch,
-	}
-	go w.readLoop(br)
-	return w, nil
-}
-
-// readLoop decodes event frames from br, the reader the handshake used, and
-// delivers them in order until the stream ends one way or another.
-func (w *WatchStream) readLoop(br *bufio.Reader) {
-	defer close(w.out)
-	for {
-		var rf ResponseFrame
-		if err := readReply(br, &rf); err != nil {
-			select {
-			case <-w.done:
-				// Closed locally: a clean end, not an error.
-			default:
-				w.setErr(fmt.Errorf("rpc: watch: %v: %w", err, registry.ErrUnavailable))
-			}
-			return
-		}
-		if rf.Header.Kind != FrameWatchEvent {
-			continue
-		}
-		for _, ev := range rf.Events {
-			select {
-			case w.out <- ev:
-			case <-w.done:
-				return
-			}
-		}
-		if rf.Resp.Err != ErrNone {
-			w.setErr(decodeFeedErr(rf.Resp))
-			return
-		}
-	}
+	// The server may have started the watch all the same.
+	w.Close()
+	return nil, err
 }

@@ -50,6 +50,7 @@ var seams = map[string]string{
 	"core.WithCacheFactory":                "substitutes the store behind a site, for capacity and fault tests",
 	"core.WithSites":                       "a fabric over a subset of the topology, for site arrival and departure tests",
 	"dht.Distribution":                     "TestModuloPlacerUniformity, TestRingPlacerUniformity, TestRingMembershipChangeBounds: how evenly a placer spreads keys",
+	"feed.Subscription.Err":                "TestSlowSubscriberDroppedWithLagged, TestLogCloseEndsSubscriptions: why the log ended a subscription, lagged or closed",
 	"feed.WithCombinerBuffer":              "TestCombinerCancelledMidEventDeliversAtMostOnce, TestCombinerStreamStateBracketsEveryGap: a one-event output buffer blocks the combiner mid-stream",
 	"feed.WithResubscribeBackoff":          "timing: the combiner's reconnect delay",
 	"limits.Limiter.Config":                "TestLimiterUpdateConfig: a reload takes effect",
