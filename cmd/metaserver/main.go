@@ -1,7 +1,10 @@
 // Command metaserver runs one metadata registry deployment as a stand-alone
 // TCP server — the per-datacenter registry of the paper, as a separate
-// process. The deployment behind the served API is a site.Config filled from
-// the flags and assembled by site.Build:
+// process. Clients on the same host that dial the printed loopback address
+// (metactl, a -shard-addrs router) reach it over a local Unix socket instead
+// of TCP, on Linux and under the same user (docs/WIRE.md, "Transport"). The
+// deployment behind the served API is a site.Config filled from the flags and
+// assembled by site.Build:
 //
 //   - the default is a single registry instance on one cache;
 //   - -shards N serves a horizontally sharded tier: N instances, each on its

@@ -15,11 +15,13 @@ import (
 	"geomds/internal/registry"
 )
 
-// defaultPoolSize is the number of TCP connections a Client opens (lazily)
+// defaultPoolSize is the number of connections a Client opens (lazily)
 // towards its server unless WithPoolSize says otherwise.
 const defaultPoolSize = 4
 
-// Client is a registry.API proxy for a registry server reached over TCP.
+// Client is a registry.API proxy for a registry server reached over TCP, or
+// over the server's local socket when its address is a loopback one and a
+// server of this user serves that socket (see Server.Start).
 //
 // It is safe and efficient under heavy concurrent use: calls are spread
 // round-robin over a pool of connections, and on each connection many
@@ -43,6 +45,7 @@ const defaultPoolSize = 4
 // callers can distinguish "the site is unreachable" from per-entry errors.
 type Client struct {
 	addr    string
+	local   []string // the local socket names dialed before TCP (dialNames)
 	site    cloud.SiteID
 	timeout time.Duration
 	pool    int
@@ -65,7 +68,8 @@ type clientObs struct {
 	calls      *metrics.Counter   // rpc_client_calls_total: round trips attempted
 	errors     *metrics.Counter   // rpc_client_errors_total: round trips that failed
 	retired    *metrics.Counter   // rpc_client_retired_total: calls abandoned because their context ended
-	dials      *metrics.Counter   // rpc_client_dials_total: TCP connections established
+	dials      *metrics.Counter   // rpc_client_dials_total: connections attempted, over either socket
+	localDials *metrics.Counter   // rpc_client_local_dials_total: connections that took the local socket
 	suppressed *metrics.Counter   // rpc_client_suppressed_errors_total: transport errors swallowed by best-effort ops
 	batchOps   *metrics.Histogram // rpc_client_batch_ops: operations carried per batch frame
 	latency    *metrics.Histogram // rpc_client_latency_ns: round-trip latency
@@ -79,6 +83,7 @@ func newClientObs(reg *metrics.Registry) clientObs {
 		errors:     reg.Counter("rpc_client_errors_total"),
 		retired:    reg.Counter("rpc_client_retired_total"),
 		dials:      reg.Counter("rpc_client_dials_total"),
+		localDials: reg.Counter("rpc_client_local_dials_total"),
 		suppressed: reg.Counter("rpc_client_suppressed_errors_total"),
 		batchOps:   reg.Histogram("rpc_client_batch_ops"),
 		latency:    reg.Histogram("rpc_client_latency_ns"),
@@ -136,7 +141,7 @@ func WithMetrics(reg *metrics.Registry) ClientOption {
 // context bounds the initial connect-and-handshake exchange; the returned
 // client reports the site ID advertised by the server.
 func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, error) {
-	c := &Client{addr: addr, timeout: 10 * time.Second, pool: defaultPoolSize, obs: newClientObs(metrics.Default)}
+	c := &Client{addr: addr, local: dialNames(addr), timeout: 10 * time.Second, pool: defaultPoolSize, obs: newClientObs(metrics.Default)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -465,9 +470,7 @@ func (c *Client) grabConn(ctx context.Context) (*poolConn, error) {
 	}
 	c.mu.Unlock()
 
-	c.obs.dials.Inc()
-	dialer := net.Dialer{Timeout: c.timeout}
-	conn, err := dialer.DialContext(ctx, "tcp", c.addr)
+	conn, err := c.dial(ctx)
 	if err != nil {
 		if cerr := expired(ctx); cerr != nil {
 			return nil, fmt.Errorf("rpc: connect %s: %w", c.addr, cerr)
@@ -491,6 +494,18 @@ func (c *Client) grabConn(ctx context.Context) (*poolConn, error) {
 	c.conns[idx] = pc
 	c.mu.Unlock()
 	return pc, nil
+}
+
+// dial connects to the server: over its local socket if one of this user's
+// processes serves it, otherwise over TCP, both within one transport timeout.
+func (c *Client) dial(ctx context.Context) (net.Conn, error) {
+	c.obs.dials.Inc()
+	dialer := net.Dialer{Deadline: time.Now().Add(c.timeout)}
+	if conn := dialLocal(ctx, &dialer, c.local); conn != nil {
+		c.obs.localDials.Inc()
+		return conn, nil
+	}
+	return dialer.DialContext(ctx, "tcp", c.addr)
 }
 
 // poolConn is one pooled connection: a frame writer serialized by wmu and a

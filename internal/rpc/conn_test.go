@@ -1,17 +1,21 @@
 package rpc
 
 // Per-connection machinery: every reader of a connection takes its frames
-// through one buffered reader, so a small frame costs one read; the server
-// serves admitted frames on dispatch goroutines it reuses and bounds; and a
-// request too large to send is refused before any connection is touched.
+// through one buffered reader, so a small frame costs one read; a frame's
+// buffer grows with the bytes that arrive, not with its length prefix; the
+// server serves admitted frames on dispatch goroutines it reuses and bounds;
+// and a request too large to send is refused before any connection is
+// touched.
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"regexp"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,6 +124,95 @@ func TestClientReadsEachReplyOnce(t *testing.T) {
 		t.Errorf("the client made %.2f reads per reply frame, want at most %v", perFrame, readsPerFrameBound)
 	}
 	t.Logf("client reads per reply frame: %.3f", perFrame)
+}
+
+// bodyWaitConn counts into waiting once its reader asks for more after the
+// first want bytes: the server has read a frame's prefix and what was sent of
+// its body, and waits for the rest. Only the server's read loop reads it.
+type bodyWaitConn struct {
+	net.Conn
+	want, got int
+	waiting   *atomic.Int64
+}
+
+func (c *bodyWaitConn) Read(p []byte) (int, error) {
+	if c.got >= c.want && c.want > 0 {
+		c.want = 0
+		c.waiting.Add(1)
+	}
+	n, err := c.Conn.Read(p)
+	c.got += n
+	return n, err
+}
+
+type bodyWaitListener struct {
+	net.Listener
+	want    int
+	waiting *atomic.Int64
+}
+
+func (l bodyWaitListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &bodyWaitConn{Conn: conn, want: l.want, waiting: l.waiting}, nil
+}
+
+// liveHeap returns the bytes of heap a full collection leaves live.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// A length prefix alone buys no memory: eight connections that each announce
+// a frame of MaxMessageSize, send 1 KiB of it and go idle leave the server's
+// live heap within 4 MiB of where it was (it grew by 128 MiB while the
+// declared length was allocated up front), and another client's calls
+// complete meanwhile.
+func TestLengthPrefixBuysNoMemory(t *testing.T) {
+	const conns, sent = 8, 1 << 10
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiting := new(atomic.Int64)
+	srv := NewServer(nullAPI{entry: geobenchEntry(1)}, nil, WithServerMetrics(nil))
+	go srv.Serve(bodyWaitListener{Listener: ln, want: 4 + sent, waiting: waiting})
+	t.Cleanup(func() { srv.Close() })
+
+	before := liveHeap()
+	msg := make([]byte, 4+sent)
+	binary.BigEndian.PutUint32(msg, MaxMessageSize)
+	for range conns {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !eventually(func() bool { return waiting.Load() == conns }) {
+		t.Fatalf("the server waits on %d of %d partial frames", waiting.Load(), conns)
+	}
+	grown := int64(liveHeap()) - int64(before)
+	if grown >= 4<<20 {
+		t.Errorf("%d partial frames of %d bytes grew the live heap by %.1f MiB, want under 4", conns, sent, float64(grown)/(1<<20))
+	}
+	t.Logf("live heap grew by %.2f MiB", float64(grown)/(1<<20))
+
+	client, err := Dial(tctx, ln.Addr().String(), WithPoolSize(1), WithMetrics(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Get(tctx, "beside"); err != nil {
+		t.Errorf("Get beside %d partial frames: %v", conns, err)
+	}
 }
 
 // goroutineAPI records which goroutine served each Get.

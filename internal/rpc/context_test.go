@@ -20,7 +20,7 @@ import (
 // serving subsequent calls.
 func TestCancelledCallLeavesConnectionUsable(t *testing.T) {
 	const delay = 500 * time.Millisecond
-	client := startSlowServer(t, delay, WithPoolSize(1))
+	client := startSlowServer(t, localTransport, delay, WithPoolSize(1))
 	if _, err := client.Create(tctx, wireEntry("slow-a")); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestTransportErrorsWrapUnavailable(t *testing.T) {
 // the error frame itself is inspected via a fresh per-op deadline.)
 func TestDeadlineErrorRoundTripsWire(t *testing.T) {
 	const delay = 300 * time.Millisecond
-	client := startSlowServer(t, delay, WithPoolSize(1))
+	client := startSlowServer(t, localTransport, delay, WithPoolSize(1))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, err := client.Get(ctx, "slow-timeout")

@@ -418,15 +418,11 @@ func (nullAPI) Merge(_ context.Context, es []registry.Entry) (int, error) { retu
 func (nullAPI) Len(context.Context) int                                   { return 0 }
 
 // startNullServer is the set-up of the ladder's rpc.roundtrip_*_null rows: a
-// server over an API that does nothing, and a client with one connection.
-func startNullServer(t testing.TB) *Client {
+// server over an API that does nothing, served over tr, and a client with one
+// connection. The ladder's server is from Start: localTransport.
+func startNullServer(t testing.TB, tr transport) *Client {
 	t.Helper()
-	srv := NewServer(nullAPI{entry: geobenchEntry(1)}, nil)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	addr := tr.serve(t, NewServer(nullAPI{entry: geobenchEntry(1)}, nil))
 	client, err := Dial(tctx, addr, WithPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
@@ -437,24 +433,27 @@ func startNullServer(t testing.TB) *Client {
 
 // A whole Get over loopback, both ends counted: 908 allocations while both
 // directions were gob streams, 428 while requests still were, 15 while each
-// frame was read in two reads and served on a fresh goroutine, 12 since.
-// Under the race detector the pools' dropped buffers add 3 (18 before, 15).
+// frame was read in two reads and served on a fresh goroutine, 12 since, on
+// either transport. Under the race detector the pools' dropped buffers add 3
+// (18 before, 15).
 func TestNullRoundTripAllocations(t *testing.T) {
-	client := startNullServer(t)
-	name := geobenchEntry(1).Name
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := client.Get(tctx, name); err != nil {
-			t.Fatal(err)
+	forEachTransport(t, func(t *testing.T, tr transport) {
+		client := startNullServer(t, tr)
+		name := geobenchEntry(1).Name
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := client.Get(tctx, name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		limit := 13.0
+		if raceEnabled {
+			limit = 16
 		}
+		if allocs > limit {
+			t.Errorf("a null round trip cost %v allocations, want at most %v", allocs, limit)
+		}
+		t.Logf("null round trip: %v allocations", allocs)
 	})
-	limit := 13.0
-	if raceEnabled {
-		limit = 16
-	}
-	if allocs > limit {
-		t.Errorf("a null round trip cost %v allocations, want at most %v", allocs, limit)
-	}
-	t.Logf("null round trip: %v allocations", allocs)
 }
 
 // Every operation has its constant's name, and a byte that names none —
@@ -521,22 +520,27 @@ func BenchmarkResponseFrameDecode(b *testing.B) {
 }
 
 // BenchmarkRoundTripNull is the body benchmark/ladder.go times for
-// rpc.roundtrip_ns_null and rpc.roundtrip_allocs_null.
+// rpc.roundtrip_ns_null and rpc.roundtrip_allocs_null, on each transport: the
+// ladder's server is from Start, so it times /local.
 func BenchmarkRoundTripNull(b *testing.B) {
-	client := startNullServer(b)
 	name := geobenchEntry(1).Name
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := client.Get(tctx, name); err != nil {
-			b.Fatal(err)
-		}
+	for _, tr := range transports {
+		b.Run(tr.name, func(b *testing.B) {
+			client := startNullServer(b, tr)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := client.Get(tctx, name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkPutManyRoundTrip256 is one preload frame of geobench's: 256
 // entries out, their versions back, over the null server.
 func BenchmarkPutManyRoundTrip256(b *testing.B) {
-	client := startNullServer(b)
+	client := startNullServer(b, localTransport)
 	entries := geobenchEntries(256)
 	b.ReportAllocs()
 	for b.Loop() {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,15 +30,11 @@ func (s slowAPI) Get(ctx context.Context, name string) (registry.Entry, error) {
 	return s.API.Get(ctx, name)
 }
 
-func startSlowServer(t *testing.T, delay time.Duration, opts ...ClientOption) *Client {
+// startSlowServer serves a slowAPI over tr and dials it.
+func startSlowServer(t *testing.T, tr transport, delay time.Duration, opts ...ClientOption) *Client {
 	t.Helper()
 	inst := registry.NewInstance(0, memcache.New(memcache.Config{}))
-	srv := NewServer(slowAPI{API: inst, delay: delay}, nil)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("start server: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	addr := tr.serve(t, NewServer(slowAPI{API: inst, delay: delay}, nil))
 	client, err := Dial(tctx, addr, append([]ClientOption{WithTimeout(5 * time.Second)}, opts...)...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -53,7 +48,7 @@ func startSlowServer(t *testing.T, delay time.Duration, opts ...ClientOption) *C
 // demultiplexer must route by ID, not by arrival order.
 func TestPipelinedOutOfOrder(t *testing.T) {
 	const delay = 400 * time.Millisecond
-	client := startSlowServer(t, delay, WithPoolSize(1))
+	client := startSlowServer(t, localTransport, delay, WithPoolSize(1))
 	if _, err := client.Create(tctx, wireEntry("slow-1")); err != nil {
 		t.Fatal(err)
 	}
@@ -77,48 +72,6 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	}
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow Get: %v", err)
-	}
-}
-
-// TestReconnectMidPipeline drops the transport while several pipelined
-// requests are in flight: every caller must recover through the client's
-// transparent retry on a fresh connection.
-func TestReconnectMidPipeline(t *testing.T) {
-	client := startSlowServer(t, 300*time.Millisecond, WithPoolSize(1))
-	const inflight = 8
-	for i := 0; i < inflight; i++ {
-		if _, err := client.Create(tctx, wireEntry(fmt.Sprintf("slow-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, inflight)
-	for i := 0; i < inflight; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := client.Get(tctx, fmt.Sprintf("slow-%d", i)); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	time.Sleep(50 * time.Millisecond) // all requests are written and pending
-	client.mu.Lock()
-	for _, pc := range client.conns {
-		if pc != nil {
-			pc.conn.Close()
-		}
-	}
-	client.mu.Unlock()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("pipelined call did not survive the reconnect: %v", err)
-	}
-	// The pool must be usable afterwards.
-	if _, err := client.Get(tctx, "slow-0"); err != nil {
-		t.Errorf("Get after recovery: %v", err)
 	}
 }
 

@@ -1,5 +1,8 @@
 // Package rpc lets a metadata registry instance run as a stand-alone server
-// process and be driven remotely over TCP.
+// process and be driven remotely over TCP — or, between two processes of one
+// user on one Linux host, over an abstract Unix socket that the server of a
+// loopback address serves beside it (docs/WIRE.md, "Transport"). The frames
+// are the same on both.
 //
 // The normative wire-protocol specification — framing, header fields,
 // deadline propagation, batch semantics and error codes — lives in
@@ -102,6 +105,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -649,6 +653,12 @@ var payloadPool = sync.Pool{New: func() any {
 // a larger frame straight into its pooled payload.
 const connReadBuffer = 4 << 10
 
+// readChunk is the most readPayload commits to a frame beyond the bytes that
+// have arrived: a frame within one chunk is read into one pooled buffer, and a
+// larger one into a buffer that at most doubles as its bytes arrive, so a
+// length prefix alone buys no memory.
+const readChunk = 64 << 10
+
 // readPayload reads one length-prefixed message from r and returns its raw
 // payload, backed by a pooled buffer — the caller owns it until it calls
 // releasePayload.
@@ -657,18 +667,21 @@ func readPayload(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return nil, err // io.EOF is meaningful to callers; do not wrap
 	}
-	n := binary.BigEndian.Uint32(header[:])
+	n := int(binary.BigEndian.Uint32(header[:]))
 	if n > MaxMessageSize {
 		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
 	bp := payloadPool.Get().(*[]byte)
-	if cap(*bp) < int(n) {
-		*bp = make([]byte, n)
-	}
-	payload := (*bp)[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		releasePayload(payload)
-		return nil, fmt.Errorf("rpc: read payload: %w", err)
+	payload := (*bp)[:0]
+	for len(payload) < n {
+		end := min(n, max(readChunk, 2*len(payload)))
+		payload = slices.Grow(payload, end-len(payload))
+		_, err := io.ReadFull(r, payload[len(payload):end])
+		if err != nil {
+			releasePayload(payload)
+			return nil, fmt.Errorf("rpc: read payload: %w", err)
+		}
+		payload = payload[:end]
 	}
 	return payload, nil
 }

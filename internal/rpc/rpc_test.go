@@ -202,24 +202,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestClientReconnects(t *testing.T) {
-	_, client := startTestServer(t, 0)
-	if _, err := client.Create(tctx, wireEntry("before")); err != nil {
-		t.Fatal(err)
-	}
-	// Force every pooled connection to go stale; the next call must recover.
-	client.mu.Lock()
-	for _, pc := range client.conns {
-		if pc != nil {
-			pc.conn.Close()
-		}
-	}
-	client.mu.Unlock()
-	if _, err := client.Get(tctx, "before"); err != nil {
-		t.Errorf("Get after dropped connection: %v", err)
-	}
-}
-
 func TestClientClosed(t *testing.T) {
 	_, client := startTestServer(t, 0)
 	client.Close()

@@ -23,8 +23,9 @@ import (
 // pipelined requests unless WithMaxInflight says otherwise.
 const DefaultMaxInflight = 64
 
-// Server exposes one registry instance over TCP. One server corresponds to
-// the metadata registry deployment of a single datacenter.
+// Server exposes one registry instance over TCP, and to clients on its own
+// host over a local socket (see Start). One server corresponds to the
+// metadata registry deployment of a single datacenter.
 //
 // Requests are pipelined: each connection executes up to the configured
 // in-flight bound concurrently and responses are written as they complete,
@@ -39,7 +40,8 @@ const DefaultMaxInflight = 64
 // the in-flight handlers are blocked on.
 type Server struct {
 	reg         registry.API
-	listener    net.Listener
+	listener    net.Listener   // the listener Serve was given; Addr reports it
+	locals      []net.Listener // Start's local sockets beside it
 	logger      *log.Logger
 	maxInflight int
 	limiter     *limits.Limiter
@@ -157,7 +159,8 @@ func NewServer(reg registry.API, logger *log.Logger, opts ...ServerOption) *Serv
 	return s
 }
 
-// Serve accepts connections from ln until Close.
+// Serve accepts connections from ln until Close. It serves ln alone: only
+// Start adds a local socket.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -167,7 +170,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.listener = ln
 	s.mu.Unlock()
+	return s.accept(ln)
+}
 
+// accept serves the connections ln accepts until Close.
+func (s *Server) accept(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -195,16 +202,41 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Start is a convenience wrapper that listens on addr and serves in a
 // background goroutine, returning the bound address (useful with ":0").
+//
+// On Linux, a server whose listener accepts loopback connections also serves
+// each loopback address it accepts on an abstract Unix socket named for that
+// address, which a Client of the address dials first (docs/WIRE.md,
+// "Transport"). A name another process holds fails Start; a local socket
+// that cannot be opened for any other reason leaves the server on TCP alone.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("rpc: listen %s: %w", addr, err)
 	}
-	go func() {
-		if err := s.Serve(ln); err != nil {
+	locals, err := listenLocal(ln.Addr(), s.logger)
+	if err != nil {
+		ln.Close()
+		return "", err
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		for _, l := range append(locals, ln) {
+			l.Close()
+		}
+		return "", errors.New("rpc: server already closed")
+	}
+	s.locals = append(s.locals, locals...)
+	s.mu.Unlock()
+	logStop := func(err error) {
+		if err != nil {
 			s.logger.Printf("rpc server stopped: %v", err)
 		}
-	}()
+	}
+	for _, l := range locals {
+		go func() { logStop(s.accept(l)) }()
+	}
+	go func() { logStop(s.Serve(ln)) }()
 	return ln.Addr().String(), nil
 }
 
@@ -228,6 +260,15 @@ func (s *Server) Requests() int64 { return s.requests.Load() }
 // are not counted: no client deadline passed for them.
 func (s *Server) Abandoned() int64 { return s.abandoned.Load() }
 
+// peerName names conn's peer in a log line. A client of an abstract socket
+// has no address ("@" or ""), so it is named by the socket it came in on.
+func peerName(conn net.Conn) string {
+	if a := conn.RemoteAddr(); a != nil && strings.TrimPrefix(a.String(), "@") != "" {
+		return a.String()
+	}
+	return "local client of " + conn.LocalAddr().String()
+}
+
 func (s *Server) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -243,7 +284,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	ln := s.listener
+	ln, locals := s.listener, s.locals
 	for c := range s.conns {
 		c.Close()
 	}
@@ -255,6 +296,9 @@ func (s *Server) Close() error {
 	var err error
 	if ln != nil {
 		err = ln.Close()
+	}
+	for _, l := range locals {
+		l.Close()
 	}
 	s.wg.Wait()
 	return err
@@ -321,7 +365,7 @@ func (s *Server) handle(conn net.Conn) {
 		payload, err := readPayload(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.isClosed() {
-				s.logger.Printf("rpc: read from %s: %v", conn.RemoteAddr(), err)
+				s.logger.Printf("rpc: read from %s: %v", peerName(conn), err)
 			}
 			return
 		}
@@ -339,7 +383,7 @@ func (s *Server) handle(conn net.Conn) {
 			// generation. Nothing is dispatched or charged; the connection is
 			// dropped.
 			releasePayload(payload)
-			s.logger.Printf("rpc: bad frame from %s: %v", conn.RemoteAddr(), err)
+			s.logger.Printf("rpc: bad frame from %s: %v", peerName(conn), err)
 			return
 		}
 		// Cancels release resources; refusing one would only pin them, so
@@ -366,7 +410,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if err != nil {
 			finish(0)
-			s.logger.Printf("rpc: bad frame from %s: %v", conn.RemoteAddr(), err)
+			s.logger.Printf("rpc: bad frame from %s: %v", peerName(conn), err)
 			return
 		}
 
@@ -428,7 +472,7 @@ func (s *Server) serveFrame(rf *RequestFrame, finish func(time.Duration)) Respon
 func (s *Server) reply(ob *outbox, out *ResponseFrame) {
 	if err := s.writeReply(ob, out); err != nil {
 		if !s.isClosed() {
-			s.logger.Printf("rpc: write to %s: %v", ob.conn.RemoteAddr(), err)
+			s.logger.Printf("rpc: write to %s: %v", peerName(ob.conn), err)
 		}
 		ob.conn.Close()
 	}
@@ -448,7 +492,7 @@ func (s *Server) writeReply(ob *outbox, out *ResponseFrame) error {
 		for range max(1, len(out.Batch.Ops)) {
 			s.obs.countErr(ErrInternal)
 		}
-		s.logger.Printf("rpc: reply %d to %s exceeds %d bytes; answered with an error instead", out.Header.ID, ob.conn.RemoteAddr(), MaxMessageSize)
+		s.logger.Printf("rpc: reply %d to %s exceeds %d bytes; answered with an error instead", out.Header.ID, peerName(ob.conn), MaxMessageSize)
 	}
 	err = ob.write(frame.b, nil)
 	releaseFrame(frame)

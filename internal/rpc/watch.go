@@ -272,7 +272,7 @@ func (s *Server) startWatch(ob *outbox, wg *sync.WaitGroup, watches *connWatches
 		}
 		s.obs.countErr(code)
 		if err := s.writeReply(ob, &out); err != nil && !s.isClosed() {
-			s.logger.Printf("rpc: write to %s: %v", ob.conn.RemoteAddr(), err)
+			s.logger.Printf("rpc: write to %s: %v", peerName(ob.conn), err)
 		}
 	}
 	feeder, ok := s.reg.(registry.ChangeFeeder)
