@@ -30,13 +30,14 @@
 //     over the whole key range;
 //   - -feed publishes every committed put and delete on a change feed that
 //     clients stream with the Watch protocol (metactl watch); with -shards
-//     the per-shard feeds are relayed into one combined feed. -feed-capacity
-//     bounds the retained event window a disconnected watcher can resume
-//     inside before the snapshot fallback kicks in. A feed numbers its own
-//     events and a durable one starts past the log's last record, so a
-//     cursor from before a restart takes the snapshot fallback. -feed does
-//     not compose with -shard-addrs: remote shard processes own their feeds,
-//     watch them directly;
+//     the per-shard feeds are relayed into one combined feed, which keeps the
+//     site's one retained window (the shards' feeds retain none).
+//     -feed-capacity bounds that window, the events a disconnected watcher
+//     can resume inside before the snapshot fallback kicks in. A feed
+//     numbers its own events and a durable one starts past the log's last
+//     record, so a cursor from before a restart takes the snapshot
+//     fallback. -feed does not compose with -shard-addrs: remote shard
+//     processes own their feeds, watch them directly;
 //   - -cache serves reads through a feed-coherent near cache
 //     (internal/readcache) in front of the deployment, so hot keys skip the
 //     registry instance and, behind a routing tier, the extra network hop.
@@ -139,7 +140,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "persist the registry to a write-ahead log under this directory and recover from it on start; empty keeps the registry in memory")
 	fs.Var(&cfg.Fsync, "fsync", "write-ahead log fsync policy with -data-dir: always (sync every append, the default) or never (sync only at snapshot and shutdown)")
 	fs.BoolVar(&cfg.Feed, "feed", false, "publish every committed put and delete on a change feed served to Watch subscribers (metactl watch)")
-	fs.IntVar(&cfg.FeedCapacity, "feed-capacity", feed.DefaultCapacity, "events the change feed retains for resuming watchers; older cursors take the snapshot fallback")
+	fs.IntVar(&cfg.FeedCapacity, "feed-capacity", feed.DefaultCapacity, "events the change feed retains for resuming watchers (with -shards, the combined feed; the shards' own retain none); older cursors take the snapshot fallback")
 	fs.BoolVar(&cfg.NearCache, "cache", false, "serve reads through a feed-coherent near cache in front of the deployment; coherent via the change feed with -feed, TTL-bounded without it")
 	fs.DurationVar(&cfg.MaxStaleness, "cache-staleness", 0, "max staleness the near cache may serve without a change feed (0 = the readcache default; ignored with -feed, where the feed is the bound)")
 	if err := fs.Parse(args); err != nil {

@@ -134,16 +134,15 @@ func WithLogMetrics(reg *metrics.Registry) LogOption {
 //
 // A Log is safe for concurrent use.
 type Log struct {
-	capacity int
-
-	mu     sync.Mutex
-	ring   []Event
-	start  int    // index of the oldest retained event
-	count  int    // retained events
-	floor  uint64 // sequence horizon: events with Seq <= floor are gone
-	seq    uint64 // last published (or started-at) sequence
-	subs   map[*Subscription]struct{}
-	closed bool
+	mu       sync.Mutex
+	capacity int // 0 once the log retains nothing (RetainNone)
+	ring     []Event
+	start    int    // index of the oldest retained event
+	count    int    // retained events
+	floor    uint64 // sequence horizon: events with Seq <= floor are gone
+	seq      uint64 // last published (or started-at) sequence
+	subs     map[*Subscription]struct{}
+	closed   bool
 
 	// observers are called in registration order (see Observe and Tail);
 	// each is held by a pointer of its own, so that its detach finds it.
@@ -174,6 +173,18 @@ func (l *Log) StartAt(seq uint64) {
 		l.seq = seq
 		l.floor = seq
 	}
+}
+
+// RetainNone makes the log keep no window from now on, for a log whose
+// events a relay retains: its ring goes, and each event it publishes moves
+// the floor up to the head, so Tail and Subscribe from before the head answer
+// ErrCompacted. The log goes on numbering its events and delivering them to
+// its subscribers and observers.
+func (l *Log) RetainNone() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.capacity, l.ring, l.start, l.count = 0, make([]Event, 1), 0, 0
+	l.floor = l.seq
 }
 
 // Seq returns the sequence number of the last published event (the head).
@@ -216,6 +227,9 @@ func (l *Log) Publish(ev *Event) uint64 {
 	for _, o := range l.observers {
 		o.fn(retained)
 	}
+	if l.capacity == 0 {
+		*retained = Event{} // pins no value until the next publish
+	}
 	l.mu.Unlock()
 	l.events.Inc()
 	return ev.Seq
@@ -224,15 +238,23 @@ func (l *Log) Publish(ev *Event) uint64 {
 // deliverLocked appends the event to the ring and sends it to every matching
 // subscriber, dropping one whose buffer is full. It returns the ring's copy.
 func (l *Log) deliverLocked(ev *Event) *Event {
-	if l.count == l.capacity {
-		// Evict the oldest retained event; the floor moves up to it.
-		l.floor = l.ring[l.start].Seq
-		l.start = (l.start + 1) % l.capacity
-		l.count--
+	retained := &l.ring[0]
+	if l.capacity == 0 {
+		// No window (RetainNone): the event is gone once it is delivered.
+		// The one slot left holds the copy the observers see, so ev itself
+		// never escapes to the heap.
+		l.floor = l.seq
+	} else {
+		if l.count == l.capacity {
+			// Evict the oldest retained event; the floor moves up to it.
+			l.floor = l.ring[l.start].Seq
+			l.start = (l.start + 1) % l.capacity
+			l.count--
+		}
+		retained = &l.ring[(l.start+l.count)%l.capacity]
+		l.count++
 	}
-	retained := &l.ring[(l.start+l.count)%l.capacity]
 	*retained = *ev
-	l.count++
 	var dropped []*Subscription
 	for sub := range l.subs {
 		select {

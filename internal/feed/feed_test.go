@@ -230,6 +230,55 @@ func TestSubscribeCursorOutsideWindow(t *testing.T) {
 	}
 }
 
+// TestLogRetainNone: a log that retains nothing goes on numbering its events
+// and delivering them to its subscribers and observers, but no cursor from
+// before its head resumes, the events it held included.
+func TestLogRetainNone(t *testing.T) {
+	l := NewLog(WithCapacity(4))
+	for range 3 {
+		l.Append(OpPut, "k", []byte("v"))
+	}
+	sub, err := l.Subscribe(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var observed []uint64
+	l.Observe(func(ev *Event) {
+		if ev != nil {
+			observed = append(observed, ev.Seq)
+		}
+	})
+	l.RetainNone()
+	if _, err := l.Subscribe(2); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("cursor inside the window it had: err = %v, want ErrCompacted", err)
+	}
+	for range 6 { // more than the capacity it had
+		l.Append(OpPut, "k", []byte("v"))
+	}
+	if l.Seq() != 9 || l.Floor() != 9 {
+		t.Fatalf("head %d, floor %d after 9 events; want 9 and 9", l.Seq(), l.Floor())
+	}
+	if _, err := l.Subscribe(8); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("subscribe one event back: err = %v, want ErrCompacted", err)
+	}
+	if _, err := l.Tail(8, func(*Event) {}); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("tail one event back: err = %v, want ErrCompacted", err)
+	}
+	var tailed []uint64
+	if _, err := l.Tail(9, func(ev *Event) { tailed = append(tailed, ev.Seq) }); err != nil {
+		t.Fatalf("tail from the head: %v", err)
+	}
+	l.Append(OpDelete, "k", nil)
+	got := collect(t, sub, 7)
+	if got[0].Seq != 4 || got[6].Seq != 10 || got[6].Op != OpDelete {
+		t.Fatalf("subscriber saw %d..%d (last %v), want 4..10 ending in the delete", got[0].Seq, got[6].Seq, got[6].Op)
+	}
+	if fmt.Sprint(observed) != "[4 5 6 7 8 9 10]" || fmt.Sprint(tailed) != "[10]" {
+		t.Fatalf("observer saw %v and tail %v, want [4 5 6 7 8 9 10] and [10]", observed, tailed)
+	}
+}
+
 func TestStartAtSetsFloor(t *testing.T) {
 	l := NewLog()
 	l.StartAt(100) // a shard recovered its WAL to seq 100
@@ -371,7 +420,8 @@ func publishKeys() ([]string, []byte) {
 
 // TestAppendAllocations: publishing allocates nothing, with or without
 // subscribers, to one observer or two, to a Tail observer, or through a
-// relaying observer into a log that has one.
+// relaying observer into a log that has one, from a log that retains its
+// window or none.
 func TestAppendAllocations(t *testing.T) {
 	keys, value := publishKeys()
 	observed, twice := NewLog(), NewLog()
@@ -385,11 +435,15 @@ func TestAppendAllocations(t *testing.T) {
 	relaying, relay := NewLog(), NewLog()
 	relaying.Observe(relayInto(relay, "shard-0"))
 	relay.Observe(func(*Event) {})
+	unretained := NewLog()
+	unretained.Observe(relayInto(relay, "shard-1"))
+	unretained.RetainNone()
 	type row struct {
 		name string
 		log  *Log
 	}
-	rows := []row{{"an observer", observed}, {"two observers", twice}, {"a Tail observer", tailed}, {"a relaying observer", relaying}}
+	rows := []row{{"an observer", observed}, {"two observers", twice}, {"a Tail observer", tailed}, {"a relaying observer", relaying},
+		{"a relaying observer on a log that retains nothing", unretained}}
 	for _, n := range []int{0, 1, 16} {
 		l, _ := subscribedLog(t, n)
 		rows = append(rows, row{fmt.Sprintf("%d subscribers", n), l})

@@ -368,7 +368,7 @@ func (c *Cache) Keys() []string {
 // the full content of a registry instance. Like Keys it works on a stopped
 // cache. The values are slices of the store's memory, as Get's are.
 func (c *Cache) Snapshot() []Item {
-	var items []Item
+	items := make([]Item, 0, c.Len())
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		sh.each(func(rec record) { items = append(items, rec.item(string(rec.key))) })

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
+	"geomds/internal/cloud"
 	"geomds/internal/feed"
 	"geomds/internal/metrics"
 )
@@ -23,7 +25,10 @@ import (
 // A Router whose shards all expose feeds relays them into one combined,
 // re-sequenced feed: the relay is each shard log's observer (feed.Log.Observe)
 // and republishes every event on the goroutine that commits it, so per-shard
-// order is preserved and the relay never trails a shard. Events are tagged
+// order is preserved and the relay never trails a shard. The relay holds the
+// tier's one retained window: every shard log keeps numbering its events and
+// calling its observer but retains none (feed.Log.RetainNone), since nothing
+// reads a shard's window once the relay has one. Events are tagged
 // with their origin shard, and commit timestamps and the Sync mark pass
 // through so replication lag measured downstream spans the whole pipeline.
 // Because re-sync sweeps repair shards with ordinary Merge/DeleteMany calls on
@@ -126,7 +131,8 @@ func (i *Instance) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, erro
 // initRelay enables the router's combined feed when every shard exposes one:
 // the relay observes each shard's log and republishes its events as they
 // commit. The relay keeps the window an *Instance shard was given by
-// WithChangeFeed and reports the feed series to reg, the router's registry.
+// WithChangeFeed, as the tier's only one: the shard logs then retain none.
+// It reports the feed series to reg, the router's registry.
 // Called from NewRouter before the router is shared.
 func (r *Router) initRelay(reg *metrics.Registry) {
 	for _, api := range r.shards {
@@ -147,14 +153,20 @@ func (r *Router) initRelay(reg *metrics.Registry) {
 			// does on a recovered instance.
 			r.relay.StartAt(1)
 		}
-		origin := fmt.Sprintf("shard-%d", i)
+		origin := shardOrigin(cloud.SiteID(i))
 		log.Observe(func(ev *feed.Event) {
 			if ev != nil { // a shard log's close ends nothing downstream
 				r.relay.Publish(&feed.Event{Op: ev.Op, Name: ev.Name, Value: ev.Value, Origin: origin, Commit: ev.Commit, Sync: ev.Sync})
 			}
 		})
+		// The relay's window is the tier's: a shard's own would only be a
+		// second copy of the same events that nothing reads.
+		log.RetainNone()
 	}
 }
+
+// shardOrigin is the Origin a tier's events carry for one of its shards.
+func shardOrigin(id cloud.SiteID) string { return "shard-" + strconv.Itoa(int(id)) }
 
 // ChangeFeed returns the router's combined relay feed: every shard's events
 // re-sequenced into one log, tagged with their origin shard and preserving
@@ -162,32 +174,65 @@ func (r *Router) initRelay(reg *metrics.Registry) {
 func (r *Router) ChangeFeed() *feed.Log { return r.relay }
 
 // FeedSnapshot implements ChangeFeeder for the tier: the union of the
-// reachable shards' states (one event per name — with replication a key
-// lives on R shards, the relay snapshot carries it once), plus the relay
-// head captured first.
+// reachable shards' states, plus the relay head captured first. With
+// replication a name lives on R shards; the snapshot carries it once, from
+// the first reachable shard by id that holds it, which the earlier shards'
+// Contains decide, so no per-name set is built. The shards are read one at a
+// time into one result slice; an *Instance shard's store is read directly.
+// A name a shard gains or loses while the snapshot runs is published after
+// the head, so snapshot plus tail still miss nothing.
 func (r *Router) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, error) {
 	if r.relay == nil {
 		return nil, 0, fmt.Errorf("registry: router for site %d has no change feed", r.site)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
 	head := r.relay.Seq()
-	seen := make(map[string]bool)
-	var events []feed.Event
-	for _, ref := range r.reachableShards() {
+	shards := r.reachableShards()
+	size := 0
+	for _, ref := range shards {
+		size += ref.api.Len(ctx)
+	}
+	events := make([]feed.Event, 0, size/max(1, min(r.rep, len(shards))))
+	now := time.Now().UnixNano()
+	for k, ref := range shards {
+		earlier := shards[:k]
+		first := func(name string) bool {
+			return !slices.ContainsFunc(earlier, func(e shardRef) bool { return shardHolds(ctx, e.api, name) })
+		}
+		origin := shardOrigin(ref.id)
+		if inst, ok := ref.api.(*Instance); ok {
+			for _, it := range inst.store.Snapshot() {
+				if first(it.Key) {
+					events = append(events, feed.Event{Seq: head, Op: feed.OpPut, Name: it.Key, Value: it.Value, Origin: origin, Commit: now})
+				}
+			}
+			continue
+		}
 		shardEvents, _, err := ref.api.(ChangeFeeder).FeedSnapshot(ctx)
 		if err != nil {
 			return nil, 0, fmt.Errorf("registry: snapshotting shard %d: %w", ref.id, err)
 		}
 		for _, ev := range shardEvents {
-			if seen[ev.Name] {
-				continue
+			if first(ev.Name) {
+				ev.Seq, ev.Origin = head, origin
+				events = append(events, ev)
 			}
-			seen[ev.Name] = true
-			ev.Seq = head
-			ev.Origin = fmt.Sprintf("shard-%d", ref.id)
-			events = append(events, ev)
 		}
 	}
 	return events, head, nil
+}
+
+// shardHolds reports whether a shard holds the name: its store's Contains
+// for an *Instance, a successful Get for any other shard (one a test or a
+// tracer wraps).
+func shardHolds(ctx context.Context, api API, name string) bool {
+	if inst, ok := api.(*Instance); ok {
+		return inst.store.Contains(name)
+	}
+	_, err := api.Get(ctx, name)
+	return err == nil
 }
 
 // FeedBarrier implements ChangeFeeder for the tier: shards publish into the

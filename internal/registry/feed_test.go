@@ -624,3 +624,140 @@ func TestRouterFeedAfterRestartFallsBackToSnapshot(t *testing.T) {
 		t.Fatalf("tail after the snapshot = %+v, want d's two replica events at 2 and 3", got)
 	}
 }
+
+// TestRouterRelayIsTheTiersOnlyWindow: a router that relays its shards' feeds
+// holds the tier's one retained window. After more events than FeedCapacity,
+// no shard log resumes from before its head, while the relay, which keeps the
+// capacity the shards were given, resumes from anywhere inside it.
+// (TestBuildShardedFeedHonoursCapacityAndMetrics in internal/site holds the
+// relay to a FeedCapacity set through site.Config.)
+func TestRouterRelayIsTheTiersOnlyWindow(t *testing.T) {
+	ctx := context.Background()
+	const capacity = 16
+	r, logs := newRelayTier(t, false, feed.WithCapacity(capacity))
+	for i := range capacity { // 2 × capacity events at R = 2
+		if _, err := r.Create(ctx, testEntry(fmt.Sprintf("win/%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, log := range logs {
+		head := log.Seq()
+		if head == 0 {
+			t.Fatalf("shard %d published nothing", i)
+		}
+		if _, err := log.Subscribe(head - 1); !errors.Is(err, feed.ErrCompacted) {
+			t.Errorf("shard %d: subscribe one event before its head %d: err = %v, want ErrCompacted (the relay retains its events)", i, head, err)
+		}
+	}
+	relay := r.ChangeFeed()
+	head := relay.Seq()
+	if head != 2*capacity {
+		t.Fatalf("relay head %d, want %d", head, 2*capacity)
+	}
+	if _, err := relay.Subscribe(head - capacity - 1); !errors.Is(err, feed.ErrCompacted) {
+		t.Errorf("relay: subscribe %d events back: err = %v, want ErrCompacted", capacity+1, err)
+	}
+	for from := head - capacity; from <= head; from++ {
+		sub, err := relay.Subscribe(from)
+		if err != nil {
+			t.Fatalf("relay: subscribe from %d with head %d: %v", from, head, err)
+		}
+		if got := len(sub.Events()); got != int(head-from) {
+			t.Errorf("relay: subscribe from %d replayed %d events, want %d", from, got, head-from)
+		}
+		sub.Close()
+	}
+}
+
+// wrappedShard is a feeding shard the router cannot see as an *Instance, as
+// a tracing decorator wraps one.
+type wrappedShard struct{ *Instance }
+
+// TestRouterFeedSnapshotCarriesEveryNameOnce: a tier's snapshot carries every
+// live name exactly once, from the first reachable shard by id that holds it,
+// with every shard up, with one marked down, with a name only on a shard that
+// is not first in its replica set, as after a recovery and before its sweep
+// (a rule that keeps a name only at its primary misses that one), and with
+// shards behind a wrapper, which are read through their own FeedSnapshot.
+func TestRouterFeedSnapshotCarriesEveryNameOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, row := range []struct {
+		name    string
+		down    cloud.SiteID // -1: none
+		stray   bool
+		wrapped bool
+	}{
+		{"all shards up", -1, false, false},
+		{"one shard down", 1, false, false},
+		{"name only on its second replica", -1, true, false},
+		{"wrapped shards, name only on its second replica", -1, true, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			shards := make(map[cloud.SiteID]*Instance)
+			apis := make([]API, 4)
+			for i := range apis {
+				inst := NewInstance(7, memcache.New(memcache.Config{}), WithChangeFeed())
+				shards[cloud.SiteID(i)], apis[i] = inst, inst
+				if row.wrapped {
+					apis[i] = wrappedShard{inst}
+				}
+			}
+			r, err := NewRouter(7, apis, WithRouterReplication(2), WithRouterHealth(0, time.Hour), WithRouterMetrics(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			want := make(map[string]bool)
+			for i := range 200 {
+				name := fmt.Sprintf("snap/%d", i)
+				if _, err := r.Create(ctx, testEntry(name)); err != nil {
+					t.Fatal(err)
+				}
+				want[name] = true
+			}
+			if row.stray {
+				name := "stray/0"
+				second := r.placer.Homes(name, 2)[1]
+				if _, err := shards[second].store.Put(name, AppendEntry(nil, testEntry(name)), 0); err != nil {
+					t.Fatal(err)
+				}
+				want[name] = true
+			}
+			if row.down >= 0 {
+				r.MarkShardDown(row.down)
+			}
+			events, head, err := r.FeedSnapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[string]bool, len(events))
+			for _, ev := range events {
+				if seen[ev.Name] {
+					t.Fatalf("%s carried twice", ev.Name)
+				}
+				seen[ev.Name] = true
+				first := cloud.SiteID(-1)
+				for id := range cloud.SiteID(4) {
+					if id != row.down && shards[id].store.Contains(ev.Name) {
+						first = id
+						break
+					}
+				}
+				if ev.Op != feed.OpPut || ev.Seq != head || ev.Origin != fmt.Sprintf("shard-%d", first) {
+					t.Errorf("%s: %v at seq %d from %q, want a put at the head %d from shard-%d", ev.Name, ev.Op, ev.Seq, ev.Origin, head, first)
+				}
+				if e, err := DecodeEntry(ev.Value); err != nil || e.Name != ev.Name {
+					t.Errorf("%s: value decodes to %q, %v", ev.Name, e.Name, err)
+				}
+			}
+			for name := range want {
+				if !seen[name] {
+					t.Errorf("%s missing from the snapshot", name)
+				}
+			}
+			if len(seen) != len(want) {
+				t.Errorf("snapshot carried %d names, want %d", len(seen), len(want))
+			}
+		})
+	}
+}

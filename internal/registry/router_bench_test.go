@@ -3,9 +3,12 @@ package registry
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"geomds/internal/cloud"
+	"geomds/internal/memcache"
 )
 
 // noopShard is an API that does no work: what a Router benchmark over it
@@ -166,5 +169,71 @@ func TestRouterSingleHomeOpsStayCheap(t *testing.T) {
 		if got := testing.AllocsPerRun(200, tc.run); got > tc.max {
 			t.Errorf("R=1 %s: %.0f allocs per call, want at most %.0f", tc.op, got, tc.max)
 		}
+	}
+}
+
+// newSnapshotTier builds a 4-shard R=2 tier over feeding instances and
+// writes n names through it, as geobench's durable_write preloads its
+// server before its watch falls back to a snapshot.
+func newSnapshotTier(tb testing.TB, n int) *Router {
+	tb.Helper()
+	apis := make([]API, 4)
+	for i := range apis {
+		apis[i] = NewInstance(7, memcache.New(memcache.Config{}), WithChangeFeed())
+	}
+	r, err := NewRouter(7, apis, WithRouterReplication(2), WithRouterMetrics(nil))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(r.Close)
+	batch := make([]Entry, 0, 256)
+	for i := range n {
+		batch = append(batch, NewEntry(fmt.Sprintf("data/f%07d", i), 1<<20, "bench", Location{Node: NoNode}))
+		if len(batch) == cap(batch) || i == n-1 {
+			if _, err := r.PutMany(context.Background(), batch); err != nil {
+				tb.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	return r
+}
+
+// BenchmarkRouterFeedSnapshot times the tier's snapshot of 20k names at
+// R = 2 over 4 shards, the watch fallback's whole-registry read;
+// B/op over 20k is what TestRouterFeedSnapshotAllocations bounds.
+func BenchmarkRouterFeedSnapshot(b *testing.B) {
+	const n = 20_000
+	r := newSnapshotTier(b, n)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if events, _, err := r.FeedSnapshot(ctx); err != nil || len(events) != n {
+			b.Fatalf("snapshot of %d events, %v; want %d", len(events), err, n)
+		}
+	}
+}
+
+// TestRouterFeedSnapshotAllocations bounds the bytes a tier's snapshot
+// allocates per name: one result event and the shards' reads of their own
+// stores, no per-shard event copies, merged copy, name set or formatted
+// origin per name (about 1,100 B per name with those).
+func TestRouterFeedSnapshotAllocations(t *testing.T) {
+	const n, maxPerName = 5_000, 300
+	r := newSnapshotTier(t, n)
+	ctx := context.Background()
+	least := uint64(math.MaxUint64)
+	for range 3 { // the least of three: another goroutine's allocation only adds
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		events, _, err := r.FeedSnapshot(ctx)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(events) != n {
+			t.Fatalf("snapshot of %d events, %v; want %d", len(events), err, n)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if perName := least / n; perName > maxPerName {
+		t.Errorf("FeedSnapshot allocated %d B per name, want at most %d", perName, maxPerName)
 	}
 }

@@ -62,8 +62,8 @@ type Config struct {
 	// from before a restart takes the snapshot fallback (feed.ErrCompacted).
 	Feed bool
 	// FeedCapacity is the event window the feed retains for resuming
-	// subscribers — a sharded tier's relay included; 0 means
-	// feed.DefaultCapacity.
+	// subscribers; a sharded tier's relay holds its one window, and the
+	// shards' own logs retain none. 0 means feed.DefaultCapacity.
 	FeedCapacity int
 	// NearCache serves reads through a readcache in front of the
 	// deployment: push-invalidated by the change feed with Feed, bounded by
@@ -239,8 +239,9 @@ func (c Config) newInstances() ([]*registry.Instance, error) {
 	var opts []registry.InstanceOption
 	if c.Feed {
 		// Behind a router, watchers subscribe to its relay, which takes the
-		// shards' window and reports the feed series itself: the shards'
-		// logs stay silent so that each event is counted once.
+		// shards' window (theirs then retain nothing) and reports the feed
+		// series itself: the shards' logs stay silent so that each event is
+		// counted once.
 		feedOpts := []feed.LogOption{feed.WithCapacity(c.FeedCapacity)}
 		if len(backings) == 1 {
 			feedOpts = append(feedOpts, feed.WithLogMetrics(c.Metrics))
