@@ -181,7 +181,7 @@ func TestDeadlineBoundsOperation(t *testing.T) {
 // without losing the drained updates: a later, uncancelled Flush still
 // propagates them.
 func TestFlushCancellationRequeues(t *testing.T) {
-	svc, err := newManualHybrid(newTestFabric(), false)
+	svc, err := newManualHybrid(newTestFabric())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,7 @@ type StrategyConfig struct {
 	// site 0 on every fabric over a whole topology.
 	Central cloud.SiteID
 	// SyncInterval is the period between the replicated strategy's agent
-	// rounds, in simulated time; in feed mode it paces the retries of a
-	// failed shipment. Zero means DefaultSyncInterval.
+	// rounds, in simulated time. Zero means DefaultSyncInterval.
 	SyncInterval time.Duration
 	// FlushInterval is the hybrid strategy's lazy-propagation period, in
 	// simulated time. Zero means DefaultFlushInterval.
@@ -31,24 +30,6 @@ type StrategyConfig struct {
 	// Eager makes the hybrid strategy propagate a write to the home site
 	// synchronously, as part of the write's latency, instead of lazily.
 	Eager bool
-	// FeedSync makes the eventually consistent strategies converge through
-	// the fabric's change feeds instead of polling: the replicated strategy
-	// relays every committed mutation to the other replicas as its feed
-	// event arrives, instead of waiting for the next agent round, and the
-	// hybrid strategy fills its propagator from the feeds instead of from its
-	// own calls. Requires a fabric built with site.Config.Feed; NewReplicated
-	// and NewDecReplicated fail with ErrNoFeed otherwise. It contradicts
-	// Eager.
-	FeedSync bool
-}
-
-// check refuses a contradictory configuration: eager propagation has no
-// propagator for the feeds to fill.
-func (c StrategyConfig) check() error {
-	if c.Eager && c.FeedSync {
-		return errors.New("core: StrategyConfig sets both Eager and FeedSync: eager propagation has no queue for the feeds to fill")
-	}
-	return nil
 }
 
 // central returns the site Central names, resolving zero to the fabric's
@@ -121,9 +102,6 @@ func (c *Controller) Close() error {
 }
 
 func (c *Controller) build(kind StrategyKind) (MetadataService, error) {
-	if err := c.cfg.check(); err != nil {
-		return nil, err
-	}
 	switch kind {
 	case Centralized:
 		return NewCentralized(c.fabric, c.cfg)

@@ -118,10 +118,6 @@ var (
 	// ErrNoSuchSite is returned when an operation names a site outside the
 	// fabric.
 	ErrNoSuchSite = errors.New("core: site not part of the metadata fabric")
-	// ErrNoFeed is returned when a feed-driven mode is requested over a
-	// fabric whose instances expose no change feeds (built without
-	// site.Config.Feed, or external instances without registry.ChangeFeeder).
-	ErrNoFeed = errors.New("core: registry instance exposes no change feed")
 	// ErrSiteUnreachable is returned when the registry instance of a site
 	// cannot be reached at all — a partitioned or crashed remote deployment —
 	// as opposed to answering with a per-entry error. It is the core-level

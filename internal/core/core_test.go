@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,7 +14,6 @@ import (
 	"geomds/internal/latency"
 	"geomds/internal/metrics"
 	"geomds/internal/registry"
-	"geomds/internal/site"
 )
 
 var tctx = context.Background()
@@ -41,10 +39,10 @@ func newManualPropagator(f *Fabric) *Propagator {
 	return p
 }
 
-// newManualHybrid returns the lazy hybrid strategy, filled by its own calls
-// or, with feed, by the sites' change feeds, shipping only when flushed.
-func newManualHybrid(f *Fabric, feed bool) (*DecReplicatedService, error) {
-	svc, err := NewDecReplicated(f, StrategyConfig{FlushInterval: time.Hour, FeedSync: feed})
+// newManualHybrid returns the lazy hybrid strategy, shipping only when
+// flushed.
+func newManualHybrid(f *Fabric) (*DecReplicatedService, error) {
+	svc, err := NewDecReplicated(f, StrategyConfig{FlushInterval: time.Hour})
 	if err == nil {
 		svc.propagator.maxBatch = noEarlyFlush
 	}
@@ -404,7 +402,7 @@ func TestDecReplicatedEagerWrite(t *testing.T) {
 
 func TestDecReplicatedLazyWrite(t *testing.T) {
 	f := newTestFabric()
-	svc, err := newManualHybrid(f, false)
+	svc, err := newManualHybrid(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,49 +689,18 @@ func TestNewServiceHelper(t *testing.T) {
 				t.Errorf("centralized home = %d, want the first site %d", s.Home(), first)
 			}
 		case *ReplicatedService:
-			if s.agentSite != first || s.interval != DefaultSyncInterval || s.FeedDriven() {
-				t.Errorf("replicated agent on site %d every %v (feed %v), want polling from site %d every %v",
-					s.agentSite, s.interval, s.FeedDriven(), first, DefaultSyncInterval)
+			if s.agentSite != first || s.interval != DefaultSyncInterval {
+				t.Errorf("replicated agent on site %d every %v, want polling from site %d every %v",
+					s.agentSite, s.interval, first, DefaultSyncInterval)
 			}
 		case *DecReplicatedService:
-			if !s.Lazy() || s.FeedDriven() {
-				t.Errorf("hybrid lazy=%v feed=%v, want lazy and not feed-driven", s.Lazy(), s.FeedDriven())
+			if !s.Lazy() {
+				t.Error("hybrid is eager, want lazy")
 			}
 			if s.propagator.interval != DefaultFlushInterval || s.propagator.maxBatch != flushBatch {
 				t.Errorf("hybrid flushes every %v or %d operations, want %v or %d",
 					s.propagator.interval, s.propagator.maxBatch, DefaultFlushInterval, flushBatch)
 			}
-		}
-		svc.Close()
-	}
-}
-
-// TestContradictoryStrategyConfig asserts that eager propagation together
-// with feed propagation is refused, by the hybrid constructor and by every
-// strategy a Controller would build from it, instead of one silently winning.
-func TestContradictoryStrategyConfig(t *testing.T) {
-	f := newTestFabric(WithSite(site.Config{Feed: true}))
-	defer f.Close()
-	cfg := StrategyConfig{Eager: true, FeedSync: true}
-	if svc, err := NewDecReplicated(f, cfg); err == nil {
-		svc.Close()
-		t.Fatal("NewDecReplicated with Eager and FeedSync succeeded")
-	}
-	ctrl := NewController(f, cfg)
-	defer ctrl.Close()
-	for _, kind := range Strategies {
-		if _, err := ctrl.Use(tctx, kind); err == nil || !strings.Contains(err.Error(), "Eager and FeedSync") {
-			t.Errorf("Use(%v) with Eager and FeedSync = %v, want the contradiction refused", kind, err)
-		}
-	}
-	// Each on its own is a valid configuration.
-	for _, cfg := range []StrategyConfig{{Eager: true}, {FeedSync: true}} {
-		svc, err := NewDecReplicated(f, cfg)
-		if err != nil {
-			t.Fatalf("NewDecReplicated(%+v): %v", cfg, err)
-		}
-		if svc.Lazy() == cfg.Eager || svc.FeedDriven() != cfg.FeedSync {
-			t.Errorf("NewDecReplicated(%+v): lazy=%v feed=%v", cfg, svc.Lazy(), svc.FeedDriven())
 		}
 		svc.Close()
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"geomds/internal/cloud"
@@ -30,10 +29,6 @@ type DecReplicatedService struct {
 	// propagator carries home-site propagation in the lazy scheme; nil in
 	// eager mode.
 	propagator *Propagator
-	// feedSync, in feed mode (StrategyConfig.FeedSync), is what fills the
-	// propagator — from the sites' change feeds instead of from the strategy's
-	// own calls.
-	feedSync *feedSyncer
 
 	localHits   atomic.Int64
 	remoteReads atomic.Int64
@@ -45,18 +40,11 @@ type DecReplicatedService struct {
 
 // NewDecReplicated builds the hybrid decentralized/replicated strategy, homing
 // each name at its hash modulo the fabric's sites. Writes propagate to the
-// home lazily, every cfg.FlushInterval; with cfg.Eager synchronously; with
-// cfg.FeedSync still asynchronously, but filled from the sites' change feeds
-// and flushed as each event arrives, so a locally committed write reaches its
-// home as soon as its feed event does rather than on the next flush tick.
+// home lazily, every cfg.FlushInterval, or with cfg.Eager synchronously.
 // Writers perceive only the local latency unless cfg.Eager is set.
 func NewDecReplicated(fabric *Fabric, cfg StrategyConfig) (*DecReplicatedService, error) {
-	if err := cfg.check(); err != nil {
-		return nil, err
-	}
-	placer := dht.NewModuloPlacer(fabric.sites)
 	s := &DecReplicatedService{
-		placer:   placer,
+		placer:   dht.NewModuloPlacer(fabric.sites),
 		hitsC:    fabric.Metrics().Counter("core_dr_local_hits_total"),
 		remotesC: fabric.Metrics().Counter("core_dr_remote_reads_total"),
 	}
@@ -65,39 +53,14 @@ func NewDecReplicated(fabric *Fabric, cfg StrategyConfig) (*DecReplicatedService
 		return s, nil
 	}
 	s.propagator = NewPropagator(fabric, cfg.FlushInterval)
-	if cfg.FeedSync {
-		// A mutation goes to the hashed home of its name unless it was
-		// committed there — which is also what stops the echo of a put applied
-		// at the home: that event's home is its own origin.
-		fs, err := newFeedSyncer(fabric, s.propagator, func(origin cloud.SiteID, name string) []cloud.SiteID {
-			if home := placer.Home(name); home != origin {
-				return []cloud.SiteID{home}
-			}
-			return nil
-		})
-		if err != nil {
-			s.propagator.Close() //nolint:errcheck // nothing was enqueued
-			return nil, fmt.Errorf("decentralized-rep: %w", err)
-		}
-		s.feedSync = fs
-	}
 	return s, nil
 }
-
-// FeedDriven reports whether home-site propagation consumes change feeds
-// (StrategyConfig.FeedSync) instead of the strategy's own calls.
-func (s *DecReplicatedService) FeedDriven() bool { return s.feedSync != nil }
 
 // Home returns the hashed home site of the given entry name.
 func (s *DecReplicatedService) Home(name string) cloud.SiteID { return s.placer.Home(name) }
 
 // Lazy reports whether home-site propagation is lazy (batched) or eager.
 func (s *DecReplicatedService) Lazy() bool { return s.propagator != nil }
-
-// enqueues reports whether the strategy's own calls hand a locally committed
-// mutation to the propagator: the lazy scheme, unless the sites' change feeds
-// carry it (feed mode).
-func (s *DecReplicatedService) enqueues() bool { return s.propagator != nil && s.feedSync == nil }
 
 // LocalHitRate returns the fraction of reads served by the caller's local
 // replica. It returns 0 before any read has completed.
@@ -130,9 +93,7 @@ func (s *DecReplicatedService) Create(ctx context.Context, from cloud.SiteID, e 
 		// batch; the writer only perceives the local latency. Writes are
 		// optimistic: concurrent creates of the same name at different sites
 		// converge at the home via the merge.
-		if s.enqueues() {
-			s.propagator.Enqueue(from, home, stored)
-		}
+		s.propagator.Enqueue(from, home, stored)
 		return stored, s.finish(o, false, nil)
 	}
 	// Eager mode: a second, synchronous round trip stores the entry at its
@@ -194,9 +155,7 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 	}
 	if s.Lazy() && localErr == nil {
 		// Local update succeeded; propagate the new state lazily.
-		if s.enqueues() {
-			s.propagator.Enqueue(from, home, updated)
-		}
+		s.propagator.Enqueue(from, home, updated)
 		return updated, s.finish(o, false, nil)
 	}
 	// Eager mode, or the entry is not replicated locally: update the home. In
@@ -206,30 +165,24 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 	return e, s.finish(o, remote, err)
 }
 
-// Flush pushes every pending lazy batch to its home site; in feed mode every
-// mutation committed before the call was enqueued as it committed. A
-// destination that cannot be updated — or a cancelled context — fails the
-// flush; the un-applied batches stay queued for the propagator's next round.
+// Flush pushes every pending lazy batch to its home site. A destination that
+// cannot be updated — or a cancelled context — fails the flush; the
+// un-applied batches stay queued for the propagator's next round.
 func (s *DecReplicatedService) Flush(ctx context.Context) error {
 	switch {
 	case s.closed.Load():
 		return opErr("flush", 0, "", ErrClosed)
-	case s.feedSync != nil:
-		return opErr("flush", 0, "", s.feedSync.Flush(ctx))
 	case s.propagator != nil:
 		return opErr("flush", 0, "", s.propagator.FlushNow(ctx))
 	}
 	return ctx.Err()
 }
 
-// Close stops the feed consumer and the lazy propagator, flushing pending
-// batches first; it returns the error of that last flush.
+// Close stops the lazy propagator, flushing pending batches first; it
+// returns the error of that last flush.
 func (s *DecReplicatedService) Close() error {
 	if s.closed.Swap(true) {
 		return nil
-	}
-	if s.feedSync != nil {
-		s.feedSync.Close()
 	}
 	if s.propagator != nil {
 		return opErr("flush", 0, "", s.propagator.Close())

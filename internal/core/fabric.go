@@ -342,22 +342,6 @@ func (f *Fabric) Instance(site cloud.SiteID) (registry.API, error) {
 	return inst, nil
 }
 
-// Feed returns the change-feed surface of the given site's registry
-// deployment. It fails when the site does not participate in the fabric or
-// its instance exposes no feed (the fabric's site.Config has Feed off, or an
-// external instance does not implement registry.ChangeFeeder).
-func (f *Fabric) Feed(site cloud.SiteID) (registry.ChangeFeeder, error) {
-	inst, err := f.Instance(site)
-	if err != nil {
-		return nil, err
-	}
-	feeder, ok := inst.(registry.ChangeFeeder)
-	if !ok || feeder.ChangeFeed() == nil {
-		return nil, fmt.Errorf("core: site %d exposes no change feed (fabric built without site.Config.Feed?): %w", site, ErrNoFeed)
-	}
-	return feeder, nil
-}
-
 // TotalEntries sums the number of entries stored across every instance
 // (entries replicated on k sites count k times).
 func (f *Fabric) TotalEntries(ctx context.Context) int {

@@ -15,13 +15,13 @@ import (
 	"geomds/internal/site"
 )
 
-// flakyAPI is a registry instance whose bulk-apply calls can be made to fail
-// as an unreachable site does, or to stall until released.
+// flakyAPI is a registry instance whose Merge calls can be made to fail as an
+// unreachable site does, or to stall until released.
 type flakyAPI struct {
 	registry.API
-	// failMerge and failDelete are how many of the next Merge / DeleteMany
-	// calls fail with registry.ErrUnavailable.
-	failMerge, failDelete atomic.Int32
+	// failMerge is how many of the next Merge calls fail with
+	// registry.ErrUnavailable.
+	failMerge atomic.Int32
 	// inMerge, when set, is called on entry to every Merge.
 	inMerge func()
 }
@@ -37,41 +37,22 @@ func (f *flakyAPI) Merge(ctx context.Context, entries []registry.Entry) (int, er
 	return f.API.Merge(ctx, entries)
 }
 
-func (f *flakyAPI) DeleteMany(ctx context.Context, names []string) (int, error) {
-	if f.failDelete.Add(-1) >= 0 {
-		return 0, fmt.Errorf("delete-many: %w", registry.ErrUnavailable)
-	}
-	f.failDelete.Store(0)
-	return f.API.DeleteMany(ctx, names)
-}
-
-// flakyFeedAPI keeps the wrapped instance's change feed reachable.
-type flakyFeedAPI struct {
-	*flakyAPI
-	registry.ChangeFeeder
-}
-
 // flakyFabric builds a 4-site non-sleeping fabric whose site 2 sits behind a
 // flakyAPI.
-func flakyFabric(t *testing.T, feeds bool) (*Fabric, *flakyAPI) {
+func flakyFabric(t *testing.T) (*Fabric, *flakyAPI) {
 	t.Helper()
 	topo := cloud.Azure4DC()
 	lat := latency.New(topo, latency.WithSeed(1), latency.WithSleeper(func(time.Duration) {}))
 	api, closeSite, err := site.Build(site.Config{
 		Site:     2,
-		Feed:     feeds,
 		NewStore: func() registry.Store { return memcache.New(memcache.Config{}) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	flaky := &flakyAPI{API: api}
-	var inst registry.API = flaky
-	if feeds {
-		inst = flakyFeedAPI{flaky, api.(registry.ChangeFeeder)}
-	}
 	f := NewFabric(topo, lat, WithCacheCapacity(0, 0), WithMetricsRegistry(nil),
-		WithSite(site.Config{Feed: feeds}), WithInstances(map[cloud.SiteID]registry.API{2: inst}))
+		WithInstances(map[cloud.SiteID]registry.API{2: flaky}))
 	t.Cleanup(func() {
 		f.Close()   //nolint:errcheck // memory-only sites
 		closeSite() //nolint:errcheck
@@ -80,122 +61,60 @@ func flakyFabric(t *testing.T, feeds bool) (*Fabric, *flakyAPI) {
 }
 
 // TestPropagationSurvivesDestinationFailure makes the destination of a
-// propagated update unreachable for a while — its Merge, then separately its
-// DeleteMany, fails with registry.ErrUnavailable — on each propagation path.
-// The Flush that hits the failure must say so, the next Flush must succeed, and
+// propagated update unreachable for one Merge on each propagation path. The
+// Flush that hits the failure must say so, the next Flush must succeed, and
 // the update must then be where the strategy replicates it: nothing is lost
-// behind a nil Flush. Only the feed modes propagate a deletion, one made at the
-// writer's registry, so only they have a DeleteMany to fail.
+// behind a nil Flush.
 func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 	paths := []struct {
 		name  string
-		feeds bool
 		build func(*Fabric) (MetadataService, error)
 		// replicas lists the sites that must hold an entry written at site 1
 		// and hashed to site 2 once it has been flushed.
 		replicas []cloud.SiteID
 	}{
-		{"lazy propagator", false, func(f *Fabric) (MetadataService, error) {
-			return newManualHybrid(f, false)
+		{"lazy propagator", func(f *Fabric) (MetadataService, error) {
+			return newManualHybrid(f)
 		}, []cloud.SiteID{1, 2}},
-		{"polling agent", false, func(f *Fabric) (MetadataService, error) {
+		{"polling agent", func(f *Fabric) (MetadataService, error) {
 			return NewReplicated(f, StrategyConfig{SyncInterval: time.Hour})
 		}, []cloud.SiteID{0, 1, 2, 3}},
-		{"replicated feed mode", true, func(f *Fabric) (MetadataService, error) {
-			return NewReplicated(f, StrategyConfig{SyncInterval: time.Hour, FeedSync: true})
-		}, []cloud.SiteID{0, 1, 2, 3}},
-		{"hybrid feed mode", true, func(f *Fabric) (MetadataService, error) {
-			return newManualHybrid(f, true)
-		}, []cloud.SiteID{1, 2}},
 	}
 	for _, path := range paths {
-		failings := []string{"Merge"}
-		if path.feeds {
-			failings = append(failings, "DeleteMany")
-		}
-		for _, failing := range failings {
-			t.Run(path.name+"/"+failing, func(t *testing.T) {
-				f, flaky := flakyFabric(t, path.feeds)
-				svc, err := path.build(f)
+		t.Run(path.name+"/Merge", func(t *testing.T) {
+			f, flaky := flakyFabric(t)
+			svc, err := path.build(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			name, _ := trafficNames(f.Sites()) // hashed to site 2
+
+			flaky.failMerge.Store(1)
+			if _, err := svc.Create(tctx, 1, testEntry(name, 1)); err != nil {
+				t.Fatal(err)
+			}
+			err = svc.Flush(tctx)
+			var oe *OpError
+			if !errors.Is(err, ErrSiteUnreachable) || !errors.As(err, &oe) || oe.Op != "flush" {
+				t.Errorf("Flush into the unreachable site = %v, want a flush *OpError matching ErrSiteUnreachable", err)
+			}
+			if err := svc.Flush(tctx); err != nil {
+				t.Errorf("Flush after the site came back = %v, want nil", err)
+			}
+			for _, site := range path.replicas {
+				inst, err := f.Instance(site)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer svc.Close()
-				name, _ := trafficNames(f.Sites()) // hashed to site 2
-
-				// In the feed modes the consumer ships as events arrive, so the
-				// site stays down until the test has seen its Flush fail;
-				// elsewhere exactly one call fails.
-				failures := int32(1)
-				if path.feeds {
-					failures = 1 << 20
+				if !holds(t, inst, name) {
+					t.Errorf("site %d does not hold the entry after the flushes", site)
 				}
-				holds := func(site cloud.SiteID) bool {
-					inst, err := f.Instance(site)
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, err = inst.Get(tctx, name)
-					return err == nil
-				}
-				flushFailsOnceThenSucceeds := func(knob *atomic.Int32) {
-					t.Helper()
-					err := svc.Flush(tctx)
-					var oe *OpError
-					if !errors.Is(err, ErrSiteUnreachable) || !errors.As(err, &oe) || oe.Op != "flush" {
-						t.Errorf("Flush into the unreachable site = %v, want a flush *OpError matching ErrSiteUnreachable", err)
-					}
-					knob.Store(0)
-					if err := svc.Flush(tctx); err != nil {
-						t.Errorf("Flush after the site came back = %v, want nil", err)
-					}
-				}
-
-				if failing == "Merge" {
-					flaky.failMerge.Store(failures)
-				}
-				if _, err := svc.Create(tctx, 1, testEntry(name, 1)); err != nil {
-					t.Fatal(err)
-				}
-				if failing == "Merge" {
-					flushFailsOnceThenSucceeds(&flaky.failMerge)
-				} else if err := svc.Flush(tctx); err != nil {
-					t.Fatal(err)
-				}
-				for _, site := range path.replicas {
-					if !holds(site) {
-						t.Errorf("site %d does not hold the entry after the flushes", site)
-					}
-				}
-				if _, err := svc.Lookup(tctx, 3, name); err != nil {
-					t.Errorf("lookup from a third site: %v", err)
-				}
-				if !path.feeds {
-					return
-				}
-
-				if failing == "DeleteMany" {
-					flaky.failDelete.Store(failures)
-				}
-				writer, err := f.Instance(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := writer.Delete(tctx, name); err != nil {
-					t.Fatal(err)
-				}
-				if failing == "DeleteMany" {
-					flushFailsOnceThenSucceeds(&flaky.failDelete)
-				} else if err := svc.Flush(tctx); err != nil {
-					t.Fatal(err)
-				}
-				for _, site := range path.replicas {
-					if holds(site) {
-						t.Errorf("site %d still holds the entry after the flushed delete", site)
-					}
-				}
-			})
-		}
+			}
+			if _, err := svc.Lookup(tctx, 3, name); err != nil {
+				t.Errorf("lookup from a third site: %v", err)
+			}
+		})
 	}
 }
 
@@ -203,7 +122,7 @@ func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 // an update kept back by a failed shipment is replaced, not followed, by a
 // newer deletion of the same name.
 func TestRequeuedPutDoesNotResurrect(t *testing.T) {
-	f, flaky := flakyFabric(t, false)
+	f, flaky := flakyFabric(t)
 	p := newManualPropagator(f)
 	defer p.Close()
 
@@ -250,7 +169,7 @@ func TestRequeueNeverDisplacesNewerOperation(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f, flaky := flakyFabric(t, false)
+			f, flaky := flakyFabric(t)
 			entered, release := make(chan struct{}), make(chan struct{})
 			var staged atomic.Bool // only the first Merge is held back
 			flaky.inMerge = func() {
@@ -291,7 +210,7 @@ func TestRequeueNeverDisplacesNewerOperation(t *testing.T) {
 // FlushNow waiting behind a round that is shipping returns its context's
 // error as soon as the context ends, not after that round's WAN exchange.
 func TestFlushNowGivesUpWhileAnotherShips(t *testing.T) {
-	f, flaky := flakyFabric(t, false)
+	f, flaky := flakyFabric(t)
 	entered, release := make(chan struct{}), make(chan struct{})
 	var staged atomic.Bool // only the first Merge is held back
 	flaky.inMerge = func() {

@@ -20,11 +20,9 @@ import (
 // observe only the local write latency, and the system converges to a
 // consistent state eventually.
 //
-// It is the one propagation path of the package. Operations are enqueued per
-// destination by a strategy call (the hybrid strategy's lazy mode) or by the
-// feed consumer (the feed modes of the hybrid and replicated strategies); a
-// flush fans out across the destinations concurrently and ships each one its
-// whole batch as bulk operations — one Merge for the upserts and one
+// Operations are enqueued per destination by the hybrid strategy's lazy
+// mode; a flush fans out across the destinations concurrently and ships each
+// one its whole batch as bulk operations — one Merge for the upserts and one
 // DeleteMany for the deletions, never per-entry calls. A destination whose
 // shipment fails, because the site is unreachable or the flush context was
 // cancelled, keeps its batch for the next round and the flush reports the
@@ -229,22 +227,15 @@ func (p *Propagator) Pending() int {
 // Rounds run one at a time; a call whose ctx ends while it waits for another
 // round to finish returns ctx's error at once and ships nothing.
 func (p *Propagator) FlushNow(ctx context.Context) error {
-	_, err := p.flush(ctx)
-	return err
-}
-
-// flush is FlushNow that also reports how many operations changed remote
-// state.
-func (p *Propagator) flush(ctx context.Context) (int, error) {
 	select {
 	case p.flushSlot <- struct{}{}:
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return ctx.Err()
 	}
 	defer func() { <-p.flushSlot }()
 
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return err
 	}
 
 	flushStart := time.Now()
@@ -282,7 +273,7 @@ func (p *Propagator) flush(ctx context.Context) (int, error) {
 	p.flushesC.Inc()
 	p.propagatedC.Add(applied.Load())
 	p.flushLatency.ObserveDuration(time.Since(flushStart))
-	return int(applied.Load()), errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // requeue puts a batch that could not be delivered back into d's pending set.

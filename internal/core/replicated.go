@@ -40,12 +40,6 @@ type ReplicatedService struct {
 	agentSite cloud.SiteID
 	interval  time.Duration
 
-	// In feed mode (StrategyConfig.FeedSync) feedSync relays the sites' change
-	// feeds into out, and no agent runs. Both are nil in the default polling
-	// mode.
-	feedSync *feedSyncer
-	out      *Propagator
-
 	// life is cancelled on Close, stopping the agent and aborting its
 	// in-flight round.
 	life     context.Context
@@ -72,13 +66,8 @@ type ReplicatedService struct {
 }
 
 // NewReplicated builds the replicated strategy with the synchronization agent
-// hosted in cfg's Central datacenter, polling every cfg.SyncInterval — or,
-// with cfg.FeedSync, with no agent: a consumer of the sites' change feeds
-// ships every committed local mutation to the other replicas as soon as its
-// event arrives, so an update is globally visible after one WAN exchange
-// rather than up to a full sync interval, and an idle system exchanges
-// nothing. The polling agent is the default, and the baseline the feed path
-// is measured against. The agent starts immediately and runs until Close.
+// hosted in cfg's Central datacenter, polling every cfg.SyncInterval. The
+// agent starts immediately and runs until Close.
 func NewReplicated(fabric *Fabric, cfg StrategyConfig) (*ReplicatedService, error) {
 	agentSite := cfg.central(fabric)
 	if !fabric.HasSite(agentSite) {
@@ -105,28 +94,6 @@ func NewReplicated(fabric *Fabric, cfg StrategyConfig) (*ReplicatedService, erro
 	s.service = newService(fabric, Replicated)
 	// Every node performs its metadata operations on its own site's instance.
 	s.target = func(from cloud.SiteID, _ string) cloud.SiteID { return from }
-	if cfg.FeedSync {
-		// A committed mutation goes to every other replica; a shipment that
-		// fails is retried once per sync interval.
-		others := make(map[cloud.SiteID][]cloud.SiteID)
-		for _, origin := range fabric.Sites() {
-			for _, to := range fabric.Sites() {
-				if to != origin {
-					others[origin] = append(others[origin], to)
-				}
-			}
-		}
-		s.out = NewPropagator(fabric, s.interval)
-		fs, err := newFeedSyncer(fabric, s.out, func(origin cloud.SiteID, _ string) []cloud.SiteID { return others[origin] })
-		if err != nil {
-			lifeStop()
-			s.out.Close() //nolint:errcheck // nothing was enqueued
-			return nil, fmt.Errorf("replicated: %w", err)
-		}
-		s.feedSync = fs
-		close(s.done) // no agent loop to wait for on Close
-		return s, nil
-	}
 	s.after = s.remember
 	go func() {
 		defer close(s.done)
@@ -137,13 +104,8 @@ func NewReplicated(fabric *Fabric, cfg StrategyConfig) (*ReplicatedService, erro
 	return s, nil
 }
 
-// FeedDriven reports whether the service propagates through change feeds
-// (StrategyConfig.FeedSync) instead of the polling agent.
-func (s *ReplicatedService) FeedDriven() bool { return s.feedSync != nil }
-
-// remember queues a committed local mutation for the agent's next round. It
-// is the polling mode's singleTarget.after; in feed mode the commit's feed
-// event carries the update by itself.
+// remember queues a committed local mutation for the agent's next round: it
+// is the service's singleTarget.after.
 func (s *ReplicatedService) remember(o opFrame, _ bool, err error) {
 	if err != nil || o.kind == metrics.OpRead {
 		return
@@ -159,32 +121,23 @@ func (s *ReplicatedService) remember(o opFrame, _ bool, err error) {
 // Flush runs one synchronization round immediately and returns when every
 // instance has been updated. A round that could not read from or write to
 // some site — or whose context was cancelled — re-queues its work and returns
-// the error. In feed mode it instead runs one propagator round, which ships
-// every mutation committed before the call: each was enqueued as it committed.
+// the error.
 func (s *ReplicatedService) Flush(ctx context.Context) error {
-	switch {
-	case s.closed.Load():
+	if s.closed.Load() {
 		return opErr("flush", s.agentSite, "", ErrClosed)
-	case s.feedSync != nil:
-		return opErr("flush", s.agentSite, "", s.feedSync.Flush(ctx))
 	}
 	return opErr("flush", s.agentSite, "", s.syncRound(ctx))
 }
 
 // Close stops the synchronization agent, cancelling any in-flight round.
 // Names the agent has not propagated yet are dropped; call Flush first to
-// push them. In feed mode it stops the feed consumer and returns the error of
-// the propagator's last flush.
+// push them.
 func (s *ReplicatedService) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	s.lifeStop()
 	<-s.done
-	if s.feedSync != nil {
-		s.feedSync.Close()
-		return opErr("flush", s.agentSite, "", s.out.Close())
-	}
 	return nil
 }
 

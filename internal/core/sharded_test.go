@@ -85,12 +85,12 @@ func TestSyncAgentStaysBatchedPerShard(t *testing.T) {
 
 // TestPropagatorStaysBatchedPerShard asserts the hybrid strategy's lazy
 // propagator delivers a flush to a sharded home site as bulk sub-batches:
-// at most one Merge and one DeleteMany per shard per flush. Deletions reach the
-// propagator from the feed modes' relay, so the test enqueues them itself.
+// at most one Merge and one DeleteMany per shard per flush. No strategy call
+// enqueues a deletion, so the test enqueues them itself.
 func TestPropagatorStaysBatchedPerShard(t *testing.T) {
 	const nShards = 3
 	f, counters := newShardedCountingFabric(t, nShards)
-	svc, err := newManualHybrid(f, false)
+	svc, err := newManualHybrid(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,9 @@ import (
 	"geomds/internal/site"
 )
 
-// countingFeedAPI is a countingAPI that keeps the wrapped instance's change
-// feed reachable, so the feed-driven modes run over a counted fabric.
-type countingFeedAPI struct {
-	*countingAPI
-	registry.ChangeFeeder
-}
-
 // trafficFabric builds a 4-site fabric over the non-sleeping latency model
-// with every site's instance behind a call counter; with feeds, the instances
-// publish change feeds.
-func trafficFabric(t *testing.T, feeds bool) (*Fabric, *latency.Model, map[cloud.SiteID]*countingAPI) {
+// with every site's instance behind a call counter.
+func trafficFabric(t *testing.T) (*Fabric, *latency.Model, map[cloud.SiteID]*countingAPI) {
 	t.Helper()
 	topo := cloud.Azure4DC()
 	lat := latency.New(topo, latency.WithSeed(1), latency.WithSleeper(func(time.Duration) {}))
@@ -35,7 +27,6 @@ func trafficFabric(t *testing.T, feeds bool) (*Fabric, *latency.Model, map[cloud
 	for _, s := range topo.Sites() {
 		api, closeSite, err := site.Build(site.Config{
 			Site:     s.ID,
-			Feed:     feeds,
 			NewStore: func() registry.Store { return memcache.New(memcache.Config{}) },
 		})
 		if err != nil {
@@ -44,9 +35,6 @@ func trafficFabric(t *testing.T, feeds bool) (*Fabric, *latency.Model, map[cloud
 		t.Cleanup(func() { closeSite() }) //nolint:errcheck // memory-only site
 		counters[s.ID] = newCountingAPI(api)
 		instances[s.ID] = counters[s.ID]
-		if feeds {
-			instances[s.ID] = countingFeedAPI{counters[s.ID], api.(registry.ChangeFeeder)}
-		}
 	}
 	return NewFabric(topo, lat, WithInstances(instances), WithMetricsRegistry(nil)), lat, counters
 }
@@ -151,19 +139,17 @@ func outcome(err error) string {
 }
 
 // TestStrategyTrafficCharacterisation pins what the paper's figures are made
-// of: for every strategy and convergence mode, which registry calls each site
+// of: for every strategy and propagation mode, which registry calls each site
 // receives and how many modelled exchanges of each distance class are charged,
 // operation by operation. Every step is an operation followed by a Flush; a
 // row reads "<step>: <outcome> <traffic of the operation> / <traffic of the
-// Flush>". In the feed modes propagation is asynchronous from the operation
-// on, so the two are reported together after the Flush.
+// Flush>".
 //
 // The script, issued over Azure4DC (sites 0,1 in Europe, 2,3 in the US): A is
 // hashed to site 2 and written from site 1; B is hashed to its writer, site 1.
 func TestStrategyTrafficCharacterisation(t *testing.T) {
 	type config struct {
 		name  string
-		feeds bool
 		build func(*Fabric) (MetadataService, error)
 		want  []string
 	}
@@ -197,21 +183,6 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 			},
 		},
 		{
-			name:  "replicated/feed",
-			feeds: true,
-			build: func(f *Fabric) (MetadataService, error) {
-				return NewReplicated(f, StrategyConfig{SyncInterval: time.Hour, FeedSync: true})
-			},
-			want: []string{
-				"create A@1: ok s0{Merge×1} s1{Create×1} s2{Merge×1} s3{Merge×1} local=1 region=1 geo=2",
-				"lookup A@1: ok s1{Get×1} local=1",
-				"lookup A@3: ok s3{Get×1} local=1",
-				"addlocation A@1: ok s0{Merge×1} s1{AddLocation×1} s2{Merge×1} s3{Merge×1} local=1 region=1 geo=2",
-				"addlocation A@3: ok s0{Merge×1} s1{Merge×1} s2{Merge×1} s3{AddLocation×1} local=1 region=1 geo=2",
-				"create B@1: ok s0{Merge×1} s1{Create×1} s2{Merge×1} s3{Merge×1} local=1 region=1 geo=2",
-			},
-		},
-		{
 			name: "decentralized",
 			build: func(f *Fabric) (MetadataService, error) {
 				return NewDecentralized(f), nil
@@ -242,7 +213,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 		{
 			name: "hybrid/lazy",
 			build: func(f *Fabric) (MetadataService, error) {
-				return newManualHybrid(f, false)
+				return newManualHybrid(f)
 			},
 			want: []string{
 				"create A@1: ok s1{Create×1} local=1 / s2{Merge×1} geo=1",
@@ -253,26 +224,11 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 				"create B@1: ok s1{Create×1} local=1 / -",
 			},
 		},
-		{
-			name:  "hybrid/feed",
-			feeds: true,
-			build: func(f *Fabric) (MetadataService, error) {
-				return newManualHybrid(f, true)
-			},
-			want: []string{
-				"create A@1: ok s1{Create×1} s2{Merge×1} local=1 geo=1",
-				"lookup A@1: ok s1{Get×1} local=1",
-				"lookup A@3: ok s2{Get×1} s3{Get×1} local=1 region=1",
-				"addlocation A@1: ok s1{AddLocation×1} s2{Merge×1} local=1 geo=1",
-				"addlocation A@3: ok s2{AddLocation×1} s3{AddLocation×1} local=1 region=1",
-				"create B@1: ok s1{Create×1} local=1",
-			},
-		},
 	}
 
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			f, lat, counters := trafficFabric(t, cfg.feeds)
+			f, lat, counters := trafficFabric(t)
 			svc, err := cfg.build(f)
 			if err != nil {
 				t.Fatal(err)
@@ -301,11 +257,7 @@ func TestStrategyTrafficCharacterisation(t *testing.T) {
 					t.Fatalf("%s: flush: %v", step.label, err)
 				}
 				afterFlush := takeTraffic(lat, counters)
-				row := fmt.Sprintf("%s: %s %s / %s", step.label, outcome(opErr), afterOp.since(before), afterFlush.since(afterOp))
-				if cfg.feeds {
-					row = fmt.Sprintf("%s: %s %s", step.label, outcome(opErr), afterFlush.since(before))
-				}
-				got = append(got, row)
+				got = append(got, fmt.Sprintf("%s: %s %s / %s", step.label, outcome(opErr), afterOp.since(before), afterFlush.since(afterOp)))
 			}
 			if strings.Join(got, "\n") != strings.Join(cfg.want, "\n") {
 				t.Errorf("traffic of %s moved.\ngot:\n%s\nwant:\n%s", cfg.name, quoteRows(got), quoteRows(cfg.want))

@@ -60,19 +60,11 @@ type Config struct {
 	// DataDir and Fsync, NearCache — and is handed to core.WithSite as is,
 	// with two adjustments per environment: each one logs under its own
 	// run-<n> subdirectory of DataDir, so runs still start from empty
-	// registries, and Feed is switched on whenever FeedSync or NearCache
-	// needs it. Its per-site fields (Site, Remote, NewStore, Metrics) are the
+	// registries, and Feed is switched on whenever NearCache needs it. Its per-site fields (Site, Remote, NewStore, Metrics) are the
 	// fabric's to fill and must stay zero; core.NewFabric refuses them. The
 	// zero value is the paper's one-instance-per-site layout (each instance's
 	// cache bounded by ServiceTime/Concurrency above).
 	site.Config
-	// FeedSync switches the eventually consistent strategies from polling to
-	// push: every registry instance exposes a change feed and the replicated
-	// and hybrid strategies converge by consuming it (SyncInterval and
-	// FlushInterval then only bound the polling fall-back). False keeps the
-	// paper's polling agents as the baseline — also under NearCache, whose
-	// feeds then only invalidate the caches.
-	FeedSync bool
 	// KeyDist shapes which entries the synthetic workload's readers look up:
 	// the zero value keeps the paper's uniform picks, Zipfian and hot-spot
 	// skews concentrate reads on a small popular set.
@@ -195,9 +187,8 @@ func (c Config) newEnvironment(nodes int) *environment {
 	if sc.DataDir != "" {
 		sc.DataDir = filepath.Join(sc.DataDir, fmt.Sprintf("run-%d", envSeq.Add(1)))
 	}
-	// The near cache needs feeds for push invalidation even when the
-	// strategies themselves keep polling.
-	sc.Feed = sc.Feed || c.FeedSync || c.NearCache
+	// The near cache needs feeds for push invalidation.
+	sc.Feed = sc.Feed || c.NearCache
 	fabric := core.NewFabric(topo, lat,
 		core.WithCacheCapacity(c.ServiceTime, c.Concurrency),
 		core.WithRecorder(rec),
@@ -218,7 +209,6 @@ func (c Config) newService(ctx context.Context, env *environment, kind core.Stra
 		Central:       c.centralSite(env.topo),
 		SyncInterval:  c.SyncInterval,
 		FlushInterval: c.FlushInterval,
-		FeedSync:      c.FeedSync,
 	})
 	return ctrl.Use(ctx, kind)
 }

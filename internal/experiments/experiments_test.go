@@ -54,27 +54,6 @@ func TestConfigHelpers(t *testing.T) {
 	}
 }
 
-func TestConfigFeedSync(t *testing.T) {
-	cfg := testConfig()
-	cfg.FeedSync = true
-	env := cfg.newEnvironment(8)
-	defer env.close()
-	svc, err := cfg.newService(tctx, env, core.Replicated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	rs, ok := svc.(*core.ReplicatedService)
-	if !ok || !rs.FeedDriven() {
-		t.Fatalf("FeedSync config built %T (feed-driven=%v), want a feed-driven replicated service", svc, ok)
-	}
-	for _, site := range env.fabric.Sites() {
-		if _, err := env.fabric.Feed(site); err != nil {
-			t.Fatalf("FeedSync environment: site %d exposes no feed: %v", site, err)
-		}
-	}
-}
-
 func TestConfigNearCache(t *testing.T) {
 	cfg := testConfig()
 	cfg.NearCache = true
@@ -92,8 +71,12 @@ func TestConfigNearCache(t *testing.T) {
 	// NearCache alone must attach change feeds — without them the caches
 	// would silently degrade to TTL staleness.
 	for _, site := range env.fabric.Sites() {
-		if _, err := env.fabric.Feed(site); err != nil {
-			t.Fatalf("NearCache environment: site %d exposes no feed: %v", site, err)
+		inst, err := env.fabric.Instance(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if feeder, ok := inst.(registry.ChangeFeeder); !ok || feeder.ChangeFeed() == nil {
+			t.Fatalf("NearCache environment: site %d exposes no feed", site)
 		}
 	}
 }
@@ -165,7 +148,7 @@ func TestEnvironmentWithDataDir(t *testing.T) {
 // runs.
 func TestRunWorkflowClosesWhatItBuilds(t *testing.T) {
 	cfg := testConfig()
-	cfg.Shards, cfg.Replication, cfg.NearCache, cfg.FeedSync = 3, 2, true, true
+	cfg.Shards, cfg.Replication, cfg.NearCache = 3, 2, true
 	wf := workflow.Pipeline(workflow.PatternConfig{Prefix: "leak-", FileSize: 1}, 6)
 	res, err := cfg.RunWorkflow(tctx, wf, core.DecentralizedReplicated, workflow.RoundRobinScheduler{}, workflow.EngineConfig{})
 	if err != nil {

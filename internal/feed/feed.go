@@ -77,9 +77,8 @@ type Event struct {
 	// Sync marks a mutation applied by a bulk replication operation (a
 	// Merge or DeleteMany landing a batch from another deployment, or a
 	// shard-migration sweep) rather than committed by a primary client
-	// write. Feed-driven replication agents skip Sync events — they are the
-	// agents' own applies coming back around — while watchers still see
-	// them; relays preserve the mark.
+	// write. Watchers see both and can tell them apart; relays preserve the
+	// mark.
 	Sync bool
 }
 

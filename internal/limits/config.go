@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 )
@@ -23,7 +24,8 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
 
-// UnmarshalJSON accepts "5m"-style strings or raw nanosecond numbers.
+// UnmarshalJSON accepts "5m"-style strings or raw nanosecond numbers; a
+// number outside the range of time.Duration is refused.
 func (d *Duration) UnmarshalJSON(b []byte) error {
 	var v any
 	if err := json.Unmarshal(b, &v); err != nil {
@@ -37,6 +39,10 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 		}
 		*d = Duration(p)
 	case float64:
+		// float64(math.MaxInt64) rounds up to 2^63, itself out of range.
+		if !(x >= math.MinInt64 && x < math.MaxInt64) {
+			return fmt.Errorf("limits: duration %v ns is out of range", x)
+		}
 		*d = Duration(time.Duration(x))
 	default:
 		return fmt.Errorf("limits: bad duration %v (want string or number)", v)

@@ -14,6 +14,7 @@ package limits
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,7 +140,12 @@ func (b *TokenBucket) take(now time.Time, n float64) (bool, time.Duration) {
 	if need > b.burst {
 		need = b.burst
 	}
-	wait := time.Duration(need / b.rate * float64(time.Second))
+	// Clamped before the conversion: a slow rate and a large burst can ask
+	// for more nanoseconds than a Duration holds.
+	wait := time.Duration(math.MaxInt64)
+	if ns := need / b.rate * float64(time.Second); ns < math.MaxInt64 {
+		wait = time.Duration(ns)
+	}
 	if wait <= 0 {
 		wait = time.Millisecond
 	}

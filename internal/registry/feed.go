@@ -34,12 +34,11 @@ import (
 // Because re-sync sweeps repair shards with ordinary Merge/DeleteMany calls on
 // the shard stores, a recovery surfaces in the combined feed as put events at
 // the returning shard followed by delete events at the substitutes that
-// covered for it. A near cache (readcache.Cache.AttachLog) and a core
-// strategy's feed sync observe the deployment's log the same way, one log
-// holding any number of observers. Lock order: the WAL member's mutex, the
-// memcache shard's, the shard's log, the relay's log, then either a readcache
-// lock shard or a core propagator's mutex; nothing holding the propagator's
-// mutex writes to a site.
+// covered for it. A near cache (readcache.Cache.AttachLog) and a served watch
+// (feed.Log.Tail) observe the deployment's log the same way, one log holding
+// any number of observers. Lock order: the WAL member's mutex, the memcache
+// shard's, the shard's log, the relay's log, then either a readcache lock
+// shard or a served watch's queue lock.
 
 // ChangeFeeder is implemented by registry deployments that expose a change
 // feed: *Instance (with WithChangeFeed) and *Router (when every shard
@@ -82,7 +81,7 @@ func WithChangeFeed(opts ...feed.LogOption) InstanceOption {
 			if deleted {
 				op = feed.OpDelete
 			}
-			// Sync lets feed-driven agents skip their own applies.
+			// Sync tells watchers a replication apply from a primary write.
 			log.Publish(&feed.Event{Op: op, Name: key, Value: value, Sync: bulk})
 		})
 		i.feedLog, i.feedOpts = log, opts

@@ -56,8 +56,9 @@ type Config struct {
 	// Fsync is the log's sync policy with DataDir (the zero value,
 	// store.FsyncAlways, syncs every append).
 	Fsync store.FsyncPolicy
-	// Feed publishes every committed put and delete on a change feed; a
-	// sharded tier relays its shards' feeds into one. A feed numbers its own
+	// Feed publishes every committed put and delete on a change feed, for
+	// the near cache and for watchers; a sharded tier relays its shards'
+	// feeds into one. A feed numbers its own
 	// events: with DataDir it starts past the log's last record, so a cursor
 	// from before a restart takes the snapshot fallback (feed.ErrCompacted).
 	Feed bool

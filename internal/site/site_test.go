@@ -364,6 +364,47 @@ func TestNearCacheKeepsUpWithBulkLoad(t *testing.T) {
 	}
 }
 
+// TestNearCacheAndTailShareOneLog: a sharded, replicated, near-cached site's
+// log has two observers, the near cache and a Tail observer attached after it
+// (a served watch's). Each of 200 rewrites of one name reads back through the
+// cache at its new version, and the tail has seen its event by the time the
+// write returns: adding the second observer replaced neither.
+func TestNearCacheAndTailShareOneLog(t *testing.T) {
+	api, closeSite, err := Build(Config{Site: 7, Shards: 3, Replication: 2, Feed: true, NearCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSite()
+	var tailed []int64
+	detach, err := api.(registry.ChangeFeeder).ChangeFeed().Tail(0, func(ev *feed.Event) {
+		if ev == nil || ev.Op != feed.OpPut {
+			return
+		}
+		e, err := registry.DecodeEntry(ev.Value)
+		if err != nil {
+			t.Errorf("tailed event: %v", err)
+			return
+		}
+		tailed = append(tailed, e.Size)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer detach()
+	for round := int64(1); round <= 200; round++ {
+		stored, err := api.Put(ctx, entry("shared", round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := api.Get(ctx, "shared"); err != nil || got.Version != stored.Version || got.Size != round {
+			t.Fatalf("round %d: read version %d size %d (%v) right after writing version %d", round, got.Version, got.Size, err, stored.Version)
+		}
+		if n := len(tailed); n == 0 || tailed[n-1] != round {
+			t.Fatalf("round %d: the tail has seen %d puts, the last of size %v", round, n, tailed[max(n-1, 0):])
+		}
+	}
+}
+
 // BenchmarkNearCachePutMany256 times a 256-entry bulk write through the
 // 4-shard feeding, near-cached site hot_read serves, in ns per entry: the
 // router's fan-out, the shards' stores and feeds, the relay and the near

@@ -105,8 +105,8 @@ func ParseKeyDist(s string) (KeyDist, error) {
 		d := KeyDist{Kind: KeyZipfian}
 		if arg != "" {
 			v, err := strconv.ParseFloat(arg, 64)
-			if err != nil || v <= 0 {
-				return KeyDist{}, fmt.Errorf("workloads: zipfian exponent %q must be a number > 0", arg)
+			if err != nil || !(v > 0) || math.IsInf(v, 1) {
+				return KeyDist{}, fmt.Errorf("workloads: zipfian exponent %q must be a finite number > 0", arg)
 			}
 			d.ZipfS = v
 		}
@@ -120,7 +120,9 @@ func ParseKeyDist(s string) (KeyDist, error) {
 			}
 			f, ferr := strconv.ParseFloat(frac, 64)
 			w, werr := strconv.ParseFloat(weight, 64)
-			if ferr != nil || werr != nil || f <= 0 || f >= 1 || w <= 0 || w >= 1 {
+			// Written as inside-the-range tests, so NaN, which fails every
+			// comparison, is refused too.
+			if ferr != nil || werr != nil || !(f > 0 && f < 1) || !(w > 0 && w < 1) {
 				return KeyDist{}, fmt.Errorf("workloads: hotspot fraction and weight must be in (0,1), got %q", s)
 			}
 			d.HotFraction, d.HotWeight = f, w

@@ -66,6 +66,46 @@ func TestKeyDistStringRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseKeyDist holds ParseKeyDist to its contract on any flag value: an
+// accepted distribution has finite parameters in range (an unset one is the
+// default), and its String parses back to the same distribution. The corpus
+// under testdata/fuzz holds the non-finite values that once parsed.
+func FuzzParseKeyDist(f *testing.F) {
+	for _, seed := range []string{"uniform", "zipfian", "zipf:1.2", "hotspot", "hotspot:0.2,0.8", "zipfian:0"} {
+		f.Add(seed)
+	}
+	inside := func(v float64) bool { return v > 0 && v < 1 }
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseKeyDist(s)
+		if err != nil {
+			return
+		}
+		switch d.Kind {
+		case KeyUniform:
+			if d != (KeyDist{}) {
+				t.Fatalf("ParseKeyDist(%q) = %+v, a uniform distribution with parameters", s, d)
+			}
+		case KeyZipfian:
+			if d.ZipfS != 0 && !(d.ZipfS > 0 && !math.IsInf(d.ZipfS, 1)) {
+				t.Fatalf("ParseKeyDist(%q) accepted the zipfian exponent %v", s, d.ZipfS)
+			}
+		case KeyHotspot:
+			if (d.HotFraction != 0 || d.HotWeight != 0) && !(inside(d.HotFraction) && inside(d.HotWeight)) {
+				t.Fatalf("ParseKeyDist(%q) accepted the hotspot fraction %v and weight %v", s, d.HotFraction, d.HotWeight)
+			}
+		default:
+			t.Fatalf("ParseKeyDist(%q) = kind %d", s, d.Kind)
+		}
+		back, err := ParseKeyDist(d.String())
+		if err != nil {
+			t.Fatalf("ParseKeyDist(%q).String() = %q, which does not parse: %v", s, d.String(), err)
+		}
+		if back.Kind != d.Kind || back.withDefaults() != d.withDefaults() {
+			t.Fatalf("ParseKeyDist(%q) = %+v, but its String %q parses to %+v", s, d, d.String(), back)
+		}
+	})
+}
+
 // TestKeySamplerUniformDefault pins the default: a zero-value KeyDist draws
 // every rank with equal probability (chi-square over 10 equal bins, fixed
 // seed, 99.9% critical value for df=9 is 27.88).

@@ -34,53 +34,52 @@ import (
 // counts as reached. A function whose only tests are tests of itself is not a
 // seam; it is deleted.
 var seams = map[string]string{
-	"cloud.Deployment.Balance":             "TestDeploymentSpreadNodes, TestSpreadNodesBalanceProperty: SpreadNodes' placement is even",
-	"cloud.Deployment.SiteLoad":            "TestDeploymentNodesAt: SpreadNodes' per-site node counts",
-	"cloud.Deployment.Validate":            "TestDeploymentSpreadNodes, TestSpreadNodesBalanceProperty: SpreadNodes keeps the per-site index consistent",
-	"cloud.Topology.Centrality":            "TestAzure4DCCentrality, TestCentralityBoundsProperty: the per-site average the two rankings below order by",
-	"cloud.Topology.LeastCentralSite":      "TestAzure4DCCentrality: Azure4DC's links make South Central US the least central site, as §VI-B observes",
-	"cloud.Topology.MostCentralSite":       "TestAzure4DCCentrality: Azure4DC's links make East US the most central site, as §VI-B observes",
-	"cloud.Topology.Validate":              "TestAzure4DCValidates: Azure4DC's link matrix is symmetric, positive and local-first",
-	"core.CentralizedService.Home":         "TestCentralizedCreateLookup, TestController: the central site option is honoured",
-	"core.DecentralizedService.Home":       "TestDecentralizedPlacement and the DecReplicated tests: names are picked by the placer's home",
-	"core.DecReplicatedService.FeedDriven": "TestDecReplicatedFeedPropagation, TestControllerFeedSync: the feed mode engaged",
-	"core.Fabric.TotalEntries":             "TestDecentralizedPlacement, TestDecReplicatedHomeEqualsWriter: how many copies a strategy stored",
-	"core.Propagator.Pending":              "the propagation and requeue tests: an exact, lock-held queue size the shared propagator_queue_depth gauge cannot give",
-	"core.ReplicatedService.FeedDriven":    "TestReplicatedFeedSyncConverges, TestConfigFeedSync: the feed mode engaged",
-	"core.WithCacheFactory":                "substitutes the store behind a site, for capacity and fault tests",
-	"core.WithSites":                       "a fabric over a subset of the topology, for site arrival and departure tests",
-	"dht.Distribution":                     "TestModuloPlacerUniformity, TestRingPlacerUniformity, TestRingMembershipChangeBounds: how evenly a placer spreads keys",
-	"feed.Subscription.Err":                "TestSlowSubscriberDroppedWithLagged, TestLogCloseEndsSubscriptions: why the log ended a subscription, lagged or closed",
-	"feed.WithCombinerBuffer":              "TestCombinerCancelledMidEventDeliversAtMostOnce, TestCombinerStreamStateBracketsEveryGap: a one-event output buffer blocks the combiner mid-stream",
-	"feed.WithResubscribeBackoff":          "timing: the combiner's reconnect delay",
-	"limits.Limiter.Config":                "TestLimiterUpdateConfig: a reload takes effect",
-	"limits.Limiter.Inflight":              "the Limiter admit and eviction tests: every admitted request is finished",
-	"limits.Limiter.Tenants":               "TestLimiterInflightShedding, TestLimiterLRUEvictionWhenNoneIdle: the tenant table stays bounded",
-	"limits.TokenBucket.Take":              "TestTokenBucketConcurrentTake, TestTokenBucketUnlimitedAndDeny: the bucket's arithmetic without a limiter",
-	"memcache.Cache.Stats":                 "checkStore and the memcache tests: the store's item and byte accounting",
-	"memcache.Cache.Stop":                  "fault injection: TestCentralizedSurvivesShardFailure and TestReplicatedAgentSiteFailureIsIsolated stop a site's cache",
-	"metrics.Histogram.Count":              "TestReplicatedFeedSyncConverges, TestCapacityStoreBoundsConcurrency: how many samples live code observed",
-	"metrics.Progress.Completed":           "TestRunSyntheticCentralized: the synthetic run records every completion",
-	"metrics.Progress.DoneAt":              "TestProgressTimeline: completions at fixed offsets, so Timeline's percentiles are exact",
-	"metrics.Recorder.Len":                 "TestRecorderConcurrent: no sample is lost by concurrent recorders",
-	"metrics.TraceRing.Len":                "TestTraceRingWrapsAndOrders: the ring keeps its capacity when it wraps",
-	"metrics.TraceRing.Total":              "TestTraceRingWrapsAndOrders: the ring counts the events it overwrote",
-	"readcache.Cache.CachedLen":            "the readcache tests: the cache stays bounded, and the readcache_entries gauge matches it",
-	"readcache.Cache.Stats":                "the readcache tests: hits, fills and invalidations",
-	"registry.Instance.Storage":            "TestInstanceCloseLosslessRelaxedFsync: the log's sync count",
-	"registry.Instance.Store":              "TestUndecodableStoredValueIsAnError: plants undecodable bytes under an instance",
-	"registry.Router.DownShards":           "tests assert which breakers a tier has open",
-	"registry.Router.MarkShardUp":          "fault injection: closes a breaker and starts the recovery a probe would",
-	"registry.Router.Replication":          "TestBuild, TestStrategiesOverReplicatedShardedFabric: the replication factor a site was built with",
-	"registry.Router.Shards":               "tests assert a tier's shard IDs",
-	"registry.Router.Wait":                 "tests await background re-sync sweeps",
-	"registry.WithRouterHealth":            "timing: breaker threshold and probe interval, so outage tests finish in milliseconds",
-	"rpc.Server.Addr":                      "TestServerClose, TestBadOpRejected: dial a server that listens on port 0",
-	"store.Durable.Compact":                "TestReplayIdempotence, TestConcurrentCheckpoints: a checkpoint at a chosen point",
-	"store.Durable.Recovered":              "TestDurableRoundTrip and the group recovery tests: how many records a reopen replayed",
-	"store.WithCompactEvery":               "timing: compaction after a handful of records instead of thousands",
-	"workflow.Schedule.SiteLoad":           "TestRoundRobinScheduler, TestLocalitySchedulerSpreadsRoots: where a scheduler put the tasks",
-	"workloads.JobCount":                   "TestBuzzFlowShape, TestMontageShape: the oracle for the generators' task counts",
+	"cloud.Deployment.Balance":        "TestDeploymentSpreadNodes, TestSpreadNodesBalanceProperty: SpreadNodes' placement is even",
+	"cloud.Deployment.SiteLoad":       "TestDeploymentNodesAt: SpreadNodes' per-site node counts",
+	"cloud.Deployment.Validate":       "TestDeploymentSpreadNodes, TestSpreadNodesBalanceProperty: SpreadNodes keeps the per-site index consistent",
+	"cloud.Topology.Centrality":       "TestAzure4DCCentrality, TestCentralityBoundsProperty: the per-site average the two rankings below order by",
+	"cloud.Topology.LeastCentralSite": "TestAzure4DCCentrality: Azure4DC's links make South Central US the least central site, as §VI-B observes",
+	"cloud.Topology.MostCentralSite":  "TestAzure4DCCentrality: Azure4DC's links make East US the most central site, as §VI-B observes",
+	"cloud.Topology.Validate":         "TestAzure4DCValidates: Azure4DC's link matrix is symmetric, positive and local-first",
+	"core.CentralizedService.Home":    "TestCentralizedCreateLookup, TestController: the central site option is honoured",
+	"core.DecentralizedService.Home":  "TestDecentralizedPlacement and the DecReplicated tests: names are picked by the placer's home",
+	"core.Fabric.TotalEntries":        "TestDecentralizedPlacement, TestDecReplicatedHomeEqualsWriter: how many copies a strategy stored",
+	"core.Propagator.EnqueueDelete":   "TestRequeuedPutDoesNotResurrect, TestRequeueNeverDisplacesNewerOperation, TestPropagatorStaysBatchedPerShard: a deletion in the queue, which no strategy enqueues; ROADMAP item 3 deletes the propagator's deletion half with these tests",
+	"core.Propagator.Pending":         "the propagation and requeue tests: an exact, lock-held queue size the shared propagator_queue_depth gauge cannot give",
+	"core.WithCacheFactory":           "substitutes the store behind a site, for capacity and fault tests",
+	"core.WithSites":                  "a fabric over a subset of the topology, for site arrival and departure tests",
+	"dht.Distribution":                "TestModuloPlacerUniformity, TestRingPlacerUniformity, TestRingMembershipChangeBounds: how evenly a placer spreads keys",
+	"feed.Subscription.Err":           "TestSlowSubscriberDroppedWithLagged, TestLogCloseEndsSubscriptions: why the log ended a subscription, lagged or closed",
+	"feed.WithCombinerBuffer":         "TestCombinerCancelledMidEventDeliversAtMostOnce, TestCombinerStreamStateBracketsEveryGap: a one-event output buffer blocks the combiner mid-stream",
+	"feed.WithResubscribeBackoff":     "timing: the combiner's reconnect delay",
+	"limits.Limiter.Config":           "TestLimiterUpdateConfig: a reload takes effect",
+	"limits.Limiter.Inflight":         "the Limiter admit and eviction tests: every admitted request is finished",
+	"limits.Limiter.Tenants":          "TestLimiterInflightShedding, TestLimiterLRUEvictionWhenNoneIdle: the tenant table stays bounded",
+	"limits.TokenBucket.Take":         "TestTokenBucketConcurrentTake, TestTokenBucketUnlimitedAndDeny: the bucket's arithmetic without a limiter",
+	"memcache.Cache.Stats":            "checkStore and the memcache tests: the store's item and byte accounting",
+	"memcache.Cache.Stop":             "fault injection: TestCentralizedSurvivesShardFailure and TestReplicatedAgentSiteFailureIsIsolated stop a site's cache",
+	"metrics.Histogram.Count":         "TestCapacityStoreBoundsConcurrency: how many samples live code observed",
+	"metrics.Progress.Completed":      "TestRunSyntheticCentralized: the synthetic run records every completion",
+	"metrics.Progress.DoneAt":         "TestProgressTimeline: completions at fixed offsets, so Timeline's percentiles are exact",
+	"metrics.Recorder.Len":            "TestRecorderConcurrent: no sample is lost by concurrent recorders",
+	"metrics.TraceRing.Len":           "TestTraceRingWrapsAndOrders: the ring keeps its capacity when it wraps",
+	"metrics.TraceRing.Total":         "TestTraceRingWrapsAndOrders: the ring counts the events it overwrote",
+	"readcache.Cache.CachedLen":       "the readcache tests: the cache stays bounded, and the readcache_entries gauge matches it",
+	"readcache.Cache.Stats":           "the readcache tests: hits, fills and invalidations",
+	"registry.Instance.Storage":       "TestInstanceCloseLosslessRelaxedFsync: the log's sync count",
+	"registry.Instance.Store":         "TestUndecodableStoredValueIsAnError: plants undecodable bytes under an instance",
+	"registry.Router.DownShards":      "tests assert which breakers a tier has open",
+	"registry.Router.MarkShardUp":     "fault injection: closes a breaker and starts the recovery a probe would",
+	"registry.Router.Replication":     "TestBuild, TestStrategiesOverReplicatedShardedFabric: the replication factor a site was built with",
+	"registry.Router.Shards":          "tests assert a tier's shard IDs",
+	"registry.Router.Wait":            "tests await background re-sync sweeps",
+	"registry.WithRouterHealth":       "timing: breaker threshold and probe interval, so outage tests finish in milliseconds",
+	"rpc.Server.Addr":                 "TestServerClose, TestBadOpRejected: dial a server that listens on port 0",
+	"store.Durable.Compact":           "TestReplayIdempotence, TestConcurrentCheckpoints: a checkpoint at a chosen point",
+	"store.Durable.Recovered":         "TestDurableRoundTrip and the group recovery tests: how many records a reopen replayed",
+	"store.WithCompactEvery":          "timing: compaction after a handful of records instead of thousands",
+	"workflow.Schedule.SiteLoad":      "TestRoundRobinScheduler, TestLocalitySchedulerSpreadsRoots: where a scheduler put the tasks",
+	"workloads.JobCount":              "TestBuzzFlowShape, TestMontageShape: the oracle for the generators' task counts",
 }
 
 // goFile is one parsed file.
@@ -540,7 +539,6 @@ func TestExportedFuncsAreReachable(t *testing.T) {
 // reach a bound it could not reach at the default. A field whose only tests
 // are tests of itself is not a seam; it is deleted.
 var configSeams = map[string]string{
-	"experiments.Config.FeedSync":                 "TestRunWorkflowClosesWhatItBuilds: no feed-driven strategy goroutine outlives a run; the feed modes stay until ROADMAP item 8 decides them by measurement",
 	"memcache.Config.Shards":                      "TestIndexWrapAround, TestValueSurvivesEvacuation: one shard forces index growth and evacuation",
 	"readcache.Options.Capacity":                  "TestLRUEvictionBoundsOccupancy, TestBulkWriteLeavesNoSlots: a capacity a test can overrun, so eviction and the slot bound show",
 	"readcache.Options.Now":                       "TestFeedlessTTLFallback: the staleness clock, so a feedless cache's TTL is stepped instead of slept",
