@@ -376,11 +376,22 @@ func (f *Fabric) strategyOps(k StrategyKind) *metrics.Counter {
 	return f.metrics.Counter("core_strategy_" + strings.ToLower(k.Short()) + "_ops_total")
 }
 
+// traceNames holds each operation kind's name in the trace ring, indexed like
+// Fabric.opHists and resolved once: building it per operation cost an
+// allocation.
+var traceNames = func() (names [5]string) {
+	for kind := range names {
+		names[kind] = "core." + metrics.OpKind(kind).String()
+	}
+	return names
+}()
+
 // record stores an operation sample on the fabric's recorder (if any) and
 // feeds the live instruments: the per-kind latency histogram, the operation
 // counters and the trace ring.
 func (f *Fabric) record(kind metrics.OpKind, start time.Time, remote bool) {
-	elapsed := time.Since(start)
+	end := time.Now()
+	elapsed := end.Sub(start)
 	if f.rec != nil {
 		f.rec.Record(kind, elapsed, remote)
 	}
@@ -392,5 +403,5 @@ func (f *Fabric) record(kind metrics.OpKind, start time.Time, remote bool) {
 	if remote {
 		f.remoteOps.Inc()
 	}
-	f.trace.Add("core."+kind.String(), "", elapsed, nil)
+	f.trace.Add(traceNames[kind], "", end, elapsed, "")
 }

@@ -103,6 +103,19 @@ func TestStrategiesReportLiveMetrics(t *testing.T) {
 	}
 }
 
+// Recording an operation on an observed fabric — histogram, counters and a
+// trace event named for its kind — allocates nothing.
+func TestRecordAllocations(t *testing.T) {
+	fabric, reg := newObservedFabric(t)
+	start := time.Now()
+	if allocs := testing.AllocsPerRun(1000, func() { fabric.record(metrics.OpRead, start, true) }); allocs > 0 {
+		t.Errorf("record cost %v allocations, want none", allocs)
+	}
+	if ev := reg.Trace().Events(1); len(ev) != 1 || ev[0].Op != "core.read" {
+		t.Errorf("the last trace event is %+v, want one named core.read", ev)
+	}
+}
+
 // TestPropagatorQueueDepthTracksSupersededEntries verifies the gauge's delta
 // bookkeeping across the supersede paths: an update replacing a pending
 // deletion (and vice versa) must not double-count.

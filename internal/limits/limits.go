@@ -119,22 +119,26 @@ func (b *TokenBucket) SetLimit(rate, burst float64) {
 // the time to refill the full burst, so a request larger than the burst gets
 // a finite hint rather than "never").
 func (b *TokenBucket) Take(n float64) (bool, time.Duration) {
-	return b.take(time.Now(), n)
+	ok, wait, _ := b.take(time.Now(), n)
+	return ok, wait
 }
 
-func (b *TokenBucket) take(now time.Time, n float64) (bool, time.Duration) {
+// take is Take at now, which also returns the tokens left after a success:
+// the level the tenant's tokens gauge reports, read under the same lock and
+// clock reading as the take.
+func (b *TokenBucket) take(now time.Time, n float64) (ok bool, wait time.Duration, left float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.rate == 0 {
-		return true, 0
+		return true, 0, b.tokens
 	}
 	if b.rate < 0 {
-		return false, time.Second
+		return false, time.Second, 0
 	}
 	b.refill(now)
 	if b.tokens >= n {
 		b.tokens -= n
-		return true, 0
+		return true, 0, b.tokens
 	}
 	need := n - b.tokens
 	if need > b.burst {
@@ -142,14 +146,14 @@ func (b *TokenBucket) take(now time.Time, n float64) (bool, time.Duration) {
 	}
 	// Clamped before the conversion: a slow rate and a large burst can ask
 	// for more nanoseconds than a Duration holds.
-	wait := time.Duration(math.MaxInt64)
+	wait = time.Duration(math.MaxInt64)
 	if ns := need / b.rate * float64(time.Second); ns < math.MaxInt64 {
 		wait = time.Duration(ns)
 	}
 	if wait <= 0 {
 		wait = time.Millisecond
 	}
-	return false, wait
+	return false, wait, 0
 }
 
 // give returns tokens taken optimistically (e.g. the ops cost of a request
@@ -184,17 +188,6 @@ func (b *TokenBucket) refill(now time.Time) {
 		b.tokens = b.burst
 	}
 	b.last = now
-}
-
-// Tokens reports the current token count after refilling to now. For gauges
-// and tests.
-func (b *TokenBucket) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.rate > 0 {
-		b.refill(time.Now())
-	}
-	return b.tokens
 }
 
 // Limiter makes admission decisions for a server. One Limiter guards one
@@ -233,6 +226,10 @@ type tenantState struct {
 	rejected *metrics.Counter
 	tokens   *metrics.Gauge
 	latency  *metrics.Histogram
+
+	// finish is what Admit returns on admission, bound once per tenant so
+	// an admitted request allocates nothing.
+	finish func(time.Duration)
 }
 
 // New returns a Limiter enforcing cfg (normalized via cfg.withDefaults) and
@@ -318,14 +315,15 @@ func (l *Limiter) Admit(tenant string, ops int, bytes int) (finish func(time.Dur
 		return nil, &Overload{Tenant: tenant, Reason: ReasonInflight, RetryAfter: time.Duration(l.shedRetryAfter.Load())}
 	}
 
-	t := l.tenant(tenant)
 	now := time.Now()
-	if ok, wait := t.ops.take(now, float64(ops)); !ok {
+	t := l.tenant(tenant, now)
+	ok, wait, left := t.ops.take(now, float64(ops))
+	if !ok {
 		l.reject(t, tenant, ReasonRate)
 		return nil, &Overload{Tenant: tenant, Reason: ReasonRate, RetryAfter: wait}
 	}
 	if bytes > 0 {
-		if ok, wait := t.bytes.take(now, float64(bytes)); !ok {
+		if ok, wait, _ := t.bytes.take(now, float64(bytes)); !ok {
 			t.ops.give(float64(ops)) // byte quota refused; undo the ops debit
 			l.reject(t, tenant, ReasonBytes)
 			return nil, &Overload{Tenant: tenant, Reason: ReasonBytes, RetryAfter: wait}
@@ -336,13 +334,18 @@ func (l *Limiter) Admit(tenant string, ops int, bytes int) (finish func(time.Dur
 	l.inflightGauge.Set(n)
 	l.admitted.Inc()
 	t.admitted.Inc()
-	t.tokens.Set(int64(t.ops.Tokens()))
-	return func(elapsed time.Duration) {
-		l.inflightGauge.Set(l.inflight.Add(-1))
-		if elapsed > 0 {
-			t.latency.ObserveDuration(elapsed)
-		}
-	}, nil
+	t.tokens.Set(gaugeLevel(left))
+	return t.finish, nil
+}
+
+// gaugeLevel is a bucket's token level as a gauge reads it: a bucket of an
+// unbounded rate holds more tokens than an int64 does, and converting such a
+// float unclamped reads as a negative level.
+func gaugeLevel(tokens float64) int64 {
+	if tokens >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(max(tokens, 0))
 }
 
 func (l *Limiter) reject(t *tenantState, tenant string, why Reason) {
@@ -356,11 +359,11 @@ func (l *Limiter) reject(t *tenantState, tenant string, why Reason) {
 	}
 }
 
-// tenant returns the state for id, creating it on first use. When the table
-// is full, idle tenants (unused for cfg.IdleAfter) are evicted first; if
-// none are idle the least recently used tenant goes, so a new tenant can
-// always be admitted and accounted.
-func (l *Limiter) tenant(id string) *tenantState {
+// tenant returns the state for id, creating it on first use, and marks it
+// used at now. When the table is full, idle tenants (unused for
+// cfg.IdleAfter) are evicted first; if none are idle the least recently used
+// tenant goes, so a new tenant can always be admitted and accounted.
+func (l *Limiter) tenant(id string, now time.Time) *tenantState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	t := l.tenants[id]
@@ -378,10 +381,16 @@ func (l *Limiter) tenant(id string) *tenantState {
 			tokens:   l.reg.Gauge("limits_tenant_" + id + "_tokens"),
 			latency:  l.reg.Histogram("limits_tenant_" + id + "_latency_ns"),
 		}
+		t.finish = func(elapsed time.Duration) {
+			l.inflightGauge.Set(l.inflight.Add(-1))
+			if elapsed > 0 {
+				t.latency.ObserveDuration(elapsed)
+			}
+		}
 		l.tenants[id] = t
 		l.tenantsGauge.Set(int64(len(l.tenants)))
 	}
-	t.lastUsed = time.Now()
+	t.lastUsed = now
 	return t
 }
 

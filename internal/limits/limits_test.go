@@ -33,11 +33,11 @@ func TestTokenBucketTake(t *testing.T) {
 	b := NewTokenBucket(10, 5)
 	now := time.Now()
 	for i := 0; i < 5; i++ {
-		if ok, _ := b.take(now, 1); !ok {
+		if ok, _, _ := b.take(now, 1); !ok {
 			t.Fatalf("take %d of burst failed", i)
 		}
 	}
-	ok, wait := b.take(now, 1)
+	ok, wait, _ := b.take(now, 1)
 	if ok {
 		t.Fatal("take beyond burst succeeded")
 	}
@@ -45,19 +45,19 @@ func TestTokenBucketTake(t *testing.T) {
 		t.Fatalf("retry-after = %v, want (0, 1s]", wait)
 	}
 	// After 100ms one token (rate 10/s) has refilled.
-	if ok, _ := b.take(now.Add(100*time.Millisecond), 1); !ok {
+	if ok, _, _ := b.take(now.Add(100*time.Millisecond), 1); !ok {
 		t.Fatal("take after refill failed")
 	}
 	// A request larger than the burst gets a finite hint capped at the
 	// full-burst refill time.
-	_, wait = b.take(now.Add(100*time.Millisecond), 100)
+	_, wait, _ = b.take(now.Add(100*time.Millisecond), 100)
 	if wait > 500*time.Millisecond+time.Millisecond {
 		t.Fatalf("oversized take hint = %v, want <= burst/rate = 500ms", wait)
 	}
 	// A refill too fast for a whole nanosecond still hints a millisecond.
 	fast := NewTokenBucket(1e10, 1)
 	fast.take(now, 1)
-	if ok, wait := fast.take(now, 1); ok || wait != time.Millisecond {
+	if ok, wait, _ := fast.take(now, 1); ok || wait != time.Millisecond {
 		t.Fatalf("fast bucket's second take = %v, %v; want refused, 1ms", ok, wait)
 	}
 }
@@ -69,7 +69,7 @@ func TestTokenBucketTake(t *testing.T) {
 func TestTokenBucketStaleClockIsNotCreditedTwice(t *testing.T) {
 	b := NewTokenBucket(1000, 1000)
 	t0 := time.Now()
-	if ok, _ := b.take(t0, 1000); !ok { // drain the initial burst
+	if ok, _, _ := b.take(t0, 1000); !ok { // drain the initial burst
 		t.Fatal("draining take failed")
 	}
 	for _, step := range []struct {
@@ -100,22 +100,22 @@ func TestTokenBucketUnlimitedAndDeny(t *testing.T) {
 	}
 	// give on a non-refilling bucket is a no-op.
 	deny.give(5)
-	if deny.Tokens() != 0 {
+	if deny.tokens != 0 {
 		t.Fatal("give on deny bucket changed tokens")
 	}
 }
 
 func TestTokenBucketBurstDefaultAndClamp(t *testing.T) {
 	b := NewTokenBucket(7, 0) // burst defaults to one second's worth
-	if got := b.Tokens(); got != 7 {
+	if got := b.tokens; got != 7 {
 		t.Fatalf("default burst tokens = %v, want 7", got)
 	}
 	b.SetLimit(7, 3) // clamp accumulated tokens down to new capacity
-	if got := b.Tokens(); got > 3 {
+	if got := b.tokens; got > 3 {
 		t.Fatalf("tokens after clamp = %v, want <= 3", got)
 	}
 	b.give(100)
-	if got := b.Tokens(); got > 3 {
+	if got := b.tokens; got > 3 {
 		t.Fatalf("tokens after give = %v, want capped at 3", got)
 	}
 }
@@ -144,6 +144,21 @@ func TestLimiterAdmitAndFinish(t *testing.T) {
 	}
 	if h, ok := snap.Histograms["limits_tenant_default_latency_ns"]; !ok || h.Count != 1 {
 		t.Fatal("finish did not record per-tenant latency")
+	}
+}
+
+// A rate no int64 holds, the burst defaulting to it, reads as a full gauge,
+// not as a negative level.
+func TestTokensGaugeOfAnUnboundedRate(t *testing.T) {
+	reg := metrics.NewRegistry()
+	l := New(Config{Default: TenantLimit{OpsPerSec: 1e300}}, reg)
+	finish, err := l.Admit("", 1, 0)
+	if err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	finish(0)
+	if got := reg.Gauge("limits_tenant_default_tokens").Value(); got < 0 {
+		t.Fatalf("limits_tenant_default_tokens = %d, want a non-negative level", got)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestHandlerScrapeUnderConcurrentLoad(t *testing.T) {
 				reg.Counter("load_ops_total").Inc()
 				reg.Gauge("load_inflight").Add(1)
 				reg.Histogram("load_latency_ns").ObserveDuration(50 * time.Microsecond)
-				reg.Trace().Add("load.op", "k", 50*time.Microsecond, nil)
+				reg.Trace().Add("load.op", "k", time.Now(), 50*time.Microsecond, "")
 				reg.Gauge("load_inflight").Add(-1)
 			}
 		}()

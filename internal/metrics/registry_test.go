@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +35,7 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(7)
 	r.Histogram("x").Observe(1)
-	r.Trace().Add("op", "", time.Millisecond, nil)
+	r.Trace().Add("op", "", time.Now(), time.Millisecond, "")
 	if got := r.Counter("x").Value(); got != 0 {
 		t.Fatalf("nil counter = %d, want 0", got)
 	}
@@ -135,7 +134,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 func TestTraceRingWrapsAndOrders(t *testing.T) {
 	ring := NewTraceRing(4)
 	for i := 0; i < 10; i++ {
-		ring.Add("op", "", time.Duration(i), nil)
+		ring.Add("op", "", time.Now(), time.Duration(i), "")
 	}
 	if ring.Len() != 4 {
 		t.Fatalf("len = %d, want 4", ring.Len())
@@ -159,9 +158,10 @@ func TestTraceRingWrapsAndOrders(t *testing.T) {
 
 func TestTraceRingRecordsErrors(t *testing.T) {
 	ring := NewTraceRing(2)
-	ring.Add("rpc.get", "f1", time.Millisecond, errors.New("boom"))
+	end := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	ring.Add("rpc.get", "f1", end, time.Millisecond, "boom")
 	events := ring.Events(0)
-	if len(events) != 1 || events[0].Err != "boom" || events[0].Op != "rpc.get" {
+	if len(events) != 1 || events[0].Err != "boom" || events[0].Op != "rpc.get" || !events[0].At.Equal(end) {
 		t.Fatalf("events = %+v", events)
 	}
 	if out := RenderEvents(events); !strings.Contains(out, "boom") || !strings.Contains(out, "rpc.get") {
@@ -199,7 +199,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 				r.Gauge("depth").Add(1)
 				r.Gauge("depth").Add(-1)
 				r.Histogram("lat").Observe(int64(j))
-				r.Trace().Add("op", "", time.Duration(j), nil)
+				r.Trace().Add("op", "", time.Now(), time.Duration(j), "")
 				if j%100 == 0 {
 					_ = r.Snapshot()
 				}

@@ -50,15 +50,15 @@ func NewTraceRing(capacity int) *TraceRing {
 	return &TraceRing{capacity: capacity, buf: make([]TraceEvent, 0, capacity)}
 }
 
-// Add records one completed operation. err may be nil.
-func (t *TraceRing) Add(op, detail string, latency time.Duration, err error) {
+// Add records one operation that completed at end after latency; errText is
+// its failure message, empty on success. The caller passes the clock reading
+// and the text it already has, so recording an event reads no clock and
+// formats nothing.
+func (t *TraceRing) Add(op, detail string, end time.Time, latency time.Duration, errText string) {
 	if t == nil || t.capacity == 0 {
 		return
 	}
-	ev := TraceEvent{At: time.Now(), Op: op, Detail: detail, Latency: latency}
-	if err != nil {
-		ev.Err = err.Error()
-	}
+	ev := TraceEvent{At: end, Op: op, Detail: detail, Latency: latency, Err: errText}
 	t.mu.Lock()
 	ev.Seq = t.next
 	t.next++

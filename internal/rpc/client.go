@@ -33,12 +33,14 @@ const defaultPoolSize = 4
 // Every operation takes a context. The context's deadline (if any) is
 // propagated to the server in the frame header, so the server abandons work
 // whose client has given up. Cancelling the context of one in-flight call
-// retires just that call: its response channel is deregistered, the late
+// retires just that call: its reply slot is deregistered, the late
 // response is discarded by the demultiplexer, and the connection keeps
 // serving every other pipelined request. The configured transport timeout
 // (WithTimeout) remains as a backstop against a hung server: unlike a
 // context cancellation it tears the connection down, because an unanswered
-// request means the connection state can no longer be trusted.
+// request means the connection state can no longer be trusted. One watchdog
+// timer per connection enforces it, measured from each call's send, so a
+// round trip arms no timer of its own.
 //
 // Transport-level failures (connect refused, broken connection, transport
 // timeout, closed client) are reported wrapping registry.ErrUnavailable, so
@@ -98,9 +100,10 @@ var _ registry.API = (*Client)(nil)
 type ClientOption func(*Client)
 
 // WithTimeout bounds each remote call at the transport level (connect +
-// request + response) when the call's context carries no tighter deadline.
-// Unlike a context deadline, a transport timeout tears the connection down.
-// The default is 10 seconds.
+// request + response) when the call's context carries no tighter deadline:
+// a call still unanswered that long after it started, its frame unwritten
+// included, fails its connection. Unlike a context deadline, a transport
+// timeout tears the connection down. The default is 10 seconds.
 func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) {
 		if d > 0 {
@@ -375,13 +378,15 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 // the call and its outcome (an error with an expired context counts as
 // retired on cancel, by the rule the pool abandons calls by), observes the
 // latency and records one trace event, delegating
-// the wire work to transact.
+// the wire work to transact. Its start is also the call's send time, from
+// which the connection's watchdog measures the transport timeout.
 func (c *Client) roundTrip(ctx context.Context, f RequestFrame) (ResponseFrame, error) {
 	start := time.Now()
 	c.obs.inflight.Add(1)
-	rf, err := c.transact(ctx, f)
+	rf, err := c.transact(ctx, f, start)
 	c.obs.inflight.Add(-1)
-	elapsed := time.Since(start)
+	end := time.Now()
+	elapsed := end.Sub(start)
 	c.obs.calls.Inc()
 	c.obs.latency.ObserveDuration(elapsed)
 	if err != nil {
@@ -397,7 +402,11 @@ func (c *Client) roundTrip(ctx context.Context, f RequestFrame) (ResponseFrame, 
 			op = "rpc.batch"
 			detail = fmt.Sprintf("%d ops", len(f.Batch.Ops))
 		}
-		c.obs.trace.Add(op, detail, elapsed, err)
+		var errText string
+		if err != nil {
+			errText = err.Error()
+		}
+		c.obs.trace.Add(op, detail, end, elapsed, errText)
 	}
 	return rf, err
 }
@@ -407,8 +416,9 @@ func (c *Client) roundTrip(ctx context.Context, f RequestFrame) (ResponseFrame, 
 // is encoded before a connection is taken, so one too large to send fails at
 // once, with its size, and dials nothing. A transport error is retried once on
 // a fresh connection (the server may have dropped an idle connection between
-// calls); a context error is never retried — the caller has given up.
-func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, error) {
+// calls); a context error is never retried — the caller has given up. sent
+// starts the first attempt's transport timeout; the retry's starts anew.
+func (c *Client) transact(ctx context.Context, f RequestFrame, sent time.Time) (ResponseFrame, error) {
 	if err := ctx.Err(); err != nil {
 		return ResponseFrame{}, fmt.Errorf("rpc: %s: %w", c.addr, err)
 	}
@@ -424,7 +434,7 @@ func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, e
 		releaseFrame(frame)
 		return ResponseFrame{}, err
 	}
-	resp, err := pc.do(ctx, f.Header.ID, frame, c.timeout)
+	resp, err := pc.do(ctx, f.Header.ID, frame, sent)
 	if err == nil {
 		return resp, nil
 	}
@@ -432,7 +442,7 @@ func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, e
 		return ResponseFrame{}, err // the caller has given up: never retried
 	}
 	if cerr := expired(ctx); cerr != nil {
-		// The caller's context is done. If the transport timer happened to
+		// The caller's context is done. If the transport timeout happened to
 		// fire first (a context deadline close to the transport timeout),
 		// report the context error anyway: "the deadline passed" is the
 		// truth the caller can act on, not the connection teardown it
@@ -450,7 +460,7 @@ func (c *Client) transact(ctx context.Context, f RequestFrame) (ResponseFrame, e
 	if frame, err = encodeRequest(&f); err != nil {
 		return ResponseFrame{}, fmt.Errorf("rpc: %s: %w", c.addr, err)
 	}
-	return pc.do(ctx, f.Header.ID, frame, c.timeout)
+	return pc.do(ctx, f.Header.ID, frame, time.Now())
 }
 
 // grabConn returns the next pooled connection in round-robin order, dialing
@@ -477,7 +487,7 @@ func (c *Client) grabConn(ctx context.Context) (*poolConn, error) {
 		}
 		return nil, fmt.Errorf("rpc: connect %s: %v: %w", c.addr, err, registry.ErrUnavailable)
 	}
-	pc := newPoolConn(conn)
+	pc := newPoolConn(conn, c.timeout)
 
 	c.mu.Lock()
 	if c.closed {
@@ -512,31 +522,100 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 // background demultiplexer that routes response frames to the in-flight
 // calls registered in pending, and event frames to the watch streams
 // registered in streams.
+//
+// One watchdog timer bounds every call on the connection: it is armed when a
+// call registers while it is not, and when it fires it fails the connection
+// if the oldest pending call has waited timeout since it was sent, re-arms
+// for that call's remaining time if not, and disarms when nothing is pending.
+// A call registers before its frame is written, so the timeout covers a write
+// the server does not read as well as a reply it does not send.
 type poolConn struct {
-	conn net.Conn
-	wmu  sync.Mutex // serializes frame writes
+	conn    net.Conn
+	timeout time.Duration // the client's transport timeout
+	wmu     sync.Mutex    // serializes frame writes
 
-	mu      sync.Mutex
-	pending map[uint64]chan ResponseFrame
-	streams map[uint64]*WatchStream // nil until the connection's first watch
-	err     error                   // sticky; set once the connection is unusable
+	mu       sync.Mutex
+	pending  map[uint64]*call
+	streams  map[uint64]*WatchStream // nil until the connection's first watch
+	err      error                   // sticky; set once the connection is unusable
+	watchdog *time.Timer             // nil until the connection's first call
+	watching bool                    // the watchdog is armed
 }
 
-func newPoolConn(conn net.Conn) *poolConn {
-	pc := &poolConn{conn: conn, pending: make(map[uint64]chan ResponseFrame)}
+// call is one pending request: when it was sent, and the one-slot channel
+// its reply is delivered on. A call whose reply was received goes back to
+// calls for reuse; one abandoned or failed does not, because a late reply
+// or fail's close may still reach its channel.
+type call struct {
+	reply chan ResponseFrame
+	sent  time.Time
+}
+
+var calls = sync.Pool{New: func() any { return &call{reply: make(chan ResponseFrame, 1)} }}
+
+func newPoolConn(conn net.Conn, timeout time.Duration) *poolConn {
+	pc := &poolConn{conn: conn, timeout: timeout, pending: make(map[uint64]*call)}
 	go pc.readLoop()
 	return pc
 }
 
-func (pc *poolConn) dead() bool {
+func (pc *poolConn) dead() bool { return pc.failure() != nil }
+
+// failure returns why the connection failed, or nil while it is usable.
+func (pc *poolConn) failure() error {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.err != nil
+	return pc.err
+}
+
+// register makes c pending under id and arms the watchdog if it is not
+// armed; it fails with the connection's error once that has failed.
+func (pc *poolConn) register(id uint64, c *call) error {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.err != nil {
+		return pc.err
+	}
+	pc.pending[id] = c
+	if !pc.watching {
+		pc.watching = true
+		if pc.watchdog == nil {
+			pc.watchdog = time.AfterFunc(pc.timeout, pc.watch)
+		} else {
+			pc.watchdog.Reset(pc.timeout)
+		}
+	}
+	return nil
+}
+
+// watch is the watchdog's run: it fails the connection once its oldest
+// pending call has waited the transport timeout, and otherwise re-arms for
+// when that call will have, or disarms when nothing is pending.
+func (pc *poolConn) watch() {
+	pc.mu.Lock()
+	var oldest time.Time
+	for _, c := range pc.pending {
+		if oldest.IsZero() || c.sent.Before(oldest) {
+			oldest = c.sent
+		}
+	}
+	if pc.err != nil || oldest.IsZero() {
+		pc.watching = false
+		pc.mu.Unlock()
+		return
+	}
+	if wait := pc.timeout - time.Since(oldest); wait > 0 {
+		pc.watchdog.Reset(wait)
+		pc.mu.Unlock()
+		return
+	}
+	pc.mu.Unlock()
+	pc.fail(fmt.Errorf("rpc: no response within the %v transport timeout: %w", pc.timeout, registry.ErrUnavailable))
 }
 
 // do registers id, writes and releases frame, the request encoded under it, and
-// waits for the demuxed response, the context, or the transport timeout. The
-// three exits differ:
+// waits for the demuxed response or the context; sent is when the call's
+// transport timeout started. The three exits differ:
 //
 //   - response: delivered, the call succeeded at the transport level — unless
 //     the caller's context is done, or past its deadline, by the time the
@@ -546,64 +625,62 @@ func (pc *poolConn) dead() bool {
 //   - context done: only this call is retired — its pending ID is
 //     deregistered so the demultiplexer discards the late response, and the
 //     connection keeps serving other in-flight calls;
-//   - transport timeout: the connection is torn down — an unanswered request
-//     means its state can no longer be trusted, and its demultiplexer could
-//     otherwise deliver a response for a retired ID.
-func (pc *poolConn) do(ctx context.Context, id uint64, frame *frameBuf, timeout time.Duration) (ResponseFrame, error) {
-	ch := make(chan ResponseFrame, 1)
-	pc.mu.Lock()
-	if pc.err != nil {
-		err := pc.err
-		pc.mu.Unlock()
+//   - connection failed, by the watchdog among others: every pending call
+//     fails with it — an unanswered request means the connection's state can
+//     no longer be trusted, and its demultiplexer could otherwise deliver a
+//     response for a retired ID.
+func (pc *poolConn) do(ctx context.Context, id uint64, frame *frameBuf, sent time.Time) (ResponseFrame, error) {
+	c := calls.Get().(*call)
+	c.sent = sent
+	if err := pc.register(id, c); err != nil {
+		calls.Put(c) // never pending: nothing reaches its channel
 		releaseFrame(frame)
 		return ResponseFrame{}, err
 	}
-	pc.pending[id] = ch
-	pc.mu.Unlock()
-
-	if err := pc.send(frame, timeout); err != nil {
+	if err := pc.send(frame); err != nil {
 		return ResponseFrame{}, err
 	}
-
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			pc.mu.Lock()
-			err := pc.err
-			pc.mu.Unlock()
-			return ResponseFrame{}, fmt.Errorf("rpc: read response: %w", err)
+	var (
+		resp ResponseFrame
+		ok   bool
+	)
+	if done := ctx.Done(); done == nil {
+		resp, ok = <-c.reply
+	} else {
+		select {
+		case resp, ok = <-c.reply:
+		case <-done:
+			pc.forget(id)
+			return ResponseFrame{}, fmt.Errorf("rpc: call abandoned: %w", ctx.Err())
 		}
-		if err := expired(ctx); err != nil {
-			// The reply and the caller's own deadline became ready together
-			// and select picked the reply. The caller had already given up:
-			// one rule for single calls and batches, whichever case wins.
-			return ResponseFrame{}, fmt.Errorf("rpc: call abandoned: %w", err)
-		}
-		return resp, nil
-	case <-ctx.Done():
-		pc.forget(id)
-		return ResponseFrame{}, fmt.Errorf("rpc: call abandoned: %w", ctx.Err())
-	case <-timer.C:
-		err := fmt.Errorf("rpc: no response within %v: %w", timeout, registry.ErrUnavailable)
-		pc.fail(err)
-		return ResponseFrame{}, err
 	}
+	if !ok {
+		return ResponseFrame{}, fmt.Errorf("rpc: read response: %w", pc.failure())
+	}
+	calls.Put(c)
+	if err := expired(ctx); err != nil {
+		// The reply and the caller's own deadline became ready together
+		// and select picked the reply. The caller had already given up:
+		// one rule for single calls and batches, whichever case wins.
+		return ResponseFrame{}, fmt.Errorf("rpc: call abandoned: %w", err)
+	}
+	return resp, nil
 }
 
-// send writes and releases frame. A failed write fails the connection.
-func (pc *poolConn) send(frame *frameBuf, timeout time.Duration) error {
+// send writes and releases frame. A failed write fails the connection and
+// returns the connection's error: a write the watchdog ended by closing the
+// connection reports the timeout, not the close. A frame no reply answers is
+// bounded only if it is pending while it is written.
+func (pc *poolConn) send(frame *frameBuf) error {
 	pc.wmu.Lock()
-	pc.conn.SetWriteDeadline(time.Now().Add(timeout))
 	_, err := pc.conn.Write(frame.b)
 	pc.wmu.Unlock()
 	releaseFrame(frame)
 	if err != nil {
-		err = fmt.Errorf("rpc: write frame: %v: %w", err, registry.ErrUnavailable)
-		pc.fail(err)
+		pc.fail(fmt.Errorf("rpc: write frame: %v: %w", err, registry.ErrUnavailable))
+		return pc.failure()
 	}
-	return err
+	return nil
 }
 
 // expired returns the context's error if it is done, counting a deadline that
@@ -663,11 +740,11 @@ func (pc *poolConn) readLoop() {
 			continue
 		}
 		pc.mu.Lock()
-		ch := pc.pending[rf.Header.ID]
+		c := pc.pending[rf.Header.ID]
 		delete(pc.pending, rf.Header.ID)
 		pc.mu.Unlock()
-		if ch != nil {
-			ch <- rf
+		if c != nil {
+			c.reply <- rf
 		}
 	}
 }
@@ -691,11 +768,14 @@ func (pc *poolConn) fail(err error) {
 		pc.err = err
 	}
 	pending, streams := pc.pending, pc.streams
-	pc.pending, pc.streams = make(map[uint64]chan ResponseFrame), nil
+	pc.pending, pc.streams = make(map[uint64]*call), nil
+	if pc.watchdog != nil {
+		pc.watchdog.Stop()
+	}
 	pc.mu.Unlock()
 	pc.conn.Close()
-	for _, ch := range pending {
-		close(ch)
+	for _, c := range pending {
+		close(c.reply)
 	}
 	for _, w := range streams {
 		w.end(fmt.Errorf("rpc: watch: %w", err))

@@ -102,7 +102,7 @@ func TestClientReadsEachReplyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := new(atomic.Int64)
-	pc := newPoolConn(countingConn{Conn: conn, reads: reads})
+	pc := newPoolConn(countingConn{Conn: conn, reads: reads}, 5*time.Second)
 	defer pc.fail(errors.New("test over"))
 
 	const frames = 200
@@ -112,7 +112,7 @@ func TestClientReadsEachReplyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf, err := pc.do(tctx, f.Header.ID, frame, 5*time.Second)
+		rf, err := pc.do(tctx, f.Header.ID, frame, time.Now())
 		if err != nil || !rf.Resp.OK {
 			t.Fatalf("Get %d = %+v, %v", i, rf.Resp, err)
 		}

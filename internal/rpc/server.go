@@ -439,7 +439,9 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // serveFrame executes one admitted single or batch frame on a dispatch worker
-// and returns its reply. finish receives the frame's execution time.
+// and returns its reply. finish receives the frame's execution time: the sum
+// of what dispatch timed for its operations, so the frame reads no clock of
+// its own.
 func (s *Server) serveFrame(rf *RequestFrame, finish func(time.Duration)) ResponseFrame {
 	s.obs.inflight.Add(1)
 	defer s.obs.inflight.Add(-1)
@@ -449,20 +451,22 @@ func (s *Server) serveFrame(rf *RequestFrame, finish func(time.Duration)) Respon
 	// Run the request under the deadline its client propagated in the header;
 	// work whose client has given up is abandoned.
 	ctx, cancel := deadlineContext(s.baseCtx, rf.Header.TimeoutNs)
-	start := time.Now()
+	var elapsed time.Duration
 	switch rf.Header.Kind {
 	case FrameBatch:
 		s.requests.Add(int64(len(rf.Batch.Ops)))
 		out.Header.Kind = FrameBatch
 		out.Batch.Ops = make([]Response, len(rf.Batch.Ops))
 		for i := range rf.Batch.Ops {
-			out.Batch.Ops[i] = s.dispatch(ctx, &rf.Batch.Ops[i])
+			var d time.Duration
+			out.Batch.Ops[i], d = s.dispatch(ctx, &rf.Batch.Ops[i])
+			elapsed += d
 		}
 	default:
 		s.requests.Add(1)
-		out.Resp = s.dispatch(ctx, &rf.Req)
+		out.Resp, elapsed = s.dispatch(ctx, &rf.Req)
 	}
-	finish(time.Since(start))
+	finish(elapsed)
 	cancel()
 	return out
 }
@@ -580,12 +584,12 @@ func (s *Server) answerAll(ob *outbox, h Header, ops int, resp Response) {
 	s.reply(ob, &out)
 }
 
-// dispatch executes one registry operation under the request context. A
-// context that is already done — the propagated deadline passed, or the
-// server is shutting down — short-circuits into an error frame without
-// touching the registry: the client has given up, so the work would be
-// wasted.
-func (s *Server) dispatch(ctx context.Context, req *Request) Response {
+// dispatch executes one registry operation under the request context and
+// returns its response and execution time. A context that is already done —
+// the propagated deadline passed, or the server is shutting down —
+// short-circuits into an error frame without touching the registry: the
+// client has given up, so the work would be wasted.
+func (s *Server) dispatch(ctx context.Context, req *Request) (Response, time.Duration) {
 	// An already-done context short-circuits in execute without touching the
 	// registry; counting it as dispatched (or recording its near-zero
 	// latency) would make an overload look like a throughput spike with
@@ -593,7 +597,8 @@ func (s *Server) dispatch(ctx context.Context, req *Request) Response {
 	abandoned := ctx.Err() != nil
 	start := time.Now()
 	resp := s.execute(ctx, req)
-	elapsed := time.Since(start)
+	end := time.Now()
+	elapsed := end.Sub(start)
 	if !abandoned {
 		s.obs.dispatched.Inc()
 		s.obs.latency.ObserveDuration(elapsed)
@@ -602,13 +607,13 @@ func (s *Server) dispatch(ctx context.Context, req *Request) Response {
 		s.obs.countErr(resp.Err)
 	}
 	if s.obs.trace != nil {
-		var err error
+		var errText string
 		if !resp.OK {
-			err = fmt.Errorf("%s: %s", resp.Err, resp.Detail)
+			errText = string(resp.Err) + ": " + resp.Detail
 		}
-		s.obs.trace.Add(traceName(req.Op), req.Name, elapsed, err)
+		s.obs.trace.Add(traceName(req.Op), req.Name, end, elapsed, errText)
 	}
-	return resp
+	return resp, elapsed
 }
 
 // execute runs one registry operation; dispatch wraps it with accounting.

@@ -195,9 +195,12 @@ func dropConns(client *Client) {
 	client.mu.Unlock()
 }
 
-// A frame the server does not read fails its write within the transport
-// timeout, and fails its connection with it. The server stops reading once
-// a gated call holds its only in-flight slot and a second waits for it.
+// A call whose frame the server does not read fails within the transport
+// timeout, and fails its connection with it: the call is pending while its
+// frame is written, so the connection's watchdog bounds the write. The server
+// stops reading once a gated request holds its only in-flight slot and a
+// second waits for it; those two are written without being pending, so
+// nothing but the call's own timeout can end its write.
 func TestWriteDeadlineFailsTheConnection(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr transport) {
 		api := &gatedAPI{nullAPI: nullAPI{entry: geobenchEntry(1)}, release: make(chan struct{})}
@@ -213,7 +216,8 @@ func TestWriteDeadlineFailsTheConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc := newPoolConn(conn)
+		const timeout = 200 * time.Millisecond
+		pc := newPoolConn(conn, timeout)
 		defer pc.fail(errors.New("test over"))
 
 		for id := range uint64(2) {
@@ -222,7 +226,9 @@ func TestWriteDeadlineFailsTheConnection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			go pc.do(tctx, f.Header.ID, frame, 10*time.Second) //nolint:errcheck // ends with the connection
+			if err := pc.send(frame); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if !eventually(func() bool { return api.running.Load() == 1 }) {
 			t.Fatal("the gated call never ran")
@@ -237,9 +243,17 @@ func TestWriteDeadlineFailsTheConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const timeout = 200 * time.Millisecond
 		start := time.Now()
-		err = pc.send(frame, timeout)
+		done := make(chan error, 1)
+		go func() {
+			_, err := pc.do(tctx, f.Header.ID, frame, start)
+			done <- err
+		}()
+		select {
+		case err = <-done:
+		case <-time.After(25 * timeout):
+			t.Fatal("a write the server does not read was not ended by the transport timeout")
+		}
 		if !errors.Is(err, registry.ErrUnavailable) || !strings.Contains(fmt.Sprint(err), "timeout") {
 			t.Fatalf("a write the server does not read = %v, want a timeout wrapping ErrUnavailable", err)
 		}

@@ -422,12 +422,11 @@ const watchStall = time.Second
 // frames to it by their header ID, and the server sends the events queued
 // for it ahead of its next reply on the connection.
 type WatchStream struct {
-	pc      *poolConn
-	id      uint64
-	timeout time.Duration
-	out     chan feed.Event
-	quit    chan struct{} // closed by Close: the pump stops waiting on the consumer
-	ack     WatchAck
+	pc   *poolConn
+	id   uint64
+	out  chan feed.Event
+	quit chan struct{} // closed by Close: the pump stops waiting on the consumer
+	ack  WatchAck
 
 	mu        sync.Mutex
 	spill     []feed.Event // what out could not take, in order, for the pump
@@ -481,14 +480,22 @@ func (w *WatchStream) Close() {
 	}
 }
 
-// cancel sends the server the stream's FrameWatchCancel.
+// cancel sends the server the stream's FrameWatchCancel. No reply answers
+// it, so it is pending under the stream's ID only while it is written: the
+// connection's watchdog bounds the write, and nothing outlives it.
 func (w *WatchStream) cancel() {
-	if w.pc.dead() {
+	frame, err := encodeRequest(&RequestFrame{Header: Header{ID: w.id, Kind: FrameWatchCancel}})
+	if err != nil {
 		return
 	}
-	if frame, err := encodeRequest(&RequestFrame{Header: Header{ID: w.id, Kind: FrameWatchCancel}}); err == nil {
-		w.pc.send(frame, w.timeout) //nolint:errcheck // a failed write fails the connection, which the server sees
+	c := calls.Get().(*call)
+	c.sent = time.Now()
+	if w.pc.register(w.id, c) != nil {
+		releaseFrame(frame)
+		return
 	}
+	w.pc.send(frame) //nolint:errcheck // a failed write fails the connection, which the server sees
+	w.pc.forget(w.id)
 }
 
 // end ends the stream with err unless it has ended already. The events it
@@ -613,11 +620,11 @@ func (c *Client) Watch(ctx context.Context, from uint64, opts WatchOptions) (*Wa
 		releaseFrame(frame)
 		return nil, err
 	}
-	w := &WatchStream{pc: pc, id: id, timeout: c.timeout, out: make(chan feed.Event, watchEventBatch), quit: make(chan struct{})}
+	w := &WatchStream{pc: pc, id: id, out: make(chan feed.Event, watchEventBatch), quit: make(chan struct{})}
 	// Registered before the request goes out: the first events can follow
 	// the ack in one segment, and the reader routes them as it reads them.
 	pc.addStream(id, w)
-	ack, err := pc.do(ctx, id, frame, c.timeout)
+	ack, err := pc.do(ctx, id, frame, time.Now())
 	switch {
 	case err != nil:
 		err = fmt.Errorf("rpc: watch %s: %w", c.addr, err)
