@@ -144,33 +144,3 @@ func TestReplicatedAgentUsesBatchCalls(t *testing.T) {
 		t.Errorf("writer site saw %d Creates, want %d", got, n)
 	}
 }
-
-// TestPropagatorOrderWithinFlushWindow asserts that when a name is deleted
-// and re-created (or created and deleted) within one flush window, the
-// destination converges on the *last* local operation: within a batch the
-// newer enqueue supersedes the older one for the same name.
-func TestPropagatorOrderWithinFlushWindow(t *testing.T) {
-	f := newTestFabric()
-	p := newManualPropagator(f)
-	defer p.Close()
-	inst, _ := f.Instance(2)
-
-	// delete → re-create: the entry must survive the flush.
-	old := testEntry("cycle", 0)
-	p.Enqueue(0, 2, old)
-	p.FlushNow(tctx)
-	p.EnqueueDelete(0, 2, "cycle")
-	p.Enqueue(0, 2, testEntry("cycle", 0))
-	p.FlushNow(tctx)
-	if !holds(t, inst, "cycle") {
-		t.Error("entry deleted and re-created in one window vanished at the destination")
-	}
-
-	// create → delete: the entry must be gone after the flush.
-	p.Enqueue(0, 2, testEntry("doomed", 0))
-	p.EnqueueDelete(0, 2, "doomed")
-	p.FlushNow(tctx)
-	if holds(t, inst, "doomed") {
-		t.Error("entry created and deleted in one window survived at the destination")
-	}
-}

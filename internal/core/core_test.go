@@ -641,8 +641,8 @@ func TestController(t *testing.T) {
 		if s.Kind() != kind {
 			t.Errorf("Kind = %v, want %v", s.Kind(), kind)
 		}
-		if r, ok := s.(*ReplicatedService); ok && (r.agentSite != 1 || r.interval != time.Hour) {
-			t.Errorf("replicated agent on site %d every %v, want the central site 1 every hour", r.agentSite, r.interval)
+		if r, ok := s.(*ReplicatedService); ok && (r.agentSite != 1 || r.rounds.interval != time.Hour) {
+			t.Errorf("replicated agent on site %d every %v, want the central site 1 every hour", r.agentSite, r.rounds.interval)
 		}
 	}
 	// The previously active service is closed after a switch.
@@ -689,17 +689,17 @@ func TestNewServiceHelper(t *testing.T) {
 				t.Errorf("centralized home = %d, want the first site %d", s.Home(), first)
 			}
 		case *ReplicatedService:
-			if s.agentSite != first || s.interval != DefaultSyncInterval {
+			if s.agentSite != first || s.rounds.interval != DefaultSyncInterval {
 				t.Errorf("replicated agent on site %d every %v, want polling from site %d every %v",
-					s.agentSite, s.interval, first, DefaultSyncInterval)
+					s.agentSite, s.rounds.interval, first, DefaultSyncInterval)
 			}
 		case *DecReplicatedService:
 			if !s.Lazy() {
 				t.Error("hybrid is eager, want lazy")
 			}
-			if s.propagator.interval != DefaultFlushInterval || s.propagator.maxBatch != flushBatch {
+			if s.propagator.rounds.interval != DefaultFlushInterval || s.propagator.maxBatch != flushBatch {
 				t.Errorf("hybrid flushes every %v or %d operations, want %v or %d",
-					s.propagator.interval, s.propagator.maxBatch, DefaultFlushInterval, flushBatch)
+					s.propagator.rounds.interval, s.propagator.maxBatch, DefaultFlushInterval, flushBatch)
 			}
 		}
 		svc.Close()

@@ -117,8 +117,8 @@ func TestRecordAllocations(t *testing.T) {
 }
 
 // TestPropagatorQueueDepthTracksSupersededEntries verifies the gauge's delta
-// bookkeeping across the supersede paths: an update replacing a pending
-// deletion (and vice versa) must not double-count.
+// bookkeeping across the supersede path: an entry replacing a pending entry
+// of the same name must not double-count.
 func TestPropagatorQueueDepthTracksSupersededEntries(t *testing.T) {
 	fabric, reg := newObservedFabric(t)
 	p := newManualPropagator(fabric) // no background flushing
@@ -129,13 +129,9 @@ func TestPropagatorQueueDepthTracksSupersededEntries(t *testing.T) {
 	depth := reg.Gauge("propagator_queue_depth")
 
 	p.Enqueue(from, to, testEntry("obs/x", from))
-	p.EnqueueDelete(from, to, "obs/x") // supersedes the pending update
+	p.Enqueue(from, to, testEntry("obs/x", to)) // supersedes the pending entry
 	if got := depth.Value(); got != 1 {
-		t.Fatalf("depth after update+delete of same name = %d, want 1", got)
-	}
-	p.Enqueue(from, to, testEntry("obs/x", from)) // supersedes the deletion
-	if got := depth.Value(); got != 1 {
-		t.Fatalf("depth after re-update = %d, want 1", got)
+		t.Fatalf("depth after two updates of one name = %d, want 1", got)
 	}
 	p.Enqueue(from, to, testEntry("obs/y", from))
 	if got := depth.Value(); got != 2 {

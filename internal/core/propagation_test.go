@@ -118,62 +118,27 @@ func TestPropagationSurvivesDestinationFailure(t *testing.T) {
 	}
 }
 
-// TestRequeuedPutDoesNotResurrect is the sequential half of the per-name rule:
-// an update kept back by a failed shipment is replaced, not followed, by a
-// newer deletion of the same name.
-func TestRequeuedPutDoesNotResurrect(t *testing.T) {
-	f, flaky := flakyFabric(t)
-	p := newManualPropagator(f)
-	defer p.Close()
-
-	flaky.failMerge.Store(1)
-	p.Enqueue(1, 2, testEntry("x", 1))
-	if err := p.FlushNow(tctx); !errors.Is(err, ErrSiteUnreachable) {
-		t.Fatalf("flush into the unreachable destination = %v, want ErrSiteUnreachable", err)
-	}
-	p.EnqueueDelete(1, 2, "x")
-	if got := p.Pending(); got != 1 {
-		t.Fatalf("%d operations pending for one name, want 1 (the deletion replaces the re-queued update)", got)
-	}
-	if err := p.FlushNow(tctx); err != nil {
-		t.Fatal(err)
-	}
-	inst, _ := f.Instance(2)
-	if holds(t, inst, "x") {
-		t.Error("the destination holds the entry whose deletion replaced the re-queued update")
-	}
-}
-
-// TestRequeueNeverDisplacesNewerOperation is the concurrent half: an operation
-// drained by a flush that then fails is put back only where nothing newer has
-// been enqueued for its name in the meantime, whichever of the two is the
-// deletion.
+// TestRequeueNeverDisplacesNewerOperation: of two entries enqueued for one
+// name and destination, the later one's contents reach the destination,
+// whether it was enqueued in the same flush window or while a flush that then
+// failed was shipping the older one. A drained entry is put back only where
+// nothing newer has been enqueued for its name in the meantime.
 func TestRequeueNeverDisplacesNewerOperation(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		older       func(p *Propagator)
-		newer       func(p *Propagator)
-		wantPresent bool
+		name string
+		// shipping enqueues the newer entry while a cancelled flush ships the
+		// older one, instead of before any flush.
+		shipping bool
 	}{
-		{
-			name:        "older delete, newer put",
-			older:       func(p *Propagator) { p.EnqueueDelete(0, 2, "x") },
-			newer:       func(p *Propagator) { p.Enqueue(0, 2, testEntry("x", 0)) },
-			wantPresent: true,
-		},
-		{
-			name:        "older put, newer delete",
-			older:       func(p *Propagator) { p.Enqueue(0, 2, testEntry("x", 0)) },
-			newer:       func(p *Propagator) { p.EnqueueDelete(0, 2, "x") },
-			wantPresent: false,
-		},
+		{"older put, newer put", true},
+		{"two puts in one window", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, flaky := flakyFabric(t)
 			entered, release := make(chan struct{}), make(chan struct{})
 			var staged atomic.Bool // only the first Merge is held back
 			flaky.inMerge = func() {
-				if staged.CompareAndSwap(false, true) {
+				if tc.shipping && staged.CompareAndSwap(false, true) {
 					close(entered)
 					<-release
 				}
@@ -181,26 +146,37 @@ func TestRequeueNeverDisplacesNewerOperation(t *testing.T) {
 			p := newManualPropagator(f)
 			defer p.Close()
 
-			tc.older(p)
-			ctx, cancel := context.WithCancel(context.Background())
-			flushed := make(chan error, 1)
-			go func() { flushed <- p.FlushNow(ctx) }()
-			<-entered // the flush has drained the older operation and is shipping it
-			tc.newer(p)
-			cancel()
-			close(release)
-			if err := <-flushed; !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled flush = %v, want context.Canceled", err)
+			older := registry.NewEntry("x", 1024, "task-x", registry.Location{Site: 0, Node: 1})
+			newer := registry.NewEntry("x", 2048, "task-x", registry.Location{Site: 1, Node: 1})
+			p.Enqueue(0, 2, older)
+			if tc.shipping {
+				ctx, cancel := context.WithCancel(context.Background())
+				flushed := make(chan error, 1)
+				go func() { flushed <- p.FlushNow(ctx) }()
+				<-entered // the flush has drained the older entry and is shipping it
+				p.Enqueue(0, 2, newer)
+				cancel()
+				close(release)
+				if err := <-flushed; !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled flush = %v, want context.Canceled", err)
+				}
+			} else {
+				p.Enqueue(0, 2, newer)
 			}
 			if got := p.Pending(); got != 1 {
-				t.Fatalf("%d operations pending for one name, want 1", got)
+				t.Fatalf("%d entries pending for one name, want 1", got)
 			}
 			if err := p.FlushNow(tctx); err != nil {
 				t.Fatal(err)
 			}
 			inst, _ := f.Instance(2)
-			if got := holds(t, inst, "x"); got != tc.wantPresent {
-				t.Errorf("destination holds the entry = %v, want %v (the newer operation wins)", got, tc.wantPresent)
+			got, err := inst.Get(tctx, "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Size != newer.Size || len(got.Locations) != 1 || got.Locations[0] != newer.Locations[0] {
+				t.Errorf("destination holds size %d at %v, want the newer entry's size %d at %v",
+					got.Size, got.Locations, newer.Size, newer.Locations)
 			}
 		})
 	}
@@ -239,6 +215,53 @@ func TestFlushNowGivesUpWhileAnotherShips(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("FlushNow waited for another round's shipment after its context ended")
+	}
+
+	release <- struct{}{} // let the first round finish
+	if err := <-shipping; err != nil {
+		t.Fatalf("the shipping round = %v, want nil", err)
+	}
+}
+
+// TestReplicatedFlushGivesUpWhileARoundShips is the polling agent's side of
+// TestFlushNowGivesUpWhileAnotherShips: a Flush waiting behind a round that
+// is pushing returns its context's error as soon as the context ends, not
+// after that round's WAN exchanges.
+func TestReplicatedFlushGivesUpWhileARoundShips(t *testing.T) {
+	f, flaky := flakyFabric(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var staged atomic.Bool // only the first Merge is held back
+	flaky.inMerge = func() {
+		if staged.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	svc, err := NewReplicated(f, StrategyConfig{SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	defer close(release)
+
+	if _, err := svc.Create(tctx, 1, testEntry("x", 1)); err != nil {
+		t.Fatal(err)
+	}
+	shipping := make(chan error, 1)
+	go func() { shipping <- svc.Flush(tctx) }()
+	<-entered // the first round holds the round slot and is pushing to site 2
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiting := make(chan error, 1)
+	go func() { waiting <- svc.Flush(ctx) }()
+	cancel()
+	select {
+	case err := <-waiting:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Flush with an ended context = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush waited for another round's exchanges after its context ended")
 	}
 
 	release <- struct{}{} // let the first round finish

@@ -85,8 +85,7 @@ func TestSyncAgentStaysBatchedPerShard(t *testing.T) {
 
 // TestPropagatorStaysBatchedPerShard asserts the hybrid strategy's lazy
 // propagator delivers a flush to a sharded home site as bulk sub-batches:
-// at most one Merge and one DeleteMany per shard per flush. No strategy call
-// enqueues a deletion, so the test enqueues them itself.
+// at most one Merge per shard per flush.
 func TestPropagatorStaysBatchedPerShard(t *testing.T) {
 	const nShards = 3
 	f, counters := newShardedCountingFabric(t, nShards)
@@ -118,22 +117,6 @@ func TestPropagatorStaysBatchedPerShard(t *testing.T) {
 		}
 		if got := c.Calls("Put"); got != 0 {
 			t.Errorf("home shard %d: %d per-entry Puts; lazy propagation must stay batched", i, got)
-		}
-	}
-
-	// Enqueued deletions ride the next flush as DeleteMany sub-batches.
-	for _, name := range names {
-		svc.propagator.EnqueueDelete(0, 2, name)
-	}
-	if err := svc.Flush(tctx); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range counters[2] {
-		if got := c.Calls("DeleteMany"); got > 1 {
-			t.Errorf("home shard %d: DeleteMany called %d times for one flush, want at most 1", i, got)
-		}
-		if got := c.Calls("Delete"); got != 0 {
-			t.Errorf("home shard %d: %d per-entry Deletes; lazy deletions must stay batched", i, got)
 		}
 	}
 }

@@ -416,8 +416,10 @@ func (c *Client) roundTrip(ctx context.Context, f RequestFrame) (ResponseFrame, 
 // is encoded before a connection is taken, so one too large to send fails at
 // once, with its size, and dials nothing. A transport error is retried once on
 // a fresh connection (the server may have dropped an idle connection between
-// calls); a context error is never retried — the caller has given up. sent
-// starts the first attempt's transport timeout; the retry's starts anew.
+// calls); a context error is never retried — the caller has given up — and
+// neither is a transport timeout: the call has had its whole bound, and the
+// server may still be running it. sent starts the first attempt's transport
+// timeout; the retry's starts anew.
 func (c *Client) transact(ctx context.Context, f RequestFrame, sent time.Time) (ResponseFrame, error) {
 	if err := ctx.Err(); err != nil {
 		return ResponseFrame{}, fmt.Errorf("rpc: %s: %w", c.addr, err)
@@ -440,6 +442,9 @@ func (c *Client) transact(ctx context.Context, f RequestFrame, sent time.Time) (
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return ResponseFrame{}, err // the caller has given up: never retried
+	}
+	if errors.Is(err, errTransportTimeout) {
+		return ResponseFrame{}, err // the call has had its whole bound
 	}
 	if cerr := expired(ctx); cerr != nil {
 		// The caller's context is done. If the transport timeout happened to
@@ -610,8 +615,12 @@ func (pc *poolConn) watch() {
 		return
 	}
 	pc.mu.Unlock()
-	pc.fail(fmt.Errorf("rpc: no response within the %v transport timeout: %w", pc.timeout, registry.ErrUnavailable))
+	pc.fail(fmt.Errorf("rpc: no response within the %v %w: %w", pc.timeout, errTransportTimeout, registry.ErrUnavailable))
 }
+
+// errTransportTimeout marks the failure of a connection whose watchdog found
+// a call unanswered for the whole transport timeout.
+var errTransportTimeout = errors.New("transport timeout")
 
 // do registers id, writes and releases frame, the request encoded under it, and
 // waits for the demuxed response or the context; sent is when the call's

@@ -44,7 +44,6 @@ var seams = map[string]string{
 	"core.CentralizedService.Home":    "TestCentralizedCreateLookup, TestController: the central site option is honoured",
 	"core.DecentralizedService.Home":  "TestDecentralizedPlacement and the DecReplicated tests: names are picked by the placer's home",
 	"core.Fabric.TotalEntries":        "TestDecentralizedPlacement, TestDecReplicatedHomeEqualsWriter: how many copies a strategy stored",
-	"core.Propagator.EnqueueDelete":   "TestRequeuedPutDoesNotResurrect, TestRequeueNeverDisplacesNewerOperation, TestPropagatorStaysBatchedPerShard: a deletion in the queue, which no strategy enqueues; ROADMAP item 3 deletes the propagator's deletion half with these tests",
 	"core.Propagator.Pending":         "the propagation and requeue tests: an exact, lock-held queue size the shared propagator_queue_depth gauge cannot give",
 	"core.WithCacheFactory":           "substitutes the store behind a site, for capacity and fault tests",
 	"core.WithSites":                  "a fabric over a subset of the topology, for site arrival and departure tests",
