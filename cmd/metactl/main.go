@@ -267,8 +267,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 
 	case "ls":
-		// Entries (not the best-effort Names) so a timeout or dead server is
-		// an error with the right exit code, not an empty listing.
 		entries, err := api.Entries(ctx)
 		if err != nil {
 			return fail(err)

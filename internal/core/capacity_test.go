@@ -36,7 +36,6 @@ func TestCapacityStoreServiceTime(t *testing.T) {
 		t.Fatalf("slept %v, want %v", slept, want)
 	}
 
-	s.Keys()
 	s.Snapshot()
 	s.Contains("a")
 	if n := s.Len(); n != 29 {
@@ -101,7 +100,6 @@ func TestCapacityStoreBoundsConcurrency(t *testing.T) {
 
 	read := make(chan struct{})
 	go func() {
-		s.Keys()
 		s.Snapshot()
 		s.Contains("k0")
 		s.Len()

@@ -149,7 +149,7 @@ const (
 // GetBatch, PutBatch and DeleteBatch are the bulk paths of the
 // synchronization agent and lazy propagation: a batch of n items takes one
 // slot for serviceTime·(1+n/16), far cheaper per item than the individual
-// operations. Keys, Snapshot, Contains and Len are control-plane reads and
+// operations. Snapshot, Contains and Len are control-plane reads and
 // pass through uncharged. The time spent queueing for a slot is observed as
 // memcache_slot_wait_ns on reg (nil = not observed). With a zero serviceTime
 // and concurrency, CapacityStore returns s itself.

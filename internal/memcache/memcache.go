@@ -352,21 +352,10 @@ func (c *Cache) take(key string, bulk bool) bool {
 	return true
 }
 
-// Keys returns all keys in unspecified order. It works on a stopped cache: it
-// serves control-plane sweeps (re-sync, migration), not the data path.
-func (c *Cache) Keys() []string {
-	var keys []string
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		sh.each(func(rec record) { keys = append(keys, string(rec.key)) })
-		sh.mu.RUnlock()
-	}
-	return keys
-}
-
 // Snapshot returns every live item; the synchronization agent uses it to pull
-// the full content of a registry instance. Like Keys it works on a stopped
-// cache. The values are slices of the store's memory, as Get's are.
+// the full content of a registry instance. It works on a stopped cache: it
+// serves control-plane reads, not the data path. The values are slices of the
+// store's memory, as Get's are.
 func (c *Cache) Snapshot() []Item {
 	items := make([]Item, 0, c.Len())
 	for _, sh := range c.shards {

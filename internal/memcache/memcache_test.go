@@ -192,10 +192,6 @@ func TestKeysAndSnapshot(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}, 0)
 	}
-	keys := c.Keys()
-	if len(keys) != 10 {
-		t.Errorf("Keys len = %d, want 10", len(keys))
-	}
 	snap := c.Snapshot()
 	if len(snap) != 10 {
 		t.Errorf("Snapshot len = %d, want 10", len(snap))
@@ -418,9 +414,6 @@ func TestSlotSizeAndOwnedKey(t *testing.T) {
 		got, err := c.Get("key")
 		if err != nil || string(got.Value) != "value" || got.Version != version {
 			t.Errorf("after put %d and a scribble, Get = %q at version %d, %v", version, got.Value, got.Version, err)
-		}
-		if keys := c.Keys(); len(keys) != 1 || keys[0] != "key" {
-			t.Errorf("after put %d and a scribble, Keys = %q", version, keys)
 		}
 		if snap := c.Snapshot(); len(snap) != 1 || snap[0].Key != "key" || string(snap[0].Value) != "value" {
 			t.Errorf("after put %d and a scribble, Snapshot = %+v", version, snap)

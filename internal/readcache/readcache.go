@@ -557,10 +557,6 @@ func (c *Cache) GetMany(ctx context.Context, names []string) ([]registry.Entry, 
 	return out, nil
 }
 
-// Names implements registry.API (pass-through: the full listing is not worth
-// caching and has no per-key coherence).
-func (c *Cache) Names(ctx context.Context) []string { return c.origin.Names(ctx) }
-
 // Entries implements registry.API (pass-through).
 func (c *Cache) Entries(ctx context.Context) ([]registry.Entry, error) {
 	return c.origin.Entries(ctx)

@@ -1036,8 +1036,8 @@ func TestPassThroughReads(t *testing.T) {
 	if _, err := c.Put(ctx, entry("p/2", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(c.Names(ctx)); n != 2 {
-		t.Fatalf("Names: %d, want 2", n)
+	if n := c.Len(ctx); n != 2 {
+		t.Fatalf("Len: %d, want 2", n)
 	}
 	es, err := c.Entries(ctx)
 	if err != nil || len(es) != 2 {

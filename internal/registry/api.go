@@ -36,9 +36,6 @@ type API interface {
 	AddLocation(ctx context.Context, name string, loc Location) (Entry, error)
 	// Delete removes the entry stored under name.
 	Delete(ctx context.Context, name string) error
-	// Names lists the names of all stored entries (best-effort: empty on a
-	// cancelled context or transport failure).
-	Names(ctx context.Context) []string
 	// Entries returns every stored entry.
 	Entries(ctx context.Context) ([]Entry, error)
 	// GetMany returns the entries stored under the given names, skipping

@@ -232,14 +232,6 @@ func (i *Instance) Delete(ctx context.Context, name string) error {
 	return nil
 }
 
-// Names returns the names of all entries held by this instance.
-func (i *Instance) Names(ctx context.Context) []string {
-	if ctx.Err() != nil {
-		return nil
-	}
-	return i.store.Keys()
-}
-
 // Entries decodes and returns every entry held by this instance. The
 // synchronization agent uses it to pull an instance's content.
 func (i *Instance) Entries(ctx context.Context) ([]Entry, error) {

@@ -212,8 +212,8 @@ func TestInstanceEntriesAndNames(t *testing.T) {
 			t.Fatalf("Create %d: %v", i, err)
 		}
 	}
-	if len(inst.Names(tctx)) != 5 {
-		t.Errorf("Names = %d, want 5", len(inst.Names(tctx)))
+	if n := inst.Len(tctx); n != 5 {
+		t.Errorf("Len = %d, want 5", n)
 	}
 	entries, err := inst.Entries(tctx)
 	if err != nil {

@@ -68,7 +68,6 @@ func (u unavailableShard) AddLocation(context.Context, string, Location) (Entry,
 	return Entry{}, errShardUnreachable
 }
 func (u unavailableShard) Delete(context.Context, string) error { return errShardUnreachable }
-func (u unavailableShard) Names(context.Context) []string       { return nil }
 func (u unavailableShard) Entries(context.Context) ([]Entry, error) {
 	return nil, errShardUnreachable
 }

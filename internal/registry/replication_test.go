@@ -63,13 +63,6 @@ func (k *killableShard) Delete(ctx context.Context, name string) error {
 	return k.API.Delete(ctx, name)
 }
 
-func (k *killableShard) Names(ctx context.Context) []string {
-	if k.dead.Load() {
-		return nil
-	}
-	return k.API.Names(ctx)
-}
-
 func (k *killableShard) Entries(ctx context.Context) ([]Entry, error) {
 	if k.dead.Load() {
 		return nil, errShardDown
@@ -198,9 +191,6 @@ func TestRouterReplicatedWritesFanOut(t *testing.T) {
 	entries, err := r.Entries(ctx)
 	if err != nil || len(entries) != 128 {
 		t.Fatalf("replicated Entries: got %d (%v), want 128", len(entries), err)
-	}
-	if names := r.Names(ctx); len(names) != 128 {
-		t.Fatalf("replicated Names: got %d, want 128", len(names))
 	}
 
 	// Duplicate create still fails, and delete removes every replica.
@@ -389,11 +379,6 @@ func (c *opCountingShard) Delete(ctx context.Context, name string) error {
 	return c.API.Delete(ctx, name)
 }
 
-func (c *opCountingShard) Names(ctx context.Context) []string {
-	c.ops.Add(1)
-	return c.API.Names(ctx)
-}
-
 func (c *opCountingShard) Entries(ctx context.Context) ([]Entry, error) {
 	c.ops.Add(1)
 	return c.API.Entries(ctx)
@@ -486,7 +471,6 @@ func TestRouterDownShardReceivesZeroRoutedOps(t *testing.T) {
 	if _, err := r.Entries(ctx); err != nil {
 		t.Fatalf("entries with shard down: %v", err)
 	}
-	r.Names(ctx)
 	r.Len(ctx)
 	if got := counts[victim].ops.Load(); got != 0 {
 		t.Fatalf("down-marked shard received %d routed operations, want 0", got)
@@ -820,8 +804,8 @@ func TestUnavailablePlaceholderKeepsItsSlot(t *testing.T) {
 			t.Errorf("placeholder %s = %v, want ErrUnavailable", op, err)
 		}
 	}
-	if u.Site() != 7 || u.Names(tctx) != nil || u.Len(tctx) != 0 {
-		t.Errorf("placeholder answers site %d, names %v, len %d; want 7, nil, 0", u.Site(), u.Names(tctx), u.Len(tctx))
+	if u.Site() != 7 || u.Len(tctx) != 0 {
+		t.Errorf("placeholder answers site %d, len %d; want 7, 0", u.Site(), u.Len(tctx))
 	}
 }
 

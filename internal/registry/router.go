@@ -149,7 +149,6 @@ type routerObs struct {
 	sweepFails *metrics.Counter   // router_sweep_failures_total: background sweeps abandoned after retries
 	resyncs    *metrics.Counter   // router_resync_sweeps_total: sweeps triggered by a shard recovering
 	failovers  *metrics.Counter   // router_failover_reads_total: reads served by a non-primary replica
-	suppressed *metrics.Counter   // router_suppressed_errors_total: errors swallowed by best-effort ops
 	readLat    *metrics.Histogram // router_read_latency_ns: answered single-key Gets, end to end
 }
 
@@ -165,7 +164,6 @@ func newRouterObs(reg *metrics.Registry) routerObs {
 		sweepFails: reg.Counter("router_sweep_failures_total"),
 		resyncs:    reg.Counter("router_resync_sweeps_total"),
 		failovers:  reg.Counter("router_failover_reads_total"),
-		suppressed: reg.Counter("router_suppressed_errors_total"),
 		readLat:    reg.Histogram("router_read_latency_ns"),
 	}
 }
@@ -334,12 +332,12 @@ func (r *Router) Site() cloud.SiteID { return r.site }
 // Shards returns the tier's shard IDs, 0..n-1.
 func (r *Router) Shards() []cloud.SiteID { return r.placer.Sites() }
 
-// reachableShards returns the shards full-tier fan-outs (Entries, Names,
-// purges, feed snapshots) address: every shard, minus down-marked ones when
-// the tier is replicated — a down shard's content also lives on its healthy
-// replicas, so full-tier reads need not fail (or stall) on it. Without
-// replication every shard is the only holder of its range and stays
-// included.
+// reachableShards returns the shards full-tier fan-outs (Entries, the
+// replicated Len, purges, feed snapshots) address: every shard, minus
+// down-marked ones when the tier is replicated — a down shard's content also
+// lives on its healthy replicas, so full-tier reads need not fail (or stall)
+// on it. Without replication every shard is the only holder of its range and
+// stays included.
 func (r *Router) reachableShards() []shardRef {
 	all := r.allShards()
 	if r.rep <= 1 {
@@ -580,49 +578,46 @@ func (r *Router) Entries(ctx context.Context) ([]Entry, error) {
 	return out, nil
 }
 
-// Names implements API: every shard is queried concurrently and the name
-// sets are unioned. Best-effort like the other implementations — a shard
-// that answers nothing contributes nothing.
-func (r *Router) Names(ctx context.Context) []string {
+// Len implements API: the shard sizes are summed, querying every shard
+// concurrently like the other full-tier fan-outs (best-effort). With
+// replication every entry lives on r.rep shards, so the sum over-counts; the
+// replicated tier counts the distinct names of its reachable shards instead,
+// reading an *Instance shard's store directly, as FeedSnapshot does, and any
+// other shard's Entries (one that fails contributes nothing).
+func (r *Router) Len(ctx context.Context) int {
+	if r.rep <= 1 {
+		var total atomic.Int64
+		fanOut(r.allShards(), func(_ int, ref shardRef) {
+			total.Add(int64(ref.api.Len(ctx)))
+		})
+		return int(total.Load())
+	}
 	if ctx.Err() != nil {
-		r.obs.suppressed.Inc()
-		return nil
+		return 0
 	}
 	shards := r.reachableShards()
 	r.countBulk(len(shards))
 	var (
 		mu   sync.Mutex
-		seen = make(map[string]bool)
+		seen = make(map[string]struct{})
 	)
 	fanOut(shards, func(_ int, ref shardRef) {
-		names := ref.api.Names(ctx)
-		mu.Lock()
-		defer mu.Unlock()
-		for _, n := range names {
-			seen[n] = true
+		if inst, ok := ref.api.(*Instance); ok {
+			items := inst.store.Snapshot()
+			mu.Lock()
+			for _, it := range items {
+				seen[it.Key] = struct{}{}
+			}
+			mu.Unlock()
+		} else if entries, err := ref.api.Entries(ctx); err == nil {
+			mu.Lock()
+			for _, e := range entries {
+				seen[e.Name] = struct{}{}
+			}
+			mu.Unlock()
 		}
 	})
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len implements API: the shard sizes are summed, querying every shard
-// concurrently like the other full-tier fan-outs (best-effort). With
-// replication every entry lives on r.rep shards, so the sum over-counts; the
-// replicated tier counts distinct names instead.
-func (r *Router) Len(ctx context.Context) int {
-	if r.rep > 1 {
-		return len(r.Names(ctx))
-	}
-	var total atomic.Int64
-	fanOut(r.allShards(), func(_ int, ref shardRef) {
-		total.Add(int64(ref.api.Len(ctx)))
-	})
-	return int(total.Load())
+	return len(seen)
 }
 
 // countBulk feeds the bulk-call and sub-batch counters; their ratio is the

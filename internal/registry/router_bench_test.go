@@ -25,7 +25,6 @@ func (noopShard) AddLocation(_ context.Context, name string, _ Location) (Entry,
 	return Entry{Name: name, Version: 1}, nil
 }
 func (noopShard) Delete(context.Context, string) error                      { return nil }
-func (noopShard) Names(context.Context) []string                            { return nil }
 func (noopShard) Entries(context.Context) ([]Entry, error)                  { return nil, nil }
 func (noopShard) GetMany(context.Context, []string) ([]Entry, error)        { return nil, nil }
 func (noopShard) PutMany(_ context.Context, es []Entry) ([]Entry, error)    { return es, nil }
@@ -172,16 +171,16 @@ func TestRouterSingleHomeOpsStayCheap(t *testing.T) {
 	}
 }
 
-// newSnapshotTier builds a 4-shard R=2 tier over feeding instances and
-// writes n names through it, as geobench's durable_write preloads its
-// server before its watch falls back to a snapshot.
-func newSnapshotTier(tb testing.TB, n int) *Router {
+// newSnapshotTier builds a 4-shard tier of replication rep over feeding
+// instances and writes n names through it, as geobench's durable_write
+// preloads its server (R = 2) before its watch falls back to a snapshot.
+func newSnapshotTier(tb testing.TB, n, rep int) *Router {
 	tb.Helper()
 	apis := make([]API, 4)
 	for i := range apis {
 		apis[i] = NewInstance(7, memcache.New(memcache.Config{}), WithChangeFeed())
 	}
-	r, err := NewRouter(7, apis, WithRouterReplication(2), WithRouterMetrics(nil))
+	r, err := NewRouter(7, apis, WithRouterReplication(rep), WithRouterMetrics(nil))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -204,7 +203,7 @@ func newSnapshotTier(tb testing.TB, n int) *Router {
 // B/op over 20k is what TestRouterFeedSnapshotAllocations bounds.
 func BenchmarkRouterFeedSnapshot(b *testing.B) {
 	const n = 20_000
-	r := newSnapshotTier(b, n)
+	r := newSnapshotTier(b, n, 2)
 	ctx := context.Background()
 	b.ReportAllocs()
 	for b.Loop() {
@@ -214,13 +213,32 @@ func BenchmarkRouterFeedSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkRouterLen times the tier's count of 20k names over 4 shards: the
+// plain sum of the shard sizes at R = 1, the distinct names at R = 2, which
+// durable_write's preload check reads through metaserver.
+func BenchmarkRouterLen(b *testing.B) {
+	const n = 20_000
+	for _, rep := range []int{1, 2} {
+		b.Run(fmt.Sprintf("R=%d", rep), func(b *testing.B) {
+			r := newSnapshotTier(b, n, rep)
+			ctx := context.Background()
+			b.ReportAllocs()
+			for b.Loop() {
+				if got := r.Len(ctx); got != n {
+					b.Fatalf("Len = %d, want %d", got, n)
+				}
+			}
+		})
+	}
+}
+
 // TestRouterFeedSnapshotAllocations bounds the bytes a tier's snapshot
 // allocates per name: one result event and the shards' reads of their own
 // stores, no per-shard event copies, merged copy, name set or formatted
 // origin per name (about 1,100 B per name with those).
 func TestRouterFeedSnapshotAllocations(t *testing.T) {
 	const n, maxPerName = 5_000, 300
-	r := newSnapshotTier(t, n)
+	r := newSnapshotTier(t, n, 2)
 	ctx := context.Background()
 	least := uint64(math.MaxUint64)
 	for range 3 { // the least of three: another goroutine's allocation only adds

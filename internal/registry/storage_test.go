@@ -93,14 +93,6 @@ func (s *restartableShard) Delete(ctx context.Context, name string) error {
 	return api.Delete(ctx, name)
 }
 
-func (s *restartableShard) Names(ctx context.Context) []string {
-	api, err := s.api()
-	if err != nil {
-		return nil
-	}
-	return api.Names(ctx)
-}
-
 func (s *restartableShard) Entries(ctx context.Context) ([]Entry, error) {
 	api, err := s.api()
 	if err != nil {

@@ -72,7 +72,7 @@ type clientObs struct {
 	retired    *metrics.Counter   // rpc_client_retired_total: calls abandoned because their context ended
 	dials      *metrics.Counter   // rpc_client_dials_total: connections attempted, over either socket
 	localDials *metrics.Counter   // rpc_client_local_dials_total: connections that took the local socket
-	suppressed *metrics.Counter   // rpc_client_suppressed_errors_total: transport errors swallowed by best-effort ops
+	suppressed *metrics.Counter   // rpc_client_suppressed_errors_total: failures Len swallows
 	batchOps   *metrics.Histogram // rpc_client_batch_ops: operations carried per batch frame
 	latency    *metrics.Histogram // rpc_client_latency_ns: round-trip latency
 	trace      *metrics.TraceRing // recent per-call events
@@ -224,19 +224,6 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 	return decodeRespErr(resp)
 }
 
-// Names implements registry.API. Transport errors and cancelled contexts
-// yield an empty list, matching the best-effort semantics of the in-process
-// Names; every swallowed failure feeds rpc_client_suppressed_errors_total so
-// the degradation is observable even though the API hides it.
-func (c *Client) Names(ctx context.Context) []string {
-	resp, err := c.call(ctx, Request{Op: OpNames})
-	if err != nil {
-		c.obs.suppressed.Inc()
-		return nil
-	}
-	return resp.Names
-}
-
 // Entries implements registry.API.
 func (c *Client) Entries(ctx context.Context) ([]registry.Entry, error) {
 	resp, err := c.call(ctx, Request{Op: OpEntries})
@@ -314,11 +301,14 @@ func (c *Client) Merge(ctx context.Context, entries []registry.Entry) (int, erro
 	return resp.N, nil
 }
 
-// Len implements registry.API. Transport errors yield zero and feed the
-// suppressed-error counter (see Names).
+// Len implements registry.API. Its int result has no room for an error, so a
+// transport error, a cancelled context and a refused reply (an overloaded
+// tenant's, say) all yield zero; every one of them feeds
+// rpc_client_suppressed_errors_total, so the degradation is observable even
+// though the API hides it.
 func (c *Client) Len(ctx context.Context) int {
 	resp, err := c.call(ctx, Request{Op: OpLen})
-	if err != nil {
+	if err != nil || !resp.OK {
 		c.obs.suppressed.Inc()
 		return 0
 	}

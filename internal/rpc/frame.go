@@ -53,7 +53,6 @@ import (
 //	shape:  one bit per result field that follows, in this order
 //	  shapeEntry    uvarint length, the entry's encoding
 //	  shapeEntries  uvarint count, that many (uvarint length, encoding)
-//	  shapeNames    uvarint count, that many uvarint lengths, the names
 //	  shapeN        varint N
 //	  shapeVersions uvarint count, that many uvarint versions
 //
@@ -86,16 +85,15 @@ const headerLen = 1 + 1 + 1 + 8 + 8
 
 const flagSampled = 0x01
 
-// Shape bits of a response. 0x08 is not defined: it was the result of an
-// operation the protocol no longer has, and is refused like any other
-// undefined bit.
+// Shape bits of a response. 0x04 and 0x08 are not defined: they were the
+// results of operations the protocol no longer has, and are refused like any
+// other undefined bit.
 const (
 	shapeEntry    = 0x01
 	shapeEntries  = 0x02
-	shapeNames    = 0x04
 	shapeN        = 0x10
 	shapeVersions = 0x40
-	shapeMask     = shapeEntry | shapeEntries | shapeNames | shapeN | shapeVersions
+	shapeMask     = shapeEntry | shapeEntries | shapeN | shapeVersions
 )
 
 // The least an element of each counted list occupies; a count is checked
@@ -293,10 +291,6 @@ func appendResponse(dst []byte, r *Response) []byte {
 	if len(r.Entries) > 0 {
 		shape |= shapeEntries
 		dst = appendEntries(dst, r.Entries)
-	}
-	if len(r.Names) > 0 {
-		shape |= shapeNames
-		dst = appendNames(dst, r.Names)
 	}
 	if r.N != 0 {
 		shape |= shapeN
@@ -587,9 +581,6 @@ func (r *frameReader) response(resp *Response) {
 	}
 	if shape&shapeEntries != 0 {
 		resp.Entries = r.entries(r.nonEmpty(minEntryBytes))
-	}
-	if shape&shapeNames != 0 {
-		resp.Names = r.names(r.nonEmpty(minNameBytes))
 	}
 	if shape&shapeN != 0 {
 		resp.N = int(r.varint())

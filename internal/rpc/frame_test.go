@@ -158,11 +158,9 @@ func replySeeds(t testing.TB) []frameSeed {
 		{name: "events256-terminal", data: encoded(events)},
 		{name: "getmany", data: encoded(getManyReply(3))},
 		{name: "putmany256", data: encoded(putManyReply(256))},
-		// the corpus file keeps the name it was committed under, when a reply
-		// could also carry a Bool.
-		{name: "names-bool-n", data: encoded(ResponseFrame{
+		{name: "sampled-negative-n", data: encoded(ResponseFrame{
 			Header: Header{ID: 5, Kind: FrameSingle, sampled: true, trace: 0xfeedfacecafebeef},
-			Resp:   Response{OK: true, Names: []string{"data/a", "", "data/c"}, N: -3},
+			Resp:   Response{OK: true, N: -3},
 		})},
 
 		// a batch of 2^32-1 responses with nothing behind the count: 24 bytes.
@@ -185,11 +183,12 @@ func replySeeds(t testing.TB) []frameSeed {
 		{name: "hostile-undefined-shape", err: errReplyShape, data: header(FrameSingle, 0, 0, 0x20)},
 		// 0x08 said "Contains answered true" until that operation was removed.
 		{name: "hostile-retired-shape-bit", err: errReplyShape, data: header(FrameSingle, 0, 0, 0x08)},
-		// shape bits over N = 0, over no entries, over no names and over the
-		// zero entry.
+		// 0x04 carried the names listing until that operation was removed.
+		{name: "hostile-retired-names-bit", err: errReplyShape, data: header(FrameSingle, 0, 0, 0x04, 1, 1, 'a')},
+		// shape bits over N = 0, over no entries, over no versions and over
+		// the zero entry.
 		{name: "hostile-shape-over-zero-n", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeN, 0)},
 		{name: "hostile-shape-over-no-entries", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeEntries, 0)},
-		{name: "hostile-shape-over-no-names", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeNames, 0)},
 		{name: "hostile-shape-over-no-versions", err: errReplyEmptyField, data: header(FrameSingle, 0, 0, shapeVersions, 0)},
 		// three versions, two bytes left.
 		{name: "hostile-version-count", err: errFrameLength, data: header(FrameSingle, 0, 0, shapeVersions, 3, 1, 2)},
@@ -211,11 +210,8 @@ func replySeeds(t testing.TB) []frameSeed {
 		{name: "hostile-fallback-byte", err: errFrameBool, data: header(FrameWatch, 0, 0, 0, 5, 2)},
 		// an event whose name and origin each fit and together do not.
 		{name: "hostile-event-lengths", err: errFrameLength, data: header(FrameWatchEvent, 0, 0, 0, 1, 1, 1, 0, 3, 3, 0, 'a', 'b', 'c', 'd')},
-		// 2^32-1 events, 2^32-1 names.
+		// 2^32-1 events.
 		{name: "hostile-event-count", err: errFrameLength, data: header(FrameWatchEvent, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
-		{name: "hostile-name-count", err: errFrameLength, data: header(FrameSingle, 0, 0, shapeNames, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0)},
-		// name lengths that each fit and together do not.
-		{name: "hostile-names-past-end", err: errFrameLength, data: header(FrameSingle, 0, 0, shapeNames, 2, 3, 3, 'a', 'b', 'c', 'd')},
 	}
 }
 
@@ -407,7 +403,6 @@ func (n nullAPI) AddLocation(context.Context, string, registry.Location) (regist
 	return n.entry, nil
 }
 func (nullAPI) Delete(context.Context, string) error                        { return nil }
-func (nullAPI) Names(context.Context) []string                              { return nil }
 func (nullAPI) Entries(context.Context) ([]registry.Entry, error)           { return nil, nil }
 func (nullAPI) GetMany(context.Context, []string) ([]registry.Entry, error) { return nil, nil }
 func (nullAPI) PutMany(_ context.Context, es []registry.Entry) ([]registry.Entry, error) {
@@ -463,7 +458,7 @@ func TestNullRoundTripAllocations(t *testing.T) {
 func TestTraceNames(t *testing.T) {
 	names := map[Op]string{
 		OpPing: "ping", OpSite: "site", OpCreate: "create", OpPut: "put", OpGet: "get",
-		OpAddLoc: "addloc", OpDelete: "delete", OpNames: "names", OpEntries: "entries",
+		OpAddLoc: "addloc", OpDelete: "delete", OpEntries: "entries",
 		OpGetMany: "getmany", OpPutMany: "putmany", OpDeleteMany: "deletemany",
 		OpMerge: "merge", OpLen: "len", OpWatch: "watch",
 	}
@@ -479,9 +474,6 @@ func TestTraceNames(t *testing.T) {
 		if op.String() != want || traceName(op) != "rpc."+want {
 			t.Errorf("Op(%d) is named %q and traced as %q, want %q", b, op, traceName(op), want)
 		}
-	}
-	if len(names) != len(opTable)-1 {
-		t.Errorf("opTable has %d rows, the protocol %d operations", len(opTable)-1, len(names))
 	}
 }
 

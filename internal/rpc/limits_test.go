@@ -80,6 +80,33 @@ func TestOverLimitRejectedBeforeDispatch(t *testing.T) {
 	}
 }
 
+// A Len the server refuses reads as zero, like one that never got an answer,
+// and is counted as swallowed the same way.
+func TestRefusedLenCountsAsSuppressed(t *testing.T) {
+	_, _, addr := startLimitedServer(t, limits.Config{
+		Tenants: map[string]limits.TenantLimit{
+			// One token for the dial handshake, one for the Create.
+			"greedy": {OpsPerSec: 0.0001, OpsBurst: 2},
+		},
+	})
+	reg := metrics.NewRegistry()
+	client, err := Dial(tctx, addr, WithTenant("greedy"), WithMetrics(reg))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer client.Close()
+	if _, err := client.Create(tctx, wireEntry("adm-1")); err != nil {
+		t.Fatalf("Create within budget: %v", err)
+	}
+
+	if n := client.Len(tctx); n != 0 {
+		t.Fatalf("refused Len = %d, want 0", n)
+	}
+	if got := reg.Counter("rpc_client_suppressed_errors_total").Value(); got != 1 {
+		t.Fatalf("rpc_client_suppressed_errors_total = %d after a refused Len, want 1", got)
+	}
+}
+
 func TestBatchRejectionAnswersEveryOp(t *testing.T) {
 	_, _, addr := startLimitedServer(t, limits.Config{
 		Tenants: map[string]limits.TenantLimit{

@@ -226,7 +226,8 @@ type ResponseFrame struct {
 type Op uint8
 
 // Supported operations. They mirror registry.API one-to-one, and each has a
-// row in opTable. 0 is not an operation, so the zero Request names none.
+// row in opTable. 0 is not an operation, so the zero Request names none; 8
+// was the retired names listing and is refused like any undefined byte.
 const (
 	OpPing       Op = 1
 	OpSite       Op = 2
@@ -235,7 +236,6 @@ const (
 	OpGet        Op = 5
 	OpAddLoc     Op = 6
 	OpDelete     Op = 7
-	OpNames      Op = 8
 	OpEntries    Op = 9
 	OpGetMany    Op = 10
 	OpPutMany    Op = 11
@@ -291,9 +291,6 @@ var opTable = [...]struct {
 	}},
 	OpDelete: {"delete", bodyName, func(ctx context.Context, reg registry.API, req Request) Response {
 		return countResult(0, reg.Delete(ctx, req.Name))
-	}},
-	OpNames: {"names", bodyNone, func(ctx context.Context, reg registry.API, _ Request) Response {
-		return Response{OK: true, Names: reg.Names(ctx)}
 	}},
 	OpEntries: {"entries", bodyNone, func(ctx context.Context, reg registry.API, _ Request) Response {
 		return entriesResult(reg.Entries(ctx))
@@ -418,8 +415,6 @@ type Response struct {
 	Entry registry.Entry
 	// Entries is the result of Entries/GetMany.
 	Entries []registry.Entry
-	// Names is the result of Names.
-	Names []string
 	// N is the result of Len/Merge/DeleteMany, and carries the SiteID for
 	// OpSite.
 	N int

@@ -302,14 +302,14 @@ func TestConcurrentRepliesOwnTheirMemory(t *testing.T) {
 						}
 					}
 				case 7:
-					listed := client.Names(tctx)
-					if len(listed) != keys {
-						t.Errorf("Names = %d names, want %d", len(listed), keys)
+					listed, err := client.Entries(tctx)
+					if err != nil || len(listed) != keys {
+						t.Errorf("Entries = %d entries, %v; want %d", len(listed), err, keys)
 						return
 					}
-					for _, name := range listed {
-						if !strings.HasPrefix(name, "own/f") || len(name) != len(names[0]) {
-							t.Errorf("Names holds %q", name)
+					for _, e := range listed {
+						if !strings.HasPrefix(e.Name, "own/f") || len(e.Name) != len(names[0]) {
+							t.Errorf("Entries holds %q", e.Name)
 							return
 						}
 					}

@@ -149,9 +149,8 @@ func TestPutNamesEntriesMergeOverWire(t *testing.T) {
 	if _, err := client.Put(tctx, wireEntry("m0")); err != nil {
 		t.Errorf("Put: %v", err)
 	}
-	names := client.Names(tctx)
-	if len(names) != 5 {
-		t.Errorf("Names = %d, want 5", len(names))
+	if n := client.Len(tctx); n != 5 {
+		t.Errorf("Len = %d, want 5", n)
 	}
 	entries, err := client.Entries(tctx)
 	if err != nil || len(entries) != 5 {
@@ -273,11 +272,14 @@ func TestBadOpRejected(t *testing.T) {
 	}
 	served := srv.Requests()
 
-	reply := exchange(RequestFrame{Header: Header{ID: 1, Kind: FrameSingle}, Req: Request{Op: Op(200)}})
-	if reply.Header.ID != 1 || reply.Header.Kind != FrameSingle || !badOp(reply.Resp) {
-		t.Errorf("undefined op answered %+v", reply)
+	// Op(8) named the names listing until that operation was removed.
+	for _, op := range []Op{Op(200), Op(8)} {
+		reply := exchange(RequestFrame{Header: Header{ID: 1, Kind: FrameSingle}, Req: Request{Op: op}})
+		if reply.Header.ID != 1 || reply.Header.Kind != FrameSingle || !badOp(reply.Resp) {
+			t.Errorf("undefined %v answered %+v", op, reply)
+		}
 	}
-	reply = exchange(RequestFrame{Header: Header{ID: 2, Kind: FrameBatch},
+	reply := exchange(RequestFrame{Header: Header{ID: 2, Kind: FrameBatch},
 		Batch: BatchRequest{Ops: []Request{{Op: OpPing}, {Op: 0}, {Op: OpPing}}}})
 	if reply.Header.ID != 2 || reply.Header.Kind != FrameBatch || len(reply.Batch.Ops) != 3 {
 		t.Fatalf("batch holding an undefined op answered %+v", reply)

@@ -65,7 +65,6 @@ type Backing interface {
 	CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error)
 	Delete(key string) error
 	Contains(key string) bool
-	Keys() []string
 	Snapshot() []memcache.Item
 	Len() int
 	GetBatch(keys []string) (found []memcache.Item, missing []string, err error)
@@ -451,9 +450,6 @@ func (d *Durable) Get(key string) (memcache.Item, error) { return d.backing.Get(
 
 // Contains delegates to the backing store.
 func (d *Durable) Contains(key string) bool { return d.backing.Contains(key) }
-
-// Keys delegates to the backing store.
-func (d *Durable) Keys() []string { return d.backing.Keys() }
 
 // Snapshot delegates to the backing store.
 func (d *Durable) Snapshot() []memcache.Item { return d.backing.Snapshot() }

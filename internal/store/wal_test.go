@@ -482,13 +482,28 @@ func TestWALReplaySeeds(t *testing.T) {
 	}
 }
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzWALReplay from walSeeds")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzWALReplay and testdata/fuzz/FuzzSnapshotLoad from walSeeds and snapshotSeeds")
 
 // TestFuzzCorpusIsWALSeeds keeps the committed corpus, which is what `go
 // test` runs FuzzWALReplay over, identical to walSeeds.
 func TestFuzzCorpusIsWALSeeds(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzWALReplay")
-	seeds := walSeeds()
+	var files []corpusFile
+	for _, s := range walSeeds() {
+		files = append(files, corpusFile{s.name, s.data})
+	}
+	checkCorpus(t, "FuzzWALReplay", files)
+}
+
+// corpusFile is one committed fuzz input: its file name and its bytes.
+type corpusFile struct {
+	name string
+	data []byte
+}
+
+// checkCorpus compares testdata/fuzz/<target> with seeds, or with
+// -update-corpus writes the seeds there.
+func checkCorpus(t *testing.T, target string, seeds []corpusFile) {
+	dir := filepath.Join("testdata", "fuzz", target)
 	for _, s := range seeds {
 		path := filepath.Join(dir, s.name)
 		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
