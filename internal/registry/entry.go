@@ -98,6 +98,17 @@ func (e Entry) Validate() error {
 	return nil
 }
 
+// validBatch returns the first invalid entry's error. A batch is refused
+// whole, before any of it is stored, so a batch that fails has stored nothing.
+func validBatch(entries []Entry) error {
+	for _, e := range entries {
+		if err := e.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // pairwiseLocations is the most locations duplicateLocation compares pair by
 // pair. Every write validates its entry, and nearly every entry has one or two
 // locations, which comparing costs less than hashing; but an entry decoded

@@ -285,10 +285,8 @@ func (i *Instance) PutMany(ctx context.Context, entries []Entry) ([]Entry, error
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	for _, e := range entries {
-		if err := e.Validate(); err != nil {
-			return nil, err
-		}
+	if err := validBatch(entries); err != nil {
+		return nil, err
 	}
 	defer i.lockStripes(entryNames(entries))()
 	items, err := i.store.PutBatch(encodeBatch(entries))
@@ -336,13 +334,10 @@ func (i *Instance) Merge(ctx context.Context, entries []Entry) (applied int, err
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if err := e.Validate(); err != nil {
-			return 0, err
-		}
-		names = append(names, e.Name)
+	if err := validBatch(entries); err != nil {
+		return 0, err
 	}
+	names := entryNames(entries)
 	defer i.lockStripes(names)()
 	items, _, err := i.store.GetBatch(names)
 	if err != nil {

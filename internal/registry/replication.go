@@ -520,10 +520,14 @@ func (r *Router) Delete(ctx context.Context, name string) error {
 }
 
 // PutMany implements API: one combined sub-batch per shard across all
-// replica sets (see write), the stored entries returned in input order.
+// replica sets (see write), the stored entries returned in input order. A
+// batch with an invalid entry is refused whole, before any shard sees it.
 func (r *Router) PutMany(ctx context.Context, entries []Entry) ([]Entry, error) {
 	if len(entries) == 0 {
 		return nil, nil
+	}
+	if err := validBatch(entries); err != nil {
+		return nil, err
 	}
 	var (
 		mu  sync.Mutex
@@ -560,10 +564,14 @@ func (r *Router) DeleteMany(ctx context.Context, names []string) (int, error) {
 
 // Merge implements API: one sub-batch per shard (see write), the number of
 // applied entries returned. Merge is idempotent, so on partial failure the
-// caller re-sends the whole batch on the next round.
+// caller re-sends the whole batch on the next round; a batch with an invalid
+// entry is refused whole, before any shard sees it, and stores nothing.
 func (r *Router) Merge(ctx context.Context, entries []Entry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
+	}
+	if err := validBatch(entries); err != nil {
+		return 0, err
 	}
 	_, n, err := r.write(ctx, entryNames(entries), write{op: "merge", kind: upsert, bulk: true,
 		send: func(g *repGroup) { g.n, g.err = g.api.Merge(ctx, pick(entries, g.idx)) }})

@@ -162,6 +162,47 @@ func (c *countingShard) Merge(ctx context.Context, entries []Entry) (int, error)
 	return c.API.Merge(ctx, entries)
 }
 
+// invalidBatch returns eight valid entries that span more than one of r's
+// shards, with an entry that has no name among them.
+func invalidBatch(t *testing.T, r *Router) []Entry {
+	t.Helper()
+	var entries []Entry
+	homes := map[cloud.SiteID]bool{}
+	for i := range 8 {
+		e := testEntry(fmt.Sprintf("batch/%d", i))
+		entries = append(entries, e)
+		homes[r.replicaSet(e.Name)[0].id] = true
+	}
+	if len(homes) < 2 {
+		t.Fatalf("the batch's entries all live on one shard")
+	}
+	return slices.Insert(entries, 4, Entry{Size: 1})
+}
+
+// A bulk write with an invalid entry stores nothing on any shard, at any
+// replication, as an Instance stores nothing: the batch is refused before
+// any shard sees it, and Merge reports that none of it was applied.
+func TestRouterRefusesInvalidBatchWhole(t *testing.T) {
+	ctx := context.Background()
+	for _, rep := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", rep), func(t *testing.T) {
+			r, shards := newTestRouter(t, 4, WithRouterReplication(rep))
+			entries := invalidBatch(t, r)
+			if out, err := r.PutMany(ctx, entries); !errors.Is(err, ErrInvalidEntry) || out != nil {
+				t.Errorf("PutMany = %d entries, %v; want none and ErrInvalidEntry", len(out), err)
+			}
+			if n, err := r.Merge(ctx, entries); !errors.Is(err, ErrInvalidEntry) || n != 0 {
+				t.Errorf("Merge = %d, %v; want 0 and ErrInvalidEntry", n, err)
+			}
+			for id, shard := range shards {
+				if n := shard.Len(ctx); n != 0 {
+					t.Errorf("shard %d stores %d entries of a refused batch", id, n)
+				}
+			}
+		})
+	}
+}
+
 // TestRouterBulkOpsIssueOneSubBatchPerShard is the acceptance test for the
 // routing tier's batching contract: a bulk call over N shards costs at most
 // one sub-batch per shard — never one call per key.

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -533,6 +532,7 @@ type poolConn struct {
 	pending  map[uint64]*call
 	streams  map[uint64]*WatchStream // nil until the connection's first watch
 	err      error                   // sticky; set once the connection is unusable
+	closed   atomic.Bool             // raised before conn is closed, for its reader (inbox.readRaw)
 	watchdog *time.Timer             // nil until the connection's first call
 	watching bool                    // the watchdog is armed
 }
@@ -724,28 +724,33 @@ func (pc *poolConn) forgetStream(id uint64) {
 
 // readLoop demultiplexes frames by header ID until the connection dies:
 // replies to the calls waiting on them, event frames to their watch streams.
-// It never waits for a consumer. Frames for retired IDs (abandoned calls,
-// closed streams) are discarded.
+// It never waits for a consumer, so it takes every frame on its inbox's read
+// callback. Frames for retired IDs (abandoned calls, closed streams) are
+// discarded.
 func (pc *poolConn) readLoop() {
-	br := bufio.NewReaderSize(pc.conn, connReadBuffer)
-	for {
+	var bad error
+	err := newInbox(pc.conn, &pc.closed).read(func(payload []byte) bool {
 		var rf ResponseFrame
-		if err := readReply(br, &rf); err != nil {
-			pc.fail(fmt.Errorf("%v: %w", err, registry.ErrUnavailable))
-			return
+		if bad = decodeResponseFrame(payload, &rf); bad != nil {
+			return false
 		}
 		if rf.Header.Kind == FrameWatchEvent {
 			pc.deliver(&rf)
-			continue
+			return true
 		}
 		pc.mu.Lock()
 		c := pc.pending[rf.Header.ID]
 		delete(pc.pending, rf.Header.ID)
 		pc.mu.Unlock()
 		if c != nil {
-			c.reply <- rf
+			c.reply <- rf // one reply per call: its one slot is free
 		}
+		return true
+	})
+	if err == nil {
+		err = bad
 	}
+	pc.fail(fmt.Errorf("%v: %w", err, registry.ErrUnavailable))
 }
 
 // deliver routes one event frame to its stream; a stream that ends with it
@@ -772,6 +777,7 @@ func (pc *poolConn) fail(err error) {
 		pc.watchdog.Stop()
 	}
 	pc.mu.Unlock()
+	pc.closed.Store(true)
 	pc.conn.Close()
 	for _, c := range pending {
 		close(c.reply)

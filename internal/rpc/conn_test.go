@@ -1,17 +1,17 @@
 package rpc
 
-// Per-connection machinery: every reader of a connection takes its frames
-// through one buffered reader, so a small frame costs one read; a frame's
-// buffer grows with the bytes that arrive, not with its length prefix; the
-// server serves admitted frames on dispatch goroutines it reuses and bounds;
-// and a request too large to send is refused before any connection is
-// touched.
+// Per-connection machinery: a frame's buffer grows with the bytes that
+// arrive, not with its length prefix; the server serves admitted frames on
+// dispatch goroutines it reuses and bounds; and a request too large to send is
+// refused before any connection is touched. What a round trip costs in reads
+// and writes is counted in inbox_linux_test.go.
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"regexp"
 	"runtime"
@@ -28,107 +28,35 @@ import (
 	"geomds/internal/registry"
 )
 
-// countingConn counts the Read calls made on a connection.
-type countingConn struct {
-	net.Conn
-	reads *atomic.Int64
-}
-
-func (c countingConn) Read(p []byte) (int, error) {
-	c.reads.Add(1)
-	return c.Conn.Read(p)
-}
-
-// countingListener hands out its accepted connections as countingConns.
-type countingListener struct {
-	net.Listener
-	reads *atomic.Int64
-}
-
-func (l countingListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
+// readFrame reads one length-prefixed message off r, as a test's own peer
+// does, and returns its payload.
+func readFrame(r io.Reader) ([]byte, error) {
+	var prefix [4]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return nil, err
 	}
-	return countingConn{Conn: conn, reads: l.reads}, nil
+	size := binary.BigEndian.Uint32(prefix[:])
+	if size > MaxMessageSize {
+		return nil, fmt.Errorf("frame of %d bytes exceeds limit", size)
+	}
+	payload := make([]byte, size)
+	_, err := io.ReadFull(r, payload)
+	return payload, err
 }
 
-// readsPerFrameBound is what both read-count tests allow: one read per frame,
-// with room for the odd segment split.
-const readsPerFrameBound = 1.05
-
-// A sequential Get's request arrives in one segment, and the server takes it,
-// length prefix and payload, in one Read.
-func TestServerReadsEachFrameOnce(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// readReply reads one reply off r into f.
+func readReply(r io.Reader, f *ResponseFrame) error {
+	payload, err := readFrame(r)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	reads := new(atomic.Int64)
-	srv := NewServer(nullAPI{entry: geobenchEntry(1)}, nil)
-	go srv.Serve(countingListener{Listener: ln, reads: reads})
-	t.Cleanup(func() { srv.Close() })
-	client, err := Dial(tctx, ln.Addr().String(), WithPoolSize(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-
-	const frames = 200
-	name := geobenchEntry(1).Name
-	before := reads.Load()
-	for range frames {
-		if _, err := client.Get(tctx, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perFrame := float64(reads.Load()-before) / frames
-	if perFrame > readsPerFrameBound {
-		t.Errorf("the server made %.2f reads per request frame, want at most %v", perFrame, readsPerFrameBound)
-	}
-	t.Logf("server reads per request frame: %.3f", perFrame)
-}
-
-// The client's demultiplexer takes each reply in one Read too.
-func TestClientReadsEachReplyOnce(t *testing.T) {
-	srv := NewServer(nullAPI{entry: geobenchEntry(1)}, nil)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := new(atomic.Int64)
-	pc := newPoolConn(countingConn{Conn: conn, reads: reads}, 5*time.Second)
-	defer pc.fail(errors.New("test over"))
-
-	const frames = 200
-	for i := range frames {
-		f := RequestFrame{Header: Header{ID: uint64(i + 1), Kind: FrameSingle}, Req: Request{Op: OpGet, Name: geobenchEntry(1).Name}}
-		frame, err := encodeRequest(&f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := pc.do(tctx, f.Header.ID, frame, time.Now())
-		if err != nil || !rf.Resp.OK {
-			t.Fatalf("Get %d = %+v, %v", i, rf.Resp, err)
-		}
-	}
-	// The read loop's first Read was counted when it started, and so may
-	// its 201st be.
-	perFrame := float64(reads.Load()-1) / frames
-	if perFrame > readsPerFrameBound {
-		t.Errorf("the client made %.2f reads per reply frame, want at most %v", perFrame, readsPerFrameBound)
-	}
-	t.Logf("client reads per reply frame: %.3f", perFrame)
+	return decodeResponseFrame(payload, f)
 }
 
 // bodyWaitConn counts into waiting once its reader asks for more after the
 // first want bytes: the server has read a frame's prefix and what was sent of
-// its body, and waits for the rest. Only the server's read loop reads it.
+// its body, and waits for the rest. Only the server's read loop reads it, and
+// since it is no socket, it reads with conn.Read.
 type bodyWaitConn struct {
 	net.Conn
 	want, got int
@@ -171,7 +99,8 @@ func liveHeap() uint64 {
 // a frame of MaxMessageSize, send 1 KiB of it and go idle leave the server's
 // live heap within 4 MiB of where it was (it grew by 128 MiB while the
 // declared length was allocated up front), and another client's calls
-// complete meanwhile.
+// complete meanwhile. The connections are wrapped, so this holds the reads
+// made with conn.Read; TestRawReadLengthPrefixBuysNoMemory holds a socket's.
 func TestLengthPrefixBuysNoMemory(t *testing.T) {
 	const conns, sent = 8, 1 << 10
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -365,10 +294,9 @@ func TestServerDispatchWorkersAreBounded(t *testing.T) {
 	}
 }
 
-// The server may send a watch's ack and its first events in one segment. The
-// handshake reads the ack through the connection's buffered reader, and the
-// stream must go on reading through that same reader, or it loses the events
-// the handshake buffered.
+// The server may send a watch's ack and its first events in one segment, and
+// the connection's reader hands out every frame of it: the ack to the
+// handshake, the events to the stream.
 func TestWatchHandshakeSharesReaderWithEvents(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -384,14 +312,13 @@ func TestWatchHandshakeSharesReaderWithEvents(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		payload, err := readPayload(conn)
+		payload, err := readFrame(conn)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		var req RequestFrame
 		_, _, err = decodeRequestPreamble(payload, &req)
-		releasePayload(payload)
 		if err != nil {
 			t.Error(err)
 			return
@@ -418,7 +345,7 @@ func TestWatchHandshakeSharesReaderWithEvents(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		readPayload(conn) // until the client hangs up
+		readFrame(conn) // until the client hangs up
 	}()
 
 	// Dial is what builds a Client; the watch handshake is reached without it.

@@ -370,7 +370,7 @@ func appendBool(dst []byte, b bool) []byte {
 
 // decodeResponseFrame is the inverse of appendResponseFrame; it overwrites
 // *f, whose Header gets Kind and ID. What it keeps of payload it copies —
-// readPayload's buffer goes back to its pool the moment this returns — and
+// the connection's buffer is read over the moment this returns — and
 // every length and count is checked against the bytes that remain before
 // anything is allocated for it. After an error *f holds whatever was decoded
 // before the rule that failed and must not be used.

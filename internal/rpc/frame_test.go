@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -426,12 +428,33 @@ func startNullServer(t testing.TB, tr transport) *Client {
 	return client
 }
 
+// syscallCounts returns the read and write system calls this process has
+// made, from /proc/self/io; ok is false where there is no such file.
+func syscallCounts() (reads, writes int64, ok bool) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, 0, false
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		key, value, _ := strings.Cut(line, ": ")
+		n, _ := strconv.ParseInt(value, 10, 64)
+		switch key {
+		case "syscr":
+			reads = n
+		case "syscw":
+			writes = n
+		}
+	}
+	return reads, writes, true
+}
+
 // A whole Get over loopback, both ends counted: 908 allocations while both
 // directions were gob streams, 428 while requests still were, 15 while each
 // frame was read in two reads and served on a fresh goroutine, 12 while each
-// call armed a timer and made its own reply channel, 7 since, on either
-// transport. Under the race detector the pools' dropped buffers and reply
-// slots add up to 5 (11 is typical).
+// call armed a timer and made its own reply channel, 7 while each frame was
+// read into a pooled payload, 3 since each connection reads into a buffer of
+// its own, on either transport. Under the race detector the pools' dropped
+// buffers and reply slots add up to 5 (5 or 6 is typical).
 func TestNullRoundTripAllocations(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr transport) {
 		client := startNullServer(t, tr)
@@ -441,9 +464,9 @@ func TestNullRoundTripAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		limit := 7.0
+		limit := 3.0
 		if raceEnabled {
-			limit = 12
+			limit = 8
 		}
 		if allocs > limit {
 			t.Errorf("a null round trip cost %v allocations, want at most %v", allocs, limit)
@@ -521,10 +544,15 @@ func BenchmarkRoundTripNull(b *testing.B) {
 		b.Run(tr.name, func(b *testing.B) {
 			client := startNullServer(b, tr)
 			b.ReportAllocs()
+			reads, writes, counted := syscallCounts()
 			for b.Loop() {
 				if _, err := client.Get(tctx, name); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if r, w, ok := syscallCounts(); counted && ok {
+				b.ReportMetric(float64(r-reads)/float64(b.N), "reads/op")
+				b.ReportMetric(float64(w-writes)/float64(b.N), "writes/op")
 			}
 		})
 	}

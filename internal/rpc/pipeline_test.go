@@ -171,3 +171,42 @@ func TestPutManyDeleteManyOverWire(t *testing.T) {
 		t.Errorf("PutMany with invalid entry = %v, want ErrInvalidEntry", err)
 	}
 }
+
+// A bulk write with an invalid entry, sent through a client to a routing
+// tier, stores nothing on any shard: the Router refuses the batch whole, as
+// an Instance does, and Merge reports that none of it was applied.
+func TestInvalidBatchThroughRouterStoresNothing(t *testing.T) {
+	for _, rep := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", rep), func(t *testing.T) {
+			shards := make([]registry.API, 4)
+			for i := range shards {
+				shards[i] = registry.NewInstance(0, memcache.New(memcache.Config{}))
+			}
+			router, err := registry.NewRouter(0, shards, registry.WithRouterReplication(rep), registry.WithRouterMetrics(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := Dial(tctx, tcpTransport.serve(t, NewServer(router, nil, WithServerMetrics(nil))), WithMetrics(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { client.Close() })
+			var batch []registry.Entry
+			for i := range 8 {
+				batch = append(batch, wireEntry(fmt.Sprintf("batch/%d", i)))
+			}
+			batch = append(batch[:4], append([]registry.Entry{{Size: 1}}, batch[4:]...)...)
+			if out, err := client.PutMany(tctx, batch); !errors.Is(err, registry.ErrInvalidEntry) || out != nil {
+				t.Errorf("PutMany = %d entries, %v; want none and ErrInvalidEntry", len(out), err)
+			}
+			if n, err := client.Merge(tctx, batch); !errors.Is(err, registry.ErrInvalidEntry) || n != 0 {
+				t.Errorf("Merge = %d, %v; want 0 and ErrInvalidEntry", n, err)
+			}
+			for i, shard := range shards {
+				if n := shard.Len(tctx); n != 0 {
+					t.Errorf("shard %d stores %d entries of a refused batch", i, n)
+				}
+			}
+		})
+	}
+}

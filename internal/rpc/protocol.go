@@ -104,8 +104,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -549,9 +547,9 @@ func retryAfterNs(err error) int64 {
 	return 0
 }
 
-// maxPooledFrame caps what the frame and payload pools retain: a buffer
-// grown past it (one oversized bulk frame) is dropped instead of pinning
-// megabytes for the connection's lifetime.
+// maxPooledFrame caps what the frame pool and a connection's buffers retain:
+// a buffer grown past it (one oversized bulk frame) is dropped instead of
+// pinning megabytes for the connection's lifetime.
 const maxPooledFrame = 1 << 20
 
 // frameBuf is a pooled encode buffer holding one length-prefixed message,
@@ -634,72 +632,6 @@ func encodeReply(f *ResponseFrame) (frame *frameBuf, substituted bool, err error
 		return nil, false, errors.New(refusal.Detail)
 	}
 	return frame, true, nil
-}
-
-// payloadPool recycles read buffers across messages: both decoders copy what
-// they keep, so a payload is dead the moment decoding returns.
-var payloadPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// connReadBuffer sizes the one bufio.Reader each connection reads frames
-// through, so a small frame and its length prefix take one read. bufio reads
-// a larger frame straight into its pooled payload.
-const connReadBuffer = 4 << 10
-
-// readChunk is the most readPayload commits to a frame beyond the bytes that
-// have arrived: a frame within one chunk is read into one pooled buffer, and a
-// larger one into a buffer that at most doubles as its bytes arrive, so a
-// length prefix alone buys no memory.
-const readChunk = 64 << 10
-
-// readPayload reads one length-prefixed message from r and returns its raw
-// payload, backed by a pooled buffer — the caller owns it until it calls
-// releasePayload.
-func readPayload(r io.Reader) ([]byte, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, err // io.EOF is meaningful to callers; do not wrap
-	}
-	n := int(binary.BigEndian.Uint32(header[:]))
-	if n > MaxMessageSize {
-		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	bp := payloadPool.Get().(*[]byte)
-	payload := (*bp)[:0]
-	for len(payload) < n {
-		end := min(n, max(readChunk, 2*len(payload)))
-		payload = slices.Grow(payload, end-len(payload))
-		_, err := io.ReadFull(r, payload[len(payload):end])
-		if err != nil {
-			releasePayload(payload)
-			return nil, fmt.Errorf("rpc: read payload: %w", err)
-		}
-		payload = payload[:end]
-	}
-	return payload, nil
-}
-
-// releasePayload returns a readPayload buffer to the pool. The payload must
-// not be referenced afterwards.
-func releasePayload(p []byte) {
-	if cap(p) == 0 || cap(p) > maxPooledFrame {
-		return
-	}
-	p = p[:0]
-	payloadPool.Put(&p)
-}
-
-// readReply reads one length-prefixed reply from r into f.
-func readReply(r io.Reader, f *ResponseFrame) error {
-	payload, err := readPayload(r)
-	if err != nil {
-		return err
-	}
-	err = decodeResponseFrame(payload, f)
-	releasePayload(payload)
-	return err
 }
 
 // siteFromN converts the N field of an OpSite response into a SiteID.

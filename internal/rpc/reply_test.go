@@ -139,13 +139,12 @@ func parentServer(t *testing.T) (addr string, decoded *atomic.Int64) {
 		defer wg.Done()
 		defer conn.Close()
 		for {
-			payload, err := readPayload(conn)
+			payload, err := readFrame(conn)
 			if err != nil {
 				return
 			}
 			var rf gobRequestFrame
 			err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&rf)
-			releasePayload(payload)
 			if err != nil {
 				return
 			}
@@ -349,7 +348,7 @@ func versionServer(t *testing.T, skew int) (addr string) {
 		var rf RequestFrame
 		var out []byte
 		for {
-			payload, err := readPayload(conn)
+			payload, err := readFrame(conn)
 			if err != nil {
 				return
 			}
@@ -358,7 +357,6 @@ func versionServer(t *testing.T, skew int) (addr string) {
 			if Op(body.byte()) == OpPutMany {
 				reply.Resp.Versions = versions[:body.count(minEntryBytes)+skew]
 			}
-			releasePayload(payload)
 			if err != nil || body.err != nil {
 				return
 			}

@@ -237,9 +237,9 @@ func TestRequestGolden(t *testing.T) {
 	if !bytes.Equal(frame.b, want) {
 		t.Errorf("the Get request encodes to\n %x, the golden file holds\n %x", frame.b, want)
 	}
-	payload, err := readPayload(bytes.NewReader(want))
+	payload, err := readFrame(bytes.NewReader(want))
 	if err != nil {
-		t.Fatalf("readPayload(golden) = %v", err)
+		t.Fatalf("readFrame(golden) = %v", err)
 	}
 	var back RequestFrame
 	if err := decodeRequestFrame(payload, &back); err != nil {

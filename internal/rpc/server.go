@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -52,7 +51,7 @@ type Server struct {
 	cancelAll context.CancelFunc
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[*outbox]struct{}
 	closed bool
 	wg     sync.WaitGroup
 
@@ -151,7 +150,7 @@ func NewServer(reg registry.API, logger *log.Logger, opts ...ServerOption) *Serv
 		obs:         newServerObs(metrics.Default),
 		baseCtx:     baseCtx,
 		cancelAll:   cancel,
-		conns:       make(map[net.Conn]struct{}),
+		conns:       make(map[*outbox]struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -189,13 +188,14 @@ func (s *Server) accept(ln net.Listener) error {
 			conn.Close()
 			return nil
 		}
-		s.conns[conn] = struct{}{}
+		ob := &outbox{conn: conn}
+		s.conns[ob] = struct{}{}
 		s.mu.Unlock()
 
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.handle(conn)
+			s.handle(ob)
 		}()
 	}
 }
@@ -285,8 +285,8 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	ln, locals := s.listener, s.locals
-	for c := range s.conns {
-		c.Close()
+	for ob := range s.conns {
+		ob.close()
 	}
 	s.mu.Unlock()
 	// Cancel every in-flight request context so handlers blocked inside the
@@ -311,22 +311,37 @@ type dispatchJob struct {
 	finish func(time.Duration)
 }
 
+// heldFrame is a frame the read callback took but could not finish without
+// waiting, with what was decided about it, which the read loop finishes
+// outside the callback: nothing is admitted, decoded or answered twice.
+type heldFrame struct {
+	job    dispatchJob
+	ops    int
+	refuse Response // set when the frame is answered with this instead
+	end    error    // set when the frame ends the connection
+}
+
 // handle serves one connection until it drops. Frames are dispatched
 // concurrently (bounded by maxInflight) and answered out of order; a message
 // that does not decode as a frame ends the connection. Frames run on reused
 // workers: at most maxInflight busy ones and one idle one, so a closed-loop
 // caller is served by one goroutine whose stack has already grown.
-func (s *Server) handle(conn net.Conn) {
+//
+// Frames are taken on the connection's read callback (take), which must not
+// block, because closing the connection waits for it.
+func (s *Server) handle(ob *outbox) {
 	var (
-		ob    = &outbox{conn: conn}
+		conn  = ob.conn
 		wg    sync.WaitGroup
 		slots = make(chan struct{}, s.maxInflight)
-		jobs  = make(chan dispatchJob)
+		// jobs has room for one frame, so the read loop hands the idle worker
+		// its frame without waiting for it to reach its receive.
+		jobs = make(chan dispatchJob, 1)
 		// idle is set by a worker that will receive on jobs next, and cleared
 		// by the read loop as it sends that worker a frame.
 		idle    atomic.Bool
 		watches = newConnWatches()
-		br      = bufio.NewReaderSize(conn, connReadBuffer)
+		held    heldFrame
 	)
 	work := func(j dispatchJob) {
 		defer wg.Done()
@@ -347,93 +362,127 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 	}
+	// dispatch hands j, which holds a slot, to the idle worker or to a new
+	// one, without waiting.
+	dispatch := func(j dispatchJob) {
+		if idle.Swap(false) {
+			select {
+			case jobs <- j:
+				return
+			default: // the idle worker has yet to take the frame it was sent
+				idle.Store(true)
+			}
+		}
+		wg.Add(1)
+		go work(j)
+	}
+	// take handles one frame on the read callback, where nothing may wait.
+	// It hands an admitted frame that finds a free slot to a worker; any
+	// other frame it holds, and returns false for the read loop to finish it.
+	take := func(payload []byte) bool {
+		rf := &held.job.rf
+		// Admission control sits between the two halves of decoding: the
+		// preamble yields the tenant and the operation count, and the body —
+		// all 64 requests of a batch, every entry of a PutMany — is decoded
+		// only for a frame the limiter admits. A rejected frame is answered
+		// before it consumes an in-flight slot or performs any registry work,
+		// and what refusing it allocates does not depend on its size.
+		body, ops, err := decodeRequestPreamble(payload, rf)
+		if err != nil {
+			// Not a request frame: garbage, or a gob envelope of another
+			// generation. Nothing is dispatched or charged; the connection is
+			// dropped.
+			held.end = err
+			return false
+		}
+		held.ops = ops
+		// Cancels release resources; refusing one would only pin them, so
+		// they are never charged.
+		held.job.finish = func(time.Duration) {}
+		if rf.Header.Kind != FrameWatchCancel {
+			var aerr error
+			if held.job.finish, aerr = s.limiter.Admit(rf.Header.Tenant, ops, len(payload)); aerr != nil {
+				s.obs.countErr(ErrOverloaded)
+				held.refuse = failure(aerr)
+				return false
+			}
+		}
+		switch err := decodeRequestBody(body, ops, rf); {
+		case err == errRequestOp:
+			// The one undecodable frame that has an answer: there is no body
+			// to skip behind an undefined op, but the header said whom to tell.
+			held.job.finish(0)
+			s.obs.countErr(ErrBadOp)
+			held.refuse = Response{Err: ErrBadOp, Detail: err.Error()}
+			return false
+		case err != nil:
+			held.job.finish(0)
+			held.end = err
+			return false
+		}
+		if rf.Header.Kind == FrameWatch || rf.Header.Kind == FrameWatchCancel {
+			return false
+		}
+		select {
+		case slots <- struct{}{}:
+			dispatch(held.job)
+			held = heldFrame{}
+			return true
+		default:
+			return false
+		}
+	}
+	// finishHeld finishes the frame take held, and reports whether the
+	// connection goes on.
+	finishHeld := func() bool {
+		h := held
+		held = heldFrame{}
+		rf := &h.job.rf
+		switch {
+		case h.end != nil:
+			s.logger.Printf("rpc: bad frame from %s: %v", peerName(conn), h.end)
+			return false
+		case h.refuse.Err != ErrNone:
+			s.answerAll(ob, rf.Header, h.ops, h.refuse)
+		case rf.Header.Kind == FrameWatch:
+			// A subscription is long-lived, not an in-flight op: it pays one
+			// operation token at admission, releases its slot immediately and
+			// gets its own goroutine outside the in-flight slots, so idle
+			// subscriptions never starve pipelined request/response traffic.
+			h.job.finish(0)
+			s.startWatch(ob, &wg, watches, *rf)
+		case rf.Header.Kind == FrameWatchCancel:
+			watches.cancel(rf.Header.ID)
+		default:
+			slots <- struct{}{}
+			dispatch(h.job)
+		}
+		return true
+	}
 	s.obs.conns.Add(1)
 	defer s.obs.conns.Add(-1)
 	defer func() {
 		// Close before waiting: a response writer stuck on a stalled client
 		// is only unblocked by the close. Watch streams block on their feed
 		// rather than the connection, so cancel them explicitly.
-		conn.Close()
+		ob.close()
 		watches.cancelAll()
 		close(jobs)
 		wg.Wait()
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, ob)
 		s.mu.Unlock()
 	}()
+	in := newInbox(conn, &ob.closed)
 	for {
-		payload, err := readPayload(br)
-		if err != nil {
+		if err := in.read(take); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.isClosed() {
 				s.logger.Printf("rpc: read from %s: %v", peerName(conn), err)
 			}
 			return
 		}
-		// Admission control sits between the two halves of decoding: the
-		// preamble yields the tenant and the operation count, and the body —
-		// all 64 requests of a batch, every entry of a PutMany — is decoded
-		// only for a frame the limiter admits. A rejected frame is answered
-		// here on the read loop, before it consumes an in-flight slot or
-		// performs any registry work, and what refusing it allocates does
-		// not depend on its size.
-		var rf RequestFrame
-		body, ops, err := decodeRequestPreamble(payload, &rf)
-		if err != nil {
-			// Not a request frame: garbage, or a gob envelope of another
-			// generation. Nothing is dispatched or charged; the connection is
-			// dropped.
-			releasePayload(payload)
-			s.logger.Printf("rpc: bad frame from %s: %v", peerName(conn), err)
+		if !finishHeld() {
 			return
-		}
-		// Cancels release resources; refusing one would only pin them, so
-		// they are never charged.
-		finish := func(time.Duration) {}
-		if rf.Header.Kind != FrameWatchCancel {
-			var aerr error
-			if finish, aerr = s.limiter.Admit(rf.Header.Tenant, ops, len(payload)); aerr != nil {
-				releasePayload(payload)
-				s.obs.countErr(ErrOverloaded)
-				s.answerAll(ob, rf.Header, ops, failure(aerr))
-				continue
-			}
-		}
-		err = decodeRequestBody(body, ops, &rf)
-		releasePayload(payload)
-		if err == errRequestOp {
-			// The one undecodable frame that has an answer: there is no body
-			// to skip behind an undefined op, but the header said whom to tell.
-			finish(0)
-			s.obs.countErr(ErrBadOp)
-			s.answerAll(ob, rf.Header, ops, Response{Err: ErrBadOp, Detail: err.Error()})
-			continue
-		}
-		if err != nil {
-			finish(0)
-			s.logger.Printf("rpc: bad frame from %s: %v", peerName(conn), err)
-			return
-		}
-
-		switch rf.Header.Kind {
-		case FrameWatch:
-			// A subscription is long-lived, not an in-flight op: it pays one
-			// operation token at admission, releases its slot immediately and
-			// gets its own goroutine outside the in-flight slots, so idle
-			// subscriptions never starve pipelined request/response traffic.
-			finish(0)
-			s.startWatch(ob, &wg, watches, rf)
-			continue
-		case FrameWatchCancel:
-			watches.cancel(rf.Header.ID)
-			continue
-		}
-
-		slots <- struct{}{}
-		if j := (dispatchJob{rf: rf, finish: finish}); idle.Swap(false) {
-			jobs <- j // the idle worker is done with its frame and about to receive
-		} else {
-			wg.Add(1)
-			go work(j)
 		}
 	}
 }
@@ -478,7 +527,7 @@ func (s *Server) reply(ob *outbox, out *ResponseFrame) {
 		if !s.isClosed() {
 			s.logger.Printf("rpc: write to %s: %v", peerName(ob.conn), err)
 		}
-		ob.conn.Close()
+		ob.close()
 	}
 }
 
@@ -512,6 +561,10 @@ func (s *Server) writeReply(ob *outbox, out *ResponseFrame) error {
 // writes its frame alone, as if there were no outbox.
 type outbox struct {
 	conn net.Conn
+	// closed is raised before conn is closed. The connection's reader checks
+	// it between reads, without a lock, since Close waits for a read in
+	// progress (inbox.readRaw).
+	closed atomic.Bool
 
 	mu   sync.Mutex
 	live []*serverWatch
@@ -552,6 +605,12 @@ func (ob *outbox) write(frame []byte, leaving *serverWatch) error {
 		ob.buf = nil
 	}
 	return err
+}
+
+// close raises closed and closes the connection.
+func (ob *outbox) close() {
+	ob.closed.Store(true)
+	ob.conn.Close()
 }
 
 // setLive adds w to the live watches, or removes it.

@@ -316,7 +316,7 @@ func (s *Server) startWatch(ob *outbox, wg *sync.WaitGroup, watches *connWatches
 	if err := s.writeReply(ob, &out); err != nil {
 		cancel()
 		detach()
-		ob.conn.Close()
+		ob.close()
 		return
 	}
 	watches.add(rf.Header.ID, cancel)
@@ -342,7 +342,7 @@ func (s *Server) streamWatch(ctx context.Context, ob *outbox, w *serverWatch, sn
 			err = ob.write(frame, leaving)
 		}
 		if err != nil {
-			ob.conn.Close()
+			ob.close()
 		}
 		return err == nil
 	}
@@ -387,7 +387,7 @@ func (s *Server) streamWatch(ctx context.Context, ob *outbox, w *serverWatch, sn
 			return
 		}
 		if queued && ob.write(nil, nil) != nil {
-			ob.conn.Close()
+			ob.close()
 			return
 		}
 	}
