@@ -1,9 +1,10 @@
 package rpc
 
-// Per-connection machinery: a frame's buffer grows with the bytes that
-// arrive, not with its length prefix; the server serves admitted frames on
-// dispatch goroutines it reuses and bounds; and a request too large to send is
-// refused before any connection is touched. What a round trip costs in reads
+// Per-connection machinery: a connection read with conn.Read takes each small
+// frame in one read; a frame's buffer grows with the bytes that arrive, not
+// with its length prefix; the server serves admitted frames on dispatch
+// goroutines it reuses and bounds; and a request too large to send is refused
+// before any connection is touched. What a round trip costs a socket in reads
 // and writes is counted in inbox_linux_test.go.
 
 import (
@@ -51,6 +52,106 @@ func readReply(r io.Reader, f *ResponseFrame) error {
 		return err
 	}
 	return decodeResponseFrame(payload, f)
+}
+
+// countingConn counts the Read calls made on a connection. It is no socket,
+// so its reader fills the inbox with conn.Read.
+type countingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// countingListener hands out its accepted connections as countingConns.
+type countingListener struct {
+	net.Listener
+	reads *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: conn, reads: l.reads}, nil
+}
+
+// readsPerFrameBound is what both read-count tests allow: one read per frame,
+// with room for the odd segment split.
+const readsPerFrameBound = 1.05
+
+// A sequential Get's request arrives in one segment, and the server takes it,
+// length prefix and payload, in one conn.Read. TestRoundTripReadsEachSocketOnce
+// counts a socket's reads.
+func TestServerReadsEachFrameOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := new(atomic.Int64)
+	srv := NewServer(nullAPI{entry: geobenchEntry(1)}, nil)
+	go srv.Serve(countingListener{Listener: ln, reads: reads})
+	t.Cleanup(func() { srv.Close() })
+	client, err := Dial(tctx, ln.Addr().String(), WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+
+	const frames = 200
+	name := geobenchEntry(1).Name
+	before := reads.Load()
+	for range frames {
+		if _, err := client.Get(tctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perFrame := float64(reads.Load()-before) / frames
+	if perFrame > readsPerFrameBound {
+		t.Errorf("the server made %.2f reads per request frame, want at most %v", perFrame, readsPerFrameBound)
+	}
+	t.Logf("server reads per request frame: %.3f", perFrame)
+}
+
+// The client's demultiplexer takes each reply in one conn.Read too.
+func TestClientReadsEachReplyOnce(t *testing.T) {
+	srv := NewServer(nullAPI{entry: geobenchEntry(1)}, nil)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := new(atomic.Int64)
+	pc := newPoolConn(countingConn{Conn: conn, reads: reads}, 5*time.Second)
+	defer pc.fail(errors.New("test over"))
+
+	const frames = 200
+	for i := range frames {
+		f := RequestFrame{Header: Header{ID: uint64(i + 1), Kind: FrameSingle}, Req: Request{Op: OpGet, Name: geobenchEntry(1).Name}}
+		frame, err := encodeRequest(&f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rf, err := pc.do(tctx, f.Header.ID, frame, time.Now())
+		if err != nil || !rf.Resp.OK {
+			t.Fatalf("Get %d = %+v, %v", i, rf.Resp, err)
+		}
+	}
+	// The read loop's first Read was counted when it started, and so may
+	// its 201st be.
+	perFrame := float64(reads.Load()-1) / frames
+	if perFrame > readsPerFrameBound {
+		t.Errorf("the client made %.2f reads per reply frame, want at most %v", perFrame, readsPerFrameBound)
+	}
+	t.Logf("client reads per reply frame: %.3f", perFrame)
 }
 
 // bodyWaitConn counts into waiting once its reader asks for more after the
